@@ -633,10 +633,10 @@ pub fn case_json(c: &CaseResult) -> Json {
 /// A recorded measurement from an earlier PR's committed baseline (same
 /// harness, same machine class), kept so the emitted JSON carries its own
 /// comparison points.
-#[derive(Copy, Clone, Debug)]
+#[derive(Clone, Debug)]
 pub struct PreCase {
     /// `scenario/size` (matches [`CaseResult::name`]).
-    pub name: &'static str,
+    pub name: String,
     /// Delivered frames in the measured window.
     pub frames_delivered: u64,
     /// Delivered frames per wall second.
@@ -647,247 +647,103 @@ pub struct PreCase {
     pub allocs_per_frame: f64,
 }
 
-/// Where [`PRE_REFACTOR`] came from.
-pub const PRE_PROVENANCE: &str = "this harness at commit 867f385 (Vec-copying frame plane, \
-     before the FrameBuf refactor), full mode, release build, same container class as CI";
-
-/// Pre-refactor numbers (recorded from a run of this exact harness on
-/// the commit preceding the FrameBuf refactor; see [`PRE_PROVENANCE`]).
-pub const PRE_REFACTOR: &[PreCase] = &[
-    PreCase {
-        name: "broadcast/small",
-        frames_delivered: 51_200,
-        frames_per_sec: 4_682_686.0,
-        ns_per_frame: 213.55,
-        allocs_per_frame: 0.624,
-    },
-    PreCase {
-        name: "broadcast/large",
-        frames_delivered: 409_600,
-        frames_per_sec: 4_948_258.0,
-        ns_per_frame: 202.09,
-        allocs_per_frame: 0.343,
-    },
-    PreCase {
-        name: "ttcp/small",
-        frames_delivered: 9_312,
-        frames_per_sec: 605_059.0,
-        ns_per_frame: 1_652.73,
-        allocs_per_frame: 5.823,
-    },
-    PreCase {
-        name: "ttcp/large",
-        frames_delivered: 23_280,
-        frames_per_sec: 939_353.0,
-        ns_per_frame: 1_064.56,
-        allocs_per_frame: 4.137,
-    },
-    PreCase {
-        name: "pings/small",
-        frames_delivered: 8_024,
-        frames_per_sec: 1_459_363.0,
-        ns_per_frame: 685.23,
-        allocs_per_frame: 5.726,
-    },
-    PreCase {
-        name: "pings/large",
-        frames_delivered: 16_080,
-        frames_per_sec: 1_340_719.0,
-        ns_per_frame: 745.87,
-        allocs_per_frame: 5.721,
-    },
-];
-
-/// Pre-refactor numbers for `name`, if recorded.
-pub fn pre_case(name: &str) -> Option<&'static PreCase> {
-    PRE_REFACTOR.iter().find(|p| p.name == name)
+/// One recorded baseline: where it came from, and its cases.
+#[derive(Clone, Debug)]
+pub struct Baseline {
+    /// Commit, mode and machine class of the recording.
+    pub provenance: String,
+    /// The recorded cases.
+    pub cases: Vec<PreCase>,
 }
 
-/// Where [`PR3_BASELINE`] came from.
-pub const PR3_PROVENANCE: &str = "BENCH_PR3.json as committed at e65ed23 (zero-copy frame plane, \
-     before the PR 4 execution-plane work), full mode, release build, same container class as CI";
-
-/// The PR 3 committed baseline (the `cases` section of BENCH_PR3.json) —
-/// what this PR's measurements diff against.
-pub const PR3_BASELINE: &[PreCase] = &[
-    PreCase {
-        name: "broadcast/small",
-        frames_delivered: 51_136,
-        frames_per_sec: 10_876_662.95,
-        ns_per_frame: 91.94,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "broadcast/large",
-        frames_delivered: 409_088,
-        frames_per_sec: 18_215_612.84,
-        ns_per_frame: 54.90,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "ttcp/small",
-        frames_delivered: 9_312,
-        frames_per_sec: 693_227.12,
-        ns_per_frame: 1_442.53,
-        allocs_per_frame: 3.156,
-    },
-    PreCase {
-        name: "ttcp/large",
-        frames_delivered: 23_280,
-        frames_per_sec: 1_131_760.61,
-        ns_per_frame: 883.58,
-        allocs_per_frame: 1.267,
-    },
-    PreCase {
-        name: "pings/small",
-        frames_delivered: 7_984,
-        frames_per_sec: 1_678_691.97,
-        ns_per_frame: 595.70,
-        allocs_per_frame: 3.254,
-    },
-    PreCase {
-        name: "pings/large",
-        frames_delivered: 15_994,
-        frames_per_sec: 1_645_230.19,
-        ns_per_frame: 607.82,
-        allocs_per_frame: 3.252,
-    },
-];
-
-/// PR 3 baseline numbers for `name`, if recorded.
-pub fn pr3_case(name: &str) -> Option<&'static PreCase> {
-    PR3_BASELINE.iter().find(|p| p.name == name)
+impl Baseline {
+    /// The recorded numbers for `name`, if any.
+    pub fn case(&self, name: &str) -> Option<&PreCase> {
+        self.cases.iter().find(|p| p.name == name)
+    }
 }
 
-/// Where [`PR4_BASELINE`] came from.
-pub const PR4_PROVENANCE: &str = "BENCH_PR4.json as committed at 50cb232 (hot switchlet execution \
-     plane, before the PR 5 multi-core work), full mode, release build, same container class as CI";
-
-/// The PR 4 committed baseline (the `cases` section of BENCH_PR4.json) —
-/// what this PR's measurements diff against. The metro cases are new in
-/// PR 5 and have no earlier recording.
-pub const PR4_BASELINE: &[PreCase] = &[
-    PreCase {
-        name: "broadcast/small",
-        frames_delivered: 51_136,
-        frames_per_sec: 12_172_890.47,
-        ns_per_frame: 82.15,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "broadcast/large",
-        frames_delivered: 409_088,
-        frames_per_sec: 18_110_397.51,
-        ns_per_frame: 55.22,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "ttcp/small",
-        frames_delivered: 9_312,
-        frames_per_sec: 1_950_246.51,
-        ns_per_frame: 512.76,
-        allocs_per_frame: 0.76,
-    },
-    PreCase {
-        name: "ttcp/large",
-        frames_delivered: 23_280,
-        frames_per_sec: 3_136_626.35,
-        ns_per_frame: 318.81,
-        allocs_per_frame: 0.26,
-    },
-    PreCase {
-        name: "pings/small",
-        frames_delivered: 7_984,
-        frames_per_sec: 3_168_496.63,
-        ns_per_frame: 315.61,
-        allocs_per_frame: 0.50,
-    },
-    PreCase {
-        name: "pings/large",
-        frames_delivered: 15_994,
-        frames_per_sec: 3_059_476.34,
-        ns_per_frame: 326.85,
-        allocs_per_frame: 0.50,
-    },
-];
-
-/// PR 4 baseline numbers for `name`, if recorded.
-pub fn pr4_case(name: &str) -> Option<&'static PreCase> {
-    PR4_BASELINE.iter().find(|p| p.name == name)
+/// The recorded baselines every run re-emits and the `--assert-vs-pr4` /
+/// `--assert-probe-overhead` gates compare against.
+#[derive(Clone, Debug)]
+pub struct Recorded {
+    /// The PR 5 recording's own cases — the anchor set for the
+    /// probe-overhead gate: taken before any flight-recorder hook
+    /// existed, so a disarmed-probe run that stays within tolerance of
+    /// them (anchor-normalized) proves the hooks' disarmed cost is in
+    /// the noise.
+    pub pr5: Baseline,
+    /// The PR 4 baseline (no metro cases: those are new in PR 5).
+    pub pr4: Baseline,
+    /// The PR 3 baseline.
+    pub pr3: Baseline,
+    /// This harness on the commit preceding the FrameBuf refactor.
+    pub pre_refactor: Baseline,
 }
 
-/// Where [`PR5_BASELINE`] came from.
-pub const PR5_PROVENANCE: &str = "BENCH_PR5.json as committed at 96420a7 (multi-core execution \
+/// The committed PR 5 recording — the one place the baseline numbers
+/// are stored. It carries the three older baselines it was diffed
+/// against as sections of their own.
+const BENCH_PR5: &str = include_str!("../../../BENCH_PR5.json");
+
+/// Where [`Recorded::pr5`] came from (the recording does not describe
+/// itself).
+const PR5_PROVENANCE: &str = "BENCH_PR5.json as committed at 96420a7 (multi-core execution \
      plane, before the PR 7 flight-recorder work), full mode, release build, same container \
      class as CI";
 
-/// The PR 5 committed baseline (the `cases` section of BENCH_PR5.json) —
-/// the anchor set for the probe-overhead gate: these numbers were
-/// recorded before any flight-recorder hook existed, so a disarmed-probe
-/// run that stays within tolerance of them (anchor-normalized) proves
-/// the hooks' disarmed cost is in the noise.
-pub const PR5_BASELINE: &[PreCase] = &[
-    PreCase {
-        name: "broadcast/small",
-        frames_delivered: 51_136,
-        frames_per_sec: 12_806_276.52,
-        ns_per_frame: 78.09,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "broadcast/large",
-        frames_delivered: 409_088,
-        frames_per_sec: 17_913_263.81,
-        ns_per_frame: 55.82,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "ttcp/small",
-        frames_delivered: 9_312,
-        frames_per_sec: 1_896_266.18,
-        ns_per_frame: 527.35,
-        allocs_per_frame: 0.756,
-    },
-    PreCase {
-        name: "ttcp/large",
-        frames_delivered: 23_280,
-        frames_per_sec: 2_862_498.98,
-        ns_per_frame: 349.35,
-        allocs_per_frame: 0.258,
-    },
-    PreCase {
-        name: "pings/small",
-        frames_delivered: 7_984,
-        frames_per_sec: 3_001_704.63,
-        ns_per_frame: 333.14,
-        allocs_per_frame: 0.504,
-    },
-    PreCase {
-        name: "pings/large",
-        frames_delivered: 15_994,
-        frames_per_sec: 2_967_711.98,
-        ns_per_frame: 336.96,
-        allocs_per_frame: 0.504,
-    },
-    PreCase {
-        name: "metro/small",
-        frames_delivered: 139_572,
-        frames_per_sec: 21_764_015.46,
-        ns_per_frame: 45.95,
-        allocs_per_frame: 0.0,
-    },
-    PreCase {
-        name: "metro/large",
-        frames_delivered: 4_413_208,
-        frames_per_sec: 21_586_668.21,
-        ns_per_frame: 46.32,
-        allocs_per_frame: 0.0,
-    },
-];
-
-/// PR 5 baseline numbers for `name`, if recorded.
-pub fn pr5_case(name: &str) -> Option<&'static PreCase> {
-    PR5_BASELINE.iter().find(|p| p.name == name)
+/// Read the recorded baselines out of the committed `BENCH_PR5.json`.
+///
+/// # Panics
+/// If the committed file is not the document `bench_baseline` emits.
+pub fn recorded() -> Recorded {
+    let doc = Json::parse(BENCH_PR5).expect("BENCH_PR5.json is valid JSON");
+    let cases = |section: &Json| -> Vec<PreCase> {
+        let Some(Json::Arr(cases)) = section.get("cases") else {
+            panic!("BENCH_PR5.json: a baseline section has no `cases` array");
+        };
+        cases
+            .iter()
+            .map(|c| {
+                let num = |key: &str| {
+                    c.get(key)
+                        .and_then(Json::as_f64)
+                        .unwrap_or_else(|| panic!("BENCH_PR5.json: a case has no numeric `{key}`"))
+                };
+                let Some(Json::Str(name)) = c.get("name") else {
+                    panic!("BENCH_PR5.json: a case has no `name`");
+                };
+                PreCase {
+                    name: name.clone(),
+                    frames_delivered: num("frames_delivered") as u64,
+                    frames_per_sec: num("frames_per_sec_num"),
+                    ns_per_frame: num("ns_per_frame_num"),
+                    allocs_per_frame: num("allocs_per_frame_num"),
+                }
+            })
+            .collect()
+    };
+    let section = |key: &str| -> Baseline {
+        let section = doc
+            .get(key)
+            .unwrap_or_else(|| panic!("BENCH_PR5.json has no `{key}` section"));
+        let Some(Json::Str(provenance)) = section.get("provenance") else {
+            panic!("BENCH_PR5.json: `{key}` has no provenance");
+        };
+        Baseline {
+            provenance: provenance.clone(),
+            cases: cases(section),
+        }
+    };
+    Recorded {
+        pr5: Baseline {
+            provenance: PR5_PROVENANCE.to_owned(),
+            cases: cases(&doc),
+        },
+        pr4: section("pr4_baseline"),
+        pr3: section("pr3_baseline"),
+        pre_refactor: section("pre_refactor"),
+    }
 }
 
 #[cfg(test)]
@@ -926,5 +782,23 @@ mod tests {
             per_wire_large > per_wire_small,
             "large topology must raise the listener fan-out ({per_wire_small:.2} vs {per_wire_large:.2})"
         );
+    }
+
+    #[test]
+    fn recorded_baselines_parse_from_the_committed_file() {
+        let r = recorded();
+        // Six cases per older baseline; PR 5 added the metro pair.
+        for (b, n) in [(&r.pre_refactor, 6), (&r.pr3, 6), (&r.pr4, 6), (&r.pr5, 8)] {
+            assert_eq!(b.cases.len(), n, "{}", b.provenance);
+            assert!(b.cases.iter().all(|c| c.frames_per_sec > 0.0));
+        }
+        // The two gates' anchors, as recorded.
+        assert_eq!(r.pr4.case("broadcast/large").unwrap().ns_per_frame, 55.22);
+        assert_eq!(r.pr5.case("broadcast/large").unwrap().ns_per_frame, 55.82);
+        assert_eq!(
+            r.pr5.case("metro/large").unwrap().frames_delivered,
+            4_413_208
+        );
+        assert!(r.pr4.case("metro/large").is_none());
     }
 }

@@ -2,13 +2,13 @@
 //! module set, thinned.
 //!
 //! [`host_env`] builds the *signatures* (what is nameable); [`HostEnv`]
-//! implements the dispatch. The implementation deliberately contains
-//! functions that the signatures do **not** expose (`safeunix.system`,
-//! `safeunix.open_file`): they exist behind the dispatcher, but no
-//! switchlet can link to them — module thinning "leaves the switchlet
-//! with no way of naming the excluded function and thus, no way of
-//! accessing it". Tests in this module and the integration suite verify
-//! that importing them fails at link time.
+//! implements the dispatch, addressed by the slot a signature minted.
+//! The signatures deliberately leave out functions the paper's Safeunix
+//! has (`safeunix.system`, `safeunix.open_file`): no slot exists for
+//! them, so no switchlet can link to them — module thinning "leaves the
+//! switchlet with no way of naming the excluded function and thus, no
+//! way of accessing it". Tests in this module and the integration suite
+//! verify that importing them fails at link time.
 //!
 //! | module    | paper analogue | contents |
 //! |-----------|----------------|----------|
@@ -48,8 +48,7 @@ pub fn host_env() -> Env {
         HostModuleSig::new("safestd").func("hash_string", Ty::func(vec![Ty::Str], Ty::Int)),
     );
     env.add_module(
-        // Heavily thinned: time only. The implementation behind the
-        // dispatcher also knows `system` and `open_file`; they are
+        // Heavily thinned: time only. `system` and `open_file` are
         // excluded here, hence unnameable.
         HostModuleSig::new("safeunix").func("gettimeofday", Ty::func(vec![], Ty::Int)),
     );
@@ -214,45 +213,6 @@ impl HostDispatch for HostEnv<'_, '_> {
             return Err(VmError::HostUnavailable(format!("{m}.{i}")));
         };
         self.invoke(f, args)
-    }
-
-    /// Name-based path, kept for embedders and tests that address host
-    /// functions by name (the slow path the slot table replaces).
-    fn call(&mut self, module: &str, item: &str, mut args: Vec<Value>) -> Result<Value, VmError> {
-        use HostFn::*;
-        let f = match (module, item) {
-            ("safestd", "hash_string") => HashString,
-            ("safeunix", "gettimeofday") => GetTimeOfDay,
-            ("log", "msg") => LogMsg,
-            ("func", "register_handler") => RegisterHandler,
-            ("timer", "set_timeout") => SetTimeout,
-            ("unixnet", "num_ports") => NumPorts,
-            ("unixnet", "bind_in") => BindIn,
-            ("unixnet", "bind_out") => BindOut,
-            ("unixnet", "iport_to_oport") => IportToOport,
-            ("unixnet", "send_pkt_out") => SendPktOut,
-            ("unixnet", "unbind_in") => UnbindIn,
-            ("unixnet", "unbind_out") => UnbindOut,
-            ("bridgectl", "register_addr") => RegisterAddr,
-            ("bridgectl", "set_port_forward") => SetPortForward,
-            ("bridgectl", "set_port_learn") => SetPortLearn,
-            ("bridgectl", "flush_learning") => FlushLearning,
-            ("bridgectl", "counter_bump") => CounterBump,
-            ("switchctl", "is_running") => IsRunning,
-            ("switchctl", "loaded") => Loaded,
-            ("switchctl", "suspend") => Suspend,
-            ("switchctl", "resume") => Resume,
-            ("switchctl", "stop") => Stop,
-            // `safeunix.system` and `safeunix.open_file` exist here — and
-            // are unreachable: the Env never lists them, so no verified
-            // module can hold a resolved import for them. Reaching this
-            // arm would mean the thinning invariant broke.
-            ("safeunix", "system") | ("safeunix", "open_file") => {
-                unreachable!("thinned host function reached — name-space security broken")
-            }
-            _ => return Err(VmError::HostUnavailable(format!("{module}.{item}"))),
-        };
-        self.invoke(f, &mut args)
     }
 }
 

@@ -28,9 +28,6 @@ pub mod config;
 pub mod hostmods;
 pub mod loader;
 pub mod plane;
-#[doc(hidden)]
-#[path = "scenario.rs"]
-pub mod scenario_impl;
 pub mod switchlets;
 
 pub use bridge::{BridgeCommand, BridgeCtx, BridgeNode, DataFrame, NativeInit, NativeSwitchlet};

@@ -74,10 +74,9 @@ impl App {
             App::TtcpSend(a) => a.on_start(core, ctx, idx),
             App::Upload(a) => a.on_start(core, ctx, idx),
             App::Probe(a) => a.on_start(core, ctx, idx),
-            App::Blast(a) => a.on_start(core, ctx, idx),
-            App::MacFlood(a) => a.on_start(core, ctx, idx),
-            App::ArpStorm(a) => a.on_start(core, ctx, idx),
-            App::RogueBpdu(a) => a.on_start(core, ctx, idx),
+            App::Blast(_) | App::MacFlood(_) | App::ArpStorm(_) | App::RogueBpdu(_) => {
+                self.pace(core, ctx, idx, true)
+            }
             App::TtcpRecv(_) => {}
             App::Delayed(a) => a.on_start(core, ctx, idx),
         }
@@ -96,11 +95,43 @@ impl App {
             App::TtcpRecv(a) => a.on_timer(core, ctx, idx, user),
             App::Upload(a) => a.on_timer(core, ctx, idx, user),
             App::Probe(a) => a.on_timer(core, ctx, idx, user),
-            App::Blast(a) => a.on_timer(core, ctx, idx, user),
-            App::MacFlood(a) => a.on_timer(core, ctx, idx, user),
-            App::ArpStorm(a) => a.on_timer(core, ctx, idx, user),
-            App::RogueBpdu(a) => a.on_timer(core, ctx, idx, user),
+            App::Blast(_) | App::MacFlood(_) | App::ArpStorm(_) | App::RogueBpdu(_) => {
+                if user == PACE_TICK {
+                    self.pace(core, ctx, idx, false)
+                }
+            }
             App::Delayed(a) => a.on_timer(core, ctx, idx, user),
+        }
+    }
+
+    /// The pacing loop of the four fixed-schedule senders (the blaster
+    /// and the three attackers): send one frame and, while frames
+    /// remain, arm the tick that sends the next. `starting` marks the
+    /// first call, which also drops the app's start mark on the flight
+    /// recorder.
+    fn pace(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, starting: bool) {
+        let (mark, count, sent, interval) = match self {
+            App::Blast(a) => ("blast.start", a.count, a.sent, a.interval),
+            App::MacFlood(a) => ("attack.macflood.start", a.count, a.sent, a.interval),
+            App::ArpStorm(a) => ("attack.arpstorm.start", a.count, a.sent, a.interval),
+            App::RogueBpdu(a) => ("attack.roguebpdu.start", a.count, a.sent, a.interval),
+            _ => unreachable!("only the fixed-schedule senders are paced"),
+        };
+        if sent >= count {
+            return;
+        }
+        if starting {
+            ctx.probe_mark(mark);
+        }
+        match self {
+            App::Blast(a) => a.send_one(core, ctx),
+            App::MacFlood(a) => a.send_one(core, ctx),
+            App::ArpStorm(a) => a.send_one(core, ctx),
+            App::RogueBpdu(a) => a.send_one(core, ctx),
+            _ => unreachable!("matched above"),
+        }
+        if sent + 1 < count {
+            ctx.schedule(interval, app_token(idx, PACE_TICK));
         }
     }
 
@@ -1288,7 +1319,8 @@ pub mod active_bridge_types {
 
 // ----------------------------------------------------------------- blast
 
-const BLAST_TICK: u32 = 1;
+/// The tick [`App::pace`] arms between frames.
+const PACE_TICK: u32 = 1;
 
 /// A raw-frame generator for flooding/learning experiments.
 pub struct BlastApp {
@@ -1353,25 +1385,6 @@ impl BlastApp {
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
     }
-
-    fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.count > 0 {
-            ctx.probe_mark("blast.start");
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, BLAST_TICK));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, user: u32) {
-        if user == BLAST_TICK && self.sent < self.count {
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, BLAST_TICK));
-            }
-        }
-    }
 }
 
 // --------------------------------------------------------------- attacks
@@ -1380,8 +1393,6 @@ impl BlastApp {
 // draws from its own `Xoshiro` stream seeded by the scenario (never the
 // world RNG), so an attack is a pure function of its seed and the
 // defended/undefended arms replay the identical offense.
-
-const ATTACK_TICK: u32 = 1;
 
 /// A MAC-flood attacker: frames with randomized (locally-administered,
 /// unicast) source addresses toward a fixed never-learned destination —
@@ -1425,25 +1436,6 @@ impl MacFloodApp {
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
     }
-
-    fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.count > 0 {
-            ctx.probe_mark("attack.macflood.start");
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, ATTACK_TICK));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, user: u32) {
-        if user == ATTACK_TICK && self.sent < self.count {
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, ATTACK_TICK));
-            }
-        }
-    }
 }
 
 /// An ARP-storm attacker: broadcast who-has requests for addresses
@@ -1485,25 +1477,6 @@ impl ArpStormApp {
             .build();
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
-    }
-
-    fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.count > 0 {
-            ctx.probe_mark("attack.arpstorm.start");
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, ATTACK_TICK));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, user: u32) {
-        if user == ATTACK_TICK && self.sent < self.count {
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, ATTACK_TICK));
-            }
-        }
     }
 }
 
@@ -1557,25 +1530,6 @@ impl RogueBpduApp {
             .build();
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
-    }
-
-    fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.count > 0 {
-            ctx.probe_mark("attack.roguebpdu.start");
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, ATTACK_TICK));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, user: u32) {
-        if user == ATTACK_TICK && self.sent < self.count {
-            self.send_one(core, ctx);
-            if self.sent < self.count {
-                ctx.schedule(self.interval, app_token(idx, ATTACK_TICK));
-            }
-        }
     }
 }
 

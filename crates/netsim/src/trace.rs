@@ -94,9 +94,14 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Add `n` to `key`.
+    /// Add `n` to `key`. Only a key's first bump allocates.
     pub fn bump(&mut self, key: &str, n: u64) {
-        *self.map.entry(key.to_owned()).or_insert(0) += n;
+        match self.map.get_mut(key) {
+            Some(v) => *v += n,
+            None => {
+                self.map.insert(key.to_owned(), n);
+            }
+        }
     }
 
     /// Read `key` (0 if never bumped).
@@ -146,5 +151,13 @@ mod tests {
         c.bump("rx", 3);
         assert_eq!(c.get("rx"), 5);
         assert_eq!(c.get("missing"), 0);
+        // First inserts and repeat bumps interleaved: sums hold and
+        // `iter` stays in key order whatever the insertion order.
+        c.bump("tx", 1);
+        c.bump("drops", 0);
+        c.bump("rx", 1);
+        c.bump("tx", 4);
+        let all: Vec<(&str, u64)> = c.iter().collect();
+        assert_eq!(all, vec![("drops", 0), ("rx", 6), ("tx", 5)]);
     }
 }

@@ -173,6 +173,70 @@ impl WorldCore {
                 .push(done_at, EventKind::SegTxDone { seg: seg_id });
         }
     }
+
+    /// Fault injection on a frame that just finished serializing on
+    /// `seg_id`: draw from the world RNG, count and probe-record whatever
+    /// the segment's fault configuration did, and return the frame to
+    /// deliver with its copy count (2 when duplicated) — `None` when it
+    /// was dropped. Both completion events end in this; their firing
+    /// times anchor the draw order.
+    ///
+    /// The configuration is applied by reference, no per-frame clone
+    /// (`segments` and `rng` are disjoint fields, so the borrows split,
+    /// and the burst state threads through the same way); corruption is
+    /// the one copy-on-write point.
+    #[inline]
+    fn inject_faults(&mut self, seg_id: SegId, frame: FrameBuf) -> Option<(FrameBuf, u64)> {
+        let now = self.time;
+        let seg = &mut self.segments[seg_id.0];
+        let wire_len = frame.len() as u32;
+        let verdict = seg
+            .cfg
+            .fault
+            .apply_stateful(frame, &mut self.rng, &mut seg.burst_bad);
+        if let Some(bad) = verdict.flipped {
+            self.probe
+                .record(now, ProbeRecord::FaultBurst { seg: seg_id, bad });
+        }
+        if verdict.corrupted {
+            seg.counters.corrupted += 1;
+            self.probe.record(
+                now,
+                ProbeRecord::FaultCorrupt {
+                    seg: seg_id,
+                    len: wire_len,
+                },
+            );
+        }
+        match verdict.outcome {
+            FaultOutcome::Deliver(f) => Some((f, 1)),
+            FaultOutcome::Duplicate(f) => {
+                seg.counters.fault_duplicates += 1;
+                self.probe.record(
+                    now,
+                    ProbeRecord::FaultDuplicate {
+                        seg: seg_id,
+                        len: wire_len,
+                    },
+                );
+                Some((f, 2))
+            }
+            FaultOutcome::Drop => {
+                seg.counters.fault_drops += 1;
+                if verdict.burst_dropped {
+                    seg.counters.burst_drops += 1;
+                }
+                self.probe.record(
+                    now,
+                    ProbeRecord::FaultDrop {
+                        seg: seg_id,
+                        len: wire_len,
+                    },
+                );
+                None
+            }
+        }
+    }
 }
 
 /// The services available to a node during a callback.
@@ -706,11 +770,10 @@ impl World {
     /// transmission, run fault injection, and fan the frame out to every
     /// listener with a single batched event per delivered copy.
     ///
-    /// The whole path is allocation-free: the fault configuration is read
-    /// in place (`segments` and `rng` are disjoint fields, so the borrows
-    /// split), corruption is the one copy-on-write point, and listeners
-    /// are enumerated at delivery time from the segment's attachment list
-    /// instead of being collected into a scratch vector here.
+    /// The whole path is allocation-free: fault injection works in place
+    /// (see `inject_faults`), and listeners are enumerated at delivery
+    /// time from the segment's attachment list instead of being
+    /// collected into a scratch vector here.
     fn seg_tx_done(&mut self, seg_id: SegId) {
         let now = self.core.time;
         let core = &mut self.core;
@@ -743,57 +806,10 @@ impl World {
             let ser = seg.serialization_time(next_len);
             core.schedule_completion(seg_id, now + ser);
         }
-        // Fault injection on the completed frame, drawn from the world
-        // RNG; applied by reference, no per-frame clone of the config.
-        // The burst state threads through as a disjoint field borrow.
-        let seg = &mut core.segments[seg_id.0];
-        let wire_len = done.frame.len() as u32;
-        let verdict = seg
-            .cfg
-            .fault
-            .apply_stateful(done.frame, &mut core.rng, &mut seg.burst_bad);
-        if let Some(bad) = verdict.flipped {
-            core.probe
-                .record(now, ProbeRecord::FaultBurst { seg: seg_id, bad });
-        }
-        if verdict.corrupted {
-            seg.counters.corrupted += 1;
-            core.probe.record(
-                now,
-                ProbeRecord::FaultCorrupt {
-                    seg: seg_id,
-                    len: wire_len,
-                },
-            );
-        }
-        let (frame, copies) = match verdict.outcome {
-            FaultOutcome::Deliver(f) => (f, 1),
-            FaultOutcome::Duplicate(f) => {
-                seg.counters.fault_duplicates += 1;
-                core.probe.record(
-                    now,
-                    ProbeRecord::FaultDuplicate {
-                        seg: seg_id,
-                        len: wire_len,
-                    },
-                );
-                (f, 2)
-            }
-            FaultOutcome::Drop => {
-                seg.counters.fault_drops += 1;
-                if verdict.burst_dropped {
-                    seg.counters.burst_drops += 1;
-                }
-                core.probe.record(
-                    now,
-                    ProbeRecord::FaultDrop {
-                        seg: seg_id,
-                        len: wire_len,
-                    },
-                );
-                return;
-            }
+        let Some((frame, copies)) = core.inject_faults(seg_id, done.frame) else {
+            return;
         };
+        let seg = &mut core.segments[seg_id.0];
         if seg.cfg.capture {
             seg.captured.push(CapturedFrame {
                 at: now,
@@ -845,10 +861,11 @@ impl World {
             seg.counters.tx_frames += 1;
             seg.counters.tx_bytes += d.frame.len() as u64;
             done = d;
+            // The medium freed at the completion instant; this fused
+            // event fires one propagation delay later.
+            let completion = SimTime::from_ns(now.as_ns() - prop.as_ns());
             if self.core.probe.is_armed() {
-                // Stamp the wire-tx at the completion instant (this fused
-                // event fires one propagation delay later).
-                let completion = SimTime::from_ns(now.as_ns() - prop.as_ns());
+                // Stamp the wire-tx at the completion instant.
                 let ser_ns = seg.serialization_time(done.frame.len()).as_ns();
                 self.core.probe.record(
                     completion,
@@ -867,12 +884,11 @@ impl World {
                     .expect("started_next implies a current frame");
                 let ser = seg.serialization_time(next.frame.len());
                 // The next frame starts serializing when the medium frees
-                // (the completion instant, one propagation delay ago) or
-                // when it was offered — whichever is later: a frame
-                // offered during the propagation window found a free
-                // medium and starts at its own offer time, exactly as it
-                // would have on the two-event path.
-                let completion = SimTime::from_ns(now.as_ns() - prop.as_ns());
+                // (the completion instant) or when it was offered —
+                // whichever is later: a frame offered during the
+                // propagation window found a free medium and starts at
+                // its own offer time, exactly as it would have on the
+                // two-event path.
                 let start = completion.max(next.offered_at);
                 next_done = Some(start + ser);
             }
@@ -880,57 +896,11 @@ impl World {
         if let Some(done_at) = next_done {
             self.core.schedule_completion(seg_id, done_at);
         }
-        let core = &mut self.core;
-        let seg = &mut core.segments[seg_id.0];
-        let wire_len = done.frame.len() as u32;
-        let verdict = seg
-            .cfg
-            .fault
-            .apply_stateful(done.frame, &mut core.rng, &mut seg.burst_bad);
-        if let Some(bad) = verdict.flipped {
-            core.probe
-                .record(now, ProbeRecord::FaultBurst { seg: seg_id, bad });
-        }
-        if verdict.corrupted {
-            seg.counters.corrupted += 1;
-            core.probe.record(
-                now,
-                ProbeRecord::FaultCorrupt {
-                    seg: seg_id,
-                    len: wire_len,
-                },
-            );
-        }
-        let (frame, copies) = match verdict.outcome {
-            FaultOutcome::Deliver(f) => (f, 1u64),
-            FaultOutcome::Duplicate(f) => {
-                seg.counters.fault_duplicates += 1;
-                core.probe.record(
-                    now,
-                    ProbeRecord::FaultDuplicate {
-                        seg: seg_id,
-                        len: wire_len,
-                    },
-                );
-                (f, 2)
-            }
-            FaultOutcome::Drop => {
-                seg.counters.fault_drops += 1;
-                if verdict.burst_dropped {
-                    seg.counters.burst_drops += 1;
-                }
-                core.probe.record(
-                    now,
-                    ProbeRecord::FaultDrop {
-                        seg: seg_id,
-                        len: wire_len,
-                    },
-                );
-                return;
-            }
-        };
-        seg.counters.deliveries += copies * (n_att as u64 - 1);
         let src = done.src;
+        let Some((frame, copies)) = self.core.inject_faults(seg_id, done.frame) else {
+            return;
+        };
+        self.core.segments[seg_id.0].counters.deliveries += copies * (n_att as u64 - 1);
         let mut frame = Some(frame);
         for i in 0..copies {
             let f = if i + 1 == copies {

@@ -36,19 +36,45 @@ use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
 use ab_scenario::{timeline, Json};
 
-/// Every sweep `render --sweep` accepts, in the order they are listed in
-/// the usage text. Kept in sync with [`sweep_spec`] by a unit test.
-const SWEEP_NAMES: [&str; 4] = ["default", "chaos", "lossy", "adversarial"];
+/// A sweep constructor: the base seed in, the spec out.
+type SweepCtor = fn(u64) -> SweepSpec;
 
-/// Resolve a `--sweep` name to its spec.
-fn sweep_spec(name: &str, seed: u64) -> Option<SweepSpec> {
-    Some(match name {
-        "default" => SweepSpec::default_sweep(seed),
-        "chaos" => SweepSpec::chaos_sweep(seed),
-        "lossy" => SweepSpec::lossy_sweep(seed),
-        "adversarial" => SweepSpec::adversarial_sweep(seed),
-        _ => return None,
-    })
+/// Every sweep `render --sweep` accepts, by name — the one table the
+/// resolver, the usage text and the error message all read.
+const SWEEPS: [(&str, SweepCtor); 4] = [
+    ("default", SweepSpec::default_sweep),
+    ("chaos", SweepSpec::chaos_sweep),
+    ("lossy", SweepSpec::lossy_sweep),
+    ("adversarial", SweepSpec::adversarial_sweep),
+];
+
+/// Every shape `trace` accepts, by name: the default sweep's
+/// parameterizations under their own labels, plus the large metro tier
+/// (which the sweep reserves for benches).
+fn shapes() -> Vec<(&'static str, TopologyShape)> {
+    let mut shapes: Vec<_> = SweepSpec::default_sweep(0)
+        .shapes
+        .into_iter()
+        .map(|shape| (shape.label(), shape))
+        .collect();
+    shapes.push(("metro_large", TopologyShape::metro_large()));
+    shapes
+}
+
+/// Every battery `trace` accepts, by its own report label.
+fn batteries() -> Vec<(&'static str, BatteryKind)> {
+    BatteryKind::ALL.iter().map(|&b| (b.label(), b)).collect()
+}
+
+/// Look `name` up in a `(name, value)` table.
+fn lookup<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {
+    table.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+}
+
+/// A table's names joined by `sep`, for the usage text.
+fn names<T>(table: &[(&str, T)], sep: &str) -> String {
+    let names: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
+    names.join(sep)
 }
 
 fn usage() -> ! {
@@ -57,9 +83,11 @@ fn usage() -> ! {
          ab_scenario analyze <sweep.json|-> [--assert-score N] [--assert-pass]\n  \
          ab_scenario trace <shape> <battery> [--seed S] [--capacity N] [--defended]\n  \
          ab_scenario validate-trace <trace.json|->\n\n\
-         shapes: line ring star tree full_mesh random metro metro_large\n\
-         batteries: pings streams uploads churn metro contention chaos lossy adversarial",
-        SWEEP_NAMES.join("|")
+         shapes: {}\n\
+         batteries: {}",
+        names(&SWEEPS, "|"),
+        names(&shapes(), " "),
+        names(&batteries(), " ")
     );
     std::process::exit(2);
 }
@@ -73,43 +101,6 @@ fn main() {
         Some("validate-trace") => validate_trace(args),
         _ => usage(),
     }
-}
-
-/// Parse a shape label into the default-sweep parameterization (plus
-/// the large metro tier, which the sweep reserves for benches).
-fn parse_shape(label: &str) -> Option<TopologyShape> {
-    Some(match label {
-        "line" => TopologyShape::Line { bridges: 2 },
-        "ring" => TopologyShape::Ring { bridges: 3 },
-        "star" => TopologyShape::Star { arms: 3 },
-        "tree" => TopologyShape::Tree {
-            depth: 2,
-            fanout: 2,
-        },
-        "full_mesh" => TopologyShape::FullMesh { segments: 3 },
-        "random" => TopologyShape::Random {
-            segments: 4,
-            extra_links: 1,
-        },
-        "metro" => TopologyShape::metro_small(),
-        "metro_large" => TopologyShape::metro_large(),
-        _ => return None,
-    })
-}
-
-fn parse_battery(label: &str) -> Option<BatteryKind> {
-    Some(match label {
-        "pings" => BatteryKind::Pings,
-        "streams" => BatteryKind::Streams,
-        "uploads" => BatteryKind::Uploads,
-        "churn" => BatteryKind::Churn,
-        "metro" => BatteryKind::Metro,
-        "contention" => BatteryKind::Contention,
-        "chaos" => BatteryKind::Chaos,
-        "lossy" => BatteryKind::Lossy,
-        "adversarial" => BatteryKind::Adversarial,
-        _ => return None,
-    })
 }
 
 fn render(mut args: impl Iterator<Item = String>) {
@@ -132,14 +123,14 @@ fn render(mut args: impl Iterator<Item = String>) {
             _ => usage(),
         }
     }
-    let spec = sweep_spec(&sweep, seed).unwrap_or_else(|| {
+    let spec = lookup(&SWEEPS, &sweep).unwrap_or_else(|| {
         eprintln!(
             "unknown sweep {sweep:?} (expected one of: {})",
-            SWEEP_NAMES.join(", ")
+            names(&SWEEPS, ", ")
         );
         usage();
     });
-    let (report, pool) = run_sweep_jobs_profiled(&spec, jobs);
+    let (report, pool) = run_sweep_jobs_profiled(&spec(seed), jobs);
     if profile {
         eprint!("{}", pool.render());
     }
@@ -153,11 +144,11 @@ fn trace(mut args: impl Iterator<Item = String>) {
     let Some(battery_label) = args.next() else {
         usage()
     };
-    let Some(shape) = parse_shape(&shape_label) else {
+    let Some(shape) = lookup(&shapes(), &shape_label) else {
         eprintln!("unknown shape {shape_label:?}");
         usage();
     };
-    let Some(battery) = parse_battery(&battery_label) else {
+    let Some(battery) = lookup(&batteries(), &battery_label) else {
         eprintln!("unknown battery {battery_label:?}");
         usage();
     };
@@ -280,21 +271,24 @@ fn analyze(mut args: impl Iterator<Item = String>) {
 
 #[cfg(test)]
 mod tests {
-    use super::{sweep_spec, SWEEP_NAMES};
+    use super::*;
 
-    /// The advertised sweep list and the resolver must never drift: every
-    /// listed name resolves, no duplicates, and anything else is refused.
+    /// Every name table resolves each of its own names to that row, holds
+    /// no duplicates, and refuses anything else.
     #[test]
-    fn sweep_names_match_the_resolver() {
-        for name in SWEEP_NAMES {
-            assert!(sweep_spec(name, 42).is_some(), "{name} must resolve");
+    fn name_tables_resolve_exactly_their_own_names() {
+        fn check<T: Copy>(table: &[(&str, T)]) {
+            for (i, (name, _)) in table.iter().enumerate() {
+                let first = table.iter().position(|(n, _)| n == name);
+                assert_eq!(first, Some(i), "duplicate name {name}");
+                assert!(lookup(table, name).is_some(), "{name} must resolve");
+            }
+            for bogus in ["", "Default", "chaos ", "adversary", "all"] {
+                assert!(lookup(table, bogus).is_none(), "{bogus:?} must be refused");
+            }
         }
-        let mut unique = SWEEP_NAMES.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), SWEEP_NAMES.len(), "no duplicate sweep names");
-        for bogus in ["", "Default", "chaos ", "adversary", "all"] {
-            assert!(sweep_spec(bogus, 42).is_none(), "{bogus:?} must be refused");
-        }
+        check(&SWEEPS);
+        check(&shapes());
+        check(&batteries());
     }
 }

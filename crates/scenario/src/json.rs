@@ -44,6 +44,11 @@ impl Json {
         )
     }
 
+    /// An unsigned integer, or `null` when there is none to report.
+    pub fn opt_u64(v: Option<u64>) -> Json {
+        v.map_or(Json::Null, Json::U64)
+    }
+
     /// A string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())

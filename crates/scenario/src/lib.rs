@@ -22,8 +22,7 @@
 //!
 //! The low-level world-building primitives (deterministic addresses,
 //! `lans`, `bridge`) are re-exported at the crate root; this is their
-//! only public path (the deprecated `active_bridge::scenario` shim has
-//! been removed).
+//! only public path.
 //!
 //! ## Example
 //!
@@ -39,6 +38,7 @@
 
 pub mod exec;
 pub mod json;
+mod prims;
 pub mod quality;
 pub mod runner;
 pub mod sketch;
@@ -47,12 +47,7 @@ pub mod timeline;
 pub mod topo;
 pub mod workload;
 
-// The world-building primitives live in `active_bridge` (they construct
-// `BridgeNode`s, and this crate depends on that one); this is their
-// canonical public path.
-pub use active_bridge::scenario_impl::{
-    bridge, bridge_ip, bridge_mac, host_ip, host_mac, lans, line, ring,
-};
+pub use prims::{bridge, bridge_ip, bridge_mac, host_ip, host_mac, lans, line, ring};
 
 pub use exec::{
     default_jobs, parse_jobs, run_jobs, run_jobs_local, run_jobs_local_profiled, JobProfile,

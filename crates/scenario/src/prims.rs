@@ -1,22 +1,14 @@
-//! Topology-building primitives for bridges and LANs.
-//!
-//! The canonical public path is `ab_scenario::*`: that crate re-exports
-//! these primitives and layers the parametric topology generators,
-//! workload batteries and the scenario runner on top. (The old
-//! `active_bridge::scenario` shim is gone.)
-//!
-//! The helpers themselves must live in this crate (not `ab_scenario`)
-//! because they construct [`BridgeNode`]s: `ab_scenario` depends on
-//! `active_bridge`, so hoisting them out would create a dependency cycle.
-//! Import them through `ab_scenario`.
+//! Topology-building primitives for bridges and LANs: deterministic
+//! addresses, `lans`, `bridge`, and the two-line `ring`/`line` worlds.
+//! Re-exported at the crate root, which is their public path;
+//! [`crate::topo`] layers the parametric generators on top.
 
 use std::net::Ipv4Addr;
 
 use ether::MacAddr;
 use netsim::{NodeId, SegId, SegmentConfig, World};
 
-use crate::bridge::BridgeNode;
-use crate::config::BridgeConfig;
+use active_bridge::{loader, BridgeConfig, BridgeNode};
 
 /// Deterministic station address for bridge `n`.
 pub fn bridge_mac(n: u32) -> MacAddr {
@@ -61,7 +53,7 @@ pub fn bridge(
         segs.len(),
         cfg,
     );
-    node.boot_load_native(crate::loader::NAME);
+    node.boot_load_native(loader::NAME);
     for name in boot {
         node.boot_load_native(name);
     }

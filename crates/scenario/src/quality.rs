@@ -166,13 +166,12 @@ pub fn score_report(report: &Report) -> QualityScore {
 impl QualityScore {
     /// Render as the report's `quality` section.
     pub fn to_json(&self) -> Json {
-        let score = |v: Option<u64>| v.map(Json::U64).unwrap_or(Json::Null);
         Json::obj(vec![
-            ("latency", score(self.latency)),
-            ("loss", score(self.loss)),
-            ("fairness", score(self.fairness)),
-            ("degradation", score(self.degradation)),
-            ("overall", score(self.overall)),
+            ("latency", Json::opt_u64(self.latency)),
+            ("loss", Json::opt_u64(self.loss)),
+            ("fairness", Json::opt_u64(self.fairness)),
+            ("degradation", Json::opt_u64(self.degradation)),
+            ("overall", Json::opt_u64(self.overall)),
             ("contended_frames", Json::U64(self.contended_frames)),
             ("peak_queue", Json::U64(self.peak_queue)),
         ])

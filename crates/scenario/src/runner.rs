@@ -22,17 +22,18 @@
 use active_bridge::{BridgeConfig, BridgeNode, BridgeStats, StormConfig};
 use hostsim::{
     App, ArpStormApp, BlastApp, HostConfig, HostCostModel, HostNode, MacFloodApp, PingApp,
-    RogueBpduApp, TtcpRecvApp, TtcpSendApp, UploadApp, UploadConfig,
+    RogueBpduApp, TtcpRecvApp, TtcpSendApp, UploadApp,
 };
 use netsim::{NodeId, PortId, SimDuration, SimTime, World, WorldStats};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
-use netstack::FailureClass;
 
 use crate::json::Json;
 use crate::quality;
 use crate::sketch::Sketch;
 use crate::topo::{self, Topology, TopologyShape};
-use crate::workload::{self, AppAction, BatteryKind, FaultAction, Phase, Workload};
+use crate::workload::{
+    self, AppAction, AttackKind, BatteryKind, FaultAction, Phase, UploadImage, Workload,
+};
 
 /// The IEEE spanning-tree switchlet name (what [`Topology::default_boot`]
 /// boots on loopy topologies).
@@ -169,16 +170,15 @@ impl AppMetrics {
     /// Render as JSON: summary statistics derived from the buckets, the
     /// validity flag, and the sketch itself.
     pub fn to_json(&self) -> Json {
-        let stat = |v: Option<u64>| v.map(Json::U64).unwrap_or(Json::Null);
         let s = self.sketch.as_ref().filter(|_| self.valid);
         let mut members = vec![
             ("kind", Json::str(self.kind)),
             ("valid", Json::Bool(self.valid)),
-            ("avg_ns", stat(s.and_then(|s| s.avg()))),
-            ("p50_ns", stat(s.and_then(|s| s.percentile(50)))),
-            ("p90_ns", stat(s.and_then(|s| s.percentile(90)))),
-            ("p99_ns", stat(s.and_then(|s| s.percentile(99)))),
-            ("delivery_pm", stat(self.delivery_pm)),
+            ("avg_ns", Json::opt_u64(s.and_then(|s| s.avg()))),
+            ("p50_ns", Json::opt_u64(s.and_then(|s| s.percentile(50)))),
+            ("p90_ns", Json::opt_u64(s.and_then(|s| s.percentile(90)))),
+            ("p99_ns", Json::opt_u64(s.and_then(|s| s.percentile(99)))),
+            ("delivery_pm", Json::opt_u64(self.delivery_pm)),
         ];
         if let Some(sk) = &self.sketch {
             members.push(("sketch", sk.to_json()));
@@ -367,10 +367,7 @@ impl Report {
         let convergence = Json::obj(vec![
             (
                 "converged_at_ns",
-                match self.converged_at {
-                    Some(t) => Json::U64(t.as_ns()),
-                    None => Json::Null,
-                },
+                Json::opt_u64(self.converged_at.map(|t| t.as_ns())),
             ),
             ("stp", Json::Bool(self.cyclic)),
         ]);
@@ -474,10 +471,7 @@ impl Report {
                 // rendering 100 here (the old `unwrap_or(100)`) made a
                 // fully-waived run look perfect.
                 "score_percent",
-                match (passed * 100).checked_div(total) {
-                    Some(pct) => Json::U64(pct),
-                    None => Json::Null,
-                },
+                Json::opt_u64((passed * 100).checked_div(total)),
             ),
         ]);
         let mut members = vec![
@@ -506,10 +500,7 @@ impl Report {
                     ("crashes", Json::U64(r.crashes)),
                     (
                         "time_to_first_delivery_ns",
-                        match r.time_to_first_delivery {
-                            Some(d) => Json::U64(d.as_ns()),
-                            None => Json::Null,
-                        },
+                        Json::opt_u64(r.time_to_first_delivery.map(|d| d.as_ns())),
                     ),
                 ]),
             ));
@@ -526,10 +517,7 @@ impl Report {
                     ("burst_drops", Json::U64(r.burst_drops)),
                     (
                         "max_stall_ns",
-                        match r.max_stall {
-                            Some(d) => Json::U64(d.as_ns()),
-                            None => Json::Null,
-                        },
+                        Json::opt_u64(r.max_stall.map(|d| d.as_ns())),
                     ),
                 ]),
             ));
@@ -750,7 +738,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let real_macs: Vec<ether::MacAddr> = topo
         .bridges
         .iter()
-        .map(|b| active_bridge::scenario_impl::bridge_mac(b.index))
+        .map(|b| crate::prims::bridge_mac(b.index))
         .collect();
     let mut sec_max_occ = 0u64;
     let mut rogue_root_seen = false;
@@ -851,20 +839,21 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         }
         s
     });
-    let invariants = judge_invariants(
+    let invariants = judge_invariants(&Evidence {
         world,
-        &topo,
-        &wl,
-        &apps,
-        upload_count,
+        topo: &topo,
+        wl: &wl,
+        apps: &apps,
+        uploads: upload_count,
         converged_at,
         epoch,
         quiet_tx,
         quiet_allowed,
-        &bridges,
-        scenario.defended,
-        security.as_ref(),
-    );
+        bridges: &bridges,
+        defended: scenario.defended,
+        resilience: resilience.as_ref(),
+        security: security.as_ref(),
+    });
 
     Report {
         scenario: scenario.clone(),
@@ -901,14 +890,7 @@ fn resilience_report(
     let mut rto_ceiling_hits = 0u64;
     let mut max_stall_ns = 0u64;
     for p in placed {
-        let is_upload = matches!(
-            p.action,
-            AppAction::Upload { .. }
-                | AppAction::UploadTrap { .. }
-                | AppAction::UploadSealed { .. }
-                | AppAction::UploadCorrupt { .. }
-        );
-        if !is_upload {
+        if !matches!(p.action, AppAction::Upload { .. }) {
             continue;
         }
         if let App::Upload(a) = world.node::<HostNode>(p.sender).app(0).unwrapped() {
@@ -942,7 +924,7 @@ fn materialize(
     wl: &Workload,
     epoch: SimDuration,
 ) -> Vec<Placed> {
-    use active_bridge::scenario_impl::{bridge_ip, host_ip, host_mac};
+    use crate::prims::{bridge_ip, host_ip, host_mac};
     let mut next_host: u32 = 1;
     let mut host = |world: &mut World, seg: usize, apps: Vec<App>| -> (NodeId, u32) {
         let n = next_host;
@@ -960,9 +942,10 @@ fn materialize(
         .iter()
         .enumerate()
         .map(|(i, item)| {
-            let start = epoch + item.offset;
-            let mut crowd = Vec::new();
-            let (sender, receiver) = match &item.action {
+            // Every action but a crowd is one sender host running one
+            // delayed app; receivers are placed first (the sender's app
+            // is addressed by the receiver's host number).
+            let (from_seg, receiver, app) = match &item.action {
                 AppAction::Ping {
                     from_seg,
                     to_seg,
@@ -971,22 +954,15 @@ fn materialize(
                     interval,
                 } => {
                     let (rx, rx_n) = host(world, *to_seg, vec![]);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            PingApp::new(
-                                PortId(0),
-                                host_ip(rx_n),
-                                *count,
-                                *payload,
-                                *interval,
-                                0x5000 + i as u16,
-                            ),
-                        )],
+                    let app = PingApp::new(
+                        PortId(0),
+                        host_ip(rx_n),
+                        *count,
+                        *payload,
+                        *interval,
+                        0x5000 + i as u16,
                     );
-                    (tx, Some(rx))
+                    (*from_seg, Some(rx), app)
                 }
                 AppAction::Ttcp {
                     from_seg,
@@ -1000,23 +976,16 @@ fn materialize(
                         *to_seg,
                         vec![TtcpRecvApp::new(port, ReceiverConfig::default())],
                     );
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            TtcpSendApp::new(
-                                PortId(0),
-                                host_ip(rx_n),
-                                port,
-                                port,
-                                *total_bytes,
-                                *write_size,
-                                SenderConfig::default(),
-                            ),
-                        )],
+                    let app = TtcpSendApp::new(
+                        PortId(0),
+                        host_ip(rx_n),
+                        port,
+                        port,
+                        *total_bytes,
+                        *write_size,
+                        SenderConfig::default(),
                     );
-                    (tx, Some(rx))
+                    (*from_seg, Some(rx), app)
                 }
                 AppAction::Blast {
                     from_seg,
@@ -1026,164 +995,52 @@ fn materialize(
                     interval,
                 } => {
                     let (rx, rx_n) = host(world, *to_seg, vec![]);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            BlastApp::new(PortId(0), host_mac(rx_n), *size, *count, *interval),
-                        )],
-                    );
-                    (tx, Some(rx))
+                    let app = BlastApp::new(PortId(0), host_mac(rx_n), *size, *count, *interval);
+                    (*from_seg, Some(rx), app)
                 }
-                AppAction::Upload { from_seg, bridge } => {
-                    let image = workload::inert_upload_image(i as u32);
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::new(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("scn_upload{i}.img"),
-                                image,
-                            ),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::UploadTrap { from_seg, bridge } => {
-                    let image = active_bridge::switchlets::trap_vm::build_image();
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::new(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("vm_trap{i}.img"),
-                                image,
-                            ),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::UploadSealed {
+                AppAction::Upload {
                     from_seg,
                     bridge,
-                    pad,
+                    image,
                 } => {
-                    let image = workload::sealed_upload_image(i as u32, *pad);
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::with_config(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("scn_upload{i}.swl"),
-                                image,
-                                UploadConfig::resilient(),
-                            ),
-                        )],
+                    let app = UploadApp::with_config(
+                        PortId(0),
+                        bridge_ip(topo.bridges[*bridge].index),
+                        3000 + i as u16,
+                        image.file_name(i),
+                        image.build(i),
+                        image.config(),
                     );
-                    (tx, None)
+                    (*from_seg, None, app)
                 }
-                AppAction::UploadCorrupt { from_seg, bridge } => {
-                    let image = workload::corrupt_upload_image(i as u32);
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::with_config(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("scn_corrupt{i}.swl"),
-                                image,
-                                // The poisoned image can never succeed:
-                                // keep its budget small so it parks as a
-                                // classified IntegrityReject well before
-                                // the evaluation window.
-                                UploadConfig {
-                                    max_retries: 6,
-                                    ..UploadConfig::resilient()
-                                },
-                            ),
-                        )],
-                    );
-                    (tx, None)
-                }
+                AppAction::Attack {
+                    from_seg,
+                    kind,
+                    count,
+                    interval,
+                    seed,
+                } => (*from_seg, None, kind.app(*count, *interval, *seed)),
                 AppAction::Crowd { seg, hosts } => {
                     assert!(*hosts > 0, "a crowd needs at least one host");
-                    crowd = (0..*hosts).map(|_| host(world, *seg, vec![]).0).collect();
-                    (crowd[0], None)
-                }
-                AppAction::MacFlood {
-                    from_seg,
-                    count,
-                    interval,
-                    seed,
-                } => {
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            MacFloodApp::new(PortId(0), *count, *interval, *seed),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::ArpStorm {
-                    from_seg,
-                    count,
-                    interval,
-                    seed,
-                } => {
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            ArpStormApp::new(PortId(0), *count, *interval, *seed),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::RogueBpdu {
-                    from_seg,
-                    count,
-                    interval,
-                } => {
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            RogueBpduApp::new(PortId(0), *count, *interval),
-                        )],
-                    );
-                    (tx, None)
+                    let crowd: Vec<NodeId> =
+                        (0..*hosts).map(|_| host(world, *seg, vec![]).0).collect();
+                    return Placed {
+                        action: item.action.clone(),
+                        phase: item.phase,
+                        sender: crowd[0],
+                        receiver: None,
+                        crowd,
+                    };
                 }
             };
+            let start = epoch + item.offset;
+            let (sender, _) = host(world, from_seg, vec![App::delayed(start, app)]);
             Placed {
                 action: item.action.clone(),
                 phase: item.phase,
                 sender,
                 receiver,
-                crowd,
+                crowd: Vec::new(),
             }
         })
         .collect()
@@ -1345,113 +1202,38 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                         ),
                     }
                 }
-                (AppAction::Upload { from_seg, bridge }, App::Upload(a)) => {
-                    uploads += 1;
-                    let done = a.is_done() && a.failed.is_none();
+                (
+                    AppAction::Upload {
+                        from_seg,
+                        bridge,
+                        image,
+                    },
+                    App::Upload(a),
+                ) => {
+                    uploads += u64::from(image.counts_alive());
+                    let ok = image.ok(a);
+                    let delivery_pm = Some(if ok { 1000 } else { 0 });
                     AppReport {
-                        label: "upload",
+                        label: image.label(),
                         phase: p.phase,
                         from_seg: *from_seg,
                         // Like every other label, to_seg is a segment
                         // index; the target bridge goes in the detail.
                         to_seg: topo.bridges[*bridge].segments[0],
-                        ok: done,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("retries", a.retries as u64),
-                        ],
-                        metrics: AppMetrics {
-                            kind: "timeline",
-                            valid: done,
-                            delivery_pm: Some(if done { 1000 } else { 0 }),
-                            sketch: Some(Sketch::from_samples(a.progress_gap_ns.iter().copied())),
-                        },
-                    }
-                }
-                (AppAction::UploadTrap { from_seg, bridge }, App::Upload(a)) => {
-                    // The transfer itself must succeed — proving the
-                    // loader path survived the chaos — but the module
-                    // is *designed* to be quarantined afterwards, so it
-                    // does not count toward `uploads_alive`.
-                    let done = a.is_done() && a.failed.is_none();
-                    AppReport {
-                        label: "upload_trap",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: topo.bridges[*bridge].segments[0],
-                        ok: done,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("retries", a.retries as u64),
-                        ],
-                        metrics: AppMetrics {
-                            kind: "timeline",
-                            valid: done,
-                            delivery_pm: Some(if done { 1000 } else { 0 }),
-                            sketch: Some(Sketch::from_samples(a.progress_gap_ns.iter().copied())),
-                        },
-                    }
-                }
-                (
-                    AppAction::UploadSealed {
-                        from_seg, bridge, ..
-                    },
-                    App::Upload(a),
-                ) => {
-                    // A sealed upload must survive the hostile medium:
-                    // it counts toward `uploads_alive` exactly like a
-                    // plain one, and its transport counters feed the
-                    // resilience invariants.
-                    uploads += 1;
-                    let done = a.is_done() && a.failed.is_none();
-                    AppReport {
-                        label: "upload_sealed",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: topo.bridges[*bridge].segments[0],
-                        ok: done,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("parked", u64::from(a.failed.is_some())),
-                            ("retries", a.retries as u64),
-                            ("restarts", a.restarts as u64),
-                            ("rto_ceiling_hits", a.rto_ceiling_hits as u64),
-                            ("budget_used", a.budget_used() as u64),
-                            ("budget", a.cfg.max_retries as u64),
-                        ],
-                        metrics: AppMetrics {
-                            kind: "timeline",
-                            valid: done,
-                            delivery_pm: Some(if done { 1000 } else { 0 }),
-                            sketch: Some(Sketch::from_samples(a.progress_gap_ns.iter().copied())),
-                        },
-                    }
-                }
-                (AppAction::UploadCorrupt { from_seg, bridge }, App::Upload(a)) => {
-                    // The poisoned image must *never* complete: success
-                    // here is the gate refusing every re-send and the
-                    // sender parking with a classified integrity reject
-                    // — so it does not count toward `uploads_alive`.
-                    let classified = a.failure == Some(FailureClass::IntegrityReject);
-                    let ok = !a.is_done() && classified;
-                    AppReport {
-                        label: "upload_corrupt",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: topo.bridges[*bridge].segments[0],
                         ok,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("parked", u64::from(a.failed.is_some())),
-                            ("classified_integrity", u64::from(classified)),
-                            ("retries", a.retries as u64),
-                            ("restarts", a.restarts as u64),
-                        ],
-                        metrics: AppMetrics::delivery(true, Some(if ok { 1000 } else { 0 })),
+                        detail: image.detail(*bridge, a),
+                        metrics: if image.must_complete() {
+                            AppMetrics {
+                                kind: "timeline",
+                                valid: ok,
+                                delivery_pm,
+                                sketch: Some(Sketch::from_samples(
+                                    a.progress_gap_ns.iter().copied(),
+                                )),
+                            }
+                        } else {
+                            AppMetrics::delivery(true, delivery_pm)
+                        },
                     }
                 }
                 // Attack apps carry no receiver: they are judged only on
@@ -1460,54 +1242,25 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                 // Only a `sent` detail key, deliberately no `received`,
                 // so `no_duplicate_delivery` skips them.
                 (
-                    AppAction::MacFlood {
-                        from_seg, count, ..
+                    AppAction::Attack {
+                        from_seg,
+                        kind,
+                        count,
+                        ..
                     },
-                    App::MacFlood(a),
+                    App::MacFlood(MacFloodApp { sent, .. })
+                    | App::ArpStorm(ArpStormApp { sent, .. })
+                    | App::RogueBpdu(RogueBpduApp { sent, .. }),
                 ) => AppReport {
-                    label: "mac_flood",
+                    label: kind.label(),
                     phase: p.phase,
                     from_seg: *from_seg,
                     to_seg: *from_seg,
-                    ok: a.sent == *count,
-                    detail: vec![("sent", a.sent)],
+                    ok: sent == count,
+                    detail: vec![("sent", *sent)],
                     metrics: AppMetrics::delivery(
                         *count > 0,
-                        (*count > 0).then(|| a.sent.min(*count) * 1000 / count),
-                    ),
-                },
-                (
-                    AppAction::ArpStorm {
-                        from_seg, count, ..
-                    },
-                    App::ArpStorm(a),
-                ) => AppReport {
-                    label: "arp_storm",
-                    phase: p.phase,
-                    from_seg: *from_seg,
-                    to_seg: *from_seg,
-                    ok: a.sent == *count,
-                    detail: vec![("sent", a.sent)],
-                    metrics: AppMetrics::delivery(
-                        *count > 0,
-                        (*count > 0).then(|| a.sent.min(*count) * 1000 / count),
-                    ),
-                },
-                (
-                    AppAction::RogueBpdu {
-                        from_seg, count, ..
-                    },
-                    App::RogueBpdu(a),
-                ) => AppReport {
-                    label: "rogue_bpdu",
-                    phase: p.phase,
-                    from_seg: *from_seg,
-                    to_seg: *from_seg,
-                    ok: a.sent == *count,
-                    detail: vec![("sent", a.sent)],
-                    metrics: AppMetrics::delivery(
-                        *count > 0,
-                        (*count > 0).then(|| a.sent.min(*count) * 1000 / count),
+                        (*count > 0).then(|| sent.min(count) * 1000 / count),
                     ),
                 },
                 (action, _) => unreachable!(
@@ -1550,22 +1303,44 @@ fn bridge_reports(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn judge_invariants(
-    world: &World,
-    topo: &Topology,
-    wl: &Workload,
-    apps: &[AppReport],
+/// What [`judge_invariants`] judges: the facts `run_prepared` holds once
+/// the run and its quiet window are over.
+struct Evidence<'a> {
+    world: &'a World,
+    topo: &'a Topology,
+    wl: &'a Workload,
+    /// One report per `wl.items` entry, in the same order.
+    apps: &'a [AppReport],
+    /// How many scheduled uploads should have run their `init`.
     uploads: u64,
     converged_at: Option<SimTime>,
     epoch: SimTime,
     quiet_tx: u64,
     quiet_allowed: u64,
-    bridges: &[BridgeReport],
+    bridges: &'a [BridgeReport],
     defended: bool,
-    security: Option<&SecurityReport>,
-) -> Vec<InvariantResult> {
-    let hostile = wl.injects_attacks();
+    resilience: Option<&'a ResilienceReport>,
+    security: Option<&'a SecurityReport>,
+}
+
+fn judge_invariants(evidence: &Evidence<'_>) -> Vec<InvariantResult> {
+    let &Evidence {
+        world,
+        topo,
+        wl,
+        apps,
+        uploads,
+        converged_at,
+        epoch,
+        quiet_tx,
+        quiet_allowed,
+        bridges,
+        defended,
+        resilience,
+        security,
+    } = evidence;
+    let judged = || wl.items.iter().zip(apps);
+    let hostile = security.is_some();
     // The control arm runs the attacks with every defense off: it exists
     // to prove the attacks bite, so the usual health invariants are
     // waived there and `attack_degrades_undefended` judges it instead.
@@ -1636,9 +1411,10 @@ fn judge_invariants(
     let drops_scripted = wl.injects_drops() || downtime;
     let mut lost = Vec::new();
     let mut waived_loss = 0u64;
-    for a in apps {
+    for (item, a) in judged() {
         if !a.ok {
-            if drops_scripted && (a.label == "blast" || a.phase == Phase::Loaded) {
+            let blast = matches!(item.action, AppAction::Blast { .. });
+            if drops_scripted && (blast || a.phase == Phase::Loaded) {
                 waived_loss += 1;
             } else if control_arm {
                 // Attacks running without defenses are *expected* to hurt
@@ -1777,8 +1553,9 @@ fn judge_invariants(
         // few frames to the trap threshold.
         let mut dead = Vec::new();
         let mut probes = 0u64;
-        for (item, a) in wl.items.iter().zip(apps) {
-            if item.phase == Phase::Main && item.offset >= heal_offset && a.label != "blast" {
+        for (item, a) in judged() {
+            let blast = matches!(item.action, AppAction::Blast { .. });
+            if item.phase == Phase::Main && item.offset >= heal_offset && !blast {
                 probes += 1;
                 if !a.ok {
                     dead.push(format!("{} {}→{}", a.label, a.from_seg, a.to_seg));
@@ -1806,18 +1583,23 @@ fn judge_invariants(
     // loss (the lossy battery). They hold the adaptive transport and
     // the integrity gate to account *under* the hostile medium — never
     // waived there.
-    if wl.injects_bursts() {
+    if let Some(resilience) = resilience {
         let detail = |a: &AppReport, key: &str| {
             a.detail
                 .iter()
                 .find(|(k, _)| *k == key)
                 .map_or(0, |&(_, v)| v)
         };
-        let sealed: Vec<&AppReport> = apps.iter().filter(|a| a.label == "upload_sealed").collect();
-        let corrupt: Vec<&AppReport> = apps
-            .iter()
-            .filter(|a| a.label == "upload_corrupt")
-            .collect();
+        let uploads_of = |want: fn(UploadImage) -> bool| -> Vec<&AppReport> {
+            judged()
+                .filter(|(item, _)| {
+                    matches!(item.action, AppAction::Upload { image, .. } if want(image))
+                })
+                .map(|(_, a)| a)
+                .collect()
+        };
+        let sealed = uploads_of(|image| matches!(image, UploadImage::Sealed { .. }));
+        let corrupt = uploads_of(|image| matches!(image, UploadImage::Corrupt));
 
         // Every sealed upload must complete despite the burst model
         // chewing on its segment (and, in the lossy battery, a bridge
@@ -1871,12 +1653,7 @@ fn judge_invariants(
         // integrity failure, and the payload never evaluated (its init
         // would inflate the `uploads_alive` counter, which that
         // invariant cross-checks).
-        let rejects: u64 = bridges
-            .iter()
-            .flat_map(|b| &b.counters)
-            .filter(|&&(k, _)| k == "images_rejected")
-            .map(|&(_, v)| v)
-            .sum();
+        let rejects = resilience.integrity_rejects;
         let unparked = corrupt.iter().filter(|a| !a.ok).count() as u64;
         let gate_held = unparked == 0 && rejects >= corrupt.len() as u64;
         out.push(InvariantResult {
@@ -1939,13 +1716,16 @@ fn judge_invariants(
     // Adversarial invariants: the defended arm must shrug the attacks
     // off; the control arm must visibly suffer them (otherwise the
     // defended arm proves nothing).
-    if hostile {
-        let sec = security.expect("hostile runs always carry a security report");
-        let rogue_scheduled = wl
-            .items
-            .iter()
-            .any(|i| matches!(i.action, AppAction::RogueBpdu { .. }));
-        let attack_labels = ["mac_flood", "arp_storm", "rogue_bpdu"];
+    if let Some(sec) = security {
+        let rogue_scheduled = wl.items.iter().any(|i| {
+            matches!(
+                i.action,
+                AppAction::Attack {
+                    kind: AttackKind::RogueBpdu,
+                    ..
+                }
+            )
+        });
 
         out.push(InvariantResult {
             name: "learn_table_bounded",
@@ -1962,10 +1742,9 @@ fn judge_invariants(
             ),
         });
 
-        let starved: Vec<String> = apps
-            .iter()
-            .filter(|a| !attack_labels.contains(&a.label) && !a.ok)
-            .map(|a| format!("{} {}→{}", a.label, a.from_seg, a.to_seg))
+        let starved: Vec<String> = judged()
+            .filter(|(item, a)| !matches!(item.action, AppAction::Attack { .. }) && !a.ok)
+            .map(|(_, a)| format!("{} {}→{}", a.label, a.from_seg, a.to_seg))
             .collect();
         out.push(InvariantResult {
             name: "victim_flows_survive",

@@ -149,8 +149,8 @@ impl Sketch {
         Json::obj(vec![
             ("count", Json::U64(self.count)),
             ("sum", Json::U64(self.sum)),
-            ("min", self.min().map(Json::U64).unwrap_or(Json::Null)),
-            ("max", self.max().map(Json::U64).unwrap_or(Json::Null)),
+            ("min", Json::opt_u64(self.min())),
+            ("max", Json::opt_u64(self.max())),
             ("buckets", buckets),
         ])
     }

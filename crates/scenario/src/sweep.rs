@@ -64,58 +64,43 @@ impl SweepSpec {
         }
     }
 
-    /// The chaos sweep: one learning-only and one spanning-tree shape ×
-    /// the chaos battery — the robustness gate CI renders at several
-    /// worker counts and byte-compares. Kept out of [`default_sweep`] so
-    /// the committed quality-gate job set (and its scores) is unchanged.
-    pub fn chaos_sweep(seed: u64) -> SweepSpec {
+    /// A gate sweep: one learning-only and one spanning-tree shape × a
+    /// single plane battery — what CI renders at several worker counts,
+    /// byte-compares and holds to that plane's invariants. Kept out of
+    /// [`default_sweep`](Self::default_sweep) so the committed
+    /// quality-gate job set (and its scores) is unchanged.
+    fn gate_sweep(battery: BatteryKind, seed: u64, defended_arms: bool) -> SweepSpec {
         SweepSpec {
             shapes: vec![
                 TopologyShape::Line { bridges: 2 },
                 TopologyShape::Ring { bridges: 3 },
             ],
-            batteries: vec![BatteryKind::Chaos],
+            batteries: vec![battery],
             seed,
             duration: None,
-            defended_arms: false,
+            defended_arms,
         }
     }
 
-    /// The lossy sweep: the same two shapes as the chaos sweep × the
-    /// lossy battery — the hostile-media gate CI renders at several
-    /// worker counts, byte-compares, and holds to the four resilience
-    /// invariants. Kept out of [`default_sweep`] for the same reason as
-    /// the chaos sweep.
+    /// The chaos sweep: the robustness gate (partition, flap storm,
+    /// crash cycles, watchdog quarantine) on the two gate shapes.
+    pub fn chaos_sweep(seed: u64) -> SweepSpec {
+        Self::gate_sweep(BatteryKind::Chaos, seed, false)
+    }
+
+    /// The lossy sweep: the hostile-media gate, held to the four
+    /// resilience invariants, on the same two shapes as the chaos sweep.
     pub fn lossy_sweep(seed: u64) -> SweepSpec {
-        SweepSpec {
-            shapes: vec![
-                TopologyShape::Line { bridges: 2 },
-                TopologyShape::Ring { bridges: 3 },
-            ],
-            batteries: vec![BatteryKind::Lossy],
-            seed,
-            duration: None,
-            defended_arms: false,
-        }
+        Self::gate_sweep(BatteryKind::Lossy, seed, false)
     }
 
     /// The adversarial sweep: the same two shapes as the chaos sweep ×
     /// the adversarial battery, each cell run as an A/B pair — an
     /// undefended control arm proving the attacks bite, and a defended
     /// arm (bounded learning, storm policing, BPDU guard) proving the
-    /// victims survive them. Kept out of [`default_sweep`] for the same
-    /// reason as the chaos sweep.
+    /// victims survive them.
     pub fn adversarial_sweep(seed: u64) -> SweepSpec {
-        SweepSpec {
-            shapes: vec![
-                TopologyShape::Line { bridges: 2 },
-                TopologyShape::Ring { bridges: 3 },
-            ],
-            batteries: vec![BatteryKind::Adversarial],
-            seed,
-            duration: None,
-            defended_arms: true,
-        }
+        Self::gate_sweep(BatteryKind::Adversarial, seed, true)
     }
 
     /// The scenarios this sweep runs, in order.
@@ -182,20 +167,14 @@ impl SweepReport {
             ("scenarios_scored", Json::U64(overalls.len() as u64)),
             (
                 "mean",
-                match overalls.is_empty() {
-                    true => Json::Null,
-                    false => Json::U64(overalls.iter().sum::<u64>() / overalls.len() as u64),
-                },
+                Json::opt_u64(
+                    overalls
+                        .iter()
+                        .sum::<u64>()
+                        .checked_div(overalls.len() as u64),
+                ),
             ),
-            (
-                "min",
-                overalls
-                    .iter()
-                    .copied()
-                    .min()
-                    .map(Json::U64)
-                    .unwrap_or(Json::Null),
-            ),
+            ("min", Json::opt_u64(overalls.iter().copied().min())),
         ]);
         Json::obj(vec![
             (
@@ -217,10 +196,7 @@ impl SweepReport {
                         // `None` — not a perfect 100 — when every judged
                         // invariant was waived (see `Report::to_json`).
                         "score_percent",
-                        match (passed * 100).checked_div(total) {
-                            Some(pct) => Json::U64(pct),
-                            None => Json::Null,
-                        },
+                        Json::opt_u64((passed * 100).checked_div(total)),
                     ),
                     ("pass", Json::Bool(self.passed())),
                     ("quality", quality),

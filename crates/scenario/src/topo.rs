@@ -10,7 +10,7 @@
 //! physical loops ([`Topology::cyclic`]) must run a spanning tree to be
 //! usable; [`Topology::default_boot`] picks the right switchlet set.
 
-use active_bridge::scenario_impl as prims;
+use crate::prims;
 use active_bridge::BridgeConfig;
 use netsim::{NodeId, SegId, SegmentConfig, SimDuration, World, Xoshiro};
 

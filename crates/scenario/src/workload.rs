@@ -7,7 +7,9 @@
 //! when) plus a list of scheduled [`FaultAction`]s driving
 //! `netsim::fault` mid-run. The runner materializes both.
 
-use netsim::{BurstConfig, ChaosScript, FaultConfig, SimDuration, Xoshiro};
+use hostsim::{App, ArpStormApp, MacFloodApp, RogueBpduApp, UploadApp, UploadConfig};
+use netsim::{BurstConfig, ChaosScript, FaultConfig, PortId, SimDuration, Xoshiro};
+use netstack::FailureClass;
 use switchlet::{ModuleBuilder, Op, Ty};
 
 use crate::topo::Topology;
@@ -186,91 +188,31 @@ pub enum AppAction {
         interval: SimDuration,
     },
     /// A TFTP switchlet upload from a host on `from_seg` to bridge
-    /// `bridge` (the inert telemetry module from
-    /// [`inert_upload_image`]).
+    /// `bridge`; what is uploaded, over which transport and how it is
+    /// judged all follow from `image` (see [`UploadImage`]).
     Upload {
         /// Uploader's segment.
         from_seg: usize,
         /// Target bridge index.
         bridge: usize,
+        /// Which image to send.
+        image: UploadImage,
     },
-    /// A TFTP upload of the deliberately faulty `vm_trap` switchlet to
-    /// bridge `bridge` — the chaos battery's watchdog probe. The module
-    /// installs a data plane that traps on every frame; the bridge must
-    /// quarantine it at the configured trap threshold and fall back to
-    /// its last-known-good plane (judged exactly by the
-    /// `quarantine_engages` invariant).
-    UploadTrap {
-        /// Uploader's segment.
-        from_seg: usize,
-        /// Target bridge index.
-        bridge: usize,
-    },
-    /// A digest-sealed switchlet upload (see [`sealed_upload_image`])
-    /// on the adaptive retransmission transport
-    /// (`UploadConfig::resilient`) — the lossy battery's workhorse,
-    /// scheduled to ride out a burst-loss window and a mid-transfer
-    /// bridge crash. `pad` inflates the image so the transfer spans
-    /// many TFTP blocks (a crash at a fixed offset reliably lands
-    /// mid-session).
-    UploadSealed {
-        /// Uploader's segment.
-        from_seg: usize,
-        /// Target bridge index.
-        bridge: usize,
-        /// Extra payload octets interned into the module image.
-        pad: usize,
-    },
-    /// A sealed upload whose payload is corrupted *after* sealing — the
-    /// bridge's integrity gate must reject every attempt before decode
-    /// or evaluation, the sender sees `IntegrityReject` and parks once
-    /// its (deliberately small) retry budget is spent. Judged by the
-    /// `corrupted_image_never_activates` invariant.
-    UploadCorrupt {
-        /// Uploader's segment.
-        from_seg: usize,
-        /// Target bridge index.
-        bridge: usize,
-    },
-    /// A MAC-flood attacker on `from_seg`: `count` frames with
-    /// randomized locally-administered source addresses toward a fixed
-    /// never-learned destination — CAM-table exhaustion against an
-    /// unbounded learning table (the adversarial battery's first arm).
-    MacFlood {
+    /// A hostile host on `from_seg` firing `count` frames of `kind`
+    /// (see [`AttackKind`]) — the adversarial battery's offense.
+    Attack {
         /// Attacker's segment.
         from_seg: usize,
+        /// Which attack to run.
+        kind: AttackKind,
         /// Frames to send.
         count: u64,
         /// Inter-frame interval.
         interval: SimDuration,
         /// The attacker's private RNG seed (never the world RNG, so
-        /// both defense arms replay the identical offense).
+        /// both defense arms replay the identical offense). Unused by
+        /// [`AttackKind::RogueBpdu`], whose frames are all alike.
         seed: u64,
-    },
-    /// A broadcast ARP storm on `from_seg`: `count` who-has requests
-    /// for addresses in a dark /16 nobody owns — every frame floods the
-    /// whole extended LAN until storm control suppresses the port.
-    ArpStorm {
-        /// Attacker's segment.
-        from_seg: usize,
-        /// Frames to send.
-        count: u64,
-        /// Inter-frame interval.
-        interval: SimDuration,
-        /// The attacker's private RNG seed.
-        seed: u64,
-    },
-    /// A rogue-root attacker on `from_seg`: forged superior (priority
-    /// 0x0000) configuration BPDUs claiming the host is the spanning-
-    /// tree root. Scheduled only where the attacker's segment touches a
-    /// single bridge, so the defended arm can BPDU-guard that port.
-    RogueBpdu {
-        /// Attacker's segment.
-        from_seg: usize,
-        /// BPDUs to send.
-        count: u64,
-        /// Inter-BPDU interval.
-        interval: SimDuration,
     },
     /// `hosts` silent listener hosts on `seg` — the metro battery's
     /// district population. They never initiate traffic, but every
@@ -294,13 +236,8 @@ impl AppAction {
             AppAction::Ping { .. } => "ping",
             AppAction::Ttcp { .. } => "ttcp",
             AppAction::Blast { .. } => "blast",
-            AppAction::Upload { .. } => "upload",
-            AppAction::UploadTrap { .. } => "upload_trap",
-            AppAction::UploadSealed { .. } => "upload_sealed",
-            AppAction::UploadCorrupt { .. } => "upload_corrupt",
-            AppAction::MacFlood { .. } => "mac_flood",
-            AppAction::ArpStorm { .. } => "arp_storm",
-            AppAction::RogueBpdu { .. } => "rogue_bpdu",
+            AppAction::Upload { image, .. } => image.label(),
+            AppAction::Attack { kind, .. } => kind.label(),
             AppAction::Crowd { .. } => "crowd",
         }
     }
@@ -309,13 +246,7 @@ impl AppAction {
     pub fn host_count(&self) -> u64 {
         match self {
             AppAction::Ping { .. } | AppAction::Ttcp { .. } | AppAction::Blast { .. } => 2,
-            AppAction::Upload { .. }
-            | AppAction::UploadTrap { .. }
-            | AppAction::UploadSealed { .. }
-            | AppAction::UploadCorrupt { .. }
-            | AppAction::MacFlood { .. }
-            | AppAction::ArpStorm { .. }
-            | AppAction::RogueBpdu { .. } => 1,
+            AppAction::Upload { .. } | AppAction::Attack { .. } => 1,
             AppAction::Crowd { hosts, .. } => *hosts as u64,
         }
     }
@@ -332,23 +263,199 @@ impl AppAction {
             }
             AppAction::Blast {
                 count, interval, ..
+            }
+            | AppAction::Attack {
+                count, interval, ..
             } => *interval * *count + SimDuration::from_secs(2),
-            AppAction::Upload { .. } | AppAction::UploadTrap { .. } => SimDuration::from_secs(5),
+            AppAction::Upload { image, .. } => image.span(),
+            AppAction::Crowd { .. } => SimDuration::ZERO,
+        }
+    }
+}
+
+/// What an [`AppAction::Upload`] sends. Everything that differs between
+/// upload flavours — report label, file name, image bytes, transport
+/// configuration, time bound, and how the outcome is judged — is a
+/// method here, so the runner has one upload arm.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum UploadImage {
+    /// The inert telemetry module from [`inert_upload_image`], on the
+    /// legacy fixed-poll transport.
+    Inert,
+    /// The deliberately faulty `vm_trap` switchlet — the chaos battery's
+    /// watchdog probe. The module installs a data plane that traps on
+    /// every frame; the bridge must quarantine it at the configured trap
+    /// threshold and fall back to its last-known-good plane (judged
+    /// exactly by the `quarantine_engages` invariant). The transfer
+    /// itself must succeed — proving the loader path survived the chaos.
+    Trap,
+    /// A digest-sealed image (see [`sealed_upload_image`]) on the
+    /// adaptive retransmission transport (`UploadConfig::resilient`) —
+    /// the lossy battery's workhorse, scheduled to ride out a burst-loss
+    /// window and a mid-transfer bridge crash. `pad` inflates the image
+    /// so the transfer spans many TFTP blocks (a crash at a fixed offset
+    /// reliably lands mid-session).
+    Sealed {
+        /// Extra payload octets interned into the module image.
+        pad: usize,
+    },
+    /// A sealed image corrupted *after* sealing (see
+    /// [`corrupt_upload_image`]) — the bridge's integrity gate must
+    /// reject every attempt before decode or evaluation, the sender sees
+    /// `IntegrityReject` and parks once its (deliberately small) retry
+    /// budget is spent. Judged by the `corrupted_image_never_activates`
+    /// invariant.
+    Corrupt,
+}
+
+impl UploadImage {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            UploadImage::Inert => "upload",
+            UploadImage::Trap => "upload_trap",
+            UploadImage::Sealed { .. } => "upload_sealed",
+            UploadImage::Corrupt => "upload_corrupt",
+        }
+    }
+
+    /// The TFTP file name work item `i` writes.
+    pub fn file_name(&self, i: usize) -> String {
+        match self {
+            UploadImage::Inert => format!("scn_upload{i}.img"),
+            UploadImage::Trap => format!("vm_trap{i}.img"),
+            UploadImage::Sealed { .. } => format!("scn_upload{i}.swl"),
+            UploadImage::Corrupt => format!("scn_corrupt{i}.swl"),
+        }
+    }
+
+    /// The image bytes work item `i` sends.
+    pub fn build(&self, i: usize) -> Vec<u8> {
+        match self {
+            UploadImage::Inert => inert_upload_image(i as u32),
+            UploadImage::Trap => active_bridge::switchlets::trap_vm::build_image(),
+            UploadImage::Sealed { pad } => sealed_upload_image(i as u32, *pad),
+            UploadImage::Corrupt => corrupt_upload_image(i as u32),
+        }
+    }
+
+    /// The sender's transport configuration.
+    pub fn config(&self) -> UploadConfig {
+        match self {
+            UploadImage::Inert | UploadImage::Trap => UploadConfig::default(),
+            UploadImage::Sealed { .. } => UploadConfig::resilient(),
+            // The poisoned image can never succeed: keep its budget
+            // small so it parks as a classified IntegrityReject well
+            // before the evaluation window.
+            UploadImage::Corrupt => UploadConfig {
+                max_retries: 6,
+                ..UploadConfig::resilient()
+            },
+        }
+    }
+
+    fn span(&self) -> SimDuration {
+        match self {
+            UploadImage::Inert | UploadImage::Trap => SimDuration::from_secs(5),
             // Sealed/corrupt uploads ride hostile media: allow for the
             // full backoff ladder and a mid-transfer bridge restart.
-            AppAction::UploadSealed { .. } | AppAction::UploadCorrupt { .. } => {
-                SimDuration::from_secs(15)
-            }
-            AppAction::MacFlood {
-                count, interval, ..
-            }
-            | AppAction::ArpStorm {
-                count, interval, ..
-            }
-            | AppAction::RogueBpdu {
-                count, interval, ..
-            } => *interval * *count + SimDuration::from_secs(2),
-            AppAction::Crowd { .. } => SimDuration::ZERO,
+            UploadImage::Sealed { .. } | UploadImage::Corrupt => SimDuration::from_secs(15),
+        }
+    }
+
+    /// Is the transfer meant to complete? Only the poisoned image is
+    /// not: the gate must refuse every re-send.
+    pub fn must_complete(&self) -> bool {
+        !matches!(self, UploadImage::Corrupt)
+    }
+
+    /// Does a successful upload bump [`UPLOAD_ALIVE_COUNTER`], and so
+    /// count toward `uploads_alive`? The trap module is *designed* to be
+    /// quarantined and the poisoned one never to run.
+    pub fn counts_alive(&self) -> bool {
+        matches!(self, UploadImage::Inert | UploadImage::Sealed { .. })
+    }
+
+    /// Did the sender end the way this image is meant to: completed
+    /// cleanly, or — for the poisoned image — never completed and parked
+    /// with a classified integrity reject?
+    pub fn ok(&self, a: &UploadApp) -> bool {
+        if self.must_complete() {
+            a.is_done() && a.failed.is_none()
+        } else {
+            !a.is_done() && a.failure == Some(FailureClass::IntegrityReject)
+        }
+    }
+
+    /// The report's `(key, value)` detail counters, in rendering order.
+    /// `bridge` is the target bridge index.
+    pub fn detail(&self, bridge: usize, a: &UploadApp) -> Vec<(&'static str, u64)> {
+        let bridge = ("bridge", bridge as u64);
+        let done = ("done", u64::from(a.is_done()));
+        let parked = ("parked", u64::from(a.failed.is_some()));
+        let retries = ("retries", a.retries as u64);
+        let restarts = ("restarts", a.restarts as u64);
+        match self {
+            UploadImage::Inert | UploadImage::Trap => vec![bridge, done, retries],
+            UploadImage::Sealed { .. } => vec![
+                bridge,
+                done,
+                parked,
+                retries,
+                restarts,
+                ("rto_ceiling_hits", a.rto_ceiling_hits as u64),
+                ("budget_used", a.budget_used() as u64),
+                ("budget", a.cfg.max_retries as u64),
+            ],
+            UploadImage::Corrupt => vec![
+                bridge,
+                done,
+                parked,
+                (
+                    "classified_integrity",
+                    u64::from(a.failure == Some(FailureClass::IntegrityReject)),
+                ),
+                retries,
+                restarts,
+            ],
+        }
+    }
+}
+
+/// What an [`AppAction::Attack`] fires.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum AttackKind {
+    /// Frames with randomized locally-administered source addresses
+    /// toward a fixed never-learned destination — CAM-table exhaustion
+    /// against an unbounded learning table.
+    MacFlood,
+    /// Broadcast who-has requests for addresses in a dark /16 nobody
+    /// owns — every frame floods the whole extended LAN until storm
+    /// control suppresses the port.
+    ArpStorm,
+    /// Forged superior (priority 0x0000) configuration BPDUs claiming
+    /// the host is the spanning-tree root. Scheduled only where the
+    /// attacker's segment touches a single bridge, so the defended arm
+    /// can BPDU-guard that port.
+    RogueBpdu,
+}
+
+impl AttackKind {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            AttackKind::MacFlood => "mac_flood",
+            AttackKind::ArpStorm => "arp_storm",
+            AttackKind::RogueBpdu => "rogue_bpdu",
+        }
+    }
+
+    /// The attacker's host application.
+    pub fn app(&self, count: u64, interval: SimDuration, seed: u64) -> App {
+        match self {
+            AttackKind::MacFlood => MacFloodApp::new(PortId(0), count, interval, seed),
+            AttackKind::ArpStorm => ArpStormApp::new(PortId(0), count, interval, seed),
+            AttackKind::RogueBpdu => RogueBpduApp::new(PortId(0), count, interval),
         }
     }
 }
@@ -460,14 +567,9 @@ impl Workload {
     /// judges the adversarial invariants and renders the `security`
     /// report section.
     pub fn injects_attacks(&self) -> bool {
-        self.items.iter().any(|i| {
-            matches!(
-                i.action,
-                AppAction::MacFlood { .. }
-                    | AppAction::ArpStorm { .. }
-                    | AppAction::RogueBpdu { .. }
-            )
-        })
+        self.items
+            .iter()
+            .any(|i| matches!(i.action, AppAction::Attack { .. }))
     }
 
     /// Does the script inject frame duplication at any point?
@@ -516,6 +618,59 @@ fn pick_pair(topo: &Topology, rng: &mut Xoshiro, nth: usize) -> (usize, usize) {
         b = (b + 1) % n as usize;
     }
     (access[a], access[b])
+}
+
+/// The segment an upload to `bridge` is sent from: one of the bridge's
+/// own access segments; a pure-backbone bridge (metro spine) is reached
+/// from the first access segment instead — the loader answers from
+/// anywhere in the extended LAN. On non-metro shapes every segment is
+/// access-tier, so this is the bridge's `segments[0]`.
+fn upload_seg(topo: &Topology, bridge: usize) -> usize {
+    topo.bridges[bridge]
+        .segments
+        .iter()
+        .copied()
+        .find(|&s| topo.segments[s].tier == crate::topo::SegTier::Access)
+        .unwrap_or_else(|| topo.access_segments()[0])
+}
+
+/// The degradation probe pair: the same echo train (`count` 256-byte
+/// requests every `interval_ms`) over one `(from, to)` path, run once
+/// on the quiet network at the epoch ([`Phase::Baseline`]) and again at
+/// `loaded_at_ms`, inside the battery's disturbance ([`Phase::Loaded`]).
+fn probe_pair(
+    (from_seg, to_seg): (usize, usize),
+    count: u32,
+    interval_ms: u64,
+    loaded_at_ms: u64,
+) -> [WorkItem; 2] {
+    [(Phase::Baseline, 0), (Phase::Loaded, loaded_at_ms)].map(|(phase, offset_ms)| WorkItem {
+        phase,
+        offset: SimDuration::from_ms(offset_ms),
+        action: AppAction::Ping {
+            from_seg,
+            to_seg,
+            count,
+            payload: 256,
+            interval: SimDuration::from_ms(interval_ms),
+        },
+    })
+}
+
+/// The recovery proof every disturbance battery ends on: once whatever
+/// it scripted has healed, a reliable transfer must complete strictly —
+/// the disturbance is survivable, not just observable.
+fn recovery_transfer(offset: SimDuration, (from_seg, to_seg): (usize, usize)) -> WorkItem {
+    WorkItem {
+        phase: Phase::Main,
+        offset,
+        action: AppAction::Ttcp {
+            from_seg,
+            to_seg,
+            total_bytes: 100_000,
+            write_size: 4096,
+        },
+    }
 }
 
 /// Generate the battery `kind` for `topo` from `seed`. Pure and
@@ -575,22 +730,15 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             let n_uploads = 1 + rng.range(2) as usize;
             for nth in 0..n_uploads {
                 let bridge = rng.range(topo.bridges.len() as u64) as usize;
-                // Upload from one of the target bridge's own access
-                // segments; a pure-backbone bridge (metro spine) is
-                // reached from the first access segment instead — the
-                // loader answers from anywhere in the extended LAN. On
-                // non-metro shapes every segment is access-tier, so this
-                // is `segments[0]` exactly as before.
-                let from_seg = topo.bridges[bridge]
-                    .segments
-                    .iter()
-                    .copied()
-                    .find(|&s| topo.segments[s].tier == crate::topo::SegTier::Access)
-                    .unwrap_or_else(|| topo.access_segments()[0]);
+                let from_seg = upload_seg(topo, bridge);
                 items.push(WorkItem {
                     phase: Phase::Main,
                     offset: SimDuration::from_ms(200 * nth as u64),
-                    action: AppAction::Upload { from_seg, bridge },
+                    action: AppAction::Upload {
+                        from_seg,
+                        bridge,
+                        image: UploadImage::Inert,
+                    },
                 });
             }
             let (from_seg, to_seg) = pick_pair(topo, &mut rng, 1);
@@ -670,19 +818,8 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
         BatteryKind::Contention => {
             // Baseline pings measure the quiet network first: done by
             // 8 × 30 ms = 240 ms, before the blast window opens.
-            let (from_seg, to_seg) = pick_pair(topo, &mut rng, 0);
-            let ping = |phase, offset_ms| WorkItem {
-                phase,
-                offset: SimDuration::from_ms(offset_ms),
-                action: AppAction::Ping {
-                    from_seg,
-                    to_seg,
-                    count: 8,
-                    payload: 256,
-                    interval: SimDuration::from_ms(30),
-                },
-            };
-            items.push(ping(Phase::Baseline, 0));
+            let [baseline, loaded] = probe_pair(pick_pair(topo, &mut rng, 0), 8, 30, 500);
+            items.push(baseline);
             // The background load: a blast whose sink never speaks, so
             // every frame floods the whole extended LAN and contends on
             // every segment and every bridge. The inter-frame interval
@@ -726,26 +863,13 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                 },
             });
             // Loaded pings: the same pair, re-measured mid-blast.
-            items.push(ping(Phase::Loaded, 500));
+            items.push(loaded);
         }
         BatteryKind::Churn => {
             // Baseline pings complete before the fault window opens at
             // 500 ms (6 × 50 ms = 300 ms); loaded pings run inside it
             // and are waived from the loss invariant like the blasts.
-            let (p_from, p_to) = pick_pair(topo, &mut rng, 3);
-            let ping = |phase, offset_ms| WorkItem {
-                phase,
-                offset: SimDuration::from_ms(offset_ms),
-                action: AppAction::Ping {
-                    from_seg: p_from,
-                    to_seg: p_to,
-                    count: 6,
-                    payload: 256,
-                    interval: SimDuration::from_ms(50),
-                },
-            };
-            items.push(ping(Phase::Baseline, 0));
-            items.push(ping(Phase::Loaded, 1_000));
+            items.extend(probe_pair(pick_pair(topo, &mut rng, 3), 6, 50, 1_000));
             // Long raw blasts span the whole fault window (their sinks
             // never speak, so the frames flood every segment — the lossy
             // patch always bites them; their loss is waived).
@@ -782,37 +906,17 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             ));
             // After the heal, a reliable transfer must complete strictly:
             // churn is survivable, not just observable.
-            let (from_seg, to_seg) = pick_pair(topo, &mut rng, 2);
-            items.push(WorkItem {
-                phase: Phase::Main,
-                offset: SimDuration::from_ms(4_500),
-                action: AppAction::Ttcp {
-                    from_seg,
-                    to_seg,
-                    total_bytes: 100_000,
-                    write_size: 4096,
-                },
-            });
+            items.push(recovery_transfer(
+                SimDuration::from_ms(4_500),
+                pick_pair(topo, &mut rng, 2),
+            ));
         }
         BatteryKind::Chaos => {
             // Baseline pings complete before the first fault at 500 ms
             // (6 × 50 ms = 300 ms); loaded pings run inside the outage
             // window and are waived from the loss invariant (their
             // losses feed the degradation score instead).
-            let (p_from, p_to) = pick_pair(topo, &mut rng, 3);
-            let ping = |phase, offset_ms| WorkItem {
-                phase,
-                offset: SimDuration::from_ms(offset_ms),
-                action: AppAction::Ping {
-                    from_seg: p_from,
-                    to_seg: p_to,
-                    count: 6,
-                    payload: 256,
-                    interval: SimDuration::from_ms(50),
-                },
-            };
-            items.push(ping(Phase::Baseline, 0));
-            items.push(ping(Phase::Loaded, 1_200));
+            items.extend(probe_pair(pick_pair(topo, &mut rng, 3), 6, 50, 1_200));
             // Long raw blasts span the whole outage window (their sinks
             // never speak, so the frames flood every segment — the
             // downed link and the crashed bridges always bite them;
@@ -887,18 +991,13 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // `quarantine_engages` invariant. The blast loses the few
             // frames eaten before the threshold; that loss is waived.
             let trap_bridge = rng.range(topo.bridges.len() as u64) as usize;
-            let trap_from = topo.bridges[trap_bridge]
-                .segments
-                .iter()
-                .copied()
-                .find(|&s| topo.segments[s].tier == crate::topo::SegTier::Access)
-                .unwrap_or_else(|| topo.access_segments()[0]);
             items.push(WorkItem {
                 phase: Phase::Main,
                 offset: post,
-                action: AppAction::UploadTrap {
-                    from_seg: trap_from,
+                action: AppAction::Upload {
+                    from_seg: upload_seg(topo, trap_bridge),
                     bridge: trap_bridge,
+                    image: UploadImage::Trap,
                 },
             });
             expected_quarantines = 1;
@@ -918,50 +1017,19 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // plane back, a reliable transfer must complete strictly —
             // chaos is survivable, not just observable (this is what
             // `no_permanent_blackhole` judges).
-            let (from_seg, to_seg) = pick_pair(topo, &mut rng, 2);
-            items.push(WorkItem {
-                phase: Phase::Main,
-                offset: post + SimDuration::from_secs(6),
-                action: AppAction::Ttcp {
-                    from_seg,
-                    to_seg,
-                    total_bytes: 100_000,
-                    write_size: 4096,
-                },
-            });
+            items.push(recovery_transfer(
+                post + SimDuration::from_secs(6),
+                pick_pair(topo, &mut rng, 2),
+            ));
         }
         BatteryKind::Lossy => {
             // Baseline pings on the quiet network (done by 300 ms);
             // loaded pings re-measure inside the burst window and feed
             // the degradation subscore (their loss is waived — the
             // burst is scripted).
-            let (p_from, p_to) = pick_pair(topo, &mut rng, 3);
-            let ping = |phase, offset_ms| WorkItem {
-                phase,
-                offset: SimDuration::from_ms(offset_ms),
-                action: AppAction::Ping {
-                    from_seg: p_from,
-                    to_seg: p_to,
-                    count: 6,
-                    payload: 256,
-                    interval: SimDuration::from_ms(50),
-                },
-            };
-            items.push(ping(Phase::Baseline, 0));
-            items.push(ping(Phase::Loaded, 1_200));
-            // The upload target and its access segment (same rule as
-            // the uploads battery: a pure-backbone bridge is reached
-            // from the first access segment).
-            let access_of = |bridge: usize| {
-                topo.bridges[bridge]
-                    .segments
-                    .iter()
-                    .copied()
-                    .find(|&s| topo.segments[s].tier == crate::topo::SegTier::Access)
-                    .unwrap_or_else(|| topo.access_segments()[0])
-            };
+            items.extend(probe_pair(pick_pair(topo, &mut rng, 3), 6, 50, 1_200));
             let bridge = rng.range(topo.bridges.len() as u64) as usize;
-            let from_seg = access_of(bridge);
+            let from_seg = upload_seg(topo, bridge);
             // The hostile medium: a Gilbert–Elliott burst window over
             // the upload segment. π_bad = (1/20)/(1/20 + 1/5) = 1/5 of
             // frames see the bad state, which drops every 2nd frame —
@@ -1016,10 +1084,10 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             items.push(WorkItem {
                 phase: Phase::Main,
                 offset: SimDuration::from_ms(995),
-                action: AppAction::UploadSealed {
+                action: AppAction::Upload {
                     from_seg,
                     bridge,
-                    pad: 20_000,
+                    image: UploadImage::Sealed { pad: 20_000 },
                 },
             });
             chaos.crash_cycle(
@@ -1035,24 +1103,18 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             items.push(WorkItem {
                 phase: Phase::Main,
                 offset: SimDuration::from_ms(700),
-                action: AppAction::UploadCorrupt {
-                    from_seg: access_of(bad_bridge),
+                action: AppAction::Upload {
+                    from_seg: upload_seg(topo, bad_bridge),
                     bridge: bad_bridge,
+                    image: UploadImage::Corrupt,
                 },
             });
             // Recovery proof: after the burst clears and the bridge is
             // back, a strict reliable transfer must complete.
-            let (from_seg, to_seg) = pick_pair(topo, &mut rng, 2);
-            items.push(WorkItem {
-                phase: Phase::Main,
-                offset: SimDuration::from_secs(8),
-                action: AppAction::Ttcp {
-                    from_seg,
-                    to_seg,
-                    total_bytes: 100_000,
-                    write_size: 4096,
-                },
-            });
+            items.push(recovery_transfer(
+                SimDuration::from_secs(8),
+                pick_pair(topo, &mut rng, 2),
+            ));
         }
         BatteryKind::Adversarial => {
             // Placement is deterministic: the attackers share the first
@@ -1070,19 +1132,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // Baseline pings measure the quiet network (done by 1.6 s);
             // loaded pings re-measure with the storm in full swing and
             // feed the degradation subscore.
-            let ping = |phase, offset_ms| WorkItem {
-                phase,
-                offset: SimDuration::from_ms(offset_ms),
-                action: AppAction::Ping {
-                    from_seg: v_from,
-                    to_seg: v_to,
-                    count: 8,
-                    payload: 256,
-                    interval: SimDuration::from_ms(200),
-                },
-            };
-            items.push(ping(Phase::Baseline, 0));
-            items.push(ping(Phase::Loaded, 2_200));
+            items.extend(probe_pair((v_from, v_to), 8, 200, 2_200));
             // The offense opens at +2 s: a MAC flood (2 000 pps) and an
             // ARP storm (1 250 pps) — far over the defended arm's
             // 50 pps class budgets, so suppression trips within
@@ -1093,8 +1143,9 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             items.push(WorkItem {
                 phase: Phase::Main,
                 offset: SimDuration::from_ms(2_000),
-                action: AppAction::MacFlood {
+                action: AppAction::Attack {
                     from_seg: attacker,
+                    kind: AttackKind::MacFlood,
                     count: 2_000,
                     interval: SimDuration::from_us(500),
                     seed: rng.next_u64(),
@@ -1103,8 +1154,9 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             items.push(WorkItem {
                 phase: Phase::Main,
                 offset: SimDuration::from_ms(2_000),
-                action: AppAction::ArpStorm {
+                action: AppAction::Attack {
                     from_seg: attacker,
+                    kind: AttackKind::ArpStorm,
                     count: 1_500,
                     interval: SimDuration::from_us(800),
                     seed: rng.next_u64(),
@@ -1123,26 +1175,19 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                 items.push(WorkItem {
                     phase: Phase::Main,
                     offset: SimDuration::from_ms(2_000),
-                    action: AppAction::RogueBpdu {
+                    action: AppAction::Attack {
                         from_seg: attacker,
+                        kind: AttackKind::RogueBpdu,
                         count: 20,
                         interval: SimDuration::from_ms(100),
+                        seed: 0,
                     },
                 });
             }
             // Recovery proof: after the attacks die out (and the
             // defended arm's hold-down has released), a strict reliable
             // transfer between the victims must complete.
-            items.push(WorkItem {
-                phase: Phase::Main,
-                offset: SimDuration::from_secs(6),
-                action: AppAction::Ttcp {
-                    from_seg: v_from,
-                    to_seg: v_to,
-                    total_bytes: 100_000,
-                    write_size: 4096,
-                },
-            });
+            items.push(recovery_transfer(SimDuration::from_secs(6), (v_from, v_to)));
         }
     }
     Workload {
@@ -1222,6 +1267,14 @@ mod tests {
     use super::*;
     use crate::topo::{generate as gen_topo, TopologyShape};
 
+    fn uploads(item: &WorkItem, want: UploadImage) -> bool {
+        matches!(item.action, AppAction::Upload { image, .. } if image == want)
+    }
+
+    fn attacks(item: &WorkItem, want: AttackKind) -> bool {
+        matches!(item.action, AppAction::Attack { kind, .. } if kind == want)
+    }
+
     #[test]
     fn batteries_are_deterministic() {
         let topo = gen_topo(TopologyShape::Ring { bridges: 4 }, 7);
@@ -1266,13 +1319,7 @@ mod tests {
                     | AppAction::Blast {
                         from_seg, to_seg, ..
                     } => vec![from_seg, to_seg],
-                    AppAction::Upload { from_seg, .. }
-                    | AppAction::UploadTrap { from_seg, .. }
-                    | AppAction::UploadSealed { from_seg, .. }
-                    | AppAction::UploadCorrupt { from_seg, .. }
-                    | AppAction::MacFlood { from_seg, .. }
-                    | AppAction::ArpStorm { from_seg, .. }
-                    | AppAction::RogueBpdu { from_seg, .. } => {
+                    AppAction::Upload { from_seg, .. } | AppAction::Attack { from_seg, .. } => {
                         vec![from_seg]
                     }
                 };
@@ -1344,7 +1391,7 @@ mod tests {
             assert!(wl
                 .items
                 .iter()
-                .any(|i| matches!(i.action, AppAction::UploadTrap { .. }) && i.offset > heal));
+                .any(|i| uploads(i, UploadImage::Trap) && i.offset > heal));
             assert!(heal < wl.span());
         }
     }
@@ -1412,9 +1459,7 @@ mod tests {
             let sealed_at = wl
                 .items
                 .iter()
-                .find_map(|i| {
-                    matches!(i.action, AppAction::UploadSealed { .. }).then_some(i.offset)
-                })
+                .find_map(|i| uploads(i, UploadImage::Sealed { pad: 20_000 }).then_some(i.offset))
                 .expect("lossy schedules a sealed upload");
             let crash_at = wl
                 .chaos
@@ -1425,10 +1470,7 @@ mod tests {
                 })
                 .expect("lossy crashes the target bridge");
             assert!(sealed_at < crash_at);
-            assert!(wl
-                .items
-                .iter()
-                .any(|i| matches!(i.action, AppAction::UploadCorrupt { .. })));
+            assert!(wl.items.iter().any(|i| uploads(i, UploadImage::Corrupt)));
             // The strict recovery transfer runs after every heal.
             let ttcp_at = wl
                 .items
@@ -1457,18 +1499,9 @@ mod tests {
             // claim only where the attacker's segment touches exactly
             // one bridge (so the defended arm can guard that port):
             // every segment of a ring touches two.
-            assert!(wl
-                .items
-                .iter()
-                .any(|i| matches!(i.action, AppAction::MacFlood { .. })));
-            assert!(wl
-                .items
-                .iter()
-                .any(|i| matches!(i.action, AppAction::ArpStorm { .. })));
-            let rogue = wl
-                .items
-                .iter()
-                .any(|i| matches!(i.action, AppAction::RogueBpdu { .. }));
+            assert!(wl.items.iter().any(|i| attacks(i, AttackKind::MacFlood)));
+            assert!(wl.items.iter().any(|i| attacks(i, AttackKind::ArpStorm)));
+            let rogue = wl.items.iter().any(|i| attacks(i, AttackKind::RogueBpdu));
             match shape {
                 TopologyShape::Line { .. } => assert!(rogue, "line ends are guardable"),
                 _ => assert!(!rogue, "no single-bridge segment on a ring"),
@@ -1479,7 +1512,7 @@ mod tests {
                 .items
                 .iter()
                 .find_map(|i| match i.action {
-                    AppAction::MacFlood { from_seg, .. } => Some(from_seg),
+                    AppAction::Attack { from_seg, .. } => Some(from_seg),
                     _ => None,
                 })
                 .unwrap();
@@ -1497,9 +1530,7 @@ mod tests {
                             assert!(item.offset + item.action.span() > SimDuration::ZERO);
                         }
                     }
-                    AppAction::MacFlood { .. }
-                    | AppAction::ArpStorm { .. }
-                    | AppAction::RogueBpdu { .. } => {
+                    AppAction::Attack { .. } => {
                         assert!(item.offset >= SimDuration::from_secs(2));
                     }
                     _ => {}
@@ -1514,14 +1545,7 @@ mod tests {
             let last_attack_end = wl
                 .items
                 .iter()
-                .filter(|i| {
-                    matches!(
-                        i.action,
-                        AppAction::MacFlood { .. }
-                            | AppAction::ArpStorm { .. }
-                            | AppAction::RogueBpdu { .. }
-                    )
-                })
+                .filter(|i| matches!(i.action, AppAction::Attack { .. }))
                 .map(|i| i.offset + i.action.span() - SimDuration::from_secs(2))
                 .max()
                 .unwrap();

@@ -267,21 +267,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Golden digests recorded from the *pre-refactor* frame plane (commit
-/// 867f385, `Vec`-copying representation, unbatched per-listener
-/// `Deliver` events). The zero-copy `FrameBuf` representation must
-/// produce byte-identical traces, counters and captured wire frames —
-/// this is the proof that the representation change (shared buffers,
-/// batched delivery, copy-on-write corruption, null-event elision) is
-/// unobservable to the simulation.
+/// `(seed, byte length, FNV-1a)` of the lossy captured run, recorded from
+/// the *pre-refactor* frame plane (commit 867f385, `Vec`-copying
+/// representation, unbatched per-listener `Deliver` events). Every
+/// test below that claims "unobservable" replays against this table.
+const GOLDEN: [(u64, usize, u64); 4] = [
+    (0xAB1D, 77166, 0x09c24dbacd1f12cc),
+    (0xF00D, 82508, 0xd8eac9df4145b982),
+    (7, 81620, 0x1954233dd7c9cc86),
+    (99, 82508, 0x7f358d68a661b39e),
+];
+
+/// The zero-copy `FrameBuf` representation must produce byte-identical
+/// traces, counters and captured wire frames — this is the proof that
+/// the representation change (shared buffers, batched delivery,
+/// copy-on-write corruption, null-event elision) is unobservable to the
+/// simulation.
 #[test]
 fn traces_are_byte_identical_to_the_pre_refactor_representation() {
-    const GOLDEN: [(u64, usize, u64); 4] = [
-        (0xAB1D, 77166, 0x09c24dbacd1f12cc),
-        (0xF00D, 82508, 0xd8eac9df4145b982),
-        (7, 81620, 0x1954233dd7c9cc86),
-        (99, 82508, 0x7f358d68a661b39e),
-    ];
     for (seed, len, digest) in GOLDEN {
         let bytes = lossy_captured_run_bytes(seed);
         assert_eq!(
@@ -299,12 +302,6 @@ fn traces_are_byte_identical_to_the_pre_refactor_representation() {
 /// these digests would diverge.
 #[test]
 fn probe_armed_run_reproduces_the_golden_digests() {
-    const GOLDEN: [(u64, usize, u64); 4] = [
-        (0xAB1D, 77166, 0x09c24dbacd1f12cc),
-        (0xF00D, 82508, 0xd8eac9df4145b982),
-        (7, 81620, 0x1954233dd7c9cc86),
-        (99, 82508, 0x7f358d68a661b39e),
-    ];
     for (seed, len, digest) in GOLDEN {
         let bytes = lossy_captured_run_bytes_with_probe(seed, true);
         assert_eq!(
@@ -323,12 +320,6 @@ fn probe_armed_run_reproduces_the_golden_digests() {
 /// existed.
 #[test]
 fn transparent_chaos_script_reproduces_the_golden_digests() {
-    const GOLDEN: [(u64, usize, u64); 4] = [
-        (0xAB1D, 77166, 0x09c24dbacd1f12cc),
-        (0xF00D, 82508, 0xd8eac9df4145b982),
-        (7, 81620, 0x1954233dd7c9cc86),
-        (99, 82508, 0x7f358d68a661b39e),
-    ];
     for (seed, len, digest) in GOLDEN {
         let mut world = netsim::World::new(seed);
         let bytes = lossy_captured_run_in(&mut world, false, true);
@@ -350,12 +341,6 @@ fn chaos_dirtied_then_reset_world_reproduces_the_golden_digests() {
     use hostsim::{HostConfig, HostCostModel, HostNode};
     use netsim::{SegmentConfig, SimTime, World};
 
-    const GOLDEN: [(u64, usize, u64); 4] = [
-        (0xAB1D, 77166, 0x09c24dbacd1f12cc),
-        (0xF00D, 82508, 0xd8eac9df4145b982),
-        (7, 81620, 0x1954233dd7c9cc86),
-        (99, 82508, 0x7f358d68a661b39e),
-    ];
     for (seed, len, digest) in GOLDEN {
         // Dirty a differently-seeded world and leave its chaos unhealed.
         let mut world = World::new(!seed);
