@@ -19,6 +19,7 @@
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use ether::{EtherType, Frame, MacAddr};
 use netsim::{
@@ -298,7 +299,7 @@ pub struct BridgeNode {
     by_name: HashMap<String, usize>,
     ns: Namespace,
     vm_handlers: HashMap<String, FuncVal>,
-    vm_owner: HashMap<FuncVal, String>,
+    vm_owner: HashMap<FuncVal, Rc<str>>,
     vm_timers: Vec<(FuncVal, i64)>,
     factories: HashMap<String, NativeFactory>,
     boot_images: Vec<Vec<u8>>,
@@ -500,13 +501,17 @@ impl BridgeNode {
         }
     }
 
-    fn call_vm(&mut self, ctx: &mut Ctx<'_>, target: FuncVal, args: Vec<Value>) {
+    fn call_vm(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        target: FuncVal,
+        args: impl IntoIterator<Item = Value>,
+    ) {
         let exec = ExecConfig {
             fuel: self.cfg.vm_fuel,
             max_depth: 64,
         };
         let owner = self.vm_owner.get(&target).cloned().unwrap_or_default();
-        let owner_for_watchdog = owner.clone();
         ctx.probe_exec_begin();
         let mut env = hostmods::HostEnv {
             sim: ctx,
@@ -516,7 +521,7 @@ impl BridgeNode {
             vm_owner: &mut self.vm_owner,
             mac: self.mac,
             bridge_name: &self.name,
-            module_name: owner,
+            module_name: owner.clone(),
         };
         match switchlet::call_scratch(
             &self.ns,
@@ -539,7 +544,7 @@ impl BridgeNode {
                 let name = self.name.clone();
                 ctx.trace(format!("{name}: vm switchlet trapped: {e}"));
                 ctx.bump("bridge.vm_traps", 1);
-                self.watchdog_trap(ctx, owner_for_watchdog);
+                self.watchdog_trap(ctx, &owner);
             }
         }
     }
@@ -548,15 +553,15 @@ impl BridgeNode {
 
     /// Record one trap against a VM module; at the configured threshold
     /// the watchdog quarantines it (see [`BridgeNode::quarantine`]).
-    fn watchdog_trap(&mut self, ctx: &mut Ctx<'_>, module: String) {
+    fn watchdog_trap(&mut self, ctx: &mut Ctx<'_>, module: &str) {
         let threshold = self.cfg.watchdog_traps;
-        if threshold == 0 || module.is_empty() || self.quarantined.contains(&module) {
+        if threshold == 0 || module.is_empty() || self.quarantined.contains(module) {
             return;
         }
-        let count = self.trap_counts.entry(module.clone()).or_insert(0);
+        let count = self.trap_counts.entry(module.to_owned()).or_insert(0);
         *count += 1;
         if *count >= threshold {
-            self.quarantine(ctx, &module);
+            self.quarantine(ctx, module);
         }
     }
 
@@ -574,7 +579,7 @@ impl BridgeNode {
         let doomed: Vec<FuncVal> = self
             .vm_owner
             .iter()
-            .filter(|&(_, owner)| owner == module)
+            .filter(|&(_, owner)| &**owner == module)
             .map(|(&fv, _)| fv)
             .collect();
         self.vm_handlers.retain(|_, fv| !doomed.contains(fv));
@@ -627,7 +632,7 @@ impl BridgeNode {
             DataPlaneSel::Vm(fv) => self
                 .vm_owner
                 .get(fv)
-                .is_none_or(|owner| self.quarantined.contains(owner)),
+                .is_none_or(|owner| self.quarantined.contains(&**owner)),
         }
     }
 
@@ -651,12 +656,12 @@ impl BridgeNode {
         }
     }
 
-    /// Invoke a resolved target with one frame: VM handlers get the frame
-    /// copied into a `Value::Str` (the VM boundary is the data plane's
-    /// one deliberate copy), native switchlets get the already-parsed
-    /// [`DataFrame`] view (frames are parsed once per arrival, in
-    /// [`BridgeNode::process_frame`]). `entry` selects which trait method
-    /// the native path calls.
+    /// Invoke a resolved target with one frame: VM handlers get a handle
+    /// on the received buffer as their `str` argument (VM strings and
+    /// frames are one representation, so the boundary copies nothing),
+    /// native switchlets get the already-parsed [`DataFrame`] view (frames
+    /// are parsed once per arrival, in [`BridgeNode::process_frame`]).
+    /// `entry` selects which trait method the native path calls.
     fn dispatch_target(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -667,7 +672,10 @@ impl BridgeNode {
     ) {
         match target {
             HandlerTarget::Vm(fv) => {
-                let args = vec![Value::str(frame.buf().to_vec()), Value::Int(port.0 as i64)];
+                let args = [
+                    Value::Str(frame.buf().as_bytes().clone()),
+                    Value::Int(port.0 as i64),
+                ];
                 self.call_vm(ctx, fv, args);
             }
             HandlerTarget::Native(idx) => {
@@ -888,7 +896,7 @@ impl BridgeNode {
             vm_owner: &mut self.vm_owner,
             mac: self.mac,
             bridge_name: &self.name,
-            module_name: name.clone(),
+            module_name: Rc::from(name.as_str()),
         };
         match self.ns.load_and_init(&image_owned, &mut env, &exec) {
             Ok((_, stats)) => {
@@ -1096,7 +1104,7 @@ impl Node for BridgeNode {
                 let idx = (token.0 & 0xFFFF_FFFF) as usize;
                 if let Some((fv, user)) = self.vm_timers.get(idx).copied() {
                     self.plane.bump_generation();
-                    self.call_vm(ctx, fv, vec![Value::Int(user)]);
+                    self.call_vm(ctx, fv, [Value::Int(user)]);
                 }
                 self.apply_cmds(ctx);
             }

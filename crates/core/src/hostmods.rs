@@ -23,7 +23,6 @@
 
 use std::rc::Rc;
 
-use bytes::Bytes;
 use ether::MacAddr;
 use netsim::{Ctx, PortId, SimDuration};
 use switchlet::{Env, FuncVal, HostDispatch, HostModuleSig, HostSlot, Ty, Value, VmError};
@@ -112,27 +111,21 @@ pub struct HostEnv<'a, 'w> {
     pub cmds: &'a mut Vec<BridgeCommand>,
     /// Registered VM handlers (`module.key` → callable).
     pub vm_handlers: &'a mut std::collections::HashMap<String, FuncVal>,
-    /// Callable → owning module (restores identity in callbacks).
-    pub vm_owner: &'a mut std::collections::HashMap<FuncVal, String>,
+    /// Callable → owning module (restores identity in callbacks). Names
+    /// are interned when the module loads, so per-frame dispatch shares
+    /// them instead of copying.
+    pub vm_owner: &'a mut std::collections::HashMap<FuncVal, Rc<str>>,
     /// Bridge station address.
     pub mac: MacAddr,
     /// Bridge name (logs).
     pub bridge_name: &'a str,
-    /// The module being initialized ("" during handler callbacks).
-    pub module_name: String,
+    /// The module being initialized, or the owner of the running handler
+    /// ("" when unknown).
+    pub module_name: Rc<str>,
 }
 
 fn str_arg(args: &[Value], i: usize) -> String {
     String::from_utf8_lossy(args[i].as_str()).into_owned()
-}
-
-/// Take ownership of a string argument without copying when the VM holds
-/// the only reference (the common case for freshly built frames).
-fn take_bytes(args: &mut [Value], i: usize) -> Vec<u8> {
-    match std::mem::replace(&mut args[i], Value::Unit) {
-        Value::Str(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
-        other => panic!("verifier invariant broken: expected str, got {other:?}"),
-    }
 }
 
 /// The host functions of [`host_env`], identified by slot. The paper's
@@ -200,8 +193,8 @@ fn host_fn(slot: HostSlot) -> Option<HostFn> {
 
 impl HostDispatch for HostEnv<'_, '_> {
     /// Slot-indexed dispatch: the per-frame path through the host
-    /// boundary. `args` is the VM's scratch slice; string arguments are
-    /// moved out, not copied, when uniquely owned.
+    /// boundary. `args` is the VM's scratch slice; a string argument is a
+    /// handle on shared storage, so taking one is a refcount bump.
     fn call_slot(
         &mut self,
         env: &Env,
@@ -236,7 +229,7 @@ impl HostEnv<'_, '_> {
                     if self.module_name.is_empty() {
                         "vm"
                     } else {
-                        &self.module_name
+                        &*self.module_name
                     },
                     str_arg(args, 0)
                 );
@@ -304,17 +297,22 @@ impl HostEnv<'_, '_> {
                 if id >= self.plane.num_ports() {
                     return Err(VmError::Host("No_interface".into()));
                 }
-                // Moves the frame bytes out of the VM (no copy when the
-                // VM holds the only reference) — the data-plane boundary.
-                let bytes = take_bytes(args, 1);
-                let len = bytes.len();
-                self.sim.send(PortId(id), Bytes::from(bytes));
+                // The data-plane boundary: the frame on the wire is the VM
+                // string's own storage (for a forwarded frame, the buffer
+                // the sender built).
+                let frame = args[1].as_str().clone();
+                let len = frame.len();
+                self.sim.send(PortId(id), frame);
                 Ok(Value::Int(len as i64))
             }
-            HostFn::UnbindIn | HostFn::UnbindOut => {
-                // Per-port unbind: release everything this module bound on
-                // that port index (ownership is per name).
-                self.plane.unbind_all(&self.module_name);
+            HostFn::UnbindIn => {
+                let port = args[0].as_handle("iport") as usize;
+                self.plane.unbind_in(port, &self.module_name);
+                Ok(Value::Unit)
+            }
+            HostFn::UnbindOut => {
+                let port = args[0].as_handle("oport") as usize;
+                self.plane.unbind_out(port, &self.module_name);
                 Ok(Value::Unit)
             }
             HostFn::RegisterAddr => {
@@ -396,6 +394,71 @@ mod tests {
         let env = host_env();
         let (_, ty) = env.lookup("func", "register_handler").unwrap();
         assert_eq!(*ty, Ty::func(vec![Ty::Str, handler_ty()], Ty::Unit));
+    }
+
+    /// Run `f` with a dispatcher acting for `module` over `plane`.
+    fn with_env<R>(
+        plane: &mut Plane,
+        module: &str,
+        f: impl FnOnce(&mut HostEnv<'_, '_>) -> R,
+    ) -> R {
+        let mut world = netsim::World::new(1);
+        let node = world.add_node(crate::BridgeNode::new(
+            "bridge",
+            MacAddr::local(1),
+            std::net::Ipv4Addr::LOCALHOST,
+            0,
+            Default::default(),
+        ));
+        world.with_ctx::<crate::BridgeNode, _>(node, |_, ctx| {
+            f(&mut HostEnv {
+                sim: ctx,
+                plane,
+                cmds: &mut Vec::new(),
+                vm_handlers: &mut Default::default(),
+                vm_owner: &mut Default::default(),
+                mac: MacAddr::local(1),
+                bridge_name: "bridge",
+                module_name: Rc::from(module),
+            })
+        })
+    }
+
+    fn unixnet(host: &mut HostEnv<'_, '_>, item: &str, arg: Value) -> Result<Value, VmError> {
+        let env = host_env();
+        let (slot, _) = env.lookup("unixnet", item).expect("a unixnet item");
+        host.call_slot(&env, slot, &mut [arg])
+    }
+
+    #[test]
+    fn unbind_releases_only_the_named_port_of_its_owner() {
+        let already_bound = Some(VmError::Host("Already_bound".into()));
+        let mut plane = Plane::new(2, SimDuration::from_secs(300));
+        with_env(&mut plane, "first", |host| {
+            let mut bound = |item, port| unixnet(host, item, Value::Int(port)).expect("free port");
+            let (in0, _in1) = (bound("bind_in", 0), bound("bind_in", 1));
+            let (_out0, out1) = (bound("bind_out", 0), bound("bind_out", 1));
+            unixnet(host, "unbind_in", in0).expect("unbinds");
+            unixnet(host, "unbind_out", out1).expect("unbinds");
+        });
+        with_env(&mut plane, "second", |host| {
+            // Exactly the two released bindings are free; the other two
+            // still belong to the first module.
+            let in0 = unixnet(host, "bind_in", Value::Int(0)).expect("released");
+            unixnet(host, "bind_out", Value::Int(1)).expect("released");
+            assert_eq!(unixnet(host, "bind_in", Value::Int(1)).err(), already_bound);
+            assert_eq!(
+                unixnet(host, "bind_out", Value::Int(0)).err(),
+                already_bound
+            );
+            // Unbinding a port someone else owns releases nothing.
+            unixnet(host, "unbind_in", Value::handle("iport", 1)).expect("a no-op");
+            assert_eq!(unixnet(host, "bind_in", Value::Int(1)).err(), already_bound);
+            // And input and output bindings are released separately.
+            unixnet(host, "unbind_in", in0).expect("unbinds");
+        });
+        assert_eq!(plane.owners_in[0], None);
+        assert_eq!(plane.owners_out[1].as_deref(), Some("second"));
     }
 
     /// The integer slot table is order-coupled to [`host_env`]; this test

@@ -698,6 +698,25 @@ impl Plane {
         }
     }
 
+    /// Release `owner`'s claim on input port `port` (a no-op when someone
+    /// else, or nobody, holds it).
+    pub fn unbind_in(&mut self, port: usize, owner: &str) {
+        Self::release(&mut self.owners_in, port, owner);
+    }
+
+    /// Release `owner`'s claim on output port `port`.
+    pub fn unbind_out(&mut self, port: usize, owner: &str) {
+        Self::release(&mut self.owners_out, port, owner);
+    }
+
+    fn release(owners: &mut [Option<String>], port: usize, owner: &str) {
+        if let Some(slot) = owners.get_mut(port) {
+            if slot.as_deref() == Some(owner) {
+                *slot = None;
+            }
+        }
+    }
+
     /// Release every port bound by `owner`.
     pub fn unbind_all(&mut self, owner: &str) {
         for slot in self.owners_in.iter_mut().chain(self.owners_out.iter_mut()) {

@@ -6,7 +6,7 @@
 //! carry no FCS (the simulated segment charges FCS as wire overhead); the
 //! [`crate::crc`] module is available when an experiment wants a real FCS.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::ethertype::EtherType;
 use crate::mac::MacAddr;
@@ -114,28 +114,32 @@ impl<'a> Frame<'a> {
 
 /// Assemble an Ethernet frame.
 ///
-/// The builder writes the header into its single output buffer up front
-/// and [`FrameBuilder::payload`] appends directly behind it, so building
-/// a frame performs exactly one copy of the payload bytes and one
-/// allocation — the build-once point of the zero-copy frame plane
-/// (everything downstream shares the resulting buffer by refcount).
+/// The frame is written once, into a single output buffer:
+/// [`FrameBuilder::payload`] lays the header down and appends the payload
+/// directly behind it, so building a frame performs exactly one copy of
+/// the payload bytes — the build-once point of the zero-copy frame plane
+/// (everything downstream shares the resulting buffer by refcount). The
+/// buffer is the builder's own (one allocation, sized for the whole frame)
+/// unless the caller supplies one with [`FrameBuilder::in_buf`].
 #[derive(Debug)]
 pub struct FrameBuilder {
-    /// Header followed by payload; the type field is patched at build
-    /// time for LLC frames.
-    buf: Vec<u8>,
+    /// The type field is patched at build time for LLC frames.
+    header: [u8; HEADER_LEN],
+    /// Header followed by payload, once either has been written.
+    buf: BytesMut,
     llc: bool,
     pad: bool,
 }
 
 impl FrameBuilder {
     fn with_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, llc: bool) -> Self {
-        let mut buf = Vec::with_capacity(MIN_FRAME);
-        buf.extend_from_slice(&dst.octets());
-        buf.extend_from_slice(&src.octets());
-        buf.extend_from_slice(&ethertype.0.to_be_bytes());
+        let mut header = [0u8; HEADER_LEN];
+        header[0..6].copy_from_slice(&dst.octets());
+        header[6..12].copy_from_slice(&src.octets());
+        header[12..14].copy_from_slice(&ethertype.0.to_be_bytes());
         FrameBuilder {
-            buf,
+            header,
+            buf: BytesMut::new(),
             llc,
             pad: true,
         }
@@ -154,13 +158,24 @@ impl FrameBuilder {
         FrameBuilder::with_header(dst, src, EtherType(0), true)
     }
 
+    /// Build into `buf` (its contents are discarded, its storage kept)
+    /// instead of a fresh allocation — how a caller with a buffer pool
+    /// composes a frame without touching the allocator.
+    pub fn in_buf(mut self, mut buf: BytesMut) -> Self {
+        buf.clear();
+        buf.extend_from_slice(&self.buf);
+        self.buf = buf;
+        self
+    }
+
     /// Set the payload (replacing any payload set earlier).
     pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.buf.truncate(HEADER_LEN);
+        self.buf.clear();
         // Reserve the final frame size (including any pad to the Ethernet
         // minimum) so building stays a single allocation.
-        let total = (HEADER_LEN + payload.len()).max(MIN_FRAME);
-        self.buf.reserve(total - self.buf.len());
+        self.buf
+            .reserve((HEADER_LEN + payload.len()).max(MIN_FRAME));
+        self.buf.extend_from_slice(&self.header);
         self.buf.extend_from_slice(payload);
         self
     }
@@ -177,7 +192,10 @@ impl FrameBuilder {
     /// Panics if the payload exceeds [`MAX_PAYLOAD`]; the caller is
     /// expected to have segmented above this layer (the paper's bridge
     /// cannot fragment either — bridges must not modify frames).
-    pub fn build(self) -> Bytes {
+    pub fn build(mut self) -> Bytes {
+        if self.buf.is_empty() {
+            self = self.payload(&[]);
+        }
         let mut buf = self.buf;
         let payload_len = buf.len() - HEADER_LEN;
         assert!(
@@ -190,7 +208,7 @@ impl FrameBuilder {
         if self.pad && buf.len() < MIN_FRAME {
             buf.resize(MIN_FRAME, 0);
         }
-        Bytes::from(buf)
+        buf.freeze()
     }
 }
 
@@ -232,6 +250,23 @@ mod tests {
         let parsed = Frame::parse(&frame).unwrap();
         assert!(parsed.ethertype().is_length());
         assert_eq!(parsed.payload(), &bpdu); // pad trimmed by length field
+    }
+
+    #[test]
+    fn in_buf_builds_the_same_bytes_in_the_callers_storage() {
+        let build = |b: FrameBuilder| b.payload(&[0x42, 0x42, 0x03, 7]).build();
+        for llc in [false, true] {
+            let start = || match llc {
+                false => FrameBuilder::new(MacAddr::local(1), MacAddr::local(2), EtherType::ARP),
+                true => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, MacAddr::local(2)),
+            };
+            let mut pooled = BytesMut::with_capacity(MAX_FRAME);
+            pooled.extend_from_slice(b"a dead frame's bytes");
+            let storage = pooled.as_ptr();
+            let frame = build(start().in_buf(pooled));
+            assert_eq!(frame, build(start()));
+            assert_eq!(frame.as_ptr(), storage, "built in place");
+        }
     }
 
     #[test]

@@ -1431,6 +1431,7 @@ impl MacFloodApp {
         // unknown-unicast and floods (the storm class policing catches).
         let dst = MacAddr([0x02, 0xDE, 0xAD, 0xBE, 0xEF, 0x01]);
         let frame = FrameBuilder::new(dst, src, EtherType::EXPERIMENTAL)
+            .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&[0x5A; 46])
             .build();
         core.send_raw(ctx, self.port, frame);
@@ -1473,6 +1474,7 @@ impl ArpStormApp {
         let tpa = Ipv4Addr::new(10, 250, (r >> 8) as u8, r as u8);
         let arp = netstack::ArpPacket::request(src_mac, spa, tpa).emit();
         let frame = FrameBuilder::new(MacAddr::BROADCAST, src_mac, EtherType::ARP)
+            .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&arp)
             .build();
         core.send_raw(ctx, self.port, frame);
@@ -1526,6 +1528,7 @@ impl RogueBpduApp {
         };
         let payload = ieee_emit(&Bpdu::Config(config));
         let frame = FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src_mac)
+            .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&Llc::BPDU.wrap(&payload))
             .build();
         core.send_raw(ctx, self.port, frame);

@@ -211,14 +211,15 @@ impl HostCore {
         let ident = self.ip_ident;
         self.ip_ident = self.ip_ident.wrapping_add(1);
         let total = ether::HEADER_LEN + netstack::ipv4::HEADER_LEN + payload_len;
-        let mut buf = ctx.take_buf(total.max(ether::MIN_FRAME));
+        let mut frame = ctx.take_buf(total.max(ether::MIN_FRAME));
+        let buf = frame.as_mut_vec();
         let mut eth = [0u8; ether::HEADER_LEN];
         eth[0..6].copy_from_slice(&dst_mac.octets());
         eth[6..12].copy_from_slice(&src_mac.octets());
         eth[12..14].copy_from_slice(&EtherType::IPV4.0.to_be_bytes());
         buf.extend_from_slice(&eth);
         netstack::ipv4::emit_header_append(
-            &mut buf,
+            buf,
             src_ip,
             dst_ip,
             proto,
@@ -228,12 +229,12 @@ impl HostCore {
             false,
             0,
         );
-        build(&mut buf);
+        build(buf);
         debug_assert_eq!(buf.len(), total, "build wrote a different length");
         if buf.len() < ether::MIN_FRAME {
             buf.resize(ether::MIN_FRAME, 0); // Ethernet minimum padding
         }
-        self.send_raw(ctx, port, FrameBuf::from(buf));
+        self.send_raw(ctx, port, FrameBuf::from(frame));
     }
 
     fn send_ip_inner(
@@ -258,6 +259,7 @@ impl HostCore {
             let req = ArpPacket::request(self.cfg.macs[port.0], self.cfg.ips[port.0], dst_ip);
             let frame =
                 FrameBuilder::new(MacAddr::BROADCAST, self.cfg.macs[port.0], EtherType::ARP)
+                    .in_buf(ctx.take_buf(ether::MIN_FRAME))
                     .payload(&req.emit())
                     .build();
             self.send_raw(ctx, port, frame);
@@ -423,6 +425,7 @@ impl HostNode {
                     ArpOp::Request if arp.tpa == self.core.cfg.ips[port.0] => {
                         let reply = arp.reply_with(my_mac);
                         let out = FrameBuilder::new(arp.sha, my_mac, EtherType::ARP)
+                            .in_buf(ctx.take_buf(ether::MIN_FRAME))
                             .payload(&reply.emit())
                             .build();
                         self.core.send_raw(ctx, port, out);

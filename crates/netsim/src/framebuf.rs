@@ -12,7 +12,12 @@
 //!
 //! `FrameBuf` is a thin wrapper over [`bytes::Bytes`]; it exists so the
 //! simulator's API names the *frame* contract (immutable, cheap to clone,
-//! zero-copy subranges) rather than a general byte container.
+//! zero-copy subranges) rather than a general byte container. The
+//! switchlet VM's strings are the same `Bytes`, so a frame crosses the VM
+//! boundary as a handle ([`FrameBuf::as_bytes`] one way, `From<Bytes>` the
+//! other). Every per-delivery operation (`len`, deref, `clone`, drop) is
+//! inline field work in the calling crate; see DESIGN.md for the
+//! representation and the pool contract.
 
 use bytes::{Bytes, BytesMut};
 
@@ -71,20 +76,26 @@ impl FrameBuf {
     }
 
     /// Unwrap into the underlying [`Bytes`] (no copy).
+    #[inline]
     pub fn into_bytes(self) -> Bytes {
         self.0
     }
 
-    /// Reclaim the backing buffer without copying, if this is the last
-    /// reference to the whole storage — the buffer-recycling hook: a
-    /// frame that just died hands its allocation back to a pool instead
-    /// of the allocator. Returns `self` unchanged otherwise (cheap: one
-    /// refcount check).
-    pub fn try_into_vec(self) -> Result<Vec<u8>, FrameBuf> {
-        match self.0.try_into_mut() {
-            Ok(m) => Ok(Vec::from(m)),
-            Err(b) => Err(FrameBuf(b)),
-        }
+    /// True if no other handle shares this frame's storage: one refcount
+    /// test, the whole cost of recycling a frame somebody else still holds.
+    #[inline]
+    pub fn is_unique(&self) -> bool {
+        self.0.is_unique()
+    }
+
+    /// Reclaim the storage *whole* (bytes and refcount header) without
+    /// copying, if this is the sole view of all of it — the
+    /// buffer-recycling hook: a frame that just died hands its allocation
+    /// back to a pool instead of the allocator. Returns `self` unchanged
+    /// otherwise.
+    #[inline]
+    pub fn try_into_mut(self) -> Result<BytesMut, FrameBuf> {
+        self.0.try_into_mut().map_err(FrameBuf)
     }
 
     /// Copy-on-write mutation: clones the contents into a private buffer,
@@ -108,18 +119,21 @@ impl FrameBuf {
 
 impl std::ops::Deref for FrameBuf {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.0
     }
 }
 
 impl AsRef<[u8]> for FrameBuf {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.0
     }
 }
 
 impl From<Bytes> for FrameBuf {
+    #[inline]
     fn from(b: Bytes) -> Self {
         FrameBuf(b)
     }
@@ -138,6 +152,7 @@ impl From<Vec<u8>> for FrameBuf {
 }
 
 impl From<BytesMut> for FrameBuf {
+    #[inline]
     fn from(m: BytesMut) -> Self {
         FrameBuf(m.freeze())
     }

@@ -8,6 +8,8 @@
 //! world core, invokes the callback, and puts the node back. This gives the
 //! node full mutable access to simulator services without aliasing itself.
 
+use bytes::BytesMut;
+
 use crate::chaos::ChaosEv;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::FaultOutcome;
@@ -51,12 +53,12 @@ pub struct WorldCore {
     /// Reusable listener scratch for `deliver_all` (kept across events so
     /// the delivery path never allocates).
     deliver_scratch: Vec<(NodeId, PortId)>,
-    /// Recycled frame backing buffers: builders take from here
-    /// ([`Ctx::take_buf`]) and dead frames return here
-    /// ([`Ctx::recycle_frame`]), so steady-state traffic reuses a small
-    /// working set of allocations instead of hitting the allocator per
-    /// frame.
-    frame_pool: Vec<Vec<u8>>,
+    /// Recycled frame storage, each entry whole (bytes and refcount
+    /// header): builders take from here ([`Ctx::take_buf`]) and dead
+    /// frames return here ([`Ctx::recycle_frame`]), so steady-state
+    /// traffic reuses a small working set of allocations instead of
+    /// hitting the allocator per frame.
+    frame_pool: Vec<BytesMut>,
 }
 
 /// Upper bound on pooled buffers (a few per node is plenty; beyond that
@@ -85,8 +87,8 @@ impl WorldCore {
     }
 
     /// Take a cleared buffer of at least `cap` capacity from the frame
-    /// pool (or a fresh one).
-    fn take_buf(&mut self, cap: usize) -> Vec<u8> {
+    /// pool (or a fresh one when the pool is empty).
+    fn take_buf(&mut self, cap: usize) -> BytesMut {
         // Scan a few recent entries for one big enough; the pool turns
         // over the same frame-sized buffers in steady state.
         let n = self.frame_pool.len();
@@ -95,16 +97,23 @@ impl WorldCore {
                 return self.frame_pool.swap_remove(i);
             }
         }
-        Vec::with_capacity(cap)
+        // Grow a pooled buffer in place rather than allocate beside it: a
+        // pool full of ACK-sized buffers would otherwise turn every
+        // full-sized frame away for the rest of the run.
+        let mut buf = self.frame_pool.pop().unwrap_or_default();
+        buf.reserve(cap);
+        buf
     }
 
-    /// Return a dead frame's backing buffer to the pool (no-op when the
-    /// storage is still shared or the pool is full).
+    /// Return a dead frame's storage to the pool. A frame some other
+    /// handle still shares costs one refcount test here and then drops
+    /// like any other clone.
+    #[inline]
     fn recycle_frame(&mut self, frame: FrameBuf) {
-        if self.frame_pool.len() < FRAME_POOL_CAP {
-            if let Ok(mut v) = frame.try_into_vec() {
-                v.clear();
-                self.frame_pool.push(v);
+        if frame.is_unique() && self.frame_pool.len() < FRAME_POOL_CAP {
+            if let Ok(mut buf) = frame.try_into_mut() {
+                buf.clear();
+                self.frame_pool.push(buf);
             }
         }
     }
@@ -342,8 +351,9 @@ impl<'w> Ctx<'w> {
 
     /// Take a cleared byte buffer of at least `cap` capacity from the
     /// world's frame pool — the allocation-free way to start building a
-    /// frame. Pair with [`Ctx::recycle_frame`].
-    pub fn take_buf(&mut self, cap: usize) -> Vec<u8> {
+    /// frame (`FrameBuf::from` the finished buffer reuses its refcount
+    /// header too). Pair with [`Ctx::recycle_frame`].
+    pub fn take_buf(&mut self, cap: usize) -> BytesMut {
         self.core.take_buf(cap)
     }
 
@@ -351,6 +361,7 @@ impl<'w> Ctx<'w> {
     /// reclaims storage the caller exclusively owns (one cheap refcount
     /// check otherwise), so it is always safe to call on the last handle
     /// a node holds.
+    #[inline]
     pub fn recycle_frame(&mut self, frame: FrameBuf) {
         self.core.recycle_frame(frame);
     }
@@ -1906,6 +1917,31 @@ mod tests {
 
         reused.reset(7);
         assert_eq!(drive(&mut reused), want, "reset world replays fresh");
+    }
+
+    #[test]
+    fn recycling_a_shared_handle_reclaims_nothing() {
+        let mut w = World::new(1);
+        let a = w.add_node(echo("a", false));
+        let held = FrameBuf::from(vec![0xABu8; 64]);
+        let other = held.clone();
+        w.with_ctx::<Echo, _>(a, |_, ctx| ctx.recycle_frame(other));
+        assert_eq!(w.core.frame_pool.len(), 0, "someone still holds it");
+        assert!(held.iter().all(|&b| b == 0xAB), "and still sees its bytes");
+        // A view of part of the storage is not the whole of it either.
+        let tail = held.slice(1..);
+        drop(held);
+        w.with_ctx::<Echo, _>(a, |_, ctx| ctx.recycle_frame(tail));
+        assert_eq!(w.core.frame_pool.len(), 0);
+        // The last handle of the whole storage is what goes back.
+        let last = FrameBuf::from(vec![0xCDu8; 64]);
+        let storage = last.as_ptr();
+        w.with_ctx::<Echo, _>(a, |_, ctx| {
+            ctx.recycle_frame(last);
+            let reused = ctx.take_buf(64);
+            assert!(reused.is_empty());
+            assert_eq!(reused.as_ptr(), storage);
+        });
     }
 
     #[test]

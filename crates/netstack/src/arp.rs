@@ -77,21 +77,19 @@ impl ArpPacket {
         })
     }
 
-    /// Assemble this packet.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(PACKET_LEN);
-        buf.extend_from_slice(&[0, 1, 8, 0, 6, 4]);
-        buf.extend_from_slice(
-            &match self.op {
-                ArpOp::Request => 1u16,
-                ArpOp::Reply => 2u16,
-            }
-            .to_be_bytes(),
-        );
-        buf.extend_from_slice(&self.sha.octets());
-        buf.extend_from_slice(&self.spa.octets());
-        buf.extend_from_slice(&self.tha.octets());
-        buf.extend_from_slice(&self.tpa.octets());
+    /// Assemble this packet (fixed-size, so no allocation).
+    pub fn emit(&self) -> [u8; PACKET_LEN] {
+        let mut buf = [0u8; PACKET_LEN];
+        buf[0..6].copy_from_slice(&[0, 1, 8, 0, 6, 4]);
+        let op: u16 = match self.op {
+            ArpOp::Request => 1,
+            ArpOp::Reply => 2,
+        };
+        buf[6..8].copy_from_slice(&op.to_be_bytes());
+        buf[8..14].copy_from_slice(&self.sha.octets());
+        buf[14..18].copy_from_slice(&self.spa.octets());
+        buf[18..24].copy_from_slice(&self.tha.octets());
+        buf[24..28].copy_from_slice(&self.tpa.octets());
         buf
     }
 
@@ -145,7 +143,7 @@ mod tests {
     #[test]
     fn padding_tolerated() {
         let req = ArpPacket::request(MacAddr::local(1), IP_A, IP_B);
-        let mut bytes = req.emit();
+        let mut bytes = req.emit().to_vec();
         bytes.resize(46, 0); // Ethernet minimum padding
         assert_eq!(ArpPacket::parse(&bytes).unwrap(), req);
     }

@@ -728,7 +728,9 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         wl.faults.iter().map(|(at, f)| (epoch + *at, f)).collect();
     faults.sort_by_key(|(at, _)| *at);
     let mut next_fault = 0;
-    let mut signature = convergence_signature(world, &built);
+    let mut signature = ConvergenceSignature::default();
+    signature.capture(world, &built);
+    let mut sig = ConvergenceSignature::default();
     let mut converged_at: Option<SimTime> = None;
     let mut delivered_at_heal: Option<u64> = None;
     let mut first_delivery_after_heal: Option<SimTime> = None;
@@ -767,9 +769,9 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
                 }
             }
         }
-        let sig = convergence_signature(world, &built);
+        sig.capture(world, &built);
         if sig != signature {
-            signature = sig;
+            std::mem::swap(&mut sig, &mut signature);
             converged_at = Some(now);
         }
         // Time-to-first-delivery after the script's last heal, sampled
@@ -1047,22 +1049,27 @@ fn materialize(
 }
 
 /// Port flags plus elected root per bridge: when this stops changing, the
-/// control plane has converged.
-fn convergence_signature(
-    world: &World,
-    built: &topo::BuiltTopology,
-) -> Vec<(Vec<bool>, Option<ether::MacAddr>)> {
-    built
-        .bridges
-        .iter()
-        .map(|&b| {
+/// control plane has converged. Flat (every bridge's ports end to end;
+/// port counts never change during a run) so that the per-slice poll
+/// refills two long-lived buffers instead of allocating per bridge.
+#[derive(Default, PartialEq)]
+struct ConvergenceSignature {
+    forwarding: Vec<bool>,
+    roots: Vec<Option<ether::MacAddr>>,
+}
+
+impl ConvergenceSignature {
+    fn capture(&mut self, world: &World, built: &topo::BuiltTopology) {
+        self.forwarding.clear();
+        self.roots.clear();
+        for &b in &built.bridges {
             let plane = world.node::<BridgeNode>(b).plane();
-            (
-                plane.flags().iter().map(|f| f.forward).collect(),
-                plane.published.get(STP_NAME).map(|s| s.root_mac),
-            )
-        })
-        .collect()
+            self.forwarding
+                .extend(plane.flags().iter().map(|f| f.forward));
+            self.roots
+                .push(plane.published.get(STP_NAME).map(|s| s.root_mac));
+        }
+    }
 }
 
 /// Inspect every placed app and compute its outcome. Returns the reports

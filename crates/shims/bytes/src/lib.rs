@@ -6,6 +6,16 @@
 //! freezes into `Bytes`). Semantics match the real crate for this subset,
 //! including zero-copy [`Bytes::slice`] (a subrange shares the parent's
 //! allocation); the split/advance machinery is intentionally absent.
+//!
+//! `Bytes` is the data plane's frame handle *and* the switchlet VM's string
+//! (see `crates/netsim/DESIGN.md`), so its per-delivery operations — `len`,
+//! deref, `clone`, drop — are `#[inline]` field work in the calling crate:
+//! the length and view offset live in the 24-byte handle itself, not behind
+//! the refcounted pointer. Two things go beyond the real crate, both for the
+//! frame pool: a `BytesMut` reclaimed with [`Bytes::try_into_mut`] carries
+//! its refcount header along, so freezing it again allocates nothing; and
+//! [`BytesMut::as_mut_vec`] exposes the backing vector to builders that
+//! append into a `Vec<u8>`.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -17,54 +27,58 @@ use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 /// A cheaply clonable, immutable contiguous slice of memory.
+///
+/// A view (`off..off + len`) into its storage. Clones and subslices bump
+/// the refcount; nothing is ever copied.
 #[derive(Clone)]
-pub struct Bytes(Repr);
+pub struct Bytes {
+    store: Store,
+    off: u32,
+    len: u32,
+}
 
 #[derive(Clone)]
-enum Repr {
+enum Store {
     Static(&'static [u8]),
-    /// A view (`off..off + len`) into a refcounted allocation. Clones and
-    /// subslices bump the refcount; nothing is ever copied. Backing store
-    /// is the `Vec` the caller built, wrapped as-is — freezing a built
-    /// buffer into `Bytes` is zero-copy.
-    Shared {
-        buf: Rc<Vec<u8>>,
-        off: usize,
-        len: usize,
-    },
+    /// Backing store is the `Vec` the caller built, wrapped as-is —
+    /// freezing a built buffer into `Bytes` is zero-copy.
+    Shared(Rc<Vec<u8>>),
 }
 
 impl Bytes {
     /// An empty `Bytes`.
     pub const fn new() -> Self {
-        Bytes(Repr::Static(&[]))
+        Bytes::from_static(&[])
     }
 
     /// Wrap a static slice without copying.
     pub const fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes(Repr::Static(bytes))
+        assert!(bytes.len() <= u32::MAX as usize);
+        Bytes {
+            store: Store::Static(bytes),
+            off: 0,
+            len: bytes.len() as u32,
+        }
     }
 
     /// Copy a slice into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from_shared(Rc::new(data.to_vec()))
+        Bytes::from(data.to_vec())
     }
 
-    fn from_shared(buf: Rc<Vec<u8>>) -> Self {
-        let len = buf.len();
-        Bytes(Repr::Shared { buf, off: 0, len })
-    }
-
+    #[inline]
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.len as usize
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.len == 0
     }
 
     /// Returns a `Bytes` for the given subrange, sharing the allocation
     /// with `self` (zero-copy, like the real crate).
+    #[inline]
     pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let start = match range.start_bound() {
@@ -82,13 +96,10 @@ impl Bytes {
             "slice {start}..{end} out of bounds for Bytes of length {}",
             self.len()
         );
-        match &self.0 {
-            Repr::Static(s) => Bytes(Repr::Static(&s[start..end])),
-            Repr::Shared { buf, off, .. } => Bytes(Repr::Shared {
-                buf: Rc::clone(buf),
-                off: off + start,
-                len: end - start,
-            }),
+        Bytes {
+            store: self.store.clone(),
+            off: self.off + start as u32,
+            len: (end - start) as u32,
         }
     }
 
@@ -96,26 +107,50 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
+    /// True if this is the only handle to its storage (static data never
+    /// is). One refcount test — what a recycling path asks before it
+    /// bothers with [`Bytes::try_into_mut`].
+    #[inline]
+    pub fn is_unique(&self) -> bool {
+        match &self.store {
+            Store::Static(_) => false,
+            Store::Shared(buf) => Rc::strong_count(buf) == 1,
+        }
+    }
+
     /// Convert into a [`BytesMut`] without copying if this is the only
     /// reference to the full backing storage; otherwise returns `self`
     /// unchanged. Matches `bytes::Bytes::try_into_mut` (1.4+) — the hook
     /// buffer-recycling paths use to reclaim a dead frame's allocation.
+    /// The refcount header stays with the returned buffer, so its next
+    /// [`BytesMut::freeze`] allocates nothing.
+    #[inline]
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        match self.0 {
-            Repr::Shared { buf, off, len } if off == 0 && len == buf.len() => {
-                match Rc::try_unwrap(buf) {
-                    Ok(v) => Ok(BytesMut(v)),
-                    Err(buf) => Err(Bytes(Repr::Shared { buf, off, len })),
+        let Bytes { store, off, len } = self;
+        match store {
+            Store::Shared(mut header) if off == 0 && len as usize == header.len() => {
+                match Rc::get_mut(&mut header) {
+                    Some(buf) => Ok(BytesMut {
+                        buf: std::mem::take(buf),
+                        header: Some(header),
+                    }),
+                    None => Err(Bytes {
+                        store: Store::Shared(header),
+                        off,
+                        len,
+                    }),
                 }
             }
-            repr => Err(Bytes(repr)),
+            store => Err(Bytes { store, off, len }),
         }
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Static(s) => s,
-            Repr::Shared { buf, off, len } => &buf[*off..off + len],
+        let (off, end) = (self.off as usize, self.off as usize + self.len as usize);
+        match &self.store {
+            Store::Static(s) => &s[off..end],
+            Store::Shared(buf) => &buf[off..end],
         }
     }
 }
@@ -128,12 +163,14 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -148,7 +185,7 @@ impl Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         // Zero-copy: the vector becomes the shared backing store.
-        Bytes::from_shared(Rc::new(v))
+        BytesMut::from(v).freeze()
     }
 }
 
@@ -166,7 +203,7 @@ impl From<&'static str> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        Bytes::from_shared(Rc::new(b.into_vec()))
+        Bytes::from(b.into_vec())
     }
 }
 
@@ -247,94 +284,155 @@ impl fmt::Debug for Bytes {
 }
 
 /// A growable byte buffer that can be frozen into [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
+///
+/// Uniquely owned. One that came out of [`Bytes::try_into_mut`] keeps the
+/// refcount header it was shared under (`header`, its vector moved out into
+/// `buf`), so a buffer that cycles pool → frame → pool never touches the
+/// allocator: the storage is recycled whole.
+#[derive(Default)]
+pub struct BytesMut {
+    buf: Vec<u8>,
+    /// The spare refcount header: never cloned, so always unique.
+    header: Option<Rc<Vec<u8>>>,
+}
 
 impl BytesMut {
     pub fn new() -> Self {
-        BytesMut(Vec::new())
+        BytesMut::default()
     }
 
     pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
+        BytesMut::from(Vec::with_capacity(cap))
     }
 
+    #[inline]
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.0.extend_from_slice(extend)
+        self.buf.extend_from_slice(extend)
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.buf.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.buf.is_empty()
+    }
+
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Make room for `additional` more bytes, growing the storage in place.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional)
     }
 
     pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.0.resize(new_len, value)
+        self.buf.resize(new_len, value)
     }
 
+    #[inline]
     pub fn clear(&mut self) {
-        self.0.clear()
+        self.buf.clear()
     }
 
-    /// Convert into an immutable [`Bytes`].
+    /// The backing vector, for builders that append into a `Vec<u8>`
+    /// (beyond the real crate's API; see the crate docs).
+    #[inline]
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Convert into an immutable [`Bytes`], reusing the refcount header
+    /// the buffer was reclaimed with when it has one.
+    #[inline]
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
+        // Views are addressed with 32-bit offsets so the handle stays
+        // three words.
+        let len = u32::try_from(self.buf.len()).expect("Bytes buffers are limited to 4 GiB");
+        let store = match self.header {
+            Some(mut header) => {
+                *Rc::get_mut(&mut header).expect("a spare header is never shared") = self.buf;
+                header
+            }
+            None => Rc::new(self.buf),
+        };
+        Bytes {
+            store: Store::Shared(store),
+            off: 0,
+            len,
+        }
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
-        self.0.clone()
+        self.buf.clone()
     }
 }
 
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut::from(self.buf.clone())
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf == other.buf
+    }
+}
+impl Eq for BytesMut {}
+
 impl From<&[u8]> for BytesMut {
     fn from(s: &[u8]) -> Self {
-        BytesMut(s.to_vec())
+        BytesMut::from(s.to_vec())
     }
 }
 
 impl From<BytesMut> for Vec<u8> {
     fn from(m: BytesMut) -> Self {
-        m.0
+        m.buf
     }
 }
 
 impl From<Vec<u8>> for BytesMut {
-    fn from(v: Vec<u8>) -> Self {
-        BytesMut(v)
+    fn from(buf: Vec<u8>) -> Self {
+        BytesMut { buf, header: None }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
-        &self.0
+        &self.buf
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.0
+        &mut self.buf
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        &self.buf
     }
 }
 
 impl Extend<u8> for BytesMut {
     fn extend<T: IntoIterator<Item = u8>>(&mut self, iter: T) {
-        self.0.extend(iter)
+        self.buf.extend(iter)
     }
 }
 
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        debug_bytes(&self.0, f)
+        debug_bytes(&self.buf, f)
     }
 }
 
@@ -389,6 +487,41 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let b = Bytes::from(vec![1, 2, 3]);
         let _ = b.slice(1..9);
+    }
+
+    #[test]
+    fn try_into_mut_needs_the_sole_view_of_the_whole_storage() {
+        let b = Bytes::from(vec![1, 2, 3, 4]);
+        let c = b.clone();
+        assert!(!b.is_unique());
+        let b = b.try_into_mut().expect_err("a second handle is alive");
+        drop(c);
+        assert!(b.is_unique());
+        // Unique, but a view of part of the storage.
+        let tail = b.slice(1..);
+        drop(b);
+        assert!(tail.is_unique());
+        let tail = tail.try_into_mut().expect_err("a partial view");
+        assert_eq!(&tail[..], &[2, 3, 4]);
+        assert!(Bytes::from_static(b"abc").try_into_mut().is_err());
+    }
+
+    #[test]
+    fn reclaimed_storage_is_reused_whole() {
+        fn header(b: &Bytes) -> *const Vec<u8> {
+            match &b.store {
+                Store::Shared(rc) => Rc::as_ptr(rc),
+                Store::Static(_) => unreachable!("built from a vector"),
+            }
+        }
+        let b = Bytes::from(vec![7u8; 64]);
+        let (hdr, data) = (header(&b), b.as_ptr());
+        let mut m = b.try_into_mut().expect("sole whole view");
+        m.clear();
+        m.extend_from_slice(&[9u8; 32]);
+        let b = m.freeze();
+        assert_eq!(&b[..], &[9u8; 32]);
+        assert_eq!((header(&b), b.as_ptr()), (hdr, data));
     }
 
     #[test]

@@ -607,6 +607,100 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------- string views
+
+/// `len`, `byte`, `slice` and `cat`, each `(s: str, i: int, n: int) -> int`
+/// and each folding what its string instruction produced into the result.
+fn string_ops_image() -> Vec<u8> {
+    let mut mb = ModuleBuilder::new("strs");
+    let bar = mb.intern_str(b"|");
+    let params = || vec![Ty::Str, Ty::Int, Ty::Int];
+
+    let mut f = mb.func("len", params(), Ty::Int);
+    f.op(Op::LocalGet(0)).op(Op::StrLen).op(Op::Return);
+    let idx = mb.finish(f);
+    mb.export("len", idx);
+
+    let mut f = mb.func("byte", params(), Ty::Int);
+    f.op(Op::LocalGet(0)).op(Op::LocalGet(1)).op(Op::StrByte);
+    f.op(Op::Return);
+    let idx = mb.finish(f);
+    mb.export("byte", idx);
+
+    // t = s[i..i + n] ++ "|"; result = len(t) * 256 + t[0]
+    let mut f = mb.func("slice", params(), Ty::Int);
+    let t = f.local(Ty::Str);
+    f.op(Op::LocalGet(0))
+        .op(Op::LocalGet(1))
+        .op(Op::LocalGet(2));
+    f.op(Op::StrSlice).op(Op::ConstStr(bar)).op(Op::StrConcat);
+    f.op(Op::LocalSet(t));
+    f.op(Op::LocalGet(t)).op(Op::StrLen);
+    f.op(Op::ConstInt(256)).op(Op::Mul);
+    f.op(Op::LocalGet(t)).op(Op::ConstInt(0)).op(Op::StrByte);
+    f.op(Op::Add).op(Op::Return);
+    let idx = mb.finish(f);
+    mb.export("slice", idx);
+
+    // u = s ++ s; result = len(u) * 256 + u[i]
+    let mut f = mb.func("cat", params(), Ty::Int);
+    let u = f.local(Ty::Str);
+    f.op(Op::LocalGet(0)).op(Op::LocalGet(0)).op(Op::StrConcat);
+    f.op(Op::LocalSet(u));
+    f.op(Op::LocalGet(u)).op(Op::StrLen);
+    f.op(Op::ConstInt(256)).op(Op::Mul);
+    f.op(Op::LocalGet(u)).op(Op::LocalGet(1)).op(Op::StrByte);
+    f.op(Op::Add).op(Op::Return);
+    let idx = mb.finish(f);
+    mb.export("cat", idx);
+
+    mb.build().encode()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A string that is a sub-range view of a larger shared buffer (what a
+    /// received frame, or a slice of one, is) behaves exactly like an owned
+    /// copy of those bytes: both interpreters agree on `StrLen`,
+    /// `StrByte`, `StrSlice` and `StrConcat`, and an out-of-bounds trap
+    /// reports the view's bounds, never the buffer's.
+    #[test]
+    fn string_ops_agree_on_views_of_a_shared_buffer(
+        off in 0usize..200,
+        len in 0usize..100,
+        i in -3i64..104,
+        n in -3i64..104,
+    ) {
+        let mut ns = Namespace::new(test_env());
+        ns.load(&string_ops_image()).expect("the image loads");
+        let buffer = bytes::Bytes::from((0..300).map(|b| (b * 7) as u8).collect::<Vec<u8>>());
+        let view = buffer.slice(off..off + len);
+        let owned = Value::str(view.to_vec());
+        let cfg = ExecConfig::default();
+        for export in ["len", "byte", "slice", "cat"] {
+            let (fv, _) = ns.lookup_export("strs", export).expect("exported");
+            let run = |s: &Value, reference: bool| {
+                let args = vec![s.clone(), Value::Int(i), Value::Int(n)];
+                let out = match reference {
+                    true => ref_call(&ns, &mut TestHost::new(), fv, args, &cfg),
+                    false => call(&ns, &mut TestHost::new(), fv, args, &cfg),
+                };
+                out.map(|(v, stats)| (v.as_int(), stats))
+            };
+            let expected = run(&owned, true);
+            prop_assert_eq!(&run(&Value::Str(view.clone()), true), &expected, "{}: reference, view", export);
+            prop_assert_eq!(&run(&Value::Str(view.clone()), false), &expected, "{}: vm, view", export);
+            prop_assert_eq!(&run(&owned, false), &expected, "{}: vm, owned", export);
+            if let Err(VmError::StrBounds { len: reported, .. }) = expected {
+                prop_assert!(reported <= 2 * len + 1, "{}: bounds of the view", export);
+            }
+        }
+        // Nothing above wrote through the view.
+        prop_assert!(buffer.iter().enumerate().all(|(b, &x)| x == (b * 7) as u8));
+    }
+}
+
 #[cfg(test)]
 mod fixed {
     use super::*;

@@ -51,9 +51,9 @@ pub struct Instance {
     pub resolved: Vec<ResolvedImport>,
     /// String-pool constants interned once at link time, parallel to
     /// `module.str_pool`: `ConstStr` pushes a clone of the prebuilt
-    /// `Rc` value (a pointer bump) instead of copying the pool bytes on
+    /// handle (a refcount bump) instead of copying the pool bytes on
     /// every execution.
-    pub str_consts: Vec<std::rc::Rc<Vec<u8>>>,
+    pub str_consts: Vec<bytes::Bytes>,
     /// Functions translated to the pre-decoded execution form (branch
     /// offsets remapped, call targets and host slots resolved, hot pairs
     /// fused) — what the interpreter actually runs. Built once here, after
@@ -250,7 +250,7 @@ impl Namespace {
         let str_consts = module
             .str_pool
             .iter()
-            .map(|s| std::rc::Rc::new(s.clone()))
+            .map(|s| bytes::Bytes::from(s.clone()))
             .collect();
         // Translate to the execution form — only verified code is decoded.
         let decoded = module

@@ -285,9 +285,9 @@ fn exec(
             Op::StrConcat => {
                 let b = pop!();
                 let a = pop!();
-                let mut out = a.as_str().as_ref().clone();
+                let mut out = a.as_str().to_vec();
                 out.extend_from_slice(b.as_str());
-                stack.push(Value::Str(Rc::new(out)));
+                stack.push(Value::str(out));
             }
             Op::StrByte => {
                 let i = pop!().as_int();
@@ -313,13 +313,13 @@ fn exec(
                     });
                 }
                 let out = s[start as usize..start as usize + len as usize].to_vec();
-                stack.push(Value::Str(Rc::new(out)));
+                stack.push(Value::str(out));
             }
             Op::StrPackInt(width) => {
                 let v = pop!().as_int() as u64;
                 let bytes = v.to_be_bytes();
                 let out = bytes[8 - *width as usize..].to_vec();
-                stack.push(Value::Str(Rc::new(out)));
+                stack.push(Value::str(out));
             }
             Op::StrUnpackInt(width) => {
                 let off = pop!().as_int();

@@ -10,6 +10,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
+
 use crate::types::Ty;
 
 /// Which loaded module instance a function reference points into.
@@ -58,8 +60,11 @@ pub enum Value {
     Bool(bool),
     /// A 64-bit integer.
     Int(i64),
-    /// An immutable byte string.
-    Str(Rc<Vec<u8>>),
+    /// An immutable byte string: a view of refcounted storage, the same
+    /// handle the simulator passes frames around in — a received frame
+    /// becomes a handler's `str` argument, and goes back out through
+    /// `unixnet.send_pkt_out`, without its bytes being copied.
+    Str(Bytes),
     /// A tuple.
     Tuple(Rc<Vec<Value>>),
     /// A function reference.
@@ -67,19 +72,20 @@ pub enum Value {
     /// A mutable hash table.
     Table(Rc<RefCell<HashMap<Key, Value>>>),
     /// An opaque handle of an abstract named type (e.g. an `iport`).
-    /// Only host functions mint these.
+    /// Only host functions mint these, so the tag is a name compiled into
+    /// the host.
     Handle {
         /// The nominal type tag.
-        tag: Rc<str>,
+        tag: &'static str,
         /// Host-assigned identity.
         id: u64,
     },
 }
 
 impl Value {
-    /// Build a string value.
+    /// Build a string value from owned bytes.
     pub fn str(bytes: impl Into<Vec<u8>>) -> Value {
-        Value::Str(Rc::new(bytes.into()))
+        Value::Str(Bytes::from(bytes.into()))
     }
 
     /// Build an empty table.
@@ -88,11 +94,8 @@ impl Value {
     }
 
     /// Build a handle.
-    pub fn handle(tag: &str, id: u64) -> Value {
-        Value::Handle {
-            tag: Rc::from(tag),
-            id,
-        }
+    pub fn handle(tag: &'static str, id: u64) -> Value {
+        Value::Handle { tag, id }
     }
 
     /// Convert to a table key; `None` if the value is not hashable.
@@ -101,7 +104,7 @@ impl Value {
             Value::Unit => Some(Key::Unit),
             Value::Bool(b) => Some(Key::Bool(*b)),
             Value::Int(i) => Some(Key::Int(*i)),
-            Value::Str(s) => Some(Key::Str(s.as_ref().clone())),
+            Value::Str(s) => Some(Key::Str(s.to_vec())),
             _ => None,
         }
     }
@@ -126,7 +129,7 @@ impl Value {
             }
             (Value::Func(_), Ty::Func(_)) => true, // arity checked at link/verify
             (Value::Table(_), Ty::Table(_, _)) => true,
-            (Value::Handle { tag, .. }, Ty::Named(want)) => tag.as_ref() == want.as_str(),
+            (Value::Handle { tag, .. }, Ty::Named(want)) => *tag == want.as_str(),
             _ => false,
         }
     }
@@ -149,7 +152,8 @@ impl Value {
     }
 
     /// Extract a string.
-    pub fn as_str(&self) -> &Rc<Vec<u8>> {
+    #[inline]
+    pub fn as_str(&self) -> &Bytes {
         match self {
             Value::Str(s) => s,
             other => panic!("verifier invariant broken: expected str, got {other:?}"),
@@ -159,7 +163,7 @@ impl Value {
     /// Extract a handle id, checking the tag.
     pub fn as_handle(&self, want_tag: &str) -> u64 {
         match self {
-            Value::Handle { tag, id } if tag.as_ref() == want_tag => *id,
+            Value::Handle { tag, id } if *tag == want_tag => *id,
             other => panic!("verifier invariant broken: expected {want_tag}, got {other:?}"),
         }
     }
@@ -185,6 +189,13 @@ impl Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_value_is_four_words() {
+        // The VM moves these on every push and pop; the string handle's
+        // 32-bit view bounds are what keep the enum from growing.
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
 
     #[test]
     fn keys_roundtrip() {

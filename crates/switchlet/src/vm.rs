@@ -191,7 +191,7 @@ pub fn call(
     ns: &Namespace,
     host: &mut dyn HostDispatch,
     target: FuncVal,
-    args: Vec<Value>,
+    args: impl IntoIterator<Item = Value>,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats), VmError> {
     let mut scratch = VmScratch::new();
@@ -199,13 +199,14 @@ pub fn call(
 }
 
 /// Call a function value with `args`, reusing the given arena. This is
-/// the per-frame entry point: with a long-lived `scratch` the invocation
-/// allocates nothing in steady state.
+/// the per-frame entry point: the arguments go straight into the arena
+/// (pass an array, not a `Vec`), so with a long-lived `scratch` the
+/// invocation allocates nothing in steady state.
 pub fn call_scratch(
     ns: &Namespace,
     host: &mut dyn HostDispatch,
     target: FuncVal,
-    mut args: Vec<Value>,
+    args: impl IntoIterator<Item = Value>,
     cfg: &ExecConfig,
     scratch: &mut VmScratch,
 ) -> Result<(Value, ExecStats), VmError> {
@@ -219,23 +220,23 @@ pub fn call_scratch(
     let result = match target {
         FuncVal::Host { module, item } => {
             stats.host_calls += 1;
-            host.call_slot(ns.env(), HostSlot { module, item }, &mut args)
+            scratch.stack.extend(args);
+            host.call_slot(
+                ns.env(),
+                HostSlot { module, item },
+                &mut scratch.stack[stack_mark..],
+            )
         }
         FuncVal::Vm { instance, func } => {
-            debug_assert_eq!(
-                args.len(),
-                ns.instance(instance).module.functions[func as usize]
-                    .params
-                    .len(),
-                "arity mismatch at entry"
-            );
+            scratch.locals.extend(args);
             debug_assert!(
-                args.iter()
-                    .zip(&ns.instance(instance).module.functions[func as usize].params)
-                    .all(|(v, t)| v.matches(t)),
-                "argument type mismatch at entry"
+                {
+                    let params = &ns.instance(instance).module.functions[func as usize].params;
+                    let args = &scratch.locals[locals_mark..];
+                    args.len() == params.len() && args.iter().zip(params).all(|(v, t)| v.matches(t))
+                },
+                "argument arity or type mismatch at entry"
             );
-            scratch.locals.append(&mut args);
             exec(
                 ns,
                 host,
@@ -382,8 +383,8 @@ fn exec_inner(
             Inst::ConstBool(b) => push!(Value::Bool(*b)),
             Inst::ConstInt(i) => push!(Value::Int(*i)),
             Inst::ConstStr(n) => {
-                // Interned at link time: pushing a pool constant is an
-                // `Rc` clone (pointer bump), never a byte copy.
+                // Interned at link time: pushing a pool constant is a
+                // refcount bump, never a byte copy.
                 push!(Value::Str(inst_ref.str_consts[*n as usize].clone()))
             }
             Inst::LocalGet(n) => push!(local!(*n).clone()),
@@ -612,9 +613,7 @@ fn exec_inner(
             Inst::StrConcat => {
                 let b = pop!();
                 let a = pop!();
-                let mut out = a.as_str().as_ref().clone();
-                out.extend_from_slice(b.as_str());
-                push!(Value::Str(Rc::new(out)));
+                push!(Value::str([&a.as_str()[..], &b.as_str()[..]].concat()));
             }
             Inst::StrByte => {
                 let i = pop!().as_int();
@@ -639,14 +638,16 @@ fn exec_inner(
                         index: start,
                     });
                 }
-                let out = s[start as usize..start as usize + len as usize].to_vec();
-                push!(Value::Str(Rc::new(out)));
+                // Bounds-checked above; the result is a view of the same
+                // storage, not a copy.
+                push!(Value::Str(
+                    s.slice(start as usize..start as usize + len as usize)
+                ));
             }
             Inst::StrPackInt(width) => {
                 let v = pop!().as_int() as u64;
                 let bytes = v.to_be_bytes();
-                let out = bytes[8 - *width as usize..].to_vec();
-                push!(Value::Str(Rc::new(out)));
+                push!(Value::str(&bytes[8 - *width as usize..]));
             }
             Inst::StrUnpackInt(width) => {
                 let off = pop!().as_int();

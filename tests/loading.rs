@@ -297,6 +297,70 @@ fn vm_and_native_dumb_are_equivalent() {
     assert_eq!(native, (25, 25));
 }
 
+#[test]
+fn vm_bridge_forwards_the_senders_own_buffer() {
+    // The VM boundary copies nothing in either direction: the handler's
+    // `str` argument and `send_pkt_out`'s payload are the received frame's
+    // storage, so what leaves the bridge is the buffer the sender built —
+    // at the Ethernet minimum and at the maximum.
+    for frame_len in [64, ether::MAX_FRAME] {
+        let mut world = World::new(11);
+        let segs: Vec<_> = (0..3)
+            .map(|i| {
+                world.add_segment(SegmentConfig {
+                    capture: true,
+                    ..SegmentConfig::named(format!("lan{i}"))
+                })
+            })
+            .collect();
+        let mut node = BridgeNode::new(
+            "bridge0",
+            scenario::bridge_mac(0),
+            bridge_ip(0),
+            3,
+            BridgeConfig::default(),
+        );
+        node.boot_load_native(active_bridge::loader::NAME);
+        node.boot_load(active_bridge::switchlets::dumb_vm::build_image());
+        let bridge = world.add_node(node);
+        for &s in &segs {
+            world.attach(bridge, s);
+        }
+        let blaster = world.add_node(HostNode::new(
+            "blaster",
+            HostConfig::simple(host_mac(1), host_ip(1), HostCostModel::FREE),
+            vec![BlastApp::new(
+                PortId(0),
+                host_mac(2), // nobody: the dumb bridge floods regardless
+                frame_len - ether::HEADER_LEN,
+                4,
+                SimDuration::from_ms(3),
+            )],
+        ));
+        world.attach(blaster, segs[0]);
+        world.run_until(SimTime::from_secs(1));
+
+        assert!(world.node::<BridgeNode>(bridge).vm_instructions > 0);
+        let sent = world.segment(segs[0]).captured();
+        assert_eq!(sent.len(), 4);
+        for &out in &segs[1..] {
+            let forwarded = world.segment(out).captured();
+            assert_eq!(
+                forwarded.len(),
+                sent.len(),
+                "flooded out of every other port"
+            );
+            for (f, s) in forwarded.iter().zip(sent) {
+                assert_eq!(f.data.len(), frame_len);
+                assert!(
+                    f.data.shares_storage(&s.data),
+                    "a {frame_len}-byte frame crossed the VM as a handle, not a copy"
+                );
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------- security
 
 #[test]

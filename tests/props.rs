@@ -124,6 +124,113 @@ proptest! {
     }
 }
 
+/// Composes one frame per tick in a buffer from the world's pool, each
+/// filled with its own sequence number, and keeps no handle to it.
+struct PoolComposer {
+    lens: Vec<usize>,
+    sent: usize,
+}
+
+impl Node for PoolComposer {
+    fn name(&self) -> &str {
+        "pool-composer"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.schedule(netsim::SimDuration::from_us(10), TimerToken(0));
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: TimerToken) {
+        if let Some(&len) = self.lens.get(self.sent) {
+            let mut buf = ctx.take_buf(len);
+            buf.resize(len, self.sent as u8);
+            ctx.send(PortId(0), FrameBuf::from(buf));
+            self.sent += 1;
+            // Longer than a full-sized frame's serialization, so the
+            // previous frame has been delivered (and recycled) by then.
+            ctx.schedule(netsim::SimDuration::from_us(500), t);
+        }
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// Recycles every delivered handle, after cloning the frames `keep` marks.
+struct PoolHolder {
+    keep: Vec<bool>,
+    held: Vec<(usize, FrameBuf)>,
+    /// Storage address of every delivered frame, in arrival order.
+    storage: Vec<*const u8>,
+}
+
+impl Node for PoolHolder {
+    fn name(&self) -> &str {
+        "pool-holder"
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
+        let seq = self.storage.len();
+        self.storage.push(frame.as_ptr());
+        if self.keep[seq] {
+            self.held.push((seq, frame.clone()));
+        }
+        ctx.recycle_frame(frame);
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A recycled buffer is never visible through a live handle: whoever
+    /// holds a clone of a delivered frame (a capture log, a VM table
+    /// value) keeps seeing its bytes while every other handle is recycled
+    /// and later frames are composed from the pool — and the frames nobody
+    /// held really do come back as the storage of later ones.
+    #[test]
+    fn recycled_buffers_never_show_through_live_handles(
+        lens in prop::collection::vec(60usize..1515, 2..24),
+        keep_bits in any::<u32>(),
+        seed in 0u64..500,
+    ) {
+        let keep: Vec<bool> = (0..lens.len()).map(|seq| keep_bits >> seq & 1 == 1).collect();
+        let mut world = World::new(seed);
+        world.trace_mut().set_enabled(false);
+        let lan = world.add_segment(SegmentConfig::default());
+        let composer = world.add_node(PoolComposer { lens: lens.clone(), sent: 0 });
+        world.attach(composer, lan);
+        let holder = world.add_node(PoolHolder { keep: keep.clone(), held: Vec::new(), storage: Vec::new() });
+        world.attach(holder, lan);
+        world.run_until(SimTime::from_ms(50));
+
+        let holder = world.node::<PoolHolder>(holder);
+        prop_assert_eq!(holder.storage.len(), lens.len(), "every frame arrived");
+        for (seq, frame) in &holder.held {
+            prop_assert_eq!(frame.len(), lens[*seq]);
+            prop_assert!(frame.iter().all(|&b| b == *seq as u8), "frame {} was overwritten", seq);
+            prop_assert!(
+                holder.storage[seq + 1..].iter().all(|&later| later != frame.as_ptr()),
+                "held frame {}'s storage was handed out again", seq
+            );
+        }
+        for seq in 1..lens.len() {
+            if !keep[seq - 1] && lens[seq] <= lens[seq - 1] {
+                prop_assert_eq!(
+                    holder.storage[seq], holder.storage[seq - 1],
+                    "frame {} should reuse the storage frame {} gave back", seq, seq - 1
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
