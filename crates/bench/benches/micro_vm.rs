@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ether::MacAddr;
 use netsim::{PortId, SimDuration, SimTime};
 use switchlet::{
-    call, call_scratch, md5, verify_module, Env, ExecConfig, HostDispatch, HostModuleSig, Module,
-    ModuleBuilder, Namespace, Op, Ty, Value, VmError, VmScratch,
+    call, call_scratch, md5, verify_module, Env, ExecConfig, HostDispatch, HostModuleSig, HostSlot,
+    Module, ModuleBuilder, Namespace, Op, Ty, Value, VmError, VmScratch,
 };
 
 /// Host stub for running the VM dumb bridge outside a real bridge node.
@@ -21,7 +21,13 @@ struct StubNet {
 }
 
 impl HostDispatch for StubNet {
-    fn call(&mut self, module: &str, item: &str, args: Vec<Value>) -> Result<Value, VmError> {
+    fn call_slot(
+        &mut self,
+        env: &Env,
+        slot: HostSlot,
+        args: &mut [Value],
+    ) -> Result<Value, VmError> {
+        let (module, item, _) = env.slot_names(slot);
         match (module, item) {
             ("unixnet", "num_ports") => Ok(Value::Int(2)),
             ("unixnet", "bind_out") => Ok(Value::handle("oport", args[0].as_int() as u64)),

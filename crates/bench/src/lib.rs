@@ -6,8 +6,6 @@
 //! completion, and returns plain result structs; the benches print them
 //! in the paper's row/series format.
 
-pub mod allocs;
-pub mod baseline;
 pub mod experiments;
 pub mod table;
 

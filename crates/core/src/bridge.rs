@@ -23,7 +23,8 @@ use std::rc::Rc;
 
 use ether::{EtherType, Frame, MacAddr};
 use netsim::{
-    Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, SimDuration, TimerHandle, TimerToken,
+    Ctx, FrameBuf, Node, Offer, PortId, ProbeRecord, ServiceQueue, SimDuration, TimerHandle,
+    TimerToken,
 };
 use switchlet::{ExecConfig, FuncVal, Module, Namespace, Value, VmScratch};
 
@@ -512,7 +513,7 @@ impl BridgeNode {
             max_depth: 64,
         };
         let owner = self.vm_owner.get(&target).cloned().unwrap_or_default();
-        ctx.probe_exec_begin();
+        ctx.probe(|node| ProbeRecord::ExecBegin { node });
         let mut env = hostmods::HostEnv {
             sim: ctx,
             plane: &mut self.plane,
@@ -523,16 +524,26 @@ impl BridgeNode {
             bridge_name: &self.name,
             module_name: owner.clone(),
         };
-        match switchlet::call_scratch(
+        let outcome = switchlet::call_scratch(
             &self.ns,
             &mut env,
             target,
             args,
             &exec,
             &mut self.vm_scratch,
-        ) {
+        );
+        // A trapped invocation records no cost.
+        let (fuel, host_calls) = match &outcome {
+            Ok((_, stats)) => (stats.instructions, stats.host_calls),
+            Err(_) => (0, 0),
+        };
+        ctx.probe(|node| ProbeRecord::ExecEnd {
+            node,
+            fuel,
+            host_calls,
+        });
+        match outcome {
             Ok((_, stats)) => {
-                ctx.probe_exec_end(stats.instructions, stats.host_calls);
                 self.vm_instructions += stats.instructions;
                 self.plane.stats.vm_instructions += stats.instructions;
             }
@@ -540,7 +551,6 @@ impl BridgeNode {
                 // Contained: the switchlet invocation failed, the bridge
                 // carries on (the paper's "protect itself from some
                 // algorithmic failures").
-                ctx.probe_exec_end(0, 0);
                 let name = self.name.clone();
                 ctx.trace(format!("{name}: vm switchlet trapped: {e}"));
                 ctx.bump("bridge.vm_traps", 1);
@@ -617,7 +627,7 @@ impl BridgeNode {
         }
         self.plane_target = None;
         ctx.bump("bridge.quarantines", 1);
-        ctx.probe_quarantine();
+        ctx.probe(|node| ProbeRecord::Quarantine { node });
         let n = self.name.clone();
         ctx.trace(format!("{n}: watchdog quarantined {module}"));
     }
@@ -815,7 +825,7 @@ impl BridgeNode {
             bucket.strikes = 0;
             self.plane.stats.storm_suppressions += 1;
             ctx.bump("bridge.storm_suppressions", 1);
-            ctx.probe_port_suppressed(port);
+            ctx.probe(|node| ProbeRecord::PortSuppressed { node, port });
             ctx.schedule(scfg.hold_down, storm_token(self.epoch, port.0, class));
             let n = self.name.clone();
             let cls = if class == STORM_BROADCAST {
@@ -1132,7 +1142,10 @@ impl Node for BridgeNode {
                         bucket.tokens_nano = scfg.burst.saturating_mul(NANO_PER_FRAME);
                         bucket.last = ctx.now();
                         ctx.bump("bridge.storm_releases", 1);
-                        ctx.probe_port_released(PortId(port));
+                        ctx.probe(|node| ProbeRecord::PortReleased {
+                            node,
+                            port: PortId(port),
+                        });
                         let n = self.name.clone();
                         ctx.trace(format!("{n}: storm control released port {port}"));
                     }

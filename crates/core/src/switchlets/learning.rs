@@ -12,7 +12,7 @@
 //! Footnote 3 gives the group-address rules, implemented here and in
 //! [`crate::plane::LearningTable::learn`].
 
-use netsim::{PortId, SimDuration, SimTime};
+use netsim::{NodeId, PortId, ProbeRecord, SimDuration, SimTime};
 
 use crate::bridge::{BridgeCtx, DataFrame, NativeSwitchlet};
 use crate::plane::{DataPlaneSel, LearnOutcome, Verdict};
@@ -23,14 +23,25 @@ pub const NAME: &str = "bridge_learning";
 const SWEEP_TOKEN: u32 = 1;
 const SWEEP_EVERY: SimDuration = SimDuration::from_secs(60);
 
-/// Flight-recorder label for a verdict (static strings: recording a
-/// decision allocates nothing).
-fn verdict_label(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Blocked => "blocked",
-        Verdict::Filter => "filter",
-        Verdict::Direct(_) => "direct",
-        Verdict::Flood => "flood",
+/// The flight-recorder entry for one forwarding decision (static label
+/// strings: recording a decision allocates nothing).
+fn decided(
+    port: PortId,
+    verdict: Verdict,
+    cache_hit: bool,
+    generation: u64,
+) -> impl FnOnce(NodeId) -> ProbeRecord {
+    move |node| ProbeRecord::Decision {
+        node,
+        port,
+        verdict: match verdict {
+            Verdict::Blocked => "blocked",
+            Verdict::Filter => "filter",
+            Verdict::Direct(_) => "direct",
+            Verdict::Flood => "flood",
+        },
+        cache_hit,
+        generation,
     }
 }
 
@@ -131,8 +142,7 @@ impl NativeSwitchlet for LearningBridge {
             let gen = bc.plane.generation();
             if let Some(verdict) = bc.plane.fwd_cache.probe(port, src, dst, gen, now) {
                 bc.plane.stats.cache_hits += 1;
-                bc.sim
-                    .probe_decision(port, verdict_label(verdict), true, gen);
+                bc.sim.probe(decided(port, verdict, true, gen));
                 self.replay(bc, port, frame, verdict, now);
                 return;
             }
@@ -143,8 +153,7 @@ impl NativeSwitchlet for LearningBridge {
             if unicast {
                 let gen = bc.plane.generation();
                 bc.plane.stats.cache_misses += 1;
-                bc.sim
-                    .probe_decision(port, verdict_label(Verdict::Blocked), false, gen);
+                bc.sim.probe(decided(port, Verdict::Blocked, false, gen));
                 bc.plane
                     .fwd_cache
                     .store(port, src, dst, gen, SimTime::MAX, Verdict::Blocked);
@@ -159,11 +168,11 @@ impl NativeSwitchlet for LearningBridge {
             match bc.plane.learn.learn(src, port, now) {
                 LearnOutcome::Evicted(_) => {
                     bc.plane.stats.learn_evictions += 1;
-                    bc.sim.probe_learn_evict(port);
+                    bc.sim.probe(|node| ProbeRecord::LearnEvict { node, port });
                 }
                 LearnOutcome::Rejected => {
                     bc.plane.stats.learn_rejects += 1;
-                    bc.sim.probe_learn_reject(port);
+                    bc.sim.probe(|node| ProbeRecord::LearnReject { node, port });
                 }
                 LearnOutcome::Ignored
                 | LearnOutcome::Fresh
@@ -175,8 +184,7 @@ impl NativeSwitchlet for LearningBridge {
         // Group destinations always flood (footnote 3).
         if dst.is_multicast() {
             let gen = bc.plane.generation();
-            bc.sim
-                .probe_decision(port, verdict_label(Verdict::Flood), false, gen);
+            bc.sim.probe(decided(port, Verdict::Flood, false, gen));
             self.flood(bc, port, frame);
             return;
         }
@@ -206,8 +214,7 @@ impl NativeSwitchlet for LearningBridge {
         // have inserted a mapping), then apply.
         let gen = bc.plane.generation();
         bc.plane.stats.cache_misses += 1;
-        bc.sim
-            .probe_decision(port, verdict_label(verdict), false, gen);
+        bc.sim.probe(decided(port, verdict, false, gen));
         bc.plane
             .fwd_cache
             .store(port, src, dst, gen, valid_until, verdict);

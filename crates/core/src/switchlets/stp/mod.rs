@@ -5,7 +5,7 @@ pub mod bpdu;
 pub mod engine;
 
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
-use netsim::{PortId, SimDuration};
+use netsim::{PortId, ProbeRecord, SimDuration};
 
 use crate::bridge::{BridgeCommand, BridgeCtx, DataFrame, NativeSwitchlet};
 use crate::plane::PortFlags;
@@ -225,7 +225,8 @@ impl NativeSwitchlet for StpSwitchlet {
                 );
                 bc.plane.stats.bpdu_guard_trips += 1;
                 bc.sim.bump("bridge.bpdu_guard_trips", 1);
-                bc.sim.probe_bpdu_guard(port);
+                bc.sim
+                    .probe(|node| ProbeRecord::BpduGuardTrip { node, port });
                 let name = self.unit_name();
                 bc.log(format!("{name}: BPDU guard err-disabled port {}", port.0));
             }

@@ -10,7 +10,7 @@
 use std::net::Ipv4Addr;
 
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
-use netsim::{Ctx, PortId, SimDuration, SimTime};
+use netsim::{Ctx, NodeId, PortId, ProbeRecord, SimDuration, SimTime};
 use netstack::ipv4::Protocol;
 use netstack::tcplite::{
     ReceiverConfig, RecvAction, Segment, SenderConfig, TcpReceiver, TcpSender,
@@ -18,6 +18,12 @@ use netstack::tcplite::{
 use netstack::{Echo, EchoKind, FailureClass, SenderStep, TftpSender, UdpDatagram};
 
 use crate::host::{app_token, HostCore};
+
+/// The flight-recorder entry for an application phase mark (e.g.
+/// `"ttcp.start"`).
+fn mark(label: &'static str) -> impl FnOnce(NodeId) -> ProbeRecord {
+    move |node| ProbeRecord::Mark { node, label }
+}
 
 /// A host application.
 pub enum App {
@@ -110,7 +116,7 @@ impl App {
     /// first call, which also drops the app's start mark on the flight
     /// recorder.
     fn pace(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, starting: bool) {
-        let (mark, count, sent, interval) = match self {
+        let (label, count, sent, interval) = match self {
             App::Blast(a) => ("blast.start", a.count, a.sent, a.interval),
             App::MacFlood(a) => ("attack.macflood.start", a.count, a.sent, a.interval),
             App::ArpStorm(a) => ("attack.arpstorm.start", a.count, a.sent, a.interval),
@@ -121,7 +127,7 @@ impl App {
             return;
         }
         if starting {
-            ctx.probe_mark(mark);
+            ctx.probe(mark(label));
         }
         match self {
             App::Blast(a) => a.send_one(core, ctx),
@@ -329,7 +335,7 @@ impl PingApp {
     }
 
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        ctx.probe_mark("ping.start");
+        ctx.probe(mark("ping.start"));
         self.send_one(core, ctx);
         if self.sent < self.count {
             ctx.schedule(self.interval, app_token(idx, PING_SEND));
@@ -361,7 +367,7 @@ impl PingApp {
             self.received += 1;
             if self.received == self.count {
                 self.done_at = Some(ctx.now());
-                ctx.probe_mark("ping.done");
+                ctx.probe(mark("ping.done"));
             }
         }
     }
@@ -457,7 +463,7 @@ impl TtcpSendApp {
 
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         self.started_at = Some(ctx.now());
-        ctx.probe_mark("ttcp.start");
+        ctx.probe(mark("ttcp.start"));
         self.try_write(core, ctx, idx);
     }
 
@@ -616,7 +622,7 @@ impl TtcpSendApp {
         if self.tcp.all_acked() && self.writes_left == 0 && self.done_at.is_none() {
             self.done_at = Some(ctx.now());
             ctx.bump("ttcp.done", 1);
-            ctx.probe_mark("ttcp.done");
+            ctx.probe(mark("ttcp.done"));
             return;
         }
         self.pump(core, ctx, idx);
@@ -924,7 +930,7 @@ impl UploadApp {
     }
 
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        ctx.probe_mark("upload.start");
+        ctx.probe(mark("upload.start"));
         let wrq = self.sender.start();
         self.send_udp(core, ctx, &wrq);
         self.last_progress = Some(ctx.now());
@@ -962,10 +968,10 @@ impl UploadApp {
             SenderStep::Done => {
                 self.record_progress(ctx.now());
                 self.done_at = Some(ctx.now());
-                ctx.probe_mark("upload.done");
+                ctx.probe(mark("upload.done"));
             }
             SenderStep::Failed(class, msg) => {
-                ctx.probe_mark("upload.fail");
+                ctx.probe(mark("upload.fail"));
                 self.failure = Some(class);
                 if self.budget_used() >= self.cfg.max_retries {
                     self.failed = Some(msg);
@@ -1021,7 +1027,7 @@ impl UploadApp {
                     // Budget spent with the server silent: classified
                     // timeout, upload parked (the poll timer is not
                     // re-armed, so a dead server cannot livelock us).
-                    ctx.probe_mark("upload.fail");
+                    ctx.probe(mark("upload.fail"));
                     self.failure = Some(FailureClass::Timeout);
                     self.failed = Some(format!(
                         "timeout: retry budget ({}) exhausted",
@@ -1041,7 +1047,7 @@ impl UploadApp {
                         .is_multiple_of(self.cfg.arp_refresh)
                     && core.invalidate_arp(self.dst)
                 {
-                    ctx.probe_mark("upload.rearp");
+                    ctx.probe(mark("upload.rearp"));
                 }
                 // Binary exponential backoff, saturating at the ceiling.
                 let doubled = self.rto.as_ns().saturating_mul(2);

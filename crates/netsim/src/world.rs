@@ -304,16 +304,7 @@ impl<'w> Ctx<'w> {
                 id,
             },
         );
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::TimerArm {
-                    node: self.node,
-                    id,
-                    deadline,
-                },
-            );
-        }
+        self.probe(|node| ProbeRecord::TimerArm { node, id, deadline });
         TimerHandle(id)
     }
 
@@ -321,15 +312,7 @@ impl<'w> Ctx<'w> {
     /// already-cancelled timer is a no-op.
     pub fn cancel(&mut self, handle: TimerHandle) {
         self.core.cancelled_timers.insert(handle.0);
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::TimerCancel {
-                    node: self.node,
-                    id: handle.0,
-                },
-            );
-        }
+        self.probe(|node| ProbeRecord::TimerCancel { node, id: handle.0 });
     }
 
     /// The deterministic RNG.
@@ -371,158 +354,14 @@ impl<'w> Ctx<'w> {
         self.core.counters.get(key)
     }
 
-    /// Is the flight recorder armed? Nodes with recording hooks of their
-    /// own can skip argument preparation entirely when it is not.
-    #[inline(always)]
-    pub fn probe_armed(&self) -> bool {
-        self.core.probe.is_armed()
-    }
-
-    /// Record a bridge forwarding decision in the flight recorder
-    /// (no-op when disarmed; never perturbs the simulation).
+    /// Record an event in the flight recorder at the current time.
+    /// `record` is handed this node's id and runs only while the recorder
+    /// is armed, so a disarmed call is one branch and builds nothing;
+    /// recording never perturbs the simulation.
     #[inline]
-    pub fn probe_decision(
-        &mut self,
-        port: PortId,
-        verdict: &'static str,
-        cache_hit: bool,
-        generation: u64,
-    ) {
+    pub fn probe(&mut self, record: impl FnOnce(NodeId) -> ProbeRecord) {
         if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::Decision {
-                    node: self.node,
-                    port,
-                    verdict,
-                    cache_hit,
-                    generation,
-                },
-            );
-        }
-    }
-
-    /// Record the start of a switchlet invocation on this node.
-    #[inline]
-    pub fn probe_exec_begin(&mut self) {
-        if self.core.probe.is_armed() {
-            self.core
-                .probe
-                .record(self.core.time, ProbeRecord::ExecBegin { node: self.node });
-        }
-    }
-
-    /// Record the end of a switchlet invocation with its metered cost
-    /// (pass zeros when the invocation trapped).
-    #[inline]
-    pub fn probe_exec_end(&mut self, fuel: u64, host_calls: u64) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::ExecEnd {
-                    node: self.node,
-                    fuel,
-                    host_calls,
-                },
-            );
-        }
-    }
-
-    /// Record a free-form application phase mark (e.g. `"ttcp.start"`).
-    #[inline]
-    pub fn probe_mark(&mut self, label: &'static str) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::Mark {
-                    node: self.node,
-                    label,
-                },
-            );
-        }
-    }
-
-    /// Record that this node's watchdog quarantined a switchlet and
-    /// rolled its data plane back.
-    #[inline]
-    pub fn probe_quarantine(&mut self) {
-        if self.core.probe.is_armed() {
-            self.core
-                .probe
-                .record(self.core.time, ProbeRecord::Quarantine { node: self.node });
-        }
-    }
-
-    /// Record that this node's bounded learning table evicted an entry
-    /// under pressure from `port`.
-    #[inline]
-    pub fn probe_learn_evict(&mut self, port: PortId) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::LearnEvict {
-                    node: self.node,
-                    port,
-                },
-            );
-        }
-    }
-
-    /// Record that this node's bounded learning table rejected a new
-    /// source arriving on `port`.
-    #[inline]
-    pub fn probe_learn_reject(&mut self, port: PortId) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::LearnReject {
-                    node: self.node,
-                    port,
-                },
-            );
-        }
-    }
-
-    /// Record that storm control suppressed `port` on this node.
-    #[inline]
-    pub fn probe_port_suppressed(&mut self, port: PortId) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::PortSuppressed {
-                    node: self.node,
-                    port,
-                },
-            );
-        }
-    }
-
-    /// Record that a storm-control hold-down on `port` expired and the
-    /// port re-enabled.
-    #[inline]
-    pub fn probe_port_released(&mut self, port: PortId) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::PortReleased {
-                    node: self.node,
-                    port,
-                },
-            );
-        }
-    }
-
-    /// Record that BPDU guard err-disabled `port` on this node.
-    #[inline]
-    pub fn probe_bpdu_guard(&mut self, port: PortId) {
-        if self.core.probe.is_armed() {
-            self.core.probe.record(
-                self.core.time,
-                ProbeRecord::BpduGuardTrip {
-                    node: self.node,
-                    port,
-                },
-            );
+            self.core.probe.record(self.core.time, record(self.node));
         }
     }
 }

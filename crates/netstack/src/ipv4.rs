@@ -5,6 +5,7 @@
 //! refused on send.
 
 use core::fmt;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use crate::checksum::{checksum, verify};
@@ -375,22 +376,25 @@ impl<'a> FragPacket<'a> {
 }
 
 /// Host-side fragment reassembly (in-order, hole-free — which is what a
-/// deterministic simulated LAN delivers; anything else is dropped when a
-/// new datagram with the same key starts).
+/// deterministic simulated LAN delivers; anything else is dropped).
+///
+/// What it holds is bounded whatever arrives: state exists only for
+/// datagrams whose first fragment was seen, and for at most
+/// [`Reassembler::MAX_PENDING`] of them.
 #[derive(Default)]
 pub struct Reassembler {
-    pending: std::collections::HashMap<(Ipv4Addr, u16, u8), PendingFrag>,
-}
-
-struct PendingFrag {
-    data: Vec<u8>,
-    /// Bytes received so far (contiguity enforced).
-    received: usize,
-    /// Total length once the final fragment arrives.
-    total: Option<usize>,
+    /// Unfinished datagrams by `(source, ident, protocol)`, the one that
+    /// has waited longest for its next fragment first.
+    pending: VecDeque<((Ipv4Addr, u16, u8), Vec<u8>)>,
 }
 
 impl Reassembler {
+    /// Unfinished datagrams held at once. A LAN host has a handful of
+    /// peers and a datagram's fragments arrive back to back, so the cap is
+    /// only met when tails are lost or forged; the longest-stalled
+    /// datagram then makes room.
+    pub const MAX_PENDING: usize = 64;
+
     /// Fresh reassembler.
     pub fn new() -> Reassembler {
         Reassembler::default()
@@ -399,33 +403,29 @@ impl Reassembler {
     /// Feed one fragment; returns the whole payload when complete.
     pub fn push(&mut self, pkt: &FragPacket<'_>) -> Option<Vec<u8>> {
         let key = (pkt.src(), pkt.ident(), pkt.protocol().0);
-        let entry = self.pending.entry(key).or_insert(PendingFrag {
-            data: Vec::new(),
-            received: 0,
-            total: None,
-        });
-        if pkt.offset_bytes() != entry.received {
-            // Out of order / retransmitted datagram: restart if this is a
-            // first fragment, else drop.
-            if pkt.offset_bytes() == 0 {
-                entry.data.clear();
-                entry.received = 0;
-                entry.total = None;
-            } else {
-                return None;
+        let offset = pkt.offset_bytes();
+        let held = self.pending.iter().position(|(k, _)| *k == key);
+        let mut data = if offset == 0 {
+            // A first fragment starts its datagram over (retransmission).
+            if let Some(at) = held {
+                self.pending.remove(at);
             }
-        }
-        entry.data.extend_from_slice(pkt.payload());
-        entry.received += pkt.payload().len();
-        if !pkt.more_fragments() {
-            entry.total = Some(entry.received);
-        }
-        if entry.total == Some(entry.received) {
-            let done = self.pending.remove(&key).unwrap();
-            Some(done.data)
+            Vec::new()
         } else {
-            None
+            // A later fragment only ever extends the datagram it
+            // continues; an orphan or out-of-order one leaves no trace.
+            let at = held.filter(|&at| self.pending[at].1.len() == offset)?;
+            self.pending.remove(at)?.1
+        };
+        data.extend_from_slice(pkt.payload());
+        if !pkt.more_fragments() {
+            return Some(data);
         }
+        if self.pending.len() == Self::MAX_PENDING {
+            self.pending.pop_front();
+        }
+        self.pending.push_back((key, data));
+        None
     }
 
     /// Incomplete datagrams currently buffered.
@@ -552,5 +552,41 @@ mod tests {
             out = r.push(&FragPacket::parse(f).unwrap());
         }
         assert_eq!(out.unwrap(), payload);
+    }
+
+    /// Two-fragment datagrams with distinct idents, one per `u16` below
+    /// `n`, from one source.
+    fn two_fragment_datagrams(n: u16) -> impl Iterator<Item = Vec<Vec<u8>>> {
+        (0..n).map(|ident| {
+            let frags = emit_fragments(A, B, Protocol::UDP, ident, 64, &[ident as u8; 2000], 1500);
+            assert_eq!(frags.len(), 2);
+            frags
+        })
+    }
+
+    #[test]
+    fn orphan_fragments_leave_no_state() {
+        let mut r = Reassembler::new();
+        for frags in two_fragment_datagrams(10_000) {
+            assert!(r.push(&FragPacket::parse(&frags[1]).unwrap()).is_none());
+        }
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn unfinished_datagrams_are_capped_and_the_newest_still_complete() {
+        let mut r = Reassembler::new();
+        let mut tails = Vec::new();
+        for mut frags in two_fragment_datagrams(10_000) {
+            assert!(r.push(&FragPacket::parse(&frags[0]).unwrap()).is_none());
+            tails.push(frags.pop().unwrap());
+        }
+        assert_eq!(r.pending(), Reassembler::MAX_PENDING);
+        // The longest-stalled went first: the oldest tail finds nothing,
+        // the newest completes its datagram.
+        assert!(r.push(&FragPacket::parse(&tails[0]).unwrap()).is_none());
+        let whole = r.push(&FragPacket::parse(&tails[9_999]).unwrap());
+        assert_eq!(whole.unwrap(), vec![9_999u16 as u8; 2000]);
+        assert_eq!(r.pending(), Reassembler::MAX_PENDING - 1);
     }
 }

@@ -142,20 +142,14 @@ impl Env {
 }
 
 /// Runtime dispatch for host calls. The embedder implements this; every
-/// slot (and every `module.item` pair) handed to it is guaranteed to name
-/// an item present in the `Env` the module was linked against.
+/// slot handed to it is guaranteed to name an item present in the `Env`
+/// the module was linked against.
 ///
-/// Implement **one** of the two methods:
-///
-/// * [`HostDispatch::call_slot`] — the hot path. The VM invokes host
-///   functions through it with the argument values as a mutable slice of
-///   its own scratch stack: an implementation pays an integer index plus
-///   a `match`, no string comparison and no argument `Vec`. (`args` is
-///   scratch — implementations may `std::mem::take` values out of it.)
-/// * [`HostDispatch::call`] — the legacy name-based path. The default
-///   `call_slot` resolves the slot's names through the `Env` and
-///   delegates here, so existing name-matching dispatchers keep working
-///   (at the cost of the allocation the fast path exists to avoid).
+/// The VM invokes host functions with the argument values as a mutable
+/// slice of its own scratch stack: an implementation that matches on the
+/// slot pays an integer index plus a `match`, no string comparison and no
+/// argument `Vec`. One that would rather match on names reads them from
+/// [`Env::slot_names`].
 pub trait HostDispatch {
     /// Invoke the host function at `slot` with `args` (a scratch slice —
     /// consume values freely; the VM discards it afterwards).
@@ -164,25 +158,16 @@ pub trait HostDispatch {
         env: &Env,
         slot: HostSlot,
         args: &mut [Value],
-    ) -> Result<Value, VmError> {
-        let (m, i, _ty) = env.slot_names(slot);
-        let (m, i) = (m.to_owned(), i.to_owned());
-        self.call(&m, &i, args.to_vec())
-    }
-
-    /// Invoke host function `module.item` with `args` (legacy path).
-    fn call(&mut self, module: &str, item: &str, args: Vec<Value>) -> Result<Value, VmError> {
-        let _ = args;
-        Err(VmError::HostUnavailable(format!("{module}.{item}")))
-    }
+    ) -> Result<Value, VmError>;
 }
 
 /// A dispatcher that refuses everything — for executing pure modules.
 pub struct NoHost;
 
 impl HostDispatch for NoHost {
-    fn call(&mut self, module: &str, item: &str, _args: Vec<Value>) -> Result<Value, VmError> {
-        Err(VmError::HostUnavailable(format!("{module}.{item}")))
+    fn call_slot(&mut self, env: &Env, slot: HostSlot, _: &mut [Value]) -> Result<Value, VmError> {
+        let (m, i, _) = env.slot_names(slot);
+        Err(VmError::HostUnavailable(format!("{m}.{i}")))
     }
 }
 

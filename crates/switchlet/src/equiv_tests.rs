@@ -14,7 +14,7 @@ use proptest::TestRng;
 
 use crate::asm::{FuncBuilder, ModuleBuilder};
 use crate::bytecode::Op;
-use crate::env::{Env, HostDispatch, HostModuleSig};
+use crate::env::{Env, HostDispatch, HostModuleSig, HostSlot};
 use crate::linker::Namespace;
 use crate::refinterp::ref_call;
 use crate::types::Ty;
@@ -40,7 +40,13 @@ impl TestHost {
 }
 
 impl HostDispatch for TestHost {
-    fn call(&mut self, module: &str, item: &str, args: Vec<Value>) -> Result<Value, VmError> {
+    fn call_slot(
+        &mut self,
+        env: &Env,
+        slot: HostSlot,
+        args: &mut [Value],
+    ) -> Result<Value, VmError> {
+        let (module, item, _) = env.slot_names(slot);
         assert_eq!(module, "h");
         match item {
             "add7" => {

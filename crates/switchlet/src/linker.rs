@@ -321,7 +321,13 @@ mod tests {
 
     struct Add7;
     impl HostDispatch for Add7 {
-        fn call(&mut self, module: &str, item: &str, args: Vec<Value>) -> Result<Value, VmError> {
+        fn call_slot(
+            &mut self,
+            env: &Env,
+            slot: HostSlot,
+            args: &mut [Value],
+        ) -> Result<Value, VmError> {
+            let (module, item, _) = env.slot_names(slot);
             assert_eq!((module, item), ("safestd", "add7"));
             Ok(Value::Int(args[0].as_int() + 7))
         }
@@ -509,7 +515,12 @@ mod tests {
             registered: Vec<String>,
         }
         impl HostDispatch for Registry {
-            fn call(&mut self, _m: &str, _i: &str, args: Vec<Value>) -> Result<Value, VmError> {
+            fn call_slot(
+                &mut self,
+                _: &Env,
+                _: HostSlot,
+                args: &mut [Value],
+            ) -> Result<Value, VmError> {
                 self.registered
                     .push(String::from_utf8_lossy(args[0].as_str()).into_owned());
                 Ok(Value::Unit)

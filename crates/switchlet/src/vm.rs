@@ -756,16 +756,9 @@ mod tests {
     use super::*;
     use crate::asm::ModuleBuilder;
     use crate::bytecode::Op;
-    use crate::env::Env;
+    use crate::env::{Env, NoHost};
     use crate::linker::Namespace;
     use crate::types::Ty;
-
-    struct NoHost;
-    impl crate::env::HostDispatch for NoHost {
-        fn call(&mut self, m: &str, i: &str, _args: Vec<Value>) -> Result<Value, VmError> {
-            Err(VmError::HostUnavailable(format!("{m}.{i}")))
-        }
-    }
 
     /// `quad(x) = double(double(x))`, `double(x) = x + x`: two profiled
     /// functions with a caller/callee relationship.
