@@ -6,24 +6,50 @@
 //!
 //! # Structure
 //!
-//! Two stores back the queue, with identical observable ordering:
+//! Three stores back the queue, with one observable ordering:
 //!
-//! * a binary min-heap for events in the future, pre-reservable via
-//!   [`EventQueue::reserve`] (the world sizes it from the topology so
-//!   the steady state never reallocates);
 //! * a FIFO *now lane* for events scheduled at exactly the current
 //!   instant — the dominant pattern on the frame plane (zero-service-time
 //!   queues, same-tick timer chains). Those events would otherwise churn
-//!   through the heap only to come straight back out; the lane makes them
-//!   O(1) pushes and pops.
+//!   through a future store only to come straight back out; the lane makes
+//!   them O(1) pushes and pops.
+//! * a *wire store* for the segment events (`SegDeliver`, `SegTxDone`,
+//!   `DeliverAll`): whole events kept sorted in a ring. A segment has one
+//!   transmission in flight, so the store holds at most about one entry
+//!   per busy segment (it peaked at 13 on the benchmark's 17-segment
+//!   chains and 44 on its 68-segment metro). On equal links a
+//!   transmission that starts now completes after every one already
+//!   under way, so a push is one comparison with the back (82 % of pushes
+//!   on the chains; 25 % on the metro, whose access and trunk links
+//!   differ) and otherwise a binary search and a shift of at most half
+//!   the ring; a pop takes the front.
+//! * a binary min-heap of 24-byte keys over a payload slab for everything
+//!   else (`Timer`, `Chaos`, `Start`) — events that sit for milliseconds.
 //!
-//! The lane is correct because (a) only events at the *current* time enter
+//! The split exists because the two future populations differ by three
+//! orders of magnitude in how long they wait. Measured on the repo
+//! benchmark (seed 1) with all of them in one heap: `chain_hot` held
+//! 521.5 entries on average when a push arrived, 512 of them blaster
+//! timers parked 4–16 ms out, while 94.4 % of the pushes (174 624 of
+//! 184 912 a round) were segment completions due 4–8 µs out — each one
+//! sifted up past ~9 levels of idle timers and dragged a timer ~9 levels
+//! back down when it popped. `defended_mix` read 291.7 entries / 92.8 %
+//! wire events, `metro_flood` 105.9, `vm_forward` 17.5, `ttcp_paper` 3–4.
+//!
+//! # Why the order is the same
+//!
+//! Every push draws `seq` from the one counter, whichever store it lands
+//! in, and [`EventQueue::pop_at_or_before`] takes the `(time, seq)`
+//! minimum of the three heads. Each store yields its own entries in
+//! `(time, seq)` order (the lane holds one instant in push order, the
+//! ring is kept sorted, the heap is a heap), so the minimum of the heads
+//! is the global minimum: where an event is kept never shows. Routing is
+//! by event kind alone — there is no time threshold to tune.
+//!
+//! The lane is correct because only events at the *current* time enter
 //! it, so its entries are mutually ordered by sequence alone (FIFO), and
-//! (b) `pop` always takes the global `(time, seq)` minimum of the two
-//! heads, so lane entries interleave correctly with same-time events that
-//! were scheduled earlier and still sit in the heap. The lane drains
-//! before the clock can advance (its entries are never later than any
-//! heap entry's time while non-empty).
+//! it drains before the clock can advance (its entries are never later
+//! than any other store's while it is non-empty).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -46,14 +72,18 @@ pub(crate) enum EventKind {
     /// hear a frame from before their time.) Boxed: this variant only
     /// occurs on fault-injecting or capturing segments (transparent ones
     /// take the fused [`EventKind::SegDeliver`] path), and keeping it fat
-    /// would double the slab traffic of *every* queued event.
+    /// would double the size of *every* queued event.
     DeliverAll(Box<DeliverAll>),
-    /// Fire a node timer (unless cancelled).
+    /// Fire a node timer.
     Timer {
         node: NodeId,
         token: TimerToken,
         id: u64,
     },
+    /// What [`EventQueue::cancel_timer`] leaves in a cancelled timer's
+    /// place: it still pops at the timer's `(time, seq)`, so the clock
+    /// moves exactly as if the timer were there, and nothing fires.
+    CancelledTimer,
     /// A segment finished serializing the frame at the head of its queue.
     SegTxDone { seg: SegId },
     /// Fused completion + delivery for a segment that was transparent
@@ -72,6 +102,20 @@ pub(crate) enum EventKind {
     Chaos(ChaosEv),
 }
 
+impl EventKind {
+    /// Segment events wait in the wire store, the rest in the timer heap.
+    fn is_wire(&self) -> bool {
+        matches!(
+            self,
+            EventKind::SegDeliver { .. } | EventKind::SegTxDone { .. } | EventKind::DeliverAll(_)
+        )
+    }
+
+    fn is_timer(&self, timer_id: u64) -> bool {
+        matches!(self, EventKind::Timer { id, .. } if *id == timer_id)
+    }
+}
+
 /// Payload of [`EventKind::DeliverAll`].
 #[derive(Debug)]
 pub(crate) struct DeliverAll {
@@ -88,27 +132,15 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl Event {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
 /// A heap entry: the ordering key plus the slab slot holding the event's
-/// payload. 24 bytes, so heap sift-up/down moves a quarter of what moving
-/// whole [`Event`]s (with their embedded [`EventKind`]) used to — the
-/// heap is the hottest data structure in the simulator.
+/// payload. 24 bytes, so heap sift-up/down moves half of what moving
+/// whole [`Event`]s (with their embedded [`EventKind`]) would.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct HeapKey {
     at: SimTime,
@@ -127,18 +159,25 @@ impl Ord for HeapKey {
     }
 }
 
-/// Min-queue of events ordered by `(time, seq)`.
-///
-/// Future events live as 24-byte keys in a binary heap; their payloads
-/// sit in a free-listed slab the keys index. Same-instant events take the
-/// FIFO now-lane and never touch either.
+/// A payload slab slot. Free slots chain through themselves, so the slab
+/// needs no free vector beside it (and no allocation for one).
+enum Slot {
+    Full(EventKind),
+    Free { next: Option<u32> },
+}
+
+/// Min-queue of events ordered by `(time, seq)` (see the module doc for
+/// the three stores behind it).
 #[derive(Default)]
 pub(crate) struct EventQueue {
+    /// Keys of the queued timer, chaos and start events.
     heap: BinaryHeap<Reverse<HeapKey>>,
-    /// Payload slab, indexed by [`HeapKey::slot`].
-    slots: Vec<Option<EventKind>>,
-    /// Free slab slots.
-    free: Vec<u32>,
+    /// Their payloads, indexed by [`HeapKey::slot`].
+    slots: Vec<Slot>,
+    /// The most recently freed slab slot (head of the free chain).
+    free: Option<u32>,
+    /// Queued segment events, sorted by `(at, seq)`.
+    wire: VecDeque<Event>,
     /// FIFO of events scheduled at exactly [`EventQueue::now`].
     now_lane: VecDeque<Event>,
     /// The time of the last popped event (the simulation's current time
@@ -153,93 +192,125 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Pre-reserve capacity for at least `events` pending events (a
-    /// topology-derived hint; keeps the steady state reallocation-free).
-    pub fn reserve(&mut self, events: usize) {
-        let want = events.saturating_sub(self.heap.len());
+    /// Pre-reserve capacity for at least `timers` pending timer-heap
+    /// events and `wire` pending segment events (topology-derived hints;
+    /// keeps the steady state reallocation-free).
+    pub fn reserve(&mut self, timers: usize, wire: usize) {
+        let want = timers.saturating_sub(self.heap.len());
         self.heap.reserve(want);
         self.slots.reserve(want);
-        let lane_want = events.min(1024).saturating_sub(self.now_lane.len());
+        self.wire.reserve(wire.saturating_sub(self.wire.len()));
+        let lane_want = (timers + wire)
+            .min(1024)
+            .saturating_sub(self.now_lane.len());
         self.now_lane.reserve(lane_want);
     }
 
     /// Drop every pending event and rewind the clock/sequence state to
-    /// what a fresh queue has, **keeping** the heap, slab, free-list and
+    /// what a fresh queue has, **keeping** the heap, slab, wire-store and
     /// now-lane storage — the point of [`crate::World::reset`] is that a
     /// sweep's steady state reuses these allocations across runs.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
-        self.free.clear();
+        self.free = None;
+        self.wire.clear();
         self.now_lane.clear();
         self.now = SimTime::ZERO;
         self.next_seq = 0;
     }
 
-    /// Schedule `kind` at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
+    /// Schedule `kind` at absolute time `at`. Returns the slab slot the
+    /// event went to, if it went to the slab — what
+    /// [`EventQueue::cancel_timer`] needs to find a timer again.
+    pub fn push(&mut self, at: SimTime, kind: EventKind) -> Option<u32> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if at == self.now {
             self.now_lane.push_back(Event { at, seq, kind });
-        } else {
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.slots[s as usize] = Some(kind);
-                    s
-                }
-                None => {
-                    self.slots.push(Some(kind));
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            self.heap.push(Reverse(HeapKey { at, seq, slot }));
+            return None;
         }
-    }
-
-    /// Time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.now_lane.front(), self.heap.peek()) {
-            (Some(l), Some(Reverse(h))) => Some(l.at.min(h.at)),
-            (Some(l), None) => Some(l.at),
-            (None, Some(Reverse(h))) => Some(h.at),
-            (None, None) => None,
-        }
-    }
-
-    /// Remove and return the next event (the `(time, seq)` minimum).
-    pub fn pop(&mut self) -> Option<Event> {
-        self.pop_at_or_before(SimTime::MAX)
-    }
-
-    /// Remove and return the next event if its time is `<= bound` — the
-    /// fused peek-and-pop the run loop uses (one head comparison instead
-    /// of two per event).
-    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<Event> {
-        let take_lane = match (self.now_lane.front(), self.heap.peek()) {
-            (Some(l), Some(Reverse(h))) => (l.at, l.seq) < (h.at, h.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let event = if take_lane {
-            if self.now_lane.front().map(|e| e.at > bound).unwrap_or(true) {
-                return None;
+        if kind.is_wire() {
+            let event = Event { at, seq, kind };
+            // `seq` is the largest yet, so the event belongs behind every
+            // entry that is not later — on equal links, behind them all.
+            match self.wire.back() {
+                Some(last) if last.at > at => {
+                    let i = self.wire.partition_point(|e| e.at <= at);
+                    self.wire.insert(i, event);
+                }
+                _ => self.wire.push_back(event),
             }
+            return None;
+        }
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Free { next } = self.slots[slot as usize] else {
+                    unreachable!("free chain runs through a full slab slot");
+                };
+                self.free = next;
+                self.slots[slot as usize] = Slot::Full(kind);
+                slot
+            }
+            None => {
+                self.slots.push(Slot::Full(kind));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse(HeapKey { at, seq, slot }));
+        Some(slot)
+    }
+
+    /// Cancel timer `id`, which [`EventQueue::push`] placed at `slot`, if
+    /// it is still queued; a timer that already fired (its slot free or
+    /// taken by another event) is left alone, so a late cancel costs and
+    /// keeps nothing.
+    pub fn cancel_timer(&mut self, slot: Option<u32>, id: u64) {
+        let queued = match slot {
+            Some(slot) => match self.slots.get_mut(slot as usize) {
+                Some(Slot::Full(kind)) if kind.is_timer(id) => Some(kind),
+                _ => None,
+            },
+            // A zero-delay timer: in the now lane until it fires.
+            None => self
+                .now_lane
+                .iter_mut()
+                .map(|e| &mut e.kind)
+                .find(|kind| kind.is_timer(id)),
+        };
+        if let Some(kind) = queued {
+            *kind = EventKind::CancelledTimer;
+        }
+    }
+
+    /// Remove and return the next event — the `(time, seq)` minimum of
+    /// the three stores' heads — if its time is `<= bound`: the fused
+    /// peek-and-pop the run loop uses.
+    pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<Event> {
+        // An empty store's head reads as a key no event has.
+        const EMPTY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+        let wire = self.wire.front().map_or(EMPTY, Event::key);
+        let lane = self.now_lane.front().map_or(EMPTY, Event::key);
+        let timer = self
+            .heap
+            .peek()
+            .map_or(EMPTY, |Reverse(key)| (key.at, key.seq));
+        let head = wire.min(lane).min(timer);
+        if head == EMPTY || head.0 > bound {
+            return None;
+        }
+        let event = if head == wire {
+            self.wire.pop_front()
+        } else if head == lane {
             self.now_lane.pop_front()
         } else {
-            if self
-                .heap
-                .peek()
-                .map(|Reverse(h)| h.at > bound)
-                .unwrap_or(true)
-            {
-                return None;
-            }
             self.heap.pop().map(|Reverse(key)| {
-                let kind = self.slots[key.slot as usize]
-                    .take()
-                    .expect("heap key points at an empty slab slot");
-                self.free.push(key.slot);
+                let freed = Slot::Free { next: self.free };
+                let slot = std::mem::replace(&mut self.slots[key.slot as usize], freed);
+                self.free = Some(key.slot);
+                let Slot::Full(kind) = slot else {
+                    unreachable!("heap key points at a free slab slot");
+                };
                 Event {
                     at: key.at,
                     seq: key.seq,
@@ -256,18 +327,18 @@ impl EventQueue {
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len() + self.now_lane.len()
-    }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.now_lane.is_empty()
+        self.heap.len() + self.wire.len() + self.now_lane.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn pop(q: &mut EventQueue) -> Option<Event> {
+        q.pop_at_or_before(SimTime::MAX)
+    }
 
     #[test]
     fn fifo_within_same_instant() {
@@ -277,7 +348,7 @@ mod tests {
         q.push(t, EventKind::Start(NodeId(1)));
         q.push(t, EventKind::Start(NodeId(2)));
         let order: Vec<usize> = (0..3)
-            .map(|_| match q.pop().unwrap().kind {
+            .map(|_| match pop(&mut q).unwrap().kind {
                 EventKind::Start(n) => n.0,
                 _ => unreachable!(),
             })
@@ -292,23 +363,12 @@ mod tests {
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(1)));
         q.push(SimTime::from_ms(3), EventKind::Start(NodeId(3)));
         let order: Vec<usize> = (0..3)
-            .map(|_| match q.pop().unwrap().kind {
+            .map(|_| match pop(&mut q).unwrap().kind {
                 EventKind::Start(n) => n.0,
                 _ => unreachable!(),
             })
             .collect();
         assert_eq!(order, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn peek_time_tracks_head() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_ms(9), EventKind::Start(NodeId(0)));
-        q.push(SimTime::from_ms(2), EventKind::Start(NodeId(1)));
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(2)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(9)));
     }
 
     /// The now-lane fast path must interleave correctly with same-time
@@ -324,12 +384,12 @@ mod tests {
         q.push(t2, EventKind::Start(NodeId(21))); // seq 2 (heap)
                                                   // Pop t=1; the queue's notion of "now" becomes 1 ms.
         assert!(matches!(
-            q.pop().unwrap().kind,
+            pop(&mut q).unwrap().kind,
             EventKind::Start(NodeId(10))
         ));
         // Pop the first t=2 event; "now" becomes 2 ms.
         assert!(matches!(
-            q.pop().unwrap().kind,
+            pop(&mut q).unwrap().kind,
             EventKind::Start(NodeId(20))
         ));
         // Schedule two more events at the current instant (they take the
@@ -338,13 +398,13 @@ mod tests {
         q.push(t2, EventKind::Start(NodeId(23))); // seq 4 (lane)
         assert_eq!(q.len(), 3);
         let order: Vec<usize> = (0..3)
-            .map(|_| match q.pop().unwrap().kind {
+            .map(|_| match pop(&mut q).unwrap().kind {
                 EventKind::Start(n) => n.0,
                 _ => unreachable!(),
             })
             .collect();
         assert_eq!(order, vec![21, 22, 23]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -354,7 +414,7 @@ mod tests {
             q.push(SimTime::ZERO, EventKind::Start(NodeId(i)));
         }
         let order: Vec<usize> = (0..4)
-            .map(|_| match q.pop().unwrap().kind {
+            .map(|_| match pop(&mut q).unwrap().kind {
                 EventKind::Start(n) => n.0,
                 _ => unreachable!(),
             })
@@ -365,10 +425,183 @@ mod tests {
     #[test]
     fn reserve_is_idempotent_and_harmless() {
         let mut q = EventQueue::new();
-        q.reserve(1000);
-        q.reserve(10);
+        q.reserve(1000, 100);
+        q.reserve(10, 1);
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(0)));
         assert_eq!(q.len(), 1);
-        assert!(q.pop().is_some());
+        assert!(pop(&mut q).is_some());
+    }
+
+    /// A timer and a segment event due at the same instant sit in
+    /// different stores; they must still fire in scheduling order.
+    #[test]
+    fn timer_and_wire_event_at_one_instant_fire_in_scheduling_order() {
+        let t = SimTime::from_us(7);
+        let timer = || EventKind::Timer {
+            node: NodeId(0),
+            token: TimerToken(0),
+            id: 0,
+        };
+        let wire = || EventKind::SegDeliver {
+            seg: SegId(0),
+            n_att: 2,
+        };
+        for timer_first in [true, false] {
+            let mut q = EventQueue::new();
+            if timer_first {
+                q.push(t, timer());
+                q.push(t, wire());
+            } else {
+                q.push(t, wire());
+                q.push(t, timer());
+            }
+            let first_is_timer = pop(&mut q).unwrap().kind.is_timer(0);
+            let second_is_timer = pop(&mut q).unwrap().kind.is_timer(0);
+            assert_eq!(
+                (first_is_timer, second_is_timer),
+                (timer_first, !timer_first)
+            );
+        }
+    }
+
+    #[test]
+    fn clear_empties_all_three_stores() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, EventKind::Start(NodeId(0))); // lane
+        q.push(SimTime::from_us(1), EventKind::SegTxDone { seg: SegId(0) }); // wire
+        q.push(SimTime::from_ms(1), EventKind::Start(NodeId(1))); // heap
+        q.push(SimTime::from_ms(2), EventKind::Start(NodeId(2))); // heap
+        pop(&mut q); // the lane entry
+        pop(&mut q); // the wire entry
+        pop(&mut q); // leaves a slot on the free chain
+        q.push(SimTime::from_ms(1), EventKind::Start(NodeId(3))); // lane again
+        q.push(SimTime::from_ms(3), EventKind::SegTxDone { seg: SegId(0) });
+        assert_eq!(q.len(), 3);
+        q.clear();
+        assert_eq!(q.len(), 0);
+        assert!(pop(&mut q).is_none());
+        // Like fresh: the clock is back at zero (so this takes the lane),
+        // sequence numbers restart and the free chain is forgotten.
+        q.push(SimTime::ZERO, EventKind::Start(NodeId(4)));
+        q.push(SimTime::from_ms(1), EventKind::Start(NodeId(5)));
+        assert_eq!(pop(&mut q).unwrap().seq, 0);
+        assert_eq!(pop(&mut q).unwrap().seq, 1);
+    }
+
+    #[test]
+    fn cancel_timer_only_touches_the_queued_timer_it_names() {
+        let timer = |id| EventKind::Timer {
+            node: NodeId(0),
+            token: TimerToken(id),
+            id,
+        };
+        let mut q = EventQueue::new();
+        let slot = q.push(SimTime::from_ms(1), timer(0));
+        assert!(slot.is_some());
+        assert!(pop(&mut q).unwrap().kind.is_timer(0));
+        // Timer 0 fired; its slot is free, then reused by timer 1.
+        q.cancel_timer(slot, 0);
+        assert_eq!(q.push(SimTime::from_ms(2), timer(1)), slot);
+        q.cancel_timer(slot, 0);
+        assert!(pop(&mut q).unwrap().kind.is_timer(1));
+        // A queued timer is cancelled in place — in the slab...
+        let slot = q.push(SimTime::from_ms(3), timer(2));
+        q.cancel_timer(slot, 2);
+        assert_eq!(q.len(), 1);
+        assert!(matches!(
+            pop(&mut q).unwrap().kind,
+            EventKind::CancelledTimer
+        ));
+        // ...and in the now lane, which hands out no slot.
+        assert_eq!(q.push(SimTime::from_ms(3), timer(3)), None);
+        assert_eq!(q.push(SimTime::from_ms(3), timer(4)), None);
+        q.cancel_timer(None, 4);
+        assert!(pop(&mut q).unwrap().kind.is_timer(3));
+        assert!(matches!(
+            pop(&mut q).unwrap().kind,
+            EventKind::CancelledTimer
+        ));
+    }
+
+    /// The intrusive free chain must cost the slab nothing per slot.
+    #[test]
+    fn slab_slot_is_no_bigger_than_its_payload() {
+        assert_eq!(
+            core::mem::size_of::<Slot>(),
+            core::mem::size_of::<EventKind>()
+        );
+    }
+
+    proptest! {
+        /// The queue against an obviously-right model: a `Vec` kept
+        /// stably sorted by `(at, seq)`. Every word of `ops` is one step —
+        /// a push (wire or timer-heap kind; due now, soon, much later or
+        /// at an instant something queued already has) or a bounded pop
+        /// (bound just below, at or beyond the head's time).
+        #[test]
+        fn queue_matches_a_sorted_vec(ops in prop::collection::vec(any::<u32>(), 1..400)) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let mut pushed = 0u64;
+            for word in ops {
+                let (op, a, b) = (word % 8, (word >> 3) % 4, (word >> 5) as u64);
+                if op < 5 {
+                    let at = match b % 4 {
+                        0 => now,
+                        1 => SimTime::from_ns(now.as_ns() + 1 + (b >> 2) % 8),
+                        2 => SimTime::from_ns(now.as_ns() + 1_000_000 * (1 + (b >> 2) % 16)),
+                        _ if model.is_empty() => now,
+                        _ => model[(b >> 2) as usize % model.len()].0,
+                    };
+                    // The payload carries the sequence number the push
+                    // will draw, so a pop can tell it came back attached
+                    // to its own key.
+                    let id = pushed as usize;
+                    let kind = match a {
+                        0 => EventKind::SegDeliver { seg: SegId(id), n_att: 2 },
+                        1 => EventKind::SegTxDone { seg: SegId(id) },
+                        2 => EventKind::Timer { node: NodeId(0), token: TimerToken(0), id: pushed },
+                        _ => EventKind::Start(NodeId(id)),
+                    };
+                    q.push(at, kind);
+                    model.push((at, pushed));
+                    model.sort_by_key(|&(at, seq)| (at, seq));
+                    pushed += 1;
+                } else {
+                    let head = model.first().map_or(now, |&(at, _)| at);
+                    let bound = match a % 3 {
+                        0 => SimTime::from_ns(head.as_ns().saturating_sub(1)),
+                        1 => head,
+                        _ => SimTime::MAX,
+                    };
+                    let want = match model.first() {
+                        Some(&(at, _)) if at <= bound => Some(model.remove(0)),
+                        _ => None,
+                    };
+                    let got = q.pop_at_or_before(bound).map(|e| {
+                        let id = match e.kind {
+                            EventKind::SegDeliver { seg, .. } | EventKind::SegTxDone { seg } => seg.0 as u64,
+                            EventKind::Timer { id, .. } => id,
+                            EventKind::Start(node) => node.0 as u64,
+                            ref other => panic!("never pushed: {other:?}"),
+                        };
+                        assert_eq!(id, e.seq, "payload came back under another key");
+                        (e.at, e.seq)
+                    });
+                    prop_assert_eq!(got, want);
+                    if let Some((at, _)) = got {
+                        now = at;
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+            // Drain: the rest comes out in model order, then `None`.
+            for want in model {
+                let got = pop(&mut q).map(|e| (e.at, e.seq));
+                prop_assert_eq!(got, Some(want));
+            }
+            prop_assert!(pop(&mut q).is_none());
+        }
     }
 }

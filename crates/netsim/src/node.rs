@@ -29,7 +29,13 @@ pub struct TimerToken(pub u64);
 
 /// Handle for cancelling a scheduled timer.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct TimerHandle(pub(crate) u64);
+pub struct TimerHandle {
+    pub(crate) id: u64,
+    /// Where the event queue keeps the timer until it fires (`None`: a
+    /// zero-delay timer, in the now lane), so cancelling finds it — or
+    /// finds it gone — without a table of ids.
+    pub(crate) slot: Option<u32>,
+}
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

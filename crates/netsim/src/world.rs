@@ -32,8 +32,6 @@ pub struct WorldCore {
     node_names: Vec<String>,
     rng: Xoshiro,
     next_timer_id: u64,
-    cancelled_timers: std::collections::HashSet<u64>,
-    live_timers: u64,
     pub(crate) trace: Trace,
     pub(crate) counters: Counters,
     /// The flight recorder (disarmed by default; see [`crate::probe`]).
@@ -294,9 +292,8 @@ impl<'w> Ctx<'w> {
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
         let id = self.core.next_timer_id;
         self.core.next_timer_id += 1;
-        self.core.live_timers += 1;
         let deadline = self.core.time + after;
-        self.core.queue.push(
+        let slot = self.core.queue.push(
             deadline,
             EventKind::Timer {
                 node: self.node,
@@ -305,14 +302,17 @@ impl<'w> Ctx<'w> {
             },
         );
         self.probe(|node| ProbeRecord::TimerArm { node, id, deadline });
-        TimerHandle(id)
+        TimerHandle { id, slot }
     }
 
     /// Cancel a previously scheduled timer. Cancelling an already-fired or
-    /// already-cancelled timer is a no-op.
+    /// already-cancelled timer is a no-op (and leaves nothing behind).
     pub fn cancel(&mut self, handle: TimerHandle) {
-        self.core.cancelled_timers.insert(handle.0);
-        self.probe(|node| ProbeRecord::TimerCancel { node, id: handle.0 });
+        self.core.queue.cancel_timer(handle.slot, handle.id);
+        self.probe(|node| ProbeRecord::TimerCancel {
+            node,
+            id: handle.id,
+        });
     }
 
     /// The deterministic RNG.
@@ -434,8 +434,6 @@ impl World {
                 node_names: Vec::new(),
                 rng: Xoshiro::seed_from_u64(seed),
                 next_timer_id: 0,
-                cancelled_timers: std::collections::HashSet::new(),
-                live_timers: 0,
                 trace: Trace::new(65_536),
                 counters: Counters::default(),
                 probe: Probe::new(),
@@ -453,8 +451,9 @@ impl World {
 
     /// Rewind this world to the state `World::new(seed)` produces while
     /// **keeping its expensive allocations**: the event queue's heap,
-    /// payload slab and now-lane, the frame pool, the delivery scratch,
-    /// and the capacity of the node and segment tables. Sweep harnesses
+    /// payload slab, wire store and now-lane, the frame pool, the
+    /// delivery scratch, and the capacity of the node and segment
+    /// tables. Sweep harnesses
     /// run many `(topology, workload, seed)` worlds back to back in one
     /// worker; resetting instead of reconstructing means the steady
     /// state stops paying construction allocations per scenario.
@@ -472,8 +471,6 @@ impl World {
         self.core.node_names.clear();
         self.core.rng = Xoshiro::seed_from_u64(seed);
         self.core.next_timer_id = 0;
-        self.core.cancelled_timers.clear();
-        self.core.live_timers = 0;
         self.core.trace.reset();
         self.core.counters.clear();
         // Probe state (records *and* the armed flag) must not leak into
@@ -542,10 +539,12 @@ impl World {
     /// node order, at the current time). Called implicitly by the run
     /// methods, so nodes added mid-simulation start when the world next
     /// runs. Also sizes the event queue from the topology (a few pending
-    /// events per node and segment) so the steady state never grows it.
+    /// timers per node, a couple of wire events per segment) so the
+    /// steady state never grows it.
     pub fn start(&mut self) {
-        let hint = self.nodes.len() * 4 + self.core.segments.len() * 2;
-        self.core.queue.reserve(hint);
+        self.core
+            .queue
+            .reserve(self.nodes.len() * 4, self.core.segments.len() * 2);
         let now = self.core.time;
         for i in self.started..self.nodes.len() {
             self.core.queue.push(now, EventKind::Start(NodeId(i)));
@@ -556,15 +555,6 @@ impl World {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.core.time
-    }
-
-    /// Process one event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(Event { at, kind, .. }) = self.core.queue.pop() else {
-            return false;
-        };
-        self.dispatch(at, kind);
-        true
     }
 
     /// Process one event if it is due at or before `bound` (fused
@@ -587,16 +577,9 @@ impl World {
             }
             EventKind::DeliverAll(d) => self.deliver_all(d.seg, d.src, d.n_att as usize, d.frame),
             EventKind::Timer { node, token, id } => {
-                self.core.live_timers -= 1;
-                // Cancellations are rare; skip the hash lookup entirely
-                // when no timer is pending cancellation.
-                if !self.core.cancelled_timers.is_empty() && self.core.cancelled_timers.remove(&id)
-                {
-                    // Cancelled; skip.
-                } else if self.core.crashed_count != 0 && self.core.crashed[node.0] {
-                    // The node is crashed: its pending timers die
-                    // silently, like RAM losing power.
-                } else {
+                // A crashed node's pending timers die silently, like RAM
+                // losing power.
+                if self.core.crashed_count == 0 || !self.core.crashed[node.0] {
                     if self.core.probe.is_armed() {
                         self.core
                             .probe
@@ -605,6 +588,7 @@ impl World {
                     self.with_node(node, |n, ctx| n.on_timer(ctx, token));
                 }
             }
+            EventKind::CancelledTimer => {}
             EventKind::SegTxDone { seg } => self.seg_tx_done(seg),
             EventKind::SegDeliver { seg, n_att } => self.seg_deliver(seg, n_att as usize),
             EventKind::Chaos(ev) => match ev {
@@ -874,24 +858,6 @@ impl World {
     pub fn run_for(&mut self, d: SimDuration) {
         let t = self.core.time + d;
         self.run_until(t);
-    }
-
-    /// Run until the event queue is empty or the clock passes `horizon`.
-    /// Returns `true` if the queue drained.
-    pub fn run_until_idle(&mut self, horizon: SimTime) -> bool {
-        self.start();
-        loop {
-            match self.core.queue.peek_time() {
-                None => return true,
-                Some(next) if next > horizon => {
-                    self.core.time = horizon;
-                    return false;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
     }
 
     /// Number of pending events.
@@ -1311,6 +1277,58 @@ mod tests {
         w.add_node(Canceller);
         w.run_until(SimTime::from_ms(10));
         assert_eq!(w.counters().get("fired"), 1);
+    }
+
+    /// Cancelling a timer that already fired must leave nothing behind
+    /// and touch no other timer, however often it happens (it used to
+    /// park the id in a set only a later fire of that id could empty).
+    #[test]
+    fn cancelling_fired_timers_leaves_no_state() {
+        struct LateCanceller {
+            fired: Option<TimerHandle>,
+        }
+        impl Node for LateCanceller {
+            fn name(&self) -> &str {
+                "late"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                self.fired = Some(ctx.schedule(SimDuration::from_us(1), TimerToken(0)));
+            }
+            fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+                ctx.bump("fired", 1);
+                if token.0 < 10_000 {
+                    // Half the timers are zero-delay (now lane, no slot);
+                    // the others reuse the slab slot this one just left.
+                    let after = SimDuration::from_us(token.0 % 2);
+                    let next = ctx.schedule(after, TimerToken(token.0 + 1));
+                    // The handle held is of the timer firing right now:
+                    // cancelling it must not hit its slot's new tenant.
+                    let fired = self.fired.replace(next).expect("armed in on_start");
+                    ctx.cancel(fired);
+                }
+            }
+            fn as_any(&self) -> &dyn core::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+                self
+            }
+        }
+        let mut w = World::new(1);
+        let n = w.add_node(LateCanceller { fired: None });
+        w.run_until(SimTime::from_ms(20));
+        // Every late cancel was a no-op: each timer fired, none is queued.
+        assert_eq!(w.counters().get("fired"), 10_001);
+        assert_eq!(w.pending_events(), 0);
+        // A later timer still fires, and a timely cancel still works.
+        w.with_ctx::<LateCanceller, _>(n, |_, ctx| {
+            ctx.schedule(SimDuration::from_ms(1), TimerToken(10_000));
+            let h = ctx.schedule(SimDuration::from_ms(2), TimerToken(10_000));
+            ctx.cancel(h);
+        });
+        w.run_until(SimTime::from_ms(30));
+        assert_eq!(w.counters().get("fired"), 10_002);
     }
 
     #[test]
