@@ -738,8 +738,17 @@ impl BridgeNode {
     /// The demultiplexer (Figure 5 step 4 entry): address-registered
     /// handlers first, then the switching function.
     fn process_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
+        self.process_frame_view(ctx, port, &frame);
+        // Every egress took its own handle. On a LAN whose stations
+        // filter, the bridge is handed the wire frame's only reference,
+        // so a frame it kept to itself (filtered, policed, consumed by a
+        // handler) goes back to the world's pool here.
+        ctx.recycle_frame(frame);
+    }
+
+    fn process_frame_view(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
         // One parse per arrival; every consumer below shares the view.
-        let Ok(parsed) = DataFrame::parse(&frame) else {
+        let Ok(parsed) = DataFrame::parse(frame) else {
             return;
         };
         let (dst, ethertype) = (parsed.dst(), parsed.ethertype());

@@ -557,6 +557,17 @@ impl Node for HostNode {
             self.core.cfg.macs.len(),
             ctx.num_ports()
         );
+        // An ordinary station's NIC drops other stations' unicast in
+        // hardware. Where turning such a frame away is also free in
+        // simulated time (no receive cost, so it never waits in `rx_q`),
+        // say so to the world and it stops calling us for them;
+        // `process_rx_view`'s own `mine` test stays the source of truth.
+        let cfg = &self.core.cfg;
+        if !cfg.promiscuous && cfg.cost.rx_frame_ns == 0 && cfg.cost.rx_byte_ns == 0 {
+            for (port, mac) in cfg.macs.iter().enumerate() {
+                ctx.set_rx_filter(PortId(port), Some(mac.octets()));
+            }
+        }
         self.for_each_app(ctx, |app, core, ctx, idx| app.on_start(core, ctx, idx));
     }
 
@@ -624,5 +635,53 @@ impl Node for HostNode {
 
     fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::{SegmentConfig, SimTime, World};
+
+    /// Only a station whose rejections are free in simulated time hands
+    /// them to the world: a costed host's unwanted frame still occupies
+    /// its receive queue, and a promiscuous host wants every frame.
+    #[test]
+    fn only_free_non_promiscuous_hosts_declare_a_receive_filter() {
+        let mut world = World::new(1);
+        let lan = world.add_segment(SegmentConfig::default());
+        let byte_costed = HostCostModel {
+            rx_byte_ns: 1,
+            ..HostCostModel::FREE
+        };
+        let cases = [
+            (HostCostModel::FREE, false, true),
+            (HostCostModel::FREE, true, false),
+            (HostCostModel::pc_1997(), false, false),
+            (byte_costed, false, false),
+        ];
+        for (n, &(cost, promiscuous, _)) in cases.iter().enumerate() {
+            let cfg = HostConfig {
+                promiscuous,
+                ..HostConfig::simple(
+                    MacAddr::local(n as u32),
+                    Ipv4Addr::new(10, 1, 0, n as u8),
+                    cost,
+                )
+            };
+            let host = world.add_node(HostNode::new(format!("h{n}"), cfg, vec![]));
+            world.attach(host, lan);
+        }
+        world.run_until(SimTime::from_us(1));
+        for (n, (att, &(_, _, declares))) in world
+            .segment(lan)
+            .attachments()
+            .iter()
+            .zip(&cases)
+            .enumerate()
+        {
+            let want = declares.then(|| MacAddr::local(n as u32).octets());
+            assert_eq!(att.rx_filter, want, "host {n}");
+        }
     }
 }

@@ -8,7 +8,8 @@
 //!   `(time, sequence)`, a deterministic RNG, segments and nodes;
 //! * [`segment::Segment`] — a shared-medium Ethernet LAN: one frame
 //!   serializes at a time at the configured bandwidth, every attached port
-//!   hears every frame (bridges rely on promiscuous reception);
+//!   hears every frame (bridges rely on promiscuous reception) unless it
+//!   declared a receive filter ([`Ctx::set_rx_filter`]);
 //! * [`node::Node`] — the trait implemented by hosts, bridges and
 //!   repeaters; event-driven (`on_start` / `on_frame` / `on_timer`);
 //! * [`cost::CostModel`] — the per-frame/per-byte software cost model that
@@ -78,7 +79,7 @@ pub use framebuf::FrameBuf;
 pub use node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 pub use probe::{Probe, ProbeConfig, ProbeEvent, ProbeRecord};
 pub use rng::Xoshiro;
-pub use segment::{SegCounters, SegId, Segment, SegmentConfig};
+pub use segment::{Attachment, SegCounters, SegId, Segment, SegmentConfig};
 pub use service::{Offer, ServiceQueue};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Counters, Trace, TraceEntry};

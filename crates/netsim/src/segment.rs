@@ -1,7 +1,9 @@
 //! Shared-medium Ethernet segment model.
 //!
 //! A segment is one LAN: every attached port hears every frame (the paper's
-//! bridges put their ports in promiscuous mode and rely on this). The medium
+//! bridges put their ports in promiscuous mode and rely on this) unless it
+//! declared a receive filter, as an ordinary station's NIC does in hardware
+//! (see [`Attachment`]). The medium
 //! serializes one frame at a time at the configured bandwidth — senders
 //! queue behind each other exactly as they would contend for a shared
 //! 100 Mb/s Ethernet. Collisions are idealized into queueing (a common DES
@@ -121,6 +123,41 @@ pub struct CapturedFrame {
     pub data: FrameBuf,
 }
 
+/// One `(node, port)` attached to a segment, with the receive filter the
+/// node declared for that port ([`crate::Ctx::set_rx_filter`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Attachment {
+    /// The attached node.
+    pub node: NodeId,
+    /// Which of its ports this is.
+    pub port: PortId,
+    /// `None` = promiscuous, the default: the node is called for every
+    /// frame on the segment. `Some(mac)` = the port's station address: the
+    /// node is called only for frames addressed to `mac` or to broadcast.
+    /// A filtered-out delivery is still counted and probe-recorded as a
+    /// delivery; only the call is skipped.
+    pub rx_filter: Option<[u8; 6]>,
+}
+
+impl Attachment {
+    /// Would this attachment's node be called for a frame addressed to
+    /// `dst` (see [`rx_dst`])? The one place the filter is tested.
+    #[inline]
+    pub(crate) fn hears(&self, dst: Option<[u8; 6]>) -> bool {
+        match self.rx_filter {
+            None => true,
+            Some(mac) => dst.is_some_and(|dst| dst == mac || dst == [0xFF; 6]),
+        }
+    }
+}
+
+/// What receive filters look at: a frame's first six bytes, its
+/// destination address. A frame too short to carry one passes no filter.
+#[inline]
+pub(crate) fn rx_dst(frame: &[u8]) -> Option<[u8; 6]> {
+    frame.first_chunk().copied()
+}
+
 #[derive(Debug)]
 pub(crate) struct PendingTx {
     pub src: (NodeId, PortId),
@@ -136,8 +173,9 @@ pub(crate) struct PendingTx {
 /// One LAN segment: attachments plus the in-flight transmit state.
 pub struct Segment {
     pub(crate) cfg: SegmentConfig,
-    /// Attached `(node, port)` pairs in attachment order.
-    pub(crate) attachments: Vec<(NodeId, PortId)>,
+    /// Attached `(node, port)` pairs in attachment order, each with its
+    /// receive filter.
+    pub(crate) attachments: Vec<Attachment>,
     /// The frame currently being serialized, if any.
     pub(crate) current: Option<PendingTx>,
     /// Frames waiting behind `current`.
@@ -260,8 +298,8 @@ impl Segment {
         &self.cfg.name
     }
 
-    /// Attached `(node, port)` pairs.
-    pub fn attachments(&self) -> &[(NodeId, PortId)] {
+    /// Attached `(node, port)` pairs, in attachment order.
+    pub fn attachments(&self) -> &[Attachment] {
         &self.attachments
     }
 }

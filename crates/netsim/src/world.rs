@@ -17,7 +17,7 @@ use crate::framebuf::FrameBuf;
 use crate::node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 use crate::probe::{Probe, ProbeRecord};
 use crate::rng::Xoshiro;
-use crate::segment::{CapturedFrame, PendingTx, SegId, Segment, SegmentConfig};
+use crate::segment::{rx_dst, Attachment, CapturedFrame, PendingTx, SegId, Segment, SegmentConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Counters, Trace};
 
@@ -50,7 +50,7 @@ pub struct WorldCore {
     crashed_count: usize,
     /// Reusable listener scratch for `deliver_all` (kept across events so
     /// the delivery path never allocates).
-    deliver_scratch: Vec<(NodeId, PortId)>,
+    deliver_scratch: Vec<(NodeId, PortId, bool)>,
     /// Recycled frame storage, each entry whole (bytes and refcount
     /// header): builders take from here ([`Ctx::take_buf`]) and dead
     /// frames return here ([`Ctx::recycle_frame`]), so steady-state
@@ -271,6 +271,25 @@ impl<'w> Ctx<'w> {
     /// The segment a port attaches to.
     pub fn port_segment(&self, port: PortId) -> SegId {
         self.core.node_ports[self.node.0][port.0]
+    }
+
+    /// Declare what `port` listens to: `Some(mac)` — frames addressed to
+    /// `mac` or to broadcast, as a station's NIC filters in hardware — or
+    /// `None`, every frame on the segment (the default: bridges,
+    /// repeaters, measurement probes). Frames the filter rejects are still
+    /// counted and probe-recorded as deliveries to the port; the world
+    /// just does not call [`Node::on_frame`] for them, so declare one only
+    /// where that call would have done nothing. Panics if the port does
+    /// not exist.
+    pub fn set_rx_filter(&mut self, port: PortId, filter: Option<[u8; 6]>) {
+        let seg = self.port_segment(port);
+        let me = (self.node, port);
+        self.core.segments[seg.0]
+            .attachments
+            .iter_mut()
+            .find(|a| (a.node, a.port) == me)
+            .expect("a port is attached to its segment")
+            .rx_filter = filter;
     }
 
     /// Transmit a frame out of `port`. The frame contends for the segment's
@@ -531,7 +550,11 @@ impl World {
         let ports = &mut self.core.node_ports[node.0];
         let port = PortId(ports.len());
         ports.push(seg);
-        self.core.segments[seg.0].attachments.push((node, port));
+        self.core.segments[seg.0].attachments.push(Attachment {
+            node,
+            port,
+            rx_filter: None,
+        });
         port
     }
 
@@ -748,80 +771,96 @@ impl World {
 
     /// Deliver one wire frame to every listener of `seg` (the first
     /// `n_att` attachments except `src`, in attachment order), all
-    /// sharing the same refcounted buffer. The listener list is staged in
-    /// a scratch buffer reused across events, so fan-out allocates
-    /// nothing and the per-listener loop does not re-index the segment
-    /// table while nodes are borrowed.
+    /// sharing the same refcounted buffer. A listener whose receive filter
+    /// rejects the frame is counted and probe-recorded like any other —
+    /// at its place in attachment order — but its node is not called.
+    /// The listener list is staged in a scratch buffer reused across
+    /// events, so fan-out allocates nothing and the per-listener loop
+    /// does not re-index the segment table while nodes are borrowed.
     fn deliver_all(&mut self, seg: SegId, src: (NodeId, PortId), n_att: usize, frame: FrameBuf) {
+        let any_crashed = self.core.crashed_count != 0;
+        let armed = self.core.probe.is_armed();
+        let len = frame.len() as u32;
         // Point-to-point fast path: two attachments (the dominant shape on
         // line topologies) need no listener staging at all.
         if n_att == 2 {
             let atts = &self.core.segments[seg.0].attachments;
             let (a, b) = (atts[0], atts[1]);
-            if a == src || b == src {
-                let target = if a == src { b } else { a };
-                if self.core.crashed_count != 0 && self.core.crashed[target.0 .0] {
+            let a_sent = (a.node, a.port) == src;
+            if a_sent || (b.node, b.port) == src {
+                let target = if a_sent { b } else { a };
+                if any_crashed && self.core.crashed[target.node.0] {
                     // The listener is crashed: the frame falls on the
                     // floor (never counted as delivered).
                     self.core.recycle_frame(frame);
                     return;
                 }
                 self.core.frames_delivered += 1;
-                if self.core.probe.is_armed() {
-                    self.core.probe.record(
-                        self.core.time,
-                        ProbeRecord::Deliver {
-                            seg,
-                            dst: target,
-                            len: frame.len() as u32,
-                        },
-                    );
+                if armed {
+                    let dst = (target.node, target.port);
+                    self.core
+                        .probe
+                        .record(self.core.time, ProbeRecord::Deliver { seg, dst, len });
                 }
-                self.with_node(target.0, |n, ctx| n.on_frame(ctx, target.1, frame));
+                if target.hears(rx_dst(&frame)) {
+                    self.with_node(target.node, |n, ctx| n.on_frame(ctx, target.port, frame));
+                } else {
+                    self.core.recycle_frame(frame);
+                }
                 return;
             }
             // src not among the attachments (cannot happen with the
             // attach-only topology API): take the general path.
         }
+        // Crashed listeners hear nothing (never counted as delivered).
+        // Staged for the loop below: every listener whose node is
+        // `called` (its filter lets the frame through; `last` is the last
+        // of them) and, for an armed recorder, the others too.
         let mut listeners = std::mem::take(&mut self.core.deliver_scratch);
         listeners.clear();
-        listeners.extend_from_slice(&self.core.segments[seg.0].attachments[..n_att]);
-        let src_idx = listeners.iter().position(|&a| a == src);
-        // The *last* listener receives the event's own handle (moved, not
-        // cloned): on single-listener segments the receiving node ends up
-        // holding the only reference, so it can recycle the buffer.
-        // Crashed listeners hear nothing, so they are excluded here too;
-        // if every listener is crashed, the trailing recycle below
-        // reclaims the untaken handle.
-        let any_crashed = self.core.crashed_count != 0;
-        let last = (0..listeners.len()).rev().find(|&i| {
-            Some(i) != src_idx && !(any_crashed && self.core.crashed[listeners[i].0 .0])
-        });
-        let armed = self.core.probe.is_armed();
-        let mut frame = Some(frame);
-        for (i, &(node, port)) in listeners.iter().enumerate() {
-            if Some(i) == src_idx || (any_crashed && self.core.crashed[node.0]) {
+        // One growth to the segment's size, as a bulk copy would make
+        // (pushing from empty would reallocate at 4, 8, 16, ...).
+        listeners.reserve(n_att);
+        let dst = rx_dst(&frame);
+        let (mut heard, mut last) = (0, None);
+        for att in &self.core.segments[seg.0].attachments[..n_att] {
+            if (att.node, att.port) == src || (any_crashed && self.core.crashed[att.node.0]) {
                 continue;
             }
-            self.core.frames_delivered += 1;
-            let f = if Some(i) == last {
-                frame.take().expect("last listener visited once")
-            } else {
-                frame.clone().expect("frame present until last listener")
-            };
-            if armed {
-                self.core.probe.record(
-                    self.core.time,
-                    ProbeRecord::Deliver {
-                        seg,
-                        dst: (node, port),
-                        len: f.len() as u32,
-                    },
-                );
+            heard += 1;
+            let called = att.hears(dst);
+            if called {
+                last = Some(listeners.len());
             }
-            self.with_node(node, |n, ctx| n.on_frame(ctx, port, f));
+            if called || armed {
+                listeners.push((att.node, att.port, called));
+            }
         }
-        // No listeners at all: the wire frame dies here — reclaim it.
+        self.core.frames_delivered += heard;
+        // The *last* called listener receives the event's own handle
+        // (moved, not cloned): where one node hears the frame — a
+        // point-to-point link, or the bridge of an access LAN whose
+        // stations filter — it ends up holding the only reference, so it
+        // can recycle the buffer.
+        let mut frame = Some(frame);
+        for (i, &(node, port, called)) in listeners.iter().enumerate() {
+            if armed {
+                let dst = (node, port);
+                self.core
+                    .probe
+                    .record(self.core.time, ProbeRecord::Deliver { seg, dst, len });
+            }
+            if called {
+                let f = if Some(i) == last {
+                    frame.take()
+                } else {
+                    frame.clone()
+                }
+                .expect("the handle moves at the last called listener");
+                self.with_node(node, |n, ctx| n.on_frame(ctx, port, f));
+            }
+        }
+        // Nobody was called: the wire frame dies here — reclaim it.
         if let Some(f) = frame {
             self.core.recycle_frame(f);
         }
@@ -1799,6 +1838,189 @@ mod tests {
             assert!(reused.is_empty());
             assert_eq!(reused.as_ptr(), storage);
         });
+    }
+
+    /// A station with a NIC: declares `mac` as its receive filter at start
+    /// and notes, for each frame it is called with (and drops), whether
+    /// that handle was the frame's only one.
+    struct Station {
+        mac: Option<[u8; 6]>,
+        heard: Vec<bool>,
+    }
+
+    impl Node for Station {
+        fn name(&self) -> &str {
+            "station"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_rx_filter(PortId(0), self.mac);
+        }
+        fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
+            self.heard.push(frame.is_unique());
+        }
+        fn as_any(&self) -> &dyn core::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+            self
+        }
+    }
+
+    const MAC_A: [u8; 6] = [2, 0, 0, 0, 0, 0xA];
+    const MAC_B: [u8; 6] = [2, 0, 0, 0, 0, 0xB];
+
+    /// Nobody's address.
+    const MAC_C: [u8; 6] = [2, 0, 0, 0, 0, 0xC];
+
+    /// A new segment with one station per entry of `macs`, attached in
+    /// that order and started.
+    fn stations<const N: usize>(w: &mut World, macs: [Option<[u8; 6]>; N]) -> (SegId, [NodeId; N]) {
+        let lan = w.add_segment(SegmentConfig::default());
+        let nodes = macs.map(|mac| {
+            let n = w.add_node(Station {
+                mac,
+                heard: Vec::new(),
+            });
+            w.attach(n, lan);
+            n
+        });
+        w.run_for(SimDuration::from_us(1));
+        (lan, nodes)
+    }
+
+    /// A LAN with a promiscuous station, station A, a sender, station B —
+    /// in that attachment order.
+    fn filtered_lan(w: &mut World) -> (SegId, [NodeId; 4]) {
+        stations(w, [None, Some(MAC_A), None, Some(MAC_B)])
+    }
+
+    fn frame_to(dst: [u8; 6]) -> FrameBuf {
+        FrameBuf::from([&dst[..], b"payload"].concat())
+    }
+
+    fn send_from(w: &mut World, node: NodeId, frame: FrameBuf) {
+        w.with_ctx::<Station, _>(node, |_, ctx| ctx.send(PortId(0), frame));
+        w.run_for(SimDuration::from_ms(1));
+    }
+
+    fn heard(w: &World, node: NodeId) -> usize {
+        w.node::<Station>(node).heard.len()
+    }
+
+    #[test]
+    fn filtered_listener_is_counted_but_not_called() {
+        use crate::probe::ProbeConfig;
+        let mut w = World::new(1);
+        let (lan, [promisc, a, sender, b]) = filtered_lan(&mut w);
+        w.probe_mut().arm(ProbeConfig::default());
+        send_from(&mut w, sender, frame_to(MAC_A));
+        assert_eq!(
+            [heard(&w, promisc), heard(&w, a), heard(&w, b)],
+            [1, 1, 0],
+            "B's filter keeps A's unicast from its node"
+        );
+        assert_eq!(w.frames_delivered(), 3, "B still counts as a delivery");
+        assert_eq!(w.segment(lan).counters().deliveries, 3);
+        let delivered: Vec<NodeId> = w
+            .probe()
+            .records()
+            .filter_map(|e| match e.record {
+                ProbeRecord::Deliver { dst, .. } => Some(dst.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [promisc, a, b], "recorded in attachment order");
+
+        // Broadcast passes every filter; a frame too short to carry an
+        // address, a group address and a stranger's unicast pass none.
+        send_from(&mut w, sender, frame_to([0xFF; 6]));
+        assert_eq!([heard(&w, promisc), heard(&w, a), heard(&w, b)], [2, 2, 1]);
+        for frame in [
+            FrameBuf::from(MAC_A[..3].to_vec()),
+            frame_to([1, 0, 0x5E, 0, 0, 1]),
+            frame_to(MAC_C),
+        ] {
+            send_from(&mut w, sender, frame);
+        }
+        assert_eq!([heard(&w, promisc), heard(&w, a), heard(&w, b)], [5, 2, 1]);
+        assert_eq!(w.frames_delivered(), 15);
+    }
+
+    #[test]
+    fn the_moved_handle_goes_to_the_last_listener_called() {
+        let mut w = World::new(1);
+        let (_, [promisc, a, sender, _]) = filtered_lan(&mut w);
+        // To A: the promiscuous station is called with a clone, A — the
+        // last called, though B follows it on the segment — with the
+        // event's own handle.
+        send_from(&mut w, sender, frame_to(MAC_A));
+        assert_eq!(w.node::<Station>(promisc).heard, [false]);
+        assert_eq!(w.node::<Station>(a).heard, [true]);
+        // To nobody: only the promiscuous station is called, first on the
+        // segment, and it holds the frame's only reference.
+        send_from(&mut w, sender, frame_to(MAC_C));
+        assert_eq!(w.node::<Station>(promisc).heard, [false, true]);
+    }
+
+    #[test]
+    fn a_frame_nobody_accepts_is_recycled() {
+        let mut w = World::new(1);
+        let (_, [a, sender, b]) = stations(&mut w, [Some(MAC_A), None, Some(MAC_B)]);
+        let frame = frame_to(MAC_C);
+        let storage = frame.as_ptr();
+        send_from(&mut w, sender, frame);
+        assert_eq!((heard(&w, a), heard(&w, b)), (0, 0));
+        assert_eq!(w.frames_delivered(), 2);
+        assert_eq!(w.core.frame_pool.len(), 1, "the unheard frame went back");
+        assert_eq!(w.core.frame_pool[0].as_ptr(), storage);
+        // The same on a point-to-point link (the two-attachment path).
+        let (_, [c, d]) = stations(&mut w, [None, Some(MAC_B)]);
+        send_from(&mut w, c, frame_to(MAC_C));
+        assert_eq!(heard(&w, d), 0);
+        assert_eq!(w.frames_delivered(), 3);
+        assert_eq!(w.core.frame_pool.len(), 2);
+    }
+
+    #[test]
+    fn a_listener_attached_mid_frame_hears_nothing_of_it() {
+        let mut w = World::new(1);
+        let (lan, [promisc, _, sender, _]) = filtered_lan(&mut w);
+        // 1000 bytes serialize for ~82 us; attach while they do.
+        w.with_ctx::<Station, _>(sender, |_, ctx| {
+            ctx.send(PortId(0), FrameBuf::from(vec![0xFF; 1000]))
+        });
+        w.run_for(SimDuration::from_us(10));
+        let late = w.add_node(Station {
+            mac: None,
+            heard: Vec::new(),
+        });
+        w.attach(late, lan);
+        w.run_for(SimDuration::from_ms(1));
+        assert_eq!(heard(&w, promisc), 1);
+        assert_eq!(heard(&w, late), 0, "the frame was on the wire before it");
+        assert_eq!(w.frames_delivered(), 3);
+        send_from(&mut w, sender, FrameBuf::from(vec![0xFF; 1000]));
+        assert_eq!(heard(&w, late), 1, "it hears the next one");
+        assert_eq!(w.frames_delivered(), 7);
+    }
+
+    #[test]
+    fn reset_leaves_no_filter_behind() {
+        let mut w = World::new(1);
+        let (lan, _) = filtered_lan(&mut w);
+        let filters = |w: &World, lan| -> Vec<_> {
+            let atts = w.segment(lan).attachments();
+            atts.iter().map(|a| a.rx_filter).collect()
+        };
+        assert_eq!(filters(&w, lan), [None, Some(MAC_A), None, Some(MAC_B)]);
+        w.reset(1);
+        let lan = w.add_segment(SegmentConfig::default());
+        for name in ["a", "b", "c", "d"] {
+            let n = w.add_node(echo(name, false));
+            w.attach(n, lan);
+        }
+        w.run_until(SimTime::from_us(1));
+        assert_eq!(filters(&w, lan), [None; 4]);
     }
 
     #[test]

@@ -330,12 +330,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so boundaries
-                // are sound).
-                let rest = core::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next delimiter at once. Both
+                // delimiters are ASCII and the input is a &str, so the run
+                // ends on a char boundary; only the run is re-validated,
+                // never the rest of the document.
+                let run = &bytes[*pos..];
+                let end = run
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(run.len());
+                out.push_str(core::str::from_utf8(&run[..end]).map_err(|e| e.to_string())?);
+                *pos += end;
             }
         }
     }
@@ -503,6 +508,91 @@ mod tests {
         );
         assert_eq!(Json::parse("\"\u{1F600}\""), Ok(Json::str("\u{1F600}")));
         assert!(Json::parse("\"\\ud83d\"").is_err(), "lone surrogate");
+    }
+
+    /// Every character class the string parser treats differently: plain
+    /// ASCII, both delimiters, each short escape, control characters, DEL,
+    /// 2-, 3- and 4-byte UTF-8, and the scalars next to the surrogate gap.
+    const PALETTE: [char; 24] = [
+        'a',
+        'Z',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\u{8}',
+        '\u{c}',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{1f}',
+        '\u{7f}',
+        '\u{80}',
+        'é',
+        'ü',
+        '€',
+        '\u{D7FF}',
+        '\u{E000}',
+        '\u{FFFD}',
+        '😀',
+        '\u{10000}',
+        '\u{10FFFF}',
+    ];
+
+    /// `s` as a JSON string literal with every character escaped: the
+    /// short escape where JSON has one (including `\/`), `\uXXXX`
+    /// otherwise, a surrogate pair beyond the BMP.
+    fn fully_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '/' => out.push_str("\\/"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        let _ = write!(out, "\\u{unit:04x}");
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest::proptest! {
+        /// `parse(render(doc)) == doc` for documents whose keys and
+        /// strings mix multi-byte UTF-8 with everything that needs an
+        /// escape, and the same strings read back from their fully
+        /// escaped spelling (surrogate pairs included).
+        #[test]
+        fn parse_inverts_render_on_arbitrary_strings(
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0usize..PALETTE.len(), 0..40),
+                3,
+            ),
+            n in proptest::any::<u64>(),
+        ) {
+            let text = |i: usize| picks[i].iter().map(|&c| PALETTE[c]).collect::<String>();
+            let doc = Json::Obj(vec![(
+                text(0),
+                Json::Arr(vec![Json::str(text(1)), Json::U64(n), Json::str(text(2))]),
+            )]);
+            proptest::prop_assert_eq!(Json::parse(&doc.render()), Ok(doc.clone()));
+            proptest::prop_assert_eq!(Json::parse(&doc.render_pretty()), Ok(doc));
+            for i in 0..3 {
+                proptest::prop_assert_eq!(
+                    Json::parse(&fully_escaped(&text(i))),
+                    Ok(Json::str(text(i)))
+                );
+            }
+        }
     }
 
     #[test]

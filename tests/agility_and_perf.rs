@@ -78,6 +78,25 @@ fn ttcp_headline_numbers() {
     );
 }
 
+/// The ttcp hosts run the 1997 cost model, so they declare no receive
+/// filter and every frame on their LAN still takes its turn in their
+/// receive queue: the transfers take, to the nanosecond, what they took
+/// before receive filters existed (PR 15's values).
+#[test]
+fn ttcp_goodput_is_what_it_was_before_receive_filters() {
+    for (fwd, ns) in [
+        (Forwarder::Direct, 48_829_080),
+        (Forwarder::Repeater, 98_955_472),
+        (Forwarder::Bridge, 223_879_464),
+        (Forwarder::VmBridge, 223_879_464),
+    ] {
+        let t = run_ttcp(fwd, 8192, 400_000, 3);
+        assert!(t.completed, "{fwd:?}");
+        assert_eq!(t.frames, 293, "{fwd:?}");
+        assert_eq!((t.secs * 1e9).round() as u64, ns, "{fwd:?}");
+    }
+}
+
 #[test]
 fn ttcp_frame_rates_match_the_table() {
     // Paper: "about 360 frames per second for small frames (ca. 50

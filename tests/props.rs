@@ -5,7 +5,10 @@ use ab_bench::{run_ping, run_ttcp, Forwarder};
 use ab_scenario::{self as scenario, host_ip, host_mac};
 use active_bridge::{BridgeConfig, BridgeNode};
 use hostsim::{HostConfig, HostCostModel, HostNode};
-use netsim::{Ctx, FaultConfig, FrameBuf, Node, PortId, SegmentConfig, SimTime, TimerToken, World};
+use netsim::{
+    Ctx, FaultConfig, FrameBuf, Node, PortId, ProbeConfig, ProbeEvent, ProbeRecord, SegmentConfig,
+    SimTime, TimerToken, World,
+};
 use proptest::prelude::*;
 
 /// Sends one prebuilt frame per timer tick, retaining its own handle.
@@ -383,5 +386,181 @@ proptest! {
         // Only the two boot images (netloader + learning); the garbage
         // loaded nothing.
         prop_assert_eq!(stats.images_loaded, 2, "only the boot images");
+    }
+}
+
+/// Sends nothing on its own: the test transmits through it.
+struct Injector;
+
+impl Node for Injector {
+    fn name(&self) -> &str {
+        "injector"
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {}
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// A promiscuous listener that leaves a probe mark for every frame it
+/// hears, so the recording shows where a called node's own records fall
+/// among the world's `Deliver` records.
+struct MarkingListener;
+
+impl Node for MarkingListener {
+    fn name(&self) -> &str {
+        "marking-listener"
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
+        ctx.probe(|node| ProbeRecord::Mark {
+            node,
+            label: "heard",
+        });
+        ctx.recycle_frame(frame);
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// What one run of [`filter_world`] leaves behind.
+#[derive(Debug, PartialEq)]
+struct FilterRun {
+    frames_delivered: u64,
+    seg_counters: Vec<String>,
+    /// Per host: `(frames_rx, exp_frames_rx)`.
+    host_rx: Vec<(u64, u64)>,
+    records: Vec<ProbeEvent>,
+}
+
+/// A shared LAN (two plain stations, the injector, a marking listener, a
+/// promiscuous station, a 1997-cost station, one more plain station — the
+/// sender in the middle of the attachment order) and a point-to-point link
+/// (one plain station, then the injector), recorder armed, driven by
+/// `steps` of `[kind, who, on_link]`. With `clear_filters` every station's
+/// receive filter is withdrawn after start, which is the world as it was
+/// before filters existed. Returns the run and how many ports had declared
+/// a filter.
+fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun, usize) {
+    let mut world = World::new(seed);
+    world.probe_mut().arm(ProbeConfig::default());
+    let shared = world.add_segment(SegmentConfig::named("shared"));
+    let link = world.add_segment(SegmentConfig::named("link"));
+    let mut hosts = Vec::new();
+    let mut add_host = |world: &mut World, seg, promiscuous, cost| {
+        let n = hosts.len() as u32 + 1;
+        let cfg = HostConfig {
+            promiscuous,
+            ..HostConfig::simple(host_mac(n), host_ip(n), cost)
+        };
+        let host = world.add_node(HostNode::new(format!("h{n}"), cfg, vec![]));
+        world.attach(host, seg);
+        hosts.push(host);
+    };
+    add_host(&mut world, shared, false, HostCostModel::FREE);
+    add_host(&mut world, shared, false, HostCostModel::FREE);
+    let injector = world.add_node(Injector);
+    world.attach(injector, shared);
+    let marker = world.add_node(MarkingListener);
+    world.attach(marker, shared);
+    add_host(&mut world, shared, true, HostCostModel::FREE);
+    add_host(&mut world, shared, false, HostCostModel::pc_1997());
+    add_host(&mut world, shared, false, HostCostModel::FREE);
+    add_host(&mut world, link, false, HostCostModel::FREE);
+    world.attach(injector, link);
+    world.run_until(SimTime::from_us(1));
+
+    let declared = [shared, link]
+        .iter()
+        .flat_map(|&seg| world.segment(seg).attachments())
+        .filter(|a| a.rx_filter.is_some())
+        .count();
+    if clear_filters {
+        for &host in &hosts {
+            world.with_ctx::<HostNode, _>(host, |_, ctx| ctx.set_rx_filter(PortId(0), None));
+        }
+    }
+
+    let listeners: Vec<_> = hosts.iter().copied().chain([marker]).collect();
+    for &[kind, who, on_link] in steps {
+        let owner = host_mac(1 + u32::from(who) % hosts.len() as u32).octets();
+        let full = |dst: [u8; 6]| {
+            let mut frame = dst.to_vec();
+            frame.extend_from_slice(&host_mac(99).octets());
+            frame.extend_from_slice(&ether::EtherType::EXPERIMENTAL.0.to_be_bytes());
+            frame.resize(60, who);
+            frame
+        };
+        let frame = match kind % 8 {
+            0 => full(owner),
+            1 => full(host_mac(77).octets()),
+            2 => full([0xFF; 6]),
+            3 => full([0x01, 0x00, 0x5E, 0x00, 0x00, who]),
+            4 => owner[..3].to_vec(),
+            5 => [&owner[..], &[0xAA; 4]].concat(),
+            6 => {
+                world.crash_node(listeners[usize::from(who) % listeners.len()]);
+                continue;
+            }
+            _ => {
+                world.restart_node(listeners[usize::from(who) % listeners.len()]);
+                continue;
+            }
+        };
+        world.with_ctx::<Injector, _>(injector, |_, ctx| {
+            ctx.send(PortId(usize::from(on_link % 2)), FrameBuf::from(frame));
+        });
+        // Two steps in three land while the previous frame is still on
+        // the wire or in the costed station's receive queue.
+        world.run_for(netsim::SimDuration::from_us(
+            4 + 40 * u64::from(who % 3 == 0),
+        ));
+    }
+    world.run_for(netsim::SimDuration::from_ms(5));
+
+    let run = FilterRun {
+        frames_delivered: world.frames_delivered(),
+        seg_counters: [shared, link]
+            .iter()
+            .map(|&seg| format!("{:?}", world.segment(seg).counters()))
+            .collect(),
+        host_rx: hosts
+            .iter()
+            .map(|&h| {
+                let core = &world.node::<HostNode>(h).core;
+                (core.frames_rx, core.exp_frames_rx)
+            })
+            .collect(),
+        records: world.probe().records().copied().collect(),
+    };
+    (run, declared)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Declared receive filters change nothing a simulation can observe:
+    /// the same world with every filter withdrawn counts the same
+    /// deliveries on every segment, every station accepts the same
+    /// frames, and the flight recorder holds the same records in the same
+    /// order — each `Deliver` at its listener's place in attachment order,
+    /// around the records the called listeners write themselves.
+    #[test]
+    fn receive_filters_are_invisible_to_the_simulation(
+        steps in prop::collection::vec(any::<[u8; 3]>(), 1..60),
+        seed in 0u64..500,
+    ) {
+        let (filtered, declared) = filter_world(seed, &steps, false);
+        let (cleared, _) = filter_world(seed, &steps, true);
+        // The four zero-cost, non-promiscuous stations, and nobody else.
+        prop_assert_eq!(declared, 4);
+        prop_assert!(!filtered.records.is_empty());
+        prop_assert_eq!(filtered, cleared);
     }
 }
