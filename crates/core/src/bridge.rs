@@ -94,6 +94,7 @@ pub struct DataFrame<'a> {
 
 impl<'a> DataFrame<'a> {
     /// Validate and wrap a received buffer.
+    #[inline]
     pub fn parse(buf: &'a FrameBuf) -> Result<DataFrame<'a>, ether::FrameError> {
         Ok(DataFrame {
             buf,
@@ -102,16 +103,19 @@ impl<'a> DataFrame<'a> {
     }
 
     /// The refcounted frame buffer (clone it to forward zero-copy).
+    #[inline]
     pub fn buf(&self) -> &'a FrameBuf {
         self.buf
     }
 
     /// A shared handle to the frame contents (refcount bump).
+    #[inline]
     pub fn share(&self) -> FrameBuf {
         self.buf.clone()
     }
 
     /// The parsed Ethernet view.
+    #[inline]
     pub fn view(&self) -> &Frame<'a> {
         &self.view
     }
@@ -119,6 +123,7 @@ impl<'a> DataFrame<'a> {
 
 impl<'a> std::ops::Deref for DataFrame<'a> {
     type Target = Frame<'a>;
+    #[inline]
     fn deref(&self) -> &Frame<'a> {
         &self.view
     }
@@ -170,11 +175,13 @@ pub struct BridgeCtx<'a, 'w> {
 
 impl<'a, 'w> BridgeCtx<'a, 'w> {
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> netsim::SimTime {
         self.sim.now()
     }
 
     /// Number of bridge ports.
+    #[inline]
     pub fn num_ports(&self) -> usize {
         self.plane.num_ports()
     }
@@ -182,6 +189,7 @@ impl<'a, 'w> BridgeCtx<'a, 'w> {
     /// Transmit a frame out of `port`. Accepts a [`FrameBuf`] (or
     /// anything convertible); forwarding a received frame via
     /// [`DataFrame::share`] is zero-copy.
+    #[inline]
     pub fn send_frame(&mut self, port: PortId, frame: impl Into<FrameBuf>) {
         self.sim.send(port, frame);
     }
@@ -469,6 +477,7 @@ impl BridgeNode {
 
     // ---------------------------------------------------------- dispatch
 
+    #[inline]
     fn with_slot(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -832,22 +841,36 @@ impl BridgeNode {
         if bucket.strikes >= scfg.trip {
             bucket.suppressed = true;
             bucket.strikes = 0;
-            self.plane.stats.storm_suppressions += 1;
-            ctx.bump("bridge.storm_suppressions", 1);
-            ctx.probe(|node| ProbeRecord::PortSuppressed { node, port });
-            ctx.schedule(scfg.hold_down, storm_token(self.epoch, port.0, class));
-            let n = self.name.clone();
-            let cls = if class == STORM_BROADCAST {
-                "broadcast"
-            } else {
-                "unknown-unicast"
-            };
-            ctx.trace(format!(
-                "{n}: storm control suppressed port {} ({cls})",
-                port.0
-            ));
+            self.suppress_port_class(ctx, port, class, scfg.hold_down);
         }
         true
+    }
+
+    /// A storm-control bucket tripped: count it, arm the hold-down timer
+    /// and say so. Out of line: 136 of `defended_mix`'s 9.2 M policed
+    /// arrivals and 234 of `sweep_render`'s 0.46 M trip a bucket.
+    #[cold]
+    fn suppress_port_class(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        port: PortId,
+        class: usize,
+        hold_down: SimDuration,
+    ) {
+        self.plane.stats.storm_suppressions += 1;
+        ctx.bump("bridge.storm_suppressions", 1);
+        ctx.probe(|node| ProbeRecord::PortSuppressed { node, port });
+        ctx.schedule(hold_down, storm_token(self.epoch, port.0, class));
+        let n = self.name.clone();
+        let cls = if class == STORM_BROADCAST {
+            "broadcast"
+        } else {
+            "unknown-unicast"
+        };
+        ctx.trace(format!(
+            "{n}: storm control suppressed port {} ({cls})",
+            port.0
+        ));
     }
 
     // ------------------------------------------------------ switchlet mgmt
@@ -941,7 +964,19 @@ impl BridgeNode {
         }
     }
 
+    /// Apply what the switchlet that just returned queued, if anything.
+    #[inline]
     fn apply_cmds(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.cmds.is_empty() {
+            self.apply_queued_cmds(ctx);
+        }
+    }
+
+    /// Out of line: a frame leaves commands behind on 598 of
+    /// `sweep_render`'s 3.8 M dispatches and on none of the other six
+    /// workloads'.
+    #[cold]
+    fn apply_queued_cmds(&mut self, ctx: &mut Ctx<'_>) {
         while !self.cmds.is_empty() {
             let batch: Vec<BridgeCommand> = self.cmds.drain(..).collect();
             for cmd in batch {

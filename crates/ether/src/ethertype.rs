@@ -3,6 +3,10 @@
 //! The paper's lowest loader layer "demultiplexes these frames based on the
 //! Ethernet protocol identifier" — this module is that identifier space.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::fmt;
 
 /// A 16-bit EtherType (or, for values < 1536, an 802.3 length — which this
@@ -33,6 +37,7 @@ impl EtherType {
 }
 
 impl fmt::Display for EtherType {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             EtherType::IPV4 => write!(f, "IPv4"),

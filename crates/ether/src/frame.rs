@@ -6,6 +6,10 @@
 //! carry no FCS (the simulated segment charges FCS as wire overhead); the
 //! [`crate::crc`] module is available when an experiment wants a real FCS.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use bytes::{Bytes, BytesMut};
 
 use crate::ethertype::EtherType;
@@ -32,6 +36,7 @@ pub enum FrameError {
 }
 
 impl core::fmt::Display for FrameError {
+    #[inline]
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             FrameError::Truncated => write!(f, "frame shorter than Ethernet header"),
@@ -146,6 +151,7 @@ impl FrameBuilder {
     }
 
     /// Start a frame with the given addressing and type.
+    #[inline]
     pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> Self {
         FrameBuilder::with_header(dst, src, ethertype, false)
     }
@@ -154,6 +160,7 @@ impl FrameBuilder {
     /// used by 802.1D BPDUs). The length is filled in at [`build`] time.
     ///
     /// [`build`]: FrameBuilder::build
+    #[inline]
     pub fn new_llc(dst: MacAddr, src: MacAddr) -> Self {
         FrameBuilder::with_header(dst, src, EtherType(0), true)
     }
@@ -161,6 +168,7 @@ impl FrameBuilder {
     /// Build into `buf` (its contents are discarded, its storage kept)
     /// instead of a fresh allocation — how a caller with a buffer pool
     /// composes a frame without touching the allocator.
+    #[inline]
     pub fn in_buf(mut self, mut buf: BytesMut) -> Self {
         buf.clear();
         buf.extend_from_slice(&self.buf);
@@ -169,6 +177,7 @@ impl FrameBuilder {
     }
 
     /// Set the payload (replacing any payload set earlier).
+    #[inline]
     pub fn payload(mut self, payload: &[u8]) -> Self {
         self.buf.clear();
         // Reserve the final frame size (including any pad to the Ethernet
@@ -182,6 +191,7 @@ impl FrameBuilder {
 
     /// Disable padding to the 60-byte Ethernet minimum (for tests that want
     /// exact frame contents).
+    #[inline]
     pub fn no_pad(mut self) -> Self {
         self.pad = false;
         self
@@ -192,6 +202,7 @@ impl FrameBuilder {
     /// Panics if the payload exceeds [`MAX_PAYLOAD`]; the caller is
     /// expected to have segmented above this layer (the paper's bridge
     /// cannot fragment either — bridges must not modify frames).
+    #[inline]
     pub fn build(mut self) -> Bytes {
         if self.buf.is_empty() {
             self = self.payload(&[]);

@@ -1,6 +1,10 @@
 //! MAC (IEEE 802) addresses and the well-known group addresses the paper's
 //! protocols use.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::fmt;
 use core::str::FromStr;
 
@@ -27,12 +31,14 @@ impl MacAddr {
     pub const DEC_BRIDGES: MacAddr = MacAddr([0x09, 0x00, 0x2b, 0x01, 0x00, 0x00]);
 
     /// Construct from raw octets.
+    #[inline]
     pub const fn new(octets: [u8; 6]) -> MacAddr {
         MacAddr(octets)
     }
 
     /// A deterministic locally-administered unicast address derived from an
     /// index — handy for assigning simulated NIC addresses.
+    #[inline]
     pub const fn local(index: u32) -> MacAddr {
         let b = index.to_be_bytes();
         // 0x02 = locally administered, unicast.
@@ -58,6 +64,7 @@ impl MacAddr {
     }
 
     /// True for a unicast (individual) address.
+    #[inline]
     pub const fn is_unicast(self) -> bool {
         !self.is_multicast()
     }
@@ -71,6 +78,7 @@ impl MacAddr {
 }
 
 impl fmt::Display for MacAddr {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let o = self.0;
         write!(
@@ -86,6 +94,7 @@ impl fmt::Display for MacAddr {
 pub struct ParseMacError;
 
 impl fmt::Display for ParseMacError {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "invalid MAC address syntax")
     }
@@ -97,6 +106,7 @@ impl FromStr for MacAddr {
     type Err = ParseMacError;
 
     /// Parses `aa:bb:cc:dd:ee:ff` (also accepts `-` separators).
+    #[inline]
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut octets = [0u8; 6];
         let mut parts = s.split([':', '-']);

@@ -88,6 +88,7 @@ impl App {
         }
     }
 
+    #[inline]
     pub(crate) fn on_timer(
         &mut self,
         core: &mut HostCore,
@@ -141,6 +142,7 @@ impl App {
         }
     }
 
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_ip(
         &mut self,

@@ -6,6 +6,10 @@
 //! 76 Mb/s and pin the small-write rates. Constants calibrated in
 //! EXPERIMENTS.md.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use netsim::SimDuration;
 
 /// Per-host software costs.
@@ -37,6 +41,7 @@ impl HostCostModel {
     /// The 1997 Pentium/Linux preset. Receive-side processing of a
     /// full-size frame ≈ 131 µs; together with the ACK stream's share it
     /// bounds the unbridged ttcp at the paper's 76 Mb/s.
+    #[inline]
     pub fn pc_1997() -> HostCostModel {
         HostCostModel {
             rx_frame_ns: 95_000,
@@ -60,6 +65,7 @@ impl HostCostModel {
     }
 
     /// Application write cost.
+    #[inline]
     pub fn write_time(&self) -> SimDuration {
         SimDuration::from_ns(self.write_ns)
     }

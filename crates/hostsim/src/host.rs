@@ -97,6 +97,7 @@ impl HostCore {
     /// Queue a raw frame for transmission (charged the tx cost). Accepts
     /// anything convertible into a [`FrameBuf`]; re-sending a shared
     /// frame is a refcount bump.
+    #[inline]
     pub fn send_raw(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: impl Into<FrameBuf>) {
         let frame = frame.into();
         let t = self.cfg.cost.tx_time(frame.len());

@@ -12,6 +12,10 @@
 //! All constants live here as *presets* calibrated against the paper's
 //! reported endpoints; EXPERIMENTS.md records the calibration.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use crate::time::SimDuration;
 
 /// Decomposed per-frame software cost of a store-compute-forward element.
@@ -55,6 +59,7 @@ impl CostModel {
     /// ttcp average) exceed what its own measured throughput implies by
     /// ~1.6×; this model sides with the throughputs and EXPERIMENTS.md
     /// discusses the discrepancy.
+    #[inline]
     pub fn active_bridge_1997() -> CostModel {
         CostModel {
             kernel_frame_ns: 90_000,
@@ -66,6 +71,7 @@ impl CostModel {
 
     /// The user-mode C buffered repeater: the same kernel path with a
     /// negligible forwarding program (a couple of microseconds).
+    #[inline]
     pub fn c_repeater_1997() -> CostModel {
         CostModel {
             kernel_frame_ns: 90_000,
@@ -76,6 +82,7 @@ impl CostModel {
     }
 
     /// Total service time for a frame of `len` octets.
+    #[inline]
     pub fn service_time(&self, len: usize) -> SimDuration {
         let len = len as u64;
         SimDuration::from_ns(
@@ -88,17 +95,20 @@ impl CostModel {
 
     /// The processing (step 4) component alone — what the paper's extra
     /// instrumentation measured as "cost per frame within Caml".
+    #[inline]
     pub fn processing_time(&self, len: usize) -> SimDuration {
         SimDuration::from_ns(self.proc_frame_ns + self.proc_byte_ns * len as u64)
     }
 
     /// The kernel component alone.
+    #[inline]
     pub fn kernel_time(&self, len: usize) -> SimDuration {
         SimDuration::from_ns(self.kernel_frame_ns + self.copy_byte_ns * len as u64)
     }
 
     /// The frame rate this element can sustain for frames of `len` octets,
     /// in frames per second (the paper's "limiting rate" arithmetic).
+    #[inline]
     pub fn limiting_frame_rate(&self, len: usize) -> f64 {
         1e9 / self.service_time(len).as_ns() as f64
     }

@@ -104,6 +104,7 @@ pub(crate) enum EventKind {
 
 impl EventKind {
     /// Segment events wait in the wire store, the rest in the timer heap.
+    #[inline]
     fn is_wire(&self) -> bool {
         matches!(
             self,
@@ -133,6 +134,7 @@ pub(crate) struct Event {
 }
 
 impl Event {
+    #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
@@ -223,6 +225,7 @@ impl EventQueue {
     /// Schedule `kind` at absolute time `at`. Returns the slab slot the
     /// event went to, if it went to the slab — what
     /// [`EventQueue::cancel_timer`] needs to find a timer again.
+    #[inline]
     pub fn push(&mut self, at: SimTime, kind: EventKind) -> Option<u32> {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -286,6 +289,7 @@ impl EventQueue {
     /// Remove and return the next event — the `(time, seq)` minimum of
     /// the three stores' heads — if its time is `<= bound`: the fused
     /// peek-and-pop the run loop uses.
+    #[inline]
     pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<Event> {
         // An empty store's head reads as a key no event has.
         const EMPTY: (SimTime, u64) = (SimTime::MAX, u64::MAX);

@@ -92,6 +92,7 @@ pub enum FaultOutcome {
 
 impl FaultConfig {
     /// True if this configuration can never alter traffic.
+    #[inline]
     pub fn is_transparent(&self) -> bool {
         self.drop_one_in == 0
             && self.corrupt_one_in == 0
@@ -132,6 +133,7 @@ impl FaultConfig {
     /// frame still consumes the corrupt decision and skips only the
     /// index/bit draws, so frame length cannot shift the stream for later
     /// frames' decisions.
+    #[inline]
     pub fn apply_stateful(
         &self,
         frame: FrameBuf,
@@ -146,6 +148,13 @@ impl FaultConfig {
                 flipped: None,
             };
         }
+        self.draw_faults(frame, rng, bad)
+    }
+
+    /// The draws of [`FaultConfig::apply_stateful`], for a configuration
+    /// that is not transparent — kept out of line so that callers inline
+    /// only the transparency test.
+    fn draw_faults(&self, frame: FrameBuf, rng: &mut Xoshiro, bad: &mut bool) -> FaultVerdict {
         let mut flipped = None;
         let (drop_odds, corrupt_odds) = match self.burst {
             None => (self.drop_one_in, self.corrupt_one_in),

@@ -19,6 +19,10 @@
 //! inline field work in the calling crate; see DESIGN.md for the
 //! representation and the pool contract.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use bytes::{Bytes, BytesMut};
 
 /// A cheaply clonable, immutable Ethernet frame buffer.
@@ -31,16 +35,19 @@ pub struct FrameBuf(Bytes);
 
 impl FrameBuf {
     /// An empty frame buffer.
+    #[inline]
     pub const fn new() -> Self {
         FrameBuf(Bytes::new())
     }
 
     /// Wrap a static byte slice without copying.
+    #[inline]
     pub const fn from_static(bytes: &'static [u8]) -> Self {
         FrameBuf(Bytes::from_static(bytes))
     }
 
     /// Copy a slice into a fresh buffer (the build-once point).
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         FrameBuf(Bytes::copy_from_slice(data))
     }
@@ -65,6 +72,7 @@ impl FrameBuf {
     }
 
     /// Copy out to a `Vec` (boundary to APIs that need owned bytes).
+    #[inline]
     pub fn to_vec(&self) -> Vec<u8> {
         self.0.to_vec()
     }
@@ -103,6 +111,7 @@ impl FrameBuf {
     /// Other holders of the original buffer are unaffected. **This is the
     /// only `FrameBuf` operation that copies frame bytes** — the fault
     /// layer's corruption point is its one data-plane caller.
+    #[inline]
     pub fn mutate(&mut self, f: impl FnOnce(&mut [u8])) {
         let mut buf = BytesMut::from(&self.0[..]);
         f(&mut buf);
@@ -112,6 +121,7 @@ impl FrameBuf {
     /// True if `self` and `other` are views of the same storage (same
     /// address and length) — i.e. cloning really was zero-copy. Test/
     /// assertion helper; not part of frame semantics.
+    #[inline]
     pub fn shares_storage(&self, other: &FrameBuf) -> bool {
         self.len() == other.len() && std::ptr::eq(self.0.as_ptr(), other.0.as_ptr())
     }
@@ -140,12 +150,14 @@ impl From<Bytes> for FrameBuf {
 }
 
 impl From<FrameBuf> for Bytes {
+    #[inline]
     fn from(f: FrameBuf) -> Self {
         f.0
     }
 }
 
 impl From<Vec<u8>> for FrameBuf {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         FrameBuf(Bytes::from(v))
     }
@@ -159,42 +171,49 @@ impl From<BytesMut> for FrameBuf {
 }
 
 impl From<&'static [u8]> for FrameBuf {
+    #[inline]
     fn from(s: &'static [u8]) -> Self {
         FrameBuf::from_static(s)
     }
 }
 
 impl<const N: usize> From<&'static [u8; N]> for FrameBuf {
+    #[inline]
     fn from(s: &'static [u8; N]) -> Self {
         FrameBuf::from_static(s)
     }
 }
 
 impl FromIterator<u8> for FrameBuf {
+    #[inline]
     fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Self {
         FrameBuf(Bytes::from(iter.into_iter().collect::<Vec<u8>>()))
     }
 }
 
 impl PartialEq<[u8]> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         &self.0[..] == other
     }
 }
 
 impl PartialEq<&[u8]> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         &self.0[..] == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for FrameBuf {
+    #[inline]
     fn eq(&self, other: &Vec<u8>) -> bool {
         &self.0[..] == other.as_slice()
     }
 }
 
 impl std::fmt::Debug for FrameBuf {
+    #[inline]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.0.fmt(f)
     }

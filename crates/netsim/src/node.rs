@@ -6,6 +6,10 @@
 //! and [`Node::on_timer`] when a timer the node scheduled fires. All services
 //! a node may use during a callback are exposed on [`crate::Ctx`].
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::any::Any;
 use core::fmt;
 
@@ -38,12 +42,14 @@ pub struct TimerHandle {
 }
 
 impl fmt::Display for NodeId {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
     }
 }
 
 impl fmt::Display for PortId {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "eth{}", self.0)
     }
@@ -59,6 +65,7 @@ pub trait Node: Any {
     fn name(&self) -> &str;
 
     /// Called once when the world starts, before any frame flows.
+    #[inline]
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// A frame arrived on `port`. The buffer is shared with every other
@@ -67,17 +74,20 @@ pub trait Node: Any {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf);
 
     /// A timer scheduled via [`Ctx::schedule`] fired.
+    #[inline]
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
 
     /// The node crashed (see [`crate::chaos`]): discard all volatile
     /// state. While crashed the world delivers it no frames and fires
     /// none of its pending timers. Default: no-op (stateless nodes have
     /// nothing to lose).
+    #[inline]
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// The node restarted cold after a crash: rebuild whatever a power
     /// cycle would rebuild (reload boot images, restart protocols).
     /// Default: no-op.
+    #[inline]
     fn on_restart(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// Downcast support.

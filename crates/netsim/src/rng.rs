@@ -10,6 +10,10 @@
 //! substrate has zero non-workspace dependencies and the bit stream can never
 //! change underneath recorded experiment outputs.
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 /// SplitMix64: used only for seeding.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -27,6 +31,7 @@ pub struct Xoshiro {
 
 impl Xoshiro {
     /// Seed deterministically from a 64-bit seed.
+    #[inline]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
         let mut s = [0u64; 4];
@@ -42,6 +47,7 @@ impl Xoshiro {
     }
 
     /// Next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -56,6 +62,7 @@ impl Xoshiro {
     }
 
     /// Next 32 uniformly distributed bits.
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
@@ -63,6 +70,7 @@ impl Xoshiro {
     /// A uniform value in `[0, n)`. Panics if `n == 0`.
     ///
     /// Uses Lemire's multiply-shift rejection method for unbiased results.
+    #[inline]
     pub fn range(&mut self, n: u64) -> u64 {
         assert!(n > 0, "range bound must be positive");
         loop {
@@ -77,18 +85,21 @@ impl Xoshiro {
     }
 
     /// A uniform value in `[lo, hi)`. Panics if `lo >= hi`.
+    #[inline]
     pub fn range_between(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
         lo + self.range(hi - lo)
     }
 
     /// True with probability `1/n`. `n == 0` means never.
+    #[inline]
     pub fn one_in(&mut self, n: u64) -> bool {
         n != 0 && self.range(n) == 0
     }
 
     /// A uniform float in `[0, 1)` (for workload shaping; never used on the
     /// event-ordering path).
+    #[inline]
     pub fn uniform_f64(&mut self) -> f64 {
         // 53 random bits into the mantissa.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -98,6 +109,7 @@ impl Xoshiro {
     ///
     /// The child is seeded from the parent's stream, so forking is itself
     /// deterministic.
+    #[inline]
     pub fn fork(&mut self) -> Xoshiro {
         Xoshiro::seed_from_u64(self.next_u64())
     }

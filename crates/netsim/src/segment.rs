@@ -214,6 +214,7 @@ impl Segment {
     }
 
     /// Time for `len` payload octets plus per-frame overhead on this medium.
+    #[inline]
     pub(crate) fn serialization_time(&self, len: usize) -> SimDuration {
         let (memo_len, memo_t) = self.ser_memo.get();
         if memo_len == len {
@@ -229,6 +230,7 @@ impl Segment {
     /// `SegTxDone`, or queued) and `false` if the queue was full.
     ///
     /// The boolean pair is `(accepted, started_now)`.
+    #[inline]
     pub(crate) fn offer(&mut self, tx: PendingTx) -> (bool, bool) {
         if self.current.is_none() {
             self.current = Some(tx);
@@ -247,6 +249,7 @@ impl Segment {
     /// Complete the current transmission; returns it, and moves the next
     /// queued frame (if any) into `current`, returning whether a new
     /// serialization must be scheduled.
+    #[inline]
     pub(crate) fn complete(&mut self) -> (PendingTx, bool) {
         let done = self
             .current
@@ -268,6 +271,7 @@ impl Segment {
 
     /// Frames currently waiting behind the transmission in flight (the
     /// flight recorder stamps this onto queued offers).
+    #[inline]
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
     }

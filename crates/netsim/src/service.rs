@@ -20,6 +20,10 @@
 //!             if next { ctx.schedule(service_time_of_new_head, SERVICE_DONE) }
 //! ```
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use std::collections::VecDeque;
 
 /// Result of offering an item to the queue.
@@ -48,6 +52,7 @@ pub struct ServiceQueue<T> {
 impl<T> ServiceQueue<T> {
     /// A queue that holds at most `cap` *waiting* items (one more may be in
     /// service).
+    #[inline]
     pub fn new(cap: usize) -> Self {
         ServiceQueue {
             in_service: None,
@@ -96,21 +101,25 @@ impl<T> ServiceQueue<T> {
     }
 
     /// True if nothing is in service.
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.in_service.is_none()
     }
 
     /// Items waiting behind the in-service item.
+    #[inline]
     pub fn backlog(&self) -> usize {
         self.waiting.len()
     }
 
     /// Items dropped due to a full queue.
+    #[inline]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Items whose service completed.
+    #[inline]
     pub fn served(&self) -> u64 {
         self.served
     }

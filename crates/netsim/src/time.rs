@@ -6,6 +6,10 @@
 //! on the scheduling path (floats appear only in reporting helpers such as
 //! [`SimTime::as_secs_f64`]).
 
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -54,11 +58,13 @@ impl SimTime {
     }
 
     /// Seconds as a float, for reporting only.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Milliseconds as a float, for reporting only.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -71,6 +77,7 @@ impl SimTime {
     }
 
     /// Checked addition of a span.
+    #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
@@ -83,47 +90,56 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from a raw nanosecond count.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Construct from whole microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Construct from whole milliseconds.
+    #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
 
     /// Construct from a float number of seconds (reporting/configuration
     /// convenience; rounds to the nearest nanosecond).
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimDuration((s * 1e9).round() as u64)
     }
 
     /// Raw nanosecond count.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// Microseconds as a float, for reporting only.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Milliseconds as a float, for reporting only.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Seconds as a float, for reporting only.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
@@ -135,25 +151,36 @@ impl SimDuration {
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// The time to serialize `bytes` octets at `bits_per_sec` onto a link.
     ///
-    /// Integer arithmetic: `bytes * 8 * 1e9 / bits_per_sec`, computed in
-    /// 128-bit to avoid overflow for any realistic bandwidth.
+    /// Integer arithmetic: `bytes * 8 * 1e9 / bits_per_sec`, in 64-bit
+    /// when the product fits (every real frame: up to 2.3 GB) and in
+    /// 128-bit otherwise — a 128-bit division is a library call.
     #[inline]
     pub fn serialization(bytes: usize, bits_per_sec: u64) -> SimDuration {
         assert!(bits_per_sec > 0, "link bandwidth must be positive");
-        let bits = bytes as u128 * 8;
-        let ns = bits * 1_000_000_000u128 / bits_per_sec as u128;
+        match (bytes as u64).checked_mul(8 * 1_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns / bits_per_sec),
+            None => Self::serialization_wide(bytes, bits_per_sec),
+        }
+    }
+
+    /// [`SimDuration::serialization`] in 128-bit arithmetic, saturating.
+    #[cold]
+    fn serialization_wide(bytes: usize, bits_per_sec: u64) -> SimDuration {
+        let ns = bytes as u128 * 8 * 1_000_000_000 / bits_per_sec as u128;
         SimDuration(ns.min(u64::MAX as u128) as u64)
     }
 }
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, d: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -164,6 +191,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, d: SimDuration) {
         *self = *self + d;
     }
@@ -171,6 +199,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, other: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -182,12 +211,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(other.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, other: SimDuration) {
         *self = *self + other;
     }
@@ -195,6 +226,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, other: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -206,6 +238,7 @@ impl Sub for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(k).expect("SimDuration overflow"))
     }
@@ -213,18 +246,21 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, k: u64) -> SimDuration {
         SimDuration(self.0 / k)
     }
 }
 
 impl fmt::Display for SimTime {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
     }
 }
 
 impl fmt::Display for SimDuration {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 < 1_000 {
             write!(f, "{}ns", self.0)
@@ -266,6 +302,27 @@ mod tests {
         assert_eq!(d.as_ns(), 121_120);
         // Zero bytes serialize instantly.
         assert_eq!(SimDuration::serialization(0, 10_000_000), SimDuration::ZERO);
+    }
+
+    /// The 64-bit path and the 128-bit formula agree on both sides of the
+    /// length where `bytes * 8e9` stops fitting in 64 bits.
+    #[test]
+    fn serialization_matches_the_128_bit_formula() {
+        let fits = (u64::MAX / 8_000_000_000) as usize;
+        assert!(
+            (fits as u64).checked_mul(8_000_000_000).is_some()
+                && (fits as u64 + 1).checked_mul(8_000_000_000).is_none()
+        );
+        for bps in [10_000_000u64, 100_000_000, 1_000_000_000] {
+            for bytes in [0, 1, 64, 1518, 65_535, fits, fits + 1] {
+                let wide = bytes as u128 * 8 * 1_000_000_000 / bps as u128;
+                assert_eq!(
+                    SimDuration::serialization(bytes, bps).as_ns() as u128,
+                    wide.min(u64::MAX as u128),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
     }
 
     #[test]

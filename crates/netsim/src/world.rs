@@ -116,19 +116,13 @@ impl WorldCore {
         }
     }
 
+    #[inline]
     fn send_on_segment(&mut self, seg_id: SegId, src: (NodeId, PortId), frame: FrameBuf) {
         self.frames_sent += 1;
-        if self.segments[seg_id.0].down {
-            // The segment is scripted down: the offer never reaches the
-            // medium. Frames already serializing or queued keep draining
-            // (their `SegTxDone`/`SegDeliver` events are in flight and
-            // clearing `current` under them would desynchronize the
-            // completion bookkeeping).
-            self.segments[seg_id.0].counters.down_drops += 1;
-            self.recycle_frame(frame);
-            return;
-        }
         let seg = &mut self.segments[seg_id.0];
+        if seg.down {
+            return self.refuse_on_down_segment(seg_id, frame);
+        }
         let ser = seg.serialization_time(frame.len());
         let len = frame.len() as u32;
         let (accepted, started) = seg.offer(PendingTx {
@@ -137,26 +131,52 @@ impl WorldCore {
             offered_at: self.time,
         });
         if self.probe.is_armed() {
-            let record = if accepted {
-                ProbeRecord::FrameOffered {
-                    seg: seg_id,
-                    src,
-                    len,
-                    queued: !started,
-                    depth: self.segments[seg_id.0].queue_depth() as u32,
-                }
-            } else {
-                ProbeRecord::QueueDrop {
-                    seg: seg_id,
-                    src,
-                    len,
-                }
-            };
-            self.probe.record(self.time, record);
+            self.record_offer(seg_id, src, len, accepted, started);
         }
         if accepted && started {
             self.schedule_completion(seg_id, self.time + ser);
         }
+    }
+
+    /// The segment is scripted down: the offer never reaches the medium.
+    /// Frames already serializing or queued keep draining (their
+    /// `SegTxDone`/`SegDeliver` events are in flight and clearing
+    /// `current` under them would desynchronize the completion
+    /// bookkeeping). Out of line: no send of six benchmark workloads and
+    /// 3.8 % of `sweep_render`'s (its chaos sweep) finds a segment down.
+    #[cold]
+    fn refuse_on_down_segment(&mut self, seg_id: SegId, frame: FrameBuf) {
+        self.segments[seg_id.0].counters.down_drops += 1;
+        self.recycle_frame(frame);
+    }
+
+    /// The flight-recorder entry for one offer. Out of line: the recorder
+    /// is armed on no benchmark workload, only by `trace` and armed tests.
+    #[cold]
+    fn record_offer(
+        &mut self,
+        seg_id: SegId,
+        src: (NodeId, PortId),
+        len: u32,
+        accepted: bool,
+        started: bool,
+    ) {
+        let record = if accepted {
+            ProbeRecord::FrameOffered {
+                seg: seg_id,
+                src,
+                len,
+                queued: !started,
+                depth: self.segments[seg_id.0].queue_depth() as u32,
+            }
+        } else {
+            ProbeRecord::QueueDrop {
+                seg: seg_id,
+                src,
+                len,
+            }
+        };
+        self.probe.record(self.time, record);
     }
 
     /// Schedule the completion of the transmission now starting on
@@ -165,6 +185,7 @@ impl WorldCore {
     /// `done_at + propagation`, one event per wire frame); segments with
     /// fault injection or capture keep the two-event path, whose event
     /// times anchor the RNG draw order and capture timestamps.
+    #[inline]
     fn schedule_completion(&mut self, seg_id: SegId, done_at: SimTime) {
         let seg = &self.segments[seg_id.0];
         if seg.cfg.fault.is_transparent() && !seg.cfg.capture {
@@ -194,6 +215,22 @@ impl WorldCore {
     /// the one copy-on-write point.
     #[inline]
     fn inject_faults(&mut self, seg_id: SegId, frame: FrameBuf) -> Option<(FrameBuf, u64)> {
+        if self.segments[seg_id.0].cfg.fault.is_transparent() {
+            return Some((frame, 1));
+        }
+        self.inject_configured_faults(seg_id, frame)
+    }
+
+    /// [`WorldCore::inject_faults`] on a segment whose configuration can
+    /// alter traffic. Out of line: no completion of six benchmark
+    /// workloads and 3.1 % of `sweep_render`'s (its lossy and chaos
+    /// sweeps) is on such a segment.
+    #[cold]
+    fn inject_configured_faults(
+        &mut self,
+        seg_id: SegId,
+        frame: FrameBuf,
+    ) -> Option<(FrameBuf, u64)> {
         let now = self.time;
         let seg = &mut self.segments[seg_id.0];
         let wire_len = frame.len() as u32;
@@ -264,6 +301,7 @@ impl<'w> Ctx<'w> {
     }
 
     /// Number of ports this node has.
+    #[inline]
     pub fn num_ports(&self) -> usize {
         self.core.node_ports[self.node.0].len()
     }
@@ -298,6 +336,7 @@ impl<'w> Ctx<'w> {
     /// [`FrameBuf`] (a `FrameBuf` clone is a refcount bump, so re-sending
     /// a received or prebuilt frame never copies). Panics if the port
     /// does not exist.
+    #[inline]
     pub fn send(&mut self, port: PortId, frame: impl Into<FrameBuf>) {
         let seg = self.core.node_ports[self.node.0]
             .get(port.0)
@@ -308,6 +347,7 @@ impl<'w> Ctx<'w> {
     }
 
     /// Schedule a timer `after` from now carrying `token`.
+    #[inline]
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
         let id = self.core.next_timer_id;
         self.core.next_timer_id += 1;
@@ -326,6 +366,7 @@ impl<'w> Ctx<'w> {
 
     /// Cancel a previously scheduled timer. Cancelling an already-fired or
     /// already-cancelled timer is a no-op (and leaves nothing behind).
+    #[inline]
     pub fn cancel(&mut self, handle: TimerHandle) {
         self.core.queue.cancel_timer(handle.slot, handle.id);
         self.probe(|node| ProbeRecord::TimerCancel {
@@ -355,6 +396,7 @@ impl<'w> Ctx<'w> {
     /// world's frame pool — the allocation-free way to start building a
     /// frame (`FrameBuf::from` the finished buffer reuses its refcount
     /// header too). Pair with [`Ctx::recycle_frame`].
+    #[inline]
     pub fn take_buf(&mut self, cap: usize) -> BytesMut {
         self.core.take_buf(cap)
     }
@@ -867,6 +909,7 @@ impl World {
         self.core.deliver_scratch = listeners;
     }
 
+    #[inline]
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>)) {
         // `nodes` and `core` are disjoint fields, so the node can stay in
         // its slot while the callback borrows the core through `Ctx` (a

@@ -102,31 +102,37 @@ impl<'a> Packet<'a> {
     }
 
     /// Source address.
+    #[inline]
     pub fn src(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[12], self.buf[13], self.buf[14], self.buf[15])
     }
 
     /// Destination address.
+    #[inline]
     pub fn dst(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[16], self.buf[17], self.buf[18], self.buf[19])
     }
 
     /// Time to live.
+    #[inline]
     pub fn ttl(&self) -> u8 {
         self.buf[8]
     }
 
     /// Payload protocol.
+    #[inline]
     pub fn protocol(&self) -> Protocol {
         Protocol(self.buf[9])
     }
 
     /// Identification field.
+    #[inline]
     pub fn ident(&self) -> u16 {
         u16::from_be_bytes([self.buf[4], self.buf[5]])
     }
 
     /// The payload.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[HEADER_LEN..]
     }
@@ -137,6 +143,7 @@ impl<'a> Packet<'a> {
 /// complete — it covers only the header, so the payload may be generated
 /// in place afterwards. Hot-path building block; no validation (callers
 /// check the MTU).
+#[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn emit_header_append(
     buf: &mut Vec<u8>,
@@ -335,41 +342,49 @@ impl<'a> FragPacket<'a> {
     }
 
     /// Source address.
+    #[inline]
     pub fn src(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[12], self.buf[13], self.buf[14], self.buf[15])
     }
 
     /// Destination address.
+    #[inline]
     pub fn dst(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[16], self.buf[17], self.buf[18], self.buf[19])
     }
 
     /// Payload protocol.
+    #[inline]
     pub fn protocol(&self) -> Protocol {
         Protocol(self.buf[9])
     }
 
     /// Identification field.
+    #[inline]
     pub fn ident(&self) -> u16 {
         u16::from_be_bytes([self.buf[4], self.buf[5]])
     }
 
     /// More-fragments flag.
+    #[inline]
     pub fn more_fragments(&self) -> bool {
         u16::from_be_bytes([self.buf[6], self.buf[7]]) & 0x2000 != 0
     }
 
     /// Fragment offset in bytes.
+    #[inline]
     pub fn offset_bytes(&self) -> usize {
         ((u16::from_be_bytes([self.buf[6], self.buf[7]]) & 0x1FFF) as usize) * 8
     }
 
     /// True if this datagram is one fragment of a larger one.
+    #[inline]
     pub fn is_fragment(&self) -> bool {
         self.more_fragments() || self.offset_bytes() != 0
     }
 
     /// The (fragment) payload.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[HEADER_LEN..]
     }

@@ -52,6 +52,7 @@ const PATTERN_CYCLE: [u8; 251] = {
 /// Append `len` pattern bytes starting at stream offset `offset` —
 /// equivalent to pushing `pattern_byte(offset + i)` for `i in 0..len`,
 /// but filled a period at a time.
+#[inline]
 pub fn pattern_fill(out: &mut Vec<u8>, offset: u64, len: usize) {
     out.reserve(len);
     let mut start = (offset % 251) as usize;
@@ -106,6 +107,7 @@ impl core::fmt::Display for TcpLiteError {
 
 impl std::error::Error for TcpLiteError {}
 
+#[inline]
 fn pseudo_header(c: &mut Checksum, src: Ipv4Addr, dst: Ipv4Addr, len: u16) {
     c.add(&src.octets());
     c.add(&dst.octets());
@@ -115,6 +117,7 @@ fn pseudo_header(c: &mut Checksum, src: Ipv4Addr, dst: Ipv4Addr, len: u16) {
 
 impl<'a> Segment<'a> {
     /// Parse a segment; `src`/`dst` feed the pseudo-header checksum.
+    #[inline]
     pub fn parse(buf: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Segment<'a>, TcpLiteError> {
         if buf.len() < HEADER_LEN {
             return Err(TcpLiteError::Truncated);
@@ -167,6 +170,7 @@ impl<'a> Segment<'a> {
 }
 
 /// Append the 18-byte TcpLite header (checksum zeroed) to `out`.
+#[inline]
 #[allow(clippy::too_many_arguments)]
 fn emit_header(
     out: &mut Vec<u8>,
@@ -189,6 +193,7 @@ fn emit_header(
 }
 
 /// Checksum the segment appended at `start` and patch its checksum field.
+#[inline]
 fn finish_segment(out: &mut [u8], start: usize, src: Ipv4Addr, dst: Ipv4Addr) {
     let total = out.len() - start;
     let mut c = Checksum::new();
