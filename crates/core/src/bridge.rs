@@ -323,6 +323,12 @@ pub struct BridgeNode {
     /// generation — the per-frame name lookups (`by_name` + status) run
     /// only when something that could change the answer happened.
     plane_target: Option<(u64, HandlerTarget)>,
+    /// The module that owns `plane_target`'s VM handler — the identity its
+    /// host calls act under — resolved with the target and valid as long
+    /// as it is (`None` until a VM handler is the target; not meaningful
+    /// while anything else is). Read by `dispatch_target` for
+    /// `DispatchEntry::Switch` only.
+    plane_owner: Option<Rc<str>>,
     /// Crash epoch, stamped into every timer token so timers armed before
     /// a crash die with the state they referred to.
     epoch: u8,
@@ -369,6 +375,7 @@ impl BridgeNode {
             ports_known: false,
             vm_scratch: VmScratch::new(),
             plane_target: None,
+            plane_owner: None,
             epoch: 0,
             trap_counts: HashMap::new(),
             quarantined: HashSet::new(),
@@ -511,17 +518,23 @@ impl BridgeNode {
         }
     }
 
+    /// The module that registered VM callable `fv` ("" when unknown).
+    fn owner_of(&self, fv: FuncVal) -> Rc<str> {
+        self.vm_owner.get(&fv).cloned().unwrap_or_default()
+    }
+
+    /// Run VM callable `target` on behalf of module `owner`.
     fn call_vm(
         &mut self,
         ctx: &mut Ctx<'_>,
         target: FuncVal,
+        owner: Rc<str>,
         args: impl IntoIterator<Item = Value>,
     ) {
         let exec = ExecConfig {
             fuel: self.cfg.vm_fuel,
             max_depth: 64,
         };
-        let owner = self.vm_owner.get(&target).cloned().unwrap_or_default();
         ctx.probe(|node| ProbeRecord::ExecBegin { node });
         let mut env = hostmods::HostEnv {
             sim: ctx,
@@ -531,7 +544,7 @@ impl BridgeNode {
             vm_owner: &mut self.vm_owner,
             mac: self.mac,
             bridge_name: &self.name,
-            module_name: owner.clone(),
+            module_name: owner,
         };
         let outcome = switchlet::call_scratch(
             &self.ns,
@@ -541,6 +554,7 @@ impl BridgeNode {
             &exec,
             &mut self.vm_scratch,
         );
+        let owner = env.module_name;
         // A trapped invocation records no cost.
         let (fuel, host_calls) = match &outcome {
             Ok((_, stats)) => (stats.instructions, stats.host_calls),
@@ -691,11 +705,16 @@ impl BridgeNode {
     ) {
         match target {
             HandlerTarget::Vm(fv) => {
+                // The data plane's owner was resolved with the target.
+                let owner = match entry {
+                    DispatchEntry::Switch => self.plane_owner.clone().unwrap_or_default(),
+                    DispatchEntry::Registered => self.owner_of(fv),
+                };
                 let args = [
                     Value::Str(frame.buf().as_bytes().clone()),
                     Value::Int(port.0 as i64),
                 ];
-                self.call_vm(ctx, fv, args);
+                self.call_vm(ctx, fv, owner, args);
             }
             HandlerTarget::Native(idx) => {
                 self.with_slot(ctx, idx, |s, bc| match entry {
@@ -718,9 +737,11 @@ impl BridgeNode {
     }
 
     fn dispatch_data_plane(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &DataFrame<'_>) {
-        // Resolve the switching function once per decision generation: in
-        // steady state this is a compare, not two string-keyed hash
-        // lookups per frame.
+        // Resolve the switching function — and for a VM one its owner —
+        // once per decision generation: in steady state this is a
+        // compare, not hash lookups per frame. Whatever changes the answer
+        // bumps the generation (a plane selection, a lifecycle transition,
+        // a callable changing hands) or drops the memo (quarantine, crash).
         let gen = self.plane.generation();
         let target = match self.plane_target {
             Some((g, t)) if g == gen => t,
@@ -734,6 +755,9 @@ impl BridgeNode {
                     DataPlaneSel::Vm(fv) => HandlerTarget::Vm(*fv),
                 };
                 self.plane_target = Some((gen, t));
+                if let HandlerTarget::Vm(fv) = t {
+                    self.plane_owner = Some(self.owner_of(fv));
+                }
                 t
             }
         };
@@ -1158,7 +1182,7 @@ impl Node for BridgeNode {
                 let idx = (token.0 & 0xFFFF_FFFF) as usize;
                 if let Some((fv, user)) = self.vm_timers.get(idx).copied() {
                     self.plane.bump_generation();
-                    self.call_vm(ctx, fv, [Value::Int(user)]);
+                    self.call_vm(ctx, fv, self.owner_of(fv), [Value::Int(user)]);
                 }
                 self.apply_cmds(ctx);
             }
@@ -1205,5 +1229,154 @@ impl Node for BridgeNode {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hostmods::handler_ty;
+    use ether::FrameBuilder;
+    use netsim::{CostModel, NodeId, SimTime, World};
+    use switchlet::{ModuleBuilder, Op, Ty};
+
+    /// A VM data path that shows whom the bridge takes it for. Per frame
+    /// it logs `hit` (the host prefixes the owner's name), binds output
+    /// port `port` (the plane records the owner's name) and, if `faulty`,
+    /// divides by zero.
+    fn probe_image(name: &str, port: i64, faulty: bool) -> Vec<u8> {
+        let mut mb = ModuleBuilder::new(name);
+        let bind = mb.import(
+            "unixnet",
+            "bind_out",
+            Ty::func(vec![Ty::Int], Ty::named("oport")),
+        );
+        let log = mb.import("log", "msg", Ty::func(vec![Ty::Str], Ty::Unit));
+        let reg = mb.import(
+            "func",
+            "register_handler",
+            Ty::func(vec![Ty::Str, handler_ty()], Ty::Unit),
+        );
+        let (hit, key) = (mb.intern_str(b"hit"), mb.intern_str(b"switching"));
+        let mut f = mb.func("switching", vec![Ty::Str, Ty::Int], Ty::Unit);
+        f.op(Op::ConstStr(hit)).op(Op::CallImport(log)).op(Op::Pop);
+        f.op(Op::ConstInt(port)).op(Op::CallImport(bind));
+        f.op(Op::Pop);
+        if faulty {
+            f.op(Op::ConstInt(1)).op(Op::ConstInt(0)).op(Op::Div);
+            f.op(Op::Pop);
+        }
+        f.op(Op::ConstUnit).op(Op::Return);
+        let handler = mb.finish(f);
+        let mut init = mb.func("init", vec![], Ty::Unit);
+        init.op(Op::ConstStr(key)).op(Op::FuncConst(handler));
+        init.op(Op::CallImport(reg)).op(Op::Return);
+        let init = mb.finish(init);
+        mb.set_init(init);
+        mb.build().encode()
+    }
+
+    /// Hand the bridge one data frame on port 0 and return the owner the
+    /// host functions acted under: the one named in the `hit` line's
+    /// prefix, which must also be who now holds output port `port`.
+    fn owner_seen(world: &mut World, bridge: NodeId, port: usize) -> String {
+        let frame = FrameBuilder::new(
+            MacAddr::local(0x99),
+            MacAddr::local(0x98),
+            EtherType::EXPERIMENTAL,
+        )
+        .payload(&[0; 46])
+        .build();
+        let lines_before = world.trace().find("] hit").count();
+        world.with_ctx::<BridgeNode, _>(bridge, |node, ctx| {
+            node.on_frame(ctx, PortId(0), frame.into());
+        });
+        let line = world
+            .trace()
+            .find("] hit")
+            .nth(lines_before)
+            .expect("the data path ran")
+            .msg
+            .clone();
+        let owner = line
+            .split_once('[')
+            .and_then(|(_, rest)| rest.split_once(']'))
+            .expect("a prefixed line")
+            .0
+            .to_owned();
+        // (Unless this was the trap that got the owner quarantined, which
+        // releases what it held.)
+        let node = world.node::<BridgeNode>(bridge);
+        if !node.is_quarantined(&owner) {
+            let holder = node.plane().owners_out[port].as_deref();
+            assert_eq!(holder, Some(owner.as_str()), "{line}");
+        }
+        owner
+    }
+
+    /// The owner of the VM data path is resolved with the target, once
+    /// per decision generation. Nothing stale may survive what changes
+    /// it: a hot-swap, a quarantine with rollback, a crash and restart —
+    /// here arranged so that the callable keeps its `FuncVal` while its
+    /// owner changes, which is exactly what a stale memo would miss.
+    #[test]
+    fn the_vm_data_plane_acts_under_its_current_owner() {
+        let cfg = BridgeConfig {
+            cost: CostModel::FREE,
+            ..BridgeConfig::default()
+        };
+        let mut node = BridgeNode::new(
+            "bridge",
+            MacAddr::local(1),
+            Ipv4Addr::LOCALHOST,
+            4,
+            cfg.clone(),
+        );
+        node.boot_load(probe_image("vm_a", 0, false));
+        let mut world = World::new(1);
+        let b = world.add_node(node);
+        for _ in 0..4 {
+            let lan = world.add_segment(Default::default());
+            world.attach(b, lan);
+        }
+        world.run_until(SimTime::from_ms(1));
+        let load = |world: &mut World, image: Vec<u8>| {
+            world.with_ctx::<BridgeNode, _>(b, |node, ctx| {
+                node.administer(ctx, BridgeCommand::LoadImage(image));
+            });
+        };
+
+        // Steady state, twice: the second frame is served from the memo.
+        assert_eq!(owner_seen(&mut world, b, 0), "vm_a");
+        assert_eq!(owner_seen(&mut world, b, 0), "vm_a");
+
+        // Hot-swap: a second image takes the data plane.
+        load(&mut world, probe_image("vm_b", 1, true));
+        assert_eq!(owner_seen(&mut world, b, 1), "vm_b");
+
+        // It traps on every frame; at the threshold the watchdog
+        // quarantines it and rolls back to `vm_a`'s handler.
+        for _ in 1..cfg.watchdog_traps {
+            assert_eq!(owner_seen(&mut world, b, 1), "vm_b");
+        }
+        assert!(world.node::<BridgeNode>(b).is_quarantined("vm_b"));
+        assert_eq!(
+            world.node::<BridgeNode>(b).plane().owners_out[1],
+            None,
+            "quarantine released vm_b's binding"
+        );
+        assert_eq!(owner_seen(&mut world, b, 0), "vm_a");
+
+        // Crash and cold restart: `vm_a` boots again as instance 0. The
+        // next image loaded is instance 1, function 0 — the `FuncVal`
+        // `vm_b`'s handler had — under another name.
+        world.with_ctx::<BridgeNode, _>(b, |node, ctx| {
+            node.on_crash(ctx);
+            node.on_restart(ctx);
+        });
+        assert_eq!(owner_seen(&mut world, b, 0), "vm_a");
+        load(&mut world, probe_image("vm_c", 2, false));
+        assert_eq!(owner_seen(&mut world, b, 2), "vm_c");
+        assert_eq!(owner_seen(&mut world, b, 2), "vm_c");
     }
 }

@@ -195,6 +195,12 @@ impl HostDispatch for HostEnv<'_, '_> {
     /// Slot-indexed dispatch: the per-frame path through the host
     /// boundary. `args` is the VM's scratch slice; a string argument is a
     /// handle on shared storage, so taking one is a refcount bump.
+    ///
+    /// The interpreter reaches this through `dyn HostDispatch`, so this is
+    /// the one function behind that pointer: [`HostEnv::invoke`] is
+    /// inlined here and the functions a frame calls — `num_ports`,
+    /// `bind_out`, `send_pkt_out` — run straight-line in it.
+    #[inline]
     fn call_slot(
         &mut self,
         env: &Env,
@@ -210,6 +216,10 @@ impl HostDispatch for HostEnv<'_, '_> {
 }
 
 impl HostEnv<'_, '_> {
+    /// The functions a data path calls per frame, and everything else
+    /// that neither formats nor allocates; the rest is
+    /// [`HostEnv::invoke_rare`].
+    #[inline]
     fn invoke(&mut self, f: HostFn, args: &mut [Value]) -> Result<Value, VmError> {
         match f {
             HostFn::HashString => {
@@ -222,6 +232,95 @@ impl HostEnv<'_, '_> {
                 Ok(Value::Int((h & 0x7FFF_FFFF_FFFF_FFFF) as i64))
             }
             HostFn::GetTimeOfDay => Ok(Value::Int((self.sim.now().as_ns() / 1_000_000) as i64)),
+            HostFn::NumPorts => Ok(Value::Int(self.plane.num_ports() as i64)),
+            HostFn::BindIn => {
+                let port = args[0].as_int();
+                if port < 0 || port as usize >= self.plane.num_ports() {
+                    return Err(no_interface());
+                }
+                if !self.plane.bind_in(port as usize, &self.module_name) {
+                    return Err(already_bound());
+                }
+                Ok(Value::handle("iport", port as u64))
+            }
+            HostFn::BindOut => {
+                let port = args[0].as_int();
+                if port < 0 || port as usize >= self.plane.num_ports() {
+                    return Err(no_interface());
+                }
+                if !self.plane.bind_out(port as usize, &self.module_name) {
+                    return Err(already_bound());
+                }
+                Ok(Value::handle("oport", port as u64))
+            }
+            HostFn::IportToOport => {
+                let id = args[0].as_handle("iport");
+                Ok(Value::handle("oport", id))
+            }
+            HostFn::SendPktOut => {
+                let id = args[0].as_handle("oport") as usize;
+                if id >= self.plane.num_ports() {
+                    return Err(no_interface());
+                }
+                // The data-plane boundary: the frame on the wire is the VM
+                // string's own storage (for a forwarded frame, the buffer
+                // the sender built).
+                let frame = args[1].as_str().clone();
+                let len = frame.len();
+                self.sim.send(PortId(id), frame);
+                Ok(Value::Int(len as i64))
+            }
+            HostFn::UnbindIn => {
+                let port = args[0].as_handle("iport") as usize;
+                self.plane.unbind_in(port, &self.module_name);
+                Ok(Value::Unit)
+            }
+            HostFn::UnbindOut => {
+                let port = args[0].as_handle("oport") as usize;
+                self.plane.unbind_out(port, &self.module_name);
+                Ok(Value::Unit)
+            }
+            HostFn::SetPortForward => {
+                let port = args[0].as_int() as usize;
+                if port >= self.plane.num_ports() {
+                    return Err(no_interface());
+                }
+                self.plane.set_port_forward(port, args[1].as_bool());
+                Ok(Value::Unit)
+            }
+            HostFn::SetPortLearn => {
+                let port = args[0].as_int() as usize;
+                if port >= self.plane.num_ports() {
+                    return Err(no_interface());
+                }
+                self.plane.set_port_learn(port, args[1].as_bool());
+                Ok(Value::Unit)
+            }
+            HostFn::FlushLearning => {
+                self.plane.learn.flush();
+                Ok(Value::Unit)
+            }
+            HostFn::LogMsg
+            | HostFn::RegisterHandler
+            | HostFn::SetTimeout
+            | HostFn::RegisterAddr
+            | HostFn::CounterBump
+            | HostFn::IsRunning
+            | HostFn::Loaded
+            | HostFn::Suspend
+            | HostFn::Resume
+            | HostFn::Stop => self.invoke_rare(f, args),
+        }
+    }
+
+    /// The host functions that build a `String`: registration (an image's
+    /// init, once a load), logging, timers and the `switchctl` levers. Out
+    /// of line, so `call_slot` carries none of their formatting code: on
+    /// `vm_forward` (seed 1) a world makes 2 of these calls — the image's
+    /// `log.msg` and `register_handler` — beside 179 200 per-frame ones.
+    #[cold]
+    fn invoke_rare(&mut self, f: HostFn, args: &mut [Value]) -> Result<Value, VmError> {
+        match f {
             HostFn::LogMsg => {
                 let line = format!(
                     "{}: [{}] {}",
@@ -243,7 +342,7 @@ impl HostEnv<'_, '_> {
                 };
                 let full = format!("{}.{}", self.module_name, key);
                 self.vm_handlers.insert(full, fv);
-                self.vm_owner.insert(fv, self.module_name.clone());
+                self.own(fv);
                 if key == "switching" {
                     // Convention: registering "switching" installs this
                     // handler as the bridge's switching function —
@@ -258,61 +357,12 @@ impl HostEnv<'_, '_> {
                 let Value::Func(fv) = args[2] else {
                     return Err(VmError::Host("set_timeout expects a function".into()));
                 };
-                self.vm_owner.insert(fv, self.module_name.clone());
+                self.own(fv);
                 self.cmds.push(BridgeCommand::VmTimer {
                     callback: fv,
                     after: SimDuration::from_ms(ms),
                     token,
                 });
-                Ok(Value::Unit)
-            }
-            HostFn::NumPorts => Ok(Value::Int(self.plane.num_ports() as i64)),
-            HostFn::BindIn => {
-                let port = args[0].as_int();
-                if port < 0 || port as usize >= self.plane.num_ports() {
-                    return Err(VmError::Host("No_interface".into()));
-                }
-                if !self.plane.bind_in(port as usize, &self.module_name) {
-                    // The paper's `Already_bound` exception.
-                    return Err(VmError::Host("Already_bound".into()));
-                }
-                Ok(Value::handle("iport", port as u64))
-            }
-            HostFn::BindOut => {
-                let port = args[0].as_int();
-                if port < 0 || port as usize >= self.plane.num_ports() {
-                    return Err(VmError::Host("No_interface".into()));
-                }
-                if !self.plane.bind_out(port as usize, &self.module_name) {
-                    return Err(VmError::Host("Already_bound".into()));
-                }
-                Ok(Value::handle("oport", port as u64))
-            }
-            HostFn::IportToOport => {
-                let id = args[0].as_handle("iport");
-                Ok(Value::handle("oport", id))
-            }
-            HostFn::SendPktOut => {
-                let id = args[0].as_handle("oport") as usize;
-                if id >= self.plane.num_ports() {
-                    return Err(VmError::Host("No_interface".into()));
-                }
-                // The data-plane boundary: the frame on the wire is the VM
-                // string's own storage (for a forwarded frame, the buffer
-                // the sender built).
-                let frame = args[1].as_str().clone();
-                let len = frame.len();
-                self.sim.send(PortId(id), frame);
-                Ok(Value::Int(len as i64))
-            }
-            HostFn::UnbindIn => {
-                let port = args[0].as_handle("iport") as usize;
-                self.plane.unbind_in(port, &self.module_name);
-                Ok(Value::Unit)
-            }
-            HostFn::UnbindOut => {
-                let port = args[0].as_handle("oport") as usize;
-                self.plane.unbind_out(port, &self.module_name);
                 Ok(Value::Unit)
             }
             HostFn::RegisterAddr => {
@@ -323,26 +373,6 @@ impl HostEnv<'_, '_> {
                 let key = str_arg(args, 1);
                 let full = format!("vm:{}.{}", self.module_name, key);
                 self.plane.register_addr(addr, full);
-                Ok(Value::Unit)
-            }
-            HostFn::SetPortForward => {
-                let port = args[0].as_int() as usize;
-                if port >= self.plane.num_ports() {
-                    return Err(VmError::Host("No_interface".into()));
-                }
-                self.plane.set_port_forward(port, args[1].as_bool());
-                Ok(Value::Unit)
-            }
-            HostFn::SetPortLearn => {
-                let port = args[0].as_int() as usize;
-                if port >= self.plane.num_ports() {
-                    return Err(VmError::Host("No_interface".into()));
-                }
-                self.plane.set_port_learn(port, args[1].as_bool());
-                Ok(Value::Unit)
-            }
-            HostFn::FlushLearning => {
-                self.plane.learn.flush();
                 Ok(Value::Unit)
             }
             HostFn::CounterBump => {
@@ -365,8 +395,33 @@ impl HostEnv<'_, '_> {
                 self.cmds.push(BridgeCommand::Stop(str_arg(args, 0)));
                 Ok(Value::Unit)
             }
+            _ => unreachable!("{f:?} is dispatched by `invoke`"),
         }
     }
+
+    /// Record the running module as the owner of callable `fv`. A
+    /// callable that changes hands invalidates what was resolved under the
+    /// old owner (the bridge memoizes the data plane's owner under the
+    /// decision generation).
+    fn own(&mut self, fv: FuncVal) {
+        let displaced = self.vm_owner.insert(fv, self.module_name.clone());
+        if displaced.is_some_and(|old| old != self.module_name) {
+            self.plane.bump_generation();
+        }
+    }
+}
+
+/// The paper's `No_interface` exception. The `String` it carries is built
+/// out of line: 0 of `vm_forward`'s host calls fail.
+#[cold]
+fn no_interface() -> VmError {
+    VmError::Host("No_interface".into())
+}
+
+/// The paper's `Already_bound` exception (see [`no_interface`]).
+#[cold]
+fn already_bound() -> VmError {
+    VmError::Host("Already_bound".into())
 }
 
 #[cfg(test)]
@@ -402,6 +457,16 @@ mod tests {
         module: &str,
         f: impl FnOnce(&mut HostEnv<'_, '_>) -> R,
     ) -> R {
+        with_env_owners(plane, &mut Default::default(), module, f)
+    }
+
+    /// [`with_env`] over a callable → owner map that outlives the call.
+    fn with_env_owners<R>(
+        plane: &mut Plane,
+        vm_owner: &mut std::collections::HashMap<FuncVal, Rc<str>>,
+        module: &str,
+        f: impl FnOnce(&mut HostEnv<'_, '_>) -> R,
+    ) -> R {
         let mut world = netsim::World::new(1);
         let node = world.add_node(crate::BridgeNode::new(
             "bridge",
@@ -416,12 +481,44 @@ mod tests {
                 plane,
                 cmds: &mut Vec::new(),
                 vm_handlers: &mut Default::default(),
-                vm_owner: &mut Default::default(),
+                vm_owner,
                 mac: MacAddr::local(1),
                 bridge_name: "bridge",
                 module_name: Rc::from(module),
             })
         })
+    }
+
+    /// The bridge resolves the data plane's owner once per decision
+    /// generation, so a callable that changes hands (here: a second
+    /// module arming a timer with the first one's function) must move the
+    /// generation; re-registering under the same owner must not.
+    #[test]
+    fn a_callable_changing_hands_bumps_the_generation() {
+        let env = host_env();
+        let (set_timeout, _) = env.lookup("timer", "set_timeout").expect("offered");
+        let fv = FuncVal::Vm {
+            instance: switchlet::InstanceId(0),
+            func: 0,
+        };
+        let mut plane = Plane::new(2, SimDuration::from_secs(300));
+        let mut owners = std::collections::HashMap::new();
+        let mut arm = |module: &str, plane: &mut Plane| {
+            with_env_owners(plane, &mut owners, module, |host| {
+                let mut args = [Value::Int(5), Value::Int(0), Value::Func(fv)];
+                host.call_slot(&env, set_timeout, &mut args).expect("arms");
+            });
+            plane.generation()
+        };
+        let g0 = plane.generation();
+        assert_eq!(
+            arm("first", &mut plane),
+            g0,
+            "a new callable displaces no one"
+        );
+        assert_eq!(arm("first", &mut plane), g0, "same owner again");
+        assert!(arm("second", &mut plane) > g0, "the callable changed hands");
+        assert_eq!(owners[&fv].as_ref(), "second");
     }
 
     fn unixnet(host: &mut HostEnv<'_, '_>, item: &str, arg: Value) -> Result<Value, VmError> {

@@ -101,4 +101,67 @@ mod tests {
     fn image_is_deterministic() {
         assert_eq!(build_image(), build_image());
     }
+
+    /// A host with four ports that counts what it is asked to send.
+    struct FourPorts {
+        sent: Vec<(u64, usize)>,
+    }
+
+    impl switchlet::HostDispatch for FourPorts {
+        fn call_slot(
+            &mut self,
+            env: &switchlet::Env,
+            slot: switchlet::HostSlot,
+            args: &mut [switchlet::Value],
+        ) -> Result<switchlet::Value, switchlet::VmError> {
+            use switchlet::Value;
+            Ok(match env.slot_names(slot) {
+                ("unixnet", "num_ports", _) => Value::Int(4),
+                ("unixnet", "bind_out", _) => Value::handle("oport", args[0].as_int() as u64),
+                ("unixnet", "send_pkt_out", _) => {
+                    let len = args[1].as_str().len();
+                    self.sent.push((args[0].as_handle("oport"), len));
+                    Value::Int(len as i64)
+                }
+                (module, item, _) => panic!("the handler does not call {module}.{item}"),
+            })
+        }
+    }
+
+    /// What one frame costs in the loaded code on a four-port bridge, by
+    /// name: `BridgeStats::vm_instructions` (and so every `sim_digest` of
+    /// a VM workload), the time model and the repo benchmark's
+    /// `switchlet.instr_per_frame` are this number, so a change to how
+    /// fuel is counted fails here and does not pass as a speed-up.
+    #[test]
+    fn switching_costs_77_instructions_and_7_host_calls_on_four_ports() {
+        use switchlet::{call_scratch, ExecConfig, ExecStats, Namespace, Value, VmScratch};
+        let mut ns = Namespace::new(crate::hostmods::host_env());
+        ns.load(&build_image()).expect("the image links");
+        let (handler, _) = ns.lookup_export(NAME, "switching").expect("exported");
+        let mut host = FourPorts { sent: Vec::new() };
+        let mut scratch = VmScratch::new();
+        for round in 1..=3 {
+            let args = [Value::str(vec![0xAB; 64]), Value::Int(1)];
+            let (_, stats) = call_scratch(
+                &ns,
+                &mut host,
+                handler,
+                args,
+                &ExecConfig::default(),
+                &mut scratch,
+            )
+            .expect("the handler runs");
+            assert_eq!(
+                stats,
+                ExecStats {
+                    instructions: 77,
+                    host_calls: 7
+                },
+                "round {round}"
+            );
+        }
+        // Every port but the arrival port, each time.
+        assert_eq!(host.sent, [(0, 64), (2, 64), (3, 64)].repeat(3));
+    }
 }

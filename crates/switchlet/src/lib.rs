@@ -13,7 +13,9 @@
 //!   address-of**, the two absences the paper's security argument rests on;
 //! * [`verify`] — a JVM-style static verifier: stack typing, control-flow
 //!   join agreement, definite assignment, call-site type checks. "Static
-//!   checking and prevention over dynamic checks";
+//!   checking and prevention over dynamic checks" — and what it proves
+//!   (stack heights, operand kinds) is what the execution form is built
+//!   from;
 //! * [`digest`] — MD5 (RFC 1321), used exactly as Caml used it: interface
 //!   fingerprints embedded in the byte codes;
 //! * [`module`] — the wire format switchlets travel in (over TFTP, in the
@@ -22,13 +24,13 @@
 //!   the signature is unnameable, hence unreachable;
 //! * [`linker`] — the `Dynlink` equivalent: a name space, available units,
 //!   digest/type-checked loading, init ("registration") evaluation, and
-//!   translation of verified code into the pre-decoded execution form
-//!   (branch offsets remapped, call targets and host slots resolved, hot
-//!   pairs fused — see DESIGN.md);
-//! * [`vm`] — the direct-dispatch interpreter over the decoded form,
-//!   fuel-metered so the node survives non-terminating switchlets (the
-//!   paper's "algorithmic failures"), with a reusable [`vm::VmScratch`]
-//!   arena so steady-state invocations allocate nothing;
+//!   translation of verified code into the execution form (typed, every
+//!   operand at a fixed frame slot, call targets and host slots resolved,
+//!   fuel by basic block — see DESIGN.md);
+//! * [`vm`] — the interpreter over that form, fuel-metered so the node
+//!   survives non-terminating switchlets (the paper's "algorithmic
+//!   failures"), with a reusable [`vm::VmScratch`] arena so steady-state
+//!   invocations allocate nothing;
 //! * [`asm`] — a builder API standing in for the Caml compiler front end.
 //!
 //! ```

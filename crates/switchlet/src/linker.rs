@@ -25,7 +25,7 @@ use crate::module::{DecodeError, Module};
 use crate::sig::ImportSig;
 use crate::types::Ty;
 use crate::value::{FuncVal, InstanceId, Value};
-use crate::verify::{verify_module, VerifyError};
+use crate::verify::{prove_module, VerifyError};
 use crate::vm::{call, ExecConfig, ExecStats, VmError};
 
 /// Where an import resolved to.
@@ -54,10 +54,11 @@ pub struct Instance {
     /// handle (a refcount bump) instead of copying the pool bytes on
     /// every execution.
     pub str_consts: Vec<bytes::Bytes>,
-    /// Functions translated to the pre-decoded execution form (branch
-    /// offsets remapped, call targets and host slots resolved, hot pairs
-    /// fused) — what the interpreter actually runs. Built once here, after
-    /// verification; parallel to `module.functions`.
+    /// Functions translated to the execution form (typed, every operand
+    /// at a fixed frame slot, call targets and host slots resolved, fuel
+    /// by basic block) — what the interpreter actually runs. Built once
+    /// here, from what verification proved; parallel to
+    /// `module.functions`.
     pub(crate) decoded: Vec<crate::decode::DecodedFunc>,
 }
 
@@ -148,11 +149,13 @@ impl Namespace {
     }
 
     /// The host environment (signatures only).
+    #[inline]
     pub fn env(&self) -> &Env {
         &self.env
     }
 
     /// A loaded instance.
+    #[inline]
     pub fn instance(&self, id: InstanceId) -> &Instance {
         &self.instances[id.0]
     }
@@ -244,7 +247,7 @@ impl Namespace {
             }
             resolved.push(self.resolve_import(imp)?);
         }
-        verify_module(&module).map_err(LoadError::Verify)?;
+        let facts = prove_module(&module).map_err(LoadError::Verify)?;
         let id = InstanceId(self.instances.len());
         self.by_name.insert(module.name.clone(), id);
         let str_consts = module
@@ -252,11 +255,13 @@ impl Namespace {
             .iter()
             .map(|s| bytes::Bytes::from(s.clone()))
             .collect();
-        // Translate to the execution form — only verified code is decoded.
+        // Translate to the execution form — only verified code is, and on
+        // the verifier's own facts about it.
         let decoded = module
             .functions
             .iter()
-            .map(|f| crate::decode::decode_function(&module, f, &resolved))
+            .zip(&facts)
+            .map(|(f, facts)| crate::decode::decode_function(&module, f, facts, &resolved, id))
             .collect();
         self.instances.push(Instance {
             module,

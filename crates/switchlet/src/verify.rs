@@ -18,6 +18,15 @@
 //! What remains dynamic — string bounds, division by zero, fuel — is the
 //! same set Caml left dynamic (array bounds checks, exceptions), plus the
 //! fuel meter that lets the bridge survive a non-terminating switchlet.
+//!
+//! The proof is not thrown away. The stack typing the checker computes at
+//! every instruction is handed to the load-time translator as
+//! [`FuncFacts`]: how high the operand stack stands before each
+//! instruction, what kind of value is on top of it, and the greatest
+//! height the function reaches. From those the translator gives every
+//! operand a fixed place in the frame and selects instructions by operand
+//! type (see [`crate::decode`]) — the run-time form is built on what was
+//! proved here, and only code that passed is ever translated.
 
 use std::collections::HashMap;
 
@@ -49,12 +58,65 @@ impl core::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// What a run-time instruction selected by type needs to know about an
+/// operand: which payload it carries, or that it is one of the wide or
+/// refcounted values that are cloned and dropped as whole [`Value`]s.
+///
+/// [`Value`]: crate::value::Value
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Unit,
+    Bool,
+    Int,
+    Str,
+    /// Tuple, function, table or handle — or no operand at all.
+    Other,
+}
+
+impl Kind {
+    pub(crate) fn of(ty: &Ty) -> Kind {
+        match ty {
+            Ty::Unit => Kind::Unit,
+            Ty::Bool => Kind::Bool,
+            Ty::Int => Kind::Int,
+            Ty::Str => Kind::Str,
+            _ => Kind::Other,
+        }
+    }
+}
+
+/// The operand stack as the checker found it before one instruction.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct StackFact {
+    /// Values on the operand stack.
+    pub height: u16,
+    /// Kind of the topmost one ([`Kind::Other`] on an empty stack).
+    pub top: Kind,
+}
+
+/// What verification proved about one function, for the translator.
+#[derive(Clone, Debug)]
+pub(crate) struct FuncFacts {
+    /// One entry per instruction, parallel to `Function::code` (every
+    /// instruction is reachable, so every entry is a real state).
+    pub before: Vec<StackFact>,
+    /// The greatest operand-stack height any instruction leaves behind:
+    /// with the local slots, the size of the function's frame.
+    pub max_stack: u16,
+}
+
 /// Verify a whole module against the import types it declares.
 ///
 /// The caller (the linker) has already confirmed that every declared
 /// import exists in the environment with exactly the declared type; the
 /// verifier only needs the declared types.
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+    prove_module(module).map(drop)
+}
+
+/// [`verify_module`], keeping what was proved: one [`FuncFacts`] per
+/// function, parallel to `module.functions`.
+pub(crate) fn prove_module(module: &Module) -> Result<Vec<FuncFacts>, VerifyError> {
     // Module-level checks.
     if let Some(init) = module.init {
         let f = &module.functions[init as usize];
@@ -76,10 +138,11 @@ pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
             });
         }
     }
-    for f in &module.functions {
-        verify_function(module, f)?;
-    }
-    Ok(())
+    module
+        .functions
+        .iter()
+        .map(|f| prove_function(module, f))
+        .collect()
 }
 
 /// Abstract machine state at one program point: the operand stack typing
@@ -95,7 +158,9 @@ struct Snap {
 struct Checker<'m> {
     module: &'m Module,
     func: &'m Function,
-    /// Expected abstract state at each instruction (populated lazily).
+    /// Expected abstract state at each branch target: recorded by the
+    /// first flow to reach it (a branch to it, or falling into it), held
+    /// against every later one.
     snapshots: HashMap<usize, Snap>,
 }
 
@@ -166,7 +231,7 @@ fn pop_expect(
 }
 
 /// Verify one function.
-pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyError> {
+fn prove_function(module: &Module, func: &Function) -> Result<FuncFacts, VerifyError> {
     let mut c = Checker {
         module,
         func,
@@ -192,6 +257,20 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
             .collect(),
     };
     let mut current: Option<Snap> = Some(entry);
+    let mut before = Vec::with_capacity(func.code.len());
+    let mut max_stack = 0usize;
+    // The full state is kept only where two flows can meet — at branch
+    // targets; everywhere else the 4-byte `StackFact` is the record. (A
+    // target out of range marks nothing here and is rejected at its
+    // branch.)
+    let mut is_target = vec![false; func.code.len()];
+    for op in &func.code {
+        if let Op::Jump(t) | Op::BrIf(t) | Op::BrIfNot(t) = op {
+            if let Some(mark) = is_target.get_mut(*t as usize) {
+                *mark = true;
+            }
+        }
+    }
 
     for (pc, op) in func.code.iter().enumerate() {
         // Merge with any recorded snapshot for this pc.
@@ -206,7 +285,10 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
                 flow
             }
             (Some(flow), None) => {
-                c.snapshots.insert(pc, flow.clone());
+                if is_target[pc] {
+                    // A backward branch met later is checked against this.
+                    c.snapshots.insert(pc, flow.clone());
+                }
                 flow
             }
             (None, Some(snap)) => snap.clone(),
@@ -218,6 +300,10 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
             mut stack,
             mut inited,
         } = snap;
+        before.push(StackFact {
+            height: stack.len() as u16, // bounded below, after the instruction before
+            top: stack.last().map_or(Kind::Other, Kind::of),
+        });
 
         let mut falls_through = true;
         match op {
@@ -500,6 +586,12 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
             }
             Op::Nop => {}
         }
+        // A frame is addressed by 16-bit slot numbers (locals, then the
+        // operand stack).
+        max_stack = max_stack.max(stack.len());
+        if func.num_slots() + max_stack > u16::MAX as usize {
+            return Err(c.err(pc, "frame too large"));
+        }
 
         if falls_through {
             if pc + 1 == func.code.len() {
@@ -510,7 +602,10 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
             current = None;
         }
     }
-    Ok(())
+    Ok(FuncFacts {
+        before,
+        max_stack: max_stack as u16,
+    })
 }
 
 #[cfg(test)]
@@ -668,6 +763,26 @@ mod tests {
             ],
         })
         .unwrap();
+    }
+
+    #[test]
+    fn rejects_mismatched_backward_branch() {
+        // The state at a branch target is kept when the flow passes it, so
+        // a jump back to it with one value too many is caught.
+        let err = verify_one(f(
+            vec![],
+            Ty::Unit,
+            vec![
+                Op::ConstInt(1), // 0
+                Op::Pop,         // 1: [int] here, the first time
+                Op::ConstInt(2), // 2
+                Op::ConstInt(3), // 3
+                Op::Jump(1),     // 4: [int, int]
+            ],
+        ))
+        .unwrap_err();
+        assert!(err.reason.contains("mismatch"), "{err}");
+        assert_eq!(err.pc, Some(4));
     }
 
     #[test]
@@ -877,5 +992,58 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.reason.contains("non-comparable"), "{err}");
+    }
+
+    #[test]
+    fn the_proof_is_handed_on() {
+        // What the translator builds on: the stack before each
+        // instruction, and the height of the frame.
+        let m = module_with(vec![f(
+            vec![Ty::Int, Ty::Str],
+            Ty::Bool,
+            vec![
+                Op::LocalGet(1), // 0: []
+                Op::ConstStr(0), // 1: [str]
+                Op::Eq,          // 2: [str, str]
+                Op::LocalGet(0), // 3: [bool]
+                Op::ConstInt(3), // 4: [bool, int]
+                Op::Lt,          // 5: [bool, int, int]
+                Op::And,         // 6: [bool, bool]
+                Op::Return,      // 7: [bool]
+            ],
+        )]);
+        let facts = prove_module(&m).expect("verifies");
+        let before: Vec<(u16, Kind)> = facts[0].before.iter().map(|s| (s.height, s.top)).collect();
+        assert_eq!(
+            before,
+            vec![
+                (0, Kind::Other),
+                (1, Kind::Str),
+                (2, Kind::Str),
+                (1, Kind::Bool),
+                (2, Kind::Int),
+                (3, Kind::Int),
+                (2, Kind::Bool),
+                (1, Kind::Bool),
+            ]
+        );
+        assert_eq!(facts[0].max_stack, 3);
+    }
+
+    #[test]
+    fn rejects_a_frame_too_large_to_address() {
+        // 65 530 local slots and a stack ten deep: slot numbers are 16-bit.
+        let func = Function {
+            name: "wide".into(),
+            params: vec![],
+            locals: vec![Ty::Int; 65_530],
+            result: Ty::Int,
+            code: std::iter::repeat_n(Op::ConstInt(1), 10)
+                .chain(std::iter::repeat_n(Op::Add, 9))
+                .chain([Op::Return])
+                .collect(),
+        };
+        let err = verify_one(func).unwrap_err();
+        assert!(err.reason.contains("frame too large"), "{err}");
     }
 }

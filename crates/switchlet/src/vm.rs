@@ -14,22 +14,41 @@
 //!   loadable modules": a switchlet that loops forever is cut off, the
 //!   error is reported, and the node keeps running.
 //!
-//! Since PR 4 the interpreter dispatches over the *pre-decoded* form built
-//! at link time (see [`crate::decode`]): branch offsets, call targets and
-//! host slots are resolved once per load, hot pairs run as fused
-//! superinstructions, and the operand stack and locals live in a reusable
-//! [`VmScratch`] arena so a steady-state invocation performs no
-//! allocation. Fuel metering and [`ExecStats`] are bit-identical to
-//! instruction-at-a-time execution of the source `Op` stream (each fused
-//! instruction charges one unit per source op, and exhaustion mid-sequence
-//! reports exactly the ops the reference interpreter would have retired) —
-//! an equivalence the `refinterp` proptests pin down.
+//! What runs is the execution form the linker builds from what the
+//! verifier proved (see [`crate::decode`]): typed, every operand at a
+//! fixed slot of its function's frame, call targets and host slots
+//! resolved, fuel accounted by basic block.
+//!
+//! * **Frames are windows of one arena** ([`VmScratch`]). A function's
+//!   frame is `frame_size` slots, reserved once at entry; a callee's frame
+//!   starts at its caller's argument slots, so arguments are not copied
+//!   (a call through a function value shifts them down one slot, over the
+//!   function) and a result is left where the caller reads it — always a
+//!   slot of the caller's own frame. There is no operand stack at run
+//!   time: an instruction reads and writes the slots it names. With a
+//!   long-lived arena a steady-state invocation performs no allocation.
+//! * **Fuel is a local of the loop**, charged a block at a time and
+//!   written back where someone else reads it: at calls, at the return, at
+//!   errors. The count stays exact on every path. A block the remaining
+//!   fuel does not cover is not entered at block price: the loop
+//!   continues from there charging instruction by instruction
+//!   (`run::<true>`; it can only end in `FuelExhausted` or a trap), so
+//!   every effect the reference interpreter would still have produced —
+//!   a host call, a trap that comes first — is produced, and nothing
+//!   after. A trap in the middle of a block hands back what the block was
+//!   charged for the ops behind the failing one. [`ExecStats`], the
+//!   host-call trace and the [`HotProfile`]'s inclusive fuel are
+//!   bit-identical to running the source `Op` stream one op at a time —
+//!   an equivalence the `refinterp` proptests pin down, budget by budget.
+//! * **Values are written where they live**, one shape at a time (see
+//!   "writing a slot" below).
 
 use std::rc::Rc;
 
+use crate::decode::{Inst, Slot};
 use crate::env::{HostDispatch, HostSlot};
 use crate::linker::Namespace;
-use crate::value::{FuncVal, InstanceId, Key, Value};
+use crate::value::{FuncVal, InstanceId, Value};
 
 /// Runtime failures. None of these can corrupt the host; they abort the
 /// switchlet invocation and surface to the embedder.
@@ -139,12 +158,18 @@ impl HotProfile {
     }
 }
 
-/// The reusable execution arena: one operand stack and one locals area
-/// shared by every frame of an invocation (frames are base-offset
-/// windows). An embedder that keeps a `VmScratch` alive across
-/// invocations (as the bridge does, one per node) runs steady-state
-/// switchlet code with **zero** per-invocation allocation: the vectors
-/// grow to the high-water mark once and are reused thereafter.
+/// The reusable execution arena: one vector of values in which every
+/// frame of an invocation is a window (`base..base + frame_size`; a
+/// callee's window starts at its caller's argument slots). An embedder
+/// that keeps a `VmScratch` alive across invocations (as the bridge does,
+/// one per node) runs steady-state switchlet code with **zero**
+/// per-invocation allocation: the vector grows to the high-water mark
+/// once and its storage is reused thereafter.
+///
+/// Between invocations the arena is empty: whatever a frame left in its
+/// slots is dropped when [`call_scratch`] returns, on the trap path too,
+/// so a handler's `str` argument — a handle on a received frame — never
+/// outlives its invocation here.
 ///
 /// The arena optionally carries a [`HotProfile`]: with profiling enabled
 /// every function entry bumps its call count and inclusive fuel. Off by
@@ -152,8 +177,7 @@ impl HotProfile {
 /// changes [`ExecStats`], fuel accounting or results.
 #[derive(Default)]
 pub struct VmScratch {
-    stack: Vec<Value>,
-    locals: Vec<Value>,
+    frames: Vec<Value>,
     profile: Option<Box<HotProfile>>,
 }
 
@@ -161,8 +185,7 @@ impl VmScratch {
     /// A fresh arena with a useful starting capacity.
     pub fn new() -> VmScratch {
         VmScratch {
-            stack: Vec::with_capacity(32),
-            locals: Vec::with_capacity(32),
+            frames: Vec::with_capacity(64),
             profile: None,
         }
     }
@@ -200,8 +223,9 @@ pub fn call(
 
 /// Call a function value with `args`, reusing the given arena. This is
 /// the per-frame entry point: the arguments go straight into the arena
-/// (pass an array, not a `Vec`), so with a long-lived `scratch` the
-/// invocation allocates nothing in steady state.
+/// (pass an array, not a `Vec`) as the callee's first slots, so with a
+/// long-lived `scratch` the invocation allocates nothing in steady state.
+#[inline]
 pub fn call_scratch(
     ns: &Namespace,
     host: &mut dyn HostDispatch,
@@ -210,542 +234,551 @@ pub fn call_scratch(
     cfg: &ExecConfig,
     scratch: &mut VmScratch,
 ) -> Result<(Value, ExecStats), VmError> {
+    // A nested entry stacks above the live region it finds; truncating
+    // back to the entry mark drops every value of every inner frame, on
+    // the success and the error path alike.
+    let mark = scratch.frames.len();
+    scratch.frames.extend(args);
     let mut stats = ExecStats::default();
-    let mut fuel = cfg.fuel;
-    // Nested entries (a host function re-entering the VM) stack above the
-    // caller's live region; truncating back to the entry marks cleans up
-    // every inner frame on both success and error paths.
-    let stack_mark = scratch.stack.len();
-    let locals_mark = scratch.locals.len();
     let result = match target {
         FuncVal::Host { module, item } => {
-            stats.host_calls += 1;
-            scratch.stack.extend(args);
+            stats.host_calls = 1;
             host.call_slot(
                 ns.env(),
                 HostSlot { module, item },
-                &mut scratch.stack[stack_mark..],
+                &mut scratch.frames[mark..],
             )
         }
         FuncVal::Vm { instance, func } => {
-            scratch.locals.extend(args);
             debug_assert!(
                 {
                     let params = &ns.instance(instance).module.functions[func as usize].params;
-                    let args = &scratch.locals[locals_mark..];
+                    let args = &scratch.frames[mark..];
                     args.len() == params.len() && args.iter().zip(params).all(|(v, t)| v.matches(t))
                 },
                 "argument arity or type mismatch at entry"
             );
-            exec(
+            let mut machine = Machine {
                 ns,
                 host,
-                instance,
-                func,
-                cfg,
-                &mut fuel,
-                0,
-                &mut stats,
+                max_depth: cfg.max_depth,
                 scratch,
-                locals_mark,
-            )
+                fuel: cfg.fuel,
+                host_calls: 0,
+            };
+            let outcome = machine.exec(instance, func, 0, mark);
+            stats = ExecStats {
+                instructions: cfg.fuel - machine.fuel,
+                host_calls: machine.host_calls,
+            };
+            // `Return` left the result where the first argument was.
+            outcome.map(|()| std::mem::take(&mut scratch.frames[mark]))
         }
     };
-    scratch.stack.truncate(stack_mark);
-    scratch.locals.truncate(locals_mark);
+    scratch.frames.truncate(mark);
     result.map(|v| (v, stats))
 }
 
-/// Execute decoded function `func_idx` of `instance`, bumping the hot
-/// profile (when enabled) with the entry and its inclusive fuel. The
-/// trap path is charged too: the fuel a function burned before running
-/// out is exactly what a promotion heuristic should see.
-#[allow(clippy::too_many_arguments)]
-fn exec(
-    ns: &Namespace,
-    host: &mut dyn HostDispatch,
-    instance: InstanceId,
-    func_idx: u32,
-    cfg: &ExecConfig,
-    fuel: &mut u64,
-    depth: usize,
-    stats: &mut ExecStats,
-    scratch: &mut VmScratch,
-    locals_base: usize,
-) -> Result<Value, VmError> {
-    if scratch.profile.is_none() {
-        return exec_inner(
-            ns,
-            host,
-            instance,
-            func_idx,
-            cfg,
-            fuel,
-            depth,
-            stats,
-            scratch,
-            locals_base,
-        );
-    }
-    let entry = stats.instructions;
-    let result = exec_inner(
-        ns,
-        host,
-        instance,
-        func_idx,
-        cfg,
-        fuel,
-        depth,
-        stats,
-        scratch,
-        locals_base,
-    );
-    if let Some(profile) = scratch.profile.as_deref_mut() {
-        profile.record(instance, func_idx, stats.instructions - entry);
-    }
-    result
+/// One invocation in progress: what every frame of it shares.
+struct Machine<'a> {
+    ns: &'a Namespace,
+    host: &'a mut dyn HostDispatch,
+    max_depth: usize,
+    scratch: &'a mut VmScratch,
+    /// Fuel left. The running frame counts in a local of its loop and
+    /// writes this only where someone else reads it: at calls, at the
+    /// return and at every error, where it is exact — no source op
+    /// charged that was not retired — so `ExecStats::instructions` is the
+    /// budget minus this.
+    fuel: u64,
+    host_calls: u64,
 }
 
-/// Execute decoded function `func_idx` of `instance`. The caller has
-/// already pushed the arguments at `scratch.locals[locals_base..]`.
-#[allow(clippy::too_many_arguments)]
-fn exec_inner(
-    ns: &Namespace,
-    host: &mut dyn HostDispatch,
-    instance: InstanceId,
-    func_idx: u32,
-    cfg: &ExecConfig,
-    fuel: &mut u64,
-    depth: usize,
-    stats: &mut ExecStats,
-    scratch: &mut VmScratch,
-    locals_base: usize,
-) -> Result<Value, VmError> {
-    use crate::decode::{Cmp, Inst};
+// ------------------------------------------------------ writing a slot
+//
+// A `Value` that is built in one place and stored in another goes through
+// a stack temporary: written field by field (a tag byte, a payload word),
+// then copied as two 16-byte halves — loads that cannot be forwarded from
+// the narrower stores before them and wait for those to retire. Written
+// as `frame[dst] = Value::Int(x)` in every arm of the loop, that is what
+// the arms compile to: LLVM merges their stores into one shared tail that
+// copies from a temporary, because the values differ in shape.
+//
+// So the shapes a forwarded frame writes (`vm_forward`, seed 1: integers,
+// booleans, string handles, the handle `bind_out` returns and the unit the
+// handler returns) go through the functions below, one per shape. A slot
+// that already holds the variant gets its payload stored in place; one
+// that does not is re-initialised by an out-of-line function that knows
+// the one shape it writes, and so stores its fields from registers. Every
+// other write is a plain assignment (a function value, a tuple, a table, a
+// new string: none is written per frame). This is a reading of rustc
+// 1.95.0's code (LLVM 22.1): when the merged tail is gone from a plain
+// loop, so can these be. (Unit written plainly, once a frame, put the
+// shared tail's 16-byte loads at 0.8 % of `vm_forward`; here it is 0.2 %.)
 
-    if depth >= cfg.max_depth {
-        return Err(VmError::CallDepthExceeded);
+#[inline]
+fn set_int(slot: &mut Value, x: i64) {
+    match slot {
+        Value::Int(held) => *held = x,
+        _ => init_int(slot, x),
     }
-    let inst_ref = ns.instance(instance);
-    let dfunc = &inst_ref.decoded[func_idx as usize];
-    let code = &dfunc.insts;
-    debug_assert_eq!(
-        scratch.locals.len() - locals_base,
-        dfunc.n_params as usize,
-        "arity mismatch at frame entry of {}",
-        inst_ref.module.functions[func_idx as usize].name
-    );
-    // Locals: parameters then placeholder slots (verified code never reads
-    // a local before writing it, so Unit placeholders are unobservable).
-    scratch
-        .locals
-        .resize(locals_base + dfunc.n_slots as usize, Value::Unit);
-    let stack_base = scratch.stack.len();
-    let mut pc: usize = 0;
+}
 
-    macro_rules! pop {
-        () => {
-            scratch
-                .stack
-                .pop()
-                .expect("verifier invariant broken: stack underflow")
-        };
-    }
-    macro_rules! push {
-        ($v:expr) => {
-            scratch.stack.push($v)
-        };
-    }
-    macro_rules! local {
-        ($n:expr) => {
-            scratch.locals[locals_base + $n as usize]
-        };
-    }
+#[inline(never)]
+fn init_int(slot: &mut Value, x: i64) {
+    *slot = Value::Int(x);
+}
 
-    loop {
-        let op = &code[pc];
-        // Fuel: charge one unit per *source* op. A fused instruction whose
-        // full cost exceeds the remaining fuel reports exhaustion after
-        // retiring exactly the ops the unfused stream would have retired
-        // (its partial effects are unobservable: the invocation aborts and
-        // the arena is rolled back; fused sequences are side-effect-free).
-        let cost = op.cost();
-        if *fuel < cost {
-            stats.instructions += *fuel;
-            *fuel = 0;
-            return Err(VmError::FuelExhausted);
+#[inline]
+fn set_bool(slot: &mut Value, b: bool) {
+    match slot {
+        Value::Bool(held) => *held = b,
+        _ => init_bool(slot, b),
+    }
+}
+
+#[inline(never)]
+fn init_bool(slot: &mut Value, b: bool) {
+    *slot = Value::Bool(b);
+}
+
+#[inline(never)]
+fn set_unit(slot: &mut Value) {
+    *slot = Value::Unit;
+}
+
+/// (By reference: a `Bytes` passed by value travels through memory like
+/// any other aggregate; cloned here, its fields are read one by one.)
+#[inline(never)]
+fn set_str(slot: &mut Value, s: &bytes::Bytes) {
+    match slot {
+        Value::Str(held) => *held = s.clone(),
+        _ => *slot = Value::Str(s.clone()),
+    }
+}
+
+#[inline(never)]
+fn set_handle(slot: &mut Value, tag: &'static str, id: u64) {
+    *slot = Value::Handle { tag, id };
+}
+
+/// `frame[dst] = frame[src].clone()`.
+#[inline]
+fn copy(frame: &mut [Value], dst: Slot, src: Slot) {
+    let (dst, src) = (dst as usize, src as usize);
+    // Two slots of one slice: split at the higher index.
+    let (to, from) = match dst.cmp(&src) {
+        std::cmp::Ordering::Equal => return,
+        std::cmp::Ordering::Less => {
+            let (low, high) = frame.split_at_mut(src);
+            (&mut low[dst], &high[0])
         }
-        *fuel -= cost;
-        stats.instructions += cost;
-        pc += 1;
-        match op {
-            Inst::ConstUnit => push!(Value::Unit),
-            Inst::ConstBool(b) => push!(Value::Bool(*b)),
-            Inst::ConstInt(i) => push!(Value::Int(*i)),
-            Inst::ConstStr(n) => {
-                // Interned at link time: pushing a pool constant is a
-                // refcount bump, never a byte copy.
-                push!(Value::Str(inst_ref.str_consts[*n as usize].clone()))
-            }
-            Inst::LocalGet(n) => push!(local!(*n).clone()),
-            Inst::LocalSet(n) => local!(*n) = pop!(),
-            Inst::Pop => {
-                let _ = pop!();
-            }
-            Inst::Dup => {
-                let top = scratch
-                    .stack
-                    .last()
-                    .expect("verifier invariant broken")
-                    .clone();
-                push!(top);
-            }
-            Inst::Add => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Int(a.wrapping_add(b)));
-            }
-            Inst::Sub => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Int(a.wrapping_sub(b)));
-            }
-            Inst::Mul => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Int(a.wrapping_mul(b)));
-            }
-            Inst::Div => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                if b == 0 {
-                    return Err(VmError::DivideByZero);
-                }
-                push!(Value::Int(a.wrapping_div(b)));
-            }
-            Inst::Mod => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                if b == 0 {
-                    return Err(VmError::DivideByZero);
-                }
-                push!(Value::Int(a.wrapping_rem(b)));
-            }
-            Inst::Neg => {
-                let a = pop!().as_int();
-                push!(Value::Int(a.wrapping_neg()));
-            }
-            Inst::Eq => {
-                let b = pop!();
-                let a = pop!();
-                push!(Value::Bool(
-                    a.hash_eq(&b).expect("verifier invariant broken: eq")
-                ));
-            }
-            Inst::Ne => {
-                let b = pop!();
-                let a = pop!();
-                push!(Value::Bool(
-                    !a.hash_eq(&b).expect("verifier invariant broken: ne")
-                ));
-            }
-            Inst::Lt => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Bool(a < b));
-            }
-            Inst::Le => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Bool(a <= b));
-            }
-            Inst::Gt => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Bool(a > b));
-            }
-            Inst::Ge => {
-                let b = pop!().as_int();
-                let a = pop!().as_int();
-                push!(Value::Bool(a >= b));
-            }
-            Inst::And => {
-                let b = pop!().as_bool();
-                let a = pop!().as_bool();
-                push!(Value::Bool(a && b));
-            }
-            Inst::Or => {
-                let b = pop!().as_bool();
-                let a = pop!().as_bool();
-                push!(Value::Bool(a || b));
-            }
-            Inst::Not => {
-                let a = pop!().as_bool();
-                push!(Value::Bool(!a));
-            }
-            Inst::Jump(t) => pc = *t as usize,
-            Inst::BrIf(t) => {
-                if pop!().as_bool() {
-                    pc = *t as usize;
-                }
-            }
-            Inst::BrIfNot(t) => {
-                if !pop!().as_bool() {
-                    pc = *t as usize;
-                }
-            }
-            Inst::Return => {
-                let result = pop!();
-                debug_assert_eq!(
-                    scratch.stack.len(),
-                    stack_base,
-                    "verifier invariant broken: dirty return"
-                );
-                scratch.locals.truncate(locals_base);
-                return Ok(result);
-            }
-            Inst::Call(n) => {
-                let argc = inst_ref.decoded[*n as usize].n_params as usize;
-                let new_base = scratch.locals.len();
-                let split = scratch.stack.len() - argc;
-                scratch.locals.extend(scratch.stack.drain(split..));
-                let result = exec(
-                    ns,
-                    host,
-                    instance,
-                    *n,
-                    cfg,
-                    fuel,
-                    depth + 1,
-                    stats,
-                    scratch,
-                    new_base,
-                )?;
-                push!(result);
-            }
-            Inst::CallHost { slot, argc } => {
-                stats.host_calls += 1;
-                let split = scratch.stack.len() - *argc as usize;
-                let result = host.call_slot(ns.env(), *slot, &mut scratch.stack[split..])?;
-                scratch.stack.truncate(split);
-                push!(result);
-            }
-            Inst::CallVm {
-                instance: callee_inst,
-                func,
-            } => {
-                let argc = ns.instance(*callee_inst).decoded[*func as usize].n_params as usize;
-                let new_base = scratch.locals.len();
-                let split = scratch.stack.len() - argc;
-                scratch.locals.extend(scratch.stack.drain(split..));
-                let result = exec(
-                    ns,
-                    host,
-                    *callee_inst,
-                    *func,
-                    cfg,
-                    fuel,
-                    depth + 1,
-                    stats,
-                    scratch,
-                    new_base,
-                )?;
-                push!(result);
-            }
-            Inst::ImportGet(fv) => push!(Value::Func(*fv)),
-            Inst::CallRef(arity) => {
-                let argc = *arity as usize;
-                let fpos = scratch.stack.len() - argc - 1;
-                let fv = match &scratch.stack[fpos] {
-                    Value::Func(fv) => *fv,
-                    _ => panic!("verifier invariant broken: callref on non-function"),
+        std::cmp::Ordering::Greater => {
+            let (low, high) = frame.split_at_mut(dst);
+            (&mut high[0], &low[src])
+        }
+    };
+    match from {
+        Value::Bool(b) => set_bool(to, *b),
+        Value::Int(i) => set_int(to, *i),
+        Value::Str(s) => set_str(to, s),
+        Value::Handle { tag, id } => set_handle(to, tag, *id),
+        other => *to = other.clone(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn broken(what: &str) -> ! {
+    panic!("verifier invariant broken: {what}")
+}
+
+impl Machine<'_> {
+    /// Execute function `func` of `instance` in the frame at `base`,
+    /// whose first slots the caller has filled with the arguments,
+    /// bumping the hot profile (when enabled) with the entry and its
+    /// inclusive fuel. The trap path is charged too: the fuel a function
+    /// burned before running out is exactly what a promotion heuristic
+    /// should see.
+    fn exec(
+        &mut self,
+        instance: InstanceId,
+        func: u32,
+        depth: usize,
+        base: usize,
+    ) -> Result<(), VmError> {
+        if self.scratch.profile.is_none() {
+            return self.enter(instance, func, depth, base);
+        }
+        let entry = self.fuel;
+        let result = self.enter(instance, func, depth, base);
+        if let Some(profile) = self.scratch.profile.as_deref_mut() {
+            profile.record(instance, func, entry - self.fuel);
+        }
+        result
+    }
+
+    /// Check the depth, reserve the frame — the one place the arena
+    /// grows — and run from the first instruction.
+    fn enter(
+        &mut self,
+        instance: InstanceId,
+        func: u32,
+        depth: usize,
+        base: usize,
+    ) -> Result<(), VmError> {
+        if depth >= self.max_depth {
+            return Err(VmError::CallDepthExceeded);
+        }
+        let end = base + self.ns.instance(instance).decoded[func as usize].frame_size;
+        if self.scratch.frames.len() < end {
+            // Slots no instruction has written yet: verified code never
+            // reads a local before writing it, nor a stack position
+            // nothing was pushed to, so the placeholder is unobservable.
+            self.scratch.frames.resize(end, Value::Unit);
+        }
+        self.run::<false>(instance, func, depth, base, 0)
+    }
+
+    /// Continue at `pc` charging instruction by instruction: entered when
+    /// the fuel left does not cover the block ahead, so this runs out (or
+    /// traps) before the block does and never returns `Ok`.
+    #[cold]
+    #[inline(never)]
+    fn run_metered(
+        &mut self,
+        instance: InstanceId,
+        func: u32,
+        depth: usize,
+        base: usize,
+        pc: usize,
+    ) -> Result<(), VmError> {
+        self.run::<true>(instance, func, depth, base, pc)
+    }
+
+    /// The interpreter loop, over the frame at `base`, from `pc`.
+    ///
+    /// Fuel is charged by basic block at [`Inst::Fuel`] — unless
+    /// `METERED`, where each instruction is charged its own
+    /// [`DecodedFunc::costs`] entry before it runs and `Fuel` does
+    /// nothing. Both retire exactly the source ops the reference
+    /// interpreter would (`crate::decode` has the argument).
+    ///
+    /// [`DecodedFunc::costs`]: crate::decode::DecodedFunc
+    fn run<const METERED: bool>(
+        &mut self,
+        instance: InstanceId,
+        func: u32,
+        depth: usize,
+        base: usize,
+        mut pc: usize,
+    ) -> Result<(), VmError> {
+        let inst_ref = self.ns.instance(instance);
+        let dfunc = &inst_ref.decoded[func as usize];
+        let code = &dfunc.insts[..];
+        let end = base + dfunc.frame_size;
+        let mut frame = &mut self.scratch.frames[base..end];
+        let mut fuel = self.fuel;
+
+        // An error in the middle of a block: the block was charged whole
+        // when it was entered, so what lies behind the failing instruction
+        // is handed back first.
+        macro_rules! trap {
+            ($err:expr) => {{
+                self.fuel = if METERED {
+                    fuel
+                } else {
+                    fuel + dfunc.unretired(pc)
                 };
-                match fv {
-                    FuncVal::Host { module, item } => {
-                        stats.host_calls += 1;
-                        let result = host.call_slot(
-                            ns.env(),
-                            HostSlot { module, item },
-                            &mut scratch.stack[fpos + 1..],
-                        )?;
-                        scratch.stack.truncate(fpos);
-                        push!(result);
+                return Err($err);
+            }};
+        }
+        macro_rules! int {
+            ($slot:expr) => {
+                frame[$slot as usize].as_int()
+            };
+        }
+        macro_rules! boolean {
+            ($slot:expr) => {
+                frame[$slot as usize].as_bool()
+            };
+        }
+        macro_rules! set_int {
+            ($slot:expr, $x:expr) => {{
+                let x = $x;
+                set_int(&mut frame[$slot as usize], x)
+            }};
+        }
+        macro_rules! set_bool {
+            ($slot:expr, $b:expr) => {{
+                let b = $b;
+                set_bool(&mut frame[$slot as usize], b)
+            }};
+        }
+        // Any other shape, moved in whole.
+        macro_rules! set {
+            ($slot:expr, $v:expr) => {{
+                let v = $v;
+                frame[$slot as usize] = v;
+            }};
+        }
+        macro_rules! table {
+            ($slot:expr) => {
+                match &frame[$slot as usize] {
+                    Value::Table(t) => t,
+                    _ => broken("table operand"),
+                }
+            };
+        }
+        macro_rules! key {
+            ($slot:expr) => {
+                match frame[$slot as usize].to_key() {
+                    Some(key) => key,
+                    None => broken("table key"),
+                }
+            };
+        }
+        // A call into VM code, the callee's frame starting at the first
+        // argument. Calls end their block, so the local count is exact
+        // here and the callee continues from it.
+        macro_rules! call_vm {
+            ($instance:expr, $func:expr, $args:expr) => {{
+                self.fuel = fuel;
+                self.exec($instance, $func, depth + 1, base + $args as usize)?;
+                fuel = self.fuel;
+                frame = &mut self.scratch.frames[base..end];
+            }};
+        }
+        macro_rules! call_host {
+            ($slot:expr, $args:expr, $argc:expr, $dst:expr) => {{
+                self.host_calls += 1;
+                let args = &mut frame[$args as usize..$args as usize + $argc as usize];
+                // The result comes back through memory; the shapes the
+                // per-frame host functions return are stored from their
+                // payload (see "writing a slot").
+                match self.host.call_slot(self.ns.env(), $slot, args) {
+                    Ok(Value::Bool(b)) => set_bool!($dst, b),
+                    Ok(Value::Int(i)) => set_int!($dst, i),
+                    Ok(Value::Handle { tag, id }) => set_handle(&mut frame[$dst as usize], tag, id),
+                    Ok(v) => set!($dst, v),
+                    Err(e) => trap!(e),
+                }
+            }};
+        }
+
+        loop {
+            let inst = &code[pc];
+            if METERED {
+                let cost = dfunc.costs[pc] as u64;
+                if fuel < cost {
+                    self.fuel = 0;
+                    return Err(VmError::FuelExhausted);
+                }
+                fuel -= cost;
+            }
+            pc += 1;
+            match *inst {
+                // Charge the block that starts behind this — or, if the
+                // fuel left does not cover it, go on from there
+                // instruction by instruction.
+                Inst::Fuel(cost) => {
+                    if !METERED {
+                        if fuel < cost as u64 {
+                            self.fuel = fuel;
+                            return self.run_metered(instance, func, depth, base, pc);
+                        }
+                        fuel -= cost as u64;
                     }
-                    FuncVal::Vm {
+                }
+                Inst::Unit { dst } => set_unit(&mut frame[dst as usize]),
+                Inst::Bool { dst, v } => set_bool!(dst, v),
+                Inst::Int { dst, k } => set_int!(dst, k),
+                Inst::Str { dst, n } => {
+                    set_str(&mut frame[dst as usize], &inst_ref.str_consts[n as usize])
+                }
+                Inst::Func { dst, fv } => set!(dst, Value::Func(fv)),
+                Inst::CopyInt { dst, src } => set_int!(dst, int!(src)),
+                Inst::Copy { dst, src } => copy(frame, dst, src),
+                Inst::Add { dst, a, b } => set_int!(dst, int!(a).wrapping_add(int!(b))),
+                Inst::Sub { dst, a, b } => set_int!(dst, int!(a).wrapping_sub(int!(b))),
+                Inst::Mul { dst, a, b } => set_int!(dst, int!(a).wrapping_mul(int!(b))),
+                Inst::Div { dst, a, b } => {
+                    let (a, b) = (int!(a), int!(b));
+                    if b == 0 {
+                        trap!(VmError::DivideByZero);
+                    }
+                    set_int!(dst, a.wrapping_div(b));
+                }
+                Inst::Mod { dst, a, b } => {
+                    let (a, b) = (int!(a), int!(b));
+                    if b == 0 {
+                        trap!(VmError::DivideByZero);
+                    }
+                    set_int!(dst, a.wrapping_rem(b));
+                }
+                Inst::AddImm { dst, a, k } => set_int!(dst, int!(a).wrapping_add(k)),
+                Inst::Neg { dst, a } => set_int!(dst, int!(a).wrapping_neg()),
+                Inst::CmpInt { cmp, dst, a, b } => {
+                    set_bool!(dst, cmp.holds(int!(a), int!(b)))
+                }
+                Inst::EqBool { dst, a, b, negate } => {
+                    set_bool!(dst, (boolean!(a) == boolean!(b)) != negate)
+                }
+                Inst::EqStr { dst, a, b, negate } => {
+                    let eq = frame[a as usize].as_str()[..] == frame[b as usize].as_str()[..];
+                    set_bool!(dst, eq != negate);
+                }
+                Inst::And { dst, a, b } => set_bool!(dst, boolean!(a) && boolean!(b)),
+                Inst::Or { dst, a, b } => set_bool!(dst, boolean!(a) || boolean!(b)),
+                Inst::Not { dst, a } => set_bool!(dst, !boolean!(a)),
+                // A branch lands on its destination's `Fuel`; not taken,
+                // it goes on to the next block's.
+                Inst::Jump { to } => pc = to as usize,
+                Inst::BrIf { src, negate, to } => {
+                    if boolean!(src) != negate {
+                        pc = to as usize;
+                    }
+                }
+                Inst::BrCmpInt { cmp, a, b, to } => {
+                    if cmp.holds(int!(a), int!(b)) {
+                        pc = to as usize;
+                    }
+                }
+                Inst::BrEqStr { a, b, negate, to } => {
+                    let eq = frame[a as usize].as_str()[..] == frame[b as usize].as_str()[..];
+                    if eq != negate {
+                        pc = to as usize;
+                    }
+                }
+                Inst::Return { src } => {
+                    copy(frame, 0, src);
+                    self.fuel = fuel;
+                    return Ok(());
+                }
+                Inst::Call { func: callee, args } => call_vm!(instance, callee, args),
+                Inst::CallHost { slot, args, argc } => call_host!(slot, args, argc, args),
+                Inst::CallVm {
+                    instance: callee_inst,
+                    func: callee,
+                    args,
+                } => call_vm!(callee_inst, callee, args),
+                Inst::CallRef { f, argc } => match frame[f as usize] {
+                    Value::Func(FuncVal::Host { module, item }) => {
+                        call_host!(HostSlot { module, item }, f + 1, argc, f)
+                    }
+                    Value::Func(FuncVal::Vm {
                         instance: callee_inst,
-                        func,
-                    } => {
-                        let new_base = scratch.locals.len();
-                        scratch.locals.extend(scratch.stack.drain(fpos + 1..));
-                        let _ = pop!(); // the function value
-                        let result = exec(
-                            ns,
-                            host,
-                            callee_inst,
-                            func,
-                            cfg,
-                            fuel,
-                            depth + 1,
-                            stats,
-                            scratch,
-                            new_base,
-                        )?;
-                        push!(result);
+                        func: callee,
+                    }) => {
+                        // The arguments move down over the function value,
+                        // so the callee's frame starts at `f` and leaves
+                        // its result there. (At `f + 1` the result would
+                        // come back one slot up — outside this frame, when
+                        // `f` is its last slot and there are no arguments.)
+                        frame[f as usize..=f as usize + argc as usize].rotate_left(1);
+                        call_vm!(callee_inst, callee, f);
                     }
+                    _ => broken("callref on non-function"),
+                },
+                Inst::TupleMake { first, n } => {
+                    let items: Vec<Value> = frame[first as usize..first as usize + n as usize]
+                        .iter_mut()
+                        .map(std::mem::take)
+                        .collect();
+                    set!(first, Value::Tuple(Rc::new(items)));
                 }
-            }
-            Inst::FuncConst(n) => push!(Value::Func(FuncVal::Vm { instance, func: *n })),
-            Inst::TupleMake(n) => {
-                let split = scratch.stack.len() - *n as usize;
-                let items: Vec<Value> = scratch.stack.drain(split..).collect();
-                push!(Value::Tuple(Rc::new(items)));
-            }
-            Inst::TupleGet(i) => {
-                let Value::Tuple(items) = pop!() else {
-                    panic!("verifier invariant broken: tupleget")
-                };
-                push!(items[*i as usize].clone());
-            }
-            Inst::StrLen => {
-                let s = pop!();
-                push!(Value::Int(s.as_str().len() as i64));
-            }
-            Inst::StrConcat => {
-                let b = pop!();
-                let a = pop!();
-                push!(Value::str([&a.as_str()[..], &b.as_str()[..]].concat()));
-            }
-            Inst::StrByte => {
-                let i = pop!().as_int();
-                let s = pop!();
-                let s = s.as_str();
-                if i < 0 || i as usize >= s.len() {
-                    return Err(VmError::StrBounds {
-                        len: s.len(),
-                        index: i,
-                    });
+                Inst::TupleGet { dst, src, i } => {
+                    let Value::Tuple(items) = &frame[src as usize] else {
+                        broken("tupleget")
+                    };
+                    let item = items[i as usize].clone();
+                    set!(dst, item);
                 }
-                push!(Value::Int(s[i as usize] as i64));
-            }
-            Inst::StrSlice => {
-                let len = pop!().as_int();
-                let start = pop!().as_int();
-                let s = pop!();
-                let s = s.as_str();
-                if start < 0 || len < 0 || (start as usize).saturating_add(len as usize) > s.len() {
-                    return Err(VmError::StrBounds {
-                        len: s.len(),
-                        index: start,
-                    });
+                Inst::StrLen { dst, src } => {
+                    set_int!(dst, frame[src as usize].as_str().len() as i64)
                 }
-                // Bounds-checked above; the result is a view of the same
-                // storage, not a copy.
-                push!(Value::Str(
-                    s.slice(start as usize..start as usize + len as usize)
-                ));
-            }
-            Inst::StrPackInt(width) => {
-                let v = pop!().as_int() as u64;
-                let bytes = v.to_be_bytes();
-                push!(Value::str(&bytes[8 - *width as usize..]));
-            }
-            Inst::StrUnpackInt(width) => {
-                let off = pop!().as_int();
-                let s = pop!();
-                let s = s.as_str();
-                let w = *width as usize;
-                if off < 0 || (off as usize).saturating_add(w) > s.len() {
-                    return Err(VmError::StrBounds {
-                        len: s.len(),
-                        index: off,
-                    });
+                Inst::StrConcat { dst, a, b } => {
+                    let cat = [
+                        &frame[a as usize].as_str()[..],
+                        &frame[b as usize].as_str()[..],
+                    ]
+                    .concat();
+                    set_str(&mut frame[dst as usize], &cat.into());
                 }
-                let mut bytes = [0u8; 8];
-                bytes[8 - w..].copy_from_slice(&s[off as usize..off as usize + w]);
-                push!(Value::Int(u64::from_be_bytes(bytes) as i64));
-            }
-            Inst::StrFromInt => {
-                let v = pop!().as_int();
-                push!(Value::str(v.to_string().into_bytes()));
-            }
-            Inst::TableNew => push!(Value::new_table()),
-            Inst::TableAdd => {
-                let v = pop!();
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tableadd")
-                };
-                let key = k.to_key().expect("verifier invariant broken: key");
-                t.borrow_mut().insert(key, v);
-            }
-            Inst::TableGet => {
-                let default = pop!();
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tableget")
-                };
-                let key = k.to_key().expect("verifier invariant broken: key");
-                let v = t.borrow().get(&key).cloned().unwrap_or(default);
-                push!(v);
-            }
-            Inst::TableMem => {
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tablemem")
-                };
-                let key: Key = k.to_key().expect("verifier invariant broken: key");
-                push!(Value::Bool(t.borrow().contains_key(&key)));
-            }
-            Inst::TableRemove => {
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tableremove")
-                };
-                let key = k.to_key().expect("verifier invariant broken: key");
-                t.borrow_mut().remove(&key);
-            }
-            Inst::TableLen => {
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tablelen")
-                };
-                let len = t.borrow().len() as i64;
-                push!(Value::Int(len));
-            }
-            Inst::Nop => {}
-            // ------------------------------------------ superinstructions
-            Inst::LocalGet2(a, b) => {
-                let va = local!(*a).clone();
-                let vb = local!(*b).clone();
-                push!(va);
-                push!(vb);
-            }
-            Inst::LocalGet2Add(a, b) => {
-                let va = local!(*a).as_int();
-                let vb = local!(*b).as_int();
-                push!(Value::Int(va.wrapping_add(vb)));
-            }
-            Inst::LocalConstAdd(a, k) => {
-                let va = local!(*a).as_int();
-                push!(Value::Int(va.wrapping_add(*k)));
-            }
-            Inst::CmpBr {
-                cmp,
-                negate,
-                target,
-            } => {
-                let b = pop!();
-                let a = pop!();
-                let taken = match cmp {
-                    Cmp::Eq => a.hash_eq(&b).expect("verifier invariant broken: eq"),
-                    Cmp::Ne => !a.hash_eq(&b).expect("verifier invariant broken: ne"),
-                    Cmp::Lt => a.as_int() < b.as_int(),
-                    Cmp::Le => a.as_int() <= b.as_int(),
-                    Cmp::Gt => a.as_int() > b.as_int(),
-                    Cmp::Ge => a.as_int() >= b.as_int(),
-                } != *negate;
-                if taken {
-                    pc = *target as usize;
+                Inst::StrByte { dst, s, i } => {
+                    let i = int!(i);
+                    let s = frame[s as usize].as_str();
+                    if i < 0 || i as usize >= s.len() {
+                        trap!(VmError::StrBounds {
+                            len: s.len(),
+                            index: i,
+                        });
+                    }
+                    let byte = s[i as usize];
+                    set_int!(dst, byte as i64);
                 }
+                Inst::StrSlice { dst, s, start, len } => {
+                    let (start, len) = (int!(start), int!(len));
+                    let s = frame[s as usize].as_str();
+                    if start < 0
+                        || len < 0
+                        || (start as usize).saturating_add(len as usize) > s.len()
+                    {
+                        trap!(VmError::StrBounds {
+                            len: s.len(),
+                            index: start,
+                        });
+                    }
+                    // Bounds-checked above; the result is a view of the
+                    // same storage, not a copy.
+                    let view = s.slice(start as usize..start as usize + len as usize);
+                    set_str(&mut frame[dst as usize], &view);
+                }
+                Inst::StrPackInt { dst, src, width } => {
+                    let bytes = (int!(src) as u64).to_be_bytes();
+                    let packed = bytes[8 - width as usize..].to_vec();
+                    set_str(&mut frame[dst as usize], &packed.into());
+                }
+                Inst::StrUnpackInt { dst, s, off, width } => {
+                    let off = int!(off);
+                    let s = frame[s as usize].as_str();
+                    let w = width as usize;
+                    if off < 0 || (off as usize).saturating_add(w) > s.len() {
+                        trap!(VmError::StrBounds {
+                            len: s.len(),
+                            index: off,
+                        });
+                    }
+                    let mut bytes = [0u8; 8];
+                    bytes[8 - w..].copy_from_slice(&s[off as usize..off as usize + w]);
+                    set_int!(dst, u64::from_be_bytes(bytes) as i64);
+                }
+                Inst::StrFromInt { dst, src } => {
+                    let digits = int!(src).to_string().into_bytes();
+                    set_str(&mut frame[dst as usize], &digits.into());
+                }
+                Inst::TableNew { dst } => set!(dst, Value::new_table()),
+                Inst::TableAdd { t, k, v } => {
+                    let (key, v) = (key!(k), frame[v as usize].clone());
+                    table!(t).borrow_mut().insert(key, v);
+                }
+                Inst::TableGet { dst, t, k, default } => {
+                    let found = table!(t).borrow().get(&key!(k)).cloned();
+                    let v = found.unwrap_or_else(|| frame[default as usize].clone());
+                    set!(dst, v);
+                }
+                Inst::TableMem { dst, t, k } => {
+                    let found = table!(t).borrow().contains_key(&key!(k));
+                    set_bool!(dst, found);
+                }
+                Inst::TableRemove { t, k } => {
+                    table!(t).borrow_mut().remove(&key!(k));
+                }
+                Inst::TableLen { dst, t } => {
+                    let len = table!(t).borrow().len() as i64;
+                    set_int!(dst, len);
+                }
+                Inst::Nop => {}
             }
         }
     }
@@ -831,5 +864,59 @@ mod tests {
                 (inst, quad, FuncHotCounters { calls: 3, fuel: 36 }),
             ]
         );
+    }
+
+    /// `go(s, x) = len(s ++ s) + inner(x)`, `inner(x) = 100 / x`: a string
+    /// argument, a callee frame, and a trap inside it for `x = 0`.
+    fn nested_ns() -> (Namespace, FuncVal) {
+        let mut mb = ModuleBuilder::new("m");
+        let mut f = mb.func("inner", vec![Ty::Int], Ty::Int);
+        f.op(Op::ConstInt(100)).op(Op::LocalGet(0)).op(Op::Div);
+        f.op(Op::Return);
+        let inner = mb.finish(f);
+        let mut f = mb.func("go", vec![Ty::Str, Ty::Int], Ty::Int);
+        f.op(Op::LocalGet(0)).op(Op::LocalGet(0)).op(Op::StrConcat);
+        f.op(Op::StrLen);
+        f.op(Op::LocalGet(1)).op(Op::Call(inner));
+        f.op(Op::Add).op(Op::Return);
+        let go = mb.finish(f);
+        let mut ns = Namespace::new(Env::new());
+        let instance = ns.load_module(mb.build()).expect("module verifies");
+        (ns, FuncVal::Vm { instance, func: go })
+    }
+
+    /// `call_scratch` entered while the arena holds a live region (what a
+    /// host function re-entering the VM on its caller's arena would find):
+    /// the frames stack above the mark, the region below is untouched, and
+    /// everything above is dropped on the way out — on success and on a
+    /// trap two frames deep alike — so the caller's string handle is the
+    /// only one left.
+    #[test]
+    fn an_entry_above_a_live_region_leaves_it_as_it_was() {
+        let (ns, go) = nested_ns();
+        let cfg = ExecConfig::default();
+        let live = || vec![Value::Int(111), Value::str("live"), Value::Bool(true)];
+        let rendered = |values: &[Value]| values.iter().map(Value::render).collect::<Vec<_>>();
+        for (x, expected) in [(5i64, Ok(8i64 + 20)), (0, Err(VmError::DivideByZero))] {
+            let s = bytes::Bytes::from(b"abcd".to_vec());
+            let args = || vec![Value::Str(s.clone()), Value::Int(x)];
+            let reference = crate::refinterp::ref_call(&ns, &mut NoHost, go, args(), &cfg);
+
+            let mut nested = VmScratch::new();
+            nested.frames = live();
+            let out = call_scratch(&ns, &mut NoHost, go, args(), &cfg, &mut nested);
+            let out = out.map(|(v, stats)| (v.as_int(), stats));
+            assert_eq!(out, reference.map(|(v, stats)| (v.as_int(), stats)));
+            assert_eq!(out.map(|(v, _)| v), expected);
+            assert_eq!(rendered(&nested.frames), rendered(&live()));
+            assert!(s.is_unique(), "x = {x}: a frame kept the argument");
+
+            // The same from an empty arena, which ends empty.
+            let mut fresh = VmScratch::new();
+            let out = call_scratch(&ns, &mut NoHost, go, args(), &cfg, &mut fresh);
+            assert_eq!(out.map(|(v, _)| v.as_int()), expected);
+            assert!(fresh.frames.is_empty());
+            assert!(s.is_unique());
+        }
     }
 }
