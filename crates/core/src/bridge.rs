@@ -574,8 +574,7 @@ impl BridgeNode {
                 // Contained: the switchlet invocation failed, the bridge
                 // carries on (the paper's "protect itself from some
                 // algorithmic failures").
-                let name = self.name.clone();
-                ctx.trace(format!("{name}: vm switchlet trapped: {e}"));
+                ctx.trace(format!("{}: vm switchlet trapped: {e}", self.name));
                 ctx.bump("bridge.vm_traps", 1);
                 self.watchdog_trap(ctx, &owner);
             }
@@ -627,14 +626,19 @@ impl BridgeNode {
                 .prev_data_plane()
                 .cloned()
                 .filter(|sel| *sel != DataPlaneSel::None && !self.sel_is_quarantined(sel));
-            let n = self.name.clone();
             match rollback {
                 Some(sel) => {
-                    ctx.trace(format!("{n}: watchdog rollback to last-known-good plane"));
+                    ctx.trace(format!(
+                        "{}: watchdog rollback to last-known-good plane",
+                        self.name
+                    ));
                     self.plane.set_data_plane(sel);
                 }
                 None => {
-                    ctx.trace(format!("{n}: watchdog fallback to dumb flood forwarding"));
+                    ctx.trace(format!(
+                        "{}: watchdog fallback to dumb flood forwarding",
+                        self.name
+                    ));
                     use crate::switchlets::dumb;
                     if self.by_name.contains_key(dumb::NAME) {
                         // Already loaded (install_native would no-op):
@@ -651,8 +655,7 @@ impl BridgeNode {
         self.plane_target = None;
         ctx.bump("bridge.quarantines", 1);
         ctx.probe(|node| ProbeRecord::Quarantine { node });
-        let n = self.name.clone();
-        ctx.trace(format!("{n}: watchdog quarantined {module}"));
+        ctx.trace(format!("{}: watchdog quarantined {module}", self.name));
     }
 
     /// Does this data-plane selection belong to a quarantined module? A
@@ -885,15 +888,14 @@ impl BridgeNode {
         ctx.bump("bridge.storm_suppressions", 1);
         ctx.probe(|node| ProbeRecord::PortSuppressed { node, port });
         ctx.schedule(hold_down, storm_token(self.epoch, port.0, class));
-        let n = self.name.clone();
         let cls = if class == STORM_BROADCAST {
             "broadcast"
         } else {
             "unknown-unicast"
         };
         ctx.trace(format!(
-            "{n}: storm control suppressed port {} ({cls})",
-            port.0
+            "{}: storm control suppressed port {} ({cls})",
+            self.name, port.0
         ));
     }
 
@@ -901,13 +903,14 @@ impl BridgeNode {
 
     fn install_native(&mut self, ctx: &mut Ctx<'_>, name: &str) {
         if self.by_name.contains_key(name) {
-            let n = self.name.clone();
-            ctx.trace(format!("{n}: switchlet {name} already loaded"));
+            ctx.trace(format!("{}: switchlet {name} already loaded", self.name));
             return;
         }
         let Some(factory) = self.factories.get(name) else {
-            let n = self.name.clone();
-            ctx.trace(format!("{n}: no native implementation for {name}"));
+            ctx.trace(format!(
+                "{}: no native implementation for {name}",
+                self.name
+            ));
             self.plane.stats.images_rejected += 1;
             return;
         };
@@ -924,8 +927,7 @@ impl BridgeNode {
         });
         self.by_name.insert(name.to_owned(), idx);
         self.plane.set_status(name, SwitchletStatus::Running);
-        let n = self.name.clone();
-        ctx.trace(format!("{n}: installed switchlet {name}"));
+        ctx.trace(format!("{}: installed switchlet {name}", self.name));
         self.with_slot(ctx, idx, |s, bc| s.on_install(bc));
     }
 
@@ -935,8 +937,7 @@ impl BridgeNode {
         let module = match Module::decode(image) {
             Ok(m) => m,
             Err(e) => {
-                let n = self.name.clone();
-                ctx.trace(format!("{n}: rejected switchlet image: {e}"));
+                ctx.trace(format!("{}: rejected switchlet image: {e}", self.name));
                 self.plane.stats.images_rejected += 1;
                 return;
             }
@@ -975,14 +976,12 @@ impl BridgeNode {
                 self.by_name.insert(name.clone(), idx);
                 self.plane
                     .set_status(name.clone(), SwitchletStatus::Running);
-                let n = self.name.clone();
-                ctx.trace(format!("{n}: loaded vm switchlet {name}"));
+                ctx.trace(format!("{}: loaded vm switchlet {name}", self.name));
             }
             Err(e) => {
                 self.plane.stats.images_rejected += 1;
                 self.plane.stats.images_loaded -= 1;
-                let n = self.name.clone();
-                ctx.trace(format!("{n}: rejected switchlet {name}: {e}"));
+                ctx.trace(format!("{}: rejected switchlet {name}: {e}", self.name));
                 ctx.bump("bridge.load_rejects", 1);
             }
         }
@@ -1011,8 +1010,7 @@ impl BridgeNode {
                                 self.plane
                                     .set_status(name.clone(), SwitchletStatus::Suspended);
                                 self.with_slot(ctx, idx, |s, bc| s.on_suspend(bc));
-                                let n = self.name.clone();
-                                ctx.trace(format!("{n}: suspended {name}"));
+                                ctx.trace(format!("{}: suspended {name}", self.name));
                             }
                         }
                     }
@@ -1022,8 +1020,7 @@ impl BridgeNode {
                                 self.plane
                                     .set_status(name.clone(), SwitchletStatus::Running);
                                 self.with_slot(ctx, idx, |s, bc| s.on_resume(bc));
-                                let n = self.name.clone();
-                                ctx.trace(format!("{n}: resumed {name}"));
+                                ctx.trace(format!("{}: resumed {name}", self.name));
                             }
                         }
                     }
@@ -1031,8 +1028,7 @@ impl BridgeNode {
                         if self.by_name.contains_key(&name) {
                             self.plane
                                 .set_status(name.clone(), SwitchletStatus::Stopped);
-                            let n = self.name.clone();
-                            ctx.trace(format!("{n}: stopped {name}"));
+                            ctx.trace(format!("{}: stopped {name}", self.name));
                         }
                     }
                     BridgeCommand::LoadImage(image) => {
@@ -1108,13 +1104,11 @@ impl Node for BridgeNode {
         if profiling {
             self.vm_scratch.enable_profile();
         }
-        let n = self.name.clone();
-        ctx.trace(format!("{n}: crashed (volatile state lost)"));
+        ctx.trace(format!("{}: crashed (volatile state lost)", self.name));
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        let n = self.name.clone();
-        ctx.trace(format!("{n}: restarting from boot images"));
+        ctx.trace(format!("{}: restarting from boot images", self.name));
         // Cold boot: exactly the `on_start` load sequence, replayed
         // against the fresh state `on_crash` left behind.
         let images = self.boot_images.clone();
@@ -1214,8 +1208,7 @@ impl Node for BridgeNode {
                             node,
                             port: PortId(port),
                         });
-                        let n = self.name.clone();
-                        ctx.trace(format!("{n}: storm control released port {port}"));
+                        ctx.trace(format!("{}: storm control released port {port}", self.name));
                     }
                 }
             }

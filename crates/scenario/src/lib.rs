@@ -15,14 +15,17 @@
 //!   convergence, no duplicate delivery, single spanning-tree root);
 //! * [`sweep`] — batteries of scenarios across many shapes and seeds
 //!   with one aggregated score, in the spirit of `netmeasure2`;
-//! * [`json`] — the deterministic JSON document model reports render to.
+//! * [`json`] — the deterministic JSON document model reports render to;
+//! * [`paper`] — the paper's Section 7 experiments (Figure 5 path,
+//!   Figure 9 ping, Figure 10 ttcp, Table 1 transition, §7.5 agility) as
+//!   runners returning plain result structs.
 //!
 //! Everything is a pure function of its seeds: the same `Scenario` value
 //! produces a byte-identical JSON report on every run.
 //!
 //! The low-level world-building primitives (deterministic addresses,
-//! `lans`, `bridge`) are re-exported at the crate root; this is their
-//! only public path.
+//! `lans`, `bridge`, `run_until_done`, `uploader`, `upload_and_load`) are
+//! re-exported at the crate root; this is their only public path.
 //!
 //! ## Example
 //!
@@ -38,6 +41,7 @@
 
 pub mod exec;
 pub mod json;
+pub mod paper;
 mod prims;
 pub mod quality;
 pub mod runner;
@@ -47,7 +51,10 @@ pub mod timeline;
 pub mod topo;
 pub mod workload;
 
-pub use prims::{bridge, bridge_ip, bridge_mac, host_ip, host_mac, lans, line, ring};
+pub use prims::{
+    bridge, bridge_ip, bridge_mac, host_ip, host_mac, lans, run_until_done, upload_and_load,
+    uploader,
+};
 
 pub use exec::{
     default_jobs, parse_jobs, run_jobs, run_jobs_local, run_jobs_local_profiled, JobProfile,

@@ -1,13 +1,18 @@
-//! Experiment runners: one per paper artefact.
+//! The paper's evaluation (Section 7) as experiment runners: one per
+//! table or figure, shared by the examples and the integration tests.
+//! Every runner builds a deterministic world, drives it to completion
+//! and returns plain result structs; `examples/paper_figures.rs`,
+//! `protocol_upgrade.rs` and `ring_agility.rs` print them in the
+//! paper's row/series format.
 
-use ab_scenario::{self as scenario, bridge_ip, host_ip, host_mac};
+use crate::prims::{self as scenario, bridge_ip, host_ip, host_mac, run_until_done};
 use active_bridge::switchlets::stp::{DEC_NAME, IEEE_NAME};
 use active_bridge::{
     BridgeConfig, BridgeNode, ControlSwitchlet, Defect, NativeSwitchlet, Phase, StpSwitchlet,
 };
 use hostsim::{
     App, HostConfig, HostCostModel, HostNode, PingApp, ProbeApp, RepeaterNode, TtcpRecvApp,
-    TtcpSendApp, UploadApp,
+    TtcpSendApp,
 };
 use netsim::{CostModel, NodeId, PortId, SegmentConfig, SimDuration, SimTime, World};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
@@ -24,18 +29,6 @@ pub enum Forwarder {
     /// The active bridge with the *bytecode* dumb switchlet on the data
     /// path (every frame interpreted by the VM).
     VmBridge,
-}
-
-impl Forwarder {
-    /// Display label (matches the paper's figure legends).
-    pub fn label(self) -> &'static str {
-        match self {
-            Forwarder::Direct => "direct connection",
-            Forwarder::Repeater => "C buffered repeater",
-            Forwarder::Bridge => "Active bridge",
-            Forwarder::VmBridge => "Active bridge (VM data path)",
-        }
-    }
 }
 
 /// A built two-host path.
@@ -115,17 +108,6 @@ pub fn build_path(fwd: Forwarder, seed: u64, apps_a: Vec<App>, apps_b: Vec<App>)
         host_a,
         host_b,
         middle,
-    }
-}
-
-/// Run the world in slices until `done` or `horizon`.
-pub fn run_until_done(world: &mut World, horizon: SimTime, mut done: impl FnMut(&World) -> bool) {
-    world.start();
-    while world.now() < horizon {
-        world.run_for(SimDuration::from_ms(50));
-        if done(world) {
-            return;
-        }
     }
 }
 
@@ -390,14 +372,13 @@ pub fn run_agility(seed: u64) -> AgilityStats {
     let n = 3;
     let segs = scenario::lans(&mut world, n + 1);
     for i in 0..n {
-        let b = scenario::bridge(
+        scenario::bridge(
             &mut world,
             i as u32,
             &[segs[i], segs[i + 1]],
             cfg.clone(),
             &["bridge_learning", DEC_NAME, IEEE_NAME, "control"],
         );
-        let _ = b;
     }
     let probe_cfg = HostConfig {
         macs: vec![host_mac(10), host_mac(11)],
@@ -490,25 +471,4 @@ pub fn fig5_walk(len: usize) -> Vec<PathStep> {
             us: wire,
         },
     ]
-}
-
-/// Upload a switchlet image from host A to the bridge over TFTP and wait
-/// for it to load; returns true on success. Used by the loading tests and
-/// the quickstart example.
-pub fn upload_and_load(world: &mut World, host: NodeId, app_idx: usize, horizon: SimTime) -> bool {
-    run_until_done(world, horizon, |w| {
-        let App::Upload(u) = w.node::<HostNode>(host).app(app_idx) else {
-            unreachable!()
-        };
-        u.is_done() || u.failed.is_some()
-    });
-    let App::Upload(u) = world.node::<HostNode>(host).app(app_idx) else {
-        unreachable!()
-    };
-    u.is_done()
-}
-
-/// Convenience: an [`UploadApp`] targeting bridge 0's loader.
-pub fn uploader(image: Vec<u8>, filename: &str) -> App {
-    UploadApp::new(PortId(0), bridge_ip(0), 1069, filename, image)
 }

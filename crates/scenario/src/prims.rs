@@ -1,12 +1,13 @@
-//! Topology-building primitives for bridges and LANs: deterministic
-//! addresses, `lans`, `bridge`, and the two-line `ring`/`line` worlds.
-//! Re-exported at the crate root, which is their public path;
-//! [`crate::topo`] layers the parametric generators on top.
+//! World-building and world-driving primitives: deterministic addresses,
+//! `lans`, `bridge`, and the run-until/upload helpers the tests and
+//! examples share. Re-exported at the crate root, which is their public
+//! path; [`crate::topo`] layers the parametric generators on top.
 
 use std::net::Ipv4Addr;
 
 use ether::MacAddr;
-use netsim::{NodeId, SegId, SegmentConfig, World};
+use hostsim::{App, HostNode, UploadApp};
+use netsim::{NodeId, PortId, SegId, SegmentConfig, SimDuration, SimTime, World};
 
 use active_bridge::{loader, BridgeConfig, BridgeNode};
 
@@ -64,46 +65,34 @@ pub fn bridge(
     id
 }
 
-/// A ring of `n` bridges over `n` segments: bridge `i` connects segment
-/// `i` and segment `(i+1) % n` — the Section 7.5 agility topology.
-///
-/// Superseded by `ab_scenario::topo` (shape `Ring`), which generates the
-/// same wiring parametrically; kept for callers that want the two-line
-/// version.
-pub fn ring(
-    world: &mut World,
-    n: usize,
-    cfg: &BridgeConfig,
-    boot: &[&str],
-) -> (Vec<SegId>, Vec<NodeId>) {
-    let segs = lans(world, n);
-    let bridges = (0..n)
-        .map(|i| {
-            bridge(
-                world,
-                i as u32,
-                &[segs[i], segs[(i + 1) % n]],
-                cfg.clone(),
-                boot,
-            )
-        })
-        .collect();
-    (segs, bridges)
+/// Run the world in slices until `done` or `horizon`.
+pub fn run_until_done(world: &mut World, horizon: SimTime, mut done: impl FnMut(&World) -> bool) {
+    world.start();
+    while world.now() < horizon {
+        world.run_for(SimDuration::from_ms(50));
+        if done(world) {
+            return;
+        }
+    }
 }
 
-/// A line of `n` bridges over `n + 1` segments: bridge `i` connects
-/// segment `i` and segment `i + 1` — the extended-LAN topology.
-///
-/// Superseded by `ab_scenario::topo` (shape `Line`); see [`ring`].
-pub fn line(
-    world: &mut World,
-    n: usize,
-    cfg: &BridgeConfig,
-    boot: &[&str],
-) -> (Vec<SegId>, Vec<NodeId>) {
-    let segs = lans(world, n + 1);
-    let bridges = (0..n)
-        .map(|i| bridge(world, i as u32, &[segs[i], segs[i + 1]], cfg.clone(), boot))
-        .collect();
-    (segs, bridges)
+/// Convenience: an [`UploadApp`] targeting bridge 0's loader.
+pub fn uploader(image: Vec<u8>, filename: &str) -> App {
+    UploadApp::new(PortId(0), bridge_ip(0), 1069, filename, image)
+}
+
+/// Upload a switchlet image from host A to the bridge over TFTP and wait
+/// for it to load; returns true on success. Used by the loading tests and
+/// the quickstart example.
+pub fn upload_and_load(world: &mut World, host: NodeId, app_idx: usize, horizon: SimTime) -> bool {
+    run_until_done(world, horizon, |w| {
+        let App::Upload(u) = w.node::<HostNode>(host).app(app_idx) else {
+            unreachable!()
+        };
+        u.is_done() || u.failed.is_some()
+    });
+    let App::Upload(u) = world.node::<HostNode>(host).app(app_idx) else {
+        unreachable!()
+    };
+    u.is_done()
 }

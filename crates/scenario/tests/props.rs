@@ -127,38 +127,6 @@ fn addresses_are_distinct() {
     assert_ne!(host_ip(1), host_ip(258));
 }
 
-#[test]
-fn ring_helper_topology_shape() {
-    let mut world = World::new(1);
-    let (segs, bridges) = ab_scenario::ring(
-        &mut world,
-        3,
-        &BridgeConfig::default(),
-        &["bridge_learning"],
-    );
-    assert_eq!(segs.len(), 3);
-    assert_eq!(bridges.len(), 3);
-    // Each segment carries exactly two bridge ports.
-    for &seg in &segs {
-        assert_eq!(world.segment(seg).attachments().len(), 2);
-    }
-}
-
-#[test]
-fn line_helper_topology_shape() {
-    let mut world = World::new(1);
-    let (segs, bridges) = ab_scenario::line(
-        &mut world,
-        2,
-        &BridgeConfig::default(),
-        &["bridge_learning"],
-    );
-    assert_eq!(segs.len(), 3);
-    assert_eq!(bridges.len(), 2);
-    assert_eq!(world.segment(segs[0]).attachments().len(), 1);
-    assert_eq!(world.segment(segs[1]).attachments().len(), 2);
-}
-
 /// The compat helpers and the parametric generators wire identically.
 #[test]
 fn generators_match_compat_helpers() {

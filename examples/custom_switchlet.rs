@@ -11,8 +11,7 @@
 //! cargo run --example custom_switchlet
 //! ```
 
-use ab_bench::{upload_and_load, uploader};
-use ab_scenario::{self as scenario, host_ip, host_mac};
+use ab_scenario::{self as scenario, host_ip, host_mac, upload_and_load, uploader};
 use active_bridge::hostmods::handler_ty;
 use active_bridge::{BridgeConfig, BridgeNode};
 use hostsim::{BlastApp, HostConfig, HostCostModel, HostNode};

@@ -6,7 +6,7 @@
 //! cargo run --example protocol_upgrade
 //! ```
 
-use ab_bench::{run_transition, TransitionMode};
+use ab_scenario::paper::{run_transition, TransitionMode};
 
 fn show(title: &str, mode: TransitionMode) {
     println!("=== {title} ===");

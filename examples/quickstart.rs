@@ -5,8 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use ab_bench::{run_until_done, uploader};
-use ab_scenario::{self as scenario, host_ip, host_mac};
+use ab_scenario::{self as scenario, host_ip, host_mac, run_until_done, uploader};
 use active_bridge::{BridgeConfig, BridgeNode};
 use hostsim::{App, HostConfig, HostCostModel, HostNode, PingApp};
 use netsim::{PortId, SimDuration, SimTime, World};
@@ -66,7 +65,7 @@ fn main() {
         vec![uploader(image, "learning.swl")],
     ));
     world.attach(up, segs[0]);
-    let ok = ab_bench::upload_and_load(&mut world, up, 0, SimTime::from_secs(20));
+    let ok = ab_scenario::upload_and_load(&mut world, up, 0, SimTime::from_secs(20));
     println!(
         "t={:>6}: upload {}; bridge runs: {:?}",
         world.now(),

@@ -9,7 +9,7 @@
 //! cargo run --example ring_agility
 //! ```
 
-use ab_bench::run_agility;
+use ab_scenario::paper::run_agility;
 
 fn main() {
     println!("ring of 3 active bridges between probe eth0 and eth1");

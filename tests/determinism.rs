@@ -2,7 +2,7 @@
 //! `(topology, seed)` — and the probe's local BPDU codec stays
 //! byte-compatible with the bridge's.
 
-use ab_bench::{run_agility, run_ping, run_ttcp, Forwarder};
+use ab_scenario::paper::{run_agility, run_ping, run_ttcp, Forwarder};
 use active_bridge::switchlets::stp::bpdu as bridge_bpdu;
 use ether::MacAddr;
 use hostsim::apps::active_bridge_types as probe_bpdu;

@@ -26,13 +26,15 @@ fn all_examples_run_cleanly() {
         .collect();
     examples.sort();
     assert!(
-        examples.len() >= 7,
-        "expected the six seed examples plus scenario_sweep, found {examples:?}"
+        examples.len() >= 8,
+        "expected the six seed examples plus scenario_sweep and paper_figures, found {examples:?}"
     );
-    assert!(
-        examples.iter().any(|e| e == "scenario_sweep"),
-        "the scenario_sweep example must be covered"
-    );
+    for required in ["scenario_sweep", "paper_figures"] {
+        assert!(
+            examples.iter().any(|e| e == required),
+            "the {required} example must be covered"
+        );
+    }
 
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     for example in &examples {

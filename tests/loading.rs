@@ -3,8 +3,7 @@
 //! stack, staged multi-hop loading, and every way the node must *refuse*
 //! a switchlet (thinning, tampering, type forgery, runaway code).
 
-use ab_bench::uploader;
-use ab_scenario::{self as scenario, bridge_ip, host_ip, host_mac};
+use ab_scenario::{self as scenario, bridge_ip, host_ip, host_mac, uploader};
 use active_bridge::hostmods::handler_ty;
 use active_bridge::{BridgeConfig, BridgeNode, DataPlaneSel};
 use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode, PingApp, UploadApp};
@@ -104,7 +103,7 @@ fn network_loading_enables_bridging() {
     // Phase 2: ship the learning switchlet over the network.
     let image = ModuleBuilder::new("bridge_learning").build().encode();
     let up = upload_image(&mut world, lan0, image);
-    let done = ab_bench::upload_and_load(&mut world, up, 0, SimTime::from_secs(20));
+    let done = ab_scenario::upload_and_load(&mut world, up, 0, SimTime::from_secs(20));
     assert!(done, "tftp upload completed");
     // Two images total: the boot-loaded netloader carrier + this upload.
     assert_eq!(
@@ -174,7 +173,7 @@ fn staged_loading_reaches_bridges_one_hop_out() {
         )],
     ));
     world.attach(up, segs[0]);
-    let done = ab_bench::upload_and_load(&mut world, up, 0, SimTime::from_secs(20));
+    let done = ab_scenario::upload_and_load(&mut world, up, 0, SimTime::from_secs(20));
     assert!(done, "upload crossed bridge0 and loaded into bridge1");
     assert!(world
         .node::<BridgeNode>(b1)
@@ -199,7 +198,7 @@ fn vm_switchlet_loads_and_forwards() {
         lan0,
         active_bridge::switchlets::dumb_vm::build_image(),
     );
-    assert!(ab_bench::upload_and_load(
+    assert!(ab_scenario::upload_and_load(
         &mut world,
         up,
         0,
@@ -385,7 +384,7 @@ fn thinned_import_rejected_at_link_time() {
     let lan1 = world.add_segment(SegmentConfig::named("lan1"));
     let bridge = scenario::bridge(&mut world, 0, &[lan0, lan1], BridgeConfig::default(), &[]);
     let up = upload_image(&mut world, lan0, image);
-    assert!(ab_bench::upload_and_load(
+    assert!(ab_scenario::upload_and_load(
         &mut world,
         up,
         0,
@@ -409,7 +408,7 @@ fn tampered_image_rejected() {
     let lan1 = world.add_segment(SegmentConfig::named("lan1"));
     let bridge = scenario::bridge(&mut world, 0, &[lan0, lan1], BridgeConfig::default(), &[]);
     let up = upload_image(&mut world, lan0, image);
-    assert!(ab_bench::upload_and_load(
+    assert!(ab_scenario::upload_and_load(
         &mut world,
         up,
         0,
@@ -445,7 +444,7 @@ fn ill_typed_switchlet_rejected_by_verifier() {
     let lan1 = world.add_segment(SegmentConfig::named("lan1"));
     let bridge = scenario::bridge(&mut world, 0, &[lan0, lan1], BridgeConfig::default(), &[]);
     let up = upload_image(&mut world, lan0, image);
-    assert!(ab_bench::upload_and_load(
+    assert!(ab_scenario::upload_and_load(
         &mut world,
         up,
         0,
@@ -494,7 +493,7 @@ fn runaway_switchlet_contained_and_recoverable() {
     let lan1 = world.add_segment(SegmentConfig::named("lan1"));
     let bridge = scenario::bridge(&mut world, 0, &[lan0, lan1], BridgeConfig::default(), &[]);
     let up = upload_image(&mut world, lan0, image);
-    assert!(ab_bench::upload_and_load(
+    assert!(ab_scenario::upload_and_load(
         &mut world,
         up,
         0,
@@ -533,7 +532,7 @@ fn runaway_switchlet_contained_and_recoverable() {
     ));
     world.attach(up2, lan0);
     let horizon = world.now() + SimDuration::from_secs(20);
-    assert!(ab_bench::upload_and_load(&mut world, up2, 0, horizon));
+    assert!(ab_scenario::upload_and_load(&mut world, up2, 0, horizon));
     assert!(world
         .node::<BridgeNode>(bridge)
         .plane()
@@ -553,7 +552,7 @@ fn unknown_native_name_rejected() {
     let lan1 = world.add_segment(SegmentConfig::named("lan1"));
     let bridge = scenario::bridge(&mut world, 0, &[lan0, lan1], BridgeConfig::default(), &[]);
     let up = upload_image(&mut world, lan0, image);
-    assert!(ab_bench::upload_and_load(
+    assert!(ab_scenario::upload_and_load(
         &mut world,
         up,
         0,

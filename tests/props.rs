@@ -1,7 +1,7 @@
 //! Cross-crate property tests: end-to-end invariants under randomized
 //! inputs.
 
-use ab_bench::{run_ping, run_ttcp, Forwarder};
+use ab_scenario::paper::{run_ping, run_ttcp, Forwarder};
 use ab_scenario::{self as scenario, host_ip, host_mac};
 use active_bridge::{BridgeConfig, BridgeNode};
 use hostsim::{HostConfig, HostCostModel, HostNode};

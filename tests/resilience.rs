@@ -2,8 +2,8 @@
 //! over a lossy segment (retransmission machinery end to end), VM timer
 //! callbacks, and the out-of-band administrative interface.
 
-use ab_bench::{build_path, run_until_done, Forwarder};
-use ab_scenario::{self as scenario, host_ip, host_mac};
+use ab_scenario::paper::{build_path, Forwarder};
+use ab_scenario::{self as scenario, host_ip, host_mac, run_until_done};
 use active_bridge::hostmods::timer_cb_ty;
 use active_bridge::{BridgeCommand, BridgeConfig, BridgeNode, PortRole, StpSwitchlet};
 use hostsim::{

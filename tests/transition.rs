@@ -2,7 +2,7 @@
 //! validation, plus both fallback paths (failed tests; late old-protocol
 //! packets). These are the paper's headline "agility" results.
 
-use ab_bench::{run_transition, TransitionMode};
+use ab_scenario::paper::{run_transition, TransitionMode};
 use active_bridge::Phase;
 
 #[test]
