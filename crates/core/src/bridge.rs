@@ -315,7 +315,6 @@ pub struct BridgeNode {
     cmds: Vec<BridgeCommand>,
     /// Cumulative VM stats on this node.
     pub vm_instructions: u64,
-    ports_known: bool,
     /// Reusable VM stack/locals arena: steady-state switchlet execution
     /// allocates nothing.
     vm_scratch: VmScratch,
@@ -351,9 +350,7 @@ impl BridgeNode {
         n_ports: usize,
         cfg: BridgeConfig,
     ) -> BridgeNode {
-        let mut plane = Plane::new(n_ports, cfg.learn_age);
-        plane.learn.reserve(cfg.expected_stations);
-        plane.learn.set_bounds(cfg.learn_cap, cfg.learn_port_quota);
+        let plane = Self::fresh_plane(n_ports, &cfg);
         let input_queue = cfg.input_queue;
         BridgeNode {
             name: name.into(),
@@ -372,7 +369,6 @@ impl BridgeNode {
             boot_images: Vec::new(),
             cmds: Vec::new(),
             vm_instructions: 0,
-            ports_known: false,
             vm_scratch: VmScratch::new(),
             plane_target: None,
             plane_owner: None,
@@ -380,6 +376,26 @@ impl BridgeNode {
             trap_counts: HashMap::new(),
             quarantined: HashSet::new(),
             storm: Vec::new(),
+        }
+    }
+
+    /// An empty plane sized and bounded as `cfg` says: what a bridge
+    /// boots with, and what a crash leaves it with.
+    fn fresh_plane(n_ports: usize, cfg: &BridgeConfig) -> Plane {
+        let mut plane = Plane::new(n_ports, cfg.learn_age);
+        plane.learn.reserve(cfg.expected_stations);
+        plane.learn.set_bounds(cfg.learn_cap, cfg.learn_port_quota);
+        plane
+    }
+
+    /// The boot loader: load the "disk" images in order. They are
+    /// retained (not drained) so a crash-restart replays the same cold
+    /// boot against the fresh state `on_crash` left behind.
+    fn cold_boot(&mut self, ctx: &mut Ctx<'_>) {
+        let images = self.boot_images.clone();
+        for image in images {
+            self.load_image(ctx, &image);
+            self.apply_cmds(ctx);
         }
     }
 
@@ -751,10 +767,7 @@ impl BridgeNode {
             _ => {
                 let t = match self.plane.data_plane() {
                     DataPlaneSel::None => HandlerTarget::None,
-                    DataPlaneSel::Native(name) => match self.by_name.get(name) {
-                        Some(&idx) if self.plane.is_running(name) => HandlerTarget::Native(idx),
-                        _ => HandlerTarget::None,
-                    },
+                    DataPlaneSel::Native(name) => self.resolve_handler(name),
                     DataPlaneSel::Vm(fv) => HandlerTarget::Vm(*fv),
                 };
                 self.plane_target = Some((gen, t));
@@ -1063,15 +1076,7 @@ impl Node for BridgeNode {
             self.plane.num_ports(),
             ctx.num_ports()
         );
-        self.ports_known = true;
-        // The boot loader: load the "disk" images in order. They are
-        // retained (not drained) so a crash-restart can replay the same
-        // cold boot.
-        let images = self.boot_images.clone();
-        for image in images {
-            self.load_image(ctx, &image);
-            self.apply_cmds(ctx);
-        }
+        self.cold_boot(ctx);
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
@@ -1082,12 +1087,7 @@ impl Node for BridgeNode {
         // epoch bump orphans every timer already in flight.
         self.epoch = self.epoch.wrapping_add(1);
         self.service = ServiceQueue::new(self.cfg.input_queue);
-        let mut plane = Plane::new(self.plane.num_ports(), self.cfg.learn_age);
-        plane.learn.reserve(self.cfg.expected_stations);
-        plane
-            .learn
-            .set_bounds(self.cfg.learn_cap, self.cfg.learn_port_quota);
-        self.plane = plane;
+        self.plane = Self::fresh_plane(self.plane.num_ports(), &self.cfg);
         self.plane_target = None;
         self.storm.clear();
         self.slots.clear();
@@ -1109,13 +1109,7 @@ impl Node for BridgeNode {
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         ctx.trace(format!("{}: restarting from boot images", self.name));
-        // Cold boot: exactly the `on_start` load sequence, replayed
-        // against the fresh state `on_crash` left behind.
-        let images = self.boot_images.clone();
-        for image in images {
-            self.load_image(ctx, &image);
-            self.apply_cmds(ctx);
-        }
+        self.cold_boot(ctx);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {

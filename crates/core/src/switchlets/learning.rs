@@ -82,6 +82,29 @@ impl LearningBridge {
         }
     }
 
+    /// Act on a verdict for a frame that was not blocked on arrival: the
+    /// sends and counters a decision stands for, whether it was just
+    /// computed or comes from the cache.
+    fn apply(
+        &mut self,
+        bc: &mut BridgeCtx<'_, '_>,
+        port: PortId,
+        frame: &DataFrame<'_>,
+        verdict: Verdict,
+    ) {
+        match verdict {
+            Verdict::Blocked => unreachable!("blocked frames are dropped before learning"),
+            Verdict::Filter => bc.plane.stats.filtered += 1,
+            Verdict::Direct(out) => {
+                bc.send_frame(out, frame.share());
+                self.directed += 1;
+                bc.plane.stats.directed += 1;
+                bc.plane.stats.bytes_forwarded += frame.len() as u64;
+            }
+            Verdict::Flood => self.flood(bc, port, frame),
+        }
+    }
+
     /// Replay a cached verdict. Reproduces the slow path bit for bit:
     /// same learn-table refresh, same sends, same counters — the golden
     /// trace digests cannot tell a hit from a re-execution.
@@ -103,17 +126,7 @@ impl LearningBridge {
             // generation holds, so this cannot bump it).
             bc.plane.learn.learn(frame.src(), port, now);
         }
-        match verdict {
-            Verdict::Blocked => unreachable!("handled above"),
-            Verdict::Filter => bc.plane.stats.filtered += 1,
-            Verdict::Direct(out) => {
-                bc.send_frame(out, frame.share());
-                self.directed += 1;
-                bc.plane.stats.directed += 1;
-                bc.plane.stats.bytes_forwarded += frame.len() as u64;
-            }
-            Verdict::Flood => self.flood(bc, port, frame),
-        }
+        self.apply(bc, port, frame, verdict);
     }
 }
 
@@ -218,17 +231,7 @@ impl NativeSwitchlet for LearningBridge {
         bc.plane
             .fwd_cache
             .store(port, src, dst, gen, valid_until, verdict);
-        match verdict {
-            Verdict::Blocked => unreachable!("blocked handled before learning"),
-            Verdict::Filter => bc.plane.stats.filtered += 1,
-            Verdict::Direct(out) => {
-                bc.send_frame(out, frame.share());
-                self.directed += 1;
-                bc.plane.stats.directed += 1;
-                bc.plane.stats.bytes_forwarded += frame.len() as u64;
-            }
-            Verdict::Flood => self.flood(bc, port, frame),
-        }
+        self.apply(bc, port, frame, verdict);
     }
 
     fn on_timer(&mut self, bc: &mut BridgeCtx<'_, '_>, user: u32) {

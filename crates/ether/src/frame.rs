@@ -133,7 +133,6 @@ pub struct FrameBuilder {
     /// Header followed by payload, once either has been written.
     buf: BytesMut,
     llc: bool,
-    pad: bool,
 }
 
 impl FrameBuilder {
@@ -146,7 +145,6 @@ impl FrameBuilder {
             header,
             buf: BytesMut::new(),
             llc,
-            pad: true,
         }
     }
 
@@ -189,14 +187,6 @@ impl FrameBuilder {
         self
     }
 
-    /// Disable padding to the 60-byte Ethernet minimum (for tests that want
-    /// exact frame contents).
-    #[inline]
-    pub fn no_pad(mut self) -> Self {
-        self.pad = false;
-        self
-    }
-
     /// Emit the frame.
     ///
     /// Panics if the payload exceeds [`MAX_PAYLOAD`]; the caller is
@@ -216,7 +206,7 @@ impl FrameBuilder {
         if self.llc {
             buf[12..HEADER_LEN].copy_from_slice(&(payload_len as u16).to_be_bytes());
         }
-        if self.pad && buf.len() < MIN_FRAME {
+        if buf.len() < MIN_FRAME {
             buf.resize(MIN_FRAME, 0);
         }
         buf.freeze()

@@ -1564,11 +1564,6 @@ impl DelayedApp {
         &self.inner
     }
 
-    /// Has the inner app been started yet?
-    pub fn is_started(&self) -> bool {
-        self.started
-    }
-
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         if self.after.is_zero() {
             self.started = true;

@@ -364,11 +364,6 @@ impl HostNode {
         self.apps[idx].as_ref().expect("app checked out")
     }
 
-    /// Mutable application access.
-    pub fn app_mut(&mut self, idx: usize) -> &mut App {
-        self.apps[idx].as_mut().expect("app checked out")
-    }
-
     /// Number of applications.
     pub fn num_apps(&self) -> usize {
         self.apps.len()

@@ -13,11 +13,11 @@
 //!   queues, same-tick timer chains). Those events would otherwise churn
 //!   through a future store only to come straight back out; the lane makes
 //!   them O(1) pushes and pops.
-//! * a *wire store* for the segment events (`SegDeliver`, `SegTxDone`,
-//!   `DeliverAll`): whole events kept sorted in a ring. A segment has one
-//!   transmission in flight, so the store holds at most about one entry
-//!   per busy segment (it peaked at 13 on the benchmark's 17-segment
-//!   chains and 44 on its 68-segment metro). On equal links a
+//! * a *wire store* for the segment event (`SegDeliver`): whole events
+//!   kept sorted in a ring. A segment has one transmission in flight, so
+//!   the store holds at most one entry per busy segment (it peaked at 13
+//!   on the benchmark's 17-segment chains and 44 on its 68-segment
+//!   metro). On equal links a
 //!   transmission that starts now completes after every one already
 //!   under way, so a push is one comparison with the back (82 % of pushes
 //!   on the chains; 25 % on the metro, whose access and trunk links
@@ -55,8 +55,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::chaos::ChaosEv;
-use crate::framebuf::FrameBuf;
-use crate::node::{NodeId, PortId, TimerToken};
+use crate::node::{NodeId, TimerToken};
 use crate::segment::SegId;
 use crate::time::SimTime;
 
@@ -65,15 +64,6 @@ use crate::time::SimTime;
 pub(crate) enum EventKind {
     /// Deliver the node's start callback.
     Start(NodeId),
-    /// Deliver one completed wire frame to every listener of a segment:
-    /// the first `n_att` attachments except the sender, in attachment
-    /// order, all sharing one [`FrameBuf`]. (`n_att` is captured when the
-    /// frame finishes serializing so listeners attached afterwards do not
-    /// hear a frame from before their time.) Boxed: this variant only
-    /// occurs on fault-injecting or capturing segments (transparent ones
-    /// take the fused [`EventKind::SegDeliver`] path), and keeping it fat
-    /// would double the size of *every* queued event.
-    DeliverAll(Box<DeliverAll>),
     /// Fire a node timer.
     Timer {
         node: NodeId,
@@ -84,17 +74,13 @@ pub(crate) enum EventKind {
     /// place: it still pops at the timer's `(time, seq)`, so the clock
     /// moves exactly as if the timer were there, and nothing fires.
     CancelledTimer,
-    /// A segment finished serializing the frame at the head of its queue.
-    SegTxDone { seg: SegId },
-    /// Fused completion + delivery for a segment that was transparent
-    /// (no fault injection) and uncaptured when the frame started
-    /// serializing: fires at completion + propagation, does the
-    /// completion bookkeeping and delivers in one event — half the event
-    /// traffic of the `SegTxDone`→`DeliverAll` pair on the common path.
-    /// `n_att` snapshots the listener count when serialization begins,
-    /// so nodes attached while the frame is on the wire never hear it
-    /// (the two-event path snapshots at completion; both bound the
-    /// audience to nodes attached before delivery).
+    /// The one wire event: the frame a segment is serializing completes
+    /// and is delivered. Fires at completion + propagation, does the
+    /// completion bookkeeping (stamped at the completion instant) and
+    /// delivers to the first `n_att` attachments except the sender, in
+    /// attachment order, all sharing one `FrameBuf`. `n_att` snapshots
+    /// the listener count when serialization begins, so nodes attached
+    /// while the frame is on the wire never hear it.
     SegDeliver { seg: SegId, n_att: u32 },
     /// A scripted topology fault fires (see [`crate::chaos`]). Scheduled
     /// up-front by [`crate::chaos::ChaosScript::schedule`], so chaotic
@@ -103,27 +89,16 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    /// Segment events wait in the wire store, the rest in the timer heap.
+    /// The segment event waits in the wire store, the rest in the timer
+    /// heap.
     #[inline]
     fn is_wire(&self) -> bool {
-        matches!(
-            self,
-            EventKind::SegDeliver { .. } | EventKind::SegTxDone { .. } | EventKind::DeliverAll(_)
-        )
+        matches!(self, EventKind::SegDeliver { .. })
     }
 
     fn is_timer(&self, timer_id: u64) -> bool {
         matches!(self, EventKind::Timer { id, .. } if *id == timer_id)
     }
-}
-
-/// Payload of [`EventKind::DeliverAll`].
-#[derive(Debug)]
-pub(crate) struct DeliverAll {
-    pub seg: SegId,
-    pub src: (NodeId, PortId),
-    pub n_att: u32,
-    pub frame: FrameBuf,
 }
 
 #[derive(Debug)]
@@ -472,14 +447,18 @@ mod tests {
     fn clear_empties_all_three_stores() {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, EventKind::Start(NodeId(0))); // lane
-        q.push(SimTime::from_us(1), EventKind::SegTxDone { seg: SegId(0) }); // wire
+        let wire = || EventKind::SegDeliver {
+            seg: SegId(0),
+            n_att: 2,
+        };
+        q.push(SimTime::from_us(1), wire()); // wire
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(1))); // heap
         q.push(SimTime::from_ms(2), EventKind::Start(NodeId(2))); // heap
         pop(&mut q); // the lane entry
         pop(&mut q); // the wire entry
         pop(&mut q); // leaves a slot on the free chain
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(3))); // lane again
-        q.push(SimTime::from_ms(3), EventKind::SegTxDone { seg: SegId(0) });
+        q.push(SimTime::from_ms(3), wire());
         assert_eq!(q.len(), 3);
         q.clear();
         assert_eq!(q.len(), 0);
@@ -563,8 +542,7 @@ mod tests {
                     // to its own key.
                     let id = pushed as usize;
                     let kind = match a {
-                        0 => EventKind::SegDeliver { seg: SegId(id), n_att: 2 },
-                        1 => EventKind::SegTxDone { seg: SegId(id) },
+                        0 | 1 => EventKind::SegDeliver { seg: SegId(id), n_att: 2 },
                         2 => EventKind::Timer { node: NodeId(0), token: TimerToken(0), id: pushed },
                         _ => EventKind::Start(NodeId(id)),
                     };
@@ -585,7 +563,7 @@ mod tests {
                     };
                     let got = q.pop_at_or_before(bound).map(|e| {
                         let id = match e.kind {
-                            EventKind::SegDeliver { seg, .. } | EventKind::SegTxDone { seg } => seg.0 as u64,
+                            EventKind::SegDeliver { seg, .. } => seg.0 as u64,
                             EventKind::Timer { id, .. } => id,
                             EventKind::Start(node) => node.0 as u64,
                             ref other => panic!("never pushed: {other:?}"),

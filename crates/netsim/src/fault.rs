@@ -1,9 +1,19 @@
 //! Fault injection for segments.
 //!
 //! Following the smoltcp example conventions, each segment can be configured
-//! to randomly drop, corrupt, or duplicate frames. Faults are applied when a
-//! frame finishes serializing, before delivery, and are drawn from the
-//! world's deterministic RNG — so a faulty run replays exactly.
+//! to randomly drop, corrupt, or duplicate frames. Faults are applied to a
+//! completed frame just before its delivery, and are drawn from the world's
+//! deterministic RNG — so a faulty run replays exactly.
+//!
+//! # Replay contract
+//!
+//! The world RNG belongs to this layer: nothing else draws from it (nodes
+//! and apps carry their own seeded streams). A world's draw sequence is
+//! therefore the order in which its non-transparent segments deliver, each
+//! delivery drawing as [`FaultConfig::apply_stateful`] documents. With two
+//! or more such segments active at once and unequal propagation delays that
+//! order is by delivery instant (completion + propagation), not by
+//! completion instant.
 
 use crate::framebuf::FrameBuf;
 use crate::rng::Xoshiro;
@@ -100,61 +110,34 @@ impl FaultConfig {
             && self.burst.is_none()
     }
 
-    /// Apply the configured faults to one frame. The second element of the
-    /// pair reports whether the frame was corrupted (delivered outcomes
-    /// only), so the caller can keep per-segment accounting.
-    ///
-    /// Stateless compatibility wrapper over [`FaultConfig::apply_stateful`]
-    /// — a burst config applied through here always evaluates in the good
-    /// state.
-    pub fn apply(&self, frame: FrameBuf, rng: &mut Xoshiro) -> (FaultOutcome, bool) {
-        let mut bad = false;
-        let v = self.apply_stateful(frame, rng, &mut bad);
-        (v.outcome, v.corrupted)
-    }
-
     /// Apply the configured faults to one frame, threading the segment's
     /// burst state (`bad`, `true` while in the Gilbert–Elliott bad state).
+    /// The one entry point: the world calls it for every frame a
+    /// non-transparent segment delivers.
     ///
     /// Corruption goes through [`FrameBuf::mutate`] — the data plane's
     /// single copy-on-write point — so the corrupted copy is private to
     /// this delivery and the buffer other holders share stays pristine.
     ///
-    /// The RNG draw sequence is part of the replay contract: transparent
-    /// configs draw nothing. With `burst: None` the draws are drop,
-    /// (corrupt, index, bit), duplicate, in that order — bit-identical to
-    /// the pre-burst contract the golden digests pin. With `burst: Some`
-    /// the draws are transition (`enter_one_in` while good /
-    /// `exit_one_in` while bad — the state flips *before* the emission
-    /// draws, so a frame that enters the bad state already suffers its
-    /// odds), then the current state's drop, (corrupt, index, bit), then
-    /// the shared duplicate draw. `one_in(0)` draws nothing, and the
-    /// decision draws never depend on the frame's contents — an empty
-    /// frame still consumes the corrupt decision and skips only the
-    /// index/bit draws, so frame length cannot shift the stream for later
-    /// frames' decisions.
-    #[inline]
+    /// The RNG draw sequence is part of the replay contract (module doc):
+    /// `one_in(0)` draws nothing, so a transparent config draws nothing.
+    /// With `burst: None` the draws are drop, (corrupt, index, bit),
+    /// duplicate, in that order — bit-identical to the pre-burst contract
+    /// the golden digests pin. With `burst: Some` the draws are transition
+    /// (`enter_one_in` while good / `exit_one_in` while bad — the state
+    /// flips *before* the emission draws, so a frame that enters the bad
+    /// state already suffers its odds), then the current state's drop,
+    /// (corrupt, index, bit), then the shared duplicate draw. The decision
+    /// draws never depend on the frame's contents — an empty frame still
+    /// consumes the corrupt decision and skips only the index/bit draws,
+    /// so frame length cannot shift the stream for later frames'
+    /// decisions.
     pub fn apply_stateful(
         &self,
         frame: FrameBuf,
         rng: &mut Xoshiro,
         bad: &mut bool,
     ) -> FaultVerdict {
-        if self.is_transparent() {
-            return FaultVerdict {
-                outcome: FaultOutcome::Deliver(frame),
-                corrupted: false,
-                burst_dropped: false,
-                flipped: None,
-            };
-        }
-        self.draw_faults(frame, rng, bad)
-    }
-
-    /// The draws of [`FaultConfig::apply_stateful`], for a configuration
-    /// that is not transparent — kept out of line so that callers inline
-    /// only the transparency test.
-    fn draw_faults(&self, frame: FrameBuf, rng: &mut Xoshiro, bad: &mut bool) -> FaultVerdict {
         let mut flipped = None;
         let (drop_odds, corrupt_odds) = match self.burst {
             None => (self.drop_one_in, self.corrupt_one_in),
@@ -210,6 +193,13 @@ impl FaultConfig {
 mod tests {
     use super::*;
 
+    /// One frame through `cfg` from the good state: the outcome and
+    /// whether the frame was corrupted.
+    fn apply(cfg: &FaultConfig, frame: FrameBuf, rng: &mut Xoshiro) -> (FaultOutcome, bool) {
+        let v = cfg.apply_stateful(frame, rng, &mut false);
+        (v.outcome, v.corrupted)
+    }
+
     #[test]
     fn transparent_by_default() {
         let cfg = FaultConfig::default();
@@ -217,7 +207,7 @@ mod tests {
         let mut rng = Xoshiro::seed_from_u64(1);
         let frame = FrameBuf::from_static(b"hello");
         assert_eq!(
-            cfg.apply(frame.clone(), &mut rng),
+            apply(&cfg, frame.clone(), &mut rng),
             (FaultOutcome::Deliver(frame), false)
         );
     }
@@ -230,7 +220,7 @@ mod tests {
         };
         let mut rng = Xoshiro::seed_from_u64(1);
         assert_eq!(
-            cfg.apply(FrameBuf::from_static(b"x"), &mut rng),
+            apply(&cfg, FrameBuf::from_static(b"x"), &mut rng),
             (FaultOutcome::Drop, false)
         );
     }
@@ -243,7 +233,7 @@ mod tests {
         };
         let mut rng = Xoshiro::seed_from_u64(3);
         let original = FrameBuf::from_static(b"abcdefgh");
-        match cfg.apply(original.clone(), &mut rng) {
+        match apply(&cfg, original.clone(), &mut rng) {
             (FaultOutcome::Deliver(out), corrupted) => {
                 assert!(corrupted, "corruption must be reported");
                 let diff_bits: u32 = original
@@ -268,7 +258,7 @@ mod tests {
         let dropped = (0..n)
             .filter(|_| {
                 matches!(
-                    cfg.apply(FrameBuf::from_static(b"y"), &mut rng),
+                    apply(&cfg, FrameBuf::from_static(b"y"), &mut rng),
                     (FaultOutcome::Drop, _)
                 )
             })
@@ -284,17 +274,18 @@ mod tests {
             ..Default::default()
         };
         let mut rng = Xoshiro::seed_from_u64(6);
-        match cfg.apply(FrameBuf::new(), &mut rng) {
+        match apply(&cfg, FrameBuf::new(), &mut rng) {
             (FaultOutcome::Deliver(out), false) => assert!(out.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
     }
 
-    /// How many `next_u64` calls one `apply` consumed: replay the seed's
-    /// stream until it lines up with the RNG state `apply` left behind.
-    fn draws_consumed(cfg: &FaultConfig, frame: FrameBuf, seed: u64) -> u64 {
+    /// How many `next_u64` calls one `apply_stateful` consumed, starting
+    /// from burst state `bad`: replay the seed's stream until it lines up
+    /// with the RNG state the call left behind.
+    fn draws_consumed(cfg: &FaultConfig, frame: FrameBuf, seed: u64, bad: bool) -> u64 {
         let mut used = Xoshiro::seed_from_u64(seed);
-        let _ = cfg.apply(frame, &mut used);
+        let _ = cfg.apply_stateful(frame, &mut used, &mut { bad });
         let probe = used.next_u64();
         let mut reference = Xoshiro::seed_from_u64(seed);
         for consumed in 0..16 {
@@ -302,12 +293,12 @@ mod tests {
                 return consumed;
             }
         }
-        panic!("apply consumed more than 15 draws");
+        panic!("apply_stateful consumed more than 15 draws");
     }
 
     /// The replay contract: the decision draws (drop, corrupt,
     /// duplicate) must not depend on the frame's contents. With all
-    /// three knobs set but astronomically unlikely to fire, `apply`
+    /// three knobs set but astronomically unlikely to fire, one call
     /// consumes exactly three draws for every frame length — including
     /// the degenerate empty and 1-byte frames.
     #[test]
@@ -323,7 +314,7 @@ mod tests {
             FrameBuf::from_static(b"x"),
             FrameBuf::from_static(b"hello world"),
         ] {
-            assert_eq!(draws_consumed(&cfg, frame, 123), 3);
+            assert_eq!(draws_consumed(&cfg, frame, 123, false), 3);
         }
     }
 
@@ -340,15 +331,22 @@ mod tests {
             ..Default::default()
         };
         // Empty: corrupt decision (1 draw) + duplicate decision (1 draw).
-        assert_eq!(draws_consumed(&cfg, FrameBuf::new(), 9), 2);
-        match cfg.apply(FrameBuf::new(), &mut Xoshiro::seed_from_u64(9)) {
+        assert_eq!(draws_consumed(&cfg, FrameBuf::new(), 9, false), 2);
+        match apply(&cfg, FrameBuf::new(), &mut Xoshiro::seed_from_u64(9)) {
             (FaultOutcome::Duplicate(out), false) => assert!(out.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
         // 1-byte: corrupt + index + bit + duplicate = 4 draws
         // (range(1) and range(8) are power-of-two bounds: no rejection).
-        assert_eq!(draws_consumed(&cfg, FrameBuf::from_static(b"z"), 9), 4);
-        match cfg.apply(FrameBuf::from_static(b"z"), &mut Xoshiro::seed_from_u64(9)) {
+        assert_eq!(
+            draws_consumed(&cfg, FrameBuf::from_static(b"z"), 9, false),
+            4
+        );
+        match apply(
+            &cfg,
+            FrameBuf::from_static(b"z"),
+            &mut Xoshiro::seed_from_u64(9),
+        ) {
             (FaultOutcome::Duplicate(out), true) => {
                 assert_eq!(out.len(), 1);
                 assert_eq!((out[0] ^ b'z').count_ones(), 1);
@@ -372,22 +370,6 @@ mod tests {
         }
     }
 
-    /// Like [`draws_consumed`] but through the stateful entry point,
-    /// starting from the given burst state.
-    fn stateful_draws_consumed(cfg: &FaultConfig, frame: FrameBuf, seed: u64, bad: bool) -> u64 {
-        let mut used = Xoshiro::seed_from_u64(seed);
-        let mut state = bad;
-        let _ = cfg.apply_stateful(frame, &mut used, &mut state);
-        let probe = used.next_u64();
-        let mut reference = Xoshiro::seed_from_u64(seed);
-        for consumed in 0..16 {
-            if reference.next_u64() == probe {
-                return consumed;
-            }
-        }
-        panic!("apply_stateful consumed more than 15 draws");
-    }
-
     /// The burst draw-order contract: transition, per-state drop,
     /// per-state corrupt (+index+bit), shared duplicate — so a full
     /// non-firing pass consumes exactly 4 draws regardless of frame
@@ -404,8 +386,8 @@ mod tests {
             FrameBuf::from_static(b"x"),
             FrameBuf::from_static(b"hello world"),
         ] {
-            assert_eq!(stateful_draws_consumed(&cfg, frame.clone(), 11, false), 4);
-            assert_eq!(stateful_draws_consumed(&cfg, frame, 11, true), 4);
+            assert_eq!(draws_consumed(&cfg, frame.clone(), 11, false), 4);
+            assert_eq!(draws_consumed(&cfg, frame, 11, true), 4);
         }
         // Zero odds are free: a burst whose good state injects nothing
         // and can (almost) never transition consumes only the enter draw.
@@ -417,7 +399,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            stateful_draws_consumed(&sparse, FrameBuf::from_static(b"abc"), 12, false),
+            draws_consumed(&sparse, FrameBuf::from_static(b"abc"), 12, false),
             1
         );
     }
@@ -556,32 +538,24 @@ mod tests {
         assert_eq!(burst.steady_state_drop_pm(), 100);
     }
 
-    /// The stateless `apply` wrapper and `burst: None` stateful path are
-    /// bit-compatible with the historical draw order (the golden-digest
-    /// contract): identical outcomes and identical RNG consumption.
+    /// Without a burst model no burst bookkeeping is ever reported: the
+    /// state stays good, nothing flips, no drop counts as a burst drop.
     #[test]
-    fn stateful_without_burst_matches_stateless_apply() {
+    fn no_burst_config_reports_no_burst_state() {
         let cfg = FaultConfig {
             drop_one_in: 4,
             corrupt_one_in: 7,
             duplicate_one_in: 5,
             ..Default::default()
         };
-        for seed in [1, 9, 123, 4096] {
-            let mut a_rng = Xoshiro::seed_from_u64(seed);
-            let mut b_rng = Xoshiro::seed_from_u64(seed);
-            let mut bad = false;
-            for i in 0..500 {
-                let frame = FrameBuf::from(vec![i as u8; 1 + (i % 5)]);
-                let (a_out, a_cor) = cfg.apply(frame.clone(), &mut a_rng);
-                let v = cfg.apply_stateful(frame, &mut b_rng, &mut bad);
-                assert_eq!(a_out, v.outcome);
-                assert_eq!(a_cor, v.corrupted);
-                assert!(!v.burst_dropped);
-                assert_eq!(v.flipped, None);
-                assert!(!bad);
-            }
-            assert_eq!(a_rng.next_u64(), b_rng.next_u64(), "RNG streams aligned");
+        let mut rng = Xoshiro::seed_from_u64(123);
+        let mut bad = false;
+        for i in 0..500 {
+            let frame = FrameBuf::from(vec![i as u8; 1 + (i % 5)]);
+            let v = cfg.apply_stateful(frame, &mut rng, &mut bad);
+            assert!(!v.burst_dropped);
+            assert_eq!(v.flipped, None);
+            assert!(!bad);
         }
     }
 }

@@ -84,13 +84,6 @@ impl Xoshiro {
         }
     }
 
-    /// A uniform value in `[lo, hi)`. Panics if `lo >= hi`.
-    #[inline]
-    pub fn range_between(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.range(hi - lo)
-    }
-
     /// True with probability `1/n`. `n == 0` means never.
     #[inline]
     pub fn one_in(&mut self, n: u64) -> bool {

@@ -90,6 +90,9 @@ pub struct SegCounters {
     /// Frames that found the medium busy and had to queue behind another
     /// transmission — the idealized-collision count of this model (real
     /// CSMA/CD would have collided and backed off here).
+    /// The medium reads busy until the frame in flight is delivered, so an
+    /// offer made inside its propagation window queues for that one event
+    /// and counts here too (its serialization still starts at the offer).
     pub contended: u64,
     /// Deepest the transmit queue ever got (frames waiting behind the
     /// one being serialized) — how close the segment came to dropping
@@ -162,11 +165,11 @@ pub(crate) fn rx_dst(frame: &[u8]) -> Option<[u8; 6]> {
 pub(crate) struct PendingTx {
     pub src: (NodeId, PortId),
     pub frame: FrameBuf,
-    /// When the frame was offered to the medium. On the fused delivery
-    /// path a queued frame may have been offered *after* its
-    /// predecessor's completion (during the propagation window, while
-    /// the completion event was still in flight); its serialization then
-    /// starts at the offer instant, not the predecessor's completion.
+    /// When the frame was offered to the medium. A queued frame may have
+    /// been offered *after* its predecessor's completion (during the
+    /// propagation window, while the `SegDeliver` event was still in
+    /// flight); its serialization then starts at the offer instant, not
+    /// the predecessor's completion.
     pub offered_at: SimTime,
 }
 
@@ -226,8 +229,8 @@ impl Segment {
     }
 
     /// Offer a frame for transmission. Returns `true` if it was accepted
-    /// (either began serializing, in which case the caller must schedule a
-    /// `SegTxDone`, or queued) and `false` if the queue was full.
+    /// (either began serializing, in which case the caller must schedule
+    /// its completion, or queued) and `false` if the queue was full.
     ///
     /// The boolean pair is `(accepted, started_now)`.
     #[inline]
@@ -254,7 +257,7 @@ impl Segment {
         let done = self
             .current
             .take()
-            .expect("SegTxDone with no frame in flight");
+            .expect("completion with no frame in flight");
         let started_next = if let Some(next) = self.queue.pop_front() {
             self.current = Some(next);
             true
@@ -289,12 +292,6 @@ impl Segment {
     /// Is the segment scripted down right now?
     pub fn is_down(&self) -> bool {
         self.down
-    }
-
-    /// Is the Gilbert–Elliott burst model currently in its bad state?
-    /// Always `false` for configs without a burst model.
-    pub fn in_burst(&self) -> bool {
-        self.burst_bad
     }
 
     /// Segment name.

@@ -30,6 +30,8 @@ pub struct WorldCore {
     /// Per node: the segment each port attaches to, in port order.
     node_ports: Vec<Vec<SegId>>,
     node_names: Vec<String>,
+    /// The fault layer's stream; nothing else draws from it (see the
+    /// replay contract in [`crate::fault`]).
     rng: Xoshiro,
     next_timer_id: u64,
     pub(crate) trace: Trace,
@@ -69,19 +71,9 @@ impl WorldCore {
         self.time
     }
 
-    /// The deterministic RNG.
-    pub fn rng(&mut self) -> &mut Xoshiro {
-        &mut self.rng
-    }
-
     /// Experiment counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Experiment counters, mutable.
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
     }
 
     /// Take a cleared buffer of at least `cap` capacity from the frame
@@ -140,10 +132,10 @@ impl WorldCore {
 
     /// The segment is scripted down: the offer never reaches the medium.
     /// Frames already serializing or queued keep draining (their
-    /// `SegTxDone`/`SegDeliver` events are in flight and clearing
-    /// `current` under them would desynchronize the completion
-    /// bookkeeping). Out of line: no send of six benchmark workloads and
-    /// 3.8 % of `sweep_render`'s (its chaos sweep) finds a segment down.
+    /// `SegDeliver` event is in flight and clearing `current` under it
+    /// would desynchronize the completion bookkeeping). Out of line: no
+    /// send of six benchmark workloads and 3.8 % of `sweep_render`'s (its
+    /// chaos sweep) finds a segment down.
     #[cold]
     fn refuse_on_down_segment(&mut self, seg_id: SegId, frame: FrameBuf) {
         self.segments[seg_id.0].counters.down_drops += 1;
@@ -180,103 +172,70 @@ impl WorldCore {
     }
 
     /// Schedule the completion of the transmission now starting on
-    /// `seg_id`, finishing at `done_at`. Transparent, uncaptured segments
-    /// take the fused completion+delivery event (fires at
-    /// `done_at + propagation`, one event per wire frame); segments with
-    /// fault injection or capture keep the two-event path, whose event
-    /// times anchor the RNG draw order and capture timestamps.
+    /// `seg_id`, finishing at `done_at`: one event per wire frame, firing
+    /// at `done_at + propagation` (see `World::seg_deliver`).
     #[inline]
     fn schedule_completion(&mut self, seg_id: SegId, done_at: SimTime) {
         let seg = &self.segments[seg_id.0];
-        if seg.cfg.fault.is_transparent() && !seg.cfg.capture {
-            self.queue.push(
-                done_at + seg.cfg.propagation,
-                EventKind::SegDeliver {
-                    seg: seg_id,
-                    n_att: seg.attachments.len() as u32,
-                },
-            );
-        } else {
-            self.queue
-                .push(done_at, EventKind::SegTxDone { seg: seg_id });
-        }
+        self.queue.push(
+            done_at + seg.cfg.propagation,
+            EventKind::SegDeliver {
+                seg: seg_id,
+                n_att: seg.attachments.len() as u32,
+            },
+        );
     }
 
-    /// Fault injection on a frame that just finished serializing on
-    /// `seg_id`: draw from the world RNG, count and probe-record whatever
-    /// the segment's fault configuration did, and return the frame to
-    /// deliver with its copy count (2 when duplicated) — `None` when it
-    /// was dropped. Both completion events end in this; their firing
-    /// times anchor the draw order.
+    /// Fault injection on a frame that finished serializing on `seg_id`
+    /// at `completion`, for a segment whose configuration can alter
+    /// traffic: draw from the world RNG (see the replay contract in
+    /// [`crate::fault`]), count and probe-record whatever the
+    /// configuration did, and return the frame to deliver with its copy
+    /// count (2 when duplicated) — `None` when it was dropped. Out of
+    /// line: no delivery of six benchmark workloads and 3.1 % of
+    /// `sweep_render`'s (its lossy and chaos sweeps) is on such a segment.
     ///
     /// The configuration is applied by reference, no per-frame clone
     /// (`segments` and `rng` are disjoint fields, so the borrows split,
     /// and the burst state threads through the same way); corruption is
     /// the one copy-on-write point.
-    #[inline]
-    fn inject_faults(&mut self, seg_id: SegId, frame: FrameBuf) -> Option<(FrameBuf, u64)> {
-        if self.segments[seg_id.0].cfg.fault.is_transparent() {
-            return Some((frame, 1));
-        }
-        self.inject_configured_faults(seg_id, frame)
-    }
-
-    /// [`WorldCore::inject_faults`] on a segment whose configuration can
-    /// alter traffic. Out of line: no completion of six benchmark
-    /// workloads and 3.1 % of `sweep_render`'s (its lossy and chaos
-    /// sweeps) is on such a segment.
     #[cold]
-    fn inject_configured_faults(
+    fn inject_faults(
         &mut self,
         seg_id: SegId,
         frame: FrameBuf,
+        completion: SimTime,
     ) -> Option<(FrameBuf, u64)> {
-        let now = self.time;
-        let seg = &mut self.segments[seg_id.0];
-        let wire_len = frame.len() as u32;
-        let verdict = seg
-            .cfg
-            .fault
-            .apply_stateful(frame, &mut self.rng, &mut seg.burst_bad);
+        let segment = &mut self.segments[seg_id.0];
+        let len = frame.len() as u32;
+        let verdict =
+            segment
+                .cfg
+                .fault
+                .apply_stateful(frame, &mut self.rng, &mut segment.burst_bad);
+        let (seg, counters) = (seg_id, &mut segment.counters);
         if let Some(bad) = verdict.flipped {
             self.probe
-                .record(now, ProbeRecord::FaultBurst { seg: seg_id, bad });
+                .record(completion, ProbeRecord::FaultBurst { seg, bad });
         }
         if verdict.corrupted {
-            seg.counters.corrupted += 1;
-            self.probe.record(
-                now,
-                ProbeRecord::FaultCorrupt {
-                    seg: seg_id,
-                    len: wire_len,
-                },
-            );
+            counters.corrupted += 1;
+            self.probe
+                .record(completion, ProbeRecord::FaultCorrupt { seg, len });
         }
         match verdict.outcome {
             FaultOutcome::Deliver(f) => Some((f, 1)),
             FaultOutcome::Duplicate(f) => {
-                seg.counters.fault_duplicates += 1;
-                self.probe.record(
-                    now,
-                    ProbeRecord::FaultDuplicate {
-                        seg: seg_id,
-                        len: wire_len,
-                    },
-                );
+                counters.fault_duplicates += 1;
+                self.probe
+                    .record(completion, ProbeRecord::FaultDuplicate { seg, len });
                 Some((f, 2))
             }
             FaultOutcome::Drop => {
-                seg.counters.fault_drops += 1;
-                if verdict.burst_dropped {
-                    seg.counters.burst_drops += 1;
-                }
-                self.probe.record(
-                    now,
-                    ProbeRecord::FaultDrop {
-                        seg: seg_id,
-                        len: wire_len,
-                    },
-                );
+                counters.fault_drops += 1;
+                counters.burst_drops += u64::from(verdict.burst_dropped);
+                self.probe
+                    .record(completion, ProbeRecord::FaultDrop { seg, len });
                 None
             }
         }
@@ -293,11 +252,6 @@ impl<'w> Ctx<'w> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.core.time
-    }
-
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Number of ports this node has.
@@ -373,11 +327,6 @@ impl<'w> Ctx<'w> {
             node,
             id: handle.id,
         });
-    }
-
-    /// The deterministic RNG.
-    pub fn rng(&mut self) -> &mut Xoshiro {
-        self.core.rng()
     }
 
     /// Append a trace entry attributed to this node.
@@ -459,19 +408,6 @@ impl WorldStats {
     /// Frames dropped by fault injection on any segment.
     pub fn total_fault_drops(&self) -> u64 {
         self.segments.iter().map(|s| s.counters.fault_drops).sum()
-    }
-
-    /// Frames duplicated by fault injection on any segment.
-    pub fn total_fault_duplicates(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| s.counters.fault_duplicates)
-            .sum()
-    }
-
-    /// Frames dropped on any segment because its transmit queue was full.
-    pub fn total_queue_drops(&self) -> u64 {
-        self.segments.iter().map(|s| s.counters.queue_drops).sum()
     }
 }
 
@@ -640,7 +576,6 @@ impl World {
             EventKind::Start(node) => {
                 self.with_node(node, |n, ctx| n.on_start(ctx));
             }
-            EventKind::DeliverAll(d) => self.deliver_all(d.seg, d.src, d.n_att as usize, d.frame),
             EventKind::Timer { node, token, id } => {
                 // A crashed node's pending timers die silently, like RAM
                 // losing power.
@@ -654,7 +589,6 @@ impl World {
                 }
             }
             EventKind::CancelledTimer => {}
-            EventKind::SegTxDone { seg } => self.seg_tx_done(seg),
             EventKind::SegDeliver { seg, n_att } => self.seg_deliver(seg, n_att as usize),
             EventKind::Chaos(ev) => match ev {
                 ChaosEv::LinkDown(seg) => self.set_link_down(seg, true),
@@ -665,27 +599,36 @@ impl World {
         }
     }
 
-    /// A segment finished serializing a frame: start the next queued
-    /// transmission, run fault injection, and fan the frame out to every
-    /// listener with a single batched event per delivered copy.
+    /// The one wire event: the frame `seg_id` was serializing completes
+    /// and is delivered. Fires at completion + propagation, so the
+    /// completion bookkeeping (counters, the `WireTx` and fault probe
+    /// records, the capture timestamp, starting the next queued
+    /// transmission) is stamped at the completion instant,
+    /// `now − propagation`: the next frame's serialization starts at the
+    /// later of that instant and its own offer time (a frame offered
+    /// while the completed frame's delivery was still propagating found a
+    /// free medium). Such a propagation-window offer passes through the
+    /// queue for one event, so it counts as `contended` — diagnostic only;
+    /// delivery timing and ordering are those of a medium that freed at
+    /// completion. The fault configuration and the capture flag are read
+    /// here, so a change made while the frame was in flight applies to it.
     ///
     /// The whole path is allocation-free: fault injection works in place
-    /// (see `inject_faults`), and listeners are enumerated at delivery
-    /// time from the segment's attachment list instead of being
-    /// collected into a scratch vector here.
-    fn seg_tx_done(&mut self, seg_id: SegId) {
-        let now = self.core.time;
+    /// (see `inject_faults`), and listeners are enumerated from the
+    /// segment's attachment list by `deliver_all`.
+    fn seg_deliver(&mut self, seg_id: SegId, n_att: usize) {
         let core = &mut self.core;
         let seg = &mut core.segments[seg_id.0];
+        // The medium freed at the completion instant; this event fires
+        // one propagation delay later.
+        let completion = SimTime::from_ns(core.time.as_ns() - seg.cfg.propagation.as_ns());
         let (done, started_next) = seg.complete();
         seg.counters.tx_frames += 1;
         seg.counters.tx_bytes += done.frame.len() as u64;
         if core.probe.is_armed() {
-            let ser_ns = core.segments[seg_id.0]
-                .serialization_time(done.frame.len())
-                .as_ns();
+            let ser_ns = seg.serialization_time(done.frame.len()).as_ns();
             core.probe.record(
-                now,
+                completion,
                 ProbeRecord::WireTx {
                     seg: seg_id,
                     src: done.src,
@@ -694,121 +637,37 @@ impl World {
                 },
             );
         }
-        let seg = &mut core.segments[seg_id.0];
         if started_next {
-            let next_len = seg
+            let next = seg
                 .current
                 .as_ref()
-                .expect("started_next implies a current frame")
-                .frame
-                .len();
-            let ser = seg.serialization_time(next_len);
-            core.schedule_completion(seg_id, now + ser);
+                .expect("started_next implies a current frame");
+            let ser = seg.serialization_time(next.frame.len());
+            let start = completion.max(next.offered_at);
+            core.schedule_completion(seg_id, start + ser);
         }
-        let Some((frame, copies)) = core.inject_faults(seg_id, done.frame) else {
-            return;
+        let src = done.src;
+        let (frame, copies) = if core.segments[seg_id.0].cfg.fault.is_transparent() {
+            (done.frame, 1)
+        } else {
+            match core.inject_faults(seg_id, done.frame, completion) {
+                Some(delivered) => delivered,
+                None => return,
+            }
         };
         let seg = &mut core.segments[seg_id.0];
         if seg.cfg.capture {
             seg.captured.push(CapturedFrame {
-                at: now,
-                src: done.src,
+                at: completion,
+                src,
                 data: frame.clone(),
             });
         }
-        let prop = seg.cfg.propagation;
-        // The sender is always among the attachments, so each copy goes
-        // to `n_att - 1` listeners. Count deliveries when the copies are
-        // committed (as the unbatched representation did).
-        let n_att = seg.attachments.len();
         seg.counters.deliveries += copies * (n_att as u64 - 1);
-        for _ in 0..copies {
-            core.queue.push(
-                now + prop,
-                EventKind::DeliverAll(Box::new(crate::event::DeliverAll {
-                    seg: seg_id,
-                    src: done.src,
-                    n_att: n_att as u32,
-                    frame: frame.clone(),
-                })),
-            );
+        if copies == 2 {
+            self.deliver_all(seg_id, src, n_att, frame.clone());
         }
-    }
-
-    /// Fused completion + delivery for a frame whose segment was
-    /// transparent and uncaptured when it started serializing. Fires at
-    /// completion + propagation; the completion bookkeeping (counters,
-    /// starting the next queued transmission) is timing-equivalent to the
-    /// two-event path: the next frame's serialization starts at the later
-    /// of the *completion* instant (`now − propagation`) and its own
-    /// offer time (a frame offered while the completed frame's delivery
-    /// was still propagating found a free medium). The fault
-    /// configuration is re-checked here so an injection enabled while the
-    /// frame was in flight is still applied. One diagnostic-only
-    /// divergence remains: such propagation-window offers count as
-    /// `contended` (they pass through the queue for one event) where the
-    /// two-event path would not have counted them — delivery timing and
-    /// ordering are unaffected.
-    fn seg_deliver(&mut self, seg_id: SegId, n_att: usize) {
-        let now = self.core.time;
-        let done;
-        let mut next_done: Option<SimTime> = None;
-        {
-            let seg = &mut self.core.segments[seg_id.0];
-            let prop = seg.cfg.propagation;
-            let (d, started_next) = seg.complete();
-            seg.counters.tx_frames += 1;
-            seg.counters.tx_bytes += d.frame.len() as u64;
-            done = d;
-            // The medium freed at the completion instant; this fused
-            // event fires one propagation delay later.
-            let completion = SimTime::from_ns(now.as_ns() - prop.as_ns());
-            if self.core.probe.is_armed() {
-                // Stamp the wire-tx at the completion instant.
-                let ser_ns = seg.serialization_time(done.frame.len()).as_ns();
-                self.core.probe.record(
-                    completion,
-                    ProbeRecord::WireTx {
-                        seg: seg_id,
-                        src: done.src,
-                        len: done.frame.len() as u32,
-                        ser_ns,
-                    },
-                );
-            }
-            if started_next {
-                let next = seg
-                    .current
-                    .as_ref()
-                    .expect("started_next implies a current frame");
-                let ser = seg.serialization_time(next.frame.len());
-                // The next frame starts serializing when the medium frees
-                // (the completion instant) or when it was offered —
-                // whichever is later: a frame offered during the
-                // propagation window found a free medium and starts at
-                // its own offer time, exactly as it would have on the
-                // two-event path.
-                let start = completion.max(next.offered_at);
-                next_done = Some(start + ser);
-            }
-        }
-        if let Some(done_at) = next_done {
-            self.core.schedule_completion(seg_id, done_at);
-        }
-        let src = done.src;
-        let Some((frame, copies)) = self.core.inject_faults(seg_id, done.frame) else {
-            return;
-        };
-        self.core.segments[seg_id.0].counters.deliveries += copies * (n_att as u64 - 1);
-        let mut frame = Some(frame);
-        for i in 0..copies {
-            let f = if i + 1 == copies {
-                frame.take().expect("one handle per copy")
-            } else {
-                frame.clone().expect("one handle per copy")
-            };
-            self.deliver_all(seg_id, src, n_att, f);
-        }
+        self.deliver_all(seg_id, src, n_att, frame);
     }
 
     /// Deliver one wire frame to every listener of `seg` (the first
@@ -1020,8 +879,8 @@ impl World {
 
     /// Replace a segment's fault configuration mid-run. This is the hook
     /// fault/churn scripts use: the new configuration applies to every
-    /// frame that completes serialization from now on, drawn from the
-    /// world RNG as usual, so scripted runs stay deterministic.
+    /// frame delivered from now on, drawn from the world RNG as usual, so
+    /// scripted runs stay deterministic.
     pub fn set_segment_fault(&mut self, id: SegId, fault: crate::fault::FaultConfig) {
         let seg = &mut self.core.segments[id.0];
         seg.cfg.fault = fault;
@@ -1272,7 +1131,8 @@ mod tests {
     /// A frame offered while the previous frame's delivery is still
     /// propagating (medium already free) must start serializing at its
     /// own offer time — not be backdated to the predecessor's completion
-    /// by the fused delivery path.
+    /// — and that holds, with the same counters, whatever the segment
+    /// does at completion: nothing, fault draws, or capture.
     #[test]
     fn propagation_window_offer_starts_at_offer_time() {
         struct TwoSender {
@@ -1301,20 +1161,59 @@ mod tests {
                 self
             }
         }
-        let mut w = World::new(1);
-        let lan = w.add_segment(SegmentConfig::default()); // transparent: fused path
-        let t = w.add_node(TwoSender { sent_second: false });
-        let a = w.add_node(echo("a", false));
-        w.attach(t, lan);
-        w.attach(a, lan);
-        w.run_until(SimTime::from_ms(1));
-        let rx = &w.node::<Echo>(a).received;
-        assert_eq!(rx.len(), 2);
-        assert_eq!(rx[0].0, SimTime::from_ns(2320 + 1000), "frame A");
-        // Frame B was offered at 2800 ns to a free medium: it serializes
-        // 2800..5120 ns and delivers at 6120 ns. (A backdating bug would
-        // start it at A's completion, 2320 ns, delivering 480 ns early.)
-        assert_eq!(rx[1].0, SimTime::from_ns(2800 + 2320 + 1000), "frame B");
+        let never_fires = crate::fault::FaultConfig {
+            drop_one_in: u64::MAX,
+            ..Default::default()
+        };
+        let configs = [
+            ("transparent", SegmentConfig::default()),
+            (
+                "faulty",
+                SegmentConfig {
+                    fault: never_fires,
+                    ..Default::default()
+                },
+            ),
+            (
+                "captured",
+                SegmentConfig {
+                    capture: true,
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (what, cfg) in configs {
+            let (prop, capture) = (cfg.propagation, cfg.capture);
+            let mut w = World::new(1);
+            let lan = w.add_segment(cfg);
+            let t = w.add_node(TwoSender { sent_second: false });
+            let a = w.add_node(echo("a", false));
+            w.attach(t, lan);
+            w.attach(a, lan);
+            w.run_until(SimTime::from_ms(1));
+            let delivered: Vec<SimTime> = w.node::<Echo>(a).received.iter().map(|r| r.0).collect();
+            // Frame B was offered at 2800 ns to a free medium: it
+            // serializes 2800..5120 ns and delivers at 6120 ns. (A
+            // backdating bug would start it at A's completion, 2320 ns,
+            // delivering 480 ns early.)
+            let want = [2320 + 1000, 2800 + 2320 + 1000].map(SimTime::from_ns);
+            assert_eq!(delivered, want, "{what}");
+            // B passed through the queue for one event: an offer that
+            // queues is contended, on every segment.
+            let c = w.segment(lan).counters();
+            assert_eq!(
+                (c.tx_frames, c.deliveries, c.contended, c.peak_queue),
+                (2, 2, 1, 1),
+                "{what}"
+            );
+            let captured: Vec<SimTime> = w.segment(lan).captured().iter().map(|f| f.at).collect();
+            if capture {
+                let completions = want.map(|at| SimTime::from_ns(at.as_ns() - prop.as_ns()));
+                assert_eq!(captured, completions, "stamped at completion");
+            } else {
+                assert!(captured.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -183,32 +183,6 @@ pub fn emit_header_append(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn emit_raw_into(
-    buf: &mut Vec<u8>,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    protocol: Protocol,
-    ident: u16,
-    ttl: u8,
-    payload: &[u8],
-    more_fragments: bool,
-    offset_bytes: usize,
-) {
-    emit_header_append(
-        buf,
-        src,
-        dst,
-        protocol,
-        ident,
-        ttl,
-        payload.len(),
-        more_fragments,
-        offset_bytes,
-    );
-    buf.extend_from_slice(payload);
-}
-
-#[allow(clippy::too_many_arguments)]
 fn emit_raw(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -220,41 +194,19 @@ fn emit_raw(
     offset_bytes: usize,
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    emit_raw_into(
+    emit_header_append(
         &mut buf,
         src,
         dst,
         protocol,
         ident,
         ttl,
-        payload,
+        payload.len(),
         more_fragments,
         offset_bytes,
     );
+    buf.extend_from_slice(payload);
     buf
-}
-
-/// Append an unfragmented datagram to `buf` (the hot-path form: callers
-/// composing a whole Ethernet frame in one buffer append the IP layer in
-/// place instead of allocating an intermediate datagram). `mtu` as in
-/// [`emit`].
-#[allow(clippy::too_many_arguments)]
-pub fn emit_append(
-    buf: &mut Vec<u8>,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    protocol: Protocol,
-    ident: u16,
-    ttl: u8,
-    payload: &[u8],
-    mtu: usize,
-) -> Result<(), IpError> {
-    let total = HEADER_LEN + payload.len();
-    if total > mtu || total > u16::MAX as usize {
-        return Err(IpError::TooLarge);
-    }
-    emit_raw_into(buf, src, dst, protocol, ident, ttl, payload, false, 0);
-    Ok(())
 }
 
 /// Assemble a datagram. `mtu` is the link MTU the caller must respect;

@@ -42,8 +42,8 @@ pub enum BatteryKind {
     /// on every access segment (≥ 1024 on the large metro), plus
     /// cross-district echo trains, a diameter bulk transfer, and a
     /// flood blast whose sink never speaks — so every blast frame fans
-    /// out to the whole population (exercises high-degree `DeliverAll`
-    /// batching, learn-table scale, flood forwarding).
+    /// out to the whole population (exercises high-degree `deliver_all`
+    /// fan-out, learn-table scale, flood forwarding).
     Metro,
     /// The robustness battery: scheduled topology faults — a partition
     /// that heals, a link flap storm, rolling bridge crash/restart
@@ -789,7 +789,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // A flood blast to a sink that never speaks: no bridge ever
             // learns its address, so every frame floods the entire metro
             // and fans out to the whole crowd population — the
-            // high-degree DeliverAll stress.
+            // high-degree fan-out stress.
             let (from_seg, to_seg) = pick_pair(topo, &mut rng, 1);
             items.push(WorkItem {
                 phase: Phase::Main,

@@ -40,8 +40,8 @@ const GOLDEN: [[(usize, u64); 3]; 4] = [
     // lossy
     [
         (10880, 0x0ed815a4e95ea823),
-        (11104, 0xec6001fd74aff196),
-        (11045, 0x4a606b8bfd29895b),
+        (11104, 0xd4617618b0053fd4),
+        (11045, 0x6dcfc61cd9a8189d),
     ],
     // adversarial
     [
