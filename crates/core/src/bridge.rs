@@ -1067,6 +1067,10 @@ impl Node for BridgeNode {
         &self.name
     }
 
+    fn service_queues(&self) -> usize {
+        1
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         assert_eq!(
             ctx.num_ports(),
@@ -1125,9 +1129,7 @@ impl Node for BridgeNode {
             return;
         }
         match self.service.offer((port, frame)) {
-            Offer::Started => {
-                ctx.schedule(service_time, service_token(self.epoch));
-            }
+            Offer::Started => ctx.schedule_service(service_time, service_token(self.epoch)),
             Offer::Queued => {}
             Offer::Dropped => {
                 self.plane.stats.queue_drops += 1;
@@ -1147,7 +1149,7 @@ impl Node for BridgeNode {
                 let ((port, frame), next) = self.service.complete();
                 if let Some((_, next_frame)) = next {
                     let t = self.cfg.cost.service_time(next_frame.len());
-                    ctx.schedule(t, service_token(self.epoch));
+                    ctx.schedule_service(t, service_token(self.epoch));
                 }
                 self.process_frame(ctx, port, frame);
             }

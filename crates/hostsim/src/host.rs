@@ -102,9 +102,7 @@ impl HostCore {
         let frame = frame.into();
         let t = self.cfg.cost.tx_time(frame.len());
         match self.tx_q.offer((port, frame)) {
-            Offer::Started => {
-                ctx.schedule(t, tx_token());
-            }
+            Offer::Started => ctx.schedule_service(t, tx_token()),
             Offer::Queued => {}
             Offer::Dropped => {
                 ctx.bump("host.tx_drops", 1);
@@ -446,8 +444,12 @@ impl HostNode {
                 if self.core.port_of_ip(ip.dst()).is_none() {
                     return;
                 }
-                // Opportunistic ARP learning from traffic.
-                self.core.arp.insert(ip.src(), parsed.src());
+                // Opportunistic ARP learning from traffic: a write only
+                // when the packet says something new, which in a steady
+                // flow it never does.
+                if self.core.arp.get(&ip.src()) != Some(&parsed.src()) {
+                    self.core.arp.insert(ip.src(), parsed.src());
+                }
                 let (src, dst, proto) = (ip.src(), ip.dst(), ip.protocol());
                 if ip.is_fragment() {
                     // When None: more fragments pending.
@@ -544,6 +546,12 @@ impl Node for HostNode {
         &self.core.name
     }
 
+    fn service_queues(&self) -> usize {
+        let cost = &self.core.cfg.cost;
+        usize::from(cost.rx_frame_ns != 0 || cost.rx_byte_ns != 0)
+            + usize::from(cost.tx_frame_ns != 0 || cost.tx_byte_ns != 0)
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         assert_eq!(
             ctx.num_ports(),
@@ -580,9 +588,7 @@ impl Node for HostNode {
             return;
         }
         match self.core.rx_q.offer((port, frame)) {
-            Offer::Started => {
-                ctx.schedule(t, rx_token());
-            }
+            Offer::Started => ctx.schedule_service(t, rx_token()),
             Offer::Queued => {}
             Offer::Dropped => {
                 ctx.bump("host.rx_drops", 1);
@@ -596,7 +602,7 @@ impl Node for HostNode {
                 let ((port, frame), next) = self.core.rx_q.complete();
                 if let Some((_, f)) = next {
                     let t = self.core.cfg.cost.rx_time(f.len());
-                    ctx.schedule(t, rx_token());
+                    ctx.schedule_service(t, rx_token());
                 }
                 self.process_rx(ctx, port, frame);
             }
@@ -604,7 +610,7 @@ impl Node for HostNode {
                 let ((port, frame), next) = self.core.tx_q.complete();
                 if let Some((_, f)) = next {
                     let t = self.core.cfg.cost.tx_time(f.len());
-                    ctx.schedule(t, tx_token());
+                    ctx.schedule_service(t, tx_token());
                 }
                 ctx.send(port, frame);
                 // Transmission completed: apps may have more to send
@@ -638,6 +644,44 @@ impl Node for HostNode {
 mod tests {
     use super::*;
     use netsim::{SegmentConfig, SimTime, World};
+
+    /// Opportunistic ARP learning leaves a matching entry alone; an IP
+    /// packet from a known address under another MAC still overwrites it.
+    #[test]
+    fn ip_traffic_from_a_changed_mac_overwrites_the_arp_entry() {
+        let mut world = World::new(1);
+        let lan = world.add_segment(SegmentConfig::default());
+        let (my_mac, my_ip) = (MacAddr::local(1), Ipv4Addr::new(10, 1, 0, 1));
+        let cfg = HostConfig::simple(my_mac, my_ip, HostCostModel::FREE);
+        let host = world.add_node(HostNode::new("h", cfg, vec![]));
+        world.attach(host, lan);
+        let peer_ip = Ipv4Addr::new(10, 1, 0, 2);
+        let mut hear_from = |mac: MacAddr| {
+            let mut ip = Vec::new();
+            netstack::ipv4::emit_header_append(
+                &mut ip,
+                peer_ip,
+                my_ip,
+                Protocol::UDP,
+                1,
+                64,
+                0,
+                false,
+                0,
+            );
+            let frame = FrameBuilder::new(my_mac, mac, EtherType::IPV4)
+                .payload(&ip)
+                .build();
+            world.with_ctx::<HostNode, _>(host, |h, ctx| {
+                h.on_frame(ctx, PortId(0), frame.into());
+                h.core.arp_entry(peer_ip)
+            })
+        };
+        let (first, moved) = (MacAddr::local(2), MacAddr::local(3));
+        assert_eq!(hear_from(first), Some(first));
+        assert_eq!(hear_from(first), Some(first));
+        assert_eq!(hear_from(moved), Some(moved));
+    }
 
     /// Only a station whose rejections are free in simulated time hands
     /// them to the world: a costed host's unwanted frame still occupies

@@ -37,6 +37,10 @@ impl Node for RepeaterNode {
         &self.name
     }
 
+    fn service_queues(&self) -> usize {
+        1
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         assert_eq!(ctx.num_ports(), 2, "a repeater joins exactly two LANs");
     }
@@ -44,9 +48,7 @@ impl Node for RepeaterNode {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
         let t = self.cost.service_time(frame.len());
         match self.q.offer((port, frame)) {
-            Offer::Started => {
-                ctx.schedule(t, TimerToken(0));
-            }
+            Offer::Started => ctx.schedule_service(t, TimerToken(0)),
             Offer::Queued => {}
             Offer::Dropped => {
                 ctx.bump("repeater.drops", 1);
@@ -58,7 +60,7 @@ impl Node for RepeaterNode {
         let ((port, frame), next) = self.q.complete();
         if let Some((_, f)) = next {
             let t = self.cost.service_time(f.len());
-            ctx.schedule(t, TimerToken(0));
+            ctx.schedule_service(t, TimerToken(0));
         }
         let out = PortId(1 - port.0);
         ctx.send(out, frame);

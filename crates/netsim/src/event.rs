@@ -13,18 +13,20 @@
 //!   queues, same-tick timer chains). Those events would otherwise churn
 //!   through a future store only to come straight back out; the lane makes
 //!   them O(1) pushes and pops.
-//! * a *wire store* for the segment event (`SegDeliver`): whole events
-//!   kept sorted in a ring. A segment has one transmission in flight, so
-//!   the store holds at most one entry per busy segment (it peaked at 13
-//!   on the benchmark's 17-segment chains and 44 on its 68-segment
-//!   metro). On equal links a
+//! * a *completion ring* for the completions of single-server resources
+//!   — a segment finishing the frame it serializes (`SegDeliver`), a
+//!   [`crate::ServiceQueue`] finishing the item it serves (`ServiceDone`):
+//!   whole events kept sorted in a ring. Such a resource has one
+//!   completion in flight, so the ring holds at most one entry per busy
+//!   segment and one per busy service queue (and, after a bridge crash,
+//!   the dead epoch's completion until it pops). On equal links a
 //!   transmission that starts now completes after every one already
-//!   under way, so a push is one comparison with the back (82 % of pushes
-//!   on the chains; 25 % on the metro, whose access and trunk links
-//!   differ) and otherwise a binary search and a shift of at most half
-//!   the ring; a pop takes the front.
+//!   under way, so a push is one comparison with the back and otherwise a
+//!   binary search and a shift of at most half the ring; a pop takes the
+//!   front.
 //! * a binary min-heap of 24-byte keys over a payload slab for everything
-//!   else (`Timer`, `Chaos`, `Start`) — events that sit for milliseconds.
+//!   else (`Timer`, `Chaos`, `Start`) — events that sit for milliseconds,
+//!   and that [`EventQueue::cancel_timer`] may have to find again.
 //!
 //! The split exists because the two future populations differ by three
 //! orders of magnitude in how long they wait. Measured on the repo
@@ -34,7 +36,22 @@
 //! 184 912 a round) were segment completions due 4–8 µs out — each one
 //! sifted up past ~9 levels of idle timers and dragged a timer ~9 levels
 //! back down when it popped. `defended_mix` read 291.7 entries / 92.8 %
-//! wire events, `metro_flood` 105.9, `vm_forward` 17.5, `ttcp_paper` 3–4.
+//! wire events, `metro_flood` 105.9, `vm_forward` 17.5. `ttcp_paper`
+//! held 3–6, and `BinaryHeap::pop` was still 8 % of its run: every costed
+//! hop is a service completion, and what it paid the heap for was the
+//! mechanism (a slab slot claimed and freed, a key sifted both ways), not
+//! depth — so service completions wait in the ring too.
+//!
+//! The ring, counted the same way: on `ttcp_paper` it peaks at 6 entries
+//! and holds 1.5 on average when a push arrives, 61 % of its pushes are
+//! service completions and 36 % of all append (a service time is not a
+//! serialization time, so where both kinds wait fewer pushes find the
+//! back — of a ring of one or two); `sweep_render` 16 / 2.2 / 50 % / 58 %;
+//! the `CostModel::FREE` workloads arm no service completion that waits,
+//! and read as before — `chain_hot` 14 / 6.4, 82 % appended,
+//! `defended_mix` 18 / 1.0, 99.8 %, `metro_flood` 45 / 23.3, 25 % (its
+//! access and trunk links differ). `crates/netsim/DESIGN.md` has the
+//! table.
 //!
 //! # Why the order is the same
 //!
@@ -70,6 +87,14 @@ pub(crate) enum EventKind {
         token: TimerToken,
         id: u64,
     },
+    /// A [`crate::ServiceQueue`] finishes the item it serves
+    /// ([`crate::Ctx::schedule_service`]): fires exactly as a `Timer`
+    /// does, but nothing can cancel it.
+    ServiceDone {
+        node: NodeId,
+        token: TimerToken,
+        id: u64,
+    },
     /// What [`EventQueue::cancel_timer`] leaves in a cancelled timer's
     /// place: it still pops at the timer's `(time, seq)`, so the clock
     /// moves exactly as if the timer were there, and nothing fires.
@@ -89,11 +114,15 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    /// The segment event waits in the wire store, the rest in the timer
-    /// heap.
+    /// Is this the completion of a single-server resource (a segment, a
+    /// service queue)? Those wait in the completion ring, the rest in the
+    /// timer heap.
     #[inline]
-    fn is_wire(&self) -> bool {
-        matches!(self, EventKind::SegDeliver { .. })
+    fn is_completion(&self) -> bool {
+        matches!(
+            self,
+            EventKind::SegDeliver { .. } | EventKind::ServiceDone { .. }
+        )
     }
 
     fn is_timer(&self, timer_id: u64) -> bool {
@@ -153,8 +182,8 @@ pub(crate) struct EventQueue {
     slots: Vec<Slot>,
     /// The most recently freed slab slot (head of the free chain).
     free: Option<u32>,
-    /// Queued segment events, sorted by `(at, seq)`.
-    wire: VecDeque<Event>,
+    /// Queued completions, sorted by `(at, seq)`.
+    ring: VecDeque<Event>,
     /// FIFO of events scheduled at exactly [`EventQueue::now`].
     now_lane: VecDeque<Event>,
     /// The time of the last popped event (the simulation's current time
@@ -170,28 +199,29 @@ impl EventQueue {
     }
 
     /// Pre-reserve capacity for at least `timers` pending timer-heap
-    /// events and `wire` pending segment events (topology-derived hints;
-    /// keeps the steady state reallocation-free).
-    pub fn reserve(&mut self, timers: usize, wire: usize) {
+    /// events and `completions` pending ring events (topology-derived
+    /// hints; keeps the steady state reallocation-free).
+    pub fn reserve(&mut self, timers: usize, completions: usize) {
         let want = timers.saturating_sub(self.heap.len());
         self.heap.reserve(want);
         self.slots.reserve(want);
-        self.wire.reserve(wire.saturating_sub(self.wire.len()));
-        let lane_want = (timers + wire)
+        self.ring
+            .reserve(completions.saturating_sub(self.ring.len()));
+        let lane_want = (timers + completions)
             .min(1024)
             .saturating_sub(self.now_lane.len());
         self.now_lane.reserve(lane_want);
     }
 
     /// Drop every pending event and rewind the clock/sequence state to
-    /// what a fresh queue has, **keeping** the heap, slab, wire-store and
+    /// what a fresh queue has, **keeping** the heap, slab, ring and
     /// now-lane storage — the point of [`crate::World::reset`] is that a
     /// sweep's steady state reuses these allocations across runs.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
         self.free = None;
-        self.wire.clear();
+        self.ring.clear();
         self.now_lane.clear();
         self.now = SimTime::ZERO;
         self.next_seq = 0;
@@ -208,16 +238,16 @@ impl EventQueue {
             self.now_lane.push_back(Event { at, seq, kind });
             return None;
         }
-        if kind.is_wire() {
+        if kind.is_completion() {
             let event = Event { at, seq, kind };
             // `seq` is the largest yet, so the event belongs behind every
             // entry that is not later — on equal links, behind them all.
-            match self.wire.back() {
+            match self.ring.back() {
                 Some(last) if last.at > at => {
-                    let i = self.wire.partition_point(|e| e.at <= at);
-                    self.wire.insert(i, event);
+                    let i = self.ring.partition_point(|e| e.at <= at);
+                    self.ring.insert(i, event);
                 }
-                _ => self.wire.push_back(event),
+                _ => self.ring.push_back(event),
             }
             return None;
         }
@@ -268,18 +298,18 @@ impl EventQueue {
     pub fn pop_at_or_before(&mut self, bound: SimTime) -> Option<Event> {
         // An empty store's head reads as a key no event has.
         const EMPTY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
-        let wire = self.wire.front().map_or(EMPTY, Event::key);
+        let ring = self.ring.front().map_or(EMPTY, Event::key);
         let lane = self.now_lane.front().map_or(EMPTY, Event::key);
         let timer = self
             .heap
             .peek()
             .map_or(EMPTY, |Reverse(key)| (key.at, key.seq));
-        let head = wire.min(lane).min(timer);
+        let head = ring.min(lane).min(timer);
         if head == EMPTY || head.0 > bound {
             return None;
         }
-        let event = if head == wire {
-            self.wire.pop_front()
+        let event = if head == ring {
+            self.ring.pop_front()
         } else if head == lane {
             self.now_lane.pop_front()
         } else {
@@ -306,7 +336,7 @@ impl EventQueue {
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len() + self.wire.len() + self.now_lane.len()
+        self.heap.len() + self.ring.len() + self.now_lane.len()
     }
 }
 
@@ -411,35 +441,48 @@ mod tests {
         assert!(pop(&mut q).is_some());
     }
 
-    /// A timer and a segment event due at the same instant sit in
-    /// different stores; they must still fire in scheduling order.
+    /// A timer, a segment event and a service completion due at the same
+    /// instant sit in two stores (the last two share the ring); they must
+    /// still fire in scheduling order, whichever of the six that is.
     #[test]
     fn timer_and_wire_event_at_one_instant_fire_in_scheduling_order() {
         let t = SimTime::from_us(7);
-        let timer = || EventKind::Timer {
-            node: NodeId(0),
-            token: TimerToken(0),
-            id: 0,
+        let kinds: [fn() -> EventKind; 3] = [
+            || EventKind::Timer {
+                node: NodeId(0),
+                token: TimerToken(0),
+                id: 0,
+            },
+            || EventKind::SegDeliver {
+                seg: SegId(0),
+                n_att: 2,
+            },
+            || EventKind::ServiceDone {
+                node: NodeId(0),
+                token: TimerToken(0),
+                id: 0,
+            },
+        ];
+        let which = |kind: &EventKind| match kind {
+            EventKind::Timer { .. } => 0,
+            EventKind::SegDeliver { .. } => 1,
+            EventKind::ServiceDone { .. } => 2,
+            other => panic!("never pushed: {other:?}"),
         };
-        let wire = || EventKind::SegDeliver {
-            seg: SegId(0),
-            n_att: 2,
-        };
-        for timer_first in [true, false] {
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
             let mut q = EventQueue::new();
-            if timer_first {
-                q.push(t, timer());
-                q.push(t, wire());
-            } else {
-                q.push(t, wire());
-                q.push(t, timer());
+            for k in order {
+                q.push(t, kinds[k]());
             }
-            let first_is_timer = pop(&mut q).unwrap().kind.is_timer(0);
-            let second_is_timer = pop(&mut q).unwrap().kind.is_timer(0);
-            assert_eq!(
-                (first_is_timer, second_is_timer),
-                (timer_first, !timer_first)
-            );
+            let fired = [(); 3].map(|()| which(&pop(&mut q).unwrap().kind));
+            assert_eq!(fired, order);
         }
     }
 
@@ -451,11 +494,11 @@ mod tests {
             seg: SegId(0),
             n_att: 2,
         };
-        q.push(SimTime::from_us(1), wire()); // wire
+        q.push(SimTime::from_us(1), wire()); // ring
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(1))); // heap
         q.push(SimTime::from_ms(2), EventKind::Start(NodeId(2))); // heap
         pop(&mut q); // the lane entry
-        pop(&mut q); // the wire entry
+        pop(&mut q); // the ring entry
         pop(&mut q); // leaves a slot on the free chain
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(3))); // lane again
         q.push(SimTime::from_ms(3), wire());
@@ -518,8 +561,8 @@ mod tests {
     proptest! {
         /// The queue against an obviously-right model: a `Vec` kept
         /// stably sorted by `(at, seq)`. Every word of `ops` is one step —
-        /// a push (wire or timer-heap kind; due now, soon, much later or
-        /// at an instant something queued already has) or a bounded pop
+        /// a push (segment, service or timer-heap kind; due now, soon, much
+        /// later or at an instant something queued already has) or a bounded pop
         /// (bound just below, at or beyond the head's time).
         #[test]
         fn queue_matches_a_sorted_vec(ops in prop::collection::vec(any::<u32>(), 1..400)) {
@@ -528,7 +571,7 @@ mod tests {
             let mut now = SimTime::ZERO;
             let mut pushed = 0u64;
             for word in ops {
-                let (op, a, b) = (word % 8, (word >> 3) % 4, (word >> 5) as u64);
+                let (op, a, b) = (word % 8, (word >> 3) % 5, (word >> 6) as u64);
                 if op < 5 {
                     let at = match b % 4 {
                         0 => now,
@@ -541,9 +584,11 @@ mod tests {
                     // will draw, so a pop can tell it came back attached
                     // to its own key.
                     let id = pushed as usize;
+                    let (node, token) = (NodeId(0), TimerToken(0));
                     let kind = match a {
                         0 | 1 => EventKind::SegDeliver { seg: SegId(id), n_att: 2 },
-                        2 => EventKind::Timer { node: NodeId(0), token: TimerToken(0), id: pushed },
+                        2 => EventKind::ServiceDone { node, token, id: pushed },
+                        3 => EventKind::Timer { node, token, id: pushed },
                         _ => EventKind::Start(NodeId(id)),
                     };
                     q.push(at, kind);
@@ -564,7 +609,7 @@ mod tests {
                     let got = q.pop_at_or_before(bound).map(|e| {
                         let id = match e.kind {
                             EventKind::SegDeliver { seg, .. } => seg.0 as u64,
-                            EventKind::Timer { id, .. } => id,
+                            EventKind::Timer { id, .. } | EventKind::ServiceDone { id, .. } => id,
                             EventKind::Start(node) => node.0 as u64,
                             ref other => panic!("never pushed: {other:?}"),
                         };

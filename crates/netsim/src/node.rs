@@ -64,6 +64,15 @@ pub trait Node: Any {
     /// Human-readable name used in traces.
     fn name(&self) -> &str;
 
+    /// How many of this node's [`crate::ServiceQueue`]s complete through
+    /// [`Ctx::schedule_service`] after a non-zero service time (a
+    /// zero-time completion passes through the now lane). The world sizes
+    /// its completion ring from the sum, so that a run never grows it.
+    #[inline]
+    fn service_queues(&self) -> usize {
+        0
+    }
+
     /// Called once when the world starts, before any frame flows.
     #[inline]
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}

@@ -11,13 +11,13 @@
 //!
 //! ```text
 //! on_frame:   match q.offer(item) {
-//!                 Offer::Started => ctx.schedule(service_time, SERVICE_DONE),
+//!                 Offer::Started => ctx.schedule_service(service_time, SERVICE_DONE),
 //!                 Offer::Queued | Offer::Dropped => {}
 //!             }
 //! on_timer(SERVICE_DONE):
 //!             let (item, next) = q.complete();
 //!             ... process item, emit frames ...
-//!             if next { ctx.schedule(service_time_of_new_head, SERVICE_DONE) }
+//!             if next { ctx.schedule_service(service_time_of_new_head, SERVICE_DONE) }
 //! ```
 
 // Other crates call these per frame, and rustc inlines across a crate

@@ -303,17 +303,31 @@ impl<'w> Ctx<'w> {
     /// Schedule a timer `after` from now carrying `token`.
     #[inline]
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
+        let node = self.node;
+        self.arm(after, |id| EventKind::Timer { node, token, id })
+    }
+
+    /// Schedule the completion of the item a [`crate::ServiceQueue`] of
+    /// this node begins serving now: [`Node::on_timer`] is called with
+    /// `token` `after` from now, exactly as for [`Ctx::schedule`] (same
+    /// order, same timer id draw, same probe records). Nothing cancels a
+    /// service completion, so there is no handle; and a queue serves one
+    /// item at a time, so the event waits with the segment completions
+    /// rather than among the parked timers (`src/event.rs`).
+    #[inline]
+    pub fn schedule_service(&mut self, after: SimDuration, token: TimerToken) {
+        let node = self.node;
+        self.arm(after, |id| EventKind::ServiceDone { node, token, id });
+    }
+
+    /// Draw a timer id, queue the event `kind` makes of it `after` from
+    /// now and record the arming.
+    #[inline]
+    fn arm(&mut self, after: SimDuration, kind: impl FnOnce(u64) -> EventKind) -> TimerHandle {
         let id = self.core.next_timer_id;
         self.core.next_timer_id += 1;
         let deadline = self.core.time + after;
-        let slot = self.core.queue.push(
-            deadline,
-            EventKind::Timer {
-                node: self.node,
-                token,
-                id,
-            },
-        );
+        let slot = self.core.queue.push(deadline, kind(id));
         self.probe(|node| ProbeRecord::TimerArm { node, id, deadline });
         TimerHandle { id, slot }
     }
@@ -417,6 +431,8 @@ pub struct World {
     nodes: Vec<Option<Box<dyn Node>>>,
     /// Nodes `0..started` have had their `on_start` scheduled.
     started: usize,
+    /// The nodes' [`Node::service_queues`], summed.
+    service_queues: usize,
 }
 
 impl World {
@@ -443,12 +459,13 @@ impl World {
             },
             nodes: Vec::new(),
             started: 0,
+            service_queues: 0,
         }
     }
 
     /// Rewind this world to the state `World::new(seed)` produces while
     /// **keeping its expensive allocations**: the event queue's heap,
-    /// payload slab, wire store and now-lane, the frame pool, the
+    /// payload slab, completion ring and now-lane, the frame pool, the
     /// delivery scratch, and the capacity of the node and segment
     /// tables. Sweep harnesses
     /// run many `(topology, workload, seed)` worlds back to back in one
@@ -486,6 +503,7 @@ impl World {
         // are pure caches, invisible to simulation behavior.
         self.nodes.clear();
         self.started = 0;
+        self.service_queues = 0;
     }
 
     /// Size the node and segment tables for a topology about to be built
@@ -515,6 +533,7 @@ impl World {
     /// Add a node. Its `on_start` runs when [`World::start`] is called.
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
         let id = NodeId(self.nodes.len());
+        self.service_queues += node.service_queues();
         self.core.node_names.push(node.name().to_owned());
         self.nodes.push(Some(Box::new(node)));
         self.core.node_ports.push(Vec::new());
@@ -539,13 +558,18 @@ impl World {
     /// Schedule `on_start` for every node that has not started yet (in
     /// node order, at the current time). Called implicitly by the run
     /// methods, so nodes added mid-simulation start when the world next
-    /// runs. Also sizes the event queue from the topology (a few pending
-    /// timers per node, a couple of wire events per segment) so the
-    /// steady state never grows it.
+    /// runs. Also sizes the event queue from the topology so the steady
+    /// state never grows it: a few pending timers per node; in the
+    /// completion ring one entry per segment and one per service queue
+    /// (each has at most one completion in flight) — or per segment
+    /// again where that is more, which leaves room for the completions
+    /// crashed bridges leave behind and keeps a pooled world from
+    /// reallocating whenever a scenario has one more bridge than the
+    /// last.
     pub fn start(&mut self) {
-        self.core
-            .queue
-            .reserve(self.nodes.len() * 4, self.core.segments.len() * 2);
+        let segments = self.core.segments.len();
+        let completions = segments + segments.max(self.service_queues);
+        self.core.queue.reserve(self.nodes.len() * 4, completions);
         let now = self.core.time;
         for i in self.started..self.nodes.len() {
             self.core.queue.push(now, EventKind::Start(NodeId(i)));
@@ -576,7 +600,7 @@ impl World {
             EventKind::Start(node) => {
                 self.with_node(node, |n, ctx| n.on_start(ctx));
             }
-            EventKind::Timer { node, token, id } => {
+            EventKind::Timer { node, token, id } | EventKind::ServiceDone { node, token, id } => {
                 // A crashed node's pending timers die silently, like RAM
                 // losing power.
                 if self.core.crashed_count == 0 || !self.core.crashed[node.0] {

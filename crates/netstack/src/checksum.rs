@@ -10,6 +10,11 @@
 //! per-frame TCP/ICMP payload pass on the ttcp path; the produced
 //! checksums are bit-identical to a 16-bit-at-a-time big-endian loop.
 
+// Every codec in this crate and `hostsim`'s apps call these per frame, and
+// rustc inlines across a crate boundary only what is marked
+// (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
 /// Accumulates a ones'-complement sum.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct Checksum {
@@ -20,6 +25,7 @@ pub struct Checksum {
 
 impl Checksum {
     /// Fresh accumulator.
+    #[inline]
     pub fn new() -> Checksum {
         Checksum::default()
     }
@@ -33,6 +39,7 @@ impl Checksum {
     }
 
     /// Feed bytes.
+    #[inline]
     pub fn add(&mut self, data: &[u8]) {
         let mut data = data;
         if let Some(hi) = self.odd.take() {
@@ -79,6 +86,7 @@ impl Checksum {
     }
 
     /// Feed a 16-bit word.
+    #[inline]
     pub fn add_u16(&mut self, v: u16) {
         self.add(&v.to_be_bytes());
     }
@@ -89,6 +97,7 @@ impl Checksum {
     /// `[even-length prefix] ++ [suffix summed elsewhere]`. This is how
     /// hot paths reuse a precomputed payload sum instead of re-walking an
     /// unchanged payload per packet.
+    #[inline]
     pub fn add_partial(&mut self, other: Checksum) {
         debug_assert!(
             self.odd.is_none(),
@@ -99,6 +108,7 @@ impl Checksum {
     }
 
     /// Finish: fold carries and complement.
+    #[inline]
     pub fn finish(mut self) -> u16 {
         if let Some(hi) = self.odd.take() {
             self.accum(u64::from(u16::from_be_bytes([hi, 0])));
@@ -112,6 +122,7 @@ impl Checksum {
 }
 
 /// One-shot checksum of a buffer.
+#[inline]
 pub fn checksum(data: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add(data);
@@ -120,6 +131,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 
 /// Verify a buffer whose checksum field is already in place: the total
 /// must come out zero.
+#[inline]
 pub fn verify(data: &[u8]) -> bool {
     let mut c = Checksum::new();
     c.add(data);

@@ -274,6 +274,7 @@ pub struct FragPacket<'a> {
 
 impl<'a> FragPacket<'a> {
     /// Parse, accepting fragments.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<FragPacket<'a>, IpError> {
         if buf.len() < HEADER_LEN {
             return Err(IpError::Truncated);

@@ -32,18 +32,23 @@ pub const HEADER_LEN: usize = 18;
 /// Default maximum segment size (Ethernet MTU 1500 − IP 20 − TcpLite 18).
 pub const DEFAULT_MSS: usize = 1462;
 
+/// The stream pattern's period.
+const PERIOD: usize = 251;
+
 /// The deterministic stream pattern.
 pub fn pattern_byte(offset: u64) -> u8 {
-    (offset % 251) as u8
+    (offset % PERIOD as u64) as u8
 }
 
-/// One full period of the stream pattern (bytes `0..251`), used to fill
-/// payloads at memcpy speed instead of a division per byte.
-const PATTERN_CYCLE: [u8; 251] = {
-    let mut t = [0u8; 251];
+/// The stream pattern from offset 0, long enough that a full-size
+/// segment's payload is one contiguous run of it wherever in the period it
+/// starts — so a payload is filled by one copy instead of a division per
+/// byte.
+static PATTERN: [u8; PERIOD + DEFAULT_MSS] = {
+    let mut t = [0u8; PERIOD + DEFAULT_MSS];
     let mut i = 0;
-    while i < 251 {
-        t[i] = i as u8;
+    while i < t.len() {
+        t[i] = (i % PERIOD) as u8;
         i += 1;
     }
     t
@@ -51,18 +56,64 @@ const PATTERN_CYCLE: [u8; 251] = {
 
 /// Append `len` pattern bytes starting at stream offset `offset` —
 /// equivalent to pushing `pattern_byte(offset + i)` for `i in 0..len`,
-/// but filled a period at a time.
+/// but copied a table's worth (any payload up to [`DEFAULT_MSS`]) at a
+/// time.
 #[inline]
 pub fn pattern_fill(out: &mut Vec<u8>, offset: u64, len: usize) {
     out.reserve(len);
-    let mut start = (offset % 251) as usize;
+    let mut start = (offset % PERIOD as u64) as usize;
     let mut remaining = len;
     while remaining > 0 {
-        let take = remaining.min(251 - start);
-        out.extend_from_slice(&PATTERN_CYCLE[start..start + take]);
+        let take = remaining.min(PATTERN.len() - start);
+        out.extend_from_slice(&PATTERN[start..start + take]);
         remaining -= take;
-        start = 0;
+        start = (start + take) % PERIOD;
     }
+}
+
+/// `WORD_SUMS[m]` is the sum of the first `m` 16-bit big-endian words of
+/// the pattern read from offset 0. The period is odd, so those words run
+/// through two periods before they repeat: word `m` is the byte pair at
+/// offset `2m mod 251`, and `WORD_SUMS[251]` sums all 251 distinct pairs.
+static WORD_SUMS: [u64; PERIOD + 1] = {
+    let mut t = [0u64; PERIOD + 1];
+    let mut m = 0;
+    while m < PERIOD {
+        let (hi, lo) = ((2 * m) % PERIOD, (2 * m + 1) % PERIOD);
+        t[m + 1] = t[m] + ((hi as u64) << 8) + lo as u64;
+        m += 1;
+    }
+    t
+};
+
+/// A [`Checksum`] fed exactly the `len` pattern bytes starting at stream
+/// offset `offset`, without reading them (RFC 1071 §2: the sum is a
+/// property of the data, and this data is arithmetic): the payload's
+/// whole words are a run of the word sequence [`WORD_SUMS`] describes,
+/// so their sum is a difference of two of its prefix sums, whole periods
+/// counted by multiplication; an odd last byte is fed as a byte.
+#[inline]
+fn pattern_sum(offset: u64, len: usize) -> Checksum {
+    /// The sum of the first `m` words of the (endlessly repeating) word
+    /// sequence.
+    #[inline]
+    fn words_before(m: usize) -> u64 {
+        (m / PERIOD) as u64 * WORD_SUMS[PERIOD] + WORD_SUMS[m % PERIOD]
+    }
+    let start = (offset % PERIOD as u64) as usize;
+    // The word sequence reaches byte offset `start` at word `start / 2`
+    // of its first period when `start` is even and, the period being
+    // odd, at word `(start + 251) / 2` of its second when it is odd.
+    let first = (start + (start % 2) * PERIOD) / 2;
+    let words = words_before(first + len / 2) - words_before(first);
+    let mut c = Checksum::new();
+    // The 16-bit quarters of a 64-bit total are congruent to it modulo
+    // 2^16 − 1, which is all a ones'-complement sum keeps.
+    c.add(&words.to_be_bytes());
+    if len % 2 == 1 {
+        c.add(&[PATTERN[(start + len - 1) % PERIOD]]);
+    }
+    c
 }
 
 /// Wrapping 32-bit sequence comparison: is `a < b`?
@@ -107,12 +158,19 @@ impl core::fmt::Display for TcpLiteError {
 
 impl std::error::Error for TcpLiteError {}
 
+/// Feed the pseudo-header (addresses, protocol, segment length): its six
+/// 16-bit words added up front and fed as one 32-bit total, whose halves
+/// are congruent to it modulo 2^16 − 1.
 #[inline]
 fn pseudo_header(c: &mut Checksum, src: Ipv4Addr, dst: Ipv4Addr, len: u16) {
-    c.add(&src.octets());
-    c.add(&dst.octets());
-    c.add_u16(Protocol::TCPLITE.0 as u16);
-    c.add_u16(len);
+    let (src, dst) = (u32::from(src), u32::from(dst));
+    let words = (src >> 16)
+        + (src & 0xFFFF)
+        + (dst >> 16)
+        + (dst & 0xFFFF)
+        + u32::from(Protocol::TCPLITE.0)
+        + u32::from(len);
+    c.add(&words.to_be_bytes());
 }
 
 impl<'a> Segment<'a> {
@@ -165,7 +223,9 @@ impl<'a> Segment<'a> {
             self.payload.len(),
         );
         out.extend_from_slice(self.payload);
-        finish_segment(out, start, src, dst);
+        let mut payload = Checksum::new();
+        payload.add(self.payload);
+        finish_segment(out, start, src, dst, payload);
     }
 }
 
@@ -192,21 +252,29 @@ fn emit_header(
     out.extend_from_slice(&[0, 0]); // checksum placeholder at 16..18
 }
 
-/// Checksum the segment appended at `start` and patch its checksum field.
+/// Checksum the segment appended at `start` — its header summed here,
+/// its payload's sum supplied (a [`Checksum`] fed exactly the payload
+/// bytes; pseudo-header and header are even-sized, so it folds in) — and
+/// patch the checksum field.
 #[inline]
-fn finish_segment(out: &mut [u8], start: usize, src: Ipv4Addr, dst: Ipv4Addr) {
+fn finish_segment(out: &mut [u8], start: usize, src: Ipv4Addr, dst: Ipv4Addr, payload: Checksum) {
     let total = out.len() - start;
     let mut c = Checksum::new();
     pseudo_header(&mut c, src, dst, total as u16);
-    c.add(&out[start..]);
+    c.add(&out[start..start + HEADER_LEN]);
+    c.add_partial(payload);
     let cksum = c.finish();
     out[start + 16..start + 18].copy_from_slice(&cksum.to_be_bytes());
 }
 
 /// Append a *data* segment whose payload is the deterministic stream
 /// pattern starting at stream offset `seq` — the ttcp sender's hot path:
-/// the pattern bytes are generated straight into the output buffer (no
-/// intermediate payload vector, one pass, then one checksum pass).
+/// the pattern bytes are copied straight into the output buffer (no
+/// intermediate payload vector) and never read back: the sender knows
+/// what it wrote, so the payload's share of the checksum is computed
+/// (`pattern_sum`). The receiver sums every byte it accepts
+/// ([`Segment::parse`]).
+#[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn emit_pattern_segment(
     out: &mut Vec<u8>,
@@ -220,7 +288,7 @@ pub fn emit_pattern_segment(
     let start = out.len();
     emit_header(out, src_port, dst_port, seq, 0, false, len);
     pattern_fill(out, seq as u64, len);
-    finish_segment(out, start, src, dst);
+    finish_segment(out, start, src, dst, pattern_sum(seq as u64, len));
 }
 
 /// Sender configuration.
@@ -261,8 +329,6 @@ pub struct SegmentOut {
     pub seq: u32,
     /// Payload (pattern bytes).
     pub payload: Vec<u8>,
-    /// True if this is a retransmission.
-    pub retransmit: bool,
 }
 
 /// A segment decision without its payload bytes (the payload is the
@@ -275,8 +341,6 @@ pub struct SegMeta {
     pub seq: u32,
     /// Payload length.
     pub len: usize,
-    /// True if this is a retransmission.
-    pub retransmit: bool,
 }
 
 /// The sending endpoint (unidirectional data; receives only ACKs).
@@ -343,6 +407,7 @@ impl TcpSender {
     /// Produce the next segment to transmit at `now_ns`, if the window,
     /// data availability and Nagle allow one. Allocation-free; the
     /// payload is implied (pattern bytes starting at `seq`).
+    #[inline]
     pub fn poll_meta(&mut self, now_ns: u64) -> Option<SegMeta> {
         let nxt_off = Self::offset(self.snd_nxt);
         if nxt_off >= self.app_len {
@@ -364,11 +429,7 @@ impl TcpSender {
         if self.rto_deadline_ns.is_none() {
             self.rto_deadline_ns = Some(now_ns + self.current_rto_ns);
         }
-        Some(SegMeta {
-            seq,
-            len: take,
-            retransmit: false,
-        })
+        Some(SegMeta { seq, len: take })
     }
 
     /// [`TcpSender::poll_meta`] with the pattern payload materialized —
@@ -381,11 +442,11 @@ impl TcpSender {
             payload: (0..meta.len as u64)
                 .map(|i| pattern_byte(base + i))
                 .collect(),
-            retransmit: meta.retransmit,
         })
     }
 
     /// Handle a cumulative acknowledgement.
+    #[inline]
     pub fn on_ack(&mut self, ack: u32, now_ns: u64) {
         if seq_lt(self.snd_una, ack) && !seq_lt(self.snd_nxt, ack) {
             self.snd_una = ack;
@@ -492,6 +553,7 @@ impl TcpReceiver {
     }
 
     /// Handle a data segment.
+    #[inline]
     pub fn on_segment(&mut self, seq: u32, len: usize, now_ns: u64) -> RecvAction {
         if seq != self.rcv_nxt {
             // Out of order (go-back-N): drop, re-ack immediately so the
@@ -541,6 +603,7 @@ impl TcpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -723,39 +786,77 @@ mod tests {
         assert_eq!(rx.on_timer(2_000_001), None, "timer disarms after firing");
     }
 
-    #[test]
-    fn pattern_fill_matches_per_byte() {
-        for (off, len) in [
-            (0u64, 0usize),
-            (0, 1),
-            (7, 250),
-            (250, 252),
-            (1000, 1462),
-            (u32::MAX as u64, 777),
-        ] {
-            let mut fast = Vec::new();
-            pattern_fill(&mut fast, off, len);
-            let slow: Vec<u8> = (0..len as u64).map(|i| pattern_byte(off + i)).collect();
-            assert_eq!(fast, slow, "offset {off} len {len}");
+    proptest! {
+        /// The one-copy fill is the per-byte pattern and the computed sum
+        /// is the sum of those bytes — from any offset a sequence number
+        /// can name, for every length up to several tables' and word
+        /// periods' worth, odd and even.
+        #[test]
+        fn pattern_fill_matches_per_byte(offset in any::<u32>(), len in 0usize..4000) {
+            let offset = u64::from(offset);
+            let bytes: Vec<u8> = (0..len as u64).map(|i| pattern_byte(offset + i)).collect();
+            let mut filled = vec![0xEE; 3];
+            pattern_fill(&mut filled, offset, len);
+            prop_assert_eq!(&filled[3..], &bytes[..], "offset {} len {}", offset, len);
+            let mut summed = Checksum::new();
+            summed.add(&bytes);
+            prop_assert_eq!(
+                pattern_sum(offset, len).finish(),
+                summed.finish(),
+                "offset {} len {}", offset, len
+            );
         }
-    }
 
-    #[test]
-    fn emit_pattern_segment_matches_emit() {
-        let payload: Vec<u8> = (0..1000u64).map(|i| pattern_byte(12345 + i)).collect();
-        let reference = Segment {
-            src_port: 5001,
-            dst_port: 5002,
-            seq: 12345,
-            ack: 0,
-            is_ack: false,
-            payload: &payload,
+        /// A segment whose payload sum was computed is byte for byte the
+        /// segment whose payload was summed: `seq` over the whole `u32`
+        /// range (a payload may run past `u32::MAX` — the pattern offset
+        /// does not wrap), at each end of it and at both parities of
+        /// every place in the period, `len` everything an MTU allows.
+        #[test]
+        fn emit_pattern_segment_matches_emit(
+            seq in any::<u32>(),
+            near_wrap in 0u32..2000,
+            len in 0usize..=DEFAULT_MSS,
+        ) {
+            for seq in [seq, u32::MAX - near_wrap, seq % 502] {
+                let payload: Vec<u8> =
+                    (0..len as u64).map(|i| pattern_byte(seq as u64 + i)).collect();
+                let reference = Segment {
+                    src_port: 5001,
+                    dst_port: 5002,
+                    seq,
+                    ack: 0,
+                    is_ack: false,
+                    payload: &payload,
+                }
+                .emit(A, B);
+                let mut fused = Vec::new();
+                emit_pattern_segment(&mut fused, A, B, 5001, 5002, seq, len);
+                prop_assert_eq!(&fused, &reference, "seq {} len {}", seq, len);
+                prop_assert!(Segment::parse(&fused, A, B).is_ok());
+            }
         }
-        .emit(A, B);
-        let mut fused = Vec::new();
-        emit_pattern_segment(&mut fused, A, B, 5001, 5002, 12345, 1000);
-        assert_eq!(fused, reference, "fused emission is byte-identical");
-        assert!(Segment::parse(&fused, A, B).is_ok());
+
+        /// The receive check is what it was: whichever single bit of an
+        /// emitted pattern segment flips on the way, `parse` refuses it.
+        #[test]
+        fn any_flipped_bit_is_refused(
+            seq in any::<u32>(),
+            len in 0usize..=DEFAULT_MSS,
+            bit in any::<usize>(),
+        ) {
+            let mut wire = Vec::new();
+            emit_pattern_segment(&mut wire, A, B, 5001, 5002, seq, len);
+            let bit = bit % (wire.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(
+                matches!(
+                    Segment::parse(&wire, A, B),
+                    Err(TcpLiteError::BadChecksum | TcpLiteError::Truncated)
+                ),
+                "seq {} len {} bit {}", seq, len, bit
+            );
+        }
     }
 
     #[test]
@@ -772,7 +873,6 @@ mod tests {
                 (Some(m), Some(s)) => {
                     assert_eq!(m.seq, s.seq);
                     assert_eq!(m.len, s.payload.len());
-                    assert_eq!(m.retransmit, s.retransmit);
                     let expect: Vec<u8> = (0..m.len as u64)
                         .map(|i| pattern_byte(m.seq as u64 + i))
                         .collect();

@@ -564,3 +564,100 @@ proptest! {
         prop_assert_eq!(filtered, cleared);
     }
 }
+
+/// Arms a given list of timers with `Ctx::schedule` — every one waits in
+/// the timer heap — and logs what fires.
+struct HeapOnly {
+    /// `(deadline, token)`, in arming order.
+    arms: Vec<(SimTime, u64)>,
+    fired: Vec<(SimTime, u64)>,
+}
+
+impl Node for HeapOnly {
+    fn name(&self) -> &str {
+        "heap-only"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for &(deadline, token) in &self.arms {
+            ctx.schedule(deadline.saturating_since(ctx.now()), TimerToken(token));
+        }
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.fired.push((ctx.now(), token.0));
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// Where a timer waits never shows. A ttcp transfer between two costed
+/// hosts — directly, through the C repeater, through the bridge — arms
+/// service completions (`Ctx::schedule_service`: the completion ring)
+/// beside application, sweep and zero-delay timers (`Ctx::schedule`: the
+/// heap, the now lane). A reference node then arms the timers that fired,
+/// in the order they were armed, through `Ctx::schedule` alone: it must
+/// see the same `(time, node, timer)` sequence.
+#[test]
+fn service_completions_fire_in_the_order_heap_timers_would() {
+    use ab_scenario::paper::build_path;
+    use hostsim::{TtcpRecvApp, TtcpSendApp};
+
+    let horizon = SimTime::from_ms(100);
+    for fwd in [Forwarder::Direct, Forwarder::Repeater, Forwarder::Bridge] {
+        let send = TtcpSendApp::new(
+            PortId(0),
+            host_ip(2),
+            5001,
+            5001,
+            48 * 1024,
+            1024,
+            Default::default(),
+        );
+        let recv = TtcpRecvApp::new(5001, Default::default());
+        let mut path = build_path(fwd, 3, vec![send], vec![recv]);
+        path.world.probe_mut().arm(ProbeConfig::default());
+        path.world.run_until(horizon);
+        assert_eq!(
+            path.world.probe().dropped(),
+            0,
+            "{fwd:?}: recording truncated"
+        );
+
+        let mut armed = std::collections::HashMap::new();
+        let mut fired = Vec::new();
+        for event in path.world.probe().records() {
+            match event.record {
+                ProbeRecord::TimerArm { node, id, deadline } => {
+                    armed.insert(id, (node, deadline));
+                }
+                ProbeRecord::TimerFire { node, id } => fired.push((event.at, node, id)),
+                _ => {}
+            }
+        }
+        let middle_fired = fired.iter().filter(|f| Some(f.1) == path.middle).count();
+        assert!(fired.len() > 200, "{fwd:?}: {} timers fired", fired.len());
+        assert_eq!(middle_fired > 40, path.middle.is_some(), "{fwd:?}");
+
+        // Timer ids are drawn in arming order.
+        let mut arms: Vec<(SimTime, u64)> =
+            fired.iter().map(|&(_, _, id)| (armed[&id].1, id)).collect();
+        arms.sort_by_key(|&(_, id)| id);
+        let mut reference = World::new(0);
+        let heap_only = reference.add_node(HeapOnly {
+            arms,
+            fired: Vec::new(),
+        });
+        reference.run_until(horizon);
+        let want: Vec<_> = reference
+            .node::<HeapOnly>(heap_only)
+            .fired
+            .iter()
+            .map(|&(at, id)| (at, armed[&id].0, id))
+            .collect();
+        assert_eq!(fired, want, "{fwd:?}");
+    }
+}

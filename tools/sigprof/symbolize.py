@@ -40,7 +40,13 @@ for stack in samples:
     frames = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
     self_n[frames[0]] += 1
     incl_n.update(set(frames))
-for title, counts in (("self", self_n), ("inclusive", incl_n)):
-    print("%s, %d samples" % (title, len(samples)))
-    for fn, n in counts.most_common(top):
-        print("  %5.1f%%  %s" % (100.0 * n / max(len(samples), 1), fn))
+try:
+    for title, counts in (("self", self_n), ("inclusive", incl_n)):
+        print("%s, %d samples" % (title, len(samples)))
+        for fn, n in counts.most_common(top):
+            print("  %5.1f%%  %s" % (100.0 * n / max(len(samples), 1), fn))
+    sys.stdout.flush()
+except BrokenPipeError:
+    # `... | head` has read what it wanted. Point stdout at /dev/null so the
+    # interpreter's own flush at exit finds no closed pipe to complain about.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
