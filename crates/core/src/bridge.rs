@@ -17,20 +17,21 @@
 //! cooperative threads).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use ether::{EtherType, Frame, MacAddr};
 use netsim::{
-    Ctx, FrameBuf, Node, Offer, PortId, ProbeRecord, ServiceQueue, SimDuration, TimerHandle,
-    TimerToken,
+    Ctx, FastMap, FrameBuf, Node, Offer, PortId, ProbeRecord, ServiceQueue, SimDuration,
+    TimerHandle, TimerToken,
 };
 use switchlet::{ExecConfig, FuncVal, Module, Namespace, Value, VmScratch};
 
 use crate::config::BridgeConfig;
 use crate::hostmods;
-use crate::plane::{DataPlaneSel, Plane, SwitchletStatus};
+use crate::plane::{DataPlaneSel, HandlerTarget, Plane, SwitchletStatus};
 
 /// Timer token kinds (top byte of the `u64`). Bits 48–55 carry the
 /// bridge's crash epoch: a timer armed before a crash refers to state
@@ -251,9 +252,9 @@ pub trait NativeSwitchlet: Any {
 }
 
 /// Parameters handed to a native switchlet factory.
-pub struct NativeInit {
+pub struct NativeInit<'a> {
     /// Bridge configuration.
-    pub cfg: BridgeConfig,
+    pub cfg: &'a BridgeConfig,
     /// Bridge station address.
     pub mac: MacAddr,
     /// Port count.
@@ -261,7 +262,27 @@ pub struct NativeInit {
 }
 
 /// Creates a native switchlet instance.
-pub type NativeFactory = Box<dyn Fn(&NativeInit) -> Box<dyn NativeSwitchlet>>;
+pub type NativeFactory = Box<dyn Fn(&NativeInit<'_>) -> Box<dyn NativeSwitchlet>>;
+
+thread_local! {
+    /// The carrier image of each native switchlet name this thread has
+    /// boot-loaded: an empty module is a function of its name alone.
+    static CARRIERS: RefCell<Vec<(String, Rc<[u8]>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The empty carrier module for native switchlet `name`, encoded (and
+/// digested) once per name and thread. Every bridge that boots it still
+/// decodes and digest-checks the bytes like any other image.
+fn carrier_image(name: &str) -> Rc<[u8]> {
+    CARRIERS.with_borrow_mut(|carriers| {
+        if let Some((_, image)) = carriers.iter().find(|(n, _)| n == name) {
+            return Rc::clone(image);
+        }
+        let image: Rc<[u8]> = switchlet::ModuleBuilder::new(name).build().encode().into();
+        carriers.push((name.to_owned(), Rc::clone(&image)));
+        image
+    })
+}
 
 enum SwitchletImpl {
     Native(Box<dyn NativeSwitchlet>),
@@ -278,24 +299,6 @@ enum DispatchEntry {
     Switch,
 }
 
-/// A resolved frame-dispatch target (plain indices/values, no borrowed or
-/// cloned names, so resolution can happen under an immutable borrow and
-/// dispatch under the mutable one).
-#[derive(Copy, Clone)]
-enum HandlerTarget {
-    /// Loaded native switchlet, by slot index.
-    Native(usize),
-    /// VM handler function.
-    Vm(FuncVal),
-    /// No runnable handler.
-    None,
-}
-
-struct Slot {
-    name: String,
-    imp: Option<SwitchletImpl>,
-}
-
 /// The Active Bridge node.
 pub struct BridgeNode {
     name: String,
@@ -304,14 +307,16 @@ pub struct BridgeNode {
     cfg: BridgeConfig,
     service: ServiceQueue<(PortId, FrameBuf)>,
     plane: Plane,
-    slots: Vec<Slot>,
-    by_name: HashMap<String, usize>,
+    /// Loaded switchlets, indexed by the plane's directory slot (`None`
+    /// where the directory knows a name this bridge never loaded).
+    slots: Vec<Option<SwitchletImpl>>,
     ns: Namespace,
     vm_handlers: HashMap<String, FuncVal>,
-    vm_owner: HashMap<FuncVal, Rc<str>>,
+    vm_owner: FastMap<FuncVal, Rc<str>>,
     vm_timers: Vec<(FuncVal, i64)>,
-    factories: HashMap<String, NativeFactory>,
-    boot_images: Vec<Vec<u8>>,
+    /// Factories registered over the built-in ones (usually none).
+    factories: Vec<(String, NativeFactory)>,
+    boot_images: Vec<Rc<[u8]>>,
     cmds: Vec<BridgeCommand>,
     /// Cumulative VM stats on this node.
     pub vm_instructions: u64,
@@ -360,12 +365,11 @@ impl BridgeNode {
             service: ServiceQueue::new(input_queue),
             plane,
             slots: Vec::new(),
-            by_name: HashMap::new(),
-            ns: Namespace::new(hostmods::host_env()),
+            ns: Namespace::sharing(hostmods::shared_env()),
             vm_handlers: HashMap::new(),
-            vm_owner: HashMap::new(),
+            vm_owner: FastMap::default(),
             vm_timers: Vec::new(),
-            factories: crate::switchlets::default_factories(),
+            factories: Vec::new(),
             boot_images: Vec::new(),
             cmds: Vec::new(),
             vm_instructions: 0,
@@ -392,8 +396,8 @@ impl BridgeNode {
     /// retained (not drained) so a crash-restart replays the same cold
     /// boot against the fresh state `on_crash` left behind.
     fn cold_boot(&mut self, ctx: &mut Ctx<'_>) {
-        let images = self.boot_images.clone();
-        for image in images {
+        for i in 0..self.boot_images.len() {
+            let image = Rc::clone(&self.boot_images[i]);
             self.load_image(ctx, &image);
             self.apply_cmds(ctx);
         }
@@ -402,14 +406,13 @@ impl BridgeNode {
     /// Queue a switchlet image for the boot loader ("the initial loader
     /// can only load switchlets from disk"). Loaded in order at start.
     pub fn boot_load(&mut self, image: Vec<u8>) {
-        self.boot_images.push(image);
+        self.boot_images.push(image.into());
     }
 
     /// Convenience: boot-load a native switchlet by name (wraps it in an
     /// empty carrier module).
     pub fn boot_load_native(&mut self, name: &str) {
-        let module = switchlet::ModuleBuilder::new(name).build();
-        self.boot_images.push(module.encode());
+        self.boot_images.push(carrier_image(name));
     }
 
     /// The bridge's station address.
@@ -435,7 +438,45 @@ impl BridgeNode {
     /// Register an additional native factory (e.g. defect-injected
     /// variants for the fallback experiment).
     pub fn register_factory(&mut self, name: &str, factory: NativeFactory) {
-        self.factories.insert(name.to_owned(), factory);
+        self.factories.retain(|(n, _)| n != name);
+        self.factories.push((name.to_owned(), factory));
+    }
+
+    /// Is there a native implementation of `name` on this bridge's disk?
+    fn has_factory(&self, name: &str) -> bool {
+        self.factories.iter().any(|(n, _)| n == name)
+            || crate::switchlets::default_factory(name).is_some()
+    }
+
+    /// A fresh instance of `name`'s native implementation: a registered
+    /// factory's if there is one, else the built-in.
+    fn build_native(&self, name: &str) -> Option<Box<dyn NativeSwitchlet>> {
+        let init = NativeInit {
+            cfg: &self.cfg,
+            mac: self.mac,
+            n_ports: self.plane.num_ports(),
+        };
+        match self.factories.iter().find(|(n, _)| n == name) {
+            Some((_, factory)) => Some(factory(&init)),
+            None => crate::switchlets::default_factory(name).map(|factory| factory(&init)),
+        }
+    }
+
+    /// The slot `name` is loaded in, if this bridge loaded it.
+    fn loaded_slot(&self, name: &str) -> Option<usize> {
+        self.plane
+            .slot_of(name)
+            .filter(|&slot| matches!(self.slots.get(slot), Some(Some(_))))
+    }
+
+    /// Enter a freshly loaded switchlet, running, under `name`.
+    fn enter_slot(&mut self, name: &str, imp: SwitchletImpl) -> usize {
+        let slot = self.plane.set_status(name, SwitchletStatus::Running);
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        self.slots[slot] = Some(imp);
+        slot
     }
 
     /// Arm BPDU guard on `ports`. Guard ports differ per bridge even when
@@ -457,8 +498,7 @@ impl BridgeNode {
 
     /// Inspect a loaded native switchlet by concrete type.
     pub fn switchlet<S: NativeSwitchlet>(&self, name: &str) -> Option<&S> {
-        let idx = *self.by_name.get(name)?;
-        match self.slots[idx].imp.as_ref()? {
+        match self.slots[self.loaded_slot(name)?].as_ref()? {
             SwitchletImpl::Native(b) => b.as_any().downcast_ref::<S>(),
             SwitchletImpl::Vm => None,
         }
@@ -507,31 +547,22 @@ impl BridgeNode {
         idx: usize,
         f: impl FnOnce(&mut dyn NativeSwitchlet, &mut BridgeCtx<'_, '_>),
     ) {
-        let Some(imp) = self.slots[idx].imp.take() else {
-            return; // re-entered (cannot happen with queued commands)
+        // A VM module's handlers live in `vm_handlers`, not here.
+        let Some(Some(SwitchletImpl::Native(native))) = self.slots.get_mut(idx) else {
+            return;
         };
-        match imp {
-            SwitchletImpl::Native(mut native) => {
-                {
-                    let mut bc = BridgeCtx {
-                        sim: ctx,
-                        plane: &mut self.plane,
-                        cfg: &self.cfg,
-                        mac: self.mac,
-                        ip: self.ip,
-                        bridge_name: &self.name,
-                        slot: idx,
-                        epoch: self.epoch,
-                        cmds: &mut self.cmds,
-                    };
-                    f(native.as_mut(), &mut bc);
-                }
-                self.slots[idx].imp = Some(SwitchletImpl::Native(native));
-            }
-            SwitchletImpl::Vm => {
-                self.slots[idx].imp = Some(SwitchletImpl::Vm);
-            }
-        }
+        let mut bc = BridgeCtx {
+            sim: ctx,
+            plane: &mut self.plane,
+            cfg: &self.cfg,
+            mac: self.mac,
+            ip: self.ip,
+            bridge_name: &self.name,
+            slot: idx,
+            epoch: self.epoch,
+            cmds: &mut self.cmds,
+        };
+        f(native.as_mut(), &mut bc);
     }
 
     /// The module that registered VM callable `fv` ("" when unknown).
@@ -619,8 +650,7 @@ impl BridgeNode {
     /// forwarding as the final degraded tier, so traffic keeps flowing.
     fn quarantine(&mut self, ctx: &mut Ctx<'_>, module: &str) {
         self.quarantined.insert(module.to_owned());
-        self.plane
-            .set_status(module.to_owned(), SwitchletStatus::Stopped);
+        self.plane.set_status(module, SwitchletStatus::Stopped);
         self.plane.unbind_all(module);
         // Drop every handler the module registered: a quarantined
         // switchlet must never run again, on any path.
@@ -656,10 +686,10 @@ impl BridgeNode {
                         self.name
                     ));
                     use crate::switchlets::dumb;
-                    if self.by_name.contains_key(dumb::NAME) {
+                    if let Some(slot) = self.loaded_slot(dumb::NAME) {
                         // Already loaded (install_native would no-op):
                         // revive and reinstall it directly.
-                        self.plane.set_status(dumb::NAME, SwitchletStatus::Running);
+                        self.plane.set_slot_status(slot, SwitchletStatus::Running);
                         self.plane
                             .set_data_plane(DataPlaneSel::Native(dumb::NAME.into()));
                     } else {
@@ -669,6 +699,7 @@ impl BridgeNode {
             }
         }
         self.plane_target = None;
+        self.plane.drop_addr_targets();
         ctx.bump("bridge.quarantines", 1);
         ctx.probe(|node| ProbeRecord::Quarantine { node });
         ctx.trace(format!("{}: watchdog quarantined {module}", self.name));
@@ -695,17 +726,32 @@ impl BridgeNode {
 
     /// Resolve a handler name to an invocable target without holding (or
     /// cloning) any borrowed strings — the hot path must not allocate.
-    fn resolve_handler(&self, name: &str) -> HandlerTarget {
+    fn resolve_handler(
+        vm_handlers: &HashMap<String, FuncVal>,
+        plane: &Plane,
+        name: &str,
+    ) -> HandlerTarget {
         if let Some(key) = name.strip_prefix("vm:") {
-            return match self.vm_handlers.get(key) {
+            return match vm_handlers.get(key) {
                 Some(&fv) => HandlerTarget::Vm(fv),
                 None => HandlerTarget::None,
             };
         }
-        match self.by_name.get(name) {
-            Some(&idx) if self.plane.is_running(name) => HandlerTarget::Native(idx),
+        match plane.slot_of(name) {
+            Some(slot) if plane.slot_running(slot) => HandlerTarget::Native(slot),
             _ => HandlerTarget::None,
         }
+    }
+
+    /// What the handler registered for `addr` resolves to, if one is: in
+    /// steady state a BPDU or a loader frame costs the scan that finds
+    /// the registration and a compare ([`Plane::addr_target`]).
+    #[inline]
+    fn registered_target(&mut self, addr: MacAddr) -> Option<HandlerTarget> {
+        let vm_handlers = &self.vm_handlers;
+        self.plane.addr_target(addr, |plane, name| {
+            Self::resolve_handler(vm_handlers, plane, name)
+        })
     }
 
     /// Invoke a resolved target with one frame: VM handlers get a handle
@@ -767,7 +813,9 @@ impl BridgeNode {
             _ => {
                 let t = match self.plane.data_plane() {
                     DataPlaneSel::None => HandlerTarget::None,
-                    DataPlaneSel::Native(name) => self.resolve_handler(name),
+                    DataPlaneSel::Native(name) => {
+                        Self::resolve_handler(&self.vm_handlers, &self.plane, name)
+                    }
                     DataPlaneSel::Vm(fv) => HandlerTarget::Vm(*fv),
                 };
                 self.plane_target = Some((gen, t));
@@ -801,11 +849,7 @@ impl BridgeNode {
             return;
         };
         let (dst, ethertype) = (parsed.dst(), parsed.ethertype());
-        if let Some(target) = self
-            .plane
-            .addr_handler(dst)
-            .map(|name| self.resolve_handler(name))
-        {
+        if let Some(target) = self.registered_target(dst) {
             self.plane.stats.registered += 1;
             self.dispatch_registered(ctx, target, port, &parsed);
             self.apply_cmds(ctx);
@@ -814,11 +858,7 @@ impl BridgeNode {
         // The loader endpoint also hears broadcast ARP (hosts resolving
         // the bridge's loader address); the frame is still bridged.
         if dst.is_broadcast() && ethertype == EtherType::ARP {
-            if let Some(target) = self
-                .plane
-                .addr_handler(self.mac)
-                .map(|name| self.resolve_handler(name))
-            {
+            if let Some(target) = self.registered_target(self.mac) {
                 self.plane.stats.to_loader += 1;
                 self.dispatch_registered(ctx, target, port, &parsed);
             }
@@ -915,11 +955,11 @@ impl BridgeNode {
     // ------------------------------------------------------ switchlet mgmt
 
     fn install_native(&mut self, ctx: &mut Ctx<'_>, name: &str) {
-        if self.by_name.contains_key(name) {
+        if self.loaded_slot(name).is_some() {
             ctx.trace(format!("{}: switchlet {name} already loaded", self.name));
             return;
         }
-        let Some(factory) = self.factories.get(name) else {
+        let Some(imp) = self.build_native(name) else {
             ctx.trace(format!(
                 "{}: no native implementation for {name}",
                 self.name
@@ -927,19 +967,7 @@ impl BridgeNode {
             self.plane.stats.images_rejected += 1;
             return;
         };
-        let init = NativeInit {
-            cfg: self.cfg.clone(),
-            mac: self.mac,
-            n_ports: self.plane.num_ports(),
-        };
-        let imp = factory(&init);
-        let idx = self.slots.len();
-        self.slots.push(Slot {
-            name: name.to_owned(),
-            imp: Some(SwitchletImpl::Native(imp)),
-        });
-        self.by_name.insert(name.to_owned(), idx);
-        self.plane.set_status(name, SwitchletStatus::Running);
+        let idx = self.enter_slot(name, SwitchletImpl::Native(imp));
         ctx.trace(format!("{}: installed switchlet {name}", self.name));
         self.with_slot(ctx, idx, |s, bc| s.on_install(bc));
     }
@@ -956,9 +984,8 @@ impl BridgeNode {
             }
         };
         self.plane.stats.images_loaded += 1;
-        if self.factories.contains_key(module.name.as_str()) && module.functions.is_empty() {
-            let name = module.name.clone();
-            self.install_native(ctx, &name);
+        if module.functions.is_empty() && self.has_factory(&module.name) {
+            self.install_native(ctx, &module.name);
             return;
         }
         // A real VM module: link, verify, run its init.
@@ -966,8 +993,7 @@ impl BridgeNode {
             fuel: self.cfg.vm_fuel,
             max_depth: 64,
         };
-        let name = module.name.clone();
-        let image_owned = image.to_vec();
+        let name = module.name;
         let mut env = hostmods::HostEnv {
             sim: ctx,
             plane: &mut self.plane,
@@ -978,17 +1004,10 @@ impl BridgeNode {
             bridge_name: &self.name,
             module_name: Rc::from(name.as_str()),
         };
-        match self.ns.load_and_init(&image_owned, &mut env, &exec) {
+        match self.ns.load_and_init(image, &mut env, &exec) {
             Ok((_, stats)) => {
                 self.vm_instructions += stats.instructions;
-                let idx = self.slots.len();
-                self.slots.push(Slot {
-                    name: name.clone(),
-                    imp: Some(SwitchletImpl::Vm),
-                });
-                self.by_name.insert(name.clone(), idx);
-                self.plane
-                    .set_status(name.clone(), SwitchletStatus::Running);
+                self.enter_slot(&name, SwitchletImpl::Vm);
                 ctx.trace(format!("{}: loaded vm switchlet {name}", self.name));
             }
             Err(e) => {
@@ -1018,29 +1037,26 @@ impl BridgeNode {
             for cmd in batch {
                 match cmd {
                     BridgeCommand::Suspend(name) => {
-                        if let Some(&idx) = self.by_name.get(&name) {
-                            if self.plane.is_running(&name) {
-                                self.plane
-                                    .set_status(name.clone(), SwitchletStatus::Suspended);
+                        if let Some(idx) = self.loaded_slot(&name) {
+                            if self.plane.slot_running(idx) {
+                                self.plane.set_slot_status(idx, SwitchletStatus::Suspended);
                                 self.with_slot(ctx, idx, |s, bc| s.on_suspend(bc));
                                 ctx.trace(format!("{}: suspended {name}", self.name));
                             }
                         }
                     }
                     BridgeCommand::Resume(name) => {
-                        if let Some(&idx) = self.by_name.get(&name) {
-                            if self.plane.status_of(&name) == Some(SwitchletStatus::Suspended) {
-                                self.plane
-                                    .set_status(name.clone(), SwitchletStatus::Running);
+                        if let Some(idx) = self.loaded_slot(&name) {
+                            if self.plane.slot_status(idx) == Some(SwitchletStatus::Suspended) {
+                                self.plane.set_slot_status(idx, SwitchletStatus::Running);
                                 self.with_slot(ctx, idx, |s, bc| s.on_resume(bc));
                                 ctx.trace(format!("{}: resumed {name}", self.name));
                             }
                         }
                     }
                     BridgeCommand::Stop(name) => {
-                        if self.by_name.contains_key(&name) {
-                            self.plane
-                                .set_status(name.clone(), SwitchletStatus::Stopped);
+                        if let Some(idx) = self.loaded_slot(&name) {
+                            self.plane.set_slot_status(idx, SwitchletStatus::Stopped);
                             ctx.trace(format!("{}: stopped {name}", self.name));
                         }
                     }
@@ -1091,12 +1107,13 @@ impl Node for BridgeNode {
         // epoch bump orphans every timer already in flight.
         self.epoch = self.epoch.wrapping_add(1);
         self.service = ServiceQueue::new(self.cfg.input_queue);
-        self.plane = Self::fresh_plane(self.plane.num_ports(), &self.cfg);
+        let mut plane = Self::fresh_plane(self.plane.num_ports(), &self.cfg);
+        plane.carry_control_epoch(&self.plane);
+        self.plane = plane;
         self.plane_target = None;
         self.storm.clear();
         self.slots.clear();
-        self.by_name.clear();
-        self.ns = Namespace::new(hostmods::host_env());
+        self.ns = Namespace::sharing(hostmods::shared_env());
         self.vm_handlers.clear();
         self.vm_owner.clear();
         self.vm_timers.clear();
@@ -1156,15 +1173,12 @@ impl Node for BridgeNode {
             KIND_SWITCHLET => {
                 let slot = ((token.0 >> 32) & 0xFFFF) as usize;
                 let user = (token.0 & 0xFFFF_FFFF) as u32;
-                if slot < self.slots.len() {
-                    let name = self.slots[slot].name.clone();
-                    if self.plane.is_running(&name) {
-                        // A timer handler may mutate decision inputs the
-                        // plane cannot see (switchlet-private state), so
-                        // every delivery invalidates cached verdicts.
-                        self.plane.bump_generation();
-                        self.with_slot(ctx, slot, |s, bc| s.on_timer(bc, user));
-                    }
+                if self.plane.slot_running(slot) {
+                    // A timer handler may mutate decision inputs the
+                    // plane cannot see (switchlet-private state), so
+                    // every delivery invalidates cached verdicts.
+                    self.plane.bump_generation();
+                    self.with_slot(ctx, slot, |s, bc| s.on_timer(bc, user));
                 }
                 self.apply_cmds(ctx);
             }

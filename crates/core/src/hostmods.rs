@@ -21,10 +21,11 @@
 //! | `bridgectl` | "access points" | port suppression, learning flush, counters |
 //! | `switchctl` | (control's levers) | switchlet lifecycle inspection/control |
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use ether::MacAddr;
-use netsim::{Ctx, PortId, SimDuration};
+use netsim::{Ctx, FastMap, PortId, SimDuration};
 use switchlet::{Env, FuncVal, HostDispatch, HostModuleSig, HostSlot, Ty, Value, VmError};
 
 use crate::bridge::BridgeCommand;
@@ -101,6 +102,23 @@ pub fn host_env() -> Env {
     env
 }
 
+thread_local! {
+    /// This thread's copy of [`host_env`].
+    static SHARED_ENV: Rc<Env> = Rc::new(host_env());
+}
+
+/// The [`host_env`] every bridge on this thread offers, built once. The
+/// offer is a constant — eight module signatures — so a bridge that boots
+/// (or reboots after a crash) takes a handle instead of rebuilding it.
+/// Per thread, not per process: a world and its bridges live on one
+/// thread and hold `Rc`s already, so a sweep worker pays one `Env` and
+/// no atomic refcount or lock is shared between workers. Sharing loosens
+/// nothing: an `Env` says only what is nameable, and every bridge still
+/// links every image against it and dispatches every call itself.
+pub(crate) fn shared_env() -> Rc<Env> {
+    SHARED_ENV.with(Rc::clone)
+}
+
 /// The dispatch side, bound to one bridge during one VM invocation.
 pub struct HostEnv<'a, 'w> {
     /// Simulator context.
@@ -109,12 +127,16 @@ pub struct HostEnv<'a, 'w> {
     pub plane: &'a mut Plane,
     /// Bridge command queue.
     pub cmds: &'a mut Vec<BridgeCommand>,
-    /// Registered VM handlers (`module.key` → callable).
-    pub vm_handlers: &'a mut std::collections::HashMap<String, FuncVal>,
+    /// Registered VM handlers (`module.key` → callable). Keys are chosen
+    /// by loaded code, so this map keeps the default (keyed) hasher; it
+    /// is probed when a handler name is resolved, not per frame.
+    pub vm_handlers: &'a mut HashMap<String, FuncVal>,
     /// Callable → owning module (restores identity in callbacks). Names
     /// are interned when the module loads, so per-frame dispatch shares
-    /// them instead of copying.
-    pub vm_owner: &'a mut std::collections::HashMap<FuncVal, Rc<str>>,
+    /// them instead of copying. Probed per VM-handled registered frame
+    /// and per VM timer, keyed by values the linker mints: the fast
+    /// deterministic hasher.
+    pub vm_owner: &'a mut FastMap<FuncVal, Rc<str>>,
     /// Bridge station address.
     pub mac: MacAddr,
     /// Bridge name (logs).
@@ -341,7 +363,11 @@ impl HostEnv<'_, '_> {
                     return Err(VmError::Host("register_handler expects a function".into()));
                 };
                 let full = format!("{}.{}", self.module_name, key);
-                self.vm_handlers.insert(full, fv);
+                if self.vm_handlers.insert(full, fv) != Some(fv) {
+                    // A `vm:` address registration may have resolved this
+                    // key to the callable it named until now.
+                    self.plane.bump_generation();
+                }
                 self.own(fv);
                 if key == "switching" {
                     // Convention: registering "switching" installs this
@@ -457,13 +483,20 @@ mod tests {
         module: &str,
         f: impl FnOnce(&mut HostEnv<'_, '_>) -> R,
     ) -> R {
-        with_env_owners(plane, &mut Default::default(), module, f)
+        with_env_maps(
+            plane,
+            &mut Default::default(),
+            &mut Default::default(),
+            module,
+            f,
+        )
     }
 
-    /// [`with_env`] over a callable → owner map that outlives the call.
-    fn with_env_owners<R>(
+    /// [`with_env`] over handler and owner maps that outlive the call.
+    fn with_env_maps<R>(
         plane: &mut Plane,
-        vm_owner: &mut std::collections::HashMap<FuncVal, Rc<str>>,
+        vm_handlers: &mut HashMap<String, FuncVal>,
+        vm_owner: &mut FastMap<FuncVal, Rc<str>>,
         module: &str,
         f: impl FnOnce(&mut HostEnv<'_, '_>) -> R,
     ) -> R {
@@ -480,7 +513,7 @@ mod tests {
                 sim: ctx,
                 plane,
                 cmds: &mut Vec::new(),
-                vm_handlers: &mut Default::default(),
+                vm_handlers,
                 vm_owner,
                 mac: MacAddr::local(1),
                 bridge_name: "bridge",
@@ -502,12 +535,18 @@ mod tests {
             func: 0,
         };
         let mut plane = Plane::new(2, SimDuration::from_secs(300));
-        let mut owners = std::collections::HashMap::new();
+        let mut owners = FastMap::default();
         let mut arm = |module: &str, plane: &mut Plane| {
-            with_env_owners(plane, &mut owners, module, |host| {
-                let mut args = [Value::Int(5), Value::Int(0), Value::Func(fv)];
-                host.call_slot(&env, set_timeout, &mut args).expect("arms");
-            });
+            with_env_maps(
+                plane,
+                &mut Default::default(),
+                &mut owners,
+                module,
+                |host| {
+                    let mut args = [Value::Int(5), Value::Int(0), Value::Func(fv)];
+                    host.call_slot(&env, set_timeout, &mut args).expect("arms");
+                },
+            );
             plane.generation()
         };
         let g0 = plane.generation();
@@ -519,6 +558,46 @@ mod tests {
         assert_eq!(arm("first", &mut plane), g0, "same owner again");
         assert!(arm("second", &mut plane) > g0, "the callable changed hands");
         assert_eq!(owners[&fv].as_ref(), "second");
+    }
+
+    /// A `vm:` address registration keeps what its handler key resolved
+    /// to under the decision generation, so a key that comes to name
+    /// another callable must move it; registering the same one again
+    /// must not.
+    #[test]
+    fn a_handler_key_changing_callables_bumps_the_generation() {
+        let env = host_env();
+        let (register, _) = env.lookup("func", "register_handler").expect("offered");
+        let func = |func| FuncVal::Vm {
+            instance: switchlet::InstanceId(0),
+            func,
+        };
+        let mut plane = Plane::new(2, SimDuration::from_secs(300));
+        let mut handlers = HashMap::new();
+        let mut register_as = |fv: FuncVal, plane: &mut Plane| {
+            with_env_maps(
+                plane,
+                &mut handlers,
+                &mut Default::default(),
+                "unit",
+                |host| {
+                    let mut args = [Value::Str("on_group".into()), Value::Func(fv)];
+                    host.call_slot(&env, register, &mut args)
+                        .expect("registers");
+                },
+            );
+            plane.generation()
+        };
+        let g0 = plane.generation();
+        let g1 = register_as(func(0), &mut plane);
+        assert!(g1 > g0, "a new key");
+        assert_eq!(
+            register_as(func(0), &mut plane),
+            g1,
+            "the same callable again"
+        );
+        assert!(register_as(func(1), &mut plane) > g1, "another callable");
+        assert_eq!(handlers["unit.on_group"], func(1));
     }
 
     fn unixnet(host: &mut HostEnv<'_, '_>, item: &str, arg: Value) -> Result<Value, VmError> {

@@ -16,13 +16,21 @@
 //! freshness deadline has not passed, so a cache hit can never diverge
 //! from re-executing the switching function — the invariant the golden
 //! byte-identical-trace tests enforce end to end.
-
-use std::collections::HashMap;
+//!
+//! The plane also keeps the **switchlet directory**: a switchlet is a
+//! slot. A name is resolved to its slot where it enters (an install, a
+//! `switchctl` command, a registration) and the per-frame, per-BPDU and
+//! per-timer paths test `status[slot]`; the by-name queries scan the
+//! directory (a bridge holds a handful of units) and serve commands,
+//! the control switchlet and tests.
 
 use ether::MacAddr;
 use netsim::{FastMap, PortId, SimDuration, SimTime};
+use switchlet::FuncVal;
 
-use crate::switchlets::stp::engine::StpSnapshot;
+use crate::switchlets::stp::bpdu::StpVariant;
+use crate::switchlets::stp::engine::{StpEngine, StpSnapshot};
+use crate::switchlets::stp::{DEC_NAME, IEEE_NAME};
 
 /// Per-port permission flags (the spanning tree's access points).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -337,7 +345,59 @@ pub enum DataPlaneSel {
     /// A native switchlet, by name.
     Native(String),
     /// A VM switchlet handler (registered under "switching").
-    Vm(switchlet::FuncVal),
+    Vm(FuncVal),
+}
+
+/// What a handler name resolves to: plain indices and values, so that
+/// resolution can happen under an immutable borrow and dispatch under
+/// the mutable one — and so that a resolved answer can be kept.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum HandlerTarget {
+    /// Loaded native switchlet, by slot.
+    Native(usize),
+    /// VM handler function.
+    Vm(FuncVal),
+    /// No runnable handler.
+    None,
+}
+
+/// One demultiplexer registration: the handler's name as registered, and
+/// what it resolved to under the decision generation recorded with it.
+#[derive(Debug)]
+struct AddrHandler {
+    addr: MacAddr,
+    name: String,
+    target: Option<(u64, HandlerTarget)>,
+}
+
+/// One entry of the switchlet directory.
+#[derive(Debug)]
+struct Unit {
+    name: String,
+    status: SwitchletStatus,
+}
+
+/// The spanning-tree snapshots the protocol switchlets publish, one cell
+/// per [`StpVariant`], rewritten in place (the plane's `publish` is the
+/// only writer).
+#[derive(Debug, Default)]
+pub struct Published([Option<StpSnapshot>; 2]);
+
+impl Published {
+    /// The snapshot `variant`'s switchlet last published.
+    #[inline]
+    pub fn of(&self, variant: StpVariant) -> Option<&StpSnapshot> {
+        self.0[variant as usize].as_ref()
+    }
+
+    /// The snapshot published under a switchlet's unit name.
+    pub fn get(&self, name: &str) -> Option<&StpSnapshot> {
+        match name {
+            IEEE_NAME => self.of(StpVariant::Ieee),
+            DEC_NAME => self.of(StpVariant::Dec),
+            _ => None,
+        }
+    }
 }
 
 /// Lifecycle status of a switchlet.
@@ -550,20 +610,21 @@ pub struct Plane {
     /// The learning table (shared so the spanning tree can flush it);
     /// tracks its own mapping generation.
     pub learn: LearningTable,
-    /// Demultiplexer registrations: destination address → switchlet name.
-    addr_handlers: Vec<(MacAddr, String)>,
+    /// Demultiplexer registrations: destination address → handler.
+    addr_handlers: Vec<AddrHandler>,
     /// The installed switching function.
     data_plane: DataPlaneSel,
     /// The switching function installed before the current one — the
     /// watchdog's last-known-good rollback target when the current one
     /// is quarantined.
     prev_data_plane: Option<DataPlaneSel>,
-    /// Switchlet lifecycle status mirror (readable by other switchlets —
-    /// the control switchlet "checks that the DEC switchlet is operating
-    /// and that the 802.1D switchlet is not").
-    status: HashMap<String, SwitchletStatus>,
+    /// The switchlet directory, indexed by slot: name and lifecycle
+    /// status (readable by other switchlets — the control switchlet
+    /// "checks that the DEC switchlet is operating and that the 802.1D
+    /// switchlet is not").
+    units: Vec<Unit>,
     /// Spanning-tree snapshots published by protocol switchlets.
-    pub published: HashMap<String, StpSnapshot>,
+    pub published: Published,
     /// Input-port ownership (paper: "the first switchlet to bind to a
     /// given port succeeds and all others fail").
     pub owners_in: Vec<Option<String>>,
@@ -575,6 +636,9 @@ pub struct Plane {
     pub fwd_cache: DecisionCache,
     /// Decision-relevant mutations outside the learning table.
     gen: u64,
+    /// Control-plane changes an observer of convergence can see: a port's
+    /// `forward` flag or a published root changing.
+    control_epoch: u64,
 }
 
 impl Plane {
@@ -586,13 +650,14 @@ impl Plane {
             addr_handlers: Vec::new(),
             data_plane: DataPlaneSel::None,
             prev_data_plane: None,
-            status: HashMap::new(),
-            published: HashMap::new(),
+            units: Vec::new(),
+            published: Published::default(),
             owners_in: vec![None; n_ports],
             owners_out: vec![None; n_ports],
             stats: BridgeStats::default(),
             fwd_cache: DecisionCache::default(),
             gen: 0,
+            control_epoch: 0,
         }
     }
 
@@ -612,6 +677,22 @@ impl Plane {
     #[inline]
     pub fn bump_generation(&mut self) {
         self.gen += 1;
+    }
+
+    /// The control epoch: moves exactly when a port's `forward` flag or a
+    /// published spanning-tree root changes, never backwards. Whoever
+    /// watches the control plane converge compares epochs instead of
+    /// re-reading every flag and root (a crash's fresh plane continues the
+    /// old one's epoch, so it stays monotone).
+    #[inline]
+    pub fn control_epoch(&self) -> u64 {
+        self.control_epoch
+    }
+
+    /// Continue `old`'s control epoch, one step on: this plane replaces
+    /// `old` (a crash wiped its flags and snapshots, which is a change).
+    pub(crate) fn carry_control_epoch(&mut self, old: &Plane) {
+        self.control_epoch = old.control_epoch + 1;
     }
 
     // ---------------------------------------------------------- flags
@@ -640,6 +721,7 @@ impl Plane {
         if self.flags[port].forward != forward {
             self.flags[port].forward = forward;
             self.gen += 1;
+            self.control_epoch += 1;
         }
     }
 
@@ -654,6 +736,7 @@ impl Plane {
     /// Set both flags of a port.
     pub fn set_port_flags(&mut self, port: usize, flags: PortFlags) {
         if self.flags[port] != flags {
+            self.control_epoch += u64::from(self.flags[port].forward != flags.forward);
             self.flags[port] = flags;
             self.gen += 1;
         }
@@ -686,16 +769,60 @@ impl Plane {
 
     // ------------------------------------------------------- lifecycle
 
-    /// A switchlet's lifecycle status.
-    pub fn status_of(&self, name: &str) -> Option<SwitchletStatus> {
-        self.status.get(name).copied()
+    /// The directory slot of `name`, if the plane has heard of it.
+    pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
+        self.units.iter().position(|u| u.name == name)
     }
 
-    /// Record a lifecycle transition (load/suspend/resume/halt) — each
-    /// one invalidates cached decisions.
-    pub fn set_status(&mut self, name: impl Into<String>, status: SwitchletStatus) {
-        self.status.insert(name.into(), status);
+    /// A switchlet's lifecycle status, by slot.
+    #[inline]
+    pub(crate) fn slot_status(&self, slot: usize) -> Option<SwitchletStatus> {
+        self.units.get(slot).map(|u| u.status)
+    }
+
+    /// Is the switchlet in `slot` currently running?
+    #[inline]
+    pub(crate) fn slot_running(&self, slot: usize) -> bool {
+        self.slot_status(slot) == Some(SwitchletStatus::Running)
+    }
+
+    /// A switchlet's lifecycle status.
+    pub fn status_of(&self, name: &str) -> Option<SwitchletStatus> {
+        self.slot_status(self.slot_of(name)?)
+    }
+
+    /// Is a switchlet currently running?
+    pub fn is_running(&self, name: &str) -> bool {
+        self.status_of(name) == Some(SwitchletStatus::Running)
+    }
+
+    /// Is a switchlet loaded (running or suspended)?
+    pub fn is_loaded(&self, name: &str) -> bool {
+        matches!(
+            self.status_of(name),
+            Some(SwitchletStatus::Running | SwitchletStatus::Suspended)
+        )
+    }
+
+    /// [`Plane::set_status`] for a name already resolved to its slot.
+    pub(crate) fn set_slot_status(&mut self, slot: usize, status: SwitchletStatus) {
+        self.units[slot].status = status;
         self.gen += 1;
+    }
+
+    /// Record a lifecycle transition (load/suspend/resume/halt) of the
+    /// switchlet named `name` — each one invalidates cached decisions. A
+    /// name the directory has not seen enters it here; returns its slot.
+    pub fn set_status(&mut self, name: &str, status: SwitchletStatus) -> usize {
+        let slot = self.slot_of(name).unwrap_or_else(|| {
+            self.units.push(Unit {
+                name: name.to_owned(),
+                status,
+            });
+            self.units.len() - 1
+        });
+        self.set_slot_status(slot, status);
+        slot
     }
 
     // -------------------------------------------------------- bindings
@@ -758,39 +885,78 @@ impl Plane {
     /// address and later hands it to the 802.1D switchlet.
     pub fn register_addr(&mut self, addr: MacAddr, switchlet: impl Into<String>) {
         let name = switchlet.into();
-        if let Some(slot) = self.addr_handlers.iter_mut().find(|(a, _)| *a == addr) {
-            slot.1 = name;
+        if let Some(h) = self.addr_handlers.iter_mut().find(|h| h.addr == addr) {
+            h.name = name;
+            h.target = None;
         } else {
-            self.addr_handlers.push((addr, name));
+            self.addr_handlers.push(AddrHandler {
+                addr,
+                name,
+                target: None,
+            });
         }
         self.gen += 1;
     }
 
     /// Remove a registration.
     pub fn unregister_addr(&mut self, addr: MacAddr) {
-        self.addr_handlers.retain(|(a, _)| *a != addr);
+        self.addr_handlers.retain(|h| h.addr != addr);
         self.gen += 1;
     }
 
     /// Who handles frames to `addr`?
     pub fn addr_handler(&self, addr: MacAddr) -> Option<&str> {
-        self.addr_handlers
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .map(|(_, n)| n.as_str())
+        let h = self.addr_handlers.iter().find(|h| h.addr == addr)?;
+        Some(h.name.as_str())
     }
 
-    /// Is a switchlet currently running?
-    pub fn is_running(&self, name: &str) -> bool {
-        self.status.get(name) == Some(&SwitchletStatus::Running)
+    /// What the handler registered for `addr` resolves to, if one is
+    /// registered (the per-frame test: a scan of one to three entries).
+    /// `resolve` is asked at most once per decision generation and its
+    /// answer kept with the registration; everything it may read moves
+    /// the generation — a lifecycle transition, a (re-)registration, a
+    /// VM handler key changing callables.
+    #[inline]
+    pub(crate) fn addr_target(
+        &mut self,
+        addr: MacAddr,
+        resolve: impl FnOnce(&Plane, &str) -> HandlerTarget,
+    ) -> Option<HandlerTarget> {
+        let i = self.addr_handlers.iter().position(|h| h.addr == addr)?;
+        let gen = self.generation();
+        match self.addr_handlers[i].target {
+            Some((g, target)) if g == gen => Some(target),
+            _ => {
+                let target = resolve(self, &self.addr_handlers[i].name);
+                self.addr_handlers[i].target = Some((gen, target));
+                Some(target)
+            }
+        }
     }
 
-    /// Is a switchlet loaded (running or suspended)?
-    pub fn is_loaded(&self, name: &str) -> bool {
-        matches!(
-            self.status.get(name),
-            Some(SwitchletStatus::Running | SwitchletStatus::Suspended)
-        )
+    /// Forget every kept resolution (with the data plane's: quarantine).
+    pub(crate) fn drop_addr_targets(&mut self) {
+        for h in &mut self.addr_handlers {
+            h.target = None;
+        }
+    }
+
+    // ------------------------------------------------- spanning tree
+
+    /// Publish `engine`'s tree under `variant`, over the snapshot already
+    /// there. A changed root moves the control epoch.
+    pub(crate) fn publish(&mut self, variant: StpVariant, engine: &StpEngine) {
+        match &mut self.published.0[variant as usize] {
+            Some(snapshot) => {
+                let root = snapshot.root_mac;
+                engine.snapshot_into(snapshot);
+                self.control_epoch += u64::from(snapshot.root_mac != root);
+            }
+            empty => {
+                *empty = Some(engine.snapshot());
+                self.control_epoch += 1;
+            }
+        }
     }
 }
 
@@ -1007,6 +1173,20 @@ mod tests {
         assert!(plane.is_loaded("stp_dec"));
         plane.set_status("stp_dec", SwitchletStatus::Stopped);
         assert!(!plane.is_loaded("stp_dec"));
+    }
+
+    #[test]
+    fn a_name_keeps_the_slot_it_entered_the_directory_with() {
+        let mut plane = Plane::new(1, SimDuration::from_secs(300));
+        assert_eq!(plane.slot_of("a"), None);
+        let a = plane.set_status("a", SwitchletStatus::Running);
+        let b = plane.set_status("b", SwitchletStatus::Suspended);
+        assert_ne!(a, b);
+        assert_eq!(plane.set_status("a", SwitchletStatus::Stopped), a);
+        assert_eq!((plane.slot_of("a"), plane.slot_of("b")), (Some(a), Some(b)));
+        assert_eq!(plane.slot_status(a), Some(SwitchletStatus::Stopped));
+        assert!(!plane.slot_running(a) && !plane.slot_running(b));
+        assert_eq!(plane.slot_status(b + 1), None);
     }
 
     #[test]

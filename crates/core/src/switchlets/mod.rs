@@ -9,41 +9,26 @@ pub mod learning;
 pub mod stp;
 pub mod trap_vm;
 
-use std::collections::HashMap;
-
-use crate::bridge::{NativeFactory, NativeSwitchlet};
+use crate::bridge::{NativeInit, NativeSwitchlet};
 use crate::loader::NetLoader;
 
-/// The native switchlet factories every bridge knows out of the box
-/// (its "disk"). Experiments may override entries — e.g. replacing
-/// `stp_ieee` with a defect-injected build for the fallback run.
-pub fn default_factories() -> HashMap<String, NativeFactory> {
-    let mut map: HashMap<String, NativeFactory> = HashMap::new();
-    map.insert(
-        crate::loader::NAME.into(),
-        Box::new(|_| Box::new(NetLoader::default()) as Box<dyn NativeSwitchlet>),
-    );
-    map.insert(
-        dumb::NAME.into(),
-        Box::new(|_| Box::new(dumb::DumbBridge::default()) as Box<dyn NativeSwitchlet>),
-    );
-    map.insert(
-        learning::NAME.into(),
-        Box::new(|_| Box::new(learning::LearningBridge::default()) as Box<dyn NativeSwitchlet>),
-    );
-    map.insert(
-        stp::IEEE_NAME.into(),
-        Box::new(|_| Box::new(stp::StpSwitchlet::ieee()) as Box<dyn NativeSwitchlet>),
-    );
-    map.insert(
-        stp::DEC_NAME.into(),
-        Box::new(|_| Box::new(stp::StpSwitchlet::dec()) as Box<dyn NativeSwitchlet>),
-    );
-    map.insert(
-        control::NAME.into(),
-        Box::new(|_| Box::new(control::ControlSwitchlet::default()) as Box<dyn NativeSwitchlet>),
-    );
-    map
+/// Creates one of the built-in native switchlets.
+pub(crate) type BuiltinFactory = fn(&NativeInit) -> Box<dyn NativeSwitchlet>;
+
+/// The native switchlet every bridge knows out of the box under `name`
+/// (its "disk"). Experiments may shadow entries through
+/// [`crate::BridgeNode::register_factory`] — e.g. replacing `stp_ieee`
+/// with a defect-injected build for the fallback run.
+pub(crate) fn default_factory(name: &str) -> Option<BuiltinFactory> {
+    Some(match name {
+        crate::loader::NAME => |_| Box::new(NetLoader::default()),
+        dumb::NAME => |_| Box::new(dumb::DumbBridge::default()),
+        learning::NAME => |_| Box::new(learning::LearningBridge::default()),
+        stp::IEEE_NAME => |_| Box::new(stp::StpSwitchlet::ieee()),
+        stp::DEC_NAME => |_| Box::new(stp::StpSwitchlet::dec()),
+        control::NAME => |_| Box::new(control::ControlSwitchlet::default()),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -52,7 +37,6 @@ mod tests {
 
     #[test]
     fn all_standard_switchlets_present() {
-        let f = default_factories();
         for name in [
             "netloader",
             "bridge_dumb",
@@ -61,7 +45,8 @@ mod tests {
             "stp_dec",
             "control",
         ] {
-            assert!(f.contains_key(name), "missing factory {name}");
+            assert!(default_factory(name).is_some(), "missing factory {name}");
         }
+        assert!(default_factory("no_such_switchlet").is_none());
     }
 }

@@ -97,10 +97,16 @@ pub mod ieee {
 
     /// Encode.
     pub fn emit(bpdu: &Bpdu) -> Vec<u8> {
+        let mut out = Vec::with_capacity(CONFIG_LEN);
+        emit_into(bpdu, &mut out);
+        out
+    }
+
+    /// Encode behind whatever `out` already holds.
+    pub fn emit_into(bpdu: &Bpdu, out: &mut Vec<u8>) {
         match bpdu {
-            Bpdu::Tcn => vec![0, 0, 0, 0x80],
+            Bpdu::Tcn => out.extend_from_slice(&[0, 0, 0, 0x80]),
             Bpdu::Config(c) => {
-                let mut out = Vec::with_capacity(CONFIG_LEN);
                 out.extend_from_slice(&[0, 0]); // protocol id
                 out.push(0); // version
                 out.push(0); // type: config
@@ -116,11 +122,11 @@ pub mod ieee {
                 out.extend_from_slice(&c.root_cost.to_be_bytes());
                 out.extend_from_slice(&c.bridge.encode());
                 out.extend_from_slice(&c.port.to_be_bytes());
-                // 802.1D carries times in 1/256ths of a second.
+                // 802.1D carries times in 1/256ths of a second: sixteen
+                // bits hold whole seconds below 256, like DEC's one byte.
                 for t in [c.message_age, c.max_age, c.hello_time, c.forward_delay] {
-                    out.extend_from_slice(&(t * 256).to_be_bytes());
+                    out.extend_from_slice(&(t << 8).to_be_bytes());
                 }
-                out
             }
         }
     }
@@ -171,10 +177,16 @@ pub mod dec {
 
     /// Encode.
     pub fn emit(bpdu: &Bpdu) -> Vec<u8> {
+        let mut out = Vec::with_capacity(CONFIG_LEN);
+        emit_into(bpdu, &mut out);
+        out
+    }
+
+    /// Encode behind whatever `out` already holds.
+    pub fn emit_into(bpdu: &Bpdu, out: &mut Vec<u8>) {
         match bpdu {
-            Bpdu::Tcn => vec![MAGIC, 0x02],
+            Bpdu::Tcn => out.extend_from_slice(&[MAGIC, 0x02]),
             Bpdu::Config(c) => {
-                let mut out = Vec::with_capacity(CONFIG_LEN);
                 out.push(MAGIC);
                 out.push(0x01); // type: config
                                 // DEC-style: bridge first, then root (opposite of IEEE),
@@ -191,7 +203,6 @@ pub mod dec {
                 out.push(c.forward_delay as u8);
                 out.push(if c.tc { 1 } else { 0 });
                 out.push(if c.tca { 1 } else { 0 });
-                out
             }
         }
     }
@@ -256,6 +267,15 @@ impl StpVariant {
         match self {
             StpVariant::Ieee => ieee::emit(bpdu),
             StpVariant::Dec => dec::emit(bpdu),
+        }
+    }
+
+    /// Encode a BPDU in this variant's format behind whatever `out`
+    /// already holds (a frame under construction: the headers).
+    pub fn emit_into(self, bpdu: &Bpdu, out: &mut Vec<u8>) {
+        match self {
+            StpVariant::Ieee => ieee::emit_into(bpdu, out),
+            StpVariant::Dec => dec::emit_into(bpdu, out),
         }
     }
 

@@ -184,9 +184,10 @@ impl StpEngine {
             bpdus_received: 0,
             bpdus_sent: 0,
         };
-        let mut actions = engine.recompute(now);
+        let mut actions = Vec::new();
+        engine.recompute(now, &mut actions);
         // Startup hello burst: announce ourselves as root.
-        actions.extend(engine.send_hellos(now));
+        engine.send_hellos(now, &mut actions);
         (engine, actions)
     }
 
@@ -222,12 +223,24 @@ impl StpEngine {
 
     /// Comparable summary of the computed tree.
     pub fn snapshot(&self) -> StpSnapshot {
-        StpSnapshot {
+        let mut out = StpSnapshot {
             root_mac: self.root.mac,
             root_cost: self.root_cost,
             root_port: self.root_port,
-            roles: self.ports.iter().map(|p| p.role).collect(),
-        }
+            roles: Vec::with_capacity(self.ports.len()),
+        };
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`StpEngine::snapshot`] written over `out`, whose `roles` storage
+    /// is kept: republishing after every event allocates nothing.
+    pub fn snapshot_into(&self, out: &mut StpSnapshot) {
+        out.root_mac = self.root.mac;
+        out.root_cost = self.root_cost;
+        out.root_port = self.root_port;
+        out.roles.clear();
+        out.roles.extend(self.ports.iter().map(|p| p.role));
     }
 
     fn better(&self, a: &PriorityVector, b: &PriorityVector) -> bool {
@@ -255,8 +268,15 @@ impl StpEngine {
         }
     }
 
-    /// Handle a received configuration BPDU.
-    pub fn on_config(&mut self, port: usize, config: &ConfigBpdu, now: SimTime) -> Vec<StpAction> {
+    /// Handle a received configuration BPDU; what it calls for is
+    /// appended to `actions` (the caller's buffer, reused across events).
+    pub fn on_config(
+        &mut self,
+        port: usize,
+        config: &ConfigBpdu,
+        now: SimTime,
+        actions: &mut Vec<StpAction>,
+    ) {
         self.bpdus_received += 1;
         let vector = PriorityVector {
             root: config.root,
@@ -280,11 +300,11 @@ impl StpEngine {
         if replace {
             self.ports[port].stored = Some((vector, expires));
         }
-        let mut actions = self.recompute(now);
+        self.recompute(now, actions);
         // Classic relay: information from the root port propagates out of
         // the designated ports immediately.
         if self.root_port == Some(port) {
-            actions.extend(self.send_hellos(now));
+            self.send_hellos(now, actions);
         } else if self.ports[port].role == PortRole::Designated {
             // Someone inferior is transmitting on our designated segment:
             // answer with our own (superior) configuration.
@@ -292,12 +312,11 @@ impl StpEngine {
             self.bpdus_sent += 1;
             actions.push(StpAction::SendConfig { port, config: cfg });
         }
-        actions
     }
 
-    /// 1 Hz housekeeping tick: expiry, state progression, hellos.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<StpAction> {
-        let mut actions = Vec::new();
+    /// 1 Hz housekeeping tick: expiry, state progression, hellos —
+    /// appended to `actions`, like [`StpEngine::on_config`].
+    pub fn on_tick(&mut self, now: SimTime, actions: &mut Vec<StpAction>) {
         // Expire stored information.
         let mut expired_any = false;
         for p in &mut self.ports {
@@ -309,7 +328,7 @@ impl StpEngine {
             }
         }
         if expired_any {
-            actions.extend(self.recompute(now));
+            self.recompute(now, actions);
         }
         // Progress transitional states.
         for i in 0..self.ports.len() {
@@ -334,9 +353,8 @@ impl StpEngine {
         }
         // Root sends hellos.
         if self.is_root() && now.saturating_since(self.last_hello) >= self.timers.hello {
-            actions.extend(self.send_hellos(now));
+            self.send_hellos(now, actions);
         }
-        actions
     }
 
     fn config_for(&self, port: usize) -> ConfigBpdu {
@@ -356,9 +374,8 @@ impl StpEngine {
         }
     }
 
-    fn send_hellos(&mut self, now: SimTime) -> Vec<StpAction> {
+    fn send_hellos(&mut self, now: SimTime, out: &mut Vec<StpAction>) {
         self.last_hello = now;
-        let mut out = Vec::new();
         for i in 0..self.ports.len() {
             if self.ports[i].role == PortRole::Designated
                 && self.ports[i].state != PortState::Disabled
@@ -370,11 +387,10 @@ impl StpEngine {
                 });
             }
         }
-        out
     }
 
     /// Re-run the election and role assignment; emit state changes.
-    fn recompute(&mut self, now: SimTime) -> Vec<StpAction> {
+    fn recompute(&mut self, now: SimTime, actions: &mut Vec<StpAction>) {
         // Elect the root.
         let mut best: Option<(PriorityVector, usize)> = None;
         for (i, p) in self.ports.iter().enumerate() {
@@ -410,7 +426,6 @@ impl StpEngine {
         }
 
         // Assign roles.
-        let mut actions = Vec::new();
         for i in 0..self.ports.len() {
             let role = if Some(i) == self.root_port {
                 PortRole::Root
@@ -456,7 +471,6 @@ impl StpEngine {
                 }
             }
         }
-        actions
     }
 }
 
@@ -473,6 +487,18 @@ mod tests {
         StpTimers::default()
     }
 
+    fn tick(e: &mut StpEngine, now: SimTime) -> Vec<StpAction> {
+        let mut actions = Vec::new();
+        e.on_tick(now, &mut actions);
+        actions
+    }
+
+    fn config(e: &mut StpEngine, port: usize, cfg: &ConfigBpdu, now: SimTime) -> Vec<StpAction> {
+        let mut actions = Vec::new();
+        e.on_config(port, cfg, now, &mut actions);
+        actions
+    }
+
     /// Drive a set of engines on shared segments until quiescent.
     /// `wiring[b][p]` = segment index of bridge b's port p.
     fn converge(engines: &mut [StpEngine], wiring: &[Vec<usize>], seconds: u64) {
@@ -482,7 +508,7 @@ mod tests {
             // Collect tick actions, then deliver SendConfigs.
             let mut deliveries: Vec<(usize, usize, ConfigBpdu)> = Vec::new(); // (to_bridge, to_port, bpdu)
             for (b, engine) in engines.iter_mut().enumerate() {
-                for action in engine.on_tick(now) {
+                for action in tick(engine, now) {
                     if let StpAction::SendConfig { port, config } = action {
                         let seg = wiring[b][port];
                         for (ob, ports) in wiring.iter().enumerate() {
@@ -504,7 +530,7 @@ mod tests {
                 rounds += 1;
                 let mut next = Vec::new();
                 for (b, p, cfg) in deliveries.drain(..) {
-                    for action in engines[b].on_config(p, &cfg, now) {
+                    for action in config(&mut engines[b], p, &cfg, now) {
                         if let StpAction::SendConfig { port, config } = action {
                             let seg = wiring[b][port];
                             for (ob, ports) in wiring.iter().enumerate() {
@@ -541,7 +567,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..31 {
             now += SimDuration::from_secs(1);
-            e.on_tick(now);
+            tick(&mut e, now);
         }
         assert_eq!(e.port_state(0), PortState::Forwarding);
         assert_eq!(e.port_state(1), PortState::Forwarding);
@@ -645,13 +671,13 @@ mod tests {
             tc: false,
             tca: false,
         };
-        e.on_config(0, &cfg, SimTime::from_secs(1));
+        config(&mut e, 0, &cfg, SimTime::from_secs(1));
         assert!(!e.is_root());
         // No refresh: after max_age the info dies and we claim root again.
         let mut now = SimTime::from_secs(1);
         for _ in 0..25 {
             now += SimDuration::from_secs(1);
-            e.on_tick(now);
+            tick(&mut e, now);
         }
         assert!(e.is_root(), "expired info must revert to own root claim");
     }
@@ -672,7 +698,7 @@ mod tests {
             tc: false,
             tca: false,
         };
-        let actions = e.on_config(0, &cfg, SimTime::from_secs(1));
+        let actions = config(&mut e, 0, &cfg, SimTime::from_secs(1));
         assert!(
             actions
                 .iter()

@@ -4,12 +4,13 @@
 pub mod bpdu;
 pub mod engine;
 
+use bytes::{Bytes, BytesMut};
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
 use netsim::{PortId, ProbeRecord, SimDuration};
 
 use crate::bridge::{BridgeCommand, BridgeCtx, DataFrame, NativeSwitchlet};
 use crate::plane::PortFlags;
-use crate::switchlets::stp::bpdu::{Bpdu, BridgeId, StpVariant};
+use crate::switchlets::stp::bpdu::{Bpdu, BridgeId, ConfigBpdu, StpVariant};
 use crate::switchlets::stp::engine::{Defect, StpAction, StpEngine};
 
 /// Unit name of the IEEE 802.1D switchlet (the "new" protocol).
@@ -20,12 +21,59 @@ pub const DEC_NAME: &str = "stp_dec";
 const TICK_TOKEN: u32 = 1;
 const TICK: SimDuration = SimDuration::from_secs(1);
 
+/// The frame that carries `config` from station `src` in `variant`'s
+/// framing, composed in `buf` (whose contents are discarded): Ethernet
+/// header, the LLC header 802.1D travels under, and the encoded BPDU, each
+/// written once, straight behind the other.
+pub fn config_frame(
+    variant: StpVariant,
+    src: MacAddr,
+    config: &ConfigBpdu,
+    buf: BytesMut,
+) -> Bytes {
+    let bpdu = Bpdu::Config(*config);
+    match variant {
+        StpVariant::Ieee => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src)
+            .in_buf(buf)
+            .payload_with(ether::llc::LLC_LEN + bpdu::ieee::CONFIG_LEN, |out| {
+                Llc::BPDU.write_into(out);
+                variant.emit_into(&bpdu, out);
+            }),
+        StpVariant::Dec => FrameBuilder::new(MacAddr::DEC_BRIDGES, src, EtherType::DEC_STP)
+            .in_buf(buf)
+            .payload_with(bpdu::dec::CONFIG_LEN, |out| variant.emit_into(&bpdu, out)),
+    }
+    .build()
+}
+
+/// The BPDU a received frame carries in `variant`'s framing, if it is one.
+pub fn decode_frame(variant: StpVariant, frame: &Frame<'_>) -> Option<Bpdu> {
+    match variant {
+        StpVariant::Ieee => {
+            let (llc, rest) = Llc::parse(frame.payload())?;
+            if llc != Llc::BPDU {
+                return None;
+            }
+            variant.parse(rest)
+        }
+        StpVariant::Dec => {
+            if frame.ethertype() != EtherType::DEC_STP {
+                return None;
+            }
+            variant.parse(frame.payload())
+        }
+    }
+}
+
 /// The spanning-tree switchlet: one engine behind one of two codecs.
 pub struct StpSwitchlet {
     variant: StpVariant,
     engine: Option<StpEngine>,
     defect: Defect,
     tick: Option<netsim::TimerHandle>,
+    /// What the engine asked for on the event being handled: filled by
+    /// the engine, drained by [`StpSwitchlet::apply`], storage kept.
+    actions: Vec<StpAction>,
     /// BPDU-guard err-disabled ports (sticky for the life of this
     /// switchlet instance; a crash recreates the instance, which re-arms
     /// the guard fresh — matching the rest of the volatile plane).
@@ -40,6 +88,7 @@ impl StpSwitchlet {
             engine: None,
             defect: Defect::None,
             tick: None,
+            actions: Vec::new(),
             tripped: Vec::new(),
         }
     }
@@ -51,6 +100,7 @@ impl StpSwitchlet {
             engine: None,
             defect: Defect::None,
             tick: None,
+            actions: Vec::new(),
             tripped: Vec::new(),
         }
     }
@@ -85,29 +135,20 @@ impl StpSwitchlet {
             StpEngine::new(bridge_id, bc.num_ports(), 100, bc.cfg.stp, bc.now());
         engine.set_defect(self.defect);
         self.engine = Some(engine);
+        self.actions = actions;
         bc.plane
             .register_addr(self.variant.group_addr(), self.unit_name());
-        self.apply(bc, actions);
+        self.apply(bc);
         self.tick = Some(bc.schedule(TICK, TICK_TOKEN));
         let name = self.unit_name();
         bc.log(format!("{name}: protocol started"));
     }
 
-    fn emit_config(&self, bc: &mut BridgeCtx<'_, '_>, port: usize, bpdu: &Bpdu) {
-        let payload = self.variant.emit(bpdu);
-        let frame = match self.variant {
-            StpVariant::Ieee => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, bc.mac)
-                .payload(&Llc::BPDU.wrap(&payload))
-                .build(),
-            StpVariant::Dec => FrameBuilder::new(MacAddr::DEC_BRIDGES, bc.mac, EtherType::DEC_STP)
-                .payload(&payload)
-                .build(),
-        };
-        bc.send_frame(PortId(port), frame);
-    }
-
-    fn apply(&mut self, bc: &mut BridgeCtx<'_, '_>, actions: Vec<StpAction>) {
-        for action in actions {
+    /// Carry out what the engine left in `self.actions`, then republish
+    /// its tree.
+    fn apply(&mut self, bc: &mut BridgeCtx<'_, '_>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             // An err-disabled port is dead to the protocol: the engine
             // may still compute actions for it, but nothing it decides
             // can transmit on or re-enable a guarded-down port.
@@ -116,7 +157,9 @@ impl StpSwitchlet {
                     if self.is_tripped(port) {
                         continue;
                     }
-                    self.emit_config(bc, port, &Bpdu::Config(config));
+                    let buf = bc.sim.take_buf(ether::MIN_FRAME);
+                    let frame = config_frame(self.variant, bc.mac, &config, buf);
+                    bc.send_frame(PortId(port), frame);
                 }
                 StpAction::SetPortState { port, state } => {
                     if self.is_tripped(port) {
@@ -132,28 +175,9 @@ impl StpSwitchlet {
                 }
             }
         }
+        self.actions = actions;
         if let Some(engine) = &self.engine {
-            bc.plane
-                .published
-                .insert(self.unit_name().to_owned(), engine.snapshot());
-        }
-    }
-
-    fn decode(&self, frame: &Frame<'_>) -> Option<Bpdu> {
-        match self.variant {
-            StpVariant::Ieee => {
-                let (llc, rest) = Llc::parse(frame.payload())?;
-                if llc != Llc::BPDU {
-                    return None;
-                }
-                StpVariant::Ieee.parse(rest)
-            }
-            StpVariant::Dec => {
-                if frame.ethertype() != EtherType::DEC_STP {
-                    return None;
-                }
-                StpVariant::Dec.parse(frame.payload())
-            }
+            bc.plane.publish(self.variant, engine);
         }
     }
 }
@@ -232,7 +256,7 @@ impl NativeSwitchlet for StpSwitchlet {
             }
             return;
         }
-        let Some(bpdu) = self.decode(frame.view()) else {
+        let Some(bpdu) = decode_frame(self.variant, frame.view()) else {
             return;
         };
         let Some(engine) = &mut self.engine else {
@@ -240,9 +264,8 @@ impl NativeSwitchlet for StpSwitchlet {
         };
         match bpdu {
             Bpdu::Config(config) => {
-                let now = bc.now();
-                let actions = engine.on_config(port.0, &config, now);
-                self.apply(bc, actions);
+                engine.on_config(port.0, &config, bc.now(), &mut self.actions);
+                self.apply(bc);
             }
             Bpdu::Tcn => {
                 // Topology-change notifications shorten learning-table
@@ -260,9 +283,8 @@ impl NativeSwitchlet for StpSwitchlet {
         let Some(engine) = &mut self.engine else {
             return;
         };
-        let now = bc.now();
-        let actions = engine.on_tick(now);
-        self.apply(bc, actions);
+        engine.on_tick(bc.now(), &mut self.actions);
+        self.apply(bc);
         self.tick = Some(bc.schedule(TICK, TICK_TOKEN));
     }
 

@@ -1,0 +1,158 @@
+//! The control plane's steady state allocates nothing — counted, not
+//! assumed (`crates/switchlet/tests/no_alloc.rs`'s method, applied to the
+//! bridge).
+//!
+//! Three bridges in a ring run the 802.1D switchlet. Once the tree has
+//! converged, every second each bridge takes a tick, the root sends
+//! hellos, the others relay them and one of them hears a hello on its
+//! blocked port: timers, BPDUs in and BPDUs out. None of that may reach
+//! the allocator — no owned name, no action list, no snapshot, no frame
+//! buffer that is not a recycled one.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+use active_bridge::{BridgeConfig, BridgeNode};
+use ether::MacAddr;
+use netsim::{Ctx, FrameBuf, Node, PortId, SimTime, TimerToken, World};
+
+thread_local! {
+    /// Allocator calls made by this thread (tests run one per thread).
+    /// `const`-initialised and without a destructor: reading it never
+    /// allocates, so the allocator may.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Of those, the ones made inside a bridge's `on_timer` or `on_frame`.
+    static IN_BRIDGE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`System`], counting `alloc`, `alloc_zeroed` and `realloc` per thread.
+struct Counting;
+
+fn note() {
+    // A thread that is being torn down has no counter left; nothing here
+    // measures it.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: every operation is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a thread-local integer that
+// never touches allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A bridge whose `on_timer` and `on_frame` charge their allocator calls
+/// to [`IN_BRIDGE`]; every other `Node` method is the bridge's own.
+struct Counted(BridgeNode);
+
+fn charged<R>(f: impl FnOnce() -> R) -> R {
+    let before = CALLS.with(Cell::get);
+    let result = f();
+    IN_BRIDGE.with(|n| n.set(n.get() + CALLS.with(Cell::get) - before));
+    result
+}
+
+impl Node for Counted {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn service_queues(&self) -> usize {
+        self.0.service_queues()
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.0.on_start(ctx);
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
+        charged(|| self.0.on_frame(ctx, port, frame));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        charged(|| self.0.on_timer(ctx, token));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn a_converged_ring_ticks_and_relays_hellos_without_allocating() {
+    let mut world = World::new(7);
+    world.trace_mut().set_enabled(false);
+    let lans: Vec<_> = (0..3)
+        .map(|_| world.add_segment(Default::default()))
+        .collect();
+    let bridges: Vec<_> = (0..3u32)
+        .map(|i| {
+            let mut node = BridgeNode::new(
+                format!("bridge{i}"),
+                MacAddr::local(0x1000 + i),
+                Ipv4Addr::new(10, 0, 0, i as u8),
+                2,
+                BridgeConfig::default(),
+            );
+            for name in [active_bridge::loader::NAME, "bridge_learning", "stp_ieee"] {
+                node.boot_load_native(name);
+            }
+            let id = world.add_node(Counted(node));
+            world.attach(id, lans[i as usize]);
+            world.attach(id, lans[(i as usize + 1) % 3]);
+            id
+        })
+        .collect();
+
+    // Two forward delays and then some: the tree is up, one port blocks.
+    world.run_until(SimTime::from_secs(60));
+    let (mut blocked, mut bpdus) = (0, 0);
+    for &b in &bridges {
+        let plane = world.node::<Counted>(b).0.plane();
+        blocked += plane.flags().iter().filter(|f| !f.forward).count();
+        bpdus += plane.stats.registered;
+        let root = plane.published.get("stp_ieee").expect("published").root_mac;
+        assert_eq!(root, MacAddr::local(0x1000), "the lowest id is the root");
+    }
+    assert_eq!(blocked, 1, "a ring blocks exactly one port");
+
+    // Ten hello intervals of steady state.
+    let before = IN_BRIDGE.with(Cell::get);
+    world.run_until(SimTime::from_secs(80));
+    let counted = IN_BRIDGE.with(Cell::get) - before;
+    let heard: u64 = bridges
+        .iter()
+        .map(|&b| world.node::<Counted>(b).0.plane().stats.registered)
+        .sum();
+    assert!(
+        heard >= bpdus + 30,
+        "hellos kept arriving: {bpdus} → {heard}"
+    );
+    assert!(before > 0, "booting allocated, and was counted");
+    assert_eq!(counted, 0, "allocator calls in on_timer/on_frame");
+}

@@ -176,14 +176,22 @@ impl FrameBuilder {
 
     /// Set the payload (replacing any payload set earlier).
     #[inline]
-    pub fn payload(mut self, payload: &[u8]) -> Self {
+    pub fn payload(self, payload: &[u8]) -> Self {
+        self.payload_with(payload.len(), |out| out.extend_from_slice(payload))
+    }
+
+    /// Write the payload in place (replacing any payload set earlier):
+    /// `write` appends about `len_hint` bytes directly behind the header,
+    /// so a caller that encodes its payload composes the whole frame in
+    /// the one buffer, with no intermediate copy of the payload.
+    #[inline]
+    pub fn payload_with(mut self, len_hint: usize, write: impl FnOnce(&mut Vec<u8>)) -> Self {
         self.buf.clear();
         // Reserve the final frame size (including any pad to the Ethernet
         // minimum) so building stays a single allocation.
-        self.buf
-            .reserve((HEADER_LEN + payload.len()).max(MIN_FRAME));
+        self.buf.reserve((HEADER_LEN + len_hint).max(MIN_FRAME));
         self.buf.extend_from_slice(&self.header);
-        self.buf.extend_from_slice(payload);
+        write(self.buf.as_mut_vec());
         self
     }
 

@@ -46,12 +46,17 @@ impl Llc {
         ))
     }
 
+    /// Append the header to `out` (a caller composing a frame in one
+    /// buffer writes its payload straight behind it).
+    #[inline]
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&[self.dsap, self.ssap, self.control]);
+    }
+
     /// Emit the header followed by `payload`.
     pub fn wrap(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(LLC_LEN + payload.len());
-        out.push(self.dsap);
-        out.push(self.ssap);
-        out.push(self.control);
+        self.write_into(&mut out);
         out.extend_from_slice(payload);
         out
     }

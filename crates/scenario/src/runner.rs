@@ -731,11 +731,12 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let mut signature = ConvergenceSignature::default();
     signature.capture(world, &built);
     let mut sig = ConvergenceSignature::default();
+    let mut epochs = control_epochs(world, &built);
     let mut converged_at: Option<SimTime> = None;
     let mut delivered_at_heal: Option<u64> = None;
     let mut first_delivery_after_heal: Option<SimTime> = None;
-    // Security telemetry, sampled on the slice grid during hostile runs:
-    // the high-water mark of any learning table, and whether any bridge
+    // Security telemetry during hostile runs: the high-water mark of any
+    // learning table, sampled on the slice grid, and whether any bridge
     // ever published a spanning-tree root that is not a real bridge.
     let real_macs: Vec<ether::MacAddr> = topo
         .bridges
@@ -764,15 +765,33 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
             for &b in &built.bridges {
                 let plane = world.node::<BridgeNode>(b).plane();
                 sec_max_occ = sec_max_occ.max(plane.learn.len() as u64);
-                if let Some(snap) = plane.published.get(STP_NAME) {
-                    rogue_root_seen |= !real_macs.contains(&snap.root_mac);
-                }
             }
         }
-        sig.capture(world, &built);
-        if sig != signature {
-            std::mem::swap(&mut sig, &mut signature);
-            converged_at = Some(now);
+        // The signature (and the roots in it) can only have changed in a
+        // slice that moved some bridge's control epoch; most move none.
+        let epochs_now = control_epochs(world, &built);
+        if epochs_now != epochs {
+            epochs = epochs_now;
+            sig.capture(world, &built);
+            if sig != signature {
+                std::mem::swap(&mut sig, &mut signature);
+                converged_at = Some(now);
+            }
+            if hostile {
+                rogue_root_seen |= signature
+                    .roots
+                    .iter()
+                    .flatten()
+                    .any(|root| !real_macs.contains(root));
+            }
+        } else if cfg!(debug_assertions) {
+            // Cross-checked, not trusted: debug builds (`cargo test`)
+            // still capture every slice.
+            sig.capture(world, &built);
+            assert!(
+                sig == signature,
+                "control plane changed at {now:?} under unmoved control epochs"
+            );
         }
         // Time-to-first-delivery after the script's last heal, sampled
         // on the slice grid: the baseline is the delivery count at the
@@ -1048,10 +1067,24 @@ fn materialize(
         .collect()
 }
 
+/// The sum of the bridges' control epochs ([`Plane::control_epoch`]): each
+/// is monotone, so the sum moves exactly when some bridge's does — when a
+/// port's `forward` flag or a published root changed, or a bridge crashed.
+///
+/// [`Plane::control_epoch`]: active_bridge::Plane::control_epoch
+fn control_epochs(world: &World, built: &topo::BuiltTopology) -> u64 {
+    built
+        .bridges
+        .iter()
+        .map(|&b| world.node::<BridgeNode>(b).plane().control_epoch())
+        .sum()
+}
+
 /// Port flags plus elected root per bridge: when this stops changing, the
 /// control plane has converged. Flat (every bridge's ports end to end;
-/// port counts never change during a run) so that the per-slice poll
-/// refills two long-lived buffers instead of allocating per bridge.
+/// port counts never change during a run) so that a capture refills two
+/// long-lived buffers instead of allocating per bridge. Captured only in
+/// slices where [`control_epochs`] moved.
 #[derive(Default, PartialEq)]
 struct ConvergenceSignature {
     forwarding: Vec<bool>,

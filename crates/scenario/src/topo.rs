@@ -155,6 +155,75 @@ pub struct Topology {
     pub segments: Vec<SegmentSpec>,
     /// Bridges to create, in id order.
     pub bridges: Vec<BridgeSpec>,
+    /// What the wiring alone decides, worked out once by [`generate`]:
+    /// workload generation asks for these once per battery item.
+    derived: Derived,
+}
+
+/// Functions of a topology's wiring and tiers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Derived {
+    connected: bool,
+    access: Vec<usize>,
+    far_pair: (usize, usize),
+}
+
+impl Derived {
+    fn of(segments: &[SegmentSpec], bridges: &[BridgeSpec]) -> Derived {
+        // Segment-to-segment adjacency (each bridge joins all its segment
+        // pairs).
+        let mut adj = vec![Vec::new(); segments.len()];
+        for b in bridges {
+            for (i, &a) in b.segments.iter().enumerate() {
+                for &c in &b.segments[i + 1..] {
+                    adj[a].push(c);
+                    adj[c].push(a);
+                }
+            }
+        }
+        // BFS hop distances from `from` (usize::MAX = unreachable).
+        let distances = |from: usize| {
+            let mut dist = vec![usize::MAX; segments.len()];
+            let mut queue = std::collections::VecDeque::from([from]);
+            dist[from] = 0;
+            while let Some(s) = queue.pop_front() {
+                for &n in &adj[s] {
+                    if dist[n] == usize::MAX {
+                        dist[n] = dist[s] + 1;
+                        queue.push_back(n);
+                    }
+                }
+            }
+            dist
+        };
+        let argmax = |d: &[usize]| {
+            d.iter()
+                .enumerate()
+                .filter(|(_, &x)| x != usize::MAX)
+                .max_by_key(|(_, &x)| x)
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        };
+        // The far pair by two BFS passes; the first also says whether
+        // every segment is reachable.
+        let from_first = distances(0);
+        let u = argmax(&from_first);
+        let v = argmax(&distances(u));
+        Derived {
+            connected: from_first.iter().all(|&d| d != usize::MAX),
+            access: segments
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.tier == SegTier::Access)
+                .map(|(i, _)| i)
+                .collect(),
+            far_pair: if u == v {
+                (0, segments.len() - 1)
+            } else {
+                (u, v)
+            },
+        }
+    }
 }
 
 /// Hard cap on generated sizes — scenario sweeps want many small worlds,
@@ -292,7 +361,7 @@ pub fn generate(shape: TopologyShape, seed: u64) -> Topology {
     // occasional legacy 10 Mb/s segment, and propagation jitter in the
     // hundreds of metres. Backbone segments: uniform gigabit (a metro
     // core has no legacy media), same jitter draw.
-    let segments = (0..n_segments)
+    let segments: Vec<SegmentSpec> = (0..n_segments)
         .map(|i| {
             if i < n_backbone {
                 return SegmentSpec {
@@ -317,11 +386,13 @@ pub fn generate(shape: TopologyShape, seed: u64) -> Topology {
         })
         .collect();
 
+    let derived = Derived::of(&segments, &bridges);
     Topology {
         shape,
         seed,
         segments,
         bridges,
+        derived,
     }
 }
 
@@ -343,73 +414,27 @@ impl Topology {
         }
     }
 
-    /// Segment-to-segment adjacency (each bridge joins all its segment
-    /// pairs).
-    fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.segments.len()];
-        for b in &self.bridges {
-            for (i, &a) in b.segments.iter().enumerate() {
-                for &c in &b.segments[i + 1..] {
-                    adj[a].push(c);
-                    adj[c].push(a);
-                }
-            }
-        }
-        adj
-    }
-
-    /// BFS hop distances from `from` (usize::MAX = unreachable).
-    fn distances(&self, from: usize) -> Vec<usize> {
-        let adj = self.adjacency();
-        let mut dist = vec![usize::MAX; self.segments.len()];
-        let mut queue = std::collections::VecDeque::from([from]);
-        dist[from] = 0;
-        while let Some(s) = queue.pop_front() {
-            for &n in &adj[s] {
-                if dist[n] == usize::MAX {
-                    dist[n] = dist[s] + 1;
-                    queue.push_back(n);
-                }
-            }
-        }
-        dist
-    }
-
     /// Is every segment reachable from every other?
     pub fn is_connected(&self) -> bool {
-        self.distances(0).iter().all(|&d| d != usize::MAX)
+        self.derived.connected
     }
 
     /// Indices of the segments hosts may be placed on (everything except
     /// the metro backbone; on non-metro shapes, every segment).
     pub fn access_segments(&self) -> Vec<usize> {
-        self.segments
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tier == SegTier::Access)
-            .map(|(i, _)| i)
-            .collect()
+        self.derived.access.clone()
+    }
+
+    /// [`Topology::access_segments`], borrowed.
+    pub(crate) fn access(&self) -> &[usize] {
+        &self.derived.access
     }
 
     /// A pair of far-apart segments (two BFS passes): where end-to-end
     /// workloads place their endpoints to cross as many bridges as
     /// possible.
     pub fn far_pair(&self) -> (usize, usize) {
-        let argmax = |d: &[usize]| {
-            d.iter()
-                .enumerate()
-                .filter(|(_, &x)| x != usize::MAX)
-                .max_by_key(|(_, &x)| x)
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        };
-        let u = argmax(&self.distances(0));
-        let v = argmax(&self.distances(u));
-        if u == v {
-            (0, self.segments.len() - 1)
-        } else {
-            (u, v)
-        }
+        self.derived.far_pair
     }
 }
 

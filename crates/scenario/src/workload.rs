@@ -592,7 +592,7 @@ impl Workload {
 /// every segment is access-tier, so this draws over all of them with
 /// the same RNG consumption as before the metro tier existed.
 fn pick_pair(topo: &Topology, rng: &mut Xoshiro, nth: usize) -> (usize, usize) {
-    let access = topo.access_segments();
+    let access = topo.access();
     if nth == 0 {
         let (a, b) = topo.far_pair();
         let snap = |s: usize, fallback: usize| {
@@ -631,7 +631,7 @@ fn upload_seg(topo: &Topology, bridge: usize) -> usize {
         .iter()
         .copied()
         .find(|&s| topo.segments[s].tier == crate::topo::SegTier::Access)
-        .unwrap_or_else(|| topo.access_segments()[0])
+        .unwrap_or_else(|| topo.access()[0])
 }
 
 /// The degradation probe pair: the same echo train (`count` 256-byte
@@ -758,9 +758,9 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // The district population: a crowd on every access segment.
             // On the large metro preset (64 access segments) this is the
             // ≥ 1024-host tier.
-            let access = topo.access_segments();
+            let access = topo.access();
             assert!(!access.is_empty(), "every topology has access segments");
-            for &seg in &access {
+            for &seg in access {
                 items.push(WorkItem {
                     phase: Phase::Main,
                     offset: SimDuration::ZERO,
@@ -1122,7 +1122,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // there) and the victim pair spans the remaining two, so
             // the victims' path never *requires* the attacker's
             // first-hop bridge.
-            let access = topo.access_segments();
+            let access = topo.access();
             let attacker = access[0];
             let (v_from, v_to) = if access.len() >= 3 {
                 (access[1], access[2])

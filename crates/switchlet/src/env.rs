@@ -13,6 +13,15 @@
 //! there is no import the linker would resolve to it — which is the whole
 //! point: exclusion by name-space, checked statically, with no runtime
 //! guard to get wrong.
+//!
+//! An `Env` is immutable once built and holds nothing but signatures, so
+//! loaders whose offer is the same constant share one
+//! ([`crate::Namespace::sharing`]; every bridge on a thread holds an `Rc`
+//! to the one `active_bridge::hostmods` builds). Sharing does not weaken
+//! thinning: what is shared is the list of what can be *named*. Every
+//! name space still resolves, type-checks and verifies every image it
+//! loads against that list, and every call still goes through the
+//! `HostDispatch` of the one bridge that makes it.
 
 use std::collections::HashMap;
 

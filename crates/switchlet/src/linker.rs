@@ -19,6 +19,7 @@
 //! loaded functions" other than registration through host tables.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::env::{Env, HostDispatch, HostSlot};
 use crate::module::{DecodeError, Module};
@@ -133,7 +134,7 @@ impl std::error::Error for LoadError {}
 
 /// The loader's name space: host signatures plus loaded instances.
 pub struct Namespace {
-    env: Env,
+    env: Rc<Env>,
     instances: Vec<Instance>,
     by_name: HashMap<String, InstanceId>,
 }
@@ -141,6 +142,13 @@ pub struct Namespace {
 impl Namespace {
     /// Create a name space offering the given host environment.
     pub fn new(env: Env) -> Namespace {
+        Namespace::sharing(Rc::new(env))
+    }
+
+    /// Create a name space offering a host environment other name spaces
+    /// offer too. An [`Env`] holds signatures only and nothing mutates it,
+    /// so loaders whose offer is the same constant can hold one copy.
+    pub fn sharing(env: Rc<Env>) -> Namespace {
         Namespace {
             env,
             instances: Vec::new(),

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""symbolize.py SAMPLES [TOP]: self and inclusive shares per function.
+"""symbolize.py [--split-libc] SAMPLES [TOP]: self and inclusive shares per function.
+symbolize.py --allocs RECORDS [TOP]: allocator calls per call site.
 
 Reads what sigprof.so wrote: `S pc caller caller ...` per sample, then the
 process's /proc/self/maps as `M` lines. PCs inside the sampled executable
@@ -7,44 +8,106 @@ are named from `nm -C` (so it must still be where it ran); the rest are
 named after their mapping, e.g. [libc.so.6]. A sample counts once towards
 the self share of its first frame and once towards the inclusive share of
 every distinct function on its stack.
-"""
-import bisect, collections, os, subprocess, sys
 
-samples, maps = [], []
-for line in open(sys.argv[1]):
+--split-libc cuts the [libc.so.6] line in three by file offset, which is
+all a stripped libc leaves to go by: `malloc.c` is the run of text around
+the exported allocator entry points (its static workers sit between them
+and the neighbouring objects' exports), `mem*` is libc's longest run of
+text without any exported function (on x86-64 glibc: the IFUNC-selected
+memmove/memset/str* variants, which are local symbols), the rest is
+`other`. The ranges used are printed, to be checked with objdump.
+
+--allocs reads what alloctrace.so wrote: `A size caller caller ...` per
+allocator call. A call is charged to its first frame that is not the
+allocator's own plumbing (alloc::, core::, hashbrown::, __rust_*): share of
+calls, count, mean size.
+"""
+import bisect, collections, os, re, subprocess, sys
+
+args = [a for a in sys.argv[1:] if not a.startswith("--")]
+flags = {a for a in sys.argv[1:] if a.startswith("--")}
+rows, maps = [], []
+for line in open(args[0]):
     kind, *rest = line.split()
-    if kind == "S":
-        samples.append([int(pc, 16) for pc in rest])
+    if kind in "SA":
+        rows.append([int(x, 16 if kind == "S" or i else 10) for i, x in enumerate(rest)])
     elif len(rest) >= 6 and rest[5].startswith("/"):
         lo, hi = (int(x, 16) for x in rest[0].split("-"))
         maps.append((lo, hi, int(rest[2], 16), rest[5]))
-top = int(sys.argv[2]) if len(sys.argv) > 2 else 20
+top = int(args[1]) if len(args) > 1 else 20
 exe = maps[0][3]
 base = min(lo - off for lo, _, off, path in maps if path == exe)
 nm = subprocess.run(["nm", "-C", "--defined-only", exe], capture_output=True, text=True).stdout
 syms = sorted((int(a, 16), name) for a, t, name in (l.split(" ", 2) for l in nm.splitlines()) if t in "tTwW")
 addrs = [a for a, _ in syms]
 
+ALLOCATOR = re.compile(r"^(__libc_)?(malloc|free|cfree|calloc|realloc|memalign|aligned_alloc|posix_memalign|valloc"
+                       r"|pvalloc|mallinfo2?|mallopt|malloc_(trim|usable_size|stats|info))$|^__default_morecore$")
+
+def libc_ranges(path):
+    """(malloc.c, mem*) as file-offset ranges of `path`'s text, from its exports."""
+    out = subprocess.run(["nm", "-D", "--defined-only", "-S", path], capture_output=True, text=True).stdout
+    funcs = sorted({(int(f[0], 16), int(f[1], 16), f[3].split("@")[0])
+                    for f in (l.split() for l in out.splitlines()) if len(f) == 4 and f[2] in "TtWwi"})
+    # The run of allocator exports around `malloc`, out to the neighbouring objects' exports.
+    below = above = next(i for i, f in enumerate(funcs) if f[2] == "malloc")
+    while below > 0 and ALLOCATOR.match(funcs[below - 1][2]):
+        below -= 1
+    while above + 1 < len(funcs) and ALLOCATOR.match(funcs[above + 1][2]):
+        above += 1
+    malloc_c = (sum(funcs[below - 1][:2]) if below else 0, funcs[above + 1][0] if above + 1 < len(funcs) else 1 << 62)
+    gaps = [(b[0] - (a[0] + a[1]), a[0] + a[1], b[0]) for a, b in zip(funcs, funcs[1:])]
+    return malloc_c, max(gaps)[1:]
+
+split = {}
+if "--split-libc" in flags:
+    for lo, _, off, path in maps:
+        if os.path.basename(path).startswith("libc.so") and path not in split:
+            split[path] = libc_ranges(path)
+            (a, b), (c, d) = split[path]
+            print("%s: malloc.c = %#x-%#x, mem* = %#x-%#x (file offsets)" % (os.path.basename(path), a, b, c, d))
+
 def name(pc):
-    for lo, hi, _, path in maps:
+    for lo, hi, off, path in maps:
         if lo <= pc < hi:
+            if path in split:
+                (a, b), (c, d) = split[path]
+                at = pc - (lo - off)
+                part = "malloc.c" if a <= at < b else "mem*" if c <= at < d else "other"
+                return "[%s: %s]" % (os.path.basename(path), part)
             if path != exe:
                 return "[%s]" % os.path.basename(path)
             i = bisect.bisect_right(addrs, pc - base) - 1
             return syms[i][1].strip() if i >= 0 else "[%s]" % os.path.basename(exe)
     return "[unmapped]"
 
-self_n, incl_n = collections.Counter(), collections.Counter()
-for stack in samples:
-    # A return address names the instruction after the call: step back into it.
-    frames = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
-    self_n[frames[0]] += 1
-    incl_n.update(set(frames))
-try:
+PLUMBING = re.compile(r"^<?(alloc|core|hashbrown)::|^__rust_|^__rdl_|^__rg_|^\[")
+
+def call_sites():
+    calls, sizes = collections.Counter(), collections.Counter()
+    for size, *stack in rows:
+        # A return address names the instruction after the call: step back into it.
+        frames = [name(pc - 1) for pc in stack]
+        site = next((f for f in frames if not PLUMBING.search(f)), frames[0] if frames else "[no frames]")
+        calls[site] += 1
+        sizes[site] += size
+    print("allocator calls by call site, %d calls" % len(rows))
+    for site, n in calls.most_common(top):
+        print("  %5.1f%%  %8d  %7.1f B  %s" % (100.0 * n / max(len(rows), 1), n, sizes[site] / n, site))
+
+def shares():
+    self_n, incl_n = collections.Counter(), collections.Counter()
+    for stack in rows:
+        frames = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
+        self_n[frames[0]] += 1
+        incl_n.update(set(frames))
     for title, counts in (("self", self_n), ("inclusive", incl_n)):
-        print("%s, %d samples" % (title, len(samples)))
+        print("%s, %d samples" % (title, len(rows)))
         for fn, n in counts.most_common(top):
-            print("  %5.1f%%  %s" % (100.0 * n / max(len(samples), 1), fn))
+            print("  %5.1f%%  %s" % (100.0 * n / max(len(rows), 1), fn))
+
+try:
+    call_sites() if "--allocs" in flags else shares()
     sys.stdout.flush()
 except BrokenPipeError:
     # `... | head` has read what it wanted. Point stdout at /dev/null so the
