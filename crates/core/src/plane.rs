@@ -87,6 +87,11 @@ pub enum LearnOutcome {
 /// no forwarding verdict can change when only a last-seen time advances
 /// (staleness is handled by the cache's own freshness deadline).
 ///
+/// A frame's source is learned on every bridge it crosses, cache hit or
+/// miss, and nearly always finds its entry where it left it: that refresh
+/// is one probe of the map — the timestamp is written through the entry
+/// the probe found, as a port move is — not a lookup and then an insert.
+///
 /// Since PR 10 the table can be **bounded** ([`LearningTable::set_bounds`]):
 /// a hard capacity plus a per-port occupancy quota, with a deterministic
 /// victim-selection policy (oldest refresh within the offending port, MAC
@@ -179,25 +184,27 @@ impl LearningTable {
         if src.is_multicast() {
             return LearnOutcome::Ignored;
         }
-        if let Some(&(old_port, _)) = self.map.get(&src) {
+        let over_quota = self.port_quota > 0 && self.occupancy_of(port) >= self.port_quota;
+        // One probe: the refresh and the move write through its entry.
+        if let Some(entry) = self.map.get_mut(&src) {
+            let old_port = entry.0;
             if old_port == port {
-                self.map.insert(src, (port, now));
+                entry.1 = now;
                 return LearnOutcome::Refreshed; // timestamp refresh
             }
             // A port move must honor the destination port's quota too,
             // else an attacker could herd existing sources onto one port
             // past its bound. The victim is chosen on the *destination*
             // port (the one gaining an entry), never the mover itself.
-            if self.port_quota > 0 && self.occupancy_of(port) >= self.port_quota {
+            if over_quota {
                 return self.admit_by_eviction(src, port, Some(old_port), now);
             }
-            self.map.insert(src, (port, now));
+            *entry = (port, now);
             self.occupancy_dec(old_port);
             self.occupancy_inc(port);
             self.gen += 1;
             return LearnOutcome::Moved;
         }
-        let over_quota = self.port_quota > 0 && self.occupancy_of(port) >= self.port_quota;
         let over_cap = self.cap > 0 && self.map.len() >= self.cap;
         if over_quota || over_cap {
             return self.admit_by_eviction(src, port, None, now);
@@ -1120,6 +1127,129 @@ mod tests {
         lt.flush();
         assert_eq!(lt.occupancy_of(PortId(0)), 0);
         assert!(lt.is_empty());
+    }
+
+    /// The table as [`LearningTable`]'s docs describe it, written for
+    /// obviousness: a sorted map, occupancy by counting, the victim by a
+    /// `min` over it.
+    struct Model {
+        map: std::collections::BTreeMap<MacAddr, (PortId, SimTime)>,
+        age: SimDuration,
+        gen: u64,
+        cap: usize,
+        quota: usize,
+    }
+
+    impl Model {
+        fn occupancy_of(&self, port: PortId) -> usize {
+            self.map.values().filter(|e| e.0 == port).count()
+        }
+
+        fn learn(&mut self, src: MacAddr, port: PortId, now: SimTime) -> LearnOutcome {
+            if src.is_multicast() {
+                return LearnOutcome::Ignored;
+            }
+            let old = self.map.get(&src).map(|e| e.0);
+            if old == Some(port) {
+                self.map.insert(src, (port, now));
+                return LearnOutcome::Refreshed;
+            }
+            let over_quota = self.quota > 0 && self.occupancy_of(port) >= self.quota;
+            let over_cap = old.is_none() && self.cap > 0 && self.map.len() >= self.cap;
+            let mut outcome = match old {
+                Some(_) => LearnOutcome::Moved,
+                None => LearnOutcome::Fresh,
+            };
+            if over_quota || over_cap {
+                let on_port = self.map.iter().filter(|(_, e)| e.0 == port);
+                let Some(victim) = on_port.min_by_key(|(mac, e)| (e.1, **mac)).map(|(m, _)| *m)
+                else {
+                    return LearnOutcome::Rejected;
+                };
+                self.map.remove(&victim);
+                outcome = LearnOutcome::Evicted(victim);
+            }
+            self.map.insert(src, (port, now));
+            self.gen += 1;
+            outcome
+        }
+
+        fn lookup_entry(&mut self, dst: MacAddr, now: SimTime) -> Option<(PortId, SimTime)> {
+            let entry = *self.map.get(&dst)?;
+            if now.saturating_since(entry.1) <= self.age {
+                return Some(entry);
+            }
+            self.map.remove(&dst);
+            self.gen += 1;
+            None
+        }
+
+        fn sweep(&mut self, now: SimTime) {
+            let before = self.map.len();
+            let age = self.age;
+            self.map.retain(|_, e| now.saturating_since(e.1) <= age);
+            self.gen += u64::from(self.map.len() != before);
+        }
+
+        fn flush(&mut self) {
+            self.gen += u64::from(!self.map.is_empty());
+            self.map.clear();
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary `learn` / `lookup_entry` / `sweep` / `flush`
+        /// sequences, bounds armed and not, against [`Model`]: the same
+        /// outcomes, generation, length, per-port occupancy and entries
+        /// after every step. (A refresh that forgot the timestamp shows in
+        /// the entries, a move that forgot the occupancy in the counts.)
+        #[test]
+        fn learning_table_matches_a_sorted_map_model(
+            ops in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..300),
+            bounds in 0u32..4,
+        ) {
+            use proptest::prelude::*;
+            let age = SimDuration::from_secs(20);
+            let (cap, quota) = [(0, 0), (6, 0), (0, 3), (6, 3)][bounds as usize];
+            let mut lt = LearningTable::new(age);
+            lt.set_bounds(cap, quota);
+            let mut model = Model { map: Default::default(), age, gen: 0, cap, quota };
+            let mut now = 0;
+            for word in ops {
+                let (op, a, b) = (word % 16, (word >> 4) % 12, (word >> 8) % 4);
+                // Time stands still two steps in three, so refreshes tie.
+                now += u64::from((word >> 10) % 3 == 0) * u64::from((word >> 12) % 9);
+                // Ten stations and two group addresses, four ports.
+                let mac = match a {
+                    10 => MacAddr::BROADCAST,
+                    11 => MacAddr::ALL_BRIDGES,
+                    n => MacAddr::local(n),
+                };
+                let port = PortId(b as usize);
+                match op {
+                    0..=9 => prop_assert_eq!(lt.learn(mac, port, t(now)), model.learn(mac, port, t(now))),
+                    10..=13 => {
+                        prop_assert_eq!(lt.lookup_entry(mac, t(now)), model.lookup_entry(mac, t(now)))
+                    }
+                    14 => {
+                        lt.sweep(t(now));
+                        model.sweep(t(now));
+                    }
+                    _ => {
+                        lt.flush();
+                        model.flush();
+                    }
+                }
+                prop_assert_eq!(lt.generation(), model.gen);
+                prop_assert_eq!(lt.len(), model.map.len());
+                for p in 0..4 {
+                    prop_assert_eq!(lt.occupancy_of(PortId(p)), model.occupancy_of(PortId(p)));
+                }
+                let mut entries: Vec<_> = lt.entries().map(|(m, e)| (*m, *e)).collect();
+                entries.sort();
+                prop_assert_eq!(entries, model.map.iter().map(|(m, e)| (*m, *e)).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The control plane's steady state allocates nothing — counted, not
-//! assumed (`crates/switchlet/tests/no_alloc.rs`'s method, applied to the
-//! bridge).
+//! The bridge's steady state allocates nothing — counted, not assumed
+//! (`crates/switchlet/tests/no_alloc.rs`'s method, applied to the bridge):
+//! the control plane first, then a frame's path through three bridges.
 //!
 //! Three bridges in a ring run the 802.1D switchlet. Once the tree has
 //! converged, every second each bridge takes a tick, the root sends
@@ -155,4 +155,115 @@ fn a_converged_ring_ticks_and_relays_hellos_without_allocating() {
     );
     assert!(before > 0, "booting allocated, and was counted");
     assert_eq!(counted, 0, "allocator calls in on_timer/on_frame");
+}
+
+/// Sends its frames round-robin, one every 25 µs (two such talkers fill
+/// half a 100 Mb/s segment), and drops what it hears.
+struct Talker {
+    frames: Vec<FrameBuf>,
+    sent: usize,
+    heard: usize,
+}
+
+impl Node for Talker {
+    fn name(&self) -> &str {
+        "talker"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.schedule(netsim::SimDuration::from_us(25), TimerToken(0));
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {
+        self.heard += 1;
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        if !self.frames.is_empty() {
+            ctx.send(
+                PortId(0),
+                self.frames[self.sent % self.frames.len()].clone(),
+            );
+            self.sent += 1;
+        }
+        ctx.schedule(netsim::SimDuration::from_us(25), token);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The data path, event queue to segment to bridge and back: a frame's
+/// pending transmission, its completion event and its handle are written
+/// into storage that is already there. The repo benchmark's
+/// `allocs_per_frame` says so per workload; this says it exactly.
+#[test]
+fn learned_and_flooded_frames_cross_three_bridges_without_allocating() {
+    let frame = |dst: MacAddr, src: MacAddr| {
+        let mut bytes = [dst.octets(), src.octets()].concat();
+        bytes.extend_from_slice(&ether::EtherType::EXPERIMENTAL.0.to_be_bytes());
+        bytes.resize(60, 0);
+        FrameBuf::from(bytes)
+    };
+    let (west, east, nobody) = (MacAddr::local(1), MacAddr::local(2), MacAddr::local(3));
+    let mut world = World::new(7);
+    world.trace_mut().set_enabled(false);
+    let lans: Vec<_> = (0..4)
+        .map(|_| world.add_segment(Default::default()))
+        .collect();
+    // West talks to east — a flow every bridge learns both ends of — and
+    // to an address nobody owns, which every bridge floods; east answers.
+    let talkers = [
+        (lans[0], vec![frame(east, west), frame(nobody, west)]),
+        (lans[3], vec![frame(west, east)]),
+    ]
+    .map(|(lan, frames)| {
+        let id = world.add_node(Talker {
+            frames,
+            sent: 0,
+            heard: 0,
+        });
+        world.attach(id, lan);
+        id
+    });
+    let bridges: Vec<_> = (0..3u32)
+        .map(|i| {
+            let mut node = BridgeNode::new(
+                format!("bridge{i}"),
+                MacAddr::local(0x1000 + i),
+                Ipv4Addr::new(10, 0, 0, i as u8),
+                2,
+                // Forwarding costs no simulated time: the frames keep
+                // coming at wire speed.
+                BridgeConfig {
+                    cost: netsim::CostModel::FREE,
+                    ..BridgeConfig::default()
+                },
+            );
+            for name in [active_bridge::loader::NAME, "bridge_learning"] {
+                node.boot_load_native(name);
+            }
+            let id = world.add_node(node);
+            world.attach(id, lans[i as usize]);
+            world.attach(id, lans[i as usize + 1]);
+            id
+        })
+        .collect();
+
+    // Warm-up: tables learned, decision cache filled, queues grown.
+    world.run_until(SimTime::from_ms(5));
+    let heard_before = talkers.map(|t| world.node::<Talker>(t).heard);
+    let before = CALLS.with(Cell::get);
+    world.run_until(SimTime::from_ms(25));
+    let calls = CALLS.with(Cell::get) - before;
+
+    let [west_heard, east_heard] =
+        [0, 1].map(|i| world.node::<Talker>(talkers[i]).heard - heard_before[i]);
+    assert_eq!(west_heard, 800, "every frame of east's arrived");
+    assert_eq!(east_heard, 800, "and of both of west's flows");
+    for &b in &bridges {
+        let stats = &world.node::<BridgeNode>(b).plane().stats;
+        assert!(stats.directed > 0 && stats.flooded > 0, "{stats:?}");
+    }
+    assert_eq!(calls, 0, "allocator calls inside World::run_until");
 }

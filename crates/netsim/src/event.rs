@@ -22,8 +22,9 @@
 //!   the dead epoch's completion until it pops). On equal links a
 //!   transmission that starts now completes after every one already
 //!   under way, so a push is one comparison with the back and otherwise a
-//!   binary search and a shift of at most half the ring; a pop takes the
-//!   front.
+//!   walk from the back to the event's place, the later entries moving
+//!   up one; the event is written once, into its slot
+//!   (`EventQueue::push_completion`). A pop takes the front.
 //! * a binary min-heap of 24-byte keys over a payload slab for everything
 //!   else (`Timer`, `Chaos`, `Start`) — events that sit for milliseconds,
 //!   and that [`EventQueue::cancel_timer`] may have to find again.
@@ -50,8 +51,13 @@
 //! the `CostModel::FREE` workloads arm no service completion that waits,
 //! and read as before — `chain_hot` 14 / 6.4, 82 % appended,
 //! `defended_mix` 18 / 1.0, 99.8 %, `metro_flood` 45 / 23.3, 25 % (its
-//! access and trunk links differ). `crates/netsim/DESIGN.md` has the
-//! table.
+//! access and trunk links differ). How far from the back a push lands —
+//! the entries it walks past and moves — is 0.29 on the chains, 0.78 on
+//! `ttcp_paper`, 0.90 on `sweep_render`, 0.11 on `vm_forward`, 0.00 on
+//! `defended_mix` and 9.1 on `metro_flood`, nearer the back than the
+//! front there too, which is why there is no second way in (a binary
+//! search, a shift towards the front) and no length at which to choose
+//! it. `crates/netsim/DESIGN.md` has the table.
 //!
 //! # Why the order is the same
 //!
@@ -73,17 +79,18 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::chaos::ChaosEv;
 use crate::node::{NodeId, TimerToken};
-use crate::segment::SegId;
 use crate::time::SimTime;
 
-/// What happens when an event fires.
-#[derive(Debug)]
+/// What happens when an event fires. The per-frame kinds carry their node
+/// and segment ids as `u32`s (the world holds its tables to that), which
+/// keeps the whole [`Event`] at 40 bytes.
+#[derive(Copy, Clone, Debug)]
 pub(crate) enum EventKind {
     /// Deliver the node's start callback.
     Start(NodeId),
     /// Fire a node timer.
     Timer {
-        node: NodeId,
+        node: u32,
         token: TimerToken,
         id: u64,
     },
@@ -91,7 +98,7 @@ pub(crate) enum EventKind {
     /// ([`crate::Ctx::schedule_service`]): fires exactly as a `Timer`
     /// does, but nothing can cancel it.
     ServiceDone {
-        node: NodeId,
+        node: u32,
         token: TimerToken,
         id: u64,
     },
@@ -106,7 +113,7 @@ pub(crate) enum EventKind {
     /// attachment order, all sharing one `FrameBuf`. `n_att` snapshots
     /// the listener count when serialization begins, so nodes attached
     /// while the frame is on the wire never hear it.
-    SegDeliver { seg: SegId, n_att: u32 },
+    SegDeliver { seg: u32, n_att: u32 },
     /// A scripted topology fault fires (see [`crate::chaos`]). Scheduled
     /// up-front by [`crate::chaos::ChaosScript::schedule`], so chaotic
     /// runs keep the same `(time, seq)` order on every replay.
@@ -130,7 +137,7 @@ impl EventKind {
     }
 }
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 pub(crate) struct Event {
     pub at: SimTime,
     pub seq: u64,
@@ -227,28 +234,16 @@ impl EventQueue {
         self.next_seq = 0;
     }
 
-    /// Schedule `kind` at absolute time `at`. Returns the slab slot the
-    /// event went to, if it went to the slab — what
-    /// [`EventQueue::cancel_timer`] needs to find a timer again.
+    /// Schedule `kind` — anything but a completion — at absolute time
+    /// `at`. Returns the slab slot the event went to, if it went to the
+    /// slab — what [`EventQueue::cancel_timer`] needs to find a timer again.
     #[inline]
     pub fn push(&mut self, at: SimTime, kind: EventKind) -> Option<u32> {
+        debug_assert!(!kind.is_completion(), "see `push_completion`");
         let seq = self.next_seq;
         self.next_seq += 1;
         if at == self.now {
             self.now_lane.push_back(Event { at, seq, kind });
-            return None;
-        }
-        if kind.is_completion() {
-            let event = Event { at, seq, kind };
-            // `seq` is the largest yet, so the event belongs behind every
-            // entry that is not later — on equal links, behind them all.
-            match self.ring.back() {
-                Some(last) if last.at > at => {
-                    let i = self.ring.partition_point(|e| e.at <= at);
-                    self.ring.insert(i, event);
-                }
-                _ => self.ring.push_back(event),
-            }
             return None;
         }
         let slot = match self.free {
@@ -267,6 +262,56 @@ impl EventQueue {
         };
         self.heap.push(Reverse(HeapKey { at, seq, slot }));
         Some(slot)
+    }
+
+    /// Schedule the delivery of the frame segment `seg` begins serializing
+    /// now, to its first `n_att` attachments, at absolute time `at`.
+    #[inline]
+    pub fn push_seg_deliver(&mut self, at: SimTime, seg: u32, n_att: u32) {
+        self.push_completion(at, EventKind::SegDeliver { seg, n_att });
+    }
+
+    /// Schedule the completion of the item a service queue of `node`
+    /// begins serving now, at absolute time `at`. Not `#[inline]`: its
+    /// callers are the many `Ctx::schedule_service` sites of other crates,
+    /// and this is the boundary at which the payload is still four scalars
+    /// in registers (one level further in it is a 24-byte `EventKind`,
+    /// passed in memory: stored narrow by the caller, reloaded wide here).
+    pub fn push_service_done(&mut self, at: SimTime, node: u32, token: TimerToken, id: u64) {
+        self.push_completion(at, EventKind::ServiceDone { node, token, id });
+    }
+
+    /// Queue the completion `kind` at absolute time `at`: the one way a
+    /// completion is queued. Private, and its two callers above take the
+    /// payload as fields, so that wherever the compiler stops inlining
+    /// the payload travels in registers and is stored into the ring —
+    /// never assembled in memory and copied in. The event's place is
+    /// found from the back (`seq` is the largest yet, so it belongs
+    /// behind every entry that is not later; on equal links, behind them
+    /// all), the later entries move up one, and the event is written
+    /// once, into the slot it waits in.
+    #[inline]
+    fn push_completion(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if at == self.now {
+            self.now_lane.push_back(Event { at, seq, kind });
+            return;
+        }
+        let len = self.ring.len();
+        let mut i = len;
+        while i > 0 && self.ring[i - 1].at > at {
+            i -= 1;
+        }
+        if i == len {
+            self.ring.push_back(Event { at, seq, kind });
+            return;
+        }
+        self.ring.push_back(self.ring[len - 1]);
+        for j in (i..len - 1).rev() {
+            self.ring[j + 1] = self.ring[j];
+        }
+        self.ring[i] = Event { at, seq, kind };
     }
 
     /// Cancel timer `id`, which [`EventQueue::push`] placed at `slot`, if
@@ -347,6 +392,16 @@ mod tests {
 
     fn pop(q: &mut EventQueue) -> Option<Event> {
         q.pop_at_or_before(SimTime::MAX)
+    }
+
+    /// Queue `kind` the way the world does: a completion through its
+    /// entry, the rest through `push`.
+    fn push(q: &mut EventQueue, at: SimTime, kind: EventKind) {
+        match kind {
+            EventKind::SegDeliver { seg, n_att } => q.push_seg_deliver(at, seg, n_att),
+            EventKind::ServiceDone { node, token, id } => q.push_service_done(at, node, token, id),
+            kind => drop(q.push(at, kind)),
+        }
     }
 
     #[test]
@@ -449,16 +504,13 @@ mod tests {
         let t = SimTime::from_us(7);
         let kinds: [fn() -> EventKind; 3] = [
             || EventKind::Timer {
-                node: NodeId(0),
+                node: 0,
                 token: TimerToken(0),
                 id: 0,
             },
-            || EventKind::SegDeliver {
-                seg: SegId(0),
-                n_att: 2,
-            },
+            || EventKind::SegDeliver { seg: 0, n_att: 2 },
             || EventKind::ServiceDone {
-                node: NodeId(0),
+                node: 0,
                 token: TimerToken(0),
                 id: 0,
             },
@@ -479,7 +531,7 @@ mod tests {
         ] {
             let mut q = EventQueue::new();
             for k in order {
-                q.push(t, kinds[k]());
+                push(&mut q, t, kinds[k]());
             }
             let fired = [(); 3].map(|()| which(&pop(&mut q).unwrap().kind));
             assert_eq!(fired, order);
@@ -490,18 +542,14 @@ mod tests {
     fn clear_empties_all_three_stores() {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, EventKind::Start(NodeId(0))); // lane
-        let wire = || EventKind::SegDeliver {
-            seg: SegId(0),
-            n_att: 2,
-        };
-        q.push(SimTime::from_us(1), wire()); // ring
+        q.push_seg_deliver(SimTime::from_us(1), 0, 2); // ring
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(1))); // heap
         q.push(SimTime::from_ms(2), EventKind::Start(NodeId(2))); // heap
         pop(&mut q); // the lane entry
         pop(&mut q); // the ring entry
         pop(&mut q); // leaves a slot on the free chain
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(3))); // lane again
-        q.push(SimTime::from_ms(3), wire());
+        q.push_seg_deliver(SimTime::from_ms(3), 0, 2);
         assert_eq!(q.len(), 3);
         q.clear();
         assert_eq!(q.len(), 0);
@@ -517,7 +565,7 @@ mod tests {
     #[test]
     fn cancel_timer_only_touches_the_queued_timer_it_names() {
         let timer = |id| EventKind::Timer {
-            node: NodeId(0),
+            node: 0,
             token: TimerToken(id),
             id,
         };
@@ -558,6 +606,56 @@ mod tests {
         );
     }
 
+    /// The records a frame-hop writes stay this narrow — the handle three
+    /// words, the pending transmission and the event five each: a field
+    /// added later shows here.
+    #[test]
+    fn what_a_hop_writes_stays_narrow() {
+        use core::mem::size_of;
+        assert_eq!(size_of::<crate::FrameBuf>(), 24);
+        assert_eq!(size_of::<crate::segment::PendingTx>(), 40);
+        assert_eq!(size_of::<EventKind>(), 24);
+        assert_eq!(size_of::<Event>(), 40);
+    }
+
+    /// Segment and service completions due at one instant, pushed into a
+    /// ring that already holds 0, 1, 2, 9 or 40 entries — earlier ones,
+    /// later ones and some at that very instant — come out in `seq` order
+    /// among themselves and in `(at, seq)` order overall.
+    #[test]
+    fn equal_time_completions_interleave_in_seq_order_whatever_the_ring_holds() {
+        let t = SimTime::from_us(50);
+        for held in [0u32, 1, 2, 9, 40] {
+            let mut q = EventQueue::new();
+            let mut want = Vec::new();
+            // Every third resident waits at `t` itself, the rest either
+            // side of it, pushed latest first so each one shifts.
+            for k in (0..held).rev() {
+                let at = match k % 3 {
+                    0 => t,
+                    1 => SimTime::from_us(10 + u64::from(k)),
+                    _ => SimTime::from_us(90 + u64::from(k)),
+                };
+                want.push((at, q.next_seq));
+                q.push_seg_deliver(at, 1000 + k, 2);
+            }
+            for k in 0..6 {
+                want.push((t, q.next_seq));
+                if k % 2 == 0 {
+                    q.push_seg_deliver(t, k, 2);
+                } else {
+                    q.push_service_done(t, 0, TimerToken(0), u64::from(k));
+                }
+            }
+            assert_eq!(q.ring.len(), want.len(), "all of them wait in the ring");
+            want.sort();
+            let got: Vec<_> = std::iter::from_fn(|| pop(&mut q))
+                .map(|e| (e.at, e.seq))
+                .collect();
+            assert_eq!(got, want, "ring of {held}");
+        }
+    }
+
     proptest! {
         /// The queue against an obviously-right model: a `Vec` kept
         /// stably sorted by `(at, seq)`. Every word of `ops` is one step —
@@ -584,14 +682,14 @@ mod tests {
                     // will draw, so a pop can tell it came back attached
                     // to its own key.
                     let id = pushed as usize;
-                    let (node, token) = (NodeId(0), TimerToken(0));
+                    let (node, token) = (0, TimerToken(0));
                     let kind = match a {
-                        0 | 1 => EventKind::SegDeliver { seg: SegId(id), n_att: 2 },
+                        0 | 1 => EventKind::SegDeliver { seg: id as u32, n_att: 2 },
                         2 => EventKind::ServiceDone { node, token, id: pushed },
                         3 => EventKind::Timer { node, token, id: pushed },
                         _ => EventKind::Start(NodeId(id)),
                     };
-                    q.push(at, kind);
+                    push(&mut q, at, kind);
                     model.push((at, pushed));
                     model.sort_by_key(|&(at, seq)| (at, seq));
                     pushed += 1;
@@ -608,7 +706,7 @@ mod tests {
                     };
                     let got = q.pop_at_or_before(bound).map(|e| {
                         let id = match e.kind {
-                            EventKind::SegDeliver { seg, .. } => seg.0 as u64,
+                            EventKind::SegDeliver { seg, .. } => u64::from(seg),
                             EventKind::Timer { id, .. } | EventKind::ServiceDone { id, .. } => id,
                             EventKind::Start(node) => node.0 as u64,
                             ref other => panic!("never pushed: {other:?}"),

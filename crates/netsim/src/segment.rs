@@ -140,30 +140,74 @@ pub struct Attachment {
     /// A filtered-out delivery is still counted and probe-recorded as a
     /// delivery; only the call is skipped.
     pub rx_filter: Option<[u8; 6]>,
+    /// `rx_filter` as the word [`Attachment::hears`] compares: the
+    /// address ([`mac_word`]) or, for a promiscuous port, [`PROMISCUOUS`].
+    /// [`Attachment::set_filter`] writes the two together.
+    key: u64,
+}
+
+/// The filter word of a promiscuous port: no address's word (those are 48
+/// bits wide).
+const PROMISCUOUS: u64 = u64::MAX;
+/// The broadcast address as a word.
+const BROADCAST: u64 = (1 << 48) - 1;
+/// The destination word of a frame too short to carry an address: not
+/// broadcast and no filter's word.
+const NO_DST: u64 = 1 << 48;
+
+/// A MAC address as a 48-bit word (first byte lowest: a plain load).
+#[inline]
+fn mac_word(mac: [u8; 6]) -> u64 {
+    let mut word = [0; 8];
+    word[..6].copy_from_slice(&mac);
+    u64::from_le_bytes(word)
 }
 
 impl Attachment {
-    /// Would this attachment's node be called for a frame addressed to
-    /// `dst` (see [`rx_dst`])? The one place the filter is tested.
-    #[inline]
-    pub(crate) fn hears(&self, dst: Option<[u8; 6]>) -> bool {
-        match self.rx_filter {
-            None => true,
-            Some(mac) => dst.is_some_and(|dst| dst == mac || dst == [0xFF; 6]),
+    /// A new attachment, promiscuous until its node says otherwise.
+    pub(crate) fn new(node: NodeId, port: PortId) -> Attachment {
+        Attachment {
+            node,
+            port,
+            rx_filter: None,
+            key: PROMISCUOUS,
         }
+    }
+
+    /// The attached `(node, port)`.
+    #[inline]
+    pub(crate) fn id(&self) -> (NodeId, PortId) {
+        (self.node, self.port)
+    }
+
+    /// Declare what the port listens to (see [`Attachment::rx_filter`]).
+    pub(crate) fn set_filter(&mut self, filter: Option<[u8; 6]>) {
+        self.rx_filter = filter;
+        self.key = filter.map_or(PROMISCUOUS, mac_word);
+    }
+
+    /// Would this attachment's node be called for a frame addressed to
+    /// `dst` (see [`rx_dst`])? The one place the filter is tested: three
+    /// integer compares, none of them a branch.
+    #[inline]
+    pub(crate) fn hears(&self, dst: u64) -> bool {
+        (self.key == PROMISCUOUS) | (dst == self.key) | (dst == BROADCAST)
     }
 }
 
 /// What receive filters look at: a frame's first six bytes, its
-/// destination address. A frame too short to carry one passes no filter.
+/// destination address, as a word. A frame too short to carry one yields a
+/// word that passes no filter.
 #[inline]
-pub(crate) fn rx_dst(frame: &[u8]) -> Option<[u8; 6]> {
-    frame.first_chunk().copied()
+pub(crate) fn rx_dst(frame: &[u8]) -> u64 {
+    frame.first_chunk().map_or(NO_DST, |&mac| mac_word(mac))
 }
 
+/// A frame offered to a segment and not yet delivered: the one in flight
+/// (`Segment::current`) or one waiting behind it. 40 bytes, and built where
+/// it waits ([`Segment::offer`]) — a hop writes it once.
 #[derive(Debug)]
 pub(crate) struct PendingTx {
-    pub src: (NodeId, PortId),
     pub frame: FrameBuf,
     /// When the frame was offered to the medium. A queued frame may have
     /// been offered *after* its predecessor's completion (during the
@@ -171,6 +215,9 @@ pub(crate) struct PendingTx {
     /// flight); its serialization then starts at the offer instant, not
     /// the predecessor's completion.
     pub offered_at: SimTime,
+    /// Who sent it: the sender's slot among the segment's attachments
+    /// (`World::attach` holds a slot to 32 bits).
+    pub slot: u32,
 }
 
 /// One LAN segment: attachments plus the in-flight transmit state.
@@ -228,19 +275,33 @@ impl Segment {
         t
     }
 
-    /// Offer a frame for transmission. Returns `true` if it was accepted
-    /// (either began serializing, in which case the caller must schedule
-    /// its completion, or queued) and `false` if the queue was full.
-    ///
-    /// The boolean pair is `(accepted, started_now)`.
+    /// Offer `frame`, sent at `offered_at` by the attachment at `slot`,
+    /// for transmission. Returns `(accepted, started_now)`: the frame
+    /// began serializing (the caller must schedule its completion), or
+    /// queued behind the one that is, or — the queue full — was dropped
+    /// and counted. The pending transmission is built where it waits,
+    /// `current` or the queue slot, not handed in.
     #[inline]
-    pub(crate) fn offer(&mut self, tx: PendingTx) -> (bool, bool) {
+    pub(crate) fn offer(
+        &mut self,
+        slot: u32,
+        frame: FrameBuf,
+        offered_at: SimTime,
+    ) -> (bool, bool) {
         if self.current.is_none() {
-            self.current = Some(tx);
+            self.current = Some(PendingTx {
+                frame,
+                offered_at,
+                slot,
+            });
             (true, true)
         } else if self.queue.len() < self.cfg.queue_cap {
             self.counters.contended += 1;
-            self.queue.push_back(tx);
+            self.queue.push_back(PendingTx {
+                frame,
+                offered_at,
+                slot,
+            });
             self.counters.peak_queue = self.counters.peak_queue.max(self.queue.len() as u64);
             (true, false)
         } else {
@@ -258,13 +319,8 @@ impl Segment {
             .current
             .take()
             .expect("completion with no frame in flight");
-        let started_next = if let Some(next) = self.queue.pop_front() {
-            self.current = Some(next);
-            true
-        } else {
-            false
-        };
-        (done, started_next)
+        self.current = self.queue.pop_front();
+        (done, self.current.is_some())
     }
 
     /// Read-only counters.
@@ -309,29 +365,25 @@ impl Segment {
 mod tests {
     use super::*;
 
-    fn tx(n: usize) -> PendingTx {
-        PendingTx {
-            src: (NodeId(n), PortId(0)),
-            frame: FrameBuf::from(vec![0u8; 10]),
-            offered_at: SimTime::ZERO,
-        }
+    fn offer(seg: &mut Segment, slot: u32) -> (bool, bool) {
+        seg.offer(slot, FrameBuf::from(vec![0u8; 10]), SimTime::ZERO)
     }
 
     #[test]
     fn offer_starts_when_idle_then_queues() {
         let mut seg = Segment::new(SegmentConfig::default());
-        assert_eq!(seg.offer(tx(0)), (true, true));
-        assert_eq!(seg.offer(tx(1)), (true, false));
-        assert_eq!(seg.offer(tx(2)), (true, false));
+        assert_eq!(offer(&mut seg, 0), (true, true));
+        assert_eq!(offer(&mut seg, 1), (true, false));
+        assert_eq!(offer(&mut seg, 2), (true, false));
         assert_eq!(seg.counters.peak_queue, 2, "two frames waited at the peak");
         let (done, more) = seg.complete();
-        assert_eq!(done.src.0, NodeId(0));
+        assert_eq!(done.slot, 0);
         assert!(more);
         let (done, more) = seg.complete();
-        assert_eq!(done.src.0, NodeId(1));
+        assert_eq!(done.slot, 1);
         assert!(more);
         let (done, more) = seg.complete();
-        assert_eq!(done.src.0, NodeId(2));
+        assert_eq!(done.slot, 2);
         assert!(!more);
     }
 
@@ -341,9 +393,9 @@ mod tests {
             queue_cap: 1,
             ..Default::default()
         });
-        assert_eq!(seg.offer(tx(0)), (true, true)); // in flight
-        assert_eq!(seg.offer(tx(1)), (true, false)); // queued
-        assert_eq!(seg.offer(tx(2)), (false, false)); // dropped
+        assert_eq!(offer(&mut seg, 0), (true, true)); // in flight
+        assert_eq!(offer(&mut seg, 1), (true, false)); // queued
+        assert_eq!(offer(&mut seg, 2), (false, false)); // dropped
         assert_eq!(seg.counters.queue_drops, 1);
     }
 

@@ -17,7 +17,7 @@ use crate::framebuf::FrameBuf;
 use crate::node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 use crate::probe::{Probe, ProbeRecord};
 use crate::rng::Xoshiro;
-use crate::segment::{rx_dst, Attachment, CapturedFrame, PendingTx, SegId, Segment, SegmentConfig};
+use crate::segment::{rx_dst, Attachment, CapturedFrame, SegId, Segment, SegmentConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Counters, Trace};
 
@@ -27,8 +27,9 @@ pub struct WorldCore {
     time: SimTime,
     queue: EventQueue,
     segments: Vec<Segment>,
-    /// Per node: the segment each port attaches to, in port order.
-    node_ports: Vec<Vec<SegId>>,
+    /// Per node: the segment each port attaches to and the port's slot
+    /// among that segment's attachments, in port order.
+    node_ports: Vec<Vec<(SegId, u32)>>,
     node_names: Vec<String>,
     /// The fault layer's stream; nothing else draws from it (see the
     /// replay contract in [`crate::fault`]).
@@ -51,8 +52,9 @@ pub struct WorldCore {
     /// chaos-free case.
     crashed_count: usize,
     /// Reusable listener scratch for `deliver_all` (kept across events so
-    /// the delivery path never allocates).
-    deliver_scratch: Vec<(NodeId, PortId, bool)>,
+    /// the delivery path never allocates): per 64 attachments, who hears
+    /// the frame and whose node is called for it, a bit each.
+    deliver_scratch: Vec<[u64; 2]>,
     /// Recycled frame storage, each entry whole (bytes and refcount
     /// header): builders take from here ([`Ctx::take_buf`]) and dead
     /// frames return here ([`Ctx::recycle_frame`]), so steady-state
@@ -109,23 +111,19 @@ impl WorldCore {
     }
 
     #[inline]
-    fn send_on_segment(&mut self, seg_id: SegId, src: (NodeId, PortId), frame: FrameBuf) {
+    fn send_on_segment(&mut self, seg_id: SegId, slot: u32, frame: FrameBuf) {
         self.frames_sent += 1;
         let seg = &mut self.segments[seg_id.0];
         if seg.down {
             return self.refuse_on_down_segment(seg_id, frame);
         }
-        let ser = seg.serialization_time(frame.len());
-        let len = frame.len() as u32;
-        let (accepted, started) = seg.offer(PendingTx {
-            src,
-            frame,
-            offered_at: self.time,
-        });
+        let len = frame.len();
+        let (accepted, started) = seg.offer(slot, frame, self.time);
         if self.probe.is_armed() {
-            self.record_offer(seg_id, src, len, accepted, started);
+            self.record_offer(seg_id, slot, len as u32, accepted, started);
         }
         if accepted && started {
+            let ser = self.segments[seg_id.0].serialization_time(len);
             self.schedule_completion(seg_id, self.time + ser);
         }
     }
@@ -145,14 +143,8 @@ impl WorldCore {
     /// The flight-recorder entry for one offer. Out of line: the recorder
     /// is armed on no benchmark workload, only by `trace` and armed tests.
     #[cold]
-    fn record_offer(
-        &mut self,
-        seg_id: SegId,
-        src: (NodeId, PortId),
-        len: u32,
-        accepted: bool,
-        started: bool,
-    ) {
+    fn record_offer(&mut self, seg_id: SegId, slot: u32, len: u32, accepted: bool, started: bool) {
+        let src = self.segments[seg_id.0].attachments[slot as usize].id();
         let record = if accepted {
             ProbeRecord::FrameOffered {
                 seg: seg_id,
@@ -177,12 +169,10 @@ impl WorldCore {
     #[inline]
     fn schedule_completion(&mut self, seg_id: SegId, done_at: SimTime) {
         let seg = &self.segments[seg_id.0];
-        self.queue.push(
+        self.queue.push_seg_deliver(
             done_at + seg.cfg.propagation,
-            EventKind::SegDeliver {
-                seg: seg_id,
-                n_att: seg.attachments.len() as u32,
-            },
+            seg_id.0 as u32,
+            seg.attachments.len() as u32,
         );
     }
 
@@ -262,7 +252,7 @@ impl<'w> Ctx<'w> {
 
     /// The segment a port attaches to.
     pub fn port_segment(&self, port: PortId) -> SegId {
-        self.core.node_ports[self.node.0][port.0]
+        self.core.node_ports[self.node.0][port.0].0
     }
 
     /// Declare what `port` listens to: `Some(mac)` — frames addressed to
@@ -274,14 +264,8 @@ impl<'w> Ctx<'w> {
     /// where that call would have done nothing. Panics if the port does
     /// not exist.
     pub fn set_rx_filter(&mut self, port: PortId, filter: Option<[u8; 6]>) {
-        let seg = self.port_segment(port);
-        let me = (self.node, port);
-        self.core.segments[seg.0]
-            .attachments
-            .iter_mut()
-            .find(|a| (a.node, a.port) == me)
-            .expect("a port is attached to its segment")
-            .rx_filter = filter;
+        let (seg, slot) = self.core.node_ports[self.node.0][port.0];
+        self.core.segments[seg.0].attachments[slot as usize].set_filter(filter);
     }
 
     /// Transmit a frame out of `port`. The frame contends for the segment's
@@ -292,19 +276,22 @@ impl<'w> Ctx<'w> {
     /// does not exist.
     #[inline]
     pub fn send(&mut self, port: PortId, frame: impl Into<FrameBuf>) {
-        let seg = self.core.node_ports[self.node.0]
+        let (seg, slot) = self.core.node_ports[self.node.0]
             .get(port.0)
             .copied()
             .unwrap_or_else(|| panic!("node {} has no port {}", self.node, port));
-        self.core
-            .send_on_segment(seg, (self.node, port), frame.into());
+        self.core.send_on_segment(seg, slot, frame.into());
     }
 
     /// Schedule a timer `after` from now carrying `token`.
     #[inline]
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
-        let node = self.node;
-        self.arm(after, |id| EventKind::Timer { node, token, id })
+        let (id, deadline) = self.draw_timer(after);
+        let node = self.node.0 as u32;
+        let kind = EventKind::Timer { node, token, id };
+        let slot = self.core.queue.push(deadline, kind);
+        self.probe(|node| ProbeRecord::TimerArm { node, id, deadline });
+        TimerHandle { id, slot }
     }
 
     /// Schedule the completion of the item a [`crate::ServiceQueue`] of
@@ -316,20 +303,19 @@ impl<'w> Ctx<'w> {
     /// rather than among the parked timers (`src/event.rs`).
     #[inline]
     pub fn schedule_service(&mut self, after: SimDuration, token: TimerToken) {
-        let node = self.node;
-        self.arm(after, |id| EventKind::ServiceDone { node, token, id });
+        let (id, deadline) = self.draw_timer(after);
+        let node = self.node.0 as u32;
+        self.core.queue.push_service_done(deadline, node, token, id);
+        self.probe(|node| ProbeRecord::TimerArm { node, id, deadline });
     }
 
-    /// Draw a timer id, queue the event `kind` makes of it `after` from
-    /// now and record the arming.
+    /// Draw the id of a timer armed now to fire `after` from now, with its
+    /// deadline.
     #[inline]
-    fn arm(&mut self, after: SimDuration, kind: impl FnOnce(u64) -> EventKind) -> TimerHandle {
+    fn draw_timer(&mut self, after: SimDuration) -> (u64, SimTime) {
         let id = self.core.next_timer_id;
         self.core.next_timer_id += 1;
-        let deadline = self.core.time + after;
-        let slot = self.core.queue.push(deadline, kind(id));
-        self.probe(|node| ProbeRecord::TimerArm { node, id, deadline });
-        TimerHandle { id, slot }
+        (id, self.core.time + after)
     }
 
     /// Cancel a previously scheduled timer. Cancelling an already-fired or
@@ -423,6 +409,17 @@ impl WorldStats {
     pub fn total_fault_drops(&self) -> u64 {
         self.segments.iter().map(|s| s.counters.fault_drops).sum()
     }
+}
+
+/// The next id of a table holding `len` entries. Events carry node and
+/// segment ids, and pending transmissions their sender's attachment slot,
+/// as `u32`s; this is where a world is held to that.
+fn narrow_id(len: usize, what: &str) -> usize {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "a world holds at most 2^32 {what}"
+    );
+    len
 }
 
 /// The simulation world.
@@ -525,14 +522,14 @@ impl World {
 
     /// Add a LAN segment.
     pub fn add_segment(&mut self, cfg: SegmentConfig) -> SegId {
-        let id = SegId(self.core.segments.len());
+        let id = SegId(narrow_id(self.core.segments.len(), "segments"));
         self.core.segments.push(Segment::new(cfg));
         id
     }
 
     /// Add a node. Its `on_start` runs when [`World::start`] is called.
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
-        let id = NodeId(self.nodes.len());
+        let id = NodeId(narrow_id(self.nodes.len(), "nodes"));
         self.service_queues += node.service_queues();
         self.core.node_names.push(node.name().to_owned());
         self.nodes.push(Some(Box::new(node)));
@@ -546,12 +543,9 @@ impl World {
     pub fn attach(&mut self, node: NodeId, seg: SegId) -> PortId {
         let ports = &mut self.core.node_ports[node.0];
         let port = PortId(ports.len());
-        ports.push(seg);
-        self.core.segments[seg.0].attachments.push(Attachment {
-            node,
-            port,
-            rx_filter: None,
-        });
+        let attachments = &mut self.core.segments[seg.0].attachments;
+        ports.push((seg, narrow_id(attachments.len(), "attachments") as u32));
+        attachments.push(Attachment::new(node, port));
         port
     }
 
@@ -601,6 +595,7 @@ impl World {
                 self.with_node(node, |n, ctx| n.on_start(ctx));
             }
             EventKind::Timer { node, token, id } | EventKind::ServiceDone { node, token, id } => {
+                let node = NodeId(node as usize);
                 // A crashed node's pending timers die silently, like RAM
                 // losing power.
                 if self.core.crashed_count == 0 || !self.core.crashed[node.0] {
@@ -613,7 +608,9 @@ impl World {
                 }
             }
             EventKind::CancelledTimer => {}
-            EventKind::SegDeliver { seg, n_att } => self.seg_deliver(seg, n_att as usize),
+            EventKind::SegDeliver { seg, n_att } => {
+                self.seg_deliver(SegId(seg as usize), n_att as usize)
+            }
             EventKind::Chaos(ev) => match ev {
                 ChaosEv::LinkDown(seg) => self.set_link_down(seg, true),
                 ChaosEv::LinkUp(seg) => self.set_link_down(seg, false),
@@ -649,13 +646,14 @@ impl World {
         let (done, started_next) = seg.complete();
         seg.counters.tx_frames += 1;
         seg.counters.tx_bytes += done.frame.len() as u64;
+        let sender = done.slot as usize;
         if core.probe.is_armed() {
             let ser_ns = seg.serialization_time(done.frame.len()).as_ns();
             core.probe.record(
                 completion,
                 ProbeRecord::WireTx {
                     seg: seg_id,
-                    src: done.src,
+                    src: seg.attachments[sender].id(),
                     len: done.frame.len() as u32,
                     ser_ns,
                 },
@@ -670,7 +668,6 @@ impl World {
             let start = completion.max(next.offered_at);
             core.schedule_completion(seg_id, start + ser);
         }
-        let src = done.src;
         let (frame, copies) = if core.segments[seg_id.0].cfg.fault.is_transparent() {
             (done.frame, 1)
         } else {
@@ -683,113 +680,121 @@ impl World {
         if seg.cfg.capture {
             seg.captured.push(CapturedFrame {
                 at: completion,
-                src,
+                src: seg.attachments[sender].id(),
                 data: frame.clone(),
             });
         }
         seg.counters.deliveries += copies * (n_att as u64 - 1);
         if copies == 2 {
-            self.deliver_all(seg_id, src, n_att, frame.clone());
+            self.deliver_all(seg_id, sender, n_att, frame.clone());
         }
-        self.deliver_all(seg_id, src, n_att, frame);
+        self.deliver_all(seg_id, sender, n_att, frame);
     }
 
     /// Deliver one wire frame to every listener of `seg` (the first
-    /// `n_att` attachments except `src`, in attachment order), all
-    /// sharing the same refcounted buffer. A listener whose receive filter
-    /// rejects the frame is counted and probe-recorded like any other —
-    /// at its place in attachment order — but its node is not called.
-    /// The listener list is staged in a scratch buffer reused across
-    /// events, so fan-out allocates nothing and the per-listener loop
-    /// does not re-index the segment table while nodes are borrowed.
-    fn deliver_all(&mut self, seg: SegId, src: (NodeId, PortId), n_att: usize, frame: FrameBuf) {
+    /// `n_att` attachments except the one at slot `sender`, in attachment
+    /// order), all sharing the same refcounted buffer. A listener whose
+    /// receive filter rejects the frame is counted and probe-recorded like
+    /// any other — at its place in attachment order — but its node is not
+    /// called. Listeners are chosen as bit masks in a scratch buffer
+    /// reused across events, so fan-out allocates nothing and the calling
+    /// loop visits only the attachments it has something to do for.
+    fn deliver_all(&mut self, seg: SegId, sender: usize, n_att: usize, frame: FrameBuf) {
         let any_crashed = self.core.crashed_count != 0;
         let armed = self.core.probe.is_armed();
         let len = frame.len() as u32;
         // Point-to-point fast path: two attachments (the dominant shape on
-        // line topologies) need no listener staging at all.
+        // line topologies) have one listener, the other one.
         if n_att == 2 {
-            let atts = &self.core.segments[seg.0].attachments;
-            let (a, b) = (atts[0], atts[1]);
-            let a_sent = (a.node, a.port) == src;
-            if a_sent || (b.node, b.port) == src {
-                let target = if a_sent { b } else { a };
-                if any_crashed && self.core.crashed[target.node.0] {
-                    // The listener is crashed: the frame falls on the
-                    // floor (never counted as delivered).
-                    self.core.recycle_frame(frame);
-                    return;
-                }
-                self.core.frames_delivered += 1;
-                if armed {
-                    let dst = (target.node, target.port);
-                    self.core
-                        .probe
-                        .record(self.core.time, ProbeRecord::Deliver { seg, dst, len });
-                }
-                if target.hears(rx_dst(&frame)) {
-                    self.with_node(target.node, |n, ctx| n.on_frame(ctx, target.port, frame));
-                } else {
-                    self.core.recycle_frame(frame);
-                }
+            let target = self.core.segments[seg.0].attachments[sender ^ 1];
+            if any_crashed && self.core.crashed[target.node.0] {
+                // The listener is crashed: the frame falls on the
+                // floor (never counted as delivered).
+                self.core.recycle_frame(frame);
                 return;
             }
-            // src not among the attachments (cannot happen with the
-            // attach-only topology API): take the general path.
+            self.core.frames_delivered += 1;
+            if armed {
+                let dst = target.id();
+                self.core
+                    .probe
+                    .record(self.core.time, ProbeRecord::Deliver { seg, dst, len });
+            }
+            if target.hears(rx_dst(&frame)) {
+                self.with_node(target.node, |n, ctx| n.on_frame(ctx, target.port, frame));
+            } else {
+                self.core.recycle_frame(frame);
+            }
+            return;
         }
-        // Crashed listeners hear nothing (never counted as delivered).
-        // Staged for the loop below: every listener whose node is
-        // `called` (its filter lets the frame through; `last` is the last
-        // of them) and, for an armed recorder, the others too.
-        let mut listeners = std::mem::take(&mut self.core.deliver_scratch);
-        listeners.clear();
-        // One growth to the segment's size, as a bulk copy would make
-        // (pushing from empty would reallocate at 4, 8, 16, ...).
-        listeners.reserve(n_att);
+        // Who hears the frame — every one of the first `n_att` attachments
+        // but the sender and the crashed (never counted as delivered) —
+        // and which of them are called for it, their filter letting it
+        // through: one bit each, settled before anyone is called.
+        let mut masks = std::mem::take(&mut self.core.deliver_scratch);
+        masks.clear();
+        masks.reserve(n_att.div_ceil(64));
         let dst = rx_dst(&frame);
-        let (mut heard, mut last) = (0, None);
-        for att in &self.core.segments[seg.0].attachments[..n_att] {
-            if (att.node, att.port) == src || (any_crashed && self.core.crashed[att.node.0]) {
-                continue;
+        let (mut n_heard, mut n_called) = (0, 0);
+        let chunks = self.core.segments[seg.0].attachments[..n_att].chunks(64);
+        for (word, chunk) in chunks.enumerate() {
+            let mut heard = u64::MAX >> (64 - chunk.len());
+            if word == sender / 64 {
+                heard &= !(1 << (sender % 64));
             }
-            heard += 1;
-            let called = att.hears(dst);
-            if called {
-                last = Some(listeners.len());
+            if any_crashed {
+                for (bit, att) in chunk.iter().enumerate() {
+                    heard &= !(u64::from(self.core.crashed[att.node.0]) << bit);
+                }
             }
-            if called || armed {
-                listeners.push((att.node, att.port, called));
+            // Last attachment first, so the mask grows by a shift of one.
+            let mut called = 0;
+            for att in chunk.iter().rev() {
+                called = called << 1 | u64::from(att.hears(dst));
             }
+            called &= heard;
+            n_heard += u64::from(heard.count_ones());
+            n_called += called.count_ones();
+            masks.push([heard, called]);
         }
-        self.core.frames_delivered += heard;
+        self.core.frames_delivered += n_heard;
         // The *last* called listener receives the event's own handle
         // (moved, not cloned): where one node hears the frame — a
         // point-to-point link, or the bridge of an access LAN whose
         // stations filter — it ends up holding the only reference, so it
         // can recycle the buffer.
         let mut frame = Some(frame);
-        for (i, &(node, port, called)) in listeners.iter().enumerate() {
-            if armed {
-                let dst = (node, port);
-                self.core
-                    .probe
-                    .record(self.core.time, ProbeRecord::Deliver { seg, dst, len });
-            }
-            if called {
-                let f = if Some(i) == last {
-                    frame.take()
-                } else {
-                    frame.clone()
+        for (word, &[heard, called]) in masks.iter().enumerate() {
+            // An armed recorder notes every listener at its place in
+            // attachment order, called or not.
+            let mut bits = if armed { heard } else { called };
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let att = self.core.segments[seg.0].attachments[word * 64 + bit];
+                if armed {
+                    let dst = att.id();
+                    self.core
+                        .probe
+                        .record(self.core.time, ProbeRecord::Deliver { seg, dst, len });
                 }
-                .expect("the handle moves at the last called listener");
-                self.with_node(node, |n, ctx| n.on_frame(ctx, port, f));
+                if called >> bit & 1 != 0 {
+                    n_called -= 1;
+                    let f = if n_called == 0 {
+                        frame.take()
+                    } else {
+                        frame.clone()
+                    }
+                    .expect("the handle moves at the last called listener");
+                    self.with_node(att.node, |n, ctx| n.on_frame(ctx, att.port, f));
+                }
             }
         }
         // Nobody was called: the wire frame dies here — reclaim it.
         if let Some(f) = frame {
             self.core.recycle_frame(f);
         }
-        self.core.deliver_scratch = listeners;
+        self.core.deliver_scratch = masks;
     }
 
     #[inline]
@@ -1910,6 +1915,93 @@ mod tests {
         }
         assert_eq!([heard(&w, promisc), heard(&w, a), heard(&w, b)], [5, 2, 1]);
         assert_eq!(w.frames_delivered(), 15);
+    }
+
+    /// A station whose declared address is the broadcast address hears
+    /// broadcast and nothing else; and a frame of 0–5 bytes, too short to
+    /// carry a destination, passes no filter of any kind — it reaches
+    /// promiscuous ports only, on a shared LAN and on a two-port link.
+    #[test]
+    fn a_broadcast_filter_and_frames_too_short_to_address() {
+        let mut w = World::new(1);
+        let (lan, [promisc, a, sender, bcast]) =
+            stations(&mut w, [None, Some(MAC_A), None, Some([0xFF; 6])]);
+        assert_eq!(w.segment(lan).attachments()[3].rx_filter, Some([0xFF; 6]));
+        send_from(&mut w, sender, frame_to([0xFF; 6]));
+        assert_eq!(
+            [heard(&w, promisc), heard(&w, a), heard(&w, bcast)],
+            [1, 1, 1]
+        );
+        send_from(&mut w, sender, frame_to(MAC_A));
+        assert_eq!(
+            [heard(&w, promisc), heard(&w, a), heard(&w, bcast)],
+            [2, 2, 1]
+        );
+        send_from(&mut w, sender, frame_to(MAC_C));
+        assert_eq!(
+            [heard(&w, promisc), heard(&w, a), heard(&w, bcast)],
+            [3, 2, 1]
+        );
+
+        let links = [Some(MAC_A), Some([0xFF; 6]), None].map(|mac| stations(&mut w, [None, mac]));
+        for len in 0..=5 {
+            // All ones: as much of the broadcast address as fits.
+            send_from(&mut w, sender, FrameBuf::from(vec![0xFF; len]));
+            for (_, [from, _]) in links {
+                send_from(&mut w, from, FrameBuf::from(vec![0xFF; len]));
+            }
+        }
+        assert_eq!(
+            [heard(&w, promisc), heard(&w, a), heard(&w, bcast)],
+            [9, 2, 1]
+        );
+        let on_links = links.map(|(_, [_, to])| heard(&w, to));
+        assert_eq!(on_links, [0, 0, 6], "only the promiscuous end is called");
+        // Called or not, every one of them was a delivery.
+        assert_eq!(w.frames_delivered(), 3 * 3 + 6 * (3 + 3));
+    }
+
+    /// Seventy stations, past one word of listener bits: a sender, a
+    /// station addressed and a promiscuous one all in the second word.
+    #[test]
+    fn a_lan_wider_than_a_machine_word() {
+        use crate::probe::ProbeConfig;
+        let mac = |i: usize| [2, 0, 0, 0, 1, i as u8];
+        let mut w = World::new(1);
+        let (lan, nodes) = stations(
+            &mut w,
+            std::array::from_fn::<_, 70, _>(|i| (i != 3 && i != 69).then(|| mac(i))),
+        );
+        w.probe_mut().arm(ProbeConfig::default());
+        send_from(&mut w, nodes[68], frame_to(mac(66)));
+        let called: Vec<usize> = (0..70).filter(|&i| heard(&w, nodes[i]) == 1).collect();
+        assert_eq!(called, [3, 66, 69]);
+        assert_eq!(w.node::<Station>(nodes[66]).heard, [false]);
+        assert_eq!(
+            w.node::<Station>(nodes[69]).heard,
+            [true],
+            "the last called"
+        );
+        assert_eq!(w.frames_delivered(), 69);
+        assert_eq!(w.segment(lan).counters().deliveries, 69);
+        let delivered: Vec<NodeId> = w
+            .probe()
+            .records()
+            .filter_map(|e| match e.record {
+                ProbeRecord::Deliver { dst, .. } => Some(dst.0),
+                _ => None,
+            })
+            .collect();
+        let all_but_the_sender: Vec<NodeId> =
+            (0..70).filter(|&i| i != 68).map(|i| nodes[i]).collect();
+        assert_eq!(delivered, all_but_the_sender, "in attachment order");
+        // A crashed station in either word is not a delivery.
+        w.crash_node(nodes[5]);
+        w.crash_node(nodes[66]);
+        send_from(&mut w, nodes[68], frame_to(mac(66)));
+        assert_eq!(w.frames_delivered(), 69 + 67);
+        assert_eq!(heard(&w, nodes[66]), 1);
+        assert_eq!(heard(&w, nodes[69]), 2);
     }
 
     #[test]

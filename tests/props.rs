@@ -441,17 +441,22 @@ struct FilterRun {
 
 /// A shared LAN (two plain stations, the injector, a marking listener, a
 /// promiscuous station, a 1997-cost station, one more plain station — the
-/// sender in the middle of the attachment order) and a point-to-point link
-/// (one plain station, then the injector), recorder armed, driven by
-/// `steps` of `[kind, who, on_link]`. With `clear_filters` every station's
-/// receive filter is withdrawn after start, which is the world as it was
-/// before filters existed. Returns the run and how many ports had declared
-/// a filter.
-fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun, usize) {
+/// sender in the middle of the attachment order), a point-to-point link
+/// (one plain station, then the injector) and a wide LAN of 70 attachments
+/// (past one machine word of listeners: 66 plain stations with the
+/// injector, a marking listener, a promiscuous and a 1997-cost station
+/// among them), recorder armed, driven by `steps` of `[kind, who, via]` —
+/// `via` picks the injector's port or, one time in four, has a station of
+/// the wide LAN send the frame itself. With `clear_filters` every
+/// station's receive filter is withdrawn after start, which is the world
+/// as it was before filters existed. Returns the run and how many ports
+/// of each segment had declared a filter.
+fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun, [usize; 3]) {
     let mut world = World::new(seed);
     world.probe_mut().arm(ProbeConfig::default());
     let shared = world.add_segment(SegmentConfig::named("shared"));
     let link = world.add_segment(SegmentConfig::named("link"));
+    let wide = world.add_segment(SegmentConfig::named("wide"));
     let mut hosts = Vec::new();
     let mut add_host = |world: &mut World, seg, promiscuous, cost| {
         let n = hosts.len() as u32 + 1;
@@ -474,22 +479,38 @@ fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun
     add_host(&mut world, shared, false, HostCostModel::FREE);
     add_host(&mut world, link, false, HostCostModel::FREE);
     world.attach(injector, link);
+    let wide_marker = world.add_node(MarkingListener);
+    for slot in 0..70 {
+        match slot {
+            20 => drop(world.attach(injector, wide)),
+            41 => drop(world.attach(wide_marker, wide)),
+            66 => add_host(&mut world, wide, true, HostCostModel::FREE),
+            67 => add_host(&mut world, wide, false, HostCostModel::pc_1997()),
+            _ => add_host(&mut world, wide, false, HostCostModel::FREE),
+        }
+    }
     world.run_until(SimTime::from_us(1));
 
-    let declared = [shared, link]
-        .iter()
-        .flat_map(|&seg| world.segment(seg).attachments())
-        .filter(|a| a.rx_filter.is_some())
-        .count();
+    let declared = [shared, link, wide].map(|seg| {
+        let attachments = world.segment(seg).attachments();
+        attachments.iter().filter(|a| a.rx_filter.is_some()).count()
+    });
     if clear_filters {
         for &host in &hosts {
             world.with_ctx::<HostNode, _>(host, |_, ctx| ctx.set_rx_filter(PortId(0), None));
         }
     }
 
-    let listeners: Vec<_> = hosts.iter().copied().chain([marker]).collect();
-    for &[kind, who, on_link] in steps {
-        let owner = host_mac(1 + u32::from(who) % hosts.len() as u32).octets();
+    // The first eight stations are the shared LAN's and the link's.
+    let (narrow, on_wide) = hosts.split_at(8);
+    let listeners: Vec<_> = hosts.iter().copied().chain([marker, wide_marker]).collect();
+    for &[kind, who, via] in steps {
+        let who_of = |stations: &[netsim::NodeId]| usize::from(who) % stations.len();
+        let owner = match via % 4 {
+            0 | 1 => 1 + who_of(narrow),
+            _ => 1 + narrow.len() + who_of(on_wide),
+        };
+        let owner = host_mac(owner as u32).octets();
         let full = |dst: [u8; 6]| {
             let mut frame = dst.to_vec();
             frame.extend_from_slice(&host_mac(99).octets());
@@ -513,9 +534,18 @@ fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun
                 continue;
             }
         };
-        world.with_ctx::<Injector, _>(injector, |_, ctx| {
-            ctx.send(PortId(usize::from(on_link % 2)), FrameBuf::from(frame));
-        });
+        match via % 4 {
+            // A station — a filtered one, 66 times in 68 — is the sender.
+            3 => {
+                let sender = on_wide[usize::from(who / 3) % on_wide.len()];
+                world.with_ctx::<HostNode, _>(sender, |h, ctx| {
+                    h.core.send_raw(ctx, PortId(0), FrameBuf::from(frame));
+                });
+            }
+            port => world.with_ctx::<Injector, _>(injector, |_, ctx| {
+                ctx.send(PortId(usize::from(port)), FrameBuf::from(frame));
+            }),
+        }
         // Two steps in three land while the previous frame is still on
         // the wire or in the costed station's receive queue.
         world.run_for(netsim::SimDuration::from_us(
@@ -526,7 +556,7 @@ fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun
 
     let run = FilterRun {
         frames_delivered: world.frames_delivered(),
-        seg_counters: [shared, link]
+        seg_counters: [shared, link, wide]
             .iter()
             .map(|&seg| format!("{:?}", world.segment(seg).counters()))
             .collect(),
@@ -558,8 +588,8 @@ proptest! {
     ) {
         let (filtered, declared) = filter_world(seed, &steps, false);
         let (cleared, _) = filter_world(seed, &steps, true);
-        // The four zero-cost, non-promiscuous stations, and nobody else.
-        prop_assert_eq!(declared, 4);
+        // The zero-cost, non-promiscuous stations, and nobody else.
+        prop_assert_eq!(declared, [3, 1, 66]);
         prop_assert!(!filtered.records.is_empty());
         prop_assert_eq!(filtered, cleared);
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """symbolize.py [--split-libc] SAMPLES [TOP]: self and inclusive shares per function.
 symbolize.py --allocs RECORDS [TOP]: allocator calls per call site.
+symbolize.py --annotate FUNCTION SAMPLES: one function's self samples per instruction.
 
 Reads what sigprof.so wrote: `S pc caller caller ...` per sample, then the
 process's /proc/self/maps as `M` lines. PCs inside the sampled executable
@@ -17,6 +18,11 @@ text without any exported function (on x86-64 glibc: the IFUNC-selected
 memmove/memset/str* variants, which are local symbols), the rest is
 `other`. The ranges used are printed, to be checked with objdump.
 
+--annotate prints `objdump -d --no-show-raw-insn` of every symbol whose
+demangled name is exactly FUNCTION (a generic function has one per
+instantiation) with the samples that stopped at each instruction in front
+of it. It needs no frame pointers: only the sampled RIP is used.
+
 --allocs reads what alloctrace.so wrote: `A size caller caller ...` per
 allocator call. A call is charged to its first frame that is not the
 allocator's own plumbing (alloc::, core::, hashbrown::, __rust_*): share of
@@ -26,6 +32,7 @@ import bisect, collections, os, re, subprocess, sys
 
 args = [a for a in sys.argv[1:] if not a.startswith("--")]
 flags = {a for a in sys.argv[1:] if a.startswith("--")}
+annotated = args.pop(0) if "--annotate" in flags else None
 rows, maps = [], []
 for line in open(args[0]):
     kind, *rest = line.split()
@@ -106,8 +113,26 @@ def shares():
         for fn, n in counts.most_common(top):
             print("  %5.1f%%  %s" % (100.0 * n / max(len(rows), 1), fn))
 
+def annotate(fn):
+    hits = collections.Counter(stack[0] - base for stack in rows if name(stack[0]) == fn)
+    print("%s: %d of %d samples" % (fn, sum(hits.values()), len(rows)))
+    for addr, sym in syms:
+        if sym.strip() != fn:
+            continue
+        k = bisect.bisect_right(addrs, addr)
+        end = addrs[k] if k < len(addrs) else addr + 1
+        if not any(addr <= pc < end for pc in hits):
+            continue
+        dis = subprocess.run(["objdump", "-d", "-C", "--no-show-raw-insn", "--start-address=%#x" % addr,
+                              "--stop-address=%#x" % end, exe], capture_output=True, text=True).stdout
+        for line in dis.splitlines():
+            at = re.match(r"\s*([0-9a-f]+):\t", line)
+            if at:
+                n = hits.get(int(at.group(1), 16), 0)
+                print("%6s %s" % (n or "", line))
+
 try:
-    call_sites() if "--allocs" in flags else shares()
+    annotate(annotated) if annotated else call_sites() if "--allocs" in flags else shares()
     sys.stdout.flush()
 except BrokenPipeError:
     # `... | head` has read what it wanted. Point stdout at /dev/null so the
