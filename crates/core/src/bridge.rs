@@ -1100,8 +1100,8 @@ impl Node for BridgeNode {
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        // Volatile state dies with the power: the forwarding tables and
-        // decision cache (inside `plane`), STP engine state (inside the
+        // Volatile state dies with the power: the forwarding tables
+        // (inside `plane`), STP engine state (inside the
         // STP switchlet instance), queued frames, VM instances and
         // scratch, pending commands, and the watchdog's history. The
         // epoch bump orphans every timer already in flight.
@@ -1176,7 +1176,7 @@ impl Node for BridgeNode {
                 if self.plane.slot_running(slot) {
                     // A timer handler may mutate decision inputs the
                     // plane cannot see (switchlet-private state), so
-                    // every delivery invalidates cached verdicts.
+                    // every delivery moves the decision generation.
                     self.plane.bump_generation();
                     self.with_slot(ctx, slot, |s, bc| s.on_timer(bc, user));
                 }

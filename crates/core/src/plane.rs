@@ -5,17 +5,15 @@
 //! address registrations, and the published spanning-tree snapshots the
 //! control switchlet monitors.
 //!
-//! Since PR 4 the plane also carries the **forwarding decision cache** and
-//! the **generation counter** that keeps it honest. Every piece of state a
-//! switching function's verdict can depend on is mutated through methods
-//! that bump a generation: learn-table mapping changes (insertions,
-//! moves, evictions, flushes — timestamp refreshes excluded, they cannot
-//! flip a verdict), port-flag writes, switchlet lifecycle transitions,
-//! data-plane (re)selection and timer deliveries. A cached verdict is
-//! replayed only when its recorded generation still matches and its
-//! freshness deadline has not passed, so a cache hit can never diverge
-//! from re-executing the switching function — the invariant the golden
-//! byte-identical-trace tests enforce end to end.
+//! The plane also carries the **decision generation**. Every piece of
+//! state a frame's handling can depend on is mutated through methods that
+//! bump it: learn-table mapping changes (insertions, moves, evictions,
+//! flushes — timestamp refreshes excluded, they cannot flip a verdict),
+//! port-flag writes, switchlet lifecycle transitions, data-plane
+//! (re)selection and timer deliveries. What the data plane and each
+//! registered address resolve to is kept with the generation it was
+//! resolved under (`crates/switchlet/DESIGN.md` § 3); forwarding verdicts
+//! are not kept — the learning table is the fast path.
 //!
 //! The plane also keeps the **switchlet directory**: a switchlet is a
 //! slot. A name is resolved to its slot where it enters (an install, a
@@ -84,11 +82,10 @@ pub enum LearnOutcome {
 /// The table tracks its own mutation generation: any change to the
 /// address→port *mapping* (new entry, port move, eviction, flush) bumps
 /// it; refreshing the timestamp of an unchanged mapping does not, because
-/// no forwarding verdict can change when only a last-seen time advances
-/// (staleness is handled by the cache's own freshness deadline).
+/// no forwarding verdict can change when only a last-seen time advances.
 ///
-/// A frame's source is learned on every bridge it crosses, cache hit or
-/// miss, and nearly always finds its entry where it left it: that refresh
+/// A frame's source is learned on every bridge it crosses and nearly
+/// always finds its entry where it left it: that refresh
 /// is one probe of the map — the timestamp is written through the entry
 /// the probe found, as a port move is — not a lookup and then an insert.
 ///
@@ -254,7 +251,7 @@ impl LearningTable {
     }
 
     /// Like [`LearningTable::lookup`], also returning when the entry was
-    /// last refreshed (callers derive freshness deadlines from it).
+    /// last refreshed.
     #[inline]
     pub fn lookup_entry(&mut self, dst: MacAddr, now: SimTime) -> Option<(PortId, SimTime)> {
         match self.map.get(&dst) {
@@ -305,12 +302,6 @@ impl LearningTable {
         }
         self.map.clear();
         self.occupancy.fill(0);
-    }
-
-    /// The configured entry lifetime.
-    #[inline]
-    pub fn age(&self) -> SimDuration {
-        self.age
     }
 
     /// Pre-size the table for `stations` distinct source addresses, so
@@ -447,10 +438,6 @@ pub struct BridgeStats {
     pub images_loaded: u64,
     /// Switchlet images rejected (decode/link/verify failures).
     pub images_rejected: u64,
-    /// Forwarding verdicts replayed from the decision cache.
-    pub cache_hits: u64,
-    /// Unicast verdicts computed by full execution (and then cached).
-    pub cache_misses: u64,
     /// Learn-table occupancy gauge (live entries at last learn/sweep).
     pub learn_occupancy: u64,
     /// Bounded learning: victims evicted to admit new sources.
@@ -476,6 +463,10 @@ impl BridgeStats {
         "bpdu_guard_trips",
     ];
 
+    /// Names with no counter behind them, always 0, kept in `as_pairs` for
+    /// `benchmark/src/harness.rs` (ROADMAP 7(f)); reports leave them out.
+    pub const RETIRED_KEYS: [&'static str; 2] = ["cache_hits", "cache_misses"];
+
     /// Every counter as a stable `(name, value)` list, in declaration
     /// order — the shape structured reports (JSON emitters, tables) want,
     /// so they never fall out of sync with the struct.
@@ -494,8 +485,8 @@ impl BridgeStats {
             ("vm_instructions", self.vm_instructions),
             ("images_loaded", self.images_loaded),
             ("images_rejected", self.images_rejected),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
+            (Self::RETIRED_KEYS[0], 0),
+            (Self::RETIRED_KEYS[1], 0),
             ("learn_occupancy", self.learn_occupancy),
             ("learn_evictions", self.learn_evictions),
             ("learn_rejects", self.learn_rejects),
@@ -506,12 +497,9 @@ impl BridgeStats {
     }
 }
 
-/// A memoized forwarding verdict for one `(in-port, src, dst)` unicast
-/// flow — the pure decision the learning switchlet would recompute.
+/// The learning switchlet's verdict on a frame its arrival port let in.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
-    /// Ingress port was not forwarding: count and drop.
-    Blocked,
     /// Destination learned on the arrival port: suppress.
     Filter,
     /// Forward to one learned, forwarding port.
@@ -526,15 +514,14 @@ struct CacheEntry {
     dst: MacAddr,
     in_port: u16,
     gen: u64,
-    /// Entry is replayable only strictly before this instant (derived
-    /// from the learning-table entry's freshness window for `Direct` and
-    /// `Filter`; unbounded for generation-guarded verdicts).
+    /// Entry is replayable only up to this instant.
     valid_until: SimTime,
     verdict: Verdict,
 }
 
-/// Direct-mapped forwarding decision cache: fixed storage, no per-frame
-/// allocation, O(1) probe and insert.
+/// Direct-mapped forwarding decision cache. **No bridge holds one** (a hit
+/// cost what the table probes it saved: README § Performance); it stays
+/// for `benchmark/src/kernels.rs`'s `cache_*` kernels until ROADMAP 7(f).
 #[derive(Debug)]
 pub struct DecisionCache {
     slots: Vec<Option<CacheEntry>>,
@@ -639,8 +626,6 @@ pub struct Plane {
     pub owners_out: Vec<Option<String>>,
     /// Counters.
     pub stats: BridgeStats,
-    /// The forwarding decision cache (consulted by switching functions).
-    pub fwd_cache: DecisionCache,
     /// Decision-relevant mutations outside the learning table.
     gen: u64,
     /// Control-plane changes an observer of convergence can see: a port's
@@ -662,7 +647,6 @@ impl Plane {
             owners_in: vec![None; n_ports],
             owners_out: vec![None; n_ports],
             stats: BridgeStats::default(),
-            fwd_cache: DecisionCache::default(),
             gen: 0,
             control_epoch: 0,
         }
@@ -670,17 +654,16 @@ impl Plane {
 
     // ------------------------------------------------- generation window
 
-    /// The decision generation: cached verdicts recorded under an older
-    /// value are dead. Monotonic (sum of two monotonic counters).
+    /// The decision generation: a resolution kept under an older value is
+    /// dead. Monotonic (sum of two monotonic counters).
     #[inline]
     pub fn generation(&self) -> u64 {
         self.gen + self.learn.generation()
     }
 
-    /// Invalidate every cached forwarding decision (cheap: the cache is
-    /// generation-guarded, nothing is scanned). Called on every event
-    /// that could change a switching function's verdict, and available to
-    /// embedders that mutate decision inputs out of band.
+    /// Invalidate everything kept under the generation (nothing is
+    /// scanned). Called on every event that could change how a frame is
+    /// handled; embedders that mutate decision inputs out of band call it.
     #[inline]
     pub fn bump_generation(&mut self) {
         self.gen += 1;
@@ -818,7 +801,7 @@ impl Plane {
     }
 
     /// Record a lifecycle transition (load/suspend/resume/halt) of the
-    /// switchlet named `name` — each one invalidates cached decisions. A
+    /// switchlet named `name` — each one moves the generation. A
     /// name the directory has not seen enters it here; returns its slot.
     pub fn set_status(&mut self, name: &str, status: SwitchletStatus) -> usize {
         let slot = self.slot_of(name).unwrap_or_else(|| {

@@ -250,7 +250,7 @@ fn learned_and_flooded_frames_cross_three_bridges_without_allocating() {
         })
         .collect();
 
-    // Warm-up: tables learned, decision cache filled, queues grown.
+    // Warm-up: tables learned, queues grown.
     world.run_until(SimTime::from_ms(5));
     let heard_before = talkers.map(|t| world.node::<Talker>(t).heard);
     let before = CALLS.with(Cell::get);

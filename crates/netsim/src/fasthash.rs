@@ -5,13 +5,24 @@
 //! paths like the learning table and hosts' ARP caches — and its
 //! per-process seeding is the one source of nondeterminism the simulator
 //! tolerates only because nothing observable iterates those maps. This
-//! multiply-xor hasher (the `rustc-hash`/FxHash construction) is ~5×
-//! faster on 6–16 byte keys and fully deterministic, which fits the
-//! repo's replay-everything rule. It is **not** DoS-resistant; keys here
-//! are simulation state (MACs, IPs, sequence numbers), not attacker
-//! input.
+//! multiply-xor hasher (the `rustc-hash`/FxHash construction) is one
+//! rotate, xor and multiply per word of key and fully deterministic, which
+//! fits the repo's replay-everything rule. It is **not** DoS-resistant;
+//! keys here are simulation state (MACs, IPs, sequence numbers), not
+//! attacker input.
+//!
+//! # Where the bits go
+//!
+//! A product's bit *k* depends on its factors' bits *0..=k* only, and keys
+//! here differ high in the word (`MacAddr::local(n)` is `02:00:` then `n`
+//! big-endian: bits 32–47), so sequential stations share the product's low
+//! 32 bits — the bits a table reads: hashbrown takes the bucket from the
+//! low end (its seven-bit tag from the top), a masked index likewise.
+//! [`FxHasher::finish`] therefore xors the top twenty bits onto the low
+//! twenty (`rustc-hash` 2 rotates instead, which leaves these keys four
+//! tag values); `tests::distributes_short_keys` counts both ends.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The FxHash mixing constant (64-bit golden-ratio multiplier).
@@ -66,9 +77,10 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The product, its top twenty bits folded onto its low twenty.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 44)
     }
 }
 
@@ -78,12 +90,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using the fast deterministic hasher.
 pub type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using the fast deterministic hasher.
-pub type FastSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{BuildHasher, Hash};
 
     #[test]
     fn deterministic_across_instances() {
@@ -107,15 +117,42 @@ mod tests {
         assert_eq!(m1.get(&42), Some(&84));
     }
 
+    /// How many distinct values `finish()`'s low ten bits and its top
+    /// seven take over `keys`.
+    fn spread<K: Hash>(keys: impl Iterator<Item = K>) -> (usize, usize) {
+        let hashes: Vec<u64> = keys.map(|k| FxBuildHasher::default().hash_one(k)).collect();
+        let distinct = |bits: fn(u64) -> u64| {
+            let seen: std::collections::BTreeSet<u64> = hashes.iter().map(|&h| bits(h)).collect();
+            seen.len()
+        };
+        (distinct(|h| h & 0x3ff), distinct(|h| h >> 57))
+    }
+
+    /// What a table reads of a hash is not the 64-bit value: hashbrown
+    /// picks the bucket from the low bits and tags it with the top seven,
+    /// and a masked index (`hash & (slots - 1)`) reads the low bits alone.
+    /// 1 024 sequential keys of every shape the workspace hashes must
+    /// spread over both. (Thrown at random, 1 024 keys fill ≈ 647 of 1 024
+    /// slots and all 128 tags; the bare product left MAC-shaped keys on
+    /// one slot, and a 13-byte flow key of two of them on 32.)
     #[test]
     fn distributes_short_keys() {
-        // 6-byte MAC-like keys must not collapse onto a few buckets.
-        let mut hashes: FastSet<u64> = FastSet::default();
-        for i in 0..512u64 {
-            let mut h = FxHasher::default();
-            h.write(&i.to_be_bytes()[2..]);
-            hashes.insert(h.finish());
-        }
-        assert_eq!(hashes.len(), 512, "no collisions on sequential MACs");
+        let check = |shape: &str, (low, top): (usize, usize)| {
+            assert!(low >= 600, "{shape}: low 10 bits take {low} values");
+            assert!(top >= 100, "{shape}: top 7 bits take {top} values");
+        };
+        // `MacAddr::local(i)`, and `host_mac(i)`'s block of it, hashed as
+        // `#[derive(Hash)]` hashes a `[u8; 6]` newtype.
+        let mac = |i: u32| {
+            let b = i.to_be_bytes();
+            [0x02u8, 0x00, b[0], b[1], b[2], b[3]]
+        };
+        check("MacAddr::local", spread((0..1024).map(mac)));
+        check("host_mac", spread((0x2000..0x2400).map(mac)));
+        // `host_ip(i)`: an `Ipv4Addr` hashes as its four octets.
+        let ip = |i: u32| std::net::Ipv4Addr::new(10, 1, (i >> 8) as u8, i as u8);
+        check("host_ip", spread((0..1024).map(ip)));
+        check("u16", spread(0..1024u16));
+        check("u32", spread(0..1024u32));
     }
 }

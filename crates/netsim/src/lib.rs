@@ -73,7 +73,7 @@ mod world;
 
 pub use chaos::{ChaosAction, ChaosEv, ChaosScript, ChaosStep};
 pub use cost::CostModel;
-pub use fasthash::{FastMap, FastSet, FxBuildHasher};
+pub use fasthash::{FastMap, FxBuildHasher};
 pub use fault::{BurstConfig, FaultConfig};
 pub use framebuf::FrameBuf;
 pub use node::{Node, NodeId, PortId, TimerHandle, TimerToken};

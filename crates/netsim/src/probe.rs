@@ -2,8 +2,8 @@
 //!
 //! The probe is the simulator's black box. When armed it records the
 //! frame lifecycle (offered / wire-tx / delivered / dropped / corrupted),
-//! bridge forwarding decisions (including decision-cache hit/miss and the
-//! plane generation they were made under), timer arms/fires/cancels,
+//! bridge forwarding decisions (with the plane generation they were made
+//! under), timer arms/fires/cancels,
 //! switchlet invocations with fuel and host-call cost, and free-form app
 //! phase marks. Offline tooling (`ab_scenario trace`) turns the ring into
 //! a Perfetto-compatible timeline.
@@ -151,8 +151,8 @@ pub enum ProbeRecord {
         /// The timer's id.
         id: u64,
     },
-    /// A bridge forwarding decision, with the decision-cache outcome and
-    /// the plane generation it was made under.
+    /// A bridge forwarding decision, with the plane generation it was made
+    /// under.
     Decision {
         /// The deciding bridge.
         node: NodeId,
@@ -160,9 +160,7 @@ pub enum ProbeRecord {
         port: PortId,
         /// Verdict label (`"direct"`, `"flood"`, `"filter"`, `"blocked"`).
         verdict: &'static str,
-        /// Whether the decision cache answered.
-        cache_hit: bool,
-        /// The plane generation the verdict is valid under.
+        /// The plane generation the verdict was reached under.
         generation: u64,
     },
     /// A switchlet invocation began on `node`.

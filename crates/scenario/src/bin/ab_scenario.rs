@@ -9,6 +9,7 @@
 //! ab_scenario analyze chaos.json --assert-pass   # recovery-invariant gate
 //! ab_scenario trace metro pings > trace.json     # flight-recorder timeline
 //! ab_scenario validate-trace trace.json          # structural check (CI)
+//! ab_scenario diff before.json after.json        # what moved, by name
 //! ```
 //!
 //! `render` runs the default sweep and prints the JSON document (byte-
@@ -26,6 +27,9 @@
 //! document is deterministic: same shape/battery/seed → byte-identical
 //! JSON. `validate-trace` re-parses an emitted document with the
 //! in-repo JSON parser and checks the trace-event contract.
+//!
+//! `diff` prints one line per leaf added, removed or changed between two
+//! sweep reports, as scenario → section → key, and exits 1 if there is one.
 
 use std::io::Read as _;
 
@@ -34,7 +38,7 @@ use ab_scenario::runner::Scenario;
 use ab_scenario::sweep::{run_sweep_jobs_profiled, SweepSpec};
 use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
-use ab_scenario::{timeline, Json};
+use ab_scenario::{diff, timeline, Json};
 
 /// A sweep constructor: the base seed in, the spec out.
 type SweepCtor = fn(u64) -> SweepSpec;
@@ -82,7 +86,8 @@ fn usage() -> ! {
         "usage:\n  ab_scenario render [--jobs N] [--seed S] [--sweep {}] [--profile]\n  \
          ab_scenario analyze <sweep.json|-> [--assert-score N] [--assert-pass]\n  \
          ab_scenario trace <shape> <battery> [--seed S] [--capacity N] [--defended]\n  \
-         ab_scenario validate-trace <trace.json|->\n\n\
+         ab_scenario validate-trace <trace.json|->\n  \
+         ab_scenario diff <a.json> <b.json>\n\n\
          shapes: {}\n\
          batteries: {}",
         names(&SWEEPS, "|"),
@@ -99,6 +104,7 @@ fn main() {
         Some("analyze") => analyze(args),
         Some("trace") => trace(args),
         Some("validate-trace") => validate_trace(args),
+        Some("diff") => diff(args),
         _ => usage(),
     }
 }
@@ -197,6 +203,23 @@ fn validate_trace(mut args: impl Iterator<Item = String>) {
     }
 }
 
+fn diff(mut args: impl Iterator<Item = String>) {
+    let (Some(a), Some(b), None) = (args.next(), args.next(), args.next()) else {
+        usage()
+    };
+    let lines = diff::diff_sweeps(&read_json(&a), &read_json(&b));
+    lines.iter().for_each(|line| println!("{line}"));
+    std::process::exit(i32::from(!lines.is_empty()));
+}
+
+/// [`read_input`], parsed.
+fn read_json(path: &str) -> Json {
+    Json::parse(&read_input(path)).unwrap_or_else(|e| {
+        eprintln!("parsing {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn read_input(path: &str) -> String {
     if path == "-" {
         let mut buf = String::new();
@@ -229,11 +252,7 @@ fn analyze(mut args: impl Iterator<Item = String>) {
             _ => usage(),
         }
     }
-    let text = read_input(&path);
-    let sweep = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("parsing {path}: {e}");
-        std::process::exit(1);
-    });
+    let sweep = read_json(&path);
     let cards = quality::sweep_scorecards(&sweep).unwrap_or_else(|e| {
         eprintln!("analyzing {path}: {e}");
         std::process::exit(1);

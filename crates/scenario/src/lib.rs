@@ -39,6 +39,7 @@
 //! assert!(report.passed(), "{}", report.to_json().render_pretty());
 //! ```
 
+pub mod diff;
 pub mod exec;
 pub mod json;
 pub mod paper;

@@ -1314,7 +1314,8 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
 }
 
 /// Per-bridge counters. The security keys only render on hostile runs so
-/// every pre-existing report stays byte-identical.
+/// every pre-existing report stays byte-identical; the retired keys never
+/// render.
 fn bridge_reports(
     world: &World,
     built: &topo::BuiltTopology,
@@ -1327,6 +1328,7 @@ fn bridge_reports(
             let node = world.node::<BridgeNode>(b);
             let plane = node.plane();
             let mut counters = plane.stats.as_pairs().to_vec();
+            counters.retain(|(k, _)| !BridgeStats::RETIRED_KEYS.contains(k));
             if !include_security {
                 counters.retain(|(k, _)| !BridgeStats::SECURITY_KEYS.contains(k));
             }

@@ -8,9 +8,8 @@
 //!   complete (`"X"`) events spanning `[completion − serialization,
 //!   completion]`; queue drops, fault injections and contended offers
 //!   are instants.
-//! * **pid 2 — bridges**: forwarding decisions (verdict, cache
-//!   hit/miss, decision generation), switchlet executions (fuel, host
-//!   calls) and timers.
+//! * **pid 2 — bridges**: forwarding decisions (verdict, generation),
+//!   switchlet executions (fuel, host calls) and timers.
 //! * **pid 3 — hosts**: application phase marks (`ping.start`,
 //!   `ttcp.done`, …) and timers.
 //!
@@ -232,7 +231,6 @@ pub fn timeline_json(world: &World, report: &Report) -> Json {
                 node,
                 port,
                 verdict,
-                cache_hit,
                 generation,
             } => {
                 name_node(&mut events, node);
@@ -243,7 +241,6 @@ pub fn timeline_json(world: &World, report: &Report) -> Json {
                     ns,
                     vec![
                         ("port", Json::U64(port.0 as u64)),
-                        ("cache_hit", Json::Bool(cache_hit)),
                         ("generation", Json::U64(generation)),
                     ],
                 ));

@@ -1,4 +1,5 @@
-//! Smoke test: every example binary builds and exits 0.
+//! Smoke test: every example binary builds and exits 0, and so does the
+//! `ab_scenario` command the README and CI read a moved report with.
 //!
 //! The examples double as executable documentation; a drifted API breaks
 //! them silently unless something actually runs them. The list is
@@ -51,4 +52,61 @@ fn all_examples_run_cleanly() {
             String::from_utf8_lossy(&output.stderr),
         );
     }
+}
+
+/// `ab_scenario render` into a file, then `ab_scenario diff` of that file
+/// with itself (exit 0, nothing printed) and with a copy in which one
+/// count is edited (exit 1, that one key named).
+#[test]
+fn ab_scenario_diff_names_what_moved() {
+    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let ab_scenario = |args: &[&str]| {
+        Command::new(&cargo)
+            .args([
+                "run",
+                "--quiet",
+                "-p",
+                "ab_scenario",
+                "--bin",
+                "ab_scenario",
+                "--",
+            ])
+            .args(args)
+            .current_dir(manifest_dir)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn cargo for ab_scenario {args:?}: {e}"))
+    };
+    let rendered = ab_scenario(&["render", "--sweep", "chaos", "--jobs", "1"]);
+    assert!(rendered.status.success(), "render --sweep chaos failed");
+    let text = String::from_utf8(rendered.stdout).expect("a report is UTF-8");
+    assert!(text.contains("\"frames_sent\": "), "no frames_sent to edit");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (a, b) = (dir.join("diff_smoke_a.json"), dir.join("diff_smoke_b.json"));
+    std::fs::write(&a, &text).expect("write the report");
+    std::fs::write(
+        &b,
+        text.replacen("\"frames_sent\": ", "\"frames_sent\": 1", 1),
+    )
+    .expect("write the edited report");
+    let (a, b) = (
+        a.to_str().expect("UTF-8 path"),
+        b.to_str().expect("UTF-8 path"),
+    );
+
+    let same = ab_scenario(&["diff", a, a]);
+    assert_eq!(same.status.code(), Some(0));
+    assert!(
+        same.stdout.is_empty(),
+        "a report differs from itself nowhere"
+    );
+
+    let moved = ab_scenario(&["diff", a, b]);
+    assert_eq!(moved.status.code(), Some(1));
+    let lines = String::from_utf8(moved.stdout).expect("diff prints UTF-8");
+    assert_eq!(lines.lines().count(), 1, "one key moved:\n{lines}");
+    assert!(
+        lines.contains(" → world → frames_sent: changed "),
+        "the line names scenario → section → key:\n{lines}"
+    );
 }

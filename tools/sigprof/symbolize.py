@@ -8,7 +8,10 @@ process's /proc/self/maps as `M` lines. PCs inside the sampled executable
 are named from `nm -C` (so it must still be where it ran); the rest are
 named after their mapping, e.g. [libc.so.6]. A sample counts once towards
 the self share of its first frame and once towards the inclusive share of
-every distinct function on its stack.
+every distinct function on its stack. A caller PC that lies in no mapping
+is dropped: without frame pointers RBP is a general register, and the walk
+reads whatever sits where it points (only a frame-pointer build's inclusive
+table means anything; see README.md).
 
 --split-libc cuts the [libc.so.6] line in three by file offset, which is
 all a stripped libc leaves to go by: `malloc.c` is the run of text around
@@ -105,7 +108,8 @@ def call_sites():
 def shares():
     self_n, incl_n = collections.Counter(), collections.Counter()
     for stack in rows:
-        frames = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
+        callers = [name(pc - 1) for pc in stack[1:]]
+        frames = [name(stack[0])] + [f for f in callers if f != "[unmapped]"]
         self_n[frames[0]] += 1
         incl_n.update(set(frames))
     for title, counts in (("self", self_n), ("inclusive", incl_n)):
