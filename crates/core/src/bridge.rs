@@ -85,8 +85,8 @@ struct StormBucket {
 
 /// A frame on the bridge's data path: the parsed Ethernet view together
 /// with the refcounted buffer it was parsed from. Accessors come from
-/// [`Frame`] via `Deref`; [`DataFrame::buf`] exposes the shared buffer so
-/// forwarding a frame is a refcount bump, never a copy (the paper's
+/// [`Frame`] via `Deref`; [`DataFrame::share`] hands out the shared buffer
+/// so forwarding a frame is a refcount bump, never a copy (the paper's
 /// bridges must not modify frames, so sharing is always safe).
 pub struct DataFrame<'a> {
     buf: &'a FrameBuf,
@@ -101,12 +101,6 @@ impl<'a> DataFrame<'a> {
             buf,
             view: Frame::parse(buf)?,
         })
-    }
-
-    /// The refcounted frame buffer (clone it to forward zero-copy).
-    #[inline]
-    pub fn buf(&self) -> &'a FrameBuf {
-        self.buf
     }
 
     /// A shared handle to the frame contents (refcount bump).
@@ -208,10 +202,12 @@ impl<'a, 'w> BridgeCtx<'a, 'w> {
         self.sim.cancel(handle);
     }
 
-    /// Append a log line attributed to this bridge.
-    pub fn log(&mut self, msg: impl AsRef<str>) {
-        let line = format!("{}: {}", self.bridge_name, msg.as_ref());
-        self.sim.trace(line);
+    /// Append a log line attributed to this bridge. Pass
+    /// `format_args!(…)`: the line is formatted only if the world's trace
+    /// is enabled.
+    pub fn log(&mut self, msg: std::fmt::Arguments<'_>) {
+        self.sim
+            .trace(format_args!("{}: {}", self.bridge_name, msg));
     }
 
     /// Queue a `switchctl` command.
@@ -318,8 +314,6 @@ pub struct BridgeNode {
     factories: Vec<(String, NativeFactory)>,
     boot_images: Vec<Rc<[u8]>>,
     cmds: Vec<BridgeCommand>,
-    /// Cumulative VM stats on this node.
-    pub vm_instructions: u64,
     /// Reusable VM stack/locals arena: steady-state switchlet execution
     /// allocates nothing.
     vm_scratch: VmScratch,
@@ -372,7 +366,6 @@ impl BridgeNode {
             factories: Vec::new(),
             boot_images: Vec::new(),
             cmds: Vec::new(),
-            vm_instructions: 0,
             vm_scratch: VmScratch::new(),
             plane_target: None,
             plane_owner: None,
@@ -613,15 +606,12 @@ impl BridgeNode {
             host_calls,
         });
         match outcome {
-            Ok((_, stats)) => {
-                self.vm_instructions += stats.instructions;
-                self.plane.stats.vm_instructions += stats.instructions;
-            }
+            Ok((_, stats)) => self.plane.stats.vm_instructions += stats.instructions,
             Err(e) => {
                 // Contained: the switchlet invocation failed, the bridge
                 // carries on (the paper's "protect itself from some
                 // algorithmic failures").
-                ctx.trace(format!("{}: vm switchlet trapped: {e}", self.name));
+                ctx.trace(format_args!("{}: vm switchlet trapped: {e}", self.name));
                 ctx.bump("bridge.vm_traps", 1);
                 self.watchdog_trap(ctx, &owner);
             }
@@ -674,14 +664,14 @@ impl BridgeNode {
                 .filter(|sel| *sel != DataPlaneSel::None && !self.sel_is_quarantined(sel));
             match rollback {
                 Some(sel) => {
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "{}: watchdog rollback to last-known-good plane",
                         self.name
                     ));
                     self.plane.set_data_plane(sel);
                 }
                 None => {
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "{}: watchdog fallback to dumb flood forwarding",
                         self.name
                     ));
@@ -702,7 +692,7 @@ impl BridgeNode {
         self.plane.drop_addr_targets();
         ctx.bump("bridge.quarantines", 1);
         ctx.probe(|node| ProbeRecord::Quarantine { node });
-        ctx.trace(format!("{}: watchdog quarantined {module}", self.name));
+        ctx.trace(format_args!("{}: watchdog quarantined {module}", self.name));
     }
 
     /// Does this data-plane selection belong to a quarantined module? A
@@ -775,10 +765,7 @@ impl BridgeNode {
                     DispatchEntry::Switch => self.plane_owner.clone().unwrap_or_default(),
                     DispatchEntry::Registered => self.owner_of(fv),
                 };
-                let args = [
-                    Value::Str(frame.buf().as_bytes().clone()),
-                    Value::Int(port.0 as i64),
-                ];
+                let args = [Value::Str(frame.share()), Value::Int(port.0 as i64)];
                 self.call_vm(ctx, fv, owner, args);
             }
             HandlerTarget::Native(idx) => {
@@ -946,7 +933,7 @@ impl BridgeNode {
         } else {
             "unknown-unicast"
         };
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "{}: storm control suppressed port {} ({cls})",
             self.name, port.0
         ));
@@ -956,11 +943,14 @@ impl BridgeNode {
 
     fn install_native(&mut self, ctx: &mut Ctx<'_>, name: &str) {
         if self.loaded_slot(name).is_some() {
-            ctx.trace(format!("{}: switchlet {name} already loaded", self.name));
+            ctx.trace(format_args!(
+                "{}: switchlet {name} already loaded",
+                self.name
+            ));
             return;
         }
         let Some(imp) = self.build_native(name) else {
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "{}: no native implementation for {name}",
                 self.name
             ));
@@ -968,7 +958,7 @@ impl BridgeNode {
             return;
         };
         let idx = self.enter_slot(name, SwitchletImpl::Native(imp));
-        ctx.trace(format!("{}: installed switchlet {name}", self.name));
+        ctx.trace(format_args!("{}: installed switchlet {name}", self.name));
         self.with_slot(ctx, idx, |s, bc| s.on_install(bc));
     }
 
@@ -978,7 +968,7 @@ impl BridgeNode {
         let module = match Module::decode(image) {
             Ok(m) => m,
             Err(e) => {
-                ctx.trace(format!("{}: rejected switchlet image: {e}", self.name));
+                ctx.trace(format_args!("{}: rejected switchlet image: {e}", self.name));
                 self.plane.stats.images_rejected += 1;
                 return;
             }
@@ -1005,15 +995,17 @@ impl BridgeNode {
             module_name: Rc::from(name.as_str()),
         };
         match self.ns.load_and_init(image, &mut env, &exec) {
-            Ok((_, stats)) => {
-                self.vm_instructions += stats.instructions;
+            Ok(_) => {
                 self.enter_slot(&name, SwitchletImpl::Vm);
-                ctx.trace(format!("{}: loaded vm switchlet {name}", self.name));
+                ctx.trace(format_args!("{}: loaded vm switchlet {name}", self.name));
             }
             Err(e) => {
                 self.plane.stats.images_rejected += 1;
                 self.plane.stats.images_loaded -= 1;
-                ctx.trace(format!("{}: rejected switchlet {name}: {e}", self.name));
+                ctx.trace(format_args!(
+                    "{}: rejected switchlet {name}: {e}",
+                    self.name
+                ));
                 ctx.bump("bridge.load_rejects", 1);
             }
         }
@@ -1041,7 +1033,7 @@ impl BridgeNode {
                             if self.plane.slot_running(idx) {
                                 self.plane.set_slot_status(idx, SwitchletStatus::Suspended);
                                 self.with_slot(ctx, idx, |s, bc| s.on_suspend(bc));
-                                ctx.trace(format!("{}: suspended {name}", self.name));
+                                ctx.trace(format_args!("{}: suspended {name}", self.name));
                             }
                         }
                     }
@@ -1050,14 +1042,14 @@ impl BridgeNode {
                             if self.plane.slot_status(idx) == Some(SwitchletStatus::Suspended) {
                                 self.plane.set_slot_status(idx, SwitchletStatus::Running);
                                 self.with_slot(ctx, idx, |s, bc| s.on_resume(bc));
-                                ctx.trace(format!("{}: resumed {name}", self.name));
+                                ctx.trace(format_args!("{}: resumed {name}", self.name));
                             }
                         }
                     }
                     BridgeCommand::Stop(name) => {
                         if let Some(idx) = self.loaded_slot(&name) {
                             self.plane.set_slot_status(idx, SwitchletStatus::Stopped);
-                            ctx.trace(format!("{}: stopped {name}", self.name));
+                            ctx.trace(format_args!("{}: stopped {name}", self.name));
                         }
                     }
                     BridgeCommand::LoadImage(image) => {
@@ -1125,11 +1117,11 @@ impl Node for BridgeNode {
         if profiling {
             self.vm_scratch.enable_profile();
         }
-        ctx.trace(format!("{}: crashed (volatile state lost)", self.name));
+        ctx.trace(format_args!("{}: crashed (volatile state lost)", self.name));
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace(format!("{}: restarting from boot images", self.name));
+        ctx.trace(format_args!("{}: restarting from boot images", self.name));
         self.cold_boot(ctx);
     }
 
@@ -1218,7 +1210,10 @@ impl Node for BridgeNode {
                             node,
                             port: PortId(port),
                         });
-                        ctx.trace(format!("{}: storm control released port {port}", self.name));
+                        ctx.trace(format_args!(
+                            "{}: storm control released port {port}",
+                            self.name
+                        ));
                     }
                 }
             }
@@ -1292,7 +1287,7 @@ mod tests {
         .build();
         let lines_before = world.trace().find("] hit").count();
         world.with_ctx::<BridgeNode, _>(bridge, |node, ctx| {
-            node.on_frame(ctx, PortId(0), frame.into());
+            node.on_frame(ctx, PortId(0), frame);
         });
         let line = world
             .trace()

@@ -344,17 +344,16 @@ impl HostEnv<'_, '_> {
     fn invoke_rare(&mut self, f: HostFn, args: &mut [Value]) -> Result<Value, VmError> {
         match f {
             HostFn::LogMsg => {
-                let line = format!(
-                    "{}: [{}] {}",
+                let module = if self.module_name.is_empty() {
+                    "vm"
+                } else {
+                    &*self.module_name
+                };
+                self.sim.trace(format_args!(
+                    "{}: [{module}] {}",
                     self.bridge_name,
-                    if self.module_name.is_empty() {
-                        "vm"
-                    } else {
-                        &*self.module_name
-                    },
-                    str_arg(args, 0)
-                );
-                self.sim.trace(line);
+                    String::from_utf8_lossy(args[0].as_str())
+                ));
                 Ok(Value::Unit)
             }
             HostFn::RegisterHandler => {
@@ -581,7 +580,7 @@ mod tests {
                 &mut Default::default(),
                 "unit",
                 |host| {
-                    let mut args = [Value::Str("on_group".into()), Value::Func(fv)];
+                    let mut args = [Value::str("on_group"), Value::Func(fv)];
                     host.call_slot(&env, register, &mut args)
                         .expect("registers");
                 },

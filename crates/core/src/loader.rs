@@ -10,9 +10,8 @@
 //! be a ... byte code file and, upon successful receipt, an attempt is
 //! made to dynamically load and evaluate the file."
 
-use bytes::Bytes;
 use ether::{EtherType, FrameBuilder, MacAddr};
-use netsim::PortId;
+use netsim::{FrameBuf, PortId};
 use netstack::ipv4::Protocol;
 use netstack::{ArpOp, ArpPacket, TftpPacket, TftpServer, UdpDatagram};
 
@@ -83,7 +82,9 @@ impl NativeSwitchlet for NetLoader {
         let mac = bc.mac;
         bc.plane.register_addr(mac, NAME);
         let ip = bc.ip;
-        bc.log(format!("network loader ready at {ip} (tftp/{TFTP_PORT})"));
+        bc.log(format_args!(
+            "network loader ready at {ip} (tftp/{TFTP_PORT})"
+        ));
     }
 
     fn on_registered_frame(
@@ -157,11 +158,13 @@ impl NativeSwitchlet for NetLoader {
                 if let Some((filename, len, e)) = rejected {
                     self.integrity_rejects += 1;
                     bc.plane.stats.images_rejected += 1;
-                    bc.log(format!("loader: rejected {filename} ({len} bytes): {e}"));
+                    bc.log(format_args!(
+                        "loader: rejected {filename} ({len} bytes): {e}"
+                    ));
                 }
                 if let Some((filename, image)) = accepted {
                     self.images_received += 1;
-                    bc.log(format!(
+                    bc.log(format_args!(
                         "loader: received {filename} ({} bytes); loading",
                         image.len()
                     ));
@@ -193,7 +196,7 @@ pub fn wrap_tftp_packet(
     dst_ip: std::net::Ipv4Addr,
     ident: u16,
     tftp_payload: &[u8],
-) -> Bytes {
+) -> FrameBuf {
     let udp = netstack::udp::emit(src_ip, src_port, dst_ip, TFTP_PORT, tftp_payload);
     let ip = netstack::ipv4::emit(src_ip, dst_ip, Protocol::UDP, ident, 64, &udp, 1500)
         .expect("tftp packets fit the MTU");

@@ -96,7 +96,7 @@ impl ControlSwitchlet {
 
     fn record(&mut self, bc: &mut BridgeCtx<'_, '_>, what: impl Into<String>) {
         let what = what.into();
-        bc.log(format!("control: {what}"));
+        bc.log(format_args!("control: {what}"));
         self.events.push(TransitionEvent { at: bc.now(), what });
     }
 

@@ -38,7 +38,7 @@ impl NativeSwitchlet for DumbBridge {
             bc.plane.bind_out(p, NAME);
         }
         bc.plane.set_data_plane(DataPlaneSel::Native(NAME.into()));
-        bc.log("dumb bridge installed: flooding all ports");
+        bc.log(format_args!("dumb bridge installed: flooding all ports"));
     }
 
     fn switch_frame(&mut self, bc: &mut BridgeCtx<'_, '_>, port: PortId, frame: &DataFrame<'_>) {

@@ -64,7 +64,9 @@ impl NativeSwitchlet for LearningBridge {
         // Replace the switching function (the dumb bridge's part two).
         bc.plane.set_data_plane(DataPlaneSel::Native(NAME.into()));
         bc.schedule(SWEEP_EVERY, SWEEP_TOKEN);
-        bc.log("learning bridge installed: replaced switching function");
+        bc.log(format_args!(
+            "learning bridge installed: replaced switching function"
+        ));
     }
 
     fn switch_frame(&mut self, bc: &mut BridgeCtx<'_, '_>, port: PortId, frame: &DataFrame<'_>) {

@@ -4,9 +4,8 @@
 pub mod bpdu;
 pub mod engine;
 
-use bytes::{Bytes, BytesMut};
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
-use netsim::{PortId, ProbeRecord, SimDuration};
+use netsim::{FrameBuf, FrameBufMut, PortId, ProbeRecord, SimDuration};
 
 use crate::bridge::{BridgeCommand, BridgeCtx, DataFrame, NativeSwitchlet};
 use crate::plane::PortFlags;
@@ -29,8 +28,8 @@ pub fn config_frame(
     variant: StpVariant,
     src: MacAddr,
     config: &ConfigBpdu,
-    buf: BytesMut,
-) -> Bytes {
+    buf: FrameBufMut,
+) -> FrameBuf {
     let bpdu = Bpdu::Config(*config);
     match variant {
         StpVariant::Ieee => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src)
@@ -141,7 +140,7 @@ impl StpSwitchlet {
         self.apply(bc);
         self.tick = Some(bc.schedule(TICK, TICK_TOKEN));
         let name = self.unit_name();
-        bc.log(format!("{name}: protocol started"));
+        bc.log(format_args!("{name}: protocol started"));
     }
 
     /// Carry out what the engine left in `self.actions`, then republish
@@ -198,7 +197,7 @@ impl NativeSwitchlet for StpSwitchlet {
             StpVariant::Dec => IEEE_NAME,
         };
         if bc.plane.is_running(other) {
-            bc.log(format!(
+            bc.log(format_args!(
                 "{}: loaded dormant ({other} is operating)",
                 self.unit_name()
             ));
@@ -217,7 +216,7 @@ impl NativeSwitchlet for StpSwitchlet {
             bc.cancel(handle);
         }
         let name = self.unit_name();
-        bc.log(format!("{name}: protocol halted"));
+        bc.log(format_args!("{name}: protocol halted"));
     }
 
     fn on_resume(&mut self, bc: &mut BridgeCtx<'_, '_>) {
@@ -252,7 +251,10 @@ impl NativeSwitchlet for StpSwitchlet {
                 bc.sim
                     .probe(|node| ProbeRecord::BpduGuardTrip { node, port });
                 let name = self.unit_name();
-                bc.log(format!("{name}: BPDU guard err-disabled port {}", port.0));
+                bc.log(format_args!(
+                    "{name}: BPDU guard err-disabled port {}",
+                    port.0
+                ));
             }
             return;
         }

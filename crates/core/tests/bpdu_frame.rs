@@ -6,12 +6,12 @@
 
 use active_bridge::switchlets::stp::{config_frame, decode_frame};
 use active_bridge::{Bpdu, BridgeId, ConfigBpdu, StpVariant};
-use bytes::BytesMut;
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
+use netsim::{FrameBuf, FrameBufMut};
 use proptest::prelude::*;
 
 /// The frame as three builders compose it, one buffer per layer.
-fn layered(variant: StpVariant, src: MacAddr, config: &ConfigBpdu) -> bytes::Bytes {
+fn layered(variant: StpVariant, src: MacAddr, config: &ConfigBpdu) -> FrameBuf {
     let payload = variant.emit(&Bpdu::Config(*config));
     match variant {
         StpVariant::Ieee => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src)
@@ -52,9 +52,9 @@ proptest! {
         };
         let expected = layered(variant, src, &config);
         prop_assert_eq!(expected.len(), ether::MIN_FRAME, "a hello is padded to the minimum");
-        prop_assert_eq!(&config_frame(variant, src, &config, BytesMut::new()), &expected);
+        prop_assert_eq!(&config_frame(variant, src, &config, FrameBufMut::new()), &expected);
         // A pooled buffer arrives holding a dead frame's bytes.
-        let mut pooled = BytesMut::with_capacity(ether::MAX_FRAME);
+        let mut pooled = FrameBufMut::with_capacity(ether::MAX_FRAME);
         pooled.extend_from_slice(&[0xA5; 200]);
         let frame = config_frame(variant, src, &config, pooled);
         prop_assert_eq!(&frame, &expected);

@@ -115,7 +115,7 @@ fn send_group_frame(world: &mut World, b: NodeId) {
     let frame = FrameBuilder::new(GROUP, MacAddr::local(0x99), EtherType::EXPERIMENTAL)
         .payload(&[0; 46])
         .build();
-    world.with_ctx::<BridgeNode, _>(b, |node, ctx| node.on_frame(ctx, PortId(0), frame.into()));
+    world.with_ctx::<BridgeNode, _>(b, |node, ctx| node.on_frame(ctx, PortId(0), frame));
 }
 
 fn administer(world: &mut World, b: NodeId, cmd: BridgeCommand) {

@@ -157,6 +157,59 @@ fn a_converged_ring_ticks_and_relays_hellos_without_allocating() {
     assert_eq!(counted, 0, "allocator calls in on_timer/on_frame");
 }
 
+/// Booting logs — the loader ready, each switchlet installed, the
+/// spanning tree started — and a world whose trace is disabled (every
+/// sweep and benchmark world) keeps none of those lines, so it must not
+/// format them either: booting a line of bridges with the trace off makes
+/// at least one allocator call per line fewer than with it on, the line
+/// an enabled trace formats and stores.
+#[test]
+fn a_disabled_trace_formats_no_boot_log_lines() {
+    let boot = |enabled: bool| {
+        let mut world = World::new(7);
+        world.trace_mut().set_enabled(enabled);
+        let before = CALLS.with(Cell::get);
+        let lans: Vec<_> = (0..5)
+            .map(|_| world.add_segment(Default::default()))
+            .collect();
+        for i in 0..4u32 {
+            let mut node = BridgeNode::new(
+                format!("bridge{i}"),
+                MacAddr::local(0x1000 + i),
+                Ipv4Addr::new(10, 0, 0, i as u8),
+                2,
+                BridgeConfig::default(),
+            );
+            for name in [active_bridge::loader::NAME, "bridge_learning", "stp_ieee"] {
+                node.boot_load_native(name);
+            }
+            let id = world.add_node(node);
+            world.attach(id, lans[i as usize]);
+            world.attach(id, lans[i as usize + 1]);
+        }
+        world.run_until(SimTime::from_ms(1));
+        (CALLS.with(Cell::get) - before, world.trace().appended())
+    };
+    // The first boot on a thread also builds what bridges share (the
+    // host environment, the factory table).
+    boot(false);
+    let (quiet, lines) = boot(false);
+    let (traced, traced_lines) = boot(true);
+    assert_eq!(
+        lines, traced_lines,
+        "a disabled trace still counts its lines"
+    );
+    assert!(
+        lines >= 4 * 6,
+        "every bridge logged its boot: {lines} lines"
+    );
+    assert!(
+        traced >= quiet + lines,
+        "{lines} lines cost {} allocator calls: the disabled trace formatted them",
+        traced - quiet
+    );
+}
+
 /// Sends its frames round-robin, one every 25 µs (two such talkers fill
 /// half a 100 Mb/s segment), and drops what it hears.
 struct Talker {

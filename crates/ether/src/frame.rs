@@ -10,7 +10,7 @@
 // boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
 #![deny(clippy::missing_inline_in_public_items)]
 
-use bytes::{Bytes, BytesMut};
+use framebuf::{FrameBuf, FrameBufMut};
 
 use crate::ethertype::EtherType;
 use crate::mac::MacAddr;
@@ -131,7 +131,7 @@ pub struct FrameBuilder {
     /// The type field is patched at build time for LLC frames.
     header: [u8; HEADER_LEN],
     /// Header followed by payload, once either has been written.
-    buf: BytesMut,
+    buf: FrameBufMut,
     llc: bool,
 }
 
@@ -143,7 +143,7 @@ impl FrameBuilder {
         header[12..14].copy_from_slice(&ethertype.0.to_be_bytes());
         FrameBuilder {
             header,
-            buf: BytesMut::new(),
+            buf: FrameBufMut::new(),
             llc,
         }
     }
@@ -167,7 +167,7 @@ impl FrameBuilder {
     /// instead of a fresh allocation — how a caller with a buffer pool
     /// composes a frame without touching the allocator.
     #[inline]
-    pub fn in_buf(mut self, mut buf: BytesMut) -> Self {
+    pub fn in_buf(mut self, mut buf: FrameBufMut) -> Self {
         buf.clear();
         buf.extend_from_slice(&self.buf);
         self.buf = buf;
@@ -201,7 +201,7 @@ impl FrameBuilder {
     /// expected to have segmented above this layer (the paper's bridge
     /// cannot fragment either — bridges must not modify frames).
     #[inline]
-    pub fn build(mut self) -> Bytes {
+    pub fn build(mut self) -> FrameBuf {
         if self.buf.is_empty() {
             self = self.payload(&[]);
         }
@@ -269,7 +269,7 @@ mod tests {
                 false => FrameBuilder::new(MacAddr::local(1), MacAddr::local(2), EtherType::ARP),
                 true => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, MacAddr::local(2)),
             };
-            let mut pooled = BytesMut::with_capacity(MAX_FRAME);
+            let mut pooled = FrameBufMut::with_capacity(MAX_FRAME);
             pooled.extend_from_slice(b"a dead frame's bytes");
             let storage = pooled.as_ptr();
             let frame = build(start().in_buf(pooled));

@@ -1,0 +1,400 @@
+//! [`FrameBuf`]: the workspace's one byte-string handle. A frame on the
+//! simulated wire and a string in the switchlet VM are the same value, as
+//! a frame and a Caml string are for the paper's switchlets.
+//!
+//! A frame is built once (by an application, a protocol stack or
+//! `ether::FrameBuilder`) into a [`FrameBufMut`] and frozen; from then on
+//! it is *shared*: delivering it to N listeners, capturing it, queueing it
+//! on a segment and handing it to a switchlet as its `str` argument are
+//! refcount bumps on the same allocation. The contract:
+//!
+//! * **A 24-byte view.** A handle is its storage plus a 32-bit offset and
+//!   length into it, so `len`, deref, `clone`, drop and
+//!   [`FrameBuf::slice`] are field work inline in the calling crate, and
+//!   `switchlet::Value` stays four words. A buffer holds at most 4 GiB.
+//! * **A non-atomic `Rc`.** The simulator is single-threaded; a handle is
+//!   neither `Send` nor `Sync`.
+//! * **A `Static` arm.** [`FrameBuf::from_static`] wraps a `&'static [u8]`
+//!   without allocating. A static view is never unique and never
+//!   reclaimed.
+//! * **Whole-storage reclaim.** [`FrameBuf::try_into_mut`] turns the sole
+//!   view of a whole shared buffer back into a [`FrameBufMut`] that keeps
+//!   the refcount header beside the vector, and [`FrameBufMut::freeze`]
+//!   puts the vector back into that header: a buffer that cycles pool →
+//!   frame → pool never reaches the allocator.
+//! * **[`FrameBufMut::as_mut_vec`]** lends the backing vector to builders
+//!   that append into a `Vec<u8>`.
+//! * **One copy.** [`FrameBuf::mutate`] is copy-on-write and the only
+//!   operation that copies the bytes of a frame already built.
+
+// Other crates call these per frame, and rustc inlines across a crate
+// boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
+#![deny(clippy::missing_inline_in_public_items)]
+
+use std::fmt;
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::rc::Rc;
+
+/// A cheaply clonable, immutable view (`off..off + len`) of byte storage.
+///
+/// `Clone` and [`FrameBuf::slice`] bump the refcount; two clones observe
+/// the same storage (see [`FrameBuf::shares_storage`]). Mutation goes
+/// through copy-on-write ([`FrameBuf::mutate`]) and never affects other
+/// holders.
+#[derive(Clone)]
+pub struct FrameBuf {
+    store: Store,
+    off: u32,
+    len: u32,
+}
+
+#[derive(Clone)]
+enum Store {
+    Static(&'static [u8]),
+    /// The `Vec` the caller built, wrapped as-is: freezing is zero-copy.
+    Shared(Rc<Vec<u8>>),
+}
+
+impl FrameBuf {
+    /// Wrap a static slice without copying.
+    #[inline]
+    pub const fn from_static(bytes: &'static [u8]) -> Self {
+        assert!(bytes.len() <= u32::MAX as usize);
+        FrameBuf {
+            store: Store::Static(bytes),
+            off: 0,
+            len: bytes.len() as u32,
+        }
+    }
+
+    /// Length in octets.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True if the view is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// A zero-copy view of a subrange, sharing this buffer's storage —
+    /// what decapsulation uses to peel headers without copying payloads.
+    #[inline]
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> FrameBuf {
+        let start = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n + 1,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => self.len(),
+        };
+        assert!(
+            start <= end && end <= self.len(),
+            "slice {start}..{end} out of bounds for FrameBuf of length {}",
+            self.len()
+        );
+        FrameBuf {
+            store: self.store.clone(),
+            off: self.off + start as u32,
+            len: (end - start) as u32,
+        }
+    }
+
+    /// True if this is the only handle to its storage (static data never
+    /// is). One refcount test — what a recycling path asks before it
+    /// bothers with [`FrameBuf::try_into_mut`].
+    #[inline]
+    pub fn is_unique(&self) -> bool {
+        match &self.store {
+            Store::Static(_) => false,
+            Store::Shared(buf) => Rc::strong_count(buf) == 1,
+        }
+    }
+
+    /// Reclaim the storage *whole*, bytes and refcount header, without
+    /// copying, if this is the sole view of all of it; otherwise return
+    /// `self` unchanged. The buffer-recycling hook: a frame that just died
+    /// hands its allocation back to a pool, and the returned buffer's next
+    /// [`FrameBufMut::freeze`] allocates nothing.
+    #[inline]
+    pub fn try_into_mut(self) -> Result<FrameBufMut, FrameBuf> {
+        let FrameBuf { store, off, len } = self;
+        match store {
+            Store::Shared(mut header) if off == 0 && len as usize == header.len() => {
+                match Rc::get_mut(&mut header) {
+                    Some(buf) => Ok(FrameBufMut {
+                        buf: std::mem::take(buf),
+                        header: Some(header),
+                    }),
+                    None => Err(FrameBuf {
+                        store: Store::Shared(header),
+                        off,
+                        len,
+                    }),
+                }
+            }
+            store => Err(FrameBuf { store, off, len }),
+        }
+    }
+
+    /// Copy-on-write: copy the contents into a private buffer, let `f`
+    /// edit them, and replace `self` with the edited copy. Other holders
+    /// of the original storage are unaffected. The fault layer's
+    /// corruption point is the one data-plane caller.
+    #[inline]
+    pub fn mutate(&mut self, f: impl FnOnce(&mut [u8])) {
+        let mut bytes = self.to_vec();
+        f(&mut bytes);
+        *self = FrameBuf::from(bytes);
+    }
+
+    /// True if `self` and `other` are views of the same bytes (same
+    /// address and length): cloning really was zero-copy. A test and
+    /// assertion helper, not part of frame semantics.
+    #[inline]
+    pub fn shares_storage(&self, other: &FrameBuf) -> bool {
+        self.len == other.len && std::ptr::eq(self.as_ptr(), other.as_ptr())
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        let (off, end) = (self.off as usize, self.off as usize + self.len as usize);
+        match &self.store {
+            Store::Static(s) => &s[off..end],
+            Store::Shared(buf) => &buf[off..end],
+        }
+    }
+}
+
+impl Deref for FrameBuf {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl From<Vec<u8>> for FrameBuf {
+    /// Zero-copy: the vector becomes the shared storage.
+    #[inline]
+    fn from(buf: Vec<u8>) -> Self {
+        FrameBufMut { buf, header: None }.freeze()
+    }
+}
+
+impl PartialEq for FrameBuf {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for FrameBuf {}
+
+impl fmt::Debug for FrameBuf {
+    /// `b"..."`, with printable ASCII as is and other bytes escaped.
+    #[inline]
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "b\"")?;
+        for &b in self.as_slice() {
+            match b {
+                b'"' => write!(f, "\\\"")?,
+                b'\\' => write!(f, "\\\\")?,
+                b'\n' => write!(f, "\\n")?,
+                b'\r' => write!(f, "\\r")?,
+                b'\t' => write!(f, "\\t")?,
+                0x20..=0x7e => write!(f, "{}", b as char)?,
+                _ => write!(f, "\\x{b:02x}")?,
+            }
+        }
+        write!(f, "\"")
+    }
+}
+
+/// A growable, uniquely owned byte buffer that freezes into a
+/// [`FrameBuf`].
+///
+/// One that came out of [`FrameBuf::try_into_mut`] keeps the refcount
+/// header it was shared under (`header`, its vector moved out into `buf`),
+/// so a buffer that cycles pool → frame → pool is recycled whole.
+#[derive(Debug, Default)]
+pub struct FrameBufMut {
+    buf: Vec<u8>,
+    /// The spare refcount header: never cloned, so always unique.
+    header: Option<Rc<Vec<u8>>>,
+}
+
+impl FrameBufMut {
+    /// An empty buffer (no allocation until something is written).
+    #[inline]
+    pub fn new() -> Self {
+        FrameBufMut::default()
+    }
+
+    /// An empty buffer with room for `cap` bytes.
+    #[inline]
+    pub fn with_capacity(cap: usize) -> Self {
+        FrameBufMut {
+            buf: Vec::with_capacity(cap),
+            header: None,
+        }
+    }
+
+    /// Append `extend`.
+    #[inline]
+    pub fn extend_from_slice(&mut self, extend: &[u8]) {
+        self.buf.extend_from_slice(extend)
+    }
+
+    /// Bytes the storage holds without growing.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Make room for `additional` more bytes, growing the storage in place.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional)
+    }
+
+    /// Truncate or zero-extend (with `value`) to `new_len` bytes.
+    #[inline]
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.buf.resize(new_len, value)
+    }
+
+    /// Empty the buffer, keeping its storage.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.buf.clear()
+    }
+
+    /// The backing vector, for builders that append into a `Vec<u8>`.
+    #[inline]
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Convert into an immutable [`FrameBuf`], reusing the refcount header
+    /// the buffer was reclaimed with when it has one.
+    #[inline]
+    pub fn freeze(self) -> FrameBuf {
+        let len = u32::try_from(self.buf.len()).expect("FrameBuf storage is limited to 4 GiB");
+        let store = match self.header {
+            Some(mut header) => {
+                *Rc::get_mut(&mut header).expect("a spare header is never shared") = self.buf;
+                header
+            }
+            None => Rc::new(self.buf),
+        };
+        FrameBuf {
+            store: Store::Shared(store),
+            off: 0,
+            len,
+        }
+    }
+}
+
+impl Deref for FrameBufMut {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl DerefMut for FrameBufMut {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+}
+
+#[cfg(test)]
+mod model;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn roundtrip() {
+        let b = FrameBuf::from(vec![1, 2, 3]);
+        assert_eq!(&b[..], &[1, 2, 3]);
+        let c = b.clone();
+        assert_eq!(b, c);
+        assert_eq!(b.slice(1..), FrameBuf::from(vec![2, 3]));
+    }
+
+    #[test]
+    fn slice_shares_the_allocation() {
+        let b = FrameBuf::from(vec![1, 2, 3, 4, 5]);
+        let s = b.slice(1..4);
+        assert_eq!(&s[..], &[2, 3, 4]);
+        // Zero-copy: the subrange points into the parent's storage.
+        assert!(std::ptr::eq(&b[1], &s[0]));
+        let ss = s.slice(1..);
+        assert_eq!(&ss[..], &[3, 4]);
+        assert!(std::ptr::eq(&b[2], &ss[0]));
+        // Static slices subslice without copying too.
+        let st = FrameBuf::from_static(b"hello");
+        let sub = st.slice(1..3);
+        assert!(std::ptr::eq(&st[1], &sub[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_out_of_bounds_panics() {
+        let b = FrameBuf::from(vec![1, 2, 3]);
+        let _ = b.slice(1..9);
+    }
+
+    #[test]
+    fn try_into_mut_needs_the_sole_view_of_the_whole_storage() {
+        let b = FrameBuf::from(vec![1, 2, 3, 4]);
+        let c = b.clone();
+        assert!(!b.is_unique());
+        let b = b.try_into_mut().expect_err("a second handle is alive");
+        drop(c);
+        assert!(b.is_unique());
+        // Unique, but a view of part of the storage.
+        let tail = b.slice(1..);
+        drop(b);
+        assert!(tail.is_unique());
+        let tail = tail.try_into_mut().expect_err("a partial view");
+        assert_eq!(&tail[..], &[2, 3, 4]);
+        assert!(FrameBuf::from_static(b"abc").try_into_mut().is_err());
+    }
+
+    #[test]
+    fn reclaimed_storage_is_reused_whole() {
+        fn header(b: &FrameBuf) -> *const Vec<u8> {
+            match &b.store {
+                Store::Shared(rc) => Rc::as_ptr(rc),
+                Store::Static(_) => unreachable!("built from a vector"),
+            }
+        }
+        let b = FrameBuf::from(vec![7u8; 64]);
+        let (hdr, data) = (header(&b), b.as_ptr());
+        let mut m = b.try_into_mut().expect("sole whole view");
+        m.clear();
+        m.extend_from_slice(&[9u8; 32]);
+        let b = m.freeze();
+        assert_eq!(&b[..], &[9u8; 32]);
+        assert_eq!((header(&b), b.as_ptr()), (hdr, data));
+    }
+
+    #[test]
+    fn freeze() {
+        let mut m = FrameBufMut::new();
+        m.extend_from_slice(b"abc");
+        m.extend_from_slice(b"def");
+        assert_eq!(&m.freeze()[..], b"abcdef");
+    }
+}

@@ -1,0 +1,303 @@
+//! The handle against a model. Arbitrary sequences of `clone`, `slice`,
+//! drop, `try_into_mut`, `freeze`, `mutate` and `extend_from_slice` run
+//! on real handles and on a model that keeps each storage as a `Vec<u8>`
+//! with a count of the views that hold it; after every step every view
+//! and every reclaimed buffer must read what the model says, and the
+//! handle's refcount answers must be the model's holder counts.
+
+use proptest::prelude::*;
+use proptest::TestCaseResult;
+
+use super::*;
+
+/// What `FrameBuf::from_static` views are cut from.
+static STATIC: [u8; 32] = *b"static bytes, never reclaimed.  ";
+
+/// One operation, its operands reduced modulo what exists when it runs.
+#[derive(Debug)]
+enum Step {
+    /// `FrameBuf::from` a fresh vector of this length.
+    Fresh(usize, u8),
+    /// `FrameBuf::from_static` of `STATIC[a..b]`.
+    Static(usize, usize),
+    Clone(usize),
+    Slice(usize, usize, usize),
+    Drop(usize),
+    /// `try_into_mut`; a reclaimed buffer is cleared, as the frame pool
+    /// clears it.
+    TryIntoMut(usize),
+    /// `mutate`, flipping bits of one byte.
+    Mutate(usize, usize, u8),
+    /// `extend_from_slice` into a reclaimed buffer.
+    Extend(usize, usize, u8),
+    Freeze(usize),
+}
+
+impl Step {
+    fn decode([kind, a, b, c]: [u8; 4]) -> Step {
+        let (a, b, c) = (a as usize, b as usize, c as usize);
+        match kind % 9 {
+            0 => Step::Fresh(a % 24, b as u8),
+            1 => Step::Static(a, b),
+            2 => Step::Clone(a),
+            3 => Step::Slice(a, b, c),
+            4 => Step::Drop(a),
+            5 => Step::TryIntoMut(a),
+            6 => Step::Mutate(a, b, c as u8 | 1),
+            7 => Step::Extend(a, b % 40, c as u8),
+            _ => Step::Freeze(a),
+        }
+    }
+}
+
+/// One allocation as the model sees it.
+struct Storage {
+    bytes: Vec<u8>,
+    is_static: bool,
+    /// Views alive on it.
+    holders: usize,
+}
+
+/// A live view: the handle and where the model says it looks.
+struct Holder {
+    buf: FrameBuf,
+    storage: usize,
+    off: usize,
+    len: usize,
+}
+
+/// A buffer `try_into_mut` handed back, with what it was reclaimed with.
+struct Reclaimed {
+    buf: FrameBufMut,
+    bytes: Vec<u8>,
+    header: *const Vec<u8>,
+    data: *const u8,
+    capacity: usize,
+}
+
+fn header_of(b: &FrameBuf) -> Option<*const Vec<u8>> {
+    match &b.store {
+        Store::Shared(rc) => Some(Rc::as_ptr(rc)),
+        Store::Static(_) => None,
+    }
+}
+
+#[derive(Default)]
+struct Model {
+    storages: Vec<Storage>,
+    holders: Vec<Holder>,
+    reclaimed: Vec<Reclaimed>,
+}
+
+impl Model {
+    fn hold(&mut self, buf: FrameBuf, bytes: Vec<u8>, is_static: bool) {
+        let len = bytes.len();
+        self.storages.push(Storage {
+            bytes,
+            is_static,
+            holders: 1,
+        });
+        let storage = self.storages.len() - 1;
+        self.holders.push(Holder {
+            buf,
+            storage,
+            off: 0,
+            len,
+        });
+    }
+
+    fn apply(&mut self, step: &Step) -> TestCaseResult {
+        let n = self.holders.len();
+        match *step {
+            Step::Fresh(len, fill) => {
+                let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                self.hold(FrameBuf::from(bytes.clone()), bytes, false);
+            }
+            Step::Static(a, b) => {
+                let (a, b) = (a % STATIC.len(), b % STATIC.len());
+                let bytes = &STATIC[a.min(b)..a.max(b)];
+                self.hold(FrameBuf::from_static(bytes), bytes.to_vec(), true);
+            }
+            Step::Clone(i) if n > 0 => {
+                let h = &self.holders[i % n];
+                let buf = h.buf.clone();
+                prop_assert!(buf.shares_storage(&h.buf), "a clone shares storage");
+                let (storage, off, len) = (h.storage, h.off, h.len);
+                self.storages[storage].holders += 1;
+                self.holders.push(Holder {
+                    buf,
+                    storage,
+                    off,
+                    len,
+                });
+            }
+            Step::Slice(i, a, b) if n > 0 => {
+                let h = &self.holders[i % n];
+                let (a, b) = (a % (h.len + 1), b % (h.len + 1));
+                let (start, end) = (a.min(b), a.max(b));
+                let buf = h.buf.slice(start..end);
+                prop_assert!(
+                    std::ptr::eq(buf.as_ptr(), h.buf.as_ptr().wrapping_add(start)),
+                    "a slice is a view of the same storage"
+                );
+                let (storage, off) = (h.storage, h.off + start);
+                self.storages[storage].holders += 1;
+                self.holders.push(Holder {
+                    buf,
+                    storage,
+                    off,
+                    len: end - start,
+                });
+            }
+            Step::Drop(i) if n > 0 => {
+                let h = self.holders.swap_remove(i % n);
+                self.storages[h.storage].holders -= 1;
+            }
+            Step::TryIntoMut(i) if n > 0 => {
+                let h = self.holders.swap_remove(i % n);
+                let s = &mut self.storages[h.storage];
+                let whole_sole_view =
+                    !s.is_static && s.holders == 1 && h.off == 0 && h.len == s.bytes.len();
+                let (header, data) = (header_of(&h.buf), h.buf.as_ptr());
+                match h.buf.try_into_mut() {
+                    Ok(mut buf) => {
+                        prop_assert!(
+                            whole_sole_view,
+                            "reclaimed a view that is not the sole one of the whole storage"
+                        );
+                        prop_assert_eq!(&buf[..], &s.bytes[..]);
+                        s.holders = 0;
+                        buf.clear();
+                        self.reclaimed.push(Reclaimed {
+                            header: header.expect("shared storage"),
+                            data,
+                            capacity: buf.capacity(),
+                            buf,
+                            bytes: Vec::new(),
+                        });
+                    }
+                    Err(buf) => {
+                        prop_assert!(
+                            !whole_sole_view,
+                            "refused the sole view of the whole storage"
+                        );
+                        prop_assert!(std::ptr::eq(buf.as_ptr(), data) && buf.len() == h.len);
+                        self.holders.push(Holder { buf, ..h });
+                    }
+                }
+            }
+            Step::Mutate(i, at, flip) if n > 0 => {
+                let h = &mut self.holders[i % n];
+                let mut bytes = self.storages[h.storage].bytes[h.off..h.off + h.len].to_vec();
+                let at = at % h.len.max(1);
+                h.buf.mutate(|b| {
+                    if let Some(b) = b.get_mut(at) {
+                        *b ^= flip;
+                    }
+                });
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= flip;
+                }
+                let old = h.storage;
+                let len = bytes.len();
+                self.storages.push(Storage {
+                    bytes,
+                    is_static: false,
+                    holders: 1,
+                });
+                let h = &mut self.holders[i % n];
+                (h.storage, h.off, h.len) = (self.storages.len() - 1, 0, len);
+                self.storages[old].holders -= 1;
+            }
+            Step::Extend(m, len, fill) if !self.reclaimed.is_empty() => {
+                let m = m % self.reclaimed.len();
+                let r = &mut self.reclaimed[m];
+                let more = vec![fill; len];
+                r.buf.extend_from_slice(&more);
+                r.bytes.extend_from_slice(&more);
+            }
+            Step::Freeze(m) if !self.reclaimed.is_empty() => {
+                let r = self.reclaimed.swap_remove(m % self.reclaimed.len());
+                let buf = r.buf.freeze();
+                prop_assert_eq!(
+                    header_of(&buf),
+                    Some(r.header),
+                    "refrozen under its own header"
+                );
+                if r.bytes.len() <= r.capacity {
+                    prop_assert!(std::ptr::eq(buf.as_ptr(), r.data), "refilled in place");
+                }
+                self.hold(buf, r.bytes, false);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Every view reads its window of its storage, is unique exactly when
+    /// it is its storage's one holder (never when static), and every
+    /// reclaimed buffer holds what was written into it.
+    fn check(&self) -> TestCaseResult {
+        for h in &self.holders {
+            let s = &self.storages[h.storage];
+            prop_assert_eq!(&h.buf[..], &s.bytes[h.off..h.off + h.len]);
+            prop_assert_eq!(h.buf.len(), h.len);
+            prop_assert_eq!(h.buf.is_unique(), !s.is_static && s.holders == 1);
+        }
+        for r in &self.reclaimed {
+            prop_assert_eq!(&r.buf[..], &r.bytes[..]);
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_handle_agrees_with_the_model(
+        steps in prop::collection::vec(any::<[u8; 4]>().prop_map(Step::decode), 1..96),
+    ) {
+        let mut model = Model::default();
+        for step in &steps {
+            model.apply(step)?;
+            model.check()?;
+        }
+    }
+}
+
+#[test]
+fn clone_shares_storage() {
+    let a = FrameBuf::from(vec![1u8, 2, 3, 4]);
+    let b = a.clone();
+    assert!(a.shares_storage(&b));
+    assert_eq!(a, b);
+}
+
+#[test]
+fn slice_is_zero_copy() {
+    let a = FrameBuf::from(vec![9u8; 64]);
+    let s = a.slice(10..20);
+    assert_eq!(s.len(), 10);
+    assert!(std::ptr::eq(&a[10], &s[0]), "slice must share storage");
+}
+
+#[test]
+fn mutate_is_copy_on_write() {
+    let a = FrameBuf::from(vec![0u8; 8]);
+    let mut b = a.clone();
+    assert!(a.shares_storage(&b));
+    b.mutate(|buf| buf[3] ^= 0xFF);
+    assert!(!a.shares_storage(&b), "mutation must detach the copy");
+    assert_eq!(a[3], 0, "original holder must be unaffected");
+    assert_eq!(b[3], 0xFF);
+}
+
+#[test]
+fn static_frames_never_allocate() {
+    let a = FrameBuf::from_static(b"hello frame");
+    let b = a.clone();
+    assert!(a.shares_storage(&b));
+    assert_eq!(&a[..], b"hello frame");
+    assert!(!a.is_unique());
+}

@@ -1381,11 +1381,9 @@ impl BlastApp {
             }
             _ => {
                 let payload = vec![0x42u8; self.size];
-                let built: netsim::FrameBuf =
-                    FrameBuilder::new(self.dst_mac, src_mac, EtherType::EXPERIMENTAL)
-                        .payload(&payload)
-                        .build()
-                        .into();
+                let built = FrameBuilder::new(self.dst_mac, src_mac, EtherType::EXPERIMENTAL)
+                    .payload(&payload)
+                    .build();
                 self.frame = Some((self.dst_mac, src_mac, self.size, built.clone()));
                 built
             }

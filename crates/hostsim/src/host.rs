@@ -233,7 +233,7 @@ impl HostCore {
         if buf.len() < ether::MIN_FRAME {
             buf.resize(ether::MIN_FRAME, 0); // Ethernet minimum padding
         }
-        self.send_raw(ctx, port, FrameBuf::from(frame));
+        self.send_raw(ctx, port, frame.freeze());
     }
 
     fn send_ip_inner(
@@ -673,7 +673,7 @@ mod tests {
                 .payload(&ip)
                 .build();
             world.with_ctx::<HostNode, _>(host, |h, ctx| {
-                h.on_frame(ctx, PortId(0), frame.into());
+                h.on_frame(ctx, PortId(0), frame);
                 h.core.arp_entry(peer_ip)
             })
         };

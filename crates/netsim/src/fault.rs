@@ -15,7 +15,8 @@
 //! order is by delivery instant (completion + propagation), not by
 //! completion instant.
 
-use crate::framebuf::FrameBuf;
+use framebuf::FrameBuf;
+
 use crate::rng::Xoshiro;
 
 /// Per-segment fault configuration. The default injects no faults.
@@ -274,7 +275,7 @@ mod tests {
             ..Default::default()
         };
         let mut rng = Xoshiro::seed_from_u64(6);
-        match apply(&cfg, FrameBuf::new(), &mut rng) {
+        match apply(&cfg, FrameBuf::from_static(b""), &mut rng) {
             (FaultOutcome::Deliver(out), false) => assert!(out.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
@@ -310,7 +311,7 @@ mod tests {
             ..Default::default()
         };
         for frame in [
-            FrameBuf::new(),
+            FrameBuf::from_static(b""),
             FrameBuf::from_static(b"x"),
             FrameBuf::from_static(b"hello world"),
         ] {
@@ -331,8 +332,15 @@ mod tests {
             ..Default::default()
         };
         // Empty: corrupt decision (1 draw) + duplicate decision (1 draw).
-        assert_eq!(draws_consumed(&cfg, FrameBuf::new(), 9, false), 2);
-        match apply(&cfg, FrameBuf::new(), &mut Xoshiro::seed_from_u64(9)) {
+        assert_eq!(
+            draws_consumed(&cfg, FrameBuf::from_static(b""), 9, false),
+            2
+        );
+        match apply(
+            &cfg,
+            FrameBuf::from_static(b""),
+            &mut Xoshiro::seed_from_u64(9),
+        ) {
             (FaultOutcome::Duplicate(out), false) => assert!(out.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
@@ -382,7 +390,7 @@ mod tests {
             ..Default::default()
         };
         for frame in [
-            FrameBuf::new(),
+            FrameBuf::from_static(b""),
             FrameBuf::from_static(b"x"),
             FrameBuf::from_static(b"hello world"),
         ] {

@@ -61,7 +61,6 @@ pub mod cost;
 mod event;
 pub mod fasthash;
 pub mod fault;
-pub mod framebuf;
 pub mod node;
 pub mod probe;
 pub mod rng;
@@ -75,7 +74,7 @@ pub use chaos::{ChaosAction, ChaosEv, ChaosScript, ChaosStep};
 pub use cost::CostModel;
 pub use fasthash::{FastMap, FxBuildHasher};
 pub use fault::{BurstConfig, FaultConfig};
-pub use framebuf::FrameBuf;
+pub use framebuf::{FrameBuf, FrameBufMut};
 pub use node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 pub use probe::{Probe, ProbeConfig, ProbeEvent, ProbeRecord};
 pub use rng::Xoshiro;

@@ -13,7 +13,8 @@
 use core::any::Any;
 use core::fmt;
 
-use crate::framebuf::FrameBuf;
+use framebuf::FrameBuf;
+
 use crate::Ctx;
 
 /// Identifies a node within a [`crate::World`].

@@ -16,8 +16,9 @@
 
 use std::collections::VecDeque;
 
+use framebuf::FrameBuf;
+
 use crate::fault::FaultConfig;
-use crate::framebuf::FrameBuf;
 use crate::node::{NodeId, PortId};
 use crate::time::{SimDuration, SimTime};
 

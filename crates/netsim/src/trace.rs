@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fmt;
 
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -54,7 +55,9 @@ impl Trace {
         self.enabled = true;
     }
 
-    pub(crate) fn push(&mut self, at: SimTime, node: Option<NodeId>, msg: String) {
+    /// Append an entry. Only an enabled trace formats `msg`; a disabled
+    /// one still counts the call in [`Trace::appended`].
+    pub(crate) fn push(&mut self, at: SimTime, node: Option<NodeId>, msg: fmt::Arguments<'_>) {
         self.appended += 1;
         if !self.enabled {
             return;
@@ -62,6 +65,7 @@ impl Trace {
         if self.entries.len() == self.cap {
             self.entries.pop_front();
         }
+        let msg = msg.to_string();
         self.entries.push_back(TraceEntry { at, node, msg });
     }
 
@@ -127,9 +131,9 @@ mod tests {
     #[test]
     fn ring_evicts_oldest() {
         let mut t = Trace::new(2);
-        t.push(SimTime::from_ms(1), None, "a".into());
-        t.push(SimTime::from_ms(2), None, "b".into());
-        t.push(SimTime::from_ms(3), None, "c".into());
+        t.push(SimTime::from_ms(1), None, format_args!("a"));
+        t.push(SimTime::from_ms(2), None, format_args!("b"));
+        t.push(SimTime::from_ms(3), None, format_args!("c"));
         let msgs: Vec<&str> = t.entries().map(|e| e.msg.as_str()).collect();
         assert_eq!(msgs, vec!["b", "c"]);
         assert_eq!(t.appended(), 3);
@@ -139,7 +143,7 @@ mod tests {
     fn disabled_trace_discards() {
         let mut t = Trace::new(10);
         t.set_enabled(false);
-        t.push(SimTime::ZERO, None, "x".into());
+        t.push(SimTime::ZERO, None, format_args!("x"));
         assert_eq!(t.entries().count(), 0);
         assert_eq!(t.appended(), 1);
     }

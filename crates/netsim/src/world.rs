@@ -8,12 +8,11 @@
 //! world core, invokes the callback, and puts the node back. This gives the
 //! node full mutable access to simulator services without aliasing itself.
 
-use bytes::BytesMut;
+use framebuf::{FrameBuf, FrameBufMut};
 
 use crate::chaos::ChaosEv;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::FaultOutcome;
-use crate::framebuf::FrameBuf;
 use crate::node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 use crate::probe::{Probe, ProbeRecord};
 use crate::rng::Xoshiro;
@@ -60,7 +59,7 @@ pub struct WorldCore {
     /// frames return here ([`Ctx::recycle_frame`]), so steady-state
     /// traffic reuses a small working set of allocations instead of
     /// hitting the allocator per frame.
-    frame_pool: Vec<BytesMut>,
+    frame_pool: Vec<FrameBufMut>,
 }
 
 /// Upper bound on pooled buffers (a few per node is plenty; beyond that
@@ -80,7 +79,7 @@ impl WorldCore {
 
     /// Take a cleared buffer of at least `cap` capacity from the frame
     /// pool (or a fresh one when the pool is empty).
-    fn take_buf(&mut self, cap: usize) -> BytesMut {
+    fn take_buf(&mut self, cap: usize) -> FrameBufMut {
         // Scan a few recent entries for one big enough; the pool turns
         // over the same frame-sized buffers in steady state.
         let n = self.frame_pool.len();
@@ -329,11 +328,13 @@ impl<'w> Ctx<'w> {
         });
     }
 
-    /// Append a trace entry attributed to this node.
-    pub fn trace(&mut self, msg: impl Into<String>) {
+    /// Append a trace entry attributed to this node. Pass
+    /// `format_args!(…)`: the line is formatted only if the world's trace
+    /// is enabled.
+    pub fn trace(&mut self, msg: std::fmt::Arguments<'_>) {
         let at = self.core.time;
         let node = self.node;
-        self.core.trace.push(at, Some(node), msg.into());
+        self.core.trace.push(at, Some(node), msg);
     }
 
     /// Bump an experiment counter.
@@ -343,10 +344,10 @@ impl<'w> Ctx<'w> {
 
     /// Take a cleared byte buffer of at least `cap` capacity from the
     /// world's frame pool — the allocation-free way to start building a
-    /// frame (`FrameBuf::from` the finished buffer reuses its refcount
-    /// header too). Pair with [`Ctx::recycle_frame`].
+    /// frame (freezing the finished buffer reuses its refcount header
+    /// too). Pair with [`Ctx::recycle_frame`].
     #[inline]
-    pub fn take_buf(&mut self, cap: usize) -> BytesMut {
+    pub fn take_buf(&mut self, cap: usize) -> FrameBufMut {
         self.core.take_buf(cap)
     }
 
@@ -935,7 +936,6 @@ impl World {
             return;
         }
         seg.down = down;
-        let name = seg.cfg.name.clone();
         let now = self.core.time;
         if self.core.probe.is_armed() {
             let record = if down {
@@ -946,9 +946,10 @@ impl World {
             self.core.probe.record(now, record);
         }
         let what = if down { "down" } else { "up" };
+        let name = &self.core.segments[id.0].cfg.name;
         self.core
             .trace
-            .push(now, None, format!("chaos: link {what}: {name}"));
+            .push(now, None, format_args!("chaos: link {what}: {name}"));
     }
 
     /// Crash a node now: mark it dead (no frames delivered, no pending
@@ -966,10 +967,10 @@ impl World {
                 .probe
                 .record(now, ProbeRecord::NodeCrash { node: id });
         }
-        let name = self.core.node_names[id.0].clone();
+        let name = &self.core.node_names[id.0];
         self.core
             .trace
-            .push(now, None, format!("chaos: crash: {name}"));
+            .push(now, None, format_args!("chaos: crash: {name}"));
         self.with_node(id, |n, ctx| n.on_crash(ctx));
     }
 
@@ -987,10 +988,10 @@ impl World {
                 .probe
                 .record(now, ProbeRecord::NodeRestart { node: id });
         }
-        let name = self.core.node_names[id.0].clone();
+        let name = &self.core.node_names[id.0];
         self.core
             .trace
-            .push(now, None, format!("chaos: restart: {name}"));
+            .push(now, None, format_args!("chaos: restart: {name}"));
         self.with_node(id, |n, ctx| n.on_restart(ctx));
     }
 
@@ -1641,7 +1642,7 @@ mod tests {
             }
             fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
                 self.restarts += 1;
-                ctx.trace("back from the dead");
+                ctx.trace(format_args!("back from the dead"));
             }
             fn as_any(&self) -> &dyn core::any::Any {
                 self

@@ -185,7 +185,7 @@ fn a_pool_full_of_short_buffers_still_serves_long_frames() {
     fn compose(ctx: &mut Ctx<'_>, len: usize) -> FrameBuf {
         let mut buf = ctx.take_buf(len);
         buf.resize(len, 0x5A);
-        FrameBuf::from(buf)
+        buf.freeze()
     }
     let mut world = World::new(7);
     let node = world.add_node(Keeper::new(false));

@@ -1144,7 +1144,7 @@ proptest! {
     ) {
         let mut ns = Namespace::new(test_env());
         ns.load(&string_ops_image()).expect("the image loads");
-        let buffer = bytes::Bytes::from((0..300).map(|b| (b * 7) as u8).collect::<Vec<u8>>());
+        let buffer = framebuf::FrameBuf::from((0..300).map(|b| (b * 7) as u8).collect::<Vec<u8>>());
         let view = buffer.slice(off..off + len);
         let owned = Value::str(view.to_vec());
         let cfg = ExecConfig::default();

@@ -21,6 +21,8 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use framebuf::FrameBuf;
+
 use crate::env::{Env, HostDispatch, HostSlot};
 use crate::module::{DecodeError, Module};
 use crate::sig::ImportSig;
@@ -54,7 +56,7 @@ pub struct Instance {
     /// `module.str_pool`: `ConstStr` pushes a clone of the prebuilt
     /// handle (a refcount bump) instead of copying the pool bytes on
     /// every execution.
-    pub str_consts: Vec<bytes::Bytes>,
+    pub str_consts: Vec<FrameBuf>,
     /// Functions translated to the execution form (typed, every operand
     /// at a fixed frame slot, call targets and host slots resolved, fuel
     /// by basic block) — what the interpreter actually runs. Built once
@@ -261,7 +263,7 @@ impl Namespace {
         let str_consts = module
             .str_pool
             .iter()
-            .map(|s| bytes::Bytes::from(s.clone()))
+            .map(|s| FrameBuf::from(s.clone()))
             .collect();
         // Translate to the execution form — only verified code is, and on
         // the verifier's own facts about it.

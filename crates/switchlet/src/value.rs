@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
+use framebuf::FrameBuf;
 
 use crate::types::Ty;
 
@@ -75,7 +75,7 @@ pub enum Value {
     /// handle the simulator passes frames around in — a received frame
     /// becomes a handler's `str` argument, and goes back out through
     /// `unixnet.send_pkt_out`, without its bytes being copied.
-    Str(Bytes),
+    Str(FrameBuf),
     /// A tuple.
     Tuple(Rc<Vec<Value>>),
     /// A function reference.
@@ -97,7 +97,7 @@ impl Value {
     /// Build a string value from owned bytes.
     #[inline]
     pub fn str(bytes: impl Into<Vec<u8>>) -> Value {
-        Value::Str(Bytes::from(bytes.into()))
+        Value::Str(FrameBuf::from(bytes.into()))
     }
 
     /// Build an empty table.
@@ -183,7 +183,7 @@ impl Value {
 
     /// Extract a string.
     #[inline]
-    pub fn as_str(&self) -> &Bytes {
+    pub fn as_str(&self) -> &FrameBuf {
         match self {
             Value::Str(s) => s,
             other => mismatch("str", other),

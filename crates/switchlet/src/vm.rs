@@ -45,6 +45,8 @@
 
 use std::rc::Rc;
 
+use framebuf::FrameBuf;
+
 use crate::decode::{Inst, Slot};
 use crate::env::{HostDispatch, HostSlot};
 use crate::linker::Namespace;
@@ -347,10 +349,10 @@ fn set_unit(slot: &mut Value) {
     *slot = Value::Unit;
 }
 
-/// (By reference: a `Bytes` passed by value travels through memory like
+/// (By reference: a `FrameBuf` passed by value travels through memory like
 /// any other aggregate; cloned here, its fields are read one by one.)
 #[inline(never)]
-fn set_str(slot: &mut Value, s: &bytes::Bytes) {
+fn set_str(slot: &mut Value, s: &FrameBuf) {
     match slot {
         Value::Str(held) => *held = s.clone(),
         _ => *slot = Value::Str(s.clone()),
@@ -898,7 +900,7 @@ mod tests {
         let live = || vec![Value::Int(111), Value::str("live"), Value::Bool(true)];
         let rendered = |values: &[Value]| values.iter().map(Value::render).collect::<Vec<_>>();
         for (x, expected) in [(5i64, Ok(8i64 + 20)), (0, Err(VmError::DivideByZero))] {
-            let s = bytes::Bytes::from(b"abcd".to_vec());
+            let s = FrameBuf::from(b"abcd".to_vec());
             let args = || vec![Value::Str(s.clone()), Value::Int(x)];
             let reference = crate::refinterp::ref_call(&ns, &mut NoHost, go, args(), &cfg);
 

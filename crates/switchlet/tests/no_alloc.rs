@@ -76,7 +76,7 @@ fn steady_state_allocations(
     ns: &Namespace,
     host: &mut dyn HostDispatch,
     handler: FuncVal,
-    frame: &bytes::Bytes,
+    frame: &framebuf::FrameBuf,
 ) -> u64 {
     let cfg = ExecConfig::default();
     let mut scratch = VmScratch::new();
@@ -134,7 +134,7 @@ fn comparing_strings_allocates_nothing() {
 
     let mut mine = vec![0x02, 0, 0, 0, 0, 0x07];
     mine.resize(64, 0xEE);
-    let frame = bytes::Bytes::from(mine);
+    let frame = framebuf::FrameBuf::from(mine);
     let cfg = ExecConfig::default();
     let args = [Value::Str(frame.clone()), Value::Int(1)];
     let (hits, _) = switchlet::call(&ns, &mut NoHost, handler, args, &cfg).expect("runs");
@@ -184,7 +184,7 @@ fn the_dumb_vm_handler_allocates_nothing() {
     let (handler, _) = ns
         .lookup_export(dumb_vm::NAME, "switching")
         .expect("exported");
-    let frame = bytes::Bytes::from(vec![0xAB; 64]);
+    let frame = framebuf::FrameBuf::from(vec![0xAB; 64]);
     assert_eq!(steady_state_allocations(&ns, &mut host, handler, &frame), 0);
     assert_eq!(host.sent, 3 * 1_001, "every call flooded three ports");
 }

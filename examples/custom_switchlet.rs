@@ -187,9 +187,10 @@ fn main() {
         "filter dropped {} frames (counter set by the switchlet itself)",
         world.counters().get("mac_filter.dropped")
     );
+    let stats = &world.node::<BridgeNode>(bridge).plane().stats;
     println!(
         "VM executed {} instructions on the data path",
-        world.node::<BridgeNode>(bridge).vm_instructions
+        stats.vm_instructions
     );
 
     // 3. Now the attack: a switchlet importing a thinned-away function.

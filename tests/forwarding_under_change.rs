@@ -303,7 +303,6 @@ fn data_frame(dst: MacAddr, src: MacAddr) -> FrameBuf {
     FrameBuilder::new(dst, src, EtherType::EXPERIMENTAL)
         .payload(&[0x42; 46])
         .build()
-        .into()
 }
 
 proptest! {

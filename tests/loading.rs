@@ -230,7 +230,8 @@ fn vm_switchlet_loads_and_forwards() {
     world.attach(blaster, lan0);
     world.run_until(world.now() + SimDuration::from_secs(2));
     assert_eq!(world.node::<HostNode>(sink).core.exp_frames_rx, 20);
-    assert!(world.node::<BridgeNode>(bridge).vm_instructions > 0);
+    let stats = &world.node::<BridgeNode>(bridge).plane().stats;
+    assert!(stats.vm_instructions > 0);
 }
 
 #[test]
@@ -339,7 +340,8 @@ fn vm_bridge_forwards_the_senders_own_buffer() {
         world.attach(blaster, segs[0]);
         world.run_until(SimTime::from_secs(1));
 
-        assert!(world.node::<BridgeNode>(bridge).vm_instructions > 0);
+        let stats = &world.node::<BridgeNode>(bridge).plane().stats;
+        assert!(stats.vm_instructions > 0);
         let sent = world.segment(segs[0]).captured();
         assert_eq!(sent.len(), 4);
         for &out in &segs[1..] {

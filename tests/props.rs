@@ -146,7 +146,7 @@ impl Node for PoolComposer {
         if let Some(&len) = self.lens.get(self.sent) {
             let mut buf = ctx.take_buf(len);
             buf.resize(len, self.sent as u8);
-            ctx.send(PortId(0), FrameBuf::from(buf));
+            ctx.send(PortId(0), buf.freeze());
             self.sent += 1;
             // Longer than a full-sized frame's serialization, so the
             // previous frame has been delivered (and recycled) by then.
@@ -379,7 +379,7 @@ proptest! {
             frame.truncate(1514);
         }
         world.with_ctx::<HostNode, _>(host, |h, ctx| {
-            h.core.send_raw(ctx, netsim::PortId(0), bytes::Bytes::from(frame));
+            h.core.send_raw(ctx, netsim::PortId(0), FrameBuf::from(frame));
         });
         world.run_until(SimTime::from_ms(50));
         let stats = &world.node::<BridgeNode>(bridge).plane().stats;
