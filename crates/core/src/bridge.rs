@@ -317,15 +317,11 @@ pub struct BridgeNode {
     /// Reusable VM stack/locals arena: steady-state switchlet execution
     /// allocates nothing.
     vm_scratch: VmScratch,
-    /// Memoized data-plane dispatch target, keyed by the plane's decision
-    /// generation — the per-frame name lookups (`by_name` + status) run
-    /// only when something that could change the answer happened.
-    plane_target: Option<(u64, HandlerTarget)>,
-    /// The module that owns `plane_target`'s VM handler — the identity its
-    /// host calls act under — resolved with the target and valid as long
-    /// as it is (`None` until a VM handler is the target; not meaningful
-    /// while anything else is). Read by `dispatch_target` for
-    /// `DispatchEntry::Switch` only.
+    /// The module that owns the data plane's VM handler — the identity its
+    /// host calls act under — re-read whenever the plane's data target is
+    /// resolved and valid as long as that is kept (`None` until a VM
+    /// handler is the target; not meaningful while anything else is).
+    /// Read by `dispatch_target` for `DispatchEntry::Switch` only.
     plane_owner: Option<Rc<str>>,
     /// Crash epoch, stamped into every timer token so timers armed before
     /// a crash die with the state they referred to.
@@ -367,7 +363,6 @@ impl BridgeNode {
             boot_images: Vec::new(),
             cmds: Vec::new(),
             vm_scratch: VmScratch::new(),
-            plane_target: None,
             plane_owner: None,
             epoch: 0,
             trap_counts: HashMap::new(),
@@ -640,6 +635,8 @@ impl BridgeNode {
     /// forwarding as the final degraded tier, so traffic keeps flowing.
     fn quarantine(&mut self, ctx: &mut Ctx<'_>, module: &str) {
         self.quarantined.insert(module.to_owned());
+        // Stopping it forgets every kept target, and nothing below
+        // resolves one: no resolution outlives the handlers dropped next.
         self.plane.set_status(module, SwitchletStatus::Stopped);
         self.plane.unbind_all(module);
         // Drop every handler the module registered: a quarantined
@@ -688,8 +685,6 @@ impl BridgeNode {
                 }
             }
         }
-        self.plane_target = None;
-        self.plane.drop_addr_targets();
         ctx.bump("bridge.quarantines", 1);
         ctx.probe(|node| ProbeRecord::Quarantine { node });
         ctx.trace(format_args!("{}: watchdog quarantined {module}", self.name));
@@ -716,6 +711,7 @@ impl BridgeNode {
 
     /// Resolve a handler name to an invocable target without holding (or
     /// cloning) any borrowed strings — the hot path must not allocate.
+    /// Reads a slot's status and `vm_handlers`, nothing else.
     fn resolve_handler(
         vm_handlers: &HashMap<String, FuncVal>,
         plane: &Plane,
@@ -790,28 +786,21 @@ impl BridgeNode {
 
     fn dispatch_data_plane(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &DataFrame<'_>) {
         // Resolve the switching function — and for a VM one its owner —
-        // once per decision generation: in steady state this is a
-        // compare, not hash lookups per frame. Whatever changes the answer
-        // bumps the generation (a plane selection, a lifecycle transition,
-        // a callable changing hands) or drops the memo (quarantine, crash).
-        let gen = self.plane.generation();
-        let target = match self.plane_target {
-            Some((g, t)) if g == gen => t,
-            _ => {
-                let t = match self.plane.data_plane() {
-                    DataPlaneSel::None => HandlerTarget::None,
-                    DataPlaneSel::Native(name) => {
-                        Self::resolve_handler(&self.vm_handlers, &self.plane, name)
-                    }
-                    DataPlaneSel::Vm(fv) => HandlerTarget::Vm(*fv),
-                };
-                self.plane_target = Some((gen, t));
-                if let HandlerTarget::Vm(fv) = t {
-                    self.plane_owner = Some(self.owner_of(fv));
-                }
-                t
+        // only when the plane has forgotten the last answer: in steady
+        // state this is a load, not hash lookups per frame.
+        let (vm_handlers, vm_owner) = (&self.vm_handlers, &self.vm_owner);
+        let plane_owner = &mut self.plane_owner;
+        let target = self.plane.data_target(|plane| {
+            let t = match plane.data_plane() {
+                DataPlaneSel::None => HandlerTarget::None,
+                DataPlaneSel::Native(name) => Self::resolve_handler(vm_handlers, plane, name),
+                DataPlaneSel::Vm(fv) => HandlerTarget::Vm(*fv),
+            };
+            if let HandlerTarget::Vm(fv) = t {
+                *plane_owner = Some(vm_owner.get(&fv).cloned().unwrap_or_default());
             }
-        };
+            t
+        });
         if matches!(target, HandlerTarget::None) {
             self.plane.stats.no_plane += 1;
             return;
@@ -1102,7 +1091,6 @@ impl Node for BridgeNode {
         let mut plane = Self::fresh_plane(self.plane.num_ports(), &self.cfg);
         plane.carry_control_epoch(&self.plane);
         self.plane = plane;
-        self.plane_target = None;
         self.storm.clear();
         self.slots.clear();
         self.ns = Namespace::sharing(hostmods::shared_env());
@@ -1166,10 +1154,6 @@ impl Node for BridgeNode {
                 let slot = ((token.0 >> 32) & 0xFFFF) as usize;
                 let user = (token.0 & 0xFFFF_FFFF) as u32;
                 if self.plane.slot_running(slot) {
-                    // A timer handler may mutate decision inputs the
-                    // plane cannot see (switchlet-private state), so
-                    // every delivery moves the decision generation.
-                    self.plane.bump_generation();
                     self.with_slot(ctx, slot, |s, bc| s.on_timer(bc, user));
                 }
                 self.apply_cmds(ctx);
@@ -1177,7 +1161,6 @@ impl Node for BridgeNode {
             KIND_VM_TIMER => {
                 let idx = (token.0 & 0xFFFF_FFFF) as usize;
                 if let Some((fv, user)) = self.vm_timers.get(idx).copied() {
-                    self.plane.bump_generation();
                     self.call_vm(ctx, fv, self.owner_of(fv), [Value::Int(user)]);
                 }
                 self.apply_cmds(ctx);
@@ -1312,9 +1295,9 @@ mod tests {
         owner
     }
 
-    /// The owner of the VM data path is resolved with the target, once
-    /// per decision generation. Nothing stale may survive what changes
-    /// it: a hot-swap, a quarantine with rollback, a crash and restart —
+    /// The owner of the VM data path is resolved with the target and kept
+    /// with it. Nothing stale may survive what changes it: a hot-swap, a
+    /// quarantine with rollback, a crash and restart —
     /// here arranged so that the callable keeps its `FuncVal` while its
     /// owner changes, which is exactly what a stale memo would miss.
     #[test]
@@ -1376,5 +1359,88 @@ mod tests {
         load(&mut world, probe_image("vm_c", 2, false));
         assert_eq!(owner_seen(&mut world, b, 2), "vm_c");
         assert_eq!(owner_seen(&mut world, b, 2), "vm_c");
+    }
+
+    /// The other half of what `plane.rs`'s tests hold the writers to: on
+    /// a running bridge, what a frame resolved stays kept through what
+    /// feeds no resolution — the spanning tree's timer deliveries and the
+    /// port-flag writes they make, the learning switchlet's sweep timer,
+    /// and learns, port moves included.
+    #[test]
+    fn timers_flags_and_learns_forget_no_kept_target() {
+        use crate::switchlets::stp::{config_frame, IEEE_NAME};
+        use crate::{BridgeId, ConfigBpdu, StpVariant};
+        use netsim::FrameBufMut;
+        let cfg = BridgeConfig {
+            cost: CostModel::FREE,
+            ..BridgeConfig::default()
+        };
+        let mut node = BridgeNode::new("bridge", MacAddr::local(1), Ipv4Addr::LOCALHOST, 2, cfg);
+        node.boot_load_native(crate::switchlets::learning::NAME);
+        node.boot_load_native(IEEE_NAME);
+        let mut world = World::new(1);
+        let b = world.add_node(node);
+        for _ in 0..2 {
+            let lan = world.add_segment(Default::default());
+            world.attach(b, lan);
+        }
+        world.run_until(SimTime::from_ms(1));
+        let hand = |world: &mut World, port: usize, frame: FrameBuf| {
+            world.with_ctx::<BridgeNode, _>(b, |node, ctx| node.on_frame(ctx, PortId(port), frame));
+        };
+        let data = |src: u32, dst: u32| {
+            FrameBuilder::new(
+                MacAddr::local(dst),
+                MacAddr::local(src),
+                EtherType::EXPERIMENTAL,
+            )
+            .payload(&[0; 46])
+            .build()
+        };
+        // Which of [data plane, All Bridges registration] is kept.
+        let kept = |world: &mut World| {
+            let plane = world.node_mut::<BridgeNode>(b).plane_mut();
+            let mut kept = [true; 2];
+            plane.data_target(|_| {
+                kept[0] = false;
+                HandlerTarget::None
+            });
+            plane.addr_target(MacAddr::ALL_BRIDGES, |_, _| {
+                kept[1] = false;
+                HandlerTarget::None
+            });
+            kept
+        };
+
+        // One data frame and one (never-winning) BPDU resolve both.
+        hand(&mut world, 0, data(0x10, 0x20));
+        let me = BridgeId::new(0xFFFF, MacAddr::local(0x77));
+        let inferior = ConfigBpdu {
+            root: me,
+            root_cost: 0,
+            bridge: me,
+            port: 1,
+            message_age: 0,
+            max_age: 20,
+            hello_time: 2,
+            forward_delay: 15,
+            tc: false,
+            tca: false,
+        };
+        let bpdu = config_frame(StpVariant::Ieee, me.mac, &inferior, FrameBufMut::new());
+        hand(&mut world, 1, bpdu);
+        assert_eq!(kept(&mut world), [true, true]);
+
+        let (epoch, learned) = {
+            let plane = world.node::<BridgeNode>(b).plane();
+            (plane.control_epoch(), plane.learn.len())
+        };
+        world.run_until(SimTime::from_secs(70));
+        hand(&mut world, 1, data(0x10, 0x20));
+        hand(&mut world, 0, data(0x20, 0x10));
+        let plane = world.node::<BridgeNode>(b).plane();
+        assert!(plane.control_epoch() > epoch, "the tree wrote port flags");
+        assert!(plane.learn.len() > learned, "the table learned");
+        assert_eq!(kept(&mut world), [true, true]);
     }
 }

@@ -219,7 +219,7 @@ impl HostDispatch for HostEnv<'_, '_> {
     /// handle on shared storage, so taking one is a refcount bump.
     ///
     /// The interpreter reaches this through `dyn HostDispatch`, so this is
-    /// the one function behind that pointer: [`HostEnv::invoke`] is
+    /// the one function behind that pointer: `HostEnv::invoke` is
     /// inlined here and the functions a frame calls — `num_ports`,
     /// `bind_out`, `send_pkt_out` — run straight-line in it.
     #[inline]
@@ -365,7 +365,7 @@ impl HostEnv<'_, '_> {
                 if self.vm_handlers.insert(full, fv) != Some(fv) {
                     // A `vm:` address registration may have resolved this
                     // key to the callable it named until now.
-                    self.plane.bump_generation();
+                    self.plane.forget_targets();
                 }
                 self.own(fv);
                 if key == "switching" {
@@ -425,13 +425,13 @@ impl HostEnv<'_, '_> {
     }
 
     /// Record the running module as the owner of callable `fv`. A
-    /// callable that changes hands invalidates what was resolved under the
-    /// old owner (the bridge memoizes the data plane's owner under the
-    /// decision generation).
+    /// callable that changes hands forgets what was resolved under the
+    /// old owner (the bridge keeps the data plane's owner with its
+    /// target).
     fn own(&mut self, fv: FuncVal) {
         let displaced = self.vm_owner.insert(fv, self.module_name.clone());
         if displaced.is_some_and(|old| old != self.module_name) {
-            self.plane.bump_generation();
+            self.plane.forget_targets();
         }
     }
 }
@@ -521,12 +521,23 @@ mod tests {
         })
     }
 
-    /// The bridge resolves the data plane's owner once per decision
-    /// generation, so a callable that changes hands (here: a second
-    /// module arming a timer with the first one's function) must move the
-    /// generation; re-registering under the same owner must not.
+    /// Keep a data target on `plane` if none is kept; `true` when one
+    /// already was.
+    fn still_kept(plane: &mut Plane) -> bool {
+        let mut kept = true;
+        plane.data_target(|_| {
+            kept = false;
+            crate::plane::HandlerTarget::None
+        });
+        kept
+    }
+
+    /// The bridge keeps the data plane's owner with its target, so a
+    /// callable that changes hands (here: a second module arming a timer
+    /// with the first one's function) must forget it; re-registering under
+    /// the same owner must not.
     #[test]
-    fn a_callable_changing_hands_bumps_the_generation() {
+    fn a_callable_changing_hands_forgets_the_targets() {
         let env = host_env();
         let (set_timeout, _) = env.lookup("timer", "set_timeout").expect("offered");
         let fv = FuncVal::Vm {
@@ -546,25 +557,20 @@ mod tests {
                     host.call_slot(&env, set_timeout, &mut args).expect("arms");
                 },
             );
-            plane.generation()
+            still_kept(plane)
         };
-        let g0 = plane.generation();
-        assert_eq!(
-            arm("first", &mut plane),
-            g0,
-            "a new callable displaces no one"
-        );
-        assert_eq!(arm("first", &mut plane), g0, "same owner again");
-        assert!(arm("second", &mut plane) > g0, "the callable changed hands");
+        still_kept(&mut plane);
+        assert!(arm("first", &mut plane), "a new callable displaces no one");
+        assert!(arm("first", &mut plane), "same owner again");
+        assert!(!arm("second", &mut plane), "the callable changed hands");
         assert_eq!(owners[&fv].as_ref(), "second");
     }
 
     /// A `vm:` address registration keeps what its handler key resolved
-    /// to under the decision generation, so a key that comes to name
-    /// another callable must move it; registering the same one again
-    /// must not.
+    /// to, so a key that comes to name another callable must forget it;
+    /// registering the same one again must not.
     #[test]
-    fn a_handler_key_changing_callables_bumps_the_generation() {
+    fn a_handler_key_changing_callables_forgets_the_targets() {
         let env = host_env();
         let (register, _) = env.lookup("func", "register_handler").expect("offered");
         let func = |func| FuncVal::Vm {
@@ -585,17 +591,12 @@ mod tests {
                         .expect("registers");
                 },
             );
-            plane.generation()
+            still_kept(plane)
         };
-        let g0 = plane.generation();
-        let g1 = register_as(func(0), &mut plane);
-        assert!(g1 > g0, "a new key");
-        assert_eq!(
-            register_as(func(0), &mut plane),
-            g1,
-            "the same callable again"
-        );
-        assert!(register_as(func(1), &mut plane) > g1, "another callable");
+        still_kept(&mut plane);
+        assert!(!register_as(func(0), &mut plane), "a new key");
+        assert!(register_as(func(0), &mut plane), "the same callable again");
+        assert!(!register_as(func(1), &mut plane), "another callable");
         assert_eq!(handlers["unit.on_group"], func(1));
     }
 

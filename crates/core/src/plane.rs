@@ -5,15 +5,13 @@
 //! address registrations, and the published spanning-tree snapshots the
 //! control switchlet monitors.
 //!
-//! The plane also carries the **decision generation**. Every piece of
-//! state a frame's handling can depend on is mutated through methods that
-//! bump it: learn-table mapping changes (insertions, moves, evictions,
-//! flushes — timestamp refreshes excluded, they cannot flip a verdict),
-//! port-flag writes, switchlet lifecycle transitions, data-plane
-//! (re)selection and timer deliveries. What the data plane and each
-//! registered address resolve to is kept with the generation it was
-//! resolved under (`crates/switchlet/DESIGN.md` § 3); forwarding verdicts
-//! are not kept — the learning table is the fast path.
+//! The plane also keeps what the data plane and each registered address
+//! resolve to, until a writer of what the resolution read forgets it: a
+//! data-plane selection, a lifecycle transition, a (re-)registration, or
+//! `Plane::forget_targets` for the inputs the bridge holds
+//! (`crates/switchlet/DESIGN.md` § 3). Port flags, the learning table and
+//! timers feed no resolution and forget nothing; forwarding verdicts are
+//! not kept — the learning table is the fast path.
 //!
 //! The plane also keeps the **switchlet directory**: a switchlet is a
 //! slot. A name is resolved to its slot where it enters (an install, a
@@ -69,8 +67,8 @@ pub enum LearnOutcome {
     /// order, so the choice is replay-stable by construction.
     Evicted(MacAddr),
     /// The new source was rejected: the table is at its hard capacity
-    /// and the offending port holds no entry to evict. The mapping (and
-    /// its generation) are untouched.
+    /// and the offending port holds no entry to evict. The mapping is
+    /// untouched.
     Rejected,
 }
 
@@ -78,11 +76,6 @@ pub enum LearnOutcome {
 /// Paper Section 5.3: "the triple (source address, current time, input
 /// port) is placed into a hash table keyed by the source address,
 /// replacing any previous entry".
-///
-/// The table tracks its own mutation generation: any change to the
-/// address→port *mapping* (new entry, port move, eviction, flush) bumps
-/// it; refreshing the timestamp of an unchanged mapping does not, because
-/// no forwarding verdict can change when only a last-seen time advances.
 ///
 /// A frame's source is learned on every bridge it crosses and nearly
 /// always finds its entry where it left it: that refresh
@@ -101,7 +94,6 @@ pub struct LearningTable {
     /// refreshed once per data frame.
     map: FastMap<MacAddr, (PortId, SimTime)>,
     age: SimDuration,
-    gen: u64,
     /// Hard entry capacity (0 = unbounded).
     cap: usize,
     /// Per-port occupancy quota (0 = none).
@@ -116,7 +108,6 @@ impl LearningTable {
         LearningTable {
             map: FastMap::default(),
             age,
-            gen: 0,
             cap: 0,
             port_quota: 0,
             occupancy: Vec::new(),
@@ -199,7 +190,6 @@ impl LearningTable {
             *entry = (port, now);
             self.occupancy_dec(old_port);
             self.occupancy_inc(port);
-            self.gen += 1;
             return LearnOutcome::Moved;
         }
         let over_cap = self.cap > 0 && self.map.len() >= self.cap;
@@ -208,7 +198,6 @@ impl LearningTable {
         }
         self.map.insert(src, (port, now));
         self.occupancy_inc(port);
-        self.gen += 1;
         LearnOutcome::Fresh
     }
 
@@ -239,7 +228,6 @@ impl LearningTable {
             self.occupancy_dec(old_port);
         }
         self.occupancy_inc(port);
-        self.gen += 1;
         LearnOutcome::Evicted(victim)
     }
 
@@ -259,7 +247,6 @@ impl LearningTable {
             Some(&(port, _)) => {
                 self.map.remove(&dst);
                 self.occupancy_dec(port);
-                self.gen += 1;
                 None
             }
             None => None,
@@ -269,8 +256,7 @@ impl LearningTable {
     /// Non-mutating currency check: is there a live entry for `dst`?
     /// Stale entries count as absent but are left in place (unlike
     /// [`LearningTable::lookup`]), so policers can classify
-    /// unknown-unicast traffic without perturbing the table or its
-    /// generation.
+    /// unknown-unicast traffic without perturbing the table.
     #[inline]
     pub fn peek(&self, dst: MacAddr, now: SimTime) -> bool {
         matches!(self.map.get(&dst), Some(&(_, seen)) if now.saturating_since(seen) <= self.age)
@@ -279,7 +265,6 @@ impl LearningTable {
     /// Drop every entry older than the age limit.
     pub fn sweep(&mut self, now: SimTime) {
         let age = self.age;
-        let before = self.map.len();
         let occupancy = &mut self.occupancy;
         self.map.retain(|_, (port, seen)| {
             let keep = now.saturating_since(*seen) <= age;
@@ -290,16 +275,10 @@ impl LearningTable {
             }
             keep
         });
-        if self.map.len() != before {
-            self.gen += 1;
-        }
     }
 
     /// Forget everything (used on topology change).
     pub fn flush(&mut self) {
-        if !self.map.is_empty() {
-            self.gen += 1;
-        }
         self.map.clear();
         self.occupancy.fill(0);
     }
@@ -308,12 +287,6 @@ impl LearningTable {
     /// steady-state learning at that scale never rehashes.
     pub fn reserve(&mut self, stations: usize) {
         self.map.reserve(stations.saturating_sub(self.map.len()));
-    }
-
-    /// Mapping-mutation counter (monotonic).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.gen
     }
 
     /// Live entry count.
@@ -360,12 +333,13 @@ pub(crate) enum HandlerTarget {
 }
 
 /// One demultiplexer registration: the handler's name as registered, and
-/// what it resolved to under the decision generation recorded with it.
+/// what it resolved to, once it has been asked (`None` again when a
+/// writer of what it read forgets it).
 #[derive(Debug)]
 struct AddrHandler {
     addr: MacAddr,
     name: String,
-    target: Option<(u64, HandlerTarget)>,
+    target: Option<HandlerTarget>,
 }
 
 /// One entry of the switchlet directory.
@@ -598,16 +572,18 @@ impl DecisionCache {
 
 /// The shared plane.
 pub struct Plane {
-    /// Per-port flags, indexed by port. Written only through the
-    /// generation-bumping setters.
+    /// Per-port flags, indexed by port. Written only through the setters,
+    /// which move the control epoch.
     flags: Vec<PortFlags>,
-    /// The learning table (shared so the spanning tree can flush it);
-    /// tracks its own mapping generation.
+    /// The learning table (shared so the spanning tree can flush it).
     pub learn: LearningTable,
     /// Demultiplexer registrations: destination address → handler.
     addr_handlers: Vec<AddrHandler>,
     /// The installed switching function.
     data_plane: DataPlaneSel,
+    /// What `data_plane` resolved to, once asked: the per-frame dispatch
+    /// reads this instead of looking a name up.
+    data_target: Option<HandlerTarget>,
     /// The switching function installed before the current one — the
     /// watchdog's last-known-good rollback target when the current one
     /// is quarantined.
@@ -626,8 +602,6 @@ pub struct Plane {
     pub owners_out: Vec<Option<String>>,
     /// Counters.
     pub stats: BridgeStats,
-    /// Decision-relevant mutations outside the learning table.
-    gen: u64,
     /// Control-plane changes an observer of convergence can see: a port's
     /// `forward` flag or a published root changing.
     control_epoch: u64,
@@ -641,32 +615,15 @@ impl Plane {
             learn: LearningTable::new(learn_age),
             addr_handlers: Vec::new(),
             data_plane: DataPlaneSel::None,
+            data_target: None,
             prev_data_plane: None,
             units: Vec::new(),
             published: Published::default(),
             owners_in: vec![None; n_ports],
             owners_out: vec![None; n_ports],
             stats: BridgeStats::default(),
-            gen: 0,
             control_epoch: 0,
         }
-    }
-
-    // ------------------------------------------------- generation window
-
-    /// The decision generation: a resolution kept under an older value is
-    /// dead. Monotonic (sum of two monotonic counters).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.gen + self.learn.generation()
-    }
-
-    /// Invalidate everything kept under the generation (nothing is
-    /// scanned). Called on every event that could change how a frame is
-    /// handled; embedders that mutate decision inputs out of band call it.
-    #[inline]
-    pub fn bump_generation(&mut self) {
-        self.gen += 1;
     }
 
     /// The control epoch: moves exactly when a port's `forward` flag or a
@@ -705,31 +662,24 @@ impl Plane {
         self.flags.len()
     }
 
-    /// Set a port's forwarding permission (bumps the generation on real
+    /// Set a port's forwarding permission (moves the control epoch on real
     /// changes — the spanning tree re-asserting a state is free).
     pub fn set_port_forward(&mut self, port: usize, forward: bool) {
         if self.flags[port].forward != forward {
             self.flags[port].forward = forward;
-            self.gen += 1;
             self.control_epoch += 1;
         }
     }
 
     /// Set a port's learning permission.
     pub fn set_port_learn(&mut self, port: usize, learn: bool) {
-        if self.flags[port].learn != learn {
-            self.flags[port].learn = learn;
-            self.gen += 1;
-        }
+        self.flags[port].learn = learn;
     }
 
     /// Set both flags of a port.
     pub fn set_port_flags(&mut self, port: usize, flags: PortFlags) {
-        if self.flags[port] != flags {
-            self.control_epoch += u64::from(self.flags[port].forward != flags.forward);
-            self.flags[port] = flags;
-            self.gen += 1;
-        }
+        self.control_epoch += u64::from(self.flags[port].forward != flags.forward);
+        self.flags[port] = flags;
     }
 
     // ------------------------------------------------------ data plane
@@ -741,12 +691,12 @@ impl Plane {
     }
 
     /// Install (or clear) the switching function. Real changes remember
-    /// the displaced selection (see [`Plane::prev_data_plane`]) and bump
-    /// the generation.
+    /// the displaced selection (see [`Plane::prev_data_plane`]) and forget
+    /// what the old one resolved to.
     pub fn set_data_plane(&mut self, sel: DataPlaneSel) {
         if self.data_plane != sel {
             self.prev_data_plane = Some(std::mem::replace(&mut self.data_plane, sel));
-            self.gen += 1;
+            self.data_target = None;
         }
     }
 
@@ -797,11 +747,11 @@ impl Plane {
     /// [`Plane::set_status`] for a name already resolved to its slot.
     pub(crate) fn set_slot_status(&mut self, slot: usize, status: SwitchletStatus) {
         self.units[slot].status = status;
-        self.gen += 1;
+        self.forget_targets();
     }
 
     /// Record a lifecycle transition (load/suspend/resume/halt) of the
-    /// switchlet named `name` — each one moves the generation. A
+    /// switchlet named `name` — each one forgets every kept target. A
     /// name the directory has not seen enters it here; returns its slot.
     pub fn set_status(&mut self, name: &str, status: SwitchletStatus) -> usize {
         let slot = self.slot_of(name).unwrap_or_else(|| {
@@ -885,13 +835,11 @@ impl Plane {
                 target: None,
             });
         }
-        self.gen += 1;
     }
 
     /// Remove a registration.
     pub fn unregister_addr(&mut self, addr: MacAddr) {
         self.addr_handlers.retain(|h| h.addr != addr);
-        self.gen += 1;
     }
 
     /// Who handles frames to `addr`?
@@ -902,10 +850,10 @@ impl Plane {
 
     /// What the handler registered for `addr` resolves to, if one is
     /// registered (the per-frame test: a scan of one to three entries).
-    /// `resolve` is asked at most once per decision generation and its
-    /// answer kept with the registration; everything it may read moves
-    /// the generation — a lifecycle transition, a (re-)registration, a
-    /// VM handler key changing callables.
+    /// `resolve` is asked only when nothing is kept, and its answer kept
+    /// with the registration until a writer of what it reads forgets it:
+    /// a lifecycle transition, a re-registration, or
+    /// [`Plane::forget_targets`].
     #[inline]
     pub(crate) fn addr_target(
         &mut self,
@@ -913,19 +861,35 @@ impl Plane {
         resolve: impl FnOnce(&Plane, &str) -> HandlerTarget,
     ) -> Option<HandlerTarget> {
         let i = self.addr_handlers.iter().position(|h| h.addr == addr)?;
-        let gen = self.generation();
-        match self.addr_handlers[i].target {
-            Some((g, target)) if g == gen => Some(target),
-            _ => {
-                let target = resolve(self, &self.addr_handlers[i].name);
-                self.addr_handlers[i].target = Some((gen, target));
-                Some(target)
-            }
+        if let Some(target) = self.addr_handlers[i].target {
+            return Some(target);
         }
+        let target = resolve(self, &self.addr_handlers[i].name);
+        self.addr_handlers[i].target = Some(target);
+        Some(target)
     }
 
-    /// Forget every kept resolution (with the data plane's: quarantine).
-    pub(crate) fn drop_addr_targets(&mut self) {
+    /// What the switching function resolves to, kept like
+    /// [`Plane::addr_target`]'s answers and forgotten also by a new
+    /// selection.
+    #[inline]
+    pub(crate) fn data_target(
+        &mut self,
+        resolve: impl FnOnce(&Plane) -> HandlerTarget,
+    ) -> HandlerTarget {
+        if let Some(target) = self.data_target {
+            return target;
+        }
+        let target = resolve(self);
+        self.data_target = Some(target);
+        target
+    }
+
+    /// Forget every kept resolution. Called by whoever changes an input
+    /// a resolution reads that lives outside the plane: which callable a
+    /// VM handler key names, or which module owns a callable.
+    pub(crate) fn forget_targets(&mut self) {
+        self.data_target = None;
         for h in &mut self.addr_handlers {
             h.target = None;
         }
@@ -991,33 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn learn_generation_tracks_mapping_not_timestamps() {
-        let mut lt = LearningTable::new(SimDuration::from_secs(300));
-        let g0 = lt.generation();
-        lt.learn(MacAddr::local(1), PortId(0), t(0));
-        let g1 = lt.generation();
-        assert!(g1 > g0, "new entry bumps");
-        // Same mapping, fresher timestamp: no bump.
-        lt.learn(MacAddr::local(1), PortId(0), t(5));
-        assert_eq!(lt.generation(), g1, "timestamp refresh must not bump");
-        // Port move bumps.
-        lt.learn(MacAddr::local(1), PortId(1), t(6));
-        assert!(lt.generation() > g1);
-        // Stale eviction through lookup bumps.
-        let g2 = lt.generation();
-        assert_eq!(lt.lookup(MacAddr::local(1), t(1000)), None);
-        assert!(lt.generation() > g2);
-        // Flush of an empty table is free; of a non-empty one bumps.
-        let g3 = lt.generation();
-        lt.flush();
-        assert_eq!(lt.generation(), g3);
-        lt.learn(MacAddr::local(2), PortId(0), t(1000));
-        let g4 = lt.generation();
-        lt.flush();
-        assert!(lt.generation() > g4);
-    }
-
-    #[test]
     fn bounded_learning_enforces_quota_with_deterministic_victims() {
         let mut lt = LearningTable::new(SimDuration::from_secs(300));
         lt.set_bounds(8, 2);
@@ -1061,18 +998,13 @@ mod tests {
         lt.set_bounds(2, 0);
         lt.learn(MacAddr::local(1), PortId(0), t(0));
         lt.learn(MacAddr::local(2), PortId(0), t(1));
-        let gen = lt.generation();
-        // Table at capacity, port 1 owns no entries: reject, no bump.
+        // Table at capacity, port 1 owns no entries: reject.
         assert_eq!(
             lt.learn(MacAddr::local(3), PortId(1), t(2)),
             LearnOutcome::Rejected
         );
         assert_eq!(lt.len(), 2);
-        assert_eq!(
-            lt.generation(),
-            gen,
-            "a reject must not bump the generation"
-        );
+        assert_eq!(lt.lookup(MacAddr::local(3), t(2)), None);
         // A refresh of an existing entry is always admitted.
         assert_eq!(
             lt.learn(MacAddr::local(1), PortId(0), t(3)),
@@ -1118,7 +1050,6 @@ mod tests {
     struct Model {
         map: std::collections::BTreeMap<MacAddr, (PortId, SimTime)>,
         age: SimDuration,
-        gen: u64,
         cap: usize,
         quota: usize,
     }
@@ -1153,7 +1084,6 @@ mod tests {
                 outcome = LearnOutcome::Evicted(victim);
             }
             self.map.insert(src, (port, now));
-            self.gen += 1;
             outcome
         }
 
@@ -1163,27 +1093,19 @@ mod tests {
                 return Some(entry);
             }
             self.map.remove(&dst);
-            self.gen += 1;
             None
         }
 
         fn sweep(&mut self, now: SimTime) {
-            let before = self.map.len();
             let age = self.age;
             self.map.retain(|_, e| now.saturating_since(e.1) <= age);
-            self.gen += u64::from(self.map.len() != before);
-        }
-
-        fn flush(&mut self) {
-            self.gen += u64::from(!self.map.is_empty());
-            self.map.clear();
         }
     }
 
     proptest::proptest! {
         /// Arbitrary `learn` / `lookup_entry` / `sweep` / `flush`
         /// sequences, bounds armed and not, against [`Model`]: the same
-        /// outcomes, generation, length, per-port occupancy and entries
+        /// outcomes, length, per-port occupancy and entries
         /// after every step. (A refresh that forgot the timestamp shows in
         /// the entries, a move that forgot the occupancy in the counts.)
         #[test]
@@ -1196,7 +1118,7 @@ mod tests {
             let (cap, quota) = [(0, 0), (6, 0), (0, 3), (6, 3)][bounds as usize];
             let mut lt = LearningTable::new(age);
             lt.set_bounds(cap, quota);
-            let mut model = Model { map: Default::default(), age, gen: 0, cap, quota };
+            let mut model = Model { map: Default::default(), age, cap, quota };
             let mut now = 0;
             for word in ops {
                 let (op, a, b) = (word % 16, (word >> 4) % 12, (word >> 8) % 4);
@@ -1220,10 +1142,9 @@ mod tests {
                     }
                     _ => {
                         lt.flush();
-                        model.flush();
+                        model.map.clear();
                     }
                 }
-                prop_assert_eq!(lt.generation(), model.gen);
                 prop_assert_eq!(lt.len(), model.map.len());
                 for p in 0..4 {
                     prop_assert_eq!(lt.occupancy_of(PortId(p)), model.occupancy_of(PortId(p)));
@@ -1239,7 +1160,6 @@ mod tests {
     fn peek_is_non_mutating() {
         let mut lt = LearningTable::new(SimDuration::from_secs(100));
         lt.learn(MacAddr::local(1), PortId(0), t(0));
-        let gen = lt.generation();
         assert!(lt.peek(MacAddr::local(1), t(50)));
         assert!(
             !lt.peek(MacAddr::local(1), t(200)),
@@ -1247,7 +1167,6 @@ mod tests {
         );
         assert!(!lt.peek(MacAddr::local(2), t(50)));
         assert_eq!(lt.len(), 1, "peek must not drop the stale entry");
-        assert_eq!(lt.generation(), gen);
     }
 
     #[test]
@@ -1320,22 +1239,43 @@ mod tests {
         assert_eq!(cache.probe(PortId(0), dst, src, 7, t(50)), None);
     }
 
+    /// A kept target is asked for again exactly when a writer of what it
+    /// read has forgotten it; flag writes and learns feed no resolution.
     #[test]
-    fn plane_mutations_bump_generation() {
+    fn kept_targets_are_forgotten_by_the_writers_of_what_they_read() {
         let mut plane = Plane::new(2, SimDuration::from_secs(300));
-        let g = plane.generation();
-        plane.set_port_forward(0, false);
-        assert!(plane.generation() > g, "flag change bumps");
-        let g = plane.generation();
-        plane.set_port_forward(0, false);
-        assert_eq!(plane.generation(), g, "no-op flag write is free");
+        plane.register_addr(MacAddr::ALL_BRIDGES, "stp_ieee");
         plane.set_data_plane(DataPlaneSel::Native("x".into()));
-        assert!(plane.generation() > g, "plane selection bumps");
-        let g = plane.generation();
-        plane.set_status("x", SwitchletStatus::Suspended);
-        assert!(plane.generation() > g, "lifecycle bumps");
-        let g = plane.generation();
+        // Which of [data plane, registration] had to be resolved again.
+        let asked = |plane: &mut Plane| {
+            let mut asked = [false; 2];
+            plane.data_target(|_| {
+                asked[0] = true;
+                HandlerTarget::None
+            });
+            plane.addr_target(MacAddr::ALL_BRIDGES, |_, _| {
+                asked[1] = true;
+                HandlerTarget::None
+            });
+            asked
+        };
+        assert_eq!(asked(&mut plane), [true, true], "nothing kept yet");
+        assert_eq!(asked(&mut plane), [false, false], "kept");
+        plane.set_port_forward(0, false);
+        plane.set_port_learn(1, false);
+        plane.set_port_flags(1, PortFlags::default());
         plane.learn.learn(MacAddr::local(9), PortId(1), t(1));
-        assert!(plane.generation() > g, "learn mapping change bumps");
+        plane.learn.flush();
+        assert_eq!(asked(&mut plane), [false, false], "flags and learns");
+        plane.set_data_plane(DataPlaneSel::Native("x".into()));
+        assert_eq!(asked(&mut plane), [false, false], "the same selection");
+        plane.set_data_plane(DataPlaneSel::Native("y".into()));
+        assert_eq!(asked(&mut plane), [true, false], "a new selection");
+        plane.set_status("y", SwitchletStatus::Running);
+        assert_eq!(asked(&mut plane), [true, true], "a lifecycle transition");
+        plane.register_addr(MacAddr::ALL_BRIDGES, "control");
+        assert_eq!(asked(&mut plane), [false, true], "a re-registration");
+        plane.forget_targets();
+        assert_eq!(asked(&mut plane), [true, true], "forget_targets");
     }
 }

@@ -78,12 +78,10 @@ impl NativeSwitchlet for LearningBridge {
             bc.plane.stats.blocked += 1;
             // The recorder has only ever been told of blocked unicast.
             if !dst.is_multicast() {
-                let generation = bc.plane.generation();
                 bc.sim.probe(|node| ProbeRecord::Decision {
                     node,
                     port,
                     verdict: "blocked",
-                    generation,
                 });
             }
             return;
@@ -122,13 +120,10 @@ impl NativeSwitchlet for LearningBridge {
                 _ => ("flood", Verdict::Flood),
             }
         };
-        // Recorded under the generation the learn and the lookup left.
-        let generation = bc.plane.generation();
         bc.sim.probe(|node| ProbeRecord::Decision {
             node,
             port,
             verdict: label,
-            generation,
         });
         match verdict {
             Verdict::Filter => bc.plane.stats.filtered += 1,

@@ -1,7 +1,8 @@
-//! Switchlet 3: spanning tree — the protocol engine, both wire codecs,
-//! and the switchlet wrappers for the IEEE 802.1D and DEC-style variants.
+//! Switchlet 3: spanning tree — the protocol engine and the switchlet
+//! wrappers for the IEEE 802.1D and DEC-style variants. Both wire codecs
+//! are `ether`'s ([`bpdu`]), shared with the hosts that speak BPDUs.
 
-pub mod bpdu;
+pub use ether::bpdu;
 pub mod engine;
 
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};

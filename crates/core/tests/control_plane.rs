@@ -2,7 +2,7 @@
 //! so nothing kept may outlive what it was resolved from. A registered
 //! address is held to its handler's lifecycle transition by transition,
 //! each followed at once by a frame, with no unrelated event in between
-//! to move the decision generation by accident; and the control epoch is
+//! to forget the kept resolution by accident; and the control epoch is
 //! held to the changes an observer of convergence can see.
 
 use std::any::Any;

@@ -6,10 +6,14 @@
 //! We simply required an incompatible packet format so that we could make
 //! a transition." We follow suit: the DEC codec below carries the same
 //! semantic fields in a deliberately incompatible layout, travels to a
-//! different multicast address ([`ether::MacAddr::DEC_BRIDGES`]) under its
+//! different multicast address ([`MacAddr::DEC_BRIDGES`]) under its
 //! own EtherType, and cannot be confused with an 802.1D BPDU.
+//!
+//! The codec is a wire format like the rest of this crate: the bridge's
+//! spanning-tree switchlets and the hosts that speak BPDUs at bridges (the
+//! agility probe, the rogue-root attacker) share it.
 
-use ether::MacAddr;
+use crate::MacAddr;
 
 /// A bridge identifier: 2-byte priority then 6-byte MAC, compared
 /// lexicographically (lower wins elections).
@@ -42,7 +46,7 @@ impl BridgeId {
         }
         Some(BridgeId {
             priority: u16::from_be_bytes([buf[0], buf[1]]),
-            mac: MacAddr::from_slice(&buf[2..8]).unwrap(),
+            mac: MacAddr::from_slice(&buf[2..8])?,
         })
     }
 }
@@ -166,7 +170,7 @@ pub mod ieee {
 /// to the DEC bridge multicast address.
 pub mod dec {
     use super::{Bpdu, BridgeId, ConfigBpdu};
-    use ether::MacAddr;
+    use crate::MacAddr;
 
     /// Magic first byte.
     pub const MAGIC: u8 = 0xE1;
@@ -220,11 +224,11 @@ pub mod dec {
                 }
                 let bridge = BridgeId {
                     priority: u16::from_le_bytes([buf[2], buf[3]]),
-                    mac: MacAddr::from_slice(&buf[4..10]).unwrap(),
+                    mac: MacAddr::from_slice(&buf[4..10])?,
                 };
                 let root = BridgeId {
                     priority: u16::from_le_bytes([buf[10], buf[11]]),
-                    mac: MacAddr::from_slice(&buf[12..18]).unwrap(),
+                    mac: MacAddr::from_slice(&buf[12..18])?,
                 };
                 Some(Bpdu::Config(ConfigBpdu {
                     root,
@@ -291,6 +295,7 @@ impl StpVariant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> ConfigBpdu {
         ConfigBpdu {
@@ -305,6 +310,80 @@ mod tests {
             tc: false,
             tca: false,
         }
+    }
+
+    /// A configuration BPDU drawn from 27 arbitrary bytes: every field
+    /// over its whole range, except the timers, which both codecs carry in
+    /// whole seconds below 256.
+    fn config(raw: &[u8; 27]) -> ConfigBpdu {
+        let id = |b: &[u8]| BridgeId {
+            priority: u16::from_be_bytes([b[0], b[1]]),
+            mac: MacAddr::from_slice(&b[2..8]).expect("six bytes"),
+        };
+        ConfigBpdu {
+            root: id(&raw[0..8]),
+            root_cost: u32::from_be_bytes([raw[8], raw[9], raw[10], raw[11]]),
+            bridge: id(&raw[12..20]),
+            port: u16::from_be_bytes([raw[20], raw[21]]),
+            message_age: raw[22].into(),
+            max_age: raw[23].into(),
+            hello_time: raw[24].into(),
+            forward_delay: raw[25].into(),
+            tc: raw[26] & 1 != 0,
+            tca: raw[26] & 2 != 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Neither parser panics on 0–64 arbitrary bytes. Two cases in
+        /// three start like a configuration BPDU of one codec or the
+        /// other, so the field decoders run, on every length.
+        #[test]
+        fn parsers_never_panic_on_arbitrary_bytes(
+            mut bytes in prop::collection::vec(any::<u8>(), 0..=64),
+            header in 0usize..3,
+        ) {
+            let header: &[u8] = [&[][..], &[0, 0, 0, 0], &[dec::MAGIC, 0x01]][header];
+            let n = header.len().min(bytes.len());
+            bytes[..n].copy_from_slice(&header[..n]);
+            let _ = (ieee::parse(&bytes), dec::parse(&bytes));
+        }
+
+        /// Any configuration BPDU with timers below 256 s round-trips
+        /// through both codecs.
+        #[test]
+        fn every_config_bpdu_round_trips_through_both_codecs(raw in any::<[u8; 27]>()) {
+            let bpdu = Bpdu::Config(config(&raw));
+            prop_assert_eq!(ieee::parse(&ieee::emit(&bpdu)), Some(bpdu));
+            prop_assert_eq!(dec::parse(&dec::emit(&bpdu)), Some(bpdu));
+        }
+
+        /// The formats are mutually unintelligible: neither parser
+        /// accepts a configuration BPDU the other codec emits.
+        #[test]
+        fn neither_parser_accepts_the_other_codecs_output(raw in any::<[u8; 27]>()) {
+            let bpdu = Bpdu::Config(config(&raw));
+            prop_assert_eq!(dec::parse(&ieee::emit(&bpdu)), None);
+            prop_assert_eq!(ieee::parse(&dec::emit(&bpdu)), None);
+        }
+    }
+
+    /// The TCN has one encoding per codec: it round-trips through its own
+    /// and is unintelligible to the other.
+    #[test]
+    fn the_tcn_round_trips_and_stays_in_its_codec() {
+        let (i, d) = (ieee::emit(&Bpdu::Tcn), dec::emit(&Bpdu::Tcn));
+        assert_eq!(
+            (&i[..], &d[..]),
+            (&[0, 0, 0, 0x80][..], &[dec::MAGIC, 0x02][..])
+        );
+        assert_eq!(
+            (ieee::parse(&i), dec::parse(&d)),
+            (Some(Bpdu::Tcn), Some(Bpdu::Tcn))
+        );
+        assert_eq!((ieee::parse(&d), dec::parse(&i)), (None, None));
     }
 
     #[test]
@@ -322,10 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn formats_are_mutually_unintelligible() {
-        let b = Bpdu::Config(sample());
-        assert_eq!(dec::parse(&ieee::emit(&b)), None);
-        assert_eq!(ieee::parse(&dec::emit(&b)), None);
+    fn tc_flags_roundtrip() {
+        let mut c = sample();
+        c.tc = true;
+        c.tca = true;
+        let b = Bpdu::Config(c);
+        assert_eq!(ieee::parse(&ieee::emit(&b)), Some(b));
+        assert_eq!(dec::parse(&dec::emit(&b)), Some(b));
     }
 
     #[test]
@@ -350,15 +432,5 @@ mod tests {
         assert_eq!(ieee::parse(&enc[..20]), None);
         let enc = dec::emit(&b);
         assert_eq!(dec::parse(&enc[..10]), None);
-    }
-
-    #[test]
-    fn tc_flags_roundtrip() {
-        let mut c = sample();
-        c.tc = true;
-        c.tca = true;
-        let b = Bpdu::Config(c);
-        assert_eq!(ieee::parse(&ieee::emit(&b)), Some(b));
-        assert_eq!(dec::parse(&dec::emit(&b)), Some(b));
     }
 }

@@ -3,7 +3,8 @@
 //! MAC addressing (including the 802.1D "All Bridges" and DEC bridge group
 //! addresses the paper's spanning-tree switchlets use), Ethernet II / 802.3
 //! framing with parse/emit in the smoltcp idiom, the 802.2 LLC header that
-//! carries BPDUs, and the IEEE CRC-32 frame check sequence.
+//! carries BPDUs, the BPDUs themselves (802.1D and the paper's DEC-style
+//! variant), and the IEEE CRC-32 frame check sequence.
 //!
 //! ```
 //! use ether::{EtherType, Frame, FrameBuilder, MacAddr};
@@ -16,6 +17,7 @@
 //! assert_eq!(parsed.ethertype(), EtherType::IPV4);
 //! ```
 
+pub mod bpdu;
 pub mod crc;
 pub mod ethertype;
 pub mod frame;

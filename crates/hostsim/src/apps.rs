@@ -9,6 +9,7 @@
 
 use std::net::Ipv4Addr;
 
+use ether::bpdu::{ieee, Bpdu, BridgeId, ConfigBpdu};
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
 use netsim::{Ctx, NodeId, PortId, ProbeRecord, SimDuration, SimTime};
 use netstack::ipv4::Protocol;
@@ -1139,7 +1140,6 @@ impl ProbeApp {
     fn fire(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         // The triggering BPDU: a valid 802.1D configuration message from
         // a never-winning "bridge" (priority 0xFFFF).
-        use active_bridge_types::*;
         let me = BridgeId::new(0xFFFF, core.cfg.macs[0]);
         let config = ConfigBpdu {
             root: me,
@@ -1153,7 +1153,7 @@ impl ProbeApp {
             tc: false,
             tca: false,
         };
-        let payload = ieee_emit(&Bpdu::Config(config));
+        let payload = ieee::emit(&Bpdu::Config(config));
         let frame = FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, core.cfg.macs[0])
             .payload(&Llc::BPDU.wrap(&payload))
             .build();
@@ -1206,7 +1206,7 @@ impl ProbeApp {
         if frame.dst() == MacAddr::ALL_BRIDGES && self.ieee_seen_at.is_none() {
             // An IEEE BPDU on eth1: every bridge in the path switched.
             if let Some((llc, rest)) = Llc::parse(frame.payload()) {
-                if llc == Llc::BPDU && active_bridge_types::ieee_parse(rest).is_some() {
+                if llc == Llc::BPDU && matches!(ieee::parse(rest), Some(Bpdu::Config(_))) {
                     self.ieee_seen_at = Some(ctx.now());
                 }
             }
@@ -1222,105 +1222,6 @@ impl ProbeApp {
                     }
                 }
             }
-        }
-    }
-}
-
-/// Minimal local copies of the 802.1D BPDU shapes the probe needs.
-///
-/// `hostsim` deliberately does not depend on the `active-bridge` crate
-/// (hosts are substrate, the bridge is the system under test), so the
-/// probe carries its own copy of the IEEE BPDU codec — byte-compatible
-/// with `active_bridge::switchlets::stp::bpdu::ieee` and cross-checked by
-/// an integration test at the workspace root.
-pub mod active_bridge_types {
-    use ether::MacAddr;
-
-    /// Bridge identifier (priority, MAC).
-    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-    pub struct BridgeId {
-        /// Priority.
-        pub priority: u16,
-        /// MAC.
-        pub mac: MacAddr,
-    }
-
-    impl BridgeId {
-        /// Construct.
-        pub fn new(priority: u16, mac: MacAddr) -> BridgeId {
-            BridgeId { priority, mac }
-        }
-    }
-
-    /// Configuration BPDU fields.
-    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-    pub struct ConfigBpdu {
-        /// Claimed root.
-        pub root: BridgeId,
-        /// Cost to root.
-        pub root_cost: u32,
-        /// Transmitting bridge.
-        pub bridge: BridgeId,
-        /// Transmitting port.
-        pub port: u16,
-        /// Age (s).
-        pub message_age: u16,
-        /// Max age (s).
-        pub max_age: u16,
-        /// Hello (s).
-        pub hello_time: u16,
-        /// Forward delay (s).
-        pub forward_delay: u16,
-        /// Topology change.
-        pub tc: bool,
-        /// Topology change ack.
-        pub tca: bool,
-    }
-
-    /// A BPDU.
-    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-    pub enum Bpdu {
-        /// Configuration.
-        Config(ConfigBpdu),
-        /// Topology-change notification.
-        Tcn,
-    }
-
-    /// Encode an IEEE 802.1D BPDU.
-    pub fn ieee_emit(bpdu: &Bpdu) -> Vec<u8> {
-        match bpdu {
-            Bpdu::Tcn => vec![0, 0, 0, 0x80],
-            Bpdu::Config(c) => {
-                let mut out = Vec::with_capacity(35);
-                out.extend_from_slice(&[0, 0, 0, 0]);
-                let mut flags = 0u8;
-                if c.tc {
-                    flags |= 0x01;
-                }
-                if c.tca {
-                    flags |= 0x80;
-                }
-                out.push(flags);
-                out.extend_from_slice(&c.root.priority.to_be_bytes());
-                out.extend_from_slice(&c.root.mac.octets());
-                out.extend_from_slice(&c.root_cost.to_be_bytes());
-                out.extend_from_slice(&c.bridge.priority.to_be_bytes());
-                out.extend_from_slice(&c.bridge.mac.octets());
-                out.extend_from_slice(&c.port.to_be_bytes());
-                for t in [c.message_age, c.max_age, c.hello_time, c.forward_delay] {
-                    out.extend_from_slice(&(t * 256).to_be_bytes());
-                }
-                out
-            }
-        }
-    }
-
-    /// Minimal recognizer for IEEE config BPDUs.
-    pub fn ieee_parse(buf: &[u8]) -> Option<()> {
-        if buf.len() >= 4 && buf[0] == 0 && buf[1] == 0 && buf[2] == 0 && buf[3] == 0 {
-            Some(())
-        } else {
-            None
         }
     }
 }
@@ -1515,7 +1416,6 @@ impl RogueBpduApp {
     }
 
     fn send_one(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>) {
-        use active_bridge_types::*;
         let src_mac = core.cfg.macs[self.port.0];
         // Priority 0 beats every real bridge (scenario default 0x8000):
         // processed anywhere, this claim wins the election outright.
@@ -1532,7 +1432,7 @@ impl RogueBpduApp {
             tc: false,
             tca: false,
         };
-        let payload = ieee_emit(&Bpdu::Config(config));
+        let payload = ieee::emit(&Bpdu::Config(config));
         let frame = FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src_mac)
             .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&Llc::BPDU.wrap(&payload))

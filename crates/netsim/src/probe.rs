@@ -2,8 +2,7 @@
 //!
 //! The probe is the simulator's black box. When armed it records the
 //! frame lifecycle (offered / wire-tx / delivered / dropped / corrupted),
-//! bridge forwarding decisions (with the plane generation they were made
-//! under), timer arms/fires/cancels,
+//! bridge forwarding decisions, timer arms/fires/cancels,
 //! switchlet invocations with fuel and host-call cost, and free-form app
 //! phase marks. Offline tooling (`ab_scenario trace`) turns the ring into
 //! a Perfetto-compatible timeline.
@@ -151,8 +150,7 @@ pub enum ProbeRecord {
         /// The timer's id.
         id: u64,
     },
-    /// A bridge forwarding decision, with the plane generation it was made
-    /// under.
+    /// A bridge forwarding decision.
     Decision {
         /// The deciding bridge.
         node: NodeId,
@@ -160,8 +158,6 @@ pub enum ProbeRecord {
         port: PortId,
         /// Verdict label (`"direct"`, `"flood"`, `"filter"`, `"blocked"`).
         verdict: &'static str,
-        /// The plane generation the verdict was reached under.
-        generation: u64,
     },
     /// A switchlet invocation began on `node`.
     ExecBegin {
@@ -300,7 +296,7 @@ impl Probe {
     }
 
     /// Stop recording. The recorded ring stays readable until the next
-    /// [`Probe::arm`] or [`Probe::reset`].
+    /// [`Probe::arm`] or world reset.
     pub fn disarm(&mut self) {
         self.armed = false;
     }

@@ -28,8 +28,8 @@ const LATENCY_BAD_NS: u64 = 50_000_000; // 50 ms — interactively hopeless
 /// the scenario ran no flow that could measure it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QualityScore {
-    /// Ping p90 RTTs, log-mapped between [`LATENCY_GOOD_NS`] and
-    /// [`LATENCY_BAD_NS`]; a ping flow with zero replies scores 0.
+    /// Ping p90 RTTs, log-mapped between 500 µs (`LATENCY_GOOD_NS`) and
+    /// 50 ms (`LATENCY_BAD_NS`); a ping flow with zero replies scores 0.
     pub latency: Option<u64>,
     /// Mean delivered fraction across all flows that expected delivery.
     pub loss: Option<u64>,

@@ -8,7 +8,7 @@
 //!   complete (`"X"`) events spanning `[completion − serialization,
 //!   completion]`; queue drops, fault injections and contended offers
 //!   are instants.
-//! * **pid 2 — bridges**: forwarding decisions (verdict, generation),
+//! * **pid 2 — bridges**: forwarding decisions (verdict, arrival port),
 //!   switchlet executions (fuel, host calls) and timers.
 //! * **pid 3 — hosts**: application phase marks (`ping.start`,
 //!   `ttcp.done`, …) and timers.
@@ -231,7 +231,6 @@ pub fn timeline_json(world: &World, report: &Report) -> Json {
                 node,
                 port,
                 verdict,
-                generation,
             } => {
                 name_node(&mut events, node);
                 events.push(instant(
@@ -239,10 +238,7 @@ pub fn timeline_json(world: &World, report: &Report) -> Json {
                     node_pid(world, node),
                     node.0 as u64,
                     ns,
-                    vec![
-                        ("port", Json::U64(port.0 as u64)),
-                        ("generation", Json::U64(generation)),
-                    ],
+                    vec![("port", Json::U64(port.0 as u64))],
                 ));
             }
             // Begin/end land at the same simulated instant (execution

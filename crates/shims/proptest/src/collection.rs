@@ -1,4 +1,4 @@
-//! `proptest::collection` subset: [`vec`].
+//! `proptest::collection` subset: [`vec()`].
 
 use crate::{Strategy, TestRng};
 use std::ops::{Range, RangeInclusive};

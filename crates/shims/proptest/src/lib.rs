@@ -5,7 +5,7 @@
 //! subset of the proptest API this workspace's property tests use: the
 //! [`Strategy`] trait (ranges, `any::<T>()`, `Just`, `prop_map`,
 //! `prop::collection::vec`, `prop::sample::select`, `prop_oneof!`), the
-//! [`proptest!`]/[`prop_assert*!`] macros, and [`ProptestConfig`].
+//! [`proptest!`]/`prop_assert*!` macros, and [`ProptestConfig`].
 //!
 //! Differences from the real crate, by design:
 //!

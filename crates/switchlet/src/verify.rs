@@ -21,11 +21,11 @@
 //!
 //! The proof is not thrown away. The stack typing the checker computes at
 //! every instruction is handed to the load-time translator as
-//! [`FuncFacts`]: how high the operand stack stands before each
+//! `FuncFacts`: how high the operand stack stands before each
 //! instruction, what kind of value is on top of it, and the greatest
 //! height the function reaches. From those the translator gives every
 //! operand a fixed place in the frame and selects instructions by operand
-//! type (see [`crate::decode`]) — the run-time form is built on what was
+//! type (see the `decode` module) — the run-time form is built on what was
 //! proved here, and only code that passed is ever translated.
 
 use std::collections::HashMap;

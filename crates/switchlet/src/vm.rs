@@ -15,7 +15,7 @@
 //!   error is reported, and the node keeps running.
 //!
 //! What runs is the execution form the linker builds from what the
-//! verifier proved (see [`crate::decode`]): typed, every operand at a
+//! verifier proved (see the `decode` module): typed, every operand at a
 //! fixed slot of its function's frame, call targets and host slots
 //! resolved, fuel accounted by basic block.
 //!

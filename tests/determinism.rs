@@ -1,11 +1,7 @@
 //! Reproducibility: every experiment is a pure function of
-//! `(topology, seed)` — and the probe's local BPDU codec stays
-//! byte-compatible with the bridge's.
+//! `(topology, seed)`.
 
 use ab_scenario::paper::{run_agility, run_ping, run_ttcp, Forwarder};
-use active_bridge::switchlets::stp::bpdu as bridge_bpdu;
-use ether::MacAddr;
-use hostsim::apps::active_bridge_types as probe_bpdu;
 
 #[test]
 fn ping_is_deterministic() {
@@ -40,42 +36,6 @@ fn different_seeds_may_differ_but_complete() {
     let b = run_ping(Forwarder::Bridge, 512, 10, 2);
     assert_eq!(a.received, 10);
     assert_eq!(b.received, 10);
-}
-
-#[test]
-fn probe_bpdu_codec_matches_bridge_codec() {
-    // hostsim carries a local copy of the IEEE BPDU encoder (it must not
-    // depend on the system under test); the bytes must be identical.
-    let probe = probe_bpdu::ieee_emit(&probe_bpdu::Bpdu::Config(probe_bpdu::ConfigBpdu {
-        root: probe_bpdu::BridgeId::new(0x8000, MacAddr::local(5)),
-        root_cost: 200,
-        bridge: probe_bpdu::BridgeId::new(0x9000, MacAddr::local(6)),
-        port: 2,
-        message_age: 1,
-        max_age: 20,
-        hello_time: 2,
-        forward_delay: 15,
-        tc: true,
-        tca: false,
-    }));
-    let bridge = bridge_bpdu::ieee::emit(&bridge_bpdu::Bpdu::Config(bridge_bpdu::ConfigBpdu {
-        root: bridge_bpdu::BridgeId::new(0x8000, MacAddr::local(5)),
-        root_cost: 200,
-        bridge: bridge_bpdu::BridgeId::new(0x9000, MacAddr::local(6)),
-        port: 2,
-        message_age: 1,
-        max_age: 20,
-        hello_time: 2,
-        forward_delay: 15,
-        tc: true,
-        tca: false,
-    }));
-    assert_eq!(probe, bridge, "probe and bridge BPDU codecs agree");
-    // And the bridge's parser accepts the probe's bytes.
-    assert!(matches!(
-        bridge_bpdu::ieee::parse(&probe),
-        Some(bridge_bpdu::Bpdu::Config(_))
-    ));
 }
 
 /// Serialize every retained trace entry of one lossy-bridged run into one

@@ -7,9 +7,28 @@
 //! automatically. One test drives them all sequentially (parallel
 //! `cargo run` invocations would only serialize on the target-directory
 //! lock anyway).
+//!
+//! The three that print the paper's Section 7 (Figures 5, 9 and 10, the
+//! §7.3 frame rates, Table 1, §7.5) run in simulated time, so their
+//! stdout is the same on every run and build: it is pinned byte for byte.
 
 use std::path::Path;
 use std::process::Command;
+
+/// `(stdout length, FNV-1a)` of each example that prints the paper's
+/// Section 7. A cell changes only when a printed byte does; the failure
+/// message prints the new table to paste.
+const PAPER_OUTPUT: [(&str, (usize, u64)); 3] = [
+    ("paper_figures", (2407, 0xec0882d263075d95)),
+    ("protocol_upgrade", (3544, 0x7ab95dda6c15bdb6)),
+    ("ring_agility", (516, 0xaf5e269cfa4e7561)),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 #[test]
 fn all_examples_run_cleanly() {
@@ -38,6 +57,7 @@ fn all_examples_run_cleanly() {
     }
 
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let mut paper_output = PAPER_OUTPUT;
     for example in &examples {
         let output = Command::new(&cargo)
             .args(["run", "--quiet", "--example", example])
@@ -51,7 +71,18 @@ fn all_examples_run_cleanly() {
             String::from_utf8_lossy(&output.stdout),
             String::from_utf8_lossy(&output.stderr),
         );
+        if let Some((_, cell)) = paper_output.iter_mut().find(|(name, _)| name == example) {
+            *cell = (output.stdout.len(), fnv1a(&output.stdout));
+        }
     }
+    let table: String = paper_output
+        .iter()
+        .map(|(name, (len, h))| format!("    (\"{name}\", ({len}, {h:#018x})),\n"))
+        .collect();
+    assert_eq!(
+        paper_output, PAPER_OUTPUT,
+        "the paper's Section 7 output changed; new table:\n{table}"
+    );
 }
 
 /// `ab_scenario render` into a file, then `ab_scenario diff` of that file

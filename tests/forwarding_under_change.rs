@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use ab_scenario::{self as scenario, host_ip, host_mac};
-use active_bridge::{BridgeCommand, BridgeConfig, BridgeNode, DataPlaneSel};
+use active_bridge::{BridgeCommand, BridgeConfig, BridgeNode};
 use ether::{EtherType, FrameBuilder, MacAddr};
 use hostsim::{BlastApp, HostConfig, HostCostModel, HostNode};
 use netsim::{CostModel, FrameBuf, Node, PortId, SimDuration, SimTime, World};
@@ -227,34 +227,6 @@ fn port_flag_change_mid_flow_falls_back_to_flooding() {
         lan2_after > 100,
         "stream falls back to flooding the open port (lan2={lan2_after})"
     );
-}
-
-/// The plumbing the kept resolutions rest on, exercised directly: every
-/// class of decision input bumps the decision generation.
-#[test]
-fn generation_bumps_on_every_decision_input() {
-    let mut plane = active_bridge::Plane::new(2, SimDuration::from_secs(300));
-    let mut last = plane.generation();
-    let mut expect_bump = |plane: &active_bridge::Plane, what: &str| {
-        let g = plane.generation();
-        assert!(g > last, "{what} must bump the decision generation");
-        last = g;
-    };
-
-    plane
-        .learn
-        .learn(MacAddr::local(9), PortId(0), SimTime::ZERO);
-    expect_bump(&plane, "learn-table insertion");
-    plane.learn.flush();
-    expect_bump(&plane, "learn-table flush");
-    plane.set_port_forward(1, false);
-    expect_bump(&plane, "port-flag change");
-    plane.set_status("x", active_bridge::SwitchletStatus::Suspended);
-    expect_bump(&plane, "lifecycle transition");
-    plane.set_data_plane(DataPlaneSel::Native("y".into()));
-    expect_bump(&plane, "data-plane selection");
-    plane.bump_generation();
-    expect_bump(&plane, "explicit bump (timer delivery)");
 }
 
 /// §5.3 as written, for obviousness: a sorted map of (port, last seen),
