@@ -15,7 +15,8 @@
 //!   convergence, no duplicate delivery, single spanning-tree root);
 //! * [`sweep`] — batteries of scenarios across many shapes and seeds
 //!   with one aggregated score, in the spirit of `netmeasure2`;
-//! * [`json`] — the deterministic JSON document model reports render to;
+//! * [`json`] — the deterministic JSON writer reports are written
+//!   through, and the document model `analyze` parses them back into;
 //! * [`paper`] — the paper's Section 7 experiments (Figure 5 path,
 //!   Figure 9 ping, Figure 10 ttcp, Table 1 transition, §7.5 agility) as
 //!   runners returning plain result structs.
@@ -61,7 +62,7 @@ pub use exec::{
     default_jobs, parse_jobs, run_jobs, run_jobs_local, run_jobs_local_profiled, JobProfile,
     PoolProfile, WorkerProfile,
 };
-pub use json::Json;
+pub use json::{Json, JsonText};
 pub use quality::{score_report, QualityScore};
 pub use runner::{
     run, run_in, run_recorded, run_traced, InvariantResult, RecoveryReport, Report, Scenario,

@@ -14,7 +14,7 @@
 //! (a ping with no replies) and is skipped where it proves nothing (a
 //! baseline that never ran cannot anchor a degradation ratio).
 
-use crate::json::Json;
+use crate::json::{Json, Writer};
 use crate::runner::{AppReport, Report};
 use crate::sketch::log2_fp;
 use crate::workload::Phase;
@@ -164,17 +164,17 @@ pub fn score_report(report: &Report) -> QualityScore {
 }
 
 impl QualityScore {
-    /// Render as the report's `quality` section.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("latency", Json::opt_u64(self.latency)),
-            ("loss", Json::opt_u64(self.loss)),
-            ("fairness", Json::opt_u64(self.fairness)),
-            ("degradation", Json::opt_u64(self.degradation)),
-            ("overall", Json::opt_u64(self.overall)),
-            ("contended_frames", Json::U64(self.contended_frames)),
-            ("peak_queue", Json::U64(self.peak_queue)),
-        ])
+    /// Write as the report's `quality` section.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("latency").opt_u64(self.latency);
+            w.key("loss").opt_u64(self.loss);
+            w.key("fairness").opt_u64(self.fairness);
+            w.key("degradation").opt_u64(self.degradation);
+            w.key("overall").opt_u64(self.overall);
+            w.key("contended_frames").u64(self.contended_frames);
+            w.key("peak_queue").u64(self.peak_queue);
+        });
     }
 
     /// Rebuild from a report's `quality` section (the offline analyzer
@@ -307,6 +307,7 @@ pub fn sweep_overall(sweep: &Json) -> Result<Option<u64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonText;
     use crate::runner::AppMetrics;
     use crate::sketch::Sketch;
 
@@ -439,7 +440,8 @@ mod tests {
             contended_frames: 412,
             peak_queue: 7,
         };
-        assert_eq!(QualityScore::from_json(&q.to_json()), Some(q));
+        let text = JsonText::write(|w| q.write_json(w));
+        assert_eq!(QualityScore::from_json(&text.tree()), Some(q));
     }
 
     #[test]
@@ -453,38 +455,38 @@ mod tests {
             contended_frames: 3,
             peak_queue: 1,
         };
-        let run = Json::obj(vec![
-            (
-                "scenario",
-                Json::obj(vec![("name", Json::str("line2-pings-s0"))]),
-            ),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("pass", Json::Bool(true)),
-                    ("score_percent", Json::U64(100)),
-                ]),
-            ),
-            ("quality", q.to_json()),
-        ]);
-        // A second, adversarial-style run carrying a security section:
-        // its SEC cell is the evictions+suppressions+trips sum, while
-        // the plain run above renders `-`.
-        let mut secured = run.clone();
-        let Json::Obj(members) = &mut secured else {
-            unreachable!()
+        // Two runs: a plain one, and an adversarial-style one carrying a
+        // security section — its SEC cell is the
+        // evictions+suppressions+trips sum, while the plain run renders
+        // `-`.
+        let run = |w: &mut Writer, name: &str, secured: bool| {
+            w.obj(|w| {
+                w.key("scenario").obj(|w| {
+                    w.key("name").str(name);
+                });
+                w.key("summary").obj(|w| {
+                    w.key("pass").bool(true).key("score_percent").u64(100);
+                });
+                q.write_json(w.key("quality"));
+                if secured {
+                    w.key("security").obj(|w| {
+                        w.key("defended").bool(true);
+                        w.key("learn_evictions").u64(12);
+                        w.key("storm_suppressions").u64(3);
+                        w.key("bpdu_guard_trips").u64(1);
+                    });
+                }
+            });
         };
-        members[0].1 = Json::obj(vec![("name", Json::str("line2-adv-s0"))]);
-        members.push((
-            "security".to_owned(),
-            Json::obj(vec![
-                ("defended", Json::Bool(true)),
-                ("learn_evictions", Json::U64(12)),
-                ("storm_suppressions", Json::U64(3)),
-                ("bpdu_guard_trips", Json::U64(1)),
-            ]),
-        ));
-        let sweep = Json::obj(vec![("runs", Json::Arr(vec![run, secured]))]);
+        let sweep = JsonText::write(|w| {
+            w.obj(|w| {
+                w.key("runs").arr(|w| {
+                    run(w, "line2-pings-s0", false);
+                    run(w, "line2-adv-s0", true);
+                });
+            });
+        })
+        .tree();
         let card = sweep_scorecards(&sweep).expect("well-formed sweep");
         assert!(card.contains("line2-pings-s0"));
         assert!(card.contains("yes"));
@@ -504,6 +506,6 @@ mod tests {
         );
 
         // Malformed documents are errors, not panics.
-        assert!(sweep_scorecards(&Json::obj(vec![])).is_err());
+        assert!(sweep_scorecards(&Json::Obj(Vec::new())).is_err());
     }
 }

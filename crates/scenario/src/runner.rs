@@ -16,8 +16,8 @@
 //! * **single root** — on loopy topologies every bridge agrees who the
 //!   spanning-tree root is.
 //!
-//! Reports render to JSON ([`Report::to_json`]) and are byte-identical
-//! across runs with the same seed.
+//! Reports are written as JSON ([`Report::to_json`]) and are
+//! byte-identical across runs with the same seed.
 
 use active_bridge::{BridgeConfig, BridgeNode, BridgeStats, StormConfig};
 use hostsim::{
@@ -27,8 +27,8 @@ use hostsim::{
 use netsim::{NodeId, PortId, SimDuration, SimTime, World, WorldStats};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
 
-use crate::json::Json;
-use crate::quality;
+use crate::json::{JsonText, Writer};
+use crate::quality::{self, QualityScore};
 use crate::sketch::Sketch;
 use crate::topo::{self, Topology, TopologyShape};
 use crate::workload::{
@@ -167,23 +167,22 @@ impl AppMetrics {
         self.sketch.as_ref().and_then(|s| s.percentile(90))
     }
 
-    /// Render as JSON: summary statistics derived from the buckets, the
+    /// Write as JSON: summary statistics derived from the buckets, the
     /// validity flag, and the sketch itself.
-    pub fn to_json(&self) -> Json {
+    pub fn write_json(&self, w: &mut Writer) {
         let s = self.sketch.as_ref().filter(|_| self.valid);
-        let mut members = vec![
-            ("kind", Json::str(self.kind)),
-            ("valid", Json::Bool(self.valid)),
-            ("avg_ns", Json::opt_u64(s.and_then(|s| s.avg()))),
-            ("p50_ns", Json::opt_u64(s.and_then(|s| s.percentile(50)))),
-            ("p90_ns", Json::opt_u64(s.and_then(|s| s.percentile(90)))),
-            ("p99_ns", Json::opt_u64(s.and_then(|s| s.percentile(99)))),
-            ("delivery_pm", Json::opt_u64(self.delivery_pm)),
-        ];
-        if let Some(sk) = &self.sketch {
-            members.push(("sketch", sk.to_json()));
-        }
-        Json::obj(members)
+        w.obj(|w| {
+            w.key("kind").str(self.kind);
+            w.key("valid").bool(self.valid);
+            w.key("avg_ns").opt_u64(s.and_then(|s| s.avg()));
+            w.key("p50_ns").opt_u64(s.and_then(|s| s.percentile(50)));
+            w.key("p90_ns").opt_u64(s.and_then(|s| s.percentile(90)));
+            w.key("p99_ns").opt_u64(s.and_then(|s| s.percentile(99)));
+            w.key("delivery_pm").opt_u64(self.delivery_pm);
+            if let Some(sk) = &self.sketch {
+                sk.write_json(w.key("sketch"));
+            }
+        });
     }
 }
 
@@ -342,206 +341,169 @@ impl Report {
         counts
     }
 
-    /// Render the report as a JSON document. Deterministic: objects are
-    /// insertion-ordered and every number is an integer.
-    pub fn to_json(&self) -> Json {
-        let mut scenario_members = vec![
-            ("name", Json::str(&self.scenario.name)),
-            ("shape", Json::str(self.scenario.shape.label())),
-            ("battery", Json::str(self.scenario.battery.label())),
-            ("seed", Json::U64(self.scenario.seed)),
-        ];
-        // Present only on defended runs: every pre-existing report
-        // renders the exact same bytes as before the defense plane.
-        if self.scenario.defended {
-            scenario_members.push(("defended", Json::Bool(true)));
-        }
-        scenario_members.extend(vec![
-            ("cyclic", Json::Bool(self.cyclic)),
-            ("segments", Json::U64(self.n_segments as u64)),
-            ("bridges", Json::U64(self.n_bridges as u64)),
-            ("epoch_ns", Json::U64(self.epoch.as_ns())),
-            ("end_ns", Json::U64(self.end.as_ns())),
-        ]);
-        let scenario = Json::obj(scenario_members);
-        let convergence = Json::obj(vec![
-            (
-                "converged_at_ns",
-                Json::opt_u64(self.converged_at.map(|t| t.as_ns())),
-            ),
-            ("stp", Json::Bool(self.cyclic)),
-        ]);
-        let segments = Json::Arr(
-            self.world
-                .segments
-                .iter()
-                .map(|s| {
-                    let c = &s.counters;
-                    let mut members = vec![
-                        ("name", Json::str(&s.name)),
-                        ("tx_frames", Json::U64(c.tx_frames)),
-                        ("tx_bytes", Json::U64(c.tx_bytes)),
-                        ("deliveries", Json::U64(c.deliveries)),
-                        ("contended", Json::U64(c.contended)),
-                        ("peak_queue", Json::U64(c.peak_queue)),
-                        ("queue_drops", Json::U64(c.queue_drops)),
-                        ("fault_drops", Json::U64(c.fault_drops)),
-                        ("corrupted", Json::U64(c.corrupted)),
-                        ("fault_duplicates", Json::U64(c.fault_duplicates)),
-                        ("down_drops", Json::U64(c.down_drops)),
-                    ];
-                    // Present only where the burst model actually fired:
-                    // burst-free reports render the exact same bytes as
-                    // before the Gilbert–Elliott model existed.
-                    if c.burst_drops > 0 {
-                        members.push(("burst_drops", Json::U64(c.burst_drops)));
+    /// The report as a JSON document. Deterministic: members are written
+    /// in a fixed order and every number is an integer.
+    pub fn to_json(&self) -> JsonText {
+        JsonText::write(|w| self.write_json(w))
+    }
+
+    /// Write the report as a JSON object (see [`Report::to_json`]).
+    pub fn write_json(&self, w: &mut Writer) {
+        self.write_scored(w, &quality::score_report(self));
+    }
+
+    /// [`Report::write_json`] with the report's quality score already
+    /// computed (a sweep scores each run once, for its summary too).
+    pub(crate) fn write_scored(&self, w: &mut Writer, quality: &QualityScore) {
+        w.obj(|w| {
+            w.key("scenario").obj(|w| {
+                w.key("name").str(&self.scenario.name);
+                w.key("shape").str(self.scenario.shape.label());
+                w.key("battery").str(self.scenario.battery.label());
+                w.key("seed").u64(self.scenario.seed);
+                // Present only on defended runs: every pre-existing report
+                // renders the exact same bytes as before the defense plane.
+                if self.scenario.defended {
+                    w.key("defended").bool(true);
+                }
+                w.key("cyclic").bool(self.cyclic);
+                w.key("segments").u64(self.n_segments as u64);
+                w.key("bridges").u64(self.n_bridges as u64);
+                w.key("epoch_ns").u64(self.epoch.as_ns());
+                w.key("end_ns").u64(self.end.as_ns());
+            });
+            w.key("convergence").obj(|w| {
+                w.key("converged_at_ns")
+                    .opt_u64(self.converged_at.map(|t| t.as_ns()));
+                w.key("stp").bool(self.cyclic);
+            });
+            w.key("world").obj(|w| {
+                w.key("frames_sent").u64(self.world.frames_sent);
+                w.key("frames_delivered").u64(self.world.frames_delivered);
+                w.key("segments").arr(|w| {
+                    for s in &self.world.segments {
+                        let c = &s.counters;
+                        w.obj(|w| {
+                            w.key("name").str(&s.name);
+                            w.key("tx_frames").u64(c.tx_frames);
+                            w.key("tx_bytes").u64(c.tx_bytes);
+                            w.key("deliveries").u64(c.deliveries);
+                            w.key("contended").u64(c.contended);
+                            w.key("peak_queue").u64(c.peak_queue);
+                            w.key("queue_drops").u64(c.queue_drops);
+                            w.key("fault_drops").u64(c.fault_drops);
+                            w.key("corrupted").u64(c.corrupted);
+                            w.key("fault_duplicates").u64(c.fault_duplicates);
+                            w.key("down_drops").u64(c.down_drops);
+                            // Present only where the burst model actually
+                            // fired: burst-free reports render the exact
+                            // same bytes as before the Gilbert–Elliott
+                            // model existed.
+                            if c.burst_drops > 0 {
+                                w.key("burst_drops").u64(c.burst_drops);
+                            }
+                        });
                     }
-                    Json::obj(members)
-                })
-                .collect(),
-        );
-        let world = Json::obj(vec![
-            ("frames_sent", Json::U64(self.world.frames_sent)),
-            ("frames_delivered", Json::U64(self.world.frames_delivered)),
-            ("segments", segments),
-        ]);
-        let bridges = Json::Arr(
-            self.bridges
-                .iter()
-                .map(|b| {
-                    Json::obj(vec![
-                        ("name", Json::str(&b.name)),
-                        ("root", b.root.as_ref().map_or(Json::Null, Json::str)),
-                        ("blocked_ports", Json::U64(b.blocked_ports)),
-                        (
-                            "counters",
-                            Json::Obj(
-                                b.counters
-                                    .iter()
-                                    .map(|&(k, v)| (k.to_owned(), Json::U64(v)))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let apps = Json::Arr(
-            self.apps
-                .iter()
-                .map(|a| {
-                    let mut members = vec![
-                        ("label", Json::str(a.label)),
-                        ("phase", Json::str(a.phase.label())),
-                        ("from_seg", Json::U64(a.from_seg as u64)),
-                        ("to_seg", Json::U64(a.to_seg as u64)),
-                        ("ok", Json::Bool(a.ok)),
-                    ];
-                    for &(k, v) in &a.detail {
-                        members.push((k, Json::U64(v)));
-                    }
-                    members.push(("metrics", a.metrics.to_json()));
-                    Json::obj(members)
-                })
-                .collect(),
-        );
-        let invariants = Json::Arr(
-            self.invariants
-                .iter()
-                .map(|i| {
-                    Json::obj(vec![
-                        ("name", Json::str(i.name)),
-                        ("verdict", Json::str(i.verdict.label())),
-                        ("detail", Json::str(&i.detail)),
-                    ])
-                })
-                .collect(),
-        );
-        let (passed, failed, waived) = self.verdict_counts();
-        let total = passed + failed;
-        let summary = Json::obj(vec![
-            // `pass` is computed from judged invariants only; waived
-            // ones neither pass nor fail it.
-            ("pass", Json::Bool(self.passed())),
-            ("passed", Json::U64(passed)),
-            ("failed", Json::U64(failed)),
-            ("waived", Json::U64(waived)),
-            (
+                });
+            });
+            w.key("bridges").arr(|w| {
+                for b in &self.bridges {
+                    w.obj(|w| {
+                        w.key("name").str(&b.name);
+                        match &b.root {
+                            Some(root) => w.key("root").str(root),
+                            None => w.key("root").null(),
+                        };
+                        w.key("blocked_ports").u64(b.blocked_ports);
+                        w.key("counters").obj(|w| {
+                            for &(k, v) in &b.counters {
+                                w.key(k).u64(v);
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("apps").arr(|w| {
+                for a in &self.apps {
+                    w.obj(|w| {
+                        w.key("label").str(a.label);
+                        w.key("phase").str(a.phase.label());
+                        w.key("from_seg").u64(a.from_seg as u64);
+                        w.key("to_seg").u64(a.to_seg as u64);
+                        w.key("ok").bool(a.ok);
+                        for &(k, v) in &a.detail {
+                            w.key(k).u64(v);
+                        }
+                        a.metrics.write_json(w.key("metrics"));
+                    });
+                }
+            });
+            w.key("quiet_window").obj(|w| {
+                w.key("tx_frames").u64(self.quiet_tx);
+                w.key("allowed").u64(self.quiet_allowed);
+            });
+            w.key("vm_fuel").u64(self.vm_fuel);
+            // Present only on chaos runs: chaos-free reports render the
+            // exact same bytes as before the recovery section existed.
+            if let Some(r) = &self.recovery {
+                w.key("recovery").obj(|w| {
+                    w.key("last_heal_ns").u64(r.last_heal.as_ns());
+                    w.key("down_drops").u64(r.down_drops);
+                    w.key("crashes").u64(r.crashes);
+                    w.key("time_to_first_delivery_ns")
+                        .opt_u64(r.time_to_first_delivery.map(|d| d.as_ns()));
+                });
+            }
+            // Present only on bursty-loss runs, mirroring `recovery`.
+            if let Some(r) = &self.resilience {
+                w.key("resilience").obj(|w| {
+                    w.key("retries").u64(r.retries);
+                    w.key("restarts").u64(r.restarts);
+                    w.key("rto_ceiling_hits").u64(r.rto_ceiling_hits);
+                    w.key("integrity_rejects").u64(r.integrity_rejects);
+                    w.key("burst_drops").u64(r.burst_drops);
+                    w.key("max_stall_ns")
+                        .opt_u64(r.max_stall.map(|d| d.as_ns()));
+                });
+            }
+            // Present only on adversarial runs, mirroring `resilience`.
+            if let Some(s) = &self.security {
+                w.key("security").obj(|w| {
+                    w.key("defended").bool(s.defended);
+                    w.key("max_learn_occupancy").u64(s.max_learn_occupancy);
+                    w.key("learn_evictions").u64(s.learn_evictions);
+                    w.key("learn_rejects").u64(s.learn_rejects);
+                    w.key("storm_suppressions").u64(s.storm_suppressions);
+                    w.key("storm_releases").u64(s.storm_releases);
+                    w.key("bpdu_guard_trips").u64(s.bpdu_guard_trips);
+                    w.key("rogue_root_seen").bool(s.rogue_root_seen);
+                });
+            }
+            w.key("invariants").arr(|w| {
+                for i in &self.invariants {
+                    w.obj(|w| {
+                        w.key("name").str(i.name);
+                        w.key("verdict").str(i.verdict.label());
+                        w.key("detail").str(&i.detail);
+                    });
+                }
+            });
+            quality.write_json(w.key("quality"));
+            let (passed, failed, waived) = self.verdict_counts();
+            w.key("summary").obj(|w| {
+                // `pass` is computed from judged invariants only; waived
+                // ones neither pass nor fail it.
+                w.key("pass").bool(self.passed());
+                w.key("passed").u64(passed);
+                w.key("failed").u64(failed);
+                w.key("waived").u64(waived);
                 // A run whose invariants were *all* waived has no score:
                 // rendering 100 here (the old `unwrap_or(100)`) made a
                 // fully-waived run look perfect.
-                "score_percent",
-                Json::opt_u64((passed * 100).checked_div(total)),
-            ),
-        ]);
-        let mut members = vec![
-            ("scenario", scenario),
-            ("convergence", convergence),
-            ("world", world),
-            ("bridges", bridges),
-            ("apps", apps),
-            (
-                "quiet_window",
-                Json::obj(vec![
-                    ("tx_frames", Json::U64(self.quiet_tx)),
-                    ("allowed", Json::U64(self.quiet_allowed)),
-                ]),
-            ),
-            ("vm_fuel", Json::U64(self.vm_fuel)),
-        ];
-        // Present only on chaos runs: chaos-free reports render the
-        // exact same bytes as before the recovery section existed.
-        if let Some(r) = &self.recovery {
-            members.push((
-                "recovery",
-                Json::obj(vec![
-                    ("last_heal_ns", Json::U64(r.last_heal.as_ns())),
-                    ("down_drops", Json::U64(r.down_drops)),
-                    ("crashes", Json::U64(r.crashes)),
-                    (
-                        "time_to_first_delivery_ns",
-                        Json::opt_u64(r.time_to_first_delivery.map(|d| d.as_ns())),
-                    ),
-                ]),
-            ));
-        }
-        // Present only on bursty-loss runs, mirroring `recovery`.
-        if let Some(r) = &self.resilience {
-            members.push((
-                "resilience",
-                Json::obj(vec![
-                    ("retries", Json::U64(r.retries)),
-                    ("restarts", Json::U64(r.restarts)),
-                    ("rto_ceiling_hits", Json::U64(r.rto_ceiling_hits)),
-                    ("integrity_rejects", Json::U64(r.integrity_rejects)),
-                    ("burst_drops", Json::U64(r.burst_drops)),
-                    (
-                        "max_stall_ns",
-                        Json::opt_u64(r.max_stall.map(|d| d.as_ns())),
-                    ),
-                ]),
-            ));
-        }
-        // Present only on adversarial runs, mirroring `resilience`.
-        if let Some(s) = &self.security {
-            members.push((
-                "security",
-                Json::obj(vec![
-                    ("defended", Json::Bool(s.defended)),
-                    ("max_learn_occupancy", Json::U64(s.max_learn_occupancy)),
-                    ("learn_evictions", Json::U64(s.learn_evictions)),
-                    ("learn_rejects", Json::U64(s.learn_rejects)),
-                    ("storm_suppressions", Json::U64(s.storm_suppressions)),
-                    ("storm_releases", Json::U64(s.storm_releases)),
-                    ("bpdu_guard_trips", Json::U64(s.bpdu_guard_trips)),
-                    ("rogue_root_seen", Json::Bool(s.rogue_root_seen)),
-                ]),
-            ));
-        }
-        members.push(("invariants", invariants));
-        members.push(("quality", quality::score_report(self).to_json()));
-        members.push(("summary", summary));
-        Json::obj(members)
+                w.key("score_percent")
+                    .opt_u64((passed * 100).checked_div(passed + failed));
+            });
+        });
     }
 }
 

@@ -13,7 +13,7 @@
 //! matter how many samples the flows produced, and two sketches merge
 //! by adding counters (what sweep aggregation does).
 
-use crate::json::Json;
+use crate::json::{Json, Writer};
 
 /// Bucket count: `u64` values have at most 64 distinct bit lengths.
 pub const BUCKETS: usize = 64;
@@ -134,29 +134,28 @@ impl Sketch {
         self.max = self.max.max(other.max);
     }
 
-    /// Render as JSON: summary integers plus the non-empty buckets as
+    /// Write as JSON: summary integers plus the non-empty buckets as
     /// `[bucket_index, count]` pairs in index order (sparse — most of
     /// the 64 buckets are empty for any real flow).
-    pub fn to_json(&self) -> Json {
-        let buckets = Json::Arr(
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(i, &n)| Json::Arr(vec![Json::U64(i as u64), Json::U64(n)]))
-                .collect(),
-        );
-        Json::obj(vec![
-            ("count", Json::U64(self.count)),
-            ("sum", Json::U64(self.sum)),
-            ("min", Json::opt_u64(self.min())),
-            ("max", Json::opt_u64(self.max())),
-            ("buckets", buckets),
-        ])
+    pub fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("count").u64(self.count);
+            w.key("sum").u64(self.sum);
+            w.key("min").opt_u64(self.min());
+            w.key("max").opt_u64(self.max());
+            w.key("buckets").arr(|w| {
+                for (i, &n) in self.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+                    w.arr(|w| {
+                        w.u64(i as u64).u64(n);
+                    });
+                }
+            });
+        });
     }
 
-    /// Rebuild a sketch from its [`Sketch::to_json`] rendering (what the
-    /// offline analyzer does). Returns None on structural mismatch.
+    /// Rebuild a sketch from its [`Sketch::write_json`] text, parsed
+    /// (what the offline analyzer does). Returns None on structural
+    /// mismatch.
     pub fn from_json(json: &Json) -> Option<Sketch> {
         let mut s = Sketch::new();
         s.count = match json.get("count")? {
@@ -211,6 +210,7 @@ pub fn log2_fp(v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonText;
 
     #[test]
     fn records_and_summarizes() {
@@ -266,10 +266,11 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let s = Sketch::from_samples([0, 3, 900, 1_000_000, 123_456_789]);
-        let rebuilt = Sketch::from_json(&s.to_json()).expect("well-formed");
-        assert_eq!(rebuilt, s);
+        let read_back =
+            |s: &Sketch| Sketch::from_json(&JsonText::write(|w| s.write_json(w)).tree());
+        assert_eq!(read_back(&s), Some(s));
         let empty = Sketch::new();
-        assert_eq!(Sketch::from_json(&empty.to_json()), Some(empty));
+        assert_eq!(read_back(&empty), Some(empty));
     }
 
     #[test]

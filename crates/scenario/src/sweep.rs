@@ -6,7 +6,8 @@
 use netsim::{SimDuration, World};
 
 use crate::exec;
-use crate::json::Json;
+use crate::json::{JsonText, Writer};
+use crate::quality::score_report;
 use crate::runner::{self, Report, Scenario};
 use crate::topo::TopologyShape;
 use crate::workload::BatteryKind;
@@ -153,56 +154,49 @@ impl SweepReport {
     }
 
     /// The whole sweep as one JSON document.
-    pub fn to_json(&self) -> Json {
-        let (passed, failed, waived) = self.verdict_counts();
-        let total = passed + failed;
+    pub fn to_json(&self) -> JsonText {
+        JsonText::write(|w| self.write_json(w))
+    }
+
+    /// Write the whole sweep as one JSON object: every run, then the
+    /// summary. Each run is scored once, for its own `quality` section
+    /// and for the summary's.
+    pub fn write_json(&self, w: &mut Writer) {
         // Quality aggregation: the floor mean and minimum of every
         // scored scenario's overall quality.
-        let overalls: Vec<u64> = self
-            .runs
-            .iter()
-            .filter_map(|r| crate::quality::score_report(r).overall)
-            .collect();
-        let quality = Json::obj(vec![
-            ("scenarios_scored", Json::U64(overalls.len() as u64)),
-            (
-                "mean",
-                Json::opt_u64(
-                    overalls
-                        .iter()
-                        .sum::<u64>()
-                        .checked_div(overalls.len() as u64),
-                ),
-            ),
-            ("min", Json::opt_u64(overalls.iter().copied().min())),
-        ]);
-        Json::obj(vec![
-            (
-                "runs",
-                Json::Arr(self.runs.iter().map(Report::to_json).collect()),
-            ),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("scenarios", Json::U64(self.runs.len() as u64)),
-                    (
-                        "scenarios_passed",
-                        Json::U64(self.runs.iter().filter(|r| r.passed()).count() as u64),
-                    ),
-                    ("invariants_passed", Json::U64(passed)),
-                    ("invariants_failed", Json::U64(failed)),
-                    ("invariants_waived", Json::U64(waived)),
-                    (
-                        // `None` — not a perfect 100 — when every judged
-                        // invariant was waived (see `Report::to_json`).
-                        "score_percent",
-                        Json::opt_u64((passed * 100).checked_div(total)),
-                    ),
-                    ("pass", Json::Bool(self.passed())),
-                    ("quality", quality),
-                ]),
-            ),
-        ])
+        let (mut scored, mut sum, mut min) = (0u64, 0u64, None::<u64>);
+        w.obj(|w| {
+            w.key("runs").arr(|w| {
+                for run in &self.runs {
+                    let quality = score_report(run);
+                    if let Some(overall) = quality.overall {
+                        scored += 1;
+                        sum += overall;
+                        min = Some(min.map_or(overall, |m| m.min(overall)));
+                    }
+                    run.write_scored(w, &quality);
+                }
+            });
+            let (passed, failed, waived) = self.verdict_counts();
+            w.key("summary").obj(|w| {
+                w.key("scenarios").u64(self.runs.len() as u64);
+                w.key("scenarios_passed")
+                    .u64(self.runs.iter().filter(|r| r.passed()).count() as u64);
+                w.key("invariants_passed").u64(passed);
+                w.key("invariants_failed").u64(failed);
+                w.key("invariants_waived").u64(waived);
+                // `None` — not a perfect 100 — when every judged
+                // invariant was waived (see `Report::write_json`).
+                w.key("score_percent")
+                    .opt_u64((passed * 100).checked_div(passed + failed));
+                w.key("pass").bool(self.passed());
+                w.key("quality").obj(|w| {
+                    w.key("scenarios_scored").u64(scored);
+                    w.key("mean").opt_u64(sum.checked_div(scored));
+                    w.key("min").opt_u64(min);
+                });
+            });
+        });
     }
 }
 

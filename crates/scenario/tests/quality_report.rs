@@ -7,7 +7,7 @@ use ab_scenario::runner::{self, Scenario, Verdict};
 use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
-use ab_scenario::Json;
+use ab_scenario::{Json, JsonText};
 use netsim::SimDuration;
 
 /// A sweep small enough for debug-mode tests that still covers a
@@ -50,7 +50,7 @@ fn all_waived_report_has_no_score() {
         inv.verdict = Verdict::Waived;
     }
     assert!(report.passed(), "waived invariants must not fail the run");
-    let json = report.to_json();
+    let json = report.to_json().tree();
     assert_eq!(
         get(&json, &["summary", "score_percent"]),
         &Json::Null,
@@ -68,7 +68,7 @@ fn all_waived_report_has_no_score() {
 #[test]
 fn sweep_json_carries_quality_sections() {
     let sweep = run_sweep_jobs(&small_sweep(900), 1);
-    let json = sweep.to_json();
+    let json = sweep.to_json().tree();
     let Json::Arr(runs) = get(&json, &["runs"]) else {
         panic!("runs must be an array");
     };
@@ -77,7 +77,8 @@ fn sweep_json_carries_quality_sections() {
     for run in runs {
         let q = get(run, &["quality"]);
         let parsed = quality::QualityScore::from_json(q).expect("quality section parses");
-        assert_eq!(&parsed.to_json().render(), &q.render());
+        let written = JsonText::write(|w| parsed.write_json(w));
+        assert_eq!(written.as_str(), q.render());
         if let Json::U64(o) = get(q, &["overall"]) {
             overalls.push(*o);
         }

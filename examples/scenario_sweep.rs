@@ -47,7 +47,12 @@ fn main() {
         }
         println!(
             "{}",
-            report.to_json().get("summary").unwrap().render_pretty()
+            report
+                .to_json()
+                .tree()
+                .get("summary")
+                .unwrap()
+                .render_pretty()
         );
     } else {
         print!("{}", report.to_json().render_pretty());

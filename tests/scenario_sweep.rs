@@ -71,7 +71,7 @@ fn report_json_is_consistent() {
         77,
     );
     let report = runner::run(&sc);
-    let json = report.to_json();
+    let json = report.to_json().tree();
     let summary = json.get("summary").expect("summary present");
     let (p, f, w) = report.verdict_counts();
     assert_eq!(summary.get("passed"), Some(&ab_scenario::Json::U64(p)));
