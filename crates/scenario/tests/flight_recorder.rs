@@ -83,6 +83,33 @@ fn timeline_json_is_byte_identical_across_runs_and_jobs() {
     assert!(events > 0, "timeline has no events");
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The armed metro timeline, pinned across commits as `(length, FNV-1a)`:
+/// what `ab_scenario trace metro metro --seed 42` prints. It carries every
+/// probe record in `(time, seq)` order on a topology whose links run at
+/// different speeds, so an event reordering that moves no report counter
+/// still shows here. The test above compares a build with itself; this
+/// one compares it with stored constants.
+#[test]
+fn armed_metro_timeline_matches_the_stored_digest() {
+    let sc = Scenario::new(TopologyShape::metro_small(), BatteryKind::Metro, 42);
+    let (report, _digest, world) = run_recorded(&sc, ProbeConfig::default());
+    let text = timeline::timeline_json(&world, &report).render_pretty();
+    let got = (text.len(), fnv1a(text.as_bytes()));
+    assert_eq!(
+        got,
+        (2_680_634, 0x81b0_39c9_b90e_4544),
+        "metro timeline moved: now ({}, {:#x})",
+        got.0,
+        got.1
+    );
+}
+
 /// Ring capacity is respected end to end: a tiny ring retains the newest
 /// records and reports the evicted count exactly.
 #[test]

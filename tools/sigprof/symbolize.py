@@ -2,6 +2,7 @@
 """symbolize.py [--split-libc] SAMPLES [TOP]: self and inclusive shares per function.
 symbolize.py --allocs RECORDS [TOP]: allocator calls per call site.
 symbolize.py --annotate FUNCTION SAMPLES: one function's self samples per instruction.
+symbolize.py [--split-libc] --callers FUNCTION SAMPLES [TOP]: one function's self samples by caller.
 
 Reads what sigprof.so wrote: `S pc caller caller ...` per sample, then the
 process's /proc/self/maps as `M` lines. PCs inside the sampled executable
@@ -26,6 +27,12 @@ demangled name is exactly FUNCTION (a generic function has one per
 instantiation) with the samples that stopped at each instruction in front
 of it. It needs no frame pointers: only the sampled RIP is used.
 
+--callers takes the samples whose first frame is named FUNCTION exactly (as
+the self table prints it, `[libc.so.6: mem*]` with --split-libc) and groups
+them by their first three caller frames. It needs a frame-pointer build, and
+a frameless leaf such as libc's mem* never pushes a frame: the first caller
+shown for it is its caller's caller.
+
 --allocs reads what alloctrace.so wrote: `A size caller caller ...` per
 allocator call. A call is charged to its first frame that is not the
 allocator's own plumbing (alloc::, core::, hashbrown::, __rust_*): share of
@@ -35,7 +42,7 @@ import bisect, collections, os, re, subprocess, sys
 
 args = [a for a in sys.argv[1:] if not a.startswith("--")]
 flags = {a for a in sys.argv[1:] if a.startswith("--")}
-annotated = args.pop(0) if "--annotate" in flags else None
+function = args.pop(0) if flags & {"--annotate", "--callers"} else None
 rows, maps = [], []
 for line in open(args[0]):
     kind, *rest = line.split()
@@ -135,8 +142,24 @@ def annotate(fn):
                 n = hits.get(int(at.group(1), 16), 0)
                 print("%6s %s" % (n or "", line))
 
+def callers(fn):
+    chains = collections.Counter()
+    for stack in rows:
+        if name(stack[0]) == fn:
+            up = [f for f in (name(pc - 1) for pc in stack[1:]) if f != "[unmapped]"][:3]
+            chains[" <- ".join(up) or "[no caller]"] += 1
+    n = sum(chains.values())
+    print("%s: %d of %d samples, by first three callers" % (fn, n, len(rows)))
+    for chain, k in chains.most_common(top):
+        print("  %5.1f%%  %6d  %s" % (100.0 * k / max(n, 1), k, chain))
+
 try:
-    annotate(annotated) if annotated else call_sites() if "--allocs" in flags else shares()
+    if "--annotate" in flags:
+        annotate(function)
+    elif "--callers" in flags:
+        callers(function)
+    else:
+        call_sites() if "--allocs" in flags else shares()
     sys.stdout.flush()
 except BrokenPipeError:
     # `... | head` has read what it wanted. Point stdout at /dev/null so the
