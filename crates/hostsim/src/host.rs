@@ -175,11 +175,11 @@ impl HostCore {
         build: impl FnOnce(&mut Vec<u8>),
     ) {
         let Some(&dst_mac) = self.arp.get(&dst_ip) else {
-            // Unresolved: build into a parked buffer (cold path).
+            // Unresolved: build into the buffer that is parked (cold path).
             let mut payload = Vec::with_capacity(payload_len);
             build(&mut payload);
             debug_assert_eq!(payload.len(), payload_len, "build wrote a different length");
-            self.send_ip_inner(ctx, port, dst_ip, proto, &payload, false);
+            self.park_behind_arp(ctx, port, dst_ip, proto, payload, false);
             return;
         };
         if netstack::ipv4::HEADER_LEN + payload_len > 1500 {
@@ -246,25 +246,35 @@ impl HostCore {
         fragment: bool,
     ) {
         let Some(&dst_mac) = self.arp.get(&dst_ip) else {
-            // ARP: broadcast a who-has, park the packet (the one place a
-            // payload is copied to the heap — once per unresolved peer,
-            // not per frame).
-            self.arp_waiting.entry(dst_ip).or_default().push((
-                port,
-                proto,
-                payload.to_vec(),
-                fragment,
-            ));
-            let req = ArpPacket::request(self.cfg.macs[port.0], self.cfg.ips[port.0], dst_ip);
-            let frame =
-                FrameBuilder::new(MacAddr::BROADCAST, self.cfg.macs[port.0], EtherType::ARP)
-                    .in_buf(ctx.take_buf(ether::MIN_FRAME))
-                    .payload(&req.emit())
-                    .build();
-            self.send_raw(ctx, port, frame);
+            self.park_behind_arp(ctx, port, dst_ip, proto, payload.to_vec(), fragment);
             return;
         };
         self.emit_ip(ctx, port, dst_mac, dst_ip, proto, payload, fragment);
+    }
+
+    /// Park a packet for an unresolved `dst_ip` and broadcast a who-has
+    /// for it. This is the one place a payload lives on the heap: once per
+    /// parked packet, moved in by the caller, and each parked packet sends
+    /// its own request.
+    fn park_behind_arp(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        port: PortId,
+        dst_ip: Ipv4Addr,
+        proto: Protocol,
+        payload: Vec<u8>,
+        fragment: bool,
+    ) {
+        self.arp_waiting
+            .entry(dst_ip)
+            .or_default()
+            .push((port, proto, payload, fragment));
+        let req = ArpPacket::request(self.cfg.macs[port.0], self.cfg.ips[port.0], dst_ip);
+        let frame = FrameBuilder::new(MacAddr::BROADCAST, self.cfg.macs[port.0], EtherType::ARP)
+            .in_buf(ctx.take_buf(ether::MIN_FRAME))
+            .payload(&req.emit())
+            .build();
+        self.send_raw(ctx, port, frame);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -321,7 +331,7 @@ impl HostCore {
 pub struct HostNode {
     /// The stack.
     pub core: HostCore,
-    apps: Vec<Option<App>>,
+    apps: Vec<App>,
     /// True when some app observes raw frames (the per-frame raw-tap
     /// fan-out is skipped entirely otherwise).
     has_raw_tap: bool,
@@ -351,7 +361,7 @@ impl HostNode {
                 exp_frames_rx: 0,
                 exp_bytes_rx: 0,
             },
-            apps: apps.into_iter().map(Some).collect(),
+            apps,
             has_raw_tap,
             has_tx_done,
         }
@@ -359,7 +369,7 @@ impl HostNode {
 
     /// Application access (results inspection after a run).
     pub fn app(&self, idx: usize) -> &App {
-        self.apps[idx].as_ref().expect("app checked out")
+        &self.apps[idx]
     }
 
     /// Number of applications.
@@ -372,11 +382,8 @@ impl HostNode {
         ctx: &mut Ctx<'_>,
         mut f: impl FnMut(&mut App, &mut HostCore, &mut Ctx<'_>, usize),
     ) {
-        for i in 0..self.apps.len() {
-            if let Some(mut app) = self.apps[i].take() {
-                f(&mut app, &mut self.core, ctx, i);
-                self.apps[i] = Some(app);
-            }
+        for (i, app) in self.apps.iter_mut().enumerate() {
+            f(app, &mut self.core, ctx, i);
         }
     }
 
@@ -622,9 +629,8 @@ impl Node for HostNode {
             KIND_APP => {
                 let app_idx = ((token.0 >> 32) & 0xFF_FFFF) as usize;
                 let user = (token.0 & 0xFFFF_FFFF) as u32;
-                if let Some(mut app) = self.apps.get_mut(app_idx).and_then(Option::take) {
+                if let Some(app) = self.apps.get_mut(app_idx) {
                     app.on_timer(&mut self.core, ctx, app_idx, user);
-                    self.apps[app_idx] = Some(app);
                 }
             }
             k => unreachable!("unknown host timer kind {k}"),
@@ -723,5 +729,73 @@ mod tests {
             let want = declares.then(|| MacAddr::local(n as u32).octets());
             assert_eq!(att.rx_filter, want, "host {n}");
         }
+    }
+
+    /// A payload for a peer with no ARP entry waits behind a who-has,
+    /// whichever entry point sent it: every one arrives, in send order and
+    /// byte for byte, each sends its own request, and none is left parked.
+    #[test]
+    fn payloads_parked_behind_arp_arrive_in_order_from_both_send_paths() {
+        let mut world = World::new(1);
+        let lan = world.add_segment(SegmentConfig {
+            capture: true,
+            ..SegmentConfig::default()
+        });
+        let (a_mac, a_ip) = (MacAddr::local(1), Ipv4Addr::new(10, 1, 0, 1));
+        let (b_mac, b_ip) = (MacAddr::local(2), Ipv4Addr::new(10, 1, 0, 2));
+        let mut host = |name: &str, mac: MacAddr, ip: Ipv4Addr| {
+            let cfg = HostConfig::simple(mac, ip, HostCostModel::FREE);
+            let id = world.add_node(HostNode::new(name, cfg, vec![]));
+            world.attach(id, lan);
+            id
+        };
+        let (a, b) = (host("a", a_mac, a_ip), host("b", b_mac, b_ip));
+        world.run_until(SimTime::from_us(1));
+        // Built, sent, built (odd length), sent, built.
+        let payloads: Vec<Vec<u8>> = [64usize, 200, 333, 1, 1000]
+            .iter()
+            .enumerate()
+            .map(|(n, &len)| (0..len).map(|i| (i * 7 + n * 31) as u8).collect())
+            .collect();
+        world.with_ctx::<HostNode, _>(a, |h, ctx| {
+            for (n, p) in payloads.iter().enumerate() {
+                if n % 2 == 0 {
+                    let fill = |buf: &mut Vec<u8>| buf.extend_from_slice(p);
+                    h.core
+                        .send_ip_built(ctx, PortId(0), b_ip, Protocol::UDP, p.len(), fill);
+                } else {
+                    h.core.send_ip(ctx, PortId(0), b_ip, Protocol::UDP, p);
+                }
+            }
+        });
+        world.run_until(SimTime::from_ms(10));
+
+        let (mut requests, mut delivered) = (0, Vec::new());
+        for c in world
+            .segment(lan)
+            .captured()
+            .iter()
+            .filter(|c| c.src.0 == a)
+        {
+            let frame = Frame::parse(&c.data).expect("a frame A sent parses");
+            match frame.ethertype() {
+                EtherType::ARP => {
+                    let arp = ArpPacket::parse(frame.payload()).expect("A's ARP parses");
+                    assert_eq!((arp.op, arp.tpa), (ArpOp::Request, b_ip));
+                    requests += 1;
+                }
+                EtherType::IPV4 => {
+                    assert_eq!(frame.dst(), b_mac);
+                    let ip = netstack::ipv4::Packet::parse(frame.payload()).expect("IPv4");
+                    delivered.push(ip.payload().to_vec());
+                }
+                _ => panic!("A sent a frame that is neither ARP nor IPv4"),
+            }
+        }
+        assert_eq!(delivered, payloads);
+        assert_eq!(requests, 5, "one who-has per parked packet");
+        // B took the five requests and the five datagrams off the wire.
+        assert_eq!(world.node::<HostNode>(b).core.frames_rx, 10);
+        assert!(world.node::<HostNode>(a).core.arp_waiting.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 /* sigprof.c: an LD_PRELOAD sampling profiler for boxes without `perf`.
  * About every millisecond of process CPU time (ITIMER_PROF; in practice every
- * kernel tick) it records the interrupted RIP and, through the RBP chain, its
- * callers; at exit it writes the samples and /proc/self/maps to $SIGPROF_OUT
+ * kernel tick) it records the interrupted RIP, the word at RSP (a frameless
+ * leaf's return address) and, through the RBP chain, its callers; at exit it writes the samples and /proc/self/maps to $SIGPROF_OUT
  * (default sigprof.out) for symbolize.py. See README.md. x86-64 Linux only;
  * only the main thread's stacks are walked (other threads' samples keep their
  * RIP alone). */
@@ -17,6 +17,7 @@
 
 enum { MAX_SAMPLES = 1 << 18, DEPTH = 24 };
 static uint64_t samples[MAX_SAMPLES][DEPTH]; /* zero-terminated rows; BSS, paged in as used */
+static uint64_t top_words[MAX_SAMPLES];      /* the word at RSP: a frameless leaf's return address */
 static size_t n_samples;
 static uint64_t stack_top, stack_span; /* the main thread's stack ends at top, is at most span long */
 
@@ -29,6 +30,7 @@ static void on_prof(int sig, siginfo_t *info, void *uc_) {
     uint64_t rbp = uc->uc_mcontext.gregs[REG_RBP], rsp = uc->uc_mcontext.gregs[REG_RSP];
     int d = 0;
     row[d++] = uc->uc_mcontext.gregs[REG_RIP];
+    top_words[n] = *(uint64_t *)rsp; /* the interrupted thread's own stack: always mapped */
     /* A frame pointer is believed only while it stays inside the stack and
      * moves up it (without -C force-frame-pointers RBP holds anything, -8
      * included, and the walk ends early). */
@@ -65,7 +67,7 @@ __attribute__((destructor)) static void dump(void) {
     FILE *out = fopen(path ? path : "sigprof.out", "w"), *maps = fopen("/proc/self/maps", "r");
     if (!out) return;
     for (size_t i = 0; i < n_samples && i < MAX_SAMPLES; i++) {
-        fputc('S', out);
+        fprintf(out, "S %lx", top_words[i]);
         for (int d = 0; d < DEPTH && samples[i][d]; d++) fprintf(out, " %lx", samples[i][d]);
         fputc('\n', out);
     }

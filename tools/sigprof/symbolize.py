@@ -4,7 +4,8 @@ symbolize.py --allocs RECORDS [TOP]: allocator calls per call site.
 symbolize.py --annotate FUNCTION SAMPLES: one function's self samples per instruction.
 symbolize.py [--split-libc] --callers FUNCTION SAMPLES [TOP]: one function's self samples by caller.
 
-Reads what sigprof.so wrote: `S pc caller caller ...` per sample, then the
+Reads what sigprof.so wrote: `S word pc caller caller ...` per sample (word:
+the 8 bytes at RSP when the sample was taken), then the
 process's /proc/self/maps as `M` lines. PCs inside the sampled executable
 are named from `nm -C` (so it must still be where it ran); the rest are
 named after their mapping, e.g. [libc.so.6]. A sample counts once towards
@@ -29,9 +30,11 @@ of it. It needs no frame pointers: only the sampled RIP is used.
 
 --callers takes the samples whose first frame is named FUNCTION exactly (as
 the self table prints it, `[libc.so.6: mem*]` with --split-libc) and groups
-them by their first three caller frames. It needs a frame-pointer build, and
-a frameless leaf such as libc's mem* never pushes a frame: the first caller
-shown for it is its caller's caller.
+them by their first three caller frames. It needs a frame-pointer build. A
+frameless leaf such as libc's mem* never pushes a frame, so the RBP chain
+starts at its caller's caller; for a sample in the mem* run (--split-libc)
+whose word at RSP is a PC in the executable's text, that word is the return
+address into the caller and is shown as the first caller.
 
 --allocs reads what alloctrace.so wrote: `A size caller caller ...` per
 allocator call. A call is charged to its first frame that is not the
@@ -43,16 +46,22 @@ import bisect, collections, os, re, subprocess, sys
 args = [a for a in sys.argv[1:] if not a.startswith("--")]
 flags = {a for a in sys.argv[1:] if a.startswith("--")}
 function = args.pop(0) if flags & {"--annotate", "--callers"} else None
-rows, maps = [], []
+rows, words, maps, text = [], [], [], []
 for line in open(args[0]):
     kind, *rest = line.split()
     if kind in "SA":
-        rows.append([int(x, 16 if kind == "S" or i else 10) for i, x in enumerate(rest)])
+        row = [int(x, 16 if kind == "S" or i else 10) for i, x in enumerate(rest)]
+        if kind == "S":
+            words.append(row.pop(0))
+        rows.append(row)
     elif len(rest) >= 6 and rest[5].startswith("/"):
         lo, hi = (int(x, 16) for x in rest[0].split("-"))
         maps.append((lo, hi, int(rest[2], 16), rest[5]))
+        if "x" in rest[1]:
+            text.append((lo, hi, rest[5]))
 top = int(args[1]) if len(args) > 1 else 20
 exe = maps[0][3]
+exe_text = [(lo, hi) for lo, hi, path in text if path == exe]
 base = min(lo - off for lo, _, off, path in maps if path == exe)
 nm = subprocess.run(["nm", "-C", "--defined-only", exe], capture_output=True, text=True).stdout
 syms = sorted((int(a, 16), name) for a, t, name in (l.split(" ", 2) for l in nm.splitlines()) if t in "tTwW")
@@ -144,10 +153,13 @@ def annotate(fn):
 
 def callers(fn):
     chains = collections.Counter()
-    for stack in rows:
+    leaf = fn.endswith(": mem*]")
+    for stack, word in zip(rows, words):
         if name(stack[0]) == fn:
-            up = [f for f in (name(pc - 1) for pc in stack[1:]) if f != "[unmapped]"][:3]
-            chains[" <- ".join(up) or "[no caller]"] += 1
+            up = [f for f in (name(pc - 1) for pc in stack[1:]) if f != "[unmapped]"]
+            if leaf and any(lo <= word < hi for lo, hi in exe_text):
+                up.insert(0, name(word - 1))
+            chains[" <- ".join(up[:3]) or "[no caller]"] += 1
     n = sum(chains.values())
     print("%s: %d of %d samples, by first three callers" % (fn, n, len(rows)))
     for chain, k in chains.most_common(top):
