@@ -143,7 +143,7 @@ pub struct Attachment {
     pub rx_filter: Option<[u8; 6]>,
     /// `rx_filter` as the word [`Attachment::hears`] compares: the
     /// address ([`mac_word`]) or, for a promiscuous port, [`PROMISCUOUS`].
-    /// [`Attachment::set_filter`] writes the two together.
+    /// [`Listeners::set_filter`] writes the two together.
     key: u64,
 }
 
@@ -181,15 +181,11 @@ impl Attachment {
         (self.node, self.port)
     }
 
-    /// Declare what the port listens to (see [`Attachment::rx_filter`]).
-    pub(crate) fn set_filter(&mut self, filter: Option<[u8; 6]>) {
-        self.rx_filter = filter;
-        self.key = filter.map_or(PROMISCUOUS, mac_word);
-    }
-
     /// Would this attachment's node be called for a frame addressed to
-    /// `dst` (see [`rx_dst`])? The one place the filter is tested: three
-    /// integer compares, none of them a branch.
+    /// `dst` (see [`rx_dst`])? Three integer compares, none of them a
+    /// branch: the test of a two-attachment segment's one listener, and
+    /// the definition the listener index of a wider one
+    /// ([`Listeners::called`]) is held to.
     #[inline]
     pub(crate) fn hears(&self, dst: u64) -> bool {
         (self.key == PROMISCUOUS) | (dst == self.key) | (dst == BROADCAST)
@@ -202,6 +198,304 @@ impl Attachment {
 #[inline]
 pub(crate) fn rx_dst(frame: &[u8]) -> u64 {
     frame.first_chunk().map_or(NO_DST, |&mac| mac_word(mac))
+}
+
+/// Which bit of a segment's address summary ([`Listeners`]) stands for
+/// address word `mac`: the top six bits of a product, as [`Stations`]
+/// homes its keys.
+#[inline]
+fn address_bit(mac: u64) -> u64 {
+    1 << (mac.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
+/// One filtered attachment in [`Stations`]: its key ([`Stations::key`])
+/// and the segment and slot it stands for, 16 bytes, so a lookup that
+/// matches reads one cache line. `key == VACANT` marks an empty entry.
+#[derive(Copy, Clone, Debug)]
+struct Entry {
+    key: u64,
+    seg: u32,
+    slot: u32,
+}
+
+/// The key of an empty [`Entry`]: its top bit is set, and no key's is.
+const VACANT: u64 = u64::MAX;
+const EMPTY: Entry = Entry {
+    key: VACANT,
+    seg: 0,
+    slot: 0,
+};
+
+/// Every filtered attachment of a world, found by the address its filter
+/// names: one open-addressed table of [`Entry`]s, linear probing, at most
+/// half full. Attachments that share an address — on one segment or on
+/// several — are separate entries, so a lookup walks its probe sequence
+/// to the first empty entry and reports every one that matches. A key's
+/// home is the top bits of the key times a 64-bit odd constant: station
+/// addresses differ in their high bytes (`02:00` leads every
+/// `MacAddr::local`), and a product's top bits mix all of its input's.
+/// Removal shifts the entries behind the hole back, so no tombstone
+/// lengthens later probes. The world keeps the one table across
+/// [`crate::World::reset`] and sizes it in
+/// [`crate::World::reserve_topology`], so declaring filters allocates
+/// nothing in a world built to a reserved size.
+#[derive(Default)]
+pub(crate) struct Stations {
+    table: Vec<Entry>,
+    /// Occupied entries.
+    len: usize,
+    /// `64 − log2(table.len())`: what a product is shifted right by to
+    /// give a home.
+    shift: u32,
+}
+
+impl Stations {
+    /// The key of address word `mac` on segment `seg`: the address with
+    /// the low 15 bits of the segment number above it.
+    #[inline]
+    fn key(seg: u32, mac: u64) -> u64 {
+        mac | u64::from(seg & 0x7FFF) << 48
+    }
+
+    /// The entry `key` probes from.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Call `found` with the slot of every attachment of `seg` whose
+    /// filter is `mac`, in no particular order. Only called for a segment
+    /// with at least one filtered attachment, so the table is never empty.
+    #[inline]
+    pub(crate) fn find(&self, seg: SegId, mac: u64, mut found: impl FnMut(usize)) {
+        let seg = seg.0 as u32;
+        let key = Stations::key(seg, mac);
+        let mask = self.table.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let entry = self.table[i];
+            if entry.key == key {
+                if entry.seg == seg {
+                    found(entry.slot as usize);
+                }
+            } else if entry.key == VACANT {
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Make room for `stations` entries without growing again.
+    pub(crate) fn reserve(&mut self, stations: usize) {
+        let want = (2 * stations).next_power_of_two();
+        if want > self.table.len() {
+            self.rebuild(want);
+        }
+    }
+
+    /// Forget every entry, keeping the table.
+    pub(crate) fn clear(&mut self) {
+        self.table.fill(EMPTY);
+        self.len = 0;
+    }
+
+    /// Re-home every entry into a table of `cap` (a power of two).
+    fn rebuild(&mut self, cap: usize) {
+        let old = std::mem::replace(&mut self.table, vec![EMPTY; cap]);
+        self.shift = 64 - cap.trailing_zeros();
+        self.len = 0;
+        for entry in old.into_iter().filter(|e| e.key != VACANT) {
+            self.place(entry);
+        }
+    }
+
+    /// File slot `slot` of segment `seg` under address word `mac`.
+    fn insert(&mut self, seg: u32, slot: u32, mac: u64) {
+        if 2 * (self.len + 1) > self.table.len() {
+            self.rebuild((2 * (self.len + 1)).next_power_of_two().max(16));
+        }
+        let key = Stations::key(seg, mac);
+        self.place(Entry { key, seg, slot });
+    }
+
+    /// Write `entry` at the first empty index from its home.
+    fn place(&mut self, entry: Entry) {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(entry.key);
+        while self.table[i].key != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.table[i] = entry;
+        self.len += 1;
+    }
+
+    /// Remove the entry of slot `slot` of segment `seg`, filed under `mac`.
+    fn remove(&mut self, seg: u32, slot: u32, mac: u64) {
+        let key = Stations::key(seg, mac);
+        let mask = self.table.len() - 1;
+        let mut hole = self.home(key);
+        while (
+            self.table[hole].key,
+            self.table[hole].seg,
+            self.table[hole].slot,
+        ) != (key, seg, slot)
+        {
+            hole = (hole + 1) & mask;
+        }
+        // Pull back every entry behind the hole whose home is not between
+        // the hole and where it sits, so each stays reachable from its home.
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let entry = self.table[next];
+            if entry.key == VACANT {
+                break;
+            }
+            let home = self.home(entry.key);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.table[hole] = entry;
+                hole = next;
+            }
+        }
+        self.table[hole] = EMPTY;
+        self.len -= 1;
+    }
+}
+
+/// One segment's part of the listener index.
+#[derive(Default)]
+struct SegmentListeners {
+    /// The promiscuous attachments, a bit per slot: slots 0–63 here, the
+    /// rest in `promiscuous_more`, a word per 64 further slots — so a
+    /// segment of up to 64 attachments keeps its bits without allocating.
+    promiscuous: u64,
+    promiscuous_more: Vec<u64>,
+    /// A summary of the addresses its stations filter for: bit
+    /// [`address_bit`] of each. A destination whose bit is clear is no
+    /// station's here, and [`Stations`] is not asked; zero when no
+    /// attachment filters.
+    addressed: u64,
+}
+
+impl SegmentListeners {
+    fn set_promiscuous(&mut self, slot: usize, on: bool) {
+        let word = match slot / 64 {
+            0 => &mut self.promiscuous,
+            more => {
+                if self.promiscuous_more.len() < more {
+                    self.promiscuous_more.resize(more, 0);
+                }
+                &mut self.promiscuous_more[more - 1]
+            }
+        };
+        let bit = 1 << (slot % 64);
+        *word = if on { *word | bit } else { *word & !bit };
+    }
+}
+
+/// The listener index of a world: for each segment, which attachments
+/// are promiscuous and a summary of its stations' addresses, and for all
+/// of them [`Stations`], every station by address. It answers which
+/// attachments a frame is for ([`Listeners::called`]) without asking
+/// each one; [`crate::World::attach`] and [`crate::Ctx::set_rx_filter`]
+/// keep it current. It lives beside the segments, not in them: every hop
+/// reads most of a [`Segment`], which is six cache lines (384 bytes)
+/// without it.
+#[derive(Default)]
+pub(crate) struct Listeners {
+    /// By segment id.
+    segments: Vec<SegmentListeners>,
+    stations: Stations,
+}
+
+impl Listeners {
+    /// Make room for `segments` segments and a filter per node of
+    /// `nodes`, so a world built to that size never grows the index.
+    pub(crate) fn reserve(&mut self, nodes: usize, segments: usize) {
+        let more = segments.saturating_sub(self.segments.len());
+        self.segments.reserve(more);
+        self.stations.reserve(nodes);
+    }
+
+    /// Forget every segment and station, keeping the tables.
+    pub(crate) fn clear(&mut self) {
+        self.segments.clear();
+        self.stations.clear();
+    }
+
+    /// Index the next segment, with nothing attached.
+    pub(crate) fn add_segment(&mut self) {
+        self.segments.push(SegmentListeners::default());
+    }
+
+    /// A new attachment at `slot` of `seg`: promiscuous until its node
+    /// declares a filter.
+    pub(crate) fn attach(&mut self, seg: SegId, slot: usize) {
+        self.segments[seg.0].set_promiscuous(slot, true);
+    }
+
+    /// Declare what the attachment at `slot` of `attachments` (segment
+    /// `seg`'s) listens to (see [`Attachment::rx_filter`]), and refile it:
+    /// its promiscuous bit and, for a station, its entry in [`Stations`]
+    /// and its bit in the segment's address summary.
+    pub(crate) fn set_filter(
+        &mut self,
+        seg: SegId,
+        attachments: &mut [Attachment],
+        slot: usize,
+        filter: Option<[u8; 6]>,
+    ) {
+        let att = &mut attachments[slot];
+        if att.rx_filter == filter {
+            return;
+        }
+        let old = att.key;
+        att.rx_filter = filter;
+        att.key = filter.map_or(PROMISCUOUS, mac_word);
+        let key = att.key;
+        let index = &mut self.segments[seg.0];
+        if old != PROMISCUOUS {
+            self.stations.remove(seg.0 as u32, slot as u32, old);
+            index.addressed = attachments
+                .iter()
+                .filter(|att| att.key != PROMISCUOUS)
+                .fold(0, |bits, att| bits | address_bit(att.key));
+        }
+        if key != PROMISCUOUS {
+            self.stations.insert(seg.0 as u32, slot as u32, key);
+            index.addressed |= address_bit(key);
+        }
+        index.set_promiscuous(slot, key == PROMISCUOUS);
+    }
+
+    /// Which attachments of `seg` a frame addressed to `dst` is for — the
+    /// promiscuous ones and the stations whose filter is `dst`, or all of
+    /// them for broadcast — a bit per slot, OR-ed into `called[word][1]`
+    /// for the slots `called` has words for (one per 64; bits past the
+    /// frame's listeners are the caller's to mask off). The set
+    /// [`Attachment::hears`] selects, found by address instead of by
+    /// asking every attachment.
+    #[inline]
+    pub(crate) fn called(&self, seg: SegId, dst: u64, called: &mut [[u64; 2]]) {
+        if dst == BROADCAST {
+            for word in called.iter_mut() {
+                word[1] = u64::MAX;
+            }
+            return;
+        }
+        let index = &self.segments[seg.0];
+        called[0][1] |= index.promiscuous;
+        for (word, &bits) in called[1..].iter_mut().zip(&index.promiscuous_more) {
+            word[1] |= bits;
+        }
+        if index.addressed & address_bit(dst) != 0 {
+            self.stations.find(seg, dst, |slot| {
+                if let Some(word) = called.get_mut(slot / 64) {
+                    word[1] |= 1 << (slot % 64);
+                }
+            });
+        }
+    }
 }
 
 /// A frame offered to a segment and not yet delivered: the one in flight
@@ -409,6 +703,47 @@ mod tests {
         });
         // (1500 + 24) * 8 / 100e6 = 121.92 us
         assert_eq!(seg.serialization_time(1500).as_ns(), 121_920);
+    }
+
+    /// The station index against a list of `(segment, slot, address)`:
+    /// filings and removals in a random order, few addresses, so that
+    /// entries share keys and probe runs, and segments 32 768 apart, whose
+    /// keys are equal. Every lookup reports exactly the list's matches.
+    #[test]
+    fn stations_match_a_list_through_filings_and_removals() {
+        let mut rng = crate::Xoshiro::seed_from_u64(7);
+        let mut index = Stations::default();
+        let mut model: Vec<(u32, u32, u64)> = Vec::new();
+        let segs = [0, 1, 32_768, 32_769];
+        for step in 0..4_000 {
+            if model.is_empty() || rng.range(5) < 3 {
+                let seg = segs[rng.range(4) as usize];
+                let slot = step;
+                let mac = mac_word([2, 0, 0, 0, 0, rng.range(12) as u8]);
+                index.insert(seg, slot, mac);
+                model.push((seg, slot, mac));
+            } else {
+                let (seg, slot, mac) = model.swap_remove(rng.range(model.len() as u64) as usize);
+                index.remove(seg, slot, mac);
+            }
+            assert_eq!(index.len, model.len());
+            let seg = segs[rng.range(4) as usize];
+            let mac = mac_word([2, 0, 0, 0, 0, rng.range(13) as u8]);
+            let mut found = Vec::new();
+            index.find(SegId(seg as usize), mac, |slot| found.push(slot as u32));
+            found.sort_unstable();
+            let mut want: Vec<u32> = model
+                .iter()
+                .filter(|&&(s, _, m)| (s, m) == (seg, mac))
+                .map(|&(_, slot, _)| slot)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(found, want, "step {step}");
+        }
+        index.clear();
+        let mut found = 0;
+        index.find(SegId(0), mac_word([2, 0, 0, 0, 0, 1]), |_| found += 1);
+        assert_eq!((index.len, found), (0, 0));
     }
 
     #[test]

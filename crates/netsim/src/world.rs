@@ -16,7 +16,7 @@ use crate::fault::FaultOutcome;
 use crate::node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 use crate::probe::{Probe, ProbeRecord};
 use crate::rng::Xoshiro;
-use crate::segment::{rx_dst, Attachment, CapturedFrame, SegId, Segment, SegmentConfig};
+use crate::segment::{rx_dst, Attachment, CapturedFrame, Listeners, SegId, Segment, SegmentConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Counters, Trace};
 
@@ -54,6 +54,10 @@ pub struct WorldCore {
     /// the delivery path never allocates): per 64 attachments, who hears
     /// the frame and whose node is called for it, a bit each.
     deliver_scratch: Vec<[u64; 2]>,
+    /// Who each segment's frames are for, by address (see
+    /// [`Listeners`]). Its tables are kept across resets, like the
+    /// scratch.
+    listeners: Listeners,
     /// Recycled frame storage, each entry whole (bytes and refcount
     /// header): builders take from here ([`Ctx::take_buf`]) and dead
     /// frames return here ([`Ctx::recycle_frame`]), so steady-state
@@ -264,7 +268,10 @@ impl<'w> Ctx<'w> {
     /// not exist.
     pub fn set_rx_filter(&mut self, port: PortId, filter: Option<[u8; 6]>) {
         let (seg, slot) = self.core.node_ports[self.node.0][port.0];
-        self.core.segments[seg.0].attachments[slot as usize].set_filter(filter);
+        let attachments = &mut self.core.segments[seg.0].attachments;
+        self.core
+            .listeners
+            .set_filter(seg, attachments, slot as usize, filter);
     }
 
     /// Transmit a frame out of `port`. The frame contends for the segment's
@@ -453,6 +460,7 @@ impl World {
                 crashed: Vec::new(),
                 crashed_count: 0,
                 deliver_scratch: Vec::new(),
+                listeners: Listeners::default(),
                 frame_pool: Vec::new(),
             },
             nodes: Vec::new(),
@@ -464,8 +472,8 @@ impl World {
     /// Rewind this world to the state `World::new(seed)` produces while
     /// **keeping its expensive allocations**: the event queue's heap,
     /// payload slab, completion ring and now-lane, the frame pool, the
-    /// delivery scratch, and the capacity of the node and segment
-    /// tables. Sweep harnesses
+    /// delivery scratch, the listener index's tables, and the capacity of
+    /// the node and segment tables. Sweep harnesses
     /// run many `(topology, workload, seed)` worlds back to back in one
     /// worker; resetting instead of reconstructing means the steady
     /// state stops paying construction allocations per scenario.
@@ -497,16 +505,20 @@ impl World {
         // `segments` above.)
         self.core.crashed.clear();
         self.core.crashed_count = 0;
-        // `deliver_scratch` and `frame_pool` survive deliberately: they
-        // are pure caches, invisible to simulation behavior.
+        // The listener index empties with the segments it indexes,
+        // keeping its tables. `deliver_scratch` and `frame_pool` survive
+        // deliberately: they are pure caches, invisible to simulation
+        // behavior.
+        self.core.listeners.clear();
         self.nodes.clear();
         self.started = 0;
         self.service_queues = 0;
     }
 
-    /// Size the node and segment tables for a topology about to be built
-    /// (`nodes` total nodes, `segments` total segments), so construction
-    /// of a large world never reallocates them incrementally.
+    /// Size the node and segment tables and the listener index for a
+    /// topology about to be built (`nodes` total nodes, `segments` total
+    /// segments; the index takes a filter per node), so construction of a
+    /// large world never reallocates them incrementally.
     pub fn reserve_topology(&mut self, nodes: usize, segments: usize) {
         self.nodes.reserve(nodes.saturating_sub(self.nodes.len()));
         let want = |len: usize| nodes.saturating_sub(len);
@@ -519,12 +531,14 @@ impl World {
         self.core
             .segments
             .reserve(segments.saturating_sub(self.core.segments.len()));
+        self.core.listeners.reserve(nodes, segments);
     }
 
     /// Add a LAN segment.
     pub fn add_segment(&mut self, cfg: SegmentConfig) -> SegId {
         let id = SegId(narrow_id(self.core.segments.len(), "segments"));
         self.core.segments.push(Segment::new(cfg));
+        self.core.listeners.add_segment();
         id
     }
 
@@ -545,8 +559,10 @@ impl World {
         let ports = &mut self.core.node_ports[node.0];
         let port = PortId(ports.len());
         let attachments = &mut self.core.segments[seg.0].attachments;
-        ports.push((seg, narrow_id(attachments.len(), "attachments") as u32));
+        let slot = attachments.len();
+        ports.push((seg, narrow_id(slot, "attachments") as u32));
         attachments.push(Attachment::new(node, port));
+        self.core.listeners.attach(seg, slot);
         port
     }
 
@@ -698,7 +714,10 @@ impl World {
     /// receive filter rejects the frame is counted and probe-recorded like
     /// any other — at its place in attachment order — but its node is not
     /// called. Listeners are chosen as bit masks in a scratch buffer
-    /// reused across events, so fan-out allocates nothing and the calling
+    /// reused across events — who hears the frame from the attachment
+    /// count, who is called from the listener index
+    /// ([`Listeners::called`]) — so fan-out allocates nothing, no
+    /// attachment is asked whether the frame is for it, and the calling
     /// loop visits only the attachments it has something to do for.
     fn deliver_all(&mut self, seg: SegId, sender: usize, n_att: usize, frame: FrameBuf) {
         let any_crashed = self.core.crashed_count != 0;
@@ -730,13 +749,10 @@ impl World {
         }
         // Who hears the frame — every one of the first `n_att` attachments
         // but the sender and the crashed (never counted as delivered) —
-        // and which of them are called for it, their filter letting it
-        // through: one bit each, settled before anyone is called.
+        // and which of them are called for it, the listener index naming
+        // them by address: one bit each, settled before anyone is called.
         let mut masks = std::mem::take(&mut self.core.deliver_scratch);
         masks.clear();
-        masks.reserve(n_att.div_ceil(64));
-        let dst = rx_dst(&frame);
-        let (mut n_heard, mut n_called) = (0, 0);
         let chunks = self.core.segments[seg.0].attachments[..n_att].chunks(64);
         for (word, chunk) in chunks.enumerate() {
             let mut heard = u64::MAX >> (64 - chunk.len());
@@ -748,15 +764,14 @@ impl World {
                     heard &= !(u64::from(self.core.crashed[att.node.0]) << bit);
                 }
             }
-            // Last attachment first, so the mask grows by a shift of one.
-            let mut called = 0;
-            for att in chunk.iter().rev() {
-                called = called << 1 | u64::from(att.hears(dst));
-            }
-            called &= heard;
+            masks.push([heard, 0]);
+        }
+        self.core.listeners.called(seg, rx_dst(&frame), &mut masks);
+        let (mut n_heard, mut n_called) = (0, 0);
+        for [heard, called] in &mut masks {
+            *called &= *heard;
             n_heard += u64::from(heard.count_ones());
             n_called += called.count_ones();
-            masks.push([heard, called]);
         }
         self.core.frames_delivered += n_heard;
         // The *last* called listener receives the event's own handle
@@ -2003,6 +2018,26 @@ mod tests {
         assert_eq!(w.frames_delivered(), 69 + 67);
         assert_eq!(heard(&w, nodes[66]), 1);
         assert_eq!(heard(&w, nodes[69]), 2);
+    }
+
+    /// The two delivery counts disagree about a crashed listener:
+    /// `frames_delivered` leaves it out, while the segment's `deliveries`,
+    /// committed as `n_att − 1` per wire frame before anyone is chosen,
+    /// counts it. Reports carry `deliveries`, so this pins the behaviour
+    /// as it is rather than choosing one.
+    #[test]
+    fn a_crashed_listener_counts_on_the_segment_but_not_in_the_world() {
+        let mut w = World::new(1);
+        let (lan, [promisc, a, sender, b]) = filtered_lan(&mut w);
+        w.crash_node(b);
+        send_from(&mut w, sender, frame_to(MAC_B));
+        assert_eq!([heard(&w, promisc), heard(&w, a), heard(&w, b)], [1, 0, 0]);
+        assert_eq!(w.frames_delivered(), 2, "A and the promiscuous station");
+        assert_eq!(
+            w.segment(lan).counters().deliveries,
+            3,
+            "every attachment but the sender, B included"
+        );
     }
 
     #[test]

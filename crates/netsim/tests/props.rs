@@ -161,3 +161,193 @@ proptest! {
         }
     }
 }
+
+/// A station for the listener-choice model: counts the frames it is
+/// called with and, holding a `refile` address, moves its filter there
+/// from inside the first call (which must apply from the next frame on).
+#[derive(Default)]
+struct Listener {
+    calls: u32,
+    refile: Option<[u8; 6]>,
+}
+
+impl Node for Listener {
+    fn name(&self) -> &str {
+        "listener"
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, _: FrameBuf) {
+        self.calls += 1;
+        if let Some(mac) = self.refile.take() {
+            ctx.set_rx_filter(port, Some(mac));
+        }
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// The receive-filter rule as `Ctx::set_rx_filter` states it, written
+/// from the public filter: a promiscuous port is called for every frame,
+/// a station for frames of six bytes or more addressed to it or to
+/// broadcast. `Attachment::hears` is this rule on words.
+fn hears(filter: Option<[u8; 6]>, frame: &[u8]) -> bool {
+    match (filter, frame.first_chunk::<6>()) {
+        (None, _) => true,
+        (Some(_), None) => false,
+        (Some(mac), Some(&dst)) => dst == mac || dst == [0xFF; 6],
+    }
+}
+
+/// What the listener-choice model draws from: a fresh station address
+/// per unique filter, and a pool of four that filters share.
+struct Draws {
+    rng: Xoshiro,
+    unique: u16,
+}
+
+impl Draws {
+    fn below(&mut self, bound: usize) -> usize {
+        self.rng.range(bound as u64) as usize
+    }
+
+    /// Promiscuous, a station address of its own, one of the four shared
+    /// ones, or broadcast.
+    fn filter(&mut self) -> Option<[u8; 6]> {
+        match self.below(8) {
+            0 | 1 => None,
+            2..=4 => {
+                self.unique += 1;
+                let [hi, lo] = self.unique.to_be_bytes();
+                Some([2, 0, 0, 1, hi, lo])
+            }
+            5 | 6 => Some([2, 0, 0, 2, 0, self.below(4) as u8]),
+            _ => Some([0xFF; 6]),
+        }
+    }
+
+    /// A frame addressed to a station of `filters`, to nobody, to a group,
+    /// to broadcast, or too short to carry an address (0–5 bytes, a prefix
+    /// of an address).
+    fn frame(&mut self, filters: &[Option<[u8; 6]>]) -> Vec<u8> {
+        let owned = filters.iter().flatten().copied().collect::<Vec<_>>();
+        let dst = match self.below(6) {
+            0 | 1 if !owned.is_empty() => owned[self.below(owned.len())],
+            0..=2 => [2, 0, 0, 3, 0, self.below(256) as u8],
+            3 => [1, 0, 0x5E, 0, 0, self.below(256) as u8],
+            4 => [0xFF; 6],
+            _ => {
+                let mac = owned.first().copied().unwrap_or([0xFF; 6]);
+                return mac[..self.below(6)].to_vec();
+            }
+        };
+        let mut frame = dst.to_vec();
+        frame.resize(6 + self.below(64), 0x5A);
+        frame
+    }
+}
+
+/// Add a listener to `lan` with `filter` declared.
+fn add_listener(world: &mut World, lan: netsim::SegId, filter: Option<[u8; 6]>) -> netsim::NodeId {
+    let node = world.add_node(Listener::default());
+    world.attach(node, lan);
+    refilter(world, node, filter);
+    node
+}
+
+fn refilter(world: &mut World, node: netsim::NodeId, filter: Option<[u8; 6]>) {
+    world.with_ctx::<Listener, _>(node, |_, ctx| ctx.set_rx_filter(PortId(0), filter));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Listener choice against its definition. A LAN of 3–130 stations
+    /// (one, two or three words of listener bits) carries frames to
+    /// stations, to nobody, to groups, to broadcast and of 0–5 bytes, each
+    /// from any slot; between frames filters change, nodes crash and
+    /// restart, and some stations move their filter from inside
+    /// `on_frame`; while a frame is on the wire filters change and
+    /// stations attach, whose slots are past the frame's attachment count.
+    /// The nodes called for each frame are exactly the first `n_att`
+    /// attachments, less the sender and the crashed, that `hears` the
+    /// frame under the filters in force at delivery, and `frames_delivered`
+    /// grows by those attachments, called or not. Catches, each planted
+    /// alone: a promiscuous bit left set when a station declares its
+    /// filter, and listeners chosen from every attachment rather than the
+    /// first `n_att` (a station attached mid-frame, addressed as the frame
+    /// is, gets called).
+    #[test]
+    fn listeners_are_those_a_filter_scan_selects(n in 3usize..=130, seed in any::<u64>()) {
+        let mut draws = Draws { rng: Xoshiro::seed_from_u64(seed), unique: 0 };
+        let mut world = World::new(seed);
+        let lan = world.add_segment(SegmentConfig::default());
+        let mut nodes: Vec<_> = (0..n).map(|_| {
+            let filter = draws.filter();
+            add_listener(&mut world, lan, filter)
+        }).collect();
+        world.run_until(SimTime::from_us(1));
+        for _ in 0..16 {
+            for _ in 0..draws.below(4) {
+                let (node, filter) = (nodes[draws.below(nodes.len())], draws.filter());
+                refilter(&mut world, node, filter);
+            }
+            match draws.below(6) {
+                0 => world.crash_node(nodes[draws.below(nodes.len())]),
+                1 => world.restart_node(nodes[draws.below(nodes.len())]),
+                2 => {
+                    let node = nodes[draws.below(nodes.len())];
+                    let refile = draws.filter().unwrap_or([0xFF; 6]);
+                    world.node_mut::<Listener>(node).refile = Some(refile);
+                }
+                _ => {}
+            }
+            let n_att = nodes.len();
+            let filters = |world: &World| -> Vec<Option<[u8; 6]>> {
+                world.segment(lan).attachments().iter().map(|att| att.rx_filter).collect()
+            };
+            let frame = draws.frame(&filters(&world));
+            let sender = nodes[draws.below(n_att)];
+            let calls = |world: &World, nodes: &[_]| -> Vec<u32> {
+                nodes.iter().map(|&node| world.node::<Listener>(node).calls).collect()
+            };
+            let (calls_before, delivered_before) = (calls(&world, &nodes), world.frames_delivered());
+            let on_wire = FrameBuf::from(frame.clone());
+            world.with_ctx::<Listener, _>(sender, |_, ctx| ctx.send(PortId(0), on_wire));
+            world.run_for(SimDuration::from_ns(1));
+            if draws.below(3) == 0 {
+                for _ in 0..=draws.below(2) {
+                    let (node, filter) = (nodes[draws.below(n_att)], draws.filter());
+                    refilter(&mut world, node, filter);
+                }
+            }
+            if draws.below(4) == 0 {
+                for _ in 0..=draws.below(3) {
+                    // Half of them addressed exactly as the frame is.
+                    let filter = match frame.first_chunk::<6>() {
+                        Some(&dst) if draws.below(2) == 0 => Some(dst),
+                        _ => draws.filter(),
+                    };
+                    nodes.push(add_listener(&mut world, lan, filter));
+                }
+            }
+            let in_force = filters(&world);
+            let expected: Vec<usize> = (0..n_att)
+                .filter(|&i| nodes[i] != sender && !world.is_crashed(nodes[i]))
+                .filter(|&i| hears(in_force[i], &frame))
+                .collect();
+            let heard = (0..n_att)
+                .filter(|&i| nodes[i] != sender && !world.is_crashed(nodes[i]))
+                .count() as u64;
+            world.run_for(SimDuration::from_ms(1));
+            let after = calls(&world, &nodes);
+            let called: Vec<usize> = (0..nodes.len())
+                .filter(|&i| after[i] != calls_before.get(i).copied().unwrap_or(0))
+                .collect();
+            prop_assert_eq!(called, expected, "frame {:02x?}", frame);
+            prop_assert_eq!(world.frames_delivered() - delivered_before, heard);
+        }
+    }
+}

@@ -110,6 +110,87 @@ fn armed_metro_timeline_matches_the_stored_digest() {
     );
 }
 
+/// ROADMAP item 12's fourth rule, restricted to a fault-free run: every
+/// frame that leaves the wire is delivered once to each attachment of its
+/// segment but the sender. On the armed `metro_small` × `Metro` run at
+/// seed 42 (the timeline above) — no record dropped, and no fault, crash
+/// or link record in it — each `WireTx { seg, src, .. }` is followed,
+/// before the segment's next `WireTx`, by exactly `attachments(seg) − 1`
+/// `Deliver { seg, .. }` records, one per attachment but `src`, each
+/// stamped at or after the `WireTx`. Filtered stations are not called for
+/// most of these frames; they are delivered to all the same.
+#[test]
+fn armed_metro_run_delivers_every_wire_frame_to_each_other_attachment() {
+    use netsim::{NodeId, PortId, SegId, SimTime};
+    use std::collections::{BTreeSet, HashMap};
+
+    let sc = Scenario::new(TopologyShape::metro_small(), BatteryKind::Metro, 42);
+    let (_report, _digest, world) = run_recorded(&sc, ProbeConfig::default());
+    let probe = world.probe();
+    assert_eq!(probe.dropped(), 0, "an incomplete recording proves nothing");
+
+    /// The frame a segment last put on the wire: when, from whom, and who
+    /// it has been delivered to since.
+    struct OnWire {
+        at: SimTime,
+        src: (NodeId, PortId),
+        to: BTreeSet<(NodeId, PortId)>,
+    }
+    let mut open: HashMap<SegId, OnWire> = HashMap::new();
+    let mut checked = 0;
+    let mut close = |seg: SegId, frame: OnWire| {
+        let mut others: BTreeSet<_> = world
+            .segment(seg)
+            .attachments()
+            .iter()
+            .map(|a| (a.node, a.port))
+            .collect();
+        others.remove(&frame.src);
+        assert_eq!(
+            frame.to, others,
+            "{seg}: the frame sent at {} by {:?}",
+            frame.at, frame.src
+        );
+        checked += 1;
+    };
+    for event in probe.records() {
+        match event.record {
+            ProbeRecord::WireTx { seg, src, .. } => {
+                let frame = OnWire {
+                    at: event.at,
+                    src,
+                    to: BTreeSet::new(),
+                };
+                if let Some(done) = open.insert(seg, frame) {
+                    close(seg, done);
+                }
+            }
+            ProbeRecord::Deliver { seg, dst, .. } => {
+                let frame = open.get_mut(&seg).expect("a delivery follows its WireTx");
+                assert!(
+                    event.at >= frame.at,
+                    "{seg}: delivered before it left the wire"
+                );
+                assert_ne!(dst, frame.src, "{seg}: delivered to its sender");
+                assert!(frame.to.insert(dst), "{seg}: delivered twice to {dst:?}");
+            }
+            ProbeRecord::FaultDrop { .. }
+            | ProbeRecord::FaultCorrupt { .. }
+            | ProbeRecord::FaultDuplicate { .. }
+            | ProbeRecord::FaultBurst { .. }
+            | ProbeRecord::NodeCrash { .. }
+            | ProbeRecord::NodeRestart { .. }
+            | ProbeRecord::LinkDown { .. }
+            | ProbeRecord::LinkUp { .. } => panic!("not a fault-free run: {:?}", event.record),
+            _ => {}
+        }
+    }
+    for (seg, frame) in open {
+        close(seg, frame);
+    }
+    assert!(checked > 1_000, "only {checked} wire frames");
+}
+
 /// Ring capacity is respected end to end: a tiny ring retains the newest
 /// records and reports the evicted count exactly.
 #[test]
