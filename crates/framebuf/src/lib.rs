@@ -8,15 +8,22 @@
 //! on a segment and handing it to a switchlet as its `str` argument are
 //! refcount bumps on the same allocation. The contract:
 //!
-//! * **A 24-byte view.** A handle is its storage plus a 32-bit offset and
-//!   length into it, so `len`, deref, `clone`, drop and
-//!   [`FrameBuf::slice`] are field work inline in the calling crate, and
-//!   `switchlet::Value` stays four words. A buffer holds at most 4 GiB.
+//! * **Two words.** A handle is its storage and one word holding a 32-bit
+//!   offset (low half) and a 32-bit length (high half) into it. A struct
+//!   of two scalars is a scalar pair, which rustc passes and returns in
+//!   two registers: a frame handed on by value (`Ctx::send`,
+//!   `Node::on_frame`, a VM argument) moves without a stack copy read
+//!   back wider than it was written. `len`, deref, `clone`, drop and
+//!   [`FrameBuf::slice`] are field work inline in the calling crate. The
+//!   storage pointer is never null, so `Option<FrameBuf>` is two words
+//!   too, and `switchlet::Value` stays four. A buffer holds at most
+//!   4 GiB.
 //! * **A non-atomic `Rc`.** The simulator is single-threaded; a handle is
 //!   neither `Send` nor `Sync`.
-//! * **A `Static` arm.** [`FrameBuf::from_static`] wraps a `&'static [u8]`
-//!   without allocating. A static view is never unique and never
-//!   reclaimed.
+//! * **One kind of storage.** [`FrameBuf::from_static`] copies its bytes
+//!   into an ordinary shared buffer, so every handle is unique exactly
+//!   when it is the only one on its storage, and reclaimable like any
+//!   other.
 //! * **Whole-storage reclaim.** [`FrameBuf::try_into_mut`] turns the sole
 //!   view of a whole shared buffer back into a [`FrameBufMut`] that keeps
 //!   the refcount header beside the vector, and [`FrameBufMut::freeze`]
@@ -43,40 +50,40 @@ use std::rc::Rc;
 /// holders.
 #[derive(Clone)]
 pub struct FrameBuf {
-    store: Store,
-    off: u32,
-    len: u32,
+    /// The `Vec` the caller built, wrapped as-is: freezing is zero-copy.
+    store: Rc<Vec<u8>>,
+    /// `off | len << 32`.
+    span: u64,
 }
 
-#[derive(Clone)]
-enum Store {
-    Static(&'static [u8]),
-    /// The `Vec` the caller built, wrapped as-is: freezing is zero-copy.
-    Shared(Rc<Vec<u8>>),
+/// The `span` of the view `off..off + len`.
+#[inline]
+fn span(off: usize, len: usize) -> u64 {
+    off as u64 | (len as u64) << 32
 }
 
 impl FrameBuf {
-    /// Wrap a static slice without copying.
+    /// Copy a static slice into a fresh shared buffer.
     #[inline]
-    pub const fn from_static(bytes: &'static [u8]) -> Self {
-        assert!(bytes.len() <= u32::MAX as usize);
-        FrameBuf {
-            store: Store::Static(bytes),
-            off: 0,
-            len: bytes.len() as u32,
-        }
+    pub fn from_static(bytes: &'static [u8]) -> Self {
+        FrameBuf::from(bytes.to_vec())
     }
 
     /// Length in octets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len as usize
+        (self.span >> 32) as usize
     }
 
     /// True if the view is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    #[inline]
+    fn off(&self) -> usize {
+        self.span as u32 as usize
     }
 
     /// A zero-copy view of a subrange, sharing this buffer's storage —
@@ -84,36 +91,34 @@ impl FrameBuf {
     #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> FrameBuf {
         let start = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
+            Bound::Included(&n) => Some(n),
+            Bound::Excluded(&n) => n.checked_add(1),
+            Bound::Unbounded => Some(0),
         };
         let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
+            Bound::Included(&n) => n.checked_add(1),
+            Bound::Excluded(&n) => Some(n),
+            Bound::Unbounded => Some(self.len()),
         };
-        assert!(
-            start <= end && end <= self.len(),
-            "slice {start}..{end} out of bounds for FrameBuf of length {}",
-            self.len()
-        );
-        FrameBuf {
-            store: self.store.clone(),
-            off: self.off + start as u32,
-            len: (end - start) as u32,
+        match (start, end) {
+            (Some(start), Some(end)) if start <= end && end <= self.len() => FrameBuf {
+                store: self.store.clone(),
+                span: span(self.off() + start, end - start),
+            },
+            _ => out_of_bounds(
+                range.start_bound().cloned(),
+                range.end_bound().cloned(),
+                self.len(),
+            ),
         }
     }
 
-    /// True if this is the only handle to its storage (static data never
-    /// is). One refcount test — what a recycling path asks before it
-    /// bothers with [`FrameBuf::try_into_mut`].
+    /// True if this is the only handle to its storage. One refcount test —
+    /// what a recycling path asks before it bothers with
+    /// [`FrameBuf::try_into_mut`].
     #[inline]
     pub fn is_unique(&self) -> bool {
-        match &self.store {
-            Store::Static(_) => false,
-            Store::Shared(buf) => Rc::strong_count(buf) == 1,
-        }
+        Rc::strong_count(&self.store) == 1
     }
 
     /// Reclaim the storage *whole*, bytes and refcount header, without
@@ -122,24 +127,16 @@ impl FrameBuf {
     /// hands its allocation back to a pool, and the returned buffer's next
     /// [`FrameBufMut::freeze`] allocates nothing.
     #[inline]
-    pub fn try_into_mut(self) -> Result<FrameBufMut, FrameBuf> {
-        let FrameBuf { store, off, len } = self;
-        match store {
-            Store::Shared(mut header) if off == 0 && len as usize == header.len() => {
-                match Rc::get_mut(&mut header) {
-                    Some(buf) => Ok(FrameBufMut {
-                        buf: std::mem::take(buf),
-                        header: Some(header),
-                    }),
-                    None => Err(FrameBuf {
-                        store: Store::Shared(header),
-                        off,
-                        len,
-                    }),
-                }
+    pub fn try_into_mut(mut self) -> Result<FrameBufMut, FrameBuf> {
+        if self.span == span(0, self.store.len()) {
+            if let Some(buf) = Rc::get_mut(&mut self.store) {
+                return Ok(FrameBufMut {
+                    buf: std::mem::take(buf),
+                    header: Some(self.store),
+                });
             }
-            store => Err(FrameBuf { store, off, len }),
         }
+        Err(self)
     }
 
     /// Copy-on-write: copy the contents into a private buffer, let `f`
@@ -158,17 +155,20 @@ impl FrameBuf {
     /// assertion helper, not part of frame semantics.
     #[inline]
     pub fn shares_storage(&self, other: &FrameBuf) -> bool {
-        self.len == other.len && std::ptr::eq(self.as_ptr(), other.as_ptr())
+        self.len() == other.len() && std::ptr::eq(self.as_ptr(), other.as_ptr())
     }
 
     #[inline]
     fn as_slice(&self) -> &[u8] {
-        let (off, end) = (self.off as usize, self.off as usize + self.len as usize);
-        match &self.store {
-            Store::Static(s) => &s[off..end],
-            Store::Shared(buf) => &buf[off..end],
-        }
+        let off = self.off();
+        &self.store[off..off + self.len()]
     }
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_bounds(start: Bound<usize>, end: Bound<usize>, len: usize) -> ! {
+    panic!("slice ({start:?}, {end:?}) out of bounds for FrameBuf of length {len}")
 }
 
 impl Deref for FrameBuf {
@@ -294,9 +294,8 @@ impl FrameBufMut {
             None => Rc::new(self.buf),
         };
         FrameBuf {
-            store: Store::Shared(store),
-            off: 0,
-            len,
+            store,
+            span: span(0, len as usize),
         }
     }
 }
@@ -342,7 +341,7 @@ mod tests {
         let ss = s.slice(1..);
         assert_eq!(&ss[..], &[3, 4]);
         assert!(std::ptr::eq(&b[2], &ss[0]));
-        // Static slices subslice without copying too.
+        // A static slice's copy subslices without copying again.
         let st = FrameBuf::from_static(b"hello");
         let sub = st.slice(1..3);
         assert!(std::ptr::eq(&st[1], &sub[0]));
@@ -353,6 +352,23 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let b = FrameBuf::from(vec![1, 2, 3]);
         let _ = b.slice(1..9);
+    }
+
+    /// `Included(usize::MAX)` as an end and `Excluded(usize::MAX)` as a
+    /// start name positions one past the largest `usize`: out of bounds,
+    /// not a wrapped-around zero.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_to_included_usize_max_panics() {
+        let b = FrameBuf::from(vec![1, 2, 3, 4]);
+        let _ = b.slice(..=usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_from_excluded_usize_max_panics() {
+        let b = FrameBuf::from(vec![1, 2, 3, 4]);
+        let _ = b.slice((Bound::Excluded(usize::MAX), Bound::Unbounded));
     }
 
     #[test]
@@ -369,16 +385,18 @@ mod tests {
         assert!(tail.is_unique());
         let tail = tail.try_into_mut().expect_err("a partial view");
         assert_eq!(&tail[..], &[2, 3, 4]);
-        assert!(FrameBuf::from_static(b"abc").try_into_mut().is_err());
+        // A static slice's copy is an ordinary buffer: its one handle is
+        // unique and reclaims it.
+        let st = FrameBuf::from_static(b"abc");
+        assert!(st.is_unique());
+        let st = st.try_into_mut().expect("the sole view of its copy");
+        assert_eq!(&st[..], b"abc");
     }
 
     #[test]
     fn reclaimed_storage_is_reused_whole() {
         fn header(b: &FrameBuf) -> *const Vec<u8> {
-            match &b.store {
-                Store::Shared(rc) => Rc::as_ptr(rc),
-                Store::Static(_) => unreachable!("built from a vector"),
-            }
+            Rc::as_ptr(&b.store)
         }
         let b = FrameBuf::from(vec![7u8; 64]);
         let (hdr, data) = (header(&b), b.as_ptr());

@@ -10,15 +10,16 @@ use proptest::TestCaseResult;
 
 use super::*;
 
-/// What `FrameBuf::from_static` views are cut from.
-static STATIC: [u8; 32] = *b"static bytes, never reclaimed.  ";
+/// What `FrameBuf::from_static` copies are cut from.
+static STATIC: [u8; 32] = *b"static bytes, copied on wrapping";
 
 /// One operation, its operands reduced modulo what exists when it runs.
 #[derive(Debug)]
 enum Step {
     /// `FrameBuf::from` a fresh vector of this length.
     Fresh(usize, u8),
-    /// `FrameBuf::from_static` of `STATIC[a..b]`.
+    /// `FrameBuf::from_static` of `STATIC[a..b]`: a fresh buffer holding a
+    /// copy, unique and reclaimable like any other.
     Static(usize, usize),
     Clone(usize),
     Slice(usize, usize, usize),
@@ -53,7 +54,6 @@ impl Step {
 /// One allocation as the model sees it.
 struct Storage {
     bytes: Vec<u8>,
-    is_static: bool,
     /// Views alive on it.
     holders: usize,
 }
@@ -75,11 +75,8 @@ struct Reclaimed {
     capacity: usize,
 }
 
-fn header_of(b: &FrameBuf) -> Option<*const Vec<u8>> {
-    match &b.store {
-        Store::Shared(rc) => Some(Rc::as_ptr(rc)),
-        Store::Static(_) => None,
-    }
+fn header_of(b: &FrameBuf) -> *const Vec<u8> {
+    Rc::as_ptr(&b.store)
 }
 
 #[derive(Default)]
@@ -90,13 +87,9 @@ struct Model {
 }
 
 impl Model {
-    fn hold(&mut self, buf: FrameBuf, bytes: Vec<u8>, is_static: bool) {
+    fn hold(&mut self, buf: FrameBuf, bytes: Vec<u8>) {
         let len = bytes.len();
-        self.storages.push(Storage {
-            bytes,
-            is_static,
-            holders: 1,
-        });
+        self.storages.push(Storage { bytes, holders: 1 });
         let storage = self.storages.len() - 1;
         self.holders.push(Holder {
             buf,
@@ -111,12 +104,17 @@ impl Model {
         match *step {
             Step::Fresh(len, fill) => {
                 let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                self.hold(FrameBuf::from(bytes.clone()), bytes, false);
+                self.hold(FrameBuf::from(bytes.clone()), bytes);
             }
             Step::Static(a, b) => {
                 let (a, b) = (a % STATIC.len(), b % STATIC.len());
                 let bytes = &STATIC[a.min(b)..a.max(b)];
-                self.hold(FrameBuf::from_static(bytes), bytes.to_vec(), true);
+                let buf = FrameBuf::from_static(bytes);
+                prop_assert!(
+                    bytes.is_empty() || !std::ptr::eq(buf.as_ptr(), bytes.as_ptr()),
+                    "a static slice is copied"
+                );
+                self.hold(buf, bytes.to_vec());
             }
             Step::Clone(i) if n > 0 => {
                 let h = &self.holders[i % n];
@@ -156,8 +154,7 @@ impl Model {
             Step::TryIntoMut(i) if n > 0 => {
                 let h = self.holders.swap_remove(i % n);
                 let s = &mut self.storages[h.storage];
-                let whole_sole_view =
-                    !s.is_static && s.holders == 1 && h.off == 0 && h.len == s.bytes.len();
+                let whole_sole_view = s.holders == 1 && h.off == 0 && h.len == s.bytes.len();
                 let (header, data) = (header_of(&h.buf), h.buf.as_ptr());
                 match h.buf.try_into_mut() {
                     Ok(mut buf) => {
@@ -169,7 +166,7 @@ impl Model {
                         s.holders = 0;
                         buf.clear();
                         self.reclaimed.push(Reclaimed {
-                            header: header.expect("shared storage"),
+                            header,
                             data,
                             capacity: buf.capacity(),
                             buf,
@@ -200,11 +197,7 @@ impl Model {
                 }
                 let old = h.storage;
                 let len = bytes.len();
-                self.storages.push(Storage {
-                    bytes,
-                    is_static: false,
-                    holders: 1,
-                });
+                self.storages.push(Storage { bytes, holders: 1 });
                 let h = &mut self.holders[i % n];
                 (h.storage, h.off, h.len) = (self.storages.len() - 1, 0, len);
                 self.storages[old].holders -= 1;
@@ -219,15 +212,11 @@ impl Model {
             Step::Freeze(m) if !self.reclaimed.is_empty() => {
                 let r = self.reclaimed.swap_remove(m % self.reclaimed.len());
                 let buf = r.buf.freeze();
-                prop_assert_eq!(
-                    header_of(&buf),
-                    Some(r.header),
-                    "refrozen under its own header"
-                );
+                prop_assert_eq!(header_of(&buf), r.header, "refrozen under its own header");
                 if r.bytes.len() <= r.capacity {
                     prop_assert!(std::ptr::eq(buf.as_ptr(), r.data), "refilled in place");
                 }
-                self.hold(buf, r.bytes, false);
+                self.hold(buf, r.bytes);
             }
             _ => {}
         }
@@ -235,14 +224,14 @@ impl Model {
     }
 
     /// Every view reads its window of its storage, is unique exactly when
-    /// it is its storage's one holder (never when static), and every
-    /// reclaimed buffer holds what was written into it.
+    /// it is its storage's one holder, and every reclaimed buffer holds
+    /// what was written into it.
     fn check(&self) -> TestCaseResult {
         for h in &self.holders {
             let s = &self.storages[h.storage];
             prop_assert_eq!(&h.buf[..], &s.bytes[h.off..h.off + h.len]);
             prop_assert_eq!(h.buf.len(), h.len);
-            prop_assert_eq!(h.buf.is_unique(), !s.is_static && s.holders == 1);
+            prop_assert_eq!(h.buf.is_unique(), s.holders == 1);
         }
         for r in &self.reclaimed {
             prop_assert_eq!(&r.buf[..], &r.bytes[..]);
@@ -294,10 +283,14 @@ fn mutate_is_copy_on_write() {
 }
 
 #[test]
-fn static_frames_never_allocate() {
-    let a = FrameBuf::from_static(b"hello frame");
+fn static_frames_are_copied_once_then_shared() {
+    static HELLO: &[u8] = b"hello frame";
+    let a = FrameBuf::from_static(HELLO);
+    assert!(!std::ptr::eq(a.as_ptr(), HELLO.as_ptr()), "wrapping copies");
     let b = a.clone();
     assert!(a.shares_storage(&b));
     assert_eq!(&a[..], b"hello frame");
     assert!(!a.is_unique());
+    drop(b);
+    assert!(a.is_unique());
 }

@@ -639,14 +639,15 @@ mod tests {
         );
     }
 
-    /// The records a frame-hop writes stay this narrow — the handle three
-    /// words, the pending transmission and the event five each: a field
-    /// added later shows here.
+    /// The records a frame-hop writes stay this narrow — the handle two
+    /// words (with or without an `Option` around it), the pending
+    /// transmission four, the event five: a field added later shows here.
     #[test]
     fn what_a_hop_writes_stays_narrow() {
         use core::mem::size_of;
-        assert_eq!(size_of::<crate::FrameBuf>(), 24);
-        assert_eq!(size_of::<crate::segment::PendingTx>(), 40);
+        assert_eq!(size_of::<crate::FrameBuf>(), 16);
+        assert_eq!(size_of::<Option<crate::FrameBuf>>(), 16);
+        assert_eq!(size_of::<crate::segment::PendingTx>(), 32);
         assert_eq!(size_of::<EventKind>(), 24);
         assert_eq!(size_of::<Event>(), 40);
     }

@@ -499,7 +499,7 @@ impl Listeners {
 }
 
 /// A frame offered to a segment and not yet delivered: the one in flight
-/// (`Segment::current`) or one waiting behind it. 40 bytes, and built where
+/// (`Segment::current`) or one waiting behind it. 32 bytes, and built where
 /// it waits ([`Segment::offer`]) — a hop writes it once.
 #[derive(Debug)]
 pub(crate) struct PendingTx {

@@ -349,8 +349,9 @@ fn set_unit(slot: &mut Value) {
     *slot = Value::Unit;
 }
 
-/// (By reference: a `FrameBuf` passed by value travels through memory like
-/// any other aggregate; cloned here, its fields are read one by one.)
+/// (By reference, cloned here. The two-word `FrameBuf` would travel in
+/// registers by value as well, but that form, with the clone at each call
+/// site, read `vm_forward` ×0.96, behind in 10 of 10 pairs.)
 #[inline(never)]
 fn set_str(slot: &mut Value, s: &FrameBuf) {
     match slot {
