@@ -1089,7 +1089,7 @@ impl Node for BridgeNode {
         self.epoch = self.epoch.wrapping_add(1);
         self.service = ServiceQueue::new(self.cfg.input_queue);
         let mut plane = Self::fresh_plane(self.plane.num_ports(), &self.cfg);
-        plane.carry_control_epoch(&self.plane);
+        plane.carry_over_crash(&self.plane, ctx.now());
         self.plane = plane;
         self.storm.clear();
         self.slots.clear();

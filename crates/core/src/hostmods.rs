@@ -307,7 +307,8 @@ impl HostEnv<'_, '_> {
                 if port >= self.plane.num_ports() {
                     return Err(no_interface());
                 }
-                self.plane.set_port_forward(port, args[1].as_bool());
+                let now = self.sim.now();
+                self.plane.set_port_forward(port, args[1].as_bool(), now);
                 Ok(Value::Unit)
             }
             HostFn::SetPortLearn => {

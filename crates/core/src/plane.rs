@@ -24,7 +24,7 @@ use ether::MacAddr;
 use netsim::{FastMap, PortId, SimDuration, SimTime};
 use switchlet::FuncVal;
 
-use crate::switchlets::stp::bpdu::StpVariant;
+use crate::switchlets::stp::bpdu::{BridgeId, StpVariant};
 use crate::switchlets::stp::engine::{StpEngine, StpSnapshot};
 use crate::switchlets::stp::{DEC_NAME, IEEE_NAME};
 
@@ -100,6 +100,8 @@ pub struct LearningTable {
     port_quota: usize,
     /// Live entry count per port, grown on demand.
     occupancy: Vec<u32>,
+    /// The most entries the table has held at once.
+    high_water: usize,
 }
 
 impl LearningTable {
@@ -111,6 +113,7 @@ impl LearningTable {
             cap: 0,
             port_quota: 0,
             occupancy: Vec::new(),
+            high_water: 0,
         }
     }
 
@@ -198,6 +201,7 @@ impl LearningTable {
         }
         self.map.insert(src, (port, now));
         self.occupancy_inc(port);
+        self.high_water = self.high_water.max(self.map.len());
         LearnOutcome::Fresh
     }
 
@@ -287,6 +291,12 @@ impl LearningTable {
     /// steady-state learning at that scale never rehashes.
     pub fn reserve(&mut self, stations: usize) {
         self.map.reserve(stations.saturating_sub(self.map.len()));
+    }
+
+    /// The most entries the table has held at once, raised only by a fresh
+    /// insert (a crash's fresh table continues the old one's mark).
+    pub fn high_water(&self) -> usize {
+        self.high_water
     }
 
     /// Live entry count.
@@ -605,6 +615,10 @@ pub struct Plane {
     /// Control-plane changes an observer of convergence can see: a port's
     /// `forward` flag or a published root changing.
     control_epoch: u64,
+    /// When `control_epoch` last moved (`None` until it first does).
+    control_changed_at: Option<SimTime>,
+    /// Per spanning-tree variant, the lowest root ever published.
+    lowest_roots: [Option<BridgeId>; 2],
 }
 
 impl Plane {
@@ -623,6 +637,8 @@ impl Plane {
             owners_out: vec![None; n_ports],
             stats: BridgeStats::default(),
             control_epoch: 0,
+            control_changed_at: None,
+            lowest_roots: [None; 2],
         }
     }
 
@@ -636,10 +652,35 @@ impl Plane {
         self.control_epoch
     }
 
-    /// Continue `old`'s control epoch, one step on: this plane replaces
-    /// `old` (a crash wiped its flags and snapshots, which is a change).
-    pub(crate) fn carry_control_epoch(&mut self, old: &Plane) {
-        self.control_epoch = old.control_epoch + 1;
+    /// When the control epoch last moved: this bridge's last `forward` flag
+    /// or published-root change (`None` if it never changed).
+    pub fn control_changed_at(&self) -> Option<SimTime> {
+        self.control_changed_at
+    }
+
+    /// The lowest root `variant`'s switchlet ever published on this
+    /// bridge, across crashes.
+    pub fn lowest_root(&self, variant: StpVariant) -> Option<BridgeId> {
+        self.lowest_roots[variant as usize]
+    }
+
+    fn control_moved(&mut self, now: SimTime) {
+        self.control_epoch += 1;
+        self.control_changed_at = Some(now);
+    }
+
+    /// This fresh plane replaces `old`, which a crash wiped at `now`:
+    /// continue its control epoch, change stamp, lowest roots and learn
+    /// high-water mark. The wipe moves the epoch if it reopened a blocked
+    /// port or unpublished a root.
+    pub(crate) fn carry_over_crash(&mut self, old: &Plane, now: SimTime) {
+        self.control_epoch = old.control_epoch;
+        self.control_changed_at = old.control_changed_at;
+        self.lowest_roots = old.lowest_roots;
+        self.learn.high_water = old.learn.high_water;
+        if old.flags.iter().any(|f| !f.forward) || old.published.0.iter().any(Option::is_some) {
+            self.control_moved(now);
+        }
     }
 
     // ---------------------------------------------------------- flags
@@ -662,12 +703,12 @@ impl Plane {
         self.flags.len()
     }
 
-    /// Set a port's forwarding permission (moves the control epoch on real
-    /// changes — the spanning tree re-asserting a state is free).
-    pub fn set_port_forward(&mut self, port: usize, forward: bool) {
+    /// Set a port's forwarding permission at `now` (moves the control epoch
+    /// on real changes — the spanning tree re-asserting a state is free).
+    pub fn set_port_forward(&mut self, port: usize, forward: bool, now: SimTime) {
         if self.flags[port].forward != forward {
             self.flags[port].forward = forward;
-            self.control_epoch += 1;
+            self.control_moved(now);
         }
     }
 
@@ -676,9 +717,11 @@ impl Plane {
         self.flags[port].learn = learn;
     }
 
-    /// Set both flags of a port.
-    pub fn set_port_flags(&mut self, port: usize, flags: PortFlags) {
-        self.control_epoch += u64::from(self.flags[port].forward != flags.forward);
+    /// Set both flags of a port at `now`.
+    pub fn set_port_flags(&mut self, port: usize, flags: PortFlags, now: SimTime) {
+        if self.flags[port].forward != flags.forward {
+            self.control_moved(now);
+        }
         self.flags[port] = flags;
     }
 
@@ -897,19 +940,26 @@ impl Plane {
 
     // ------------------------------------------------- spanning tree
 
-    /// Publish `engine`'s tree under `variant`, over the snapshot already
-    /// there. A changed root moves the control epoch.
-    pub(crate) fn publish(&mut self, variant: StpVariant, engine: &StpEngine) {
-        match &mut self.published.0[variant as usize] {
+    /// Publish `engine`'s tree under `variant` at `now`, over the
+    /// snapshot already there. A changed root moves the control epoch.
+    pub(crate) fn publish(&mut self, variant: StpVariant, engine: &StpEngine, now: SimTime) {
+        let moved = match &mut self.published.0[variant as usize] {
             Some(snapshot) => {
                 let root = snapshot.root_mac;
                 engine.snapshot_into(snapshot);
-                self.control_epoch += u64::from(snapshot.root_mac != root);
+                snapshot.root_mac != root
             }
             empty => {
                 *empty = Some(engine.snapshot());
-                self.control_epoch += 1;
+                true
             }
+        };
+        if moved {
+            self.control_moved(now);
+        }
+        let lowest = &mut self.lowest_roots[variant as usize];
+        if lowest.is_none_or(|l| engine.root() < l) {
+            *lowest = Some(engine.root());
         }
     }
 }
@@ -1239,6 +1289,31 @@ mod tests {
         assert_eq!(cache.probe(PortId(0), dst, src, 7, t(50)), None);
     }
 
+    /// The high-water mark rises only on a fresh insert: refreshes, moves,
+    /// bounded evictions, sweeps and flushes leave it where it was.
+    #[test]
+    fn the_high_water_mark_follows_fresh_inserts_only() {
+        let mut lt = LearningTable::new(SimDuration::from_secs(100));
+        lt.set_bounds(2, 0);
+        lt.learn(MacAddr::local(1), PortId(0), t(0));
+        lt.learn(MacAddr::local(2), PortId(0), t(1));
+        assert_eq!(lt.high_water(), 2);
+        lt.learn(MacAddr::local(1), PortId(1), t(2));
+        lt.learn(MacAddr::local(3), PortId(1), t(3));
+        assert_eq!(
+            (lt.len(), lt.high_water()),
+            (2, 2),
+            "a move and an eviction"
+        );
+        lt.flush();
+        lt.learn(MacAddr::local(4), PortId(0), t(4));
+        assert_eq!(
+            (lt.len(), lt.high_water()),
+            (1, 2),
+            "a flush keeps the mark"
+        );
+    }
+
     /// A kept target is asked for again exactly when a writer of what it
     /// read has forgotten it; flag writes and learns feed no resolution.
     #[test]
@@ -1261,9 +1336,9 @@ mod tests {
         };
         assert_eq!(asked(&mut plane), [true, true], "nothing kept yet");
         assert_eq!(asked(&mut plane), [false, false], "kept");
-        plane.set_port_forward(0, false);
+        plane.set_port_forward(0, false, t(1));
         plane.set_port_learn(1, false);
-        plane.set_port_flags(1, PortFlags::default());
+        plane.set_port_flags(1, PortFlags::default(), t(1));
         plane.learn.learn(MacAddr::local(9), PortId(1), t(1));
         plane.learn.flush();
         assert_eq!(asked(&mut plane), [false, false], "flags and learns");

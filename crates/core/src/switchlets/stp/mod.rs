@@ -165,19 +165,22 @@ impl StpSwitchlet {
                     if self.is_tripped(port) {
                         continue;
                     }
+                    let now = bc.now();
                     bc.plane.set_port_flags(
                         port,
                         PortFlags {
                             forward: state.forwards(),
                             learn: state.learns(),
                         },
+                        now,
                     );
                 }
             }
         }
         self.actions = actions;
         if let Some(engine) = &self.engine {
-            bc.plane.publish(self.variant, engine);
+            let now = bc.now();
+            bc.plane.publish(self.variant, engine, now);
         }
     }
 }
@@ -240,12 +243,14 @@ impl NativeSwitchlet for StpSwitchlet {
                     self.tripped.resize(port.0 + 1, false);
                 }
                 self.tripped[port.0] = true;
+                let now = bc.now();
                 bc.plane.set_port_flags(
                     port.0,
                     PortFlags {
                         forward: false,
                         learn: false,
                     },
+                    now,
                 );
                 bc.plane.stats.bpdu_guard_trips += 1;
                 bc.sim.bump("bridge.bpdu_guard_trips", 1);

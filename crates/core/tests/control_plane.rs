@@ -11,6 +11,7 @@ use std::net::Ipv4Addr;
 use active_bridge::hostmods::handler_ty;
 use active_bridge::{
     BridgeCommand, BridgeConfig, BridgeCtx, BridgeNode, DataFrame, NativeSwitchlet, PortFlags,
+    StpVariant,
 };
 use ether::{EtherType, FrameBuilder, MacAddr};
 use netsim::{CostModel, Node, NodeId, PortId, SimTime, World};
@@ -242,11 +243,13 @@ fn the_control_epoch_moves_with_forward_flags_and_survives_a_crash() {
         "the spanning tree blocked its ports and published a root"
     );
 
-    // A flag write moves the epoch exactly when `forward` changes.
+    // A flag write moves the epoch exactly when `forward` changes, and
+    // stamps the time it was written at.
     let flags = world.node::<BridgeNode>(b).plane().port_flags(0);
     let set = |world: &mut World, flags: PortFlags| {
+        let now = world.now();
         let plane = world.node_mut::<BridgeNode>(b).plane_mut();
-        plane.set_port_flags(0, flags);
+        plane.set_port_flags(0, flags, now);
         plane.control_epoch()
     };
     assert_eq!(set(&mut world, flags), booted, "re-asserted");
@@ -261,14 +264,25 @@ fn the_control_epoch_moves_with_forward_flags_and_survives_a_crash() {
     };
     assert_eq!(set(&mut world, flipped), booted + 1);
     assert_eq!(set(&mut world, flipped), booted + 1, "re-asserted");
+    let stamp = world.node::<BridgeNode>(b).plane().control_changed_at();
+    assert_eq!(stamp, Some(world.now()));
 
     // Long enough for both ports to reach forwarding: the epoch a crash
     // must not fall back from.
     world.run_until(SimTime::from_secs(40));
     let converged = epoch(&world);
     assert!(converged > booted + 1);
+    let lowest = |world: &World| {
+        world
+            .node::<BridgeNode>(b)
+            .plane()
+            .lowest_root(StpVariant::Ieee)
+    };
+    let root = lowest(&world);
+    assert!(root.is_some(), "the tree published a root");
     world.crash_node(b);
     assert!(epoch(&world) > converged, "a crash wipes flags and roots");
+    assert_eq!(lowest(&world), root, "the lowest root survives a crash");
     let crashed = epoch(&world);
     world.restart_node(b);
     assert!(

@@ -765,14 +765,8 @@ impl TtcpRecvApp {
 
 const UPLOAD_RETRY: u32 = 1;
 
-/// Tuning knobs for the upload transport, lifted out of the old magic
-/// constants (500 ms poll, 400 ms stall threshold).
-///
-/// The default reproduces the original fixed-threshold transport
-/// bit-for-bit: the RTO never moves (`rtt_gain` 0 disables seeding, the
-/// ceiling equals the initial RTO so backoff clamps in place) and the
-/// retry budget is effectively unbounded. [`UploadConfig::resilient`] is
-/// the adaptive preset the lossy battery runs with.
+/// Tuning knobs for the upload transport. [`UploadConfig::resilient`] is
+/// the preset every upload runs with unless a caller tunes its own.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct UploadConfig {
     /// Poll-timer period: the grid on which stalls are noticed.
@@ -785,35 +779,21 @@ pub struct UploadConfig {
     pub rto_ceiling: SimDuration,
     /// RTO = measured RTT x this gain, clamped to `[min_rto,
     /// rto_ceiling]`, re-seeded on every forward-progress event. 0 turns
-    /// seeding off (fixed-threshold legacy behaviour).
+    /// seeding off (a fixed threshold).
     pub rtt_gain: u32,
     /// Budget of recovery actions (retransmissions + session restarts);
     /// once spent, the upload is parked as a classified failure.
     pub max_retries: u32,
     /// Consecutive fruitless retransmissions before the sender drops its
-    /// ARP entry for the loader and re-resolves (0 = never, the legacy
-    /// behaviour). ARP has no checksum: on a corrupting medium a
+    /// ARP entry for the loader and re-resolves (0 = never). ARP has no
+    /// checksum: on a corrupting medium a
     /// bit-flipped reply can poison the cache, and without a refresh
     /// every later retransmission unicasts to a MAC nobody owns.
     pub arp_refresh: u32,
 }
 
-impl Default for UploadConfig {
-    fn default() -> Self {
-        UploadConfig {
-            poll: SimDuration::from_ms(500),
-            initial_rto: SimDuration::from_ms(400),
-            min_rto: SimDuration::from_ms(400),
-            rto_ceiling: SimDuration::from_ms(400),
-            rtt_gain: 0,
-            max_retries: u32::MAX,
-            arp_refresh: 0,
-        }
-    }
-}
-
 impl UploadConfig {
-    /// The hostile-media preset: RTT-seeded RTO, 8x backoff headroom,
+    /// The preset: RTT-seeded RTO, 8x backoff headroom,
     /// and a finite budget so a dead server fails the upload instead of
     /// livelocking it.
     pub fn resilient() -> Self {
@@ -868,7 +848,7 @@ pub struct UploadApp {
 }
 
 impl UploadApp {
-    /// Configure an upload with the legacy fixed-threshold transport.
+    /// Configure an upload with the [`UploadConfig::resilient`] transport.
     pub fn new(
         port: PortId,
         dst: Ipv4Addr,
@@ -882,7 +862,7 @@ impl UploadApp {
             src_port,
             filename,
             image,
-            UploadConfig::default(),
+            UploadConfig::resilient(),
         )
     }
 

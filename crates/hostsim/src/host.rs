@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ether::{EtherType, Frame, FrameBuilder, MacAddr};
-use netsim::{Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, TimerToken};
+use netsim::{Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, SimTime, TimerToken};
 use netstack::ipv4::Protocol;
 use netstack::{ArpOp, ArpPacket, Echo, EchoKind};
 
@@ -82,6 +82,9 @@ pub struct HostCore {
     pub echo_replies_sent: u64,
     /// Frames accepted off the wire.
     pub frames_rx: u64,
+    /// When the first frame addressed to this host's own unicast MAC
+    /// arrived (written once).
+    pub first_unicast_rx: Option<SimTime>,
     /// Experimental-EtherType frames received (workload accounting).
     pub exp_frames_rx: u64,
     /// Octets of experimental frames received.
@@ -358,6 +361,7 @@ impl HostNode {
                 scratch: Vec::new(),
                 echo_replies_sent: 0,
                 frames_rx: 0,
+                first_unicast_rx: None,
                 exp_frames_rx: 0,
                 exp_bytes_rx: 0,
             },
@@ -405,6 +409,9 @@ impl HostNode {
             return;
         }
         self.core.frames_rx += 1;
+        if dst == my_mac && self.core.first_unicast_rx.is_none() {
+            self.core.first_unicast_rx = Some(ctx.now());
+        }
 
         // Raw tap for every accepted frame (the probe app); skipped
         // outright on hosts where no app reads raw frames.

@@ -1,9 +1,11 @@
-//! Deterministic chaos plane: scheduled topology faults.
+//! Deterministic chaos plane: scheduled topology and segment faults.
 //!
 //! `netsim::fault` injects *probabilistic* per-frame faults; this module
-//! injects *structured* topology failures — a link going down and coming
-//! back, a bridge crashing and restarting cold — as first-class world
-//! events, totally ordered with everything else by `(time, seq)`.
+//! schedules *when* they apply — a segment's [`FaultConfig`] installed
+//! and later cleared — beside *structured* topology failures — a link
+//! going down and coming back, a bridge crashing and restarting cold —
+//! as first-class world events, totally ordered with everything else by
+//! `(time, seq)`.
 //!
 //! # Script model
 //!
@@ -26,8 +28,11 @@
 //!   a script (which link, when) is decided at *generation* time from
 //!   the scenario seed, so the schedule is fixed before the world runs.
 //! * Down-link drops and crash-node suppressions are pure functions of
-//!   the event order, so they replay exactly.
+//!   the event order, so they replay exactly. A scripted fault config
+//!   draws from the world RNG per frame like any other, from the instant
+//!   its event installs it.
 
+use crate::fault::FaultConfig;
 use crate::node::NodeId;
 use crate::segment::SegId;
 use crate::time::{SimDuration, SimTime};
@@ -48,12 +53,18 @@ pub enum ChaosEv {
     NodeCrash(NodeId),
     /// Restart a crashed node cold ([`crate::Node::on_restart`]).
     NodeRestart(NodeId),
+    /// Install a scripted fault config on a segment. The config lives in
+    /// the world's table of scripted configs at this index (filled by
+    /// [`World::schedule_fault`]), which keeps the event small.
+    SetFault(SegId, u32),
+    /// Restore a segment to fault-free operation.
+    ClearFault(SegId),
 }
 
 /// One scripted action, in topology-index form: `seg` / `node` are
 /// indices into the scenario's segment and bridge tables, resolved to
 /// world ids by [`ChaosScript::schedule`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaosAction {
     /// Take the `seg`-th segment down.
     LinkDown { seg: usize },
@@ -63,11 +74,16 @@ pub enum ChaosAction {
     NodeCrash { node: usize },
     /// Restart the `node`-th bridge.
     NodeRestart { node: usize },
+    /// Install `fault` on the `seg`-th segment (neither downtime nor a
+    /// heal: the segment stays up).
+    SetFault { seg: usize, fault: FaultConfig },
+    /// Restore the `seg`-th segment to fault-free operation.
+    ClearFault { seg: usize },
 }
 
 /// One step of a [`ChaosScript`]: perform `action` at `at` past the
 /// script origin.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosStep {
     /// Offset from the script origin.
     pub at: SimDuration,
@@ -75,8 +91,8 @@ pub struct ChaosStep {
     pub action: ChaosAction,
 }
 
-/// A deterministic schedule of topology faults. Plain data, built by
-/// scenario generators as a pure function of the scenario seed.
+/// A deterministic schedule of topology and segment faults. Plain data,
+/// built by scenario generators as a pure function of the scenario seed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosScript {
     /// The steps, in the order they were pushed. Steps sharing an
@@ -141,6 +157,24 @@ impl ChaosScript {
         self
     }
 
+    /// Install `fault` on the `seg`-th segment at `at`.
+    pub fn set_fault(&mut self, at: SimDuration, seg: usize, fault: FaultConfig) -> &mut Self {
+        self.steps.push(ChaosStep {
+            at,
+            action: ChaosAction::SetFault { seg, fault },
+        });
+        self
+    }
+
+    /// Clear the `seg`-th segment's fault config at `at`.
+    pub fn clear_fault(&mut self, at: SimDuration, seg: usize) -> &mut Self {
+        self.steps.push(ChaosStep {
+            at,
+            action: ChaosAction::ClearFault { seg },
+        });
+        self
+    }
+
     /// Partition-then-heal: down at `down_at`, back up at `up_at`.
     pub fn partition(&mut self, seg: usize, down_at: SimDuration, up_at: SimDuration) -> &mut Self {
         self.link_down(down_at, seg).link_up(up_at, seg)
@@ -193,6 +227,25 @@ impl ChaosScript {
             .max()
     }
 
+    /// Does the script take a link down or crash a node? Segment fault
+    /// steps are not downtime.
+    pub fn has_downtime(&self) -> bool {
+        self.steps.iter().any(|s| {
+            matches!(
+                s.action,
+                ChaosAction::LinkDown { .. } | ChaosAction::NodeCrash { .. }
+            )
+        })
+    }
+
+    /// Every fault config the script installs, in step order.
+    pub fn fault_configs(&self) -> impl Iterator<Item = &FaultConfig> {
+        self.steps.iter().filter_map(|s| match &s.action {
+            ChaosAction::SetFault { fault, .. } => Some(fault),
+            _ => None,
+        })
+    }
+
     /// Number of `NodeCrash` steps.
     pub fn crash_count(&self) -> u64 {
         self.steps
@@ -207,13 +260,19 @@ impl ChaosScript {
     /// meaningful against the topology it was generated for.
     pub fn schedule(&self, world: &mut World, origin: SimTime, segs: &[SegId], nodes: &[NodeId]) {
         for step in &self.steps {
-            let ev = match step.action {
-                ChaosAction::LinkDown { seg } => ChaosEv::LinkDown(segs[seg]),
-                ChaosAction::LinkUp { seg } => ChaosEv::LinkUp(segs[seg]),
-                ChaosAction::NodeCrash { node } => ChaosEv::NodeCrash(nodes[node]),
-                ChaosAction::NodeRestart { node } => ChaosEv::NodeRestart(nodes[node]),
+            let at = origin + step.at;
+            let ev = match &step.action {
+                ChaosAction::LinkDown { seg } => ChaosEv::LinkDown(segs[*seg]),
+                ChaosAction::LinkUp { seg } => ChaosEv::LinkUp(segs[*seg]),
+                ChaosAction::NodeCrash { node } => ChaosEv::NodeCrash(nodes[*node]),
+                ChaosAction::NodeRestart { node } => ChaosEv::NodeRestart(nodes[*node]),
+                ChaosAction::SetFault { seg, fault } => {
+                    world.schedule_fault(at, segs[*seg], fault.clone());
+                    continue;
+                }
+                ChaosAction::ClearFault { seg } => ChaosEv::ClearFault(segs[*seg]),
             };
-            world.schedule_chaos(origin + step.at, ev);
+            world.schedule_chaos(at, ev);
         }
     }
 }
@@ -229,6 +288,26 @@ mod tests {
         assert_eq!(s.span(), SimDuration::ZERO);
         assert_eq!(s.last_heal_at(), None);
         assert_eq!(s.crash_count(), 0);
+        assert!(!s.has_downtime());
+    }
+
+    #[test]
+    fn fault_steps_are_neither_downtime_nor_heals() {
+        let drop = FaultConfig {
+            drop_one_in: 12,
+            ..FaultConfig::default()
+        };
+        let mut s = ChaosScript::transparent();
+        s.set_fault(SimDuration::from_ms(500), 3, drop.clone())
+            .clear_fault(SimDuration::from_secs(4), 3);
+        assert!(!s.is_transparent());
+        assert!(!s.has_downtime());
+        assert_eq!(s.last_heal_at(), None);
+        assert_eq!(s.span(), SimDuration::from_secs(4));
+        assert_eq!(s.fault_configs().collect::<Vec<_>>(), [&drop]);
+        s.crash_cycle(0, SimDuration::from_secs(1), SimDuration::from_secs(2));
+        assert!(s.has_downtime());
+        assert_eq!(s.last_heal_at(), Some(SimDuration::from_secs(2)));
     }
 
     #[test]
@@ -241,6 +320,7 @@ mod tests {
         assert_eq!(s.span(), SimDuration::from_ms(40));
         assert_eq!(s.last_heal_at(), Some(SimDuration::from_ms(40)));
         assert_eq!(s.crash_count(), 1);
+        assert!(s.has_downtime());
         assert_eq!(
             s.steps[0].action,
             ChaosAction::LinkDown { seg: 0 },

@@ -20,7 +20,7 @@ use framebuf::FrameBuf;
 use crate::rng::Xoshiro;
 
 /// Per-segment fault configuration. The default injects no faults.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Drop one frame in `drop_one_in` (0 = never drop).
     pub drop_one_in: u64,

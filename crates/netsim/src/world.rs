@@ -12,7 +12,7 @@ use framebuf::{FrameBuf, FrameBufMut};
 
 use crate::chaos::ChaosEv;
 use crate::event::{Event, EventKind, EventQueue};
-use crate::fault::FaultOutcome;
+use crate::fault::{FaultConfig, FaultOutcome};
 use crate::node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 use crate::probe::{Probe, ProbeRecord};
 use crate::rng::Xoshiro;
@@ -50,6 +50,9 @@ pub struct WorldCore {
     /// paths stay one compare (`crashed_count != 0`) in the common
     /// chaos-free case.
     crashed_count: usize,
+    /// The fault configs a chaos script installs, indexed by
+    /// [`ChaosEv::SetFault`] (an 80-byte config would widen every event).
+    scripted_faults: Vec<FaultConfig>,
     /// Reusable listener scratch for `deliver_all` (kept across events so
     /// the delivery path never allocates): per 64 attachments, who hears
     /// the frame and whose node is called for it, a bit each.
@@ -459,6 +462,7 @@ impl World {
                 frames_delivered: 0,
                 crashed: Vec::new(),
                 crashed_count: 0,
+                scripted_faults: Vec::new(),
                 deliver_scratch: Vec::new(),
                 listeners: Listeners::default(),
                 frame_pool: Vec::new(),
@@ -505,6 +509,7 @@ impl World {
         // `segments` above.)
         self.core.crashed.clear();
         self.core.crashed_count = 0;
+        self.core.scripted_faults.clear();
         // The listener index empties with the segments it indexes,
         // keeping its tables. `deliver_scratch` and `frame_pool` survive
         // deliberately: they are pure caches, invisible to simulation
@@ -633,6 +638,11 @@ impl World {
                 ChaosEv::LinkUp(seg) => self.set_link_down(seg, false),
                 ChaosEv::NodeCrash(node) => self.crash_node(node),
                 ChaosEv::NodeRestart(node) => self.restart_node(node),
+                ChaosEv::SetFault(seg, i) => {
+                    let fault = self.core.scripted_faults[i as usize].clone();
+                    self.set_segment_fault(seg, fault)
+                }
+                ChaosEv::ClearFault(seg) => self.set_segment_fault(seg, FaultConfig::default()),
             },
         }
     }
@@ -922,15 +932,11 @@ impl World {
         &self.core.segments[id.0]
     }
 
-    /// Replace a segment's fault configuration mid-run. This is the hook
-    /// fault/churn scripts use: the new configuration applies to every
-    /// frame delivered from now on, drawn from the world RNG as usual, so
-    /// scripted runs stay deterministic.
-    pub fn set_segment_fault(&mut self, id: SegId, fault: crate::fault::FaultConfig) {
+    /// Install `fault` on a segment now, from the good burst state (burst
+    /// history does not leak across scripted fault windows).
+    fn set_segment_fault(&mut self, id: SegId, fault: FaultConfig) {
         let seg = &mut self.core.segments[id.0];
         seg.cfg.fault = fault;
-        // A fresh config starts from the good state: burst history does
-        // not leak across scripted fault windows.
         seg.burst_bad = false;
     }
 
@@ -939,6 +945,14 @@ impl World {
     /// script up-front so the event order is fixed before the run).
     pub fn schedule_chaos(&mut self, at: SimTime, ev: ChaosEv) {
         self.core.queue.push(at, EventKind::Chaos(ev));
+    }
+
+    /// Schedule `fault` to be installed on segment `id` at absolute time
+    /// `at`, as a [`ChaosEv::SetFault`] event on the queue.
+    pub fn schedule_fault(&mut self, at: SimTime, id: SegId, fault: FaultConfig) {
+        let i = u32::try_from(self.core.scripted_faults.len()).expect("scripted fault table");
+        self.core.scripted_faults.push(fault);
+        self.schedule_chaos(at, ChaosEv::SetFault(id, i));
     }
 
     /// Take a segment down (`true`) or bring it back up (`false`), now.

@@ -351,3 +351,188 @@ proptest! {
         }
     }
 }
+
+/// A two-port relay with a life of its own: it forwards every frame it
+/// hears out of its other port, tracing and counting each, and on a
+/// heartbeat timer sends a frame of its own (re-armed after a restart,
+/// since a crash kills pending timers).
+struct Relay {
+    period: SimDuration,
+    beats: u32,
+}
+
+impl Node for Relay {
+    fn name(&self) -> &str {
+        "relay"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.schedule(self.period, TimerToken(0));
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
+        ctx.bump("relay.frames", 1);
+        ctx.trace(format_args!("relay {} bytes in on {}", frame.len(), port.0));
+        ctx.send(PortId(1 - port.0), frame);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: TimerToken) {
+        self.beats += 1;
+        let mut payload = vec![0xB7; 60];
+        payload[..4].copy_from_slice(&self.beats.to_be_bytes());
+        ctx.send(PortId(self.beats as usize % 2), FrameBuf::from(payload));
+        ctx.schedule(self.period, TimerToken(0));
+    }
+    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.schedule(self.period, TimerToken(0));
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// A random fault config: uniform drops, corruption and duplication, or
+/// a Gilbert–Elliott burst model.
+fn draw_fault(rng: &mut Xoshiro) -> FaultConfig {
+    let mut odds = || [0, 2, 5, 11][rng.range(4) as usize];
+    let (drop_one_in, corrupt_one_in, duplicate_one_in) = (odds(), odds(), odds());
+    let burst = (drop_one_in == 0).then(|| netsim::BurstConfig {
+        enter_one_in: 1 + rng.range(20),
+        exit_one_in: 1 + rng.range(5),
+        good_drop_one_in: 0,
+        good_corrupt_one_in: 0,
+        bad_drop_one_in: 2,
+        bad_corrupt_one_in: 7,
+    });
+    FaultConfig {
+        drop_one_in,
+        corrupt_one_in,
+        duplicate_one_in,
+        burst,
+    }
+}
+
+/// A chain of 2–4 segments joined by relays, a sender and a recorder on
+/// each segment, and a chaos script of link downs and ups, fault windows
+/// and relay crashes and restarts, all drawn from `seed`, with the flight
+/// recorder armed.
+fn generated_world(seed: u64, horizon: SimTime) -> World {
+    let mut rng = Xoshiro::seed_from_u64(seed);
+    let mut world = World::new(seed);
+    world
+        .probe_mut()
+        .arm(netsim::ProbeConfig { capacity: 1 << 17 });
+    let n_segs = 2 + rng.range(3) as usize;
+    let segs: Vec<_> = (0..n_segs)
+        .map(|i| {
+            world.add_segment(SegmentConfig {
+                name: format!("lan{i}"),
+                bandwidth_bps: [10_000_000, 100_000_000][rng.range(2) as usize],
+                queue_cap: 2 + rng.range(30) as usize,
+                ..SegmentConfig::default()
+            })
+        })
+        .collect();
+    let relays: Vec<_> = segs
+        .windows(2)
+        .map(|pair| {
+            let relay = world.add_node(Relay {
+                period: SimDuration::from_us(200 + rng.range(3_000)),
+                beats: 0,
+            });
+            world.attach(relay, pair[0]);
+            world.attach(relay, pair[1]);
+            relay
+        })
+        .collect();
+    for &seg in &segs {
+        let sender = world.add_node(Sender {
+            n: 1 + rng.range(200) as u32,
+            size: 4 + rng.range(1_500) as usize,
+            interval: SimDuration::from_us(20 + rng.range(500)),
+            sent: 0,
+        });
+        let recorder = world.add_node(Recorder::default());
+        world.attach(sender, seg);
+        world.attach(recorder, seg);
+    }
+    let mut script = netsim::ChaosScript::transparent();
+    for _ in 0..rng.range(8) {
+        let at = SimDuration::from_ns(rng.range(horizon.as_ns()));
+        let seg = rng.range(n_segs as u64) as usize;
+        let relay = rng.range(relays.len() as u64) as usize;
+        match rng.range(6) {
+            0 => script.link_down(at, seg),
+            1 => script.link_up(at, seg),
+            2 => script.set_fault(at, seg, draw_fault(&mut rng)),
+            3 => script.clear_fault(at, seg),
+            4 => script.crash(at, relay),
+            _ => script.restart(at, relay),
+        };
+    }
+    script.schedule(&mut world, SimTime::ZERO, &segs, &relays);
+    world
+}
+
+/// Everything a run leaves observable: the probe stream, the trace, the
+/// experiment counters and frame totals (what a scenario's trace digest
+/// hashes), and the per-segment statistics.
+fn observed(world: &World) -> (Vec<netsim::ProbeEvent>, Vec<String>, String) {
+    let probes = world.probe().records().copied().collect();
+    let trace = world
+        .trace()
+        .entries()
+        .map(|e| format!("{:?}\t{:?}\t{}", e.at, e.node, e.msg))
+        .collect();
+    let totals = format!(
+        "{:?} {} {} {:?} {:?}",
+        world.counters().iter().collect::<Vec<_>>(),
+        world.frames_sent(),
+        world.frames_delivered(),
+        world.stats(),
+        world.now()
+    );
+    (probes, trace, totals)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Where `run_until` stops between calls is unobservable: a
+    /// generated world (traffic, relays, and a chaos script of link,
+    /// fault and crash steps) run to T in one call records exactly what
+    /// the same world records run to T in arbitrary chunks — the same
+    /// probe stream, trace, counters and frame totals. Chunk ends fall
+    /// anywhere, including on event instants and twice on one instant.
+    #[test]
+    fn running_in_chunks_is_running_once(seed in any::<u64>()) {
+        let horizon = SimTime::from_ms(20);
+        let mut once = generated_world(seed, horizon);
+        once.run_until(horizon);
+
+        let mut rng = Xoshiro::seed_from_u64(!seed);
+        let mut cuts: Vec<SimTime> = (0..rng.range(16))
+            .map(|_| match rng.range(3) {
+                // A sender's first frame goes out at 1 ns, then on its
+                // interval grid: land a cut on a frame instant.
+                0 => SimTime::from_ns(1 + 20_000 * rng.range(1_000)),
+                _ => SimTime::from_ns(rng.range(horizon.as_ns())),
+            })
+            .collect();
+        if let Some(&cut) = cuts.first() {
+            cuts.push(cut);
+        }
+        cuts.sort();
+        let mut chunked = generated_world(seed, horizon);
+        for &cut in cuts.iter().filter(|&&cut| cut <= horizon) {
+            chunked.run_until(cut);
+        }
+        chunked.run_until(horizon);
+
+        let (once, chunked) = (observed(&once), observed(&chunked));
+        prop_assert!(!once.0.is_empty(), "the world did something");
+        prop_assert_eq!(once.0, chunked.0, "probe stream");
+        prop_assert_eq!(once.1, chunked.1, "trace");
+        prop_assert_eq!(once.2, chunked.2, "counters, totals and segment stats");
+    }
+}

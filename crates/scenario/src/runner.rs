@@ -3,9 +3,10 @@
 //! verdicts.
 //!
 //! The runner owns the whole lifecycle: generate the topology and the
-//! battery, materialize both into a [`World`], drive the world in fixed
-//! slices (applying the fault script and sampling convergence on the
-//! way), then measure a quiet tail window and judge the invariants:
+//! battery, materialize both into a [`World`] with the fault script on
+//! its event queue, run it to the end in one `run_until`, read what the
+//! bridges and hosts recorded on the way, then measure a quiet tail
+//! window and judge the invariants:
 //!
 //! * **no storm** — once the workload is done, the wires fall silent
 //!   apart from a bounded spanning-tree hello budget;
@@ -19,7 +20,7 @@
 //! Reports are written as JSON ([`Report::to_json`]) and are
 //! byte-identical across runs with the same seed.
 
-use active_bridge::{BridgeConfig, BridgeNode, BridgeStats, StormConfig};
+use active_bridge::{BridgeConfig, BridgeId, BridgeNode, BridgeStats, StormConfig, StpVariant};
 use hostsim::{
     App, ArpStormApp, BlastApp, HostConfig, HostCostModel, HostNode, MacFloodApp, PingApp,
     RogueBpduApp, TtcpRecvApp, TtcpSendApp, UploadApp,
@@ -28,11 +29,12 @@ use netsim::{NodeId, PortId, SimDuration, SimTime, World, WorldStats};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
 
 use crate::json::{JsonText, Writer};
+use crate::prims::bridge_mac;
 use crate::quality::{self, QualityScore};
 use crate::sketch::Sketch;
 use crate::topo::{self, Topology, TopologyShape};
 use crate::workload::{
-    self, AppAction, AttackKind, BatteryKind, FaultAction, Phase, UploadImage, Workload,
+    self, AppAction, AttackKind, BatteryKind, Phase, UploadImage, WorkItem, Workload,
 };
 
 /// The IEEE spanning-tree switchlet name (what [`Topology::default_boot`]
@@ -228,9 +230,9 @@ pub struct RecoveryReport {
     pub down_drops: u64,
     /// Bridge crashes the script performed.
     pub crashes: u64,
-    /// Delay from the last heal to the first slice boundary at which
-    /// new frames had been delivered (sampled on the runner's slice
-    /// grid; `None` if nothing was delivered after the heal).
+    /// Delay from the last heal to the first frame a post-heal probe's
+    /// host received at its own unicast MAC (`None` if none arrived
+    /// before the run ended).
     pub time_to_first_delivery: Option<SimDuration>,
 }
 
@@ -261,9 +263,9 @@ pub struct ResilienceReport {
 pub struct SecurityReport {
     /// Was the defense plane armed for this run?
     pub defended: bool,
-    /// The largest learning-table occupancy any bridge showed on the
-    /// runner's slice grid — the CAM-exhaustion evidence (bounded in the
-    /// defended arm, four figures in the control arm).
+    /// The largest learning-table occupancy any bridge reached (its
+    /// table's high-water mark) — the CAM-exhaustion evidence (bounded in
+    /// the defended arm, four figures in the control arm).
     pub max_learn_occupancy: u64,
     /// Bounded-learning victims evicted across all bridges.
     pub learn_evictions: u64,
@@ -295,7 +297,7 @@ pub struct Report {
     pub epoch: SimTime,
     /// When the run ended (before the quiet window).
     pub end: SimTime,
-    /// Last observed change to any bridge's port flags / root choice.
+    /// Last change to any bridge's `forward` flags or published root.
     pub converged_at: Option<SimTime>,
     /// World frame accounting at the end of the run.
     pub world: WorldStats,
@@ -517,9 +519,6 @@ struct Placed {
     crowd: Vec<NodeId>,
 }
 
-/// How the runner slices the run (fault script application and
-/// convergence sampling happen on this grid).
-const SLICE: SimDuration = SimDuration::from_ms(100);
 /// The quiet tail window measured for the storm invariant.
 const QUIET_WINDOW: SimDuration = SimDuration::from_secs(4);
 
@@ -590,6 +589,16 @@ pub fn trace_digest(world: &World) -> u64 {
     }
     eat(format!("{}\t{}\n", world.frames_sent(), world.frames_delivered()).as_bytes());
     h
+}
+
+/// The last control-plane change on any of `bridges`: the latest sim time
+/// at which one of them changed a port's `forward` flag or its published
+/// spanning-tree root (`None` if none ever did).
+pub fn converged_at(world: &World, bridges: &[NodeId]) -> Option<SimTime> {
+    bridges
+        .iter()
+        .filter_map(|&b| world.node::<BridgeNode>(b).plane().control_changed_at())
+        .max()
 }
 
 /// The shared body of [`run`]/[`run_in`]/[`run_traced`]: build the
@@ -673,104 +682,46 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
 
     let placed = materialize(world, &built, &topo, &wl, epoch_d);
 
-    // Chaos steps go onto the world event queue up-front (not the slice
-    // grid): their order relative to traffic is fixed by `(time, seq)`
-    // alone, so a chaotic run replays byte-for-byte at any worker
-    // count. A transparent script schedules nothing.
+    // The fault script goes onto the world event queue up-front: segment
+    // fault windows, link downs and crashes each land at their own
+    // instant, ordered against traffic by `(time, seq)` alone, so a run
+    // replays byte-for-byte at any worker count. A transparent script
+    // schedules nothing.
     wl.chaos.schedule(world, epoch, &built.segs, &built.bridges);
-    let heal_at = wl.chaos.last_heal_at().map(|d| epoch + d);
+    let heal_offset = wl.chaos.last_heal_at();
+    let heal_at = heal_offset.map(|d| epoch + d);
 
     let end = SimTime::ZERO
         + scenario
             .duration
             .unwrap_or(epoch_d + wl.span() + SimDuration::from_secs(2));
+    world.run_until(end);
 
-    // Drive in slices: apply due fault-script steps, watch convergence.
-    let mut faults: Vec<(SimTime, &FaultAction)> =
-        wl.faults.iter().map(|(at, f)| (epoch + *at, f)).collect();
-    faults.sort_by_key(|(at, _)| *at);
-    let mut next_fault = 0;
-    let mut signature = ConvergenceSignature::default();
-    signature.capture(world, &built);
-    let mut sig = ConvergenceSignature::default();
-    let mut epochs = control_epochs(world, &built);
-    let mut converged_at: Option<SimTime> = None;
-    let mut delivered_at_heal: Option<u64> = None;
-    let mut first_delivery_after_heal: Option<SimTime> = None;
-    // Security telemetry during hostile runs: the high-water mark of any
-    // learning table, sampled on the slice grid, and whether any bridge
-    // ever published a spanning-tree root that is not a real bridge.
-    let real_macs: Vec<ether::MacAddr> = topo
-        .bridges
-        .iter()
-        .map(|b| crate::prims::bridge_mac(b.index))
-        .collect();
-    let mut sec_max_occ = 0u64;
-    let mut rogue_root_seen = false;
-    let mut now = SimTime::ZERO;
-    while now < end {
-        now = (now + SLICE).min(end);
-        while next_fault < faults.len() && faults[next_fault].0 <= now {
-            let (_, action) = faults[next_fault];
-            match action {
-                FaultAction::Set { seg, fault } => {
-                    world.set_segment_fault(built.segs[*seg], fault.clone())
-                }
-                FaultAction::Clear { seg } => {
-                    world.set_segment_fault(built.segs[*seg], netsim::FaultConfig::default())
-                }
-            }
-            next_fault += 1;
-        }
-        world.run_until(now);
-        if hostile {
-            for &b in &built.bridges {
-                let plane = world.node::<BridgeNode>(b).plane();
-                sec_max_occ = sec_max_occ.max(plane.learn.len() as u64);
-            }
-        }
-        // The signature (and the roots in it) can only have changed in a
-        // slice that moved some bridge's control epoch; most move none.
-        let epochs_now = control_epochs(world, &built);
-        if epochs_now != epochs {
-            epochs = epochs_now;
-            sig.capture(world, &built);
-            if sig != signature {
-                std::mem::swap(&mut sig, &mut signature);
-                converged_at = Some(now);
-            }
-            if hostile {
-                rogue_root_seen |= signature
-                    .roots
-                    .iter()
-                    .flatten()
-                    .any(|root| !real_macs.contains(root));
-            }
-        } else if cfg!(debug_assertions) {
-            // Cross-checked, not trusted: debug builds (`cargo test`)
-            // still capture every slice.
-            sig.capture(world, &built);
-            assert!(
-                sig == signature,
-                "control plane changed at {now:?} under unmoved control epochs"
-            );
-        }
-        // Time-to-first-delivery after the script's last heal, sampled
-        // on the slice grid: the baseline is the delivery count at the
-        // first boundary past the heal, and recovery is the first later
-        // boundary where it has grown.
-        if let Some(heal) = heal_at {
-            if now >= heal && first_delivery_after_heal.is_none() {
-                match delivered_at_heal {
-                    None => delivered_at_heal = Some(world.frames_delivered()),
-                    Some(base) if world.frames_delivered() > base => {
-                        first_delivery_after_heal = Some(now);
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    }
+    // What the components recorded as it happened, read before the quiet
+    // window: each bridge's last control-plane change, learn-table
+    // high-water mark and lowest published root; each host's first
+    // unicast reception.
+    let planes = || {
+        built
+            .bridges
+            .iter()
+            .map(|&b| world.node::<BridgeNode>(b).plane())
+    };
+    let converged_at = converged_at(world, &built.bridges);
+    let max_learn_occupancy = planes().map(|p| p.learn.high_water() as u64).max();
+    let real = |root: BridgeId| topo.bridges.iter().any(|b| bridge_mac(b.index) == root.mac);
+    let rogue_root_seen = planes()
+        .filter_map(|p| p.lowest_root(StpVariant::Ieee))
+        .any(|root| !real(root));
+    let first_probe_delivery = heal_offset.and_then(|heal| {
+        wl.items
+            .iter()
+            .zip(&placed)
+            .filter(|(item, _)| is_post_heal_probe(item, heal))
+            .flat_map(|(_, p)| std::iter::once(p.sender).chain(p.receiver))
+            .filter_map(|h| world.node::<HostNode>(h).core.first_unicast_rx)
+            .min()
+    });
 
     // Quiet tail: nothing should be talking except spanning-tree hellos.
     let before = world.stats();
@@ -797,7 +748,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         last_heal: heal,
         down_drops: after.segments.iter().map(|s| s.counters.down_drops).sum(),
         crashes: wl.chaos.crash_count(),
-        time_to_first_delivery: first_delivery_after_heal.map(|t| t.saturating_since(heal)),
+        time_to_first_delivery: first_probe_delivery.map(|t| t.saturating_since(heal)),
     });
     let resilience = wl
         .injects_bursts()
@@ -805,7 +756,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let security = hostile.then(|| {
         let mut s = SecurityReport {
             defended: scenario.defended,
-            max_learn_occupancy: sec_max_occ,
+            max_learn_occupancy: max_learn_occupancy.unwrap_or(0),
             learn_evictions: 0,
             learn_rejects: 0,
             storm_suppressions: 0,
@@ -1029,42 +980,14 @@ fn materialize(
         .collect()
 }
 
-/// The sum of the bridges' control epochs ([`Plane::control_epoch`]): each
-/// is monotone, so the sum moves exactly when some bridge's does — when a
-/// port's `forward` flag or a published root changed, or a bridge crashed.
-///
-/// [`Plane::control_epoch`]: active_bridge::Plane::control_epoch
-fn control_epochs(world: &World, built: &topo::BuiltTopology) -> u64 {
-    built
-        .bridges
-        .iter()
-        .map(|&b| world.node::<BridgeNode>(b).plane().control_epoch())
-        .sum()
-}
-
-/// Port flags plus elected root per bridge: when this stops changing, the
-/// control plane has converged. Flat (every bridge's ports end to end;
-/// port counts never change during a run) so that a capture refills two
-/// long-lived buffers instead of allocating per bridge. Captured only in
-/// slices where [`control_epochs`] moved.
-#[derive(Default, PartialEq)]
-struct ConvergenceSignature {
-    forwarding: Vec<bool>,
-    roots: Vec<Option<ether::MacAddr>>,
-}
-
-impl ConvergenceSignature {
-    fn capture(&mut self, world: &World, built: &topo::BuiltTopology) {
-        self.forwarding.clear();
-        self.roots.clear();
-        for &b in &built.bridges {
-            let plane = world.node::<BridgeNode>(b).plane();
-            self.forwarding
-                .extend(plane.flags().iter().map(|f| f.forward));
-            self.roots
-                .push(plane.published.get(STP_NAME).map(|s| s.root_mac));
-        }
-    }
+/// Is `item` one of the probes a heal at `heal` (offset from the epoch)
+/// is judged by: a reliable main-phase flow scheduled at or after it? Raw
+/// blasts are excluded — the watchdog probe intentionally sacrifices a
+/// few frames to the trap threshold.
+fn is_post_heal_probe(item: &WorkItem, heal: SimDuration) -> bool {
+    item.phase == Phase::Main
+        && item.offset >= heal
+        && !matches!(item.action, AppAction::Blast { .. })
 }
 
 /// Inspect every placed app and compute its outcome. Returns the reports
@@ -1551,15 +1474,11 @@ fn judge_invariants(evidence: &Evidence<'_>) -> Vec<InvariantResult> {
             },
         });
 
-        // No permanent blackhole: every reliable main-phase flow
-        // scheduled at or after the last heal must succeed. Raw blasts
-        // are excluded — the watchdog probe intentionally sacrifices a
-        // few frames to the trap threshold.
+        // No permanent blackhole: every post-heal probe must succeed.
         let mut dead = Vec::new();
         let mut probes = 0u64;
         for (item, a) in judged() {
-            let blast = matches!(item.action, AppAction::Blast { .. });
-            if item.phase == Phase::Main && item.offset >= heal_offset && !blast {
+            if is_post_heal_probe(item, heal_offset) {
                 probes += 1;
                 if !a.ok {
                     dead.push(format!("{} {}→{}", a.label, a.from_seg, a.to_seg));

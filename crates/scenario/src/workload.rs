@@ -4,8 +4,8 @@
 //! A [`Workload`] is pure data, like a topology: [`generate`] maps
 //! `(battery kind, topology, seed)` to a list of scheduled
 //! [`AppAction`]s (which hosts to create, where, running what, starting
-//! when) plus a list of scheduled [`FaultAction`]s driving
-//! `netsim::fault` mid-run. The runner materializes both.
+//! when) plus a [`ChaosScript`] of segment fault windows, link downs and
+//! bridge crashes. The runner materializes both.
 
 use hostsim::{App, ArpStormApp, MacFloodApp, RogueBpduApp, UploadApp, UploadConfig};
 use netsim::{BurstConfig, ChaosScript, FaultConfig, PortId, SimDuration, Xoshiro};
@@ -279,8 +279,7 @@ impl AppAction {
 /// method here, so the runner has one upload arm.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum UploadImage {
-    /// The inert telemetry module from [`inert_upload_image`], on the
-    /// legacy fixed-poll transport.
+    /// The inert telemetry module from [`inert_upload_image`].
     Inert,
     /// The deliberately faulty `vm_trap` switchlet — the chaos battery's
     /// watchdog probe. The module installs a data plane that traps on
@@ -342,8 +341,6 @@ impl UploadImage {
     /// The sender's transport configuration.
     pub fn config(&self) -> UploadConfig {
         match self {
-            UploadImage::Inert | UploadImage::Trap => UploadConfig::default(),
-            UploadImage::Sealed { .. } => UploadConfig::resilient(),
             // The poisoned image can never succeed: keep its budget
             // small so it parks as a classified IntegrityReject well
             // before the evaluation window.
@@ -351,6 +348,7 @@ impl UploadImage {
                 max_retries: 6,
                 ..UploadConfig::resilient()
             },
+            _ => UploadConfig::resilient(),
         }
     }
 
@@ -472,23 +470,6 @@ pub struct WorkItem {
     pub action: AppAction,
 }
 
-/// One scheduled fault-script step.
-#[derive(Clone, Debug)]
-pub enum FaultAction {
-    /// Install a fault configuration on a segment.
-    Set {
-        /// Target segment index.
-        seg: usize,
-        /// The configuration to install.
-        fault: FaultConfig,
-    },
-    /// Restore a segment to fault-free operation.
-    Clear {
-        /// Target segment index.
-        seg: usize,
-    },
-}
-
 /// A generated battery: scheduled apps plus a fault script.
 #[derive(Clone, Debug)]
 pub struct Workload {
@@ -496,11 +477,9 @@ pub struct Workload {
     pub kind: BatteryKind,
     /// Scheduled applications, in generation order.
     pub items: Vec<WorkItem>,
-    /// Scheduled fault-script steps (offsets from the workload epoch).
-    pub faults: Vec<(SimDuration, FaultAction)>,
-    /// Scheduled topology faults (offsets from the workload epoch) —
-    /// transparent for every battery except chaos, so existing runs
-    /// replay byte-for-byte.
+    /// The fault script (offsets from the workload epoch): segment fault
+    /// windows, link downs and bridge crashes, all scheduled on the world
+    /// event queue. Transparent for batteries that script no fault.
     pub chaos: ChaosScript,
     /// How many watchdog quarantines the script is engineered to
     /// trigger; when non-zero the runner judges the count exactly.
@@ -517,30 +496,23 @@ impl Workload {
             .map(|i| i.offset + i.action.span())
             .max()
             .unwrap_or(SimDuration::ZERO);
-        let faults = self
-            .faults
-            .iter()
-            .map(|(at, _)| *at + SimDuration::from_secs(1))
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        // Transparent scripts contribute nothing (no margin either), so
-        // chaos-free batteries keep their exact pre-chaos spans.
-        let chaos = if self.chaos.is_transparent() {
+        // A transparent script contributes nothing (no margin either).
+        let script = if self.chaos.is_transparent() {
             SimDuration::ZERO
         } else {
             self.chaos.span() + SimDuration::from_secs(1)
         };
-        apps.max(faults).max(chaos)
+        apps.max(script)
     }
 
     /// Does the script inject frame drops at any point — uniformly
     /// (`drop_one_in`) or through a Gilbert–Elliott burst model whose
     /// states can drop?
     pub fn injects_drops(&self) -> bool {
-        self.faults.iter().any(|(_, f)| {
-            matches!(f, FaultAction::Set { fault, .. }
-                if fault.drop_one_in > 0
-                    || fault.burst.is_some_and(|b| b.good_drop_one_in > 0 || b.bad_drop_one_in > 0))
+        self.chaos.fault_configs().any(|f| {
+            f.drop_one_in > 0
+                || f.burst
+                    .is_some_and(|b| b.good_drop_one_in > 0 || b.bad_drop_one_in > 0)
         })
     }
 
@@ -548,9 +520,7 @@ impl Workload {
     /// point? When it does, the runner judges the four resilience
     /// invariants and renders the `resilience` report section.
     pub fn injects_bursts(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|(_, f)| matches!(f, FaultAction::Set { fault, .. } if fault.burst.is_some()))
+        self.chaos.fault_configs().any(|f| f.burst.is_some())
     }
 
     /// Does the script take links down or crash bridges at any point?
@@ -558,14 +528,14 @@ impl Workload {
     /// duplicate invariants are judged leniently and the recovery
     /// invariants take over.
     pub fn injects_downtime(&self) -> bool {
-        !self.chaos.is_transparent()
+        self.chaos.has_downtime()
     }
 
     /// Does the workload field hostile hosts (MAC flood, ARP storm,
     /// rogue BPDUs)? When it does, the runner executes defended and
-    /// undefended arms, samples security telemetry on the slice grid,
-    /// judges the adversarial invariants and renders the `security`
-    /// report section.
+    /// undefended arms, reads the bridges' learn-table high-water marks
+    /// and lowest published roots, judges the adversarial invariants and
+    /// renders the `security` report section.
     pub fn injects_attacks(&self) -> bool {
         self.items
             .iter()
@@ -574,9 +544,7 @@ impl Workload {
 
     /// Does the script inject frame duplication at any point?
     pub fn injects_duplicates(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|(_, f)| matches!(f, FaultAction::Set { fault, .. } if fault.duplicate_one_in > 0))
+        self.chaos.fault_configs().any(|f| f.duplicate_one_in > 0)
     }
 
     /// Total hosts materializing this workload adds to the world (the
@@ -678,7 +646,6 @@ fn recovery_transfer(offset: SimDuration, (from_seg, to_seg): (usize, usize)) ->
 pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
     let mut rng = Xoshiro::seed_from_u64(seed ^ (0x3A77_E21B_00C0_FFEE ^ kind.tag()));
     let mut items = Vec::new();
-    let mut faults = Vec::new();
     let mut chaos = ChaosScript::transparent();
     let mut expected_quarantines = 0u64;
     match kind {
@@ -890,20 +857,16 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // The scripted fault window: a lossy patch in the middle of
             // the run, healed before evaluation.
             let victim = rng.range(topo.segments.len() as u64) as usize;
-            faults.push((
-                SimDuration::from_ms(500),
-                FaultAction::Set {
-                    seg: victim,
-                    fault: FaultConfig {
+            chaos
+                .set_fault(
+                    SimDuration::from_ms(500),
+                    victim,
+                    FaultConfig {
                         drop_one_in: 12,
                         ..FaultConfig::default()
                     },
-                },
-            ));
-            faults.push((
-                SimDuration::from_secs(4),
-                FaultAction::Clear { seg: victim },
-            ));
+                )
+                .clear_fault(SimDuration::from_secs(4), victim);
             // After the heal, a reliable transfer must complete strictly:
             // churn is survivable, not just observable.
             items.push(recovery_transfer(
@@ -1045,20 +1008,16 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                 bad_corrupt_one_in: 8,
             };
             debug_assert!(burst.steady_state_drop_pm() >= 100);
-            faults.push((
-                SimDuration::from_ms(500),
-                FaultAction::Set {
-                    seg: from_seg,
-                    fault: FaultConfig {
+            chaos
+                .set_fault(
+                    SimDuration::from_ms(500),
+                    from_seg,
+                    FaultConfig {
                         burst: Some(burst),
                         ..FaultConfig::default()
                     },
-                },
-            ));
-            faults.push((
-                SimDuration::from_secs(6),
-                FaultAction::Clear { seg: from_seg },
-            ));
+                )
+                .clear_fault(SimDuration::from_secs(6), from_seg);
             // A flood blast spans the window (its sink never speaks, so
             // its frames cross the bursty segment throughout — the
             // burst always bites something; this loss is waived).
@@ -1193,7 +1152,6 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
     Workload {
         kind,
         items,
-        faults,
         chaos,
         expected_quarantines,
     }
@@ -1287,17 +1245,20 @@ mod tests {
         }
     }
 
+    /// When the script clears a segment's fault config.
+    fn fault_cleared_at(wl: &Workload) -> Option<SimDuration> {
+        wl.chaos.steps.iter().find_map(|s| {
+            matches!(s.action, netsim::ChaosAction::ClearFault { .. }).then_some(s.at)
+        })
+    }
+
     #[test]
     fn churn_scripts_a_heal_before_span_end() {
         let topo = gen_topo(TopologyShape::Line { bridges: 3 }, 3);
         let wl = generate(BatteryKind::Churn, &topo, 3);
         assert!(wl.injects_drops());
         assert!(!wl.injects_duplicates());
-        let clear_at = wl
-            .faults
-            .iter()
-            .find_map(|(at, f)| matches!(f, FaultAction::Clear { .. }).then_some(*at))
-            .expect("churn clears its fault");
+        let clear_at = fault_cleared_at(&wl).expect("churn clears its fault");
         assert!(clear_at < wl.span());
     }
 
@@ -1405,7 +1366,7 @@ mod tests {
             }
             let wl = generate(kind, &topo, 7);
             assert!(
-                wl.chaos.is_transparent() && wl.expected_quarantines == 0,
+                !wl.injects_downtime() && wl.expected_quarantines == 0,
                 "{kind:?} must not script downtime"
             );
             assert!(!wl.injects_bursts(), "{kind:?} must not script burst loss");
@@ -1432,12 +1393,9 @@ mod tests {
             assert_eq!(wl.expected_quarantines, 0);
             // The burst model meets the ≥ 10% steady-state loss floor.
             let burst = wl
-                .faults
-                .iter()
-                .find_map(|(_, f)| match f {
-                    FaultAction::Set { fault, .. } => fault.burst,
-                    FaultAction::Clear { .. } => None,
-                })
+                .chaos
+                .fault_configs()
+                .find_map(|f| f.burst)
                 .expect("lossy scripts a burst window");
             assert!(
                 burst.steady_state_drop_pm() >= 100,
@@ -1445,11 +1403,7 @@ mod tests {
                 burst.steady_state_drop_pm()
             );
             // The window heals inside the span, and the crash heals too.
-            let clear_at = wl
-                .faults
-                .iter()
-                .find_map(|(at, f)| matches!(f, FaultAction::Clear { .. }).then_some(*at))
-                .expect("lossy clears its burst window");
+            let clear_at = fault_cleared_at(&wl).expect("lossy clears its burst window");
             assert!(clear_at < wl.span());
             let heal = wl.chaos.last_heal_at().expect("the crash restarts");
             assert!(heal < wl.span());
@@ -1494,7 +1448,6 @@ mod tests {
                 wl.chaos.is_transparent(),
                 "attacks come from hosts, not scripts"
             );
-            assert!(wl.faults.is_empty(), "attacks come from hosts, not faults");
             // Both storm attacks are always scheduled; the rogue-root
             // claim only where the attacker's segment touches exactly
             // one bridge (so the defended arm can guard that port):

@@ -13,6 +13,8 @@ use ab_scenario::runner::{self, Scenario, Verdict};
 use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::{self, TopologyShape};
 use ab_scenario::workload::{self, BatteryKind};
+use active_bridge::{BridgeConfig, BridgeNode};
+use netsim::{ChaosScript, SimDuration, SimTime, World};
 use proptest::prelude::*;
 
 /// Find one judged invariant by name, panicking with the report when
@@ -95,6 +97,68 @@ fn chaos_line_recovers_and_quarantines() {
 #[test]
 fn chaos_ring_recovers_and_quarantines() {
     check_chaos_scenario(TopologyShape::Ring { bridges: 3 }, 43);
+}
+
+/// The convergence stamp against an observer that polls: a 3-bridge
+/// spanning-tree ring with no workload (then the same ring with a bridge
+/// crashed and restarted), stepped in 1 ms chunks, every bridge's
+/// `forward` flags and published root re-read after each step. The last
+/// step that saw a change ends within 1 ms after the stamp
+/// `runner::converged_at` reports: the stamp misses no change a poller
+/// sees and records none it does not.
+#[test]
+fn the_convergence_stamp_is_where_polling_last_saw_a_change() {
+    for crash in [false, true] {
+        let topo = topo::generate(TopologyShape::Ring { bridges: 3 }, 5);
+        let mut world = World::new(5);
+        let built = topo::instantiate(
+            &mut world,
+            &topo,
+            &BridgeConfig::default(),
+            topo.default_boot(),
+        );
+        let end = SimTime::from_secs(if crash { 90 } else { 40 });
+        if crash {
+            let mut script = ChaosScript::transparent();
+            script.crash_cycle(1, SimDuration::from_secs(35), SimDuration::from_secs(37));
+            script.schedule(&mut world, SimTime::ZERO, &built.segs, &built.bridges);
+        }
+        let look = |world: &World| -> Vec<(Vec<bool>, Option<ether::MacAddr>)> {
+            built
+                .bridges
+                .iter()
+                .map(|&b| {
+                    let plane = world.node::<BridgeNode>(b).plane();
+                    let forward = plane.flags().iter().map(|f| f.forward).collect();
+                    (forward, plane.published.get("stp_ieee").map(|s| s.root_mac))
+                })
+                .collect()
+        };
+        let mut seen = look(&world);
+        let mut last_change = None;
+        let mut now = SimTime::ZERO;
+        while now < end {
+            now += SimDuration::from_ms(1);
+            world.run_until(now);
+            let next = look(&world);
+            if next != seen {
+                seen = next;
+                last_change = Some(now);
+            }
+        }
+        let last_change = last_change.expect("the tree formed");
+        let stamp = runner::converged_at(&world, &built.bridges).expect("stamped");
+        assert!(
+            stamp <= last_change && last_change.saturating_since(stamp) < SimDuration::from_ms(1),
+            "crash {crash}: stamp {stamp:?}, last polled change in the step ending {last_change:?}"
+        );
+        if crash {
+            assert!(
+                stamp > SimTime::from_secs(37),
+                "the restart re-formed the tree"
+            );
+        }
+    }
 }
 
 /// One chaos run is a pure function of its seed: two runs render

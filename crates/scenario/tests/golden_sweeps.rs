@@ -35,21 +35,21 @@ const GOLDEN: [[(usize, u64); 3]; 4] = [
     ],
     // chaos
     [
-        (9691, 0x86c66ea9dd07f682),
-        (9671, 0x7a173bf76de11aa4),
-        (9686, 0xd3c6f4d5462b4c00),
+        (9694, 0x9cc75914fcfb1c4e),
+        (9674, 0xb05b125796a8e1e9),
+        (9689, 0x36777952b13be31d),
     ],
     // lossy
     [
-        (10704, 0x8c3d667eed841ba1),
-        (10927, 0x1f841efff6d64163),
-        (10867, 0xa5cb6f1c4aab812a),
+        (10696, 0x05bc4c8eb1ed9a87),
+        (10930, 0xe8e7700ae273e5f4),
+        (10885, 0xc592e1538b31b552),
     ],
     // adversarial
     [
-        (20063, 0x183f4d55fe29a056),
-        (20074, 0xd23022a3c4caccab),
-        (20070, 0x440c3d4b8b5d9206),
+        (20063, 0xbaf532b279bc8030),
+        (20074, 0x40f2517eabef5247),
+        (20070, 0xe15cecba3feae77c),
     ],
 ];
 

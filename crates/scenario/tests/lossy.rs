@@ -15,6 +15,7 @@ use ab_scenario::runner::{self, Scenario, Verdict};
 use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::{self, TopologyShape};
 use ab_scenario::workload::{self, BatteryKind};
+use netsim::{ProbeConfig, ProbeRecord, SimDuration};
 use proptest::prelude::*;
 
 /// Find one judged invariant by name, panicking with the report when
@@ -127,6 +128,36 @@ fn lossy_ring_completes_uploads_and_holds_the_gate() {
 
 /// One lossy run is a pure function of its seed: two runs render
 /// byte-identical JSON, bursts, retries and rejects included.
+/// The burst window is scripted to open at epoch + 500 ms, and it opens
+/// then: no burst-model record (a state flip or a drop) falls earlier.
+#[test]
+fn the_scripted_burst_window_opens_on_time() {
+    let sc = Scenario::new(TopologyShape::Line { bridges: 3 }, BatteryKind::Lossy, 42);
+    let capacity = 1 << 18;
+    let (report, _, world) = runner::run_recorded(&sc, ProbeConfig { capacity });
+    assert!(
+        world.probe().appended() <= capacity as u64,
+        "no record evicted"
+    );
+    let first = world
+        .probe()
+        .records()
+        .filter(|e| {
+            matches!(
+                e.record,
+                ProbeRecord::FaultDrop { .. } | ProbeRecord::FaultBurst { .. }
+            )
+        })
+        .map(|e| e.at)
+        .min()
+        .expect("the burst window bites");
+    let open = report.epoch + SimDuration::from_ms(500);
+    assert!(
+        first >= open,
+        "first burst record at {first:?}, window opens at {open:?}"
+    );
+}
+
 #[test]
 fn lossy_scenario_replays_byte_identically() {
     let sc = Scenario::new(TopologyShape::Line { bridges: 2 }, BatteryKind::Lossy, 42);

@@ -211,8 +211,8 @@ fn port_flag_change_mid_flow_falls_back_to_flooding() {
 
     // STP-style: port 1 stops forwarding (what a Blocking transition does
     // through the plane's access points).
-    world.with_ctx::<BridgeNode, _>(b, |node, _ctx| {
-        node.plane_mut().set_port_forward(1, false);
+    world.with_ctx::<BridgeNode, _>(b, |node, ctx| {
+        node.plane_mut().set_port_forward(1, false, ctx.now());
         // The learned entry for host 2 now points at a non-forwarding
         // port; the switching function floods instead (stale-entry rule).
     });
@@ -337,7 +337,8 @@ proptest! {
                 }
                 14 => {
                     model.forward[port] = on;
-                    world.node_mut::<BridgeNode>(bridge).plane_mut().set_port_forward(port, on);
+                    let now = world.now();
+                    world.node_mut::<BridgeNode>(bridge).plane_mut().set_port_forward(port, on, now);
                 }
                 _ => {
                     model.learn[port] = on;
