@@ -967,12 +967,14 @@ impl BridgeNode {
             self.install_native(ctx, &module.name);
             return;
         }
-        // A real VM module: link, verify, run its init.
+        // A real VM module: link and verify the module decoded above, then
+        // run its init.
         let exec = ExecConfig {
             fuel: self.cfg.vm_fuel,
             max_depth: 64,
         };
-        let name = module.name;
+        let name: Rc<str> = Rc::from(module.name.as_str());
+        let linked = self.ns.load_module(module);
         let mut env = hostmods::HostEnv {
             sim: ctx,
             plane: &mut self.plane,
@@ -981,9 +983,9 @@ impl BridgeNode {
             vm_owner: &mut self.vm_owner,
             mac: self.mac,
             bridge_name: &self.name,
-            module_name: Rc::from(name.as_str()),
+            module_name: Rc::clone(&name),
         };
-        match self.ns.load_and_init(image, &mut env, &exec) {
+        match linked.and_then(|id| self.ns.run_init(id, &mut env, &exec)) {
             Ok(_) => {
                 self.enter_slot(&name, SwitchletImpl::Vm);
                 ctx.trace(format_args!("{}: loaded vm switchlet {name}", self.name));

@@ -20,7 +20,9 @@
 //! Reports are written as JSON ([`Report::to_json`]) and are
 //! byte-identical across runs with the same seed.
 
-use active_bridge::{BridgeConfig, BridgeId, BridgeNode, BridgeStats, StormConfig, StpVariant};
+use active_bridge::{
+    BridgeConfig, BridgeId, BridgeNode, BridgeStats, StormConfig, StpTimers, StpVariant,
+};
 use hostsim::{
     App, ArpStormApp, BlastApp, HostConfig, HostCostModel, HostNode, MacFloodApp, PingApp,
     RogueBpduApp, TtcpRecvApp, TtcpSendApp, UploadApp,
@@ -1446,15 +1448,9 @@ fn judge_invariants(evidence: &Evidence<'_>) -> Vec<InvariantResult> {
         let heal_offset = wl.chaos.last_heal_at().unwrap_or(SimDuration::ZERO);
         let heal = epoch + heal_offset;
 
-        // After the last heal the control plane must settle within a
-        // bound: a spanning-tree re-convergence around a restarted
-        // bridge (max-age expiry plus two forward-delay intervals) on
-        // loopy topologies, a re-flood on learning-only ones.
-        let bound = if topo.cyclic() {
-            SimDuration::from_secs(55)
-        } else {
-            SimDuration::from_secs(5)
-        };
+        // After the last heal the control plane must settle within the
+        // topology's recovery margin under the timers the bridges ran.
+        let bound = topo.recovery_margin(&StpTimers::default());
         let reconverged = converged_at.is_none_or(|t| t <= heal + bound);
         out.push(InvariantResult {
             name: "reconverges_after_heal",

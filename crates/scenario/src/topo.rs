@@ -11,7 +11,7 @@
 //! usable; [`Topology::default_boot`] picks the right switchlet set.
 
 use crate::prims;
-use active_bridge::BridgeConfig;
+use active_bridge::{BridgeConfig, StpTimers};
 use netsim::{NodeId, SegId, SegmentConfig, SimDuration, World, Xoshiro};
 
 /// The supported parametric shapes.
@@ -404,6 +404,21 @@ impl Topology {
         self.bridges.len() >= self.segments.len()
     }
 
+    /// How long the control plane gets after the last heal of a chaos
+    /// script: `max_age + 2 × forward_delay + 5 s` under `stp` on cyclic
+    /// shapes — a restarted bridge's neighbours age out what it published,
+    /// and its ports pass Listening and Learning, before they forward —
+    /// and 5 s on learning-only shapes, which just re-flood. Under
+    /// [`StpTimers::default`] the cyclic margin is 55 s.
+    pub fn recovery_margin(&self, stp: &StpTimers) -> SimDuration {
+        let settle = SimDuration::from_secs(5);
+        if self.cyclic() {
+            stp.max_age + stp.forward_delay * 2 + settle
+        } else {
+            settle
+        }
+    }
+
     /// The switchlets a bridge of this topology should boot: learning
     /// everywhere, plus the 802.1D spanning tree when loops exist.
     pub fn default_boot(&self) -> &'static [&'static str] {
@@ -481,6 +496,25 @@ pub fn instantiate(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recovery_margin_follows_the_timers_on_cyclic_shapes() {
+        let line = generate(TopologyShape::Line { bridges: 3 }, 1);
+        let ring = generate(TopologyShape::Ring { bridges: 4 }, 1);
+        let ieee = StpTimers::default();
+        assert_eq!(
+            ring.recovery_margin(&ieee),
+            SimDuration::from_secs(20 + 2 * 15 + 5)
+        );
+        assert_eq!(line.recovery_margin(&ieee), SimDuration::from_secs(5));
+        let halved = StpTimers {
+            hello: SimDuration::from_secs(1),
+            max_age: SimDuration::from_secs(10),
+            forward_delay: SimDuration::from_ms(7_500),
+        };
+        assert_eq!(ring.recovery_margin(&halved), SimDuration::from_secs(30));
+        assert_eq!(line.recovery_margin(&halved), SimDuration::from_secs(5));
+    }
 
     #[test]
     fn shape_counts() {

@@ -7,6 +7,7 @@
 //! when) plus a [`ChaosScript`] of segment fault windows, link downs and
 //! bridge crashes. The runner materializes both.
 
+use active_bridge::StpTimers;
 use hostsim::{App, ArpStormApp, MacFloodApp, RogueBpduApp, UploadApp, UploadConfig};
 use netsim::{BurstConfig, ChaosScript, FaultConfig, PortId, SimDuration, Xoshiro};
 use netstack::FailureClass;
@@ -932,20 +933,13 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                     SimDuration::from_ms(3_400),
                 );
             }
-            // After the last heal the plane gets a recovery margin: on
-            // loopy topologies the spanning tree may need a max-age
-            // expiry plus two forward-delay intervals to reopen ports
-            // around a restarted bridge; learning-only topologies just
-            // re-flood.
+            // After the last heal the plane gets its recovery margin
+            // (`Topology::recovery_margin`, under the timers every
+            // scenario bridge runs).
             let heal = chaos
                 .last_heal_at()
                 .expect("the chaos script heals everything it breaks");
-            let margin = if topo.cyclic() {
-                SimDuration::from_secs(55)
-            } else {
-                SimDuration::from_secs(5)
-            };
-            let post = heal + margin;
+            let post = heal + topo.recovery_margin(&StpTimers::default());
             // The watchdog probe: upload a deliberately faulty data
             // plane to one bridge, then trigger it with a flood blast
             // (every frame crossing that bridge traps its VM). The

@@ -191,6 +191,65 @@ fn armed_metro_run_delivers_every_wire_frame_to_each_other_attachment() {
     assert!(checked > 1_000, "only {checked} wire frames");
 }
 
+/// Two more of ROADMAP item 12's rules, on the same armed `metro_small` ×
+/// `Metro` run at seed 42, whose access and trunk links run at different
+/// rates:
+/// - each `WireTx`'s `ser_ns` is the serialization time of `len` payload
+///   octets plus the per-frame overhead at its segment's configured rate
+///   (read from the generated topology, not from the world);
+/// - on each segment a transmission starts (`at − ser_ns`) no earlier than
+///   the previous one ended (its `at`): one frame on the medium at a time.
+#[test]
+fn armed_metro_run_serializes_each_frame_at_its_segment_rate_one_at_a_time() {
+    use netsim::{SegId, SegmentConfig, SimDuration, SimTime};
+    use std::collections::HashMap;
+
+    let sc = Scenario::new(TopologyShape::metro_small(), BatteryKind::Metro, 42);
+    let (_report, _digest, world) = run_recorded(&sc, ProbeConfig::default());
+    let probe = world.probe();
+    assert_eq!(probe.dropped(), 0, "an incomplete recording proves nothing");
+    let topo = ab_scenario::topo::generate(sc.shape, sc.seed);
+    let rate_of: HashMap<&str, u64> = topo
+        .segments
+        .iter()
+        .map(|spec| (spec.name.as_str(), spec.bandwidth_bps))
+        .collect();
+    let overhead = SegmentConfig::default().overhead_bytes;
+
+    let mut last_end: HashMap<SegId, SimTime> = HashMap::new();
+    let mut rates = Vec::new();
+    let mut checked = 0;
+    for event in probe.records() {
+        let ProbeRecord::WireTx {
+            seg, len, ser_ns, ..
+        } = event.record
+        else {
+            continue;
+        };
+        let rate = rate_of[world.segment(seg).name()];
+        let want = SimDuration::serialization(len as usize + overhead, rate).as_ns();
+        assert_eq!(
+            ser_ns, want,
+            "{seg}: {len} octets at {rate} b/s, sent at {}",
+            event.at
+        );
+        let start = event.at.as_ns() - ser_ns;
+        if let Some(prev) = last_end.insert(seg, event.at) {
+            assert!(
+                start >= prev.as_ns(),
+                "{seg}: a frame started at {start} ns, before the one ending at {} ns left",
+                prev.as_ns()
+            );
+        }
+        if !rates.contains(&rate) {
+            rates.push(rate);
+        }
+        checked += 1;
+    }
+    assert!(checked > 1_000, "only {checked} wire frames");
+    assert!(rates.len() > 1, "every segment ran at one rate: {rates:?}");
+}
+
 /// Ring capacity is respected end to end: a tiny ring retains the newest
 /// records and reports the evicted count exactly.
 #[test]

@@ -241,8 +241,9 @@ impl Namespace {
         self.load_module(module)
     }
 
-    /// Link and verify an already-decoded module (used by the boot loader,
-    /// which holds modules "on disk").
+    /// Link and verify an already-decoded module: a bridge decodes each
+    /// image itself (a native carrier stops there) and hands the module
+    /// here, so the image's digests are checked once per load.
     pub fn load_module(&mut self, module: Module) -> Result<InstanceId, LoadError> {
         if self.by_name.contains_key(&module.name) {
             return Err(LoadError::DuplicateModule(module.name.clone()));

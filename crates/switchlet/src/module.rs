@@ -8,8 +8,8 @@
 //! are unaltered module thinning works as described."
 
 use crate::bytecode::{Function, Op, INT_WIDTHS};
-use crate::digest::{md5, Digest};
-use crate::sig::{digest_exports, digest_imports, ExportSig, ImportSig};
+use crate::digest::{md5, Digest, Md5};
+use crate::sig::{absorb_entry, digest_imports, ImportSig};
 use crate::types::Ty;
 
 /// Sanity caps on decoded modules (a switchlet claiming a million
@@ -132,11 +132,14 @@ impl Writer {
         self.u32(b.len() as u32);
         self.buf.extend_from_slice(b);
     }
+    /// A type's canonical encoding behind its `u16` length, encoded in
+    /// place and the length written in front of it afterwards.
     fn ty(&mut self, t: &Ty) {
-        let mut enc = Vec::new();
-        t.encode(&mut enc);
-        self.u16(enc.len() as u16);
-        self.buf.extend_from_slice(&enc);
+        let at = self.buf.len();
+        self.u16(0);
+        t.encode(&mut self.buf);
+        let len = self.buf.len() - at - 2;
+        self.buf[at..at + 2].copy_from_slice(&(len as u16).to_le_bytes());
     }
 }
 
@@ -363,25 +366,26 @@ fn decode_op(r: &mut Reader<'_>) -> Result<Op, DecodeError> {
 }
 
 impl Module {
-    /// The export interface as signatures (name + full function type).
-    pub fn export_sigs(&self) -> Vec<ExportSig> {
-        self.exports
-            .iter()
-            .map(|e| {
-                let f = &self.functions[e.func as usize];
-                ExportSig {
-                    name: e.name.clone(),
-                    ty: Ty::func(f.params.clone(), f.result.clone()),
-                }
-            })
-            .collect()
-    }
-
     /// Recompute and store both interface digests (called by the
     /// assembler as the final build step).
     pub fn seal(&mut self) {
         self.import_digest = digest_imports(&self.imports);
-        self.export_digest = digest_exports(&self.name, &self.export_sigs());
+        self.export_digest = self.digest_export_interface();
+    }
+
+    /// The digest `digest_exports` gives the export signatures — each
+    /// export's name with its function's type — read off the exported
+    /// functions in place: no signature is built to be hashed. Every
+    /// export must name a function of the module.
+    fn digest_export_interface(&self) -> Digest {
+        let mut h = Md5::new();
+        for e in &self.exports {
+            let f = &self.functions[e.func as usize];
+            absorb_entry(&mut h, &self.name, &e.name, |h| {
+                Ty::encode_func(&f.params, &f.result, h)
+            });
+        }
+        h.finish()
     }
 
     /// Serialize to wire bytes (with trailing body digest).
@@ -562,7 +566,7 @@ impl Module {
         };
         // The recorded interface digests must match the decoded signatures.
         if digest_imports(&module.imports) != module.import_digest
-            || digest_exports(&module.name, &module.export_sigs()) != module.export_digest
+            || module.digest_export_interface() != module.export_digest
         {
             return Err(DecodeError::InterfaceDigestMismatch);
         }
@@ -573,6 +577,7 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sig::ExportSig;
 
     fn sample_module() -> Module {
         let mut m = Module {
@@ -623,6 +628,23 @@ mod tests {
         assert_eq!(back.init, m.init);
         assert_eq!(back.import_digest, m.import_digest);
         assert_eq!(back.export_digest, m.export_digest);
+    }
+
+    #[test]
+    fn export_digest_is_the_digest_of_the_export_signatures() {
+        let m = sample_module();
+        let sigs: Vec<ExportSig> = m
+            .exports
+            .iter()
+            .map(|e| {
+                let f = &m.functions[e.func as usize];
+                ExportSig {
+                    name: e.name.clone(),
+                    ty: Ty::func(f.params.clone(), f.result.clone()),
+                }
+            })
+            .collect();
+        assert_eq!(m.export_digest, crate::sig::digest_exports(&m.name, &sigs));
     }
 
     #[test]

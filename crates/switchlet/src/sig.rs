@@ -8,7 +8,7 @@
 //! with no way of naming the excluded function and thus, no way of
 //! accessing it."
 
-use crate::digest::{md5, Digest};
+use crate::digest::{Digest, Md5};
 use crate::types::Ty;
 
 /// One imported item: `module.item : ty`.
@@ -32,32 +32,34 @@ pub struct ExportSig {
     pub ty: Ty,
 }
 
-fn encode_entry(out: &mut Vec<u8>, module: &str, item: &str, ty: &Ty) {
-    out.extend_from_slice(module.as_bytes());
-    out.push(0);
-    out.extend_from_slice(item.as_bytes());
-    out.push(0);
-    ty.encode(out);
-    out.push(b'\n');
+/// Absorb one canonical interface entry, `module NUL item NUL type '\n'`
+/// (`ty` writes the type's encoding), into `h`.
+pub(crate) fn absorb_entry(h: &mut Md5, module: &str, item: &str, ty: impl FnOnce(&mut Md5)) {
+    h.update(module.as_bytes());
+    h.update(&[0]);
+    h.update(item.as_bytes());
+    h.update(&[0]);
+    ty(h);
+    h.update(b"\n");
 }
 
 /// Digest of an import list (order-sensitive, like a compilation unit's
 /// dependency list).
 pub fn digest_imports(imports: &[ImportSig]) -> Digest {
-    let mut buf = Vec::new();
+    let mut h = Md5::new();
     for imp in imports {
-        encode_entry(&mut buf, &imp.module, &imp.item, &imp.ty);
+        absorb_entry(&mut h, &imp.module, &imp.item, |h| imp.ty.encode_into(h));
     }
-    md5(&buf)
+    h.finish()
 }
 
 /// Digest of a module's export interface.
 pub fn digest_exports(module_name: &str, exports: &[ExportSig]) -> Digest {
-    let mut buf = Vec::new();
+    let mut h = Md5::new();
     for exp in exports {
-        encode_entry(&mut buf, module_name, &exp.name, &exp.ty);
+        absorb_entry(&mut h, module_name, &exp.name, |h| exp.ty.encode_into(h));
     }
-    md5(&buf)
+    h.finish()
 }
 
 #[cfg(test)]
@@ -104,6 +106,40 @@ mod tests {
         let a = digest_imports(&[imp("ab", "c", Ty::Int)]);
         let b = digest_imports(&[imp("a", "bc", Ty::Int)]);
         assert_ne!(a, b);
+    }
+
+    /// The digests stream what used to be buffered: `module NUL item NUL
+    /// type '\n'` per entry, hashed as one message.
+    #[test]
+    fn digests_hash_the_concatenated_canonical_entries() {
+        let imports = [
+            imp("safestd", "log", Ty::func(vec![Ty::Str], Ty::Unit)),
+            imp(
+                "unixnet",
+                "t",
+                Ty::table(Ty::Int, Ty::tuple(vec![Ty::Str, Ty::named("oport")])),
+            ),
+        ];
+        let mut buf = Vec::new();
+        for i in &imports {
+            buf.extend_from_slice(i.module.as_bytes());
+            buf.push(0);
+            buf.extend_from_slice(i.item.as_bytes());
+            buf.push(0);
+            i.ty.encode(&mut buf);
+            buf.push(b'\n');
+        }
+        assert_eq!(digest_imports(&imports), crate::digest::md5(&buf));
+        assert_eq!(digest_imports(&[]), crate::digest::md5(b""));
+        let exports = [ExportSig {
+            name: "t".into(),
+            ty: imports[1].ty.clone(),
+        }];
+        let renamed = [imp("unixnet", "t", imports[1].ty.clone())];
+        assert_eq!(
+            digest_exports("unixnet", &exports),
+            digest_imports(&renamed)
+        );
     }
 
     #[test]

@@ -56,6 +56,19 @@ impl FuncTy {
     }
 }
 
+/// Where a canonical type encoding is written: a buffer, or an MD5 state
+/// absorbing the bytes as they are produced.
+pub(crate) trait Sink {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
 impl Ty {
     /// Shorthand for a function type.
     pub fn func(params: Vec<Ty>, result: Ty) -> Ty {
@@ -87,40 +100,47 @@ impl Ty {
     /// Canonical encoding used by interface digests; injective on the type
     /// language so distinct types can never collide pre-hash.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_into(out);
+    }
+
+    /// [`Ty::encode`] into any [`Sink`]: an interface digest streams the
+    /// encoding into its MD5 state instead of buffering it.
+    pub(crate) fn encode_into(&self, out: &mut impl Sink) {
         match self {
-            Ty::Unit => out.push(b'u'),
-            Ty::Bool => out.push(b'b'),
-            Ty::Int => out.push(b'i'),
-            Ty::Str => out.push(b's'),
+            Ty::Unit => out.put(b"u"),
+            Ty::Bool => out.put(b"b"),
+            Ty::Int => out.put(b"i"),
+            Ty::Str => out.put(b"s"),
             Ty::Tuple(items) => {
-                out.push(b'(');
-                out.push(items.len() as u8);
+                out.put(&[b'(', items.len() as u8]);
                 for t in items {
-                    t.encode(out);
+                    t.encode_into(out);
                 }
-                out.push(b')');
+                out.put(b")");
             }
-            Ty::Func(f) => {
-                out.push(b'<');
-                out.push(f.params.len() as u8);
-                for p in &f.params {
-                    p.encode(out);
-                }
-                f.result.encode(out);
-                out.push(b'>');
-            }
+            Ty::Func(f) => Ty::encode_func(&f.params, &f.result, out),
             Ty::Table(k, v) => {
-                out.push(b'{');
-                k.encode(out);
-                v.encode(out);
-                out.push(b'}');
+                out.put(b"{");
+                k.encode_into(out);
+                v.encode_into(out);
+                out.put(b"}");
             }
             Ty::Named(tag) => {
-                out.push(b'n');
-                out.push(tag.len() as u8);
-                out.extend_from_slice(tag.as_bytes());
+                out.put(&[b'n', tag.len() as u8]);
+                out.put(tag.as_bytes());
             }
         }
+    }
+
+    /// The encoding of `Ty::func(params, result)`, from its parts: a
+    /// function's signature is digested without building its type.
+    pub(crate) fn encode_func(params: &[Ty], result: &Ty, out: &mut impl Sink) {
+        out.put(&[b'<', params.len() as u8]);
+        for p in params {
+            p.encode_into(out);
+        }
+        result.encode_into(out);
+        out.put(b">");
     }
 
     /// Decode one type from the front of `buf`, advancing it. Inverse of
