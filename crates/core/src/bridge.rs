@@ -50,6 +50,20 @@ const STORM_UNKNOWN: usize = 1;
 /// (`elapsed_ns × rate_pps`) stays in integer arithmetic.
 const NANO_PER_FRAME: u64 = 1_000_000_000;
 
+/// Input service queue capacity: frames waiting for the bridge program.
+const INPUT_QUEUE: usize = 256;
+
+/// The budget of one VM switchlet invocation, at init and per frame.
+const VM_EXEC: ExecConfig = ExecConfig {
+    fuel: 200_000,
+    max_depth: 64,
+};
+
+/// Switchlet watchdog threshold: after this many traps or fuel
+/// exhaustions, a VM switchlet is quarantined and the data plane rolled
+/// back to its last-known-good tier.
+pub const WATCHDOG_TRAPS: u32 = 3;
+
 fn service_token(epoch: u8) -> TimerToken {
     TimerToken(KIND_SERVICE << 56 | (epoch as u64) << 48)
 }
@@ -346,13 +360,12 @@ impl BridgeNode {
         cfg: BridgeConfig,
     ) -> BridgeNode {
         let plane = Self::fresh_plane(n_ports, &cfg);
-        let input_queue = cfg.input_queue;
         BridgeNode {
             name: name.into(),
             mac,
             ip,
             cfg,
-            service: ServiceQueue::new(input_queue),
+            service: ServiceQueue::new(INPUT_QUEUE),
             plane,
             slots: Vec::new(),
             ns: Namespace::sharing(hostmods::shared_env()),
@@ -566,10 +579,6 @@ impl BridgeNode {
         owner: Rc<str>,
         args: impl IntoIterator<Item = Value>,
     ) {
-        let exec = ExecConfig {
-            fuel: self.cfg.vm_fuel,
-            max_depth: 64,
-        };
         ctx.probe(|node| ProbeRecord::ExecBegin { node });
         let mut env = hostmods::HostEnv {
             sim: ctx,
@@ -586,7 +595,7 @@ impl BridgeNode {
             &mut env,
             target,
             args,
-            &exec,
+            &VM_EXEC,
             &mut self.vm_scratch,
         );
         let owner = env.module_name;
@@ -615,16 +624,15 @@ impl BridgeNode {
 
     // ----------------------------------------------------------- watchdog
 
-    /// Record one trap against a VM module; at the configured threshold
-    /// the watchdog quarantines it (see [`BridgeNode::quarantine`]).
+    /// Record one trap against a VM module; at [`WATCHDOG_TRAPS`] the
+    /// watchdog quarantines it (see [`BridgeNode::quarantine`]).
     fn watchdog_trap(&mut self, ctx: &mut Ctx<'_>, module: &str) {
-        let threshold = self.cfg.watchdog_traps;
-        if threshold == 0 || module.is_empty() || self.quarantined.contains(module) {
+        if module.is_empty() || self.quarantined.contains(module) {
             return;
         }
         let count = self.trap_counts.entry(module.to_owned()).or_insert(0);
         *count += 1;
-        if *count >= threshold {
+        if *count >= WATCHDOG_TRAPS {
             self.quarantine(ctx, module);
         }
     }
@@ -969,10 +977,6 @@ impl BridgeNode {
         }
         // A real VM module: link and verify the module decoded above, then
         // run its init.
-        let exec = ExecConfig {
-            fuel: self.cfg.vm_fuel,
-            max_depth: 64,
-        };
         let name: Rc<str> = Rc::from(module.name.as_str());
         let linked = self.ns.load_module(module);
         let mut env = hostmods::HostEnv {
@@ -985,7 +989,7 @@ impl BridgeNode {
             bridge_name: &self.name,
             module_name: Rc::clone(&name),
         };
-        match linked.and_then(|id| self.ns.run_init(id, &mut env, &exec)) {
+        match linked.and_then(|id| self.ns.run_init(id, &mut env, &VM_EXEC)) {
             Ok(_) => {
                 self.enter_slot(&name, SwitchletImpl::Vm);
                 ctx.trace(format_args!("{}: loaded vm switchlet {name}", self.name));
@@ -1089,7 +1093,7 @@ impl Node for BridgeNode {
         // scratch, pending commands, and the watchdog's history. The
         // epoch bump orphans every timer already in flight.
         self.epoch = self.epoch.wrapping_add(1);
-        self.service = ServiceQueue::new(self.cfg.input_queue);
+        self.service = ServiceQueue::new(INPUT_QUEUE);
         let mut plane = Self::fresh_plane(self.plane.num_ports(), &self.cfg);
         plane.carry_over_crash(&self.plane, ctx.now());
         self.plane = plane;
@@ -1308,13 +1312,7 @@ mod tests {
             cost: CostModel::FREE,
             ..BridgeConfig::default()
         };
-        let mut node = BridgeNode::new(
-            "bridge",
-            MacAddr::local(1),
-            Ipv4Addr::LOCALHOST,
-            4,
-            cfg.clone(),
-        );
+        let mut node = BridgeNode::new("bridge", MacAddr::local(1), Ipv4Addr::LOCALHOST, 4, cfg);
         node.boot_load(probe_image("vm_a", 0, false));
         let mut world = World::new(1);
         let b = world.add_node(node);
@@ -1339,7 +1337,7 @@ mod tests {
 
         // It traps on every frame; at the threshold the watchdog
         // quarantines it and rolls back to `vm_a`'s handler.
-        for _ in 1..cfg.watchdog_traps {
+        for _ in 1..WATCHDOG_TRAPS {
             assert_eq!(owner_seen(&mut world, b, 1), "vm_b");
         }
         assert!(world.node::<BridgeNode>(b).is_quarantined("vm_b"));

@@ -25,27 +25,6 @@ impl Default for StpTimers {
     }
 }
 
-/// Control-switchlet timing (paper Table 1: suppress DEC packets for the
-/// first 30 seconds, run validation tests at 60 seconds).
-#[derive(Copy, Clone, Debug)]
-pub struct TransitionTimers {
-    /// The "initial transition period": DEC packets arriving within it are
-    /// suppressed; after it they trigger fallback.
-    pub suppress_window: SimDuration,
-    /// When to compare the new protocol's spanning tree against the
-    /// captured old state.
-    pub test_at: SimDuration,
-}
-
-impl Default for TransitionTimers {
-    fn default() -> Self {
-        TransitionTimers {
-            suppress_window: SimDuration::from_secs(30),
-            test_at: SimDuration::from_secs(60),
-        }
-    }
-}
-
 /// One storm-control budget: a deterministic token bucket policing one
 /// traffic class (broadcast/multicast, or unknown unicast) per ingress
 /// port, ahead of the switching function. Refill arithmetic is integer
@@ -71,29 +50,17 @@ pub struct BridgeConfig {
     /// Software path cost model (Figure 5). Default: the calibrated
     /// 1997 active-bridge preset.
     pub cost: CostModel,
-    /// Input service queue capacity (frames waiting for the bridge
-    /// program).
-    pub input_queue: usize,
     /// STP timers.
     pub stp: StpTimers,
-    /// Protocol-transition timers.
-    pub transition: TransitionTimers,
     /// Bridge priority for spanning tree (lower wins root election).
     pub priority: u16,
     /// Learning-table entry lifetime.
     pub learn_age: SimDuration,
-    /// Fuel budget per VM switchlet invocation.
-    pub vm_fuel: u64,
     /// How many distinct stations this bridge should expect to learn
     /// (a topology-derived hint; `0` = unknown). The learning table is
     /// pre-sized from it so metro-scale populations never pay
     /// incremental rehashing on the per-frame learn path.
     pub expected_stations: usize,
-    /// Switchlet watchdog threshold: after this many traps or fuel
-    /// exhaustions, a VM switchlet is quarantined and the data plane
-    /// rolled back to its last-known-good tier (`0` disables the
-    /// watchdog).
-    pub watchdog_traps: u32,
     /// Hard cap on learning-table entries (`0` = unbounded, the legacy
     /// behaviour). When full, a new source evicts the oldest-refresh
     /// entry on the offending ingress port, or is rejected if that port
@@ -119,14 +86,10 @@ impl Default for BridgeConfig {
     fn default() -> Self {
         BridgeConfig {
             cost: CostModel::active_bridge_1997(),
-            input_queue: 256,
             stp: StpTimers::default(),
-            transition: TransitionTimers::default(),
             priority: 0x8000,
             learn_age: SimDuration::from_secs(300),
-            vm_fuel: 200_000,
             expected_stations: 0,
-            watchdog_traps: 3,
             learn_cap: 0,
             learn_port_quota: 0,
             storm_broadcast: None,
@@ -156,12 +119,5 @@ mod tests {
         assert!(c.storm_broadcast.is_none());
         assert!(c.storm_unknown.is_none());
         assert!(c.bpdu_guard.is_empty());
-    }
-
-    #[test]
-    fn transition_windows_match_table1() {
-        let t = TransitionTimers::default();
-        assert_eq!(t.suppress_window, SimDuration::from_secs(30));
-        assert_eq!(t.test_at, SimDuration::from_secs(60));
     }
 }

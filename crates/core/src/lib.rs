@@ -30,13 +30,15 @@ pub mod loader;
 pub mod plane;
 pub mod switchlets;
 
-pub use bridge::{BridgeCommand, BridgeCtx, BridgeNode, DataFrame, NativeInit, NativeSwitchlet};
-pub use config::{BridgeConfig, StormConfig, StpTimers, TransitionTimers};
+pub use bridge::{
+    BridgeCommand, BridgeCtx, BridgeNode, DataFrame, NativeInit, NativeSwitchlet, WATCHDOG_TRAPS,
+};
+pub use config::{BridgeConfig, StormConfig, StpTimers};
 pub use plane::{
     BridgeStats, DataPlaneSel, DecisionCache, LearnOutcome, LearningTable, Plane, PortFlags,
     SwitchletStatus, Verdict,
 };
-pub use switchlets::control::{ControlSwitchlet, Phase, TransitionEvent};
+pub use switchlets::control::{ControlSwitchlet, Phase, TransitionEvent, SUPPRESS_WINDOW, TEST_AT};
 pub use switchlets::dumb::DumbBridge;
 pub use switchlets::learning::LearningBridge;
 pub use switchlets::stp::bpdu::{Bpdu, BridgeId, ConfigBpdu, StpVariant};

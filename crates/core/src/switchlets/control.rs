@@ -21,7 +21,7 @@
 //! snapshot against it at the 60-second mark.
 
 use ether::MacAddr;
-use netsim::{PortId, SimTime};
+use netsim::{PortId, SimDuration, SimTime};
 
 use crate::bridge::{BridgeCommand, BridgeCtx, DataFrame, NativeSwitchlet};
 use crate::switchlets::stp::engine::StpSnapshot;
@@ -29,6 +29,14 @@ use crate::switchlets::stp::{DEC_NAME, IEEE_NAME};
 
 /// The switchlet's unit name.
 pub const NAME: &str = "control";
+
+/// Table 1's "initial transition period": DEC packets arriving within
+/// it are suppressed; after it they trigger fallback.
+pub const SUPPRESS_WINDOW: SimDuration = SimDuration::from_secs(30);
+
+/// When, after the transition begins, Table 1 compares the new
+/// protocol's spanning tree against the captured old state.
+pub const TEST_AT: SimDuration = SimDuration::from_secs(60);
 
 const TOKEN_TEST: u32 = 1;
 const TOKEN_SUPPRESS_END: u32 = 2;
@@ -113,8 +121,8 @@ impl ControlSwitchlet {
         bc.plane.register_addr(MacAddr::DEC_BRIDGES, NAME);
         self.record(bc, "start IEEE");
         self.phase = Phase::Transition { started: bc.now() };
-        bc.schedule(bc.cfg.transition.suppress_window, TOKEN_SUPPRESS_END);
-        bc.schedule(bc.cfg.transition.test_at, TOKEN_TEST);
+        bc.schedule(SUPPRESS_WINDOW, TOKEN_SUPPRESS_END);
+        bc.schedule(TEST_AT, TOKEN_TEST);
     }
 
     fn fall_back(&mut self, bc: &mut BridgeCtx<'_, '_>, why: &str) {
@@ -204,7 +212,7 @@ impl NativeSwitchlet for ControlSwitchlet {
             (Phase::Transition { started }, d) if d == MacAddr::DEC_BRIDGES => {
                 let started = *started;
                 let elapsed = bc.now().saturating_since(started);
-                if elapsed <= bc.cfg.transition.suppress_window {
+                if elapsed <= SUPPRESS_WINDOW {
                     self.dec_suppressed += 1;
                 } else {
                     self.fall_back(bc, "DEC packet after initial transition period");

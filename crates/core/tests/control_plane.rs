@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 use active_bridge::hostmods::handler_ty;
 use active_bridge::{
     BridgeCommand, BridgeConfig, BridgeCtx, BridgeNode, DataFrame, NativeSwitchlet, PortFlags,
-    StpVariant,
+    StpVariant, WATCHDOG_TRAPS,
 };
 use ether::{EtherType, FrameBuilder, MacAddr};
 use netsim::{CostModel, Node, NodeId, PortId, SimTime, World};
@@ -192,7 +192,7 @@ fn a_vm_registration_follows_its_handlers_lifecycle() {
         node.boot_load(vm_probe("vm_a", true, false));
         node.boot_load(vm_probe("vm_b", false, true));
     });
-    let threshold = BridgeConfig::default().watchdog_traps;
+    let threshold = WATCHDOG_TRAPS;
     let reached = |world: &mut World| {
         let read = |w: &World| (w.counters().get("vm_a.hits"), w.counters().get("vm_b.hits"));
         let before = read(world);

@@ -765,49 +765,29 @@ impl TtcpRecvApp {
 
 const UPLOAD_RETRY: u32 = 1;
 
-/// Tuning knobs for the upload transport. [`UploadConfig::resilient`] is
-/// the preset every upload runs with unless a caller tunes its own.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct UploadConfig {
-    /// Poll-timer period: the grid on which stalls are noticed.
-    pub poll: SimDuration,
-    /// Retransmission threshold before any RTT sample has been taken.
-    pub initial_rto: SimDuration,
-    /// Floor for the RTT-seeded RTO (ignored while `rtt_gain` is 0).
-    pub min_rto: SimDuration,
-    /// Ceiling the binary exponential backoff saturates at.
-    pub rto_ceiling: SimDuration,
-    /// RTO = measured RTT x this gain, clamped to `[min_rto,
-    /// rto_ceiling]`, re-seeded on every forward-progress event. 0 turns
-    /// seeding off (a fixed threshold).
-    pub rtt_gain: u32,
-    /// Budget of recovery actions (retransmissions + session restarts);
-    /// once spent, the upload is parked as a classified failure.
-    pub max_retries: u32,
-    /// Consecutive fruitless retransmissions before the sender drops its
-    /// ARP entry for the loader and re-resolves (0 = never). ARP has no
-    /// checksum: on a corrupting medium a
-    /// bit-flipped reply can poison the cache, and without a refresh
-    /// every later retransmission unicasts to a MAC nobody owns.
-    pub arp_refresh: u32,
-}
+/// Poll-timer period: the grid on which stalls are noticed.
+const UPLOAD_POLL: SimDuration = SimDuration::from_ms(100);
+/// Retransmission threshold before any RTT sample has been taken.
+const UPLOAD_INITIAL_RTO: SimDuration = SimDuration::from_ms(400);
+/// Floor for the RTT-seeded RTO.
+const UPLOAD_MIN_RTO: SimDuration = SimDuration::from_ms(200);
+/// Ceiling the binary exponential backoff saturates at: 8x headroom
+/// over the initial threshold.
+const UPLOAD_RTO_CEILING: SimDuration = SimDuration::from_ms(3_200);
+/// RTO = measured RTT x this gain, clamped to `[UPLOAD_MIN_RTO,
+/// UPLOAD_RTO_CEILING]`, re-seeded on every forward-progress event.
+const UPLOAD_RTT_GAIN: u64 = 4;
+/// Consecutive fruitless retransmissions before the sender drops its
+/// ARP entry for the loader and re-resolves. ARP has no checksum: on a
+/// corrupting medium a bit-flipped reply can poison the cache, and
+/// without a refresh every later retransmission unicasts to a MAC
+/// nobody owns.
+const UPLOAD_ARP_REFRESH: u32 = 4;
 
-impl UploadConfig {
-    /// The preset: RTT-seeded RTO, 8x backoff headroom,
-    /// and a finite budget so a dead server fails the upload instead of
-    /// livelocking it.
-    pub fn resilient() -> Self {
-        UploadConfig {
-            poll: SimDuration::from_ms(100),
-            initial_rto: SimDuration::from_ms(400),
-            min_rto: SimDuration::from_ms(200),
-            rto_ceiling: SimDuration::from_ms(3_200),
-            rtt_gain: 4,
-            max_retries: 40,
-            arp_refresh: 4,
-        }
-    }
-}
+/// The recovery budget [`UploadApp::new`] gives an upload: a finite
+/// count of retransmissions plus session restarts, so a dead server
+/// fails the upload instead of livelocking it.
+pub const UPLOAD_BUDGET: u32 = 40;
 
 /// Uploads a switchlet image to a bridge's TFTP loader.
 pub struct UploadApp {
@@ -817,8 +797,9 @@ pub struct UploadApp {
     pub dst: Ipv4Addr,
     /// Our UDP port.
     pub src_port: u16,
-    /// Transport tuning.
-    pub cfg: UploadConfig,
+    /// Budget of recovery actions (retransmissions + session restarts);
+    /// once spent, the upload is parked as a classified failure.
+    pub max_retries: u32,
     sender: TftpSender,
     /// Completion time.
     pub done_at: Option<SimTime>,
@@ -828,16 +809,16 @@ pub struct UploadApp {
     /// Class of the most recent failure event (terminal or recovered).
     pub failure: Option<FailureClass>,
     last_tx: SimTime,
-    /// Current retransmission threshold (adaptive when configured).
+    /// Current retransmission threshold, re-seeded from measured RTT.
     rto: SimDuration,
     /// Retransmissions performed.
     pub retries: u32,
     /// Fresh-WRQ session restarts after classified server failures.
     pub restarts: u32,
-    /// Backoff doublings clamped at [`UploadConfig::rto_ceiling`].
+    /// Backoff doublings clamped at the RTO ceiling (3.2 s).
     pub rto_ceiling_hits: u32,
-    /// Retransmissions since the last forward-progress event — the
-    /// [`UploadConfig::arp_refresh`] trigger.
+    /// Retransmissions since the last forward-progress event — the ARP
+    /// refresh trigger (every fourth one re-resolves the loader).
     retries_since_progress: u32,
     /// Gap (ns) between consecutive forward-progress events (server
     /// responses that advanced the transfer, including completion) —
@@ -848,7 +829,7 @@ pub struct UploadApp {
 }
 
 impl UploadApp {
-    /// Configure an upload with the [`UploadConfig::resilient`] transport.
+    /// Configure an upload with the [`UPLOAD_BUDGET`] recovery budget.
     pub fn new(
         port: PortId,
         dst: Ipv4Addr,
@@ -856,36 +837,30 @@ impl UploadApp {
         filename: impl Into<String>,
         image: Vec<u8>,
     ) -> App {
-        Self::with_config(
-            port,
-            dst,
-            src_port,
-            filename,
-            image,
-            UploadConfig::resilient(),
-        )
+        Self::with_budget(port, dst, src_port, filename, image, UPLOAD_BUDGET)
     }
 
-    /// Configure an upload with explicit transport tuning.
-    pub fn with_config(
+    /// Configure an upload that parks after `max_retries` recovery
+    /// actions.
+    pub fn with_budget(
         port: PortId,
         dst: Ipv4Addr,
         src_port: u16,
         filename: impl Into<String>,
         image: Vec<u8>,
-        cfg: UploadConfig,
+        max_retries: u32,
     ) -> App {
         App::Upload(UploadApp {
             port,
             dst,
             src_port,
-            cfg,
+            max_retries,
             sender: TftpSender::new(filename, image),
             done_at: None,
             failed: None,
             failure: None,
             last_tx: SimTime::ZERO,
-            rto: cfg.initial_rto,
+            rto: UPLOAD_INITIAL_RTO,
             retries: 0,
             restarts: 0,
             rto_ceiling_hits: 0,
@@ -917,7 +892,7 @@ impl UploadApp {
         let wrq = self.sender.start();
         self.send_udp(core, ctx, &wrq);
         self.last_progress = Some(ctx.now());
-        ctx.schedule(self.cfg.poll, app_token(idx, UPLOAD_RETRY));
+        ctx.schedule(UPLOAD_POLL, app_token(idx, UPLOAD_RETRY));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -956,7 +931,7 @@ impl UploadApp {
             SenderStep::Failed(class, msg) => {
                 ctx.probe(mark("upload.fail"));
                 self.failure = Some(class);
-                if self.budget_used() >= self.cfg.max_retries {
+                if self.budget_used() >= self.max_retries {
                     self.failed = Some(msg);
                 } else {
                     // A refused or lost session (server crash,
@@ -966,7 +941,7 @@ impl UploadApp {
                     // restart against the retry budget.
                     self.restarts += 1;
                     self.sender.restart();
-                    self.rto = self.cfg.initial_rto;
+                    self.rto = UPLOAD_INITIAL_RTO;
                     let wrq = self.sender.start();
                     self.send_udp(core, ctx, &wrq);
                 }
@@ -984,19 +959,16 @@ impl UploadApp {
         self.retries_since_progress = 0;
     }
 
-    /// Recovery actions spent against [`UploadConfig::max_retries`].
+    /// Recovery actions spent against [`UploadApp::max_retries`].
     pub fn budget_used(&self) -> u32 {
         self.retries.saturating_add(self.restarts)
     }
 
     fn reseed_rto(&mut self, rtt: SimDuration) {
-        if self.cfg.rtt_gain == 0 {
-            return;
-        }
         let ns = rtt
             .as_ns()
-            .saturating_mul(self.cfg.rtt_gain as u64)
-            .clamp(self.cfg.min_rto.as_ns(), self.cfg.rto_ceiling.as_ns());
+            .saturating_mul(UPLOAD_RTT_GAIN)
+            .clamp(UPLOAD_MIN_RTO.as_ns(), UPLOAD_RTO_CEILING.as_ns());
         self.rto = SimDuration::from_ns(ns);
     }
 
@@ -1006,7 +978,7 @@ impl UploadApp {
         }
         if ctx.now().saturating_since(self.last_tx) >= self.rto {
             if let Some(current) = self.sender.current() {
-                if self.budget_used() >= self.cfg.max_retries {
+                if self.budget_used() >= self.max_retries {
                     // Budget spent with the server silent: classified
                     // timeout, upload parked (the poll timer is not
                     // re-armed, so a dead server cannot livelock us).
@@ -1014,7 +986,7 @@ impl UploadApp {
                     self.failure = Some(FailureClass::Timeout);
                     self.failed = Some(format!(
                         "timeout: retry budget ({}) exhausted",
-                        self.cfg.max_retries
+                        self.max_retries
                     ));
                     return;
                 }
@@ -1024,28 +996,27 @@ impl UploadApp {
                 // cache is poisoned (a corrupted, checksum-less reply):
                 // periodically re-resolve so the next send re-ARPs
                 // instead of unicasting to a MAC nobody owns.
-                if self.cfg.arp_refresh > 0
-                    && self
-                        .retries_since_progress
-                        .is_multiple_of(self.cfg.arp_refresh)
+                if self
+                    .retries_since_progress
+                    .is_multiple_of(UPLOAD_ARP_REFRESH)
                     && core.invalidate_arp(self.dst)
                 {
                     ctx.probe(mark("upload.rearp"));
                 }
                 // Binary exponential backoff, saturating at the ceiling.
                 let doubled = self.rto.as_ns().saturating_mul(2);
-                if doubled >= self.cfg.rto_ceiling.as_ns() {
-                    if doubled > self.cfg.rto_ceiling.as_ns() {
+                if doubled >= UPLOAD_RTO_CEILING.as_ns() {
+                    if doubled > UPLOAD_RTO_CEILING.as_ns() {
                         self.rto_ceiling_hits += 1;
                     }
-                    self.rto = self.cfg.rto_ceiling;
+                    self.rto = UPLOAD_RTO_CEILING;
                 } else {
                     self.rto = SimDuration::from_ns(doubled);
                 }
                 self.send_udp(core, ctx, &current);
             }
         }
-        ctx.schedule(self.cfg.poll, app_token(idx, UPLOAD_RETRY));
+        ctx.schedule(UPLOAD_POLL, app_token(idx, UPLOAD_RETRY));
     }
 }
 
@@ -1545,9 +1516,11 @@ mod tests {
     }
 
     /// ARP has no checksum, so a corrupting medium can poison the
-    /// sender's cache with a MAC nobody owns. With `arp_refresh` set,
-    /// a run of fruitless retransmissions drops the entry and the next
-    /// send re-resolves the true MAC from the peer's reply.
+    /// sender's cache with a MAC nobody owns. Every fourth fruitless
+    /// retransmission drops the entry, and the next send re-resolves
+    /// the true MAC from the peer's reply. Retransmissions back off
+    /// 0.4 s → 0.8 s → 1.6 s → 3.2 s from the start, so they land at
+    /// 0.4, 1.2, 2.8 and 6.0 s, and the fourth one heals the cache.
     #[test]
     fn arp_refresh_heals_a_poisoned_cache() {
         let mut world = World::new(7);
@@ -1561,17 +1534,7 @@ mod tests {
         ));
         world.attach(peer, lan);
 
-        let cfg = UploadConfig {
-            poll: SimDuration::from_ms(10),
-            initial_rto: SimDuration::from_ms(20),
-            min_rto: SimDuration::from_ms(20),
-            rto_ceiling: SimDuration::from_ms(40),
-            rtt_gain: 0,
-            max_retries: 1000,
-            arp_refresh: 3,
-        };
-        let app =
-            UploadApp::with_config(PortId(0), peer_ip, 4000, "poisoned.swl", vec![0u8; 64], cfg);
+        let app = UploadApp::new(PortId(0), peer_ip, 4000, "poisoned.swl", vec![0u8; 64]);
         let h = world.add_node(HostNode::new(
             "uploader",
             HostConfig::simple(
@@ -1584,86 +1547,38 @@ mod tests {
         world.attach(h, lan);
         // Poison the cache before the first send: one bit away from
         // the peer's real MAC, exactly as a corrupted reply leaves it.
-        world
-            .node_mut::<HostNode>(h)
-            .core
-            .seed_arp(peer_ip, MacAddr::local(0x8002));
-        world.run_until(SimTime::from_ms(503));
-
-        let host = world.node::<HostNode>(h);
-        assert_eq!(
-            host.core.arp_entry(peer_ip),
-            Some(peer_mac),
-            "the refresh must re-resolve the true MAC"
-        );
-        let App::Upload(a) = host.app(0).unwrapped() else {
-            unreachable!()
+        let bogus = MacAddr::local(0x8002);
+        world.node_mut::<HostNode>(h).core.seed_arp(peer_ip, bogus);
+        let upload = |world: &World| {
+            let App::Upload(a) = world.node::<HostNode>(h).app(0).unwrapped() else {
+                unreachable!()
+            };
+            (a.retries, a.is_done())
         };
-        assert!(
-            a.retries >= cfg.arp_refresh,
-            "the refresh rides on fruitless retransmissions ({} retries)",
-            a.retries
+
+        world.run_until(SimTime::from_ms(5_900));
+        assert_eq!(
+            world.node::<HostNode>(h).core.arp_entry(peer_ip),
+            Some(bogus),
+            "three fruitless retransmissions leave the cache alone"
         );
-        assert!(
-            !a.is_done(),
+        assert_eq!(
+            upload(&world),
+            (3, false),
+            "retransmitted at 0.4, 1.2, 2.8 s"
+        );
+
+        world.run_until(SimTime::from_ms(6_100));
+        assert_eq!(
+            world.node::<HostNode>(h).core.arp_entry(peer_ip),
+            Some(peer_mac),
+            "the fourth retransmission (6.0 s) re-resolves the true MAC"
+        );
+        assert_eq!(
+            upload(&world),
+            (4, false),
             "no TFTP server answers here, so the upload keeps retrying"
         );
-    }
-
-    /// The legacy transport (`arp_refresh` 0) never touches the cache:
-    /// a poisoned entry stays poisoned forever — the failure mode the
-    /// refresh knob exists to break.
-    #[test]
-    fn legacy_transport_never_refreshes_a_poisoned_cache() {
-        let mut world = World::new(7);
-        let lan = world.add_segment(SegmentConfig::default());
-        let peer_ip = Ipv4Addr::new(10, 1, 0, 2);
-        let peer = world.add_node(HostNode::new(
-            "peer",
-            HostConfig::simple(MacAddr::local(2), peer_ip, HostCostModel::FREE),
-            vec![],
-        ));
-        world.attach(peer, lan);
-        let bogus = MacAddr::local(0x8002);
-        let app = UploadApp::with_config(
-            PortId(0),
-            peer_ip,
-            4000,
-            "poisoned.swl",
-            vec![0u8; 64],
-            UploadConfig {
-                poll: SimDuration::from_ms(10),
-                initial_rto: SimDuration::from_ms(20),
-                min_rto: SimDuration::from_ms(20),
-                rto_ceiling: SimDuration::from_ms(40),
-                rtt_gain: 0,
-                max_retries: 1000,
-                arp_refresh: 0,
-            },
-        );
-        let h = world.add_node(HostNode::new(
-            "uploader",
-            HostConfig::simple(
-                MacAddr::local(1),
-                Ipv4Addr::new(10, 1, 0, 1),
-                HostCostModel::FREE,
-            ),
-            vec![app],
-        ));
-        world.attach(h, lan);
-        world.node_mut::<HostNode>(h).core.seed_arp(peer_ip, bogus);
-        world.run_until(SimTime::from_ms(503));
-
-        let host = world.node::<HostNode>(h);
-        assert_eq!(
-            host.core.arp_entry(peer_ip),
-            Some(bogus),
-            "without a refresh the poisoned entry is permanent"
-        );
-        let App::Upload(a) = host.app(0).unwrapped() else {
-            unreachable!()
-        };
-        assert!(a.retries > 0 && !a.is_done());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod repeater;
 
 pub use apps::{
     App, ArpStormApp, BlastApp, DelayedApp, MacFloodApp, PingApp, ProbeApp, RogueBpduApp,
-    TtcpRecvApp, TtcpSendApp, UploadApp, UploadConfig,
+    TtcpRecvApp, TtcpSendApp, UploadApp, UPLOAD_BUDGET,
 };
 pub use cost::HostCostModel;
 pub use host::{HostConfig, HostCore, HostNode};

@@ -78,7 +78,7 @@ pub use framebuf::{FrameBuf, FrameBufMut};
 pub use node::{Node, NodeId, PortId, TimerHandle, TimerToken};
 pub use probe::{Probe, ProbeConfig, ProbeEvent, ProbeRecord};
 pub use rng::Xoshiro;
-pub use segment::{Attachment, SegCounters, SegId, Segment, SegmentConfig};
+pub use segment::{Attachment, SegCounters, SegId, Segment, SegmentConfig, WIRE_OVERHEAD};
 pub use service::{Offer, ServiceQueue};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Counters, Trace, TraceEntry};

@@ -11,8 +11,7 @@
 //! LANs where collisions are negligible).
 //!
 //! Per-frame wire overhead (preamble + SFD + inter-frame gap + FCS if the
-//! caller does not include one) is charged via
-//! [`SegmentConfig::overhead_bytes`].
+//! caller does not include one) is charged as [`WIRE_OVERHEAD`].
 
 use std::collections::VecDeque;
 
@@ -32,6 +31,10 @@ impl core::fmt::Display for SegId {
     }
 }
 
+/// Extra octets charged per frame for preamble/SFD/IFG/FCS: 8 preamble +
+/// 12 IFG + 4 FCS.
+pub const WIRE_OVERHEAD: usize = 24;
+
 /// Configuration for one LAN segment.
 #[derive(Clone, Debug)]
 pub struct SegmentConfig {
@@ -42,9 +45,6 @@ pub struct SegmentConfig {
     pub bandwidth_bps: u64,
     /// One-way propagation delay. Default: 1 us (a few hundred meters).
     pub propagation: SimDuration,
-    /// Extra octets charged per frame for preamble/SFD/IFG/FCS.
-    /// Default: 24 (8 preamble + 12 IFG + 4 FCS).
-    pub overhead_bytes: usize,
     /// Transmit queue capacity in frames; frames offered beyond this are
     /// dropped and counted. Default: 512.
     pub queue_cap: usize,
@@ -61,7 +61,6 @@ impl Default for SegmentConfig {
             name: String::from("lan"),
             bandwidth_bps: 100_000_000,
             propagation: SimDuration::from_us(1),
-            overhead_bytes: 24,
             queue_cap: 512,
             fault: FaultConfig::default(),
             capture: false,
@@ -565,7 +564,7 @@ impl Segment {
         if memo_len == len {
             return memo_t;
         }
-        let t = SimDuration::serialization(len + self.cfg.overhead_bytes, self.cfg.bandwidth_bps);
+        let t = SimDuration::serialization(len + WIRE_OVERHEAD, self.cfg.bandwidth_bps);
         self.ser_memo.set((len, t));
         t
     }
@@ -698,7 +697,6 @@ mod tests {
     fn serialization_includes_overhead() {
         let seg = Segment::new(SegmentConfig {
             bandwidth_bps: 100_000_000,
-            overhead_bytes: 24,
             ..Default::default()
         });
         // (1500 + 24) * 8 / 100e6 = 121.92 us

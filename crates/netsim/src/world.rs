@@ -1173,7 +1173,6 @@ mod tests {
         let lan = w.add_segment(SegmentConfig {
             bandwidth_bps: 100_000_000,
             propagation: SimDuration::from_us(1),
-            overhead_bytes: 24,
             ..Default::default()
         });
         let t = w.add_node(Talker { sent_timer: false });

@@ -75,8 +75,6 @@ pub struct Scenario {
     pub battery: BatteryKind,
     /// The seed for topology, workload and world RNG alike.
     pub seed: u64,
-    /// Total simulated length; `None` sizes it from the workload span.
-    pub duration: Option<SimDuration>,
     /// Arm the defense plane (bounded learning, storm control, BPDU
     /// guard) on every bridge. Only meaningful for workloads that field
     /// attacks; `false` everywhere else so every pre-existing scenario
@@ -85,14 +83,13 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A scenario with the default auto-sized duration.
+    /// The undefended scenario of `shape` × `battery` at `seed`.
     pub fn new(shape: TopologyShape, battery: BatteryKind, seed: u64) -> Scenario {
         Scenario {
             name: format!("{}-{}-s{}", shape.label(), battery.label(), seed),
             shape,
             battery,
             seed,
-            duration: None,
             defended: false,
         }
     }
@@ -672,11 +669,11 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         }
     }
 
-    // Loopy topologies need the spanning tree fully forwarding (two
-    // forward-delay intervals plus margin) before traffic starts; hostile
-    // batteries boot STP everywhere, so they wait for it everywhere.
+    // Loopy topologies need the spanning tree fully forwarding before
+    // traffic starts; hostile batteries boot STP everywhere, so they wait
+    // for it everywhere.
     let epoch = if topo.cyclic() || hostile {
-        SimTime::from_secs(40)
+        SimTime::ZERO + Topology::stp_epoch(&cfg.stp)
     } else {
         SimTime::from_ms(200)
     };
@@ -693,10 +690,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let heal_offset = wl.chaos.last_heal_at();
     let heal_at = heal_offset.map(|d| epoch + d);
 
-    let end = SimTime::ZERO
-        + scenario
-            .duration
-            .unwrap_or(epoch_d + wl.span() + SimDuration::from_secs(2));
+    let end = epoch + wl.span() + SimDuration::from_secs(2);
     world.run_until(end);
 
     // What the components recorded as it happened, read before the quiet
@@ -732,9 +726,9 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let quiet_tx = after.total_tx_frames() - before.total_tx_frames();
     let total_ports: u64 = topo.bridges.iter().map(|b| b.segments.len() as u64).sum();
     let quiet_allowed = if topo.cyclic() || hostile {
-        // Per designated port: one hello every 2 s, so ≤ 3 in 4 s, plus
-        // slack for ages/boundary effects.
-        3 * total_ports + 8
+        // The hellos every port may send in the window, plus slack for
+        // ages/boundary effects.
+        Topology::hellos_per_port(&cfg.stp, QUIET_WINDOW) * total_ports + 8
     } else {
         8
     };
@@ -939,13 +933,13 @@ fn materialize(
                     bridge,
                     image,
                 } => {
-                    let app = UploadApp::with_config(
+                    let app = UploadApp::with_budget(
                         PortId(0),
                         bridge_ip(topo.bridges[*bridge].index),
                         3000 + i as u16,
                         image.file_name(i),
                         image.build(i),
-                        image.config(),
+                        image.budget(),
                     );
                     (*from_seg, None, app)
                 }

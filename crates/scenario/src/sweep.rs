@@ -3,7 +3,7 @@
 //! `netmeasure2`-style "battery of experiments, machine-readable results,
 //! one number at the end".
 
-use netsim::{SimDuration, World};
+use netsim::World;
 
 use crate::exec;
 use crate::json::{JsonText, Writer};
@@ -21,13 +21,6 @@ pub struct SweepSpec {
     pub batteries: Vec<BatteryKind>,
     /// Base seed; run `i` uses `seed + i`.
     pub seed: u64,
-    /// Per-scenario duration override (None = auto).
-    pub duration: Option<SimDuration>,
-    /// When set, every `(shape, battery)` cell runs **twice** on the same
-    /// seed: once as scheduled (the undefended control arm) and once with
-    /// `Scenario::defended` set (name suffixed `-defended`). Only the
-    /// adversarial sweep turns this on.
-    pub defended_arms: bool,
 }
 
 impl SweepSpec {
@@ -60,8 +53,6 @@ impl SweepSpec {
                 BatteryKind::Contention,
             ],
             seed,
-            duration: None,
-            defended_arms: false,
         }
     }
 
@@ -70,7 +61,7 @@ impl SweepSpec {
     /// byte-compares and holds to that plane's invariants. Kept out of
     /// [`default_sweep`](Self::default_sweep) so the committed
     /// quality-gate job set (and its scores) is unchanged.
-    fn gate_sweep(battery: BatteryKind, seed: u64, defended_arms: bool) -> SweepSpec {
+    fn gate_sweep(battery: BatteryKind, seed: u64) -> SweepSpec {
         SweepSpec {
             shapes: vec![
                 TopologyShape::Line { bridges: 2 },
@@ -78,21 +69,19 @@ impl SweepSpec {
             ],
             batteries: vec![battery],
             seed,
-            duration: None,
-            defended_arms,
         }
     }
 
     /// The chaos sweep: the robustness gate (partition, flap storm,
     /// crash cycles, watchdog quarantine) on the two gate shapes.
     pub fn chaos_sweep(seed: u64) -> SweepSpec {
-        Self::gate_sweep(BatteryKind::Chaos, seed, false)
+        Self::gate_sweep(BatteryKind::Chaos, seed)
     }
 
     /// The lossy sweep: the hostile-media gate, held to the four
     /// resilience invariants, on the same two shapes as the chaos sweep.
     pub fn lossy_sweep(seed: u64) -> SweepSpec {
-        Self::gate_sweep(BatteryKind::Lossy, seed, false)
+        Self::gate_sweep(BatteryKind::Lossy, seed)
     }
 
     /// The adversarial sweep: the same two shapes as the chaos sweep ×
@@ -101,21 +90,23 @@ impl SweepSpec {
     /// arm (bounded learning, storm policing, BPDU guard) proving the
     /// victims survive them.
     pub fn adversarial_sweep(seed: u64) -> SweepSpec {
-        Self::gate_sweep(BatteryKind::Adversarial, seed, true)
+        Self::gate_sweep(BatteryKind::Adversarial, seed)
     }
 
-    /// The scenarios this sweep runs, in order.
+    /// The scenarios this sweep runs, in order. Every
+    /// [`BatteryKind::Adversarial`] cell runs **twice** on the same seed:
+    /// once as scheduled (the undefended control arm) and once with
+    /// `Scenario::defended` set (name suffixed `-defended`).
     pub fn scenarios(&self) -> Vec<Scenario> {
         let mut out = Vec::new();
         for (i, &shape) in self.shapes.iter().enumerate() {
             for (j, &battery) in self.batteries.iter().enumerate() {
-                let mut sc = Scenario::new(
+                let sc = Scenario::new(
                     shape,
                     battery,
                     self.seed + (i * self.batteries.len() + j) as u64,
                 );
-                sc.duration = self.duration;
-                if self.defended_arms {
+                if battery == BatteryKind::Adversarial {
                     // Same seed on purpose: both arms replay the exact
                     // same offense, so any difference is the defenses.
                     let mut defended = sc.clone();

@@ -419,6 +419,22 @@ impl Topology {
         }
     }
 
+    /// When traffic may start on bridges that run the spanning tree:
+    /// `2 × forward_delay + 10 s` under `stp` — every port has passed
+    /// Listening and Learning, with 10 s for the root election before
+    /// that. Under [`StpTimers::default`] it is 40 s.
+    pub fn stp_epoch(stp: &StpTimers) -> SimDuration {
+        stp.forward_delay * 2 + SimDuration::from_secs(10)
+    }
+
+    /// The hellos one designated port may send in `window`: `window /
+    /// hello + 1` under `stp`, one per hello interval plus one for a
+    /// window that opens just before a hello. Under
+    /// [`StpTimers::default`] a 4 s window allows 3.
+    pub fn hellos_per_port(stp: &StpTimers, window: SimDuration) -> u64 {
+        window.as_ns() / stp.hello.as_ns() + 1
+    }
+
     /// The switchlets a bridge of this topology should boot: learning
     /// everywhere, plus the 802.1D spanning tree when loops exist.
     pub fn default_boot(&self) -> &'static [&'static str] {
@@ -514,6 +530,21 @@ mod tests {
         };
         assert_eq!(ring.recovery_margin(&halved), SimDuration::from_secs(30));
         assert_eq!(line.recovery_margin(&halved), SimDuration::from_secs(5));
+    }
+
+    #[test]
+    fn stp_epoch_and_hello_budget_follow_the_timers() {
+        let window = SimDuration::from_secs(4);
+        let ieee = StpTimers::default();
+        assert_eq!(Topology::stp_epoch(&ieee), SimDuration::from_secs(40));
+        assert_eq!(Topology::hellos_per_port(&ieee, window), 3);
+        let halved = StpTimers {
+            hello: SimDuration::from_secs(1),
+            max_age: SimDuration::from_secs(10),
+            forward_delay: SimDuration::from_ms(7_500),
+        };
+        assert_eq!(Topology::stp_epoch(&halved), SimDuration::from_secs(25));
+        assert_eq!(Topology::hellos_per_port(&halved, window), 5);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! bridge crashes. The runner materializes both.
 
 use active_bridge::StpTimers;
-use hostsim::{App, ArpStormApp, MacFloodApp, RogueBpduApp, UploadApp, UploadConfig};
-use netsim::{BurstConfig, ChaosScript, FaultConfig, PortId, SimDuration, Xoshiro};
+use hostsim::{App, ArpStormApp, MacFloodApp, RogueBpduApp, UploadApp, UPLOAD_BUDGET};
+use netsim::{BurstConfig, ChaosScript, FaultConfig, PortId, SimDuration, Xoshiro, WIRE_OVERHEAD};
 use netstack::FailureClass;
 use switchlet::{ModuleBuilder, Op, Ty};
 
@@ -290,7 +290,7 @@ pub enum UploadImage {
     /// itself must succeed — proving the loader path survived the chaos.
     Trap,
     /// A digest-sealed image (see [`sealed_upload_image`]) on the
-    /// adaptive retransmission transport (`UploadConfig::resilient`) —
+    /// adaptive retransmission transport every upload runs —
     /// the lossy battery's workhorse, scheduled to ride out a burst-loss
     /// window and a mid-transfer bridge crash. `pad` inflates the image
     /// so the transfer spans many TFTP blocks (a crash at a fixed offset
@@ -339,17 +339,14 @@ impl UploadImage {
         }
     }
 
-    /// The sender's transport configuration.
-    pub fn config(&self) -> UploadConfig {
+    /// The sender's recovery budget (retransmissions + restarts).
+    pub fn budget(&self) -> u32 {
         match self {
             // The poisoned image can never succeed: keep its budget
             // small so it parks as a classified IntegrityReject well
             // before the evaluation window.
-            UploadImage::Corrupt => UploadConfig {
-                max_retries: 6,
-                ..UploadConfig::resilient()
-            },
-            _ => UploadConfig::resilient(),
+            UploadImage::Corrupt => 6,
+            _ => UPLOAD_BUDGET,
         }
     }
 
@@ -404,7 +401,7 @@ impl UploadImage {
                 restarts,
                 ("rto_ceiling_hits", a.rto_ceiling_hits as u64),
                 ("budget_used", a.budget_used() as u64),
-                ("budget", a.cfg.max_retries as u64),
+                ("budget", a.max_retries as u64),
             ],
             UploadImage::Corrupt => vec![
                 bridge,
@@ -807,8 +804,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                 .min()
                 .expect("every topology has segments");
             let size = 1400usize;
-            let overhead = 24u64; // preamble + IFG + FCS, the segment default
-            let wire_ns = ((size as u64 + overhead) * 8 * 1_000_000_000).div_ceil(min_bw);
+            let wire_ns = (((size + WIRE_OVERHEAD) as u64) * 8 * 1_000_000_000).div_ceil(min_bw);
             let bridge_ns = active_bridge::BridgeConfig::default()
                 .cost
                 .service_time(size + 14) // payload + Ethernet header

@@ -166,7 +166,9 @@ fn adversarial_scenario_replays_byte_identically() {
 }
 
 /// The committed adversarial sweep (the CI gate) pairs every cell with a
-/// defended arm, passes, and is byte-identical across worker counts.
+/// defended arm, passes, and is byte-identical across worker counts. The
+/// twin follows the battery: no other sweep runs a defended arm, and a
+/// mixed sweep twins exactly its adversarial cells.
 #[test]
 fn adversarial_sweep_is_byte_identical_across_jobs() {
     let spec = SweepSpec::adversarial_sweep(42);
@@ -177,6 +179,32 @@ fn adversarial_sweep_is_byte_identical_across_jobs() {
         assert_eq!(pair[1].name, format!("{}-defended", pair[0].name));
         assert_eq!(pair[0].seed, pair[1].seed, "both arms replay one offense");
     }
+    for other in [
+        SweepSpec::default_sweep(42),
+        SweepSpec::chaos_sweep(42),
+        SweepSpec::lossy_sweep(42),
+    ] {
+        let scenarios = other.scenarios();
+        assert_eq!(scenarios.len(), other.shapes.len() * other.batteries.len());
+        assert!(scenarios
+            .iter()
+            .all(|sc| !sc.defended && !sc.name.ends_with("-defended")));
+    }
+    let mixed = SweepSpec {
+        batteries: vec![BatteryKind::Pings, BatteryKind::Adversarial],
+        ..SweepSpec::adversarial_sweep(42)
+    };
+    let arms: Vec<(BatteryKind, bool)> = mixed
+        .scenarios()
+        .iter()
+        .map(|sc| (sc.battery, sc.defended))
+        .collect();
+    let cell = [
+        (BatteryKind::Pings, false),
+        (BatteryKind::Adversarial, false),
+        (BatteryKind::Adversarial, true),
+    ];
+    assert_eq!(arms, [cell, cell].concat());
     let reference = run_sweep_jobs(&spec, 1).to_json().render_pretty();
     for jobs in [2, 4] {
         let sweep = run_sweep_jobs(&spec, jobs);

@@ -201,7 +201,7 @@ fn armed_metro_run_delivers_every_wire_frame_to_each_other_attachment() {
 ///   the previous one ended (its `at`): one frame on the medium at a time.
 #[test]
 fn armed_metro_run_serializes_each_frame_at_its_segment_rate_one_at_a_time() {
-    use netsim::{SegId, SegmentConfig, SimDuration, SimTime};
+    use netsim::{SegId, SimDuration, SimTime, WIRE_OVERHEAD};
     use std::collections::HashMap;
 
     let sc = Scenario::new(TopologyShape::metro_small(), BatteryKind::Metro, 42);
@@ -214,7 +214,6 @@ fn armed_metro_run_serializes_each_frame_at_its_segment_rate_one_at_a_time() {
         .iter()
         .map(|spec| (spec.name.as_str(), spec.bandwidth_bps))
         .collect();
-    let overhead = SegmentConfig::default().overhead_bytes;
 
     let mut last_end: HashMap<SegId, SimTime> = HashMap::new();
     let mut rates = Vec::new();
@@ -227,7 +226,7 @@ fn armed_metro_run_serializes_each_frame_at_its_segment_rate_one_at_a_time() {
             continue;
         };
         let rate = rate_of[world.segment(seg).name()];
-        let want = SimDuration::serialization(len as usize + overhead, rate).as_ns();
+        let want = SimDuration::serialization(len as usize + WIRE_OVERHEAD, rate).as_ns();
         assert_eq!(
             ser_ns, want,
             "{seg}: {len} octets at {rate} b/s, sent at {}",
@@ -248,6 +247,96 @@ fn armed_metro_run_serializes_each_frame_at_its_segment_rate_one_at_a_time() {
     }
     assert!(checked > 1_000, "only {checked} wire frames");
     assert!(rates.len() > 1, "every segment ran at one rate: {rates:?}");
+}
+
+/// Two more of ROADMAP item 12's rules, on the same armed `metro_small` ×
+/// `Metro` run at seed 42:
+/// - timers: every `TimerFire` matches an earlier `TimerArm` of the same
+///   id and node and fires exactly at that arm's deadline; no id fires
+///   twice, and none fires after its `TimerCancel`;
+/// - clock: record stamps never decrease, except that `WireTx` and fault
+///   records are stamped at the completion instant, one propagation delay
+///   (read from the generated topology) before the event that records
+///   them — exactly that lag is allowed, and no more.
+#[test]
+fn armed_metro_run_fires_each_timer_at_its_deadline_and_never_turns_the_clock_back() {
+    use netsim::{NodeId, SimDuration, SimTime};
+    use std::collections::{HashMap, HashSet};
+
+    let sc = Scenario::new(TopologyShape::metro_small(), BatteryKind::Metro, 42);
+    let (_report, _digest, world) = run_recorded(&sc, ProbeConfig::default());
+    let probe = world.probe();
+    assert_eq!(probe.dropped(), 0, "an incomplete recording proves nothing");
+    let topo = ab_scenario::topo::generate(sc.shape, sc.seed);
+    let propagation_of: HashMap<&str, u64> = topo
+        .segments
+        .iter()
+        .map(|spec| (spec.name.as_str(), spec.propagation.as_ns()))
+        .collect();
+
+    let mut pending: HashMap<u64, (NodeId, SimTime)> = HashMap::new();
+    let mut cancelled: HashSet<u64> = HashSet::new();
+    let mut fired: HashSet<u64> = HashSet::new();
+    let mut clock = SimTime::ZERO;
+    let mut lagged = 0;
+    for event in probe.records() {
+        let lag_seg = match event.record {
+            ProbeRecord::WireTx { seg, .. }
+            | ProbeRecord::FaultDrop { seg, .. }
+            | ProbeRecord::FaultCorrupt { seg, .. }
+            | ProbeRecord::FaultDuplicate { seg, .. }
+            | ProbeRecord::FaultBurst { seg, .. } => Some(seg),
+            _ => None,
+        };
+        // The instant of the event that made the record.
+        let at = match lag_seg {
+            Some(seg) => {
+                lagged += 1;
+                event.at + SimDuration::from_ns(propagation_of[world.segment(seg).name()])
+            }
+            None => event.at,
+        };
+        assert!(
+            at >= clock,
+            "{:?} stamped {} (event at {}) after the clock reached {}",
+            event.record,
+            event.at,
+            at,
+            clock
+        );
+        clock = at;
+
+        match event.record {
+            ProbeRecord::TimerArm { node, id, deadline } => {
+                assert!(deadline >= event.at, "timer {id} armed in the past");
+                let fresh = !fired.contains(&id) && !cancelled.contains(&id);
+                assert!(
+                    fresh && pending.insert(id, (node, deadline)).is_none(),
+                    "timer id {id} armed twice"
+                );
+            }
+            ProbeRecord::TimerFire { node, id } => {
+                assert!(
+                    !cancelled.contains(&id),
+                    "timer {id} fired after its cancel"
+                );
+                assert!(!fired.contains(&id), "timer {id} fired twice");
+                let (armed_by, deadline) = pending
+                    .remove(&id)
+                    .unwrap_or_else(|| panic!("timer {id} fired without being armed"));
+                assert_eq!(node, armed_by, "timer {id} fired on another node");
+                assert_eq!(event.at, deadline, "timer {id} fired off its deadline");
+                fired.insert(id);
+            }
+            ProbeRecord::TimerCancel { id, .. } => {
+                // Cancelling a timer that already fired is a no-op.
+                cancelled.extend(pending.remove(&id).map(|_| id));
+            }
+            _ => {}
+        }
+    }
+    assert!(fired.len() > 1_000, "only {} timers fired", fired.len());
+    assert!(lagged > 1_000, "only {lagged} completion-stamped records");
 }
 
 /// Ring capacity is respected end to end: a tiny ring retains the newest

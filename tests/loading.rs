@@ -5,7 +5,7 @@
 
 use ab_scenario::{self as scenario, bridge_ip, host_ip, host_mac, uploader};
 use active_bridge::hostmods::handler_ty;
-use active_bridge::{BridgeConfig, BridgeNode, DataPlaneSel};
+use active_bridge::{BridgeConfig, BridgeNode, DataPlaneSel, WATCHDOG_TRAPS};
 use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode, PingApp, UploadApp};
 use netsim::{PortId, SegmentConfig, SimDuration, SimTime, World};
 use switchlet::{ModuleBuilder, Op, Ty};
@@ -518,7 +518,7 @@ fn runaway_switchlet_contained_and_recoverable() {
     ));
     world.attach(blaster, lan0);
     world.run_until(world.now() + SimDuration::from_secs(1));
-    let threshold = u64::from(BridgeConfig::default().watchdog_traps);
+    let threshold = u64::from(WATCHDOG_TRAPS);
     assert_eq!(world.counters().get("bridge.vm_traps"), threshold);
     assert_eq!(world.counters().get("bridge.quarantines"), 1);
     assert!(world.node::<BridgeNode>(bridge).is_quarantined("spinner"));

@@ -5,10 +5,11 @@
 use ab_scenario::paper::{build_path, Forwarder};
 use ab_scenario::{self as scenario, host_ip, host_mac, run_until_done};
 use active_bridge::hostmods::timer_cb_ty;
-use active_bridge::{BridgeCommand, BridgeConfig, BridgeNode, PortRole, StpSwitchlet};
+use active_bridge::{
+    BridgeCommand, BridgeConfig, BridgeNode, PortRole, StpSwitchlet, WATCHDOG_TRAPS,
+};
 use hostsim::{
     App, BlastApp, HostConfig, HostCostModel, HostNode, TtcpRecvApp, TtcpSendApp, UploadApp,
-    UploadConfig,
 };
 use netsim::{FaultConfig, PortId, SegmentConfig, SimDuration, SimTime, World};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
@@ -349,14 +350,14 @@ fn watchdog_quarantines_trapping_switchlet_and_rolls_back() {
     assert_eq!(world.counters().get("bridge.quarantines"), 1);
     assert_eq!(
         world.counters().get("bridge.vm_traps"),
-        u64::from(BridgeConfig::default().watchdog_traps),
+        u64::from(WATCHDOG_TRAPS),
         "quarantine engages exactly at the threshold"
     );
     // The frames that trapped were lost; every frame after the rollback
     // reached the sink through the restored learning plane.
     assert_eq!(
         world.node::<HostNode>(sink).core.exp_frames_rx,
-        10 - u64::from(BridgeConfig::default().watchdog_traps)
+        10 - u64::from(WATCHDOG_TRAPS)
     );
 }
 
@@ -408,7 +409,7 @@ fn watchdog_falls_back_to_dumb_forwarding_without_a_known_good_plane() {
     );
     assert_eq!(
         world.node::<HostNode>(sink).core.exp_frames_rx,
-        10 - u64::from(BridgeConfig::default().watchdog_traps)
+        10 - u64::from(WATCHDOG_TRAPS)
     );
 }
 
@@ -430,13 +431,12 @@ fn upload_resumes_with_fresh_session_after_bridge_crash() {
     let uploader = world.add_node(HostNode::new(
         "uploader",
         HostConfig::simple(host_mac(1), host_ip(1), HostCostModel::pc_1997()),
-        vec![UploadApp::with_config(
+        vec![UploadApp::new(
             PortId(0),
             scenario::bridge_ip(0),
             4000,
             "resume.swl",
             scenario::workload::sealed_upload_image(9, 60_000),
-            UploadConfig::resilient(),
         )],
     ));
     world.attach(uploader, segs[0]);
@@ -496,16 +496,13 @@ fn integrity_gate_refuses_corrupted_image_end_to_end() {
     let uploader = world.add_node(HostNode::new(
         "uploader",
         HostConfig::simple(host_mac(1), host_ip(1), HostCostModel::pc_1997()),
-        vec![UploadApp::with_config(
+        vec![UploadApp::with_budget(
             PortId(0),
             scenario::bridge_ip(0),
             4000,
             "corrupt.swl",
             scenario::workload::corrupt_upload_image(7),
-            UploadConfig {
-                max_retries: 6,
-                ..UploadConfig::resilient()
-            },
+            6,
         )],
     ));
     world.attach(uploader, segs[0]);

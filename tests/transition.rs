@@ -28,7 +28,7 @@ fn transition_passes_and_terminates() {
         assert!(whats[5].contains("pass tests"), "{whats:?}");
     }
     // Timing: the suppression window ends 30 s after the trigger and the
-    // tests run 60 s after, per the configuration.
+    // tests run 60 s after, per Table 1 (`SUPPRESS_WINDOW`, `TEST_AT`).
     for b in &r.bridges {
         let t_recv = b.events[1].0;
         let t_30 = b.events[3].0;
