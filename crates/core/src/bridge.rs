@@ -571,14 +571,15 @@ impl BridgeNode {
         self.vm_owner.get(&fv).cloned().unwrap_or_default()
     }
 
-    /// Run VM callable `target` on behalf of module `owner`.
+    /// Run VM callable `target` on behalf of module `owner`, and hand
+    /// `owner` back.
     fn call_vm(
         &mut self,
         ctx: &mut Ctx<'_>,
         target: FuncVal,
         owner: Rc<str>,
         args: impl IntoIterator<Item = Value>,
-    ) {
+    ) -> Rc<str> {
         ctx.probe(|node| ProbeRecord::ExecBegin { node });
         let mut env = hostmods::HostEnv {
             sim: ctx,
@@ -620,6 +621,7 @@ impl BridgeNode {
                 self.watchdog_trap(ctx, &owner);
             }
         }
+        owner
     }
 
     // ----------------------------------------------------------- watchdog
@@ -764,13 +766,17 @@ impl BridgeNode {
     ) {
         match target {
             HandlerTarget::Vm(fv) => {
-                // The data plane's owner was resolved with the target.
+                // The data plane's owner was resolved with the target: it
+                // is lent to the call and put back, not shared per frame.
                 let owner = match entry {
-                    DispatchEntry::Switch => self.plane_owner.clone().unwrap_or_default(),
+                    DispatchEntry::Switch => self.plane_owner.take().unwrap_or_default(),
                     DispatchEntry::Registered => self.owner_of(fv),
                 };
                 let args = [Value::Str(frame.share()), Value::Int(port.0 as i64)];
-                self.call_vm(ctx, fv, owner, args);
+                let owner = self.call_vm(ctx, fv, owner, args);
+                if let DispatchEntry::Switch = entry {
+                    self.plane_owner = Some(owner);
+                }
             }
             HandlerTarget::Native(idx) => {
                 self.with_slot(ctx, idx, |s, bc| match entry {

@@ -20,6 +20,8 @@
 //! directory (a bridge holds a handful of units) and serve commands,
 //! the control switchlet and tests.
 
+use std::rc::Rc;
+
 use ether::MacAddr;
 use netsim::{FastMap, PortId, SimDuration, SimTime};
 use switchlet::FuncVal;
@@ -606,10 +608,12 @@ pub struct Plane {
     /// Spanning-tree snapshots published by protocol switchlets.
     pub published: Published,
     /// Input-port ownership (paper: "the first switchlet to bind to a
-    /// given port succeeds and all others fail").
-    pub owners_in: Vec<Option<String>>,
+    /// given port succeeds and all others fail"). An owner is the name it
+    /// bound under, shared: a VM module's is its interned name, the one
+    /// its every host call acts under.
+    pub owners_in: Vec<Option<Rc<str>>>,
     /// Output-port ownership.
-    pub owners_out: Vec<Option<String>>,
+    pub owners_out: Vec<Option<Rc<str>>>,
     /// Counters.
     pub stats: BridgeStats,
     /// Control-plane changes an observer of convergence can see: a port's
@@ -812,22 +816,24 @@ impl Plane {
 
     /// Claim an input port for `owner`; `false` if already bound to
     /// someone else (re-binding by the same owner succeeds).
-    pub fn bind_in(&mut self, port: usize, owner: &str) -> bool {
-        match &self.owners_in[port] {
-            Some(existing) => existing == owner,
-            None => {
-                self.owners_in[port] = Some(owner.to_owned());
-                true
-            }
-        }
+    pub fn bind_in(&mut self, port: usize, owner: &Rc<str>) -> bool {
+        Self::bind(&mut self.owners_in[port], owner)
     }
 
-    /// Claim an output port for `owner`.
-    pub fn bind_out(&mut self, port: usize, owner: &str) -> bool {
-        match &self.owners_out[port] {
-            Some(existing) => existing == owner,
+    /// Claim an output port for `owner`. (A VM data path re-binds every
+    /// out-port on every frame: the held name is its own, so the test is
+    /// a pointer compare.)
+    #[inline]
+    pub fn bind_out(&mut self, port: usize, owner: &Rc<str>) -> bool {
+        Self::bind(&mut self.owners_out[port], owner)
+    }
+
+    #[inline]
+    fn bind(slot: &mut Option<Rc<str>>, owner: &Rc<str>) -> bool {
+        match slot {
+            Some(existing) => Rc::ptr_eq(existing, owner) || **existing == **owner,
             None => {
-                self.owners_out[port] = Some(owner.to_owned());
+                *slot = Some(Rc::clone(owner));
                 true
             }
         }
@@ -844,7 +850,7 @@ impl Plane {
         Self::release(&mut self.owners_out, port, owner);
     }
 
-    fn release(owners: &mut [Option<String>], port: usize, owner: &str) {
+    fn release(owners: &mut [Option<Rc<str>>], port: usize, owner: &str) {
         if let Some(slot) = owners.get_mut(port) {
             if slot.as_deref() == Some(owner) {
                 *slot = None;
@@ -1235,12 +1241,14 @@ mod tests {
     #[test]
     fn first_bind_wins() {
         let mut plane = Plane::new(2, SimDuration::from_secs(300));
-        assert!(plane.bind_in(0, "dumb"));
-        assert!(!plane.bind_in(0, "other"), "second binder must fail");
-        assert!(plane.bind_in(0, "dumb"), "same owner may rebind");
-        assert!(plane.bind_out(0, "other"), "output space is separate");
+        let (dumb, other): (Rc<str>, Rc<str>) = ("dumb".into(), "other".into());
+        assert!(plane.bind_in(0, &dumb));
+        assert!(!plane.bind_in(0, &other), "second binder must fail");
+        assert!(plane.bind_in(0, &dumb), "same owner may rebind");
+        assert!(plane.bind_in(0, &"dumb".into()), "the name, not the handle");
+        assert!(plane.bind_out(0, &other), "output space is separate");
         plane.unbind_all("dumb");
-        assert!(plane.bind_in(0, "other"));
+        assert!(plane.bind_in(0, &other));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! demultiplexer; this switchlet is part two. "It cannot tolerate a
 //! network topology with any loops."
 
+use std::rc::Rc;
+
 use netsim::PortId;
 
 use crate::bridge::{BridgeCtx, DataFrame, NativeSwitchlet};
@@ -33,9 +35,10 @@ impl NativeSwitchlet for DumbBridge {
     fn on_install(&mut self, bc: &mut BridgeCtx<'_, '_>) {
         // Claim every port (first-bind-wins) and install as the
         // switching function.
+        let owner: Rc<str> = Rc::from(NAME);
         for p in 0..bc.num_ports() {
-            bc.plane.bind_in(p, NAME);
-            bc.plane.bind_out(p, NAME);
+            bc.plane.bind_in(p, &owner);
+            bc.plane.bind_out(p, &owner);
         }
         bc.plane.set_data_plane(DataPlaneSel::Native(NAME.into()));
         bc.log(format_args!("dumb bridge installed: flooding all ports"));

@@ -3,8 +3,12 @@
 //! The paper's hosts were "Intel Pentiums running with a version 2.0.28
 //! Linux kernel"; their software costs (syscall per write, protocol
 //! processing per packet, copying per byte) bound the *unbridged* ttcp at
-//! 76 Mb/s and pin the small-write rates. Constants calibrated in
-//! EXPERIMENTS.md.
+//! 76 Mb/s and pin the small-write rates. [`HostCostModel::pc_1997`] is
+//! calibrated against the first: a 1 514-octet frame's receive path costs
+//! 95 µs + 40 ns an octet ≈ 156 µs, a bound of ≈ 75 Mb/s
+//! (`unbridged_ttcp_bound_is_paper_neighborhood` below), and the simulated
+//! unbridged ttcp moves 70.6 Mb/s at 8 KB writes (`examples/paper_figures`,
+//! Figure 10) against the paper's 76.
 
 // Other crates call these per frame, and rustc inlines across a crate
 // boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
@@ -39,8 +43,8 @@ impl HostCostModel {
     };
 
     /// The 1997 Pentium/Linux preset. Receive-side processing of a
-    /// full-size frame ≈ 131 µs; together with the ACK stream's share it
-    /// bounds the unbridged ttcp at the paper's 76 Mb/s.
+    /// full-size frame ≈ 156 µs; together with the ACK stream's share it
+    /// bounds the unbridged ttcp near the paper's 76 Mb/s.
     #[inline]
     pub fn pc_1997() -> HostCostModel {
         HostCostModel {

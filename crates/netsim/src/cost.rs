@@ -10,7 +10,9 @@
 //! comparison the paper draws.
 //!
 //! All constants live here as *presets* calibrated against the paper's
-//! reported endpoints; EXPERIMENTS.md records the calibration.
+//! reported endpoints: each preset's doc names the endpoint, and
+//! `examples/paper_figures` prints the tables the calibration reproduces
+//! (Figures 5, 9 and 10, § 7.3).
 
 // Other crates call these per frame, and rustc inlines across a crate
 // boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
@@ -57,8 +59,11 @@ impl CostModel {
     ///
     /// The paper's *instrumented* Caml costs (0.34 ms ping path, 0.47 ms
     /// ttcp average) exceed what its own measured throughput implies by
-    /// ~1.6×; this model sides with the throughputs and EXPERIMENTS.md
-    /// discusses the discrepancy.
+    /// ~1.6× (0.47 ms against the ≈ 0.30 ms a 1 514-octet frame's
+    /// processing costs here); this model sides with the throughputs. With
+    /// it the bridge moves 15.2 Mb/s at 8 KB writes, the paper's 16, and
+    /// 44 % of the repeater's 34.2 Mb/s (`examples/paper_figures`,
+    /// Figure 10).
     #[inline]
     pub fn active_bridge_1997() -> CostModel {
         CostModel {
@@ -134,7 +139,7 @@ mod tests {
         // Interpreted cost keeps the paper's *shape*: a few tenths of a
         // millisecond per frame, growing with size. (The paper's own
         // instrumented values, 0.34/0.47 ms, overshoot what its measured
-        // throughput implies — see EXPERIMENTS.md.)
+        // throughput implies by the ~1.6× `active_bridge_1997` states.)
         let ping = m.processing_time(550).as_millis_f64();
         assert!((0.18..0.34).contains(&ping), "ping-size Caml cost {ping}");
         let ttcp = m.processing_time(1514).as_millis_f64();

@@ -37,8 +37,13 @@
 //! * **Fuel by basic block.** The stream is cut at branch targets and
 //!   after every branch, return and call that can reach VM code; each
 //!   block opens with [`Inst::Fuel`] carrying the number of source `Op`s
-//!   the block retires — the one place a block is charged, whether it is
-//!   branched to or fallen into.
+//!   the block retires. A block fallen into (or entered at the function's
+//!   start) is charged by its `Fuel`; a branch, taken or not, reads the
+//!   `Fuel` of the block it goes on to, charges it and continues behind
+//!   it — so every branch target and the instruction behind every branch
+//!   is a `Fuel`, and a branch whose budget does not cover the block
+//!   lands on that `Fuel`, which charges nothing and hands on to the
+//!   instruction-by-instruction loop.
 //!   [`DecodedFunc::costs`] keeps the same count per instruction, for the
 //!   two cases that need it: a trap in the middle of a block (the
 //!   un-retired rest is refunded, [`DecodedFunc::unretired`]) and a
@@ -46,6 +51,11 @@
 //!   by instruction from there). Either way fuel and
 //!   [`crate::vm::ExecStats`] are bit-identical to running the source
 //!   stream one `Op` at a time — see `crate::vm`.
+//! * **A dropped host result is no instruction.** `CallImport` of a host
+//!   function followed by the `Pop` of its result is one
+//!   [`Inst::CallHostPop`]: nothing is written, and the `Pop` is retired
+//!   once the call has returned, where the reference interpreter retires
+//!   it.
 //!
 //! **Why the per-instruction counts are exact.** An instruction is
 //! charged the source ops read since the last emitted instruction, up to
@@ -168,6 +178,10 @@ pub(crate) enum Inst {
     /// Call a resolved host import: array-indexed dispatch, arity baked.
     /// The result is written to `args`.
     CallHost { slot: HostSlot, args: Slot, argc: u16 },
+    /// `CallHost` whose result the `Pop` behind it drops: nothing is
+    /// written, and the `Pop` (the last of its cost) is retired once the
+    /// call has returned.
+    CallHostPop { slot: HostSlot, args: Slot, argc: u16 },
     /// Call a resolved import of an earlier loaded instance.
     CallVm { instance: InstanceId, func: u32, args: Slot },
     /// Call the function value in `f` with the `argc` arguments behind
@@ -231,7 +245,9 @@ pub(crate) struct DecodedFunc {
     /// The instruction stream.
     pub insts: Vec<Inst>,
     /// Source `Op`s each instruction retires, parallel to `insts`
-    /// (`Fuel` itself retires none: it carries its block's sum).
+    /// (`Fuel` itself retires none: it carries its block's sum; a
+    /// `CallHostPop`'s count ends with the `Pop` it retires after the
+    /// call).
     pub costs: Vec<u32>,
     /// Slots in a frame: local slots plus the greatest operand-stack
     /// height the verifier found.
@@ -651,7 +667,24 @@ impl Translator<'_> {
             Op::LocalGet(n) => self.stack.push(Operand::Local(n)),
             Op::LocalSet(n) => self.local_set(n),
             Op::Pop => {
-                self.stack.pop();
+                let popped = self.pop();
+                // A host call's result dropped at once: the call carries
+                // the `Pop`, which is charged after it returns. (Only the
+                // `Pop` was read since the call: it is the one op the
+                // interpreter charges behind a `CallHostPop`.)
+                if self.pending == 1 {
+                    let call = self.take_producer(popped, |inst| match *inst {
+                        Inst::CallHost { slot, args, argc } if args == popped => Some((slot, argc)),
+                        _ => None,
+                    });
+                    if let Some((slot, argc)) = call {
+                        self.emit(Inst::CallHostPop {
+                            slot,
+                            args: popped,
+                            argc,
+                        });
+                    }
+                }
             }
             Op::Dup => match *self.stack.last().expect("verified: no underflow") {
                 Operand::Local(n) => self.stack.push(Operand::Local(n)),
@@ -1086,6 +1119,72 @@ mod tests {
             Op::Return,
         ]);
         assert_eq!(d.insts[3], Inst::Bool { dst: 4, v: false });
+    }
+
+    /// A host call whose result the next op drops is one instruction,
+    /// charged the `Pop` too; anything else read between the two keeps
+    /// them apart.
+    #[test]
+    fn a_dropped_host_result_is_carried_by_the_call() {
+        let decode_with_import = |code: Vec<Op>| {
+            let mut mb = crate::asm::ModuleBuilder::new("t");
+            mb.import("h", "f", Ty::func(vec![Ty::Int], Ty::Int));
+            let mut m = mb.build();
+            m.functions.push(Function {
+                name: "f".into(),
+                params: vec![Ty::Int],
+                locals: vec![],
+                result: Ty::Int,
+                code,
+            });
+            let facts = crate::verify::prove_module(&m).expect("the test body verifies");
+            let slot = HostSlot { module: 0, item: 0 };
+            let resolved = [ResolvedImport::Host(slot)];
+            (
+                decode_function(&m, &m.functions[0], &facts[0], &resolved, InstanceId(0)),
+                slot,
+            )
+        };
+        let (d, slot) = decode_with_import(vec![
+            Op::LocalGet(0),
+            Op::CallImport(0),
+            Op::Pop,
+            Op::LocalGet(0),
+            Op::Return,
+        ]);
+        assert_eq!(
+            d.insts,
+            vec![
+                Inst::Fuel(5),
+                Inst::CopyInt { dst: 1, src: 0 },
+                Inst::CallHostPop {
+                    slot,
+                    args: 1,
+                    argc: 1
+                },
+                Inst::Return { src: 0 },
+            ]
+        );
+        assert_eq!(d.costs, vec![0, 2, 1, 2], "the call is charged its `Pop`");
+        // A `Nop` between the two: the call writes its result, and the
+        // `Pop` is charged to what follows.
+        let (d, slot) = decode_with_import(vec![
+            Op::LocalGet(0),
+            Op::CallImport(0),
+            Op::Nop,
+            Op::Pop,
+            Op::LocalGet(0),
+            Op::Return,
+        ]);
+        assert_eq!(
+            d.insts[2],
+            Inst::CallHost {
+                slot,
+                args: 1,
+                argc: 1
+            }
+        );
+        assert_eq!(d.costs.iter().sum::<u32>(), 6);
     }
 
     #[test]

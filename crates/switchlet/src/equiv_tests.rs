@@ -86,7 +86,7 @@ impl HostDispatch for TestHost {
     }
 }
 
-fn test_env() -> Env {
+pub(crate) fn test_env() -> Env {
     let mut e = Env::new();
     e.add_module(
         HostModuleSig::new("h")
@@ -468,7 +468,7 @@ fn declare_locals(f: &mut FuncBuilder, n_params: u16) {
 /// Build a random verified module pair: `m` (helper + entry) and, half the
 /// time, `u` importing `m`'s export (exercising cross-instance calls).
 /// Returns the namespace-ready images and the name/export to invoke.
-fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
+pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
     let mut mb = ModuleBuilder::new("m");
     let imports = [
         mb.import("h", "add7", Ty::func(vec![Ty::Int], Ty::Int)),

@@ -79,6 +79,8 @@ pub mod vm;
 
 #[cfg(test)]
 mod equiv_tests;
+#[cfg(test)]
+mod mutation_tests;
 
 pub use asm::ModuleBuilder;
 pub use bytecode::{Function, Op};

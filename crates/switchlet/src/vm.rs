@@ -20,26 +20,33 @@
 //! resolved, fuel accounted by basic block.
 //!
 //! * **Frames are windows of one arena** ([`VmScratch`]). A function's
-//!   frame is `frame_size` slots, reserved once at entry; a callee's frame
-//!   starts at its caller's argument slots, so arguments are not copied
-//!   (a call through a function value shifts them down one slot, over the
-//!   function) and a result is left where the caller reads it — always a
-//!   slot of the caller's own frame. There is no operand stack at run
-//!   time: an instruction reads and writes the slots it names. With a
-//!   long-lived arena a steady-state invocation performs no allocation.
+//!   frame is `frame_size` slots at entry; a callee's frame starts at its
+//!   caller's argument slots, so arguments are not copied (a call through
+//!   a function value shifts them down one slot, over the function) and a
+//!   result is left where the caller reads it — always a slot of the
+//!   caller's own frame. There is no operand stack at run time: an
+//!   instruction reads and writes the slots it names. The arena keeps its
+//!   slots from one invocation to the next: entry writes the arguments
+//!   into the slots the last invocation's stood in, and exit releases the
+//!   shared payloads (strings, tuples, tables) left above the entry mark,
+//!   so a steady-state invocation neither allocates nor re-initialises a
+//!   slot, and no handle outlives it.
 //! * **Fuel is a local of the loop**, charged a block at a time and
 //!   written back where someone else reads it: at calls, at the return, at
-//!   errors. The count stays exact on every path. A block the remaining
-//!   fuel does not cover is not entered at block price: the loop
-//!   continues from there charging instruction by instruction
-//!   (`run::<true>`; it can only end in `FuelExhausted` or a trap), so
-//!   every effect the reference interpreter would still have produced —
-//!   a host call, a trap that comes first — is produced, and nothing
-//!   after. A trap in the middle of a block hands back what the block was
-//!   charged for the ops behind the failing one. [`ExecStats`], the
-//!   host-call trace and the [`HotProfile`]'s inclusive fuel are
-//!   bit-identical to running the source `Op` stream one op at a time —
-//!   an equivalence the `refinterp` proptests pin down, budget by budget.
+//!   errors. The count stays exact on every path. A branch, taken or not,
+//!   charges the block it goes on to and continues behind that block's
+//!   `Fuel`; a block entered any other way is charged by its `Fuel`. A
+//!   block the remaining fuel does not cover is not entered at block
+//!   price: the branch lands on its `Fuel`, and the loop continues from
+//!   there charging instruction by instruction (`run::<true>`; it can only
+//!   end in `FuelExhausted` or a trap), so every effect the reference
+//!   interpreter would still have produced — a host call, a trap that
+//!   comes first — is produced, and nothing after. A trap in the middle of
+//!   a block hands back what the block was charged for the ops behind the
+//!   failing one. [`ExecStats`], the host-call trace and the
+//!   [`HotProfile`]'s inclusive fuel are bit-identical to running the
+//!   source `Op` stream one op at a time — an equivalence the `refinterp`
+//!   proptests pin down, budget by budget.
 //! * **Values are written where they live**, one shape at a time (see
 //!   "writing a slot" below).
 
@@ -166,11 +173,15 @@ impl HotProfile {
 /// that keeps a `VmScratch` alive across invocations (as the bridge does,
 /// one per node) runs steady-state switchlet code with **zero**
 /// per-invocation allocation: the vector grows to the high-water mark
-/// once and its storage is reused thereafter.
+/// once and its slots stand from then on.
 ///
-/// Between invocations the arena is empty: whatever a frame left in its
-/// slots is dropped when [`call_scratch`] returns, on the trap path too,
-/// so a handler's `str` argument — a handle on a received frame — never
+/// Standing slots are written in place: the next invocation's arguments
+/// go into the slots the last one's did, and an integer written to a slot
+/// that holds an integer is a payload store. What an invocation leaves
+/// above its mark is plain data (integers, booleans, units, handles,
+/// function values): every shared payload — a string, a tuple, a table —
+/// is released when [`call_scratch`] returns, on the trap path too, so a
+/// handler's `str` argument — a handle on a received frame — never
 /// outlives its invocation here.
 ///
 /// The arena optionally carries a [`HotProfile`]: with profiling enabled
@@ -180,6 +191,11 @@ impl HotProfile {
 #[derive(Default)]
 pub struct VmScratch {
     frames: Vec<Value>,
+    /// The entry mark: an invocation's frames start here, and the slots
+    /// below it are a live region it leaves as it found them. (Nothing in
+    /// the crate stands one there: an arena in use is borrowed by its
+    /// invocation, so no entry nests inside another on the same arena.)
+    mark: usize,
     profile: Option<Box<HotProfile>>,
 }
 
@@ -188,6 +204,7 @@ impl VmScratch {
     pub fn new() -> VmScratch {
         VmScratch {
             frames: Vec::with_capacity(64),
+            mark: 0,
             profile: None,
         }
     }
@@ -203,6 +220,40 @@ impl VmScratch {
     /// The accumulated profile, if profiling was ever enabled.
     pub fn profile(&self) -> Option<&HotProfile> {
         self.profile.as_deref()
+    }
+
+    /// Write `args` into the slots from `at` on (standing slots first,
+    /// then new ones); returns how many there were.
+    #[inline]
+    fn put_args(&mut self, at: usize, args: impl IntoIterator<Item = Value>) -> usize {
+        debug_assert!(
+            at <= self.frames.len(),
+            "the entry mark is inside the arena"
+        );
+        let mut end = at;
+        for arg in args {
+            match self.frames.get_mut(end) {
+                Some(slot) => match arg {
+                    Value::Int(x) => set_int(slot, x),
+                    Value::Str(s) => put_str(slot, s),
+                    other => *slot = other,
+                },
+                None => self.frames.push(arg),
+            }
+            end += 1;
+        }
+        end - at
+    }
+
+    /// Drop every shared payload in `from..to`: what is left there is
+    /// plain data, and no handle outlives the invocation that wrote it.
+    #[inline]
+    fn release(&mut self, from: usize, to: usize) {
+        for slot in &mut self.frames[from..to] {
+            if matches!(slot, Value::Str(_) | Value::Tuple(_) | Value::Table(_)) {
+                set_unit(slot);
+            }
+        }
     }
 }
 
@@ -224,9 +275,10 @@ pub fn call(
 }
 
 /// Call a function value with `args`, reusing the given arena. This is
-/// the per-frame entry point: the arguments go straight into the arena
-/// (pass an array, not a `Vec`) as the callee's first slots, so with a
-/// long-lived `scratch` the invocation allocates nothing in steady state.
+/// the per-frame entry point: the arguments go straight into the arena's
+/// standing slots (pass an array, not a `Vec`) as the callee's first
+/// slots, so with a long-lived `scratch` the invocation allocates nothing
+/// in steady state.
 #[inline]
 pub fn call_scratch(
     ns: &Namespace,
@@ -236,26 +288,25 @@ pub fn call_scratch(
     cfg: &ExecConfig,
     scratch: &mut VmScratch,
 ) -> Result<(Value, ExecStats), VmError> {
-    // A nested entry stacks above the live region it finds; truncating
-    // back to the entry mark drops every value of every inner frame, on
-    // the success and the error path alike.
-    let mark = scratch.frames.len();
-    scratch.frames.extend(args);
+    // The frames stack above the entry mark; on the way out the shared
+    // payloads every frame left between it and the highest slot the
+    // invocation reached are released, on the success and the error path
+    // alike.
+    let mark = scratch.mark;
+    let argc = scratch.put_args(mark, args);
     let mut stats = ExecStats::default();
-    let result = match target {
+    let (result, high) = match target {
         FuncVal::Host { module, item } => {
             stats.host_calls = 1;
-            host.call_slot(
-                ns.env(),
-                HostSlot { module, item },
-                &mut scratch.frames[mark..],
-            )
+            let args = &mut scratch.frames[mark..mark + argc];
+            let result = host.call_slot(ns.env(), HostSlot { module, item }, args);
+            (result, mark + argc)
         }
         FuncVal::Vm { instance, func } => {
             debug_assert!(
                 {
                     let params = &ns.instance(instance).module.functions[func as usize].params;
-                    let args = &scratch.frames[mark..];
+                    let args = &scratch.frames[mark..mark + argc];
                     args.len() == params.len() && args.iter().zip(params).all(|(v, t)| v.matches(t))
                 },
                 "argument arity or type mismatch at entry"
@@ -267,17 +318,22 @@ pub fn call_scratch(
                 scratch,
                 fuel: cfg.fuel,
                 host_calls: 0,
+                high: mark + argc,
             };
             let outcome = machine.exec(instance, func, 0, mark);
             stats = ExecStats {
                 instructions: cfg.fuel - machine.fuel,
                 host_calls: machine.host_calls,
             };
+            let high = machine.high;
             // `Return` left the result where the first argument was.
-            outcome.map(|()| std::mem::take(&mut scratch.frames[mark]))
+            (
+                outcome.map(|()| std::mem::take(&mut scratch.frames[mark])),
+                high,
+            )
         }
     };
-    scratch.frames.truncate(mark);
+    scratch.release(mark, high);
     result.map(|v| (v, stats))
 }
 
@@ -294,6 +350,9 @@ struct Machine<'a> {
     /// budget minus this.
     fuel: u64,
     host_calls: u64,
+    /// The end of the highest frame entered: the slots the invocation may
+    /// have written.
+    high: usize,
 }
 
 // ------------------------------------------------------ writing a slot
@@ -360,6 +419,12 @@ fn set_str(slot: &mut Value, s: &FrameBuf) {
     }
 }
 
+/// `set_str` for a handle handed over: moved in, not cloned.
+#[inline(never)]
+fn put_str(slot: &mut Value, s: FrameBuf) {
+    *slot = Value::Str(s);
+}
+
 #[inline(never)]
 fn set_handle(slot: &mut Value, tag: &'static str, id: u64) {
     *slot = Value::Handle { tag, id };
@@ -422,7 +487,8 @@ impl Machine<'_> {
     }
 
     /// Check the depth, reserve the frame — the one place the arena
-    /// grows — and run from the first instruction.
+    /// grows; below its high-water mark the frame's slots are standing
+    /// ones — and run from the first instruction.
     fn enter(
         &mut self,
         instance: InstanceId,
@@ -435,11 +501,13 @@ impl Machine<'_> {
         }
         let end = base + self.ns.instance(instance).decoded[func as usize].frame_size;
         if self.scratch.frames.len() < end {
-            // Slots no instruction has written yet: verified code never
+            // Slots no instruction has written yet. Verified code never
             // reads a local before writing it, nor a stack position
-            // nothing was pushed to, so the placeholder is unobservable.
+            // nothing was pushed to, so neither the placeholder nor what
+            // an earlier frame left in a standing slot is observable.
             self.scratch.frames.resize(end, Value::Unit);
         }
+        self.high = self.high.max(end);
         self.run::<false>(instance, func, depth, base, 0)
     }
 
@@ -552,6 +620,25 @@ impl Machine<'_> {
                 frame = &mut self.scratch.frames[base..end];
             }};
         }
+        // Go on at the block `dest` opens with its `Fuel`: charge it here
+        // and go on behind it — or, if the fuel left does not cover it,
+        // land on the `Fuel`, which goes on instruction by instruction.
+        // (Every branch target and every instruction behind a branch opens
+        // a block.)
+        macro_rules! land {
+            ($dest:expr) => {{
+                let dest: usize = $dest;
+                pc = dest;
+                if !METERED {
+                    if let Inst::Fuel(cost) = code[dest] {
+                        if fuel >= cost as u64 {
+                            fuel -= cost as u64;
+                            pc = dest + 1;
+                        }
+                    }
+                }
+            }};
+        }
         macro_rules! call_host {
             ($slot:expr, $args:expr, $argc:expr, $dst:expr) => {{
                 self.host_calls += 1;
@@ -572,7 +659,9 @@ impl Machine<'_> {
         loop {
             let inst = &code[pc];
             if METERED {
-                let cost = dfunc.costs[pc] as u64;
+                // A `CallHostPop` retires its `Pop` after the call returns.
+                let after = matches!(inst, Inst::CallHostPop { .. }) as u64;
+                let cost = dfunc.costs[pc] as u64 - after;
                 if fuel < cost {
                     self.fuel = 0;
                     return Err(VmError::FuelExhausted);
@@ -581,9 +670,10 @@ impl Machine<'_> {
             }
             pc += 1;
             match *inst {
-                // Charge the block that starts behind this — or, if the
-                // fuel left does not cover it, go on from there
-                // instruction by instruction.
+                // A block entered at the function's start, by running
+                // into it, or by a branch the fuel left did not cover:
+                // charge it — or, if the fuel left does not cover it, go
+                // on from here instruction by instruction.
                 Inst::Fuel(cost) => {
                     if !METERED {
                         if fuel < cost as u64 {
@@ -634,24 +724,26 @@ impl Machine<'_> {
                 Inst::And { dst, a, b } => set_bool!(dst, boolean!(a) && boolean!(b)),
                 Inst::Or { dst, a, b } => set_bool!(dst, boolean!(a) || boolean!(b)),
                 Inst::Not { dst, a } => set_bool!(dst, !boolean!(a)),
-                // A branch lands on its destination's `Fuel`; not taken,
-                // it goes on to the next block's.
-                Inst::Jump { to } => pc = to as usize,
+                // A branch charges the block it goes on to, taken or not
+                // (not taken, that is the next block).
+                Inst::Jump { to } => land!(to as usize),
                 Inst::BrIf { src, negate, to } => {
-                    if boolean!(src) != negate {
-                        pc = to as usize;
-                    }
+                    land!(if boolean!(src) != negate {
+                        to as usize
+                    } else {
+                        pc
+                    })
                 }
                 Inst::BrCmpInt { cmp, a, b, to } => {
-                    if cmp.holds(int!(a), int!(b)) {
-                        pc = to as usize;
-                    }
+                    land!(if cmp.holds(int!(a), int!(b)) {
+                        to as usize
+                    } else {
+                        pc
+                    })
                 }
                 Inst::BrEqStr { a, b, negate, to } => {
                     let eq = frame[a as usize].as_str()[..] == frame[b as usize].as_str()[..];
-                    if eq != negate {
-                        pc = to as usize;
-                    }
+                    land!(if eq != negate { to as usize } else { pc })
                 }
                 Inst::Return { src } => {
                     copy(frame, 0, src);
@@ -660,6 +752,24 @@ impl Machine<'_> {
                 }
                 Inst::Call { func: callee, args } => call_vm!(instance, callee, args),
                 Inst::CallHost { slot, args, argc } => call_host!(slot, args, argc, args),
+                Inst::CallHostPop { slot, args, argc } => {
+                    self.host_calls += 1;
+                    let args = &mut frame[args as usize..args as usize + argc as usize];
+                    if let Err(e) = self.host.call_slot(self.ns.env(), slot, args) {
+                        // The `Pop` was charged with the block, not retired.
+                        if !METERED {
+                            fuel += 1;
+                        }
+                        trap!(e);
+                    }
+                    if METERED {
+                        if fuel == 0 {
+                            self.fuel = 0;
+                            return Err(VmError::FuelExhausted);
+                        }
+                        fuel -= 1;
+                    }
+                }
                 Inst::CallVm {
                     instance: callee_inst,
                     func: callee,
@@ -891,15 +1001,19 @@ mod tests {
     /// `call_scratch` entered while the arena holds a live region (what a
     /// host function re-entering the VM on its caller's arena would find):
     /// the frames stack above the mark, the region below is untouched, and
-    /// everything above is dropped on the way out — on success and on a
-    /// trap two frames deep alike — so the caller's string handle is the
-    /// only one left.
+    /// every shared payload above it is released on the way out — on
+    /// success and on a trap two frames deep alike — so the caller's
+    /// string handle is the only one left.
     #[test]
     fn an_entry_above_a_live_region_leaves_it_as_it_was() {
         let (ns, go) = nested_ns();
         let cfg = ExecConfig::default();
         let live = || vec![Value::Int(111), Value::str("live"), Value::Bool(true)];
         let rendered = |values: &[Value]| values.iter().map(Value::render).collect::<Vec<_>>();
+        let shares = |v: &Value| matches!(v, Value::Str(_) | Value::Tuple(_) | Value::Table(_));
+        // One arena across the runs below: the second and later entries
+        // write into the slots the earlier ones left standing.
+        let mut fresh = VmScratch::new();
         for (x, expected) in [(5i64, Ok(8i64 + 20)), (0, Err(VmError::DivideByZero))] {
             let s = FrameBuf::from(b"abcd".to_vec());
             let args = || vec![Value::Str(s.clone()), Value::Int(x)];
@@ -907,18 +1021,20 @@ mod tests {
 
             let mut nested = VmScratch::new();
             nested.frames = live();
+            nested.mark = nested.frames.len();
             let out = call_scratch(&ns, &mut NoHost, go, args(), &cfg, &mut nested);
             let out = out.map(|(v, stats)| (v.as_int(), stats));
             assert_eq!(out, reference.map(|(v, stats)| (v.as_int(), stats)));
             assert_eq!(out.map(|(v, _)| v), expected);
-            assert_eq!(rendered(&nested.frames), rendered(&live()));
+            assert_eq!(rendered(&nested.frames[..3]), rendered(&live()));
+            assert!(!nested.frames[3..].iter().any(shares));
             assert!(s.is_unique(), "x = {x}: a frame kept the argument");
 
-            // The same from an empty arena, which ends empty.
-            let mut fresh = VmScratch::new();
+            // The same from an arena with no live region, which ends
+            // holding no shared value.
             let out = call_scratch(&ns, &mut NoHost, go, args(), &cfg, &mut fresh);
             assert_eq!(out.map(|(v, _)| v.as_int()), expected);
-            assert!(fresh.frames.is_empty());
+            assert!(!fresh.frames.is_empty() && !fresh.frames.iter().any(shares));
             assert!(s.is_unique());
         }
     }
