@@ -76,14 +76,11 @@ impl NativeSwitchlet for LearningBridge {
 
         if !bc.plane.port_flags(port.0).forward {
             bc.plane.stats.blocked += 1;
-            // The recorder has only ever been told of blocked unicast.
-            if !dst.is_multicast() {
-                bc.sim.probe(|node| ProbeRecord::Decision {
-                    node,
-                    port,
-                    verdict: "blocked",
-                });
-            }
+            bc.sim.probe(|node| ProbeRecord::Decision {
+                node,
+                port,
+                verdict: "blocked",
+            });
             return;
         }
         // Learn (footnote 3: skipped for group sources — enforced by the

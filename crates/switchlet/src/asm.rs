@@ -134,7 +134,6 @@ pub struct ModuleBuilder {
     name: String,
     imports: Vec<ImportSig>,
     exports: Vec<Export>,
-    ty_pool: Vec<Ty>,
     str_pool: Vec<Vec<u8>>,
     functions: Vec<Function>,
     init: Option<u32>,
@@ -147,7 +146,6 @@ impl ModuleBuilder {
             name: name.into(),
             imports: Vec::new(),
             exports: Vec::new(),
-            ty_pool: Vec::new(),
             str_pool: Vec::new(),
             functions: Vec::new(),
             init: None,
@@ -176,15 +174,6 @@ impl ModuleBuilder {
         }
         self.str_pool.push(bytes.to_vec());
         (self.str_pool.len() - 1) as u32
-    }
-
-    /// Intern a type-pool entry; returns its index for `TableNew`.
-    pub fn intern_ty(&mut self, ty: Ty) -> u32 {
-        if let Some(pos) = self.ty_pool.iter().position(|t| *t == ty) {
-            return pos as u32;
-        }
-        self.ty_pool.push(ty);
-        (self.ty_pool.len() - 1) as u32
     }
 
     /// Begin a function.
@@ -230,7 +219,6 @@ impl ModuleBuilder {
             name: self.name,
             imports: self.imports,
             exports: self.exports,
-            ty_pool: self.ty_pool,
             str_pool: self.str_pool,
             functions: self.functions,
             init: self.init,
@@ -317,28 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn table_state_persists_within_call() {
-        let mut mb = ModuleBuilder::new("m");
-        let table_ty = mb.intern_ty(Ty::table(Ty::Int, Ty::Int));
-        let mut f = mb.func("t", vec![], Ty::Int);
-        let t = f.local(Ty::table(Ty::Int, Ty::Int));
-        f.op(Op::TableNew(table_ty)).op(Op::LocalSet(t));
-        f.op(Op::LocalGet(t));
-        f.op(Op::ConstInt(1)).op(Op::ConstInt(100)).op(Op::TableAdd);
-        f.op(Op::LocalGet(t));
-        f.op(Op::ConstInt(1)).op(Op::ConstInt(-1)).op(Op::TableGet);
-        f.op(Op::Return);
-        let idx = mb.finish(f);
-        mb.export("t", idx);
-        assert_eq!(run0(mb, "t"), 100);
-    }
-
-    #[test]
     fn interning_dedupes() {
         let mut mb = ModuleBuilder::new("m");
         assert_eq!(mb.intern_str(b"x"), mb.intern_str(b"x"));
         assert_ne!(mb.intern_str(b"x"), mb.intern_str(b"y"));
-        assert_eq!(mb.intern_ty(Ty::Int), mb.intern_ty(Ty::Int));
         assert_eq!(
             mb.import("a", "b", Ty::func(vec![], Ty::Unit)),
             mb.import("a", "b", Ty::func(vec![], Ty::Unit))

@@ -6,7 +6,7 @@
 //! * **No casts.** There is no instruction that reinterprets a value at
 //!   another type.
 //! * **No address-of.** Values are reachable only by name (locals, imports,
-//!   exports) or through legal references (tuples, tables) — "the lack of a
+//!   exports) or through legal references (tuple components) — "the lack of a
 //!   cast operator or an address operator ... makes it impossible to refer
 //!   to any object without either its name or a string of legal pointer
 //!   references from a known object".
@@ -121,20 +121,6 @@ pub enum Op {
     StrUnpackInt(u8),
     /// Decimal rendering: `[int] -> [str]`.
     StrFromInt,
-
-    /// Push a fresh empty table of type-pool entry `n` (which must be a
-    /// `Table` type).
-    TableNew(u32),
-    /// Insert/replace: `[table k v] -> []`.
-    TableAdd,
-    /// Lookup with default: `[table k default] -> [v]`.
-    TableGet,
-    /// Membership: `[table k] -> [bool]`.
-    TableMem,
-    /// Remove: `[table k] -> []`.
-    TableRemove,
-    /// Entry count: `[table] -> [int]`.
-    TableLen,
 
     /// No operation.
     Nop,

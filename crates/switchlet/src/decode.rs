@@ -197,12 +197,6 @@ pub(crate) enum Inst {
     StrPackInt { dst: Slot, src: Slot, width: u8 },
     StrUnpackInt { dst: Slot, s: Slot, off: Slot, width: u8 },
     StrFromInt { dst: Slot, src: Slot },
-    TableNew { dst: Slot },
-    TableAdd { t: Slot, k: Slot, v: Slot },
-    TableGet { dst: Slot, t: Slot, k: Slot, default: Slot },
-    TableMem { dst: Slot, t: Slot, k: Slot },
-    TableRemove { t: Slot, k: Slot },
-    TableLen { dst: Slot, t: Slot },
     /// Does nothing; stands where source ops with no run-time action
     /// (`Pop`, `Nop`) end a block, to carry their cost.
     Nop,
@@ -773,30 +767,6 @@ impl Translator<'_> {
                 self.binary(|dst, s, off| Inst::StrUnpackInt { dst, s, off, width })
             }
             Op::StrFromInt => self.unary(|dst, src| Inst::StrFromInt { dst, src }),
-            Op::TableNew(_) => {
-                let dst = self.push();
-                self.emit(Inst::TableNew { dst });
-            }
-            Op::TableAdd => {
-                let v = self.pop();
-                let k = self.pop();
-                let t = self.pop();
-                self.emit(Inst::TableAdd { t, k, v });
-            }
-            Op::TableGet => {
-                let default = self.pop();
-                let k = self.pop();
-                let t = self.pop();
-                let dst = self.push();
-                self.emit(Inst::TableGet { dst, t, k, default });
-            }
-            Op::TableMem => self.binary(|dst, t, k| Inst::TableMem { dst, t, k }),
-            Op::TableRemove => {
-                let k = self.pop();
-                let t = self.pop();
-                self.emit(Inst::TableRemove { t, k });
-            }
-            Op::TableLen => self.unary(|dst, t| Inst::TableLen { dst, t }),
             Op::Nop => {}
         }
     }

@@ -127,7 +127,11 @@ pub fn unseal(blob: &[u8]) -> Result<&[u8], EnvelopeError> {
             got: payload.len(),
         });
     }
-    let sealed = Digest(blob[12..28].try_into().expect("16 digest octets"));
+    let sealed = Digest(
+        blob[12..28]
+            .try_into()
+            .expect("the header check above leaves 28 octets, 12..28 is 16"),
+    );
     let computed = md5(payload);
     if sealed != computed {
         return Err(EnvelopeError::DigestMismatch { sealed, computed });

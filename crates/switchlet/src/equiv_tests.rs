@@ -6,10 +6,10 @@
 //! landing in the middle of a fused superinstruction), same traps, and
 //! the same host-call sequence. These tests generate arbitrary *verified*
 //! modules — random well-typed statement programs over ints, bools,
-//! strings, tuples, tables, host calls, local calls, cross-module calls
-//! and first-class functions — and run them through both interpreters.
+//! strings, tuples, host calls, local calls, cross-module calls and
+//! first-class functions — and run them through both interpreters.
 //!
-//! What the typed, statically framed form (PR 18) adds is covered by the
+//! What the typed, statically framed form adds is covered by the
 //! cases below the generator-driven ones: budgets that run out at *every*
 //! source op of a block (the block is charged whole; a budget that does
 //! not cover it is spent instruction by instruction), the hot profile's
@@ -100,13 +100,12 @@ pub(crate) fn test_env() -> Env {
 
 // ------------------------------------------------------- program builder
 
-/// Local layout of every generated function: four ints, two strings, one
-/// int→int table, two loop counters — all initialized up front so every
-/// control-flow join agrees on the init vector.
+/// Local layout of every generated function: four ints, two strings, two
+/// loop counters — all initialized up front so every control-flow join
+/// agrees on the init vector.
 const I0: u16 = 0; // ints: I0..I0+4
 const S0: u16 = 4; // strings: S0, S0+1
-const T0: u16 = 6; // table
-const C0: u16 = 7; // loop counters: C0, C0+1
+const C0: u16 = 6; // loop counters: C0, C0+1
 
 struct Gen<'a> {
     rng: &'a mut TestRng,
@@ -118,8 +117,6 @@ struct Gen<'a> {
     nullary: Option<u32>,
     /// String-pool entries usable by `ConstStr`.
     strs: Vec<u32>,
-    /// Table type-pool entry.
-    table_ty: u32,
 }
 
 impl Gen<'_> {
@@ -182,11 +179,9 @@ impl Gen<'_> {
                 f.op(Op::StrByte);
             }
             9 => {
-                // Table lookup with default.
-                f.op(Op::LocalGet(T0));
+                // The length of an int's decimal rendering.
                 self.int_expr(f, depth - 1);
-                self.int_expr(f, depth - 1);
-                f.op(Op::TableGet);
+                f.op(Op::StrFromInt).op(Op::StrLen);
             }
             10 => {
                 // Tuple round trip.
@@ -243,9 +238,11 @@ impl Gen<'_> {
                 f.op(if self.pick(2) == 0 { Op::And } else { Op::Or });
             }
             _ => {
-                f.op(Op::LocalGet(T0));
-                self.int_expr(f, 1);
-                f.op(Op::TableMem);
+                // A string local against a pool constant.
+                let s = self.str_local();
+                let i = self.pick(self.strs.len() as u64) as usize;
+                f.op(Op::LocalGet(s)).op(Op::ConstStr(self.strs[i]));
+                f.op(Op::Eq);
             }
         }
     }
@@ -326,15 +323,9 @@ impl Gen<'_> {
                 f.place(exit);
             }
             6 => {
-                // Table insert or remove.
-                f.op(Op::LocalGet(T0));
-                self.int_expr(f, 1);
-                if self.pick(3) == 0 {
-                    f.op(Op::TableRemove);
-                } else {
-                    self.int_expr(f, 1);
-                    f.op(Op::TableAdd);
-                }
+                let l = self.str_local();
+                self.str_expr(f, 1);
+                f.op(Op::LocalSet(l));
             }
             7 => {
                 // Host call: add7 / cnt / fail (fail traps on negatives).
@@ -418,12 +409,10 @@ impl Gen<'_> {
             if l < S0 {
                 let k = self.pick(9) as i64 - 4;
                 f.op(Op::ConstInt(k)).op(Op::LocalSet(l));
-            } else if l < T0 {
+            } else if l < C0 {
                 let i = self.pick(self.strs.len() as u64) as usize;
                 let idx = self.strs[i];
                 f.op(Op::ConstStr(idx)).op(Op::LocalSet(l));
-            } else if l == T0 {
-                f.op(Op::TableNew(self.table_ty)).op(Op::LocalSet(l));
             } else {
                 f.op(Op::ConstInt(0)).op(Op::LocalSet(l));
             }
@@ -439,7 +428,6 @@ impl Gen<'_> {
                 f.op(Op::Add);
             }
         }
-        f.op(Op::LocalGet(T0)).op(Op::TableLen).op(Op::Add);
         for s in 0..2u16 {
             f.op(Op::LocalGet(S0 + s))
                 .op(Op::CallImport(self.imports[2]))
@@ -455,10 +443,8 @@ fn declare_locals(f: &mut FuncBuilder, n_params: u16) {
     for l in n_params..C0 + 2 {
         if l < S0 {
             f.local(Ty::Int);
-        } else if l < T0 {
+        } else if l < C0 {
             f.local(Ty::Str);
-        } else if l == T0 {
-            f.local(Ty::table(Ty::Int, Ty::Int));
         } else {
             f.local(Ty::Int);
         }
@@ -481,7 +467,6 @@ pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
         mb.intern_str(b"abc"),
         mb.intern_str(b"\x01\x02\x03\x04\x05\x06\x07\x08"),
     ];
-    let table_ty = mb.intern_ty(Ty::table(Ty::Int, Ty::Int));
 
     // Helper: one int parameter, no further calls.
     let helper = {
@@ -493,7 +478,6 @@ pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
             helper: None,
             nullary: None,
             strs: strs.clone(),
-            table_ty,
         };
         g.prologue(&mut f, 1);
         g.block(&mut f, 1, 0);
@@ -511,7 +495,6 @@ pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
             helper: None,
             nullary: None,
             strs: strs.clone(),
-            table_ty,
         };
         g.prologue(&mut f, 0);
         g.block(&mut f, 1, 0);
@@ -529,7 +512,6 @@ pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
             helper: Some(helper),
             nullary: Some(nullary),
             strs: strs.clone(),
-            table_ty,
         };
         g.prologue(&mut f, 2);
         g.block(&mut f, 2, 0);
@@ -558,7 +540,6 @@ pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
     let i_go = ub.import("m", "go", Ty::func(vec![Ty::Int, Ty::Int], Ty::Int));
     let i_hlp = ub.import("m", "hlp", Ty::func(vec![Ty::Int], Ty::Int));
     let u_strs = vec![ub.intern_str(b"u"), ub.intern_str(b"wrap")];
-    let u_table_ty = ub.intern_ty(Ty::table(Ty::Int, Ty::Int));
     {
         let mut f = ub.func("go", vec![Ty::Int, Ty::Int], Ty::Int);
         declare_locals(&mut f, 2);
@@ -568,7 +549,6 @@ pub(crate) fn gen_program(rng: &mut TestRng) -> (Vec<Vec<u8>>, &'static str) {
             helper: None,
             nullary: None,
             strs: u_strs,
-            table_ty: u_table_ty,
         };
         g.prologue(&mut f, 2);
         g.block(&mut f, 1, 0);
@@ -837,7 +817,6 @@ enum T {
     Int,
     Str,
     Bool,
-    Table,
     /// `(int, int)`.
     Pair,
     /// `() -> int`.
@@ -853,7 +832,6 @@ impl T {
             T::Int => Ty::Int,
             T::Str => Ty::Str,
             T::Bool => Ty::Bool,
-            T::Table => Ty::table(Ty::Int, Ty::Int),
             T::Pair => Ty::Tuple(vec![Ty::Int, Ty::Int]),
             T::Thunk => Ty::func(vec![], Ty::Int),
             T::Map => Ty::func(vec![Ty::Int], Ty::Int),
@@ -867,7 +845,7 @@ impl T {
 }
 
 /// Locals of the shuffle function `go(int, int) -> int`, by type.
-const SHUFFLE_LOCALS: [T; 10] = [
+const SHUFFLE_LOCALS: [T; 9] = [
     T::Int,
     T::Int,
     T::Int,
@@ -875,7 +853,6 @@ const SHUFFLE_LOCALS: [T; 10] = [
     T::Str,
     T::Str,
     T::Bool,
-    T::Table,
     T::Pair,
     T::Thunk,
 ];
@@ -894,7 +871,6 @@ fn gen_shuffle(rng: &mut TestRng) -> Vec<u8> {
     let cnt = mb.import("h", "cnt", Ty::func(vec![], Ty::Int));
     let obs = mb.import("h", "obs", Ty::func(vec![Ty::Str], Ty::Int));
     let strs = [mb.intern_str(b"ab"), mb.intern_str(b"xyz")];
-    let table_ty = mb.intern_ty(Ty::table(Ty::Int, Ty::Int));
     // nine() = 9; twice(x) = x + x; second(x, y) = y
     let mut f = mb.func("nine", vec![], Ty::Int);
     f.op(Op::ConstInt(9)).op(Op::Return);
@@ -915,12 +891,11 @@ fn gen_shuffle(rng: &mut TestRng) -> Vec<u8> {
     f.op(Op::ConstStr(strs[0])).op(Op::LocalSet(4));
     f.op(Op::ConstStr(strs[1])).op(Op::LocalSet(5));
     f.op(Op::ConstBool(false)).op(Op::LocalSet(6));
-    f.op(Op::TableNew(table_ty)).op(Op::LocalSet(7));
     f.op(Op::ConstInt(1))
         .op(Op::ConstInt(2))
         .op(Op::TupleMake(2));
-    f.op(Op::LocalSet(8));
-    f.op(Op::FuncConst(nine)).op(Op::LocalSet(9));
+    f.op(Op::LocalSet(7));
+    f.op(Op::FuncConst(nine)).op(Op::LocalSet(8));
 
     let mut stack: Vec<T> = Vec::new();
     let steps = 8 + rng.below(48);
@@ -1011,7 +986,6 @@ fn gen_shuffle(rng: &mut TestRng) -> Vec<u8> {
         match top {
             T::Int => {}
             T::Str => drop(f.op(Op::CallImport(obs))),
-            T::Table => drop(f.op(Op::TableLen)),
             T::Pair => drop(f.op(Op::TupleGet(0))),
             T::Thunk => drop(f.op(Op::CallRef(0))),
             T::Map => drop(f.op(Op::ConstInt(1)).op(Op::CallRef(1))),
@@ -1037,9 +1011,8 @@ fn gen_shuffle(rng: &mut TestRng) -> Vec<u8> {
         .op(Op::Add)
         .op(Op::LocalGet(3))
         .op(Op::Add);
-    f.op(Op::LocalGet(7)).op(Op::TableLen).op(Op::Add);
-    f.op(Op::LocalGet(8)).op(Op::TupleGet(1)).op(Op::Add);
-    f.op(Op::LocalGet(9)).op(Op::CallRef(0)).op(Op::Add);
+    f.op(Op::LocalGet(7)).op(Op::TupleGet(1)).op(Op::Add);
+    f.op(Op::LocalGet(8)).op(Op::CallRef(0)).op(Op::Add);
     for s in [4, 5] {
         f.op(Op::LocalGet(s)).op(Op::CallImport(obs)).op(Op::Add);
     }
@@ -1240,7 +1213,7 @@ mod fixed {
         }
     }
 
-    // ------------------------------------------------ PR 18 additions
+    // ----------------------------------------- the typed, framed form
 
     /// Build `m` with `build` adding functions (the last one exported as
     /// `go(int, int) -> int`) and load it.
@@ -1591,36 +1564,28 @@ mod fixed {
     fn a_local_stored_back_to_itself_matches() {
         let p = program(|mb, imports| {
             let abc = mb.intern_str(b"abc");
-            let table_ty = mb.intern_ty(Ty::table(Ty::Int, Ty::Int));
             let mut f = mb.func("go", vec![Ty::Int, Ty::Int], Ty::Int);
             let s = f.local(Ty::Str);
-            let t = f.local(Ty::table(Ty::Int, Ty::Int));
             let pair = f.local(Ty::Tuple(vec![Ty::Int, Ty::Int]));
             let flag = f.local(Ty::Bool);
             f.op(Op::ConstStr(abc)).op(Op::LocalSet(s));
-            f.op(Op::TableNew(table_ty)).op(Op::LocalSet(t));
-            f.op(Op::LocalGet(t))
-                .op(Op::ConstInt(1))
-                .op(Op::LocalGet(1));
-            f.op(Op::TableAdd);
             f.op(Op::LocalGet(0))
                 .op(Op::LocalGet(1))
                 .op(Op::TupleMake(2));
             f.op(Op::LocalSet(pair));
             f.op(Op::LocalGet(0)).op(Op::LocalGet(1)).op(Op::Lt);
             f.op(Op::LocalSet(flag));
-            for n in [0, s, t, pair, flag] {
+            for n in [0, s, pair, flag] {
                 f.op(Op::LocalGet(n)).op(Op::LocalGet(n));
                 f.op(Op::LocalSet(n)).op(Op::LocalSet(n));
                 f.op(Op::LocalGet(n)).op(Op::Dup);
                 f.op(Op::LocalSet(n)).op(Op::LocalSet(n));
             }
-            // a + obs(s) + len(t) + pair.1 + (flag ? 100 : 0)
+            // a + obs(s) + pair.1 + (flag ? 100 : 0)
             let unset = f.new_label();
             f.op(Op::LocalGet(0));
             f.op(Op::LocalGet(s)).op(Op::CallImport(imports[2]));
             f.op(Op::Add);
-            f.op(Op::LocalGet(t)).op(Op::TableLen).op(Op::Add);
             f.op(Op::LocalGet(pair)).op(Op::TupleGet(1)).op(Op::Add);
             f.op(Op::LocalGet(flag));
             f.br_if_not(unset);
@@ -1632,7 +1597,7 @@ mod fixed {
         for (a, b) in [(2, 9), (9, 2)] {
             let (out, _, log) = p.reference((a, b), 10_000);
             let (value, stats) = out.expect("runs");
-            assert_eq!(value, a + 3 + 1 + b + if a < b { 100 } else { 0 });
+            assert_eq!(value, a + 3 + b + if a < b { 100 } else { 0 });
             assert_eq!(log, vec!["obs(abc)"]);
             for fuel in 0..=stats.instructions {
                 p.check((a, b), fuel, fuel).unwrap();

@@ -91,7 +91,7 @@ pub use linker::{Instance, LoadError, Namespace, ResolvedImport};
 pub use module::{DecodeError, Export, Module};
 pub use sig::{ExportSig, ImportSig};
 pub use types::{FuncTy, Ty};
-pub use value::{FuncVal, InstanceId, Key, Value};
+pub use value::{FuncVal, InstanceId, Value};
 pub use verify::{verify_module, VerifyError};
 pub use vm::{
     call, call_scratch, ExecConfig, ExecStats, FuncHotCounters, HotProfile, VmError, VmScratch,

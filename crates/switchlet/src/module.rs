@@ -2,8 +2,10 @@
 //!
 //! Switchlets travel over the network (the paper pushes them through TFTP)
 //! as self-describing byte codes: name, import/export signatures with MD5
-//! interface digests, type and string pools, function bodies, and the index
-//! of the `init` function whose evaluation performs registration. A trailing
+//! interface digests, a string pool, function bodies, and the index of the
+//! `init` function whose evaluation performs registration. Between the
+//! exports and the string pool the layout keeps a `u16` type-pool count
+//! that is always 0: no instruction reads a type pool. A trailing
 //! MD5 over the whole body detects altered byte codes: "If the byte codes
 //! are unaltered module thinning works as described."
 
@@ -38,8 +40,6 @@ pub struct Module {
     pub imports: Vec<ImportSig>,
     /// Exported functions.
     pub exports: Vec<Export>,
-    /// Type pool (referenced by `TableNew`).
-    pub ty_pool: Vec<Ty>,
     /// String pool (referenced by `ConstStr`).
     pub str_pool: Vec<Vec<u8>>,
     /// Function bodies.
@@ -159,14 +159,17 @@ impl<'a> Reader<'a> {
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take(N) returns N bytes"))
+    }
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
     fn str16(&mut self) -> Result<String, DecodeError> {
         let len = self.u16()? as usize;
@@ -285,15 +288,6 @@ fn encode_op(w: &mut Writer, op: &Op) {
             w.u8(*n);
         }
         Op::StrFromInt => w.u8(0x46),
-        Op::TableNew(n) => {
-            w.u8(0x50);
-            w.u32(*n);
-        }
-        Op::TableAdd => w.u8(0x51),
-        Op::TableGet => w.u8(0x52),
-        Op::TableMem => w.u8(0x53),
-        Op::TableRemove => w.u8(0x54),
-        Op::TableLen => w.u8(0x55),
         Op::Nop => w.u8(0x60),
     }
 }
@@ -354,12 +348,6 @@ fn decode_op(r: &mut Reader<'_>) -> Result<Op, DecodeError> {
             Op::StrUnpackInt(n)
         }
         0x46 => Op::StrFromInt,
-        0x50 => Op::TableNew(r.u32()?),
-        0x51 => Op::TableAdd,
-        0x52 => Op::TableGet,
-        0x53 => Op::TableMem,
-        0x54 => Op::TableRemove,
-        0x55 => Op::TableLen,
         0x60 => Op::Nop,
         other => return Err(DecodeError::BadOp(other)),
     })
@@ -404,10 +392,7 @@ impl Module {
             w.str16(&exp.name);
             w.u32(exp.func);
         }
-        w.u16(self.ty_pool.len() as u16);
-        for t in &self.ty_pool {
-            w.ty(t);
-        }
+        w.u16(0); // the type-pool count
         w.u16(self.str_pool.len() as u16);
         for s in &self.str_pool {
             w.bytes32(s);
@@ -450,8 +435,10 @@ impl Module {
         if bytes.len() < MAGIC.len() + 16 {
             return Err(DecodeError::Truncated);
         }
-        let (body, digest_bytes) = bytes.split_at(bytes.len() - 16);
-        let want = Digest(digest_bytes.try_into().unwrap());
+        let (body, want) = bytes
+            .split_last_chunk()
+            .expect("the length check above leaves 16 bytes");
+        let want = Digest(*want);
         if md5(body) != want {
             return Err(DecodeError::CodeDigestMismatch);
         }
@@ -481,13 +468,8 @@ impl Module {
             let func = r.u32()?;
             exports.push(Export { name, func });
         }
-        let n_tys = r.u16()? as usize;
-        if n_tys > MAX_POOL {
+        if r.u16()? != 0 {
             return Err(DecodeError::TooLarge("type pool"));
-        }
-        let mut ty_pool = Vec::with_capacity(n_tys);
-        for _ in 0..n_tys {
-            ty_pool.push(r.ty()?);
         }
         let n_strs = r.u16()? as usize;
         if n_strs > MAX_POOL {
@@ -535,8 +517,8 @@ impl Module {
             });
         }
         let init = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-        let import_digest = Digest(r.take(16)?.try_into().unwrap());
-        let export_digest = Digest(r.take(16)?.try_into().unwrap());
+        let import_digest = Digest(r.array()?);
+        let export_digest = Digest(r.array()?);
         if !r.buf.is_empty() {
             return Err(DecodeError::TrailingBytes);
         }
@@ -557,7 +539,6 @@ impl Module {
             name,
             imports,
             exports,
-            ty_pool,
             str_pool,
             functions,
             init,
@@ -591,7 +572,6 @@ mod tests {
                 name: "go".into(),
                 func: 0,
             }],
-            ty_pool: vec![Ty::table(Ty::Str, Ty::Int)],
             str_pool: vec![b"hello".to_vec()],
             functions: vec![Function {
                 name: "go".into(),
@@ -622,7 +602,6 @@ mod tests {
         assert_eq!(back.name, m.name);
         assert_eq!(back.imports, m.imports);
         assert_eq!(back.exports, m.exports);
-        assert_eq!(back.ty_pool, m.ty_pool);
         assert_eq!(back.str_pool, m.str_pool);
         assert_eq!(back.functions, m.functions);
         assert_eq!(back.init, m.init);
@@ -679,16 +658,67 @@ mod tests {
         }
     }
 
+    /// `bytes` with its trailing body digest rewritten, so an edit reaches
+    /// the structural checks behind the digest check.
+    fn resigned(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 16;
+        let d = md5(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&d.0);
+        bytes
+    }
+
     #[test]
     fn bad_magic_rejected() {
         let mut bytes = sample_module().encode();
         bytes[0] = b'X';
-        // Bad magic also breaks the digest; rewrite trailer to isolate the
-        // magic check.
-        let body_len = bytes.len() - 16;
-        let d = md5(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&d.0);
-        assert_eq!(Module::decode(&bytes), Err(DecodeError::BadMagic));
+        assert_eq!(Module::decode(&resigned(bytes)), Err(DecodeError::BadMagic));
+    }
+
+    /// The type-pool count stays in the layout and is always 0; the
+    /// retired table opcodes 0x50–0x55 decode as unknown ones.
+    #[test]
+    fn a_type_pool_and_the_retired_opcodes_are_refused() {
+        let mut m = Module {
+            name: "t".into(),
+            imports: vec![],
+            exports: vec![],
+            str_pool: vec![],
+            functions: vec![Function {
+                name: "f".into(),
+                params: vec![],
+                locals: vec![],
+                result: Ty::Unit,
+                code: vec![Op::ConstUnit, Op::Return],
+            }],
+            init: None,
+            import_digest: Digest::default(),
+            export_digest: Digest::default(),
+        };
+        m.seal();
+        let image = m.encode();
+        // Magic, the name "t", no imports, no exports.
+        let pool_count = 4 + 2 + 1 + 2 + 2;
+        assert_eq!(image[pool_count..pool_count + 2], [0, 0]);
+        for count in [1u16, 0x100, u16::MAX] {
+            let mut bytes = image.clone();
+            bytes[pool_count..pool_count + 2].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                Module::decode(&resigned(bytes)),
+                Err(DecodeError::TooLarge("type pool"))
+            );
+        }
+        // The code is the last field before the init flag, the two
+        // interface digests and the body digest.
+        let first_op = image.len() - 16 - 32 - 1 - 2;
+        assert_eq!(image[first_op..first_op + 2], [0x00, 0x23]);
+        for op in 0x50..=0x55 {
+            let mut bytes = image.clone();
+            bytes[first_op] = op;
+            assert_eq!(
+                Module::decode(&resigned(bytes)),
+                Err(DecodeError::BadOp(op))
+            );
+        }
     }
 
     #[test]
@@ -711,7 +741,6 @@ mod tests {
             name: "empty".into(),
             imports: vec![],
             exports: vec![],
-            ty_pool: vec![],
             str_pool: vec![],
             functions: vec![],
             init: None,

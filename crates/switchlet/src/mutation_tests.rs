@@ -16,14 +16,23 @@
 //! accepted runs exactly as the reference interpreter runs it — result,
 //! `ExecStats` and host-call trace — at full fuel and at budgets that run
 //! out part-way.
+//!
+//! The byte-level cases start from the encoded image instead: one count,
+//! length, type tag, opcode byte, init flag or the type-pool count is
+//! edited and the body digest written again, so decode's structural
+//! checks are what the edit meets; some are sealed in an envelope whose
+//! header is edited in turn. Each ends in a typed `EnvelopeError` or
+//! `DecodeError`, or goes on down the same load-and-run path.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 
 use crate::bytecode::{Function, Op};
+use crate::digest::md5;
 use crate::env::{Env, HostDispatch, HostModuleSig, HostSlot};
-use crate::linker::Namespace;
-use crate::module::Module;
+use crate::envelope::{seal, unseal, EnvelopeError};
+use crate::linker::{LoadError, Namespace};
+use crate::module::{DecodeError, Module, MAX_CODE};
 use crate::refinterp::ref_call;
 use crate::types::Ty;
 use crate::value::{FuncVal, Value};
@@ -151,14 +160,13 @@ fn index(rng: &mut TestRng, n: usize) -> u64 {
 }
 
 fn any_ty(rng: &mut TestRng) -> Ty {
-    match rng.below(8) {
+    match rng.below(7) {
         0 => Ty::Unit,
         1 => Ty::Bool,
         2 => Ty::Int,
         3 => Ty::Str,
         4 => Ty::named("oport"),
         5 => Ty::Tuple(vec![Ty::Int, Ty::Str]),
-        6 => Ty::table(Ty::Int, Ty::Int),
         _ => Ty::func(vec![Ty::Int], Ty::Int),
     }
 }
@@ -177,7 +185,7 @@ fn any_op(rng: &mut TestRng, m: &Module, f: &Function) -> Op {
     let local = |rng: &mut TestRng| index(rng, f.num_slots()) as u16;
     let target = |rng: &mut TestRng| index(rng, f.code.len()) as u32;
     let width = |rng: &mut TestRng| pick(rng, &[0u8, 1, 2, 3, 4, 6, 8, 9]);
-    match rng.below(47) {
+    match rng.below(41) {
         0 => Op::ConstUnit,
         1 => Op::ConstBool(rng.below(2) == 0),
         2 => Op::ConstInt(any_int(rng)),
@@ -218,13 +226,7 @@ fn any_op(rng: &mut TestRng, m: &Module, f: &Function) -> Op {
         37 => Op::StrSlice,
         38 => Op::StrPackInt(width(rng)),
         39 => Op::StrUnpackInt(width(rng)),
-        40 => Op::StrFromInt,
-        41 => Op::TableNew(index(rng, m.ty_pool.len()) as u32),
-        42 => Op::TableAdd,
-        43 => Op::TableGet,
-        44 => Op::TableMem,
-        45 => Op::TableRemove,
-        _ => Op::TableLen,
+        _ => Op::StrFromInt,
     }
 }
 
@@ -261,7 +263,6 @@ fn has_operand(op: &Op) -> bool {
             | Op::TupleGet(_)
             | Op::StrPackInt(_)
             | Op::StrUnpackInt(_)
-            | Op::TableNew(_)
     )
 }
 
@@ -323,15 +324,12 @@ fn mutate(rng: &mut TestRng, m: &mut Module) {
                 _ => f.result = ty,
             }
         }
-        // The constant pools.
+        // The string pool.
         9 => {
             if !m.str_pool.is_empty() && rng.below(2) == 0 {
                 let j = rng.below(m.str_pool.len() as u64) as usize;
                 let n = rng.below(12) as usize;
                 m.str_pool[j] = (0..n).map(|_| rng.below(256) as u8).collect();
-            } else if !m.ty_pool.is_empty() {
-                let j = rng.below(m.ty_pool.len() as u64) as usize;
-                m.ty_pool[j] = any_ty(rng);
             } else {
                 m.str_pool.push(b"new".to_vec());
             }
@@ -416,12 +414,26 @@ fn run_case(rng: &mut TestRng) -> Result<Option<usize>, String> {
     }
     case.victim.seal();
     let image = case.victim.encode();
-    let mut ns = Namespace::new(case.env);
-    for image in &case.prefix {
+    Ok(load_and_run(rng, case.env, &case.prefix, &image)?.ok())
+}
+
+/// Load `prefix` and then `image` into a namespace over `env`, and call
+/// every function of the loaded image under both interpreters: the typed
+/// error the load was refused with, else how many calls ran; `Err` when
+/// the VM and the reference disagree.
+fn load_and_run(
+    rng: &mut TestRng,
+    env: Env,
+    prefix: &[Vec<u8>],
+    image: &[u8],
+) -> Result<Result<usize, LoadError>, String> {
+    let mut ns = Namespace::new(env);
+    for image in prefix {
         ns.load(image).expect("the unmutated images load");
     }
-    let Ok(instance) = ns.load(&image) else {
-        return Ok(None);
+    let instance = match ns.load(image) {
+        Ok(instance) => instance,
+        Err(refused) => return Ok(Err(refused)),
     };
     let functions = ns.instance(instance).module.functions.clone();
     let mut scratch = VmScratch::new();
@@ -456,7 +468,7 @@ fn run_case(rng: &mut TestRng) -> Result<Option<usize>, String> {
         }
         calls += 1;
     }
-    Ok(Some(calls))
+    Ok(Ok(calls))
 }
 
 proptest! {
@@ -490,4 +502,309 @@ fn a_tenth_of_the_mutants_load_and_run() {
         loaded * 10 >= cases && calls >= loaded,
         "{loaded} of {cases} mutants loaded, {calls} calls ran"
     );
+}
+
+// ------------------------------------------------------- byte mutations
+
+/// Where the length-bearing and tag fields of an encoded image sit: what
+/// a byte edit aims at once the body digest is rewritten.
+#[derive(Default)]
+struct Fields {
+    /// Import, export, string, function, parameter and local counts:
+    /// `(offset, width)`.
+    counts: Vec<(usize, usize)>,
+    /// Function code lengths (`u32`).
+    code_lens: Vec<usize>,
+    /// Name lengths (`u16`) and string-pool entry lengths (`u32`):
+    /// `(offset, width)`.
+    str_lens: Vec<(usize, usize)>,
+    /// The first byte of every type encoding.
+    ty_tags: Vec<usize>,
+    /// The first byte of every instruction.
+    opcodes: Vec<usize>,
+    /// The `u16` type-pool count.
+    type_pool_count: usize,
+    /// The init flag.
+    init_flag: usize,
+}
+
+/// A little-endian unsigned field.
+fn read_le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |n, &b| n << 8 | u64::from(b))
+}
+
+/// Operand bytes behind an opcode (the wire format of `module.rs`).
+fn operand_len(opcode: u8) -> usize {
+    match opcode {
+        0x02 => 8,
+        0x03 | 0x20..=0x22 | 0x24 | 0x25 | 0x27 | 0x28 => 4,
+        0x04 | 0x05 => 2,
+        0x01 | 0x26 | 0x30 | 0x31 | 0x44 | 0x45 => 1,
+        _ => 0,
+    }
+}
+
+impl Fields {
+    /// Walk a well-formed image the way `Module::decode` reads it.
+    fn of(image: &[u8]) -> Fields {
+        let mut fields = Fields::default();
+        let mut at = 4;
+        let int = |at: usize, width: usize| read_le(&image[at..at + width]) as usize;
+        let name = |fields: &mut Fields, at: &mut usize| {
+            fields.str_lens.push((*at, 2));
+            *at += 2 + int(*at, 2);
+        };
+        let ty = |fields: &mut Fields, at: &mut usize| {
+            fields.ty_tags.push(*at + 2);
+            *at += 2 + int(*at, 2);
+        };
+        let count = |fields: &mut Fields, at: &mut usize, width: usize| {
+            fields.counts.push((*at, width));
+            *at += width;
+            int(*at - width, width)
+        };
+        name(&mut fields, &mut at);
+        for _ in 0..count(&mut fields, &mut at, 2) {
+            name(&mut fields, &mut at);
+            name(&mut fields, &mut at);
+            ty(&mut fields, &mut at);
+        }
+        for _ in 0..count(&mut fields, &mut at, 2) {
+            name(&mut fields, &mut at);
+            at += 4;
+        }
+        fields.type_pool_count = at;
+        at += 2;
+        for _ in 0..count(&mut fields, &mut at, 2) {
+            fields.str_lens.push((at, 4));
+            at += 4 + int(at, 4);
+        }
+        for _ in 0..count(&mut fields, &mut at, 2) {
+            name(&mut fields, &mut at);
+            for _ in 0..count(&mut fields, &mut at, 1) {
+                ty(&mut fields, &mut at);
+            }
+            for _ in 0..count(&mut fields, &mut at, 2) {
+                ty(&mut fields, &mut at);
+            }
+            ty(&mut fields, &mut at);
+            fields.code_lens.push(at);
+            let n = int(at, 4);
+            at += 4;
+            for _ in 0..n {
+                fields.opcodes.push(at);
+                at += 1 + operand_len(image[at]);
+            }
+        }
+        fields.init_flag = at;
+        at += if image[at] == 0 { 1 } else { 5 };
+        assert_eq!(at + 3 * 16, image.len(), "the walk ends at the digests");
+        fields
+    }
+}
+
+/// The kinds of byte edit.
+#[derive(Copy, Clone, PartialEq, Debug)]
+enum Edit {
+    Count,
+    CodeLen,
+    StrLen,
+    TyTag,
+    Opcode,
+    RetiredOpcode,
+    InitFlag,
+    TyPoolCount,
+}
+
+impl Edit {
+    const ALL: [Edit; 8] = [
+        Edit::Count,
+        Edit::CodeLen,
+        Edit::StrLen,
+        Edit::TyTag,
+        Edit::Opcode,
+        Edit::RetiredOpcode,
+        Edit::InitFlag,
+        Edit::TyPoolCount,
+    ];
+}
+
+/// Write `width` little-endian bytes of a value near `old`, or at an edge.
+fn edit_int(rng: &mut TestRng, image: &mut [u8], at: usize, width: usize) {
+    let old = read_le(&image[at..at + width]);
+    let max = u64::MAX >> (64 - 8 * width);
+    let new = match rng.below(6) {
+        0 => 0,
+        1 => old.wrapping_add(1),
+        2 => old.wrapping_sub(1),
+        3 => max,
+        4 => MAX_CODE as u64 + 1,
+        _ => rng.below(64),
+    } & max;
+    image[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+}
+
+/// Edit one field of `image`, of a kind it has: the kind edited.
+fn edit_field(rng: &mut TestRng, image: &mut [u8], fields: &Fields) -> Edit {
+    loop {
+        let edit = pick(rng, &Edit::ALL);
+        match edit {
+            Edit::Count if !fields.counts.is_empty() => {
+                let (at, width) = pick(rng, &fields.counts);
+                edit_int(rng, image, at, width);
+            }
+            Edit::CodeLen if !fields.code_lens.is_empty() => {
+                let at = pick(rng, &fields.code_lens);
+                edit_int(rng, image, at, 4);
+            }
+            Edit::StrLen => {
+                let (at, width) = pick(rng, &fields.str_lens);
+                edit_int(rng, image, at, width);
+            }
+            Edit::TyTag if !fields.ty_tags.is_empty() => {
+                let at = pick(rng, &fields.ty_tags);
+                image[at] = pick(rng, b"ubisn(<>){}\x00\xff");
+            }
+            Edit::Opcode if !fields.opcodes.is_empty() => {
+                let at = pick(rng, &fields.opcodes);
+                image[at] = rng.below(256) as u8;
+            }
+            Edit::RetiredOpcode if !fields.opcodes.is_empty() => {
+                let at = pick(rng, &fields.opcodes);
+                image[at] = 0x50 + rng.below(6) as u8;
+            }
+            Edit::InitFlag => image[fields.init_flag] = pick(rng, &[0, 1, 2, 0xff]),
+            Edit::TyPoolCount => {
+                let count = 1 + rng.below(u16::MAX as u64) as u16;
+                image[fields.type_pool_count..][..2].copy_from_slice(&count.to_le_bytes());
+            }
+            _ => continue,
+        }
+        return edit;
+    }
+}
+
+/// Edit the version, the reserved field, the payload length or the
+/// sealed digest of an envelope.
+fn edit_envelope(rng: &mut TestRng, blob: &mut [u8]) {
+    match rng.below(4) {
+        0 => edit_int(rng, blob, 4, 2),
+        1 => blob[6 + rng.below(2) as usize] = 1 + rng.below(255) as u8,
+        2 => edit_int(rng, blob, 8, 4),
+        _ => blob[12 + rng.below(16) as usize] ^= 1 << rng.below(8),
+    }
+}
+
+/// Where a byte mutant stopped.
+#[derive(Debug)]
+enum Stop {
+    Envelope(EnvelopeError),
+    Load(LoadError),
+    /// Loaded; this many calls ran as the reference runs them.
+    Ran(usize),
+}
+
+/// Edit one byte-level field of an encoded image, rewrite its body
+/// digest, seal it in an envelope now and then (an envelope field edited
+/// half of those times), and take it down the upload's load path.
+fn run_byte_case(rng: &mut TestRng) -> Result<(Edit, bool, Stop), String> {
+    let case = source(rng);
+    let mut image = case.victim.encode();
+    let fields = Fields::of(&image);
+    let edit = edit_field(rng, &mut image, &fields);
+    let body = image.len() - 16;
+    let digest = md5(&image[..body]);
+    image[body..].copy_from_slice(&digest.0);
+    let mut envelope_edited = false;
+    if rng.below(3) == 0 {
+        let sealed = seal(&image);
+        let mut blob = sealed.clone();
+        if rng.below(2) == 0 {
+            edit_envelope(rng, &mut blob);
+            envelope_edited = blob != sealed;
+        }
+        match unseal(&blob) {
+            Ok(payload) => image = payload.to_vec(),
+            Err(refused) => return Ok((edit, envelope_edited, Stop::Envelope(refused))),
+        }
+    }
+    let stop = match load_and_run(rng, case.env, &case.prefix, &image)? {
+        Ok(calls) => Stop::Ran(calls),
+        Err(refused) => Stop::Load(refused),
+    };
+    Ok((edit, envelope_edited, stop))
+}
+
+/// The variant name of an error's `Debug` form.
+fn variant(e: &impl std::fmt::Debug) -> String {
+    let shown = format!("{e:?}");
+    shown
+        .split(|c: char| !c.is_alphanumeric())
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// Byte-level edits past the seal — counts, lengths, type tags, opcodes
+/// (the retired 0x50–0x55 among them), the init flag, the type-pool
+/// count and the envelope's header — end in a typed `EnvelopeError` or
+/// `DecodeError`, or load and run as the reference runs them; none
+/// panics. A type pool is refused by its count, a retired opcode as an
+/// unknown one, an edited envelope header at `unseal`.
+#[test]
+fn byte_mutants_fail_typed_or_run_as_the_reference() {
+    let mut rng = TestRng::seed_from_u64(0xb17e);
+    let cases = 1500;
+    // How many cases stopped where: "unseal BadVersion", "decode
+    // Truncated", "load Verify", "ran" ...
+    let mut stops = std::collections::BTreeMap::<String, usize>::new();
+    let mut calls = 0;
+    for _ in 0..cases {
+        let (edit, envelope_edited, stop) =
+            run_byte_case(&mut rng).unwrap_or_else(|diverged| panic!("{diverged}"));
+        assert!(
+            !envelope_edited || matches!(stop, Stop::Envelope(_)),
+            "an edited envelope header passed: {stop:?}"
+        );
+        let at = match &stop {
+            Stop::Envelope(e) => format!("unseal {}", variant(e)),
+            Stop::Load(LoadError::Decode(e)) => {
+                match edit {
+                    Edit::TyPoolCount => assert_eq!(*e, DecodeError::TooLarge("type pool")),
+                    Edit::RetiredOpcode => {
+                        assert!(matches!(e, DecodeError::BadOp(0x50..=0x55)), "{e:?}")
+                    }
+                    _ => {}
+                }
+                format!("decode {}", variant(e))
+            }
+            Stop::Load(e) => format!("load {}", variant(e)),
+            Stop::Ran(n) => {
+                calls += n;
+                "ran".to_string()
+            }
+        };
+        if matches!(edit, Edit::TyPoolCount | Edit::RetiredOpcode) {
+            assert!(
+                matches!(stop, Stop::Envelope(_) | Stop::Load(LoadError::Decode(_))),
+                "a {edit:?} edit got past decode: {stop:?}"
+            );
+        }
+        *stops.entry(at).or_default() += 1;
+    }
+    // Not vacuous: each envelope check and the decoder's checks refuse
+    // some case, and some mutants load and run.
+    for at in [
+        "unseal BadVersion",
+        "unseal Truncated",
+        "unseal DigestMismatch",
+        "decode TooLarge",
+        "decode BadOp",
+        "decode BadType",
+        "decode Truncated",
+        "ran",
+    ] {
+        assert!(stops.contains_key(at), "no case stopped at {at}: {stops:?}");
+    }
+    assert!(calls > 0, "{stops:?}");
 }

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use crate::bytecode::Op;
 use crate::env::{HostDispatch, HostSlot};
 use crate::linker::{Namespace, ResolvedImport};
-use crate::value::{FuncVal, InstanceId, Key, Value};
+use crate::value::{FuncVal, InstanceId, Value};
 use crate::vm::{ExecConfig, ExecStats, VmError};
 
 /// Call a function value with `args` under the reference interpreter.
@@ -339,49 +339,6 @@ fn exec(
             Op::StrFromInt => {
                 let v = pop!().as_int();
                 stack.push(Value::str(v.to_string().into_bytes()));
-            }
-            Op::TableNew(_) => stack.push(Value::new_table()),
-            Op::TableAdd => {
-                let v = pop!();
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tableadd")
-                };
-                let key = k.to_key().expect("verifier invariant broken: key");
-                t.borrow_mut().insert(key, v);
-            }
-            Op::TableGet => {
-                let default = pop!();
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tableget")
-                };
-                let key = k.to_key().expect("verifier invariant broken: key");
-                let v = t.borrow().get(&key).cloned().unwrap_or(default);
-                stack.push(v);
-            }
-            Op::TableMem => {
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tablemem")
-                };
-                let key: Key = k.to_key().expect("verifier invariant broken: key");
-                stack.push(Value::Bool(t.borrow().contains_key(&key)));
-            }
-            Op::TableRemove => {
-                let k = pop!();
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tableremove")
-                };
-                let key = k.to_key().expect("verifier invariant broken: key");
-                t.borrow_mut().remove(&key);
-            }
-            Op::TableLen => {
-                let Value::Table(t) = pop!() else {
-                    panic!("verifier invariant broken: tablelen")
-                };
-                let len = t.borrow().len() as i64;
-                stack.push(Value::Int(len));
             }
             Op::Nop => {}
         }

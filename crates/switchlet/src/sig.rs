@@ -117,7 +117,7 @@ mod tests {
             imp(
                 "unixnet",
                 "t",
-                Ty::table(Ty::Int, Ty::tuple(vec![Ty::Str, Ty::named("oport")])),
+                Ty::func(vec![Ty::Int], Ty::tuple(vec![Ty::Str, Ty::named("oport")])),
             ),
         ];
         let mut buf = Vec::new();

@@ -27,9 +27,6 @@ pub enum Ty {
     /// A first-class function. Switchlet registration ("Func.register")
     /// traffics in these.
     Func(FuncTy),
-    /// A mutable hash table (Caml's `Hashtbl.t`); keys are restricted to
-    /// hashable types by [`Ty::hashable`] checks at verification time.
-    Table(Box<Ty>, Box<Ty>),
     /// An abstract (nominal) type exported by a host module, like the
     /// paper's `iport`/`oport` in Figure 4. No instruction produces values
     /// of a named type, so switchlets can obtain them only from host
@@ -75,11 +72,6 @@ impl Ty {
         Ty::Func(FuncTy::new(params, result))
     }
 
-    /// Shorthand for a table type.
-    pub fn table(key: Ty, val: Ty) -> Ty {
-        Ty::Table(Box::new(key), Box::new(val))
-    }
-
     /// Shorthand for a tuple type.
     pub fn tuple(items: Vec<Ty>) -> Ty {
         assert!(items.len() >= 2, "tuples have at least two components");
@@ -91,8 +83,8 @@ impl Ty {
         Ty::Named(tag.into())
     }
 
-    /// Types usable as hash-table keys and compared by `Eq`-family
-    /// instructions: unit, bool, int, string.
+    /// Types compared by the `Eq`-family instructions: unit, bool, int,
+    /// string.
     pub fn hashable(&self) -> bool {
         matches!(self, Ty::Unit | Ty::Bool | Ty::Int | Ty::Str)
     }
@@ -119,12 +111,6 @@ impl Ty {
                 out.put(b")");
             }
             Ty::Func(f) => Ty::encode_func(&f.params, &f.result, out),
-            Ty::Table(k, v) => {
-                out.put(b"{");
-                k.encode_into(out);
-                v.encode_into(out);
-                out.put(b"}");
-            }
             Ty::Named(tag) => {
                 out.put(&[b'n', tag.len() as u8]);
                 out.put(tag.as_bytes());
@@ -185,16 +171,6 @@ impl Ty {
                 }
                 Ty::Func(FuncTy::new(params, result))
             }
-            b'{' => {
-                let k = Ty::decode(buf)?;
-                let v = Ty::decode(buf)?;
-                let (&close, rest) = buf.split_first()?;
-                *buf = rest;
-                if close != b'}' {
-                    return None;
-                }
-                Ty::table(k, v)
-            }
             b'n' => {
                 let (&len, rest) = buf.split_first()?;
                 *buf = rest;
@@ -237,7 +213,6 @@ impl fmt::Display for Ty {
                 }
                 write!(f, "] -> {}", ft.result)
             }
-            Ty::Table(k, v) => write!(f, "table<{k}, {v}>"),
             Ty::Named(tag) => write!(f, "{tag}"),
         }
     }
@@ -254,7 +229,6 @@ mod tests {
             Ty::func(vec![Ty::Str, Ty::Int], Ty::Unit).to_string(),
             "[str, int] -> unit"
         );
-        assert_eq!(Ty::table(Ty::Str, Ty::Int).to_string(), "table<str, int>");
         assert_eq!(
             Ty::tuple(vec![Ty::Int, Ty::Bool]).to_string(),
             "(int * bool)"
@@ -265,7 +239,6 @@ mod tests {
     fn hashable_subset() {
         assert!(Ty::Int.hashable());
         assert!(Ty::Str.hashable());
-        assert!(!Ty::table(Ty::Int, Ty::Int).hashable());
         assert!(!Ty::func(vec![], Ty::Unit).hashable());
         assert!(!Ty::tuple(vec![Ty::Int, Ty::Int]).hashable());
     }
@@ -282,9 +255,9 @@ mod tests {
             Ty::func(vec![], Ty::Int),
             Ty::func(vec![Ty::Int], Ty::Int),
             Ty::func(vec![Ty::Int, Ty::Int], Ty::Unit),
-            Ty::table(Ty::Str, Ty::Int),
-            Ty::table(Ty::Int, Ty::Str),
-            Ty::table(Ty::Str, Ty::func(vec![Ty::Int], Ty::Int)),
+            Ty::tuple(vec![Ty::Str, Ty::Int]),
+            Ty::tuple(vec![Ty::Int, Ty::Str]),
+            Ty::tuple(vec![Ty::Str, Ty::func(vec![Ty::Int], Ty::Int)]),
             Ty::named("iport"),
             Ty::named("oport"),
         ];
@@ -308,8 +281,8 @@ mod tests {
             Ty::Unit,
             Ty::Bool,
             Ty::tuple(vec![Ty::Int, Ty::Str, Ty::Bool]),
-            Ty::func(vec![Ty::Str, Ty::Int], Ty::table(Ty::Str, Ty::Int)),
-            Ty::table(Ty::Str, Ty::func(vec![], Ty::Unit)),
+            Ty::func(vec![Ty::Str, Ty::Int], Ty::tuple(vec![Ty::Str, Ty::Int])),
+            Ty::tuple(vec![Ty::Str, Ty::func(vec![], Ty::Unit)]),
             Ty::named("iport"),
         ];
         for t in samples {

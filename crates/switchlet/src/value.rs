@@ -15,8 +15,6 @@
 
 #![deny(clippy::missing_inline_in_public_items)]
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use framebuf::FrameBuf;
@@ -46,21 +44,8 @@ pub enum FuncVal {
     },
 }
 
-/// A hashable key (the subset of values allowed as table keys and `Eq`
-/// operands — see [`Ty::hashable`]).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Key {
-    /// Unit key.
-    Unit,
-    /// Boolean key.
-    Bool(bool),
-    /// Integer key.
-    Int(i64),
-    /// String key.
-    Str(Vec<u8>),
-}
-
-/// A runtime value.
+/// A runtime value. Every value is immutable: a `Str` or `Tuple` clone
+/// shares its payload, and nothing can change it through either handle.
 #[derive(Clone, Debug, Default)]
 pub enum Value {
     /// The unit value (the default: what `std::mem::take` leaves in a
@@ -80,8 +65,6 @@ pub enum Value {
     Tuple(Rc<Vec<Value>>),
     /// A function reference.
     Func(FuncVal),
-    /// A mutable hash table.
-    Table(Rc<RefCell<HashMap<Key, Value>>>),
     /// An opaque handle of an abstract named type (e.g. an `iport`).
     /// Only host functions mint these, so the tag is a name compiled into
     /// the host.
@@ -100,31 +83,10 @@ impl Value {
         Value::Str(FrameBuf::from(bytes.into()))
     }
 
-    /// Build an empty table.
-    #[inline]
-    pub fn new_table() -> Value {
-        Value::Table(Rc::new(RefCell::new(HashMap::new())))
-    }
-
     /// Build a handle.
     #[inline]
     pub fn handle(tag: &'static str, id: u64) -> Value {
         Value::Handle { tag, id }
-    }
-
-    /// Convert to a table key; `None` if the value is not hashable. A
-    /// string key is an owned copy of the bytes (the table outlives the
-    /// view); comparisons do not come through here — see
-    /// [`Value::hash_eq`].
-    #[inline]
-    pub fn to_key(&self) -> Option<Key> {
-        match self {
-            Value::Unit => Some(Key::Unit),
-            Value::Bool(b) => Some(Key::Bool(*b)),
-            Value::Int(i) => Some(Key::Int(*i)),
-            Value::Str(s) => Some(Key::Str(s.to_vec())),
-            _ => None,
-        }
     }
 
     /// Structural equality on the hashable subset; `None` for
@@ -156,7 +118,6 @@ impl Value {
                 items.len() == tys.len() && items.iter().zip(tys).all(|(v, t)| v.matches(t))
             }
             (Value::Func(_), Ty::Func(_)) => true, // arity checked at link/verify
-            (Value::Table(_), Ty::Table(_, _)) => true,
             (Value::Handle { tag, .. }, Ty::Named(want)) => *tag == want.as_str(),
             _ => false,
         }
@@ -212,7 +173,6 @@ impl Value {
                 format!("({})", parts.join(", "))
             }
             Value::Func(f) => format!("<fun {f:?}>"),
-            Value::Table(t) => format!("<table len={}>", t.borrow().len()),
             Value::Handle { tag, id } => format!("<{tag}#{id}>"),
         }
     }
@@ -239,13 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn keys_roundtrip() {
-        assert_eq!(Value::Int(7).to_key(), Some(Key::Int(7)));
-        assert_eq!(Value::str("ab").to_key(), Some(Key::Str(b"ab".to_vec())));
-        assert_eq!(Value::new_table().to_key(), None);
-    }
-
-    #[test]
     fn hash_eq_on_hashables() {
         assert_eq!(Value::Int(1).hash_eq(&Value::Int(1)), Some(true));
         assert_eq!(Value::Int(1).hash_eq(&Value::Int(2)), Some(false));
@@ -254,7 +207,8 @@ mod tests {
         assert_eq!(Value::str("a").hash_eq(&Value::str("ab")), Some(false));
         assert_eq!(Value::Bool(true).hash_eq(&Value::Bool(true)), Some(true));
         assert_eq!(Value::Unit.hash_eq(&Value::Unit), Some(true));
-        assert_eq!(Value::new_table().hash_eq(&Value::new_table()), None);
+        let pair = Value::Tuple(Rc::new(vec![Value::Int(1), Value::Int(2)]));
+        assert_eq!(pair.hash_eq(&pair), None);
         assert_eq!(Value::Int(1).hash_eq(&Value::Bool(true)), None);
     }
 
@@ -271,18 +225,6 @@ mod tests {
         let v = Value::Tuple(Rc::new(vec![Value::Int(1), Value::str("x")]));
         assert!(v.matches(&Ty::tuple(vec![Ty::Int, Ty::Str])));
         assert!(!v.matches(&Ty::tuple(vec![Ty::Str, Ty::Str])));
-    }
-
-    #[test]
-    fn table_shares_storage_across_clones() {
-        let t = Value::new_table();
-        let t2 = t.clone();
-        if let (Value::Table(a), Value::Table(b)) = (&t, &t2) {
-            a.borrow_mut().insert(Key::Int(1), Value::Int(10));
-            assert_eq!(b.borrow().len(), 1);
-        } else {
-            unreachable!()
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub(crate) enum Kind {
     Bool,
     Int,
     Str,
-    /// Tuple, function, table or handle — or no operand at all.
+    /// Tuple, function or handle — or no operand at all.
     Other,
 }
 
@@ -520,70 +520,6 @@ fn prove_function(module: &Module, func: &Function) -> Result<FuncFacts, VerifyE
                 pop_expect(&mut stack, &Ty::Int, pc, &c)?;
                 stack.push(Ty::Str);
             }
-            Op::TableNew(n) => {
-                let ty = module
-                    .ty_pool
-                    .get(*n as usize)
-                    .ok_or_else(|| c.err(pc, format!("type pool index {n} out of range")))?;
-                let Ty::Table(k, _) = ty else {
-                    return Err(c.err(pc, format!("tablenew of non-table type {ty}")));
-                };
-                if !k.hashable() {
-                    return Err(c.err(pc, format!("table key type {k} is not hashable")));
-                }
-                stack.push(ty.clone());
-            }
-            Op::TableAdd => {
-                let v = pop(&mut stack, pc, &c)?;
-                let k = pop(&mut stack, pc, &c)?;
-                let t = pop(&mut stack, pc, &c)?;
-                let Ty::Table(tk, tv) = &t else {
-                    return Err(c.err(pc, format!("tableadd on non-table {t}")));
-                };
-                if **tk != k || **tv != v {
-                    return Err(c.err(pc, format!("tableadd ({k}, {v}) into {t}")));
-                }
-            }
-            Op::TableGet => {
-                let d = pop(&mut stack, pc, &c)?;
-                let k = pop(&mut stack, pc, &c)?;
-                let t = pop(&mut stack, pc, &c)?;
-                let Ty::Table(tk, tv) = &t else {
-                    return Err(c.err(pc, format!("tableget on non-table {t}")));
-                };
-                if **tk != k || **tv != d {
-                    return Err(c.err(pc, format!("tableget ({k}, default {d}) from {t}")));
-                }
-                stack.push((**tv).clone());
-            }
-            Op::TableMem => {
-                let k = pop(&mut stack, pc, &c)?;
-                let t = pop(&mut stack, pc, &c)?;
-                let Ty::Table(tk, _) = &t else {
-                    return Err(c.err(pc, format!("tablemem on non-table {t}")));
-                };
-                if **tk != k {
-                    return Err(c.err(pc, format!("tablemem key {k} for {t}")));
-                }
-                stack.push(Ty::Bool);
-            }
-            Op::TableRemove => {
-                let k = pop(&mut stack, pc, &c)?;
-                let t = pop(&mut stack, pc, &c)?;
-                let Ty::Table(tk, _) = &t else {
-                    return Err(c.err(pc, format!("tableremove on non-table {t}")));
-                };
-                if **tk != k {
-                    return Err(c.err(pc, format!("tableremove key {k} for {t}")));
-                }
-            }
-            Op::TableLen => {
-                let t = pop(&mut stack, pc, &c)?;
-                if !matches!(t, Ty::Table(_, _)) {
-                    return Err(c.err(pc, format!("tablelen on non-table {t}")));
-                }
-                stack.push(Ty::Int);
-            }
             Op::Nop => {}
         }
         // A frame is addressed by 16-bit slot numbers (locals, then the
@@ -622,7 +558,6 @@ mod tests {
                 ty: Ty::func(vec![Ty::Str], Ty::Unit),
             }],
             exports: vec![],
-            ty_pool: vec![Ty::table(Ty::Str, Ty::Int)],
             str_pool: vec![b"s".to_vec()],
             functions: funcs,
             init: None,
@@ -861,45 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn table_ops_type_checked() {
-        // Table<str, int>: adding (int, int) must fail.
-        let err = verify_one(f(
-            vec![],
-            Ty::Unit,
-            vec![
-                Op::TableNew(0),
-                Op::ConstInt(1),
-                Op::ConstInt(2),
-                Op::TableAdd,
-                Op::ConstUnit,
-                Op::Return,
-            ],
-        ))
-        .unwrap_err();
-        assert!(err.reason.contains("tableadd"), "{err}");
-    }
-
-    #[test]
-    fn table_roundtrip_verifies() {
-        verify_one(f(
-            vec![],
-            Ty::Int,
-            vec![
-                Op::TableNew(0),
-                Op::Dup,
-                Op::ConstStr(0),
-                Op::ConstInt(42),
-                Op::TableAdd,
-                Op::ConstStr(0),
-                Op::ConstInt(0),
-                Op::TableGet,
-                Op::Return,
-            ],
-        ))
-        .unwrap();
-    }
-
-    #[test]
     fn init_must_be_nullary_unit() {
         let mut m = module_with(vec![f(
             vec![Ty::Int],
@@ -988,7 +884,14 @@ mod tests {
         let err = verify_one(f(
             vec![],
             Ty::Bool,
-            vec![Op::TableNew(0), Op::TableNew(0), Op::Eq, Op::Return],
+            vec![
+                Op::ConstInt(1),
+                Op::ConstInt(2),
+                Op::TupleMake(2),
+                Op::Dup,
+                Op::Eq,
+                Op::Return,
+            ],
         ))
         .unwrap_err();
         assert!(err.reason.contains("non-comparable"), "{err}");

@@ -28,7 +28,7 @@
 //!   instruction reads and writes the slots it names. The arena keeps its
 //!   slots from one invocation to the next: entry writes the arguments
 //!   into the slots the last invocation's stood in, and exit releases the
-//!   shared payloads (strings, tuples, tables) left above the entry mark,
+//!   shared payloads (strings and tuples) left above the entry mark,
 //!   so a steady-state invocation neither allocates nor re-initialises a
 //!   slot, and no handle outlives it.
 //! * **Fuel is a local of the loop**, charged a block at a time and
@@ -179,8 +179,8 @@ impl HotProfile {
 /// go into the slots the last one's did, and an integer written to a slot
 /// that holds an integer is a payload store. What an invocation leaves
 /// above its mark is plain data (integers, booleans, units, handles,
-/// function values): every shared payload — a string, a tuple, a table —
-/// is released when [`call_scratch`] returns, on the trap path too, so a
+/// function values): every shared payload — a string or a tuple — is
+/// released when [`call_scratch`] returns, on the trap path too, so a
 /// handler's `str` argument — a handle on a received frame — never
 /// outlives its invocation here.
 ///
@@ -250,7 +250,7 @@ impl VmScratch {
     #[inline]
     fn release(&mut self, from: usize, to: usize) {
         for slot in &mut self.frames[from..to] {
-            if matches!(slot, Value::Str(_) | Value::Tuple(_) | Value::Table(_)) {
+            if matches!(slot, Value::Str(_) | Value::Tuple(_)) {
                 set_unit(slot);
             }
         }
@@ -371,8 +371,8 @@ struct Machine<'a> {
 // that already holds the variant gets its payload stored in place; one
 // that does not is re-initialised by an out-of-line function that knows
 // the one shape it writes, and so stores its fields from registers. Every
-// other write is a plain assignment (a function value, a tuple, a table, a
-// new string: none is written per frame). This is a reading of rustc
+// other write is a plain assignment (a function value, a tuple, a new
+// string: none is written per frame). This is a reading of rustc
 // 1.95.0's code (LLVM 22.1): when the merged tail is gone from a plain
 // loop, so can these be. (Unit written plainly, once a frame, put the
 // shared tail's 16-byte loads at 0.8 % of `vm_forward`; here it is 0.2 %.)
@@ -592,22 +592,6 @@ impl Machine<'_> {
                 let v = $v;
                 frame[$slot as usize] = v;
             }};
-        }
-        macro_rules! table {
-            ($slot:expr) => {
-                match &frame[$slot as usize] {
-                    Value::Table(t) => t,
-                    _ => broken("table operand"),
-                }
-            };
-        }
-        macro_rules! key {
-            ($slot:expr) => {
-                match frame[$slot as usize].to_key() {
-                    Some(key) => key,
-                    None => broken("table key"),
-                }
-            };
         }
         // A call into VM code, the callee's frame starting at the first
         // argument. Calls end their block, so the local count is exact
@@ -870,27 +854,6 @@ impl Machine<'_> {
                     let digits = int!(src).to_string().into_bytes();
                     set_str(&mut frame[dst as usize], &digits.into());
                 }
-                Inst::TableNew { dst } => set!(dst, Value::new_table()),
-                Inst::TableAdd { t, k, v } => {
-                    let (key, v) = (key!(k), frame[v as usize].clone());
-                    table!(t).borrow_mut().insert(key, v);
-                }
-                Inst::TableGet { dst, t, k, default } => {
-                    let found = table!(t).borrow().get(&key!(k)).cloned();
-                    let v = found.unwrap_or_else(|| frame[default as usize].clone());
-                    set!(dst, v);
-                }
-                Inst::TableMem { dst, t, k } => {
-                    let found = table!(t).borrow().contains_key(&key!(k));
-                    set_bool!(dst, found);
-                }
-                Inst::TableRemove { t, k } => {
-                    table!(t).borrow_mut().remove(&key!(k));
-                }
-                Inst::TableLen { dst, t } => {
-                    let len = table!(t).borrow().len() as i64;
-                    set_int!(dst, len);
-                }
                 Inst::Nop => {}
             }
         }
@@ -1010,7 +973,7 @@ mod tests {
         let cfg = ExecConfig::default();
         let live = || vec![Value::Int(111), Value::str("live"), Value::Bool(true)];
         let rendered = |values: &[Value]| values.iter().map(Value::render).collect::<Vec<_>>();
-        let shares = |v: &Value| matches!(v, Value::Str(_) | Value::Tuple(_) | Value::Table(_));
+        let shares = |v: &Value| matches!(v, Value::Str(_) | Value::Tuple(_));
         // One arena across the runs below: the second and later entries
         // write into the slots the earlier ones left standing.
         let mut fresh = VmScratch::new();

@@ -49,7 +49,6 @@ proptest! {
             name: "gen".into(),
             imports: vec![],
             exports: vec![switchlet::Export { name: "f".into(), func: 0 }],
-            ty_pool: vec![],
             str_pool: vec![],
             functions: vec![Function {
                 name: "f".into(),

@@ -15,7 +15,9 @@ use ab_scenario::{self as scenario, host_ip, host_mac};
 use active_bridge::{BridgeCommand, BridgeConfig, BridgeNode};
 use ether::{EtherType, FrameBuilder, MacAddr};
 use hostsim::{BlastApp, HostConfig, HostCostModel, HostNode};
-use netsim::{CostModel, FrameBuf, Node, PortId, SimDuration, SimTime, World};
+use netsim::{
+    CostModel, FrameBuf, Node, PortId, ProbeConfig, ProbeRecord, SimDuration, SimTime, World,
+};
 use proptest::prelude::*;
 
 fn host(world: &mut World, n: u32, seg: netsim::SegId, apps: Vec<hostsim::App>) -> netsim::NodeId {
@@ -275,6 +277,54 @@ fn data_frame(dst: MacAddr, src: MacAddr) -> FrameBuf {
     FrameBuilder::new(dst, src, EtherType::EXPERIMENTAL)
         .payload(&[0x42; 46])
         .build()
+}
+
+/// A frame that arrives on a port whose `forward` flag is off is recorded
+/// as blocked whatever its destination: a broadcast leaves one
+/// `Decision { verdict: "blocked" }`, as a unicast does.
+#[test]
+fn a_blocked_broadcast_is_recorded() {
+    let mut world = World::new(1);
+    world.probe_mut().arm(ProbeConfig::default());
+    let segs = scenario::lans(&mut world, 2);
+    let cfg = BridgeConfig {
+        cost: CostModel::FREE,
+        ..BridgeConfig::default()
+    };
+    let bridge = scenario::bridge(&mut world, 0, &segs, cfg, &["bridge_learning"]);
+    world.run_until(SimTime::from_ms(1));
+    let now = world.now();
+    world
+        .node_mut::<BridgeNode>(bridge)
+        .plane_mut()
+        .set_port_forward(1, false, now);
+    world.with_ctx::<BridgeNode, _>(bridge, |node, ctx| {
+        node.on_frame(ctx, PortId(1), data_frame(MacAddr::BROADCAST, host_mac(1)));
+    });
+    world.run_for(SimDuration::from_ms(1));
+    let blocked: Vec<_> = world
+        .probe()
+        .records()
+        .filter(|event| {
+            matches!(
+                event.record,
+                ProbeRecord::Decision {
+                    verdict: "blocked",
+                    ..
+                }
+            )
+        })
+        .map(|event| event.record)
+        .collect();
+    assert_eq!(
+        blocked,
+        vec![ProbeRecord::Decision {
+            node: bridge,
+            port: PortId(1),
+            verdict: "blocked"
+        }]
+    );
+    assert_eq!(world.node::<BridgeNode>(bridge).plane().stats.blocked, 1);
 }
 
 proptest! {
