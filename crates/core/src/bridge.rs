@@ -203,6 +203,27 @@ impl<'a, 'w> BridgeCtx<'a, 'w> {
         self.sim.send(port, frame);
     }
 
+    /// Flood `frame`, received on `port`, out of every other forwarding
+    /// port, and count it as flooded — or as blocked if no port forwards.
+    /// Every port shares one refcounted buffer: the flood copies nothing
+    /// (bridges must not modify frames, so sharing is always safe).
+    #[inline]
+    pub fn flood(&mut self, port: PortId, frame: &DataFrame<'_>) {
+        let mut sent = false;
+        for p in 0..self.num_ports() {
+            if p != port.0 && self.plane.port_flags(p).forward {
+                self.send_frame(PortId(p), frame.share());
+                sent = true;
+            }
+        }
+        if sent {
+            self.plane.stats.flooded += 1;
+            self.plane.stats.bytes_forwarded += frame.len() as u64;
+        } else {
+            self.plane.stats.blocked += 1;
+        }
+    }
+
     /// Schedule a timer for this switchlet; `user` comes back in
     /// `on_timer`.
     pub fn schedule(&mut self, after: SimDuration, user: u32) -> TimerHandle {
@@ -1437,15 +1458,18 @@ mod tests {
         hand(&mut world, 1, bpdu);
         assert_eq!(kept(&mut world), [true, true]);
 
-        let (epoch, learned) = {
+        let (changed_at, learned) = {
             let plane = world.node::<BridgeNode>(b).plane();
-            (plane.control_epoch(), plane.learn.len())
+            (plane.control_changed_at(), plane.learn.len())
         };
         world.run_until(SimTime::from_secs(70));
         hand(&mut world, 1, data(0x10, 0x20));
         hand(&mut world, 0, data(0x20, 0x10));
         let plane = world.node::<BridgeNode>(b).plane();
-        assert!(plane.control_epoch() > epoch, "the tree wrote port flags");
+        assert!(
+            plane.control_changed_at() > changed_at,
+            "the tree wrote port flags"
+        );
         assert!(plane.learn.len() > learned, "the table learned");
         assert_eq!(kept(&mut world), [true, true]);
     }

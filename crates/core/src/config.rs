@@ -52,8 +52,6 @@ pub struct BridgeConfig {
     pub cost: CostModel,
     /// STP timers.
     pub stp: StpTimers,
-    /// Bridge priority for spanning tree (lower wins root election).
-    pub priority: u16,
     /// Learning-table entry lifetime.
     pub learn_age: SimDuration,
     /// How many distinct stations this bridge should expect to learn
@@ -87,7 +85,6 @@ impl Default for BridgeConfig {
         BridgeConfig {
             cost: CostModel::active_bridge_1997(),
             stp: StpTimers::default(),
-            priority: 0x8000,
             learn_age: SimDuration::from_secs(300),
             expected_stations: 0,
             learn_cap: 0,

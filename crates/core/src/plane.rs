@@ -585,7 +585,7 @@ impl DecisionCache {
 /// The shared plane.
 pub struct Plane {
     /// Per-port flags, indexed by port. Written only through the setters,
-    /// which move the control epoch.
+    /// which stamp `control_changed_at`.
     flags: Vec<PortFlags>,
     /// The learning table (shared so the spanning tree can flush it).
     pub learn: LearningTable,
@@ -616,10 +616,9 @@ pub struct Plane {
     pub owners_out: Vec<Option<Rc<str>>>,
     /// Counters.
     pub stats: BridgeStats,
-    /// Control-plane changes an observer of convergence can see: a port's
-    /// `forward` flag or a published root changing.
-    control_epoch: u64,
-    /// When `control_epoch` last moved (`None` until it first does).
+    /// When the control plane last changed as an observer of convergence
+    /// sees it: a port's `forward` flag or a published root (`None` until
+    /// it first does).
     control_changed_at: Option<SimTime>,
     /// Per spanning-tree variant, the lowest root ever published.
     lowest_roots: [Option<BridgeId>; 2],
@@ -640,24 +639,15 @@ impl Plane {
             owners_in: vec![None; n_ports],
             owners_out: vec![None; n_ports],
             stats: BridgeStats::default(),
-            control_epoch: 0,
             control_changed_at: None,
             lowest_roots: [None; 2],
         }
     }
 
-    /// The control epoch: moves exactly when a port's `forward` flag or a
-    /// published spanning-tree root changes, never backwards. Whoever
-    /// watches the control plane converge compares epochs instead of
-    /// re-reading every flag and root (a crash's fresh plane continues the
-    /// old one's epoch, so it stays monotone).
-    #[inline]
-    pub fn control_epoch(&self) -> u64 {
-        self.control_epoch
-    }
-
-    /// When the control epoch last moved: this bridge's last `forward` flag
-    /// or published-root change (`None` if it never changed).
+    /// This bridge's last `forward` flag or published-root change (`None`
+    /// if it never changed). Whoever watches the control plane converge
+    /// reads this stamp instead of re-reading every flag and root; a
+    /// crash's fresh plane continues the old one's.
     pub fn control_changed_at(&self) -> Option<SimTime> {
         self.control_changed_at
     }
@@ -669,16 +659,14 @@ impl Plane {
     }
 
     fn control_moved(&mut self, now: SimTime) {
-        self.control_epoch += 1;
         self.control_changed_at = Some(now);
     }
 
     /// This fresh plane replaces `old`, which a crash wiped at `now`:
-    /// continue its control epoch, change stamp, lowest roots and learn
-    /// high-water mark. The wipe moves the epoch if it reopened a blocked
-    /// port or unpublished a root.
+    /// continue its change stamp, lowest roots and learn high-water mark.
+    /// The wipe moves the stamp if it reopened a blocked port or
+    /// unpublished a root.
     pub(crate) fn carry_over_crash(&mut self, old: &Plane, now: SimTime) {
-        self.control_epoch = old.control_epoch;
         self.control_changed_at = old.control_changed_at;
         self.lowest_roots = old.lowest_roots;
         self.learn.high_water = old.learn.high_water;
@@ -707,8 +695,8 @@ impl Plane {
         self.flags.len()
     }
 
-    /// Set a port's forwarding permission at `now` (moves the control epoch
-    /// on real changes — the spanning tree re-asserting a state is free).
+    /// Set a port's forwarding permission at `now` (stamps the control
+    /// plane on real changes — the spanning tree re-asserting a state is free).
     pub fn set_port_forward(&mut self, port: usize, forward: bool, now: SimTime) {
         if self.flags[port].forward != forward {
             self.flags[port].forward = forward;
@@ -947,7 +935,7 @@ impl Plane {
     // ------------------------------------------------- spanning tree
 
     /// Publish `engine`'s tree under `variant` at `now`, over the
-    /// snapshot already there. A changed root moves the control epoch.
+    /// snapshot already there. A changed root stamps the control plane.
     pub(crate) fn publish(&mut self, variant: StpVariant, engine: &StpEngine, now: SimTime) {
         let moved = match &mut self.published.0[variant as usize] {
             Some(snapshot) => {

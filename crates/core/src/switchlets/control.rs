@@ -73,8 +73,6 @@ pub struct ControlSwitchlet {
     captured: Option<StpSnapshot>,
     /// DEC packets suppressed during the transition window.
     pub dec_suppressed: u64,
-    /// IEEE packets suppressed after a fallback.
-    pub ieee_suppressed: u64,
     /// The event log (drives the Table 1 reproduction).
     pub events: Vec<TransitionEvent>,
 }
@@ -85,7 +83,6 @@ impl Default for ControlSwitchlet {
             phase: Phase::Monitoring,
             captured: None,
             dec_suppressed: 0,
-            ieee_suppressed: 0,
             events: Vec::new(),
         }
     }
@@ -217,9 +214,6 @@ impl NativeSwitchlet for ControlSwitchlet {
                 } else {
                     self.fall_back(bc, "DEC packet after initial transition period");
                 }
-            }
-            (Phase::Stable { fallback: true }, d) if d == MacAddr::ALL_BRIDGES => {
-                self.ieee_suppressed += 1;
             }
             _ => {}
         }

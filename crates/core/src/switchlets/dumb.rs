@@ -21,11 +21,7 @@ use crate::plane::DataPlaneSel;
 pub const NAME: &str = "bridge_dumb";
 
 /// The buffered-repeater switching function.
-#[derive(Default)]
-pub struct DumbBridge {
-    /// Frames flooded.
-    pub forwarded: u64,
-}
+pub struct DumbBridge;
 
 impl NativeSwitchlet for DumbBridge {
     fn name(&self) -> &'static str {
@@ -51,22 +47,7 @@ impl NativeSwitchlet for DumbBridge {
             bc.plane.stats.blocked += 1;
             return;
         }
-        // Flooding shares one refcounted buffer across every output port
-        // (bridges must not modify frames, so sharing is always safe).
-        let mut sent = false;
-        for p in 0..bc.num_ports() {
-            if p != port.0 && bc.plane.port_flags(p).forward {
-                bc.send_frame(PortId(p), frame.share());
-                sent = true;
-            }
-        }
-        if sent {
-            self.forwarded += 1;
-            bc.plane.stats.flooded += 1;
-            bc.plane.stats.bytes_forwarded += frame.len() as u64;
-        } else {
-            bc.plane.stats.blocked += 1;
-        }
+        bc.flood(port, frame);
     }
 
     fn as_any(&self) -> &dyn core::any::Any {

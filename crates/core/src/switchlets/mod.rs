@@ -22,8 +22,8 @@ pub(crate) type BuiltinFactory = fn(&NativeInit) -> Box<dyn NativeSwitchlet>;
 pub(crate) fn default_factory(name: &str) -> Option<BuiltinFactory> {
     Some(match name {
         crate::loader::NAME => |_| Box::new(NetLoader::default()),
-        dumb::NAME => |_| Box::new(dumb::DumbBridge::default()),
-        learning::NAME => |_| Box::new(learning::LearningBridge::default()),
+        dumb::NAME => |_| Box::new(dumb::DumbBridge),
+        learning::NAME => |_| Box::new(learning::LearningBridge),
         stp::IEEE_NAME => |_| Box::new(stp::StpSwitchlet::ieee()),
         stp::DEC_NAME => |_| Box::new(stp::StpSwitchlet::dec()),
         control::NAME => |_| Box::new(control::ControlSwitchlet::default()),

@@ -131,10 +131,6 @@ pub struct StpEngine {
     root_port: Option<usize>,
     last_hello: SimTime,
     defect: Defect,
-    /// BPDUs processed (stats).
-    pub bpdus_received: u64,
-    /// BPDUs emitted (stats).
-    pub bpdus_sent: u64,
 }
 
 /// A comparable summary of the tree this node computed — what the paper's
@@ -181,8 +177,6 @@ impl StpEngine {
             root_port: None,
             last_hello: now,
             defect: Defect::None,
-            bpdus_received: 0,
-            bpdus_sent: 0,
         };
         let mut actions = Vec::new();
         engine.recompute(now, &mut actions);
@@ -277,7 +271,6 @@ impl StpEngine {
         now: SimTime,
         actions: &mut Vec<StpAction>,
     ) {
-        self.bpdus_received += 1;
         let vector = PriorityVector {
             root: config.root,
             cost: config.root_cost,
@@ -309,7 +302,6 @@ impl StpEngine {
             // Someone inferior is transmitting on our designated segment:
             // answer with our own (superior) configuration.
             let cfg = self.config_for(port);
-            self.bpdus_sent += 1;
             actions.push(StpAction::SendConfig { port, config: cfg });
         }
     }
@@ -380,7 +372,6 @@ impl StpEngine {
             if self.ports[i].role == PortRole::Designated
                 && self.ports[i].state != PortState::Disabled
             {
-                self.bpdus_sent += 1;
                 out.push(StpAction::SendConfig {
                     port: i,
                     config: self.config_for(i),

@@ -21,6 +21,10 @@ pub const DEC_NAME: &str = "stp_dec";
 const TICK_TOKEN: u32 = 1;
 const TICK: SimDuration = SimDuration::from_secs(1);
 
+/// Every bridge's spanning-tree priority, 802.1D's default: with all
+/// priorities equal, the lowest station address wins root.
+const PRIORITY: u16 = 0x8000;
+
 /// The frame that carries `config` from station `src` in `variant`'s
 /// framing, composed in `buf` (whose contents are discarded): Ethernet
 /// header, the LLC header 802.1D travels under, and the encoded BPDU, each
@@ -130,7 +134,7 @@ impl StpSwitchlet {
     }
 
     fn start(&mut self, bc: &mut BridgeCtx<'_, '_>) {
-        let bridge_id = BridgeId::new(bc.cfg.priority, bc.mac);
+        let bridge_id = BridgeId::new(PRIORITY, bc.mac);
         let (mut engine, actions) =
             StpEngine::new(bridge_id, bc.num_ports(), 100, bc.cfg.stp, bc.now());
         engine.set_defect(self.defect);

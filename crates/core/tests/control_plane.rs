@@ -2,8 +2,9 @@
 //! so nothing kept may outlive what it was resolved from. A registered
 //! address is held to its handler's lifecycle transition by transition,
 //! each followed at once by a frame, with no unrelated event in between
-//! to forget the kept resolution by accident; and the control epoch is
-//! held to the changes an observer of convergence can see.
+//! to forget the kept resolution by accident; and the control plane's
+//! change stamp is held to the changes an observer of convergence can
+//! see.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -230,27 +231,27 @@ fn a_vm_registration_follows_its_handlers_lifecycle() {
 }
 
 #[test]
-fn the_control_epoch_moves_with_forward_flags_and_survives_a_crash() {
+fn the_control_stamp_moves_with_forward_flags_and_survives_a_crash() {
     let (mut world, b) = boot(|node| {
         node.boot_load_native(active_bridge::loader::NAME);
         node.boot_load_native("bridge_learning");
         node.boot_load_native("stp_ieee");
     });
-    let epoch = |world: &World| world.node::<BridgeNode>(b).plane().control_epoch();
-    let booted = epoch(&world);
+    let stamp = |world: &World| world.node::<BridgeNode>(b).plane().control_changed_at();
+    let booted = stamp(&world);
     assert!(
-        booted > 0,
-        "the spanning tree blocked its ports and published a root"
+        booted.is_some_and(|at| at < world.now()),
+        "the spanning tree blocked its ports and published a root at boot"
     );
 
-    // A flag write moves the epoch exactly when `forward` changes, and
-    // stamps the time it was written at.
+    // A flag write stamps the plane exactly when `forward` changes, with
+    // the time it was written at.
     let flags = world.node::<BridgeNode>(b).plane().port_flags(0);
     let set = |world: &mut World, flags: PortFlags| {
         let now = world.now();
         let plane = world.node_mut::<BridgeNode>(b).plane_mut();
         plane.set_port_flags(0, flags, now);
-        plane.control_epoch()
+        plane.control_changed_at()
     };
     assert_eq!(set(&mut world, flags), booted, "re-asserted");
     let learn_only = PortFlags {
@@ -262,16 +263,16 @@ fn the_control_epoch_moves_with_forward_flags_and_survives_a_crash() {
         forward: !flags.forward,
         ..flags
     };
-    assert_eq!(set(&mut world, flipped), booted + 1);
-    assert_eq!(set(&mut world, flipped), booted + 1, "re-asserted");
-    let stamp = world.node::<BridgeNode>(b).plane().control_changed_at();
-    assert_eq!(stamp, Some(world.now()));
+    let flipped_at = Some(world.now());
+    assert_eq!(set(&mut world, flipped), flipped_at);
+    world.run_until(SimTime::from_ms(2));
+    assert_eq!(set(&mut world, flipped), flipped_at, "re-asserted");
 
-    // Long enough for both ports to reach forwarding: the epoch a crash
-    // must not fall back from.
+    // Long enough for both ports to reach forwarding: the stamp a crash
+    // must move on from, and the crash's the restart must.
     world.run_until(SimTime::from_secs(40));
-    let converged = epoch(&world);
-    assert!(converged > booted + 1);
+    let converged = stamp(&world);
+    assert!(converged > flipped_at);
     let lowest = |world: &World| {
         world
             .node::<BridgeNode>(b)
@@ -281,12 +282,18 @@ fn the_control_epoch_moves_with_forward_flags_and_survives_a_crash() {
     let root = lowest(&world);
     assert!(root.is_some(), "the tree published a root");
     world.crash_node(b);
-    assert!(epoch(&world) > converged, "a crash wipes flags and roots");
+    assert!(converged < Some(world.now()));
+    assert_eq!(
+        stamp(&world),
+        Some(world.now()),
+        "a crash wipes flags and roots"
+    );
     assert_eq!(lowest(&world), root, "the lowest root survives a crash");
-    let crashed = epoch(&world);
+    world.run_until(SimTime::from_secs(41));
     world.restart_node(b);
-    assert!(
-        epoch(&world) > crashed,
+    assert_eq!(
+        stamp(&world),
+        Some(world.now()),
         "the rebooted tree blocks and publishes"
     );
 }

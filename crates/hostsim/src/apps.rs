@@ -11,10 +11,10 @@ use std::net::Ipv4Addr;
 
 use ether::bpdu::{ieee, Bpdu, BridgeId, ConfigBpdu};
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
-use netsim::{Ctx, NodeId, PortId, ProbeRecord, SimDuration, SimTime};
+use netsim::{Ctx, FrameBuf, NodeId, PortId, ProbeRecord, SimDuration, SimTime};
 use netstack::ipv4::Protocol;
 use netstack::tcplite::{
-    ReceiverConfig, RecvAction, Segment, SenderConfig, TcpReceiver, TcpSender,
+    ReceiverConfig, RecvAction, Segment, SenderConfig, TcpReceiver, TcpSender, NAGLE_THRESHOLD,
 };
 use netstack::{Echo, EchoKind, FailureClass, SenderStep, TftpSender, UdpDatagram};
 
@@ -486,7 +486,7 @@ impl TtcpSendApp {
             if self.tcp.unsent() >= self.write_size as u64 {
                 return; // socket buffer full enough
             }
-        } else if self.write_size >= self.tcp.nagle_threshold() {
+        } else if self.write_size >= NAGLE_THRESHOLD {
             // Mid-size writes stream one write at a time: segments stay
             // write-sized (the paper's 1024-byte frames on the wire).
             if self.tcp.unsent() > 0 {
@@ -1091,23 +1091,7 @@ impl ProbeApp {
     fn fire(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         // The triggering BPDU: a valid 802.1D configuration message from
         // a never-winning "bridge" (priority 0xFFFF).
-        let me = BridgeId::new(0xFFFF, core.cfg.macs[0]);
-        let config = ConfigBpdu {
-            root: me,
-            root_cost: 0,
-            bridge: me,
-            port: 1,
-            message_age: 0,
-            max_age: 20,
-            hello_time: 2,
-            forward_delay: 15,
-            tc: false,
-            tca: false,
-        };
-        let payload = ieee::emit(&Bpdu::Config(config));
-        let frame = FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, core.cfg.macs[0])
-            .payload(&Llc::BPDU.wrap(&payload))
-            .build();
+        let frame = root_claim(ctx, 0xFFFF, core.cfg.macs[0]);
         core.send_raw(ctx, PortId(0), frame);
         self.sent_bpdu_at = Some(ctx.now());
         ctx.schedule(SimDuration::from_secs(1), app_token(idx, PROBE_PING));
@@ -1340,6 +1324,29 @@ impl ArpStormApp {
     }
 }
 
+/// An 802.1D configuration BPDU from station `src` that names itself root
+/// at `priority`, framed in a buffer from the world's pool.
+fn root_claim(ctx: &mut Ctx<'_>, priority: u16, src: MacAddr) -> FrameBuf {
+    let me = BridgeId::new(priority, src);
+    let config = ConfigBpdu {
+        root: me,
+        root_cost: 0,
+        bridge: me,
+        port: 1,
+        message_age: 0,
+        max_age: 20,
+        hello_time: 2,
+        forward_delay: 15,
+        tc: false,
+        tca: false,
+    };
+    let payload = ieee::emit(&Bpdu::Config(config));
+    FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src)
+        .in_buf(ctx.take_buf(ether::MIN_FRAME))
+        .payload(&Llc::BPDU.wrap(&payload))
+        .build()
+}
+
 /// A rogue-root attacker: forged *superior* configuration BPDUs
 /// (priority 0x0000) claiming this host is the spanning-tree root. On an
 /// unguarded port every bridge believes it; BPDU guard err-disables the
@@ -1368,26 +1375,9 @@ impl RogueBpduApp {
 
     fn send_one(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>) {
         let src_mac = core.cfg.macs[self.port.0];
-        // Priority 0 beats every real bridge (scenario default 0x8000):
+        // Priority 0 beats every real bridge (802.1D's default is 0x8000):
         // processed anywhere, this claim wins the election outright.
-        let me = BridgeId::new(0x0000, src_mac);
-        let config = ConfigBpdu {
-            root: me,
-            root_cost: 0,
-            bridge: me,
-            port: 1,
-            message_age: 0,
-            max_age: 20,
-            hello_time: 2,
-            forward_delay: 15,
-            tc: false,
-            tca: false,
-        };
-        let payload = ieee::emit(&Bpdu::Config(config));
-        let frame = FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src_mac)
-            .in_buf(ctx.take_buf(ether::MIN_FRAME))
-            .payload(&Llc::BPDU.wrap(&payload))
-            .build();
+        let frame = root_claim(ctx, 0x0000, src_mac);
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
     }

@@ -78,8 +78,6 @@ pub struct HostCore {
     ip_ident: u16,
     /// Reusable transport-layer build buffer (echo replies).
     scratch: Vec<u8>,
-    /// Echo requests answered.
-    pub echo_replies_sent: u64,
     /// Frames accepted off the wire.
     pub frames_rx: u64,
     /// When the first frame addressed to this host's own unicast MAC
@@ -87,8 +85,6 @@ pub struct HostCore {
     pub first_unicast_rx: Option<SimTime>,
     /// Experimental-EtherType frames received (workload accounting).
     pub exp_frames_rx: u64,
-    /// Octets of experimental frames received.
-    pub exp_bytes_rx: u64,
 }
 
 impl HostCore {
@@ -359,11 +355,9 @@ impl HostNode {
                 reasm: netstack::ipv4::Reassembler::new(),
                 ip_ident: 1,
                 scratch: Vec::new(),
-                echo_replies_sent: 0,
                 frames_rx: 0,
                 first_unicast_rx: None,
                 exp_frames_rx: 0,
-                exp_bytes_rx: 0,
             },
             apps,
             has_raw_tap,
@@ -478,7 +472,6 @@ impl HostNode {
             }
             EtherType::EXPERIMENTAL => {
                 self.core.exp_frames_rx += 1;
-                self.core.exp_bytes_rx += parsed.len() as u64;
             }
             _ => {}
         }
@@ -535,7 +528,6 @@ impl HostNode {
                                 );
                                 self.core.scratch = reply;
                             }
-                            self.core.echo_replies_sent += 1;
                         }
                         EchoKind::Reply => {
                             let (ident, seq) = (echo.ident, echo.seq);

@@ -16,8 +16,6 @@ pub struct RepeaterNode {
     name: String,
     cost: CostModel,
     q: ServiceQueue<(PortId, FrameBuf)>,
-    /// Frames forwarded.
-    pub forwarded: u64,
 }
 
 impl RepeaterNode {
@@ -27,7 +25,6 @@ impl RepeaterNode {
             name: name.into(),
             cost,
             q: ServiceQueue::new(256),
-            forwarded: 0,
         }
     }
 }
@@ -64,7 +61,6 @@ impl Node for RepeaterNode {
         }
         let out = PortId(1 - port.0);
         ctx.send(out, frame);
-        self.forwarded += 1;
     }
 
     fn as_any(&self) -> &dyn core::any::Any {

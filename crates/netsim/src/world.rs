@@ -256,11 +256,6 @@ impl<'w> Ctx<'w> {
         self.core.node_ports[self.node.0].len()
     }
 
-    /// The segment a port attaches to.
-    pub fn port_segment(&self, port: PortId) -> SegId {
-        self.core.node_ports[self.node.0][port.0].0
-    }
-
     /// Declare what `port` listens to: `Some(mac)` — frames addressed to
     /// `mac` or to broadcast, as a station's NIC filters in hardware — or
     /// `None`, every frame on the segment (the default: bridges,

@@ -291,6 +291,15 @@ pub fn emit_pattern_segment(
     finish_segment(out, start, src, dst, pattern_sum(seq as u64, len));
 }
 
+/// Nagle's algorithm, always on: a segment below this size is "small" and
+/// waits while data is outstanding. The paper's testbed streamed
+/// 1024-byte ttcp writes (1790 frames/s on the wire) while ~50-byte writes
+/// collapsed to stop-and-wait (~360 frames/s); a threshold between the two
+/// reproduces both regimes. At 256, `examples/paper_figures` (§ 7.3) reads
+/// 360 frames/s at ~50-byte writes (paper: ~360) and 1 444 at 1 024-byte
+/// ones, streaming (paper: ~1 790).
+pub const NAGLE_THRESHOLD: usize = 256;
+
 /// Sender configuration.
 #[derive(Copy, Clone, Debug)]
 pub struct SenderConfig {
@@ -298,16 +307,6 @@ pub struct SenderConfig {
     pub mss: usize,
     /// Send window in bytes.
     pub window: u32,
-    /// Nagle: hold *small* segments while data is outstanding.
-    pub nagle: bool,
-    /// Segments below this size are "small" for Nagle purposes. The
-    /// paper's testbed streamed 1024-byte ttcp writes (1790 frames/s on
-    /// the wire) while ~50-byte writes collapsed to stop-and-wait
-    /// (~360 frames/s); a threshold between the two reproduces both
-    /// regimes. With the default, 256, `examples/paper_figures` (§ 7.3)
-    /// reads 360 frames/s at ~50-byte writes (paper: ~360) and 1 444 at
-    /// 1 024-byte ones, streaming (paper: ~1 790).
-    pub nagle_threshold: usize,
     /// Initial retransmission timeout (ns).
     pub init_rto_ns: u64,
 }
@@ -317,8 +316,6 @@ impl Default for SenderConfig {
         SenderConfig {
             mss: DEFAULT_MSS,
             window: 32 * 1024,
-            nagle: true,
-            nagle_threshold: 256,
             init_rto_ns: 200_000_000, // 200 ms
         }
     }
@@ -355,12 +352,8 @@ pub struct TcpSender {
     snd_nxt: u32,
     /// Application bytes queued so far (absolute stream length).
     app_len: u64,
-    /// Write boundaries matter only for Nagle: true while the tail of the
-    /// app stream is a "small write" batch.
     current_rto_ns: u64,
     rto_deadline_ns: Option<u64>,
-    /// Stats: segments transmitted (including retransmissions).
-    pub segments_sent: u64,
     /// Stats: retransmissions.
     pub retransmits: u64,
 }
@@ -375,7 +368,6 @@ impl TcpSender {
             app_len: 0,
             current_rto_ns: cfg.init_rto_ns,
             rto_deadline_ns: None,
-            segments_sent: 0,
             retransmits: 0,
         }
     }
@@ -421,13 +413,12 @@ impl TcpSender {
         }
         let remaining = self.app_len - nxt_off;
         let take = remaining.min(self.cfg.mss as u64).min(window_left) as usize;
-        if take < self.cfg.nagle_threshold && self.cfg.nagle && self.in_flight() > 0 {
+        if take < NAGLE_THRESHOLD && self.in_flight() > 0 {
             // Nagle: a small segment waits for outstanding data to drain.
             return None;
         }
         let seq = self.snd_nxt;
         self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
-        self.segments_sent += 1;
         if self.rto_deadline_ns.is_none() {
             self.rto_deadline_ns = Some(now_ns + self.current_rto_ns);
         }
@@ -481,11 +472,6 @@ impl TcpSender {
     /// The configured MSS.
     pub fn mss(&self) -> usize {
         self.cfg.mss
-    }
-
-    /// The configured Nagle small-segment threshold.
-    pub fn nagle_threshold(&self) -> usize {
-        self.cfg.nagle_threshold
     }
 }
 
@@ -657,8 +643,6 @@ mod tests {
         let mut tx = TcpSender::new(SenderConfig {
             mss: 1000,
             window: 4000,
-            nagle: true,
-            nagle_threshold: 256,
             init_rto_ns: 1_000_000,
         });
         let mut rx = TcpReceiver::new(ReceiverConfig::default());
@@ -696,8 +680,6 @@ mod tests {
         let mut tx = TcpSender::new(SenderConfig {
             mss: 1000,
             window: 100_000,
-            nagle: true,
-            nagle_threshold: 256,
             init_rto_ns: 1_000_000,
         });
         tx.write(50);
@@ -710,42 +692,12 @@ mod tests {
         assert_eq!(s2.seq, 50);
     }
 
-    /// Without Nagle, a small segment goes out even with data in flight.
-    /// Queued writes coalesce into one segment (stream semantics, as in
-    /// real TCP — the ttcp driver paces writes to keep frames small).
-    #[test]
-    fn no_nagle_sends_small_segments_immediately() {
-        let mut tx = TcpSender::new(SenderConfig {
-            mss: 1000,
-            window: 100_000,
-            nagle: false,
-            nagle_threshold: 256,
-            init_rto_ns: 1_000_000,
-        });
-        tx.write(50);
-        let s1 = tx.poll(0).unwrap();
-        assert_eq!(s1.payload.len(), 50);
-        // Data now in flight; another small write still goes straight out.
-        tx.write(50);
-        let s2 = tx.poll(0).unwrap();
-        assert_eq!(s2.payload.len(), 50);
-        assert_eq!(s2.seq, 50);
-        // Two queued small writes coalesce into one 100-byte segment.
-        tx.write(50);
-        tx.write(50);
-        let s3 = tx.poll(0).unwrap();
-        assert_eq!(s3.payload.len(), 100);
-        assert!(tx.poll(0).is_none());
-    }
-
     /// Loss triggers go-back-N from snd_una and exponential backoff.
     #[test]
     fn timeout_retransmits_from_una() {
         let mut tx = TcpSender::new(SenderConfig {
             mss: 1000,
             window: 10_000,
-            nagle: true,
-            nagle_threshold: 256,
             init_rto_ns: 1_000_000,
         });
         tx.write(3000);

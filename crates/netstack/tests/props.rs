@@ -162,8 +162,6 @@ proptest! {
         let mut tx = TcpSender::new(SenderConfig {
             mss,
             window: 8 * 1024,
-            nagle: true,
-            nagle_threshold: 256,
             init_rto_ns: 1_000_000,
         });
         let mut rx = TcpReceiver::new(ReceiverConfig::default());

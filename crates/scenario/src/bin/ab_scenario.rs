@@ -272,15 +272,20 @@ fn analyze(mut args: impl Iterator<Item = String>) {
         }
     }
     if let Some(floor) = assert_score {
-        match quality::sweep_overall(&sweep).expect("scorecards already validated the document") {
-            Some(overall) if overall >= floor => {
+        // The sweep's one-number quality verdict: its summary's floor mean
+        // of every scored scenario's overall score.
+        let mean = sweep
+            .get("summary")
+            .and_then(|s| s.get("quality")?.get("mean"));
+        match mean {
+            Some(&Json::U64(overall)) if overall >= floor => {
                 eprintln!("quality {overall} >= required {floor}");
             }
-            Some(overall) => {
+            Some(&Json::U64(overall)) => {
                 eprintln!("quality {overall} is below the required {floor}");
                 std::process::exit(1);
             }
-            None => {
+            _ => {
                 eprintln!("no scenario produced a quality score; cannot assert {floor}");
                 std::process::exit(1);
             }

@@ -69,7 +69,7 @@ pub use runner::{
     Verdict,
 };
 pub use sketch::Sketch;
-pub use sweep::{run_sweep, run_sweep_jobs, run_sweep_jobs_profiled, SweepReport, SweepSpec};
+pub use sweep::{run_sweep_jobs, run_sweep_jobs_profiled, SweepReport, SweepSpec};
 pub use timeline::{summary_tables, timeline_json, validate_timeline};
 pub use topo::{instantiate, BuiltTopology, SegTier, Topology, TopologyShape};
 pub use workload::{BatteryKind, Phase, Workload};

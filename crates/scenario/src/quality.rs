@@ -212,7 +212,8 @@ fn cell(v: Option<u64>) -> String {
 }
 
 /// Render per-scenario scorecards plus the sweep footer from a sweep
-/// JSON document (what `ab_scenario analyze` prints). Deterministic:
+/// JSON document (what `ab_scenario analyze` prints). The footer is the
+/// document's own `summary`, read back, not recomputed. Deterministic:
 /// plain ASCII, fixed column layout, byte-identical for byte-identical
 /// input.
 pub fn sweep_scorecards(sweep: &Json) -> Result<String, String> {
@@ -224,8 +225,6 @@ pub fn sweep_scorecards(sweep: &Json) -> Result<String, String> {
         "{:<34} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4}\n",
         "SCENARIO", "PASS", "INV%", "LAT", "LOSS", "FAIR", "DEGR", "QUAL", "PKQ", "SEC"
     ));
-    let mut passed = 0u64;
-    let mut overalls = Vec::new();
     for (i, run) in runs.iter().enumerate() {
         let name = match run.get("scenario").and_then(|s| s.get("name")) {
             Some(Json::Str(n)) => n.clone(),
@@ -256,10 +255,6 @@ pub fn sweep_scorecards(sweep: &Json) -> Result<String, String> {
                 })
                 .sum::<u64>()
         });
-        passed += u64::from(pass);
-        if let Some(o) = q.overall {
-            overalls.push(o);
-        }
         out.push_str(&format!(
             "{:<34} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4} {:>4}\n",
             name,
@@ -277,31 +272,21 @@ pub fn sweep_scorecards(sweep: &Json) -> Result<String, String> {
             cell(sec),
         ));
     }
-    let mean_q = mean(&overalls);
-    let min_q = overalls.iter().copied().min();
+    let summary = sweep.get("summary");
+    let quality = summary.and_then(|s| s.get("quality"));
+    let field = |section: Option<&Json>, key: &str| match section.and_then(|s| s.get(key)) {
+        Some(Json::U64(v)) => Ok(Some(*v)),
+        Some(Json::Null) => Ok(None),
+        _ => Err(format!("not a sweep document: no summary `{key}`")),
+    };
     out.push_str(&format!(
         "sweep: {} scenarios, {} passed | quality mean {} min {}\n",
-        runs.len(),
-        passed,
-        cell(mean_q),
-        cell(min_q),
+        cell(field(summary, "scenarios")?),
+        cell(field(summary, "scenarios_passed")?),
+        cell(field(quality, "mean")?),
+        cell(field(quality, "min")?),
     ));
     Ok(out)
-}
-
-/// The sweep's one-number quality verdict: the floor mean of every
-/// scored scenario's overall score (what `--assert-score` gates on).
-pub fn sweep_overall(sweep: &Json) -> Result<Option<u64>, String> {
-    let Some(Json::Arr(runs)) = sweep.get("runs") else {
-        return Err("not a sweep document: no `runs` array".to_owned());
-    };
-    let overalls: Vec<u64> = runs
-        .iter()
-        .filter_map(|r| r.get("quality"))
-        .filter_map(QualityScore::from_json)
-        .filter_map(|q| q.overall)
-        .collect();
-    Ok(mean(&overalls))
 }
 
 #[cfg(test)]
@@ -484,14 +469,21 @@ mod tests {
                     run(w, "line2-pings-s0", false);
                     run(w, "line2-adv-s0", true);
                 });
+                w.key("summary").obj(|w| {
+                    w.key("scenarios").u64(2);
+                    w.key("scenarios_passed").u64(2);
+                    w.key("quality").obj(|w| {
+                        w.key("mean").u64(96);
+                        w.key("min").u64(96);
+                    });
+                });
             });
         })
         .tree();
         let card = sweep_scorecards(&sweep).expect("well-formed sweep");
         assert!(card.contains("line2-pings-s0"));
         assert!(card.contains("yes"));
-        assert!(card.contains("sweep: 2 scenarios, 2 passed"));
-        assert_eq!(sweep_overall(&sweep), Ok(Some(96)));
+        assert!(card.ends_with("sweep: 2 scenarios, 2 passed | quality mean 96 min 96\n"));
         let lines: Vec<&str> = card.lines().collect();
         assert!(lines[0].ends_with("SEC"), "header gains SEC: {}", lines[0]);
         assert!(
@@ -505,7 +497,13 @@ mod tests {
             lines[2]
         );
 
-        // Malformed documents are errors, not panics.
+        // Malformed documents are errors, not panics: no runs, or runs
+        // without the summary the footer reads.
         assert!(sweep_scorecards(&Json::Obj(Vec::new())).is_err());
+        let Json::Obj(mut fields) = sweep else {
+            unreachable!("a sweep document is an object")
+        };
+        fields.retain(|(key, _)| key != "summary");
+        assert!(sweep_scorecards(&Json::Obj(fields)).is_err());
     }
 }

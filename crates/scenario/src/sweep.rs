@@ -191,12 +191,6 @@ impl SweepReport {
     }
 }
 
-/// Run every scenario in the sweep on the calling thread (equivalent to
-/// [`run_sweep_jobs`] with one job).
-pub fn run_sweep(spec: &SweepSpec) -> SweepReport {
-    run_sweep_jobs(spec, 1)
-}
-
 /// Run the sweep across up to `jobs` worker threads. Each worker owns
 /// one reusable [`World`] (reset per scenario, so consecutive runs
 /// amortize its allocations) and each scenario is constructed, run and

@@ -137,10 +137,12 @@ fn analyzer_scorecards_are_byte_identical_across_jobs() {
         "header present:\n{}",
         cards[0]
     );
+    let doc = Json::parse(&reference).unwrap();
+    let mean = doc
+        .get("summary")
+        .and_then(|s| s.get("quality")?.get("mean"));
     assert!(
-        quality::sweep_overall(&Json::parse(&reference).unwrap())
-            .expect("overall parses")
-            .is_some(),
+        matches!(mean, Some(Json::U64(_))),
         "the sweep must produce an overall quality score"
     );
 }

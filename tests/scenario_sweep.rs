@@ -3,7 +3,7 @@
 //! verdict passes, and reports replay byte-identically from their seeds.
 
 use ab_scenario::runner::{self, Scenario, Verdict};
-use ab_scenario::sweep::{run_sweep, SweepSpec};
+use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
 
@@ -16,7 +16,7 @@ fn default_sweep_passes_and_replays_byte_identically() {
     assert!(spec.shapes.len() >= 5, "≥ 5 distinct topology shapes");
     assert!(spec.batteries.len() >= 3, "≥ 3 workload batteries");
 
-    let first = run_sweep(&spec);
+    let first = run_sweep_jobs(&spec, 1);
     assert_eq!(first.runs.len(), spec.shapes.len() * spec.batteries.len());
     for report in &first.runs {
         for inv in &report.invariants {
@@ -33,7 +33,7 @@ fn default_sweep_passes_and_replays_byte_identically() {
     }
     assert!(first.passed());
 
-    let second = run_sweep(&spec);
+    let second = run_sweep_jobs(&spec, 1);
     assert_eq!(
         first.to_json().render(),
         second.to_json().render(),
