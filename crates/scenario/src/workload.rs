@@ -623,6 +623,16 @@ fn probe_pair(
     })
 }
 
+/// When the control plane has recovered from `chaos`: its last heal plus
+/// the topology's recovery margin (`Topology::recovery_margin`, under the
+/// timers every scenario bridge runs).
+fn recovered_at(topo: &Topology, chaos: &ChaosScript) -> SimDuration {
+    let heal = chaos
+        .last_heal_at()
+        .expect("the chaos script heals everything it breaks");
+    heal + topo.recovery_margin(&StpTimers::default())
+}
+
 /// The recovery proof every disturbance battery ends on: once whatever
 /// it scripted has healed, a reliable transfer must complete strictly —
 /// the disturbance is survivable, not just observable.
@@ -929,13 +939,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                     SimDuration::from_ms(3_400),
                 );
             }
-            // After the last heal the plane gets its recovery margin
-            // (`Topology::recovery_margin`, under the timers every
-            // scenario bridge runs).
-            let heal = chaos
-                .last_heal_at()
-                .expect("the chaos script heals everything it breaks");
-            let post = heal + topo.recovery_margin(&StpTimers::default());
+            let post = recovered_at(topo, &chaos);
             // The watchdog probe: upload a deliberately faulty data
             // plane to one bridge, then trigger it with a flood blast
             // (every frame crossing that bridge traps its VM). The
@@ -1059,11 +1063,16 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                 },
             });
             // Recovery proof: after the burst clears and the bridge is
-            // back, a strict reliable transfer must complete.
-            items.push(recovery_transfer(
-                SimDuration::from_secs(8),
-                pick_pair(topo, &mut rng, 2),
-            ));
+            // back, a strict reliable transfer must complete — on a
+            // cyclic shape once the spanning tree has had its recovery
+            // margin, as under `chaos`, since the restarted bridge's
+            // ports pass Listening and Learning before they forward.
+            let recovery_at = if topo.cyclic() {
+                recovered_at(topo, &chaos)
+            } else {
+                SimDuration::from_secs(8)
+            };
+            items.push(recovery_transfer(recovery_at, pick_pair(topo, &mut rng, 2)));
         }
         BatteryKind::Adversarial => {
             // Placement is deterministic: the attackers share the first

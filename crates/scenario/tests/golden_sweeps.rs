@@ -41,9 +41,9 @@ const GOLDEN: [[(usize, u64); 3]; 4] = [
     ],
     // lossy
     [
-        (10696, 0x05bc4c8eb1ed9a87),
-        (10930, 0xe8e7700ae273e5f4),
-        (10885, 0xc592e1538b31b552),
+        (10822, 0x493e877a872f7f18),
+        (10935, 0x53a59a89b79dfcde),
+        (10890, 0x9525a966003a36b2),
     ],
     // adversarial
     [

@@ -143,6 +143,9 @@ impl Writer {
     }
 }
 
+/// The fewest bytes a type field takes: its `u16` length and a tag.
+const TY_MIN: usize = 2 + 1;
+
 struct Reader<'a> {
     buf: &'a [u8],
 }
@@ -182,6 +185,12 @@ impl<'a> Reader<'a> {
             return Err(DecodeError::TooLarge("string pool entry"));
         }
         Ok(self.take(len)?.to_vec())
+    }
+    /// An empty vector for `n` elements, each of which takes at least
+    /// `min_len` of the bytes left: its capacity is never more than those
+    /// bytes could encode, whatever the length field claimed.
+    fn vec_for<T>(&self, n: usize, min_len: usize) -> Vec<T> {
+        Vec::with_capacity(n.min(self.buf.len() / min_len))
     }
     fn ty(&mut self) -> Result<Ty, DecodeError> {
         let len = self.u16()? as usize;
@@ -451,7 +460,9 @@ impl Module {
         if n_imports > MAX_POOL {
             return Err(DecodeError::TooLarge("import count"));
         }
-        let mut imports = Vec::with_capacity(n_imports);
+        // An import is at least two `str16` lengths and a type; a type is
+        // at least its `u16` length and a tag.
+        let mut imports = r.vec_for(n_imports, 2 + 2 + TY_MIN);
         for _ in 0..n_imports {
             let module = r.str16()?;
             let item = r.str16()?;
@@ -462,7 +473,7 @@ impl Module {
         if n_exports > MAX_POOL {
             return Err(DecodeError::TooLarge("export count"));
         }
-        let mut exports = Vec::with_capacity(n_exports);
+        let mut exports = r.vec_for(n_exports, 2 + 4);
         for _ in 0..n_exports {
             let name = r.str16()?;
             let func = r.u32()?;
@@ -475,7 +486,7 @@ impl Module {
         if n_strs > MAX_POOL {
             return Err(DecodeError::TooLarge("string pool"));
         }
-        let mut str_pool = Vec::with_capacity(n_strs);
+        let mut str_pool = r.vec_for(n_strs, 4);
         for _ in 0..n_strs {
             str_pool.push(r.bytes32()?);
         }
@@ -483,11 +494,13 @@ impl Module {
         if n_funcs > MAX_FUNCTIONS {
             return Err(DecodeError::TooLarge("function count"));
         }
-        let mut functions = Vec::with_capacity(n_funcs);
+        // A name, the parameter and local counts, a result type and the
+        // code length.
+        let mut functions = r.vec_for(n_funcs, 2 + 1 + 2 + TY_MIN + 4);
         for _ in 0..n_funcs {
             let fname = r.str16()?;
             let n_params = r.u8()? as usize;
-            let mut params = Vec::with_capacity(n_params);
+            let mut params = r.vec_for(n_params, TY_MIN);
             for _ in 0..n_params {
                 params.push(r.ty()?);
             }
@@ -495,7 +508,7 @@ impl Module {
             if n_locals > MAX_POOL {
                 return Err(DecodeError::TooLarge("local count"));
             }
-            let mut locals = Vec::with_capacity(n_locals);
+            let mut locals = r.vec_for(n_locals, TY_MIN);
             for _ in 0..n_locals {
                 locals.push(r.ty()?);
             }
@@ -504,7 +517,8 @@ impl Module {
             if n_code > MAX_CODE {
                 return Err(DecodeError::TooLarge("code length"));
             }
-            let mut code = Vec::with_capacity(n_code);
+            // An op is at least its opcode byte.
+            let mut code = r.vec_for(n_code, 1);
             for _ in 0..n_code {
                 code.push(decode_op(&mut r)?);
             }

@@ -145,7 +145,10 @@ impl Ty {
                 if n < 2 {
                     return None;
                 }
-                let mut items = Vec::with_capacity(n as usize);
+                // Grown as items decode, never reserved from `n`: every
+                // level of a nested type would hold its claimed capacity
+                // at once, heap quadratic in the encoding's length.
+                let mut items = Vec::new();
                 for _ in 0..n {
                     items.push(Ty::decode(buf)?);
                 }
@@ -159,7 +162,8 @@ impl Ty {
             b'<' => {
                 let (&n, rest) = buf.split_first()?;
                 *buf = rest;
-                let mut params = Vec::with_capacity(n as usize);
+                // Grown as parameters decode, like a tuple's items.
+                let mut params = Vec::new();
                 for _ in 0..n {
                     params.push(Ty::decode(buf)?);
                 }

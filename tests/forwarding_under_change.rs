@@ -246,12 +246,14 @@ impl Model {
     /// The ports a frame leaves by.
     fn frame(&mut self, port: usize, src: MacAddr, dst: MacAddr, now: SimTime) -> [bool; 4] {
         let mut out = [false; 4];
+        // A port learns whether or not it forwards: 802.1D's Learning
+        // state.
+        if self.learn[port] && !src.is_multicast() {
+            self.table.insert(src, (port, now));
+        }
         if !self.forward[port] {
             self.counts[3] += 1;
             return out;
-        }
-        if self.learn[port] && !src.is_multicast() {
-            self.table.insert(src, (port, now));
         }
         let current = |e: &&(usize, SimTime)| now.saturating_since(e.1) <= AGE;
         match self.table.get(&dst).filter(current) {
