@@ -31,7 +31,7 @@ use switchlet::{ExecConfig, FuncVal, Module, Namespace, Value, VmScratch};
 
 use crate::config::BridgeConfig;
 use crate::hostmods;
-use crate::plane::{DataPlaneSel, HandlerTarget, Plane, SwitchletStatus};
+use crate::plane::{DataPlaneSel, HandlerTarget, Plane, SwitchletStatus, UnitName};
 
 /// Timer token kinds (top byte of the `u64`). Bits 48–55 carry the
 /// bridge's crash epoch: a timer armed before a crash refers to state
@@ -349,9 +349,10 @@ pub struct BridgeNode {
     factories: Vec<(String, NativeFactory)>,
     boot_images: Vec<Rc<[u8]>>,
     cmds: Vec<BridgeCommand>,
-    /// Reusable VM stack/locals arena: steady-state switchlet execution
-    /// allocates nothing.
-    vm_scratch: VmScratch,
+    /// Reusable VM stack/locals arena, made at the first VM call (a
+    /// native-only bridge never needs one): steady-state switchlet
+    /// execution allocates nothing.
+    vm_scratch: Option<VmScratch>,
     /// The module that owns the data plane's VM handler — the identity its
     /// host calls act under — re-read whenever the plane's data target is
     /// resolved and valid as long as that is kept (`None` until a VM
@@ -396,7 +397,7 @@ impl BridgeNode {
             factories: Vec::new(),
             boot_images: Vec::new(),
             cmds: Vec::new(),
-            vm_scratch: VmScratch::new(),
+            vm_scratch: None,
             plane_owner: None,
             epoch: 0,
             trap_counts: HashMap::new(),
@@ -492,7 +493,7 @@ impl BridgeNode {
     }
 
     /// Enter a freshly loaded switchlet, running, under `name`.
-    fn enter_slot(&mut self, name: &str, imp: SwitchletImpl) -> usize {
+    fn enter_slot(&mut self, name: impl Into<UnitName>, imp: SwitchletImpl) -> usize {
         let slot = self.plane.set_status(name, SwitchletStatus::Running);
         if self.slots.len() <= slot {
             self.slots.resize_with(slot + 1, || None);
@@ -536,14 +537,16 @@ impl BridgeNode {
     /// Idempotent; profiling never changes results, fuel accounting or
     /// `ExecStats`.
     pub fn enable_vm_profile(&mut self) {
-        self.vm_scratch.enable_profile();
+        self.vm_scratch
+            .get_or_insert_with(VmScratch::new)
+            .enable_profile();
     }
 
     /// The accumulated hot-function profile as
     /// `(module, function, counters)` lines in deterministic
     /// `(instance, func)` order. Empty when profiling was never enabled.
     pub fn hot_functions(&self) -> Vec<(String, String, switchlet::FuncHotCounters)> {
-        let Some(profile) = self.vm_scratch.profile() else {
+        let Some(profile) = self.vm_scratch.as_ref().and_then(VmScratch::profile) else {
             return Vec::new();
         };
         profile
@@ -618,7 +621,7 @@ impl BridgeNode {
             target,
             args,
             &VM_EXEC,
-            &mut self.vm_scratch,
+            self.vm_scratch.get_or_insert_with(VmScratch::new),
         );
         let owner = env.module_name;
         // A trapped invocation records no cost.
@@ -649,11 +652,11 @@ impl BridgeNode {
 
     /// Record one trap against a VM module; at [`WATCHDOG_TRAPS`] the
     /// watchdog quarantines it (see [`BridgeNode::quarantine`]).
-    fn watchdog_trap(&mut self, ctx: &mut Ctx<'_>, module: &str) {
-        if module.is_empty() || self.quarantined.contains(module) {
+    fn watchdog_trap(&mut self, ctx: &mut Ctx<'_>, module: &Rc<str>) {
+        if module.is_empty() || self.quarantined.contains(&**module) {
             return;
         }
-        let count = self.trap_counts.entry(module.to_owned()).or_insert(0);
+        let count = self.trap_counts.entry(module.to_string()).or_insert(0);
         *count += 1;
         if *count >= WATCHDOG_TRAPS {
             self.quarantine(ctx, module);
@@ -664,18 +667,19 @@ impl BridgeNode {
     /// bindings and handlers, and — if it held the data plane — roll back
     /// to the last-known-good switching function, or to dumb flood
     /// forwarding as the final degraded tier, so traffic keeps flowing.
-    fn quarantine(&mut self, ctx: &mut Ctx<'_>, module: &str) {
-        self.quarantined.insert(module.to_owned());
+    fn quarantine(&mut self, ctx: &mut Ctx<'_>, module: &Rc<str>) {
+        self.quarantined.insert(module.to_string());
         // Stopping it forgets every kept target, and nothing below
         // resolves one: no resolution outlives the handlers dropped next.
-        self.plane.set_status(module, SwitchletStatus::Stopped);
+        self.plane
+            .set_status(Rc::clone(module), SwitchletStatus::Stopped);
         self.plane.unbind_all(module);
         // Drop every handler the module registered: a quarantined
         // switchlet must never run again, on any path.
         let doomed: Vec<FuncVal> = self
             .vm_owner
             .iter()
-            .filter(|&(_, owner)| &**owner == module)
+            .filter(|&(_, owner)| **owner == **module)
             .map(|(&fv, _)| fv)
             .collect();
         self.vm_handlers.retain(|_, fv| !doomed.contains(fv));
@@ -708,8 +712,7 @@ impl BridgeNode {
                         // Already loaded (install_native would no-op):
                         // revive and reinstall it directly.
                         self.plane.set_slot_status(slot, SwitchletStatus::Running);
-                        self.plane
-                            .set_data_plane(DataPlaneSel::Native(dumb::NAME.into()));
+                        self.plane.set_data_plane(DataPlaneSel::Native(dumb::NAME));
                     } else {
                         self.install_native(ctx, dumb::NAME);
                     }
@@ -727,7 +730,7 @@ impl BridgeNode {
     fn sel_is_quarantined(&self, sel: &DataPlaneSel) -> bool {
         match sel {
             DataPlaneSel::None => false,
-            DataPlaneSel::Native(name) => self.quarantined.contains(name),
+            DataPlaneSel::Native(name) => self.quarantined.contains(*name),
             DataPlaneSel::Vm(fv) => self
                 .vm_owner
                 .get(fv)
@@ -981,7 +984,13 @@ impl BridgeNode {
             self.plane.stats.images_rejected += 1;
             return;
         };
-        let idx = self.enter_slot(name, SwitchletImpl::Native(imp));
+        // The directory keeps the switchlet's own static name.
+        let unit = imp.name();
+        debug_assert_eq!(
+            unit, name,
+            "a native switchlet loaded as {name} names itself {unit}"
+        );
+        let idx = self.enter_slot(unit, SwitchletImpl::Native(imp));
         ctx.trace(format_args!("{}: installed switchlet {name}", self.name));
         self.with_slot(ctx, idx, |s, bc| s.on_install(bc));
     }
@@ -1018,7 +1027,7 @@ impl BridgeNode {
         };
         match linked.and_then(|id| self.ns.run_init(id, &mut env, &VM_EXEC)) {
             Ok(_) => {
-                self.enter_slot(&name, SwitchletImpl::Vm);
+                self.enter_slot(Rc::clone(&name), SwitchletImpl::Vm);
                 ctx.trace(format_args!("{}: loaded vm switchlet {name}", self.name));
             }
             Err(e) => {
@@ -1133,10 +1142,14 @@ impl Node for BridgeNode {
         self.cmds.clear();
         self.trap_counts.clear();
         self.quarantined.clear();
-        let profiling = self.vm_scratch.profile().is_some();
-        self.vm_scratch = VmScratch::new();
+        let profiling = self
+            .vm_scratch
+            .as_ref()
+            .and_then(VmScratch::profile)
+            .is_some();
+        self.vm_scratch = None;
         if profiling {
-            self.vm_scratch.enable_profile();
+            self.enable_vm_profile();
         }
         ctx.trace(format_args!("{}: crashed (volatile state lost)", self.name));
     }

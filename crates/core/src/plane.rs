@@ -20,6 +20,8 @@
 //! directory (a bridge holds a handful of units) and serve commands,
 //! the control switchlet and tests.
 
+use std::borrow::Cow;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use ether::MacAddr;
@@ -325,8 +327,8 @@ pub enum DataPlaneSel {
     /// No switching function yet: frames are dropped (the bare loader).
     #[default]
     None,
-    /// A native switchlet, by name.
-    Native(String),
+    /// A native switchlet, by its [`crate::NativeSwitchlet::name`].
+    Native(&'static str),
     /// A VM switchlet handler (registered under "switching").
     Vm(FuncVal),
 }
@@ -350,14 +352,47 @@ pub(crate) enum HandlerTarget {
 #[derive(Debug)]
 struct AddrHandler {
     addr: MacAddr,
-    name: String,
+    name: Cow<'static, str>,
     target: Option<HandlerTarget>,
+}
+
+/// A switchlet's unit name as its bridge already holds it, so that the
+/// directory copies none.
+#[derive(Debug)]
+pub(crate) enum UnitName {
+    /// A native switchlet's [`crate::NativeSwitchlet::name`].
+    Native(&'static str),
+    /// A VM module's name, the one its host calls act under.
+    Vm(Rc<str>),
+}
+
+impl Deref for UnitName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            UnitName::Native(name) => name,
+            UnitName::Vm(name) => name,
+        }
+    }
+}
+
+impl From<&'static str> for UnitName {
+    fn from(name: &'static str) -> UnitName {
+        UnitName::Native(name)
+    }
+}
+
+impl From<Rc<str>> for UnitName {
+    fn from(name: Rc<str>) -> UnitName {
+        UnitName::Vm(name)
+    }
 }
 
 /// One entry of the switchlet directory.
 #[derive(Debug)]
 struct Unit {
-    name: String,
+    name: UnitName,
     status: SwitchletStatus,
 }
 
@@ -746,7 +781,7 @@ impl Plane {
 
     /// The directory slot of `name`, if the plane has heard of it.
     pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
-        self.units.iter().position(|u| u.name == name)
+        self.units.iter().position(|u| &*u.name == name)
     }
 
     /// A switchlet's lifecycle status, by slot.
@@ -788,12 +823,14 @@ impl Plane {
     /// Record a lifecycle transition (load/suspend/resume/halt) of the
     /// switchlet named `name` — each one forgets every kept target. A
     /// name the directory has not seen enters it here; returns its slot.
-    pub fn set_status(&mut self, name: &str, status: SwitchletStatus) -> usize {
-        let slot = self.slot_of(name).unwrap_or_else(|| {
-            self.units.push(Unit {
-                name: name.to_owned(),
-                status,
-            });
+    pub(crate) fn set_status(
+        &mut self,
+        name: impl Into<UnitName>,
+        status: SwitchletStatus,
+    ) -> usize {
+        let name = name.into();
+        let slot = self.slot_of(&name).unwrap_or_else(|| {
+            self.units.push(Unit { name, status });
             self.units.len() - 1
         });
         self.set_slot_status(slot, status);
@@ -859,8 +896,10 @@ impl Plane {
 
     /// Register (or rebind) the handler for a destination address.
     /// Rebinding is how the control switchlet takes over the All Bridges
-    /// address and later hands it to the 802.1D switchlet.
-    pub fn register_addr(&mut self, addr: MacAddr, switchlet: impl Into<String>) {
+    /// address and later hands it to the 802.1D switchlet. A native
+    /// switchlet registers under its static name, which is kept without a
+    /// copy.
+    pub fn register_addr(&mut self, addr: MacAddr, switchlet: impl Into<Cow<'static, str>>) {
         let name = switchlet.into();
         if let Some(h) = self.addr_handlers.iter_mut().find(|h| h.addr == addr) {
             h.name = name;
@@ -882,7 +921,7 @@ impl Plane {
     /// Who handles frames to `addr`?
     pub fn addr_handler(&self, addr: MacAddr) -> Option<&str> {
         let h = self.addr_handlers.iter().find(|h| h.addr == addr)?;
-        Some(h.name.as_str())
+        Some(&h.name)
     }
 
     /// What the handler registered for `addr` resolves to, if one is
@@ -1316,7 +1355,7 @@ mod tests {
     fn kept_targets_are_forgotten_by_the_writers_of_what_they_read() {
         let mut plane = Plane::new(2, SimDuration::from_secs(300));
         plane.register_addr(MacAddr::ALL_BRIDGES, "stp_ieee");
-        plane.set_data_plane(DataPlaneSel::Native("x".into()));
+        plane.set_data_plane(DataPlaneSel::Native("x"));
         // Which of [data plane, registration] had to be resolved again.
         let asked = |plane: &mut Plane| {
             let mut asked = [false; 2];
@@ -1338,9 +1377,9 @@ mod tests {
         plane.learn.learn(MacAddr::local(9), PortId(1), t(1));
         plane.learn.flush();
         assert_eq!(asked(&mut plane), [false, false], "flags and learns");
-        plane.set_data_plane(DataPlaneSel::Native("x".into()));
+        plane.set_data_plane(DataPlaneSel::Native("x"));
         assert_eq!(asked(&mut plane), [false, false], "the same selection");
-        plane.set_data_plane(DataPlaneSel::Native("y".into()));
+        plane.set_data_plane(DataPlaneSel::Native("y"));
         assert_eq!(asked(&mut plane), [true, false], "a new selection");
         plane.set_status("y", SwitchletStatus::Running);
         assert_eq!(asked(&mut plane), [true, true], "a lifecycle transition");

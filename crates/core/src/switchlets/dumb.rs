@@ -36,7 +36,7 @@ impl NativeSwitchlet for DumbBridge {
             bc.plane.bind_in(p, &owner);
             bc.plane.bind_out(p, &owner);
         }
-        bc.plane.set_data_plane(DataPlaneSel::Native(NAME.into()));
+        bc.plane.set_data_plane(DataPlaneSel::Native(NAME));
         bc.log(format_args!("dumb bridge installed: flooding all ports"));
     }
 

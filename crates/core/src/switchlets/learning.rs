@@ -35,7 +35,7 @@ impl NativeSwitchlet for LearningBridge {
 
     fn on_install(&mut self, bc: &mut BridgeCtx<'_, '_>) {
         // Replace the switching function (the dumb bridge's part two).
-        bc.plane.set_data_plane(DataPlaneSel::Native(NAME.into()));
+        bc.plane.set_data_plane(DataPlaneSel::Native(NAME));
         bc.schedule(SWEEP_EVERY, SWEEP_TOKEN);
         bc.log(format_args!(
             "learning bridge installed: replaced switching function"

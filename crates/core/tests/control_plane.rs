@@ -155,7 +155,7 @@ fn a_native_registration_follows_its_switchlets_lifecycle() {
     assert_eq!(reached(&mut world), (1, 0), "resumed");
 
     // Re-pointed: the new owner, at once; and back.
-    let repoint = |world: &mut World, name: &str| {
+    let repoint = |world: &mut World, name: &'static str| {
         world
             .node_mut::<BridgeNode>(b)
             .plane_mut()
@@ -204,7 +204,7 @@ fn a_vm_registration_follows_its_handlers_lifecycle() {
     assert_eq!(reached(&mut world), (1, 0));
     assert_eq!(reached(&mut world), (1, 0));
 
-    let repoint = |world: &mut World, name: &str| {
+    let repoint = |world: &mut World, name: &'static str| {
         world
             .node_mut::<BridgeNode>(b)
             .plane_mut()

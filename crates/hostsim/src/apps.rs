@@ -507,7 +507,7 @@ impl TtcpSendApp {
 
     fn pump(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         let now_ns = ctx.now().as_ns();
-        let src_ip = core.cfg.ips[self.port.0];
+        let src_ip = core.cfg.ip(self.port);
         let (dst, src_port, dst_port) = (self.dst, self.src_port, self.dst_port);
         // Hot loop: the segment decision carries no payload; the header
         // and pattern bytes are generated straight into the wire frame
@@ -678,7 +678,7 @@ impl TtcpRecvApp {
         let Some((peer_ip, peer_port, port)) = self.peer else {
             return;
         };
-        let src_ip = core.cfg.ips[port.0];
+        let src_ip = core.cfg.ip(port);
         let port_num = self.port_num;
         core.send_ip_built(
             ctx,
@@ -877,7 +877,7 @@ impl UploadApp {
 
     fn send_udp(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, payload: &[u8]) {
         let wire = netstack::udp::emit(
-            core.cfg.ips[self.port.0],
+            core.cfg.ip(self.port),
             self.src_port,
             self.dst,
             crate::TFTP_PORT,
@@ -1077,7 +1077,7 @@ impl ProbeApp {
 
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         assert!(
-            core.cfg.macs.len() >= 2,
+            core.cfg.ports.len() >= 2,
             "the agility probe needs two NICs (eth0, eth1)"
         );
         assert!(core.cfg.promiscuous, "the probe reads raw frames");
@@ -1091,7 +1091,7 @@ impl ProbeApp {
     fn fire(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         // The triggering BPDU: a valid 802.1D configuration message from
         // a never-winning "bridge" (priority 0xFFFF).
-        let frame = root_claim(ctx, 0xFFFF, core.cfg.macs[0]);
+        let frame = root_claim(ctx, 0xFFFF, core.cfg.mac(PortId(0)));
         core.send_raw(ctx, PortId(0), frame);
         self.sent_bpdu_at = Some(ctx.now());
         ctx.schedule(SimDuration::from_secs(1), app_token(idx, PROBE_PING));
@@ -1110,8 +1110,8 @@ impl ProbeApp {
         let icmp = Echo::emit(EchoKind::Request, self.ident, self.seq, b"agility-probe");
         self.seq += 1;
         let ip = netstack::ipv4::emit(
-            core.cfg.ips[0],
-            core.cfg.ips[1],
+            core.cfg.ip(PortId(0)),
+            core.cfg.ip(PortId(1)),
             Protocol::ICMP,
             self.seq,
             64,
@@ -1119,9 +1119,13 @@ impl ProbeApp {
             1500,
         )
         .expect("probe ping fits MTU");
-        let frame = FrameBuilder::new(core.cfg.macs[1], core.cfg.macs[0], EtherType::IPV4)
-            .payload(&ip)
-            .build();
+        let frame = FrameBuilder::new(
+            core.cfg.mac(PortId(1)),
+            core.cfg.mac(PortId(0)),
+            EtherType::IPV4,
+        )
+        .payload(&ip)
+        .build();
         core.send_raw(ctx, PortId(0), frame);
         self.pings_sent += 1;
         ctx.schedule(SimDuration::from_secs(1), app_token(idx, PROBE_PING));
@@ -1208,7 +1212,7 @@ impl BlastApp {
     }
 
     fn send_one(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>) {
-        let src_mac = core.cfg.macs[self.port.0];
+        let src_mac = core.cfg.mac(self.port);
         let frame = match &self.frame {
             Some((dst, src, size, f))
                 if *dst == self.dst_mac && *src == src_mac && *size == self.size =>
@@ -1308,8 +1312,8 @@ impl ArpStormApp {
     }
 
     fn send_one(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>) {
-        let src_mac = core.cfg.macs[self.port.0];
-        let spa = core.cfg.ips[self.port.0];
+        let src_mac = core.cfg.mac(self.port);
+        let spa = core.cfg.ip(self.port);
         // Resolve a different nonexistent address each time (a dedicated
         // dark /16 no scenario host lives in), so no cache ever answers.
         let r = self.rng.next_u32();
@@ -1374,7 +1378,7 @@ impl RogueBpduApp {
     }
 
     fn send_one(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>) {
-        let src_mac = core.cfg.macs[self.port.0];
+        let src_mac = core.cfg.mac(self.port);
         // Priority 0 beats every real bridge (802.1D's default is 0x8000):
         // processed anywhere, this claim wins the election outright.
         let frame = root_claim(ctx, 0x0000, src_mac);

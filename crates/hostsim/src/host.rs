@@ -30,10 +30,10 @@ pub(crate) fn app_token(app: usize, user: u32) -> TimerToken {
 /// Host configuration.
 #[derive(Clone, Debug)]
 pub struct HostConfig {
-    /// One MAC per port.
-    pub macs: Vec<MacAddr>,
-    /// One IP per port.
-    pub ips: Vec<Ipv4Addr>,
+    /// One `(MAC, IP)` pair per port, in port order: the host must be
+    /// attached to exactly this many segments. One vector for both keeps
+    /// a single-homed host's configuration to one allocation.
+    pub ports: Vec<(MacAddr, Ipv4Addr)>,
     /// Software cost model.
     pub cost: HostCostModel,
     /// Accept all frames (the Section 7.5 measurement host reads raw
@@ -48,12 +48,23 @@ impl HostConfig {
     /// A single-homed host.
     pub fn simple(mac: MacAddr, ip: Ipv4Addr, cost: HostCostModel) -> HostConfig {
         HostConfig {
-            macs: vec![mac],
-            ips: vec![ip],
+            ports: vec![(mac, ip)],
             cost,
             promiscuous: false,
             arp_hint: 0,
         }
+    }
+
+    /// `port`'s station address.
+    #[inline]
+    pub fn mac(&self, port: PortId) -> MacAddr {
+        self.ports[port.0].0
+    }
+
+    /// `port`'s IP address.
+    #[inline]
+    pub fn ip(&self, port: PortId) -> Ipv4Addr {
+        self.ports[port.0].1
     }
 
     /// Set the expected-peer hint (see [`HostConfig::arp_hint`]).
@@ -90,7 +101,7 @@ pub struct HostCore {
 impl HostCore {
     /// The port whose IP is `ip`.
     fn port_of_ip(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.cfg.ips.iter().position(|&i| i == ip)
+        self.cfg.ports.iter().position(|&(_, i)| i == ip)
     }
 
     /// Queue a raw frame for transmission (charged the tx cost). Accepts
@@ -204,8 +215,8 @@ impl HostCore {
         payload_len: usize,
         build: impl FnOnce(&mut Vec<u8>),
     ) {
-        let src_ip = self.cfg.ips[port.0];
-        let src_mac = self.cfg.macs[port.0];
+        let src_ip = self.cfg.ip(port);
+        let src_mac = self.cfg.mac(port);
         let ident = self.ip_ident;
         self.ip_ident = self.ip_ident.wrapping_add(1);
         let total = ether::HEADER_LEN + netstack::ipv4::HEADER_LEN + payload_len;
@@ -268,8 +279,8 @@ impl HostCore {
             .entry(dst_ip)
             .or_default()
             .push((port, proto, payload, fragment));
-        let req = ArpPacket::request(self.cfg.macs[port.0], self.cfg.ips[port.0], dst_ip);
-        let frame = FrameBuilder::new(MacAddr::BROADCAST, self.cfg.macs[port.0], EtherType::ARP)
+        let req = ArpPacket::request(self.cfg.mac(port), self.cfg.ip(port), dst_ip);
+        let frame = FrameBuilder::new(MacAddr::BROADCAST, self.cfg.mac(port), EtherType::ARP)
             .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&req.emit())
             .build();
@@ -298,8 +309,8 @@ impl HostCore {
             }
             // Oversize: the (cold) fragmentation path keeps the layered
             // builders.
-            let src_ip = self.cfg.ips[port.0];
-            let src_mac = self.cfg.macs[port.0];
+            let src_ip = self.cfg.ip(port);
+            let src_mac = self.cfg.mac(port);
             let ident = self.ip_ident;
             self.ip_ident = self.ip_ident.wrapping_add(1);
             let packets =
@@ -396,7 +407,7 @@ impl HostNode {
         let Ok(parsed) = Frame::parse(frame) else {
             return;
         };
-        let my_mac = self.core.cfg.macs[port.0];
+        let my_mac = self.core.cfg.mac(port);
         let dst = parsed.dst();
         let mine = dst == my_mac || dst.is_broadcast();
         if !mine && !self.core.cfg.promiscuous {
@@ -424,7 +435,7 @@ impl HostNode {
                     return;
                 };
                 match arp.op {
-                    ArpOp::Request if arp.tpa == self.core.cfg.ips[port.0] => {
+                    ArpOp::Request if arp.tpa == self.core.cfg.ip(port) => {
                         let reply = arp.reply_with(my_mac);
                         let out = FrameBuilder::new(arp.sha, my_mac, EtherType::ARP)
                             .in_buf(ctx.take_buf(ether::MIN_FRAME))
@@ -561,10 +572,10 @@ impl Node for HostNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         assert_eq!(
             ctx.num_ports(),
-            self.core.cfg.macs.len(),
+            self.core.cfg.ports.len(),
             "host {} configured for {} ports but attached to {}",
             self.core.name,
-            self.core.cfg.macs.len(),
+            self.core.cfg.ports.len(),
             ctx.num_ports()
         );
         // An ordinary station's NIC drops other stations' unicast in
@@ -574,7 +585,7 @@ impl Node for HostNode {
         // `process_rx_view`'s own `mine` test stays the source of truth.
         let cfg = &self.core.cfg;
         if !cfg.promiscuous && cfg.cost.rx_frame_ns == 0 && cfg.cost.rx_byte_ns == 0 {
-            for (port, mac) in cfg.macs.iter().enumerate() {
+            for (port, (mac, _)) in cfg.ports.iter().enumerate() {
                 ctx.set_rx_filter(PortId(port), Some(mac.octets()));
             }
         }

@@ -14,6 +14,7 @@
 //! caller does not include one) is charged as [`WIRE_OVERHEAD`].
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use framebuf::FrameBuf;
 
@@ -38,8 +39,11 @@ pub const WIRE_OVERHEAD: usize = 24;
 /// Configuration for one LAN segment.
 #[derive(Clone, Debug)]
 pub struct SegmentConfig {
-    /// Human-readable name for traces.
-    pub name: String,
+    /// Human-readable name for traces and statistics, shared with every
+    /// [`crate::SegmentStats`] taken of the segment. Default: `lan`. A
+    /// named segment's config starts from [`SegmentConfig::named`], which
+    /// builds no default name only to drop it.
+    pub name: Arc<str>,
     /// Link bandwidth in bits per second. Default: 100 Mb/s (the paper's
     /// "100 Mbps Ethernet LANs").
     pub bandwidth_bps: u64,
@@ -57,23 +61,20 @@ pub struct SegmentConfig {
 
 impl Default for SegmentConfig {
     fn default() -> Self {
-        SegmentConfig {
-            name: String::from("lan"),
-            bandwidth_bps: 100_000_000,
-            propagation: SimDuration::from_us(1),
-            queue_cap: 512,
-            fault: FaultConfig::default(),
-            capture: false,
-        }
+        SegmentConfig::named("lan")
     }
 }
 
 impl SegmentConfig {
     /// A named 100 Mb/s segment with defaults.
-    pub fn named(name: impl Into<String>) -> Self {
+    pub fn named(name: impl Into<Arc<str>>) -> Self {
         SegmentConfig {
             name: name.into(),
-            ..Default::default()
+            bandwidth_bps: 100_000_000,
+            propagation: SimDuration::from_us(1),
+            queue_cap: 512,
+            fault: FaultConfig::default(),
+            capture: false,
         }
     }
 }

@@ -8,6 +8,8 @@
 //! world core, invokes the callback, and puts the node back. This gives the
 //! node full mutable access to simulator services without aliasing itself.
 
+use std::sync::Arc;
+
 use framebuf::{FrameBuf, FrameBufMut};
 
 use crate::chaos::ChaosEv;
@@ -26,10 +28,12 @@ pub struct WorldCore {
     time: SimTime,
     queue: EventQueue,
     segments: Vec<Segment>,
-    /// Per node: the segment each port attaches to and the port's slot
-    /// among that segment's attachments, in port order.
-    node_ports: Vec<Vec<(SegId, u32)>>,
-    node_names: Vec<String>,
+    /// Every node's ports, one run per node in port order: the segment
+    /// each attaches to and its slot among that segment's attachments.
+    ports: Vec<(SegId, u32)>,
+    /// Per node: where its run starts in `ports`, and how many ports it
+    /// has.
+    node_ports: Vec<(u32, u32)>,
     /// The fault layer's stream; nothing else draws from it (see the
     /// replay contract in [`crate::fault`]).
     rng: Xoshiro,
@@ -73,6 +77,12 @@ pub struct WorldCore {
 /// the pool would just pin memory).
 const FRAME_POOL_CAP: usize = 64;
 
+#[cold]
+#[inline(never)]
+fn no_such_port(node: NodeId, port: PortId) -> ! {
+    panic!("node {node} has no port {port}")
+}
+
 impl WorldCore {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
@@ -82,6 +92,17 @@ impl WorldCore {
     /// Experiment counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// The segment and attachment slot of `node`'s `port`: two dependent
+    /// loads, the node's run and then the port in it.
+    #[inline]
+    fn port(&self, node: NodeId, port: PortId) -> (SegId, u32) {
+        let (first, count) = self.node_ports[node.0];
+        if port.0 >= count as usize {
+            no_such_port(node, port);
+        }
+        self.ports[first as usize + port.0]
     }
 
     /// Take a cleared buffer of at least `cap` capacity from the frame
@@ -253,7 +274,7 @@ impl<'w> Ctx<'w> {
     /// Number of ports this node has.
     #[inline]
     pub fn num_ports(&self) -> usize {
-        self.core.node_ports[self.node.0].len()
+        self.core.node_ports[self.node.0].1 as usize
     }
 
     /// Declare what `port` listens to: `Some(mac)` — frames addressed to
@@ -265,7 +286,7 @@ impl<'w> Ctx<'w> {
     /// where that call would have done nothing. Panics if the port does
     /// not exist.
     pub fn set_rx_filter(&mut self, port: PortId, filter: Option<[u8; 6]>) {
-        let (seg, slot) = self.core.node_ports[self.node.0][port.0];
+        let (seg, slot) = self.core.port(self.node, port);
         let attachments = &mut self.core.segments[seg.0].attachments;
         self.core
             .listeners
@@ -280,10 +301,7 @@ impl<'w> Ctx<'w> {
     /// does not exist.
     #[inline]
     pub fn send(&mut self, port: PortId, frame: impl Into<FrameBuf>) {
-        let (seg, slot) = self.core.node_ports[self.node.0]
-            .get(port.0)
-            .copied()
-            .unwrap_or_else(|| panic!("node {} has no port {}", self.node, port));
+        let (seg, slot) = self.core.port(self.node, port);
         self.core.send_on_segment(seg, slot, frame.into());
     }
 
@@ -386,8 +404,9 @@ impl<'w> Ctx<'w> {
 /// snapshot, in segment-id order.
 #[derive(Clone, Debug)]
 pub struct SegmentStats {
-    /// The segment's configured name.
-    pub name: String,
+    /// The segment's configured name (shared with the segment: a
+    /// snapshot copies none).
+    pub name: Arc<str>,
     /// Its wire counters at snapshot time.
     pub counters: crate::segment::SegCounters,
 }
@@ -446,8 +465,8 @@ impl World {
                 time: SimTime::ZERO,
                 queue: EventQueue::new(),
                 segments: Vec::new(),
+                ports: Vec::new(),
                 node_ports: Vec::new(),
-                node_names: Vec::new(),
                 rng: Xoshiro::seed_from_u64(seed),
                 next_timer_id: 0,
                 trace: Trace::new(65_536),
@@ -486,8 +505,8 @@ impl World {
         self.core.time = SimTime::ZERO;
         self.core.queue.clear();
         self.core.segments.clear();
+        self.core.ports.clear();
         self.core.node_ports.clear();
-        self.core.node_names.clear();
         self.core.rng = Xoshiro::seed_from_u64(seed);
         self.core.next_timer_id = 0;
         self.core.trace.reset();
@@ -515,22 +534,23 @@ impl World {
         self.service_queues = 0;
     }
 
-    /// Size the node and segment tables and the listener index for a
-    /// topology about to be built (`nodes` total nodes, `segments` total
+    /// Size the node, port and segment tables and the listener index for
+    /// a topology about to be built (`nodes` total nodes, `segments` total
     /// segments; the index takes a filter per node), so construction of a
-    /// large world never reallocates them incrementally.
+    /// large world never reallocates them incrementally. The port table
+    /// gets a port per node and one more per segment: what a world of
+    /// single-homed stations whose bridges and segments form a tree needs
+    /// (its bridges have a port per tree edge, one fewer than bridges plus
+    /// segments). Each loop adds a port beyond that.
     pub fn reserve_topology(&mut self, nodes: usize, segments: usize) {
-        self.nodes.reserve(nodes.saturating_sub(self.nodes.len()));
-        let want = |len: usize| nodes.saturating_sub(len);
-        self.core
-            .node_ports
-            .reserve(want(self.core.node_ports.len()));
-        self.core
-            .node_names
-            .reserve(want(self.core.node_names.len()));
-        self.core
-            .segments
-            .reserve(segments.saturating_sub(self.core.segments.len()));
+        fn room_for<T>(table: &mut Vec<T>, total: usize) {
+            table.reserve(total.saturating_sub(table.len()));
+        }
+        room_for(&mut self.nodes, nodes);
+        room_for(&mut self.core.node_ports, nodes);
+        room_for(&mut self.core.crashed, nodes);
+        room_for(&mut self.core.ports, nodes + segments);
+        room_for(&mut self.core.segments, segments);
         self.core.listeners.reserve(nodes, segments);
     }
 
@@ -546,9 +566,9 @@ impl World {
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
         let id = NodeId(narrow_id(self.nodes.len(), "nodes"));
         self.service_queues += node.service_queues();
-        self.core.node_names.push(node.name().to_owned());
         self.nodes.push(Some(Box::new(node)));
-        self.core.node_ports.push(Vec::new());
+        let first = narrow_id(self.core.ports.len(), "ports") as u32;
+        self.core.node_ports.push((first, 0));
         self.core.crashed.push(false);
         id
     }
@@ -556,11 +576,24 @@ impl World {
     /// Attach `node` to `seg`; returns the new port's id (ports number from
     /// 0 in attachment order, like `eth0`, `eth1`, ...).
     pub fn attach(&mut self, node: NodeId, seg: SegId) -> PortId {
-        let ports = &mut self.core.node_ports[node.0];
-        let port = PortId(ports.len());
+        let ports = &mut self.core.ports;
+        let (first, count) = self.core.node_ports[node.0];
+        let run = first as usize..first as usize + count as usize;
+        let first = if run.end == ports.len() {
+            first
+        } else {
+            // Another node attached since this one last did: move this
+            // one's run to the end of the table (the old run is left
+            // unused).
+            ports.extend_from_within(run);
+            (ports.len() - count as usize) as u32
+        };
+        narrow_id(ports.len(), "ports");
+        let port = PortId(count as usize);
         let attachments = &mut self.core.segments[seg.0].attachments;
         let slot = attachments.len();
         ports.push((seg, narrow_id(slot, "attachments") as u32));
+        self.core.node_ports[node.0] = (first, count + 1);
         attachments.push(Attachment::new(node, port));
         self.core.listeners.attach(seg, slot);
         port
@@ -914,7 +947,10 @@ impl World {
 
     /// A node's name.
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.core.node_names[id.0]
+        self.nodes[id.0]
+            .as_deref()
+            .expect("node checked out")
+            .name()
     }
 
     /// Total node count.
@@ -991,10 +1027,7 @@ impl World {
                 .probe
                 .record(now, ProbeRecord::NodeCrash { node: id });
         }
-        let name = &self.core.node_names[id.0];
-        self.core
-            .trace
-            .push(now, None, format_args!("chaos: crash: {name}"));
+        self.trace_chaos("crash", id);
         self.with_node(id, |n, ctx| n.on_crash(ctx));
     }
 
@@ -1012,11 +1045,19 @@ impl World {
                 .probe
                 .record(now, ProbeRecord::NodeRestart { node: id });
         }
-        let name = &self.core.node_names[id.0];
+        self.trace_chaos("restart", id);
+        self.with_node(id, |n, ctx| n.on_restart(ctx));
+    }
+
+    /// Trace a chaos script's `what` on node `id`, by the node's name.
+    fn trace_chaos(&mut self, what: &str, id: NodeId) {
+        let name = self.nodes[id.0]
+            .as_deref()
+            .expect("node checked out")
+            .name();
         self.core
             .trace
-            .push(now, None, format_args!("chaos: restart: {name}"));
-        self.with_node(id, |n, ctx| n.on_restart(ctx));
+            .push(self.core.time, None, format_args!("chaos: {what}: {name}"));
     }
 
     /// Is the node currently crashed?
@@ -1036,7 +1077,7 @@ impl World {
                 .segments
                 .iter()
                 .map(|s| SegmentStats {
-                    name: s.cfg.name.clone(),
+                    name: Arc::clone(&s.cfg.name),
                     counters: s.counters.clone(),
                 })
                 .collect(),
@@ -1160,6 +1201,49 @@ mod tests {
         assert!(w.node::<Talker>(t).sent_timer);
         // Sender must not hear its own frame.
         assert_eq!(w.frames_delivered(), 2);
+    }
+
+    /// Ports number per node in attachment order, and each sends on the
+    /// segment it was attached to, when two nodes' attachments interleave
+    /// (each attach after the other node's moves a node's run of ports).
+    #[test]
+    fn interleaved_attachments_keep_each_nodes_ports() {
+        let mut w = World::new(1);
+        let lans: Vec<SegId> = (0..3)
+            .map(|_| w.add_segment(SegmentConfig::default()))
+            .collect();
+        let a = w.add_node(echo("a", false));
+        let b = w.add_node(echo("b", false));
+        let attached = [
+            w.attach(a, lans[0]),
+            w.attach(b, lans[1]),
+            w.attach(a, lans[1]),
+            w.attach(b, lans[2]),
+            w.attach(a, lans[2]),
+        ];
+        assert_eq!(attached.map(|p| p.0), [0, 0, 1, 1, 2]);
+        for (node, ports) in [(a, 3), (b, 2)] {
+            w.with_ctx::<Echo, _>(node, |_, ctx| {
+                assert_eq!(ctx.num_ports(), ports);
+                for port in 0..ports {
+                    ctx.send(PortId(port), FrameBuf::from_static(b"hello"));
+                }
+            });
+        }
+        w.run_until(SimTime::from_ms(1));
+        let tx: Vec<u64> = lans
+            .iter()
+            .map(|&lan| w.segment(lan).counters.tx_frames)
+            .collect();
+        assert_eq!(tx, [1, 2, 2]);
+        let heard = |id| -> Vec<usize> {
+            let mut ports: Vec<usize> =
+                w.node::<Echo>(id).received.iter().map(|r| r.1 .0).collect();
+            ports.sort_unstable();
+            ports
+        };
+        assert_eq!(heard(a), [1, 2]);
+        assert_eq!(heard(b), [0, 1]);
     }
 
     #[test]

@@ -426,7 +426,7 @@ fn generated_world(seed: u64, horizon: SimTime) -> World {
     let segs: Vec<_> = (0..n_segs)
         .map(|i| {
             world.add_segment(SegmentConfig {
-                name: format!("lan{i}"),
+                name: format!("lan{i}").into(),
                 bandwidth_bps: [10_000_000, 100_000_000][rng.range(2) as usize],
                 queue_cap: 2 + rng.range(30) as usize,
                 ..SegmentConfig::default()

@@ -304,8 +304,7 @@ pub fn run_transition(mode: TransitionMode, seed: u64) -> TransitionReport {
     }
     // The probe: eth0 on the first LAN, eth1 on the last.
     let probe_cfg = HostConfig {
-        macs: vec![host_mac(10), host_mac(11)],
-        ips: vec![host_ip(10), host_ip(11)],
+        ports: vec![(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
         cost: HostCostModel::pc_1997(),
         promiscuous: true,
         arp_hint: 0,
@@ -381,8 +380,7 @@ pub fn run_agility(seed: u64) -> AgilityStats {
         );
     }
     let probe_cfg = HostConfig {
-        macs: vec![host_mac(10), host_mac(11)],
-        ips: vec![host_ip(10), host_ip(11)],
+        ports: vec![(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
         cost: HostCostModel::pc_1997(),
         promiscuous: true,
         arp_hint: 0,

@@ -10,6 +10,9 @@
 //! physical loops ([`Topology::cyclic`]) must run a spanning tree to be
 //! usable; [`Topology::default_boot`] picks the right switchlet set.
 
+use std::fmt::Write;
+use std::sync::Arc;
+
 use crate::prims;
 use active_bridge::{BridgeConfig, StpTimers};
 use netsim::{NodeId, SegId, SegmentConfig, SimDuration, World, Xoshiro};
@@ -125,8 +128,9 @@ pub enum SegTier {
 /// One segment to be created, with its per-edge medium parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentSpec {
-    /// Segment name (`lan0..`, `spine0..` on the metro backbone).
-    pub name: String,
+    /// Segment name (`lan0..`, `spine0..` on the metro backbone), shared
+    /// with the segment built from it.
+    pub name: Arc<str>,
     /// Link bandwidth in bits/second.
     pub bandwidth_bps: u64,
     /// One-way propagation delay.
@@ -361,11 +365,17 @@ pub fn generate(shape: TopologyShape, seed: u64) -> Topology {
     // occasional legacy 10 Mb/s segment, and propagation jitter in the
     // hundreds of metres. Backbone segments: uniform gigabit (a metro
     // core has no legacy media), same jitter draw.
+    let mut name_buf = String::new();
+    let mut name = |prefix: &str, i: usize| -> Arc<str> {
+        name_buf.clear();
+        let _ = write!(name_buf, "{prefix}{i}");
+        Arc::from(name_buf.as_str())
+    };
     let segments: Vec<SegmentSpec> = (0..n_segments)
         .map(|i| {
             if i < n_backbone {
                 return SegmentSpec {
-                    name: format!("spine{i}"),
+                    name: name("spine", i),
                     bandwidth_bps: 1_000_000_000,
                     propagation: SimDuration::from_ns(500 + media_rng.range(1_500)),
                     tier: SegTier::Backbone,
@@ -378,7 +388,7 @@ pub fn generate(shape: TopologyShape, seed: u64) -> Topology {
             };
             let propagation = SimDuration::from_ns(500 + media_rng.range(1_500));
             SegmentSpec {
-                name: format!("lan{i}"),
+                name: name("lan", i),
                 bandwidth_bps,
                 propagation,
                 tier: SegTier::Access,
@@ -491,10 +501,9 @@ pub fn instantiate(
         .iter()
         .map(|spec| {
             world.add_segment(SegmentConfig {
-                name: spec.name.clone(),
                 bandwidth_bps: spec.bandwidth_bps,
                 propagation: spec.propagation,
-                ..SegmentConfig::default()
+                ..SegmentConfig::named(Arc::clone(&spec.name))
             })
         })
         .collect();

@@ -212,7 +212,7 @@ fn armed_metro_run_serializes_each_frame_at_its_segment_rate_one_at_a_time() {
     let rate_of: HashMap<&str, u64> = topo
         .segments
         .iter()
-        .map(|spec| (spec.name.as_str(), spec.bandwidth_bps))
+        .map(|spec| (&*spec.name, spec.bandwidth_bps))
         .collect();
 
     let mut last_end: HashMap<SegId, SimTime> = HashMap::new();
@@ -271,7 +271,7 @@ fn armed_metro_run_fires_each_timer_at_its_deadline_and_never_turns_the_clock_ba
     let propagation_of: HashMap<&str, u64> = topo
         .segments
         .iter()
-        .map(|spec| (spec.name.as_str(), spec.propagation.as_ns()))
+        .map(|spec| (&*spec.name, spec.propagation.as_ns()))
         .collect();
 
     let mut pending: HashMap<u64, (NodeId, SimTime)> = HashMap::new();

@@ -9,6 +9,14 @@
 
 use core::fmt;
 
+/// How deep a decoded type may nest tuples and function types (`(int,
+/// int)` is one level). [`Ty::decode`] recurses once per level and an
+/// image's type fields are wire-derived: 32 000 nested tuple headers fit
+/// in one and would overflow a 2 MiB thread stack. The shipped images
+/// and the test generators nest at most three levels
+/// (`crates/switchlet/DESIGN.md` § 4).
+pub const MAX_TYPE_DEPTH: usize = 32;
+
 /// A switchlet-level type.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Ty {
@@ -130,10 +138,20 @@ impl Ty {
     }
 
     /// Decode one type from the front of `buf`, advancing it. Inverse of
-    /// [`Ty::encode`]. Returns `None` on malformed input.
+    /// [`Ty::encode`]. Returns `None` on malformed input, and on a type
+    /// nested deeper than [`MAX_TYPE_DEPTH`].
     pub fn decode(buf: &mut &[u8]) -> Option<Ty> {
+        Ty::decode_within(buf, MAX_TYPE_DEPTH)
+    }
+
+    /// [`Ty::decode`] with `levels` more levels of nesting allowed.
+    fn decode_within(buf: &mut &[u8], levels: usize) -> Option<Ty> {
         let (&tag, rest) = buf.split_first()?;
         *buf = rest;
+        if matches!(tag, b'(' | b'<') && levels == 0 {
+            return None;
+        }
+        let inner = levels.saturating_sub(1);
         Some(match tag {
             b'u' => Ty::Unit,
             b'b' => Ty::Bool,
@@ -150,7 +168,7 @@ impl Ty {
                 // at once, heap quadratic in the encoding's length.
                 let mut items = Vec::new();
                 for _ in 0..n {
-                    items.push(Ty::decode(buf)?);
+                    items.push(Ty::decode_within(buf, inner)?);
                 }
                 let (&close, rest) = buf.split_first()?;
                 *buf = rest;
@@ -165,9 +183,9 @@ impl Ty {
                 // Grown as parameters decode, like a tuple's items.
                 let mut params = Vec::new();
                 for _ in 0..n {
-                    params.push(Ty::decode(buf)?);
+                    params.push(Ty::decode_within(buf, inner)?);
                 }
-                let result = Ty::decode(buf)?;
+                let result = Ty::decode_within(buf, inner)?;
                 let (&close, rest) = buf.split_first()?;
                 *buf = rest;
                 if close != b'>' {
@@ -297,6 +315,25 @@ mod tests {
             assert_eq!(back, t);
             assert!(slice.is_empty(), "decoder consumed everything");
         }
+    }
+
+    /// `levels` tuples, each `(inner, int)`, around `int`.
+    fn nested(levels: usize) -> Ty {
+        (0..levels).fold(Ty::Int, |inner, _| Ty::tuple(vec![inner, Ty::Int]))
+    }
+
+    #[test]
+    fn decode_stops_past_the_nesting_cap() {
+        for (levels, ok) in [(MAX_TYPE_DEPTH, true), (MAX_TYPE_DEPTH + 1, false)] {
+            let mut buf = Vec::new();
+            nested(levels).encode(&mut buf);
+            let mut slice = buf.as_slice();
+            assert_eq!(Ty::decode(&mut slice).is_some(), ok, "{levels} levels");
+        }
+        // A function type's parameters and result nest the same way.
+        let mut buf = Vec::new();
+        Ty::func(vec![nested(MAX_TYPE_DEPTH)], Ty::Unit).encode(&mut buf);
+        assert_eq!(Ty::decode(&mut buf.as_slice()), None);
     }
 
     #[test]

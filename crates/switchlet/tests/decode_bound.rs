@@ -161,3 +161,41 @@ fn a_valid_image_and_every_byte_edit_decode_within_the_bound() {
         }
     }
 }
+
+/// An image whose one function's result type field is 32 000 nested
+/// tuple headers (`(`, 2), 64 000 bytes with nothing inside them, and
+/// whose body digest is valid.
+fn nests_32000_tuples() -> Vec<u8> {
+    const LEVELS: usize = 32_000;
+    let mut body = b"SWL1".to_vec();
+    body.extend_from_slice(&0u16.to_le_bytes()); // module name: empty
+    for _count in ["imports", "exports", "type pool", "strings"] {
+        body.extend_from_slice(&0u16.to_le_bytes());
+    }
+    body.extend_from_slice(&1u16.to_le_bytes()); // one function
+    body.extend_from_slice(&0u16.to_le_bytes()); // its name: empty
+    body.push(0); // no parameters
+    body.extend_from_slice(&0u16.to_le_bytes()); // no locals
+    body.extend_from_slice(&(2 * LEVELS as u16).to_le_bytes()); // result type
+    for _ in 0..LEVELS {
+        body.extend_from_slice(b"(\x02");
+    }
+    let digest = md5(&body);
+    body.extend_from_slice(&digest.0);
+    body
+}
+
+/// Type nesting is capped (`switchlet::types::MAX_TYPE_DEPTH`), so a
+/// wire-derived type field cannot recurse the decoder off its stack: on
+/// a 2 MiB thread stack the image above is a typed error, not an abort.
+#[test]
+fn a_deeply_nested_type_is_a_typed_error() {
+    let image = nests_32000_tuples();
+    let decoded = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || decode_within_bound(&image).err())
+        .expect("spawn a decoding thread")
+        .join()
+        .expect("the decoding thread returns");
+    assert_eq!(decoded, Some(DecodeError::BadType));
+}

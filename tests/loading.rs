@@ -54,7 +54,7 @@ fn boot_loading_installs_in_order() {
     assert!(node.plane().is_running("bridge_learning"));
     assert!(matches!(
         node.plane().data_plane(),
-        DataPlaneSel::Native(ref n) if n == "bridge_learning"
+        DataPlaneSel::Native("bridge_learning")
     ));
 }
 
@@ -541,7 +541,7 @@ fn runaway_switchlet_contained_and_recoverable() {
         .is_running("bridge_learning"));
     assert!(matches!(
         world.node::<BridgeNode>(bridge).plane().data_plane(),
-        DataPlaneSel::Native(ref n) if n == "bridge_learning"
+        DataPlaneSel::Native("bridge_learning")
     ));
 }
 
