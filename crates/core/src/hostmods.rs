@@ -22,6 +22,7 @@
 //! | `switchctl` | (control's levers) | switchlet lifecycle inspection/control |
 
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 
 use ether::MacAddr;
@@ -30,6 +31,45 @@ use switchlet::{Env, FuncVal, HostDispatch, HostModuleSig, HostSlot, Ty, Value, 
 
 use crate::bridge::BridgeCommand;
 use crate::plane::{DataPlaneSel, Plane};
+
+/// The most bytes of a switchlet's string one `log.msg` trace line shows
+/// (`crates/switchlet/DESIGN.md` § 4). The rest is counted, not copied.
+pub const LOG_LINE_MAX: usize = 256;
+
+/// A `log.msg` argument as its trace line shows it: decoded as
+/// `String::from_utf8_lossy` would, cut at a character so that it takes at
+/// most [`LOG_LINE_MAX`] bytes, then ` … (+N bytes)` for the N bytes of
+/// the argument it left out.
+struct LogText<'a>(&'a [u8]);
+
+impl fmt::Display for LogText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        const REPLACEMENT: &str = "\u{FFFD}";
+        let (mut room, mut shown) = (LOG_LINE_MAX, 0);
+        for chunk in self.0.utf8_chunks() {
+            let (valid, invalid) = (chunk.valid(), chunk.invalid().len());
+            let mut end = valid.len().min(room);
+            while !valid.is_char_boundary(end) {
+                end -= 1;
+            }
+            f.write_str(&valid[..end])?;
+            room -= end;
+            shown += end;
+            if end < valid.len() || (invalid > 0 && room < REPLACEMENT.len()) {
+                break;
+            }
+            if invalid > 0 {
+                f.write_str(REPLACEMENT)?;
+                room -= REPLACEMENT.len();
+                shown += invalid;
+            }
+        }
+        match self.0.len() - shown {
+            0 => Ok(()),
+            left => write!(f, " … (+{left} bytes)"),
+        }
+    }
+}
 
 /// The frame-handler function type: `(frame, in_port) -> unit`.
 pub fn handler_ty() -> Ty {
@@ -353,7 +393,7 @@ impl HostEnv<'_, '_> {
                 self.sim.trace(format_args!(
                     "{}: [{module}] {}",
                     self.bridge_name,
-                    String::from_utf8_lossy(args[0].as_str())
+                    LogText(args[0].as_str())
                 ));
                 Ok(Value::Unit)
             }
@@ -453,6 +493,80 @@ fn already_bound() -> VmError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BridgeConfig, BridgeNode};
+    use netsim::{CostModel, SimTime, World};
+    use std::net::Ipv4Addr;
+    use switchlet::{ModuleBuilder, Op};
+
+    const MARKER: &str = " … (+3840 bytes)";
+
+    #[test]
+    fn a_short_log_text_prints_as_lossy_utf8() {
+        for text in [
+            &b"vm dumb bridge: flooding installed"[..],
+            b"",
+            b"a\xffb\xc3",
+            "é".as_bytes(),
+        ] {
+            assert_eq!(LogText(text).to_string(), String::from_utf8_lossy(text));
+        }
+    }
+
+    /// The cut falls on a character, and a replacement character counts
+    /// three bytes against the cap and the invalid bytes it stands for
+    /// as shown.
+    #[test]
+    fn a_long_log_text_is_cut_at_a_character() {
+        let two_byte = "é".repeat(300);
+        let shown = LogText(two_byte.as_bytes()).to_string();
+        assert_eq!(shown, format!("{} … (+344 bytes)", "é".repeat(128)));
+        let three_byte = "€".repeat(100);
+        let shown = LogText(three_byte.as_bytes()).to_string();
+        assert_eq!(shown, format!("{} … (+45 bytes)", "€".repeat(85)));
+        let invalid = [0xff; 100];
+        let shown = LogText(&invalid).to_string();
+        assert_eq!(shown, format!("{} … (+15 bytes)", "\u{FFFD}".repeat(85)));
+    }
+
+    /// A switchlet whose init logs a 4 KiB string leaves one trace line
+    /// whose text is [`LOG_LINE_MAX`] bytes of it and the count of the
+    /// rest.
+    #[test]
+    fn a_logged_line_is_bounded() {
+        let mut mb = ModuleBuilder::new("chatty");
+        let log = mb.import("log", "msg", Ty::func(vec![Ty::Str], Ty::Unit));
+        let text = mb.intern_str(&[b'x'; 4096]);
+        let mut init = mb.func("init", vec![], Ty::Unit);
+        init.op(Op::ConstStr(text))
+            .op(Op::CallImport(log))
+            .op(Op::Pop);
+        init.op(Op::ConstUnit).op(Op::Return);
+        let init = mb.finish(init);
+        mb.set_init(init);
+        let cfg = BridgeConfig {
+            cost: CostModel::FREE,
+            ..BridgeConfig::default()
+        };
+        let mut node = BridgeNode::new("bridge", MacAddr::local(1), Ipv4Addr::LOCALHOST, 2, cfg);
+        node.boot_load(mb.build().encode());
+        let mut world = World::new(1);
+        let b = world.add_node(node);
+        for _ in 0..2 {
+            let lan = world.add_segment(Default::default());
+            world.attach(b, lan);
+        }
+        world.run_until(SimTime::from_ms(1));
+        let lines: Vec<&str> = world.trace().find("[chatty]").map(|e| &*e.msg).collect();
+        let [line] = lines[..] else {
+            panic!("one log line, got {lines:?}");
+        };
+        let prefix = "bridge: [chatty] ";
+        assert_eq!(
+            *line,
+            format!("{prefix}{}{MARKER}", "x".repeat(LOG_LINE_MAX))
+        );
+        assert!(line.len() <= prefix.len() + LOG_LINE_MAX + MARKER.len());
+    }
 
     #[test]
     fn env_exposes_expected_surface() {

@@ -92,11 +92,19 @@ pub enum LearnOutcome {
 /// order as the tiebreak — a total order independent of hash iteration
 /// order, so replays evict identically). Both bounds default to 0 =
 /// unlimited, the legacy behaviour.
+///
+/// **A bucket is 16 bytes.** The 6-byte address keys a 10-byte entry
+/// of alignment 1 (the last-seen time and a 16-bit port), so the map
+/// keeps each `(MacAddr, Entry)` in 16 bytes where `(PortId, SimTime)`
+/// took 24: a table reserved for 1 040 stations holds 34 832 heap bytes,
+/// not 51 216. A port index must be below [`LearningTable::PORT_LIMIT`]
+/// (65 536); [`LearningTable::learn`] panics on one that is not, and a
+/// bridge has far fewer ports.
 #[derive(Debug)]
 pub struct LearningTable {
     /// Keyed by the fast deterministic hasher: this map is probed and
     /// refreshed once per data frame.
-    map: FastMap<MacAddr, (PortId, SimTime)>,
+    map: FastMap<MacAddr, Entry>,
     age: SimDuration,
     /// Hard entry capacity (0 = unbounded).
     cap: usize,
@@ -108,7 +116,47 @@ pub struct LearningTable {
     high_water: usize,
 }
 
+/// One learning-table value, read and written by value (a packed field
+/// has no reference): the last-seen time in full and the port in 16 bits,
+/// 10 bytes at alignment 1.
+#[derive(Copy, Clone, Debug)]
+#[repr(C, packed)]
+struct Entry {
+    seen: SimTime,
+    port: u16,
+}
+
+impl Entry {
+    /// `port` is below [`LearningTable::PORT_LIMIT`]: `learn` checked it.
+    #[inline]
+    fn new(port: PortId, seen: SimTime) -> Entry {
+        Entry {
+            seen,
+            port: port.0 as u16,
+        }
+    }
+
+    #[inline]
+    fn port(self) -> PortId {
+        PortId(usize::from(self.port))
+    }
+}
+
+/// [`LearningTable::learn`]'s refusal of a port past the 16-bit entry.
+#[cold]
+#[inline(never)]
+fn port_past_limit(port: PortId) -> ! {
+    panic!(
+        "learning table: port {} is past the limit of {} ports",
+        port.0,
+        LearningTable::PORT_LIMIT
+    )
+}
+
 impl LearningTable {
+    /// Ports a table can tell apart: an entry keeps its port in 16 bits.
+    pub const PORT_LIMIT: usize = 1 << 16;
+
     /// Table with the given entry lifetime.
     pub fn new(age: SimDuration) -> LearningTable {
         LearningTable {
@@ -162,8 +210,8 @@ impl LearningTable {
     fn victim_on(&self, port: PortId) -> Option<MacAddr> {
         self.map
             .iter()
-            .filter(|&(_, &(p, _))| p == port)
-            .min_by_key(|&(mac, &(_, seen))| (seen, mac.octets()))
+            .filter(|&(_, e)| e.port() == port)
+            .min_by_key(|&(mac, e)| (e.seen, mac.octets()))
             .map(|(mac, _)| *mac)
     }
 
@@ -173,18 +221,22 @@ impl LearningTable {
     /// deterministic victim *on the offending port* — an attacker's
     /// randomized sources cannibalize the attacker's own entries, never a
     /// victim port's — or is rejected outright when that port has
-    /// nothing to evict.
+    /// nothing to evict. Panics if `port` is not below
+    /// [`LearningTable::PORT_LIMIT`].
     #[inline]
     pub fn learn(&mut self, src: MacAddr, port: PortId, now: SimTime) -> LearnOutcome {
+        if port.0 >= Self::PORT_LIMIT {
+            port_past_limit(port);
+        }
         if src.is_multicast() {
             return LearnOutcome::Ignored;
         }
         let over_quota = self.port_quota > 0 && self.occupancy_of(port) >= self.port_quota;
         // One probe: the refresh and the move write through its entry.
         if let Some(entry) = self.map.get_mut(&src) {
-            let old_port = entry.0;
+            let old_port = entry.port();
             if old_port == port {
-                entry.1 = now;
+                entry.seen = now;
                 return LearnOutcome::Refreshed; // timestamp refresh
             }
             // A port move must honor the destination port's quota too,
@@ -194,7 +246,7 @@ impl LearningTable {
             if over_quota {
                 return self.admit_by_eviction(src, port, Some(old_port), now);
             }
-            *entry = (port, now);
+            *entry = Entry::new(port, now);
             self.occupancy_dec(old_port);
             self.occupancy_inc(port);
             return LearnOutcome::Moved;
@@ -203,7 +255,7 @@ impl LearningTable {
         if over_quota || over_cap {
             return self.admit_by_eviction(src, port, None, now);
         }
-        self.map.insert(src, (port, now));
+        self.map.insert(src, Entry::new(port, now));
         self.occupancy_inc(port);
         self.high_water = self.high_water.max(self.map.len());
         LearnOutcome::Fresh
@@ -231,7 +283,7 @@ impl LearningTable {
         };
         self.map.remove(&victim);
         self.occupancy_dec(port);
-        self.map.insert(src, (port, now));
+        self.map.insert(src, Entry::new(port, now));
         if let Some(old_port) = moved_from {
             self.occupancy_dec(old_port);
         }
@@ -251,10 +303,10 @@ impl LearningTable {
     #[inline]
     pub fn lookup_entry(&mut self, dst: MacAddr, now: SimTime) -> Option<(PortId, SimTime)> {
         match self.map.get(&dst) {
-            Some(&(port, seen)) if now.saturating_since(seen) <= self.age => Some((port, seen)),
-            Some(&(port, _)) => {
+            Some(&e) if now.saturating_since(e.seen) <= self.age => Some((e.port(), e.seen)),
+            Some(&e) => {
                 self.map.remove(&dst);
-                self.occupancy_dec(port);
+                self.occupancy_dec(e.port());
                 None
             }
             None => None,
@@ -267,17 +319,17 @@ impl LearningTable {
     /// unknown-unicast traffic without perturbing the table.
     #[inline]
     pub fn peek(&self, dst: MacAddr, now: SimTime) -> bool {
-        matches!(self.map.get(&dst), Some(&(_, seen)) if now.saturating_since(seen) <= self.age)
+        matches!(self.map.get(&dst), Some(&e) if now.saturating_since(e.seen) <= self.age)
     }
 
     /// Drop every entry older than the age limit.
     pub fn sweep(&mut self, now: SimTime) {
         let age = self.age;
         let occupancy = &mut self.occupancy;
-        self.map.retain(|_, (port, seen)| {
-            let keep = now.saturating_since(*seen) <= age;
+        self.map.retain(|_, e| {
+            let keep = now.saturating_since(e.seen) <= age;
             if !keep {
-                if let Some(c) = occupancy.get_mut(port.0) {
+                if let Some(c) = occupancy.get_mut(e.port().0) {
                     *c = c.saturating_sub(1);
                 }
             }
@@ -315,9 +367,10 @@ impl LearningTable {
         self.map.is_empty()
     }
 
-    /// Iterate entries (for display/debugging).
-    pub fn entries(&self) -> impl Iterator<Item = (&MacAddr, &(PortId, SimTime))> {
-        self.map.iter()
+    /// Iterate entries as `(address, (port, last seen))`, by value (for
+    /// display/debugging).
+    pub fn entries(&self) -> impl Iterator<Item = (MacAddr, (PortId, SimTime))> + '_ {
+        self.map.iter().map(|(&mac, &e)| (mac, (e.port(), e.seen)))
     }
 }
 
@@ -1127,6 +1180,67 @@ mod tests {
         assert!(lt.is_empty());
     }
 
+    #[test]
+    fn a_bucket_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 10);
+        assert_eq!(std::mem::align_of::<Entry>(), 1);
+        assert_eq!(std::mem::size_of::<(MacAddr, Entry)>(), 16);
+    }
+
+    /// Ports at the edges of the 16-bit field, and times at the edges of
+    /// the 64-bit one, come back out of `lookup_entry` and `entries()`
+    /// as they went in.
+    #[test]
+    fn the_compact_entry_keeps_every_port_and_time() {
+        let mut lt = LearningTable::new(SimDuration::MAX);
+        let ports = [0, 255, 65_535].map(PortId);
+        let times = [0, 1 << 32, u64::MAX - 1].map(SimTime::from_ns);
+        let mut want = Vec::new();
+        for (i, &port) in ports.iter().enumerate() {
+            for (j, &seen) in times.iter().enumerate() {
+                let mac = MacAddr::local((i * times.len() + j) as u32);
+                assert_eq!(lt.learn(mac, port, seen), LearnOutcome::Fresh);
+                assert_eq!(lt.lookup_entry(mac, seen), Some((port, seen)));
+                want.push((mac, (port, seen)));
+            }
+        }
+        let mut got: Vec<_> = lt.entries().collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    /// A port move, a refresh and a bounded eviction on ports and times
+    /// past 8 and 32 bits.
+    #[test]
+    fn the_compact_entry_keeps_the_outcomes() {
+        let mut lt = LearningTable::new(SimDuration::MAX);
+        lt.set_bounds(0, 1);
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        let (low, high) = (PortId(300), PortId(65_535));
+        let late = SimTime::from_ns(5 << 32);
+        assert_eq!(lt.learn(a, low, late), LearnOutcome::Fresh);
+        assert_eq!(
+            lt.learn(a, low, late + SimDuration::from_ns(1)),
+            LearnOutcome::Refreshed
+        );
+        assert_eq!(
+            lt.lookup_entry(a, late),
+            Some((low, late + SimDuration::from_ns(1)))
+        );
+        assert_eq!(lt.learn(a, high, late), LearnOutcome::Moved);
+        assert_eq!((lt.occupancy_of(low), lt.occupancy_of(high)), (0, 1));
+        assert_eq!(lt.learn(b, high, late), LearnOutcome::Evicted(a));
+        assert_eq!(lt.entries().collect::<Vec<_>>(), [(b, (high, late))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "port 65536 is past the limit of 65536 ports")]
+    fn a_port_past_sixteen_bits_is_refused() {
+        let mut lt = LearningTable::new(SimDuration::MAX);
+        lt.learn(MacAddr::local(1), PortId(LearningTable::PORT_LIMIT), t(0));
+    }
+
     /// The table as [`LearningTable`]'s docs describe it, written for
     /// obviousness: a sorted map, occupancy by counting, the victim by a
     /// `min` over it.
@@ -1232,7 +1346,7 @@ mod tests {
                 for p in 0..4 {
                     prop_assert_eq!(lt.occupancy_of(PortId(p)), model.occupancy_of(PortId(p)));
                 }
-                let mut entries: Vec<_> = lt.entries().map(|(m, e)| (*m, *e)).collect();
+                let mut entries: Vec<_> = lt.entries().collect();
                 entries.sort();
                 prop_assert_eq!(entries, model.map.iter().map(|(m, e)| (*m, *e)).collect::<Vec<_>>());
             }

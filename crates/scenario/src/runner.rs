@@ -518,9 +518,6 @@ struct Placed {
     crowd: Vec<NodeId>,
 }
 
-/// The quiet tail window measured for the storm invariant.
-const QUIET_WINDOW: SimDuration = SimDuration::from_secs(4);
-
 /// Execute `scenario` and produce its [`Report`].
 pub fn run(scenario: &Scenario) -> Report {
     let mut world = World::new(scenario.seed);
@@ -720,15 +717,16 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     });
 
     // Quiet tail: nothing should be talking except spanning-tree hellos.
+    let quiet_window = Topology::quiet_window(&cfg.stp);
     let before = world.stats();
-    world.run_until(end + QUIET_WINDOW);
+    world.run_until(end + quiet_window);
     let after = world.stats();
     let quiet_tx = after.total_tx_frames() - before.total_tx_frames();
     let total_ports: u64 = topo.bridges.iter().map(|b| b.segments.len() as u64).sum();
     let quiet_allowed = if topo.cyclic() || hostile {
         // The hellos every port may send in the window, plus slack for
         // ages/boundary effects.
-        Topology::hellos_per_port(&cfg.stp, QUIET_WINDOW) * total_ports + 8
+        Topology::hellos_per_port(&cfg.stp, quiet_window) * total_ports + 8
     } else {
         8
     };

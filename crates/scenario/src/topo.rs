@@ -437,6 +437,17 @@ impl Topology {
         stp.forward_delay * 2 + SimDuration::from_secs(10)
     }
 
+    /// The quiet tail the storm invariant measures after the workload:
+    /// `2 × hello` under `stp`, so every designated port sends hellos in
+    /// it. It stays under `max_age` (802.1D requires `max_age ≥ 2 ×
+    /// (hello + 1 s)`): a root that keeps sending hellos refreshes every
+    /// stored BPDU before it ages out, so nothing ages out inside the
+    /// window, no topology change starts there, and only hellos are
+    /// expected. Under [`StpTimers::default`] it is 4 s.
+    pub fn quiet_window(stp: &StpTimers) -> SimDuration {
+        stp.hello * 2
+    }
+
     /// The hellos one designated port may send in `window`: `window /
     /// hello + 1` under `stp`, one per hello interval plus one for a
     /// window that opens just before a hello. Under
@@ -539,6 +550,27 @@ mod tests {
         };
         assert_eq!(ring.recovery_margin(&halved), SimDuration::from_secs(30));
         assert_eq!(line.recovery_margin(&halved), SimDuration::from_secs(5));
+    }
+
+    #[test]
+    fn the_quiet_window_follows_the_timers() {
+        let ieee = StpTimers::default();
+        let halved = StpTimers {
+            hello: SimDuration::from_secs(1),
+            max_age: SimDuration::from_secs(10),
+            forward_delay: SimDuration::from_ms(7_500),
+        };
+        let doubled = StpTimers {
+            hello: SimDuration::from_secs(4),
+            max_age: SimDuration::from_secs(40),
+            forward_delay: SimDuration::from_secs(30),
+        };
+        for (stp, window) in [(ieee, 4), (halved, 2), (doubled, 8)] {
+            let quiet = Topology::quiet_window(&stp);
+            assert_eq!(quiet, SimDuration::from_secs(window));
+            assert!(quiet < stp.max_age, "no stored BPDU ages out in the window");
+            assert_eq!(Topology::hellos_per_port(&stp, quiet), 3);
+        }
     }
 
     #[test]

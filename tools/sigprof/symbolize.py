@@ -3,6 +3,7 @@
 symbolize.py --allocs RECORDS [TOP]: allocator calls per call site.
 symbolize.py --annotate FUNCTION SAMPLES: one function's self samples per instruction.
 symbolize.py [--split-libc] --callers FUNCTION SAMPLES [TOP]: one function's self samples by caller.
+symbolize.py --lines [FUNCTION] SAMPLES [TOP]: self samples by workspace source line.
 
 Reads what sigprof.so wrote: `S word pc caller caller ...` per sample (word:
 the 8 bytes at RSP when the sample was taken), then the
@@ -36,6 +37,15 @@ starts at its caller's caller; for a sample in the mem* run (--split-libc)
 whose word at RSP is a PC in the executable's text, that word is the return
 address into the caller and is shown as the first caller.
 
+--lines groups the self samples (all of them, or FUNCTION's) by the innermost
+source line of the workspace at the sampled RIP: `addr2line -i` lists the
+lines inlined at a PC, innermost first, and the first one that is not in the
+toolchain's library or a registry crate names it. A probe of the std HashMap
+inlined into a workspace function is charged to the workspace line that
+made it. It needs line tables (a build with
+CARGO_PROFILE_RELEASE_DEBUG=line-tables-only; README.md); samples outside
+the executable keep their mapping's name.
+
 --allocs reads what alloctrace.so wrote: `A size caller caller ...` per
 allocator call. A call is charged to its first frame that is not the
 allocator's own plumbing (alloc::, core::, hashbrown::, __rust_*): share of
@@ -45,7 +55,9 @@ import bisect, collections, os, re, subprocess, sys
 
 args = [a for a in sys.argv[1:] if not a.startswith("--")]
 flags = {a for a in sys.argv[1:] if a.startswith("--")}
-function = args.pop(0) if flags & {"--annotate", "--callers"} else None
+# `--lines` takes FUNCTION only when SAMPLES follows it (`--lines SAMPLES TOP` has none).
+takes_function = flags & {"--annotate", "--callers"} or ("--lines" in flags and len(args) > 1 and not args[1].isdigit())
+function = args.pop(0) if takes_function else None
 rows, words, maps, text = [], [], [], []
 for line in open(args[0]):
     kind, *rest = line.split()
@@ -165,8 +177,40 @@ def callers(fn):
     for chain, k in chains.most_common(top):
         print("  %5.1f%%  %6d  %s" % (100.0 * k / max(n, 1), k, chain))
 
+# Source paths that are not the workspace's: the toolchain's library
+# (`/rustc/<hash>/library/...`) and vendored or registry crates.
+FOREIGN = re.compile(r"^/rustc/|/\.cargo/registry/|/\.rustup/|/rust/deps/|^\?\?")
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+def lines(fn):
+    pcs = collections.Counter(stack[0] for stack in rows if fn is None or name(stack[0]) == fn)
+    ours = sorted(pc for pc in pcs if any(lo <= pc < hi for lo, hi in exe_text))
+    out = subprocess.run(["addr2line", "-i", "-a", "-e", exe], input="".join("%#x\n" % (pc - base) for pc in ours),
+                         capture_output=True, text=True).stdout
+    # `-a` prints each address, then its inline chain, innermost first.
+    chains = collections.defaultdict(list)
+    for line in out.splitlines():
+        if line.startswith("0x"):
+            chain = chains[int(line, 16) + base]
+        else:
+            chain.append(re.sub(r" \(discriminator \d+\)$", "", line))
+    by_line = collections.Counter()
+    for pc, k in pcs.items():
+        if pc in chains:
+            site = next((f for f in chains[pc] if not FOREIGN.search(f)), "[no workspace line] " + chains[pc][0])
+            site = os.path.relpath(site, ROOT) if site.startswith(ROOT + "/") else site
+        else:
+            site = name(pc)
+        by_line[site] += k
+    n = sum(pcs.values())
+    print("%s: %d of %d samples, by workspace source line" % (fn or "all functions", n, len(rows)))
+    for site, k in by_line.most_common(top):
+        print("  %5.1f%%  %6d  %s" % (100.0 * k / max(len(rows), 1), k, site))
+
 try:
-    if "--annotate" in flags:
+    if "--lines" in flags:
+        lines(function)
+    elif "--annotate" in flags:
         annotate(function)
     elif "--callers" in flags:
         callers(function)
