@@ -406,11 +406,11 @@ impl BridgeNode {
         }
     }
 
-    /// An empty plane sized and bounded as `cfg` says: what a bridge
-    /// boots with, and what a crash leaves it with.
+    /// An empty plane bounded as `cfg` says: what a bridge boots with,
+    /// and what a crash leaves it with. Its learning table holds nothing
+    /// until a station is heard, and grows with the stations heard.
     fn fresh_plane(n_ports: usize, cfg: &BridgeConfig) -> Plane {
         let mut plane = Plane::new(n_ports, cfg.learn_age);
-        plane.learn.reserve(cfg.expected_stations);
         plane.learn.set_bounds(cfg.learn_cap, cfg.learn_port_quota);
         plane
     }
@@ -1108,6 +1108,13 @@ impl Node for BridgeNode {
 
     fn service_queues(&self) -> usize {
         1
+    }
+
+    /// One per boot image: a booted switchlet keeps at most one periodic
+    /// timer pending (the learning sweep, the spanning-tree tick), and
+    /// the loader, which keeps none, leaves room for a storm hold-down.
+    fn timers(&self) -> usize {
+        self.boot_images.len()
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {

@@ -54,10 +54,9 @@ pub struct BridgeConfig {
     pub stp: StpTimers,
     /// Learning-table entry lifetime.
     pub learn_age: SimDuration,
-    /// How many distinct stations this bridge should expect to learn
-    /// (a topology-derived hint; `0` = unknown). The learning table is
-    /// pre-sized from it so metro-scale populations never pay
-    /// incremental rehashing on the per-frame learn path.
+    /// Not read: a bridge's learning table grows with the stations it
+    /// hears, however many a topology could hold. The field stays only
+    /// because the repo benchmark's worlds still set it.
     pub expected_stations: usize,
     /// Hard cap on learning-table entries (`0` = unbounded, the legacy
     /// behaviour). When full, a new source evicts the oldest-refresh

@@ -130,6 +130,9 @@ impl Node for Booting {
     fn service_queues(&self) -> usize {
         self.bridge.service_queues()
     }
+    fn timers(&self) -> usize {
+        self.bridge.timers()
+    }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.boot_calls = allocations(|| self.bridge.on_start(ctx)).0;
     }

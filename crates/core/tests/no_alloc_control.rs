@@ -86,6 +86,9 @@ impl Node for Counted {
     fn service_queues(&self) -> usize {
         self.0.service_queues()
     }
+    fn timers(&self) -> usize {
+        self.0.timers()
+    }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.0.on_start(ctx);
     }

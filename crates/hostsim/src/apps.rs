@@ -75,6 +75,18 @@ impl App {
         }
     }
 
+    /// Timers the app keeps pending at once: a ttcp sender's write and
+    /// retransmission timers, one for every other app (its pacing tick,
+    /// its poll or its delayed ACK, or a delayed app's start before its
+    /// inner app takes over).
+    pub(crate) fn timers(&self) -> usize {
+        match self {
+            App::TtcpSend(_) => 2,
+            App::Delayed(d) => d.inner.timers(),
+            _ => 1,
+        }
+    }
+
     pub(crate) fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         match self {
             App::Ping(a) => a.on_start(core, ctx, idx),
@@ -1077,7 +1089,7 @@ impl ProbeApp {
 
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         assert!(
-            core.cfg.ports.len() >= 2,
+            core.cfg.num_ports() >= 2,
             "the agility probe needs two NICs (eth0, eth1)"
         );
         assert!(core.cfg.promiscuous, "the probe reads raw frames");
@@ -1220,9 +1232,9 @@ impl BlastApp {
                 f.clone()
             }
             _ => {
-                let payload = vec![0x42u8; self.size];
+                let size = self.size;
                 let built = FrameBuilder::new(self.dst_mac, src_mac, EtherType::EXPERIMENTAL)
-                    .payload(&payload)
+                    .payload_with(size, |out| out.resize(out.len() + size, 0x42))
                     .build();
                 self.frame = Some((self.dst_mac, src_mac, self.size, built.clone()));
                 built

@@ -30,10 +30,12 @@ pub(crate) fn app_token(app: usize, user: u32) -> TimerToken {
 /// Host configuration.
 #[derive(Clone, Debug)]
 pub struct HostConfig {
-    /// One `(MAC, IP)` pair per port, in port order: the host must be
-    /// attached to exactly this many segments. One vector for both keeps
-    /// a single-homed host's configuration to one allocation.
-    pub ports: Vec<(MacAddr, Ipv4Addr)>,
+    /// Port 0's `(MAC, IP)` pair, inline: a single-homed host's
+    /// configuration allocates nothing.
+    first: (MacAddr, Ipv4Addr),
+    /// Ports 1 and up, in port order. The host must be attached to
+    /// exactly one segment per port.
+    more: Vec<(MacAddr, Ipv4Addr)>,
     /// Software cost model.
     pub cost: HostCostModel,
     /// Accept all frames (the Section 7.5 measurement host reads raw
@@ -48,23 +50,54 @@ impl HostConfig {
     /// A single-homed host.
     pub fn simple(mac: MacAddr, ip: Ipv4Addr, cost: HostCostModel) -> HostConfig {
         HostConfig {
-            ports: vec![(mac, ip)],
+            first: (mac, ip),
+            more: Vec::new(),
             cost,
             promiscuous: false,
             arp_hint: 0,
         }
     }
 
+    /// A host with one port per `(MAC, IP)` pair of `ports`, in port
+    /// order. Panics if `ports` is empty.
+    pub fn multi_homed(ports: &[(MacAddr, Ipv4Addr)], cost: HostCostModel) -> HostConfig {
+        let (&(mac, ip), more) = ports.split_first().expect("a host has a port");
+        HostConfig {
+            more: more.to_vec(),
+            ..HostConfig::simple(mac, ip, cost)
+        }
+    }
+
+    /// How many ports the host has.
+    #[inline]
+    pub(crate) fn num_ports(&self) -> usize {
+        1 + self.more.len()
+    }
+
+    /// Every port's `(MAC, IP)` pair, in port order.
+    pub(crate) fn ports(&self) -> impl Iterator<Item = (MacAddr, Ipv4Addr)> + '_ {
+        std::iter::once(self.first).chain(self.more.iter().copied())
+    }
+
+    /// `port`'s `(MAC, IP)` pair.
+    #[inline]
+    fn port(&self, port: PortId) -> (MacAddr, Ipv4Addr) {
+        match port.0 {
+            0 => self.first,
+            n => self.more[n - 1],
+        }
+    }
+
     /// `port`'s station address.
     #[inline]
     pub fn mac(&self, port: PortId) -> MacAddr {
-        self.ports[port.0].0
+        self.port(port).0
     }
 
     /// `port`'s IP address.
     #[inline]
     pub fn ip(&self, port: PortId) -> Ipv4Addr {
-        self.ports[port.0].1
+        self.port(port).1
     }
 
     /// Set the expected-peer hint (see [`HostConfig::arp_hint`]).
@@ -101,7 +134,7 @@ pub struct HostCore {
 impl HostCore {
     /// The port whose IP is `ip`.
     fn port_of_ip(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.cfg.ports.iter().position(|&(_, i)| i == ip)
+        self.cfg.ports().position(|(_, i)| i == ip)
     }
 
     /// Queue a raw frame for transmission (charged the tx cost). Accepts
@@ -569,13 +602,17 @@ impl Node for HostNode {
             + usize::from(cost.tx_frame_ns != 0 || cost.tx_byte_ns != 0)
     }
 
+    fn timers(&self) -> usize {
+        self.apps.iter().map(App::timers).sum()
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         assert_eq!(
             ctx.num_ports(),
-            self.core.cfg.ports.len(),
+            self.core.cfg.num_ports(),
             "host {} configured for {} ports but attached to {}",
             self.core.name,
-            self.core.cfg.ports.len(),
+            self.core.cfg.num_ports(),
             ctx.num_ports()
         );
         // An ordinary station's NIC drops other stations' unicast in
@@ -585,7 +622,7 @@ impl Node for HostNode {
         // `process_rx_view`'s own `mine` test stays the source of truth.
         let cfg = &self.core.cfg;
         if !cfg.promiscuous && cfg.cost.rx_frame_ns == 0 && cfg.cost.rx_byte_ns == 0 {
-            for (port, (mac, _)) in cfg.ports.iter().enumerate() {
+            for (port, (mac, _)) in cfg.ports().enumerate() {
                 ctx.set_rx_filter(PortId(port), Some(mac.octets()));
             }
         }

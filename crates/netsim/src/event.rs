@@ -226,19 +226,18 @@ impl EventQueue {
     }
 
     /// Pre-reserve capacity for at least `timers` pending timer-heap
-    /// events and `completions` pending ring events (topology-derived
-    /// hints; keeps the steady state reallocation-free). The ring takes
-    /// room for twice `completions` (the module doc says why).
-    pub fn reserve(&mut self, timers: usize, completions: usize) {
-        let want = timers.saturating_sub(self.heap.len());
-        self.heap.reserve(want);
-        self.slots.reserve(want);
+    /// events, `completions` pending ring events and `instant` more
+    /// events at the current instant (topology-derived hints; keeps the
+    /// steady state reallocation-free). The ring takes room for twice
+    /// `completions` (the module doc says why).
+    pub fn reserve(&mut self, timers: usize, completions: usize, instant: usize) {
+        // Both against their own length: the slab keeps the free slots of
+        // timers that fired, which the heap does not.
+        self.heap.reserve(timers.saturating_sub(self.heap.len()));
+        self.slots.reserve(timers.saturating_sub(self.slots.len()));
         self.ring
             .reserve((2 * completions).saturating_sub(self.ring.len()));
-        let lane_want = (timers + completions)
-            .min(1024)
-            .saturating_sub(self.now_lane.len());
-        self.now_lane.reserve(lane_want);
+        self.now_lane.reserve(instant);
     }
 
     /// Drop every pending event and rewind the clock/sequence state to
@@ -522,8 +521,8 @@ mod tests {
     #[test]
     fn reserve_is_idempotent_and_harmless() {
         let mut q = EventQueue::new();
-        q.reserve(1000, 100);
-        q.reserve(10, 1);
+        q.reserve(1000, 100, 10);
+        q.reserve(10, 1, 0);
         q.push(SimTime::from_ms(1), EventKind::Start(NodeId(0)));
         assert_eq!(q.len(), 1);
         assert!(pop(&mut q).is_some());
@@ -782,7 +781,7 @@ mod tests {
             ops in prop::collection::vec(any::<u32>(), 2_000..2_400),
         ) {
             let mut q = EventQueue::new();
-            q.reserve(0, hold);
+            q.reserve(0, hold, 0);
             let capacity = q.ring.capacity();
             let mut model: Vec<(SimTime, u64)> = Vec::new();
             let mut now = SimTime::ZERO;

@@ -74,6 +74,15 @@ pub trait Node: Any {
         0
     }
 
+    /// How many timers ([`Ctx::schedule`]) this node keeps pending at
+    /// once in its steady state. The world sizes its timer heap from the
+    /// sum, so that a run never grows it; a node that reports too few
+    /// costs its world a reallocation of the heap, never a wrong result.
+    #[inline]
+    fn timers(&self) -> usize {
+        0
+    }
+
     /// Called once when the world starts, before any frame flows.
     #[inline]
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}

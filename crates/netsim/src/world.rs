@@ -455,6 +455,8 @@ pub struct World {
     started: usize,
     /// The nodes' [`Node::service_queues`], summed.
     service_queues: usize,
+    /// The nodes' [`Node::timers`], summed.
+    timers: usize,
 }
 
 impl World {
@@ -484,6 +486,7 @@ impl World {
             nodes: Vec::new(),
             started: 0,
             service_queues: 0,
+            timers: 0,
         }
     }
 
@@ -532,6 +535,7 @@ impl World {
         self.nodes.clear();
         self.started = 0;
         self.service_queues = 0;
+        self.timers = 0;
     }
 
     /// Size the node, port and segment tables and the listener index for
@@ -566,6 +570,7 @@ impl World {
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
         let id = NodeId(narrow_id(self.nodes.len(), "nodes"));
         self.service_queues += node.service_queues();
+        self.timers += node.timers();
         self.nodes.push(Some(Box::new(node)));
         let first = narrow_id(self.core.ports.len(), "ports") as u32;
         self.core.node_ports.push((first, 0));
@@ -602,18 +607,20 @@ impl World {
     /// Schedule `on_start` for every node that has not started yet (in
     /// node order, at the current time). Called implicitly by the run
     /// methods, so nodes added mid-simulation start when the world next
-    /// runs. Also sizes the event queue from the topology so the steady
-    /// state never grows it: a few pending timers per node; in the
-    /// completion ring one entry per segment and one per service queue
-    /// (each has at most one completion in flight) — or per segment
-    /// again where that is more, which leaves room for the completions
-    /// crashed bridges leave behind and keeps a pooled world from
-    /// reallocating whenever a scenario has one more bridge than the
-    /// last.
+    /// runs. Also sizes the event queue from what the nodes say they use,
+    /// so the steady state never grows it: in the timer heap the nodes'
+    /// [`Node::timers`], summed; in the completion ring one entry per
+    /// segment and one per service queue (each has at most one
+    /// completion in flight) — or per segment again where that is more,
+    /// which leaves room for the completions crashed bridges leave behind
+    /// and keeps a pooled world from reallocating whenever a scenario has
+    /// one more bridge than the last; in the same-instant lane the
+    /// `on_start` events pushed here.
     pub fn start(&mut self) {
         let segments = self.core.segments.len();
         let completions = segments + segments.max(self.service_queues);
-        self.core.queue.reserve(self.nodes.len() * 4, completions);
+        let starts = self.nodes.len() - self.started;
+        self.core.queue.reserve(self.timers, completions, starts);
         let now = self.core.time;
         for i in self.started..self.nodes.len() {
             self.core.queue.push(now, EventKind::Start(NodeId(i)));

@@ -303,12 +303,11 @@ pub fn run_transition(mode: TransitionMode, seed: u64) -> TransitionReport {
         bridges.push(id);
     }
     // The probe: eth0 on the first LAN, eth1 on the last.
-    let probe_cfg = HostConfig {
-        ports: vec![(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
-        cost: HostCostModel::pc_1997(),
-        promiscuous: true,
-        arp_hint: 0,
-    };
+    let mut probe_cfg = HostConfig::multi_homed(
+        &[(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
+        HostCostModel::pc_1997(),
+    );
+    probe_cfg.promiscuous = true;
     let inject_at = SimTime::from_secs(60);
     let probe = world.add_node(HostNode::new(
         "probe",
@@ -379,12 +378,11 @@ pub fn run_agility(seed: u64) -> AgilityStats {
             &["bridge_learning", DEC_NAME, IEEE_NAME, "control"],
         );
     }
-    let probe_cfg = HostConfig {
-        ports: vec![(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
-        cost: HostCostModel::pc_1997(),
-        promiscuous: true,
-        arp_hint: 0,
-    };
+    let mut probe_cfg = HostConfig::multi_homed(
+        &[(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
+        HostCostModel::pc_1997(),
+    );
+    probe_cfg.promiscuous = true;
     let probe = world.add_node(HostNode::new(
         "probe",
         probe_cfg,

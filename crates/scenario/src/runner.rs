@@ -605,16 +605,15 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     assert!(topo.is_connected(), "generated topologies are connected");
     let wl = workload::generate(scenario.battery, &topo, scenario.seed);
 
-    // Topology-derived pre-sizing: the world's node/segment tables and
-    // every bridge's learning table are sized for the full population up
-    // front, so per-frame work at metro scale never grows a table.
+    // Topology-derived pre-sizing: the world's node, port and segment
+    // tables are sized for the full population up front, so building a
+    // metro-scale world never grows one. A bridge's learning table is
+    // not: it grows with the stations the bridge hears, which in a crowd
+    // that never sends is a few dozen, not the population.
     let n_hosts = wl.host_count() as usize;
     world.reserve_topology(topo.bridges.len() + n_hosts, topo.segments.len());
     let hostile = wl.injects_attacks();
-    let mut cfg = BridgeConfig {
-        expected_stations: n_hosts + topo.bridges.len(),
-        ..BridgeConfig::default()
-    };
+    let mut cfg = BridgeConfig::default();
     if scenario.defended {
         cfg.learn_cap = DEFENSE_LEARN_CAP;
         cfg.learn_port_quota = DEFENSE_PORT_QUOTA;

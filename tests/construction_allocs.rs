@@ -6,13 +6,17 @@
 //! grew by the number of nodes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use active_bridge::{loader, switchlets, BridgeConfig, BridgeNode};
 use ether::MacAddr;
-use hostsim::{HostConfig, HostCostModel, HostNode};
-use netsim::{SegmentConfig, SimTime, World};
+use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode};
+use netsim::{
+    CostModel, Ctx, FrameBuf, Node, NodeId, PortId, SegmentConfig, SimDuration, SimTime,
+    TimerToken, World,
+};
 
 thread_local! {
     /// Allocator calls made by this thread (tests run one per thread).
@@ -125,19 +129,22 @@ fn build_and_boot() -> (u64, u64) {
     (built, booted)
 }
 
-/// Building the world costs 166 allocator calls: per host its box and its
-/// one port list (128); per bridge its box, its port flags, its two port
-/// owner tables and its boot list (10); per segment its name and four
-/// growths of its attachment list (20); the six tables
-/// `World::reserve_topology` sizes, the listener index's station table and
-/// this test's own segment list (8). Booting costs 16: per bridge the two
-/// carrier names it decodes, the loader switchlet's box, and the first
-/// entries of its switchlet directory, its slot table and its address
-/// registrations (12), and the event queue's tables (4). Names live in the
-/// nodes and in the switchlets that own them: a copy of each in a second
-/// table, a vector per node's ports or a vector per configuration field
-/// adds a call per node (the same world cost 372 and 24 when it had all
-/// three).
+/// Building the world costs 102 allocator calls: per host its box (64; a
+/// single-homed host keeps its one address pair inline); per bridge its
+/// box, its port flags, its two port owner tables and its boot list (10);
+/// per segment its name and four growths of its attachment list (20); the
+/// six tables `World::reserve_topology` sizes, the listener index's
+/// station table and this test's own segment list (8). Booting costs 16:
+/// per bridge the two carrier names it decodes, the loader switchlet's
+/// box, and the first entries of its switchlet directory, its slot table
+/// and its address registrations (12), and the event queue's tables (4:
+/// the timer heap and its slab, sized for the bridges' four timers, the
+/// completion ring, and the same-instant lane, sized for the 66 start
+/// events). Names live in the nodes and in the switchlets that own them:
+/// a copy of each in a second table, a vector per node's ports or a
+/// vector per configuration field adds a call per node (the same world
+/// cost 372 and 24 when it had all three, and 166 and 16 while a host's
+/// one port was a one-entry vector).
 #[test]
 fn building_a_world_allocates_per_node_not_per_name_or_field() {
     // The first world on a thread also builds what bridges share (the
@@ -150,7 +157,141 @@ fn building_a_world_allocates_per_node_not_per_name_or_field() {
     );
     assert_eq!(
         (built, booted),
-        (166, 16),
+        (102, 16),
         "allocator calls building and booting 4 segments, 2 bridges and 64 hosts"
+    );
+}
+
+/// `N`, with its [`Node::timers`] passed through `hint`.
+struct Hinted<N> {
+    node: N,
+    hint: fn(usize) -> usize,
+}
+
+impl<N: Node> Node for Hinted<N> {
+    fn name(&self) -> &str {
+        self.node.name()
+    }
+    fn service_queues(&self) -> usize {
+        self.node.service_queues()
+    }
+    fn timers(&self) -> usize {
+        (self.hint)(self.node.timers())
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.node.on_start(ctx);
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
+        self.node.on_frame(ctx, port, frame);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.node.on_timer(ctx, token);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+const CHAIN_BRIDGES: usize = 4;
+const STATIONS_PER_END: u32 = 2;
+const BLASTERS: usize = 16;
+const FRAMES: u64 = 8;
+
+/// The benchmark's `chain_hot` in small: four learning bridges in a
+/// line, two stations on each end LAN, each station running a delayed
+/// broadcast hello and sixteen delayed blasters of 8 frames toward its
+/// partner at the far end. Built with every node's timer count passed
+/// through `hint` and run to the end; returns the allocator calls of the
+/// whole build and run and the experimental frames (blasts and hellos)
+/// the stations accepted.
+fn chain(hint: fn(usize) -> usize) -> (u64, u64) {
+    let (calls, world) = allocations(|| {
+        let mut world = World::new(1);
+        world.trace_mut().set_enabled(false);
+        let segs: Vec<_> = (0..=CHAIN_BRIDGES)
+            .map(|i| world.add_segment(SegmentConfig::named(format!("lan{i}"))))
+            .collect();
+        for (i, pair) in segs.windows(2).enumerate() {
+            let cfg = BridgeConfig {
+                cost: CostModel::FREE,
+                ..BridgeConfig::default()
+            };
+            let mut bridge = BridgeNode::new(
+                format!("bridge{i}"),
+                MacAddr::local(0x1000 + i as u32),
+                Ipv4Addr::new(10, 0, 0, 1 + i as u8),
+                2,
+                cfg,
+            );
+            bridge.boot_load_native(loader::NAME);
+            bridge.boot_load_native(switchlets::learning::NAME);
+            let id = world.add_node(Hinted { node: bridge, hint });
+            for &seg in pair {
+                world.attach(id, seg);
+            }
+        }
+        let interval = SimDuration::from_ms(1);
+        for end in 0..2 {
+            for k in 0..STATIONS_PER_END {
+                let me = end * STATIONS_PER_END + k;
+                let partner = (1 - end) * STATIONS_PER_END + k;
+                let hello = BlastApp::new(PortId(0), MacAddr::BROADCAST, 46, 1, interval);
+                let mut apps = vec![App::delayed(
+                    SimDuration::from_us(10 * u64::from(me)),
+                    hello,
+                )];
+                for j in 0..BLASTERS as u64 {
+                    let blast =
+                        BlastApp::new(PortId(0), MacAddr::local(partner), 46, FRAMES, interval);
+                    let at =
+                        SimDuration::from_ms(1) + SimDuration::from_us(50 * j + 5 * u64::from(me));
+                    apps.push(App::delayed(at, blast));
+                }
+                let cfg = HostConfig::simple(
+                    MacAddr::local(me),
+                    Ipv4Addr::new(10, 1, 0, 1 + me as u8),
+                    HostCostModel::FREE,
+                );
+                let node = HostNode::new(format!("s{me}"), cfg, apps);
+                let id = world.add_node(Hinted { node, hint });
+                world.attach(id, segs[end as usize * CHAIN_BRIDGES]);
+            }
+        }
+        world.run_until(SimTime::from_ms(20));
+        world
+    });
+    let accepted = (0..world.num_nodes())
+        .filter_map(|n| world.try_node::<Hinted<HostNode>>(NodeId(n)))
+        .map(|host| host.node.core.exp_frames_rx)
+        .sum();
+    (calls, accepted)
+}
+
+/// A chain's stations keep 68 timers pending from the moment they start
+/// (every delayed app's start, then every blaster's pacing tick) and its
+/// bridges 4 (the learning sweeps); the nodes say so
+/// (`Node::timers`: one per app, one per boot image), so `World::start`
+/// sizes the timer heap and slab once and the run never grows them.
+/// Reserving ten thousand more slots saves no allocator call; reserving
+/// none costs the growths.
+#[test]
+fn a_chain_s_timer_heap_does_not_grow_after_start() {
+    chain(|n| n);
+    let (calls, accepted) = chain(|n| n);
+    let stations = 2 * u64::from(STATIONS_PER_END);
+    assert_eq!(
+        accepted,
+        stations * BLASTERS as u64 * FRAMES + stations * (stations - 1),
+        "every blast frame reached its partner and every hello the other stations"
+    );
+    let (spare, _) = chain(|n| n + 10_000);
+    assert_eq!(calls, spare, "the run grew the timer heap or its slab");
+    let (none, _) = chain(|_| 0);
+    assert!(
+        none > calls,
+        "a world told of no timers grows its heap: {none} calls against {calls}"
     );
 }

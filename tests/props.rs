@@ -460,10 +460,8 @@ fn filter_world(seed: u64, steps: &[[u8; 3]], clear_filters: bool) -> (FilterRun
     let mut hosts = Vec::new();
     let mut add_host = |world: &mut World, seg, promiscuous, cost| {
         let n = hosts.len() as u32 + 1;
-        let cfg = HostConfig {
-            promiscuous,
-            ..HostConfig::simple(host_mac(n), host_ip(n), cost)
-        };
+        let mut cfg = HostConfig::simple(host_mac(n), host_ip(n), cost);
+        cfg.promiscuous = promiscuous;
         let host = world.add_node(HostNode::new(format!("h{n}"), cfg, vec![]));
         world.attach(host, seg);
         hosts.push(host);
