@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 use ether::bpdu::{ieee, Bpdu, BridgeId, ConfigBpdu};
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
-use netsim::{Ctx, FrameBuf, NodeId, PortId, ProbeRecord, SimDuration, SimTime};
+use netsim::{Ctx, FrameBuf, NodeId, PortId, ProbeRecord, SimDuration, SimTime, Sketch};
 use netstack::ipv4::Protocol;
 use netstack::tcplite::{
     ReceiverConfig, RecvAction, Segment, SenderConfig, TcpReceiver, TcpSender, NAGLE_THRESHOLD,
@@ -24,6 +24,13 @@ use crate::host::{app_token, HostCore};
 /// `"ttcp.start"`).
 fn mark(label: &'static str) -> impl FnOnce(NodeId) -> ProbeRecord {
     move |node| ProbeRecord::Mark { node, label }
+}
+
+/// Fold `v` into a per-flow series, allocating its sketch at the first
+/// sample: an app that measures nothing holds no sketch, and one that
+/// measures holds the same 544 bytes however long it runs.
+fn record(series: &mut Option<Box<Sketch>>, v: u64) {
+    series.get_or_insert_with(Box::default).record(v);
 }
 
 /// A host application.
@@ -260,8 +267,8 @@ pub struct PingApp {
     pub ident: u16,
     next_seq: u16,
     sent_at: netsim::FastMap<u16, SimTime>,
-    /// Measured round-trip times.
-    pub rtts: Vec<SimDuration>,
+    /// Round-trip times (ns), folded in as replies arrive.
+    rtt_ns: Option<Box<Sketch>>,
     /// Requests sent.
     pub sent: u32,
     /// Replies received.
@@ -295,7 +302,7 @@ impl PingApp {
             ident,
             next_seq: 0,
             sent_at: netsim::FastMap::default(),
-            rtts: Vec::new(),
+            rtt_ns: None,
             sent: 0,
             received: 0,
             done_at: None,
@@ -307,11 +314,13 @@ impl PingApp {
 
     /// Average RTT over received replies.
     pub fn avg_rtt(&self) -> Option<SimDuration> {
-        if self.rtts.is_empty() {
-            return None;
-        }
-        let total: u64 = self.rtts.iter().map(|d| d.as_ns()).sum();
-        Some(SimDuration::from_ns(total / self.rtts.len() as u64))
+        self.rtt_ns()?.avg().map(SimDuration::from_ns)
+    }
+
+    /// The round-trip times (ns) of the received replies, one sample per
+    /// reply; None before the first reply.
+    pub fn rtt_ns(&self) -> Option<&Sketch> {
+        self.rtt_ns.as_deref()
     }
 
     fn send_one(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>) {
@@ -378,7 +387,7 @@ impl PingApp {
             return;
         }
         if let Some(sent) = self.sent_at.remove(&seq) {
-            self.rtts.push(ctx.now().saturating_since(sent));
+            record(&mut self.rtt_ns, ctx.now().saturating_since(sent).as_ns());
             self.received += 1;
             if self.received == self.count {
                 self.done_at = Some(ctx.now());
@@ -656,10 +665,9 @@ pub struct TtcpRecvApp {
     pub first_at: Option<SimTime>,
     /// Latest data arrival.
     pub last_at: Option<SimTime>,
-    /// Gap (ns) between consecutive data-segment arrivals — the raw
-    /// samples scenario reports sketch into an inter-arrival jitter
-    /// histogram. One entry per accepted segment after the first.
-    pub inter_arrival_ns: Vec<u64>,
+    /// Gaps (ns) between consecutive data-segment arrivals, folded in
+    /// as segments arrive.
+    inter_arrival_ns: Option<Box<Sketch>>,
 }
 
 impl TtcpRecvApp {
@@ -672,7 +680,7 @@ impl TtcpRecvApp {
             peer: None,
             first_at: None,
             last_at: None,
-            inter_arrival_ns: Vec::new(),
+            inter_arrival_ns: None,
         })
     }
 
@@ -684,6 +692,13 @@ impl TtcpRecvApp {
     /// Data segments accepted.
     pub fn segments_received(&self) -> u64 {
         self.rx.segments_received
+    }
+
+    /// The gap (ns) between consecutive data-segment arrivals — the
+    /// inter-arrival jitter histogram scenario reports carry. One sample
+    /// per segment after the first; None before the second.
+    pub fn inter_arrival_ns(&self) -> Option<&Sketch> {
+        self.inter_arrival_ns.as_deref()
     }
 
     fn send_ack(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, ack: u32) {
@@ -738,8 +753,10 @@ impl TtcpRecvApp {
             self.first_at = Some(ctx.now());
         }
         if let Some(prev) = self.last_at {
-            self.inter_arrival_ns
-                .push(ctx.now().saturating_since(prev).as_ns());
+            record(
+                &mut self.inter_arrival_ns,
+                ctx.now().saturating_since(prev).as_ns(),
+            );
         }
         self.last_at = Some(ctx.now());
         let now_ns = ctx.now().as_ns();
@@ -832,11 +849,9 @@ pub struct UploadApp {
     /// Retransmissions since the last forward-progress event — the ARP
     /// refresh trigger (every fourth one re-resolves the loader).
     retries_since_progress: u32,
-    /// Gap (ns) between consecutive forward-progress events (server
-    /// responses that advanced the transfer, including completion) —
-    /// the delivery-timeline samples scenario reports sketch. Stalls
-    /// bridged by retries show up as large gaps.
-    pub progress_gap_ns: Vec<u64>,
+    /// Gaps (ns) between forward-progress events, folded in as the
+    /// transfer advances.
+    progress_gap_ns: Option<Box<Sketch>>,
     last_progress: Option<SimTime>,
 }
 
@@ -877,7 +892,7 @@ impl UploadApp {
             restarts: 0,
             rto_ceiling_hits: 0,
             retries_since_progress: 0,
-            progress_gap_ns: Vec::new(),
+            progress_gap_ns: None,
             last_progress: None,
         })
     }
@@ -885,6 +900,14 @@ impl UploadApp {
     /// True once the final block is acknowledged.
     pub fn is_done(&self) -> bool {
         self.done_at.is_some()
+    }
+
+    /// The gap (ns) between consecutive forward-progress events (server
+    /// responses that advanced the transfer, including completion) — the
+    /// delivery timeline scenario reports carry. Stalls bridged by
+    /// retries show up as large gaps. None before the first progress.
+    pub fn progress_gap_ns(&self) -> Option<&Sketch> {
+        self.progress_gap_ns.as_deref()
     }
 
     fn send_udp(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, payload: &[u8]) {
@@ -964,8 +987,10 @@ impl UploadApp {
 
     fn record_progress(&mut self, now: SimTime) {
         if let Some(prev) = self.last_progress {
-            self.progress_gap_ns
-                .push(now.saturating_since(prev).as_ns());
+            record(
+                &mut self.progress_gap_ns,
+                now.saturating_since(prev).as_ns(),
+            );
         }
         self.last_progress = Some(now);
         self.retries_since_progress = 0;
@@ -1610,5 +1635,16 @@ mod tests {
             unreachable!()
         };
         assert_eq!(b.sent, 1);
+    }
+
+    /// A host holds its apps inline, so a per-flow series is a boxed
+    /// sketch (one pointer) rather than a growing vector (three words).
+    #[test]
+    fn an_app_is_at_most_192_bytes() {
+        assert!(
+            std::mem::size_of::<App>() <= 192,
+            "{} B",
+            std::mem::size_of::<App>()
+        );
     }
 }

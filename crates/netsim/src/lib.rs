@@ -17,7 +17,9 @@
 //! * [`service::ServiceQueue`] — single-server FIFO for store-compute-
 //!   forward elements;
 //! * [`fault::FaultConfig`] — deterministic drop/corrupt/duplicate
-//!   injection per segment.
+//!   injection per segment;
+//! * [`sketch::Sketch`] — the integer log2 histogram measurement apps
+//!   fold their samples into.
 //!
 //! Everything is integer-arithmetic deterministic: a run is a pure function
 //! of `(topology, seed, cost model)`.
@@ -66,6 +68,7 @@ pub mod probe;
 pub mod rng;
 pub mod segment;
 pub mod service;
+pub mod sketch;
 pub mod time;
 pub mod trace;
 mod world;
@@ -80,6 +83,7 @@ pub use probe::{Probe, ProbeConfig, ProbeEvent, ProbeRecord};
 pub use rng::Xoshiro;
 pub use segment::{Attachment, SegCounters, SegId, Segment, SegmentConfig, WIRE_OVERHEAD};
 pub use service::{Offer, ServiceQueue};
+pub use sketch::Sketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Counters, Trace, TraceEntry};
 pub use world::{Ctx, SegmentStats, World, WorldCore, WorldStats};

@@ -60,7 +60,7 @@ impl Checksum {
         // byte-swapped words; one swap turns it into the sum of the
         // words themselves (zero stays zero, so the 0x0000/0xFFFF
         // distinction `finish` makes is kept). Short input — pseudo-header
-        // fields, ACKs — skips the lane fold and goes word by word.
+        // fields, ACKs — skips the lane fold and goes four bytes a step.
         if data.len() >= 32 {
             let mut lanes = [0u64; 8];
             let mut wide = data.chunks_exact(32);
@@ -76,11 +76,22 @@ impl Checksum {
             self.accum(u64::from((sum as u16).swap_bytes()));
             data = wide.remainder();
         }
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.accum(u64::from(u16::from_be_bytes([c[0], c[1]])));
+        // Under 32 bytes remain: big-endian u32 words (each congruent to
+        // the sum of its two 16-bit words, since 2^16 ≡ 1 modulo
+        // 2^16 − 1) summed into a local that at most seven of them cannot
+        // overflow, then one trailing 16-bit word, folded in once.
+        let mut words = data.chunks_exact(4);
+        let mut sum: u64 = words
+            .by_ref()
+            .map(|w| u64::from(u32::from_be_bytes(w.try_into().unwrap())))
+            .sum();
+        let mut rest = words.remainder();
+        if let [hi, lo, tail @ ..] = rest {
+            sum += u64::from(u16::from_be_bytes([*hi, *lo]));
+            rest = tail;
         }
-        if let [last] = chunks.remainder() {
+        self.accum(sum);
+        if let [last] = rest {
             self.odd = Some(*last);
         }
     }
@@ -223,6 +234,28 @@ mod tests {
                     three.add(&data[i..j]);
                     three.add(&data[j..]);
                     prop_assert_eq!(three.finish(), reference(&data), "cuts at {} and {}", i, j);
+                }
+            }
+        }
+    }
+
+    /// The short path (under 32 bytes, and the wide path's remainder):
+    /// every length to 96, fed whole and split in two at every offset,
+    /// on hashed bytes and on all-`0x00` / all-`0xFF`.
+    #[test]
+    fn short_lengths_match_16bit_reference_at_every_split() {
+        let hashed: Vec<u8> = (0..96u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for data in [hashed, vec![0x00; 96], vec![0xFF; 96]] {
+            for len in 0..=96 {
+                let d = &data[..len];
+                assert_eq!(checksum(d), reference(d), "len {len}");
+                for cut in 0..=len {
+                    let mut c = Checksum::new();
+                    c.add(&d[..cut]);
+                    c.add(&d[cut..]);
+                    assert_eq!(c.finish(), reference(d), "len {len} split at {cut}");
                 }
             }
         }

@@ -68,7 +68,7 @@ pub use runner::{
     run, run_in, run_recorded, run_traced, InvariantResult, RecoveryReport, Report, Scenario,
     Verdict,
 };
-pub use sketch::Sketch;
+pub use sketch::{Sketch, SketchJson};
 pub use sweep::{run_sweep_jobs, run_sweep_jobs_profiled, SweepReport, SweepSpec};
 pub use timeline::{summary_tables, timeline_json, validate_timeline};
 pub use topo::{instantiate, BuiltTopology, SegTier, Topology, TopologyShape};

@@ -14,7 +14,7 @@ use hostsim::{
     App, HostConfig, HostCostModel, HostNode, PingApp, ProbeApp, RepeaterNode, TtcpRecvApp,
     TtcpSendApp,
 };
-use netsim::{CostModel, NodeId, PortId, SegmentConfig, SimDuration, SimTime, World};
+use netsim::{CostModel, NodeId, PortId, SegmentConfig, SimDuration, SimTime, Sketch, World};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
 
 /// What sits between the two measurement hosts.
@@ -151,14 +151,15 @@ pub fn run_ping(fwd: Forwarder, size: usize, count: u32, seed: u64) -> PingStats
     let App::Ping(p) = path.world.node::<HostNode>(host_a).app(0) else {
         unreachable!()
     };
-    let ms = |d: &SimDuration| d.as_millis_f64();
+    let ms = |ns: Option<u64>| ns.map_or(f64::NAN, |ns| SimDuration::from_ns(ns).as_millis_f64());
+    let rtt_ns = p.rtt_ns();
     PingStats {
         size,
         received: p.received,
         sent: p.sent,
-        avg_rtt_ms: p.avg_rtt().as_ref().map(ms).unwrap_or(f64::NAN),
-        min_rtt_ms: p.rtts.iter().min().map(&ms).unwrap_or(f64::NAN),
-        max_rtt_ms: p.rtts.iter().max().map(ms).unwrap_or(f64::NAN),
+        avg_rtt_ms: ms(rtt_ns.and_then(Sketch::avg)),
+        min_rtt_ms: ms(rtt_ns.and_then(Sketch::min)),
+        max_rtt_ms: ms(rtt_ns.and_then(Sketch::max)),
     }
 }
 

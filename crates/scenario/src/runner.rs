@@ -33,7 +33,7 @@ use netstack::tcplite::{ReceiverConfig, SenderConfig};
 use crate::json::{JsonText, Writer};
 use crate::prims::bridge_mac;
 use crate::quality::{self, QualityScore};
-use crate::sketch::Sketch;
+use crate::sketch::{Sketch, SketchJson};
 use crate::topo::{self, Topology, TopologyShape};
 use crate::workload::{
     self, AppAction, AttackKind, BatteryKind, Phase, UploadImage, WorkItem, Workload,
@@ -824,7 +824,7 @@ fn resilience_report(
             retries += a.retries as u64;
             restarts += a.restarts as u64;
             rto_ceiling_hits += a.rto_ceiling_hits as u64;
-            max_stall_ns = max_stall_ns.max(a.progress_gap_ns.iter().copied().max().unwrap_or(0));
+            max_stall_ns = max_stall_ns.max(a.progress_gap_ns().and_then(Sketch::max).unwrap_or(0));
         }
     }
     ResilienceReport {
@@ -1042,7 +1042,7 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                         kind: "rtt",
                         valid: a.received > 0,
                         delivery_pm: (a.sent > 0).then(|| a.received as u64 * 1000 / a.sent as u64),
-                        sketch: Some(Sketch::from_samples(a.rtts.iter().map(|d| d.as_ns()))),
+                        sketch: Some(a.rtt_ns().cloned().unwrap_or_default()),
                     },
                 },
                 (
@@ -1059,7 +1059,7 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                         .map(|r| match world.node::<HostNode>(r).app(0).unwrapped() {
                             App::TtcpRecv(rx) => (
                                 rx.bytes_received(),
-                                Sketch::from_samples(rx.inter_arrival_ns.iter().copied()),
+                                rx.inter_arrival_ns().cloned().unwrap_or_default(),
                             ),
                             _ => (0, Sketch::new()),
                         })
@@ -1145,9 +1145,7 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                                 kind: "timeline",
                                 valid: ok,
                                 delivery_pm,
-                                sketch: Some(Sketch::from_samples(
-                                    a.progress_gap_ns.iter().copied(),
-                                )),
+                                sketch: Some(a.progress_gap_ns().cloned().unwrap_or_default()),
                             }
                         } else {
                             AppMetrics::delivery(true, delivery_pm)

@@ -15,13 +15,14 @@ pub struct Digest(pub [u8; 16]);
 impl Digest {
     /// Hex representation.
     pub fn to_hex(self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        self.to_string()
     }
 }
 
 impl core::fmt::Display for Digest {
+    /// Lowercase hex, two digits a byte, written straight into `f`.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}", self.to_hex())
+        self.0.iter().try_for_each(|b| write!(f, "{b:02x}"))
     }
 }
 
@@ -254,6 +255,18 @@ mod tests {
         ];
         for (input, want) in cases {
             assert_eq!(md5(input).to_hex(), *want, "md5({input:?})");
+        }
+    }
+
+    /// Every byte value renders as two lowercase digits, zero-padded, and
+    /// the formatter's own width and fill do not reach the digits.
+    #[test]
+    fn hex_is_two_lowercase_digits_a_byte() {
+        for first in (0..=255u8).step_by(16) {
+            let d = Digest(core::array::from_fn(|i| first.wrapping_add(i as u8)));
+            let want: String = d.0.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(d.to_hex(), want);
+            assert_eq!(format!("{d:>40}"), want);
         }
     }
 
