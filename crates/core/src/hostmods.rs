@@ -192,7 +192,8 @@ fn str_arg(args: &[Value], i: usize) -> String {
 
 /// The host functions of [`host_env`], identified by slot. The paper's
 /// per-frame path pays one array-shaped integer match here — no string
-/// comparison, no allocation (this is the PR 4 slot-indexed dispatch).
+/// comparison, no allocation: a module's imports resolve to slots when
+/// it links, not per call.
 ///
 /// Variant order mirrors [`host_env`]'s registration order; the
 /// `slot_table_matches_env_names` test pins the mapping to the names.

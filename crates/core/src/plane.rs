@@ -86,12 +86,12 @@ pub enum LearnOutcome {
 /// is one probe of the map — the timestamp is written through the entry
 /// the probe found, as a port move is — not a lookup and then an insert.
 ///
-/// Since PR 10 the table can be **bounded** ([`LearningTable::set_bounds`]):
+/// The table can be **bounded** ([`LearningTable::set_bounds`]):
 /// a hard capacity plus a per-port occupancy quota, with a deterministic
 /// victim-selection policy (oldest refresh within the offending port, MAC
 /// order as the tiebreak — a total order independent of hash iteration
 /// order, so replays evict identically). Both bounds default to 0 =
-/// unlimited, the legacy behaviour.
+/// unlimited, the paper's table.
 ///
 /// **A bucket is 16 bytes.** The 6-byte address keys a 10-byte entry
 /// of alignment 1 (the last-seen time and a 16-bit port), so the map
@@ -171,7 +171,7 @@ impl LearningTable {
 
     /// Arm the bounded-learning policy: a hard `cap` on total entries
     /// and a per-port occupancy `quota` (either 0 = unlimited, the
-    /// legacy default). Bounds gate admissions in
+    /// default). Bounds gate admissions in
     /// [`LearningTable::learn`]; existing entries are not retroactively
     /// evicted.
     pub fn set_bounds(&mut self, cap: usize, quota: usize) {
@@ -526,9 +526,10 @@ pub struct BridgeStats {
 }
 
 impl BridgeStats {
-    /// The defense-plane counter names (PR 10). Reports for scenarios
-    /// that never arm a defense filter these out so pre-existing report
-    /// bytes stay pinned.
+    /// The defense-plane counter names. Reports for scenarios that never
+    /// arm a defense filter these out: there they are always 0, and an
+    /// undefended report keeps the bytes a bridge without the defense
+    /// plane renders.
     pub const SECURITY_KEYS: [&'static str; 5] = [
         "learn_occupancy",
         "learn_evictions",
@@ -538,7 +539,8 @@ impl BridgeStats {
     ];
 
     /// Names with no counter behind them, always 0, kept in `as_pairs` for
-    /// `benchmark/src/harness.rs` (ROADMAP 7(f)); reports leave them out.
+    /// `benchmark/src/harness.rs` until ROADMAP item 5 deletes them there;
+    /// reports leave them out.
     pub const RETIRED_KEYS: [&'static str; 2] = ["cache_hits", "cache_misses"];
 
     /// Every counter as a stable `(name, value)` list, in declaration
@@ -593,9 +595,13 @@ struct CacheEntry {
     verdict: Verdict,
 }
 
-/// Direct-mapped forwarding decision cache. **No bridge holds one** (a hit
-/// cost what the table probes it saved: README § Performance); it stays
-/// for `benchmark/src/kernels.rs`'s `cache_*` kernels until ROADMAP 7(f).
+/// Direct-mapped forwarding decision cache. **No bridge holds one.** A hit
+/// must still refresh the source's learn entry, so a hit is a probe and a
+/// refresh and a miss a refresh and a lookup: with [`LearningTable`] at
+/// 4–5 ns a probe the two cost the same, and the cache's 1 024 slots of
+/// 48 bytes a bridge are the only lines left to miss. It stays for
+/// `benchmark/src/kernels.rs`'s `cache_*` kernels until ROADMAP item 5
+/// deletes it.
 #[derive(Debug)]
 pub struct DecisionCache {
     slots: Vec<Option<CacheEntry>>,

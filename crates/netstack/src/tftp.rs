@@ -166,13 +166,23 @@ struct Transfer {
 /// forever, and a fresh WRQ after the stall starts clean.
 pub const IDLE_SESSION_NS: u64 = 30_000_000_000; // 30 s
 
+/// The most bytes one upload session may hold. A DATA block that would
+/// take a session past it is answered with ERROR 3 ("allocation
+/// exceeded", RFC 1350) and the session is dropped, so a peer that keeps
+/// sending full blocks cannot grow a loader's heap without bound. 1 MiB
+/// is fifty times the largest image any scenario sends, and at
+/// [`BLOCK_SIZE`] it is 2 048 blocks, so a session's block number never
+/// wraps.
+pub const MAX_UPLOAD_BYTES: usize = 1 << 20;
+
 /// The write-only, binary-only TFTP server.
 #[derive(Default)]
 pub struct TftpServer {
     transfers: HashMap<(Ipv4Addr, u16), Transfer>,
     /// Completed uploads served so far.
     pub completed: u64,
-    /// Requests refused (RRQ, bad mode, bad sequence).
+    /// Requests refused (RRQ, bad mode, bad sequence, over
+    /// [`MAX_UPLOAD_BYTES`]).
     pub refused: u64,
     /// Sessions dropped by idle expiry.
     pub expired: u64,
@@ -294,8 +304,22 @@ impl TftpServer {
                         None,
                     );
                 }
+                if t.data.len() + data.len() > MAX_UPLOAD_BYTES {
+                    self.refused += 1;
+                    self.transfers.remove(&peer);
+                    return (
+                        Some(
+                            TftpPacket::Error {
+                                code: 3,
+                                msg: "allocation exceeded",
+                            }
+                            .emit(),
+                        ),
+                        None,
+                    );
+                }
                 t.data.extend_from_slice(data);
-                t.next_block = t.next_block.wrapping_add(1);
+                t.next_block += 1;
                 let ack = TftpPacket::Ack { block }.emit();
                 if data.len() < BLOCK_SIZE {
                     let t = self.transfers.remove(&peer).unwrap();
@@ -860,5 +884,43 @@ mod tests {
         ));
         assert_eq!(server.expired, 1);
         assert_eq!(server.active_transfers(), 0);
+    }
+
+    #[test]
+    fn an_upload_past_the_cap_is_refused_and_dropped() {
+        let mut server = TftpServer::new();
+        let wrq = TftpPacket::Wrq {
+            filename: "big",
+            mode: "octet",
+        }
+        .emit();
+        server.on_packet(PEER, &wrq);
+        // A peer that never sends a short block: every full block up to
+        // the cap is acknowledged, the first one past it is refused.
+        let full = [0x5au8; BLOCK_SIZE];
+        let blocks_in_cap = (MAX_UPLOAD_BYTES / BLOCK_SIZE) as u16;
+        for block in 1..=blocks_in_cap + 1 {
+            let data = TftpPacket::Data { block, data: &full }.emit();
+            let (reply, file) = server.on_packet(PEER, &data);
+            assert!(file.is_none());
+            let reply = TftpPacket::parse(reply.as_deref().unwrap()).unwrap();
+            if block <= blocks_in_cap {
+                assert_eq!(reply, TftpPacket::Ack { block });
+            } else {
+                assert!(
+                    matches!(reply, TftpPacket::Error { code: 3, .. }),
+                    "{reply:?}"
+                );
+            }
+        }
+        assert_eq!(server.refused, 1);
+        assert_eq!(server.completed, 0);
+        assert_eq!(server.active_transfers(), 0);
+    }
+
+    #[test]
+    fn an_upload_just_under_the_cap_completes() {
+        let data: Vec<u8> = (0..MAX_UPLOAD_BYTES - 1).map(|i| i as u8).collect();
+        assert_eq!(transfer(data.clone()).data, data);
     }
 }

@@ -499,8 +499,7 @@ impl Report {
                 w.key("failed").u64(failed);
                 w.key("waived").u64(waived);
                 // A run whose invariants were *all* waived has no score:
-                // rendering 100 here (the old `unwrap_or(100)`) made a
-                // fully-waived run look perfect.
+                // null, because 100 would make it look perfect.
                 w.key("score_percent")
                     .opt_u64((passed * 100).checked_div(passed + failed));
             });
@@ -1035,9 +1034,8 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                     detail: vec![("sent", a.sent as u64), ("received", a.received as u64)],
                     // A ping that got no replies has no RTT measurement:
                     // the sketch is empty and `valid` is false, so every
-                    // derived statistic renders null (the old report
-                    // emitted `avg_rtt_ns: 0` here — indistinguishable
-                    // from a perfect round trip).
+                    // derived statistic renders null: an `avg_rtt_ns` of 0
+                    // would read as a perfect round trip.
                     metrics: AppMetrics {
                         kind: "rtt",
                         valid: a.received > 0,

@@ -4,8 +4,8 @@
 //! [`VmScratch`]; after the arena has grown to its high-water mark that
 //! call must not reach the allocator. Two handlers are held to it: one
 //! that compares a slice of the frame with a string constant in a loop
-//! ("is this my MAC" — before PR 18 every such comparison built two
-//! `Vec<u8>` keys), and the shipped `dumb_vm` flooder.
+//! ("is this my MAC": a `str` compare reads the bytes where they are and
+//! builds no key), and the shipped `dumb_vm` flooder.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

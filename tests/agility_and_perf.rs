@@ -81,7 +81,7 @@ fn ttcp_headline_numbers() {
 /// The ttcp hosts run the 1997 cost model, so they declare no receive
 /// filter and every frame on their LAN still takes its turn in their
 /// receive queue: the transfers take, to the nanosecond, what they took
-/// before receive filters existed (PR 15's values).
+/// before receive filters existed.
 #[test]
 fn ttcp_goodput_is_what_it_was_before_receive_filters() {
     for (fwd, ns) in [
