@@ -53,43 +53,53 @@ pub enum App {
     ArpStorm(ArpStormApp),
     /// Adversarial: forged superior BPDUs claiming the spanning-tree root.
     RogueBpdu(RogueBpduApp),
-    /// Any app, started only after a configured delay (scenario
-    /// schedules build workload batteries out of these).
-    Delayed(DelayedApp),
 }
 
 impl App {
-    /// Wrap `app` so its `on_start` runs `after` the host comes up.
+    /// `app`, started `after` the host comes up rather than with it
+    /// (scenario schedules build workload batteries out of these). The
+    /// delay is a field of the app value, so the result is the same
+    /// variant as `app`.
     ///
-    /// The wrapper is transparent for traffic: receive-side callbacks
-    /// (`on_ip`, raw taps, echo replies) are forwarded immediately, so a
-    /// delayed receiver still answers from time zero; only the active
-    /// start (first send, first timer train) waits. Wrappers nest.
-    pub fn delayed(after: SimDuration, app: App) -> App {
-        App::Delayed(DelayedApp {
-            after,
-            inner: Box::new(app),
-            started: false,
-        })
+    /// Only the active start (first send, first timer train) waits:
+    /// receive-side callbacks (`on_ip`, raw taps, echo replies) reach the
+    /// app from time zero, so a delayed receiver still answers, while
+    /// transmit completions reach it only once it has started. Delays
+    /// add up.
+    pub fn delayed(after: SimDuration, mut app: App) -> App {
+        *app.start_delay() += after;
+        app
     }
 
-    /// The app behind any [`App::delayed`] wrappers (for results
-    /// inspection after a run).
+    /// The app itself. A delayed app is the variant it was built as, so
+    /// there is nothing to unwrap; kept for callers that still ask.
     pub fn unwrapped(&self) -> &App {
+        self
+    }
+
+    /// How long after its host starts this app starts; zero once it has
+    /// (the host clears it when the start fires).
+    pub(crate) fn start_delay(&mut self) -> &mut SimDuration {
         match self {
-            App::Delayed(d) => d.inner.unwrapped(),
-            other => other,
+            App::Ping(a) => &mut a.start_delay,
+            App::TtcpSend(a) => &mut a.start_delay,
+            App::TtcpRecv(a) => &mut a.start_delay,
+            App::Upload(a) => &mut a.start_delay,
+            App::Probe(a) => &mut a.start_delay,
+            App::Blast(a) => &mut a.start_delay,
+            App::MacFlood(a) => &mut a.start_delay,
+            App::ArpStorm(a) => &mut a.start_delay,
+            App::RogueBpdu(a) => &mut a.start_delay,
         }
     }
 
     /// Timers the app keeps pending at once: a ttcp sender's write and
     /// retransmission timers, one for every other app (its pacing tick,
-    /// its poll or its delayed ACK, or a delayed app's start before its
-    /// inner app takes over).
+    /// its poll or its delayed ACK, or a delayed app's start before the
+    /// app takes over).
     pub(crate) fn timers(&self) -> usize {
         match self {
             App::TtcpSend(_) => 2,
-            App::Delayed(d) => d.inner.timers(),
             _ => 1,
         }
     }
@@ -104,7 +114,6 @@ impl App {
                 self.pace(core, ctx, idx, true)
             }
             App::TtcpRecv(_) => {}
-            App::Delayed(a) => a.on_start(core, ctx, idx),
         }
     }
 
@@ -127,7 +136,6 @@ impl App {
                     self.pace(core, ctx, idx, false)
                 }
             }
-            App::Delayed(a) => a.on_timer(core, ctx, idx, user),
         }
     }
 
@@ -179,9 +187,6 @@ impl App {
             App::TtcpSend(a) => a.on_ip(core, ctx, idx, port, src, dst, proto, payload),
             App::TtcpRecv(a) => a.on_ip(core, ctx, idx, port, src, dst, proto, payload),
             App::Upload(a) => a.on_ip(core, ctx, idx, port, src, dst, proto, payload),
-            App::Delayed(a) => a
-                .inner
-                .on_ip(core, ctx, idx, port, src, dst, proto, payload),
             _ => {}
         }
     }
@@ -194,22 +199,15 @@ impl App {
         ident: u16,
         seq: u16,
     ) {
-        match self {
-            App::Ping(a) => a.on_echo_reply(core, ctx, idx, ident, seq),
-            App::Delayed(a) => a.inner.on_echo_reply(core, ctx, idx, ident, seq),
-            _ => {}
+        if let App::Ping(a) = self {
+            a.on_echo_reply(core, ctx, idx, ident, seq)
         }
     }
 
-    /// Does this app (or its wrapped inner app) observe raw frames?
-    /// Hosts skip the per-frame raw-tap fan-out entirely when no app
-    /// does.
+    /// Does this app observe raw frames? Hosts skip the per-frame raw-tap
+    /// fan-out entirely when no app does.
     pub(crate) fn wants_raw(&self) -> bool {
-        match self {
-            App::Probe(_) => true,
-            App::Delayed(a) => a.inner.wants_raw(),
-            _ => false,
-        }
+        matches!(self, App::Probe(_))
     }
 
     pub(crate) fn on_raw(
@@ -220,29 +218,20 @@ impl App {
         port: PortId,
         frame: &Frame<'_>,
     ) {
-        match self {
-            App::Probe(a) => a.on_raw(core, ctx, idx, port, frame),
-            App::Delayed(a) => a.inner.on_raw(core, ctx, idx, port, frame),
-            _ => {}
+        if let App::Probe(a) = self {
+            a.on_raw(core, ctx, idx, port, frame)
         }
     }
 
-    /// Does this app (or its wrapped inner app) react to transmit
-    /// completions? Hosts skip the per-frame tx-done fan-out when none
-    /// does.
+    /// Does this app react to transmit completions? Hosts skip the
+    /// per-frame tx-done fan-out when none does.
     pub(crate) fn wants_tx_done(&self) -> bool {
-        match self {
-            App::TtcpSend(_) => true,
-            App::Delayed(a) => a.inner.wants_tx_done(),
-            _ => false,
-        }
+        matches!(self, App::TtcpSend(_))
     }
 
     pub(crate) fn on_tx_done(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        match self {
-            App::TtcpSend(a) => a.pump_and_write(core, ctx, idx),
-            App::Delayed(a) => a.on_tx_done(core, ctx, idx),
-            _ => {}
+        if let App::TtcpSend(a) = self {
+            a.pump_and_write(core, ctx, idx)
         }
     }
 }
@@ -281,6 +270,8 @@ pub struct PingApp {
     filler_sum: netstack::checksum::Checksum,
     /// Reusable ICMP build buffer.
     icmp_scratch: Vec<u8>,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl PingApp {
@@ -309,6 +300,7 @@ impl PingApp {
             filler: Vec::new(),
             filler_sum: netstack::checksum::Checksum::new(),
             icmp_scratch: Vec::new(),
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -437,6 +429,8 @@ pub struct TtcpSendApp {
     pub done_at: Option<SimTime>,
     /// Data frames emitted.
     pub frames_sent: u64,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl TtcpSendApp {
@@ -467,6 +461,7 @@ impl TtcpSendApp {
             started_at: None,
             done_at: None,
             frames_sent: 0,
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -668,6 +663,8 @@ pub struct TtcpRecvApp {
     /// Gaps (ns) between consecutive data-segment arrivals, folded in
     /// as segments arrive.
     inter_arrival_ns: Option<Box<Sketch>>,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl TtcpRecvApp {
@@ -681,6 +678,7 @@ impl TtcpRecvApp {
             first_at: None,
             last_at: None,
             inter_arrival_ns: None,
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -853,6 +851,8 @@ pub struct UploadApp {
     /// transfer advances.
     progress_gap_ns: Option<Box<Sketch>>,
     last_progress: Option<SimTime>,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl UploadApp {
@@ -894,6 +894,7 @@ impl UploadApp {
             retries_since_progress: 0,
             progress_gap_ns: None,
             last_progress: None,
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -1060,7 +1061,6 @@ impl UploadApp {
 // ----------------------------------------------------------------- probe
 
 const PROBE_PING: u32 = 1;
-const PROBE_START: u32 = 2;
 
 /// The Section 7.5 agility probe: a two-NIC host that injects an 802.1D
 /// BPDU on `eth0`, waits to see one on `eth1` (all bridges in the path
@@ -1069,8 +1069,8 @@ const PROBE_START: u32 = 2;
 pub struct ProbeApp {
     /// ICMP identifier for the prebuilt pings.
     pub ident: u16,
-    /// Wait this long before injecting (lets the old protocol converge).
-    pub start_delay: SimDuration,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
     seq: u16,
     /// When the triggering BPDU was sent.
     pub sent_bpdu_at: Option<SimTime>,
@@ -1085,21 +1085,21 @@ pub struct ProbeApp {
 impl ProbeApp {
     /// Configure a probe that fires immediately.
     pub fn new(ident: u16) -> App {
-        Self::new_delayed(ident, SimDuration::ZERO)
-    }
-
-    /// Configure a probe that waits `start_delay` before injecting the
-    /// triggering BPDU (so the old protocol can converge first).
-    pub fn new_delayed(ident: u16, start_delay: SimDuration) -> App {
         App::Probe(ProbeApp {
             ident,
-            start_delay,
+            start_delay: SimDuration::ZERO,
             seq: 0,
             sent_bpdu_at: None,
             ieee_seen_at: None,
             ping_seen_at: None,
             pings_sent: 0,
         })
+    }
+
+    /// Configure a probe that waits `start_delay` before injecting the
+    /// triggering BPDU (so the old protocol can converge first).
+    pub fn new_delayed(ident: u16, start_delay: SimDuration) -> App {
+        App::delayed(start_delay, Self::new(ident))
     }
 
     /// The paper's "start to IEEE" interval.
@@ -1118,14 +1118,6 @@ impl ProbeApp {
             "the agility probe needs two NICs (eth0, eth1)"
         );
         assert!(core.cfg.promiscuous, "the probe reads raw frames");
-        if self.start_delay.is_zero() {
-            self.fire(core, ctx, idx);
-        } else {
-            ctx.schedule(self.start_delay, app_token(idx, PROBE_START));
-        }
-    }
-
-    fn fire(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
         // The triggering BPDU: a valid 802.1D configuration message from
         // a never-winning "bridge" (priority 0xFFFF).
         let frame = root_claim(ctx, 0xFFFF, core.cfg.mac(PortId(0)));
@@ -1135,10 +1127,6 @@ impl ProbeApp {
     }
 
     fn on_timer(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, user: u32) {
-        if user == PROBE_START {
-            self.fire(core, ctx, idx);
-            return;
-        }
         if user != PROBE_PING || self.ping_seen_at.is_some() {
             return;
         }
@@ -1226,6 +1214,8 @@ pub struct BlastApp {
     /// so edits to the public configuration fields (including `port`,
     /// which selects the source MAC) rebuild it.
     frame: Option<(MacAddr, MacAddr, usize, netsim::FrameBuf)>,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl BlastApp {
@@ -1245,6 +1235,7 @@ impl BlastApp {
             interval,
             sent: 0,
             frame: None,
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -1290,6 +1281,8 @@ pub struct MacFloodApp {
     /// Frames sent so far.
     pub sent: u64,
     rng: netsim::Xoshiro,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl MacFloodApp {
@@ -1301,6 +1294,7 @@ impl MacFloodApp {
             interval,
             sent: 0,
             rng: netsim::Xoshiro::seed_from_u64(seed),
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -1334,6 +1328,8 @@ pub struct ArpStormApp {
     /// Frames sent so far.
     pub sent: u64,
     rng: netsim::Xoshiro,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl ArpStormApp {
@@ -1345,6 +1341,7 @@ impl ArpStormApp {
             interval,
             sent: 0,
             rng: netsim::Xoshiro::seed_from_u64(seed),
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -1401,6 +1398,8 @@ pub struct RogueBpduApp {
     pub interval: SimDuration,
     /// BPDUs sent so far.
     pub sent: u64,
+    /// Delay before this app starts (see [`App::delayed`]).
+    start_delay: SimDuration,
 }
 
 impl RogueBpduApp {
@@ -1411,6 +1410,7 @@ impl RogueBpduApp {
             count,
             interval,
             sent: 0,
+            start_delay: SimDuration::ZERO,
         })
     }
 
@@ -1421,57 +1421,6 @@ impl RogueBpduApp {
         let frame = root_claim(ctx, 0x0000, src_mac);
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
-    }
-}
-
-// --------------------------------------------------------------- delayed
-
-/// The wrapper's own start-fire token. Inner apps use small user values
-/// (1..=3), so the top of the range is reserved for the wrapper.
-const DELAY_FIRE: u32 = u32::MAX;
-
-/// An app whose active start is postponed — built with [`App::delayed`].
-pub struct DelayedApp {
-    /// How long after host start the inner app starts.
-    pub after: SimDuration,
-    inner: Box<App>,
-    started: bool,
-}
-
-impl DelayedApp {
-    /// The wrapped app.
-    pub fn inner(&self) -> &App {
-        &self.inner
-    }
-
-    fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        if self.after.is_zero() {
-            self.started = true;
-            self.inner.on_start(core, ctx, idx);
-        } else {
-            ctx.schedule(self.after, app_token(idx, DELAY_FIRE));
-        }
-    }
-
-    fn on_timer(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize, user: u32) {
-        if user == DELAY_FIRE && !self.started {
-            self.started = true;
-            self.inner.on_start(core, ctx, idx);
-        } else {
-            // Everything else belongs to the inner app — including a
-            // DELAY_FIRE after we already started, which is a nested
-            // wrapper's own fire (both levels share the token value).
-            self.inner.on_timer(core, ctx, idx, user);
-        }
-    }
-
-    fn on_tx_done(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        // Send-side pacing must not leak to an app that has not started:
-        // the host broadcasts tx-done to every app, and an unstarted ttcp
-        // sender would begin its write loop ahead of schedule.
-        if self.started {
-            self.inner.on_tx_done(core, ctx, idx);
-        }
     }
 }
 
@@ -1488,7 +1437,10 @@ mod tests {
         let lan = world.add_segment(SegmentConfig::default());
         let blast = BlastApp::new(PortId(0), MacAddr::local(9), 64, 5, SimDuration::from_ms(1));
         let app = App::delayed(SimDuration::from_ms(100), blast);
-        assert!(matches!(app.unwrapped(), App::Blast(_)));
+        assert!(
+            matches!(app, App::Blast(_)),
+            "a delayed blaster is a blaster"
+        );
         let h = world.add_node(HostNode::new(
             "h",
             HostConfig::simple(
@@ -1500,12 +1452,12 @@ mod tests {
         ));
         world.attach(h, lan);
         world.run_until(SimTime::from_ms(50));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0).unwrapped() else {
+        let App::Blast(b) = world.node::<HostNode>(h).app(0) else {
             unreachable!()
         };
         assert_eq!(b.sent, 0, "nothing sent before the delay fires");
         world.run_until(SimTime::from_ms(300));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0).unwrapped() else {
+        let App::Blast(b) = world.node::<HostNode>(h).app(0) else {
             unreachable!()
         };
         assert_eq!(b.sent, 5, "the train runs to completion after the delay");
@@ -1581,7 +1533,7 @@ mod tests {
         let bogus = MacAddr::local(0x8002);
         world.node_mut::<HostNode>(h).core.seed_arp(peer_ip, bogus);
         let upload = |world: &World| {
-            let App::Upload(a) = world.node::<HostNode>(h).app(0).unwrapped() else {
+            let App::Upload(a) = world.node::<HostNode>(h).app(0) else {
                 unreachable!()
             };
             (a.retries, a.is_done())

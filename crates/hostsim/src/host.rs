@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ether::{EtherType, Frame, FrameBuilder, MacAddr};
-use netsim::{Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, SimTime, TimerToken};
+use netsim::{Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, SimDuration, SimTime, TimerToken};
 use netstack::ipv4::Protocol;
 use netstack::{ArpOp, ArpPacket, Echo, EchoKind};
 
@@ -16,6 +16,16 @@ use crate::cost::HostCostModel;
 const KIND_RX: u64 = 0;
 const KIND_TX: u64 = 1;
 const KIND_APP: u64 = 2;
+
+/// Payload bytes a host parks behind ARP per unresolved destination
+/// (Linux's default `unres_qlen_bytes`); past it a datagram is dropped
+/// and counted in `host.arp_queue_drops`.
+const ARP_QUEUE_BYTES: usize = 212_992;
+
+/// The `user` value of the timer that starts a delayed app. Every app
+/// timer has 1..=3 in its low byte (a ttcp RTO carries an epoch above
+/// it), so none is all ones.
+const DELAY_FIRE: u32 = u32::MAX;
 
 fn rx_token() -> TimerToken {
     TimerToken(KIND_RX << 56)
@@ -114,8 +124,10 @@ pub struct HostCore {
     /// Configuration.
     pub cfg: HostConfig,
     arp: netsim::FastMap<Ipv4Addr, MacAddr>,
+    /// Per unresolved destination, the payload bytes parked and the
+    /// datagrams, in send order.
     #[allow(clippy::type_complexity)]
-    arp_waiting: HashMap<Ipv4Addr, Vec<(PortId, Protocol, Vec<u8>, bool)>>,
+    arp_waiting: HashMap<Ipv4Addr, (usize, Vec<(PortId, Protocol, Vec<u8>, bool)>)>,
     rx_q: ServiceQueue<(PortId, FrameBuf)>,
     tx_q: ServiceQueue<(PortId, FrameBuf)>,
     reasm: netstack::ipv4::Reassembler,
@@ -297,8 +309,9 @@ impl HostCore {
 
     /// Park a packet for an unresolved `dst_ip` and broadcast a who-has
     /// for it. This is the one place a payload lives on the heap: once per
-    /// parked packet, moved in by the caller, and each parked packet sends
-    /// its own request.
+    /// parked packet, moved in by the caller, up to [`ARP_QUEUE_BYTES`] a
+    /// destination. Each send broadcasts its own request, parked or
+    /// dropped.
     fn park_behind_arp(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -308,10 +321,13 @@ impl HostCore {
         payload: Vec<u8>,
         fragment: bool,
     ) {
-        self.arp_waiting
-            .entry(dst_ip)
-            .or_default()
-            .push((port, proto, payload, fragment));
+        let (bytes, parked) = self.arp_waiting.entry(dst_ip).or_default();
+        if *bytes + payload.len() > ARP_QUEUE_BYTES {
+            ctx.bump("host.arp_queue_drops", 1);
+        } else {
+            *bytes += payload.len();
+            parked.push((port, proto, payload, fragment));
+        }
         let req = ArpPacket::request(self.cfg.mac(port), self.cfg.ip(port), dst_ip);
         let frame = FrameBuilder::new(MacAddr::BROADCAST, self.cfg.mac(port), EtherType::ARP)
             .in_buf(ctx.take_buf(ether::MIN_FRAME))
@@ -478,7 +494,7 @@ impl HostNode {
                     }
                     ArpOp::Reply => {
                         self.core.arp.insert(arp.spa, arp.sha);
-                        if let Some(pending) = self.core.arp_waiting.remove(&arp.spa) {
+                        if let Some((_, pending)) = self.core.arp_waiting.remove(&arp.spa) {
                             for (p, proto, payload, fragment) in pending {
                                 self.core
                                     .emit_ip(ctx, p, arp.sha, arp.spa, proto, &payload, fragment);
@@ -626,7 +642,15 @@ impl Node for HostNode {
                 ctx.set_rx_filter(PortId(port), Some(mac.octets()));
             }
         }
-        self.for_each_app(ctx, |app, core, ctx, idx| app.on_start(core, ctx, idx));
+        // A delayed app starts when its `DELAY_FIRE` timer does.
+        self.for_each_app(ctx, |app, core, ctx, idx| {
+            let after = *app.start_delay();
+            if after.is_zero() {
+                app.on_start(core, ctx, idx)
+            } else {
+                ctx.schedule(after, app_token(idx, DELAY_FIRE));
+            }
+        });
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
@@ -668,16 +692,27 @@ impl Node for HostNode {
                 }
                 ctx.send(port, frame);
                 // Transmission completed: apps may have more to send
-                // (write pacing). Skipped when no app paces on tx.
+                // (write pacing). Skipped when no app paces on tx, and
+                // withheld from an app that has not started, or a ttcp
+                // sender would begin its write loop ahead of schedule.
                 if self.has_tx_done {
-                    self.for_each_app(ctx, |app, core, ctx, idx| app.on_tx_done(core, ctx, idx));
+                    self.for_each_app(ctx, |app, core, ctx, idx| {
+                        if app.start_delay().is_zero() {
+                            app.on_tx_done(core, ctx, idx)
+                        }
+                    });
                 }
             }
             KIND_APP => {
                 let app_idx = ((token.0 >> 32) & 0xFF_FFFF) as usize;
                 let user = (token.0 & 0xFFFF_FFFF) as u32;
                 if let Some(app) = self.apps.get_mut(app_idx) {
-                    app.on_timer(&mut self.core, ctx, app_idx, user);
+                    if user == DELAY_FIRE {
+                        *app.start_delay() = SimDuration::ZERO;
+                        app.on_start(&mut self.core, ctx, app_idx);
+                    } else {
+                        app.on_timer(&mut self.core, ctx, app_idx, user);
+                    }
                 }
             }
             k => unreachable!("unknown host timer kind {k}"),
@@ -844,5 +879,42 @@ mod tests {
         // B took the five requests and the five datagrams off the wire.
         assert_eq!(world.node::<HostNode>(b).core.frames_rx, 10);
         assert!(world.node::<HostNode>(a).core.arp_waiting.is_empty());
+    }
+
+    /// A destination that never answers holds at most `ARP_QUEUE_BYTES`
+    /// of parked payload; past it each datagram is dropped and counted,
+    /// and each still sends its who-has.
+    #[test]
+    fn parking_behind_arp_stops_at_the_byte_cap() {
+        let mut world = World::new(1);
+        let lan = world.add_segment(SegmentConfig {
+            capture: true,
+            ..SegmentConfig::default()
+        });
+        let cfg = HostConfig::simple(
+            MacAddr::local(1),
+            Ipv4Addr::new(10, 1, 0, 1),
+            HostCostModel::FREE,
+        );
+        let a = world.add_node(HostNode::new("a", cfg, vec![]));
+        world.attach(a, lan);
+        world.run_until(SimTime::from_us(1));
+        let (dark, payload) = (Ipv4Addr::new(10, 1, 0, 99), [0u8; 1000]);
+        let fit = ARP_QUEUE_BYTES / payload.len();
+        world.with_ctx::<HostNode, _>(a, |h, ctx| {
+            for _ in 0..fit + 3 {
+                h.core
+                    .send_ip(ctx, PortId(0), dark, Protocol::UDP, &payload);
+            }
+        });
+        world.run_until(SimTime::from_ms(100));
+        let (bytes, parked) = &world.node::<HostNode>(a).core.arp_waiting[&dark];
+        assert_eq!((*bytes, parked.len()), (fit * payload.len(), fit));
+        assert_eq!(world.counters().get("host.arp_queue_drops"), 3);
+        assert_eq!(
+            world.segment(lan).captured().len(),
+            fit + 3,
+            "who-has per send"
+        );
     }
 }

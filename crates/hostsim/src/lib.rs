@@ -18,8 +18,8 @@ pub mod host;
 pub mod repeater;
 
 pub use apps::{
-    App, ArpStormApp, BlastApp, DelayedApp, MacFloodApp, PingApp, ProbeApp, RogueBpduApp,
-    TtcpRecvApp, TtcpSendApp, UploadApp, UPLOAD_BUDGET,
+    App, ArpStormApp, BlastApp, MacFloodApp, PingApp, ProbeApp, RogueBpduApp, TtcpRecvApp,
+    TtcpSendApp, UploadApp, UPLOAD_BUDGET,
 };
 pub use cost::HostCostModel;
 pub use host::{HostConfig, HostCore, HostNode};

@@ -819,7 +819,7 @@ fn resilience_report(
         if !matches!(p.action, AppAction::Upload { .. }) {
             continue;
         }
-        if let App::Upload(a) = world.node::<HostNode>(p.sender).app(0).unwrapped() {
+        if let App::Upload(a) = world.node::<HostNode>(p.sender).app(0) {
             retries += a.retries as u64;
             restarts += a.restarts as u64;
             rto_ceiling_hits += a.rto_ceiling_hits as u64;
@@ -1015,7 +1015,7 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                     ),
                 };
             }
-            let app = world.node::<HostNode>(p.sender).app(0).unwrapped();
+            let app = world.node::<HostNode>(p.sender).app(0);
             match (&p.action, app) {
                 (
                     AppAction::Ping {
@@ -1054,7 +1054,7 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                 ) => {
                     let (received, jitter) = p
                         .receiver
-                        .map(|r| match world.node::<HostNode>(r).app(0).unwrapped() {
+                        .map(|r| match world.node::<HostNode>(r).app(0) {
                             App::TtcpRecv(rx) => (
                                 rx.bytes_received(),
                                 rx.inter_arrival_ns().cloned().unwrap_or_default(),

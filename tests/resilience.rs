@@ -445,7 +445,7 @@ fn upload_resumes_with_fresh_session_after_bridge_crash() {
     // the ballast-padded image spans >100 TFTP blocks, so 5 ms of
     // pc-1997 service time is nowhere near the end of the transfer.
     world.run_until(SimTime::from_ms(5));
-    let App::Upload(a) = world.node::<HostNode>(uploader).app(0).unwrapped() else {
+    let App::Upload(a) = world.node::<HostNode>(uploader).app(0) else {
         unreachable!()
     };
     assert!(!a.is_done(), "the padded image must still be in flight");
@@ -455,12 +455,12 @@ fn upload_resumes_with_fresh_session_after_bridge_crash() {
     world.restart_node(b);
 
     run_until_done(&mut world, SimTime::from_secs(30), |w| {
-        let App::Upload(a) = w.node::<HostNode>(uploader).app(0).unwrapped() else {
+        let App::Upload(a) = w.node::<HostNode>(uploader).app(0) else {
             unreachable!()
         };
         a.is_done()
     });
-    let App::Upload(a) = world.node::<HostNode>(uploader).app(0).unwrapped() else {
+    let App::Upload(a) = world.node::<HostNode>(uploader).app(0) else {
         unreachable!()
     };
     assert!(a.is_done(), "the upload must complete after the restart");
@@ -508,12 +508,12 @@ fn integrity_gate_refuses_corrupted_image_end_to_end() {
     world.attach(uploader, segs[0]);
 
     run_until_done(&mut world, SimTime::from_secs(30), |w| {
-        let App::Upload(a) = w.node::<HostNode>(uploader).app(0).unwrapped() else {
+        let App::Upload(a) = w.node::<HostNode>(uploader).app(0) else {
             unreachable!()
         };
         a.is_done() || a.failed.is_some()
     });
-    let App::Upload(a) = world.node::<HostNode>(uploader).app(0).unwrapped() else {
+    let App::Upload(a) = world.node::<HostNode>(uploader).app(0) else {
         unreachable!()
     };
     assert!(!a.is_done(), "a corrupted image must never complete");
