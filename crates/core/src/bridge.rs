@@ -853,8 +853,8 @@ impl BridgeNode {
         // Every egress took its own handle. On a LAN whose stations
         // filter, the bridge is handed the wire frame's only reference,
         // so a frame it kept to itself (filtered, policed, consumed by a
-        // handler) goes back to the world's pool here.
-        ctx.recycle_frame(frame);
+        // handler) goes back to the thread's pool here.
+        frame.recycle();
     }
 
     fn process_frame_view(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
@@ -1417,7 +1417,6 @@ mod tests {
     fn timers_flags_and_learns_forget_no_kept_target() {
         use crate::switchlets::stp::{config_frame, IEEE_NAME};
         use crate::{BridgeId, ConfigBpdu, StpVariant};
-        use netsim::FrameBufMut;
         let cfg = BridgeConfig {
             cost: CostModel::FREE,
             ..BridgeConfig::default()
@@ -1474,7 +1473,7 @@ mod tests {
             tc: false,
             tca: false,
         };
-        let bpdu = config_frame(StpVariant::Ieee, me.mac, &inferior, FrameBufMut::new());
+        let bpdu = config_frame(StpVariant::Ieee, me.mac, &inferior);
         hand(&mut world, 1, bpdu);
         assert_eq!(kept(&mut world), [true, true]);
 

@@ -6,7 +6,7 @@ pub use ether::bpdu;
 pub mod engine;
 
 use ether::{EtherType, Frame, FrameBuilder, Llc, MacAddr};
-use netsim::{FrameBuf, FrameBufMut, PortId, ProbeRecord, SimDuration};
+use netsim::{FrameBuf, PortId, ProbeRecord, SimDuration};
 
 use crate::bridge::{BridgeCommand, BridgeCtx, DataFrame, NativeSwitchlet};
 use crate::plane::PortFlags;
@@ -26,25 +26,20 @@ const TICK: SimDuration = SimDuration::from_secs(1);
 const PRIORITY: u16 = 0x8000;
 
 /// The frame that carries `config` from station `src` in `variant`'s
-/// framing, composed in `buf` (whose contents are discarded): Ethernet
+/// framing, composed in one buffer from the thread's frame pool: Ethernet
 /// header, the LLC header 802.1D travels under, and the encoded BPDU, each
 /// written once, straight behind the other.
-pub fn config_frame(
-    variant: StpVariant,
-    src: MacAddr,
-    config: &ConfigBpdu,
-    buf: FrameBufMut,
-) -> FrameBuf {
+pub fn config_frame(variant: StpVariant, src: MacAddr, config: &ConfigBpdu) -> FrameBuf {
     let bpdu = Bpdu::Config(*config);
     match variant {
-        StpVariant::Ieee => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src)
-            .in_buf(buf)
-            .payload_with(ether::llc::LLC_LEN + bpdu::ieee::CONFIG_LEN, |out| {
+        StpVariant::Ieee => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src).payload_with(
+            ether::llc::LLC_LEN + bpdu::ieee::CONFIG_LEN,
+            |out| {
                 Llc::BPDU.write_into(out);
                 variant.emit_into(&bpdu, out);
-            }),
+            },
+        ),
         StpVariant::Dec => FrameBuilder::new(MacAddr::DEC_BRIDGES, src, EtherType::DEC_STP)
-            .in_buf(buf)
             .payload_with(bpdu::dec::CONFIG_LEN, |out| variant.emit_into(&bpdu, out)),
     }
     .build()
@@ -161,8 +156,7 @@ impl StpSwitchlet {
                     if self.is_tripped(port) {
                         continue;
                     }
-                    let buf = bc.sim.take_buf(ether::MIN_FRAME);
-                    let frame = config_frame(self.variant, bc.mac, &config, buf);
+                    let frame = config_frame(self.variant, bc.mac, &config);
                     bc.send_frame(PortId(port), frame);
                 }
                 StpAction::SetPortState { port, state } => {

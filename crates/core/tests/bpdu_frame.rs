@@ -52,12 +52,17 @@ proptest! {
         };
         let expected = layered(variant, src, &config);
         prop_assert_eq!(expected.len(), ether::MIN_FRAME, "a hello is padded to the minimum");
-        prop_assert_eq!(&config_frame(variant, src, &config, FrameBufMut::new()), &expected);
+        let fresh = config_frame(variant, src, &config);
+        prop_assert_eq!(&fresh, &expected);
         // A pooled buffer arrives holding a dead frame's bytes.
-        let mut pooled = FrameBufMut::with_capacity(ether::MAX_FRAME);
-        pooled.extend_from_slice(&[0xA5; 200]);
-        let frame = config_frame(variant, src, &config, pooled);
+        let mut dead = FrameBufMut::with_capacity(ether::MAX_FRAME);
+        dead.extend_from_slice(&[0xA5; 200]);
+        let dead = dead.freeze();
+        let storage = dead.as_ptr();
+        dead.recycle();
+        let frame = config_frame(variant, src, &config);
         prop_assert_eq!(&frame, &expected);
+        prop_assert_eq!(frame.as_ptr(), storage, "built in the recycled buffer");
 
         // And the receive side reads back what both wire formats can
         // carry: whole seconds below 256 (802.1D's 1/256 s units in

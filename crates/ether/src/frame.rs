@@ -124,8 +124,9 @@ impl<'a> Frame<'a> {
 /// directly behind it, so building a frame performs exactly one copy of
 /// the payload bytes — the build-once point of the zero-copy frame plane
 /// (everything downstream shares the resulting buffer by refcount). The
-/// buffer is the builder's own (one allocation, sized for the whole frame)
-/// unless the caller supplies one with [`FrameBuilder::in_buf`].
+/// buffer comes from the thread's frame pool ([`FrameBufMut::pooled`]):
+/// a recycled one when the pool has it, otherwise one allocation sized
+/// for the whole frame.
 #[derive(Debug)]
 pub struct FrameBuilder {
     /// The type field is patched at build time for LLC frames.
@@ -163,17 +164,6 @@ impl FrameBuilder {
         FrameBuilder::with_header(dst, src, EtherType(0), true)
     }
 
-    /// Build into `buf` (its contents are discarded, its storage kept)
-    /// instead of a fresh allocation — how a caller with a buffer pool
-    /// composes a frame without touching the allocator.
-    #[inline]
-    pub fn in_buf(mut self, mut buf: FrameBufMut) -> Self {
-        buf.clear();
-        buf.extend_from_slice(&self.buf);
-        self.buf = buf;
-        self
-    }
-
     /// Set the payload (replacing any payload set earlier).
     #[inline]
     pub fn payload(self, payload: &[u8]) -> Self {
@@ -186,10 +176,15 @@ impl FrameBuilder {
     /// the one buffer, with no intermediate copy of the payload.
     #[inline]
     pub fn payload_with(mut self, len_hint: usize, write: impl FnOnce(&mut Vec<u8>)) -> Self {
-        self.buf.clear();
-        // Reserve the final frame size (including any pad to the Ethernet
-        // minimum) so building stays a single allocation.
-        self.buf.reserve((HEADER_LEN + len_hint).max(MIN_FRAME));
+        // Room for the final frame size (including any pad to the
+        // Ethernet minimum), so building stays at most one allocation.
+        let size = (HEADER_LEN + len_hint).max(MIN_FRAME);
+        if self.buf.capacity() == 0 {
+            self.buf = FrameBufMut::pooled(size);
+        } else {
+            self.buf.clear();
+            self.buf.reserve(size);
+        }
         self.buf.extend_from_slice(&self.header);
         write(self.buf.as_mut_vec());
         self
@@ -262,18 +257,21 @@ mod tests {
     }
 
     #[test]
-    fn in_buf_builds_the_same_bytes_in_the_callers_storage() {
+    fn a_frame_is_built_in_recycled_storage() {
         let build = |b: FrameBuilder| b.payload(&[0x42, 0x42, 0x03, 7]).build();
         for llc in [false, true] {
             let start = || match llc {
                 false => FrameBuilder::new(MacAddr::local(1), MacAddr::local(2), EtherType::ARP),
                 true => FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, MacAddr::local(2)),
             };
-            let mut pooled = FrameBufMut::with_capacity(MAX_FRAME);
-            pooled.extend_from_slice(b"a dead frame's bytes");
-            let storage = pooled.as_ptr();
-            let frame = build(start().in_buf(pooled));
-            assert_eq!(frame, build(start()));
+            let fresh = build(start());
+            let mut dead = FrameBufMut::with_capacity(MAX_FRAME);
+            dead.extend_from_slice(b"a dead frame's bytes");
+            let dead = dead.freeze();
+            let storage = dead.as_ptr();
+            dead.recycle();
+            let frame = build(start());
+            assert_eq!(frame, fresh);
             assert_eq!(frame.as_ptr(), storage, "built in place");
         }
     }

@@ -29,6 +29,9 @@
 //!   the refcount header beside the vector, and [`FrameBufMut::freeze`]
 //!   puts the vector back into that header: a buffer that cycles pool →
 //!   frame → pool never reaches the allocator.
+//! * **One pool per thread.** [`FrameBufMut::pooled`] takes a buffer from
+//!   this thread's frame pool and [`FrameBuf::recycle`] gives a dead
+//!   frame's storage back (crates/netsim/DESIGN.md § The frame pool).
 //! * **[`FrameBufMut::as_mut_vec`]** lends the backing vector to builders
 //!   that append into a `Vec<u8>`.
 //! * **One copy.** [`FrameBuf::mutate`] is copy-on-write and the only
@@ -38,9 +41,26 @@
 // boundary only what is marked (crates/netsim/DESIGN.md § Inlining policy).
 #![deny(clippy::missing_inline_in_public_items)]
 
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::rc::Rc;
+
+/// Buffers a thread's frame pool keeps at most: a few per node of a
+/// small world is plenty; beyond that the pool would only pin memory.
+pub const POOL_CAP: usize = 64;
+
+/// The largest storage [`FrameBuf::recycle`] keeps: a pool outlives its
+/// worlds, so it keeps frame-sized buffers (a frame is at most 1 514
+/// bytes), not, say, a string a switchlet grew.
+pub const POOL_MAX_CAPACITY: usize = 2048;
+
+thread_local! {
+    /// This thread's recycled frame storage, newest last: each entry a
+    /// dead frame's whole storage, cleared, still in the refcount header
+    /// it was shared under (one word to push or pop).
+    static POOL: RefCell<Vec<Rc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A cheaply clonable, immutable view (`off..off + len`) of byte storage.
 ///
@@ -137,6 +157,25 @@ impl FrameBuf {
             }
         }
         Err(self)
+    }
+
+    /// Hand a finished-with frame's storage back to this thread's frame
+    /// pool: kept if this is the sole view of a whole buffer of at most
+    /// [`POOL_MAX_CAPACITY`] bytes and the pool holds fewer than
+    /// [`POOL_CAP`], dropped otherwise (also during thread teardown).
+    #[inline]
+    pub fn recycle(mut self) {
+        let whole = self.span == span(0, self.store.len());
+        match Rc::get_mut(&mut self.store) {
+            Some(bytes) if whole && bytes.capacity() <= POOL_MAX_CAPACITY => bytes.clear(),
+            _ => return,
+        }
+        let _ = POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < POOL_CAP {
+                pool.push(self.store);
+            }
+        });
     }
 
     /// Copy-on-write: copy the contents into a private buffer, let `f`
@@ -243,6 +282,41 @@ impl FrameBufMut {
             buf: Vec::with_capacity(cap),
             header: None,
         }
+    }
+
+    /// A cleared buffer of at least `cap` capacity from this thread's
+    /// frame pool — the allocation-free way to start building a frame
+    /// (freezing it reuses its refcount header too) — or a fresh one when
+    /// the pool is empty. Pair with [`FrameBuf::recycle`].
+    #[inline]
+    pub fn pooled(cap: usize) -> Self {
+        let taken = POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            // Scan a few recent entries for one big enough (the pool turns
+            // over the same frame-sized buffers in steady state), else
+            // take the newest.
+            let n = pool.len();
+            let fit = (n.saturating_sub(4)..n)
+                .rev()
+                .find(|&i| pool[i].capacity() >= cap);
+            fit.or(n.checked_sub(1)).map(|i| pool.swap_remove(i))
+        });
+        let mut buf = match taken.ok().flatten() {
+            // Cleared when recycled: its one view, empty, is all of it.
+            Some(store) => FrameBuf { store, span: 0 }
+                .try_into_mut()
+                .expect("pooled storage is unshared"),
+            None => FrameBufMut::default(),
+        };
+        // Grow a pooled buffer in place rather than allocate beside it: a
+        // pool full of ACK-sized buffers would otherwise turn every
+        // full-sized frame away for the rest of the run. Doubling, as a
+        // `Vec` grows, but not past what `recycle` keeps.
+        if buf.capacity() < cap {
+            let doubled = (2 * buf.capacity()).min(POOL_MAX_CAPACITY);
+            buf.buf.reserve_exact(cap.max(doubled));
+        }
+        buf
     }
 
     /// Append `extend`.
@@ -406,6 +480,92 @@ mod tests {
         let b = m.freeze();
         assert_eq!(&b[..], &[9u8; 32]);
         assert_eq!((header(&b), b.as_ptr()), (hdr, data));
+    }
+
+    /// Each test runs on a thread of its own, so its pool starts empty.
+    #[test]
+    fn a_recycled_frame_is_the_next_pooled_buffer() {
+        let frame = FrameBuf::from(vec![7u8; 64]);
+        let storage = frame.as_ptr();
+        frame.recycle();
+        let buf = FrameBufMut::pooled(64);
+        assert!(buf.is_empty());
+        assert_eq!(buf.as_ptr(), storage);
+        // The pool is empty again: a fresh buffer, sized as asked.
+        assert_eq!(FrameBufMut::pooled(0).capacity(), 0);
+        assert!(FrameBufMut::pooled(100).capacity() >= 100);
+    }
+
+    #[test]
+    fn recycling_a_shared_handle_reclaims_nothing() {
+        let held = FrameBuf::from(vec![0xABu8; 64]);
+        held.clone().recycle();
+        assert_eq!(
+            FrameBufMut::pooled(0).capacity(),
+            0,
+            "someone still holds it"
+        );
+        assert!(held.iter().all(|&b| b == 0xAB), "and still sees its bytes");
+        // A view of part of the storage is not the whole of it either.
+        let tail = held.slice(1..);
+        drop(held);
+        tail.recycle();
+        assert_eq!(FrameBufMut::pooled(0).capacity(), 0);
+        // The last handle of the whole storage is what goes back.
+        let last = FrameBuf::from(vec![0xCDu8; 64]);
+        let storage = last.as_ptr();
+        last.recycle();
+        let reused = FrameBufMut::pooled(64);
+        assert!(reused.is_empty());
+        assert_eq!(reused.as_ptr(), storage);
+    }
+
+    #[test]
+    fn a_recycled_64_kib_frame_is_freed_not_pooled() {
+        FrameBuf::from(vec![0u8; 64 * 1024]).recycle();
+        assert_eq!(FrameBufMut::pooled(0).capacity(), 0, "nothing was pooled");
+        // A frame at the bound is kept.
+        FrameBuf::from(vec![0u8; POOL_MAX_CAPACITY]).recycle();
+        assert_eq!(FrameBufMut::pooled(0).capacity(), POOL_MAX_CAPACITY);
+    }
+
+    #[test]
+    fn the_recycle_past_the_pool_cap_is_dropped() {
+        // Alive together, so every frame has storage of its own.
+        let frames: Vec<FrameBuf> = (0..=POOL_CAP)
+            .map(|i| FrameBuf::from(vec![i as u8; 64]))
+            .collect();
+        let storage: Vec<*const u8> = frames.iter().map(|f| f.as_ptr()).collect();
+        frames.into_iter().for_each(FrameBuf::recycle);
+        let drained: Vec<FrameBufMut> = (0..=POOL_CAP).map(|_| FrameBufMut::pooled(0)).collect();
+        // Newest first: the 64th recycled down to the first.
+        for (buf, &was) in drained.iter().zip(storage[..POOL_CAP].iter().rev()) {
+            assert_eq!(buf.as_ptr(), was);
+        }
+        assert_eq!(drained[POOL_CAP].capacity(), 0, "the 65th was not kept");
+    }
+
+    #[test]
+    fn a_recycle_during_thread_teardown_drops_the_frame() {
+        struct RecycleOnDrop(Option<FrameBuf>);
+        impl Drop for RecycleOnDrop {
+            fn drop(&mut self) {
+                if let Some(frame) = self.0.take() {
+                    frame.recycle();
+                }
+            }
+        }
+        thread_local! {
+            static LATE: RefCell<RecycleOnDrop> = const { RefCell::new(RecycleOnDrop(None)) };
+        }
+        std::thread::spawn(|| {
+            // Registered before the pool, so (destructors running newest
+            // first) torn down after it: its recycle finds no pool.
+            LATE.with(|late| late.borrow_mut().0 = Some(FrameBuf::from(vec![1u8; 64])));
+            FrameBuf::from(vec![2u8; 64]).recycle();
+        })
+        .join()
+        .expect("a recycle at teardown does not panic");
     }
 
     #[test]

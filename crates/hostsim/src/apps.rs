@@ -1120,7 +1120,7 @@ impl ProbeApp {
         assert!(core.cfg.promiscuous, "the probe reads raw frames");
         // The triggering BPDU: a valid 802.1D configuration message from
         // a never-winning "bridge" (priority 0xFFFF).
-        let frame = root_claim(ctx, 0xFFFF, core.cfg.mac(PortId(0)));
+        let frame = root_claim(0xFFFF, core.cfg.mac(PortId(0)));
         core.send_raw(ctx, PortId(0), frame);
         self.sent_bpdu_at = Some(ctx.now());
         ctx.schedule(SimDuration::from_secs(1), app_token(idx, PROBE_PING));
@@ -1308,7 +1308,6 @@ impl MacFloodApp {
         // unknown-unicast and floods (the storm class policing catches).
         let dst = MacAddr([0x02, 0xDE, 0xAD, 0xBE, 0xEF, 0x01]);
         let frame = FrameBuilder::new(dst, src, EtherType::EXPERIMENTAL)
-            .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&[0x5A; 46])
             .build();
         core.send_raw(ctx, self.port, frame);
@@ -1354,7 +1353,6 @@ impl ArpStormApp {
         let tpa = Ipv4Addr::new(10, 250, (r >> 8) as u8, r as u8);
         let arp = netstack::ArpPacket::request(src_mac, spa, tpa).emit();
         let frame = FrameBuilder::new(MacAddr::BROADCAST, src_mac, EtherType::ARP)
-            .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&arp)
             .build();
         core.send_raw(ctx, self.port, frame);
@@ -1363,8 +1361,8 @@ impl ArpStormApp {
 }
 
 /// An 802.1D configuration BPDU from station `src` that names itself root
-/// at `priority`, framed in a buffer from the world's pool.
-fn root_claim(ctx: &mut Ctx<'_>, priority: u16, src: MacAddr) -> FrameBuf {
+/// at `priority`.
+fn root_claim(priority: u16, src: MacAddr) -> FrameBuf {
     let me = BridgeId::new(priority, src);
     let config = ConfigBpdu {
         root: me,
@@ -1380,7 +1378,6 @@ fn root_claim(ctx: &mut Ctx<'_>, priority: u16, src: MacAddr) -> FrameBuf {
     };
     let payload = ieee::emit(&Bpdu::Config(config));
     FrameBuilder::new_llc(MacAddr::ALL_BRIDGES, src)
-        .in_buf(ctx.take_buf(ether::MIN_FRAME))
         .payload(&Llc::BPDU.wrap(&payload))
         .build()
 }
@@ -1418,7 +1415,7 @@ impl RogueBpduApp {
         let src_mac = core.cfg.mac(self.port);
         // Priority 0 beats every real bridge (802.1D's default is 0x8000):
         // processed anywhere, this claim wins the election outright.
-        let frame = root_claim(ctx, 0x0000, src_mac);
+        let frame = root_claim(0x0000, src_mac);
         core.send_raw(ctx, self.port, frame);
         self.sent += 1;
     }

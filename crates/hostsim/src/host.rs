@@ -6,7 +6,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ether::{EtherType, Frame, FrameBuilder, MacAddr};
-use netsim::{Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, SimDuration, SimTime, TimerToken};
+use netsim::{
+    Ctx, FrameBuf, FrameBufMut, Node, Offer, PortId, ServiceQueue, SimDuration, SimTime, TimerToken,
+};
 use netstack::ipv4::Protocol;
 use netstack::{ArpOp, ArpPacket, Echo, EchoKind};
 
@@ -265,7 +267,7 @@ impl HostCore {
         let ident = self.ip_ident;
         self.ip_ident = self.ip_ident.wrapping_add(1);
         let total = ether::HEADER_LEN + netstack::ipv4::HEADER_LEN + payload_len;
-        let mut frame = ctx.take_buf(total.max(ether::MIN_FRAME));
+        let mut frame = FrameBufMut::pooled(total.max(ether::MIN_FRAME));
         let buf = frame.as_mut_vec();
         let mut eth = [0u8; ether::HEADER_LEN];
         eth[0..6].copy_from_slice(&dst_mac.octets());
@@ -330,7 +332,6 @@ impl HostCore {
         }
         let req = ArpPacket::request(self.cfg.mac(port), self.cfg.ip(port), dst_ip);
         let frame = FrameBuilder::new(MacAddr::BROADCAST, self.cfg.mac(port), EtherType::ARP)
-            .in_buf(ctx.take_buf(ether::MIN_FRAME))
             .payload(&req.emit())
             .build();
         self.send_raw(ctx, port, frame);
@@ -448,8 +449,8 @@ impl HostNode {
     fn process_rx(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: FrameBuf) {
         self.process_rx_view(ctx, port, &frame);
         // The frame ends its life here on most hosts; hand the buffer
-        // back to the world's pool when this was the last reference.
-        ctx.recycle_frame(frame);
+        // back to the thread's pool when this was the last reference.
+        frame.recycle();
     }
 
     fn process_rx_view(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: &FrameBuf) {
@@ -487,7 +488,6 @@ impl HostNode {
                     ArpOp::Request if arp.tpa == self.core.cfg.ip(port) => {
                         let reply = arp.reply_with(my_mac);
                         let out = FrameBuilder::new(arp.sha, my_mac, EtherType::ARP)
-                            .in_buf(ctx.take_buf(ether::MIN_FRAME))
                             .payload(&reply.emit())
                             .build();
                         self.core.send_raw(ctx, port, out);

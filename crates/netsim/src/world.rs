@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use framebuf::{FrameBuf, FrameBufMut};
+use framebuf::FrameBuf;
 
 use crate::chaos::ChaosEv;
 use crate::event::{Event, EventKind, EventQueue};
@@ -65,17 +65,7 @@ pub struct WorldCore {
     /// [`Listeners`]). Its tables are kept across resets, like the
     /// scratch.
     listeners: Listeners,
-    /// Recycled frame storage, each entry whole (bytes and refcount
-    /// header): builders take from here ([`Ctx::take_buf`]) and dead
-    /// frames return here ([`Ctx::recycle_frame`]), so steady-state
-    /// traffic reuses a small working set of allocations instead of
-    /// hitting the allocator per frame.
-    frame_pool: Vec<FrameBufMut>,
 }
-
-/// Upper bound on pooled buffers (a few per node is plenty; beyond that
-/// the pool would just pin memory).
-const FRAME_POOL_CAP: usize = 64;
 
 #[cold]
 #[inline(never)]
@@ -105,38 +95,6 @@ impl WorldCore {
         self.ports[first as usize + port.0]
     }
 
-    /// Take a cleared buffer of at least `cap` capacity from the frame
-    /// pool (or a fresh one when the pool is empty).
-    fn take_buf(&mut self, cap: usize) -> FrameBufMut {
-        // Scan a few recent entries for one big enough; the pool turns
-        // over the same frame-sized buffers in steady state.
-        let n = self.frame_pool.len();
-        for i in (n.saturating_sub(4)..n).rev() {
-            if self.frame_pool[i].capacity() >= cap {
-                return self.frame_pool.swap_remove(i);
-            }
-        }
-        // Grow a pooled buffer in place rather than allocate beside it: a
-        // pool full of ACK-sized buffers would otherwise turn every
-        // full-sized frame away for the rest of the run.
-        let mut buf = self.frame_pool.pop().unwrap_or_default();
-        buf.reserve(cap);
-        buf
-    }
-
-    /// Return a dead frame's storage to the pool. A frame some other
-    /// handle still shares costs one refcount test here and then drops
-    /// like any other clone.
-    #[inline]
-    fn recycle_frame(&mut self, frame: FrameBuf) {
-        if frame.is_unique() && self.frame_pool.len() < FRAME_POOL_CAP {
-            if let Ok(mut buf) = frame.try_into_mut() {
-                buf.clear();
-                self.frame_pool.push(buf);
-            }
-        }
-    }
-
     #[inline]
     fn send_on_segment(&mut self, seg_id: SegId, slot: u32, frame: FrameBuf) {
         self.frames_sent += 1;
@@ -164,7 +122,7 @@ impl WorldCore {
     #[cold]
     fn refuse_on_down_segment(&mut self, seg_id: SegId, frame: FrameBuf) {
         self.segments[seg_id.0].counters.down_drops += 1;
-        self.recycle_frame(frame);
+        frame.recycle();
     }
 
     /// The flight-recorder entry for one offer. Out of line: the recorder
@@ -365,24 +323,6 @@ impl<'w> Ctx<'w> {
         self.core.counters.bump(key, n);
     }
 
-    /// Take a cleared byte buffer of at least `cap` capacity from the
-    /// world's frame pool — the allocation-free way to start building a
-    /// frame (freezing the finished buffer reuses its refcount header
-    /// too). Pair with [`Ctx::recycle_frame`].
-    #[inline]
-    pub fn take_buf(&mut self, cap: usize) -> FrameBufMut {
-        self.core.take_buf(cap)
-    }
-
-    /// Hand a finished-with frame back to the world's frame pool. Only
-    /// reclaims storage the caller exclusively owns (one cheap refcount
-    /// check otherwise), so it is always safe to call on the last handle
-    /// a node holds.
-    #[inline]
-    pub fn recycle_frame(&mut self, frame: FrameBuf) {
-        self.core.recycle_frame(frame);
-    }
-
     /// Read an experiment counter.
     pub fn counter(&self, key: &str) -> u64 {
         self.core.counters.get(key)
@@ -481,7 +421,6 @@ impl World {
                 scripted_faults: Vec::new(),
                 deliver_scratch: Vec::new(),
                 listeners: Listeners::default(),
-                frame_pool: Vec::new(),
             },
             nodes: Vec::new(),
             started: 0,
@@ -492,9 +431,10 @@ impl World {
 
     /// Rewind this world to the state `World::new(seed)` produces while
     /// **keeping its expensive allocations**: the event queue's heap,
-    /// payload slab, completion ring and now-lane, the frame pool, the
-    /// delivery scratch, the listener index's tables, and the capacity of
-    /// the node and segment tables. Sweep harnesses
+    /// payload slab, completion ring and now-lane, the delivery scratch,
+    /// the listener index's tables, and the capacity of the node and
+    /// segment tables. (Frame storage is pooled per thread, not per
+    /// world: `framebuf::FrameBufMut::pooled`.) Sweep harnesses
     /// run many `(topology, workload, seed)` worlds back to back in one
     /// worker; resetting instead of reconstructing means the steady
     /// state stops paying construction allocations per scenario.
@@ -528,9 +468,8 @@ impl World {
         self.core.crashed_count = 0;
         self.core.scripted_faults.clear();
         // The listener index empties with the segments it indexes,
-        // keeping its tables. `deliver_scratch` and `frame_pool` survive
-        // deliberately: they are pure caches, invisible to simulation
-        // behavior.
+        // keeping its tables. `deliver_scratch` survives deliberately: it
+        // is a pure cache, invisible to simulation behavior.
         self.core.listeners.clear();
         self.nodes.clear();
         self.started = 0;
@@ -775,7 +714,7 @@ impl World {
             if any_crashed && self.core.crashed[target.node.0] {
                 // The listener is crashed: the frame falls on the
                 // floor (never counted as delivered).
-                self.core.recycle_frame(frame);
+                frame.recycle();
                 return;
             }
             self.core.frames_delivered += 1;
@@ -788,7 +727,7 @@ impl World {
             if target.hears(rx_dst(&frame)) {
                 self.with_node(target.node, |n, ctx| n.on_frame(ctx, target.port, frame));
             } else {
-                self.core.recycle_frame(frame);
+                frame.recycle();
             }
             return;
         }
@@ -853,7 +792,7 @@ impl World {
         }
         // Nobody was called: the wire frame dies here — reclaim it.
         if let Some(f) = frame {
-            self.core.recycle_frame(f);
+            f.recycle();
         }
         self.core.deliver_scratch = masks;
     }
@@ -1901,31 +1840,6 @@ mod tests {
         assert_eq!(drive(&mut reused), want, "reset world replays fresh");
     }
 
-    #[test]
-    fn recycling_a_shared_handle_reclaims_nothing() {
-        let mut w = World::new(1);
-        let a = w.add_node(echo("a", false));
-        let held = FrameBuf::from(vec![0xABu8; 64]);
-        let other = held.clone();
-        w.with_ctx::<Echo, _>(a, |_, ctx| ctx.recycle_frame(other));
-        assert_eq!(w.core.frame_pool.len(), 0, "someone still holds it");
-        assert!(held.iter().all(|&b| b == 0xAB), "and still sees its bytes");
-        // A view of part of the storage is not the whole of it either.
-        let tail = held.slice(1..);
-        drop(held);
-        w.with_ctx::<Echo, _>(a, |_, ctx| ctx.recycle_frame(tail));
-        assert_eq!(w.core.frame_pool.len(), 0);
-        // The last handle of the whole storage is what goes back.
-        let last = FrameBuf::from(vec![0xCDu8; 64]);
-        let storage = last.as_ptr();
-        w.with_ctx::<Echo, _>(a, |_, ctx| {
-            ctx.recycle_frame(last);
-            let reused = ctx.take_buf(64);
-            assert!(reused.is_empty());
-            assert_eq!(reused.as_ptr(), storage);
-        });
-    }
-
     /// A station with a NIC: declares `mac` as its receive filter at start
     /// and notes, for each frame it is called with (and drops), whether
     /// that handle was the frame's only one.
@@ -2157,6 +2071,7 @@ mod tests {
 
     #[test]
     fn a_frame_nobody_accepts_is_recycled() {
+        use framebuf::FrameBufMut;
         let mut w = World::new(1);
         let (_, [a, sender, b]) = stations(&mut w, [Some(MAC_A), None, Some(MAC_B)]);
         let frame = frame_to(MAC_C);
@@ -2164,14 +2079,20 @@ mod tests {
         send_from(&mut w, sender, frame);
         assert_eq!((heard(&w, a), heard(&w, b)), (0, 0));
         assert_eq!(w.frames_delivered(), 2);
-        assert_eq!(w.core.frame_pool.len(), 1, "the unheard frame went back");
-        assert_eq!(w.core.frame_pool[0].as_ptr(), storage);
+        assert_eq!(
+            FrameBufMut::pooled(0).as_ptr(),
+            storage,
+            "the unheard frame went back"
+        );
         // The same on a point-to-point link (the two-attachment path).
         let (_, [c, d]) = stations(&mut w, [None, Some(MAC_B)]);
-        send_from(&mut w, c, frame_to(MAC_C));
+        let frame = frame_to(MAC_C);
+        let storage = frame.as_ptr();
+        send_from(&mut w, c, frame);
         assert_eq!(heard(&w, d), 0);
         assert_eq!(w.frames_delivered(), 3);
-        assert_eq!(w.core.frame_pool.len(), 2);
+        assert_eq!(FrameBufMut::pooled(0).as_ptr(), storage);
+        assert_eq!(FrameBufMut::pooled(0).capacity(), 0, "and nothing else did");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! duplicates — and the only thing that can ever diverge a copy is the
 //! explicit copy-on-write path (fault corruption, `FrameBuf::mutate`).
 
+use framebuf::POOL_CAP;
 use netsim::{
-    Ctx, FaultConfig, FrameBuf, Node, PortId, SegmentConfig, SimDuration, SimTime, TimerToken,
-    World,
+    Ctx, FaultConfig, FrameBuf, FrameBufMut, Node, PortId, SegmentConfig, SimDuration, SimTime,
+    TimerToken, World,
 };
 
 /// Sends one prebuilt frame and keeps its own handle to the buffer.
@@ -177,41 +178,34 @@ fn fault_duplicates_share_storage_with_each_other() {
     );
 }
 
-/// The frame pool's capacity, as `netsim::world` fixes it.
-const FRAME_POOL_CAP: usize = 64;
-
 #[test]
 fn a_pool_full_of_short_buffers_still_serves_long_frames() {
-    fn compose(ctx: &mut Ctx<'_>, len: usize) -> FrameBuf {
-        let mut buf = ctx.take_buf(len);
+    fn compose(len: usize) -> FrameBuf {
+        let mut buf = FrameBufMut::pooled(len);
         buf.resize(len, 0x5A);
         buf.freeze()
     }
-    let mut world = World::new(7);
-    let node = world.add_node(Keeper::new(false));
-    world.with_ctx::<Keeper, _>(node, |_, ctx| {
-        // Fill the pool with ACK-sized buffers (alive together, so they
-        // are distinct allocations), and a few more it has to turn away.
-        let shorts: Vec<FrameBuf> = (0..FRAME_POOL_CAP + 8).map(|_| compose(ctx, 64)).collect();
-        shorts.into_iter().for_each(|f| ctx.recycle_frame(f));
+    // Fill the pool with ACK-sized buffers (alive together, so they are
+    // distinct allocations), and a few more it has to turn away.
+    let shorts: Vec<FrameBuf> = (0..POOL_CAP + 8).map(|_| compose(64)).collect();
+    shorts.into_iter().for_each(FrameBuf::recycle);
 
-        // Full-sized frames now cycle through one pooled buffer, grown in
-        // place once, instead of missing the pool for the rest of the run.
-        let mut storage = Vec::new();
-        for _ in 0..16 {
-            let frame = compose(ctx, 1514);
-            assert!(frame.iter().all(|&b| b == 0x5A));
-            storage.push(frame.as_ptr());
-            ctx.recycle_frame(frame);
-        }
-        assert!(
-            storage.iter().all(|&p| p == storage[0]),
-            "every frame reuses the storage the first one grew"
-        );
-        // Address reuse alone could be the allocator's doing; the pool
-        // itself must now hold a full-sized buffer (it holds
-        // `FRAME_POOL_CAP` entries at most, so this drains it).
-        let drained: Vec<_> = (0..FRAME_POOL_CAP).map(|_| ctx.take_buf(0)).collect();
-        assert!(drained.iter().any(|buf| buf.capacity() >= 1514));
-    });
+    // Full-sized frames now cycle through one pooled buffer, grown in
+    // place once, instead of missing the pool for the rest of the run.
+    let mut storage = Vec::new();
+    for _ in 0..16 {
+        let frame = compose(1514);
+        assert!(frame.iter().all(|&b| b == 0x5A));
+        storage.push(frame.as_ptr());
+        frame.recycle();
+    }
+    assert!(
+        storage.iter().all(|&p| p == storage[0]),
+        "every frame reuses the storage the first one grew"
+    );
+    // Address reuse alone could be the allocator's doing; the pool itself
+    // must now hold a full-sized buffer (it holds `POOL_CAP` entries at
+    // most, so this drains it).
+    let drained: Vec<_> = (0..POOL_CAP).map(|_| FrameBufMut::pooled(0)).collect();
+    assert!(drained.iter().any(|buf| buf.capacity() >= 1514));
 }

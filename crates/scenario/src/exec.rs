@@ -31,7 +31,7 @@
 //! Workers may carry worker-local scratch state across jobs
 //! ([`run_jobs_local`]) — the sweep runner hands each worker one
 //! reusable [`netsim::World`] so consecutive scenarios amortize arena
-//! and pool allocations via `World::reset`.
+//! and table allocations via `World::reset`.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};

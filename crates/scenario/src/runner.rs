@@ -526,9 +526,8 @@ pub fn run(scenario: &Scenario) -> Report {
 /// Execute `scenario` inside a caller-supplied [`World`], resetting it
 /// first. Behaviorally identical to [`run`] — `World::reset` rewinds
 /// every observable — but a worker that runs many scenarios through one
-/// world amortizes the event-queue, frame-pool and table allocations
-/// across the whole batch (this is what the parallel sweep's workers
-/// do).
+/// world amortizes the event-queue and table allocations across the
+/// whole batch (this is what the parallel sweep's workers do).
 pub fn run_in(world: &mut World, scenario: &Scenario) -> Report {
     world.reset(scenario.seed);
     world.trace_mut().set_enabled(false);

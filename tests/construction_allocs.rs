@@ -12,11 +12,12 @@ use std::net::Ipv4Addr;
 
 use active_bridge::{loader, switchlets, BridgeConfig, BridgeNode};
 use ether::MacAddr;
-use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode};
+use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode, TtcpRecvApp, TtcpSendApp};
 use netsim::{
     CostModel, Ctx, FrameBuf, Node, NodeId, PortId, SegmentConfig, SimDuration, SimTime,
     TimerToken, World,
 };
+use netstack::tcplite::{ReceiverConfig, SenderConfig};
 
 thread_local! {
     /// Allocator calls made by this thread (tests run one per thread).
@@ -307,5 +308,99 @@ fn a_chain_s_timer_heap_does_not_grow_after_start() {
     assert!(
         none > calls,
         "a world told of no timers grows its heap: {none} calls against {calls}"
+    );
+}
+
+/// Two hosts on one LAN, their ARP caches seeded: `a` sends 256 KiB to
+/// `b` with ttcp in full-sized segments, starting 1 ms in. Returns the
+/// world and `a`.
+fn ttcp_world() -> (World, NodeId) {
+    let mut world = World::new(1);
+    world.trace_mut().set_enabled(false);
+    let lan = world.add_segment(SegmentConfig::named("lan"));
+    let (ip_a, ip_b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let (mac_a, mac_b) = (MacAddr::local(1), MacAddr::local(2));
+    let send = TtcpSendApp::new(
+        PortId(0),
+        ip_b,
+        5001,
+        5001,
+        256 * 1024,
+        1460,
+        SenderConfig::default(),
+    );
+    let mut a = HostNode::new(
+        "a",
+        HostConfig::simple(mac_a, ip_a, HostCostModel::FREE),
+        vec![App::delayed(SimDuration::from_ms(1), send)],
+    );
+    a.core.seed_arp(ip_b, mac_b);
+    let mut b = HostNode::new(
+        "b",
+        HostConfig::simple(mac_b, ip_b, HostCostModel::FREE),
+        vec![TtcpRecvApp::new(5001, ReceiverConfig::default())],
+    );
+    b.core.seed_arp(ip_a, mac_a);
+    let a = world.add_node(a);
+    world.attach(a, lan);
+    let b = world.add_node(b);
+    world.attach(b, lan);
+    (world, a)
+}
+
+fn ttcp_sender(world: &World, a: NodeId) -> &TtcpSendApp {
+    match world.node::<HostNode>(a).app(0) {
+        App::TtcpSend(send) => send,
+        _ => unreachable!("app 0 of `a` is the ttcp transmitter"),
+    }
+}
+
+/// The allocator calls of a booted [`ttcp_world`] from the sender's
+/// start until it has sent 64 data frames (and the receiver has
+/// acknowledged and the LAN delivered them), in 100 µs steps.
+fn first_64_data_frames() -> u64 {
+    let (mut world, a) = ttcp_world();
+    // Booted (the event queue's tables are sized at start), the sender not
+    // yet started.
+    world.run_until(SimTime::from_us(500));
+    assert_eq!(ttcp_sender(&world, a).frames_sent, 0);
+    let mut calls = 0;
+    while ttcp_sender(&world, a).frames_sent < 64 {
+        let until = world.now() + SimDuration::from_us(100);
+        calls += allocations(|| world.run_until(until)).0;
+    }
+    calls
+}
+
+/// Frame storage belongs to the thread, not the world: once a first
+/// world on this thread has run a ttcp transfer, a second world composes
+/// its first 64 data frames, and the receiver its ACKs, with no
+/// allocator call. The span costs 5 calls, none of them a frame's: the
+/// sender's transmit queue grows to hold its 32 KiB window (a buffer of
+/// 4 entries, then 8, 16 and 32) and the receiver makes its inter-arrival
+/// sketch at the second segment. On a thread whose pool is cold — as
+/// every world's was while each world kept a pool of its own — the same
+/// span also allocates every frame buffer the pool does not yet hold.
+#[test]
+fn a_second_world_on_a_warm_thread_composes_its_frames_from_the_pool() {
+    let cold = std::thread::spawn(first_64_data_frames)
+        .join()
+        .expect("the cold thread's transfer");
+
+    let (mut first, a) = ttcp_world();
+    first.run_until(SimTime::from_secs(10));
+    assert!(
+        ttcp_sender(&first, a).is_done(),
+        "the first transfer completed"
+    );
+    drop(first);
+    let warm = first_64_data_frames();
+    assert_eq!(
+        warm, 5,
+        "allocator calls of a second world's first 64 data frames: only queue and sketch growth"
+    );
+    assert!(
+        cold > warm,
+        "a cold pool allocates frames: {cold} calls against {warm}"
     );
 }

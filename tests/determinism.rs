@@ -346,3 +346,41 @@ fn different_seeds_produce_different_traces() {
     let b = lossy_run_trace_bytes(0xF00D);
     assert_ne!(a, b, "fault injection must actually consume the seed");
 }
+
+/// Frame storage is pooled per thread (`FrameBufMut::pooled`), and
+/// nothing simulated can see it: a scenario run on a fresh thread, and on
+/// a thread whose pool another scenario has just warmed in another world,
+/// renders the same report bytes and the same trace digest.
+#[test]
+fn a_warm_pool_is_invisible_to_a_scenario() {
+    use ab_scenario::runner::{self, Scenario};
+    use ab_scenario::sweep::SweepSpec;
+    use netsim::FrameBufMut;
+
+    fn render(scenario: &Scenario) -> (String, u64) {
+        let (report, digest) = runner::run_traced(scenario);
+        (report.to_json().render(), digest)
+    }
+    let target = SweepSpec::lossy_sweep(1).scenarios().swap_remove(0);
+    let warmer = SweepSpec::default_sweep(2).scenarios().swap_remove(0);
+    assert_ne!(target.name, warmer.name);
+    let name = target.name.clone();
+
+    let on_fresh = {
+        let target = target.clone();
+        std::thread::spawn(move || render(&target))
+    };
+    let on_warm = std::thread::spawn(move || {
+        render(&warmer);
+        let probe = FrameBufMut::pooled(0);
+        assert!(
+            probe.capacity() > 0,
+            "the warmer left frame storage in the pool"
+        );
+        probe.freeze().recycle();
+        render(&target)
+    });
+    let fresh = on_fresh.join().expect("the fresh thread's run");
+    let warm = on_warm.join().expect("the warm thread's run");
+    assert_eq!(fresh, warm, "{name} diverged on a warm thread");
+}

@@ -6,8 +6,8 @@ use ab_scenario::{self as scenario, host_ip, host_mac};
 use active_bridge::{BridgeConfig, BridgeNode};
 use hostsim::{HostConfig, HostCostModel, HostNode};
 use netsim::{
-    Ctx, FaultConfig, FrameBuf, Node, PortId, ProbeConfig, ProbeEvent, ProbeRecord, SegmentConfig,
-    SimTime, TimerToken, World,
+    Ctx, FaultConfig, FrameBuf, FrameBufMut, Node, PortId, ProbeConfig, ProbeEvent, ProbeRecord,
+    SegmentConfig, SimTime, TimerToken, World,
 };
 use proptest::prelude::*;
 
@@ -127,7 +127,7 @@ proptest! {
     }
 }
 
-/// Composes one frame per tick in a buffer from the world's pool, each
+/// Composes one frame per tick in a buffer from the thread's pool, each
 /// filled with its own sequence number, and keeps no handle to it.
 struct PoolComposer {
     lens: Vec<usize>,
@@ -144,7 +144,7 @@ impl Node for PoolComposer {
     fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {}
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: TimerToken) {
         if let Some(&len) = self.lens.get(self.sent) {
-            let mut buf = ctx.take_buf(len);
+            let mut buf = FrameBufMut::pooled(len);
             buf.resize(len, self.sent as u8);
             ctx.send(PortId(0), buf.freeze());
             self.sent += 1;
@@ -173,13 +173,13 @@ impl Node for PoolHolder {
     fn name(&self) -> &str {
         "pool-holder"
     }
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
         let seq = self.storage.len();
         self.storage.push(frame.as_ptr());
         if self.keep[seq] {
             self.held.push((seq, frame.clone()));
         }
-        ctx.recycle_frame(frame);
+        frame.recycle();
     }
     fn as_any(&self) -> &dyn core::any::Any {
         self
@@ -419,7 +419,7 @@ impl Node for MarkingListener {
             node,
             label: "heard",
         });
-        ctx.recycle_frame(frame);
+        frame.recycle();
     }
     fn as_any(&self) -> &dyn core::any::Any {
         self
