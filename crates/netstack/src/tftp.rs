@@ -360,17 +360,6 @@ pub enum FailureClass {
     IntegrityReject,
 }
 
-impl FailureClass {
-    /// Stable lowercase label (report/probe rendering).
-    pub fn label(&self) -> &'static str {
-        match self {
-            FailureClass::Timeout => "timeout",
-            FailureClass::ServerError => "server_error",
-            FailureClass::IntegrityReject => "integrity_reject",
-        }
-    }
-}
-
 /// What the sender should do next.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SenderStep {
@@ -821,7 +810,6 @@ mod tests {
             }
             other => panic!("expected failure, got {other:?}"),
         }
-        assert_eq!(FailureClass::IntegrityReject.label(), "integrity_reject");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::net::Ipv4Addr;
 
 use ether::MacAddr;
-use hostsim::{App, HostNode, UploadApp};
+use hostsim::{App, HostNode, UploadApp, UploadState};
 use netsim::{NodeId, PortId, SegId, SegmentConfig, SimDuration, SimTime, World};
 
 use active_bridge::{loader, BridgeConfig, BridgeNode};
@@ -85,14 +85,12 @@ pub fn uploader(image: Vec<u8>, filename: &str) -> App {
 /// for it to load; returns true on success. Used by the loading tests and
 /// the quickstart example.
 pub fn upload_and_load(world: &mut World, host: NodeId, app_idx: usize, horizon: SimTime) -> bool {
-    run_until_done(world, horizon, |w| {
-        let App::Upload(u) = w.node::<HostNode>(host).app(app_idx) else {
-            unreachable!()
-        };
-        u.is_done() || u.failed.is_some()
-    });
-    let App::Upload(u) = world.node::<HostNode>(host).app(app_idx) else {
-        unreachable!()
+    let state = |w: &World| match w.node::<HostNode>(host).app(app_idx) {
+        App::Upload(u) => u.state,
+        _ => unreachable!("app {app_idx} is an upload"),
     };
-    u.is_done()
+    run_until_done(world, horizon, |w| {
+        !matches!(state(w), UploadState::Running { .. })
+    });
+    matches!(state(world), UploadState::Done { .. })
 }

@@ -15,7 +15,7 @@
 //! baseline that never ran cannot anchor a degradation ratio).
 
 use crate::json::{Json, Writer};
-use crate::runner::{AppReport, Report};
+use crate::runner::{AppOutcome, AppReport, Report};
 use crate::sketch::log2_fp;
 use crate::workload::Phase;
 
@@ -74,7 +74,7 @@ pub fn score_apps(apps: &[AppReport]) -> QualityScore {
     // experience here, not a free pass.
     let latency_scores: Vec<u64> = apps
         .iter()
-        .filter(|a| a.metrics.kind == "rtt")
+        .filter(|a| matches!(a.outcome, AppOutcome::Ping { .. }))
         .map(|a| a.metrics.p90_ns().map(latency_points).unwrap_or(0))
         .collect();
 
@@ -303,9 +303,8 @@ mod tests {
             from_seg: 0,
             to_seg: 1,
             ok: received == sent,
-            detail: vec![("sent", sent), ("received", received)],
+            outcome: AppOutcome::Ping { sent, received },
             metrics: AppMetrics {
-                kind: "rtt",
                 valid: received > 0,
                 delivery_pm: (sent > 0).then(|| received * 1000 / sent),
                 sketch: Some(Sketch::from_samples(rtts.iter().copied())),
@@ -320,7 +319,10 @@ mod tests {
             from_seg: 0,
             to_seg: 1,
             ok: delivery_pm == 1000,
-            detail: vec![],
+            outcome: AppOutcome::Blast {
+                sent: 1000,
+                received: delivery_pm,
+            },
             metrics: AppMetrics::delivery(true, Some(delivery_pm)),
         }
     }

@@ -89,7 +89,7 @@ fn check_defended(shape: TopologyShape, seed: u64, expect_guard_trip: bool) {
             .iter()
             .find(|a| a.label == label)
             .unwrap_or_else(|| panic!("battery must schedule {label}"));
-        assert!(a.ok, "{label} must complete its schedule: {:?}", a.detail);
+        assert!(a.ok, "{label} must complete its schedule: {:?}", a.outcome);
     }
 }
 

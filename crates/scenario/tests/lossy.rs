@@ -11,7 +11,7 @@
 //! world digests and byte-pinned reports in the other test files stayed
 //! green unchanged.
 
-use ab_scenario::runner::{self, Scenario, Verdict};
+use ab_scenario::runner::{self, AppOutcome, Scenario, Verdict};
 use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::{self, TopologyShape};
 use ab_scenario::workload::{self, BatteryKind};
@@ -90,19 +90,15 @@ fn check_lossy_scenario(shape: TopologyShape, seed: u64) {
         .find(|a| a.label == "upload_sealed")
         .expect("the lossy battery schedules a sealed upload");
     assert!(sealed.ok);
-    let detail = |key: &str| {
-        sealed
-            .detail
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |&(_, v)| v)
+    let AppOutcome::Upload(u) = &sealed.outcome else {
+        panic!("an upload's outcome is an upload: {:?}", sealed.outcome)
     };
     assert!(
-        detail("restarts") >= 1,
+        u.restarts >= 1,
         "the bridge crash lands mid-transfer: {:?}",
-        sealed.detail
+        sealed.outcome
     );
-    assert!(detail("budget_used") <= detail("budget"));
+    assert!(u.budget_used <= u.image.budget());
 
     // The poisoned image parked as a classified integrity reject.
     let corrupt = report
@@ -110,7 +106,7 @@ fn check_lossy_scenario(shape: TopologyShape, seed: u64) {
         .iter()
         .find(|a| a.label == "upload_corrupt")
         .expect("the lossy battery schedules a corrupt upload");
-    assert!(corrupt.ok, "the gate must hold: {:?}", corrupt.detail);
+    assert!(corrupt.ok, "the gate must hold: {:?}", corrupt.outcome);
 }
 
 /// Hostile media on a cycle-free line (learning bridges).

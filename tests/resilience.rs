@@ -10,6 +10,7 @@ use active_bridge::{
 };
 use hostsim::{
     App, BlastApp, HostConfig, HostCostModel, HostNode, TtcpRecvApp, TtcpSendApp, UploadApp,
+    UploadState,
 };
 use netsim::{FaultConfig, PortId, SegmentConfig, SimDuration, SimTime, World};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
@@ -464,7 +465,6 @@ fn upload_resumes_with_fresh_session_after_bridge_crash() {
         unreachable!()
     };
     assert!(a.is_done(), "the upload must complete after the restart");
-    assert!(a.failed.is_none());
     assert!(
         a.restarts >= 1,
         "recovery goes through a fresh WRQ, not a resumed session"
@@ -511,14 +511,18 @@ fn integrity_gate_refuses_corrupted_image_end_to_end() {
         let App::Upload(a) = w.node::<HostNode>(uploader).app(0) else {
             unreachable!()
         };
-        a.is_done() || a.failed.is_some()
+        !a.is_running()
     });
     let App::Upload(a) = world.node::<HostNode>(uploader).app(0) else {
         unreachable!()
     };
-    assert!(!a.is_done(), "a corrupted image must never complete");
-    assert_eq!(a.failure, Some(FailureClass::IntegrityReject));
-    assert!(a.failed.is_some(), "the spent budget parks the upload");
+    assert_eq!(
+        a.state,
+        UploadState::Parked {
+            class: FailureClass::IntegrityReject
+        },
+        "the spent budget parks the upload, never completed"
+    );
     let node = world.node::<BridgeNode>(b);
     assert!(
         node.plane().stats.images_rejected >= 1,

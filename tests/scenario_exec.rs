@@ -4,7 +4,7 @@
 //! pool never loses or duplicates a job, and the metro tier actually
 //! fields its ≥ 1024 hosts.
 
-use ab_scenario::runner::{self, Scenario};
+use ab_scenario::runner::{self, AppOutcome, Scenario};
 use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
@@ -93,13 +93,9 @@ fn metro_large_fields_a_thousand_hosts_and_passes() {
     let crowd_hosts: u64 = report
         .apps
         .iter()
-        .filter(|a| a.label == "crowd")
-        .map(|a| {
-            a.detail
-                .iter()
-                .find(|(k, _)| *k == "hosts")
-                .map(|&(_, v)| v)
-                .unwrap_or(0)
+        .map(|a| match a.outcome {
+            AppOutcome::Crowd { hosts, .. } => hosts,
+            _ => 0,
         })
         .sum();
     assert!(
