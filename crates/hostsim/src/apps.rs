@@ -262,8 +262,6 @@ pub struct PingApp {
     pub sent: u32,
     /// Replies received.
     pub received: u32,
-    /// When the last reply arrived.
-    pub done_at: Option<SimTime>,
     /// The filler payload, built once.
     filler: Vec<u8>,
     /// The filler's checksum contribution, computed once alongside it.
@@ -275,7 +273,7 @@ pub struct PingApp {
 }
 
 impl PingApp {
-    /// Configure a ping train.
+    /// Configure a train of `count` requests; `count` must be positive.
     pub fn new(
         port: PortId,
         dst: Ipv4Addr,
@@ -284,6 +282,7 @@ impl PingApp {
         interval: SimDuration,
         ident: u16,
     ) -> App {
+        assert!(count > 0);
         App::Ping(PingApp {
             port,
             dst,
@@ -296,12 +295,17 @@ impl PingApp {
             rtt_ns: None,
             sent: 0,
             received: 0,
-            done_at: None,
             filler: Vec::new(),
             filler_sum: netstack::checksum::Checksum::new(),
             icmp_scratch: Vec::new(),
             start_delay: SimDuration::ZERO,
         })
+    }
+
+    /// True once every request has been answered. A reply counts once,
+    /// for a request that was sent, so `received` stops at `count`.
+    pub fn is_done(&self) -> bool {
+        self.received == self.count
     }
 
     /// Average RTT over received replies.
@@ -381,8 +385,7 @@ impl PingApp {
         if let Some(sent) = self.sent_at.remove(&seq) {
             record(&mut self.rtt_ns, ctx.now().saturating_since(sent).as_ns());
             self.received += 1;
-            if self.received == self.count {
-                self.done_at = Some(ctx.now());
+            if self.is_done() {
                 ctx.probe(mark("ping.done"));
             }
         }
@@ -400,6 +403,26 @@ const TTCP_DELACK: u32 = 3;
 /// the epoch advances and the stale timer is recognized and dropped on
 /// arrival instead of spawning a duplicate self-renewing chain.
 const TTCP_USER_MASK: u32 = 0xFF;
+
+/// Where a [`TtcpSendApp`] stands. `Done` is terminal: an ACK after it
+/// moves nothing.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum TtcpState {
+    /// Not started (a delayed sender before its start).
+    Idle,
+    /// Writing, or waiting for the last byte's ACK.
+    Sending {
+        /// When the sender started.
+        since: SimTime,
+    },
+    /// The last byte was acknowledged.
+    Done {
+        /// When the sender started.
+        since: SimTime,
+        /// When the last byte was acknowledged.
+        at: SimTime,
+    },
+}
 
 /// The ttcp transmitter: `total_bytes` in `write_size` chunks over
 /// TcpLite.
@@ -423,10 +446,8 @@ pub struct TtcpSendApp {
     armed_rto: Option<u64>,
     /// Generation of the live RTO timer (see [`TTCP_USER_MASK`]).
     rto_epoch: u32,
-    /// When the first write happened.
-    pub started_at: Option<SimTime>,
-    /// When the last byte was acknowledged.
-    pub done_at: Option<SimTime>,
+    /// Where the transfer stands: idle, sending or done.
+    pub state: TtcpState,
     /// Data frames emitted.
     pub frames_sent: u64,
     /// Delay before this app starts (see [`App::delayed`]).
@@ -458,8 +479,7 @@ impl TtcpSendApp {
             write_pending: false,
             armed_rto: None,
             rto_epoch: 0,
-            started_at: None,
-            done_at: None,
+            state: TtcpState::Idle,
             frames_sent: 0,
             start_delay: SimDuration::ZERO,
         })
@@ -467,13 +487,20 @@ impl TtcpSendApp {
 
     /// Finished?
     pub fn is_done(&self) -> bool {
-        self.done_at.is_some()
+        matches!(self.state, TtcpState::Done { .. })
+    }
+
+    /// From the start to the last byte's ACK (None until done).
+    pub fn elapsed(&self) -> Option<SimDuration> {
+        match self.state {
+            TtcpState::Done { since, at } => Some(at.saturating_since(since)),
+            _ => None,
+        }
     }
 
     /// Measured goodput in bits/second (None until done).
     pub fn throughput_bps(&self) -> Option<f64> {
-        let (start, end) = (self.started_at?, self.done_at?);
-        let secs = end.saturating_since(start).as_secs_f64();
+        let secs = self.elapsed()?.as_secs_f64();
         if secs <= 0.0 {
             return None;
         }
@@ -481,7 +508,7 @@ impl TtcpSendApp {
     }
 
     fn on_start(&mut self, core: &mut HostCore, ctx: &mut Ctx<'_>, idx: usize) {
-        self.started_at = Some(ctx.now());
+        self.state = TtcpState::Sending { since: ctx.now() };
         ctx.probe(mark("ttcp.start"));
         self.try_write(core, ctx, idx);
     }
@@ -638,11 +665,16 @@ impl TtcpSendApp {
         }
         let now_ns = ctx.now().as_ns();
         self.tcp.on_ack(seg.ack, now_ns);
-        if self.tcp.all_acked() && self.writes_left == 0 && self.done_at.is_none() {
-            self.done_at = Some(ctx.now());
-            ctx.bump("ttcp.done", 1);
-            ctx.probe(mark("ttcp.done"));
-            return;
+        if let TtcpState::Sending { since } = self.state {
+            if self.tcp.all_acked() && self.writes_left == 0 {
+                self.state = TtcpState::Done {
+                    since,
+                    at: ctx.now(),
+                };
+                ctx.bump("ttcp.done", 1);
+                ctx.probe(mark("ttcp.done"));
+                return;
+            }
         }
         self.pump(core, ctx, idx);
         self.try_write(core, ctx, idx);
@@ -656,10 +688,8 @@ pub struct TtcpRecvApp {
     rx: TcpReceiver,
     delack_armed: bool,
     peer: Option<(Ipv4Addr, u16, PortId)>,
-    /// First data arrival.
-    pub first_at: Option<SimTime>,
     /// Latest data arrival.
-    pub last_at: Option<SimTime>,
+    last_at: Option<SimTime>,
     /// Gaps (ns) between consecutive data-segment arrivals, folded in
     /// as segments arrive.
     inter_arrival_ns: Option<Box<Sketch>>,
@@ -675,7 +705,6 @@ impl TtcpRecvApp {
             rx: TcpReceiver::new(cfg),
             delack_armed: false,
             peer: None,
-            first_at: None,
             last_at: None,
             inter_arrival_ns: None,
             start_delay: SimDuration::ZERO,
@@ -747,9 +776,6 @@ impl TtcpRecvApp {
             return;
         }
         self.peer = Some((src, seg.src_port, port));
-        if self.first_at.is_none() {
-            self.first_at = Some(ctx.now());
-        }
         if let Some(prev) = self.last_at {
             record(
                 &mut self.inter_arrival_ns,
@@ -985,7 +1011,7 @@ impl UploadApp {
                 self.state = UploadState::Done { at: ctx.now() };
                 ctx.probe(mark("upload.done"));
             }
-            SenderStep::Failed(met, _) => {
+            SenderStep::Failed(met) => {
                 ctx.probe(mark("upload.fail"));
                 let class = self.classify(met);
                 if self.budget_used() >= self.max_retries {
@@ -1118,7 +1144,8 @@ pub struct ProbeApp {
 }
 
 impl ProbeApp {
-    /// Configure a probe that fires immediately.
+    /// Configure a probe; [`App::delayed`] lets the old protocol converge
+    /// before it injects the triggering BPDU.
     pub fn new(ident: u16) -> App {
         App::Probe(ProbeApp {
             ident,
@@ -1129,12 +1156,6 @@ impl ProbeApp {
             ping_seen_at: None,
             pings_sent: 0,
         })
-    }
-
-    /// Configure a probe that waits `start_delay` before injecting the
-    /// triggering BPDU (so the old protocol can converge first).
-    pub fn new_delayed(ident: u16, start_delay: SimDuration) -> App {
-        App::delayed(start_delay, Self::new(ident))
     }
 
     /// The paper's "start to IEEE" interval.
@@ -1463,42 +1484,39 @@ mod tests {
     use crate::host::{HostConfig, HostNode};
     use netsim::{SegmentConfig, SimTime, World};
 
+    /// Frames host `h`'s blaster has sent.
+    fn blast_sent(world: &World, h: NodeId) -> u64 {
+        let App::Blast(b) = world.node::<HostNode>(h).app(0).unwrapped() else {
+            unreachable!()
+        };
+        b.sent
+    }
+
     #[test]
     fn delayed_app_starts_late_and_unwraps() {
-        let mut world = World::new(1);
-        let lan = world.add_segment(SegmentConfig::default());
         let blast = BlastApp::new(PortId(0), MacAddr::local(9), 64, 5, SimDuration::from_ms(1));
         let app = App::delayed(SimDuration::from_ms(100), blast);
         assert!(
             matches!(app, App::Blast(_)),
             "a delayed blaster is a blaster"
         );
-        let h = world.add_node(HostNode::new(
-            "h",
-            HostConfig::simple(
-                MacAddr::local(1),
-                Ipv4Addr::new(10, 1, 0, 1),
-                HostCostModel::FREE,
-            ),
-            vec![app],
-        ));
-        world.attach(h, lan);
+        let (mut world, h) = rig(app, vec![]);
         world.run_until(SimTime::from_ms(50));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0) else {
-            unreachable!()
-        };
-        assert_eq!(b.sent, 0, "nothing sent before the delay fires");
+        assert_eq!(
+            blast_sent(&world, h),
+            0,
+            "nothing sent before the delay fires"
+        );
         world.run_until(SimTime::from_ms(300));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0) else {
-            unreachable!()
-        };
-        assert_eq!(b.sent, 5, "the train runs to completion after the delay");
+        assert_eq!(
+            blast_sent(&world, h),
+            5,
+            "the train runs to completion after the delay"
+        );
     }
 
     #[test]
     fn nested_delays_compose() {
-        let mut world = World::new(1);
-        let lan = world.add_segment(SegmentConfig::default());
         // 100 ms + 100 ms: the inner wrapper's fire reuses the same timer
         // token, so the outer must forward it once started.
         let app = App::delayed(
@@ -1508,26 +1526,11 @@ mod tests {
                 BlastApp::new(PortId(0), MacAddr::local(9), 64, 3, SimDuration::from_ms(1)),
             ),
         );
-        let h = world.add_node(HostNode::new(
-            "h",
-            HostConfig::simple(
-                MacAddr::local(1),
-                Ipv4Addr::new(10, 1, 0, 1),
-                HostCostModel::FREE,
-            ),
-            vec![app],
-        ));
-        world.attach(h, lan);
+        let (mut world, h) = rig(app, vec![]);
         world.run_until(SimTime::from_ms(150));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0).unwrapped() else {
-            unreachable!()
-        };
-        assert_eq!(b.sent, 0, "inner delay has not elapsed yet");
+        assert_eq!(blast_sent(&world, h), 0, "inner delay has not elapsed yet");
         world.run_until(SimTime::from_ms(400));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0).unwrapped() else {
-            unreachable!()
-        };
-        assert_eq!(b.sent, 3, "nested wrappers must both fire");
+        assert_eq!(blast_sent(&world, h), 3, "nested wrappers must both fire");
     }
 
     /// ARP has no checksum, so a corrupting medium can poison the
@@ -1538,28 +1541,9 @@ mod tests {
     /// 0.4, 1.2, 2.8 and 6.0 s, and the fourth one heals the cache.
     #[test]
     fn arp_refresh_heals_a_poisoned_cache() {
-        let mut world = World::new(7);
-        let lan = world.add_segment(SegmentConfig::default());
-        let peer_mac = MacAddr::local(2);
-        let peer_ip = Ipv4Addr::new(10, 1, 0, 2);
-        let peer = world.add_node(HostNode::new(
-            "peer",
-            HostConfig::simple(peer_mac, peer_ip, HostCostModel::FREE),
-            vec![],
-        ));
-        world.attach(peer, lan);
-
+        let (peer_mac, peer_ip) = (MacAddr::local(2), SERVER_IP);
         let app = UploadApp::new(PortId(0), peer_ip, 4000, "poisoned.swl", vec![0u8; 64]);
-        let h = world.add_node(HostNode::new(
-            "uploader",
-            HostConfig::simple(
-                MacAddr::local(1),
-                Ipv4Addr::new(10, 1, 0, 1),
-                HostCostModel::FREE,
-            ),
-            vec![app],
-        ));
-        world.attach(h, lan);
+        let (mut world, h) = rig(app, vec![]);
         // Poison the cache before the first send: one bit away from
         // the peer's real MAC, exactly as a corrupted reply leaves it.
         let bogus = MacAddr::local(0x8002);
@@ -1599,24 +1583,21 @@ mod tests {
     const UPLOADER_IP: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 2);
 
-    /// An uploader with recovery budget `budget` beside a host that
-    /// runs no TFTP server: the test plays the server's replies by hand
-    /// with [`server_says`].
-    fn upload_rig(budget: u32) -> (World, NodeId) {
+    /// `app` on a host at `UPLOADER_IP` (its UDP or TcpLite port is
+    /// 4000), beside host 0 at `SERVER_IP` running `server_apps`.
+    fn rig(app: App, server_apps: Vec<App>) -> (World, NodeId) {
         let mut world = World::new(3);
         let lan = world.add_segment(SegmentConfig::default());
         let server = world.add_node(HostNode::new(
             "server",
             HostConfig::simple(MacAddr::local(2), SERVER_IP, HostCostModel::FREE),
-            vec![],
+            server_apps,
         ));
         world.attach(server, lan);
         // The server already knows the uploader's MAC, so each reply is
         // exactly one frame on the wire.
         let core = &mut world.node_mut::<HostNode>(server).core;
         core.seed_arp(UPLOADER_IP, MacAddr::local(1));
-        let app =
-            UploadApp::with_budget(PortId(0), SERVER_IP, 4000, "rig.swl", vec![7; 64], budget);
         let h = world.add_node(HostNode::new(
             "uploader",
             HostConfig::simple(MacAddr::local(1), UPLOADER_IP, HostCostModel::FREE),
@@ -1626,7 +1607,23 @@ mod tests {
         (world, h)
     }
 
-    /// The server (host 0 of the rig) sends `packet` to the uploader.
+    /// An uploader with recovery budget `budget` beside a host that
+    /// runs no TFTP server: the test plays the server's replies by hand
+    /// with [`server_says`].
+    fn upload_rig(budget: u32) -> (World, NodeId) {
+        let app =
+            UploadApp::with_budget(PortId(0), SERVER_IP, 4000, "rig.swl", vec![7; 64], budget);
+        rig(app, vec![])
+    }
+
+    /// The server (host 0 of the rig) sends `wire` to the uploader.
+    fn server_sends(world: &mut World, proto: Protocol, wire: &[u8]) {
+        world.with_ctx::<HostNode, _>(NodeId(0), |host, ctx| {
+            host.core.send_ip(ctx, PortId(0), UPLOADER_IP, proto, wire)
+        });
+    }
+
+    /// The server sends TFTP `packet` to the uploader.
     fn server_says(world: &mut World, packet: netstack::TftpPacket<'_>) {
         let wire = netstack::udp::emit(
             SERVER_IP,
@@ -1635,11 +1632,60 @@ mod tests {
             4000,
             &packet.emit(),
         );
-        world.with_ctx::<HostNode, _>(NodeId(0), |server, ctx| {
-            server
-                .core
-                .send_ip(ctx, PortId(0), UPLOADER_IP, Protocol::UDP, &wire)
-        });
+        server_sends(world, Protocol::UDP, &wire);
+    }
+
+    /// A finished ttcp's elapsed time runs from its start to the arrival
+    /// of the last ACK, and a duplicate of that ACK moves nothing.
+    #[test]
+    fn a_done_ttcp_ends_at_its_last_ack() {
+        let cfg = SenderConfig::default();
+        let tx = TtcpSendApp::new(PortId(0), SERVER_IP, 4000, 5001, 8192, 1024, cfg);
+        let rx = TtcpRecvApp::new(5001, ReceiverConfig::default());
+        let (mut world, h) = rig(tx, vec![rx]);
+        world.probe_mut().arm(netsim::ProbeConfig::default());
+        // When the sender's host last received a frame.
+        let last_rx = |world: &World| {
+            let to_h = |e: &&netsim::ProbeEvent| match e.record {
+                ProbeRecord::Deliver { dst, .. } => dst.0 == h,
+                _ => false,
+            };
+            world.probe().records().filter(to_h).last().map(|e| e.at)
+        };
+        let ttcp = |world: &World| {
+            let App::TtcpSend(a) = world.node::<HostNode>(h).app(0) else {
+                unreachable!()
+            };
+            (a.state, a.elapsed())
+        };
+        world.run_until(SimTime::from_secs(1));
+        let at = last_rx(&world).expect("the ACKs arrived");
+        let done = TtcpState::Done {
+            since: SimTime::ZERO,
+            at,
+        };
+        assert_eq!(
+            ttcp(&world),
+            (done, Some(at.saturating_since(SimTime::ZERO)))
+        );
+
+        let ack = Segment {
+            src_port: 5001,
+            dst_port: 4000,
+            seq: 0,
+            ack: 8192,
+            is_ack: true,
+            payload: &[],
+        };
+        server_sends(
+            &mut world,
+            Protocol::TCPLITE,
+            &ack.emit(SERVER_IP, UPLOADER_IP),
+        );
+        world.run_until(SimTime::from_secs(2));
+        assert!(last_rx(&world) > Some(at), "the duplicate arrived");
+        assert_eq!(ttcp(&world).0, done, "and moved nothing");
+        assert_eq!(world.counters().get("ttcp.done"), 1);
     }
 
     fn upload_state(world: &World, h: NodeId) -> UploadState {
@@ -1713,27 +1759,13 @@ mod tests {
 
     #[test]
     fn zero_delay_starts_immediately() {
-        let mut world = World::new(1);
-        let lan = world.add_segment(SegmentConfig::default());
         let app = App::delayed(
             SimDuration::ZERO,
             BlastApp::new(PortId(0), MacAddr::local(9), 64, 1, SimDuration::from_ms(1)),
         );
-        let h = world.add_node(HostNode::new(
-            "h",
-            HostConfig::simple(
-                MacAddr::local(1),
-                Ipv4Addr::new(10, 1, 0, 1),
-                HostCostModel::FREE,
-            ),
-            vec![app],
-        ));
-        world.attach(h, lan);
+        let (mut world, h) = rig(app, vec![]);
         world.run_until(SimTime::from_ms(1));
-        let App::Blast(b) = world.node::<HostNode>(h).app(0).unwrapped() else {
-            unreachable!()
-        };
-        assert_eq!(b.sent, 1);
+        assert_eq!(blast_sent(&world, h), 1);
     }
 
     /// A host holds its apps inline, so a per-flow series is a boxed

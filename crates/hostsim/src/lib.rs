@@ -19,7 +19,7 @@ pub mod repeater;
 
 pub use apps::{
     App, ArpStormApp, BlastApp, MacFloodApp, PingApp, ProbeApp, RogueBpduApp, TtcpRecvApp,
-    TtcpSendApp, UploadApp, UploadState, UPLOAD_BUDGET,
+    TtcpSendApp, TtcpState, UploadApp, UploadState, UPLOAD_BUDGET,
 };
 pub use cost::HostCostModel;
 pub use host::{HostConfig, HostCore, HostNode};

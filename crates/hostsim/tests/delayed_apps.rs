@@ -6,7 +6,9 @@
 use std::net::Ipv4Addr;
 
 use ether::MacAddr;
-use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode, TtcpRecvApp, TtcpSendApp};
+use hostsim::{
+    App, BlastApp, HostConfig, HostCostModel, HostNode, TtcpRecvApp, TtcpSendApp, TtcpState,
+};
 use netsim::{NodeId, PortId, SegmentConfig, SimDuration, SimTime, World};
 use netstack::tcplite::ReceiverConfig;
 
@@ -88,11 +90,17 @@ fn a_delayed_ttcp_sender_gets_no_tx_done_before_its_start() {
     world.run_until(SimTime::from_ms(99));
     assert_eq!(world.node::<HostNode>(h2).core.exp_frames_rx, 50);
     let (tx, rx) = ttcp_pair(&world, h1, h2);
-    assert_eq!((tx.frames_sent, tx.started_at), (0, None));
+    assert_eq!((tx.frames_sent, tx.state), (0, TtcpState::Idle));
     assert_eq!(rx.bytes_received(), 0);
     world.run_until(SimTime::from_secs(1));
     let (tx, rx) = ttcp_pair(&world, h1, h2);
-    assert_eq!(tx.started_at, Some(SimTime::from_ms(100)));
-    assert!(tx.is_done());
+    let TtcpState::Done { since, .. } = tx.state else {
+        panic!("the transfer finished: {:?}", tx.state)
+    };
+    assert_eq!(
+        since,
+        SimTime::from_ms(100),
+        "started when its delay ran out"
+    );
     assert_eq!(rx.bytes_received(), 64 * 1024);
 }

@@ -149,13 +149,13 @@ impl WorldCore {
     }
 
     /// Schedule the completion of the transmission now starting on
-    /// `seg_id`, finishing at `done_at`: one event per wire frame, firing
-    /// at `done_at + propagation` (see `World::seg_deliver`).
+    /// `seg_id`, finishing at `tx_end`: one event per wire frame, firing
+    /// at `tx_end + propagation` (see `World::seg_deliver`).
     #[inline]
-    fn schedule_completion(&mut self, seg_id: SegId, done_at: SimTime) {
+    fn schedule_completion(&mut self, seg_id: SegId, tx_end: SimTime) {
         let seg = &self.segments[seg_id.0];
         self.queue.push_seg_deliver(
-            done_at + seg.cfg.propagation,
+            tx_end + seg.cfg.propagation,
             seg_id.0 as u32,
             seg.attachments.len() as u32,
         );

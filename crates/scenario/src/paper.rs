@@ -14,7 +14,9 @@ use hostsim::{
     App, HostConfig, HostCostModel, HostNode, PingApp, ProbeApp, RepeaterNode, TtcpRecvApp,
     TtcpSendApp,
 };
-use netsim::{CostModel, NodeId, PortId, SegmentConfig, SimDuration, SimTime, Sketch, World};
+use netsim::{
+    CostModel, NodeId, PortId, SegId, SegmentConfig, SimDuration, SimTime, Sketch, World,
+};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
 
 /// What sits between the two measurement hosts.
@@ -142,12 +144,11 @@ pub fn run_ping(fwd: Forwarder, size: usize, count: u32, seed: u64) -> PingStats
     )];
     let mut path = build_path(fwd, seed, apps_a, vec![]);
     let host_a = path.host_a;
-    run_until_done(&mut path.world, SimTime::from_secs(120), |w| {
-        let App::Ping(p) = w.node::<HostNode>(host_a).app(0) else {
-            unreachable!()
-        };
-        p.done_at.is_some()
-    });
+    run_until_done(
+        &mut path.world,
+        SimTime::from_secs(120),
+        |w| matches!(w.node::<HostNode>(host_a).app(0), App::Ping(p) if p.is_done()),
+    );
     let App::Ping(p) = path.world.node::<HostNode>(host_a).app(0) else {
         unreachable!()
     };
@@ -199,19 +200,17 @@ pub fn run_ttcp(fwd: Forwarder, write_size: usize, total_bytes: u64, seed: u64) 
     let apps_b = vec![TtcpRecvApp::new(5001, ReceiverConfig::default())];
     let mut path = build_path(fwd, seed, apps_a, apps_b);
     let host_a = path.host_a;
-    run_until_done(&mut path.world, SimTime::from_secs(600), |w| {
-        let App::TtcpSend(t) = w.node::<HostNode>(host_a).app(0) else {
-            unreachable!()
-        };
-        t.is_done()
-    });
+    run_until_done(
+        &mut path.world,
+        SimTime::from_secs(600),
+        |w| matches!(w.node::<HostNode>(host_a).app(0), App::TtcpSend(t) if t.is_done()),
+    );
     let App::TtcpSend(t) = path.world.node::<HostNode>(host_a).app(0) else {
         unreachable!()
     };
-    let secs = match (t.started_at, t.done_at) {
-        (Some(s), Some(e)) => e.saturating_since(s).as_secs_f64(),
-        _ => path.world.now().as_secs_f64(),
-    };
+    let secs = t
+        .elapsed()
+        .map_or(path.world.now().as_secs_f64(), SimDuration::as_secs_f64);
     TtcpStats {
         write_size,
         total_bytes,
@@ -303,20 +302,8 @@ pub fn run_transition(mode: TransitionMode, seed: u64) -> TransitionReport {
         world.attach(id, segs[i + 1]);
         bridges.push(id);
     }
-    // The probe: eth0 on the first LAN, eth1 on the last.
-    let mut probe_cfg = HostConfig::multi_homed(
-        &[(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
-        HostCostModel::pc_1997(),
-    );
-    probe_cfg.promiscuous = true;
+    add_probe(&mut world, (segs[0], segs[n]), 0x9A9A);
     let inject_at = SimTime::from_secs(60);
-    let probe = world.add_node(HostNode::new(
-        "probe",
-        probe_cfg,
-        vec![ProbeApp::new_delayed(0x9A9A, SimDuration::from_secs(60))],
-    ));
-    world.attach(probe, segs[0]);
-    world.attach(probe, segs[n]);
 
     // Let DEC converge, inject, then run past the 60-second test mark.
     world.run_until(inject_at + SimDuration::from_secs(75));
@@ -351,6 +338,21 @@ pub fn run_transition(mode: TransitionMode, seed: u64) -> TransitionReport {
 
 // ----------------------------------------------------------- Section 7.5
 
+/// The agility probe host, eth0 on `eth0` and eth1 on `eth1`: it
+/// injects its BPDU a minute in, once the old protocol has converged.
+fn add_probe(world: &mut World, (eth0, eth1): (SegId, SegId), ident: u16) -> NodeId {
+    let mut cfg = HostConfig::multi_homed(
+        &[(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
+        HostCostModel::pc_1997(),
+    );
+    cfg.promiscuous = true;
+    let app = App::delayed(SimDuration::from_secs(60), ProbeApp::new(ident));
+    let probe = world.add_node(HostNode::new("probe", cfg, vec![app]));
+    world.attach(probe, eth0);
+    world.attach(probe, eth1);
+    probe
+}
+
 /// Section 7.5 agility result.
 #[derive(Clone, Debug)]
 pub struct AgilityStats {
@@ -379,28 +381,14 @@ pub fn run_agility(seed: u64) -> AgilityStats {
             &["bridge_learning", DEC_NAME, IEEE_NAME, "control"],
         );
     }
-    let mut probe_cfg = HostConfig::multi_homed(
-        &[(host_mac(10), host_ip(10)), (host_mac(11), host_ip(11))],
-        HostCostModel::pc_1997(),
-    );
-    probe_cfg.promiscuous = true;
-    let probe = world.add_node(HostNode::new(
-        "probe",
-        probe_cfg,
-        vec![ProbeApp::new_delayed(0x9B9B, SimDuration::from_secs(60))],
-    ));
-    world.attach(probe, segs[0]);
-    world.attach(probe, segs[n]);
+    let probe = add_probe(&mut world, (segs[0], segs[n]), 0x9B9B);
 
-    let horizon = SimTime::from_secs(150);
-    let probe_id = probe;
-    run_until_done(&mut world, horizon, |w| {
-        let App::Probe(p) = w.node::<HostNode>(probe_id).app(0) else {
-            unreachable!()
-        };
-        p.ping_seen_at.is_some()
-    });
-    let App::Probe(p) = world.node::<HostNode>(probe_id).app(0) else {
+    run_until_done(
+        &mut world,
+        SimTime::from_secs(150),
+        |w| matches!(w.node::<HostNode>(probe).app(0), App::Probe(p) if p.ping_seen_at.is_some()),
+    );
+    let App::Probe(p) = world.node::<HostNode>(probe).app(0) else {
         unreachable!()
     };
     AgilityStats {

@@ -1126,8 +1126,8 @@ fn judge_app(world: &World, action: &AppAction, p: &Placed) -> (bool, AppOutcome
         );
     }
     match (action, world.node::<HostNode>(p.sender).app(0)) {
-        (AppAction::Ping { count, .. }, App::Ping(a)) => (
-            a.received == *count,
+        (AppAction::Ping { .. }, App::Ping(a)) => (
+            a.is_done(),
             AppOutcome::Ping {
                 sent: a.sent as u64,
                 received: a.received as u64,
@@ -1149,15 +1149,10 @@ fn judge_app(world: &World, action: &AppAction, p: &Placed) -> (bool, AppOutcome
             };
             let received = rx.bytes_received();
             let jitter = rx.inter_arrival_ns().cloned().unwrap_or_default();
-            let elapsed = match (a.started_at, a.done_at) {
-                (Some(s), Some(e)) => e.saturating_since(s),
-                _ => SimDuration::ZERO,
-            };
-            let throughput_bps = if elapsed.is_zero() {
-                0
-            } else {
-                total_bytes * 8 * 1_000_000_000 / elapsed.as_ns()
-            };
+            let elapsed = a.elapsed().unwrap_or(SimDuration::ZERO);
+            let throughput_bps = (total_bytes * 8 * 1_000_000_000)
+                .checked_div(elapsed.as_ns())
+                .unwrap_or(0);
             (
                 a.is_done() && received == *total_bytes,
                 AppOutcome::Ttcp {

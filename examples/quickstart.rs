@@ -18,19 +18,22 @@ fn main() {
     let segs = scenario::lans(&mut world, 2);
     let bridge = scenario::bridge(&mut world, 0, &segs, BridgeConfig::default(), &[]);
 
-    let pinger = world.add_node(HostNode::new(
-        "hostA",
-        HostConfig::simple(host_mac(1), host_ip(1), HostCostModel::pc_1997()),
-        vec![PingApp::new(
+    // Host `n` on the first LAN, pinging hostB five times (session `ident`).
+    let add_pinger = |world: &mut World, name: &str, n, ident| {
+        let app = PingApp::new(
             PortId(0),
             host_ip(2),
             5,
             56,
             SimDuration::from_ms(250),
-            7,
-        )],
-    ));
-    world.attach(pinger, segs[0]);
+            ident,
+        );
+        let cfg = HostConfig::simple(host_mac(n), host_ip(n), HostCostModel::pc_1997());
+        let id = world.add_node(HostNode::new(name, cfg, vec![app]));
+        world.attach(id, segs[0]);
+        id
+    };
+    let pinger = add_pinger(&mut world, "hostA", 1, 7);
     let replier = world.add_node(HostNode::new(
         "hostB",
         HostConfig::simple(host_mac(2), host_ip(2), HostCostModel::pc_1997()),
@@ -77,26 +80,13 @@ fn main() {
     );
 
     // Fresh ping train: the extended LAN now works.
-    let pinger2 = world.add_node(HostNode::new(
-        "hostC",
-        HostConfig::simple(host_mac(3), host_ip(3), HostCostModel::pc_1997()),
-        vec![PingApp::new(
-            PortId(0),
-            host_ip(2),
-            5,
-            56,
-            SimDuration::from_ms(250),
-            8,
-        )],
-    ));
-    world.attach(pinger2, segs[0]);
+    let pinger2 = add_pinger(&mut world, "hostC", 3, 8);
     let horizon = world.now() + SimDuration::from_secs(5);
-    run_until_done(&mut world, horizon, |w| {
-        let App::Ping(p) = w.node::<HostNode>(pinger2).app(0) else {
-            unreachable!()
-        };
-        p.done_at.is_some()
-    });
+    run_until_done(
+        &mut world,
+        horizon,
+        |w| matches!(w.node::<HostNode>(pinger2).app(0), App::Ping(p) if p.is_done()),
+    );
     let hp = world.node::<HostNode>(pinger2);
     let App::Ping(p) = hp.app(0) else {
         unreachable!()

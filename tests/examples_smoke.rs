@@ -9,18 +9,22 @@
 //! lock anyway).
 //!
 //! The three that print the paper's Section 7 (Figures 5, 9 and 10, the
-//! §7.3 frame rates, Table 1, §7.5) run in simulated time, so their
-//! stdout is the same on every run and build: it is pinned byte for byte.
+//! §7.3 frame rates, Table 1, §7.5) and `quickstart` run in simulated
+//! time, so their stdout is the same on every run and build: it is pinned
+//! byte for byte.
 
 use std::path::Path;
 use std::process::Command;
 
-/// `(stdout length, FNV-1a)` of each example that prints the paper's
-/// Section 7. A cell changes only when a printed byte does; the failure
-/// message prints the new table to paste.
-const PAPER_OUTPUT: [(&str, (usize, u64)); 3] = [
+/// `(stdout length, FNV-1a)` of each pinned example: the three that print
+/// the paper's Section 7, and `quickstart`, whose printed `t=` values are
+/// the instants its waits for a ping train's end return. A cell changes
+/// only when a printed byte does; the failure message prints the new table
+/// to paste.
+const PINNED_OUTPUT: [(&str, (usize, u64)); 4] = [
     ("paper_figures", (2407, 0xec0882d263075d95)),
     ("protocol_upgrade", (3544, 0x7ab95dda6c15bdb6)),
+    ("quickstart", (353, 0x66a4f6225141e17c)),
     ("ring_agility", (516, 0xaf5e269cfa4e7561)),
 ];
 
@@ -57,7 +61,7 @@ fn all_examples_run_cleanly() {
     }
 
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut paper_output = PAPER_OUTPUT;
+    let mut pinned = PINNED_OUTPUT;
     for example in &examples {
         let output = Command::new(&cargo)
             .args(["run", "--quiet", "--example", example])
@@ -71,17 +75,17 @@ fn all_examples_run_cleanly() {
             String::from_utf8_lossy(&output.stdout),
             String::from_utf8_lossy(&output.stderr),
         );
-        if let Some((_, cell)) = paper_output.iter_mut().find(|(name, _)| name == example) {
+        if let Some((_, cell)) = pinned.iter_mut().find(|(name, _)| name == example) {
             *cell = (output.stdout.len(), fnv1a(&output.stdout));
         }
     }
-    let table: String = paper_output
+    let table: String = pinned
         .iter()
         .map(|(name, (len, h))| format!("    (\"{name}\", ({len}, {h:#018x})),\n"))
         .collect();
     assert_eq!(
-        paper_output, PAPER_OUTPUT,
-        "the paper's Section 7 output changed; new table:\n{table}"
+        pinned, PINNED_OUTPUT,
+        "a pinned example's output changed; new table:\n{table}"
     );
 }
 
