@@ -29,9 +29,12 @@
 //!   the refcount header beside the vector, and [`FrameBufMut::freeze`]
 //!   puts the vector back into that header: a buffer that cycles pool →
 //!   frame → pool never reaches the allocator.
-//! * **One pool per thread.** [`FrameBufMut::pooled`] takes a buffer from
-//!   this thread's frame pool and [`FrameBuf::recycle`] gives a dead
-//!   frame's storage back (crates/netsim/DESIGN.md § The frame pool).
+//! * **One pool per thread, sized by its traffic.** [`FrameBufMut::pooled`]
+//!   lends a buffer from this thread's frame pool and [`FrameBuf::recycle`]
+//!   gives a dead frame's storage back. The pool keeps at most as many
+//!   buffers as the thread has had lent out at once, counted per world
+//!   ([`restart_lent_count`]), so it pins no more storage than the thread
+//!   already held at its peak (crates/netsim/DESIGN.md § The frame pool).
 //! * **[`FrameBufMut::as_mut_vec`]** lends the backing vector to builders
 //!   that append into a `Vec<u8>`.
 //! * **One copy.** [`FrameBuf::mutate`] is copy-on-write and the only
@@ -46,20 +49,46 @@ use std::fmt;
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::rc::Rc;
 
-/// Buffers a thread's frame pool keeps at most: a few per node of a
-/// small world is plenty; beyond that the pool would only pin memory.
-pub const POOL_CAP: usize = 64;
-
 /// The largest storage [`FrameBuf::recycle`] keeps: a pool outlives its
 /// worlds, so it keeps frame-sized buffers (a frame is at most 1 514
 /// bytes), not, say, a string a switchlet grew.
 pub const POOL_MAX_CAPACITY: usize = 2048;
 
+/// One thread's frame pool: the storage it holds and the demand that
+/// bounds it.
+struct Pool {
+    /// Recycled frame storage, newest last: each entry a dead frame's
+    /// whole storage, cleared, still in the refcount header it was shared
+    /// under (one word to push or pop).
+    free: Vec<Rc<Vec<u8>>>,
+    /// Buffers [`FrameBufMut::pooled`] has lent out and
+    /// [`FrameBuf::recycle`] has not taken back since the last
+    /// [`restart_lent_count`].
+    lent: usize,
+    /// The most buffers lent out at once on this thread, and at least
+    /// one (storage built beside the pool and recycled was out too):
+    /// `recycle` keeps a buffer while `free` holds fewer.
+    high_water: usize,
+}
+
 thread_local! {
-    /// This thread's recycled frame storage, newest last: each entry a
-    /// dead frame's whole storage, cleared, still in the refcount header
-    /// it was shared under (one word to push or pop).
-    static POOL: RefCell<Vec<Rc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Pool> = const {
+        RefCell::new(Pool {
+            free: Vec::new(),
+            lent: 0,
+            high_water: 1,
+        })
+    };
+}
+
+/// Start counting this thread's lent buffers from zero, keeping the
+/// pool's storage and its high-water. A simulated world calls this when
+/// it is built or reset: what an earlier world still held when it was
+/// dropped (queued or captured frames, a blaster's template) never comes
+/// back, and must not count as out in the next one.
+#[inline]
+pub fn restart_lent_count() {
+    let _ = POOL.try_with(|pool| pool.borrow_mut().lent = 0);
 }
 
 /// A cheaply clonable, immutable view (`off..off + len`) of byte storage.
@@ -160,20 +189,26 @@ impl FrameBuf {
     }
 
     /// Hand a finished-with frame's storage back to this thread's frame
-    /// pool: kept if this is the sole view of a whole buffer of at most
-    /// [`POOL_MAX_CAPACITY`] bytes and the pool holds fewer than
-    /// [`POOL_CAP`], dropped otherwise (also during thread teardown).
+    /// pool. The sole view of a whole buffer counts as taken back, and is
+    /// kept if it holds at most [`POOL_MAX_CAPACITY`] bytes and the pool
+    /// holds fewer buffers than the most this thread has had lent out at
+    /// once; it is dropped otherwise (also during thread teardown). Any
+    /// other view reclaims nothing.
     #[inline]
     pub fn recycle(mut self) {
         let whole = self.span == span(0, self.store.len());
-        match Rc::get_mut(&mut self.store) {
-            Some(bytes) if whole && bytes.capacity() <= POOL_MAX_CAPACITY => bytes.clear(),
+        let keep = match Rc::get_mut(&mut self.store) {
+            Some(bytes) if whole => {
+                bytes.clear();
+                bytes.capacity() <= POOL_MAX_CAPACITY
+            }
             _ => return,
-        }
+        };
         let _ = POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < POOL_CAP {
-                pool.push(self.store);
+            let pool = &mut *pool.borrow_mut();
+            pool.lent = pool.lent.saturating_sub(1);
+            if keep && pool.free.len() < pool.high_water {
+                pool.free.push(self.store);
             }
         });
     }
@@ -291,15 +326,18 @@ impl FrameBufMut {
     #[inline]
     pub fn pooled(cap: usize) -> Self {
         let taken = POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
+            let pool = &mut *pool.borrow_mut();
+            pool.lent += 1;
+            pool.high_water = pool.high_water.max(pool.lent);
             // Scan a few recent entries for one big enough (the pool turns
             // over the same frame-sized buffers in steady state), else
             // take the newest.
-            let n = pool.len();
+            let free = &mut pool.free;
+            let n = free.len();
             let fit = (n.saturating_sub(4)..n)
                 .rev()
-                .find(|&i| pool[i].capacity() >= cap);
-            fit.or(n.checked_sub(1)).map(|i| pool.swap_remove(i))
+                .find(|&i| free[i].capacity() >= cap);
+            fit.or(n.checked_sub(1)).map(|i| free.swap_remove(i))
         });
         let mut buf = match taken.ok().flatten() {
             // Cleared when recycled: its one view, empty, is all of it.
@@ -529,20 +567,37 @@ mod tests {
         assert_eq!(FrameBufMut::pooled(0).capacity(), POOL_MAX_CAPACITY);
     }
 
+    /// A thread that has had `LENT` buffers out at once keeps `LENT`: the
+    /// recycle past them is dropped, whether it was lent by the pool or
+    /// built beside it.
     #[test]
-    fn the_recycle_past_the_pool_cap_is_dropped() {
+    fn the_recycle_past_the_high_water_is_dropped() {
+        const LENT: usize = 64;
         // Alive together, so every frame has storage of its own.
-        let frames: Vec<FrameBuf> = (0..=POOL_CAP)
-            .map(|i| FrameBuf::from(vec![i as u8; 64]))
+        let lent: Vec<FrameBuf> = (0..LENT)
+            .map(|i| {
+                let mut buf = FrameBufMut::pooled(64);
+                buf.resize(64, i as u8);
+                buf.freeze()
+            })
             .collect();
-        let storage: Vec<*const u8> = frames.iter().map(|f| f.as_ptr()).collect();
-        frames.into_iter().for_each(FrameBuf::recycle);
-        let drained: Vec<FrameBufMut> = (0..=POOL_CAP).map(|_| FrameBufMut::pooled(0)).collect();
-        // Newest first: the 64th recycled down to the first.
-        for (buf, &was) in drained.iter().zip(storage[..POOL_CAP].iter().rev()) {
+        let beside = FrameBuf::from(vec![0xEEu8; 64]);
+        let storage: Vec<*const u8> = lent.iter().map(|f| f.as_ptr()).collect();
+        lent.into_iter().for_each(FrameBuf::recycle);
+        beside.recycle();
+        let drained: Vec<FrameBufMut> = (0..=LENT).map(|_| FrameBufMut::pooled(0)).collect();
+        // Newest first: the last lent buffer recycled down to the first.
+        for (buf, &was) in drained.iter().zip(storage.iter().rev()) {
             assert_eq!(buf.as_ptr(), was);
         }
-        assert_eq!(drained[POOL_CAP].capacity(), 0, "the 65th was not kept");
+        assert_eq!(drained[LENT].capacity(), 0, "the 65th was not kept");
+        // Draining lent 65 at once: now a 65th recycle is kept.
+        for mut buf in drained {
+            buf.resize(64, 0);
+            buf.freeze().recycle();
+        }
+        let refilled = (0..=LENT).filter(|_| FrameBufMut::pooled(0).capacity() > 0);
+        assert_eq!(refilled.count(), LENT + 1);
     }
 
     #[test]

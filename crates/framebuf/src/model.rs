@@ -1,9 +1,13 @@
 //! The handle against a model. Arbitrary sequences of `clone`, `slice`,
-//! drop, `try_into_mut`, `freeze`, `mutate` and `extend_from_slice` run
-//! on real handles and on a model that keeps each storage as a `Vec<u8>`
-//! with a count of the views that hold it; after every step every view
-//! and every reclaimed buffer must read what the model says, and the
-//! handle's refcount answers must be the model's holder counts.
+//! drop, `try_into_mut`, `freeze`, `mutate`, `extend_from_slice`,
+//! `pooled`, `recycle` and `restart_lent_count` run on real handles and
+//! on a model that keeps each storage as a `Vec<u8>` with a count of the
+//! views that hold it, and the thread's frame pool as the refcount
+//! headers it holds, its lent count and its high-water; after every step
+//! every view and every reclaimed buffer must read what the model says,
+//! the handle's refcount answers must be the model's holder counts, the
+//! pool must hold what the model says, and never more than its
+//! high-water.
 
 use proptest::prelude::*;
 use proptest::TestCaseResult;
@@ -32,12 +36,18 @@ enum Step {
     /// `extend_from_slice` into a reclaimed buffer.
     Extend(usize, usize, u8),
     Freeze(usize),
+    /// `FrameBufMut::pooled` with this capacity.
+    Pooled(usize),
+    /// `recycle` a view.
+    Recycle(usize),
+    /// `restart_lent_count`, as a new world does.
+    Restart,
 }
 
 impl Step {
     fn decode([kind, a, b, c]: [u8; 4]) -> Step {
         let (a, b, c) = (a as usize, b as usize, c as usize);
-        match kind % 9 {
+        match kind % 12 {
             0 => Step::Fresh(a % 24, b as u8),
             1 => Step::Static(a, b),
             2 => Step::Clone(a),
@@ -46,7 +56,11 @@ impl Step {
             5 => Step::TryIntoMut(a),
             6 => Step::Mutate(a, b, c as u8 | 1),
             7 => Step::Extend(a, b % 40, c as u8),
-            _ => Step::Freeze(a),
+            8 => Step::Freeze(a),
+            // Now and then past `POOL_MAX_CAPACITY`, which `recycle` drops.
+            9 => Step::Pooled(a * 9 % 2200),
+            10 => Step::Recycle(a),
+            _ => Step::Restart,
         }
     }
 }
@@ -66,11 +80,12 @@ struct Holder {
     len: usize,
 }
 
-/// A buffer `try_into_mut` handed back, with what it was reclaimed with.
+/// A buffer `try_into_mut` or `pooled` handed back, with what it was
+/// reclaimed with (a fresh pooled buffer has no header yet).
 struct Reclaimed {
     buf: FrameBufMut,
     bytes: Vec<u8>,
-    header: *const Vec<u8>,
+    header: Option<*const Vec<u8>>,
     data: *const u8,
     capacity: usize,
 }
@@ -84,9 +99,31 @@ struct Model {
     storages: Vec<Storage>,
     holders: Vec<Holder>,
     reclaimed: Vec<Reclaimed>,
+    /// The refcount headers the thread's pool holds, in no order.
+    pool: Vec<*const Vec<u8>>,
+    lent: usize,
+    high_water: usize,
 }
 
 impl Model {
+    /// A model of an empty pool, as a thread starts with. Earlier cases
+    /// ran on the same thread, so its pool is emptied first: left as they
+    /// were, their lent buffers would raise the high-water past anything
+    /// one case's steps reach.
+    fn with_a_fresh_pool() -> Model {
+        POOL.with(|pool| {
+            *pool.borrow_mut() = Pool {
+                free: Vec::new(),
+                lent: 0,
+                high_water: 1,
+            }
+        });
+        Model {
+            high_water: 1,
+            ..Model::default()
+        }
+    }
+
     fn hold(&mut self, buf: FrameBuf, bytes: Vec<u8>) {
         let len = bytes.len();
         self.storages.push(Storage { bytes, holders: 1 });
@@ -166,7 +203,7 @@ impl Model {
                         s.holders = 0;
                         buf.clear();
                         self.reclaimed.push(Reclaimed {
-                            header,
+                            header: Some(header),
                             data,
                             capacity: buf.capacity(),
                             buf,
@@ -212,11 +249,53 @@ impl Model {
             Step::Freeze(m) if !self.reclaimed.is_empty() => {
                 let r = self.reclaimed.swap_remove(m % self.reclaimed.len());
                 let buf = r.buf.freeze();
-                prop_assert_eq!(header_of(&buf), r.header, "refrozen under its own header");
+                if let Some(header) = r.header {
+                    prop_assert_eq!(header_of(&buf), header, "refrozen under its own header");
+                }
                 if r.bytes.len() <= r.capacity {
                     prop_assert!(std::ptr::eq(buf.as_ptr(), r.data), "refilled in place");
                 }
                 self.hold(buf, r.bytes);
+            }
+            Step::Pooled(cap) => {
+                let buf = FrameBufMut::pooled(cap);
+                prop_assert!(buf.is_empty() && buf.capacity() >= cap);
+                self.lent += 1;
+                self.high_water = self.high_water.max(self.lent);
+                let header = buf.header.as_ref().map(Rc::as_ptr);
+                match header {
+                    Some(header) => {
+                        let at = self.pool.iter().position(|&p| p == header);
+                        prop_assert!(at.is_some(), "lent storage the pool did not hold");
+                        self.pool.swap_remove(at.unwrap_or_default());
+                    }
+                    None => prop_assert!(self.pool.is_empty(), "allocated beside a pool"),
+                }
+                self.reclaimed.push(Reclaimed {
+                    header,
+                    data: buf.as_ptr(),
+                    capacity: buf.capacity(),
+                    buf,
+                    bytes: Vec::new(),
+                });
+            }
+            Step::Recycle(i) if n > 0 => {
+                let h = self.holders.swap_remove(i % n);
+                let s = &mut self.storages[h.storage];
+                let whole_sole_view = s.holders == 1 && h.off == 0 && h.len == s.bytes.len();
+                let (header, capacity) = (header_of(&h.buf), h.buf.store.capacity());
+                h.buf.recycle();
+                s.holders -= 1;
+                if whole_sole_view {
+                    self.lent = self.lent.saturating_sub(1);
+                    if capacity <= POOL_MAX_CAPACITY && self.pool.len() < self.high_water {
+                        self.pool.push(header);
+                    }
+                }
+            }
+            Step::Restart => {
+                restart_lent_count();
+                self.lent = 0;
             }
             _ => {}
         }
@@ -224,8 +303,9 @@ impl Model {
     }
 
     /// Every view reads its window of its storage, is unique exactly when
-    /// it is its storage's one holder, and every reclaimed buffer holds
-    /// what was written into it.
+    /// it is its storage's one holder, every reclaimed buffer holds what
+    /// was written into it, and the pool holds the model's headers, counts
+    /// what the model counts and no more buffers than its high-water.
     fn check(&self) -> TestCaseResult {
         for h in &self.holders {
             let s = &self.storages[h.storage];
@@ -236,7 +316,20 @@ impl Model {
         for r in &self.reclaimed {
             prop_assert_eq!(&r.buf[..], &r.bytes[..]);
         }
-        Ok(())
+        POOL.with(|pool| {
+            let pool = pool.borrow();
+            let mut held: Vec<_> = pool.free.iter().map(Rc::as_ptr).collect();
+            let mut model = self.pool.clone();
+            held.sort();
+            model.sort();
+            prop_assert_eq!(held, model);
+            prop_assert_eq!((pool.lent, pool.high_water), (self.lent, self.high_water));
+            prop_assert!(
+                pool.free.len() <= pool.high_water,
+                "the pool outgrew its high-water"
+            );
+            Ok(())
+        })
     }
 }
 
@@ -247,7 +340,7 @@ proptest! {
     fn the_handle_agrees_with_the_model(
         steps in prop::collection::vec(any::<[u8; 4]>().prop_map(Step::decode), 1..96),
     ) {
-        let mut model = Model::default();
+        let mut model = Model::with_a_fresh_pool();
         for step in &steps {
             model.apply(step)?;
             model.check()?;

@@ -127,9 +127,10 @@ pub struct HostCore {
     pub cfg: HostConfig,
     arp: netsim::FastMap<Ipv4Addr, MacAddr>,
     /// Per unresolved destination, the payload bytes parked and the
-    /// datagrams, in send order.
+    /// datagrams, in send order, each payload in a buffer borrowed from
+    /// the thread's frame pool.
     #[allow(clippy::type_complexity)]
-    arp_waiting: HashMap<Ipv4Addr, (usize, Vec<(PortId, Protocol, Vec<u8>, bool)>)>,
+    arp_waiting: HashMap<Ipv4Addr, (usize, Vec<(PortId, Protocol, FrameBufMut, bool)>)>,
     rx_q: ServiceQueue<(PortId, FrameBuf)>,
     tx_q: ServiceQueue<(PortId, FrameBuf)>,
     reasm: netstack::ipv4::Reassembler,
@@ -220,8 +221,8 @@ impl HostCore {
     /// `build` must append exactly `payload_len` bytes (debug-asserted);
     /// the payload must fit one MTU (oversize is counted and dropped,
     /// like [`HostCore::send_ip`]). When the destination MAC is not yet
-    /// resolved, the payload is materialized once and parked behind the
-    /// ARP exchange.
+    /// resolved, the payload is built into a pooled buffer and parked
+    /// behind the ARP exchange.
     pub fn send_ip_built(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -233,8 +234,8 @@ impl HostCore {
     ) {
         let Some(&dst_mac) = self.arp.get(&dst_ip) else {
             // Unresolved: build into the buffer that is parked (cold path).
-            let mut payload = Vec::with_capacity(payload_len);
-            build(&mut payload);
+            let mut payload = FrameBufMut::pooled(payload_len);
+            build(payload.as_mut_vec());
             debug_assert_eq!(payload.len(), payload_len, "build wrote a different length");
             self.park_behind_arp(ctx, port, dst_ip, proto, payload, false);
             return;
@@ -303,29 +304,32 @@ impl HostCore {
         fragment: bool,
     ) {
         let Some(&dst_mac) = self.arp.get(&dst_ip) else {
-            self.park_behind_arp(ctx, port, dst_ip, proto, payload.to_vec(), fragment);
+            let mut parked = FrameBufMut::pooled(payload.len());
+            parked.extend_from_slice(payload);
+            self.park_behind_arp(ctx, port, dst_ip, proto, parked, fragment);
             return;
         };
         self.emit_ip(ctx, port, dst_mac, dst_ip, proto, payload, fragment);
     }
 
     /// Park a packet for an unresolved `dst_ip` and broadcast a who-has
-    /// for it. This is the one place a payload lives on the heap: once per
-    /// parked packet, moved in by the caller, up to [`ARP_QUEUE_BYTES`] a
-    /// destination. Each send broadcasts its own request, parked or
-    /// dropped.
+    /// for it. The payload waits in a buffer the caller borrowed from the
+    /// thread's frame pool, up to [`ARP_QUEUE_BYTES`] a destination; one
+    /// past that goes straight back to the pool. Each send broadcasts its
+    /// own request, parked or dropped.
     fn park_behind_arp(
         &mut self,
         ctx: &mut Ctx<'_>,
         port: PortId,
         dst_ip: Ipv4Addr,
         proto: Protocol,
-        payload: Vec<u8>,
+        payload: FrameBufMut,
         fragment: bool,
     ) {
         let (bytes, parked) = self.arp_waiting.entry(dst_ip).or_default();
         if *bytes + payload.len() > ARP_QUEUE_BYTES {
             ctx.bump("host.arp_queue_drops", 1);
+            payload.freeze().recycle();
         } else {
             *bytes += payload.len();
             parked.push((port, proto, payload, fragment));
@@ -498,6 +502,7 @@ impl HostNode {
                             for (p, proto, payload, fragment) in pending {
                                 self.core
                                     .emit_ip(ctx, p, arp.sha, arp.spa, proto, &payload, fragment);
+                                payload.freeze().recycle();
                             }
                         }
                     }

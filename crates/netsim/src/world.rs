@@ -400,8 +400,12 @@ pub struct World {
 }
 
 impl World {
-    /// Create a world with the given RNG seed.
+    /// Create a world with the given RNG seed. The thread's frame pool
+    /// starts counting the buffers it lends from zero
+    /// (`framebuf::restart_lent_count`): what an earlier world left
+    /// queued or captured never comes back.
     pub fn new(seed: u64) -> Self {
+        framebuf::restart_lent_count();
         World {
             core: WorldCore {
                 time: SimTime::ZERO,
@@ -434,7 +438,8 @@ impl World {
     /// payload slab, completion ring and now-lane, the delivery scratch,
     /// the listener index's tables, and the capacity of the node and
     /// segment tables. (Frame storage is pooled per thread, not per
-    /// world: `framebuf::FrameBufMut::pooled`.) Sweep harnesses
+    /// world: `framebuf::FrameBufMut::pooled`; the pool's count of lent
+    /// buffers restarts as in `World::new`.) Sweep harnesses
     /// run many `(topology, workload, seed)` worlds back to back in one
     /// worker; resetting instead of reconstructing means the steady
     /// state stops paying construction allocations per scenario.
@@ -445,6 +450,7 @@ impl World {
     /// trace entry or counter survives. (`tests/scenario_exec.rs` proves
     /// this at the report-byte and trace-digest level.)
     pub fn reset(&mut self, seed: u64) {
+        framebuf::restart_lent_count();
         self.core.time = SimTime::ZERO;
         self.core.queue.clear();
         self.core.segments.clear();

@@ -3,7 +3,6 @@
 //! duplicates — and the only thing that can ever diverge a copy is the
 //! explicit copy-on-write path (fault corruption, `FrameBuf::mutate`).
 
-use framebuf::POOL_CAP;
 use netsim::{
     Ctx, FaultConfig, FrameBuf, FrameBufMut, Node, PortId, SegmentConfig, SimDuration, SimTime,
     TimerToken, World,
@@ -180,15 +179,19 @@ fn fault_duplicates_share_storage_with_each_other() {
 
 #[test]
 fn a_pool_full_of_short_buffers_still_serves_long_frames() {
+    /// As many as the thread ever has out at once: the pool's bound.
+    const SHORTS: usize = 72;
     fn compose(len: usize) -> FrameBuf {
         let mut buf = FrameBufMut::pooled(len);
         buf.resize(len, 0x5A);
         buf.freeze()
     }
     // Fill the pool with ACK-sized buffers (alive together, so they are
-    // distinct allocations), and a few more it has to turn away.
-    let shorts: Vec<FrameBuf> = (0..POOL_CAP + 8).map(|_| compose(64)).collect();
+    // distinct allocations), and a few more, built beside the pool, that
+    // it has to turn away.
+    let shorts: Vec<FrameBuf> = (0..SHORTS).map(|_| compose(64)).collect();
     shorts.into_iter().for_each(FrameBuf::recycle);
+    (0..8).for_each(|_| FrameBuf::from(vec![0x5A; 64]).recycle());
 
     // Full-sized frames now cycle through one pooled buffer, grown in
     // place once, instead of missing the pool for the rest of the run.
@@ -204,8 +207,9 @@ fn a_pool_full_of_short_buffers_still_serves_long_frames() {
         "every frame reuses the storage the first one grew"
     );
     // Address reuse alone could be the allocator's doing; the pool itself
-    // must now hold a full-sized buffer (it holds `POOL_CAP` entries at
-    // most, so this drains it).
-    let drained: Vec<_> = (0..POOL_CAP).map(|_| FrameBufMut::pooled(0)).collect();
-    assert!(drained.iter().any(|buf| buf.capacity() >= 1514));
+    // must now hold a full-sized buffer among exactly `SHORTS` entries.
+    let drained: Vec<_> = (0..=SHORTS).map(|_| FrameBufMut::pooled(0)).collect();
+    assert!(drained[..SHORTS].iter().any(|buf| buf.capacity() >= 1514));
+    assert!(drained[..SHORTS].iter().all(|buf| buf.capacity() >= 64));
+    assert_eq!(drained[SHORTS].capacity(), 0, "the pool held {SHORTS}");
 }

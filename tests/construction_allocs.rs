@@ -10,6 +10,8 @@ use std::any::Any;
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
+use ab_scenario::paper::{self, Forwarder};
+use ab_scenario::{host_ip, run_until_done};
 use active_bridge::{loader, switchlets, BridgeConfig, BridgeNode};
 use ether::MacAddr;
 use hostsim::{App, BlastApp, HostConfig, HostCostModel, HostNode, TtcpRecvApp, TtcpSendApp};
@@ -402,5 +404,67 @@ fn a_second_world_on_a_warm_thread_composes_its_frames_from_the_pool() {
     assert!(
         cold > warm,
         "a cold pool allocates frames: {cold} calls against {warm}"
+    );
+}
+
+/// The bytes of one [`figure_10_transfer`]: 32 writes of 8 192 bytes.
+const FIGURE_10_BYTES: u64 = 32 * 8192;
+
+/// Figure 10's bridge path (`paper::build_path`): hosts on the 1997 cost
+/// model either side of an active bridge running the learning switchlet,
+/// and one ttcp transfer of [`FIGURE_10_BYTES`] in 8 192-byte writes,
+/// starting 1 ms in with both ARP caches cold. Returns the allocator
+/// calls from the booted world to the transfer's end.
+fn figure_10_transfer() -> u64 {
+    let send = TtcpSendApp::new(
+        PortId(0),
+        host_ip(2),
+        5001,
+        5001,
+        FIGURE_10_BYTES,
+        8192,
+        SenderConfig::default(),
+    );
+    let recv = TtcpRecvApp::new(5001, ReceiverConfig::default());
+    let apps_a = vec![App::delayed(SimDuration::from_ms(1), send)];
+    let mut path = paper::build_path(Forwarder::Bridge, 1, apps_a, vec![recv]);
+    path.world.run_until(SimTime::from_us(500));
+    let (calls, ()) = allocations(|| {
+        run_until_done(&mut path.world, SimTime::from_secs(10), |w| {
+            ttcp_sender(w, path.host_a).is_done()
+        })
+    });
+    let sender = ttcp_sender(&path.world, path.host_a);
+    assert!(sender.is_done(), "the transfer completed");
+    calls
+}
+
+/// Figure 10's bridge path, as the second transfer on a thread: the
+/// 24 datagrams the sender parks behind its first ARP exchange wait in
+/// pooled buffers, and the pool holds what the first transfer had out at
+/// once. The transfer costs 36 allocator calls:
+/// * 13 grow a pooled buffer in place: the first transfer left ACK- and
+///   ARP-sized buffers in the pool, and a full-sized frame or a parked
+///   segment that takes one grows it (`FrameBufMut::pooled`);
+/// * 5 for the parked datagrams' list and its map entry
+///   (`HostCore::park_behind_arp`: the list's first block and three
+///   growths, and the `arp_waiting` table);
+/// * 9 grow the sender's transmit queue (4) and the bridge's input queue
+///   (5) (`ServiceQueue::offer`), and 2 the sender's LAN's transmit
+///   queue (`Segment::offer`);
+/// * 2 insert the hosts' ARP entries, 2 are the sender's first counter,
+///   2 the bridge's first learned station and 1 the receiver's
+///   inter-arrival sketch.
+///
+/// The same transfer read 63 while each parked datagram got a vector of
+/// its own and the pool kept at most 64 buffers: those 24 vectors, and 16
+/// grows in place where these read 13.
+#[test]
+fn figure_10_s_bridge_path_allocates_what_its_transfer_holds() {
+    figure_10_transfer();
+    assert_eq!(
+        figure_10_transfer(),
+        36,
+        "allocator calls of a second 8 192-byte-write transfer through a learning bridge"
     );
 }
