@@ -58,6 +58,47 @@ fn churn_battery_injects_and_recovers() {
     assert!(hit, "at least one churn run must see scripted drops");
 }
 
+/// `(rendered length, FNV-1a)` of the churn battery swept over the
+/// default sweep's shapes, per seed of [`CHURN_SEEDS`].
+const CHURN_GOLDEN: [(usize, u64); 3] = [
+    (33121, 0xe731667742344385),
+    (33133, 0xbca12c59f0342582),
+    (33165, 0x3bacaa328067ba61),
+];
+
+const CHURN_SEEDS: [u64; 3] = [1, 2, 42];
+
+/// Churn is the one battery with uniform scripted drops, so it is the
+/// one whose drop waiver follows the fault config's `drop_one_in`; no
+/// sweep golden renders it. Its bytes are pinned here. An intended
+/// change prints the new table to paste.
+#[test]
+fn churn_sweep_matches_the_stored_digests() {
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let got = CHURN_SEEDS.map(|seed| {
+        let spec = SweepSpec {
+            batteries: vec![BatteryKind::Churn],
+            ..SweepSpec::default_sweep(seed)
+        };
+        let rendered = run_sweep_jobs(&spec, 1).to_json().render();
+        (rendered.len(), fnv1a(rendered.as_bytes()))
+    });
+    let table: Vec<String> = got
+        .iter()
+        .map(|(len, h)| format!("({len}, {h:#018x})"))
+        .collect();
+    assert_eq!(
+        got,
+        CHURN_GOLDEN,
+        "rendered churn bytes changed; new table: [{}]",
+        table.join(", ")
+    );
+}
+
 /// Reports stay structurally sane: the summary agrees with the verdict
 /// list, and the world section carries every segment.
 #[test]
