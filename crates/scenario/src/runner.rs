@@ -6,19 +6,13 @@
 //! battery, materialize both into a [`World`] with the fault script on
 //! its event queue, run it to the end in one `run_until`, read what the
 //! bridges and hosts recorded on the way, then measure a quiet tail
-//! window and judge the invariants:
-//!
-//! * **no storm** — once the workload is done, the wires fall silent
-//!   apart from a bounded spanning-tree hello budget;
-//! * **no loss after convergence** — every expected delivery arrived
-//!   (waived for raw blasts while a drop fault is scripted);
-//! * **no duplicate delivery** — no receiver saw more than was sent
-//!   (waived while a duplicate fault is scripted);
-//! * **single root** — on loopy topologies every bridge agrees who the
-//!   spanning-tree root is.
+//! window and judge one invariant table, waived by the run's scripted
+//! disturbances (`crates/scenario/DESIGN.md` lists the rows).
 //!
 //! Reports are written as JSON ([`Report::to_json`]) and are
 //! byte-identical across runs with the same seed.
+
+use std::fmt::Write;
 
 use active_bridge::{
     BridgeConfig, BridgeId, BridgeNode, BridgeStats, StormConfig, StpTimers, StpVariant,
@@ -27,7 +21,7 @@ use hostsim::{
     App, ArpStormApp, BlastApp, HostConfig, HostCostModel, HostNode, MacFloodApp, PingApp,
     RogueBpduApp, TtcpRecvApp, TtcpSendApp, UploadApp, UploadState,
 };
-use netsim::{NodeId, PortId, SimDuration, SimTime, World, WorldStats};
+use netsim::{NodeId, PortId, SegCounters, SimDuration, SimTime, World, WorldStats};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
 use netstack::FailureClass;
 
@@ -715,6 +709,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let topo = topo::generate(scenario.shape, scenario.seed);
     assert!(topo.is_connected(), "generated topologies are connected");
     let wl = workload::generate(scenario.battery, &topo, scenario.seed);
+    let d = Disturbances::new(&wl, &topo, scenario.defended);
 
     // Topology-derived pre-sizing: the world's node, port and segment
     // tables are sized for the full population up front, so building a
@@ -723,7 +718,6 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     // that never sends is a few dozen, not the population.
     let n_hosts = wl.host_count() as usize;
     world.reserve_topology(topo.bridges.len() + n_hosts, topo.segments.len());
-    let hostile = wl.injects_attacks();
     let mut cfg = BridgeConfig::default();
     if scenario.defended {
         cfg.learn_cap = DEFENSE_LEARN_CAP;
@@ -731,12 +725,10 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         cfg.storm_broadcast = Some(DEFENSE_STORM);
         cfg.storm_unknown = Some(DEFENSE_STORM);
     }
-    // Adversarial batteries always boot the spanning tree (BPDU guard and
-    // rogue-root detection need it), even on acyclic shapes.
-    let boot: &[&str] = if hostile {
+    let boot: &[&str] = if d.runs_stp() {
         &["bridge_learning", STP_NAME]
     } else {
-        topo.default_boot()
+        &["bridge_learning"]
     };
     let built = topo::instantiate(world, &topo, &cfg, boot);
 
@@ -744,24 +736,12 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     // that touch exactly one bridge) on any received BPDU: no end system
     // has a legitimate reason to speak spanning tree.
     if scenario.defended {
-        for (bi, spec) in topo.bridges.iter().enumerate() {
-            let guard: Vec<usize> = spec
-                .segments
-                .iter()
-                .enumerate()
-                .filter(|(_, seg)| {
-                    topo.bridges
-                        .iter()
-                        .filter(|b| b.segments.contains(seg))
-                        .count()
-                        == 1
-                })
-                .map(|(port, _)| port)
+        for (&b, spec) in built.bridges.iter().zip(&topo.bridges) {
+            let guard: Vec<usize> = (0..spec.segments.len())
+                .filter(|&port| topo.bridges_on(spec.segments[port]) == 1)
                 .collect();
             if !guard.is_empty() {
-                world
-                    .node_mut::<BridgeNode>(built.bridges[bi])
-                    .set_bpdu_guard(guard);
+                world.node_mut::<BridgeNode>(b).set_bpdu_guard(guard);
             }
         }
     }
@@ -776,10 +756,9 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         }
     }
 
-    // Loopy topologies need the spanning tree fully forwarding before
-    // traffic starts; hostile batteries boot STP everywhere, so they wait
-    // for it everywhere.
-    let epoch = if topo.cyclic() || hostile {
+    // Wherever the spanning tree runs, it must be fully forwarding
+    // before traffic starts.
+    let epoch = if d.runs_stp() {
         SimTime::ZERO + Topology::stp_epoch(&cfg.stp)
     } else {
         SimTime::from_ms(200)
@@ -794,8 +773,6 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     // replays byte-for-byte at any worker count. A transparent script
     // schedules nothing.
     wl.chaos.schedule(world, epoch, &built.segs, &built.bridges);
-    let heal_offset = wl.chaos.last_heal_at();
-    let heal_at = heal_offset.map(|d| epoch + d);
 
     let end = epoch + wl.span() + SimDuration::from_secs(2);
     world.run_until(end);
@@ -816,7 +793,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let rogue_root_seen = planes()
         .filter_map(|p| p.lowest_root(StpVariant::Ieee))
         .any(|root| !real(root));
-    let first_probe_delivery = heal_offset.and_then(|heal| {
+    let first_probe_delivery = d.heal.and_then(|heal| {
         wl.items
             .iter()
             .zip(&placed)
@@ -833,7 +810,7 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let after = world.stats();
     let quiet_tx = after.total_tx_frames() - before.total_tx_frames();
     let total_ports: u64 = topo.bridges.iter().map(|b| b.segments.len() as u64).sum();
-    let quiet_allowed = if topo.cyclic() || hostile {
+    let quiet_allowed = if d.runs_stp() {
         // The hellos every port may send in the window, plus slack for
         // ages/boundary effects.
         Topology::hellos_per_port(&cfg.stp, quiet_window) * total_ports + 8
@@ -841,41 +818,55 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         8
     };
 
+    // The sections fold what the report already holds: the bridges'
+    // counters, the segments' and the uploads' outcomes. Only the facts
+    // above and the uploads' progress gaps are read from the world.
     let apps = judge_apps(world, &wl, &placed, &topo);
-    let bridges = bridge_reports(world, &built, hostile);
-    let vm_fuel = built
-        .bridges
-        .iter()
-        .map(|&b| world.node::<BridgeNode>(b).plane().stats.vm_instructions)
-        .sum();
-    let recovery = heal_at.map(|heal| RecoveryReport {
-        last_heal: heal,
-        down_drops: after.segments.iter().map(|s| s.counters.down_drops).sum(),
-        crashes: wl.chaos.crash_count(),
-        time_to_first_delivery: first_probe_delivery.map(|t| t.saturating_since(heal)),
-    });
-    let resilience = wl
-        .injects_bursts()
-        .then(|| resilience_report(world, &wl, &placed, &after, &built.bridges));
-    let security = hostile.then(|| {
-        let mut s = SecurityReport {
-            defended: scenario.defended,
-            max_learn_occupancy: max_learn_occupancy.unwrap_or(0),
-            learn_evictions: 0,
-            learn_rejects: 0,
-            storm_suppressions: 0,
-            storm_releases: world.counters().get("bridge.storm_releases"),
-            bpdu_guard_trips: 0,
-            rogue_root_seen,
-        };
-        for &b in &built.bridges {
-            let stats = &world.node::<BridgeNode>(b).plane().stats;
-            s.learn_evictions += stats.learn_evictions;
-            s.learn_rejects += stats.learn_rejects;
-            s.storm_suppressions += stats.storm_suppressions;
-            s.bpdu_guard_trips += stats.bpdu_guard_trips;
+    let bridges = bridge_reports(world, &built, d.any(ATTACKS));
+    let bridge_total = |key: &str| -> u64 {
+        let counter = |b: &BridgeReport| b.counters.iter().find(|&&(k, _)| k == key).map(|c| c.1);
+        bridges.iter().filter_map(counter).sum()
+    };
+    let segment_total = |count: fn(&SegCounters) -> u64| -> u64 {
+        after.segments.iter().map(|s| count(&s.counters)).sum()
+    };
+    let recovery = d.heal.map(|heal| {
+        let last_heal = epoch + heal;
+        RecoveryReport {
+            last_heal,
+            down_drops: segment_total(|c| c.down_drops),
+            crashes: wl.chaos.crash_count(),
+            time_to_first_delivery: first_probe_delivery.map(|t| t.saturating_since(last_heal)),
         }
-        s
+    });
+    let resilience = d.any(BURSTS).then(|| {
+        let each = || uploads(&apps);
+        let stalls = (wl.items.iter().zip(&placed)).filter_map(|(item, p)| match item.action {
+            AppAction::Upload { .. } => match world.node::<HostNode>(p.sender).app(0) {
+                App::Upload(a) => a.progress_gap_ns()?.max(),
+                _ => None,
+            },
+            _ => None,
+        });
+        let max_stall_ns = stalls.max().unwrap_or(0);
+        ResilienceReport {
+            retries: each().map(|u| u64::from(u.retries)).sum(),
+            restarts: each().map(|u| u64::from(u.restarts)).sum(),
+            rto_ceiling_hits: each().map(|u| u64::from(u.rto_ceiling_hits)).sum(),
+            integrity_rejects: bridge_total("images_rejected"),
+            burst_drops: segment_total(|c| c.burst_drops),
+            max_stall: (max_stall_ns > 0).then(|| SimDuration::from_ns(max_stall_ns)),
+        }
+    });
+    let security = d.any(ATTACKS).then(|| SecurityReport {
+        defended: scenario.defended,
+        max_learn_occupancy: max_learn_occupancy.unwrap_or(0),
+        learn_evictions: bridge_total("learn_evictions"),
+        learn_rejects: bridge_total("learn_rejects"),
+        storm_suppressions: bridge_total("storm_suppressions"),
+        storm_releases: world.counters().get("bridge.storm_releases"),
+        bpdu_guard_trips: bridge_total("bpdu_guard_trips"),
+        rogue_root_seen,
     });
     let mut report = Report {
         scenario: scenario.clone(),
@@ -888,54 +879,32 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         world: after,
         quiet_tx,
         quiet_allowed,
+        vm_fuel: bridge_total("vm_instructions"),
         bridges,
         apps,
-        vm_fuel,
         recovery,
         resilience,
         security,
         invariants: Vec::new(),
     };
-    report.invariants = judge_invariants(world, &topo, &wl, &report);
+    let run = Run {
+        report: &report,
+        world,
+        topo: &topo,
+        wl: &wl,
+        d: &d,
+    };
+    let invariants = INVARIANTS.iter().filter_map(|inv| d.judge(inv, &run));
+    report.invariants = invariants.collect();
     report
 }
 
-/// Aggregate the hostile-media telemetry: every upload's transport
-/// counters, the bridges' integrity-gate rejects, and the burst model's
-/// drop total.
-fn resilience_report(
-    world: &World,
-    wl: &Workload,
-    placed: &[Placed],
-    after: &WorldStats,
-    bridges: &[NodeId],
-) -> ResilienceReport {
-    let mut retries = 0u64;
-    let mut restarts = 0u64;
-    let mut rto_ceiling_hits = 0u64;
-    let mut max_stall_ns = 0u64;
-    for (item, p) in wl.items.iter().zip(placed) {
-        if !matches!(item.action, AppAction::Upload { .. }) {
-            continue;
-        }
-        if let App::Upload(a) = world.node::<HostNode>(p.sender).app(0) {
-            retries += a.retries as u64;
-            restarts += a.restarts as u64;
-            rto_ceiling_hits += a.rto_ceiling_hits as u64;
-            max_stall_ns = max_stall_ns.max(a.progress_gap_ns().and_then(Sketch::max).unwrap_or(0));
-        }
-    }
-    ResilienceReport {
-        retries,
-        restarts,
-        rto_ceiling_hits,
-        integrity_rejects: bridges
-            .iter()
-            .map(|&b| world.node::<BridgeNode>(b).plane().stats.images_rejected)
-            .sum(),
-        burst_drops: after.segments.iter().map(|s| s.counters.burst_drops).sum(),
-        max_stall: (max_stall_ns > 0).then(|| SimDuration::from_ns(max_stall_ns)),
-    }
+/// Every upload's outcome in `apps`, in workload order.
+fn uploads(apps: &[AppReport]) -> impl Iterator<Item = &UploadOutcome> {
+    apps.iter().filter_map(|a| match &a.outcome {
+        AppOutcome::Upload(u) => Some(u),
+        _ => None,
+    })
 }
 
 /// Add the workload's hosts to the world, apps wrapped in start delays so
@@ -1263,456 +1232,492 @@ fn bridge_reports(
         .collect()
 }
 
-/// `Pass` when an invariant held, `Fail` when it did not.
-fn held(ok: bool) -> Verdict {
-    if ok {
-        Verdict::Pass
-    } else {
-        Verdict::Fail
+/// A set of run facts the invariant table is judged and waived by.
+type Flags = u16;
+/// The topology has a loop.
+const LOOPY: Flags = 1;
+/// The script takes links down or crashes bridges, and heals them.
+const DOWNTIME: Flags = 1 << 1;
+/// The script drops frames: a fault config that can drop, or downtime.
+const DROPS: Flags = 1 << 2;
+/// The script installs a Gilbert–Elliott burst model.
+const BURSTS: Flags = 1 << 3;
+/// The workload fields hostile hosts.
+const ATTACKS: Flags = 1 << 4;
+/// Hostile hosts with every defense off: the arm that proves the
+/// attacks bite, judged by `attack_degrades_undefended` alone.
+const CONTROL_ARM: Flags = 1 << 5;
+/// The defense plane is armed.
+const DEFENDED: Flags = 1 << 6;
+/// An upload's module must run its `init`.
+const INITS: Flags = 1 << 7;
+/// A trap upload is scheduled, so the watchdog must quarantine.
+const TRAPS: Flags = 1 << 8;
+/// A host forges BPDUs claiming the spanning-tree root.
+const ROGUE: Flags = 1 << 9;
+
+/// The scripted disturbances of one run, computed once from its
+/// workload, topology and arm. The runner boots and times the run by
+/// them, and the invariant table is judged and waived by them.
+struct Disturbances {
+    flags: Flags,
+    /// The script's last heal, from the epoch: `Some` exactly on
+    /// [`DOWNTIME`] runs, since every battery's script heals what it
+    /// takes down (a `workload` unit test holds each battery to that).
+    /// The recovery section and the recovery rows key on it alike.
+    heal: Option<SimDuration>,
+    /// The watchdog quarantines the workload is built to trigger.
+    quarantines: u64,
+}
+
+impl Disturbances {
+    fn new(wl: &Workload, topo: &Topology, defended: bool) -> Disturbances {
+        let heal = wl.chaos.last_heal_at();
+        let attacks = wl.injects_attacks();
+        let quarantines = wl.expected_quarantines();
+        let inits = wl.upload_images().any(|image| image.counts_alive());
+        let rogue = (wl.items.iter()).any(
+            |i| matches!(i.action, AppAction::Attack { kind, .. } if kind == AttackKind::RogueBpdu),
+        );
+        let flags = [
+            (topo.cyclic(), LOOPY),
+            (heal.is_some(), DOWNTIME),
+            (heal.is_some() || wl.injects_drops(), DROPS),
+            (wl.injects_bursts(), BURSTS),
+            (attacks, ATTACKS),
+            (attacks && !defended, CONTROL_ARM),
+            (defended, DEFENDED),
+            (inits, INITS),
+            (quarantines > 0, TRAPS),
+            (rogue, ROGUE),
+        ];
+        Disturbances {
+            flags: flags.iter().filter(|f| f.0).fold(0, |all, f| all | f.1),
+            heal,
+            quarantines,
+        }
+    }
+
+    /// Does the run carry any of `flags`?
+    fn any(&self, flags: Flags) -> bool {
+        self.flags & flags != 0
+    }
+
+    /// Does the spanning tree run? On loopy shapes, and on every hostile
+    /// battery: BPDU guard and rogue-root detection need it.
+    fn runs_stp(&self) -> bool {
+        self.any(LOOPY | ATTACKS)
+    }
+
+    /// The waiver rule, the one place a verdict is decided. A row whose
+    /// `when` flags the run lacks yields nothing. A judged row fails when
+    /// a subject broke it and passes otherwise, except that its
+    /// [`Waiver`] waives it, and that a flow that failed under one of its
+    /// own excusing flags waives the row instead of failing it. A flow
+    /// row lists each failed flow its excuse did not cover.
+    fn judge(&self, inv: &Invariant, run: &Run) -> Option<InvariantResult> {
+        let Invariant(name, when, waiver, check) = *inv;
+        if self.flags & when != when {
+            return None;
+        }
+        let found = match check {
+            Check::Run(check) => check(run),
+            Check::Flows(judges, detail) => {
+                let mut found = Found::default();
+                for (item, a) in run.wl.items.iter().zip(&run.report.apps) {
+                    let Some(excused_by) = judges(run, item) else {
+                        continue;
+                    };
+                    found.judged += 1;
+                    if a.ok {
+                    } else if self.any(excused_by) {
+                        found.excused += 1;
+                    } else {
+                        found.failed += 1;
+                        list_flow(&mut found.detail, a);
+                    }
+                }
+                Found {
+                    detail: detail(&found),
+                    ..found
+                }
+            }
+        };
+        let verdict = match (waiver, &found) {
+            (Waiver::Moot(flags), _) if self.any(flags) => Verdict::Waived,
+            (Waiver::Empty, Found { judged: 0, .. }) => Verdict::Waived,
+            (Waiver::Failure(flags), Found { failed: 1.., .. }) if self.any(flags) => {
+                Verdict::Waived
+            }
+            (_, Found { failed: 1.., .. }) => Verdict::Fail,
+            (_, Found { excused: 1.., .. }) => Verdict::Waived,
+            _ => Verdict::Pass,
+        };
+        let detail = found.detail;
+        Some(InvariantResult {
+            name,
+            verdict,
+            detail,
+        })
     }
 }
 
-/// Judge the invariants on a finished run's `report` (everything but
-/// its `invariants`), with the world, topology and workload it ran.
-fn judge_invariants(
-    world: &World,
-    topo: &Topology,
-    wl: &Workload,
-    report: &Report,
-) -> Vec<InvariantResult> {
-    let Report {
-        converged_at,
-        epoch,
-        quiet_tx,
-        quiet_allowed,
-        ref bridges,
-        ref apps,
-        ..
-    } = *report;
-    let (resilience, security) = (report.resilience.as_ref(), report.security.as_ref());
-    let judged = || wl.items.iter().zip(apps);
-    let hostile = security.is_some();
-    // The control arm runs the attacks with every defense off: it exists
-    // to prove the attacks bite, so the usual health invariants are
-    // waived there and `attack_degrades_undefended` judges it instead.
-    let control_arm = hostile && !report.scenario.defended;
-    let mut out = Vec::new();
+/// What the invariant checks read: the finished report, and what only
+/// the world, the topology and the workload hold.
+struct Run<'a> {
+    report: &'a Report,
+    world: &'a World,
+    topo: &'a Topology,
+    wl: &'a Workload,
+    d: &'a Disturbances,
+}
 
-    out.push(InvariantResult {
-        name: "connected",
-        verdict: held(topo.is_connected()),
-        detail: format!(
-            "{} segments reachable through {} bridges",
-            topo.segments.len(),
-            topo.bridges.len()
-        ),
-    });
+impl Run<'_> {
+    /// The `security` section (the [`ATTACKS`] rows' runs have one).
+    fn security(&self) -> &SecurityReport {
+        self.report.security.as_ref().expect("a hostile run")
+    }
 
-    // Convergence: the control plane must settle before the workload
-    // epoch and stay settled to the end. Scripted downtime legitimately
-    // moves port states mid-run, so it waives this — the
-    // `reconverges_after_heal` invariant below takes over. So do hostile
-    // batteries: a rogue BPDU (or the guard err-disabling its port)
-    // changes the control-plane signature by design after the epoch.
-    let downtime = wl.injects_downtime();
-    let settled = converged_at.is_none_or(|t| t <= epoch);
-    out.push(InvariantResult {
-        name: "converged_before_workload",
-        verdict: if settled {
-            Verdict::Pass
-        } else if downtime || hostile {
-            Verdict::Waived
-        } else {
-            Verdict::Fail
-        },
-        detail: match converged_at {
+    /// Every upload whose image is of `kind`, in workload order.
+    fn uploads(&self, kind: fn(&UploadImage) -> bool) -> impl Iterator<Item = &UploadOutcome> {
+        uploads(&self.report.apps).filter(move |u| kind(&u.image))
+    }
+
+    /// How many uploads of `kind` there are, and how many of them are
+    /// `which`.
+    fn count(
+        &self,
+        kind: fn(&UploadImage) -> bool,
+        which: fn(&UploadOutcome) -> bool,
+    ) -> (u64, u64) {
+        let n = self.uploads(kind).count() as u64;
+        (n, self.uploads(kind).filter(|u| which(u)).count() as u64)
+    }
+}
+
+fn sealed(image: &UploadImage) -> bool {
+    matches!(image, UploadImage::Sealed { .. })
+}
+
+fn corrupt(image: &UploadImage) -> bool {
+    *image == UploadImage::Corrupt
+}
+
+/// Append `"{label} {from}→{to}"` of `a` to a comma-separated list.
+fn list_flow(list: &mut String, a: &AppReport) {
+    if !list.is_empty() {
+        list.push_str(", ");
+    }
+    let _ = write!(list, "{} {}→{}", a.label, a.from_seg, a.to_seg);
+}
+
+/// What a row found, before the waiver rule.
+#[derive(Default)]
+struct Found {
+    /// Subjects judged: flows, uploads, or the run itself.
+    judged: u64,
+    /// Subjects that broke the invariant.
+    failed: u64,
+    /// Flows that broke it under a disturbance that excuses them.
+    excused: u64,
+    /// The evidence. While a flow row counts, the list of the flows
+    /// that failed it.
+    detail: String,
+}
+
+impl Found {
+    /// A judgement on `judged` subjects as a whole.
+    fn over(judged: u64, held: bool, detail: String) -> Found {
+        let failed = u64::from(!held);
+        Found {
+            judged,
+            failed,
+            excused: 0,
+            detail,
+        }
+    }
+
+    /// A judgement on the run itself.
+    fn run(held: bool, detail: String) -> Found {
+        Found::over(1, held, detail)
+    }
+}
+
+/// `"{what}: {list}"`, or `held()` when the list of flows is empty.
+fn listed_or(list: &str, what: &str, held: impl FnOnce() -> String) -> String {
+    if list.is_empty() {
+        held()
+    } else {
+        format!("{what}: {list}")
+    }
+}
+
+/// How a row judges.
+#[derive(Clone, Copy)]
+enum Check {
+    /// The run as a whole.
+    Run(fn(&Run) -> Found),
+    /// Flow by flow, on each flow's `ok`: which flows it judges, with the
+    /// flags that excuse each one's failure, and the evidence from the
+    /// count.
+    Flows(fn(&Run, &WorkItem) -> Option<Flags>, fn(&Found) -> String),
+}
+
+/// Which disturbances waive a row.
+#[derive(Clone, Copy)]
+enum Waiver {
+    /// None.
+    Never,
+    /// A failure, on runs with any of these.
+    Failure(Flags),
+    /// Any verdict, on runs with any of these.
+    Moot(Flags),
+    /// Any verdict, when there was nothing to judge.
+    Empty,
+}
+
+/// One row of the invariant table: its name, the flags a run needs for
+/// it to be judged at all (none: every run), its waiver and its check.
+#[derive(Clone, Copy)]
+struct Invariant(&'static str, Flags, Waiver, Check);
+
+impl Invariant {
+    /// A row that judges the run as a whole.
+    const fn run(name: &'static str, when: Flags, check: fn(&Run) -> Found) -> Invariant {
+        Invariant(name, when, Waiver::Never, Check::Run(check))
+    }
+
+    /// A row that judges flow by flow.
+    const fn flows(
+        name: &'static str,
+        when: Flags,
+        judges: fn(&Run, &WorkItem) -> Option<Flags>,
+        detail: fn(&Found) -> String,
+    ) -> Invariant {
+        Invariant(name, when, Waiver::Never, Check::Flows(judges, detail))
+    }
+
+    const fn waived(self, waiver: Waiver) -> Invariant {
+        Invariant(self.0, self.1, waiver, self.3)
+    }
+}
+
+/// Judged on every run.
+const ALWAYS: Flags = 0;
+
+/// The invariants, in report order. `crates/scenario/DESIGN.md` lists
+/// the same rows, and `tests/docs.rs` holds the two lists equal.
+const INVARIANTS: [Invariant; 19] = [
+    Invariant::run("connected", ALWAYS, |r| {
+        let (segments, bridges) = (r.topo.segments.len(), r.topo.bridges.len());
+        let detail = format!("{segments} segments reachable through {bridges} bridges");
+        Found::run(r.topo.is_connected(), detail)
+    }),
+    // Scripted downtime moves port states mid-run by design
+    // (`reconverges_after_heal` takes over), and so does a rogue BPDU or
+    // the guard err-disabling its port.
+    Invariant::run("converged_before_workload", ALWAYS, |r| {
+        let (at, epoch) = (r.report.converged_at, r.report.epoch);
+        let detail = match at {
             Some(t) => format!(
                 "last control-plane change at {} ns (epoch {} ns)",
                 t.as_ns(),
                 epoch.as_ns()
             ),
             None => "control plane never changed".to_owned(),
-        },
-    });
-
-    out.push(InvariantResult {
-        name: "no_storm",
-        verdict: if quiet_tx <= quiet_allowed {
-            Verdict::Pass
-        } else if control_arm {
-            // An undefended rogue root ages out (max-age) inside the
-            // quiet window and the real tree re-elects itself there.
-            Verdict::Waived
-        } else {
-            Verdict::Fail
-        },
-        detail: format!("{quiet_tx} frames in the quiet window (allowed {quiet_allowed})"),
-    });
-
-    // Loss: blasts are raw and unacknowledged, so a scripted drop fault
-    // or scripted downtime waives them — as are loaded-phase probes,
-    // which run *inside* the scripted fault window precisely to measure
-    // how much is lost (their losses feed the degradation score, not
-    // the invariant). Everything else carries its own recovery and
-    // stays strict.
-    let drops_scripted = wl.injects_drops() || downtime;
-    let mut lost = Vec::new();
-    let mut waived_loss = 0u64;
-    for (item, a) in judged() {
-        if !a.ok {
-            let blast = matches!(item.action, AppAction::Blast { .. });
-            if drops_scripted && (blast || a.phase == Phase::Loaded) {
-                waived_loss += 1;
-            } else if control_arm {
-                // Attacks running without defenses are *expected* to hurt
-                // the victims; `attack_degrades_undefended` judges that.
-                waived_loss += 1;
-            } else {
-                lost.push(format!("{} {}→{}", a.label, a.from_seg, a.to_seg));
-            }
-        }
-    }
-    out.push(InvariantResult {
-        name: "no_loss_after_convergence",
-        verdict: if !lost.is_empty() {
-            Verdict::Fail
-        } else if waived_loss > 0 {
-            Verdict::Waived
-        } else {
-            Verdict::Pass
-        },
-        detail: if lost.is_empty() {
-            format!(
-                "{} workload items delivered ({} waived under scripted faults)",
-                apps.len() as u64 - waived_loss,
-                waived_loss
-            )
-        } else {
-            format!("undelivered: {}", lost.join(", "))
-        },
-    });
-
-    // Duplicates: a receiver seeing more than was sent means a forwarding
-    // loop (or a scripted duplicate fault, which waives it).
-    let mut duplicated = Vec::new();
-    for a in apps {
-        if let AppOutcome::Ping { sent, received } | AppOutcome::Blast { sent, received } =
-            a.outcome
-        {
-            if received > sent {
-                duplicated.push(format!(
-                    "{} {}→{} ({received} > {sent})",
-                    a.label, a.from_seg, a.to_seg
-                ));
-            }
-        }
-    }
-    out.push(InvariantResult {
-        name: "no_duplicate_delivery",
-        verdict: if !duplicated.is_empty() {
-            // Scripted duplication waives this, as does scripted
-            // downtime: a healing ring can loop transiently while the
-            // spanning tree re-blocks a port. The undefended attack arm
-            // is waived too — a rogue root can transiently re-open a
-            // blocked port.
-            if wl.injects_duplicates() || downtime || control_arm {
-                Verdict::Waived
-            } else {
-                Verdict::Fail
-            }
-        } else {
-            Verdict::Pass
-        },
-        detail: if duplicated.is_empty() {
-            "no receiver saw more frames than were sent".to_owned()
-        } else {
-            format!("duplicated: {}", duplicated.join(", "))
-        },
-    });
-
-    if topo.cyclic() {
-        let roots: std::collections::BTreeSet<&str> =
-            bridges.iter().filter_map(|b| b.root.as_deref()).collect();
-        out.push(InvariantResult {
-            name: "single_root",
-            verdict: held(roots.len() == 1),
-            detail: format!("elected roots: {roots:?}"),
-        });
-    }
-
-    // How many scheduled uploads should have run their `init`.
-    let uploads = apps
-        .iter()
-        .filter(|a| matches!(&a.outcome, AppOutcome::Upload(u) if u.image.counts_alive()))
-        .count() as u64;
-    if uploads > 0 {
-        let alive = world.counters().get(workload::UPLOAD_ALIVE_COUNTER);
-        out.push(InvariantResult {
-            name: "uploads_alive",
-            verdict: held(alive == uploads),
-            detail: format!("{alive} of {uploads} uploaded switchlets ran init"),
-        });
-    }
-
-    // Recovery invariants: judged only on runs that script downtime.
-    if downtime {
-        let heal_offset = wl.chaos.last_heal_at().unwrap_or(SimDuration::ZERO);
-        let heal = epoch + heal_offset;
-
-        // After the last heal the control plane must settle within the
-        // topology's recovery margin under the timers the bridges ran.
-        let bound = topo.recovery_margin(&StpTimers::default());
-        let reconverged = converged_at.is_none_or(|t| t <= heal + bound);
-        out.push(InvariantResult {
-            name: "reconverges_after_heal",
-            verdict: held(reconverged),
-            detail: match converged_at {
-                Some(t) => format!(
-                    "last control-plane change at {} ns (heal {} ns, bound {} ns)",
-                    t.as_ns(),
-                    heal.as_ns(),
-                    bound.as_ns()
-                ),
-                None => "control plane never changed".to_owned(),
-            },
-        });
-
-        // No permanent blackhole: every post-heal probe must succeed.
-        let mut dead = Vec::new();
-        let mut probes = 0u64;
-        for (item, a) in judged() {
-            if is_post_heal_probe(item, heal_offset) {
-                probes += 1;
-                if !a.ok {
-                    dead.push(format!("{} {}→{}", a.label, a.from_seg, a.to_seg));
-                }
-            }
-        }
-        out.push(InvariantResult {
-            name: "no_permanent_blackhole",
-            verdict: if !dead.is_empty() {
-                Verdict::Fail
-            } else if probes > 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Waived
-            },
-            detail: if dead.is_empty() {
-                format!("{probes} post-heal probes delivered")
-            } else {
-                format!("dead after heal: {}", dead.join(", "))
-            },
-        });
-    }
-
-    // Resilience invariants: judged only on runs that script bursty
-    // loss (the lossy battery). They hold the adaptive transport and
-    // the integrity gate to account *under* the hostile medium — never
-    // waived there.
-    if let Some(resilience) = resilience {
-        let uploads_of = |want: fn(UploadImage) -> bool| -> Vec<&UploadOutcome> {
-            apps.iter()
-                .filter_map(|a| match &a.outcome {
-                    AppOutcome::Upload(u) if want(u.image) => Some(u),
-                    _ => None,
-                })
-                .collect()
         };
-        let sealed = uploads_of(|image| matches!(image, UploadImage::Sealed { .. }));
-        let corrupt = uploads_of(|image| image == UploadImage::Corrupt);
-
-        // Every sealed upload must complete despite the burst model
-        // chewing on its segment (and, in the lossy battery, a bridge
-        // crash mid-transfer).
-        let incomplete = sealed
-            .iter()
-            .filter(|u| !matches!(u.state, UploadState::Done { .. }))
-            .count() as u64;
-        out.push(InvariantResult {
-            name: "uploads_complete_under_loss",
-            verdict: if sealed.is_empty() {
-                Verdict::Waived
-            } else {
-                held(incomplete == 0)
-            },
-            detail: format!(
-                "{} of {} sealed uploads completed under bursty loss",
-                sealed.len() as u64 - incomplete,
-                sealed.len()
-            ),
-        });
-
-        // ... and must get there inside its recovery budget: no sealed
-        // upload parked, none spent more than `max_retries` actions.
-        let mut worst_used = 0;
-        let mut budget = 0;
-        let mut blown = 0u64;
-        for u in &sealed {
-            let used = u.budget_used;
-            worst_used = worst_used.max(used);
-            budget = u.image.budget();
-            if matches!(u.state, UploadState::Parked { .. }) || used > budget {
-                blown += 1;
+        Found::run(at.is_none_or(|t| t <= epoch), detail)
+    })
+    .waived(Waiver::Failure(DOWNTIME | ATTACKS)),
+    // An undefended rogue root ages out (max-age) inside the quiet window
+    // and the real tree re-elects itself there.
+    Invariant::run("no_storm", ALWAYS, |r| {
+        let (tx, allowed) = (r.report.quiet_tx, r.report.quiet_allowed);
+        let detail = format!("{tx} frames in the quiet window (allowed {allowed})");
+        Found::run(tx <= allowed, detail)
+    })
+    .waived(Waiver::Failure(CONTROL_ARM)),
+    // Raw blasts are unacknowledged, and loaded-phase probes run inside
+    // the fault window to measure what it costs, so scripted drops excuse
+    // them. Every other flow carries its own recovery and stays strict,
+    // except on the control arm, whose attacks are meant to hurt.
+    Invariant::flows(
+        "no_loss_after_convergence",
+        ALWAYS,
+        |_, item| match (&item.action, item.phase) {
+            (AppAction::Blast { .. }, _) | (_, Phase::Loaded) => Some(DROPS | CONTROL_ARM),
+            _ => Some(CONTROL_ARM),
+        },
+        |f| {
+            let (delivered, waived) = (f.judged - f.excused, f.excused);
+            listed_or(&f.detail, "undelivered", || {
+                format!(
+                    "{delivered} workload items delivered ({waived} waived under scripted faults)"
+                )
+            })
+        },
+    ),
+    // A receiver seeing more than was sent means a forwarding loop. A
+    // healing ring can loop while the tree re-blocks a port, and a rogue
+    // root can re-open a blocked one.
+    Invariant::run("no_duplicate_delivery", ALWAYS, |r| {
+        let mut list = String::new();
+        for a in &r.report.apps {
+            if let AppOutcome::Ping { sent, received } | AppOutcome::Blast { sent, received } =
+                a.outcome
+            {
+                if received > sent {
+                    list_flow(&mut list, a);
+                    let _ = write!(list, " ({received} > {sent})");
+                }
             }
         }
-        out.push(InvariantResult {
-            name: "retries_within_budget",
-            verdict: if sealed.is_empty() {
-                Verdict::Waived
-            } else {
-                held(blown == 0)
-            },
-            detail: format!(
-                "worst sealed upload spent {worst_used} of {budget} recovery actions ({blown} exhausted)"
-            ),
+        let detail = listed_or(&list, "duplicated", || {
+            "no receiver saw more frames than were sent".to_owned()
         });
-
-        // The deliberately poisoned image must be refused at the gate —
-        // every re-send rejected, the sender parked with a classified
-        // integrity failure, and the payload never evaluated (its init
-        // would inflate the `uploads_alive` counter, which that
-        // invariant cross-checks).
-        let rejects = resilience.integrity_rejects;
-        let unparked = corrupt.iter().filter(|u| u.state != PARKED_BY_GATE).count() as u64;
-        let gate_held = unparked == 0 && rejects >= corrupt.len() as u64;
-        out.push(InvariantResult {
-            name: "corrupted_image_never_activates",
-            verdict: if corrupt.is_empty() {
-                Verdict::Waived
-            } else {
-                held(gate_held)
-            },
-            detail: format!(
-                "{} corrupt uploads, {rejects} gate rejects, {unparked} escaped classification",
-                corrupt.len()
-            ),
-        });
-
-        // Every upload under the hostile medium must reach a terminal
-        // state — completed or parked — before the run ends; a transport
-        // that retries forever would leave one in limbo.
-        let in_limbo = sealed
-            .iter()
-            .chain(&corrupt)
-            .filter(|u| matches!(u.state, UploadState::Running { .. }))
-            .count() as u64;
-        let judged = (sealed.len() + corrupt.len()) as u64;
-        out.push(InvariantResult {
-            name: "no_livelock",
-            verdict: if judged == 0 {
-                Verdict::Waived
-            } else {
-                held(in_limbo == 0)
-            },
-            detail: format!(
-                "{} of {judged} uploads reached a terminal state",
-                judged - in_limbo
-            ),
-        });
-    }
-
-    // The watchdog must engage exactly as scripted — no more, no fewer.
-    if wl.expected_quarantines > 0 {
-        let quarantines = world.counters().get("bridge.quarantines");
-        out.push(InvariantResult {
-            name: "quarantine_engages",
-            verdict: held(quarantines == wl.expected_quarantines),
-            detail: format!(
-                "{quarantines} watchdog quarantines (scripted {})",
-                wl.expected_quarantines
-            ),
-        });
-    }
-
-    // Adversarial invariants: the defended arm must shrug the attacks
-    // off; the control arm must visibly suffer them (otherwise the
-    // defended arm proves nothing).
-    if let Some(sec) = security {
-        let rogue_scheduled = wl.items.iter().any(|i| {
-            matches!(
-                i.action,
-                AppAction::Attack {
-                    kind: AttackKind::RogueBpdu,
-                    ..
-                }
-            )
-        });
-
-        out.push(InvariantResult {
-            name: "learn_table_bounded",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else {
-                held(sec.max_learn_occupancy <= DEFENSE_LEARN_CAP as u64)
-            },
-            detail: format!(
-                "max learning-table occupancy {} (cap {})",
-                sec.max_learn_occupancy, DEFENSE_LEARN_CAP
-            ),
-        });
-
-        let starved: Vec<String> = judged()
-            .filter(|(item, a)| !matches!(item.action, AppAction::Attack { .. }) && !a.ok)
-            .map(|(_, a)| format!("{} {}→{}", a.label, a.from_seg, a.to_seg))
+        Found::run(list.is_empty(), detail)
+    })
+    .waived(Waiver::Failure(DOWNTIME | CONTROL_ARM)),
+    Invariant::run("single_root", LOOPY, |r| {
+        let roots: std::collections::BTreeSet<&str> = (r.report.bridges.iter())
+            .filter_map(|b| b.root.as_deref())
             .collect();
-        out.push(InvariantResult {
-            name: "victim_flows_survive",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else {
-                held(starved.is_empty())
-            },
-            detail: if starved.is_empty() {
-                "every victim flow completed under attack".to_owned()
-            } else {
-                format!("starved under attack: {}", starved.join(", "))
-            },
-        });
-
-        out.push(InvariantResult {
-            name: "storm_suppressed_and_released",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else {
-                held(sec.storm_suppressions > 0 && sec.storm_suppressions == sec.storm_releases)
-            },
-            detail: format!(
-                "{} suppressions, {} releases",
-                sec.storm_suppressions, sec.storm_releases
+        Found::run(roots.len() == 1, format!("elected roots: {roots:?}"))
+    }),
+    Invariant::run("uploads_alive", INITS, |r| {
+        let uploads = r.uploads(UploadImage::counts_alive).count() as u64;
+        let alive = r.world.counters().get(workload::UPLOAD_ALIVE_COUNTER);
+        let detail = format!("{alive} of {uploads} uploaded switchlets ran init");
+        Found::run(alive == uploads, detail)
+    }),
+    // After the last heal the control plane settles within the topology's
+    // recovery margin under the timers the bridges ran.
+    Invariant::run("reconverges_after_heal", DOWNTIME, |r| {
+        let heal = r.report.epoch + r.d.heal.unwrap_or_default();
+        let bound = r.topo.recovery_margin(&StpTimers::default());
+        let at = r.report.converged_at;
+        let detail = match at {
+            Some(t) => format!(
+                "last control-plane change at {} ns (heal {} ns, bound {} ns)",
+                t.as_ns(),
+                heal.as_ns(),
+                bound.as_ns()
             ),
-        });
-
-        out.push(InvariantResult {
-            name: "root_stays_stable",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else {
-                held(!sec.rogue_root_seen && (!rogue_scheduled || sec.bpdu_guard_trips > 0))
-            },
-            detail: format!(
-                "rogue root seen: {}, guard trips: {} (rogue scheduled: {})",
-                sec.rogue_root_seen, sec.bpdu_guard_trips, rogue_scheduled
-            ),
-        });
-
-        // The control arm earns its keep by demonstrating degradation:
-        // the flood blows past the (defended-arm) cap, and a scheduled
-        // rogue BPDU actually steals the root.
-        let degraded = sec.max_learn_occupancy > DEFENSE_LEARN_CAP as u64
-            && (!rogue_scheduled || sec.rogue_root_seen);
-        out.push(InvariantResult {
-            name: "attack_degrades_undefended",
-            verdict: if !control_arm {
-                Verdict::Waived
-            } else {
-                held(degraded)
-            },
-            detail: format!(
-                "max occupancy {} vs cap {}, rogue root seen: {}",
-                sec.max_learn_occupancy, DEFENSE_LEARN_CAP, sec.rogue_root_seen
-            ),
-        });
-    }
-
-    out
-}
+            None => "control plane never changed".to_owned(),
+        };
+        Found::run(at.is_none_or(|t| t <= heal + bound), detail)
+    }),
+    Invariant::flows(
+        "no_permanent_blackhole",
+        DOWNTIME,
+        |r, item| {
+            r.d.heal
+                .filter(|&heal| is_post_heal_probe(item, heal))
+                .map(|_| 0)
+        },
+        |f| {
+            listed_or(&f.detail, "dead after heal", || {
+                format!("{} post-heal probes delivered", f.judged)
+            })
+        },
+    )
+    .waived(Waiver::Empty),
+    // The bursty-loss rows hold the adaptive transport and the integrity
+    // gate to account under the hostile medium. Every sealed upload
+    // completes despite the burst model and a bridge crash mid-transfer...
+    Invariant::run("uploads_complete_under_loss", BURSTS, |r| {
+        let (n, done) = r.count(sealed, |u| matches!(u.state, UploadState::Done { .. }));
+        let detail = format!("{done} of {n} sealed uploads completed under bursty loss");
+        Found::over(n, done == n, detail)
+    })
+    .waived(Waiver::Empty),
+    // ... inside its recovery budget: none parked, none spent more than
+    // its budget of actions.
+    Invariant::run("retries_within_budget", BURSTS, |r| {
+        let (mut worst_used, mut budget, mut blown) = (0, 0, 0u64);
+        for u in r.uploads(sealed) {
+            worst_used = worst_used.max(u.budget_used);
+            budget = u.image.budget();
+            let parked = matches!(u.state, UploadState::Parked { .. });
+            blown += u64::from(parked || u.budget_used > budget);
+        }
+        let detail = format!(
+            "worst sealed upload spent {worst_used} of {budget} recovery actions ({blown} exhausted)"
+        );
+        Found::over(r.uploads(sealed).count() as u64, blown == 0, detail)
+    })
+    .waived(Waiver::Empty),
+    // The poisoned image is refused at the gate: every re-send rejected,
+    // the sender parked with a classified integrity failure, and the
+    // payload never evaluated (its init would inflate `uploads_alive`).
+    Invariant::run("corrupted_image_never_activates", BURSTS, |r| {
+        let (n, unparked) = r.count(corrupt, |u| u.state != PARKED_BY_GATE);
+        let rejects = (r.report.resilience.as_ref()).map_or(0, |s| s.integrity_rejects);
+        let detail = format!(
+            "{n} corrupt uploads, {rejects} gate rejects, {unparked} escaped classification"
+        );
+        Found::over(n, unparked == 0 && rejects >= n, detail)
+    })
+    .waived(Waiver::Empty),
+    // Every upload under the hostile medium ends completed or parked
+    // before the run does: a transport that retries forever would leave
+    // one in limbo.
+    Invariant::run("no_livelock", BURSTS, |r| {
+        let both = |i: &UploadImage| sealed(i) || corrupt(i);
+        let (n, in_limbo) = r.count(both, |u| matches!(u.state, UploadState::Running { .. }));
+        let detail = format!("{} of {n} uploads reached a terminal state", n - in_limbo);
+        Found::over(n, in_limbo == 0, detail)
+    })
+    .waived(Waiver::Empty),
+    // The watchdog engages exactly as scripted: no more, no fewer.
+    Invariant::run("quarantine_engages", TRAPS, |r| {
+        let quarantines = r.world.counters().get("bridge.quarantines");
+        let scripted = r.d.quarantines;
+        let detail = format!("{quarantines} watchdog quarantines (scripted {scripted})");
+        Found::run(quarantines == scripted, detail)
+    }),
+    // The defended arm shrugs the attacks off.
+    Invariant::run("learn_table_bounded", ATTACKS, |r| {
+        let occupancy = r.security().max_learn_occupancy;
+        let detail = format!("max learning-table occupancy {occupancy} (cap {DEFENSE_LEARN_CAP})");
+        Found::run(occupancy <= DEFENSE_LEARN_CAP as u64, detail)
+    })
+    .waived(Waiver::Moot(CONTROL_ARM)),
+    Invariant::flows(
+        "victim_flows_survive",
+        ATTACKS,
+        |_, item| (!matches!(item.action, AppAction::Attack { .. })).then_some(0),
+        |f| {
+            listed_or(&f.detail, "starved under attack", || {
+                "every victim flow completed under attack".into()
+            })
+        },
+    )
+    .waived(Waiver::Moot(CONTROL_ARM)),
+    Invariant::run("storm_suppressed_and_released", ATTACKS, |r| {
+        let sec = r.security();
+        let (suppressions, releases) = (sec.storm_suppressions, sec.storm_releases);
+        let detail = format!("{suppressions} suppressions, {releases} releases");
+        Found::run(suppressions > 0 && suppressions == releases, detail)
+    })
+    .waived(Waiver::Moot(CONTROL_ARM)),
+    Invariant::run("root_stays_stable", ATTACKS, |r| {
+        let (sec, rogue) = (r.security(), r.d.any(ROGUE));
+        let (seen, trips) = (sec.rogue_root_seen, sec.bpdu_guard_trips);
+        let detail =
+            format!("rogue root seen: {seen}, guard trips: {trips} (rogue scheduled: {rogue})");
+        Found::run(!seen && (!rogue || trips > 0), detail)
+    })
+    .waived(Waiver::Moot(CONTROL_ARM)),
+    // The control arm earns its keep by showing the damage: the flood
+    // blows past the defended arm's cap, and a scheduled rogue BPDU
+    // steals the root.
+    Invariant::run("attack_degrades_undefended", ATTACKS, |r| {
+        let (sec, rogue) = (r.security(), r.d.any(ROGUE));
+        let (occupancy, seen) = (sec.max_learn_occupancy, sec.rogue_root_seen);
+        let cap = DEFENSE_LEARN_CAP as u64;
+        let detail = format!("max occupancy {occupancy} vs cap {cap}, rogue root seen: {seen}");
+        Found::run(occupancy > cap && (!rogue || seen), detail)
+    })
+    .waived(Waiver::Moot(DEFENDED)),
+];

@@ -471,6 +471,14 @@ impl Topology {
         self.derived.connected
     }
 
+    /// How many bridges attach to segment `seg`.
+    pub(crate) fn bridges_on(&self, seg: usize) -> usize {
+        self.bridges
+            .iter()
+            .filter(|b| b.segments.contains(&seg))
+            .count()
+    }
+
     /// Indices of the segments hosts may be placed on (everything except
     /// the metro backbone; on non-metro shapes, every segment).
     pub fn access_segments(&self) -> Vec<usize> {

@@ -447,17 +447,12 @@ pub struct WorkItem {
 /// A generated battery: scheduled apps plus a fault script.
 #[derive(Clone, Debug)]
 pub struct Workload {
-    /// Which battery generated this.
-    pub kind: BatteryKind,
     /// Scheduled applications, in generation order.
     pub items: Vec<WorkItem>,
     /// The fault script (offsets from the workload epoch): segment fault
     /// windows, link downs and bridge crashes, all scheduled on the world
     /// event queue. Transparent for batteries that script no fault.
     pub chaos: ChaosScript,
-    /// How many watchdog quarantines the script is engineered to
-    /// trigger; when non-zero the runner judges the count exactly.
-    pub expected_quarantines: u64,
 }
 
 impl Workload {
@@ -497,14 +492,6 @@ impl Workload {
         self.chaos.fault_configs().any(|f| f.burst.is_some())
     }
 
-    /// Does the script take links down or crash bridges at any point?
-    /// While scripted downtime is in play the convergence, loss and
-    /// duplicate invariants are judged leniently and the recovery
-    /// invariants take over.
-    pub fn injects_downtime(&self) -> bool {
-        self.chaos.has_downtime()
-    }
-
     /// Does the workload field hostile hosts (MAC flood, ARP storm,
     /// rogue BPDUs)? When it does, the runner executes defended and
     /// undefended arms, reads the bridges' learn-table high-water marks
@@ -516,9 +503,20 @@ impl Workload {
             .any(|i| matches!(i.action, AppAction::Attack { .. }))
     }
 
-    /// Does the script inject frame duplication at any point?
-    pub fn injects_duplicates(&self) -> bool {
-        self.chaos.fault_configs().any(|f| f.duplicate_one_in > 0)
+    /// How many watchdog quarantines the workload is built to trigger:
+    /// one per [`UploadImage::Trap`] upload. When non-zero the runner
+    /// judges the count exactly.
+    pub fn expected_quarantines(&self) -> u64 {
+        let traps = self.upload_images().filter(|&i| i == UploadImage::Trap);
+        traps.count() as u64
+    }
+
+    /// Every upload's image, in workload order.
+    pub(crate) fn upload_images(&self) -> impl Iterator<Item = UploadImage> + '_ {
+        self.items.iter().filter_map(|i| match i.action {
+            AppAction::Upload { image, .. } => Some(image),
+            _ => None,
+        })
     }
 
     /// Total hosts materializing this workload adds to the world (the
@@ -631,7 +629,6 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
     let mut rng = Xoshiro::seed_from_u64(seed ^ (0x3A77_E21B_00C0_FFEE ^ kind.tag()));
     let mut items = Vec::new();
     let mut chaos = ChaosScript::transparent();
-    let mut expected_quarantines = 0u64;
     match kind {
         BatteryKind::Pings => {
             for nth in 0..3 {
@@ -933,7 +930,6 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
                     image: UploadImage::Trap,
                 },
             });
-            expected_quarantines = 1;
             let (from_seg, to_seg) = pick_pair(topo, &mut rng, 1);
             items.push(WorkItem {
                 phase: Phase::Main,
@@ -1100,12 +1096,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             // where the attacker's segment touches exactly one bridge
             // (a line end, never a ring segment), so the defended arm
             // can err-disable that port at the first forged BPDU.
-            let touches = topo
-                .bridges
-                .iter()
-                .filter(|b| b.segments.contains(&attacker))
-                .count();
-            if touches == 1 {
+            if topo.bridges_on(attacker) == 1 {
                 items.push(WorkItem {
                     phase: Phase::Main,
                     offset: SimDuration::from_ms(2_000),
@@ -1124,12 +1115,7 @@ pub fn generate(kind: BatteryKind, topo: &Topology, seed: u64) -> Workload {
             items.push(recovery_transfer(SimDuration::from_secs(6), (v_from, v_to)));
         }
     }
-    Workload {
-        kind,
-        items,
-        chaos,
-        expected_quarantines,
-    }
+    Workload { items, chaos }
 }
 
 /// How many silent hosts the metro battery places on each access
@@ -1232,7 +1218,7 @@ mod tests {
         let topo = gen_topo(TopologyShape::Line { bridges: 3 }, 3);
         let wl = generate(BatteryKind::Churn, &topo, 3);
         assert!(wl.injects_drops());
-        assert!(!wl.injects_duplicates());
+        assert!(wl.chaos.fault_configs().all(|f| f.duplicate_one_in == 0));
         let clear_at = fault_cleared_at(&wl).expect("churn clears its fault");
         assert!(clear_at < wl.span());
     }
@@ -1301,9 +1287,9 @@ mod tests {
         ] {
             let topo = gen_topo(shape, 5);
             let wl = generate(BatteryKind::Chaos, &topo, 5);
-            assert!(wl.injects_downtime());
+            assert!(wl.chaos.has_downtime());
             assert!(!wl.injects_drops(), "chaos scripts topology, not frames");
-            assert_eq!(wl.expected_quarantines, 1);
+            assert_eq!(wl.expected_quarantines(), 1);
             // Every down has an up and every crash a restart: the
             // script is self-healing by construction.
             let count = |pred: fn(&ChaosAction) -> bool| {
@@ -1332,6 +1318,31 @@ mod tests {
         }
     }
 
+    /// The runner judges downtime by the script's last heal: every
+    /// battery's script must take something down exactly when it heals
+    /// something.
+    #[test]
+    fn every_battery_scripts_downtime_exactly_when_it_heals() {
+        for shape in [
+            TopologyShape::Star { arms: 3 },
+            TopologyShape::Line { bridges: 2 },
+            TopologyShape::Ring { bridges: 3 },
+            TopologyShape::metro_small(),
+        ] {
+            for seed in 0..4 {
+                let topo = gen_topo(shape, seed);
+                for kind in BatteryKind::ALL {
+                    let wl = generate(kind, &topo, seed);
+                    assert_eq!(
+                        wl.chaos.has_downtime(),
+                        wl.chaos.last_heal_at().is_some(),
+                        "{kind:?} on {shape:?} at seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn non_chaos_batteries_stay_transparent() {
         let topo = gen_topo(TopologyShape::Ring { bridges: 4 }, 7);
@@ -1341,7 +1352,7 @@ mod tests {
             }
             let wl = generate(kind, &topo, 7);
             assert!(
-                !wl.injects_downtime() && wl.expected_quarantines == 0,
+                !wl.chaos.has_downtime() && wl.expected_quarantines() == 0,
                 "{kind:?} must not script downtime"
             );
             assert!(!wl.injects_bursts(), "{kind:?} must not script burst loss");
@@ -1364,8 +1375,8 @@ mod tests {
             let wl = generate(BatteryKind::Lossy, &topo, 5);
             assert!(wl.injects_bursts());
             assert!(wl.injects_drops(), "burst bad state drops frames");
-            assert!(wl.injects_downtime(), "the target bridge crashes");
-            assert_eq!(wl.expected_quarantines, 0);
+            assert!(wl.chaos.has_downtime(), "the target bridge crashes");
+            assert_eq!(wl.expected_quarantines(), 0);
             // The burst model meets the ≥ 10% steady-state loss floor.
             let burst = wl
                 .chaos

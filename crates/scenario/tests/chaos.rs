@@ -55,8 +55,8 @@ fn check_chaos_scenario(shape: TopologyShape, seed: u64) {
         .expect("a chaos run must carry recovery telemetry");
     let topo = topo::generate(shape, seed);
     let wl = workload::generate(BatteryKind::Chaos, &topo, seed);
-    assert!(wl.injects_downtime());
-    assert_eq!(wl.expected_quarantines, 1);
+    assert!(wl.chaos.has_downtime());
+    assert_eq!(wl.expected_quarantines(), 1);
     assert_eq!(recovery.crashes, wl.chaos.crash_count());
     assert!(recovery.crashes >= 1, "the script crashes a bridge");
     assert!(
@@ -219,7 +219,7 @@ proptest! {
         prop_assert!(a.chaos.last_heal_at().unwrap() <= a.chaos.span());
         prop_assert!(a.chaos.span() <= a.span(), "the workload span covers the script");
         prop_assert!(a.chaos.crash_count() >= 1);
-        prop_assert_eq!(a.expected_quarantines, 1);
+        prop_assert_eq!(a.expected_quarantines(), 1);
     }
 
     /// A full chaos run replays byte-identically on small cycle-free

@@ -60,7 +60,7 @@ fn check_lossy_scenario(shape: TopologyShape, seed: u64) {
     let topo = topo::generate(shape, seed);
     let wl = workload::generate(BatteryKind::Lossy, &topo, seed);
     assert!(wl.injects_bursts());
-    assert!(wl.injects_downtime(), "the script crashes a bridge");
+    assert!(wl.chaos.has_downtime(), "the script crashes a bridge");
     assert!(
         resilience.burst_drops > 0,
         "the burst model must have eaten traffic"
@@ -212,10 +212,10 @@ proptest! {
         prop_assert_eq!(&a.chaos, &b.chaos);
         prop_assert!(a.injects_bursts());
         prop_assert!(a.injects_drops());
-        prop_assert!(a.injects_downtime());
+        prop_assert!(a.chaos.has_downtime());
         prop_assert!(a.chaos.last_heal_at().is_some(), "the crash must heal");
         prop_assert!(a.chaos.span() <= a.span(), "the workload span covers the script");
-        prop_assert_eq!(a.expected_quarantines, 0);
+        prop_assert_eq!(a.expected_quarantines(), 0);
     }
 
     /// A full lossy run replays byte-identically on small cycle-free

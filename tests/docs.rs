@@ -4,8 +4,9 @@
 //! exists, once and in the present tense; what changed when is
 //! `CHANGES.md`'s. These checks keep them so: the README has a length
 //! budget, no document narrates by change number, every relative link
-//! resolves, and every command the README shows names an example file
-//! or an `ab_scenario` subcommand that exists.
+//! resolves, every command the README shows names an example file or an
+//! `ab_scenario` subcommand that exists, and the scenario DESIGN note's
+//! invariant table has the runner's rows.
 
 use std::path::{Path, PathBuf};
 
@@ -166,5 +167,47 @@ fn readme_ab_scenario_subcommands_exist() {
         unknown.is_empty(),
         "README.md shows `ab_scenario` subcommands its usage does not list: {unknown:?} \
          (listed: {listed:?})"
+    );
+}
+
+/// The runner's invariant table and `crates/scenario/DESIGN.md`'s name
+/// the same invariants in the same (report) order. The runner's names
+/// are the first string literal of each `Invariant::` row of its
+/// `INVARIANTS` table; the DESIGN note's are the first column of the
+/// table headed `| invariant |`.
+#[test]
+fn design_table_names_every_invariant_the_runner_emits() {
+    let runner = read(&root().join("crates/scenario/src/runner.rs"));
+    let start = runner
+        .find("const INVARIANTS")
+        .expect("runner.rs has an INVARIANTS table");
+    let table = &runner[start..];
+    let table = &table[..table.find("\n];").expect("the INVARIANTS table ends")];
+    let emitted: Vec<&str> = table
+        .match_indices("Invariant::")
+        .map(|(at, _)| {
+            let mut quoted = table[at..].split('"');
+            quoted.nth(1).expect("a row starts with its name")
+        })
+        .collect();
+    assert!(emitted.len() >= 19, "too few rows read: {emitted:?}");
+
+    let design = read(&root().join("crates/scenario/DESIGN.md"));
+    let listed: Vec<&str> = design
+        .lines()
+        .skip_while(|line| !line.starts_with("| invariant |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            line.split('|')
+                .nth(1)
+                .unwrap_or("")
+                .trim()
+                .trim_matches('`')
+        })
+        .collect();
+    assert_eq!(
+        listed, emitted,
+        "crates/scenario/DESIGN.md's `| invariant |` table must list the runner's rows in order"
     );
 }
