@@ -5,8 +5,10 @@
 use ab_scenario::runner::{run_recorded, run_traced, Scenario};
 use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
-use ab_scenario::{run_jobs_local, timeline};
-use netsim::{ProbeConfig, ProbeRecord};
+use ab_scenario::{bridge_ip, bridge_mac, host_ip, host_mac, run_jobs_local, timeline, SweepSpec};
+use active_bridge::{BridgeConfig, BridgeNode};
+use hostsim::{HostConfig, HostCostModel, HostNode};
+use netsim::{NodeId, PortId, ProbeConfig, ProbeRecord, SegId, SegmentConfig, SimTime, World};
 
 fn scenarios() -> Vec<Scenario> {
     vec![
@@ -89,25 +91,211 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The armed metro timeline, pinned across commits as `(length, FNV-1a)`:
-/// what `ab_scenario trace metro metro --seed 42` prints. It carries every
-/// probe record in `(time, seq)` order on a topology whose links run at
-/// different speeds, so an event reordering that moves no report counter
-/// still shows here. The test above compares a build with itself; this
-/// one compares it with stored constants.
+/// The shape and battery `ab_scenario trace <shape> <battery>` runs under
+/// these labels: the default sweep's shapes and the batteries by label.
+fn traced(shape: &str, battery: &str, seed: u64, defended: bool) -> Scenario {
+    let shape = SweepSpec::default_sweep(0)
+        .shapes
+        .into_iter()
+        .find(|s| s.label() == shape)
+        .expect("a default-sweep shape");
+    let battery = BatteryKind::ALL
+        .into_iter()
+        .find(|b| b.label() == battery)
+        .expect("a battery");
+    let mut sc = Scenario::new(shape, battery, seed);
+    sc.defended = defended;
+    sc
+}
+
+/// Every record kind through `Ctx::probe`, on a bridge's and a host's
+/// track at distinct instants, rendered against another run's report (so
+/// its horizon and `otherData`). It carries the branches no pinned run
+/// renders — `queue_drop`, `fault_duplicate`, `timer_cancel`,
+/// `learn_reject`, a heal, a restart and a burst end whose opening record
+/// is missing, and `down`, `burst` and `crashed` spans still open at the
+/// horizon, opened out of key order — beside every other arm. `host1`'s
+/// first record renders nothing and its second opens a span, so its
+/// track is named at the second.
+fn every_record_world() -> World {
+    use ProbeRecord as R;
+
+    let mut world = World::new(1);
+    world.probe_mut().arm(ProbeConfig::default());
+    let (lan0, lan1) = (SegId(0), SegId(1));
+    world.add_segment(SegmentConfig::named("lan0"));
+    world.add_segment(SegmentConfig::named("lan1"));
+    let cfg = BridgeConfig::default();
+    let bridge = world.add_node(BridgeNode::new(
+        "bridge0",
+        bridge_mac(0),
+        bridge_ip(0),
+        1,
+        cfg,
+    ));
+    world.attach(bridge, lan0);
+    let host_cfg = HostConfig::simple(host_mac(1), host_ip(1), HostCostModel::FREE);
+    let host = world.add_node(HostNode::new("host0", host_cfg, vec![]));
+    world.attach(host, lan1);
+    let host_cfg = HostConfig::simple(host_mac(2), host_ip(2), HostCostModel::FREE);
+    let quiet = world.add_node(HostNode::new("host1", host_cfg, vec![]));
+    world.attach(quiet, lan1);
+    let (b, h, q, p) = (bridge, host, quiet, PortId(0));
+
+    #[rustfmt::skip]
+    let script: [(u64, NodeId, R); 43] = [
+        (1, q, R::ExecBegin { node: q }),
+        (1, h, R::FrameOffered { seg: lan1, src: (h, p), len: 60, queued: false, depth: 0 }),
+        (1, h, R::FrameOffered { seg: lan1, src: (h, p), len: 60, queued: true, depth: 2 }),
+        (2, h, R::QueueDrop { seg: lan1, src: (h, p), len: 60 }),
+        (3, h, R::WireTx { seg: lan1, src: (h, p), len: 60, ser_ns: 4_880 }),
+        (3, b, R::Deliver { seg: lan1, dst: (b, p), len: 60 }),
+        (4, h, R::FaultDrop { seg: lan0, len: 64 }),
+        (4, h, R::FaultCorrupt { seg: lan0, len: 65 }),
+        (4, h, R::FaultDuplicate { seg: lan0, len: 66 }),
+        (5, h, R::FaultBurst { seg: lan0, bad: false }),
+        (5, h, R::FaultBurst { seg: lan1, bad: true }),
+        (5, h, R::FaultBurst { seg: lan1, bad: true }),
+        (6, h, R::FaultBurst { seg: lan1, bad: false }),
+        (7, h, R::FaultBurst { seg: lan1, bad: true }),
+        (7, h, R::FaultBurst { seg: lan0, bad: true }),
+        (8, b, R::Decision { node: b, port: p, verdict: "flood" }),
+        (8, b, R::ExecBegin { node: b }),
+        (8, b, R::ExecEnd { node: b, fuel: 77, host_calls: 2 }),
+        (9, h, R::TimerArm { node: h, id: 1, deadline: SimTime::from_ms(10) }),
+        (10, h, R::TimerFire { node: h, id: 1 }),
+        (10, h, R::TimerCancel { node: h, id: 2 }),
+        (10, h, R::Mark { node: h, label: "test.mark" }),
+        (11, h, R::LinkUp { seg: lan0 }),
+        (11, h, R::LinkDown { seg: lan1 }),
+        (11, h, R::LinkDown { seg: lan1 }),
+        (12, h, R::LinkUp { seg: lan1 }),
+        (13, h, R::LinkDown { seg: lan1 }),
+        (13, h, R::LinkDown { seg: lan0 }),
+        (13, q, R::NodeCrash { node: q }),
+        (14, h, R::NodeRestart { node: h }),
+        (14, b, R::NodeCrash { node: b }),
+        (15, b, R::NodeRestart { node: b }),
+        (16, h, R::NodeCrash { node: h }),
+        (16, b, R::NodeCrash { node: b }),
+        (16, h, R::NodeCrash { node: h }),
+        (17, b, R::Quarantine { node: b }),
+        (17, b, R::LearnEvict { node: b, port: p }),
+        (17, b, R::LearnReject { node: b, port: p }),
+        (18, b, R::PortSuppressed { node: b, port: p }),
+        (19, b, R::PortReleased { node: b, port: p }),
+        (19, b, R::BpduGuardTrip { node: b, port: p }),
+        (20, b, R::Decision { node: b, port: PortId(1), verdict: "filter" }),
+        (20, h, R::Mark { node: h, label: "test.done" }),
+    ];
+    for (ms, node, record) in script {
+        world.run_until(SimTime::from_ms(ms));
+        if node == bridge {
+            world.with_ctx::<BridgeNode, _>(node, |_, ctx| ctx.probe(|_| record));
+        } else {
+            world.with_ctx::<HostNode, _>(node, |_, ctx| ctx.probe(|_| record));
+        }
+    }
+    world
+}
+
+/// Every name the timeline gives an event, but the verdict and mark labels
+/// it copies from its records.
+const EVENT_NAMES: [&str; 24] = [
+    "process_name",
+    "thread_name",
+    "queued",
+    "queue_drop",
+    "tx",
+    "fault_drop",
+    "fault_corrupt",
+    "fault_duplicate",
+    "burst",
+    "burst_end",
+    "exec",
+    "timer_arm",
+    "timer_fire",
+    "timer_cancel",
+    "down",
+    "link_up",
+    "crashed",
+    "restart",
+    "quarantine",
+    "learn_evict",
+    "learn_reject",
+    "port_suppressed",
+    "port_released",
+    "bpdu_guard_trip",
+];
+
+/// Timelines pinned across commits as `(length, FNV-1a)` of what
+/// `ab_scenario trace <shape> <battery> --seed 42 [--defended]` prints,
+/// and of the hand-built world above rendered against the `line lossy`
+/// run's report. The metro run carries every probe record in
+/// `(time, seq)` order on a topology whose links run at different speeds,
+/// so an event reordering that moves no report counter still shows here;
+/// the lossy and adversarial lines are the traces CI renders; the chaos
+/// ring has `down` and `crashed` spans, `exec` and `quarantine`; the
+/// defended adversarial ring has `learn_evict`. The test above compares a
+/// build with itself; this one compares it with stored constants, and
+/// names every event kind none of the pins renders.
 #[test]
 fn armed_metro_timeline_matches_the_stored_digest() {
-    let sc = Scenario::new(TopologyShape::metro_small(), BatteryKind::Metro, 42);
-    let (report, _digest, world) = run_recorded(&sc, ProbeConfig::default());
-    let text = timeline::timeline_json(&world, &report).render_pretty();
-    let got = (text.len(), fnv1a(text.as_bytes()));
-    assert_eq!(
-        got,
-        (2_680_634, 0x81b0_39c9_b90e_4544),
-        "metro timeline moved: now ({}, {:#x})",
-        got.0,
-        got.1
-    );
+    type Pin = (&'static str, &'static str, bool, (usize, u64));
+    #[rustfmt::skip]
+    const PINS: [Pin; 5] = [
+        ("metro", "metro", false, (2_680_634, 0x81b0_39c9_b90e_4544)),
+        ("line", "lossy", false, (4_031_063, 0xe484_3d6e_8092_3b75)),
+        ("line", "adversarial", true, (5_343_134, 0xe42f_83f2_81b6_db51)),
+        ("ring", "chaos", false, (7_607_079, 0xc055_a8a4_cf2f_3967)),
+        ("ring", "adversarial", true, (7_175_122, 0x2242_bf21_a8ad_59b7)),
+    ];
+    const EVERY_RECORD: (usize, u64) = (6_495, 0x040e_4d39_4264_3361);
+
+    let mut names = std::collections::BTreeSet::new();
+    let mut moved = Vec::new();
+    let mut check = |what: &str, text: String, want: (usize, u64)| {
+        let doc = ab_scenario::Json::parse(&text).expect("the timeline parses");
+        let Some(ab_scenario::Json::Arr(events)) = doc.get("traceEvents") else {
+            panic!("{what}: no traceEvents");
+        };
+        for ev in events {
+            if let Some(ab_scenario::Json::Str(name)) = ev.get("name") {
+                names.insert(name.clone());
+            }
+        }
+        let got = (text.len(), fnv1a(text.as_bytes()));
+        if got != want {
+            moved.push(format!(
+                "{what} timeline moved: now ({}, {:#x})",
+                got.0, got.1
+            ));
+        }
+    };
+    let mut lossy = None;
+    for (shape, battery, defended, want) in PINS {
+        let sc = traced(shape, battery, 42, defended);
+        let (report, _digest, world) = run_recorded(&sc, ProbeConfig::default());
+        check(
+            &sc.name,
+            timeline::timeline_json(&world, &report).render_pretty(),
+            want,
+        );
+        if (shape, battery) == ("line", "lossy") {
+            lossy = Some(report);
+        }
+    }
+    let report = lossy.expect("the lossy line ran");
+    let text = timeline::timeline_json(&every_record_world(), &report).render_pretty();
+    check("every-record", text, EVERY_RECORD);
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+
+    let unpinned: Vec<&str> = EVENT_NAMES
+        .into_iter()
+        .chain(["flood", "filter", "test.mark", "test.done"])
+        .filter(|name| !names.contains(*name))
+        .collect();
+    assert!(unpinned.is_empty(), "no pin renders {unpinned:?}");
 }
 
 /// ROADMAP item 12's fourth rule, restricted to a fault-free run: every
