@@ -1181,8 +1181,9 @@ impl Node for BridgeNode {
         match self.service.offer((port, frame)) {
             Offer::Started => ctx.schedule_service(service_time, service_token(self.epoch)),
             Offer::Queued => {}
-            Offer::Dropped => {
+            Offer::Dropped((_, frame)) => {
                 self.plane.stats.queue_drops += 1;
+                frame.recycle();
             }
         }
     }

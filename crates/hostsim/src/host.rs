@@ -162,8 +162,9 @@ impl HostCore {
         match self.tx_q.offer((port, frame)) {
             Offer::Started => ctx.schedule_service(t, tx_token()),
             Offer::Queued => {}
-            Offer::Dropped => {
+            Offer::Dropped((_, frame)) => {
                 ctx.bump("host.tx_drops", 1);
+                frame.recycle();
             }
         }
     }
@@ -511,7 +512,7 @@ impl HostNode {
             }
             EtherType::IPV4 => {
                 // Fragment-tolerant parse (the hosts run full IP).
-                let Ok(ip) = netstack::ipv4::FragPacket::parse(parsed.payload()) else {
+                let Ok(ip) = netstack::ipv4::Packet::parse_fragment(parsed.payload()) else {
                     return;
                 };
                 if self.core.port_of_ip(ip.dst()).is_none() {
@@ -673,8 +674,9 @@ impl Node for HostNode {
         match self.core.rx_q.offer((port, frame)) {
             Offer::Started => ctx.schedule_service(t, rx_token()),
             Offer::Queued => {}
-            Offer::Dropped => {
+            Offer::Dropped((_, frame)) => {
                 ctx.bump("host.rx_drops", 1);
+                frame.recycle();
             }
         }
     }

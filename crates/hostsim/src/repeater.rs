@@ -47,8 +47,9 @@ impl Node for RepeaterNode {
         match self.q.offer((port, frame)) {
             Offer::Started => ctx.schedule_service(t, TimerToken(0)),
             Offer::Queued => {}
-            Offer::Dropped => {
+            Offer::Dropped((_, frame)) => {
                 ctx.bump("repeater.drops", 1);
+                frame.recycle();
             }
         }
     }

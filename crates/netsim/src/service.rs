@@ -12,7 +12,8 @@
 //! ```text
 //! on_frame:   match q.offer(item) {
 //!                 Offer::Started => ctx.schedule_service(service_time, SERVICE_DONE),
-//!                 Offer::Queued | Offer::Dropped => {}
+//!                 Offer::Queued => {}
+//!                 Offer::Dropped((_, frame)) => frame.recycle(),
 //!             }
 //! on_timer(SERVICE_DONE):
 //!             let (item, next) = q.complete();
@@ -28,14 +29,15 @@ use std::collections::VecDeque;
 
 /// Result of offering an item to the queue.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Offer {
+pub enum Offer<T> {
     /// The server was idle and begins serving this item now: the caller
     /// must schedule its completion.
     Started,
     /// The item is queued behind the in-service item.
     Queued,
-    /// The queue was full; the item was discarded and counted.
-    Dropped,
+    /// The queue was full: the item is refused, counted and handed back
+    /// (a frame's pooled buffer goes back to its pool).
+    Dropped(T),
 }
 
 /// A single-server FIFO queue with bounded capacity.
@@ -65,7 +67,7 @@ impl<T> ServiceQueue<T> {
 
     /// Offer an item; see [`Offer`].
     #[inline]
-    pub fn offer(&mut self, item: T) -> Offer {
+    pub fn offer(&mut self, item: T) -> Offer<T> {
         if self.in_service.is_none() {
             self.in_service = Some(item);
             Offer::Started
@@ -74,7 +76,7 @@ impl<T> ServiceQueue<T> {
             Offer::Queued
         } else {
             self.dropped += 1;
-            Offer::Dropped
+            Offer::Dropped(item)
         }
     }
 
@@ -155,7 +157,7 @@ mod tests {
         let mut q: ServiceQueue<u32> = ServiceQueue::new(1);
         assert_eq!(q.offer(1), Offer::Started);
         assert_eq!(q.offer(2), Offer::Queued);
-        assert_eq!(q.offer(3), Offer::Dropped);
+        assert_eq!(q.offer(3), Offer::Dropped(3));
         assert_eq!(q.dropped(), 1);
     }
 

@@ -1,8 +1,9 @@
 //! Minimal IPv4, after the paper's network loader: "The next layer
 //! implements a minimal IP sufficient for our purposes. (It does not, for
 //! example, implement fragmentation.)" Headers are always 20 bytes (no
-//! options); fragments are rejected on receive and oversized datagrams are
-//! refused on send.
+//! options); [`Packet::parse`] rejects fragments and [`emit`] refuses
+//! oversized datagrams. The hosts, which run full IP, parse fragments
+//! with [`Packet::parse_fragment`] and fragment with [`emit_fragments`].
 
 use core::fmt;
 use std::collections::VecDeque;
@@ -74,8 +75,21 @@ pub struct Packet<'a> {
 }
 
 impl<'a> Packet<'a> {
-    /// Parse and validate a datagram.
+    /// Parse and validate a datagram, refusing fragments (the loader's
+    /// minimal IP).
     pub fn parse(buf: &'a [u8]) -> Result<Packet<'a>, IpError> {
+        Self::parse_as(buf, false)
+    }
+
+    /// Parse and validate a datagram that may be one fragment of a larger
+    /// one (hosts only: they run full IP).
+    #[inline]
+    pub fn parse_fragment(buf: &'a [u8]) -> Result<Packet<'a>, IpError> {
+        Self::parse_as(buf, true)
+    }
+
+    #[inline]
+    fn parse_as(buf: &'a [u8], fragments: bool) -> Result<Packet<'a>, IpError> {
         if buf.len() < HEADER_LEN {
             return Err(IpError::Truncated);
         }
@@ -87,18 +101,16 @@ impl<'a> Packet<'a> {
         if total_len < HEADER_LEN || buf.len() < total_len {
             return Err(IpError::Truncated);
         }
-        let flags_frag = u16::from_be_bytes([buf[6], buf[7]]);
-        let mf = flags_frag & 0x2000 != 0;
-        let offset = flags_frag & 0x1FFF;
-        if mf || offset != 0 {
+        let packet = Packet {
+            buf: &buf[..total_len],
+        };
+        if !fragments && packet.is_fragment() {
             return Err(IpError::Fragmented);
         }
         if !verify(&buf[..HEADER_LEN]) {
             return Err(IpError::BadChecksum);
         }
-        Ok(Packet {
-            buf: &buf[..total_len],
-        })
+        Ok(packet)
     }
 
     /// Source address.
@@ -129,6 +141,24 @@ impl<'a> Packet<'a> {
     #[inline]
     pub fn ident(&self) -> u16 {
         u16::from_be_bytes([self.buf[4], self.buf[5]])
+    }
+
+    /// More-fragments flag.
+    #[inline]
+    pub fn more_fragments(&self) -> bool {
+        u16::from_be_bytes([self.buf[6], self.buf[7]]) & 0x2000 != 0
+    }
+
+    /// Fragment offset in bytes.
+    #[inline]
+    pub fn offset_bytes(&self) -> usize {
+        ((u16::from_be_bytes([self.buf[6], self.buf[7]]) & 0x1FFF) as usize) * 8
+    }
+
+    /// True if this datagram is one fragment of a larger one.
+    #[inline]
+    pub fn is_fragment(&self) -> bool {
+        self.more_fragments() || self.offset_bytes() != 0
     }
 
     /// The payload.
@@ -265,84 +295,6 @@ pub fn emit_fragments(
     out
 }
 
-/// A fragment-tolerant datagram view (hosts only; the strict [`Packet`]
-/// stays fragment-free for the loader).
-#[derive(Copy, Clone, Debug)]
-pub struct FragPacket<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> FragPacket<'a> {
-    /// Parse, accepting fragments.
-    #[inline]
-    pub fn parse(buf: &'a [u8]) -> Result<FragPacket<'a>, IpError> {
-        if buf.len() < HEADER_LEN {
-            return Err(IpError::Truncated);
-        }
-        if buf[0] != 0x45 {
-            return Err(IpError::BadHeader);
-        }
-        let total_len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        if total_len < HEADER_LEN || buf.len() < total_len {
-            return Err(IpError::Truncated);
-        }
-        if !verify(&buf[..HEADER_LEN]) {
-            return Err(IpError::BadChecksum);
-        }
-        Ok(FragPacket {
-            buf: &buf[..total_len],
-        })
-    }
-
-    /// Source address.
-    #[inline]
-    pub fn src(&self) -> Ipv4Addr {
-        Ipv4Addr::new(self.buf[12], self.buf[13], self.buf[14], self.buf[15])
-    }
-
-    /// Destination address.
-    #[inline]
-    pub fn dst(&self) -> Ipv4Addr {
-        Ipv4Addr::new(self.buf[16], self.buf[17], self.buf[18], self.buf[19])
-    }
-
-    /// Payload protocol.
-    #[inline]
-    pub fn protocol(&self) -> Protocol {
-        Protocol(self.buf[9])
-    }
-
-    /// Identification field.
-    #[inline]
-    pub fn ident(&self) -> u16 {
-        u16::from_be_bytes([self.buf[4], self.buf[5]])
-    }
-
-    /// More-fragments flag.
-    #[inline]
-    pub fn more_fragments(&self) -> bool {
-        u16::from_be_bytes([self.buf[6], self.buf[7]]) & 0x2000 != 0
-    }
-
-    /// Fragment offset in bytes.
-    #[inline]
-    pub fn offset_bytes(&self) -> usize {
-        ((u16::from_be_bytes([self.buf[6], self.buf[7]]) & 0x1FFF) as usize) * 8
-    }
-
-    /// True if this datagram is one fragment of a larger one.
-    #[inline]
-    pub fn is_fragment(&self) -> bool {
-        self.more_fragments() || self.offset_bytes() != 0
-    }
-
-    /// The (fragment) payload.
-    #[inline]
-    pub fn payload(&self) -> &'a [u8] {
-        &self.buf[HEADER_LEN..]
-    }
-}
-
 /// Host-side fragment reassembly (in-order, hole-free — which is what a
 /// deterministic simulated LAN delivers; anything else is dropped).
 ///
@@ -369,7 +321,7 @@ impl Reassembler {
     }
 
     /// Feed one fragment; returns the whole payload when complete.
-    pub fn push(&mut self, pkt: &FragPacket<'_>) -> Option<Vec<u8>> {
+    pub fn push(&mut self, pkt: &Packet<'_>) -> Option<Vec<u8>> {
         let key = (pkt.src(), pkt.ident(), pkt.protocol().0);
         let offset = pkt.offset_bytes();
         let held = self.pending.iter().position(|(k, _)| *k == key);
@@ -472,12 +424,12 @@ mod tests {
         let payload: Vec<u8> = (0..4000u32).map(|i| (i % 253) as u8).collect();
         let frags = emit_fragments(A, B, Protocol::ICMP, 9, 64, &payload, 1500);
         assert!(frags.len() >= 3, "4000 bytes over 1500 MTU needs 3 frames");
-        // Every fragment fits the MTU and is a valid FragPacket.
+        // Every fragment fits the MTU and parses as a fragment.
         let mut r = Reassembler::new();
         let mut out = None;
         for f in &frags {
             assert!(f.len() <= 1500);
-            let p = FragPacket::parse(f).unwrap();
+            let p = Packet::parse_fragment(f).unwrap();
             assert!(p.is_fragment());
             if let Some(done) = r.push(&p) {
                 out = Some(done);
@@ -491,7 +443,7 @@ mod tests {
     fn small_payload_not_fragmented() {
         let frags = emit_fragments(A, B, Protocol::UDP, 9, 64, b"tiny", 1500);
         assert_eq!(frags.len(), 1);
-        let p = FragPacket::parse(&frags[0]).unwrap();
+        let p = Packet::parse_fragment(&frags[0]).unwrap();
         assert!(!p.is_fragment());
         // And the strict parser accepts it too.
         assert!(Packet::parse(&frags[0]).is_ok());
@@ -512,12 +464,12 @@ mod tests {
         let frags = emit_fragments(A, B, Protocol::ICMP, 5, 64, &payload, 1500);
         let mut r = Reassembler::new();
         // First fragment twice (retransmission): restart, then complete.
-        let p0 = FragPacket::parse(&frags[0]).unwrap();
+        let p0 = Packet::parse_fragment(&frags[0]).unwrap();
         assert!(r.push(&p0).is_none());
         assert!(r.push(&p0).is_none());
         let mut out = None;
         for f in &frags[1..] {
-            out = r.push(&FragPacket::parse(f).unwrap());
+            out = r.push(&Packet::parse_fragment(f).unwrap());
         }
         assert_eq!(out.unwrap(), payload);
     }
@@ -536,7 +488,9 @@ mod tests {
     fn orphan_fragments_leave_no_state() {
         let mut r = Reassembler::new();
         for frags in two_fragment_datagrams(10_000) {
-            assert!(r.push(&FragPacket::parse(&frags[1]).unwrap()).is_none());
+            assert!(r
+                .push(&Packet::parse_fragment(&frags[1]).unwrap())
+                .is_none());
         }
         assert_eq!(r.pending(), 0);
     }
@@ -546,14 +500,18 @@ mod tests {
         let mut r = Reassembler::new();
         let mut tails = Vec::new();
         for mut frags in two_fragment_datagrams(10_000) {
-            assert!(r.push(&FragPacket::parse(&frags[0]).unwrap()).is_none());
+            assert!(r
+                .push(&Packet::parse_fragment(&frags[0]).unwrap())
+                .is_none());
             tails.push(frags.pop().unwrap());
         }
         assert_eq!(r.pending(), Reassembler::MAX_PENDING);
         // The longest-stalled went first: the oldest tail finds nothing,
         // the newest completes its datagram.
-        assert!(r.push(&FragPacket::parse(&tails[0]).unwrap()).is_none());
-        let whole = r.push(&FragPacket::parse(&tails[9_999]).unwrap());
+        assert!(r
+            .push(&Packet::parse_fragment(&tails[0]).unwrap())
+            .is_none());
+        let whole = r.push(&Packet::parse_fragment(&tails[9_999]).unwrap());
         assert_eq!(whole.unwrap(), vec![9_999u16 as u8; 2000]);
         assert_eq!(r.pending(), Reassembler::MAX_PENDING - 1);
     }

@@ -26,8 +26,8 @@ pub use checksum::{checksum, Checksum};
 pub use icmp::{Echo, EchoKind, IcmpError};
 pub use ipv4::{IpError, Packet as Ipv4Packet, Protocol};
 pub use tcplite::{
-    pattern_byte, ReceiverConfig, RecvAction, Segment as TcpLiteSegment, SegmentOut, SenderConfig,
-    TcpReceiver, TcpSender,
+    pattern_byte, ReceiverConfig, RecvAction, Segment as TcpLiteSegment, SenderConfig, TcpReceiver,
+    TcpSender,
 };
 pub use tftp::{
     FailureClass, ReceivedFile, SenderStep, TftpPacket, TftpSender, TftpServer, IDLE_SESSION_NS,

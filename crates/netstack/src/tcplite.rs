@@ -321,15 +321,6 @@ impl Default for SenderConfig {
     }
 }
 
-/// A segment the sender wants on the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentOut {
-    /// Sequence number.
-    pub seq: u32,
-    /// Payload (pattern bytes).
-    pub payload: Vec<u8>,
-}
-
 /// A segment decision without its payload bytes (the payload is the
 /// deterministic pattern at `seq`, so callers on the hot path regenerate
 /// it straight into a wire buffer via [`emit_pattern_segment`] instead of
@@ -423,19 +414,6 @@ impl TcpSender {
             self.rto_deadline_ns = Some(now_ns + self.current_rto_ns);
         }
         Some(SegMeta { seq, len: take })
-    }
-
-    /// [`TcpSender::poll_meta`] with the pattern payload materialized —
-    /// the convenient form for tests and non-hot callers.
-    pub fn poll(&mut self, now_ns: u64) -> Option<SegmentOut> {
-        let meta = self.poll_meta(now_ns)?;
-        let base = meta.seq as u64;
-        Some(SegmentOut {
-            seq: meta.seq,
-            payload: (0..meta.len as u64)
-                .map(|i| pattern_byte(base + i))
-                .collect(),
-        })
     }
 
     /// Handle a cumulative acknowledgement.
@@ -654,10 +632,10 @@ mod tests {
             assert!(guard < 1000, "transfer did not converge");
             now += 1000;
             let mut sent_any = false;
-            while let Some(seg) = tx.poll(now) {
+            while let Some(seg) = tx.poll_meta(now) {
                 sent_any = true;
                 assert!(tx.in_flight() <= 4000);
-                match rx.on_segment(seg.seq, seg.payload.len(), now) {
+                match rx.on_segment(seg.seq, seg.len, now) {
                     RecvAction::AckNow(a) => tx.on_ack(a, now),
                     RecvAction::AckAt(_) | RecvAction::None => {}
                 }
@@ -683,12 +661,12 @@ mod tests {
             init_rto_ns: 1_000_000,
         });
         tx.write(50);
-        let s1 = tx.poll(0).unwrap();
-        assert_eq!(s1.payload.len(), 50);
+        let s1 = tx.poll_meta(0).unwrap();
+        assert_eq!(s1.len, 50);
         tx.write(50);
-        assert!(tx.poll(10).is_none(), "second small write must wait");
+        assert!(tx.poll_meta(10).is_none(), "second small write must wait");
         tx.on_ack(50, 20);
-        let s2 = tx.poll(30).unwrap();
+        let s2 = tx.poll_meta(30).unwrap();
         assert_eq!(s2.seq, 50);
     }
 
@@ -701,15 +679,15 @@ mod tests {
             init_rto_ns: 1_000_000,
         });
         tx.write(3000);
-        let s1 = tx.poll(0).unwrap();
-        let _s2 = tx.poll(0).unwrap();
-        let _s3 = tx.poll(0).unwrap();
+        let s1 = tx.poll_meta(0).unwrap();
+        let _s2 = tx.poll_meta(0).unwrap();
+        let _s3 = tx.poll_meta(0).unwrap();
         assert_eq!(tx.in_flight(), 3000);
         // Everything is lost; the timer fires.
         let deadline = tx.next_timeout().unwrap();
         tx.on_timeout(deadline);
         assert_eq!(tx.retransmits, 1);
-        let r1 = tx.poll(deadline).unwrap();
+        let r1 = tx.poll_meta(deadline).unwrap();
         assert_eq!(r1.seq, s1.seq, "go-back-N restarts at snd_una");
         // Backoff doubled.
         assert!(tx.next_timeout().unwrap() >= deadline + 2_000_000);
@@ -810,30 +788,6 @@ mod tests {
                 ),
                 "seq {} len {} bit {}", seq, len, bit
             );
-        }
-    }
-
-    #[test]
-    fn poll_meta_agrees_with_poll() {
-        let mut a = TcpSender::new(SenderConfig::default());
-        let mut b = TcpSender::new(SenderConfig::default());
-        a.write(5000);
-        b.write(5000);
-        loop {
-            let ma = a.poll_meta(0);
-            let sb = b.poll(0);
-            match (ma, sb) {
-                (None, None) => break,
-                (Some(m), Some(s)) => {
-                    assert_eq!(m.seq, s.seq);
-                    assert_eq!(m.len, s.payload.len());
-                    let expect: Vec<u8> = (0..m.len as u64)
-                        .map(|i| pattern_byte(m.seq as u64 + i))
-                        .collect();
-                    assert_eq!(s.payload, expect);
-                }
-                other => panic!("poll/poll_meta diverged: {other:?}"),
-            }
         }
     }
 

@@ -4,7 +4,7 @@
 use std::net::Ipv4Addr;
 
 use netstack::tcplite::{
-    pattern_byte, ReceiverConfig, RecvAction, SenderConfig, TcpReceiver, TcpSender,
+    pattern_byte, pattern_fill, ReceiverConfig, RecvAction, SenderConfig, TcpReceiver, TcpSender,
 };
 use netstack::{checksum, Echo, EchoKind, TftpPacket, UdpDatagram};
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ proptest! {
         let mut out = None;
         for f in &frags {
             prop_assert!(f.len() <= 1500);
-            let p = netstack::ipv4::FragPacket::parse(f).unwrap();
+            let p = netstack::ipv4::Packet::parse_fragment(f).unwrap();
             if let Some(done) = r.push(&p) {
                 out = Some(done);
             }
@@ -139,7 +139,7 @@ proptest! {
         let a = Ipv4Addr::new(1, 2, 3, 4);
         let b = Ipv4Addr::new(5, 6, 7, 8);
         let _ = netstack::Ipv4Packet::parse(&bytes);
-        let _ = netstack::ipv4::FragPacket::parse(&bytes);
+        let _ = netstack::ipv4::Packet::parse_fragment(&bytes);
         let _ = UdpDatagram::parse(&bytes, a, b);
         let _ = Echo::parse(&bytes);
         let _ = TftpPacket::parse(&bytes);
@@ -181,12 +181,12 @@ proptest! {
             prop_assert!(guard < 100_000, "did not converge");
             now += 50_000; // 50 us per step
             let mut progressed = false;
-            while let Some(seg) = tx.poll(now) {
+            while let Some(seg) = tx.poll_meta(now) {
                 progressed = true;
                 if drop() {
                     continue; // lost data segment
                 }
-                match rx.on_segment(seg.seq, seg.payload.len(), now) {
+                match rx.on_segment(seg.seq, seg.len, now) {
                     RecvAction::AckNow(a) => {
                         if !drop() {
                             tx.on_ack(a, now);
@@ -211,16 +211,23 @@ proptest! {
         prop_assert_eq!(rx.bytes_received, total);
     }
 
-    /// The stream pattern is position-determined: whatever segments
-    /// arrive, their content matches the stream offset.
+    /// The stream pattern is position-determined: the segments follow
+    /// one another in the stream, and each payload, filled at its
+    /// sequence number, matches the stream offset.
     #[test]
     fn tcplite_segments_carry_pattern(total in 100u64..10_000) {
         let mut tx = TcpSender::new(SenderConfig::default());
         tx.write(total);
-        while let Some(seg) = tx.poll(0) {
-            for (i, &b) in seg.payload.iter().enumerate() {
+        let mut next = 0u64;
+        while let Some(seg) = tx.poll_meta(0) {
+            prop_assert_eq!(seg.seq as u64, next);
+            let mut payload = Vec::new();
+            pattern_fill(&mut payload, seg.seq as u64, seg.len);
+            prop_assert_eq!(payload.len(), seg.len);
+            for (i, &b) in payload.iter().enumerate() {
                 prop_assert_eq!(b, pattern_byte(seg.seq as u64 + i as u64));
             }
+            next += seg.len as u64;
         }
     }
 }

@@ -1,13 +1,15 @@
 //! A tiny, dependency-free JSON writer and document model with
 //! deterministic output.
 //!
-//! Reports are **written**, not built: [`Writer`] streams members into one
-//! `String` in the order the code names them (no hashing anywhere), and a
-//! report's `to_json` returns that text as a [`JsonText`]. The [`Json`]
-//! tree is the parse side — what `ab_scenario analyze` and `diff` read
-//! back, and what small ad hoc documents (bench results, the trace
-//! timeline) are built as; [`Json::render`] walks a tree into the same
-//! writer, so escaping and number formatting live in one place. Pretty
+//! Reports and the trace timeline are **written**, not built: [`Writer`]
+//! streams members into one `String` in the order the code names them (no
+//! hashing anywhere), and a report's `to_json` (or
+//! [`crate::timeline::timeline_json`]) returns that text as a
+//! [`JsonText`]. The [`Json`] tree is the parse side — what `ab_scenario
+//! analyze`, `diff` and `validate-trace` read back, and what small ad hoc
+//! documents (bench results) are built as; [`Json::render`] walks a tree
+//! into the same writer, so escaping and number formatting live in one
+//! place. Pretty
 //! output is one pass over compact text ([`pretty`]). Reports stick to
 //! integers, booleans and strings — no float formatting is ever on their
 //! byte-equality path.

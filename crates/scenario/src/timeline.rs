@@ -13,432 +13,265 @@
 //! * **pid 3 — hosts**: application phase marks (`ping.start`,
 //!   `ttcp.done`, …) and timers.
 //!
+//! The document is written, not built: one pass over the ring streams
+//! every event through [`Writer`]. `describe` is the one table from a
+//! probe record to what it renders — an event, a span opening or closing,
+//! or nothing — so a new record kind or track is one row there.
+//!
 //! Timestamps are the probe records' simulated nanoseconds divided by
 //! 1000 (the format wants microseconds); everything is derived from the
 //! deterministic probe ring, so the rendered document is byte-identical
 //! across runs and `--jobs` values.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use active_bridge::BridgeNode;
-use netsim::{NodeId, ProbeRecord, World};
+use netsim::{NodeId, PortId, ProbeRecord, SegId, World};
 
-use crate::json::Json;
+use crate::json::{Json, JsonText, Writer};
 use crate::runner::Report;
 
-/// Microsecond timestamp for the trace-event format. Integer nanosecond
-/// halves render deterministically (`Json::F64` prints via `{n}`).
-fn us(ns: u64) -> Json {
-    Json::F64(ns as f64 / 1000.0)
+/// The thread an event renders on: a segment's (pid 1), or a node's on
+/// the bridges' (pid 2) or the hosts' (pid 3) process.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Track {
+    Seg(SegId),
+    Node(NodeId),
 }
 
-fn instant(name: &str, pid: u64, tid: u64, ts_ns: u64, args: Vec<(&str, Json)>) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("ph", Json::str("i")),
-        ("s", Json::str("t")),
-        ("pid", Json::U64(pid)),
-        ("tid", Json::U64(tid)),
-        ("ts", us(ts_ns)),
-        ("args", Json::obj(args)),
-    ])
-}
-
-fn complete(
-    name: &str,
-    pid: u64,
-    tid: u64,
-    start_ns: u64,
-    dur_ns: u64,
-    args: Vec<(&str, Json)>,
-) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("ph", Json::str("X")),
-        ("pid", Json::U64(pid)),
-        ("tid", Json::U64(tid)),
-        ("ts", us(start_ns)),
-        ("dur", us(dur_ns)),
-        ("args", Json::obj(args)),
-    ])
-}
-
-fn meta(name: &str, pid: u64, tid: Option<u64>, value: &str) -> Json {
-    let mut members = vec![
-        ("name", Json::str(name)),
-        ("ph", Json::str("M")),
-        ("pid", Json::U64(pid)),
-    ];
-    if let Some(tid) = tid {
-        members.push(("tid", Json::U64(tid)));
+impl Track {
+    /// The track's `(pid, tid)`.
+    fn ids(self, world: &World) -> (u64, u64) {
+        match self {
+            Track::Seg(seg) => (1, seg.0 as u64),
+            Track::Node(node) if world.try_node::<BridgeNode>(node).is_some() => (2, node.0 as u64),
+            Track::Node(node) => (3, node.0 as u64),
+        }
     }
-    members.push(("args", Json::obj(vec![("name", Json::str(value))])));
-    Json::obj(members)
 }
 
-const PID_SEGMENTS: u64 = 1;
-const PID_BRIDGES: u64 = 2;
-const PID_HOSTS: u64 = 3;
+/// A window one record opens and a later one closes on the same track,
+/// rendered as a complete event: a chaos outage (`LinkDown` to `LinkUp`),
+/// a Gilbert–Elliott bad-state window (`FaultBurst` to `bad: false`), a
+/// crashed node (`NodeCrash` to `NodeRestart`). Declared in the order the
+/// spans still open at the horizon are written (then by track).
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Span {
+    Down,
+    Burst,
+    Crashed,
+}
 
-/// Which track a node's events belong on.
-fn node_pid(world: &World, node: NodeId) -> u64 {
-    if world.try_node::<BridgeNode>(node).is_some() {
-        PID_BRIDGES
-    } else {
-        PID_HOSTS
+impl Span {
+    /// The complete event's name, and the instant a close renders as
+    /// when its opening record is not in the ring (displaced, say).
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Span::Down => ("down", "link_up"),
+            Span::Burst => ("burst", "burst_end"),
+            Span::Crashed => ("crashed", "restart"),
+        }
+    }
+}
+
+/// An event argument's value.
+enum Arg<'a> {
+    U64(u64),
+    Str(&'a str),
+}
+
+/// An event's arguments, in the order they are written.
+type Args<'a> = Vec<(&'static str, Arg<'a>)>;
+
+/// What one probe record renders as.
+enum Render<'a> {
+    /// Nothing.
+    Skip,
+    /// An instant at the record's time.
+    Event(&'static str, Track, Args<'a>),
+    /// A complete event that many nanoseconds long, ending at the
+    /// record's time.
+    Complete(&'static str, Track, u64, Args<'a>),
+    /// A span opens on the track (a second open before the close is
+    /// ignored).
+    Open(Span, Track),
+    /// The track's open span closes.
+    Close(Span, Track),
+}
+
+/// What `record` renders as: the timeline's one table of record kinds.
+/// Uncontended offers are implied by their `tx` span, deliveries by the
+/// wire span (the ring keeps them for programmatic consumers), and an
+/// execution's begin by its end, stamped at the same simulated instant
+/// (it is costed, not simulated) and carrying the numbers.
+#[rustfmt::skip]
+fn describe(world: &World, record: ProbeRecord) -> Render<'_> {
+    use Arg::U64;
+    use ProbeRecord as R;
+    use Render::{Close, Complete, Event, Open};
+    use Track::{Node, Seg};
+    let n = |v: u32| U64(v.into());
+    let src = |node: NodeId| Arg::Str(world.node_name(node));
+    let port = |port: PortId| vec![("port", U64(port.0 as u64))];
+    match record {
+        R::FrameOffered { seg, queued: true, depth, .. } => Event("queued", Seg(seg), vec![("depth", n(depth))]),
+        R::FrameOffered { .. } | R::Deliver { .. } | R::ExecBegin { .. } => Render::Skip,
+        R::QueueDrop { seg, src: (node, _), len } =>
+            Event("queue_drop", Seg(seg), vec![("src", src(node)), ("len", n(len))]),
+        R::WireTx { seg, src: (node, p), len, ser_ns } =>
+            Complete("tx", Seg(seg), ser_ns, vec![("src", src(node)), ("port", U64(p.0 as u64)), ("len", n(len))]),
+        R::FaultDrop { seg, len } => Event("fault_drop", Seg(seg), vec![("len", n(len))]),
+        R::FaultCorrupt { seg, len } => Event("fault_corrupt", Seg(seg), vec![("len", n(len))]),
+        R::FaultDuplicate { seg, len } => Event("fault_duplicate", Seg(seg), vec![("len", n(len))]),
+        R::FaultBurst { seg, bad: true } => Open(Span::Burst, Seg(seg)),
+        R::FaultBurst { seg, bad: false } => Close(Span::Burst, Seg(seg)),
+        R::LinkDown { seg } => Open(Span::Down, Seg(seg)),
+        R::LinkUp { seg } => Close(Span::Down, Seg(seg)),
+        R::NodeCrash { node } => Open(Span::Crashed, Node(node)),
+        R::NodeRestart { node } => Close(Span::Crashed, Node(node)),
+        R::Decision { node, port: p, verdict } => Event(verdict, Node(node), port(p)),
+        R::ExecEnd { node, fuel, host_calls } =>
+            Event("exec", Node(node), vec![("fuel", U64(fuel)), ("host_calls", U64(host_calls))]),
+        R::TimerArm { node, id, deadline } =>
+            Event("timer_arm", Node(node), vec![("id", U64(id)), ("deadline_ns", U64(deadline.as_ns()))]),
+        R::TimerFire { node, id } => Event("timer_fire", Node(node), vec![("id", U64(id))]),
+        R::TimerCancel { node, id } => Event("timer_cancel", Node(node), vec![("id", U64(id))]),
+        R::Mark { node, label } => Event(label, Node(node), vec![]),
+        R::Quarantine { node } => Event("quarantine", Node(node), vec![]),
+        R::LearnEvict { node, port: p } => Event("learn_evict", Node(node), port(p)),
+        R::LearnReject { node, port: p } => Event("learn_reject", Node(node), port(p)),
+        R::PortSuppressed { node, port: p } => Event("port_suppressed", Node(node), port(p)),
+        R::PortReleased { node, port: p } => Event("port_released", Node(node), port(p)),
+        R::BpduGuardTrip { node, port: p } => Event("bpdu_guard_trip", Node(node), port(p)),
+    }
+}
+
+/// Microseconds for the trace-event format. Integer nanosecond halves
+/// print deterministically (shortest round trip).
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
+}
+
+/// Write one trace event on the track `(pid, tid)`: an instant at
+/// `at_ns`, or with `dur_ns` a complete event starting there.
+fn event(
+    w: &mut Writer,
+    name: &str,
+    (pid, tid): (u64, u64),
+    at_ns: u64,
+    dur_ns: Option<u64>,
+    args: &[(&str, Arg)],
+) {
+    w.obj(|w| {
+        w.key("name").str(name);
+        match dur_ns {
+            None => w.key("ph").str("i").key("s").str("t"),
+            Some(_) => w.key("ph").str("X"),
+        };
+        w.key("pid").u64(pid);
+        w.key("tid").u64(tid);
+        w.key("ts").f64(us(at_ns));
+        if let Some(dur) = dur_ns {
+            w.key("dur").f64(us(dur));
+        }
+        w.key("args").obj(|w| {
+            for (key, value) in args {
+                match *value {
+                    Arg::U64(v) => w.key(key).u64(v),
+                    Arg::Str(s) => w.key(key).str(s),
+                };
+            }
+        });
+    });
+}
+
+/// Write a metadata event naming a process (no `tid`) or a thread.
+fn meta(w: &mut Writer, what: &str, pid: u64, tid: Option<u64>, value: &str) {
+    w.obj(|w| {
+        w.key("name").str(what);
+        w.key("ph").str("M");
+        w.key("pid").u64(pid);
+        if let Some(tid) = tid {
+            w.key("tid").u64(tid);
+        }
+        w.key("args").obj(|w| {
+            w.key("name").str(value);
+        });
+    });
+}
+
+/// Write the trace events: process and segment names up front, then each
+/// record in ring order (a node's track named the first time one of its
+/// records renders), then the spans still open at `end_ns`, reaching it.
+fn events(w: &mut Writer, world: &World, end_ns: u64) {
+    for (pid, name) in [(1, "segments"), (2, "bridges"), (3, "hosts")] {
+        meta(w, "process_name", pid, None, name);
+    }
+    for (i, seg) in world.stats().segments.iter().enumerate() {
+        meta(w, "thread_name", 1, Some(i as u64), &seg.name);
+    }
+    let mut named = vec![false; world.num_nodes()];
+    let mut open: BTreeMap<(Span, Track), u64> = BTreeMap::new();
+    let span = |w: &mut Writer, span: Span, ids, start: u64, end: u64| {
+        let dur = Some(end.saturating_sub(start));
+        event(w, span.names().0, ids, start, dur, &[]);
+    };
+    for ev in world.probe().records() {
+        let ns = ev.at.as_ns();
+        let render = describe(world, ev.record);
+        let track = match render {
+            Render::Skip => continue,
+            Render::Event(_, track, _)
+            | Render::Complete(_, track, ..)
+            | Render::Open(_, track)
+            | Render::Close(_, track) => track,
+        };
+        let ids = track.ids(world);
+        if let Track::Node(node) = track {
+            if !std::mem::replace(&mut named[node.0], true) {
+                meta(w, "thread_name", ids.0, Some(ids.1), world.node_name(node));
+            }
+        }
+        match render {
+            Render::Skip => {}
+            Render::Event(name, _, args) => event(w, name, ids, ns, None, &args),
+            Render::Complete(name, _, dur, args) => {
+                event(w, name, ids, ns.saturating_sub(dur), Some(dur), &args)
+            }
+            Render::Open(kind, _) => {
+                open.entry((kind, track)).or_insert(ns);
+            }
+            Render::Close(kind, _) => match open.remove(&(kind, track)) {
+                Some(start) => span(w, kind, ids, start, ns),
+                None => event(w, kind.names().1, ids, ns, None, &[]),
+            },
+        }
+    }
+    for ((kind, track), start) in open {
+        span(w, kind, track.ids(world), start, end_ns);
     }
 }
 
 /// Render the world's probe ring (plus run metadata) as a Chrome
 /// trace-event document. The world must have finished a recorded run
-/// ([`crate::runner::run_recorded`]).
-pub fn timeline_json(world: &World, report: &Report) -> Json {
-    let mut events = Vec::new();
-
-    // Process/thread name metadata, emitted up front in index order.
-    events.push(meta("process_name", PID_SEGMENTS, None, "segments"));
-    events.push(meta("process_name", PID_BRIDGES, None, "bridges"));
-    events.push(meta("process_name", PID_HOSTS, None, "hosts"));
-    let stats = world.stats();
-    for (i, seg) in stats.segments.iter().enumerate() {
-        events.push(meta("thread_name", PID_SEGMENTS, Some(i as u64), &seg.name));
-    }
-    // Name every node track that will carry events.
-    let mut node_named = vec![false; world.num_nodes()];
-    let mut name_node = |events: &mut Vec<Json>, node: NodeId| {
-        if !node_named[node.0] {
-            node_named[node.0] = true;
-            events.push(meta(
-                "thread_name",
-                node_pid(world, node),
-                Some(node.0 as u64),
-                world.node_name(node),
-            ));
-        }
-    };
-
-    // Chaos down-time renders as complete spans: a LinkDown / NodeCrash
-    // opens a window, the matching LinkUp / NodeRestart closes it.
-    let mut seg_down: HashMap<u64, u64> = HashMap::new();
-    let mut node_down: HashMap<usize, u64> = HashMap::new();
-    // Gilbert–Elliott bad-state windows render the same way: a
-    // `FaultBurst { bad: true }` opens, the matching `bad: false` closes.
-    let mut burst_open: HashMap<u64, u64> = HashMap::new();
-
-    for ev in world.probe().records() {
-        let ns = ev.at.as_ns();
-        match ev.record {
-            ProbeRecord::FrameOffered {
-                seg, queued, depth, ..
-            } => {
-                // Uncontended offers are implied by their WireTx span;
-                // only queueing (contention evidence) gets an instant.
-                if queued {
-                    events.push(instant(
-                        "queued",
-                        PID_SEGMENTS,
-                        seg.0 as u64,
-                        ns,
-                        vec![("depth", Json::U64(depth as u64))],
-                    ));
-                }
-            }
-            ProbeRecord::QueueDrop { seg, src, len } => {
-                events.push(instant(
-                    "queue_drop",
-                    PID_SEGMENTS,
-                    seg.0 as u64,
-                    ns,
-                    vec![
-                        ("src", Json::str(world.node_name(src.0))),
-                        ("len", Json::U64(len as u64)),
-                    ],
-                ));
-            }
-            ProbeRecord::WireTx {
-                seg,
-                src,
-                len,
-                ser_ns,
-            } => {
-                events.push(complete(
-                    "tx",
-                    PID_SEGMENTS,
-                    seg.0 as u64,
-                    ns.saturating_sub(ser_ns),
-                    ser_ns,
-                    vec![
-                        ("src", Json::str(world.node_name(src.0))),
-                        ("port", Json::U64(src.1 .0 as u64)),
-                        ("len", Json::U64(len as u64)),
-                    ],
-                ));
-            }
-            ProbeRecord::FaultDrop { seg, len } => {
-                events.push(instant(
-                    "fault_drop",
-                    PID_SEGMENTS,
-                    seg.0 as u64,
-                    ns,
-                    vec![("len", Json::U64(len as u64))],
-                ));
-            }
-            ProbeRecord::FaultCorrupt { seg, len } => {
-                events.push(instant(
-                    "fault_corrupt",
-                    PID_SEGMENTS,
-                    seg.0 as u64,
-                    ns,
-                    vec![("len", Json::U64(len as u64))],
-                ));
-            }
-            ProbeRecord::FaultDuplicate { seg, len } => {
-                events.push(instant(
-                    "fault_duplicate",
-                    PID_SEGMENTS,
-                    seg.0 as u64,
-                    ns,
-                    vec![("len", Json::U64(len as u64))],
-                ));
-            }
-            ProbeRecord::FaultBurst { seg, bad } => {
-                let tid = seg.0 as u64;
-                if bad {
-                    burst_open.entry(tid).or_insert(ns);
-                } else {
-                    match burst_open.remove(&tid) {
-                        Some(start) => {
-                            events.push(complete(
-                                "burst",
-                                PID_SEGMENTS,
-                                tid,
-                                start,
-                                ns - start,
-                                vec![],
-                            ));
-                        }
-                        // A burst whose entry record fell off the ring
-                        // still marks its end.
-                        None => events.push(instant("burst_end", PID_SEGMENTS, tid, ns, vec![])),
-                    }
-                }
-            }
-            // Deliveries are numerous and implied by the wire span; the
-            // ring keeps them for programmatic consumers, the timeline
-            // skips them.
-            ProbeRecord::Deliver { .. } => {}
-            ProbeRecord::Decision {
-                node,
-                port,
-                verdict,
-            } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    verdict,
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![("port", Json::U64(port.0 as u64))],
-                ));
-            }
-            // Begin/end land at the same simulated instant (execution
-            // is costed, not simulated); the end record carries the
-            // numbers.
-            ProbeRecord::ExecBegin { .. } => {}
-            ProbeRecord::ExecEnd {
-                node,
-                fuel,
-                host_calls,
-            } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    "exec",
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![
-                        ("fuel", Json::U64(fuel)),
-                        ("host_calls", Json::U64(host_calls)),
-                    ],
-                ));
-            }
-            ProbeRecord::TimerArm { node, id, deadline } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    "timer_arm",
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![
-                        ("id", Json::U64(id)),
-                        ("deadline_ns", Json::U64(deadline.as_ns())),
-                    ],
-                ));
-            }
-            ProbeRecord::TimerFire { node, id } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    "timer_fire",
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![("id", Json::U64(id))],
-                ));
-            }
-            ProbeRecord::TimerCancel { node, id } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    "timer_cancel",
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![("id", Json::U64(id))],
-                ));
-            }
-            ProbeRecord::Mark { node, label } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    label,
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![],
-                ));
-            }
-            ProbeRecord::LinkDown { seg } => {
-                seg_down.entry(seg.0 as u64).or_insert(ns);
-            }
-            ProbeRecord::LinkUp { seg } => {
-                let tid = seg.0 as u64;
-                match seg_down.remove(&tid) {
-                    Some(start) => {
-                        events.push(complete(
-                            "down",
-                            PID_SEGMENTS,
-                            tid,
-                            start,
-                            ns - start,
-                            vec![],
-                        ));
-                    }
-                    // A heal with no recorded outage (e.g. the ring
-                    // displaced the LinkDown record) still shows up.
-                    None => events.push(instant("link_up", PID_SEGMENTS, tid, ns, vec![])),
-                }
-            }
-            ProbeRecord::NodeCrash { node } => {
-                name_node(&mut events, node);
-                node_down.entry(node.0).or_insert(ns);
-            }
-            ProbeRecord::NodeRestart { node } => {
-                name_node(&mut events, node);
-                let pid = node_pid(world, node);
-                match node_down.remove(&node.0) {
-                    Some(start) => {
-                        events.push(complete(
-                            "crashed",
-                            pid,
-                            node.0 as u64,
-                            start,
-                            ns - start,
-                            vec![],
-                        ));
-                    }
-                    None => events.push(instant("restart", pid, node.0 as u64, ns, vec![])),
-                }
-            }
-            ProbeRecord::Quarantine { node } => {
-                name_node(&mut events, node);
-                events.push(instant(
-                    "quarantine",
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![],
-                ));
-            }
-            // Defense-plane records: each is an instant on the bridge's
-            // track carrying the port it fired on.
-            ProbeRecord::LearnEvict { node, port }
-            | ProbeRecord::LearnReject { node, port }
-            | ProbeRecord::PortSuppressed { node, port }
-            | ProbeRecord::PortReleased { node, port }
-            | ProbeRecord::BpduGuardTrip { node, port } => {
-                let label = match ev.record {
-                    ProbeRecord::LearnEvict { .. } => "learn_evict",
-                    ProbeRecord::LearnReject { .. } => "learn_reject",
-                    ProbeRecord::PortSuppressed { .. } => "port_suppressed",
-                    ProbeRecord::PortReleased { .. } => "port_released",
-                    _ => "bpdu_guard_trip",
-                };
-                name_node(&mut events, node);
-                events.push(instant(
-                    label,
-                    node_pid(world, node),
-                    node.0 as u64,
-                    ns,
-                    vec![("port", Json::U64(port.0 as u64))],
-                ));
-            }
-        }
-    }
-
-    // Outages still open at the horizon render as spans reaching it
-    // (sorted for byte-deterministic output).
-    let end_ns = report.end.as_ns();
-    let mut open_segs: Vec<(u64, u64)> = seg_down.into_iter().collect();
-    open_segs.sort_unstable();
-    for (tid, start) in open_segs {
-        events.push(complete(
-            "down",
-            PID_SEGMENTS,
-            tid,
-            start,
-            end_ns.saturating_sub(start),
-            vec![],
-        ));
-    }
-    let mut open_bursts: Vec<(u64, u64)> = burst_open.into_iter().collect();
-    open_bursts.sort_unstable();
-    for (tid, start) in open_bursts {
-        events.push(complete(
-            "burst",
-            PID_SEGMENTS,
-            tid,
-            start,
-            end_ns.saturating_sub(start),
-            vec![],
-        ));
-    }
-    let mut open_nodes: Vec<(usize, u64)> = node_down.into_iter().collect();
-    open_nodes.sort_unstable();
-    for (id, start) in open_nodes {
-        let node = NodeId(id);
-        events.push(complete(
-            "crashed",
-            node_pid(world, node),
-            id as u64,
-            start,
-            end_ns.saturating_sub(start),
-            vec![],
-        ));
-    }
-
+/// ([`crate::runner::run_recorded`]); the report supplies the horizon and
+/// the run's identity, so any world renders against any report.
+pub fn timeline_json(world: &World, report: &Report) -> JsonText {
     let probe = world.probe();
-    Json::obj(vec![
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::str("ms")),
-        (
-            "otherData",
-            Json::obj(vec![
-                ("scenario", Json::str(&report.scenario.name)),
-                ("seed", Json::U64(report.scenario.seed)),
-                ("records", Json::U64(probe.len() as u64)),
-                ("records_dropped", Json::U64(probe.dropped())),
-                ("end_ns", Json::U64(report.end.as_ns())),
-            ]),
-        ),
-    ])
+    JsonText::write(|w| {
+        w.obj(|w| {
+            w.key("traceEvents")
+                .arr(|w| events(w, world, report.end.as_ns()));
+            w.key("displayTimeUnit").str("ms");
+            w.key("otherData").obj(|w| {
+                w.key("scenario").str(&report.scenario.name);
+                w.key("seed").u64(report.scenario.seed);
+                w.key("records").u64(probe.len() as u64);
+                w.key("records_dropped").u64(probe.dropped());
+                w.key("end_ns").u64(report.end.as_ns());
+            });
+        });
+    })
 }
 
 /// Fixed-width summary tables for a recorded run: per-bridge hot

@@ -7,7 +7,7 @@ use ab_scenario::sweep::{run_sweep_jobs, SweepSpec};
 use ab_scenario::topo::TopologyShape;
 use ab_scenario::workload::BatteryKind;
 
-/// Six distinct shapes × three batteries (the default sweep), generated
+/// Seven distinct shapes × five batteries (the default sweep), generated
 /// from seeds, run twice: every invariant passes and the two JSON
 /// reports are byte-identical.
 #[test]

@@ -9,10 +9,13 @@
 # target directory. Then, with both builds:
 #   - renders the default, chaos, lossy and adversarial sweeps at seeds
 #     0-49 (200 documents) and compares each pair with `cmp`;
-#   - runs every example under examples/ and compares their stdout.
+#   - runs every example under examples/ and compares their stdout;
+#   - flight-records the traces crates/scenario/tests/flight_recorder.rs
+#     pins and compares each timeline (stdout) and its summary tables
+#     (stderr).
 # Prints each mismatch and a count. Exits 1 if any pair differs, 0 when
-# every byte is the same. A refactor that must not move a report byte
-# runs this against its parent commit.
+# every byte is the same. A refactor that must not move a report byte,
+# or a probe or timeline change, runs this against its parent commit.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -45,7 +48,14 @@ case $head_target in /*) ;; *) head_target=$root/$head_target ;; esac
 echo "same_bytes: building the working tree" >&2
 build "$root" "$head_target"
 
-# render BUILD_TARGET OUT_DIR: every document and example output.
+# The pinned traces, one `shape battery [--defended]` a line.
+pinned_traces='metro metro
+line lossy
+line adversarial --defended
+ring chaos
+ring adversarial --defended'
+
+# render BUILD_TARGET OUT_DIR: every document, example and trace output.
 render() {
     for sweep in default chaos lossy adversarial; do
         seed=0
@@ -61,6 +71,11 @@ render() {
             "$1/release/examples/$name" >"$2/example-$name.txt" || echo "exit $?" >>"$2/example-$name.txt"
         fi
     done
+    echo "$pinned_traces" | while read -r shape battery flag; do
+        out=$2/trace-$shape-$battery
+        # $flag is empty or one word, so it is left unquoted.
+        "$1/release/ab_scenario" trace "$shape" "$battery" --seed 42 $flag >"$out.json" 2>"$out.txt"
+    done
 }
 echo "same_bytes: rendering" >&2
 render "$tmp/target" "$tmp/base"
@@ -70,20 +85,24 @@ docs=0
 same_docs=0
 examples=0
 same_examples=0
+traces=0
+same_traces=0
 for out in "$tmp/head"/*; do
     name=$(basename "$out")
     case $name in
         example-*) examples=$((examples + 1)) ;;
+        trace-*) traces=$((traces + 1)) ;;
         *) docs=$((docs + 1)) ;;
     esac
     if [ -f "$tmp/base/$name" ] && cmp -s "$tmp/base/$name" "$out"; then
         case $name in
             example-*) same_examples=$((same_examples + 1)) ;;
+            trace-*) same_traces=$((same_traces + 1)) ;;
             *) same_docs=$((same_docs + 1)) ;;
         esac
     else
         echo "differs: $name"
     fi
 done
-echo "$same_docs of $docs documents and $same_examples of $examples examples identical to $rev"
-[ "$same_docs" -eq "$docs" ] && [ "$same_examples" -eq "$examples" ]
+echo "$same_docs of $docs documents, $same_examples of $examples examples and $same_traces of $traces trace outputs identical to $rev"
+[ "$same_docs" -eq "$docs" ] && [ "$same_examples" -eq "$examples" ] && [ "$same_traces" -eq "$traces" ]
